@@ -86,7 +86,7 @@ fn main() {
     e13_indexes();
     e14_compiled_engine();
     e15_stacked_views();
-    e16_batched_execution();
+    e16_compiled_execution();
     e17_profiling_overhead();
     e18_durability(&args);
     e19_planner();
@@ -625,14 +625,13 @@ fn row(label: &str, cells: &[String]) {
     println!("{label:<34} {}", cells.join("  "));
 }
 
-/// 64 accesses through a warm batched [`ov_query::Scan`]: one prefetched
-/// batch per op, then bind/run per row — the steady-state shape of a scan's
-/// inner loop, which is what E1's per-access columns are about.
+/// 64 accesses through a warm [`ov_query::Scan`]: bind/run per row — the
+/// steady-state shape of a scan's inner loop, which is what E1's
+/// per-access columns are about.
 fn scan64(scan: &mut ov_query::Scan, rows: &[Value]) {
-    scan.begin_batch(0, rows);
-    for (i, o) in rows.iter().enumerate() {
+    for o in rows {
         scan.bind(0, o.clone());
-        std::hint::black_box(scan.run_row(0, i).unwrap());
+        std::hint::black_box(scan.run(0).unwrap());
     }
 }
 
@@ -650,7 +649,7 @@ fn e1_virtual_attributes() {
             "scan@view".into(),
         ],
     );
-    // The per-access columns measure the batched compiled engine — the
+    // The per-access columns measure the compiled engine — the
     // engine a population or select scan actually runs per row — with the
     // executor built once and its resolution caches warm, so the cell
     // isolates the paper's §2 question: what does virtual-attribute
@@ -1502,49 +1501,37 @@ fn e15_stacked_views() {
     }
 }
 
-fn e16_batched_execution() {
+fn e16_compiled_execution() {
     header(
         "E16",
-        "batched bytecode execution: columnar batches vs row-at-a-time vs interpreter (extension)",
+        "bytecode execution through a view: compiled engine vs interpreter (extension)",
     );
     row(
         "n",
         &[
-            "batched".into(),
-            "row".into(),
+            "compiled".into(),
             "interp".into(),
             "speedup".into(),
             "result size".into(),
         ],
     );
     // The same select, with a computed attribute in the projection and a
-    // stored attribute in the predicate, run three ways through the view:
-    // the default batched compiled engine (prefetched columnar chunks of
-    // `batch_rows()` rows), the compiled engine with batching disabled
-    // (batch width 0: per-row locks and lookups), and the tree-walking
-    // interpreter. All three must produce the same set; `speedup` is
-    // interp/batched.
+    // stored attribute in the predicate, run both ways through the view:
+    // the compiled engine (one lazy probe per attribute a row evaluates)
+    // and the tree-walking interpreter. Both must produce the same set;
+    // `speedup` is interp/compiled. (Baselines up to PR 10 also carry
+    // `batched` and `row` cells from the retired batch-prefetch layer.)
     let q = "select P.Address from P in Person where P.Age >= 21";
     for &n in &[1_000usize, 10_000, 100_000] {
         let sys = people(n);
         let view = staff_view(&sys, ViewOptions::default());
-        let batched_result = view.query(q).unwrap();
-        let row_result = ov_query::with_batch_rows(0, || view.query(q).unwrap());
+        let compiled_result = view.query(q).unwrap();
         let interp_result =
             ov_query::with_engine_mode(ov_query::EngineMode::Interp, || view.query(q).unwrap());
-        assert_eq!(
-            batched_result, row_result,
-            "E16: batching changed the result"
-        );
-        assert_eq!(batched_result, interp_result, "E16: engines disagree");
-        let size = batched_result.as_set().map_or(0, |s| s.len());
-        let t_batched = time_ns(5, || {
+        assert_eq!(compiled_result, interp_result, "E16: engines disagree");
+        let size = compiled_result.as_set().map_or(0, |s| s.len());
+        let t_compiled = time_ns(5, || {
             std::hint::black_box(view.query(q).unwrap());
-        });
-        let t_row = ov_query::with_batch_rows(0, || {
-            time_ns(5, || {
-                std::hint::black_box(view.query(q).unwrap());
-            })
         });
         let t_interp = ov_query::with_engine_mode(ov_query::EngineMode::Interp, || {
             time_ns(5, || {
@@ -1554,10 +1541,9 @@ fn e16_batched_execution() {
         row(
             &n.to_string(),
             &[
-                tcell(&n.to_string(), "batched", t_batched),
-                tcell(&n.to_string(), "row", t_row),
+                tcell(&n.to_string(), "compiled", t_compiled),
                 tcell(&n.to_string(), "interp", t_interp),
-                format!("{:.2}x", t_interp / t_batched),
+                format!("{:.2}x", t_interp / t_compiled),
                 size.to_string(),
             ],
         );
@@ -1619,7 +1605,7 @@ fn e17_profiling_overhead() {
             .expect("E17: profiled scans must feed Person statistics");
         assert!(
             !person.attrs.is_empty(),
-            "E17: sampled batches must sketch at least one attribute"
+            "E17: the sampled rows must sketch at least one attribute"
         );
         let fingerprints = ov_oodb::workload().len();
         row(

@@ -1946,13 +1946,10 @@ impl View {
         est_rows: Option<u64>,
     ) -> ov_query::Result<BTreeSet<Oid>> {
         let (populating, depth) = self.with_eval(|s| (s.populating.clone(), s.body_depth));
-        // Batch size is thread-scoped; read it on the coordinator and apply
-        // it inside every worker's chunk loop.
-        let batch = ov_query::batch_rows();
         let workers = self.parallel.workers_for(extent.len());
         let chunk_len = extent.len().div_ceil(workers);
         let engine = if compiled.is_some() {
-            plan::Engine::compiled_now()
+            plan::Engine::Compiled
         } else {
             plan::Engine::Interpreted
         };
@@ -1963,7 +1960,7 @@ impl View {
         // work counters here. Budget charges are *not* folded — workers
         // bracket a shared budget concurrently, so their deltas overlap; the
         // coordinator's own frame below measures the true total.
-        let shared: [AtomicU64; 5] = std::array::from_fn(|_| AtomicU64::new(0));
+        let shared: [AtomicU64; 4] = std::array::from_fn(|_| AtomicU64::new(0));
         let (result, actuals) = plan::with_scan_actuals(|| {
             let results: Vec<ov_query::Result<BTreeSet<Oid>>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = extent
@@ -1991,24 +1988,12 @@ impl View {
                                 let r = (|| -> ov_query::Result<BTreeSet<Oid>> {
                                     let mut keep = BTreeSet::new();
                                     if let Some(scan) = exec.as_mut() {
-                                        let sub_len = if batch == 0 {
-                                            chunk.len().max(1)
-                                        } else {
-                                            batch
-                                        };
-                                        for sub in chunk.chunks(sub_len) {
-                                            if batch > 0 {
-                                                let rows: Vec<Value> =
-                                                    sub.iter().map(|&o| Value::Oid(o)).collect();
-                                                scan.begin_batch(0, &rows);
-                                            }
-                                            for (i, &oid) in sub.iter().enumerate() {
-                                                scan.bind(0, Value::Oid(oid));
-                                                actuals.rows_scanned += 1;
-                                                if ov_query::truthy(&scan.run_row(0, i)?) {
-                                                    actuals.rows_matched += 1;
-                                                    keep.insert(oid);
-                                                }
+                                        for &oid in chunk {
+                                            scan.bind(0, Value::Oid(oid));
+                                            actuals.rows_scanned += 1;
+                                            if ov_query::truthy(&scan.run(0)?) {
+                                                actuals.rows_matched += 1;
+                                                keep.insert(oid);
                                             }
                                         }
                                         return Ok(keep);
@@ -2041,7 +2026,6 @@ impl View {
                             for (slot, v) in shared.iter().zip([
                                 a.rows_scanned,
                                 a.rows_matched,
-                                a.batches,
                                 a.cache_hits,
                                 a.cache_misses,
                             ]) {
@@ -2069,9 +2053,8 @@ impl View {
             plan::add_actuals(&plan::ScanActuals {
                 rows_scanned: shared[0].load(Ordering::Relaxed),
                 rows_matched: shared[1].load(Ordering::Relaxed),
-                batches: shared[2].load(Ordering::Relaxed),
-                cache_hits: shared[3].load(Ordering::Relaxed),
-                cache_misses: shared[4].load(Ordering::Relaxed),
+                cache_hits: shared[2].load(Ordering::Relaxed),
+                cache_misses: shared[3].load(Ordering::Relaxed),
                 ..Default::default()
             });
             let mut out = BTreeSet::new();
@@ -2122,7 +2105,7 @@ impl View {
                     if let Some((candidates, index)) = self.index_candidates(q) {
                         self.bump_stat(Stat::IndexPushdown);
                         let engine = if compiled.is_some() {
-                            plan::Engine::compiled_now()
+                            plan::Engine::Compiled
                         } else {
                             plan::Engine::Interpreted
                         };
@@ -2132,25 +2115,12 @@ impl View {
                             let mut exec = compiled.map(|prog| ov_query::Scan::new(prog, self));
                             let r = (|| -> ov_query::Result<()> {
                                 if let Some(scan) = exec.as_mut() {
-                                    let batch = ov_query::batch_rows();
-                                    let sub_len = if batch == 0 {
-                                        candidates.len().max(1)
-                                    } else {
-                                        batch
-                                    };
-                                    for sub in candidates.chunks(sub_len) {
-                                        if batch > 0 {
-                                            let rows: Vec<Value> =
-                                                sub.iter().map(|&o| Value::Oid(o)).collect();
-                                            scan.begin_batch(0, &rows);
-                                        }
-                                        for (i, &oid) in sub.iter().enumerate() {
-                                            scan.bind(0, Value::Oid(oid));
-                                            actuals.rows_scanned += 1;
-                                            if ov_query::truthy(&scan.run_row(0, i)?) {
-                                                actuals.rows_matched += 1;
-                                                out.insert(oid);
-                                            }
+                                    for &oid in &candidates {
+                                        scan.bind(0, Value::Oid(oid));
+                                        actuals.rows_scanned += 1;
+                                        if ov_query::truthy(&scan.run(0)?) {
+                                            actuals.rows_matched += 1;
+                                            out.insert(oid);
                                         }
                                     }
                                     return Ok(());
@@ -2260,36 +2230,21 @@ impl View {
                                         let mut scan = ov_query::Scan::new(prog, self);
                                         let r = (|| -> ov_query::Result<BTreeSet<Oid>> {
                                             let budget = ov_query::budget::current();
-                                            let batch = ov_query::batch_rows();
                                             // One node entry for the collection name,
                                             // then per row the filter and (on keep) the
                                             // projection node — the tree walker's exact
-                                            // accounting, preserved within each batch.
+                                            // accounting.
                                             scan.step(1)?;
                                             let mut kept = BTreeSet::new();
-                                            let sub_len = if batch == 0 {
-                                                extent.len().max(1)
-                                            } else {
-                                                batch
-                                            };
-                                            for sub in extent.chunks(sub_len) {
-                                                if batch > 0 {
-                                                    let rows: Vec<Value> = sub
-                                                        .iter()
-                                                        .map(|&o| Value::Oid(o))
-                                                        .collect();
-                                                    scan.begin_batch(0, &rows);
-                                                }
-                                                for (i, &oid) in sub.iter().enumerate() {
-                                                    scan.bind(0, Value::Oid(oid));
-                                                    actuals.rows_scanned += 1;
-                                                    if ov_query::truthy(&scan.run_row(1, i)?) {
-                                                        actuals.rows_matched += 1;
-                                                        scan.step(1)?;
-                                                        if kept.insert(oid) {
-                                                            if let Some(b) = &budget {
-                                                                b.note_rows(1)?;
-                                                            }
+                                            for &oid in &extent {
+                                                scan.bind(0, Value::Oid(oid));
+                                                actuals.rows_scanned += 1;
+                                                if ov_query::truthy(&scan.run(1)?) {
+                                                    actuals.rows_matched += 1;
+                                                    scan.step(1)?;
+                                                    if kept.insert(oid) {
+                                                        if let Some(b) = &budget {
+                                                            b.note_rows(1)?;
                                                         }
                                                     }
                                                 }
@@ -2303,7 +2258,7 @@ impl View {
                                 );
                                 plan::record_scan_est(
                                     plan::ScanKind::Sequential {
-                                        engine: plan::Engine::compiled_now(),
+                                        engine: plan::Engine::Compiled,
                                     },
                                     actuals,
                                     est,
@@ -2537,12 +2492,45 @@ impl View {
     // Object-level plumbing
     // ------------------------------------------------------------------
 
+    /// The virtual classes passing `keep` whose population may be requested
+    /// from this thread right now, in `ClassId` (definition) order so the
+    /// outcome never depends on hash-map order. A class being populated is
+    /// excluded (cycle guard), and so is every subclass of one: it draws
+    /// its members from the population in flight, so populating it now
+    /// would retest against the cycle guard's "not a member" and cache the
+    /// result. Nothing is lost by skipping it — an object it holds got
+    /// there through the classes its definition reads, which the caller
+    /// reaches without it.
+    fn populatable_virtuals(&self, keep: impl Fn(&Schema, ClassId) -> bool) -> Vec<ClassId> {
+        let populating = self.with_eval(|s| s.populating.clone());
+        let virt = self.virt.read();
+        let schema = self.schema.read();
+        let mut out: Vec<ClassId> = virt
+            .keys()
+            .copied()
+            .filter(|&v| !populating.iter().any(|&p| schema.is_subclass(v, p)) && keep(&schema, v))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Reads `oid`'s entry in the imaginary-object table. Base stores
+    /// allocate strictly below [`IMAGINARY_OID_BASE`] and this
+    /// view strictly at or above it, so a base oid — every row of an
+    /// ordinary scan — skips the table lock and the hash probe.
+    fn imaginary_object<R>(&self, oid: Oid, read: impl FnOnce(&ImaginaryObject) -> R) -> Option<R> {
+        if !oid.is_imaginary() {
+            return None;
+        }
+        self.imaginary.read().get(&oid).map(read)
+    }
+
     /// The view class an object presents as: its imaginary class, or its
     /// real class mapped through the imports. Errors if the class was not
     /// imported.
     fn view_class_of(&self, oid: Oid) -> ov_query::Result<ClassId> {
-        if let Some(im) = self.imaginary.read().get(&oid) {
-            return Ok(im.class);
+        if let Some(class) = self.imaginary_object(oid, |im| im.class) {
+            return Ok(class);
         }
         for (idx, handle) in self.sources.iter().enumerate() {
             let db = handle.read();
@@ -2589,35 +2577,33 @@ impl View {
         // populating them: membership only matters to resolution when some
         // ancestor actually provides a definition, and skipping the rest
         // avoids both wasted work and spurious population cycles.
-        let populating = self.with_eval(|s| s.populating.clone());
-        let candidates: Vec<ClassId> = {
-            let virt = self.virt.read();
-            let schema = self.schema.read();
-            // Definitions already reachable through the base roots: a
-            // virtual membership is only *relevant* to resolving `attr` if
-            // it contributes a definition the base chain does not.
-            let base_defs: HashSet<ClassId> = match relevant_to {
-                None => HashSet::new(),
-                Some(_) => roots
+        //
+        // Definitions already reachable through the base roots: a virtual
+        // membership is only *relevant* to resolving `attr` if it
+        // contributes a definition the base chain does not.
+        let base_defs: HashSet<ClassId> = match relevant_to {
+            None => HashSet::new(),
+            Some(_) => {
+                let schema = self.schema.read();
+                roots
                     .iter()
                     .flat_map(|&r| ClassGraph::ancestors(&*schema, r))
-                    .collect(),
-            };
-            virt.keys()
-                .copied()
-                .filter(|v| !populating.contains(v) && !roots.contains(v))
-                .filter(|&v| match relevant_to {
+                    .collect()
+            }
+        };
+        let candidates = self.populatable_virtuals(|schema, v| {
+            !roots.contains(&v)
+                && match relevant_to {
                     None => true,
-                    Some(attr) => ClassGraph::ancestors(&*schema, v).iter().any(|&a| {
+                    Some(attr) => ClassGraph::ancestors(schema, v).iter().any(|&a| {
                         !base_defs.contains(&a)
                             && schema
                                 .class(a)
                                 .own_attr(attr)
                                 .is_some_and(|d| !d.is_abstract())
                     }),
-                })
-                .collect()
-        };
+                }
+        });
         for v in candidates {
             if self.population(v)?.contains(&oid) {
                 roots.push(v);
@@ -2994,7 +2980,10 @@ impl DataSource for View {
                     d.extend(schema.strict_descendants(class));
                     d
                 };
-                let mut out = BTreeSet::new();
+                // Each per-class extent is sorted and an object has one
+                // real class, so concatenating and sorting beats a set
+                // union; `dedup` only matters when two sources reuse an oid.
+                let mut out = Vec::new();
                 let kinds = self.kinds.read();
                 for d in descendants {
                     if let Some(ClassKind::Imported { source, orig }) = kinds.get(&d) {
@@ -3002,7 +2991,9 @@ impl DataSource for View {
                         out.extend(db.store.extent(*orig));
                     }
                 }
-                Ok(out.into_iter().collect())
+                out.sort_unstable();
+                out.dedup();
+                Ok(out)
             }
         }
     }
@@ -3016,16 +3007,7 @@ impl DataSource for View {
             return Ok(true);
         }
         // Membership through an overlapping virtual class below `class`.
-        let populating = self.with_eval(|s| s.populating.clone());
-        let candidates: Vec<ClassId> = {
-            let virt = self.virt.read();
-            let schema = self.schema.read();
-            virt.keys()
-                .copied()
-                .filter(|&v| !populating.contains(&v) && schema.is_subclass(v, class))
-                .collect()
-        };
-        for v in candidates {
+        for v in self.populatable_virtuals(|schema, v| schema.is_subclass(v, class)) {
             if self.population(v)?.contains(&oid) {
                 return Ok(true);
             }
@@ -3096,8 +3078,8 @@ impl DataSource for View {
     }
 
     fn stored_field(&self, oid: Oid, name: Symbol) -> ov_query::Result<Value> {
-        if let Some(im) = self.imaginary.read().get(&oid) {
-            return Ok(im.core.get(name).cloned().unwrap_or(Value::Null));
+        if let Some(v) = self.imaginary_object(oid, |im| im.core.get(name).cloned()) {
+            return Ok(v.unwrap_or(Value::Null));
         }
         for handle in &self.sources {
             let db = handle.read();
@@ -3116,11 +3098,13 @@ impl DataSource for View {
     }
 
     fn resolution_class_and_field(&self, oid: Oid, name: Symbol) -> Option<(ClassId, Value)> {
-        // Fused `resolution_class` + `stored_field`: one imaginary-table
-        // probe and one source-store probe instead of two of each, which
-        // matters at a lock acquisition and a hash lookup per scanned row.
-        if let Some(im) = self.imaginary.read().get(&oid) {
-            return Some((im.class, im.core.get(name).cloned().unwrap_or(Value::Null)));
+        // Fused `resolution_class` + `stored_field`: one source-store probe
+        // instead of two, which matters at a lock acquisition and a hash
+        // lookup per scanned row.
+        if let Some(hit) = self.imaginary_object(oid, |im| {
+            (im.class, im.core.get(name).cloned().unwrap_or(Value::Null))
+        }) {
+            return Some(hit);
         }
         for (idx, handle) in self.sources.iter().enumerate() {
             let db = handle.read();
@@ -3134,43 +3118,6 @@ impl DataSource for View {
 
     fn resolution_generation(&self) -> u64 {
         self.res_gen.load(Ordering::Acquire)
-    }
-
-    fn prefetch_attr_columns(
-        &self,
-        oids: &[Option<Oid>],
-        names: &[Symbol],
-    ) -> Option<ov_query::PrefetchedColumns> {
-        // Batched `resolution_class_and_field`: the imaginary table and
-        // every source store are locked *once* for the whole batch instead
-        // of once per row per attribute. Pure snapshot reads — no budget
-        // charges, no fault sites, no membership checks — matching the
-        // trait contract.
-        let imaginary = self.imaginary.read();
-        let stores: Vec<_> = self.sources.iter().map(|h| h.read()).collect();
-        let mut cols = vec![vec![None; oids.len()]; names.len()];
-        for (row, oid) in oids.iter().enumerate() {
-            let Some(oid) = *oid else { continue };
-            if let Some(im) = imaginary.get(&oid) {
-                for (c, name) in names.iter().enumerate() {
-                    cols[c][row] =
-                        Some((im.class, im.core.get(*name).cloned().unwrap_or(Value::Null)));
-                }
-                continue;
-            }
-            for (idx, db) in stores.iter().enumerate() {
-                if let Some(obj) = db.store.get(oid) {
-                    if let Some(&class) = self.import_maps[idx].get(&obj.class) {
-                        for (c, name) in names.iter().enumerate() {
-                            cols[c][row] =
-                                Some((class, obj.value.get(*name).cloned().unwrap_or(Value::Null)));
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        Some(cols)
     }
 
     fn resolution_is_class_pure(&self, class: ClassId, name: Symbol) -> bool {
@@ -3225,7 +3172,7 @@ impl DataSource for View {
     }
 
     fn object_exists(&self, oid: Oid) -> bool {
-        self.imaginary.read().contains_key(&oid)
+        self.imaginary_object(oid, |_| ()).is_some()
             || self
                 .sources
                 .iter()

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use crate::durable::DurableCore;
 use crate::error::{OodbError, Result};
 use crate::ids::{ClassId, Oid};
+use crate::resolve::{resolve_with_policy, ConflictPolicy};
 use crate::schema::{AttrDef, Schema};
 use crate::store::{Store, StoredObject};
 use crate::symbol::Symbol;
@@ -273,19 +274,21 @@ impl Database {
     /// them with `ov-query`.
     pub fn stored_attr(&self, oid: Oid, name: Symbol) -> Result<&Value> {
         let obj = self.store.require(oid)?;
-        let class_name = self.schema.class(obj.class).name;
-        let visible = self.schema.visible_attrs(obj.class);
-        match visible.get(&name) {
-            None => Err(OodbError::UnknownAttr {
-                class: class_name,
+        // Conflicts resolve by creation order, like the query path
+        // (`DataSource::resolve`), so both read the same definition.
+        let (_, def) = resolve_with_policy(
+            &self.schema,
+            obj.class,
+            name,
+            &ConflictPolicy::CreationOrder,
+        )?;
+        if !def.is_stored() {
+            return Err(OodbError::NotStored {
+                class: self.schema.class(obj.class).name,
                 attr: name,
-            }),
-            Some((_, def)) if !def.is_stored() => Err(OodbError::NotStored {
-                class: class_name,
-                attr: name,
-            }),
-            Some(_) => Ok(obj.value.get(name).unwrap_or(&Value::Null)),
+            });
         }
+        Ok(obj.value.get(name).unwrap_or(&Value::Null))
     }
 
     /// Updates a stored attribute of `oid`, type-checked.

@@ -9,7 +9,9 @@
 //!
 //! `Symbol` ordering is **by string**, not by intern index, so that any
 //! ordered container keyed by symbols (tuples, dumps, error listings) is
-//! deterministic regardless of interning order.
+//! deterministic regardless of interning order. Equality and hashing are by
+//! intern index: there is one interner per process, so equal text means equal
+//! index.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -19,22 +21,32 @@ use parking_lot::RwLock;
 
 /// An interned string. Cheap to copy, compare and hash; resolves back to its
 /// text via [`Symbol::as_str`].
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// Capacity of the first text segment; segment `k` holds `FIRST_SEG << k`
+/// texts, so 27 segments cover every `u32` id.
+const FIRST_SEG: usize = 64;
+const SEGMENTS: usize = 27;
+
+/// Id → text, append-only. Readers ([`Symbol::as_str`], and through it every
+/// symbol comparison inside a tuple lookup) take no lock: a segment and each
+/// of its cells are published exactly once, by `Symbol::new`, before the id
+/// that addresses them escapes.
+static TEXTS: [OnceLock<Box<[OnceLock<&'static str>]>>; SEGMENTS] =
+    [const { OnceLock::new() }; SEGMENTS];
+
+/// The (segment, offset) cell that holds the text of symbol `id`.
+fn locate(id: u32) -> (usize, usize) {
+    let n = id as usize + FIRST_SEG;
+    let seg = (n / FIRST_SEG).ilog2() as usize;
+    (seg, n - (FIRST_SEG << seg))
 }
 
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
-        })
-    })
+/// Text → id. Only interning takes this lock.
+fn interner() -> &'static RwLock<HashMap<&'static str, u32>> {
+    static INTERNER: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+    INTERNER.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
 impl Symbol {
@@ -42,11 +54,11 @@ impl Symbol {
     /// return equal symbols.
     pub fn new(text: &str) -> Symbol {
         let lock = interner();
-        if let Some(&id) = lock.read().map.get(text) {
+        if let Some(&id) = lock.read().get(text) {
             return Symbol(id);
         }
-        let mut w = lock.write();
-        if let Some(&id) = w.map.get(text) {
+        let mut map = lock.write();
+        if let Some(&id) = map.get(text) {
             return Symbol(id);
         }
         // Names are schema-level identifiers: a small, bounded set per
@@ -54,15 +66,29 @@ impl Symbol {
         let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
         // Unreachable expect: 2^32 distinct symbols would exhaust memory
         // first (each one leaks its backing string by design).
-        let id = u32::try_from(w.strings.len()).expect("interner overflow");
-        w.strings.push(leaked);
-        w.map.insert(leaked, id);
+        let id = u32::try_from(map.len()).expect("interner overflow");
+        let (seg, off) = locate(id);
+        let cells = TEXTS[seg].get_or_init(|| {
+            std::iter::repeat_with(OnceLock::new)
+                .take(FIRST_SEG << seg)
+                .collect()
+        });
+        // Ids are handed out under the write lock, one per new text, so
+        // this cell has never been set.
+        cells[off]
+            .set(leaked)
+            .expect("symbol ids are assigned exactly once");
+        map.insert(leaked, id);
         Symbol(id)
     }
 
     /// The interned text.
     pub fn as_str(self) -> &'static str {
-        interner().read().strings[self.0 as usize]
+        let (seg, off) = locate(self.0);
+        TEXTS[seg]
+            .get()
+            .and_then(|cells| cells[off].get())
+            .expect("a Symbol exists only after its text was published")
     }
 }
 
@@ -84,15 +110,6 @@ impl Ord for Symbol {
         } else {
             self.as_str().cmp(other.as_str())
         }
-    }
-}
-
-impl std::hash::Hash for Symbol {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Hash the text so that hash is consistent with (string-based) Eq/Ord
-        // across interner instances; symbols equal by id always have equal
-        // text.
-        self.as_str().hash(state);
     }
 }
 
@@ -145,15 +162,63 @@ mod tests {
     }
 
     #[test]
-    fn hash_consistent_with_eq() {
+    fn concurrent_interning_keeps_string_order_and_hash_eq_coherence() {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
+        use std::sync::Barrier;
         let h = |s: Symbol| {
             let mut hasher = DefaultHasher::new();
             s.hash(&mut hasher);
             hasher.finish()
         };
-        assert_eq!(h(sym("Spouse")), h(sym("Spouse")));
+        // Enough distinct names to cross several segment boundaries while
+        // other threads are reading.
+        const THREADS: usize = 8;
+        const NAMES: usize = 600;
+        let name = |i: usize| format!("conc-sym-{i:04}");
+        let barrier = Barrier::new(THREADS);
+        let per_thread: Vec<Vec<Symbol>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        // Every thread interns every name, each starting at
+                        // a different offset, so first interning of a name
+                        // races with lookups and comparisons of it.
+                        let mut mine = vec![None; NAMES];
+                        let mut prev: Option<Symbol> = None;
+                        for k in 0..NAMES {
+                            let i = (k + t * NAMES / THREADS) % NAMES;
+                            let s = sym(&name(i));
+                            assert_eq!(s.as_str(), name(i));
+                            if let Some(p) = prev {
+                                assert_eq!(p.cmp(&s), p.as_str().cmp(s.as_str()));
+                                assert_eq!(p == s, p.as_str() == s.as_str());
+                            }
+                            prev = Some(s);
+                            mine[i] = Some(s);
+                        }
+                        mine.into_iter().map(|s| s.expect("visited")).collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("interning thread panicked"))
+                .collect()
+        });
+        for syms in &per_thread {
+            for (i, s) in syms.iter().enumerate() {
+                // One id per text, whichever thread won the race…
+                assert_eq!(*s, per_thread[0][i]);
+                assert_eq!(h(*s), h(per_thread[0][i]));
+            }
+            // …and ordering is the text's, not the race's.
+            assert!(syms.windows(2).all(|w| w[0] < w[1]));
+        }
+        let distinct: std::collections::HashSet<Symbol> = per_thread[0].iter().copied().collect();
+        assert_eq!(distinct.len(), NAMES);
     }
 
     #[test]

@@ -19,11 +19,9 @@
 //! scan workers — which re-install the coordinator's budget via [`current`]
 //! — drain one global allowance rather than one per thread.
 //!
-//! Batched execution does not change the accounting unit: the compiled
-//! engine prefetches attribute columns for a chunk of rows at once, but
-//! still charges steps and rows **per row, in row order**, so a cap is
-//! breached at exactly the same row — with the same error — at every batch
-//! width, including width 0 (row-at-a-time).
+//! Both engines charge steps and rows **per row, in row order**, so a cap
+//! is breached at exactly the same row — with the same error — whichever
+//! engine runs the scan.
 
 use std::cell::RefCell;
 use std::fmt;

@@ -22,41 +22,38 @@
 //!   parameters after it, bracketed by `EnterBody`/`ExitBody`
 //!   instructions) and invoked as a bytecode frame instead of
 //!   round-tripping through `Evaluator::run_computed` per row;
-//! * scans execute over **columnar batches**: [`Scan::begin_batch`]
-//!   prefetches the (class, raw field) probes for every attribute access
-//!   that reads the batched register — one lock acquisition and one object
-//!   lookup per row for the whole batch, instead of one per access.
+//! * every attribute access is **one lazy probe**
+//!   ([`DataSource::resolution_class_and_field`]): the object lookup that
+//!   yields the cache key also yields the stored field, and it happens only
+//!   for the attributes a row actually evaluates — a row the filter rejects
+//!   never touches its projection attributes.
 //!
 //! The contract is **bit-identical observable behavior** with the
 //! interpreter: same values, same error variants and messages, same
 //! [`crate::Budget`] step/row accounting (a `Step` instruction is
 //! emitted exactly where `eval_depth` would charge a step, at the same
-//! depth — batching amortizes lookups, *never* budget charges, so a
-//! breach stops at the exact row the interpreter would), same depth-limit
-//! behavior, and uncovered computed bodies still delegate to the
-//! interpreter (`Evaluator::run_computed`). Expressions outside the
+//! depth, so a breach stops at the exact row the interpreter would), same
+//! depth-limit behavior, and uncovered computed bodies still delegate to
+//! the interpreter (`Evaluator::run_computed`). Expressions outside the
 //! covered subset (`Lit`, scan variables, `self` in bodies, `Attr`,
-//! tuple/set/list constructors, `Unary`, `Binary`, `If`) simply fail to
-//! compile and the caller falls back to the interpreter, recording the
-//! scan as interpreted in EXPLAIN output ([`crate::plan::Engine`]).
+//! tuple/set/list constructors, `Unary`, `Binary`, `If`, nested
+//! `select`/`exists`, aggregates) simply fail to compile and the caller
+//! falls back to the interpreter, recording the scan as interpreted in
+//! EXPLAIN output ([`crate::plan::Engine`]) and the fallback in the
+//! `compile.fallbacks` metric.
 //!
-//! **Consistency model.** A batch's prefetched probes are a snapshot
-//! taken at [`Scan::begin_batch`]. Scans hold `&Database` (immutable) or
-//! run against a `View` whose raw class/field probes for existing objects
-//! do not change mid-scan, so the snapshot cannot be observed stale; a
-//! probe is only used when the receiver equals the batched row's object,
-//! and anything else falls through to the per-row path. Slot caches are
-//! additionally guarded by [`DataSource::resolution_generation`]: a
-//! source that invalidates scan-visible resolution state (a view opening
-//! or closing a population bracket, template instantiation) bumps its
-//! generation and the scan drops its cached verdicts.
+//! **Consistency model.** Slot caches are guarded by
+//! [`DataSource::resolution_generation`]: a source that invalidates
+//! scan-visible resolution state (a view opening or closing a population
+//! bracket, template instantiation) bumps its generation and the scan
+//! drops its cached verdicts.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use ov_oodb::{BinOp, ClassId, Expr, Oid, SelectExpr, Symbol, UnOp, Value};
+use ov_oodb::{AggFunc, BinOp, ClassId, Expr, Oid, SelectExpr, Symbol, UnOp, Value};
 
 use crate::budget::{self, Budget};
 use crate::error::{QueryError, Result};
@@ -74,10 +71,8 @@ pub enum EngineMode {
     /// Compile where the expression is covered, fall back otherwise
     /// (the default).
     Auto,
-    /// Compile when covered like [`EngineMode::Auto`], but *count* every
-    /// top-level query that still falls back to the interpreter in the
-    /// `compile.fallbacks` metric (surfaced by ovq `.engine`) — forcing
-    /// the engine makes coverage regressions visible instead of silent.
+    /// The explicit spelling of [`EngineMode::Auto`] (ovq `.engine
+    /// compiled`): compile when covered, fall back otherwise.
     Compiled,
     /// Never compile; every scan runs the tree-walking interpreter.
     Interp,
@@ -160,53 +155,12 @@ pub fn compiled_enabled() -> bool {
     engine_mode() != EngineMode::Interp
 }
 
-/// Interpreter fallbacks observed while the engine was forced to
-/// [`EngineMode::Compiled`]: top-level queries the compiler could not
-/// cover. Zero under a healthy forced-compiled workload; a growing count
-/// is a coverage regression.
+/// Top-level expressions the compiled engine declined while it was
+/// enabled ([`EngineMode::Auto`] or [`EngineMode::Compiled`]) and that
+/// therefore ran in the interpreter. Zero when everything a workload runs
+/// is covered; a growing count is a coverage gap.
 pub fn compile_fallbacks() -> u64 {
     ov_oodb::metric_counter!("compile.fallbacks").get()
-}
-
-/// Records one forced-mode interpreter fallback (only called when
-/// [`engine_mode`] is [`EngineMode::Compiled`]).
-fn note_fallback() {
-    ov_oodb::metric_counter!("compile.fallbacks").inc();
-}
-
-// --- batch sizing ---------------------------------------------------------
-
-/// Default number of rows per columnar batch. Large enough to amortize
-/// lock acquisition and (after the first batch warms the slot caches)
-/// body-program discovery; small enough that prefetched probe columns
-/// stay cache-resident.
-pub const DEFAULT_BATCH_ROWS: usize = 1024;
-
-thread_local! {
-    static BATCH_ROWS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The batch size governing this thread's compiled scans: the innermost
-/// [`with_batch_rows`] override, else [`DEFAULT_BATCH_ROWS`]. `0` means
-/// row-at-a-time execution (no prefetch) — the baseline the bench
-/// harness's E16 compares against.
-pub fn batch_rows() -> usize {
-    BATCH_ROWS.with(|c| c.get()).unwrap_or(DEFAULT_BATCH_ROWS)
-}
-
-/// Runs `f` with compiled scans batching `rows` rows at a time (`0`
-/// disables batching), restoring the previous setting on the way out.
-/// Batching is a pure execution strategy: results, errors, and budget
-/// accounting are identical at every setting.
-pub fn with_batch_rows<R>(rows: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BATCH_ROWS.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(BATCH_ROWS.with(|c| c.replace(Some(rows))));
-    f()
 }
 
 // --- programs -------------------------------------------------------------
@@ -261,6 +215,13 @@ enum Inst {
     /// subroutine drives its binding loops row-at-a-time with the
     /// interpreter's exact depth/step charges.
     Select { sub: usize, rel: usize },
+    /// Push free name `name` resolved at depth `base + rel` — named object,
+    /// else class extent — exactly like the evaluator's `resolve_name` tail
+    /// ([`Scan::free_name`]).
+    FreeName { name: Symbol, rel: usize },
+    /// Pop a collection, push the aggregate over it (the interpreter's own
+    /// `aggregate`, so values and error variants are its).
+    Aggregate(AggFunc),
     /// Frame entry of a compiled computed-attribute body: the
     /// `DataSource::enter_body` bracket the interpreter's `run_computed`
     /// opens before evaluating the body.
@@ -282,8 +243,9 @@ pub struct Program {
     slots: Vec<Symbol>,
     /// For each slot, the register its receiver reads directly (the
     /// receiver expression is that register and nothing else) — the
-    /// accesses a columnar batch can prefetch. `None` for computed
-    /// receivers (path tails like `P.Spouse.Name`).
+    /// attributes of the scanned row itself, which the statistics sample
+    /// sketches. `None` for computed receivers (path tails like
+    /// `P.Spouse.Name`).
     slot_recv: Vec<Option<usize>>,
     /// Field-name shapes for `MakeTuple`, in shape order.
     shapes: Vec<Vec<Symbol>>,
@@ -598,8 +560,22 @@ impl Compiler {
                 let sub = self.compile_sub(q, true)?;
                 self.insts.push(Inst::Select { sub, rel });
             }
-            // Everything else — aggregates, free names, `isa`, `Apply` —
-            // is interpreter territory.
+            Expr::Aggregate { func, arg } => {
+                match &**arg {
+                    // `count(Elite)`: a free class or named-object name,
+                    // resolved per execution like a sub-select collection.
+                    Expr::Name(n) if !self.vars.contains(n) => {
+                        self.insts.push(Inst::FreeName {
+                            name: *n,
+                            rel: rel + 1,
+                        });
+                    }
+                    arg => self.emit(arg, rel + 1)?,
+                }
+                self.insts.push(Inst::Aggregate(*func));
+            }
+            // Everything else — free names elsewhere, `isa`, `Apply` — is
+            // interpreter territory.
             _ => return None,
         }
         Some(())
@@ -626,33 +602,10 @@ enum SlotEntry {
     Impure,
 }
 
-/// Columnar prefetch state for one batch of rows.
-struct BatchState {
-    /// The row currently executing (set by [`Scan::run_row`]).
-    row: usize,
-    /// The batched rows' object ids (`None` for non-object rows). A
-    /// prefetched probe is used only when the receiver equals this row's
-    /// oid, so mixing batched and ad-hoc receivers is always safe.
-    oids: Vec<Option<Oid>>,
-    /// Prefetched column index per global slot (`None`: slot not
-    /// prefetchable). Indexed by the slots allocated when the batch began;
-    /// slots added later (newly discovered body programs) simply miss
-    /// until the next batch.
-    cols: Vec<Option<usize>>,
-    /// Fused (class, raw field) probes, column-major: `data[col][row]`.
-    /// `None` entries fall through to the per-row probe path.
-    data: Vec<Vec<Option<(ClassId, Value)>>>,
-    /// Attribute name per column (parallel to `data`), kept so the
-    /// statistics plane can attribute prefetched values.
-    names: Vec<Symbol>,
-}
-
 /// A per-scan executor for one [`Program`]: the reusable value stack, the
-/// register file, the captured [`Budget`], the per-slot resolution caches,
-/// and — when batching — the columnar prefetch state. Create one per scan
-/// (or per parallel chunk — caches are not shared across threads), then
-/// `bind` + `run` per row, or `begin_batch` + `bind` + `run_row` over
-/// columnar chunks.
+/// register file, the captured [`Budget`] and the per-slot resolution
+/// caches. Create one per scan (or per parallel chunk — caches are not
+/// shared across threads), then `bind` + `run` per row.
 pub struct Scan<'a> {
     prog: &'a Program,
     src: &'a dyn DataSource,
@@ -681,10 +634,6 @@ pub struct Scan<'a> {
     /// The source's resolution generation when the caches were last
     /// (re)filled; a bump drops every cached verdict.
     gen: u64,
-    batch: Option<BatchState>,
-    /// Columnar batches begun (prefetch actually armed). Plain local
-    /// integer; drained by the driver via [`Scan::take_actuals`].
-    n_batches: u64,
     /// Resolution-slot cache hits (see [`Scan::take_actuals`]).
     cache_hits: u64,
     /// Resolution-slot cache misses (see [`Scan::take_actuals`]).
@@ -706,46 +655,20 @@ impl<'a> Scan<'a> {
             body_bases: HashMap::new(),
             open_bodies: 0,
             gen: src.resolution_generation(),
-            batch: None,
-            n_batches: 0,
             cache_hits: 0,
             cache_misses: 0,
         }
     }
 
-    /// Drains the executor's measured diagnostics — batches begun,
-    /// resolution-cache hits/misses — as a [`ScanActuals`](crate::plan::ScanActuals)
+    /// Drains the executor's measured diagnostics — resolution-cache
+    /// hits/misses — as a [`ScanActuals`](crate::plan::ScanActuals)
     /// fragment (the row counters stay zero: drivers count rows
     /// themselves). Resets the internal counters.
     pub fn take_actuals(&mut self) -> crate::plan::ScanActuals {
-        let a = crate::plan::ScanActuals {
-            batches: self.n_batches,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
+        crate::plan::ScanActuals {
+            cache_hits: std::mem::take(&mut self.cache_hits),
+            cache_misses: std::mem::take(&mut self.cache_misses),
             ..Default::default()
-        };
-        self.n_batches = 0;
-        self.cache_hits = 0;
-        self.cache_misses = 0;
-        a
-    }
-
-    /// Feeds the live batch's prefetched columns into the process-wide
-    /// statistics plane under `class`. Call sites sample (a few batches
-    /// per scan) and gate on
-    /// [`profiling_enabled`](ov_oodb::metrics::profiling_enabled); a no-op
-    /// when no batch is armed.
-    pub fn feed_batch_stats(&self, class: Symbol) {
-        let Some(b) = &self.batch else {
-            return;
-        };
-        let stats = ov_oodb::stats::stats().class(class);
-        for (col, name) in b.names.iter().enumerate() {
-            stats.observe_column(
-                self.gen,
-                *name,
-                b.data[col].iter().map(|e| e.as_ref().map(|(_, v)| v)),
-            );
         }
     }
 
@@ -778,92 +701,6 @@ impl<'a> Scan<'a> {
             b.step(depth)?;
         }
         Ok(())
-    }
-
-    /// Starts a columnar batch over `rows`, which the caller will bind to
-    /// register `reg` one at a time: prefetches the fused (class, raw
-    /// field) probes for every attribute access that reads `reg` directly
-    /// — in the outer program and in every body program discovered so far
-    /// (whose receiver register is `self`) — in one pass over the source.
-    /// Budget charges are untouched: prefetching amortizes *lookups*, and
-    /// each row still pays its exact interpreter charges in `run_row`.
-    /// A no-op (per-row fallback) when nothing is prefetchable or the
-    /// source does not support prefetch.
-    pub fn begin_batch(&mut self, reg: usize, rows: &[Value]) {
-        self.batch = None;
-        if rows.is_empty() {
-            return;
-        }
-        // Plan the columns: one per distinct attribute name read directly
-        // off the batched register (outer program) or off `self` (body
-        // programs run the batched object as their receiver; the
-        // oid-equality guard in `attr` rejects the prefetched probe when a
-        // body runs against some other object).
-        let mut names: Vec<Symbol> = Vec::new();
-        let mut slot_cols: Vec<(usize, usize)> = Vec::new();
-        let mut plan = |prog: &Program, base: usize, recv: usize| {
-            for (i, r) in prog.slot_recv.iter().enumerate() {
-                if *r == Some(recv) {
-                    let name = prog.slots[i];
-                    let col = names.iter().position(|n| *n == name).unwrap_or_else(|| {
-                        names.push(name);
-                        names.len() - 1
-                    });
-                    slot_cols.push((base + i, col));
-                }
-            }
-        };
-        plan(self.prog, 0, reg);
-        for (prog, base) in self.body_bases.values() {
-            plan(prog, *base, 0);
-        }
-        if slot_cols.is_empty() {
-            return;
-        }
-        // From here the batch does real work (one pass over the source);
-        // the span shows Chrome-trace readers where batched scans spend
-        // their prefetch time.
-        let _span = ov_oodb::span!("scan.batch_prefetch", rows = rows.len());
-        let oids: Vec<Option<Oid>> = rows
-            .iter()
-            .map(|v| match v {
-                Value::Oid(o) => Some(*o),
-                _ => None,
-            })
-            .collect();
-        if oids.iter().all(|o| o.is_none()) {
-            return;
-        }
-        let Some(data) = self.src.prefetch_attr_columns(&oids, &names) else {
-            return;
-        };
-        let mut cols = vec![None; self.caches.len()];
-        for (gslot, col) in slot_cols {
-            cols[gslot] = Some(col);
-        }
-        self.n_batches += 1;
-        self.batch = Some(BatchState {
-            row: 0,
-            oids,
-            cols,
-            data,
-            names,
-        });
-    }
-
-    /// Ends the current batch (subsequent rows take the per-row path).
-    pub fn end_batch(&mut self) {
-        self.batch = None;
-    }
-
-    /// Executes the program for row `idx` of the current batch (the caller
-    /// has already `bind`-ed the row's value). Identical to [`Scan::run`]
-    /// except prefetched probes for this row become visible.
-    pub fn run_row(&mut self, base: usize, idx: usize) -> Result<Value> {
-        if let Some(b) = &mut self.batch {
-            b.row = idx;
-        }
-        self.run(base)
     }
 
     /// Executes the program with the expression root at depth `base`
@@ -962,6 +799,14 @@ impl<'a> Scan<'a> {
                     let v = self.run_sub(&s, base + rel, frame)?;
                     self.stack.push(v);
                 }
+                Inst::FreeName { name, rel } => {
+                    let v = self.free_name(name, base + rel)?;
+                    self.stack.push(v);
+                }
+                Inst::Aggregate(func) => {
+                    let v = self.stack.pop().expect("aggregate argument on stack");
+                    self.stack.push(eval::aggregate(func, &v)?);
+                }
                 Inst::EnterBody => {
                     self.src.enter_body();
                     self.open_bodies += 1;
@@ -974,18 +819,6 @@ impl<'a> Scan<'a> {
             pc += 1;
         }
         Ok(self.stack.pop().expect("program nets exactly one value"))
-    }
-
-    /// The prefetched fused probe for `gslot`, valid only when the
-    /// receiver is exactly the batched row's object.
-    fn batch_probe(&self, gslot: usize, oid: Oid) -> Option<(ClassId, Value)> {
-        let b = self.batch.as_ref()?;
-        let col = (*b.cols.get(gslot)?)?;
-        if b.oids.get(b.row).copied().flatten() == Some(oid) {
-            b.data[col][b.row].clone()
-        } else {
-            None
-        }
     }
 
     /// Runs a compiled sub-select with its `select`/`exists` node at
@@ -1021,15 +854,7 @@ impl<'a> Scan<'a> {
             // projection — a first match is the whole answer.
             return Ok(Value::Bool(found));
         }
-        if sub.the {
-            if out.len() == 1 {
-                Ok(out.into_iter().next().expect("len checked"))
-            } else {
-                Err(QueryError::TheCardinality { got: out.len() })
-            }
-        } else {
-            Ok(Value::Set(out))
-        }
+        finish_select(sub.the, out)
     }
 
     /// The binding loops of a compiled sub-select, recursion mirroring
@@ -1138,8 +963,7 @@ impl<'a> Scan<'a> {
     }
 
     /// Attribute access, mirroring `Evaluator::access`/`attr_of` byte for
-    /// byte — with the resolve call routed through the slot cache and the
-    /// object probe served from the batch prefetch when available.
+    /// byte — with the resolve call routed through the slot cache.
     fn attr(
         &mut self,
         recv: Value,
@@ -1161,12 +985,8 @@ impl<'a> Scan<'a> {
                 // One fused object lookup yields the cache key *and* the raw
                 // stored field; the field half is used only when resolution
                 // says the attribute is stored (it never depends on
-                // membership, so the early read is safe). The batch prefetch
-                // serves the same probe without touching the source.
-                let probe = self
-                    .batch_probe(gslot, oid)
-                    .or_else(|| self.src.resolution_class_and_field(oid, name));
-                let (resolved, body, raw) = match probe {
+                // membership, so the early read is safe).
+                let (resolved, body, raw) = match self.src.resolution_class_and_field(oid, name) {
                     Some((class, raw)) => {
                         let (res, body) = self.resolve_cached(oid, class, gslot, name)?;
                         (res, body, Some(raw))
@@ -1388,45 +1208,33 @@ pub(crate) fn try_run_compiled(src: &dyn DataSource, expr: &Expr) -> Option<Resu
     if !compiled_enabled() {
         return None;
     }
-    let forced = engine_mode() == EngineMode::Compiled;
     crate::planner::clear_last_decision();
-    let Expr::Select(q) = expr else {
-        // Non-select top levels (including a bare `exists(...)`) compile
-        // when covered and run as a single program evaluation.
-        match compile_predicate(expr, &[]) {
-            Some(prog) => return Some(run_compiled_expr(src, &prog)),
-            None => {
-                if forced {
-                    note_fallback();
-                }
-                return None;
+    if let Expr::Select(q) = expr {
+        // Canonical single-binding class scan: the fast path, with the
+        // planner choosing between sequential scan and index pushdown.
+        if let Some(scan) = compile_select_scan(src, q) {
+            if crate::planner::planner_enabled() {
+                return Some(run_planned_select(src, expr, q, &scan));
+            }
+            return Some(run_select_scan(src, q, &scan));
+        }
+        // Multi-binding over independent class extents: the planner may
+        // pick a cheapest-first binding order. Only when no budget is
+        // installed — reordering preserves values but not the exact
+        // charge sequence.
+        if crate::planner::planner_enabled() && budget::current().is_none() {
+            if let Some(r) = try_run_planned_join(src, expr, q) {
+                return Some(r);
             }
         }
-    };
-    // Canonical single-binding class scan: the batched fast path, with
-    // the planner choosing between sequential scan and index pushdown.
-    if let Some(scan) = compile_select_scan(src, q) {
-        if crate::planner::planner_enabled() {
-            return Some(run_planned_select(src, expr, q, &scan));
-        }
-        return Some(run_select_scan(src, q, &scan));
     }
-    // Multi-binding over independent class extents: the planner may pick
-    // a cheapest-first binding order. Only when no budget is installed —
-    // reordering preserves values but not the exact charge sequence.
-    if crate::planner::planner_enabled() && budget::current().is_none() {
-        if let Some(r) = try_run_planned_join(src, expr, q) {
-            return Some(r);
-        }
-    }
-    // General shapes — multi-binding, nested selects — compile into
-    // sub-select subroutines with the interpreter's exact semantics.
+    // General shapes — multi-binding and nested selects, aggregates, a
+    // bare `exists(...)` — compile into one program (selects as
+    // subroutines) with the interpreter's exact semantics.
     match compile_predicate(expr, &[]) {
         Some(prog) => Some(run_compiled_expr(src, &prog)),
         None => {
-            if forced {
-                note_fallback();
-            }
+            ov_oodb::metric_counter!("compile.fallbacks").inc();
             None
         }
     }
@@ -1435,7 +1243,7 @@ pub(crate) fn try_run_compiled(src: &dyn DataSource, expr: &Expr) -> Option<Resu
 /// Runs a fully compiled general expression (multi-binding or nested
 /// selects, a bare `exists`): the program roots at depth 0, sub-selects
 /// do their own row accounting and actuals reporting, and the scan's
-/// cache/batch counters fold into the actuals frame.
+/// cache counters fold into the actuals frame.
 fn run_compiled_expr(src: &dyn DataSource, prog: &Program) -> Result<Value> {
     let _span = ov_oodb::span!("query.compiled_scan");
     let mut scan = Scan::new(prog, src);
@@ -1482,7 +1290,7 @@ fn run_planned_select(
 /// Runs a compiled single-binding scan over index `candidates` instead
 /// of the full extent. Candidates are re-tested against the full
 /// compiled filter (the index only served one equality conjunct), in
-/// oid order, batched like the sequential scan. Only reachable through
+/// oid order. Only reachable through
 /// the planner, which owns the cost decision; results are identical to
 /// the sequential scan because the index is exact on its conjunct and
 /// the filter re-runs in full.
@@ -1500,56 +1308,20 @@ fn run_pushdown_scan(
     let result = (|| -> Result<BTreeSet<Value>> {
         proj.step(0)?; // the `select` node itself
         proj.step(1)?; // the collection name
-        let batch = batch_rows();
-        let chunk_len = if batch == 0 {
-            candidates.len().max(1)
-        } else {
-            batch
-        };
-        let mut out = BTreeSet::new();
-        for chunk in candidates.chunks(chunk_len) {
-            let rows: Vec<Value> = chunk.iter().map(|&o| Value::Oid(o)).collect();
-            if batch > 0 {
-                if let Some(f) = &mut filter {
-                    f.begin_batch(0, &rows);
-                }
-                proj.begin_batch(0, &rows);
-            }
-            for (i, row) in rows.iter().enumerate() {
-                actuals.rows_scanned += 1;
-                if let Some(f) = &mut filter {
-                    f.bind(0, row.clone());
-                    if !truthy(&f.run_row(1, i)?) {
-                        continue;
-                    }
-                }
-                actuals.rows_matched += 1;
-                proj.bind(0, row.clone());
-                let v = proj.run_row(1, i)?;
-                if out.insert(v) {
-                    if let Some(b) = &budget {
-                        b.note_rows(1)?;
-                    }
-                }
-            }
-        }
-        Ok(out)
+        scan_rows(
+            &candidates,
+            &mut filter,
+            &mut proj,
+            budget.as_deref(),
+            &mut actuals,
+        )
     })();
     if let Some(f) = &mut filter {
         actuals.absorb(&f.take_actuals());
     }
     actuals.absorb(&proj.take_actuals());
     crate::plan::add_actuals(&actuals);
-    let out = result?;
-    if q.the {
-        if out.len() == 1 {
-            Ok(out.into_iter().next().expect("len checked"))
-        } else {
-            Err(QueryError::TheCardinality { got: out.len() })
-        }
-    } else {
-        Ok(Value::Set(out))
-    }
+    finish_select(q.the, result?)
 }
 
 /// Attempts the planner's reordered nested-loop join for a multi-binding
@@ -1668,18 +1440,7 @@ fn try_run_planned_join(
     actuals.absorb(&proj_scan.take_actuals());
     crate::plan::add_actuals(&actuals);
     let rows = out.len() as u64;
-    let r = (|| -> Result<Value> {
-        result?;
-        if q.the {
-            if out.len() == 1 {
-                Ok(out.into_iter().next().expect("len checked"))
-            } else {
-                Err(QueryError::TheCardinality { got: out.len() })
-            }
-        } else {
-            Ok(Value::Set(out))
-        }
-    })();
+    let r = result.and_then(|()| finish_select(q.the, out));
     record_outcome(expr, decision, r.as_ref().ok().map(|_| rows));
     Some(r)
 }
@@ -1727,32 +1488,81 @@ fn join_nest(
     Ok(())
 }
 
+/// The row loop shared by the sequential and index-pushdown scans: per
+/// row `bind` + `run` of the filter and — only for rows that pass — of the
+/// projection, at depth 1, plus one `note_rows` per newly inserted result.
+/// Rows execute and charge strictly in order, so a budget breach or error
+/// stops at the exact row the interpreter would.
+fn scan_rows(
+    rows: &[Oid],
+    filter: &mut Option<Scan>,
+    proj: &mut Scan,
+    budget: Option<&Budget>,
+    actuals: &mut crate::plan::ScanActuals,
+) -> Result<BTreeSet<Value>> {
+    let mut out = BTreeSet::new();
+    for &oid in rows {
+        actuals.rows_scanned += 1;
+        if let Some(f) = filter {
+            f.bind(0, Value::Oid(oid));
+            if !truthy(&f.run(1)?) {
+                continue;
+            }
+        }
+        actuals.rows_matched += 1;
+        proj.bind(0, Value::Oid(oid));
+        let v = proj.run(1)?;
+        if out.insert(v) {
+            if let Some(b) = budget {
+                b.note_rows(1)?;
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Rows at the head of a profiled sequential scan whose attributes feed
+/// the statistics plane — enough for a useful sample, cheap enough to
+/// never dominate a scan.
+const STATS_SAMPLE_ROWS: usize = 4096;
+
+/// Feeds the statistics plane from the first [`STATS_SAMPLE_ROWS`] rows of
+/// `extent`: the extent's cardinality, and one sketch column per attribute
+/// the filter or projection reads directly off the scanned row, probed
+/// with the same fused [`DataSource::resolution_class_and_field`] the scan
+/// uses. Every sampled row contributes to every column whatever the filter
+/// decides, so the sketches are not biased towards matching rows.
+fn feed_scan_stats(src: &dyn DataSource, class: Symbol, scan: &SelectScan, extent: &[Oid]) {
+    let gen = src.resolution_generation();
+    let stats = ov_oodb::stats::stats().class(class);
+    stats.note_cardinality(gen, extent.len() as u64);
+    let sample = &extent[..extent.len().min(STATS_SAMPLE_ROWS)];
+    let mut names: Vec<Symbol> = Vec::new();
+    for prog in scan.filter.iter().chain([&scan.proj]) {
+        for (name, recv) in prog.slots.iter().zip(&prog.slot_recv) {
+            if *recv == Some(0) && !names.contains(name) {
+                names.push(*name);
+            }
+        }
+    }
+    for name in names {
+        let column: Vec<Option<Value>> = sample
+            .iter()
+            .map(|&oid| src.resolution_class_and_field(oid, name).map(|(_, v)| v))
+            .collect();
+        stats.observe_column(gen, name, column.iter().map(Option::as_ref));
+    }
+}
+
 /// Runs a compiled canonical scan, charging the budget exactly as the
 /// interpreter's `eval_expr` → `select_depth` → `iterate_bindings` chain
 /// would: one step for the `select` node (depth 0), one for the collection
-/// name (depth 1), the filter and projection at depth 1 per row, and one
-/// `note_rows` per newly inserted result. The extent is walked in
-/// columnar batches ([`batch_rows`]-sized); rows inside a batch still
-/// execute — and charge — strictly in order, so a budget breach or error
-/// stops at the exact row the interpreter would.
-/// Batches per scan whose prefetched columns feed the statistics plane
-/// when profiling is on — enough for a useful sample, cheap enough to
-/// never dominate a scan.
-const STATS_SAMPLE_BATCHES: u32 = 4;
-
+/// name (depth 1), then [`scan_rows`].
 fn run_select_scan(src: &dyn DataSource, q: &SelectExpr, scan: &SelectScan) -> Result<Value> {
     let _span = ov_oodb::span!("query.compiled_scan");
     let budget = budget::current();
     let mut filter = scan.filter.as_ref().map(|p| Scan::new(p, src));
     let mut proj = Scan::new(&scan.proj, src);
-    // The scanned collection's class name (compile_select_scan required
-    // the plain-name shape), for statistics attribution.
-    let coll_name = match q.bindings.first() {
-        Some((_, Expr::Name(n))) => Some(*n),
-        _ => None,
-    };
-    let profiling = ov_oodb::metrics::profiling_enabled();
-    let mut stats_batches_left = if profiling { STATS_SAMPLE_BATCHES } else { 0 };
     let mut actuals = crate::plan::ScanActuals::default();
     // The loop runs in a closure so measured actuals are reported even
     // when a row errors or breaches the budget mid-scan.
@@ -1760,64 +1570,33 @@ fn run_select_scan(src: &dyn DataSource, q: &SelectExpr, scan: &SelectScan) -> R
         proj.step(0)?; // the `select` node itself
         proj.step(1)?; // the collection name
         let extent = src.extent(scan.class)?;
-        if profiling {
-            if let Some(class) = coll_name {
-                ov_oodb::stats::stats()
-                    .class(class)
-                    .note_cardinality(src.resolution_generation(), extent.len() as u64);
+        if ov_oodb::metrics::profiling_enabled() {
+            // The scanned collection's class name (compile_select_scan
+            // required the plain-name shape) attributes the statistics.
+            if let Some((_, Expr::Name(class))) = q.bindings.first() {
+                feed_scan_stats(src, *class, scan, &extent);
             }
         }
-        let batch = batch_rows();
-        let chunk_len = if batch == 0 {
-            extent.len().max(1)
-        } else {
-            batch
-        };
-        let mut out = BTreeSet::new();
-        for chunk in extent.chunks(chunk_len) {
-            let rows: Vec<Value> = chunk.iter().map(|&o| Value::Oid(o)).collect();
-            if batch > 0 {
-                if let Some(f) = &mut filter {
-                    f.begin_batch(0, &rows);
-                }
-                proj.begin_batch(0, &rows);
-                if stats_batches_left > 0 {
-                    if let Some(class) = coll_name {
-                        if let Some(f) = &filter {
-                            f.feed_batch_stats(class);
-                        }
-                        proj.feed_batch_stats(class);
-                        stats_batches_left -= 1;
-                    }
-                }
-            }
-            for (i, row) in rows.iter().enumerate() {
-                actuals.rows_scanned += 1;
-                if let Some(f) = &mut filter {
-                    f.bind(0, row.clone());
-                    if !truthy(&f.run_row(1, i)?) {
-                        continue;
-                    }
-                }
-                actuals.rows_matched += 1;
-                proj.bind(0, row.clone());
-                let v = proj.run_row(1, i)?;
-                if out.insert(v) {
-                    if let Some(b) = &budget {
-                        b.note_rows(1)?;
-                    }
-                }
-            }
-        }
-        Ok(out)
+        scan_rows(
+            &extent,
+            &mut filter,
+            &mut proj,
+            budget.as_deref(),
+            &mut actuals,
+        )
     })();
     if let Some(f) = &mut filter {
         actuals.absorb(&f.take_actuals());
     }
     actuals.absorb(&proj.take_actuals());
     crate::plan::add_actuals(&actuals);
-    let out = result?;
-    if q.the {
+    finish_select(q.the, result?)
+}
+
+/// `select the` yields its single row (or the cardinality error); a plain
+/// `select` yields the set.
+pub(crate) fn finish_select(the: bool, out: BTreeSet<Value>) -> Result<Value> {
+    if the {
         if out.len() == 1 {
             Ok(out.into_iter().next().expect("len checked"))
         } else {
@@ -1942,7 +1721,6 @@ mod tests {
     #[test]
     fn uncovered_shapes_do_not_compile() {
         for src in [
-            "count((select Q from Q in Person))",
             "P in Person", // free name `Person`
             "self.Age",    // `self` is not a scan variable
             "maggy.Age",   // free name
@@ -1976,6 +1754,25 @@ mod tests {
     }
 
     #[test]
+    fn aggregates_agree_with_interpreter() {
+        let db = staff();
+        for src in [
+            "count((select Q from Q in Person))",
+            "count(Person)", // free class name as the argument
+            "count(P.Age)",  // not a collection
+            "sum(select Q.Age from Q in Person where Q.Age >= P.Age)",
+            "sum(select Q.Name from Q in Person)", // non-numeric element
+            "min(select Q.Age from Q in Person) = P.Age",
+            "max(select Q.Doubled from Q in Person)",
+            "avg(select Q.Age from Q in Person where Q.Age > 100)", // empty
+            "avg({P.Age, 1})",
+            "count(Ghost)", // unknown free name
+        ] {
+            assert_differential(&db, src);
+        }
+    }
+
+    #[test]
     fn multi_binding_and_nested_selects_run_compiled_at_top_level() {
         let db = staff();
         for src in [
@@ -1985,6 +1782,8 @@ mod tests {
             "select P.Name from P in Person \
              where exists(select Q from Q in Person where Q.Age > P.Age)",
             "select P.Name from P in Person, Q in Person",
+            "sum(select P.Age from P in Person where P.Age >= 65)",
+            "count(Person)",
         ] {
             let expr = parse_expr(src).unwrap();
             let interp = crate::eval::eval_expr(&db, &expr);
@@ -1998,9 +1797,12 @@ mod tests {
     }
 
     #[test]
-    fn sub_select_budget_charges_match_the_interpreter() {
+    fn top_level_budget_charges_match_the_interpreter() {
         let db = staff();
         for src in [
+            "select P.Doubled from P in Person where P.Age >= 30",
+            "sum(select P.Doubled from P in Person where P.Age >= 30)",
+            "count(Person)",
             "select P.Name from P in Person, Q in Person where P.Age < Q.Age",
             "select P.Name from P in Person \
              where exists(select Q from Q in Person where Q.Age > P.Age)",
@@ -2029,17 +1831,20 @@ mod tests {
     }
 
     #[test]
-    fn forced_mode_counts_interpreter_fallbacks() {
+    fn every_compiled_mode_counts_interpreter_fallbacks() {
         let db = staff();
-        let before = compile_fallbacks();
-        let expr = parse_expr("count((select Q from Q in Person))").unwrap();
-        with_engine_mode(EngineMode::Compiled, || {
-            assert!(try_run_compiled(&db, &expr).is_none());
-        });
-        assert!(
-            compile_fallbacks() > before,
-            "forced-compiled fallback should bump compile.fallbacks"
-        );
+        // A free name outside an aggregate argument is not covered.
+        let expr = parse_expr("select P from P in Person where P isa Person").unwrap();
+        for mode in [EngineMode::Auto, EngineMode::Compiled] {
+            let before = compile_fallbacks();
+            with_engine_mode(mode, || {
+                assert!(try_run_compiled(&db, &expr).is_none());
+            });
+            assert!(
+                compile_fallbacks() > before,
+                "a fallback under {mode:?} should bump compile.fallbacks"
+            );
+        }
     }
 
     #[test]
@@ -2169,29 +1974,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_rows_are_bit_identical_to_row_at_a_time() {
-        let db = staff();
-        let expr = parse_expr("select P.Doubled from P in Person where P.Age >= 30").unwrap();
-        let reference = crate::eval::eval_expr(&db, &expr);
-        for rows in [0, 1, 2, 3, 1024] {
-            let (result, steps) = with_batch_rows(rows, || {
-                let b = Arc::new(Budget::new());
-                let r = budget::with(b.clone(), || {
-                    try_run_compiled(&db, &expr).expect("should compile")
-                });
-                (r, b.steps_used())
-            });
-            assert_eq!(result, reference, "batch_rows = {rows}");
-            let b = Arc::new(Budget::new());
-            let interp_steps = {
-                budget::with(b.clone(), || crate::eval::eval_expr(&db, &expr)).unwrap();
-                b.steps_used()
-            };
-            assert_eq!(steps, interp_steps, "steps at batch_rows = {rows}");
-        }
-    }
-
-    #[test]
     fn top_level_select_agrees_with_interpreter() {
         let db = staff();
         for src in [
@@ -2247,9 +2029,11 @@ mod tests {
     }
 
     /// A source whose resolution can change mid-scan, announced via the
-    /// generation counter — the shape of a view's population brackets.
+    /// generation counter — the shape of a view's population brackets. It
+    /// also logs every fused object probe, by attribute name.
     struct GenSource {
         db: Database,
+        probes: std::sync::Mutex<Vec<Symbol>>,
         generation: std::sync::atomic::AtomicU64,
         /// When set, `Age` resolves to a computed constant instead of the
         /// stored field.
@@ -2305,6 +2089,10 @@ mod tests {
         fn resolution_class(&self, oid: Oid) -> Option<ClassId> {
             self.db.store.get(oid).map(|o| o.class)
         }
+        fn resolution_class_and_field(&self, oid: Oid, name: Symbol) -> Option<(ClassId, Value)> {
+            self.probes.lock().unwrap().push(name);
+            DataSource::resolution_class_and_field(&self.db, oid, name)
+        }
         fn resolution_is_class_pure(&self, _class: ClassId, _name: Symbol) -> bool {
             true
         }
@@ -2317,6 +2105,7 @@ mod tests {
     fn generation_bump_invalidates_warm_slot_caches() {
         let src = GenSource {
             db: staff(),
+            probes: Default::default(),
             generation: std::sync::atomic::AtomicU64::new(0),
             redefined: std::sync::atomic::AtomicBool::new(false),
         };
@@ -2337,5 +2126,29 @@ mod tests {
         // re-resolves, and the redefinition takes effect mid-scan.
         src.generation.fetch_add(1, Ordering::Relaxed);
         assert_eq!(scan.run(0).unwrap(), Value::Int(999));
+    }
+
+    #[test]
+    fn a_scan_probes_each_row_once_per_attribute_it_evaluates() {
+        let src = GenSource {
+            db: staff(),
+            probes: Default::default(),
+            generation: std::sync::atomic::AtomicU64::new(0),
+            redefined: std::sync::atomic::AtomicBool::new(false),
+        };
+        // Three rows, one match: the filter attribute is probed per row,
+        // the projection attribute only for the row that passed.
+        let expr = parse_expr("select P.Name from P in Person where P.Age = 30").unwrap();
+        let got = with_engine_mode(EngineMode::Auto, || {
+            crate::planner::with_planner(false, || try_run_compiled(&src, &expr))
+        })
+        .expect("canonical scan compiles")
+        .unwrap();
+        assert_eq!(got, Value::set([Value::str("Tony")]));
+        let probes = src.probes.lock().unwrap();
+        let count = |name: &str| probes.iter().filter(|p| **p == sym(name)).count();
+        assert_eq!(count("Age"), 3, "one filter probe per scanned row");
+        assert_eq!(count("Name"), 1, "one projection probe per matching row");
+        assert_eq!(probes.len(), 4, "and nothing else");
     }
 }

@@ -663,7 +663,7 @@ fn arithmetic(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 /// Applies an aggregate to a collection value.
-fn aggregate(func: AggFunc, v: &Value) -> Result<Value> {
+pub(crate) fn aggregate(func: AggFunc, v: &Value) -> Result<Value> {
     let items: Vec<&Value> = match v.elements() {
         Some(it) => it.collect(),
         None if v.is_null() => Vec::new(),

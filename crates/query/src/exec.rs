@@ -483,7 +483,7 @@ fn run_expr_profiled(
         let _exec = ov_oodb::span!("query.execute");
         plan::with_scan_actuals(|| {
             plan::collect(|| match crate::compile::try_run_compiled(src, e) {
-                Some(r) => (r, Engine::compiled_now()),
+                Some(r) => (r, Engine::Compiled),
                 None => (crate::eval::eval_expr(src, e), Engine::Interpreted),
             })
         })
@@ -502,7 +502,7 @@ fn run_expr_profiled(
     entry.rows.add(rows.unwrap_or(0) as u64);
     entry.latency.record(nanos);
     match engine {
-        Engine::Compiled { .. } => entry.compiled.inc(),
+        Engine::Compiled => entry.compiled.inc(),
         Engine::Interpreted => entry.interpreted.inc(),
     }
     let plan_choice = crate::planner::take_last_decision();

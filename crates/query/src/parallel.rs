@@ -123,39 +123,23 @@ pub fn eval_select_parallel(
     } else {
         None
     };
-    // Batch size is read on the coordinator (it is thread-scoped) and
-    // applied inside every worker's chunk loop.
-    let batch = crate::compile::batch_rows();
     let out = match &compiled {
         Some((filter, proj)) => filter_map_chunked(cfg, &items, |chunk, keep| {
             let mut fscan = filter.as_ref().map(|p| crate::compile::Scan::new(p, src));
             let mut pscan = crate::compile::Scan::new(proj, src);
             let mut actuals = crate::plan::ScanActuals::default();
-            let sub_len = if batch == 0 {
-                chunk.len().max(1)
-            } else {
-                batch
-            };
             let r = (|| {
-                for sub in chunk.chunks(sub_len) {
-                    if batch > 0 {
-                        if let Some(f) = &mut fscan {
-                            f.begin_batch(0, sub);
+                for item in chunk {
+                    actuals.rows_scanned += 1;
+                    if let Some(f) = &mut fscan {
+                        f.bind(0, item.clone());
+                        if !truthy(&f.run(0)?) {
+                            continue;
                         }
-                        pscan.begin_batch(0, sub);
                     }
-                    for (i, item) in sub.iter().enumerate() {
-                        actuals.rows_scanned += 1;
-                        if let Some(f) = &mut fscan {
-                            f.bind(0, item.clone());
-                            if !truthy(&f.run_row(0, i)?) {
-                                continue;
-                            }
-                        }
-                        actuals.rows_matched += 1;
-                        pscan.bind(0, item.clone());
-                        keep.insert(pscan.run_row(0, i)?);
-                    }
+                    actuals.rows_matched += 1;
+                    pscan.bind(0, item.clone());
+                    keep.insert(pscan.run(0)?);
                 }
                 Ok(())
             })();
@@ -188,15 +172,7 @@ pub fn eval_select_parallel(
             r
         })?,
     };
-    if q.the {
-        if out.len() == 1 {
-            Ok(out.into_iter().next().expect("len checked"))
-        } else {
-            Err(QueryError::TheCardinality { got: out.len() })
-        }
-    } else {
-        Ok(Value::Set(out))
-    }
+    crate::compile::finish_select(q.the, out)
 }
 
 /// Runs a query string, executing top-level selects through
@@ -243,7 +219,7 @@ where
     // concurrency, and the coordinator's own bracketing delta already
     // covers every worker's charges (the budget is shared).
     let track = crate::plan::actuals_active();
-    let shared: [AtomicU64; 5] = std::array::from_fn(|_| AtomicU64::new(0));
+    let shared: [AtomicU64; 4] = std::array::from_fn(|_| AtomicU64::new(0));
     let results: Vec<Result<BTreeSet<Value>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
@@ -276,13 +252,7 @@ where
                     };
                     if track {
                         let (r, a) = crate::plan::with_scan_actuals(work);
-                        let cells = [
-                            a.rows_scanned,
-                            a.rows_matched,
-                            a.batches,
-                            a.cache_hits,
-                            a.cache_misses,
-                        ];
+                        let cells = [a.rows_scanned, a.rows_matched, a.cache_hits, a.cache_misses];
                         for (cell, n) in shared.iter().zip(cells) {
                             cell.fetch_add(n, Ordering::Relaxed);
                         }
@@ -311,9 +281,8 @@ where
         crate::plan::add_actuals(&crate::plan::ScanActuals {
             rows_scanned: shared[0].load(Ordering::Relaxed),
             rows_matched: shared[1].load(Ordering::Relaxed),
-            batches: shared[2].load(Ordering::Relaxed),
-            cache_hits: shared[3].load(Ordering::Relaxed),
-            cache_misses: shared[4].load(Ordering::Relaxed),
+            cache_hits: shared[2].load(Ordering::Relaxed),
+            cache_misses: shared[3].load(Ordering::Relaxed),
             ..Default::default()
         });
     }

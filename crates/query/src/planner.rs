@@ -45,7 +45,7 @@ pub const DEFAULT_CARDINALITY: u64 = 1024;
 /// An equality probe is only worth an index round-trip when the expected
 /// candidate set is a fraction of the extent: `ndv` must exceed this.
 /// (At NDV 2 — a boolean-ish column — the "index" hands back half the
-/// extent and the batched sequential scan wins.)
+/// extent and the sequential scan wins.)
 pub const PUSHDOWN_MIN_NDV: u64 = 4;
 
 /// Estimate-vs-actual divergence (either direction) that evicts a
@@ -358,7 +358,7 @@ fn leg_selectivity(cs: &ClassStatistics, var: Symbol, leg: &Expr) -> f64 {
                 let Some(s) = cs.attrs.get(&attr) else {
                     return DEFAULT_SELECTIVITY;
                 };
-                // Column sketches come from *sampled* batches, so the HLL
+                // Column sketches come from a *sample* of each scan, so the HLL
                 // NDV is bounded by the sample size, not the extent. When
                 // the sample is (nearly) all-distinct, the column is a key
                 // as far as we can tell — extrapolate NDV to the full
@@ -450,11 +450,11 @@ pub fn estimate_select(class: Symbol, var: Symbol, filter: Option<&Expr>) -> Opt
 // ---------------------------------------------------------------------
 
 /// Is an equality-index probe on `class.attr` expected to beat the
-/// batched sequential scan? `true` when statistics are absent (the
+/// sequential scan? `true` when statistics are absent (the
 /// probe itself is cheap and execution validates), `false` when the
 /// sketch says the column is low-NDV — the candidate set would be a
 /// large slice of the extent and per-candidate retests lose to the
-/// batched scan.
+/// scan.
 pub fn index_worthwhile(class: Symbol, attr: Symbol) -> bool {
     let cs = stats().class(class).snapshot();
     match cs.attrs.get(&attr) {

@@ -30,11 +30,6 @@ pub enum ResolvedAttr {
     },
 }
 
-/// One prefetched attribute column per requested name: `cols[col][row]`
-/// is the fused [`DataSource::resolution_class_and_field`] answer for
-/// `oids[row]` (or `None` for `None`/unknown rows).
-pub type PrefetchedColumns = Vec<Vec<Option<(ClassId, Value)>>>;
-
 /// A queryable source of objects: a database or a view.
 ///
 /// Extents are *deep* (a class denotes objects real in it or any subclass),
@@ -151,24 +146,6 @@ pub trait DataSource {
     /// `&self`) keep the default constant `0`.
     fn resolution_generation(&self) -> u64 {
         0
-    }
-
-    /// Batched [`DataSource::resolution_class_and_field`]: one column per
-    /// name in `names`, each `data[col][row]` being exactly the fused
-    /// probe for `oids[row]` (or `None` for `None`/unknown rows). The
-    /// point is amortization — a source acquires its locks once and walks
-    /// the batch, instead of locking per (row, name). `None` when the
-    /// source does not support prefetch; callers then probe per row.
-    /// Implementations must return *pure snapshot reads* with no
-    /// observable effects (no budget charges, no fault sites, no
-    /// membership computation) so that rows after an early scan abort
-    /// were, observably, never touched.
-    fn prefetch_attr_columns(
-        &self,
-        _oids: &[Option<Oid>],
-        _names: &[Symbol],
-    ) -> Option<PrefetchedColumns> {
-        None
     }
 
     /// The oids whose stored attribute `attr` equals `value`, within the
@@ -312,36 +289,6 @@ impl DataSource for Database {
 
     fn indexed_lookup(&self, class: ClassId, attr: Symbol, value: &Value) -> Option<Vec<Oid>> {
         self.indexed_deep_lookup(class, attr, value)
-    }
-
-    fn prefetch_attr_columns(
-        &self,
-        oids: &[Option<Oid>],
-        names: &[Symbol],
-    ) -> Option<PrefetchedColumns> {
-        // One store lookup per row serves every requested column.
-        let mut cols: Vec<Vec<Option<(ClassId, Value)>>> = names
-            .iter()
-            .map(|_| Vec::with_capacity(oids.len()))
-            .collect();
-        for &oid in oids {
-            match oid.and_then(|o| self.store.get(o)) {
-                Some(obj) => {
-                    for (ci, &name) in names.iter().enumerate() {
-                        cols[ci].push(Some((
-                            obj.class,
-                            obj.value.get(name).cloned().unwrap_or(Value::Null),
-                        )));
-                    }
-                }
-                None => {
-                    for col in &mut cols {
-                        col.push(None);
-                    }
-                }
-            }
-        }
-        Some(cols)
     }
 }
 

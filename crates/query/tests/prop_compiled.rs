@@ -172,89 +172,65 @@ fn interp_scan_all(
     })
 }
 
-/// Scans `rows` through the compiled engine in batches of `batch` rows
-/// (`0` = one chunk, no prefetch), sharing one budget across the whole
+/// Scans `rows` through one compiled executor (so rows after the first
+/// run on warm resolution caches), sharing one budget across the whole
 /// scan. `None` when the predicate is uncovered.
 fn compiled_scan_all(
     db: &Database,
     e: &Expr,
     rows: &[Value],
-    batch: usize,
     budget: Arc<Budget>,
 ) -> Option<(Vec<Value>, Option<QueryError>)> {
     let prog = compile_predicate(e, &[sym("V")])?;
     Some(ov_query::budget::with(budget, || {
         let mut scan = Scan::new(&prog, db);
         let mut vals = Vec::new();
-        let sub_len = if batch == 0 { rows.len().max(1) } else { batch };
-        for sub in rows.chunks(sub_len) {
-            if batch > 0 {
-                scan.begin_batch(0, sub);
-            }
-            for (i, row) in sub.iter().enumerate() {
-                scan.bind(0, row.clone());
-                match scan.run_row(0, i) {
-                    Ok(v) => vals.push(v),
-                    Err(err) => return (vals, Some(err)),
-                }
+        for row in rows {
+            scan.bind(0, row.clone());
+            match scan.run(0) {
+                Ok(v) => vals.push(v),
+                Err(err) => return (vals, Some(err)),
             }
         }
         (vals, None)
     }))
 }
 
+/// Asserts that scanning `rows` with `e` under a `max_steps` budget gives
+/// the same values, the same first error at the same row, and the same
+/// step count in both engines. `Ok(false)` when `e` is uncovered.
+fn assert_scans_agree(
+    db: &Database,
+    e: &Expr,
+    rows: &[Value],
+    max_steps: u64,
+) -> Result<bool, TestCaseError> {
+    let bi = Arc::new(Budget::new().with_max_steps(max_steps));
+    let want = interp_scan_all(db, e, rows, bi.clone());
+    let bc = Arc::new(Budget::new().with_max_steps(max_steps));
+    let Some(got) = compiled_scan_all(db, e, rows, bc.clone()) else {
+        return Ok(false);
+    };
+    prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
+    prop_assert_eq!(
+        bc.steps_used(),
+        bi.steps_used(),
+        "step divergence on {} (max_steps={})",
+        e,
+        max_steps
+    );
+    Ok(true)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Batch boundaries are invisible: empty, one-row, odd-sized, and
-    /// over-sized batches all produce the same values, the same first
-    /// error, and the same step counts as the interpreter's row loop.
+    /// A budget breach in a multi-row scan lands on the same row, with the
+    /// same error and the same step count, in both engines.
     #[test]
-    fn batch_boundaries_are_invisible(e in arb_pred(), nrows in 0usize..4) {
+    fn multi_row_scans_breach_identically(e in arb_pred(), max_steps in 0u64..96) {
         let db = db();
-        let all = rows(&db);
-        let rows = &all[..nrows.min(all.len())];
-        let bi = Arc::new(Budget::new());
-        let want = interp_scan_all(&db, &e, rows, bi.clone());
-        for batch in [0usize, 1, 2, 3, 5] {
-            let bc = Arc::new(Budget::new());
-            let Some(got) = compiled_scan_all(&db, &e, rows, batch, bc.clone()) else {
-                break;
-            };
-            prop_assert_eq!(&got, &want, "expr: {} (batch={})", e, batch);
-            prop_assert_eq!(
-                bc.steps_used(),
-                bi.steps_used(),
-                "step divergence on {} (batch={})",
-                e,
-                batch
-            );
-        }
-    }
-
-    /// A budget breach lands on the same row, with the same error and the
-    /// same step count, whether or not that row sits at a batch edge.
-    #[test]
-    fn breach_at_chunk_edges_is_bit_identical(e in arb_pred(), max_steps in 0u64..96) {
-        let db = db();
-        let rows = rows(&db);
-        let bi = Arc::new(Budget::new().with_max_steps(max_steps));
-        let want = interp_scan_all(&db, &e, &rows, bi.clone());
-        for batch in [0usize, 1, 2, 3] {
-            let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-            let Some(got) = compiled_scan_all(&db, &e, &rows, batch, bc.clone()) else {
-                break;
-            };
-            prop_assert_eq!(&got, &want, "expr: {} (batch={}, max_steps={})", e, batch, max_steps);
-            prop_assert_eq!(
-                bc.steps_used(),
-                bi.steps_used(),
-                "step divergence on {} (batch={}, max_steps={})",
-                e,
-                batch,
-                max_steps
-            );
-        }
+        assert_scans_agree(&db, &e, &rows(&db), max_steps)?;
     }
 
     /// Same value, or the same error (variant *and* payload), on every row.
@@ -293,16 +269,15 @@ proptest! {
         }
     }
 
-    /// EXPLAIN ANALYZE actuals are engine- and batch-invariant: for one
-    /// query, the tree-walking interpreter and the compiled engine at batch
-    /// widths 0, 1, 3, and 1024 report identical rows-scanned,
-    /// rows-matched, and budget-step actuals in the query trace (batches
-    /// and resolution-cache counters are compiled-engine diagnostics and
-    /// legitimately differ).
+    /// EXPLAIN ANALYZE actuals are engine-invariant: for one query, the
+    /// tree-walking interpreter and the compiled engine report identical
+    /// rows-scanned, rows-matched, and budget-step actuals in the query
+    /// trace (resolution-cache counters are compiled-engine diagnostics
+    /// and legitimately differ).
     #[test]
-    fn actuals_are_engine_and_batch_invariant(
+    fn actuals_are_engine_invariant(
         threshold in -5i64..105,
-        q_idx in 0usize..4,
+        q_idx in 0usize..6,
     ) {
         use ov_query::{run_query_traced, EngineMode};
         let db = db();
@@ -311,36 +286,26 @@ proptest! {
             format!("select V from V in Person where V.Age < {threshold}"),
             format!("select V.Age from V in Person where V.Senior and V.Age > {threshold}"),
             format!("count((select V from V in Person where V.Age != {threshold}))"),
+            format!("sum(select V.Age from V in Person where V.Age >= {threshold})"),
+            "count(Person)".to_string(),
         ];
         let q = &queries[q_idx];
         // Each run gets a fresh unlimited budget so the trace's `steps`
         // actual (a bracketed budget delta) is populated and comparable.
-        let mut runs = Vec::new();
-        let (v, trace) = ov_query::budget::with(Arc::new(Budget::new()), || {
-            ov_query::with_engine_mode(EngineMode::Interp, || run_query_traced(&db, q))
-        }).unwrap();
-        runs.push(("interp".to_string(), v, trace.actuals));
-        for batch in [0usize, 1, 3, 1024] {
-            let (v, trace) = ov_query::budget::with(Arc::new(Budget::new()), || {
-                ov_query::with_engine_mode(EngineMode::Compiled, || {
-                    ov_query::with_batch_rows(batch, || run_query_traced(&db, q))
-                })
-            }).unwrap();
-            runs.push((format!("compiled b={batch}"), v, trace.actuals));
-        }
-        let (_, v0, a0) = runs[0].clone();
-        for (label, v, a) in &runs[1..] {
-            prop_assert_eq!(v, &v0, "result divergence: {} on `{}`", label, q);
-            prop_assert_eq!(
-                a.rows_scanned, a0.rows_scanned,
-                "rows_scanned: {} on `{}`", label, q
-            );
-            prop_assert_eq!(
-                a.rows_matched, a0.rows_matched,
-                "rows_matched: {} on `{}`", label, q
-            );
-            prop_assert_eq!(a.steps, a0.steps, "steps: {} on `{}`", label, q);
-        }
+        let run = |mode: EngineMode| {
+            ov_query::budget::with(Arc::new(Budget::new()), || {
+                ov_query::with_engine_mode(mode, || run_query_traced(&db, q))
+            })
+            .unwrap()
+        };
+        let (v0, t0) = run(EngineMode::Interp);
+        let (v, t) = run(EngineMode::Compiled);
+        prop_assert_eq!(t.engine, Some(ov_query::Engine::Compiled), "`{}` must compile", q);
+        prop_assert_eq!(&v, &v0, "result divergence on `{}`", q);
+        prop_assert_eq!(t.actuals.rows_scanned, t0.actuals.rows_scanned, "rows_scanned on `{}`", q);
+        prop_assert_eq!(t.actuals.rows_matched, t0.actuals.rows_matched, "rows_matched on `{}`", q);
+        prop_assert_eq!(t.actuals.steps, t0.actuals.steps, "steps on `{}`", q);
+        prop_assert_eq!(t.actuals.rows_charged, t0.actuals.rows_charged, "rows_charged on `{}`", q);
     }
 
     /// With no budget cap, an uncapped run still meters the same steps —
@@ -446,7 +411,7 @@ proptest! {
 
     /// Nested sub-selects (correlated and not, `exists` and value-compared,
     /// `the` and plain): values, error variants, budget breach points, and
-    /// step counts are identical across engines and batch widths.
+    /// step counts are identical across engines.
     #[test]
     fn nested_selects_are_bit_identical(
         filter in arb_pred2("Q", "V"),
@@ -455,32 +420,53 @@ proptest! {
         max_steps in 0u64..400,
     ) {
         let db = db();
-        let rows = rows(&db);
         let e = nested_pred(exists, the, filter);
-        let bi = Arc::new(Budget::new().with_max_steps(max_steps));
-        let want = interp_scan_all(&db, &e, &rows, bi.clone());
-        for batch in [0usize, 1, 3, 1024] {
-            let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-            let Some(got) = ov_query::with_batch_rows(batch, || {
-                compiled_scan_all(&db, &e, &rows, batch, bc.clone())
-            }) else {
-                return Ok(()); // uncovered tail shape
-            };
-            prop_assert_eq!(&got, &want, "expr: {} (batch={}, max_steps={})", e, batch, max_steps);
-            prop_assert_eq!(
-                bc.steps_used(),
-                bi.steps_used(),
-                "step divergence on {} (batch={}, max_steps={})",
-                e,
-                batch,
-                max_steps
-            );
-        }
+        assert_scans_agree(&db, &e, &rows(&db), max_steps)?;
+    }
+
+    /// Aggregates (`count`/`sum`/`min`/`max`/`avg`) over correlated
+    /// selects, free class and unknown names, and non-collections: values,
+    /// error variants, budget breach points, and step counts are identical
+    /// across engines — and every such shape compiles.
+    #[test]
+    fn aggregates_are_bit_identical(
+        filter in arb_pred2("Q", "V"),
+        func_idx in 0usize..5,
+        arg_idx in 0usize..7,
+        max_steps in 0u64..400,
+    ) {
+        use ov_oodb::AggFunc;
+        let db = db();
+        let func = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg][func_idx];
+        let select = |proj: Expr| {
+            Expr::Select(ov_oodb::SelectExpr {
+                distinct: false,
+                the: false,
+                proj: Box::new(proj),
+                bindings: vec![(sym("Q"), Expr::name("Person"))],
+                filter: Some(Box::new(filter.clone())),
+            })
+        };
+        let arg = match arg_idx {
+            0 => select(Expr::attr(Expr::name("Q"), "Age")),
+            1 => select(Expr::attr(Expr::name("Q"), "Name")), // sum/avg error
+            2 => select(Expr::name("Q")),
+            3 => Expr::name("Person"),                        // free class name
+            4 => Expr::name("Ghost"),                         // unknown free name
+            5 => Expr::attr(Expr::name("V"), "Age"),          // not a collection
+            _ => Expr::SetCons(vec![
+                Expr::attr(Expr::name("V"), "Age"),
+                Expr::lit(Value::Float(1.5)),
+            ]),
+        };
+        let e = Expr::Aggregate { func, arg: Box::new(arg) };
+        let covered = assert_scans_agree(&db, &e, &rows(&db), max_steps)?;
+        prop_assert!(covered, "aggregate should compile: {}", e);
     }
 
     /// Top-level multi-binding selects: the compiled nested-loop produces
     /// the same value (or the same error, at the same budget breach point,
-    /// with the same step count) as the interpreter, at every batch width.
+    /// with the same step count) as the interpreter.
     #[test]
     fn multi_binding_selects_are_bit_identical(
         filter in arb_pred2("V", "W"),
@@ -497,21 +483,16 @@ proptest! {
         let Some(prog) = compile_predicate(&e, &[]) else {
             return Ok(()); // uncovered tail shape in the filter
         };
-        for batch in [0usize, 1, 3, 1024] {
-            let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-            let got = ov_query::with_batch_rows(batch, || {
-                ov_query::budget::with(bc.clone(), || Scan::new(&prog, &db).run(0))
-            });
-            prop_assert_eq!(&got, &want, "expr: {} (batch={}, max_steps={})", e, batch, max_steps);
-            prop_assert_eq!(
-                bc.steps_used(),
-                bi.steps_used(),
-                "step divergence on {} (batch={}, max_steps={})",
-                e,
-                batch,
-                max_steps
-            );
-        }
+        let bc = Arc::new(Budget::new().with_max_steps(max_steps));
+        let got = ov_query::budget::with(bc.clone(), || Scan::new(&prog, &db).run(0));
+        prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
+        prop_assert_eq!(
+            bc.steps_used(),
+            bi.steps_used(),
+            "step divergence on {} (max_steps={})",
+            e,
+            max_steps
+        );
     }
 }
 
@@ -572,12 +553,10 @@ proptest! {
     }
 }
 
-/// An injected fault mid-scan surfaces identically through both engines
-/// and at every batch size (a fault firing mid-batch must not change the
-/// error, and prefetching must not change what a fault observes): the
-/// parallel scan's per-chunk failpoint fires before any predicate runs, so
-/// the resulting error is engine- and batch-independent — and with faults
-/// cleared, everyone agrees on the result.
+/// An injected fault mid-scan surfaces identically through both engines:
+/// the parallel scan's per-chunk failpoint fires before any predicate runs,
+/// so the resulting error is engine-independent — and with faults cleared,
+/// everyone agrees on the result.
 #[test]
 fn injected_faults_surface_identically() {
     use ov_query::ParallelConfig;
@@ -613,41 +592,33 @@ fn injected_faults_surface_identically_for(db: &Database, cfg: &ov_query::Parall
     use ov_oodb::faults::{arm, clear, FaultAction, FaultSchedule};
     use ov_query::{run_query_parallel, EngineMode};
 
-    // Thread-scoped overrides: this test no longer mutates the process
+    // Thread-scoped override: this test does not mutate the process
     // default, so it cannot leak engine mode into concurrently running
     // tests.
-    let run_with = |mode: EngineMode, batch: usize| {
-        ov_query::with_engine_mode(mode, || {
-            ov_query::with_batch_rows(batch, || run_query_parallel(db, cfg, q))
-        })
-    };
+    let run_with =
+        |mode: EngineMode| ov_query::with_engine_mode(mode, || run_query_parallel(db, cfg, q));
 
-    // Batch 3 leaves odd-sized tails in every 16-row chunk; 1024 makes one
-    // whole-chunk batch; 0 disables batching outright.
-    for batch in [0usize, 1, 3, 1024] {
-        // Fault on the 2nd chunk: both engines die with the same typed
-        // error, at every batch size.
-        arm(
-            "query.scan_chunk",
-            FaultSchedule::Nth(2),
-            FaultAction::Error,
-        );
-        let compiled_err = run_with(EngineMode::Compiled, batch);
-        clear();
-        arm(
-            "query.scan_chunk",
-            FaultSchedule::Nth(2),
-            FaultAction::Error,
-        );
-        let interp_err = run_with(EngineMode::Interp, batch);
-        clear();
-        assert!(compiled_err.is_err(), "fault must surface (batch={batch})");
-        assert_eq!(compiled_err, interp_err, "batch={batch}");
+    // Fault on the 2nd chunk: both engines die with the same typed error.
+    arm(
+        "query.scan_chunk",
+        FaultSchedule::Nth(2),
+        FaultAction::Error,
+    );
+    let compiled_err = run_with(EngineMode::Compiled);
+    clear();
+    arm(
+        "query.scan_chunk",
+        FaultSchedule::Nth(2),
+        FaultAction::Error,
+    );
+    let interp_err = run_with(EngineMode::Interp);
+    clear();
+    assert!(compiled_err.is_err(), "fault must surface");
+    assert_eq!(compiled_err, interp_err);
 
-        // Faults cleared: both engines agree on the value.
-        let compiled_ok = run_with(EngineMode::Compiled, batch);
-        let interp_ok = run_with(EngineMode::Interp, batch);
-        assert!(compiled_ok.is_ok(), "batch={batch}");
-        assert_eq!(compiled_ok, interp_ok, "batch={batch}");
-    }
+    // Faults cleared: both engines agree on the value.
+    let compiled_ok = run_with(EngineMode::Compiled);
+    let interp_ok = run_with(EngineMode::Interp);
+    assert!(compiled_ok.is_ok());
+    assert_eq!(compiled_ok, interp_ok);
 }

@@ -608,8 +608,8 @@ fn meta(session: &mut Session, budget: &mut BudgetSpec, cmd: &str) -> bool {
                     engine_mode_name(mode)
                 );
                 println!(
-                    "-- compile fallbacks: {} (forced-compiled runs that dropped to the \
-                     interpreter on an uncovered shape)",
+                    "-- compile fallbacks: {} (statements the compiled engine declined, in \
+                     `auto` or `compiled` mode, and ran in the interpreter)",
                     objects_and_views::query::compile_fallbacks()
                 );
             } else {

@@ -396,3 +396,62 @@ fn base_write_delta_propagates_through_the_stack() {
     assert!(!e.contains("FullRecompute"), "got: {e}");
     assert_eq!(s.query(sym("Top"), "count(Rich)").unwrap(), Value::Int(2));
 }
+
+/// Regression for the stale-`Elite` defect: retesting `Rich`'s delta asks
+/// "is the object an `Adult`?", which used to walk `Adult`'s virtual
+/// subclasses in hash-map order and could populate `Elite` under `Rich`'s
+/// cycle guard, caching a population that missed the object. Hash order
+/// varies per bind, hence the fresh sessions.
+#[test]
+fn delta_retest_keeps_members_of_a_subclass_of_the_populating_class() {
+    for bind in 0..32 {
+        let mut s = Session::with_options(
+            ViewOptions::builder()
+                .materialization(Materialization::Incremental)
+                .build(),
+        );
+        s.execute(
+            r#"
+            database Staff;
+            class Person type [Name: string, Age: integer, Income: integer];
+            object #1 in Person value [Name: "Maggy", Age: 66, Income: 120];
+            object #2 in Person value [Name: "Bart", Age: 10, Income: 0];
+            object #3 in Person value [Name: "Tony", Age: 30, Income: 80];
+            name maggy = #1;
+            create view Adults;
+            import all classes from database Staff;
+            class Adult includes (select P from Person where P.Age >= 21);
+            create view Earners;
+            import all classes from view Adults;
+            class Rich includes (select A from Adult where A.Income >= 100);
+            create view Top;
+            import all classes from view Earners;
+            class Elite includes (select R from Rich where R.Age >= 60);
+            "#,
+        )
+        .unwrap();
+        assert_eq!(s.query(sym("Top"), "count(Elite)").unwrap(), Value::Int(1));
+        // Every write leaves Maggy in Adult, Rich and Elite.
+        for write in [
+            "set maggy.Age = 70;",
+            "set maggy.Income = 130;",
+            "set maggy.Age = 61;",
+        ] {
+            s.focus(sym("Staff")).unwrap();
+            s.execute(write).unwrap();
+            let recomputed = s
+                .query(
+                    sym("Top"),
+                    "count((select P from P in Person \
+                     where P.Age >= 21 and P.Income >= 100 and P.Age >= 60))",
+                )
+                .unwrap();
+            assert_eq!(recomputed, Value::Int(1));
+            assert_eq!(
+                s.query(sym("Top"), "count(Elite)").unwrap(),
+                recomputed,
+                "bind {bind}, after `{write}`"
+            );
+        }
+    }
+}
