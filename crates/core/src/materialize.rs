@@ -146,8 +146,8 @@ fn rewrite_refs(v: &Value, map: &HashMap<Oid, Oid>) -> Value {
             Some(n) => Value::Oid(*n),
             None => Value::Null,
         },
-        Value::Tuple(t) => Value::Tuple(ov_oodb::Tuple(
-            t.iter().map(|(n, fv)| (n, rewrite_refs(fv, map))).collect(),
+        Value::Tuple(t) => Value::Tuple(ov_oodb::Tuple::from_fields(
+            t.iter().map(|(n, fv)| (n, rewrite_refs(fv, map))),
         )),
         Value::Set(s) => Value::Set(s.iter().map(|e| rewrite_refs(e, map)).collect()),
         Value::List(l) => Value::List(l.iter().map(|e| rewrite_refs(e, map)).collect()),

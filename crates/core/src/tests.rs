@@ -1939,188 +1939,13 @@ fn delete_sweeps_identity_entries_referencing_the_dead_oid() {
 }
 
 // ----------------------------------------------------------------------
-// Robustness: fault injection, retries, graceful degradation
+// Robustness (the tests that arm failpoints live in `tests/faults.rs`: the
+// registry is process-wide, and an armed site fires in whatever test runs
+// beside the one that armed it)
 // ----------------------------------------------------------------------
-
-/// Fault-injection state is process-global; tests that arm it serialize on
-/// this lock and clear the registry on both entry and exit.
-fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    ov_oodb::faults::clear();
-    guard
-}
-
-fn adult_view(sys: &System) -> crate::View {
-    ViewDef::from_script(
-        r#"
-        create view V;
-        import all classes from database Staff;
-        class Adult includes (select P from Person where P.Age >= 21);
-        "#,
-    )
-    .unwrap()
-    .binder(sys)
-    .bind()
-    .unwrap()
-}
-
-#[test]
-fn transient_population_fault_is_retried() {
-    let _guard = fault_lock();
-    let sys = people_system();
-    let view = adult_view(&sys);
-    // First recompute attempt fails; the retry succeeds.
-    ov_oodb::faults::arm(
-        "view.population_recompute",
-        ov_oodb::FaultSchedule::Nth(1),
-        ov_oodb::FaultAction::Error,
-    );
-    let v = view.query("count(Adult)").unwrap();
-    assert_eq!(v, Value::Int(5));
-    let stats = view.stats();
-    assert_eq!(stats.fault_retries, 1, "{stats:?}");
-    assert_eq!(stats.stale_serves, 0, "{stats:?}");
-    assert_eq!(stats.recomputations, 2, "one failed + one good: {stats:?}");
-    ov_oodb::faults::clear();
-}
-
-#[test]
-fn failed_recompute_serves_stale_population() {
-    let _guard = fault_lock();
-    let sys = people_system();
-    let view = adult_view(&sys);
-    // Warm the cache, then invalidate it with a base write that EVICTS an
-    // adult (Maggy drops below the filter).
-    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
-    let db = sys.database(sym("Staff")).unwrap();
-    let maggy = db.read().named(sym("maggy")).unwrap();
-    db.write()
-        .set_attr(maggy, sym("Age"), Value::Int(20))
-        .unwrap();
-    // Every recompute attempt now fails: the view serves the stale cached
-    // population (still 5 members) with the marker visible in the trace.
-    ov_oodb::faults::arm(
-        "view.population_recompute",
-        ov_oodb::FaultSchedule::From(1),
-        ov_oodb::FaultAction::Error,
-    );
-    let trace = view.explain_population(sym("Adult")).unwrap();
-    assert_eq!(
-        trace.path,
-        ov_query::PopPath::StaleServe { attempts: 3 },
-        "{trace}"
-    );
-    assert_eq!(trace.rows, 5, "stale generation, not a blend: {trace}");
-    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
-    let stats = view.stats();
-    assert!(stats.stale_serves >= 2, "{stats:?}");
-    assert_eq!(stats.fault_retries, 4, "2 retries per request: {stats:?}");
-    // Fault cleared: the next request recomputes and sees the eviction.
-    ov_oodb::faults::clear();
-    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(4));
-}
-
-#[test]
-fn degraded_error_when_no_cached_population() {
-    let _guard = fault_lock();
-    let sys = people_system();
-    let view = adult_view(&sys);
-    // Cold cache + every attempt fails: nothing to serve stale.
-    ov_oodb::faults::arm(
-        "view.population_recompute",
-        ov_oodb::FaultSchedule::From(1),
-        ov_oodb::FaultAction::Error,
-    );
-    let err = view.query("count(Adult)").unwrap_err();
-    let ViewError::Degraded {
-        class,
-        attempts,
-        ref cause,
-    } = err
-    else {
-        panic!("expected Degraded, got {err}");
-    };
-    assert_eq!(class, sym("Adult"));
-    assert_eq!(attempts, 3);
-    assert!(cause.is_transient());
-    assert!(err.is_transient());
-    // The chain bottoms out in the injected fault.
-    let mut cur: &dyn std::error::Error = &err;
-    while let Some(next) = std::error::Error::source(cur) {
-        cur = next;
-    }
-    assert!(
-        cur.to_string().contains("view.population_recompute"),
-        "chain tail: {cur}"
-    );
-    ov_oodb::faults::clear();
-    // The view recovers completely once the fault clears.
-    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
-}
 
 #[test]
 fn budget_breach_during_population_stays_typed() {
-    let _guard = fault_lock();
-    let sys = people_system();
-    let view = adult_view(&sys);
-    let budget = std::sync::Arc::new(ov_query::Budget::new().with_max_steps(3));
-    let err = ov_query::run_query_with_budget(&view, "count(Adult)", budget).unwrap_err();
-    assert!(
-        matches!(err, ov_query::QueryError::ResourceExhausted(_)),
-        "budget breaches must not be retried or masked: {err}"
-    );
-}
-
-#[test]
-fn faulting_chunks_fall_back_to_sequential_then_trip_the_breaker() {
-    let _guard = fault_lock();
-    let sys = people_system();
-    let def = ViewDef::from_script(
-        r#"
-        create view V;
-        import all classes from database Staff;
-        class Adult includes (select P from Person where P.Age >= 21);
-        "#,
-    )
-    .unwrap();
-    let view = def
-        .binder(&sys)
-        .options(
-            ViewOptions::builder()
-                .parallel(ov_query::ParallelConfig {
-                    threads: 2,
-                    threshold: 2,
-                })
-                .build(),
-        )
-        .bind()
-        .unwrap();
-    ov_oodb::faults::arm(
-        "view.scan_chunk",
-        ov_oodb::FaultSchedule::From(1),
-        ov_oodb::FaultAction::Error,
-    );
-    let db = sys.database(sym("Staff")).unwrap();
-    let maggy = db.read().named(sym("maggy")).unwrap();
-    // Each round: invalidate the cache, repopulate. The parallel scan
-    // fails, the sequential fallback still answers correctly; after three
-    // strikes the view stops attempting parallel scans at all.
-    for round in 0..5u32 {
-        db.write()
-            .set_attr(maggy, sym("Age"), Value::Int(66 + i64::from(round)))
-            .unwrap();
-        assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
-    }
-    let stats = view.stats();
-    assert_eq!(stats.parallel_scans, 3, "breaker trips after 3: {stats:?}");
-    assert_eq!(stats.seq_fallbacks, 3, "{stats:?}");
-    ov_oodb::faults::clear();
-}
-
-#[test]
-fn panicking_chunk_becomes_typed_fallback_not_a_crash() {
-    let _guard = fault_lock();
     let sys = people_system();
     let view = ViewDef::from_script(
         r#"
@@ -2131,29 +1956,14 @@ fn panicking_chunk_becomes_typed_fallback_not_a_crash() {
     )
     .unwrap()
     .binder(&sys)
-    .options(
-        ViewOptions::builder()
-            .parallel(ov_query::ParallelConfig {
-                threads: 2,
-                threshold: 2,
-            })
-            .build(),
-    )
     .bind()
     .unwrap();
-    // The first chunk hit panics on its worker thread; the coordinator
-    // converts it to a typed error and the sequential fallback answers.
-    ov_oodb::faults::arm(
-        "view.scan_chunk",
-        ov_oodb::FaultSchedule::Nth(1),
-        ov_oodb::FaultAction::Panic,
+    let budget = std::sync::Arc::new(ov_query::Budget::new().with_max_steps(3));
+    let err = ov_query::run_query_with_budget(&view, "count(Adult)", budget).unwrap_err();
+    assert!(
+        matches!(err, ov_query::QueryError::ResourceExhausted(_)),
+        "budget breaches must not be retried or masked: {err}"
     );
-    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
-    let stats = view.stats();
-    assert_eq!(stats.seq_fallbacks, 1, "{stats:?}");
-    // Privileged visibility did not leak from the unwound population.
-    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
-    ov_oodb::faults::clear();
 }
 
 #[test]

@@ -264,8 +264,9 @@ pub struct View {
     /// identity assignments are logged here so §5.1 identity survives
     /// restarts; empty for purely in-memory sources.
     durable: Vec<Arc<DurableCore>>,
-    /// Per-source map from source class ids to view class ids.
-    import_maps: Vec<HashMap<ClassId, ClassId>>,
+    /// Per source, the view class each source class presents as, indexed
+    /// by source class id; `None` for a class that was not imported.
+    import_maps: Vec<Vec<Option<ClassId>>>,
     hidden_attrs: Vec<(ClassId, Symbol)>,
     hidden_classes: HashSet<ClassId>,
     templates: HashMap<Symbol, ParamTemplate>,
@@ -1179,7 +1180,11 @@ impl View {
         }
         drop(db);
         self.sources.push(handle);
-        self.import_maps.push(map);
+        let mut presented = vec![None; map.keys().map(|c| c.0 as usize + 1).max().unwrap_or(0)];
+        for (src_class, view_class) in map {
+            presented[src_class.0 as usize] = Some(view_class);
+        }
+        self.import_maps.push(presented);
         Ok(visible)
     }
 
@@ -2525,6 +2530,11 @@ impl View {
         self.imaginary.read().get(&oid).map(read)
     }
 
+    /// The view class that class `class` of source `source` was imported as.
+    fn imported_class(&self, source: usize, class: ClassId) -> Option<ClassId> {
+        *self.import_maps[source].get(class.0 as usize)?
+    }
+
     /// The view class an object presents as: its imaginary class, or its
     /// real class mapped through the imports. Errors if the class was not
     /// imported.
@@ -2535,9 +2545,8 @@ impl View {
         for (idx, handle) in self.sources.iter().enumerate() {
             let db = handle.read();
             if let Some(obj) = db.store.get(oid) {
-                return self.import_maps[idx]
-                    .get(&obj.class)
-                    .copied()
+                return self
+                    .imported_class(idx, obj.class)
                     .ok_or_else(|| ViewError::NotVisible(oid).into());
             }
         }
@@ -3109,7 +3118,7 @@ impl DataSource for View {
         for (idx, handle) in self.sources.iter().enumerate() {
             let db = handle.read();
             if let Some(obj) = db.store.get(oid) {
-                let class = self.import_maps[idx].get(&obj.class).copied()?;
+                let class = self.imported_class(idx, obj.class)?;
                 return Some((class, obj.value.get(name).cloned().unwrap_or(Value::Null)));
             }
         }

@@ -1,0 +1,209 @@
+//! Fault injection through the view layer: retries, stale serving,
+//! graceful degradation, and the parallel-scan breaker.
+//!
+//! Their own test binary, every test behind [`FaultGuard`]: the failpoint
+//! registry is process-wide, so a site armed here fires in whatever else
+//! runs in the process. Inside the library's unit-test binary that was any
+//! test populating a class beside these.
+
+use ov_oodb::faults::{self, FaultAction, FaultSchedule};
+use ov_oodb::{sym, System, Value};
+use ov_query::{execute_script, ParallelConfig, PopPath};
+use ov_views::{View, ViewDef, ViewError, ViewOptions};
+
+/// Serializes the tests of this binary and scopes arming to its own
+/// lifetime: the registry is clear when a test starts and when it ends,
+/// however it ends.
+struct FaultGuard {
+    _serial: std::sync::MutexGuard<'static, ()>,
+}
+
+impl FaultGuard {
+    fn take() -> FaultGuard {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _serial = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        faults::clear();
+        FaultGuard { _serial }
+    }
+}
+
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        faults::clear();
+    }
+}
+
+/// Six people, five of them adults; `maggy` is one of the five.
+fn people_system() -> System {
+    let mut sys = System::new();
+    execute_script(
+        &mut sys,
+        r#"
+        database Staff;
+        class Person type [Name: string, Age: integer];
+        object #1 in Person value [Name: "Maggy", Age: 66];
+        object #2 in Person value [Name: "Denis", Age: 70];
+        object #3 in Person value [Name: "Mark", Age: 12];
+        object #4 in Person value [Name: "Tony", Age: 30];
+        object #5 in Person value [Name: "Boss", Age: 50];
+        object #6 in Person value [Name: "Julia", Age: 80];
+        name maggy = #1;
+        "#,
+    )
+    .unwrap();
+    sys
+}
+
+fn adult_view(sys: &System, options: ViewOptions) -> View {
+    ViewDef::from_script(
+        r#"
+        create view V;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        "#,
+    )
+    .unwrap()
+    .binder(sys)
+    .options(options)
+    .bind()
+    .unwrap()
+}
+
+fn two_workers() -> ViewOptions {
+    ViewOptions::builder()
+        .parallel(ParallelConfig {
+            threads: 2,
+            threshold: 2,
+        })
+        .build()
+}
+
+#[test]
+fn transient_population_fault_is_retried() {
+    let _guard = FaultGuard::take();
+    let sys = people_system();
+    let view = adult_view(&sys, ViewOptions::default());
+    // First recompute attempt fails; the retry succeeds.
+    faults::arm(
+        "view.population_recompute",
+        FaultSchedule::Nth(1),
+        FaultAction::Error,
+    );
+    let v = view.query("count(Adult)").unwrap();
+    assert_eq!(v, Value::Int(5));
+    let stats = view.stats();
+    assert_eq!(stats.fault_retries, 1, "{stats:?}");
+    assert_eq!(stats.stale_serves, 0, "{stats:?}");
+    assert_eq!(stats.recomputations, 2, "one failed + one good: {stats:?}");
+}
+
+#[test]
+fn failed_recompute_serves_stale_population() {
+    let _guard = FaultGuard::take();
+    let sys = people_system();
+    let view = adult_view(&sys, ViewOptions::default());
+    // Warm the cache, then invalidate it with a base write that EVICTS an
+    // adult (Maggy drops below the filter).
+    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+    let db = sys.database(sym("Staff")).unwrap();
+    let maggy = db.read().named(sym("maggy")).unwrap();
+    db.write()
+        .set_attr(maggy, sym("Age"), Value::Int(20))
+        .unwrap();
+    // Every recompute attempt now fails: the view serves the stale cached
+    // population (still 5 members) with the marker visible in the trace.
+    faults::arm(
+        "view.population_recompute",
+        FaultSchedule::From(1),
+        FaultAction::Error,
+    );
+    let trace = view.explain_population(sym("Adult")).unwrap();
+    assert_eq!(trace.path, PopPath::StaleServe { attempts: 3 }, "{trace}");
+    assert_eq!(trace.rows, 5, "stale generation, not a blend: {trace}");
+    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+    let stats = view.stats();
+    assert!(stats.stale_serves >= 2, "{stats:?}");
+    assert_eq!(stats.fault_retries, 4, "2 retries per request: {stats:?}");
+    // Fault cleared: the next request recomputes and sees the eviction.
+    faults::clear();
+    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(4));
+}
+
+#[test]
+fn degraded_error_when_no_cached_population() {
+    let _guard = FaultGuard::take();
+    let sys = people_system();
+    let view = adult_view(&sys, ViewOptions::default());
+    // Cold cache + every attempt fails: nothing to serve stale.
+    faults::arm(
+        "view.population_recompute",
+        FaultSchedule::From(1),
+        FaultAction::Error,
+    );
+    let err = view.query("count(Adult)").unwrap_err();
+    let ViewError::Degraded {
+        class,
+        attempts,
+        ref cause,
+    } = err
+    else {
+        panic!("expected Degraded, got {err}");
+    };
+    assert_eq!(class, sym("Adult"));
+    assert_eq!(attempts, 3);
+    assert!(cause.is_transient());
+    assert!(err.is_transient());
+    // The chain bottoms out in the injected fault.
+    let mut cur: &dyn std::error::Error = &err;
+    while let Some(next) = std::error::Error::source(cur) {
+        cur = next;
+    }
+    assert!(
+        cur.to_string().contains("view.population_recompute"),
+        "chain tail: {cur}"
+    );
+    faults::clear();
+    // The view recovers completely once the fault clears.
+    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+}
+
+#[test]
+fn faulting_chunks_fall_back_to_sequential_then_trip_the_breaker() {
+    let _guard = FaultGuard::take();
+    let sys = people_system();
+    let view = adult_view(&sys, two_workers());
+    faults::arm(
+        "view.scan_chunk",
+        FaultSchedule::From(1),
+        FaultAction::Error,
+    );
+    let db = sys.database(sym("Staff")).unwrap();
+    let maggy = db.read().named(sym("maggy")).unwrap();
+    // Each round: invalidate the cache, repopulate. The parallel scan
+    // fails, the sequential fallback still answers correctly; after three
+    // strikes the view stops attempting parallel scans at all.
+    for round in 0..5u32 {
+        db.write()
+            .set_attr(maggy, sym("Age"), Value::Int(66 + i64::from(round)))
+            .unwrap();
+        assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+    }
+    let stats = view.stats();
+    assert_eq!(stats.parallel_scans, 3, "breaker trips after 3: {stats:?}");
+    assert_eq!(stats.seq_fallbacks, 3, "{stats:?}");
+}
+
+#[test]
+fn panicking_chunk_becomes_typed_fallback_not_a_crash() {
+    let _guard = FaultGuard::take();
+    let sys = people_system();
+    let view = adult_view(&sys, two_workers());
+    // The first chunk hit panics on its worker thread; the coordinator
+    // converts it to a typed error and the sequential fallback answers.
+    faults::arm("view.scan_chunk", FaultSchedule::Nth(1), FaultAction::Panic);
+    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+    let stats = view.stats();
+    assert_eq!(stats.seq_fallbacks, 1, "{stats:?}");
+    // Privileged visibility did not leak from the unwound population.
+    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+}

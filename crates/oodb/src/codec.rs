@@ -319,7 +319,7 @@ pub fn take_value(r: &mut Reader<'_>) -> Result<Value> {
 }
 
 /// Encodes a [`Tuple`] (field count, then name-ordered `(symbol, value)`
-/// pairs — the `BTreeMap` iteration order, so encoding is deterministic).
+/// pairs — the tuple's iteration order, so encoding is deterministic).
 pub fn put_tuple(w: &mut Writer, t: &Tuple) {
     w.put_u32(t.len() as u32);
     for (name, v) in t.iter() {
@@ -331,12 +331,12 @@ pub fn put_tuple(w: &mut Writer, t: &Tuple) {
 /// Decodes a [`Tuple`].
 pub fn take_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
     let n = r.take_len(5)?;
-    let mut fields = BTreeMap::new();
+    let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let name = r.take_symbol()?;
-        fields.insert(name, take_value(r)?);
+        fields.push((name, take_value(r)?));
     }
-    Ok(Tuple(fields))
+    Ok(Tuple::from_fields(fields))
 }
 
 // ---------------------------------------------------------------------------

@@ -148,25 +148,25 @@ pub fn dump_database_with_offset(db: &Database, offset: u64) -> String {
     // dumps are position-independent (base oids are globally unique and
     // allocation-order dependent; the loader remaps `#k` literals anyway).
     // References may be forward; the loader resolves them in a second pass.
-    let sorted = db.store.sorted_oids();
-    let renumber: std::collections::HashMap<crate::Oid, u64> = sorted
+    let renumber: std::collections::HashMap<crate::Oid, u64> = db
+        .store
         .iter()
         .enumerate()
-        .map(|(i, &oid)| (oid, offset + i as u64))
+        .map(|(i, obj)| (obj.oid, offset + i as u64))
         .collect();
-    for &oid in &sorted {
-        // Unreachable expect: `sorted` came from this store's own listing
-        // and `db` is borrowed for the whole dump, so no oid can vanish.
-        let obj = db.store.get(oid).expect("listed");
+    for obj in db.store.iter() {
         let class_name = db.schema.class(obj.class).name;
-        let _ = write!(out, "object #{} in {} value ", renumber[&oid], class_name);
+        let _ = write!(
+            out,
+            "object #{} in {} value ",
+            renumber[&obj.oid], class_name
+        );
         fmt_value_renumbered(
-            &Value::Tuple(crate::value::Tuple(
+            &Value::Tuple(crate::Tuple::from_fields(
                 obj.value
                     .iter()
                     .filter(|(_, v)| !v.is_null())
-                    .map(|(n, v)| (n, v.clone()))
-                    .collect(),
+                    .map(|(n, v)| (n, v.clone())),
             )),
             &renumber,
             &mut out,

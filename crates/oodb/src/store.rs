@@ -52,6 +52,17 @@ pub fn ensure_oid_floor(oid: Oid) {
     NEXT_OID.fetch_max(oid.0 + 1, Ordering::Relaxed);
 }
 
+/// Base stores hold base oids only: the imaginary range belongs to views,
+/// and an oid from a WAL or snapshot that lies in it is a damaged file.
+fn require_base_oid(oid: Oid) -> Result<()> {
+    if oid.is_imaginary() {
+        return Err(OodbError::corrupt(format!(
+            "imaginary oid {oid} in a base store"
+        )));
+    }
+    Ok(())
+}
+
 /// An object as stored: its oid, the single class it is *real* in, and its
 /// tuple of stored attribute values.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,10 +75,150 @@ pub struct StoredObject {
     pub value: Tuple,
 }
 
+/// Slots per page of the store's object table: a page of neighbouring oids
+/// is ≈ 10 KB.
+pub const PAGE_SLOTS: u64 = 256;
+
+/// Pages per chunk of the table's page directory: a chunk covers 2^18
+/// consecutive oids with a directory of at most 16 KB.
+const CHUNK_PAGES: u64 = 1024;
+
+/// One page of the object table: `PAGE_SLOTS` consecutive oids, each at
+/// slot `oid % PAGE_SLOTS`.
+#[derive(Clone)]
+struct Page {
+    live: usize,
+    slots: Box<[Option<StoredObject>; PAGE_SLOTS as usize]>,
+}
+
+/// The page directory of chunk `no`: `pages[i]` is page
+/// `no * CHUNK_PAGES + i`, allocated on first use, freed with its last
+/// object, and absent past the highest page the chunk ever held.
+#[derive(Clone)]
+struct Chunk {
+    no: u64,
+    live: usize,
+    pages: Vec<Option<Page>>,
+}
+
+/// The oid-ordered object table. The paper's unique-root rule is what lets
+/// an object "be stored uniformly along with similar objects" (§4.2); here
+/// that means by position. An oid is an address — chunk, page in the
+/// chunk, slot in the page — so a lookup is two indexed loads, objects with
+/// neighbouring oids are neighbours in memory, and a scan in oid order
+/// reads memory in order (a hash map scatters them: one cache miss per row).
+///
+/// Oids come from one process-wide counter and are re-seated by recovery,
+/// so a store's oids are neither dense nor zero-based. Only chunks that
+/// hold an object exist, sorted by number (a store lives in a handful, so
+/// finding one is a short search); memory is one page per run of
+/// `PAGE_SLOTS` oids with a live object plus at most one small directory
+/// per chunk, whatever the largest oid.
+#[derive(Clone, Default)]
+struct ObjectTable {
+    chunks: Vec<Chunk>,
+    len: usize,
+    pages: usize,
+}
+
+/// Splits `oid` into chunk number, page within the chunk, slot in the page.
+fn address(oid: Oid) -> (u64, usize, usize) {
+    let page = oid.0 / PAGE_SLOTS;
+    (
+        page / CHUNK_PAGES,
+        (page % CHUNK_PAGES) as usize,
+        (oid.0 % PAGE_SLOTS) as usize,
+    )
+}
+
+impl ObjectTable {
+    /// Position of chunk `no` in the directory, or where it would go.
+    fn chunk(&self, no: u64) -> std::result::Result<usize, usize> {
+        self.chunks.binary_search_by_key(&no, |c| c.no)
+    }
+
+    fn get(&self, oid: Oid) -> Option<&StoredObject> {
+        let (chunk, page, slot) = address(oid);
+        let chunk = &self.chunks[self.chunk(chunk).ok()?];
+        chunk.pages.get(page)?.as_ref()?.slots[slot].as_ref()
+    }
+
+    fn get_mut(&mut self, oid: Oid) -> Option<&mut StoredObject> {
+        let (chunk, page, slot) = address(oid);
+        let at = self.chunk(chunk).ok()?;
+        self.chunks[at].pages.get_mut(page)?.as_mut()?.slots[slot].as_mut()
+    }
+
+    /// Seats `obj` at its oid's slot, allocating chunk and page on first
+    /// use.
+    fn insert(&mut self, obj: StoredObject) -> &StoredObject {
+        let (no, page, slot) = address(obj.oid);
+        let at = self.chunk(no).unwrap_or_else(|at| {
+            let chunk = Chunk {
+                no,
+                live: 0,
+                pages: Vec::new(),
+            };
+            self.chunks.insert(at, chunk);
+            at
+        });
+        let chunk = &mut self.chunks[at];
+        if chunk.pages.len() <= page {
+            chunk.pages.resize_with(page + 1, || None);
+        }
+        if chunk.pages[page].is_none() {
+            chunk.live += 1;
+            self.pages += 1;
+        }
+        let page = chunk.pages[page].get_or_insert_with(|| Page {
+            live: 0,
+            slots: Box::new([const { None }; PAGE_SLOTS as usize]),
+        });
+        if page.slots[slot].is_none() {
+            page.live += 1;
+            self.len += 1;
+        }
+        page.slots[slot].insert(obj)
+    }
+
+    /// Vacates `oid`'s slot. A page left without objects is freed, and so
+    /// is a chunk left without pages.
+    fn remove(&mut self, oid: Oid) -> Option<StoredObject> {
+        let (no, page_at, slot) = address(oid);
+        let at = self.chunk(no).ok()?;
+        let chunk = &mut self.chunks[at];
+        let page = chunk.pages.get_mut(page_at)?.as_mut()?;
+        let obj = page.slots[slot].take()?;
+        page.live -= 1;
+        self.len -= 1;
+        if page.live == 0 {
+            chunk.pages[page_at] = None;
+            chunk.live -= 1;
+            self.pages -= 1;
+            if chunk.live == 0 {
+                self.chunks.remove(at);
+            }
+        }
+        Some(obj)
+    }
+
+    /// Every object, in oid order.
+    fn iter(&self) -> impl Iterator<Item = &StoredObject> {
+        let pages = self.chunks.iter().flat_map(|c| c.pages.iter().flatten());
+        pages.flat_map(|p| p.slots.iter().flatten())
+    }
+}
+
+impl std::fmt::Debug for ObjectTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A versioned object store with per-class extents.
 #[derive(Clone, Debug, Default)]
 pub struct Store {
-    objects: HashMap<Oid, StoredObject>,
+    objects: ObjectTable,
     extents: HashMap<ClassId, BTreeSet<Oid>>,
     version: u64,
     /// Bounded change journal: `(version, oid)` per mutation, newest at the
@@ -158,14 +309,10 @@ impl Store {
             crate::metric_counter!("oodb.index.log_failures").inc();
         }
         self.indexes.create(class, attr);
-        let members: Vec<Oid> = self.extent(class).collect();
-        for oid in members {
-            let v = self.objects[&oid]
-                .value
-                .get(attr)
-                .cloned()
-                .unwrap_or(crate::Value::Null);
-            self.indexes.create(class, attr).insert(v, oid);
+        let index = self.indexes.create(class, attr);
+        for &oid in self.extents.get(&class).into_iter().flatten() {
+            let v = self.objects.get(oid).and_then(|o| o.value.get(attr));
+            index.insert(v.cloned().unwrap_or(crate::Value::Null), oid);
         }
     }
 
@@ -236,12 +383,10 @@ impl Store {
         }
         crate::metric_counter!("oodb.journal.delta_served").inc();
         span.field("outcome", "delta");
-        let mut out: Vec<Oid> = self
-            .journal
-            .iter()
-            .filter(|&&(v, _)| v > version)
-            .map(|&(_, o)| o)
-            .collect();
+        // The journal is version-ordered: everything after `version` is a
+        // suffix.
+        let from = self.journal.partition_point(|&(v, _)| v <= version);
+        let mut out: Vec<Oid> = self.journal.range(from..).map(|&(_, o)| o).collect();
         out.sort();
         out.dedup();
         Some(out)
@@ -254,12 +399,19 @@ impl Store {
 
     /// Number of objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.objects.len
+    }
+
+    /// Pages the object table holds ([`PAGE_SLOTS`] slots each): one per
+    /// run of `PAGE_SLOTS` oids that has a live object, none for an empty
+    /// store.
+    pub fn pages(&self) -> usize {
+        self.objects.pages
     }
 
     /// Is the store empty?
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.objects.len == 0
     }
 
     /// Allocates a fresh (globally-unique) oid and inserts an object real in
@@ -286,23 +438,27 @@ impl Store {
                 value: value.clone(),
             })?;
         }
-        self.objects.insert(oid, StoredObject { oid, class, value });
-        self.extents.entry(class).or_default().insert(oid);
-        self.indexes
-            .on_insert(class, oid, &self.objects[&oid].value);
-        self.record(oid);
+        self.seat(StoredObject { oid, class, value });
         Ok(oid)
     }
 
-    /// Replays an insert with its original oid (crash recovery only — no
-    /// WAL logging; the record being replayed *is* the log entry).
-    pub fn insert_with_oid(&mut self, oid: Oid, class: ClassId, value: Tuple) {
-        ensure_oid_floor(oid);
-        self.objects.insert(oid, StoredObject { oid, class, value });
+    /// Seats a new object in the table, its extent and the indexes.
+    fn seat(&mut self, obj: StoredObject) {
+        let (oid, class) = (obj.oid, obj.class);
+        let obj = self.objects.insert(obj);
         self.extents.entry(class).or_default().insert(oid);
-        self.indexes
-            .on_insert(class, oid, &self.objects[&oid].value);
+        self.indexes.on_insert(class, oid, &obj.value);
         self.record(oid);
+    }
+
+    /// Replays an insert with its original oid (crash recovery only — no
+    /// WAL logging; the record being replayed *is* the log entry). The oid
+    /// comes from a file: one in the imaginary range is refused.
+    pub fn insert_with_oid(&mut self, oid: Oid, class: ClassId, value: Tuple) -> Result<()> {
+        require_base_oid(oid)?;
+        ensure_oid_floor(oid);
+        self.seat(StoredObject { oid, class, value });
+        Ok(())
     }
 
     /// Bulk-loads the store from a checkpoint image: objects and extents
@@ -310,18 +466,21 @@ impl Store {
     /// version, and the journal starts empty with its floor at that
     /// version (so `changes_since` older than the checkpoint reports a gap
     /// instead of a silently empty delta). Indexes are *not* built here —
-    /// the caller rebuilds them from the persisted definitions.
-    pub fn restore(&mut self, objects: Vec<StoredObject>, version: u64) {
-        self.objects.clear();
+    /// the caller rebuilds them from the persisted definitions. An image
+    /// holding an oid in the imaginary range is refused.
+    pub fn restore(&mut self, objects: Vec<StoredObject>, version: u64) -> Result<()> {
+        self.objects = ObjectTable::default();
         self.extents.clear();
         for obj in objects {
+            require_base_oid(obj.oid)?;
             ensure_oid_floor(obj.oid);
             self.extents.entry(obj.class).or_default().insert(obj.oid);
-            self.objects.insert(obj.oid, obj);
+            self.objects.insert(obj);
         }
         self.version = version;
         self.journal.clear();
         self.journal_floor = version;
+        Ok(())
     }
 
     /// Finishes recovery: drops the journal entries produced by replay and
@@ -335,7 +494,7 @@ impl Store {
 
     /// The object with oid `oid`, if present.
     pub fn get(&self, oid: Oid) -> Option<&StoredObject> {
-        self.objects.get(&oid)
+        self.objects.get(oid)
     }
 
     /// Like [`Store::get`] but returns an error.
@@ -347,7 +506,7 @@ impl Store {
     pub fn update(&mut self, oid: Oid, value: Tuple) -> Result<()> {
         let _span = crate::span!("store.update", oid = oid.0);
         crate::failpoint!("store.update");
-        if !self.objects.contains_key(&oid) {
+        if self.objects.get(oid).is_none() {
             return Err(OodbError::UnknownObject(oid));
         }
         if self.durable.is_some() {
@@ -358,7 +517,7 @@ impl Store {
         }
         let obj = self
             .objects
-            .get_mut(&oid)
+            .get_mut(oid)
             .ok_or(OodbError::UnknownObject(oid))?;
         let class = obj.class;
         let old = std::mem::replace(&mut obj.value, value);
@@ -373,7 +532,7 @@ impl Store {
     pub fn set_field(&mut self, oid: Oid, name: crate::Symbol, value: crate::Value) -> Result<()> {
         let _span = crate::span!("store.set_field", oid = oid.0, attr = name);
         crate::failpoint!("store.set_field");
-        if !self.objects.contains_key(&oid) {
+        if self.objects.get(oid).is_none() {
             return Err(OodbError::UnknownObject(oid));
         }
         if self.durable.is_some() {
@@ -385,7 +544,7 @@ impl Store {
         }
         let obj = self
             .objects
-            .get_mut(&oid)
+            .get_mut(oid)
             .ok_or(OodbError::UnknownObject(oid))?;
         let class = obj.class;
         let old = obj
@@ -401,7 +560,7 @@ impl Store {
     pub fn remove(&mut self, oid: Oid) -> Result<StoredObject> {
         let _span = crate::span!("store.remove", oid = oid.0);
         crate::failpoint!("store.remove");
-        if !self.objects.contains_key(&oid) {
+        if self.objects.get(oid).is_none() {
             return Err(OodbError::UnknownObject(oid));
         }
         if self.durable.is_some() {
@@ -409,7 +568,7 @@ impl Store {
         }
         let obj = self
             .objects
-            .remove(&oid)
+            .remove(oid)
             .ok_or(OodbError::UnknownObject(oid))?;
         if let Some(ext) = self.extents.get_mut(&obj.class) {
             ext.remove(&oid);
@@ -433,16 +592,14 @@ impl Store {
         self.extents.get(&class).map_or(0, |s| s.len())
     }
 
-    /// Iterates all objects (arbitrary order).
+    /// Iterates all objects in oid order.
     pub fn iter(&self) -> impl Iterator<Item = &StoredObject> {
-        self.objects.values()
+        self.objects.iter()
     }
 
     /// All oids in ascending order (deterministic iteration for dumps).
     pub fn sorted_oids(&self) -> Vec<Oid> {
-        let mut v: Vec<Oid> = self.objects.keys().copied().collect();
-        v.sort();
-        v
+        self.iter().map(|o| o.oid).collect()
     }
 }
 
@@ -459,6 +616,39 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Store>();
         assert_send_sync::<StoredObject>();
+    }
+
+    /// The table itself, below the oid allocator: pages and chunks exist
+    /// exactly while they hold an object, wherever in the base range.
+    #[test]
+    fn pages_and_chunks_come_and_go_with_their_objects() {
+        let object = |n: u64| StoredObject {
+            oid: Oid(n),
+            class: ClassId(0),
+            value: Tuple::new(),
+        };
+        let top = crate::ids::IMAGINARY_OID_BASE - 1;
+        let oids = [5, 6, PAGE_SLOTS + 5, PAGE_SLOTS * CHUNK_PAGES, top];
+        let mut table = ObjectTable::default();
+        // Seated out of order; two neighbours share a page, the next page,
+        // the next chunk and the topmost base oid cost one page each.
+        for n in [3, 0, 4, 2, 1].map(|i| oids[i]) {
+            table.insert(object(n));
+        }
+        assert_eq!((table.len, table.pages, table.chunks.len()), (5, 4, 3));
+        assert!(table.iter().map(|o| o.oid.0).eq(oids));
+        assert_eq!(table.get(Oid(top)), Some(&object(top)));
+        assert_eq!(table.get(Oid(7)), None);
+        assert_eq!(table.get(Oid(top - PAGE_SLOTS)), None);
+        assert_eq!(table.remove(Oid(6)), Some(object(6)));
+        assert_eq!(table.remove(Oid(6)), None);
+        assert_eq!((table.len, table.pages, table.chunks.len()), (4, 4, 3));
+        for n in [5, top, PAGE_SLOTS + 5] {
+            table.remove(Oid(n));
+        }
+        assert_eq!((table.len, table.pages, table.chunks.len()), (1, 1, 1));
+        table.remove(Oid(PAGE_SLOTS * CHUNK_PAGES));
+        assert_eq!((table.len, table.pages, table.chunks.len()), (0, 0, 0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! including for floats (via `f64::total_cmp` / bit hashing, which are
 //! mutually coherent).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -18,41 +18,74 @@ use crate::symbol::Symbol;
 
 /// A tuple value: a finite map from attribute names to values.
 ///
-/// Backed by a `BTreeMap` keyed on (string-ordered) symbols, so iteration
-/// order, display, equality and hashing are all deterministic — which is what
-/// makes tuples usable as keys in the imaginary-object identity tables.
+/// The fields sit in one vector sorted by (string-ordered) name, so
+/// iteration order, display, equality, ordering and hashing are those of the
+/// name-ordered field list and all deterministic — which is what makes
+/// tuples usable as keys in the imaginary-object identity tables. A lookup
+/// matches the symbol's intern id: no strings are compared.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Tuple(pub BTreeMap<Symbol, Value>);
+pub struct Tuple(Vec<(Symbol, Value)>);
+
+/// Tuples wider than this are binary-searched by name instead of scanned.
+const SCAN_MAX: usize = 16;
 
 impl Tuple {
     /// The empty tuple.
     pub fn new() -> Tuple {
-        Tuple(BTreeMap::new())
+        Tuple(Vec::new())
     }
 
-    /// Builds a tuple from `(name, value)` pairs.
+    /// Builds a tuple from `(name, value)` pairs; of two pairs with one
+    /// name the later wins.
     pub fn from_fields<N: Into<Symbol>>(fields: impl IntoIterator<Item = (N, Value)>) -> Tuple {
-        Tuple(fields.into_iter().map(|(n, v)| (n.into(), v)).collect())
+        let mut fields: Vec<(Symbol, Value)> =
+            fields.into_iter().map(|(n, v)| (n.into(), v)).collect();
+        // Stable, so equal names stay in arrival order.
+        fields.sort_by_key(|field| field.0);
+        fields.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        Tuple(fields)
+    }
+
+    /// Position of field `name`.
+    fn find(&self, name: Symbol) -> Option<usize> {
+        if self.0.len() <= SCAN_MAX {
+            self.0.iter().position(|(n, _)| *n == name)
+        } else {
+            self.0.binary_search_by(|(n, _)| n.cmp(&name)).ok()
+        }
     }
 
     /// The value of field `name`, if present.
     pub fn get(&self, name: Symbol) -> Option<&Value> {
-        self.0.get(&name)
+        self.find(name).map(|i| &self.0[i].1)
     }
 
     /// Sets field `name` to `value`, returning the previous value if any.
     pub fn set(&mut self, name: Symbol, value: Value) -> Option<Value> {
-        self.0.insert(name, value)
+        match self.find(name) {
+            Some(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            None => {
+                let at = self.0.partition_point(|(n, _)| *n < name);
+                self.0.insert(at, (name, value));
+                None
+            }
+        }
     }
 
     /// Removes field `name`, returning its value if it was present.
     pub fn remove(&mut self, name: Symbol) -> Option<Value> {
-        self.0.remove(&name)
+        self.find(name).map(|i| self.0.remove(i).1)
     }
 
     /// Does the tuple have a field called `name`?
     pub fn has(&self, name: Symbol) -> bool {
-        self.0.contains_key(&name)
+        self.find(name).is_some()
     }
 
     /// Number of fields.
@@ -73,13 +106,11 @@ impl Tuple {
     /// A new tuple containing only the fields in `names` (missing names are
     /// silently dropped). Used by the view layer to project core attributes.
     pub fn project(&self, names: impl IntoIterator<Item = Symbol>) -> Tuple {
-        let mut out = BTreeMap::new();
-        for n in names {
-            if let Some(v) = self.0.get(&n) {
-                out.insert(n, v.clone());
-            }
-        }
-        Tuple(out)
+        Tuple::from_fields(
+            names
+                .into_iter()
+                .filter_map(|n| self.get(n).map(|v| (n, v.clone()))),
+        )
     }
 }
 

@@ -109,6 +109,71 @@ proptest! {
         prop_assert!(p.len() <= t.len());
     }
 
+    /// A tuple is observably the `BTreeMap<Symbol, Value>` it used to be:
+    /// lookups, name-ordered iteration, display, `Ord`, `Hash` and the
+    /// encoded bytes, on narrow tuples and on ones wide enough (> 16
+    /// fields) to be searched rather than scanned. Names repeat, so later
+    /// fields overwrite earlier ones, as map inserts did.
+    #[test]
+    fn tuple_behaves_like_the_name_ordered_map(
+        a in prop::collection::vec(("[a-e][a-h]?", 0i64..4), 0..48),
+        b in prop::collection::vec(("[a-e][a-h]?", 0i64..4), 0..48),
+        edits in prop::collection::vec(("[a-e][a-h]?", prop::option::of(0i64..4)), 0..8),
+    ) {
+        use std::collections::BTreeMap;
+        use ov_oodb::codec::{put_tuple, put_value, take_tuple, Reader, Writer};
+        use ov_oodb::Symbol;
+        type Map = BTreeMap<Symbol, Value>;
+        let fields = |f: &[(String, i64)]| -> Vec<(Symbol, Value)> {
+            f.iter().map(|(n, v)| (ov_oodb::sym(n), Value::Int(*v))).collect()
+        };
+        let (mut ta, tb) = (Tuple::from_fields(fields(&a)), Tuple::from_fields(fields(&b)));
+        let (mut ma, mb): (Map, Map) =
+            (fields(&a).into_iter().collect(), fields(&b).into_iter().collect());
+        prop_assert_eq!(ta.cmp(&tb), ma.cmp(&mb));
+        prop_assert_eq!(ta == tb, ma == mb);
+        for (name, v) in &edits {
+            let name = ov_oodb::sym(name);
+            match v {
+                Some(v) => prop_assert_eq!(
+                    ta.set(name, Value::Int(*v)),
+                    ma.insert(name, Value::Int(*v))
+                ),
+                None => prop_assert_eq!(ta.remove(name), ma.remove(&name)),
+            }
+        }
+        prop_assert_eq!(ta.len(), ma.len());
+        prop_assert!(ta.iter().eq(ma.iter().map(|(k, v)| (*k, v))));
+        for x in 'a'..='e' {
+            for y in ["", "a", "d", "h", "z"] {
+                let name = ov_oodb::sym(&format!("{x}{y}"));
+                prop_assert_eq!(ta.get(name), ma.get(&name));
+                prop_assert_eq!(ta.has(name), ma.contains_key(&name));
+            }
+        }
+        let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut s = DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        prop_assert_eq!(hash(&|s| ta.hash(s)), hash(&|s| ma.hash(s)));
+        let shown: Vec<String> = ma.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+        prop_assert_eq!(ta.to_string(), format!("[{}]", shown.join(", ")));
+        // The byte stream the codec wrote off the map: count, then
+        // name-ordered (symbol, value) pairs.
+        let mut expected = Writer::new();
+        expected.put_u32(ma.len() as u32);
+        for (k, v) in &ma {
+            expected.put_symbol(*k);
+            put_value(&mut expected, v);
+        }
+        let mut got = Writer::new();
+        put_tuple(&mut got, &ta);
+        let bytes = got.into_bytes();
+        prop_assert_eq!(&bytes, &expected.into_bytes());
+        prop_assert_eq!(take_tuple(&mut Reader::new(&bytes, "tuple")).unwrap(), ta);
+    }
+
     /// collect_oids finds exactly the oids that Display renders.
     #[test]
     fn collect_oids_matches_display(v in arb_value()) {

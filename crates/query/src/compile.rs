@@ -49,7 +49,7 @@
 //! drops its cached verdicts.
 
 use std::cell::Cell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -622,11 +622,13 @@ pub struct Scan<'a> {
     /// slots get their own entries (never shared with outer slots of the
     /// same name) because resolution inside a body-privilege bracket can
     /// legitimately differ from resolution outside it.
-    caches: Vec<HashMap<ClassId, SlotEntry>>,
-    /// Registered body programs, keyed by `Arc` address: the program and
-    /// its global-slot base. The `Arc` is kept in the value so the address
-    /// cannot be reused while registered.
-    body_bases: HashMap<usize, (Arc<Program>, usize)>,
+    /// A scan meets a handful of classes, so each slot's entries are a
+    /// short list searched by class id.
+    caches: Vec<Vec<(ClassId, SlotEntry)>>,
+    /// Registered body programs — a scan runs a handful — each with its
+    /// global-slot base, found by `Arc` identity. Holding the `Arc` keeps
+    /// the address from being reused while registered.
+    body_bases: Vec<(Arc<Program>, usize)>,
     /// In-flight `EnterBody` brackets, so an error unwinding past
     /// `ExitBody` instructions can be re-balanced exactly like
     /// `run_computed`'s exit-on-error.
@@ -651,8 +653,8 @@ impl<'a> Scan<'a> {
             budget: budget::current(),
             regs: vec![Value::Null; prog.n_regs],
             stack: Vec::with_capacity(8),
-            caches: prog.slots.iter().map(|_| HashMap::new()).collect(),
-            body_bases: HashMap::new(),
+            caches: prog.slots.iter().map(|_| Vec::new()).collect(),
+            body_bases: Vec::new(),
             open_bodies: 0,
             gen: src.resolution_generation(),
             cache_hits: 0,
@@ -780,10 +782,7 @@ impl<'a> Scan<'a> {
                 Inst::MakeTuple { shape } => {
                     let fields = &prog.shapes[shape];
                     let vals = self.stack.split_off(self.stack.len() - fields.len());
-                    let mut t = ov_oodb::Tuple::new();
-                    for (n, v) in fields.iter().zip(vals) {
-                        t.set(*n, v);
-                    }
+                    let t = ov_oodb::Tuple::from_fields(fields.iter().copied().zip(vals));
                     self.stack.push(Value::Tuple(t));
                 }
                 Inst::MakeSet { n } => {
@@ -1075,14 +1074,12 @@ impl<'a> Scan<'a> {
     /// The global-slot base for a body program, registering it (and
     /// allocating its slot caches) on first use.
     fn slot_base_for(&mut self, prog: &Arc<Program>) -> usize {
-        let key = Arc::as_ptr(prog) as usize;
-        if let Some((_, base)) = self.body_bases.get(&key) {
+        if let Some((_, base)) = self.body_bases.iter().find(|(p, _)| Arc::ptr_eq(p, prog)) {
             return *base;
         }
         let base = self.caches.len();
-        self.caches
-            .extend(prog.slots.iter().map(|_| HashMap::new()));
-        self.body_bases.insert(key, (prog.clone(), base));
+        self.caches.extend(prog.slots.iter().map(|_| Vec::new()));
+        self.body_bases.push((prog.clone(), base));
         base
     }
 
@@ -1117,7 +1114,8 @@ impl<'a> Scan<'a> {
             }
             self.gen = gen_now;
         }
-        match self.caches[gslot].get(&class) {
+        let cached = self.caches[gslot].iter().find(|(c, _)| *c == class);
+        match cached.map(|(_, entry)| entry) {
             Some(SlotEntry::Pure { res, body }) => {
                 self.cache_hits += 1;
                 Ok((res.clone(), body.clone()))
@@ -1138,16 +1136,16 @@ impl<'a> Scan<'a> {
                         }
                         ResolvedAttr::Stored => None,
                     };
-                    self.caches[gslot].insert(
+                    self.caches[gslot].push((
                         class,
                         SlotEntry::Pure {
                             res: r.clone(),
                             body: body.clone(),
                         },
-                    );
+                    ));
                     Ok((r, body))
                 } else {
-                    self.caches[gslot].insert(class, SlotEntry::Impure);
+                    self.caches[gslot].push((class, SlotEntry::Impure));
                     Ok((r, None))
                 }
             }
@@ -1262,7 +1260,10 @@ fn run_planned_select(
     q: &SelectExpr,
     scan: &SelectScan,
 ) -> Result<Value> {
-    let decision = crate::planner::plan_select(src, expr, q);
+    // The plan cache is keyed by the fingerprint: render it once, for the
+    // lookup and for whatever the outcome feeds back.
+    let (fp, _) = crate::fingerprint::fingerprint_expr(expr);
+    let decision = crate::planner::plan_select_keyed(src, &fp, q);
     let r = match &decision.strategy {
         crate::planner::Strategy::IndexPushdown { attr, value } => {
             match src.indexed_lookup(scan.class, *attr, value) {
@@ -1271,7 +1272,7 @@ fn run_planned_select(
                     // The plan assumed an index that isn't there (cold
                     // statistics, dropped index): demote the cached plan
                     // so later executions skip the doomed probe.
-                    crate::planner::demote_to_seq(expr);
+                    crate::planner::demote_to_seq(&fp);
                     run_select_scan(src, q, scan)
                 }
             }
@@ -1283,7 +1284,7 @@ fn run_planned_select(
         Ok(_) => Some(1),
         Err(_) => None,
     };
-    crate::planner::record_outcome(expr, decision, rows);
+    crate::planner::record_outcome(&fp, decision, rows);
     r
 }
 
@@ -1378,7 +1379,8 @@ fn try_run_planned_join(
         extents.push(ext);
     }
     let class_names: Vec<Symbol> = classes.iter().map(|(n, _)| *n).collect();
-    let decision = plan_join(src, expr, q, &class_names, &cards);
+    let (fp, _) = crate::fingerprint::fingerprint_expr(expr);
+    let decision = plan_join(src, &fp, q, &class_names, &cards);
     let Strategy::Join { order } = &decision.strategy else {
         return None;
     };
@@ -1441,7 +1443,7 @@ fn try_run_planned_join(
     crate::plan::add_actuals(&actuals);
     let rows = out.len() as u64;
     let r = result.and_then(|()| finish_select(q.the, out));
-    record_outcome(expr, decision, r.as_ref().ok().map(|_| rows));
+    record_outcome(&fp, decision, r.as_ref().ok().map(|_| rows));
     Some(r)
 }
 
@@ -1945,8 +1947,8 @@ mod tests {
         // One slot (P.Age), one class, decided Pure after the first row.
         assert_eq!(scan.caches.len(), 1);
         assert!(matches!(
-            scan.caches[0].get(&person),
-            Some(SlotEntry::Pure { .. })
+            scan.caches[0].as_slice(),
+            [(c, SlotEntry::Pure { .. })] if *c == person
         ));
     }
 
@@ -1966,8 +1968,8 @@ mod tests {
         // the body program registered its own slot range (self.Age twice
         // → two body slots appended after the outer slot).
         assert!(matches!(
-            scan.caches[0].get(&person),
-            Some(SlotEntry::Pure { body: Some(_), .. })
+            scan.caches[0].as_slice(),
+            [(c, SlotEntry::Pure { body: Some(_), .. })] if *c == person
         ));
         assert_eq!(scan.body_bases.len(), 1);
         assert_eq!(scan.caches.len(), 3);

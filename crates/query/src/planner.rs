@@ -19,10 +19,12 @@
 //!   exist is demoted to a sequential scan; a reordered join is only
 //!   attempted when reordering provably cannot change the result set
 //!   (independent class-extent bindings, no budget installed).
-//! - **Plans expire.** A cached plan is invalidated when the source's
-//!   `resolution_generation` moves and when EXPLAIN ANALYZE actuals
-//!   diverge from the estimate by more than [`DRIFT_FACTOR`]× in either
-//!   direction (the misestimate also counts in `planner.replans`).
+//! - **Plans expire, estimates learn.** A cached plan is invalidated when
+//!   the source's `resolution_generation` moves. When a query's measured
+//!   rows diverge from the cached estimate by more than [`DRIFT_FACTOR`]×
+//!   in either direction, the entry adopts the measured rows (counted in
+//!   `planner.replans`): planning again from the same sketches would only
+//!   repeat the same misestimate on every execution.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -48,8 +50,8 @@ pub const DEFAULT_CARDINALITY: u64 = 1024;
 /// extent and the sequential scan wins.)
 pub const PUSHDOWN_MIN_NDV: u64 = 4;
 
-/// Estimate-vs-actual divergence (either direction) that evicts a
-/// cached plan and forces a re-plan.
+/// Estimate-vs-actual divergence (either direction) at which a cached
+/// plan's estimate is replaced by the measured rows.
 pub const DRIFT_FACTOR: u64 = 10;
 
 // ---------------------------------------------------------------------
@@ -206,37 +208,36 @@ fn cache_lookup(fp: &str, generation: u64) -> Option<CachedPlan> {
     }
 }
 
-fn cache_store(fp: String, plan: CachedPlan) {
+fn cache_store(fp: &str, plan: CachedPlan) {
     cache()
         .lock()
         .expect("plan cache poisoned")
-        .insert(fp, plan);
+        .insert(fp.to_string(), plan);
 }
 
-/// Rewrites the cached plan for `expr` to a sequential scan — called
-/// when execution discovers a pushdown plan's index does not exist, so
-/// later queries skip the doomed probe.
-pub fn demote_to_seq(expr: &Expr) {
-    let (fp, _) = fingerprint_expr(expr);
+/// Rewrites the plan cached under fingerprint `fp` to a sequential scan —
+/// called when execution discovers a pushdown plan's index does not
+/// exist, so later queries skip the doomed probe.
+pub fn demote_to_seq(fp: &str) {
     let mut guard = cache().lock().expect("plan cache poisoned");
-    if let Some(c) = guard.get_mut(&fp) {
+    if let Some(c) = guard.get_mut(fp) {
         c.strategy = Strategy::Seq;
     }
 }
 
-/// Feeds a query's measured result rows back into the cache: when the
-/// actuals diverge from the cached estimate by more than
-/// [`DRIFT_FACTOR`]× in either direction the plan is evicted (counted
-/// in `planner.replans`) and the next execution re-plans from fresher
-/// statistics.
-pub fn observe_actual(expr: &Expr, actual_rows: u64) {
-    let (fp, _) = fingerprint_expr(expr);
+/// Feeds a query's measured result rows back into the plan cached under
+/// fingerprint `fp`: when they diverge from the cached estimate by more
+/// than [`DRIFT_FACTOR`]× in either direction, the entry takes the
+/// measured rows as its estimate (counted in `planner.replans`). Evicting
+/// instead would re-plan from the same sketches, reach the same estimate
+/// and drift again on every execution of the shape.
+pub fn observe_actual(fp: &str, actual_rows: u64) {
     let mut guard = cache().lock().expect("plan cache poisoned");
-    if let Some(c) = guard.get(&fp) {
+    if let Some(c) = guard.get_mut(fp) {
         let est = c.est_rows.max(1);
         let act = actual_rows.max(1);
         if est / act >= DRIFT_FACTOR || act / est >= DRIFT_FACTOR {
-            guard.remove(&fp);
+            c.est_rows = actual_rows;
             metric_counter!("planner.replans").inc();
         }
     }
@@ -476,9 +477,14 @@ pub fn choose_split(rows: usize, workers: usize, overhead_rows: usize) -> bool {
 /// filter has a high-NDV equality conjunct, sequential otherwise.
 /// Consults and fills the fingerprint-keyed plan cache.
 pub fn plan_select(src: &dyn DataSource, expr: &Expr, q: &SelectExpr) -> Decision {
+    plan_select_keyed(src, &fingerprint_expr(expr).0, q)
+}
+
+/// [`plan_select`] for a caller that already holds the query's
+/// fingerprint `fp`.
+pub(crate) fn plan_select_keyed(src: &dyn DataSource, fp: &str, q: &SelectExpr) -> Decision {
     let generation = src.resolution_generation();
-    let (fp, _) = fingerprint_expr(expr);
-    if let Some(c) = cache_lookup(&fp, generation) {
+    if let Some(c) = cache_lookup(fp, generation) {
         // Fingerprints are literal-normalized, so one cache entry serves
         // every literal value of the same query shape. The pushdown probe
         // value must therefore come from *this* query's filter, not the
@@ -554,17 +560,16 @@ pub fn plan_select(src: &dyn DataSource, expr: &Expr, q: &SelectExpr) -> Decisio
 /// collection of binding `i`; `cards[i]` is its measured extent size.
 /// Consults and fills the plan cache; `est_rows` is the product of the
 /// per-binding estimates discounted by [`DEFAULT_SELECTIVITY`] per
-/// cross-binding leg.
+/// cross-binding leg. `fp` is the query's fingerprint.
 pub fn plan_join(
     src: &dyn DataSource,
-    expr: &Expr,
+    fp: &str,
     q: &SelectExpr,
     classes: &[Symbol],
     cards: &[u64],
 ) -> Decision {
     let generation = src.resolution_generation();
-    let (fp, _) = fingerprint_expr(expr);
-    if let Some(c) = cache_lookup(&fp, generation) {
+    if let Some(c) = cache_lookup(fp, generation) {
         if let Strategy::Join { .. } = c.strategy {
             return Decision {
                 strategy: c.strategy,
@@ -668,11 +673,12 @@ pub fn mentioned_vars(e: &Expr, vars: &[Symbol]) -> Option<Vec<usize>> {
     )
 }
 
-/// Records the decision for the query that just executed and, on
-/// success, feeds the measured row count back for drift detection.
-pub fn record_outcome(expr: &Expr, decision: Decision, result_rows: Option<u64>) {
+/// Records the decision for the query (fingerprint `fp`) that just
+/// executed and, on success, feeds the measured row count back for drift
+/// detection.
+pub fn record_outcome(fp: &str, decision: Decision, result_rows: Option<u64>) {
     if let Some(rows) = result_rows {
-        observe_actual(expr, rows);
+        observe_actual(fp, rows);
     }
     set_last_decision(decision);
 }
@@ -816,24 +822,25 @@ mod tests {
     }
 
     #[test]
-    fn drift_evicts_and_counts_a_replan() {
+    fn drift_corrects_the_estimate_in_place() {
         let fp_expr = leg("select P from P in PlannerDriftClass where P.Age = 1");
-        let class = measured(1000, "Age", (0..100).map(Value::Int));
         // Manufacture a cached plan with a wild estimate, then observe.
         let (fp, _) = fingerprint_expr(&fp_expr);
         cache_store(
-            fp.clone(),
+            &fp,
             CachedPlan {
                 strategy: Strategy::Seq,
                 est_rows: 1000,
                 generation: 0,
             },
         );
-        let before = metric_counter!("planner.replans").get();
-        observe_actual(&fp_expr, 1); // 1000x off
-        assert!(cache().lock().unwrap().get(&fp).is_none(), "plan evicted");
-        assert_eq!(metric_counter!("planner.replans").get(), before + 1);
-        let _ = class;
+        let est = || cache().lock().unwrap().get(&fp).map(|c| c.est_rows);
+        observe_actual(&fp, 150); // within 10x: left alone
+        assert_eq!(est(), Some(1000));
+        observe_actual(&fp, 1); // 1000x off: the plan stays, the estimate learns
+        assert_eq!(est(), Some(1));
+        observe_actual(&fp, 1);
+        assert_eq!(est(), Some(1));
     }
 
     #[test]
@@ -855,7 +862,7 @@ mod tests {
                 // Seed the shared entry with a pushdown plan for value 6.
                 let (fp, _) = fingerprint_expr(&expr);
                 cache_store(
-                    fp,
+                    &fp,
                     CachedPlan {
                         strategy: Strategy::IndexPushdown {
                             attr: sym("Age"),
