@@ -1388,8 +1388,17 @@ fn e14_compiled_engine() {
             "interp".into(),
             "speedup".into(),
             "result size".into(),
+            "verdict_hit".into(),
         ],
     );
+    // `verdict_hit`: one stored-attribute read through the view on a warm
+    // resolution slot — probe, verdict lookup, the fetched field handed
+    // back — per access (64 objects, the shape of E1's `stored@view`).
+    let prog_age = ov_query::compile_predicate(
+        &ov_oodb::Expr::attr(ov_oodb::Expr::name("V"), "Age"),
+        &[sym("V")],
+    )
+    .unwrap();
     for &n in &[1_000usize, 10_000, 100_000] {
         let sys = people(n);
         let view = ViewDef::from_script(
@@ -1420,6 +1429,9 @@ fn e14_compiled_engine() {
             });
         }
         assert_eq!(sizes[0], sizes[1], "engines must agree on the population");
+        let rows: Vec<Value> = person_oids(&sys, 64).into_iter().map(Value::Oid).collect();
+        let mut scan = ov_query::Scan::new(&prog_age, &view);
+        let verdict_hit = time_ns(50, || scan64(&mut scan, &rows)) / rows.len() as f64;
         row(
             &n.to_string(),
             &[
@@ -1427,9 +1439,24 @@ fn e14_compiled_engine() {
                 tcell(&n.to_string(), "interp", times[1]),
                 format!("{:.2}x", times[1] / times[0]),
                 sizes[0].to_string(),
+                tcell(&n.to_string(), "verdict_hit", verdict_hit),
             ],
         );
     }
+}
+
+/// Staff -> Adults(Adult) -> Earners(Rich) -> Top(Elite): a three-level
+/// view stack over [`people`], bottom up. Bind the last over the first two.
+fn stack_defs() -> [ViewDef; 3] {
+    [
+        "create view Adults; import all classes from database Staff; \
+         class Adult includes (select P from Person where P.Age >= 21);",
+        "create view Earners; import all classes from view Adults; \
+         class Rich includes (select A from Adult where A.Income >= 100000);",
+        "create view Top; import all classes from view Earners; \
+         class Elite includes (select R from Rich where R.Age >= 60);",
+    ]
+    .map(|script| ViewDef::from_script(script).unwrap())
 }
 
 fn e15_stacked_views() {
@@ -1451,33 +1478,10 @@ fn e15_stacked_views() {
         let mut size = 0usize;
         for incremental in [true, false] {
             let sys = people(n);
-            // Staff -> Adults(Adult) -> Earners(Rich) -> Top(Elite): the
-            // bound Top view carries all three levels, so one base write
-            // must cross three population definitions to reach Elite.
-            let adults = ViewDef::from_script(
-                r#"
-                create view Adults;
-                import all classes from database Staff;
-                class Adult includes (select P from Person where P.Age >= 21);
-                "#,
-            )
-            .unwrap();
-            let earners = ViewDef::from_script(
-                r#"
-                create view Earners;
-                import all classes from view Adults;
-                class Rich includes (select A from Adult where A.Income >= 100000);
-                "#,
-            )
-            .unwrap();
-            let top = ViewDef::from_script(
-                r#"
-                create view Top;
-                import all classes from view Earners;
-                class Elite includes (select R from Rich where R.Age >= 60);
-                "#,
-            )
-            .unwrap();
+            // The bound Top view carries all three levels, so one base
+            // write must cross three population definitions to reach
+            // Elite.
+            let [adults, earners, top] = stack_defs();
             let view = top
                 .binder(&sys)
                 .over_all([&adults, &earners])
@@ -1799,6 +1803,7 @@ fn e19_planner() {
             "skewed-off".into(),
             "join-on".into(),
             "join-off".into(),
+            "probe@view".into(),
         ],
     );
     for &n in &[1_000usize, 10_000, 100_000] {
@@ -1884,6 +1889,26 @@ fn e19_planner() {
             times.truncate(2);
             cells.push(times);
         }
+        // probe@view: the uniform probe again, through a three-level view
+        // stack. The view answers `indexed_lookup` by probing each imported
+        // class's index in the base, so it stays beside `uniform-on`
+        // instead of scanning the extent.
+        let [adults, earners, top] = stack_defs();
+        let top = top
+            .binder(&sys)
+            .over_all([&adults, &earners])
+            .bind()
+            .unwrap();
+        let probe_view = ov_query::with_planner(true, || {
+            assert_eq!(
+                top.query(&uniform).unwrap(),
+                ov_query::run_query(&*db.read(), &uniform).unwrap(),
+                "the view stack must answer the probe like the base"
+            );
+            time_ns(5, || {
+                std::hint::black_box(top.query(&uniform).unwrap());
+            })
+        });
         let label = n.to_string();
         row(
             &label,
@@ -1894,6 +1919,7 @@ fn e19_planner() {
                 tcell(&label, "skewed-off", cells[1][1]),
                 tcell(&label, "join-on", cells[2][0]),
                 tcell(&label, "join-off", cells[2][1]),
+                tcell(&label, "probe@view", probe_view),
             ],
         );
         // Misestimate canary: on the uniform workload the estimate must

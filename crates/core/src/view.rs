@@ -2349,11 +2349,11 @@ impl View {
         Ok(out)
     }
 
-    /// If `q` is a canonical specialization query over an *imported* class
-    /// with an equality conjunct `var.A = literal` on an attribute the
-    /// source database indexes, returns the candidate oids from the index
-    /// together with the index's `Class.Attr` label (the full filter is
-    /// still applied by the caller).
+    /// If `q` is a canonical specialization query with an equality
+    /// conjunct `var.A = literal` that [`DataSource::indexed_lookup`] can
+    /// serve exactly, returns the candidate oids from the index together
+    /// with the index's `Class.Attr` label (the full filter is still
+    /// applied by the caller).
     fn index_candidates(&self, q: &SelectExpr) -> Option<(Vec<Oid>, String)> {
         let [(var, Expr::Name(class_name))] = q.bindings.as_slice() else {
             return None;
@@ -2362,12 +2362,9 @@ impl View {
             return None;
         }
         let class = self.lookup_class(*class_name)?;
-        let ClassKind::Imported { source, orig } = self.kinds.read().get(&class).cloned()? else {
-            return None;
-        };
-        // Find an equality conjunct `var.A = lit` (either orientation).
-        let filter = q.filter.as_deref()?;
-        let (attr, value) = find_eq_conjunct(filter, *var)?;
+        let (attr, value) = ov_query::planner::conjuncts(q.filter.as_deref()?)
+            .into_iter()
+            .find_map(|leg| ov_query::planner::eq_conjunct(leg, *var))?;
         // Cost-based veto: on a low-NDV attribute each index posting list
         // is a large fraction of the extent, so probing the index and then
         // re-filtering loses to the straight compiled scan. Unmeasured
@@ -2375,10 +2372,8 @@ impl View {
         if ov_query::planner_enabled() && !ov_query::planner::index_worthwhile(*class_name, attr) {
             return None;
         }
-        let db = self.sources[source].read();
-        let candidates = db.indexed_deep_lookup(orig, attr, &value)?;
-        let label = format!("{}.{attr}", db.schema.class(orig).name);
-        Some((candidates, label))
+        let candidates = DataSource::indexed_lookup(self, class, attr, value)?;
+        Some((candidates, format!("{class_name}.{attr}")))
     }
 
     /// Maps a core tuple to its imaginary oid (§5.1): "there could be a
@@ -2623,6 +2618,105 @@ impl View {
         Ok(roots)
     }
 
+    /// Upward resolution of `name` from `roots` (an object's
+    /// [`View::membership_roots`]): among the classes above them that
+    /// define it — abstract signatures and hidden definitions do not count
+    /// — the most specific one, the conflict policy deciding among several.
+    fn defining_class(
+        &self,
+        schema: &Schema,
+        roots: &[ClassId],
+        name: Symbol,
+    ) -> ov_query::Result<ClassId> {
+        let mut defining: Vec<ClassId> = Vec::new();
+        for &root in roots {
+            for anc in ClassGraph::ancestors(schema, root) {
+                if let Some(def) = schema.class(anc).own_attr(name) {
+                    if !def.is_abstract() && !self.is_hidden_attr(anc, name, schema) {
+                        defining.push(anc);
+                    }
+                }
+            }
+        }
+        defining.sort();
+        defining.dedup();
+        if defining.is_empty() {
+            return Err(QueryError::from(OodbError::UnknownAttr {
+                class: schema.class(roots[0]).name,
+                attr: name,
+            }));
+        }
+        let minimal: Vec<ClassId> = defining
+            .iter()
+            .copied()
+            .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))
+            .collect();
+        Ok(match minimal.as_slice() {
+            [one] => *one,
+            several => match &self.policy {
+                ConflictPolicy::Error => {
+                    return Err(QueryError::from(OodbError::Schizophrenia {
+                        class: schema.class(roots[0]).name,
+                        attr: name,
+                        defined_in: several.iter().map(|&c| schema.class(c).name).collect(),
+                    }))
+                }
+                ConflictPolicy::CreationOrder => several[0],
+                ConflictPolicy::Priority(order) => order
+                    .iter()
+                    .find_map(|n| {
+                        let id = schema.class_by_name(*n)?;
+                        several.contains(&id).then_some(id)
+                    })
+                    .unwrap_or(several[0]),
+            },
+        })
+    }
+
+    /// Is resolving `name` a function of `class` alone, for the virtual
+    /// classes that exist right now?
+    fn resolves_by_class(&self, class: ClassId, name: Symbol) -> bool {
+        // Mirrors `membership_roots`: resolving `name` is a pure function
+        // of the class only when no virtual class could contribute a
+        // *relevant* definition — otherwise membership in that class's
+        // population makes resolution per-object, and the per-class cache
+        // would conflate members with non-members.
+        let populating = self.with_eval(|s| s.populating.clone());
+        let schema = self.schema.read();
+        let roots: Vec<ClassId> = if self.is_hidden_class(class) && self.body_depth() == 0 {
+            let mut visible: Vec<ClassId> = schema
+                .ancestors(class)
+                .into_iter()
+                .filter(|&a| !self.is_hidden_class(a))
+                .collect();
+            let all = visible.clone();
+            visible.retain(|&a| !all.iter().any(|&b| b != a && schema.is_subclass(b, a)));
+            if visible.is_empty() {
+                // `resolve` errors for every such object; don't cache that.
+                return false;
+            }
+            visible
+        } else {
+            vec![class]
+        };
+        let base_defs: HashSet<ClassId> = roots
+            .iter()
+            .flat_map(|&r| ClassGraph::ancestors(&*schema, r))
+            .collect();
+        let virt = self.virt.read();
+        !virt.keys().copied().any(|v| {
+            !populating.contains(&v)
+                && !roots.contains(&v)
+                && ClassGraph::ancestors(&*schema, v).iter().any(|&a| {
+                    !base_defs.contains(&a)
+                        && schema
+                            .class(a)
+                            .own_attr(name)
+                            .is_some_and(|d| !d.is_abstract())
+                })
+        })
+    }
+
     // ------------------------------------------------------------------
     // Updates through the view
     // ------------------------------------------------------------------
@@ -2865,33 +2959,6 @@ impl View {
     }
 }
 
-/// Searches the conjuncts of `filter` for `var.Attr = literal` (either
-/// orientation); returns the attribute and literal.
-fn find_eq_conjunct(filter: &Expr, var: Symbol) -> Option<(Symbol, Value)> {
-    let mut stack = vec![filter];
-    while let Some(e) = stack.pop() {
-        if let Expr::Binary { op, lhs, rhs } = e {
-            match op {
-                ov_oodb::BinOp::And => {
-                    stack.push(lhs);
-                    stack.push(rhs);
-                }
-                ov_oodb::BinOp::Eq => {
-                    for (a, b) in [(lhs, rhs), (rhs, lhs)] {
-                        if let (Expr::Attr { recv, name, args }, Expr::Lit(v)) = (&**a, &**b) {
-                            if args.is_empty() && **recv == Expr::Name(var) {
-                                return Some((*name, v.clone()));
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    None
-}
-
 /// Rewrites parameter references to literal values inside an include spec.
 fn substitute_include(inc: &IncludeSpec, params: &[Symbol], args: &[Value]) -> IncludeSpec {
     let subst = |e: &Expr| -> Option<Expr> {
@@ -2990,8 +3057,10 @@ impl DataSource for View {
                     d
                 };
                 // Each per-class extent is sorted and an object has one
-                // real class, so concatenating and sorting beats a set
-                // union; `dedup` only matters when two sources reuse an oid.
+                // real class: the concatenation is a few sorted runs, which
+                // the stable sort detects and merges in linear time (the
+                // unstable one would quicksort them). `dedup` only matters
+                // when two sources reuse an oid.
                 let mut out = Vec::new();
                 let kinds = self.kinds.read();
                 for d in descendants {
@@ -3000,7 +3069,7 @@ impl DataSource for View {
                         out.extend(db.store.extent(*orig));
                     }
                 }
-                out.sort_unstable();
+                out.sort();
                 out.dedup();
                 Ok(out)
             }
@@ -3031,50 +3100,7 @@ impl DataSource for View {
         let _span = ov_oodb::span!("view.resolve", attr = name);
         let roots = self.membership_roots(oid, Some(name))?;
         let schema = self.schema.read();
-        // Candidate defining classes across all membership roots.
-        let mut defining: Vec<ClassId> = Vec::new();
-        for &root in &roots {
-            for anc in ClassGraph::ancestors(&*schema, root) {
-                if let Some(def) = schema.class(anc).own_attr(name) {
-                    if !def.is_abstract() && !self.is_hidden_attr(anc, name, &schema) {
-                        defining.push(anc);
-                    }
-                }
-            }
-        }
-        defining.sort();
-        defining.dedup();
-        if defining.is_empty() {
-            return Err(QueryError::from(OodbError::UnknownAttr {
-                class: schema.class(roots[0]).name,
-                attr: name,
-            }));
-        }
-        let minimal: Vec<ClassId> = defining
-            .iter()
-            .copied()
-            .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))
-            .collect();
-        let chosen = match minimal.as_slice() {
-            [one] => *one,
-            several => match &self.policy {
-                ConflictPolicy::Error => {
-                    return Err(QueryError::from(OodbError::Schizophrenia {
-                        class: schema.class(roots[0]).name,
-                        attr: name,
-                        defined_in: several.iter().map(|&c| schema.class(c).name).collect(),
-                    }))
-                }
-                ConflictPolicy::CreationOrder => several[0],
-                ConflictPolicy::Priority(order) => order
-                    .iter()
-                    .find_map(|n| {
-                        let id = schema.class_by_name(*n)?;
-                        several.contains(&id).then_some(id)
-                    })
-                    .unwrap_or(several[0]),
-            },
-        };
+        let chosen = self.defining_class(&schema, &roots, name)?;
         let def = schema.class(chosen).own_attr(name).expect("defines it");
         Ok(match &def.body {
             AttrBody::Stored => ResolvedAttr::Stored,
@@ -3132,48 +3158,53 @@ impl DataSource for View {
     fn resolution_is_class_pure(&self, class: ClassId, name: Symbol) -> bool {
         // Parameterized templates can mint new virtual classes mid-scan
         // (through `apply` in a filter); give up on caching entirely.
-        if !self.templates.is_empty() {
-            return false;
-        }
-        // Mirrors `membership_roots`: resolving `name` is a pure function
-        // of the class only when no virtual class could contribute a
-        // *relevant* definition — otherwise membership in that class's
-        // population makes resolution per-object, and the per-class cache
-        // would conflate members with non-members.
-        let populating = self.with_eval(|s| s.populating.clone());
-        let schema = self.schema.read();
-        let roots: Vec<ClassId> = if self.is_hidden_class(class) && self.body_depth() == 0 {
-            let mut visible: Vec<ClassId> = schema
-                .ancestors(class)
-                .into_iter()
-                .filter(|&a| !self.is_hidden_class(a))
-                .collect();
-            let all = visible.clone();
-            visible.retain(|&a| !all.iter().any(|&b| b != a && schema.is_subclass(b, a)));
-            if visible.is_empty() {
-                // `resolve` errors for every such object; don't cache that.
-                return false;
+        self.templates.is_empty() && self.resolves_by_class(class, name)
+    }
+
+    fn indexed_lookup(&self, class: ClassId, attr: Symbol, value: &Value) -> Option<Vec<Oid>> {
+        // The deep extent of an imported class is the union of its imported
+        // descendants' source extents (see `extent`): probe exactly those
+        // classes, each in its own source — the source's deep lookup would
+        // also return objects of subclasses this view did not import.
+        let mut parts: Vec<(ClassId, usize, ClassId)> = Vec::new();
+        {
+            let kinds = self.kinds.read();
+            let Some(ClassKind::Imported { .. }) = kinds.get(&class) else {
+                return None;
+            };
+            let schema = self.schema.read();
+            for d in std::iter::once(class).chain(schema.strict_descendants(class)) {
+                match kinds.get(&d)? {
+                    ClassKind::Virtual => {} // adds no objects
+                    ClassKind::Imaginary { .. } => return None,
+                    ClassKind::Imported { source, orig } => {
+                        // A hidden class resolves through its visible
+                        // ancestors, not through itself.
+                        if self.is_hidden_class(d) && self.body_depth() == 0 {
+                            return None;
+                        }
+                        let def_in = self.defining_class(&schema, &[d], attr).ok()?;
+                        if !schema.class(def_in).own_attr(attr)?.is_stored() {
+                            return None;
+                        }
+                        parts.push((d, *source, *orig));
+                    }
+                }
             }
-            visible
-        } else {
-            vec![class]
-        };
-        let base_defs: HashSet<ClassId> = roots
-            .iter()
-            .flat_map(|&r| ClassGraph::ancestors(&*schema, r))
-            .collect();
-        let virt = self.virt.read();
-        !virt.keys().copied().any(|v| {
-            !populating.contains(&v)
-                && !roots.contains(&v)
-                && ClassGraph::ancestors(&*schema, v).iter().any(|&a| {
-                    !base_defs.contains(&a)
-                        && schema
-                            .class(a)
-                            .own_attr(name)
-                            .is_some_and(|d| !d.is_abstract())
-                })
-        })
+        }
+        let mut out = Vec::new();
+        for (d, source, orig) in parts {
+            // Templates do not matter here: an instance minted while the
+            // candidates are retested owns abstract signatures only.
+            if !self.resolves_by_class(d, attr) {
+                return None;
+            }
+            let db = self.sources[source].read();
+            out.extend(db.store.index_lookup(orig, attr, value)?);
+        }
+        out.sort();
+        out.dedup();
+        Some(out)
     }
 
     fn named_object(&self, name: Symbol) -> Option<Oid> {

@@ -5,7 +5,12 @@
 //!   tuples ⇒ distinct oids;
 //! * specialization populations always agree with re-filtering the base;
 //! * hiding an attribute makes it unreachable from every user query path;
-//! * hierarchy inference produces an acyclic hierarchy respecting R1/R2.
+//! * hierarchy inference produces an acyclic hierarchy respecting R1/R2;
+//! * an equality index never changes an answer: probes and
+//!   equality-defined populations agree across planner on / planner off /
+//!   interpreter / no indexes, whatever overrides, hides, virtual-class
+//!   definitions and partial imports stand between the query and the
+//!   stored field.
 
 use ov_oodb::{sym, ClassId, Database, OodbError, Symbol, System, Type, Value};
 use ov_query::DataSource;
@@ -226,5 +231,362 @@ proptest! {
             // R1: Root is a superclass.
             prop_assert!(view.is_subclass_by_name(sym(vname), sym("Root")).unwrap());
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Index exactness (the `DataSource::indexed_lookup` contract)
+// ----------------------------------------------------------------------
+
+/// What stands between a query on `Id` and the stored field.
+#[derive(Clone, Debug)]
+struct IndexShape {
+    /// The base computes `Employee.Id` (so employees store none).
+    base_override: bool,
+    /// The upstream view computes `Manager.Id`.
+    upstream_override: bool,
+    /// The top view computes `Employee.Id`.
+    view_override: bool,
+    /// `hide attribute Id` in the top view: nowhere / in Employee / in the
+    /// scanned root.
+    hide: u8,
+    /// Overlapping virtual classes of the top view that define `Id`.
+    virtual_defs: u8,
+    /// The upstream view imports the `Employee` subtree only.
+    partial: bool,
+    /// After the views are bound the base gains `Intern inherits Person`:
+    /// a subclass the views did not import.
+    late_subclass: bool,
+}
+
+fn index_shape() -> impl Strategy<Value = IndexShape> {
+    // Each obstacle is rarer than its absence, so that a good share of the
+    // cases has none and the index is actually used.
+    let rare = || (0u8..4).prop_map(|x| x == 0);
+    (
+        (rare(), rare(), rare()),
+        (0u8..6, 0u8..6),
+        (rare(), any::<bool>()),
+    )
+        .prop_map(
+            |((b, u, v), (hide, virtual_defs), (partial, late))| IndexShape {
+                base_override: b,
+                upstream_override: u,
+                view_override: v,
+                hide: hide.saturating_sub(3),
+                virtual_defs: virtual_defs.saturating_sub(3),
+                partial,
+                late_subclass: late,
+            },
+        )
+}
+
+#[derive(Clone, Debug)]
+enum IndexStep {
+    /// Create the `Id` index on one class of the subtree if it is
+    /// missing, drop it if it is there.
+    ToggleIndex(usize),
+    /// `create_index(Person, Id)`: the whole subtree at once.
+    IndexAll,
+    Insert {
+        class: usize,
+        id: i64,
+        name: String,
+    },
+    Set {
+        target: prop::sample::Index,
+        attr: usize,
+        value: i64,
+    },
+    Delete(prop::sample::Index),
+    /// Probe `class.Id = key` and check every agreement.
+    Probe {
+        class: usize,
+        key: i64,
+    },
+}
+
+fn index_step() -> impl Strategy<Value = IndexStep> {
+    prop_oneof![
+        (0usize..4).prop_map(IndexStep::ToggleIndex),
+        Just(IndexStep::IndexAll),
+        (0usize..4, 0i64..6, "[a-z]{1,3}").prop_map(|(class, id, name)| IndexStep::Insert {
+            class,
+            id,
+            name
+        }),
+        (any::<prop::sample::Index>(), 0usize..2, 0i64..6).prop_map(|(target, attr, value)| {
+            IndexStep::Set {
+                target,
+                attr,
+                value,
+            }
+        }),
+        any::<prop::sample::Index>().prop_map(IndexStep::Delete),
+        (0usize..4, 0i64..6).prop_map(|(class, key)| IndexStep::Probe { class, key }),
+        (0usize..4, 0i64..6).prop_map(|(class, key)| IndexStep::Probe { class, key }),
+    ]
+}
+
+const STAFF_CLASSES: [&str; 4] = ["Person", "Employee", "Manager", "Intern"];
+
+fn insert_staff(db: &mut Database, shape: &IndexShape, class: usize, id: i64, name: &str) {
+    let Some(c) = db.schema.class_by_name(sym(STAFF_CLASSES[class])) else {
+        return; // Intern before it exists
+    };
+    let mut fields = vec![("Name", Value::str(name))];
+    if !(shape.base_override && matches!(class, 1 | 2)) {
+        fields.push(("Id", Value::Int(id)));
+    }
+    if matches!(class, 1 | 2) {
+        fields.push(("Salary", Value::Int(id)));
+    }
+    db.create_object(c, Value::tuple(fields)).unwrap();
+}
+
+/// Every way of asking the same question must give the same answer — or
+/// the same error.
+fn agree(what: &str, ask: impl Fn() -> Result<Value, String>) {
+    let off = ov_query::with_planner(false, &ask);
+    // Cached plans are process-wide and keyed by fingerprint: start cold so
+    // the planner-on run really plans (and probes) under *this* schema.
+    ov_query::clear_plan_cache();
+    let on = ov_query::with_planner(true, &ask);
+    let interp = ov_query::with_engine_mode(ov_query::EngineMode::Interp, || {
+        ov_query::with_planner(false, &ask)
+    });
+    assert_eq!(on, off, "planner on vs off: {what}");
+    assert_eq!(interp, off, "interpreter vs compiled: {what}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn an_index_never_changes_an_answer(
+        shape in index_shape(),
+        rows in prop::collection::vec((0usize..3, 0i64..6, "[a-z]{1,3}"), 1..10),
+        steps in prop::collection::vec(index_step(), 4..24),
+    ) {
+        let mut sys = System::new();
+        let mut db = Database::new(sym("B"));
+        let int = || Type::Int;
+        let person = db
+            .create_class(
+                sym("Person"),
+                &[],
+                vec![
+                    ov_oodb::AttrDef::stored(sym("Id"), int()),
+                    ov_oodb::AttrDef::stored(sym("Name"), Type::Str),
+                ],
+            )
+            .unwrap();
+        let employee = db
+            .create_class(
+                sym("Employee"),
+                &[person],
+                vec![ov_oodb::AttrDef::stored(sym("Salary"), int())],
+            )
+            .unwrap();
+        db.create_class(sym("Manager"), &[employee], vec![]).unwrap();
+        if shape.base_override {
+            let body = ov_query::parse_expr("self.Salary").unwrap();
+            db.add_attr(employee, ov_oodb::AttrDef::computed(sym("Id"), int(), body))
+                .unwrap();
+        }
+        for (class, id, name) in &rows {
+            insert_staff(&mut db, &shape, *class, *id, name);
+        }
+        sys.add_database(db).unwrap();
+
+        let root = if shape.partial { "Employee" } else { "Person" };
+        let mut upstream = String::from("create view U;\n");
+        upstream.push_str(if shape.partial {
+            "import class Employee from database B;\n"
+        } else {
+            "import all classes from database B;\n"
+        });
+        if shape.upstream_override {
+            upstream.push_str("attribute Id in class Manager has value 3;\n");
+        }
+        let mut top = String::from("create view V;\nimport all classes from view U;\n");
+        if shape.view_override {
+            top.push_str("attribute Id in class Employee has value self.Salary + 1;\n");
+        }
+        if shape.virtual_defs >= 1 {
+            top.push_str(&format!(
+                "class Late includes (select P from P in {root} where P.Name >= \"h\");\n\
+                 attribute Id in class Late has value 4;\n"
+            ));
+        }
+        if shape.virtual_defs >= 2 {
+            top.push_str(&format!(
+                "class Early includes (select P from P in {root} where P.Name < \"q\");\n\
+                 attribute Id in class Early has value 5;\n"
+            ));
+        }
+        top.push_str(&format!(
+            "class Hit includes (select P from P in {root} where P.Id = 3);\n\
+             class Tag includes imaginary (select [Key: P.Id] from P in {root});\n"
+        ));
+        match shape.hide {
+            1 => top.push_str("hide attribute Id in class Employee;\n"),
+            2 => top.push_str(&format!("hide attribute Id in class {root};\n")),
+            _ => {}
+        }
+        let upstream = ViewDef::from_script(&upstream).unwrap();
+        let view = ViewDef::from_script(&top)
+            .unwrap()
+            .binder(&sys)
+            .over(&upstream)
+            // Every request recomputes, so every request meets the
+            // indexes of the moment.
+            .options(
+                ViewOptions::builder()
+                    .materialization(Materialization::AlwaysRecompute)
+                    .build(),
+            )
+            .bind()
+            .unwrap();
+
+        let handle = sys.database(sym("B")).unwrap();
+        if shape.late_subclass {
+            let mut d = handle.write();
+            d.create_class(sym("Intern"), &[person], vec![]).unwrap();
+            insert_staff(&mut d, &shape, 3, 3, "late");
+        }
+        let id = sym("Id");
+        for step in &steps {
+            match step {
+                IndexStep::ToggleIndex(class) => {
+                    let mut d = handle.write();
+                    if let Some(c) = d.schema.class_by_name(sym(STAFF_CLASSES[*class])) {
+                        if !d.store.drop_index(c, id) {
+                            d.store.create_index(c, id);
+                        }
+                    }
+                }
+                IndexStep::IndexAll => handle.write().create_index(person, id).unwrap(),
+                IndexStep::Insert { class, id, name } => {
+                    insert_staff(&mut handle.write(), &shape, *class, *id, name);
+                }
+                IndexStep::Set { target, attr, value } => {
+                    let mut d = handle.write();
+                    let oids = d.deep_extent(person);
+                    if !oids.is_empty() {
+                        // Refused where the attribute is not stored.
+                        let attr = [id, sym("Salary")][*attr];
+                        let _ = d.set_attr(oids[target.index(oids.len())], attr, Value::Int(*value));
+                    }
+                }
+                IndexStep::Delete(target) => {
+                    let mut d = handle.write();
+                    let oids = d.deep_extent(person);
+                    if oids.len() > 1 {
+                        d.delete_object(oids[target.index(oids.len())]).unwrap();
+                    }
+                }
+                IndexStep::Probe { class, key } => {
+                    let through = |q: String| {
+                        let view = &view;
+                        move || view.query(&q).map_err(|e| e.to_string())
+                    };
+                    // Through the view stack: the drawn class and key, and
+                    // every key on the root class…
+                    let probes = std::iter::once((STAFF_CLASSES[*class], *key))
+                        .chain((0..6).map(|k| (root, k)));
+                    for (class, key) in probes {
+                        let q = format!("select P.Name from P in {class} where P.Id = {key}");
+                        agree(&q, through(q.clone()));
+                    }
+                    // …an imaginary class (never indexed)…
+                    let q = format!("select T.Key from T in Tag where T.Key = {key}");
+                    agree(&q, through(q.clone()));
+                    // …and on the base itself.
+                    let q = format!(
+                        "select P.Name from P in {} where P.Id = {key} and P.Name != \"\"",
+                        STAFF_CLASSES[*class]
+                    );
+                    agree(&q, || {
+                        let d = handle.read();
+                        ov_query::run_query(&*d, &q).map_err(|e| e.to_string())
+                    });
+                    // The equality-defined population, with the indexes of
+                    // the moment and with none.
+                    let hit = || view.extent_of(sym("Hit")).map_err(|e| e.to_string());
+                    let with_indexes = hit();
+                    let defs = handle.read().store.index_defs();
+                    for (c, a) in &defs {
+                        handle.write().store.drop_index(*c, *a);
+                    }
+                    prop_assert_eq!(with_indexes, hit(), "population Hit, indexes {:?}", defs);
+                    for (c, a) in defs {
+                        handle.write().store.create_index(c, a);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// EXPLAIN golden: a unique-key probe through a three-level view stack is
+/// an index probe, planned once and still one on the cached plan.
+#[test]
+fn a_key_probe_through_a_view_stack_explains_as_an_index_probe() {
+    let mut sys = System::new();
+    let mut db = Database::new(sym("P"));
+    let person = db
+        .create_class(
+            sym("Person"),
+            &[],
+            vec![
+                ov_oodb::AttrDef::stored(sym("Id"), Type::Int),
+                ov_oodb::AttrDef::stored(sym("Age"), Type::Int),
+            ],
+        )
+        .unwrap();
+    for i in 0..40 {
+        db.create_object(
+            person,
+            Value::tuple([("Id", Value::Int(i)), ("Age", Value::Int(20 + i))]),
+        )
+        .unwrap();
+    }
+    db.create_index(person, sym("Id")).unwrap();
+    sys.add_database(db).unwrap();
+    let adults = ViewDef::from_script(
+        "create view Adults; import all classes from database P; \
+         class Adult includes (select X from Person where X.Age >= 21);",
+    )
+    .unwrap();
+    let earners = ViewDef::from_script(
+        "create view Earners; import all classes from view Adults; \
+         class Senior includes (select A from Adult where A.Age >= 50);",
+    )
+    .unwrap();
+    let top = ViewDef::from_script(
+        "create view Top; import all classes from view Earners; \
+         class Elder includes (select S from Senior where S.Age >= 58);",
+    )
+    .unwrap()
+    .binder(&sys)
+    .over_all([&adults, &earners])
+    .bind()
+    .unwrap();
+    for id in [13, 37] {
+        // A projection no other test of this binary uses: cached plans are
+        // process-wide and keyed by fingerprint.
+        let (value, trace) = top
+            .explain(&format!(
+                "select [A: P.Age] from P in Person where P.Id = {id}"
+            ))
+            .unwrap();
+        assert_eq!(value.as_set().map(|s| s.len()), Some(1));
+        let trace = trace.to_string();
+        assert!(
+            trace.contains("planner: strategy=index Person.Id est_rows="),
+            "{trace}"
+        );
+        assert!(trace.contains("actuals: scanned=1 matched=1"), "{trace}");
     }
 }

@@ -486,16 +486,28 @@ impl Database {
 
     /// Indexed lookup over the **deep** extent of `class`: all objects
     /// (real in the class or a subclass) whose stored `attr` equals
-    /// `value`. `None` when any class in the subtree lacks the index.
+    /// `value`, in oid order. `None` when any class in the subtree lacks
+    /// the index — or does not resolve `attr` to the stored field: "the
+    /// same attribute may be stored in one class and computed in a
+    /// subclass" (§2), and an index covers stored values only, so the
+    /// answer would miss (or wrongly include) the overriding class's
+    /// objects.
     pub fn indexed_deep_lookup(
         &self,
         class: ClassId,
         attr: Symbol,
         value: &Value,
     ) -> Option<Vec<Oid>> {
-        let mut out = self.store.index_lookup(class, attr, value)?;
-        for sub in self.schema.strict_descendants(class) {
-            out.extend(self.store.index_lookup(sub, attr, value)?);
+        let mut out = Vec::new();
+        for c in std::iter::once(class).chain(self.schema.strict_descendants(class)) {
+            // The policy is the one `DataSource::resolve` applies to a
+            // base database.
+            let (_, def) =
+                resolve_with_policy(&self.schema, c, attr, &ConflictPolicy::CreationOrder).ok()?;
+            if !def.is_stored() {
+                return None;
+            }
+            out.extend(self.store.index_lookup(c, attr, value)?);
         }
         out.sort();
         out.dedup();

@@ -57,7 +57,21 @@ pub enum ConflictPolicy {
 /// Finds all classes in `{class} ∪ ancestors(class)` that define `name`
 /// themselves, then keeps the minimal ones with respect to the subclass
 /// order. Zero → `NotFound`; one → `Found`; several → `Conflict`.
-pub fn resolve_attr<'a>(schema: &'a Schema, class: ClassId, name: Symbol) -> Resolution<'a> {
+pub fn resolve_attr<'a>(schema: &'a Schema, mut class: ClassId, name: Symbol) -> Resolution<'a> {
+    // Up a single-inheritance chain the nearest definition is the only
+    // minimal one, and a class that defines nothing resolves like its one
+    // parent: no ancestor set to build.
+    loop {
+        let c = schema.class(class);
+        if let Some(def) = c.own_attr(name) {
+            return Resolution::Found { def_in: class, def };
+        }
+        match c.parents.as_slice() {
+            [] => return Resolution::NotFound,
+            [parent] => class = *parent,
+            _ => break,
+        }
+    }
     let mut defining: Vec<ClassId> = Vec::new();
     for c in schema.ancestors(class) {
         if schema.class(c).own_attr(name).is_some() {

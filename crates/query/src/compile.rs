@@ -50,6 +50,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -585,21 +586,32 @@ impl Compiler {
 // --- execution ------------------------------------------------------------
 
 /// Per-class verdict for one resolution slot, decided lazily on the first
-/// object of each class the scan meets.
-#[derive(Debug)]
-enum SlotEntry {
-    /// Resolution is class-pure here: reuse this result for every object
-    /// of the class for the rest of the scan. For computed attributes
-    /// whose body is in the covered subset, `body` carries the
-    /// compiled-once body program.
-    Pure {
-        res: Arc<ResolvedAttr>,
-        body: Option<Arc<Program>>,
-    },
+/// object of each class the scan meets. A verdict is a function of the
+/// class, not of the row, so it is plain `Copy` data: serving one touches
+/// no reference count.
+#[derive(Clone, Copy, Debug)]
+enum Verdict {
+    /// Class-pure and stored: the probe's raw field is the value.
+    Stored,
+    /// Class-pure and computed, body in the covered subset: run
+    /// `Scan::bodies[i]`, compiled once.
+    Body(usize),
+    /// Class-pure and computed, body outside the covered subset: hand
+    /// `Scan::interp[i]` to the interpreter.
+    Interp(usize),
     /// The source couldn't vouch for purity: re-resolve every row (and
     /// run computed bodies through the interpreter — compiling per row
     /// would cost more than it saves).
     Impure,
+}
+
+/// A computed-attribute body compiled inside a scan. Scan-local, hence
+/// `Rc`: a frame holds its program without an atomic.
+struct Body {
+    prog: Rc<Program>,
+    nparams: usize,
+    /// Base of the body's resolution slots in [`Scan::caches`].
+    slot_base: usize,
 }
 
 /// A per-scan executor for one [`Program`]: the reusable value stack, the
@@ -624,11 +636,17 @@ pub struct Scan<'a> {
     /// legitimately differ from resolution outside it.
     /// A scan meets a handful of classes, so each slot's entries are a
     /// short list searched by class id.
-    caches: Vec<Vec<(ClassId, SlotEntry)>>,
-    /// Registered body programs — a scan runs a handful — each with its
-    /// global-slot base, found by `Arc` identity. Holding the `Arc` keeps
-    /// the address from being reused while registered.
-    body_bases: Vec<(Arc<Program>, usize)>,
+    caches: Vec<Vec<(ClassId, Verdict)>>,
+    /// Bodies compiled by this scan, indexed by [`Verdict::Body`]. Entries
+    /// are never removed, so frames in flight across a generation bump
+    /// keep their slot ranges.
+    bodies: Vec<Body>,
+    /// Resolutions the interpreter runs, indexed by [`Verdict::Interp`].
+    interp: Vec<ResolvedAttr>,
+    /// Registered sub-select programs — a scan runs a handful — each with
+    /// its global-slot base, found by `Arc` identity. Holding the `Arc`
+    /// keeps the address from being reused while registered.
+    child_bases: Vec<(Arc<Program>, usize)>,
     /// In-flight `EnterBody` brackets, so an error unwinding past
     /// `ExitBody` instructions can be re-balanced exactly like
     /// `run_computed`'s exit-on-error.
@@ -654,7 +672,9 @@ impl<'a> Scan<'a> {
             regs: vec![Value::Null; prog.n_regs],
             stack: Vec::with_capacity(8),
             caches: prog.slots.iter().map(|_| Vec::new()).collect(),
-            body_bases: Vec::new(),
+            bodies: Vec::new(),
+            interp: Vec::new(),
+            child_bases: Vec::new(),
             open_bodies: 0,
             gen: src.resolution_generation(),
             cache_hits: 0,
@@ -794,8 +814,7 @@ impl<'a> Scan<'a> {
                     self.stack.push(Value::List(vals));
                 }
                 Inst::Select { sub, rel } => {
-                    let s = prog.subs[sub].clone();
-                    let v = self.run_sub(&s, base + rel, frame)?;
+                    let v = self.run_sub(&prog.subs[sub], base + rel, frame)?;
                     self.stack.push(v);
                 }
                 Inst::FreeName { name, rel } => {
@@ -939,8 +958,7 @@ impl<'a> Scan<'a> {
     /// registering the program's resolution slots on first use.
     fn run_child(&mut self, prog: &Arc<Program>, base: usize, frame: usize) -> Result<Value> {
         let slot_base = self.slot_base_for(prog);
-        let p = prog.clone();
-        self.exec(&p, base, frame, slot_base)
+        self.exec(prog, base, frame, slot_base)
     }
 
     /// Resolves a free name at `depth`, exactly like the evaluator: the
@@ -985,36 +1003,26 @@ impl<'a> Scan<'a> {
                 // stored field; the field half is used only when resolution
                 // says the attribute is stored (it never depends on
                 // membership, so the early read is safe).
-                let (resolved, body, raw) = match self.src.resolution_class_and_field(oid, name) {
-                    Some((class, raw)) => {
-                        let (res, body) = self.resolve_cached(oid, class, gslot, name)?;
-                        (res, body, Some(raw))
-                    }
+                let Some((class, raw)) = self.src.resolution_class_and_field(oid, name) else {
                     // No cache key (unknown object, unimportable class):
                     // uncached resolve reproduces the interpreter's error.
-                    None => (Arc::new(self.src.resolve(oid, name)?), None, None),
+                    let res = self.src.resolve(oid, name)?;
+                    return self.run_resolved(&res, oid, name, None, args, depth);
                 };
-                match &*resolved {
-                    ResolvedAttr::Stored => {
-                        if !args.is_empty() {
-                            return Err(QueryError::eval(format!(
-                                "stored attribute `{name}` takes no arguments"
-                            )));
-                        }
-                        match raw {
-                            Some(v) => Ok(v),
-                            None => self.src.stored_field(oid, name),
-                        }
+                let (verdict, fresh) = self.verdict(oid, class, gslot, name)?;
+                match verdict {
+                    Verdict::Stored => no_args(name, &args).map(|()| raw),
+                    Verdict::Body(i) => self.run_body(i, oid, name, args, depth),
+                    Verdict::Interp(i) => {
+                        self.run_resolved(&self.interp[i], oid, name, Some(raw), args, depth)
                     }
-                    ResolvedAttr::Computed {
-                        params,
-                        body: body_expr,
-                    } => match body {
-                        Some(prog) => self.run_body(&prog, oid, name, params.len(), args, depth),
-                        None => self
-                            .ev
-                            .run_computed(oid, name, params, body_expr, args, depth),
-                    },
+                    Verdict::Impure => {
+                        let res = match fresh {
+                            Some(res) => res,
+                            None => self.src.resolve(oid, name)?,
+                        };
+                        self.run_resolved(&res, oid, name, Some(raw), args, depth)
+                    }
                 }
             }
             Value::Tuple(t) => {
@@ -1034,33 +1042,63 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// Invokes a compiled body program: arity check, a fresh register
-    /// frame (`self`, then the arguments by move), and the body's own
-    /// slot range. Bit-identical to `Evaluator::run_computed` — same
-    /// arity error, same `enter_body`/step ordering (the program's
-    /// `EnterBody` + root `Step`), and the body bracket is closed even
-    /// when the body errors.
-    fn run_body(
-        &mut self,
-        prog: &Arc<Program>,
+    /// Serves a resolution that has no compiled form: a stored field
+    /// (`raw` when the probe already fetched it), or a computed body
+    /// through the interpreter.
+    fn run_resolved(
+        &self,
+        res: &ResolvedAttr,
         oid: Oid,
         name: Symbol,
-        nparams: usize,
+        raw: Option<Value>,
         args: Vec<Value>,
         depth: usize,
     ) -> Result<Value> {
+        match res {
+            ResolvedAttr::Stored => {
+                no_args(name, &args)?;
+                match raw {
+                    Some(v) => Ok(v),
+                    None => self.src.stored_field(oid, name),
+                }
+            }
+            ResolvedAttr::Computed { params, body } => {
+                self.ev.run_computed(oid, name, params, body, args, depth)
+            }
+        }
+    }
+
+    /// Invokes compiled body `body`: arity check, a fresh register frame
+    /// (`self`, then the arguments by move), and the body's own slot
+    /// range. Bit-identical to `Evaluator::run_computed` — same arity
+    /// error, same `enter_body`/step ordering (the program's `EnterBody` +
+    /// root `Step`), and the body bracket is closed even when the body
+    /// errors.
+    fn run_body(
+        &mut self,
+        body: usize,
+        oid: Oid,
+        name: Symbol,
+        args: Vec<Value>,
+        depth: usize,
+    ) -> Result<Value> {
+        let Body {
+            ref prog,
+            nparams,
+            slot_base,
+        } = self.bodies[body];
         if nparams != args.len() {
             return Err(QueryError::eval(format!(
                 "attribute `{name}` expects {nparams} argument(s), got {}",
                 args.len()
             )));
         }
-        let slot_base = self.slot_base_for(prog);
+        let prog = Rc::clone(prog);
         let frame = self.regs.len();
         self.regs.push(Value::Oid(oid));
         self.regs.extend(args);
         let open = self.open_bodies;
-        let result = self.exec(prog, depth + 1, frame, slot_base);
+        let result = self.exec(&prog, depth + 1, frame, slot_base);
         // On error the body's `ExitBody` never ran; close the bracket(s)
         // like `run_computed`'s unconditional exit.
         while self.open_bodies > open {
@@ -1071,24 +1109,31 @@ impl<'a> Scan<'a> {
         result
     }
 
-    /// The global-slot base for a body program, registering it (and
-    /// allocating its slot caches) on first use.
-    fn slot_base_for(&mut self, prog: &Arc<Program>) -> usize {
-        if let Some((_, base)) = self.body_bases.iter().find(|(p, _)| Arc::ptr_eq(p, prog)) {
-            return *base;
-        }
+    /// Appends one verdict list per slot of `prog`, returning their base.
+    fn alloc_slots(&mut self, prog: &Program) -> usize {
         let base = self.caches.len();
         self.caches.extend(prog.slots.iter().map(|_| Vec::new()));
-        self.body_bases.push((prog.clone(), base));
         base
     }
 
-    /// `DataSource::resolve` through the slot's inline cache, keyed by the
-    /// already-fetched resolution `class`. The purity verdict is asked once
-    /// per (slot, class) per scan — dropped and re-asked whenever the
-    /// source bumps its resolution generation — and errors are never
-    /// cached (the first error aborts the scan anyway). A class-pure
-    /// computed attribute gets its body compiled here, once.
+    /// The global-slot base for a sub-select program, registering it (and
+    /// allocating its slot caches) on first use.
+    fn slot_base_for(&mut self, prog: &Arc<Program>) -> usize {
+        if let Some((_, base)) = self.child_bases.iter().find(|(p, _)| Arc::ptr_eq(p, prog)) {
+            return *base;
+        }
+        let base = self.alloc_slots(prog);
+        self.child_bases.push((prog.clone(), base));
+        base
+    }
+
+    /// The slot's verdict for objects of the already-fetched resolution
+    /// `class`. It is asked once per (slot, class) per scan — dropped and
+    /// re-asked whenever the source bumps its resolution generation — and
+    /// errors are never cached (the first error aborts the scan anyway). A
+    /// class-pure computed attribute gets its body compiled here, once.
+    /// The row that *decides* a slot impure also gets back the resolution
+    /// it just paid for, so it does not resolve twice.
     ///
     /// Slot-cache soundness across body depths: a given slot only ever
     /// executes at one body-privilege polarity — outer-program slots
@@ -1096,60 +1141,67 @@ impl<'a> Scan<'a> {
     /// slots always inside one (nesting depth may vary, but visibility is
     /// a binary in-body/not-in-body distinction) — so one verdict per
     /// (slot, class) cannot be observed from the other polarity.
-    fn resolve_cached(
+    fn verdict(
         &mut self,
         oid: Oid,
         class: ClassId,
         gslot: usize,
         name: Symbol,
-    ) -> Result<(Arc<ResolvedAttr>, Option<Arc<Program>>)> {
+    ) -> Result<(Verdict, Option<ResolvedAttr>)> {
         let gen_now = self.src.resolution_generation();
         if gen_now != self.gen {
             // Scan-visible resolution state changed (population bracket,
             // template instantiation): every cached verdict is suspect.
-            // Maps are cleared in place — body programs keep their slot
+            // Lists are cleared in place — body programs keep their slot
             // ranges so in-flight frames stay valid.
             for m in &mut self.caches {
                 m.clear();
             }
             self.gen = gen_now;
         }
-        let cached = self.caches[gslot].iter().find(|(c, _)| *c == class);
-        match cached.map(|(_, entry)| entry) {
-            Some(SlotEntry::Pure { res, body }) => {
-                self.cache_hits += 1;
-                Ok((res.clone(), body.clone()))
-            }
-            Some(SlotEntry::Impure) => {
-                // The verdict ("re-resolve every row") is itself cached —
-                // a hit, even though a fresh resolve follows.
-                self.cache_hits += 1;
-                Ok((self.src.resolve(oid, name).map(Arc::new)?, None))
-            }
-            None => {
-                self.cache_misses += 1;
-                let r = Arc::new(self.src.resolve(oid, name)?);
-                if self.src.resolution_is_class_pure(class, name) {
-                    let body = match &*r {
-                        ResolvedAttr::Computed { params, body } => {
-                            compile_body(params, body).map(Arc::new)
-                        }
-                        ResolvedAttr::Stored => None,
-                    };
-                    self.caches[gslot].push((
-                        class,
-                        SlotEntry::Pure {
-                            res: r.clone(),
-                            body: body.clone(),
-                        },
-                    ));
-                    Ok((r, body))
-                } else {
-                    self.caches[gslot].push((class, SlotEntry::Impure));
-                    Ok((r, None))
-                }
-            }
+        if let Some((_, v)) = self.caches[gslot].iter().find(|(c, _)| *c == class) {
+            // `Impure` ("re-resolve every row") is itself a cached verdict
+            // — a hit, even though a fresh resolve follows.
+            self.cache_hits += 1;
+            return Ok((*v, None));
         }
+        self.cache_misses += 1;
+        let res = self.src.resolve(oid, name)?;
+        if !self.src.resolution_is_class_pure(class, name) {
+            self.caches[gslot].push((class, Verdict::Impure));
+            return Ok((Verdict::Impure, Some(res)));
+        }
+        let v = match &res {
+            ResolvedAttr::Stored => Verdict::Stored,
+            ResolvedAttr::Computed { params, body } => match compile_body(params, body) {
+                Some(prog) => {
+                    let slot_base = self.alloc_slots(&prog);
+                    self.bodies.push(Body {
+                        prog: Rc::new(prog),
+                        nparams: params.len(),
+                        slot_base,
+                    });
+                    Verdict::Body(self.bodies.len() - 1)
+                }
+                None => {
+                    self.interp.push(res);
+                    Verdict::Interp(self.interp.len() - 1)
+                }
+            },
+        };
+        self.caches[gslot].push((class, v));
+        Ok((v, None))
+    }
+}
+
+/// The interpreter's argument check on a stored attribute.
+fn no_args(name: Symbol, args: &[Value]) -> Result<()> {
+    if args.is_empty() {
+        Ok(())
+    } else {
+        Err(QueryError::eval(format!(
+            "stored attribute `{name}` takes no arguments"
+        )))
     }
 }
 
@@ -1265,7 +1317,7 @@ fn run_planned_select(
     let (fp, _) = crate::fingerprint::fingerprint_expr(expr);
     let decision = crate::planner::plan_select_keyed(src, &fp, q);
     let r = match &decision.strategy {
-        crate::planner::Strategy::IndexPushdown { attr, value } => {
+        crate::planner::Strategy::IndexPushdown { attr, value, .. } => {
             match src.indexed_lookup(scan.class, *attr, value) {
                 Some(candidates) => run_pushdown_scan(src, q, scan, candidates),
                 None => {
@@ -1948,7 +2000,7 @@ mod tests {
         assert_eq!(scan.caches.len(), 1);
         assert!(matches!(
             scan.caches[0].as_slice(),
-            [(c, SlotEntry::Pure { .. })] if *c == person
+            [(c, Verdict::Stored)] if *c == person
         ));
     }
 
@@ -1969,9 +2021,9 @@ mod tests {
         // → two body slots appended after the outer slot).
         assert!(matches!(
             scan.caches[0].as_slice(),
-            [(c, SlotEntry::Pure { body: Some(_), .. })] if *c == person
+            [(c, Verdict::Body(0))] if *c == person
         ));
-        assert_eq!(scan.body_bases.len(), 1);
+        assert_eq!(scan.bodies.len(), 1);
         assert_eq!(scan.caches.len(), 3);
     }
 

@@ -316,7 +316,7 @@ pub struct QueryTrace {
 /// estimate, and whether the plan came from the fingerprint-keyed cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanChoice {
-    /// Rendered strategy (`seq`, `index(Attr)`, `parallel x4`, `join(…)`).
+    /// Rendered strategy (`seq`, `index Class.Attr`, `parallel x4`, `join(…)`).
     pub strategy: String,
     /// Estimated result rows at planning time.
     pub est_rows: u64,

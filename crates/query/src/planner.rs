@@ -102,6 +102,8 @@ pub enum Strategy {
     /// candidates. Demoted to [`Strategy::Seq`] at execution time if the
     /// source has no such index.
     IndexPushdown {
+        /// The scanned class, as the query names it.
+        class: Symbol,
         /// The attribute whose equality conjunct drives the probe.
         attr: Symbol,
         /// The literal being probed for.
@@ -124,7 +126,7 @@ impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Strategy::Seq => write!(f, "seq"),
-            Strategy::IndexPushdown { attr, .. } => write!(f, "index({attr})"),
+            Strategy::IndexPushdown { class, attr, .. } => write!(f, "index {class}.{attr}"),
             Strategy::Parallel { workers } => write!(f, "parallel x{workers}"),
             Strategy::Join { order } => {
                 write!(f, "join(")?;
@@ -208,11 +210,20 @@ fn cache_lookup(fp: &str, generation: u64) -> Option<CachedPlan> {
     }
 }
 
+/// Plans the cache holds before a new fingerprint empties it (counted
+/// per dropped plan in `planner.cache_evictions`). Fingerprints
+/// normalize literals, so a workload's set of shapes is small; a stream
+/// of distinct shapes (generated queries) must not grow the map forever,
+/// and re-planning a dropped shape costs one miss.
+pub const PLAN_CACHE_CAP: usize = 4096;
+
 fn cache_store(fp: &str, plan: CachedPlan) {
-    cache()
-        .lock()
-        .expect("plan cache poisoned")
-        .insert(fp.to_string(), plan);
+    let mut guard = cache().lock().expect("plan cache poisoned");
+    if guard.len() >= PLAN_CACHE_CAP && !guard.contains_key(fp) {
+        metric_counter!("planner.cache_evictions").add(guard.len() as u64);
+        guard.clear();
+    }
+    guard.insert(fp.to_string(), plan);
 }
 
 /// Rewrites the plan cached under fingerprint `fp` to a sequential scan —
@@ -492,6 +503,7 @@ pub(crate) fn plan_select_keyed(src: &dyn DataSource, fp: &str, q: &SelectExpr) 
         // first).
         let strategy = match c.strategy {
             Strategy::IndexPushdown {
+                class,
                 attr,
                 value: cached,
             } => {
@@ -502,6 +514,7 @@ pub(crate) fn plan_select_keyed(src: &dyn DataSource, fp: &str, q: &SelectExpr) 
                     })
                 });
                 Strategy::IndexPushdown {
+                    class,
                     attr,
                     value: rebound.unwrap_or(cached),
                 }
@@ -530,6 +543,7 @@ pub(crate) fn plan_select_keyed(src: &dyn DataSource, fp: &str, q: &SelectExpr) 
                 let (attr, value) = eq_conjunct(leg, *var)?;
                 if index_worthwhile(class, attr) {
                     Some(Strategy::IndexPushdown {
+                        class,
                         attr,
                         value: value.clone(),
                     })
@@ -865,6 +879,7 @@ mod tests {
                     &fp,
                     CachedPlan {
                         strategy: Strategy::IndexPushdown {
+                            class: sym("PlannerRebindClass"),
                             attr: sym("Age"),
                             value: Value::Int(6),
                         },
@@ -877,6 +892,7 @@ mod tests {
                 assert_eq!(
                     d.strategy,
                     Strategy::IndexPushdown {
+                        class: sym("PlannerRebindClass"),
                         attr: sym("Age"),
                         value: Value::Int(21)
                     },

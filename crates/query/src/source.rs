@@ -149,10 +149,21 @@ pub trait DataSource {
     }
 
     /// The oids whose stored attribute `attr` equals `value`, within the
-    /// deep extent of `class`, served from an equality index — or `None`
-    /// when the source maintains no such index (the planner then demotes
-    /// a pushdown plan to a sequential scan). The result must be exact
-    /// on the indexed conjunct and in oid order; callers still re-test
+    /// deep extent of `class`, served from an equality index, in oid
+    /// order. The contract is **exactness**: a source answers `Some` only
+    /// when [`DataSource::resolve`] yields [`ResolvedAttr::Stored`] for
+    /// `attr` on every object of that deep extent — the stored/computed
+    /// distinction is erased for queries (§2: "the same attribute may be
+    /// stored in one class and computed in a subclass") but an index
+    /// covers stored values only — and every class contributing objects
+    /// has the index. Then the answer is exactly the objects a sequential
+    /// scan would keep on the conjunct `V.attr = value`. Anything else —
+    /// no index, a computed override somewhere in the subtree, a hidden
+    /// attribute, a class whose members the source computes — is `None`,
+    /// and the planner demotes the pushdown plan to a sequential scan
+    /// (which also raises whatever error the attribute access raises).
+    /// The guard is evaluated per call, so DDL after a plan was cached
+    /// cannot make the cached plan unsound. Callers still re-test
     /// candidates against the full filter.
     fn indexed_lookup(&self, _class: ClassId, _attr: Symbol, _value: &Value) -> Option<Vec<Oid>> {
         None

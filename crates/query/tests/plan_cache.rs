@@ -5,10 +5,16 @@
 //!
 //! Its own test binary: the plan-cache counters are process-wide.
 
+use std::sync::Mutex;
+
 use ov_oodb::{sym, AttrDef, Database, Type, Value};
+
+/// The plan cache and its counters are process-wide: one test at a time.
+static PLAN_CACHE: Mutex<()> = Mutex::new(());
 
 #[test]
 fn a_repeated_key_probe_is_planned_once() {
+    let _serial = PLAN_CACHE.lock().unwrap_or_else(|e| e.into_inner());
     let mut db = Database::new(sym("ChurnDb"));
     let item = db
         .create_class(
@@ -37,4 +43,43 @@ fn a_repeated_key_probe_is_planned_once() {
     assert!(replans1 - replans0 <= 1, "replans {}", replans1 - replans0);
     assert_eq!(hits + misses, 1000);
     assert!(hits >= 990, "hit ratio {hits}/1000");
+}
+
+/// The cache is bounded: a stream of distinct query shapes empties it at
+/// `PLAN_CACHE_CAP` entries instead of growing it, and counts what it
+/// dropped.
+#[test]
+fn a_stream_of_distinct_shapes_cannot_grow_the_cache_without_bound() {
+    use ov_query::planner::{plan_select, PLAN_CACHE_CAP};
+    let _serial = PLAN_CACHE.lock().unwrap_or_else(|e| e.into_inner());
+    let db = Database::new(sym("BoundDb"));
+    // Literals normalize away, attribute names do not: one fingerprint per
+    // `i`. Returns whether the plan came from the cache.
+    let plan = |i: usize, lit: i64| {
+        let expr = ov_query::parse_expr(&format!(
+            "select P from P in BoundItem where P.A{i} = {lit}"
+        ))
+        .unwrap();
+        let ov_oodb::Expr::Select(q) = &expr else {
+            unreachable!()
+        };
+        plan_select(&db, &expr, q).cache_hit
+    };
+    let evictions = || {
+        ov_oodb::metrics::registry()
+            .counter("planner.cache_evictions")
+            .get()
+    };
+    let before = evictions();
+    let last = PLAN_CACHE_CAP + 9;
+    assert!((0..=last).all(|i| !plan(i, 1)), "every shape is new");
+    // The other test of this binary holds one entry at most, so the cap was
+    // reached, and emptied, exactly once.
+    let dropped = evictions() - before;
+    assert!(
+        (PLAN_CACHE_CAP as u64..=PLAN_CACHE_CAP as u64 + 1).contains(&dropped),
+        "dropped {dropped}"
+    );
+    // A shape planned after the overflow is served from the cache again.
+    assert!(plan(last, 2));
 }

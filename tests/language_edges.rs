@@ -270,3 +270,91 @@ fn unicode_in_strings_and_comparison_operators() {
         Value::set([Value::str("Márgarèt Ⅱ")])
     );
 }
+
+/// `n` persons `p0…` with `Id` 0… and `n` employees `e0…` with `Salary`
+/// 0…, and an index on `Person.Id` (and, as always, on its subclasses).
+/// An employee's `Id` is stored (`n…`) — or, when `computed`, the
+/// attribute `1000 + self.Salary`.
+fn indexed_staff(n: i64, computed: bool) -> System {
+    let mut script = String::from(
+        "database D;\n\
+         class Person type [Id: integer, Name: string];\n\
+         class Employee inherits Person type [Salary: integer];\n",
+    );
+    if computed {
+        script.push_str("attribute Id in class Employee has value 1000 + self.Salary;\n");
+    }
+    for i in 0..n {
+        script.push_str(&format!("insert Person value [Id: {i}, Name: \"p{i}\"];\n"));
+        let id = if computed {
+            String::new()
+        } else {
+            format!("Id: {}, ", n + i)
+        };
+        script.push_str(&format!(
+            "insert Employee value [{id}Name: \"e{i}\", Salary: {i}];\n"
+        ));
+    }
+    let sys = sys_with(&script);
+    {
+        let db = sys.database(sym("D")).unwrap();
+        let mut db = db.write();
+        let person = db.schema.class_by_name(sym("Person")).unwrap();
+        db.create_index(person, sym("Id")).unwrap();
+    }
+    sys
+}
+
+/// "The same attribute may be stored in one class and computed in a
+/// subclass" (§2). An index covers the stored values only, so a probe of
+/// `Person.Id` must not be answered from it once `Employee` computes `Id`:
+/// the planner used to return `{}` here where the scan returns `{"e5"}`.
+#[test]
+fn an_index_probe_respects_a_computed_override_in_a_subclass() {
+    let sys = indexed_staff(200, true);
+    let db = sys.database(sym("D")).unwrap();
+    let db = db.read();
+    for (key, expected) in [(1005, vec!["e5"]), (5, vec!["p5"]), (205, vec![])] {
+        let q = format!(r#"select P.Name from P in Person where P.Id = {key} and P.Name != """#);
+        let expected = Value::set(expected.into_iter().map(Value::str));
+        let off = objects_and_views::query::with_planner(false, || run_query(&*db, &q)).unwrap();
+        let on = objects_and_views::query::with_planner(true, || run_query(&*db, &q)).unwrap();
+        assert_eq!(off, expected, "planner off, Id = {key}");
+        assert_eq!(on, expected, "planner on, Id = {key}");
+    }
+    // No subtree containing `Employee` is served from the index.
+    let person = db.schema.class_by_name(sym("Person")).unwrap();
+    assert_eq!(
+        db.indexed_deep_lookup(person, sym("Id"), &Value::Int(5)),
+        None
+    );
+}
+
+/// The same rule through a view: the view overrides `Id` with a computed
+/// attribute, so a population defined by `P.Id = 7` holds every object —
+/// it used to be answered from the base index on the stored `Id` (one
+/// object).
+#[test]
+fn a_population_probe_respects_a_computed_override_in_the_view() {
+    let sys = indexed_staff(150, false);
+    let def = ViewDef::from_script(
+        "create view V; import all classes from database D; \
+         attribute Id in class Person has value 7; \
+         class Seven includes (select P from P in Person where P.Id = 7);",
+    )
+    .unwrap();
+    let view = def.binder(&sys).bind().unwrap();
+    assert_eq!(view.query("count(Seven)").unwrap(), Value::Int(300));
+    assert_eq!(view.stats().index_pushdowns, 0);
+    // Without the override the same population is an index probe.
+    let plain = ViewDef::from_script(
+        "create view W; import all classes from database D; \
+         class Seven includes (select P from P in Person where P.Id = 7);",
+    )
+    .unwrap()
+    .binder(&sys)
+    .bind()
+    .unwrap();
+    assert_eq!(plain.query("count(Seven)").unwrap(), Value::Int(1));
+    assert_eq!(plain.stats().index_pushdowns, 1);
+}
