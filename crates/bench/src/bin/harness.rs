@@ -1685,6 +1685,7 @@ fn e18_durability(args: &Args) {
         Some(level) => vec![level],
         None => vec![Durability::None, Durability::Wal, Durability::WalSync],
     };
+    let mut snapshot_lines = Vec::new();
     for level in levels {
         let dir = root.join(format!("e18-{}", level.as_str()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1726,6 +1727,15 @@ fn e18_durability(args: &Args) {
         let t_checkpoint = t1.elapsed().as_nanos() as f64;
         drop(db);
         let label = level.as_str();
+        // A byte count is not a timing cell: one line per level under the
+        // table, in the manner of the E19 canary. CI greps for the name.
+        if let Ok(meta) = std::fs::metadata(dir.join(ov_oodb::pager::SNAPSHOT_FILE)) {
+            snapshot_lines.push(format!(
+                "E18/snapshot/bytes_per_object {label} {:.1} B ({} B snapshot, {objects} objects)",
+                meta.len() as f64 / objects as f64,
+                meta.len()
+            ));
+        }
         row(
             label,
             &[
@@ -1739,6 +1749,9 @@ fn e18_durability(args: &Args) {
         if !keep {
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+    for line in snapshot_lines {
+        println!("{line}");
     }
     if keep {
         println!("# durable stores kept under {}", root.display());

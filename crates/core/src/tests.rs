@@ -1344,6 +1344,182 @@ fn incremental_materialization_tracks_updates() {
     );
 }
 
+/// People database and an incremental view over it whose one class
+/// divides by `Age`, so an object with `Age = 0` makes its retest error.
+fn fit_view(sys: &System) -> crate::View {
+    ViewDef::from_script(
+        r#"
+        create view V;
+        import all classes from database Staff;
+        class Fit includes (select P from Person where 100 / P.Age >= 2);
+        "#,
+    )
+    .unwrap()
+    .binder(sys)
+    .options(
+        ViewOptions::builder()
+            .materialization(Materialization::Incremental)
+            .build(),
+    )
+    .bind()
+    .unwrap()
+}
+
+/// The patch contract, both halves. Nobody holds the cached set: a delta
+/// patches that very allocation. A reader holds it: the reader's set stays
+/// the pre-write population, the cache moves on to a patched copy, and
+/// `views.delta_copies` counts the one copy. (No other test of this binary
+/// holds a population across a write, so the process-wide counter moves
+/// only here.)
+#[test]
+fn delta_patches_in_place_and_copies_only_under_a_reader() {
+    let sys = people_system();
+    let view = fit_view(&sys);
+    let db = sys.database(sym("Staff")).unwrap();
+    let maggy = db.read().named(sym("maggy")).unwrap(); // 66: 100 / 66 < 2
+    let copies = || {
+        ov_oodb::metrics::registry()
+            .counter("views.delta_copies")
+            .get()
+    };
+    let fit = sym("Fit");
+    let cold = view.extent_of(fit).unwrap();
+    assert!(!cold.contains(&maggy));
+    let address = |view: &crate::View| {
+        let (_, set) = view.cached_population(fit).unwrap();
+        std::sync::Arc::as_ptr(&set)
+    };
+    let (cold_versions, _) = view.cached_population(fit).unwrap();
+    let cold_address = address(&view);
+    let copies_before = copies();
+
+    // Unshared: maggy flips in, the set is patched where it lies.
+    db.write()
+        .set_attr(maggy, sym("Age"), Value::Int(40))
+        .unwrap();
+    let patched = view.extent_of(fit).unwrap();
+    assert!(patched.contains(&maggy));
+    assert_eq!(patched.len(), cold.len() + 1);
+    assert_eq!(view.stats().incremental_updates, 1);
+    assert_eq!(address(&view), cold_address, "unshared set was copied");
+    assert_eq!(copies(), copies_before);
+    let (versions, _) = view.cached_population(fit).unwrap();
+    assert!(
+        versions > cold_versions,
+        "the patch stamps the new versions"
+    );
+
+    // Shared: a reader holds the set across the next write.
+    let (_, held) = view.cached_population(fit).unwrap();
+    db.write()
+        .set_attr(maggy, sym("Age"), Value::Int(90))
+        .unwrap();
+    let after = view.extent_of(fit).unwrap();
+    assert_eq!(after, cold, "the next read sees the write");
+    assert_eq!(
+        held.iter().copied().collect::<Vec<_>>(),
+        patched,
+        "a held population must not change under its reader"
+    );
+    assert_ne!(address(&view), std::sync::Arc::as_ptr(&held));
+    assert_eq!(copies(), copies_before + 1);
+    assert_eq!(view.stats().recomputations, 1, "only the cold populate");
+}
+
+/// All or nothing: a delta of two oids whose second retest errors leaves
+/// the cached set *and* its versions untouched — the first oid's verdict
+/// is not applied — and once the cause is gone the population equals a
+/// fresh bind's.
+#[test]
+fn failed_retest_leaves_the_cached_population_untouched() {
+    let sys = people_system();
+    let view = fit_view(&sys);
+    let db = sys.database(sym("Staff")).unwrap();
+    let (maggy, denis) = {
+        let d = db.read();
+        (
+            d.named(sym("maggy")).unwrap(),
+            d.named(sym("denis")).unwrap(),
+        )
+    };
+    assert!(maggy < denis, "retests run in oid order");
+    let fit = sym("Fit");
+    let cold = view.extent_of(fit).unwrap();
+    let (cold_versions, cold_set) = view.cached_population(fit).unwrap();
+    drop(cold_set);
+
+    // maggy flips in (retested first, fine); denis divides by zero.
+    db.write()
+        .set_attr(maggy, sym("Age"), Value::Int(40))
+        .unwrap();
+    db.write()
+        .set_attr(denis, sym("Age"), Value::Int(0))
+        .unwrap();
+    for _ in 0..2 {
+        let err = view.extent_of(fit).unwrap_err();
+        assert!(err.to_string().contains("division by zero"), "got: {err}");
+        let (versions, set) = view.cached_population(fit).unwrap();
+        assert_eq!(versions, cold_versions, "versions moved on a failed delta");
+        assert_eq!(set.iter().copied().collect::<Vec<_>>(), cold);
+    }
+
+    db.write()
+        .set_attr(denis, sym("Age"), Value::Int(50))
+        .unwrap();
+    let healed = view.extent_of(fit).unwrap();
+    assert_eq!(healed, fit_view(&sys).extent_of(fit).unwrap());
+    assert!(healed.contains(&maggy) && healed.contains(&denis));
+    let stats = view.stats();
+    assert_eq!(stats.recomputations, 1, "healed by a delta: {stats:?}");
+    assert_eq!(stats.incremental_updates, 1);
+}
+
+/// The same contract under the degradation ladder: whatever step budget a
+/// read of a two-oid delta runs under, it answers with the pre-write
+/// population (a stale serve, cache untouched) or the fully patched one —
+/// never with one verdict applied and the other not.
+#[test]
+fn budget_breach_mid_delta_serves_the_pre_write_population() {
+    let mut stale_serves = 0;
+    let mut patched = 0;
+    for max_steps in 1..60 {
+        let sys = people_system();
+        let view = fit_view(&sys);
+        let db = sys.database(sym("Staff")).unwrap();
+        let (maggy, denis) = {
+            let d = db.read();
+            (
+                d.named(sym("maggy")).unwrap(),
+                d.named(sym("denis")).unwrap(),
+            )
+        };
+        let cold = view.extent_of(sym("Fit")).unwrap().len() as i64;
+        let (cold_versions, _) = view.cached_population(sym("Fit")).unwrap();
+        for oid in [maggy, denis] {
+            db.write()
+                .set_attr(oid, sym("Age"), Value::Int(40))
+                .unwrap();
+        }
+        let budget = std::sync::Arc::new(ov_query::Budget::new().with_max_steps(max_steps));
+        match ov_query::run_query_with_budget(&view, "count(Fit)", budget) {
+            Ok(Value::Int(n)) if n == cold => {
+                stale_serves += 1;
+                assert_eq!(view.stats().stale_serves, 1);
+                let (versions, set) = view.cached_population(sym("Fit")).unwrap();
+                assert_eq!(versions, cold_versions);
+                assert_eq!(set.len() as i64, cold);
+            }
+            Ok(Value::Int(n)) if n == cold + 2 => patched += 1,
+            // The breach can also land outside the population (in the
+            // count itself), where nothing degrades.
+            Err(ov_query::QueryError::ResourceExhausted(_)) => {}
+            other => panic!("max_steps {max_steps}: blended or untyped answer {other:?}"),
+        }
+    }
+    assert!(stale_serves > 0, "no budget breached inside the delta");
+    assert!(patched > 0, "no budget was enough for the delta");
+}
+
 #[test]
 fn incremental_falls_back_on_journal_gap() {
     let sys = people_system();

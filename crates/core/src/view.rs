@@ -99,6 +99,11 @@ thread_local! {
 /// (initial try + retries) before degrading to the stale cache.
 const MAX_POPULATION_ATTEMPTS: u32 = 3;
 
+/// Times [`View::try_incremental`] starts over because another thread
+/// advanced the cached entry between its retests and its patch, before it
+/// gives up and lets the caller recompute.
+const PATCH_ROUNDS: u32 = 3;
+
 /// Consecutive parallel-scan failures before a view stops splitting
 /// population scans across workers (sticky for the view's lifetime;
 /// visible as [`ViewStats::seq_fallbacks`]).
@@ -214,7 +219,7 @@ enum IncPlan {
     Opaque,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct VirtualInfo {
     includes: Vec<BoundInclude>,
     /// One plan per include (parallel to `includes`).
@@ -258,7 +263,7 @@ pub struct View {
     /// lock.
     schema: RwLock<Schema>,
     kinds: RwLock<HashMap<ClassId, ClassKind>>,
-    virt: RwLock<HashMap<ClassId, VirtualInfo>>,
+    virt: RwLock<HashMap<ClassId, Arc<VirtualInfo>>>,
     sources: Vec<DbHandle>,
     /// Durability cores of durable sources (deduplicated). Imaginary
     /// identity assignments are logged here so §5.1 identity survives
@@ -973,6 +978,16 @@ impl View {
         }
     }
 
+    /// The cached entry of class `name`: the source versions it is stamped
+    /// with and the set itself — held, not copied, so a test can be the
+    /// reader a patch must not disturb.
+    #[cfg(test)]
+    pub(crate) fn cached_population(&self, name: Symbol) -> Option<(Vec<u64>, Arc<BTreeSet<Oid>>)> {
+        let c = self.lookup_class(name)?;
+        let shard = self.pop_shard(c).read();
+        shard.get(&c).map(|p| (p.versions.clone(), p.oids.clone()))
+    }
+
     /// All class names visible in the view, sorted.
     pub fn class_names(&self) -> Vec<Symbol> {
         let schema = self.schema.read();
@@ -1513,11 +1528,11 @@ impl View {
             .collect();
         self.virt.write().insert(
             class_id,
-            VirtualInfo {
+            Arc::new(VirtualInfo {
                 includes: bound,
                 plans,
                 compiled,
-            },
+            }),
         );
         Ok(class_id)
     }
@@ -1703,10 +1718,13 @@ impl View {
     /// exhausted degradation for [`Self::with_degradation`] when the
     /// failure was fault-induced.
     ///
-    /// A stale serve can never mix generations: the cache holds one
-    /// `Arc<BTreeSet<Oid>>` per class, swapped atomically under the shard
-    /// lock, so callers see either the old population or the new one in
-    /// full — never a blend.
+    /// A stale serve can never mix generations. The cache holds one
+    /// `Arc<BTreeSet<Oid>>` per class, cloned out under the shard read
+    /// lock. A recompute swaps the pointer and a delta patches the set,
+    /// both under the shard write lock, and a delta applies all of its
+    /// verdicts or none; a set some caller still holds is copied before it
+    /// is patched ([`Self::try_incremental`]). So callers see either the
+    /// old population or the new one in full — never a blend.
     fn degrade(
         &self,
         c: ClassId,
@@ -1773,10 +1791,8 @@ impl View {
             self.bump_stat(Stat::CacheMiss);
         }
         if self.materialization == Materialization::Incremental {
-            if let Some((updated, retested)) = self.try_incremental(c, &versions, schema_len)? {
+            if let Some((oids, retested)) = self.try_incremental(c, &versions, schema_len)? {
                 self.bump_stat(Stat::IncrementalUpdate);
-                let oids = Arc::new(updated);
-                self.store_pop(c, versions, schema_len, oids.clone());
                 return Ok((oids, plan::PopOutcome::Delta { retested }));
             }
         }
@@ -1793,6 +1809,15 @@ impl View {
         let oids = Arc::new(result?);
         self.store_pop(c, versions, schema_len, oids.clone());
         Ok((oids, plan::PopOutcome::FullRecompute))
+    }
+
+    /// The bound definition of virtual class `c` (a pointer clone).
+    fn virtual_info(&self, c: ClassId) -> Arc<VirtualInfo> {
+        self.virt
+            .read()
+            .get(&c)
+            .cloned()
+            .expect("population requested for non-virtual class")
     }
 
     fn store_pop(
@@ -1812,68 +1837,97 @@ impl View {
         );
     }
 
-    /// Attempts a delta update of `c`'s cached population. Returns the
-    /// patched population together with how many changed oids were
-    /// re-tested, or `Ok(None)` when a full recompute is required (no
-    /// cache, journal gap, schema change, or an opaque include).
+    /// Attempts a delta update of `c`'s cached population, patching the
+    /// cached set in place. Returns the patched population together with
+    /// how many changed oids were re-tested, or `Ok(None)` when a full
+    /// recompute is required (no cache, journal gap, schema change, an
+    /// opaque include, or [`PATCH_ROUNDS`] lost races).
+    ///
+    /// The order is retest, then lock, then patch. Retests run with no lock
+    /// held (population is re-entrant), so an error in any of them leaves
+    /// the entry — set *and* versions — exactly as it was, which is what
+    /// [`Self::degrade`] then serves. The verdicts are applied under the
+    /// shard write lock only if the entry still carries the versions the
+    /// journal was read against; an entry another thread advanced means
+    /// the delta is against a state the set no longer has, so the round
+    /// starts over from the new entry. `Arc::make_mut` patches the set
+    /// itself when the cache holds the only reference — O(|delta| · log n)
+    /// — and copies it once when a reader still holds the old one, so a
+    /// caller that has a population never sees it change.
+    ///
+    /// The entry is stamped with `versions`, read by the caller before any
+    /// retest: a write that lands after that read is retested again next
+    /// time. Retesting an oid is idempotent, so a stamp older than the
+    /// state the set reflects costs work, never correctness.
     fn try_incremental(
         &self,
         c: ClassId,
         versions: &[u64],
         schema_len: usize,
-    ) -> ov_query::Result<Option<(BTreeSet<Oid>, usize)>> {
-        let cached = match self.pop_shard(c).read().get(&c) {
-            Some(entry) => entry.clone(),
-            None => return Ok(None),
-        };
-        if cached.schema_len != schema_len {
-            return Ok(None);
-        }
-        let info = self
-            .virt
-            .read()
-            .get(&c)
-            .cloned()
-            .expect("population requested for non-virtual class");
+    ) -> ov_query::Result<Option<(Arc<BTreeSet<Oid>>, usize)>> {
+        let info = self.virtual_info(c);
         if info.plans.iter().any(|p| matches!(p, IncPlan::Opaque)) {
             return Ok(None);
         }
-        // Collect the changed oids from every source's journal.
-        let mut changed: BTreeSet<Oid> = BTreeSet::new();
-        for (idx, handle) in self.sources.iter().enumerate() {
-            let db = handle.read();
-            match db.store.changes_since(cached.versions[idx]) {
-                Some(oids) => changed.extend(oids),
-                None => {
-                    // Journal gap: the store trimmed past our cached
-                    // version, so the delta is unrecoverable.
-                    ov_oodb::metric_counter!("views.journal_gap_fallbacks").inc();
-                    return Ok(None);
+        for _ in 0..PATCH_ROUNDS {
+            let base = match self.pop_shard(c).read().get(&c) {
+                Some(entry) if entry.schema_len == schema_len => entry.versions.clone(),
+                _ => return Ok(None),
+            };
+            // Collect the changed oids from every source's journal.
+            let mut changed: BTreeSet<Oid> = BTreeSet::new();
+            for (idx, handle) in self.sources.iter().enumerate() {
+                match handle.read().store.changes_since(base[idx]) {
+                    Some(oids) => changed.extend(oids),
+                    None => {
+                        // Journal gap: the store trimmed past our cached
+                        // version, so the delta is unrecoverable.
+                        ov_oodb::metric_counter!("views.journal_gap_fallbacks").inc();
+                        return Ok(None);
+                    }
                 }
             }
-        }
-        let _ = versions;
-        if changed.is_empty() {
-            return Ok(Some(((*cached.oids).clone(), 0)));
-        }
-        // Re-test membership only for the changed oids, with the same
-        // privileged visibility and cycle guards as a full computation.
-        let retested = changed.len();
-        let result = {
-            let _guard = PopBracket::enter(self, c);
-            (|| -> ov_query::Result<BTreeSet<Oid>> {
-                let mut set = (*cached.oids).clone();
-                for oid in changed {
-                    if self.delta_member(&info, oid)? {
+            // Re-test membership only for the changed oids, with the same
+            // privileged visibility and cycle guards as a full computation.
+            // An empty delta (another source of a multi-source view moved)
+            // only restamps the entry.
+            let verdicts: Vec<(Oid, bool)> = if changed.is_empty() {
+                Vec::new()
+            } else {
+                let _guard = PopBracket::enter(self, c);
+                changed
+                    .into_iter()
+                    .map(|oid| Ok((oid, self.delta_member(&info, oid)?)))
+                    .collect::<ov_query::Result<_>>()?
+            };
+            let mut shard = self.pop_shard_write(c);
+            let Some(entry) = shard.get_mut(&c) else {
+                return Ok(None);
+            };
+            if entry.versions != base || entry.schema_len != schema_len {
+                continue;
+            }
+            if !verdicts.is_empty() {
+                // Resolved on every patch, so the counter is listed (at 0)
+                // as soon as one delta ran, not only after the first copy.
+                let copies = ov_oodb::metric_counter!("views.delta_copies");
+                let held = Arc::as_ptr(&entry.oids);
+                let set = Arc::make_mut(&mut entry.oids);
+                if !std::ptr::eq(held, set) {
+                    copies.inc();
+                }
+                for &(oid, member) in &verdicts {
+                    if member {
                         set.insert(oid);
                     } else {
                         set.remove(&oid);
                     }
                 }
-                Ok(set)
-            })()
-        };
-        result.map(|set| Some((set, retested)))
+            }
+            entry.versions.copy_from_slice(versions);
+            return Ok(Some((entry.oids.clone(), verdicts.len())));
+        }
+        Ok(None)
     }
 
     /// Does any include admit `oid` right now (per its delta plan)?
@@ -2082,12 +2136,7 @@ impl View {
         if ov_oodb::faults::enabled() {
             ov_oodb::faults::hit("view.population_recompute").map_err(OodbError::Fault)?;
         }
-        let info = self
-            .virt
-            .read()
-            .get(&c)
-            .cloned()
-            .expect("population requested for non-virtual class");
+        let info = self.virtual_info(c);
         let mut out = BTreeSet::new();
         for (idx, inc) in info.includes.iter().enumerate() {
             match inc {

@@ -109,11 +109,12 @@ pub enum OodbError {
         /// What was being decoded and what was wrong with it.
         context: String,
     },
-    /// A persistent file carries a format version this build cannot read.
+    /// A persistent file carries a format version this build cannot read:
+    /// one written by an older build as much as one from a newer build.
     UnsupportedFormat {
         /// The version found in the file.
         found: u32,
-        /// The newest version this build supports.
+        /// The version this build reads and writes.
         supported: u32,
     },
 }
@@ -177,7 +178,7 @@ impl fmt::Display for OodbError {
             OodbError::Corrupt { context } => write!(f, "corrupt file: {context}"),
             OodbError::UnsupportedFormat { found, supported } => write!(
                 f,
-                "unsupported format version {found} (this build reads up to {supported})"
+                "unsupported format version {found} (this build reads version {supported})"
             ),
         }
     }

@@ -16,8 +16,30 @@
 //!
 //! Every page carries its own CRC32; a flipped bit anywhere surfaces as
 //! [`OodbError::Corrupt`] naming the page. A foreign file fails the magic
-//! check; a newer format version fails with
-//! [`OodbError::UnsupportedFormat`] instead of misparsing.
+//! check; any format version other than [`SNAPSHOT_FORMAT`], older or
+//! newer, fails with [`OodbError::UnsupportedFormat`] instead of
+//! misparsing.
+//!
+//! ## Body (format 2)
+//!
+//! ```text
+//! name · store_version u64 · checkpoint_lsn u64 · next_imaginary u64
+//! classes:  count u32 × ( name · parents · own attrs )
+//! shapes:   count u32 × ( field count u32 × field name )
+//! objects:  count u32 × ( oid u64 · class u32 · shape u32 · values )
+//! names · index definitions · identity entries
+//! ```
+//!
+//! A *shape* is the name-ordered list of field names of an object's tuple.
+//! The unique-root rule fixes an object's structure by its class (§4.2), so
+//! a store has about one shape per class; each distinct shape is written
+//! once, numbered in order of first appearance among the objects (which
+//! are in oid order), and an object carries its shape's index followed by
+//! one encoded value per field of the shape. The table is self-describing:
+//! decoding needs no schema, and an object written before an `add_attr`
+//! simply has another shape. Format 1 repeated every field name inside
+//! every object. Tuples nested inside values and the identity entries keep
+//! the codec's `(name, value)` encoding, which the WAL shares.
 //!
 //! ## Atomicity
 //!
@@ -27,6 +49,7 @@
 //! a mix. Failpoint sites: `checkpoint.write` (fail while writing the temp
 //! file), `checkpoint.rename` (fail before the rename commits).
 
+use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -42,8 +65,8 @@ use crate::value::Tuple;
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OVSNAP01";
 
-/// Newest snapshot format version this build writes and reads.
-pub const SNAPSHOT_FORMAT: u32 = 1;
+/// The snapshot format version this build writes and reads.
+pub const SNAPSHOT_FORMAT: u32 = 2;
 
 /// Payload bytes per data page.
 pub const PAGE_SIZE: usize = 8192;
@@ -167,11 +190,41 @@ impl SnapshotImage {
                 codec::put_attr_def(&mut w, a);
             }
         }
-        w.put_u32(self.objects.len() as u32);
+        // Shape table: number each distinct field-name list in order of
+        // first appearance, so equal stores encode to equal bytes.
+        let mut shapes: Vec<Vec<Symbol>> = Vec::new();
+        let mut shape_ids: HashMap<Vec<Symbol>, u32> = HashMap::new();
+        let mut shape_of: Vec<u32> = Vec::with_capacity(self.objects.len());
+        let mut fields: Vec<Symbol> = Vec::new();
         for obj in &self.objects {
+            fields.clear();
+            fields.extend(obj.value.iter().map(|(name, _)| name));
+            let id = match shape_ids.get(fields.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = shapes.len() as u32;
+                    shapes.push(fields.clone());
+                    shape_ids.insert(fields.clone(), id);
+                    id
+                }
+            };
+            shape_of.push(id);
+        }
+        w.put_u32(shapes.len() as u32);
+        for shape in &shapes {
+            w.put_u32(shape.len() as u32);
+            for name in shape {
+                w.put_symbol(*name);
+            }
+        }
+        w.put_u32(self.objects.len() as u32);
+        for (obj, shape) in self.objects.iter().zip(shape_of) {
             w.put_u64(obj.oid.0);
             w.put_u32(obj.class.0);
-            codec::put_tuple(&mut w, &obj.value);
+            w.put_u32(shape);
+            for (_, v) in obj.value.iter() {
+                codec::put_value(&mut w, v);
+            }
         }
         w.put_u32(self.names.len() as u32);
         for (name, oid) in &self.names {
@@ -216,15 +269,38 @@ impl SnapshotImage {
             }
             classes.push((cname, parents, attrs));
         }
-        let no = r.take_len(13)?;
+        let ns = r.take_len(4)?;
+        let mut shapes: Vec<Vec<Symbol>> = Vec::with_capacity(ns);
+        for _ in 0..ns {
+            let nf = r.take_len(4)?;
+            let mut shape = Vec::with_capacity(nf);
+            for _ in 0..nf {
+                shape.push(r.take_symbol()?);
+            }
+            shapes.push(shape);
+        }
+        let no = r.take_len(16)?;
         let mut objects = Vec::with_capacity(no);
         for _ in 0..no {
             let oid = Oid(r.take_u64()?);
             let class = ClassId(r.take_u32()?);
+            let shape_no = r.take_u32()? as usize;
+            let shape = shapes.get(shape_no).ok_or_else(|| {
+                OodbError::corrupt(format!(
+                    "snapshot body: object {oid} names shape {shape_no} of {}",
+                    shapes.len()
+                ))
+            })?;
+            let mut fields = Vec::with_capacity(shape.len());
+            for name in shape {
+                fields.push((*name, codec::take_value(&mut r)?));
+            }
+            // `from_fields` orders and dedups, so even a hostile shape
+            // (unsorted, repeated names) yields a well-formed tuple.
             objects.push(StoredObject {
                 oid,
                 class,
-                value: codec::take_tuple(&mut r)?,
+                value: Tuple::from_fields(fields),
             });
         }
         let nn = r.take_len(12)?;
@@ -354,7 +430,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotImage>> {
     }
     let mut r = Reader::new(&raw[8..HEADER_LEN], "snapshot header");
     let format = r.take_u32()?;
-    if format > SNAPSHOT_FORMAT {
+    if format != SNAPSHOT_FORMAT {
         return Err(OodbError::UnsupportedFormat {
             found: format,
             supported: SNAPSHOT_FORMAT,
@@ -523,6 +599,223 @@ mod tests {
             }
             other => panic!("expected UnsupportedFormat, got {other:?}"),
         }
+    }
+
+    /// A file an older build wrote must not reach the format-2 decoder.
+    /// The header is hand-built: format 1, zero pages.
+    #[test]
+    fn older_format_version_rejected() {
+        let dir = tmpdir("older");
+        let mut header = Writer::new();
+        header.put_bytes(SNAPSHOT_MAGIC);
+        header.put_u32(1); // format
+        header.put_u32(PAGE_SIZE as u32);
+        header.put_u32(0); // page_count
+        header.put_u64(0); // body_len
+        header.put_u64(1); // checkpoint_lsn
+        let mut raw = header.into_bytes();
+        let crc = crc32(&raw);
+        raw.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(dir.join(SNAPSHOT_FILE), &raw).unwrap();
+        match read_snapshot(&dir) {
+            Err(OodbError::UnsupportedFormat {
+                found: 1,
+                supported: 2,
+            }) => {}
+            other => panic!("expected UnsupportedFormat, got {other:?}"),
+        }
+    }
+
+    /// An image whose objects have every kind of shape: two classes, an
+    /// object written before an attribute was added and one after, an
+    /// empty tuple, and values that nest tuples, sets and lists.
+    fn mixed_shape_image() -> SnapshotImage {
+        let mut img = sample_image();
+        let nested = Value::tuple([
+            ("Home", Value::tuple([("City", Value::str("Paris"))])),
+            ("Tags", Value::set([Value::Int(1), Value::str("x")])),
+            (
+                "Path",
+                Value::list([Value::Oid(Oid(3)), Value::Null, Value::Float(0.5)]),
+            ),
+        ]);
+        img.objects = vec![
+            StoredObject {
+                oid: Oid(3),
+                class: ClassId(0),
+                value: Tuple::from_fields([("Name", Value::str("Maggy")), ("Age", Value::Int(65))]),
+            },
+            StoredObject {
+                oid: Oid(4),
+                class: ClassId(1),
+                value: Tuple::new(),
+            },
+            // Written after `add_attr Person.Extra`: same class, wider shape.
+            StoredObject {
+                oid: Oid(5),
+                class: ClassId(0),
+                value: Tuple::from_fields([
+                    ("Name", Value::str("Tony")),
+                    ("Age", Value::Int(3)),
+                    ("Extra", nested),
+                ]),
+            },
+            StoredObject {
+                oid: Oid(6),
+                class: ClassId(0),
+                value: Tuple::from_fields([("Name", Value::str("Ann")), ("Age", Value::Int(40))]),
+            },
+        ];
+        img
+    }
+
+    #[test]
+    fn mixed_shapes_roundtrip() {
+        let img = mixed_shape_image();
+        let body = img.encode();
+        let back = SnapshotImage::decode(&body).unwrap();
+        assert_eq!(back.objects, img.objects);
+        assert_eq!(back.identity, img.identity);
+        assert_eq!(back.names, img.names);
+        // Deterministic: re-encoding the decoded image gives the same bytes.
+        assert_eq!(back.encode(), body);
+
+        let empty = SnapshotImage::default();
+        let back = SnapshotImage::decode(&empty.encode()).unwrap();
+        assert!(back.objects.is_empty());
+    }
+
+    /// Byte offset of the shape table (its `u32` count) in `img.encode()`:
+    /// everything before it is the preamble and the class list.
+    fn shape_table_offset(img: &SnapshotImage) -> usize {
+        let mut head = img.clone();
+        head.objects.clear();
+        head.names.clear();
+        head.index_defs.clear();
+        head.identity.clear();
+        // An image without objects ends in five zero counts: shapes,
+        // objects, names, index definitions, identity entries.
+        head.encode().len() - 5 * 4
+    }
+
+    #[test]
+    fn shape_index_past_the_table_is_corrupt() {
+        let img = mixed_shape_image();
+        let mut body = img.encode();
+        // Shapes in order of first appearance: [Age, Name], [], [Age,
+        // Extra, Name]. Skip the table to the first object's shape index.
+        let mut at = shape_table_offset(&img);
+        assert_eq!(body[at..at + 4], 3u32.to_le_bytes());
+        at += 4;
+        for shape in [&["Age", "Name"][..], &[], &["Age", "Extra", "Name"]] {
+            at += 4 + shape.iter().map(|n| 4 + n.len()).sum::<usize>();
+        }
+        assert_eq!(body[at..at + 4], 4u32.to_le_bytes(), "object count");
+        at += 4 + 8 + 4; // count, oid, class
+        assert_eq!(body[at..at + 4], 0u32.to_le_bytes(), "first shape index");
+        body[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        match SnapshotImage::decode(&body) {
+            Err(OodbError::Corrupt { context }) => {
+                assert!(context.contains("shape 3 of 3"), "got: {context}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_or_implausible_shape_table_is_corrupt() {
+        let img = mixed_shape_image();
+        let body = img.encode();
+        let at = shape_table_offset(&img);
+        // Cut inside the table: after its count, and inside a field name.
+        for cut in [at + 4, at + 4 + 4 + 4 + 2] {
+            assert!(
+                matches!(
+                    SnapshotImage::decode(&body[..cut]),
+                    Err(OodbError::Corrupt { .. })
+                ),
+                "cut at {cut}"
+            );
+        }
+        // Counts no buffer of this size could hold are refused before
+        // anything is allocated for them.
+        for (offset, what) in [(at, "shape count"), (at + 4, "field count")] {
+            let mut bad = body.clone();
+            bad[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            match SnapshotImage::decode(&bad) {
+                Err(OodbError::Corrupt { context }) => {
+                    assert!(context.contains("implausible"), "{what}: {context}")
+                }
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+        let mut padded = body.clone();
+        padded.push(0);
+        assert!(matches!(
+            SnapshotImage::decode(&padded),
+            Err(OodbError::Corrupt { .. })
+        ));
+    }
+
+    /// A hostile shape (names out of order, one repeated) still decodes to
+    /// a well-formed tuple: name-ordered, later value winning.
+    #[test]
+    fn unsorted_shape_yields_a_well_formed_tuple() {
+        let mut w = Writer::new();
+        w.put_symbol(sym("D"));
+        w.put_u64(0);
+        w.put_u64(1);
+        w.put_u64(crate::ids::IMAGINARY_OID_BASE);
+        w.put_u32(0); // classes
+        w.put_u32(1); // shapes
+        w.put_u32(3);
+        for name in ["Zed", "Abe", "Zed"] {
+            w.put_symbol(sym(name));
+        }
+        w.put_u32(1); // objects
+        w.put_u64(7);
+        w.put_u32(0);
+        w.put_u32(0);
+        for i in 1..=3 {
+            codec::put_value(&mut w, &Value::Int(i));
+        }
+        for _ in 0..3 {
+            w.put_u32(0); // names, index definitions, identity
+        }
+        let img = SnapshotImage::decode(&w.into_bytes()).unwrap();
+        assert_eq!(
+            img.objects[0].value,
+            Tuple::from_fields([("Abe", Value::Int(2)), ("Zed", Value::Int(3))])
+        );
+    }
+
+    /// The size pin: field names are per-shape facts, not per-object ones.
+    #[test]
+    fn field_names_occur_once_per_shape_not_once_per_object() {
+        let mut img = SnapshotImage {
+            name: sym("Pin"),
+            ..SnapshotImage::default()
+        };
+        for i in 0..1000u64 {
+            img.objects.push(StoredObject {
+                oid: Oid(i),
+                class: ClassId(0),
+                value: Tuple::from_fields([
+                    ("PinnedName", Value::str(&format!("p{i}"))),
+                    ("PinnedAge", Value::Int(i as i64)),
+                    ("PinnedCity", Value::str("Paris")),
+                ]),
+            });
+        }
+        let body = img.encode();
+        for name in ["PinnedName", "PinnedAge", "PinnedCity"] {
+            let hits = body
+                .windows(name.len())
+                .filter(|w| *w == name.as_bytes())
+                .count();
+            assert_eq!(hits, 1, "`{name}` occurs {hits} times in the body");
+        }
+        assert_eq!(SnapshotImage::decode(&body).unwrap().objects, img.objects);
     }
 
     #[test]

@@ -292,3 +292,115 @@ fn journal_gap_under_concurrent_writers_forces_recompute() {
         "population is cached again after the recompute: {trace}"
     );
 }
+
+/// Delta patches under readers: one writer flips an object across the
+/// `Adult` and `Senior` boundaries a thousand times while four threads
+/// refresh and read the incrementally maintained populations. A population
+/// is patched in place when only the cache holds it and copied first when a
+/// reader does, and a patch computed against versions the entry no longer
+/// has is dropped — so every extent a reader observes is one of the two
+/// legal states, never a blend, and the end state equals a fresh bind's.
+#[test]
+fn readers_see_only_legal_states_while_a_writer_flips_a_boundary() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const FLIPS: i64 = 1_000;
+    const READERS: usize = 4;
+
+    let sys = staff_system();
+    let stacked = |options: ViewOptions| {
+        ViewDef::from_script(
+            r#"
+            create view V;
+            import all classes from database Staff;
+            class Adult includes (select P from Person where P.Age >= 18);
+            class Senior includes (select A from Adult where A.Age >= 65);
+            "#,
+        )
+        .unwrap()
+        .binder(&sys)
+        .options(options)
+        .bind()
+        .unwrap()
+    };
+    let view = stacked(
+        ViewOptions::builder()
+            .materialization(Materialization::Incremental)
+            .build(),
+    );
+    let handle = sys.database(sym("Staff")).unwrap();
+    // The flipped object: 17 (neither class) <-> 70 (both classes).
+    let target = {
+        let db = handle.read();
+        let person = db.schema.require_class(sym("Person")).unwrap();
+        db.deep_extent(person)
+            .into_iter()
+            .find(|&o| db.stored_attr(o, sym("Age")).unwrap() == &Value::Int(17))
+            .unwrap()
+    };
+    let legal = |class: &str| {
+        let without = view.extent_of(sym(class)).unwrap();
+        assert!(!without.contains(&target));
+        let mut with = without.clone();
+        with.insert(with.partition_point(|&o| o < target), target);
+        [without, with]
+    };
+    let legal_adults = legal("Adult");
+    let legal_seniors = legal("Senior");
+
+    let done = AtomicBool::new(false);
+    // Reads completed by all readers. The writer holds each flip back until
+    // a read has completed since the last one, so the flips are spread over
+    // the readers' work instead of landing in one scheduler quantum.
+    let progress = AtomicUsize::new(0);
+    let start = std::sync::Barrier::new(READERS + 1);
+    let observed: Vec<usize> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let (view, done, start, progress) = (&view, &done, &start, &progress);
+                let (legal_adults, legal_seniors) = (&legal_adults, &legal_seniors);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut reads = 0;
+                    while !done.load(Ordering::Acquire) {
+                        if (reads + r) % 2 == 0 {
+                            view.refresh().unwrap();
+                        }
+                        let seniors = view.extent_of(sym("Senior")).unwrap();
+                        let adults = view.extent_of(sym("Adult")).unwrap();
+                        assert!(legal_adults.contains(&adults), "blended Adult extent");
+                        assert!(legal_seniors.contains(&seniors), "blended Senior extent");
+                        reads += 1;
+                        progress.fetch_add(1, Ordering::Release);
+                    }
+                    reads
+                })
+            })
+            .collect();
+        start.wait();
+        for flip in 0..FLIPS {
+            let age = if flip % 2 == 0 { 70 } else { 17 };
+            let seen = progress.load(Ordering::Acquire);
+            handle
+                .write()
+                .set_attr(target, sym("Age"), Value::Int(age))
+                .unwrap();
+            while progress.load(Ordering::Acquire) == seen {
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::Release);
+        readers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(observed.iter().sum::<usize>() >= FLIPS as usize);
+
+    // FLIPS is even: the object ends where it began, and the maintained
+    // populations equal those of a view bound fresh now.
+    let fresh = stacked(ViewOptions::default());
+    for (class, legal) in [("Adult", &legal_adults), ("Senior", &legal_seniors)] {
+        let end = view.extent_of(sym(class)).unwrap();
+        assert_eq!(end, fresh.extent_of(sym(class)).unwrap());
+        assert_eq!(end, legal[0]);
+    }
+    let stats = view.stats();
+    assert!(stats.incremental_updates > 0, "no delta fired: {stats:?}");
+}

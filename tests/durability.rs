@@ -244,3 +244,34 @@ fn foreign_database_file_is_rejected_not_panicking() {
     assert!(!err.to_string().is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn snapshot_of_an_older_format_is_rejected_with_a_typed_error() {
+    use objects_and_views::oodb::{codec::crc32, OodbError};
+    let dir = scratch("old-format");
+    {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        build_fixture(&mut s);
+        s.checkpoint().unwrap();
+    }
+    // Relabel the snapshot as format 1 (names inside every object) and
+    // re-seal the header checksum, so only the version differs.
+    let path = dir.join("databases/Staff/snapshot.ovp");
+    let mut raw = std::fs::read(&path).unwrap();
+    raw[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let crc = crc32(&raw[..36]);
+    raw[36..40].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &raw).unwrap();
+    let err = Session::open(&dir, Durability::Wal).err();
+    assert!(
+        matches!(
+            err,
+            Some(ViewError::Oodb(OodbError::UnsupportedFormat {
+                found: 1,
+                supported: 2
+            }))
+        ),
+        "old snapshot must fail typed, got {err:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
