@@ -1,8 +1,8 @@
 //! Typed DDL over a session's catalog: databases, classes, and views.
 //!
-//! [`Session::system_mut`] handed out the raw [`ov_oodb::System`] and let
-//! callers mutate base schemas behind the views' backs. This module is the
-//! replacement: every definition, redefinition, and drop goes through a
+//! A session never hands out its [`ov_oodb::System`] mutably
+//! ([`Session::system`](crate::Session::system) is a shared reference):
+//! every definition, redefinition, and drop goes through a
 //! [`CatalogTxn`], which consults the session's
 //! [dependency graph](crate::graph::DependencyGraph) and returns a typed
 //! [`DdlOutcome`]:
@@ -36,8 +36,6 @@
 //!     DdlOutcome::Defined(_)
 //! ));
 //! ```
-//!
-//! [`Session::system_mut`]: crate::Session::system_mut
 
 use ov_oodb::Symbol;
 use ov_query::{parse_program, Stmt};

@@ -204,14 +204,6 @@ impl Session {
         &self.graph
     }
 
-    /// The underlying system (e.g. to register programmatically-built
-    /// databases).
-    #[deprecated(note = "use `session.catalog()` — raw system mutations bypass \
-                         dependency tracking and view revalidation")]
-    pub fn system_mut(&mut self) -> &mut System {
-        &mut self.system
-    }
-
     /// Read access to the underlying system.
     pub fn system(&self) -> &System {
         &self.system
@@ -468,9 +460,9 @@ impl Session {
             let (def, _) = self.views.get(&name).expect("graph tracks session views");
             let def = def.clone();
             // `bind_def` is a *full* rebind: it re-runs bind-time predicate
-            // compilation, so each staged dependent's
-            // `VirtualInfo::compiled` bytecode is rebuilt against the new
-            // upstream definitions — a dependent never keeps stale compiled
+            // compilation, so each staged dependent's bound includes and
+            // their bytecode are rebuilt against the new upstream
+            // definitions — a dependent never keeps stale compiled
             // programs after a redefinition commits (regression-tested in
             // `redefining_an_upstream_view_recompiles_dependents`).
             let view = self

@@ -1645,6 +1645,44 @@ fn index_pushdown_agrees_with_scan() {
     );
 }
 
+/// An index narrows the candidates, not the rows the population charges:
+/// a row cap below the population's size stops it with the index and
+/// without.
+#[test]
+fn index_fed_population_charges_its_rows() {
+    for indexed in [false, true] {
+        let sys = people_system();
+        if indexed {
+            let db = sys.database(sym("Staff")).unwrap();
+            let mut db = db.write();
+            let person = db.schema.class_by_name(sym("Person")).unwrap();
+            db.create_index(person, sym("City")).unwrap();
+        }
+        let view = ViewDef::from_script(
+            r#"
+            create view V;
+            import all classes from database Staff;
+            class Londoner includes
+                (select P from Person where P.City = "London" and P.Age >= 0);
+            "#,
+        )
+        .unwrap()
+        .binder(&sys)
+        .bind()
+        .unwrap();
+        let count = |budget: ov_query::Budget| {
+            ov_query::run_query_with_budget(&view, "count(Londoner)", budget.into())
+        };
+        let capped = count(ov_query::Budget::new().with_max_rows(2));
+        assert!(
+            matches!(capped, Err(ov_query::QueryError::ResourceExhausted(_))),
+            "indexed={indexed}: {capped:?}"
+        );
+        assert_eq!(view.stats().index_pushdowns, u64::from(indexed));
+        assert_eq!(count(ov_query::Budget::new()).unwrap(), Value::Int(3));
+    }
+}
+
 #[test]
 fn queries_through_views_typecheck() {
     let sys = people_system();
@@ -2179,26 +2217,4 @@ fn binder_stacks_views_programmatically() {
     assert!(bad.binder(&sys).over(&base).bind().is_err());
     // Importing an unknown upstream still reads as an unknown database.
     assert!(upper.binder(&sys).bind().is_err());
-}
-
-/// The deprecated `bind`/`bind_with` wrappers stay working until removal.
-#[test]
-#[allow(deprecated)]
-fn deprecated_bind_wrappers_still_bind() {
-    let sys = people_system();
-    let def = ViewDef::new(sym("V")).import_all(sym("Staff"));
-    assert_eq!(
-        def.bind(&sys).unwrap().query("count(Person)").unwrap(),
-        Value::Int(6)
-    );
-    let opts = ViewOptions::builder()
-        .materialization(Materialization::AlwaysRecompute)
-        .build();
-    assert_eq!(
-        def.bind_with(&sys, opts)
-            .unwrap()
-            .query("count(Person)")
-            .unwrap(),
-        Value::Int(6)
-    );
 }

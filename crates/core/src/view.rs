@@ -49,8 +49,8 @@ use ov_oodb::{
     Oid, OodbError, Schema, SelectExpr, Symbol, System, Tuple, Type, Value,
 };
 use ov_query::{
-    eval_select, infer_select_in, plan, resolve_type, DataSource, IncludeSpec, ParallelConfig,
-    QueryError, ResolvedAttr, TypeEnv,
+    eval_select, infer_select_in, plan, resolve_type, Code, DataSource, IncludeSpec,
+    ParallelConfig, QueryError, ResolvedAttr, RowSpec, RowTest, TypeEnv,
 };
 
 use crate::def::{AttrDecl, Hide, Import, ViewDef, ViewElement};
@@ -145,6 +145,15 @@ impl Drop for PopBracket<'_> {
     }
 }
 
+/// Scope guard of [`View::adopt_eval_state`].
+struct AdoptedEval<'a>(&'a View);
+
+impl Drop for AdoptedEval<'_> {
+    fn drop(&mut self) {
+        let _ = EVAL_STATE.try_with(|m| m.borrow_mut().remove(&self.0.token));
+    }
+}
+
 /// How virtual-class populations are (re)computed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Materialization {
@@ -186,49 +195,52 @@ enum ClassKind {
     Imaginary { core: Vec<Symbol> },
 }
 
-/// A bound include item.
-#[derive(Clone, Debug)]
-enum BoundInclude {
-    /// Wholly-included class (generalization); also produced by bind-time
-    /// `like` matches.
+/// One include of a virtual class, bound — decided once, in
+/// [`View::define_virtual_class`], and read by every population path.
+#[derive(Debug)]
+enum Include {
+    /// Wholly-included class (generalization).
     Class(ClassId),
-    /// Population query (specialization).
-    Query(SelectExpr),
+    /// The canonical specialization `select V from V in C [where F]`:
+    /// membership is a test per object, so this is the shape the row loop
+    /// runs and a delta maintains.
+    Filter(FilterInclude),
     /// Behavioral spec — re-scanned at population time so classes defined
     /// *after* this one are admitted automatically (§4.1's flexibility
     /// argument).
     Like { spec: ClassId },
+    /// Any other population query: interpreted whole, on recompute only.
+    Query(SelectExpr),
     /// Imaginary population (§5).
     Imaginary(SelectExpr),
 }
 
-/// A per-include plan for delta maintenance, when one exists.
-#[derive(Clone, Debug)]
-enum IncPlan {
-    /// Membership = (structural) membership in this class.
-    Class(ClassId),
-    /// Membership = membership in `class` plus the filter holding with
-    /// `var` bound to the object. Derived from single-binding
-    /// specialization queries `select V from V in C where F`.
-    Filter {
-        class: ClassId,
-        var: Symbol,
-        filter: Option<Expr>,
-    },
-    /// Not delta-maintainable; forces a full recompute.
-    Opaque,
+/// See [`Include::Filter`].
+#[derive(Debug)]
+struct FilterInclude {
+    /// The scanned class `C`, and its name as the query spells it.
+    class: ClassId,
+    coll: Symbol,
+    var: Symbol,
+    /// The filter compiled at bind time, when there is one and the bytecode
+    /// compiler covers it.
+    prog: Option<ov_query::Program>,
+    /// The constant-folded query: its filter is `F`, and the whole of it
+    /// runs when a named object shadows `coll`.
+    query: SelectExpr,
 }
 
-#[derive(Debug)]
-struct VirtualInfo {
-    includes: Vec<BoundInclude>,
-    /// One plan per include (parallel to `includes`).
-    plans: Vec<IncPlan>,
-    /// Compiled membership predicate per include (parallel to `plans`):
-    /// `Some` when the plan is a [`IncPlan::Filter`] whose predicate the
-    /// bytecode compiler covers. Compiled once at bind time and shared by
-    /// full recomputes and per-object delta retests.
-    compiled: Vec<Option<Arc<ov_query::Program>>>,
+impl FilterInclude {
+    /// What the row loop runs per candidate: the bind-time program, unless
+    /// `.engine interp` turned the bytecode engine off.
+    fn row_spec(&self) -> RowSpec<'_> {
+        let prog = self.prog.as_ref().filter(|_| ov_query::compiled_enabled());
+        RowSpec {
+            var: self.var,
+            filter: self.query.filter.as_deref().map(|f| Code::of(f, prog)),
+            proj: None,
+        }
+    }
 }
 
 /// A parameterized class template (`class Adult(A) includes …`).
@@ -263,7 +275,7 @@ pub struct View {
     /// lock.
     schema: RwLock<Schema>,
     kinds: RwLock<HashMap<ClassId, ClassKind>>,
-    virt: RwLock<HashMap<ClassId, Arc<VirtualInfo>>>,
+    virt: RwLock<HashMap<ClassId, Arc<[Include]>>>,
     sources: Vec<DbHandle>,
     /// Durability cores of durable sources (deduplicated). Imaginary
     /// identity assignments are logged here so §5.1 identity survives
@@ -324,19 +336,6 @@ impl ViewDef {
             options: ViewOptions::default(),
             upstream: HashMap::new(),
         }
-    }
-
-    /// Binds the definition against `system`, producing a queryable view
-    /// with default settings.
-    #[deprecated(note = "use `def.binder(&system).bind()`")]
-    pub fn bind(&self, system: &System) -> Result<View> {
-        self.binder(system).bind()
-    }
-
-    /// Binds with explicit options.
-    #[deprecated(note = "use `def.binder(&system).options(options).bind()`")]
-    pub fn bind_with(&self, system: &System, options: ViewOptions) -> Result<View> {
-        self.binder(system).options(options).bind()
     }
 }
 
@@ -933,9 +932,12 @@ impl View {
         self.with_eval(|s| s.body_depth)
     }
 
-    /// Installs evaluation state on a worker thread so population scans
-    /// inherit the coordinator's cycle guard and privileged visibility.
-    fn adopt_eval_state(&self, populating: &HashSet<ClassId>, body_depth: u32) {
+    /// Installs the coordinator's evaluation state on a worker thread — the
+    /// in-progress population set (cycle guard) and the
+    /// privileged-visibility depth — so a chunk's filter sees exactly what a
+    /// sequential scan would see. The guard removes it again, also when the
+    /// chunk unwinds.
+    fn adopt_eval_state(&self, populating: &HashSet<ClassId>, body_depth: u32) -> AdoptedEval<'_> {
         EVAL_STATE.with(|m| {
             m.borrow_mut().insert(
                 self.token,
@@ -945,14 +947,7 @@ impl View {
                 },
             );
         });
-    }
-
-    /// Clears a worker thread's evaluation state (counterpart of
-    /// [`Self::adopt_eval_state`]).
-    fn clear_eval_state(&self) {
-        EVAL_STATE.with(|m| {
-            m.borrow_mut().remove(&self.token);
-        });
+        AdoptedEval(self)
     }
 
     // ------------------------------------------------------------------
@@ -1352,8 +1347,7 @@ impl View {
         // Guaranteed-superclass units, one per contributor (see
         // `infer::infer_position`).
         let mut units: Vec<Vec<ClassId>> = Vec::new();
-        let mut bound: Vec<BoundInclude> = Vec::new();
-        let mut plans: Vec<IncPlan> = Vec::new();
+        let mut bound: Vec<Include> = Vec::new();
         let mut imaginary_core: Option<BTreeMap<Symbol, Type>> = None;
         for inc in includes {
             match inc {
@@ -1361,8 +1355,7 @@ impl View {
                     let c = self.lookup_class(*n).ok_or(OodbError::UnknownClass(*n))?;
                     wholly.push(c);
                     units.push(crate::infer::unit_of(&self.schema.read(), &[c]));
-                    bound.push(BoundInclude::Class(c));
-                    plans.push(IncPlan::Class(c));
+                    bound.push(Include::Class(c));
                 }
                 IncludeSpec::Like(n) => {
                     let spec = self.lookup_class(*n).ok_or(OodbError::UnknownClass(*n))?;
@@ -1373,8 +1366,7 @@ impl View {
                             units.push(crate::infer::unit_of(&schema, &[class.id]));
                         }
                     }
-                    bound.push(BoundInclude::Like { spec });
-                    plans.push(IncPlan::Opaque);
+                    bound.push(Include::Like { spec });
                 }
                 IncludeSpec::Query(q) => {
                     let ty =
@@ -1404,11 +1396,9 @@ impl View {
                     // variable are additional guaranteed superclasses.
                     constraints.extend(self.membership_conjunct_sources(q));
                     units.push(crate::infer::unit_of(&self.schema.read(), &constraints));
-                    let optimized = ov_query::optimize_select(q);
-                    plans.push(self.incremental_plan(&optimized));
                     // Population queries run on every (re)computation:
                     // fold their constants once, at definition time.
-                    bound.push(BoundInclude::Query(optimized));
+                    bound.push(self.bind_query(ov_query::optimize_select(q)));
                 }
                 IncludeSpec::Imaginary(q) => {
                     let ty =
@@ -1431,8 +1421,7 @@ impl View {
                         }
                     };
                     imaginary_core = Some(core);
-                    bound.push(BoundInclude::Imaginary(ov_query::optimize_select(q)));
-                    plans.push(IncPlan::Opaque);
+                    bound.push(Include::Imaginary(ov_query::optimize_select(q)));
                 }
             }
         }
@@ -1513,51 +1502,33 @@ impl View {
                 None => ClassKind::Virtual,
             },
         );
-        // Compile each maintainable membership predicate once, here at bind
-        // time; population scans and delta retests reuse the programs.
-        let compiled: Vec<Option<Arc<ov_query::Program>>> = plans
-            .iter()
-            .map(|p| match p {
-                IncPlan::Filter {
-                    var,
-                    filter: Some(f),
-                    ..
-                } => ov_query::compile_predicate(f, &[*var]).map(Arc::new),
-                _ => None,
-            })
-            .collect();
-        self.virt.write().insert(
-            class_id,
-            Arc::new(VirtualInfo {
-                includes: bound,
-                plans,
-                compiled,
-            }),
-        );
+        self.virt.write().insert(class_id, bound.into());
         Ok(class_id)
     }
 
-    /// Derives a delta-maintenance plan for a population query: only the
-    /// canonical specialization shape `select V from V in C [where F]` is
-    /// maintainable per object.
-    fn incremental_plan(&self, q: &SelectExpr) -> IncPlan {
-        let [(var, coll)] = q.bindings.as_slice() else {
-            return IncPlan::Opaque;
+    /// Binds a population query. The canonical specialization shape `select
+    /// V from V in C [where F]` becomes an [`Include::Filter`], its filter
+    /// compiled here, once; population scans and delta retests reuse the
+    /// program. Any other query stays whole.
+    fn bind_query(&self, q: SelectExpr) -> Include {
+        let canonical = match q.bindings.as_slice() {
+            [(var, Expr::Name(coll))] if !q.the && *q.proj == Expr::Name(*var) => {
+                self.lookup_class(*coll).map(|class| (class, *coll, *var))
+            }
+            _ => None,
         };
-        let Expr::Name(class_name) = coll else {
-            return IncPlan::Opaque;
+        let Some((class, coll, var)) = canonical else {
+            return Include::Query(q);
         };
-        if *q.proj != Expr::Name(*var) {
-            return IncPlan::Opaque;
-        }
-        match self.lookup_class(*class_name) {
-            Some(class) => IncPlan::Filter {
-                class,
-                var: *var,
-                filter: q.filter.as_deref().cloned(),
-            },
-            None => IncPlan::Opaque,
-        }
+        let filter = q.filter.as_deref();
+        let prog = filter.and_then(|f| ov_query::compile_predicate(f, &[var]));
+        Include::Filter(FilterInclude {
+            class,
+            coll,
+            var,
+            prog,
+            query: q,
+        })
     }
 
     /// Extracts extra population sources from membership conjuncts in the
@@ -1811,8 +1782,8 @@ impl View {
         Ok((oids, plan::PopOutcome::FullRecompute))
     }
 
-    /// The bound definition of virtual class `c` (a pointer clone).
-    fn virtual_info(&self, c: ClassId) -> Arc<VirtualInfo> {
+    /// The bound includes of virtual class `c` (a pointer clone).
+    fn includes_of(&self, c: ClassId) -> Arc<[Include]> {
         self.virt
             .read()
             .get(&c)
@@ -1865,8 +1836,9 @@ impl View {
         versions: &[u64],
         schema_len: usize,
     ) -> ov_query::Result<Option<(Arc<BTreeSet<Oid>>, usize)>> {
-        let info = self.virtual_info(c);
-        if info.plans.iter().any(|p| matches!(p, IncPlan::Opaque)) {
+        let includes = self.includes_of(c);
+        let maintainable = |i: &Include| matches!(i, Include::Class(_) | Include::Filter(_));
+        if !includes.iter().all(maintainable) {
             return Ok(None);
         }
         for _ in 0..PATCH_ROUNDS {
@@ -1891,14 +1863,11 @@ impl View {
             // privileged visibility and cycle guards as a full computation.
             // An empty delta (another source of a multi-source view moved)
             // only restamps the entry.
-            let verdicts: Vec<(Oid, bool)> = if changed.is_empty() {
-                Vec::new()
+            let admitted = if changed.is_empty() {
+                BTreeSet::new()
             } else {
                 let _guard = PopBracket::enter(self, c);
-                changed
-                    .into_iter()
-                    .map(|oid| Ok((oid, self.delta_member(&info, oid)?)))
-                    .collect::<ov_query::Result<_>>()?
+                self.delta_admits(&includes, &changed)?
             };
             let mut shard = self.pop_shard_write(c);
             let Some(entry) = shard.get_mut(&c) else {
@@ -1907,7 +1876,7 @@ impl View {
             if entry.versions != base || entry.schema_len != schema_len {
                 continue;
             }
-            if !verdicts.is_empty() {
+            if !changed.is_empty() {
                 // Resolved on every patch, so the counter is listed (at 0)
                 // as soon as one delta ran, not only after the first copy.
                 let copies = ov_oodb::metric_counter!("views.delta_copies");
@@ -1916,76 +1885,98 @@ impl View {
                 if !std::ptr::eq(held, set) {
                     copies.inc();
                 }
-                for &(oid, member) in &verdicts {
-                    if member {
-                        set.insert(oid);
+                for oid in &changed {
+                    if admitted.contains(oid) {
+                        set.insert(*oid);
                     } else {
-                        set.remove(&oid);
+                        set.remove(oid);
                     }
                 }
             }
             entry.versions.copy_from_slice(versions);
-            return Ok(Some((entry.oids.clone(), verdicts.len())));
+            return Ok(Some((entry.oids.clone(), changed.len())));
         }
         Ok(None)
     }
 
-    /// Does any include admit `oid` right now (per its delta plan)?
-    fn delta_member(&self, info: &VirtualInfo, oid: Oid) -> ov_query::Result<bool> {
+    /// The `changed` oids some include admits right now. The journal delta
+    /// as a candidate source: per include, the changed oids no earlier
+    /// include admitted that are members of its class go through the row
+    /// loop.
+    fn delta_admits(
+        &self,
+        includes: &[Include],
+        changed: &BTreeSet<Oid>,
+    ) -> ov_query::Result<BTreeSet<Oid>> {
         // A deleted base object is a member of nothing.
-        if !DataSource::object_exists(self, oid) {
-            return Ok(false);
-        }
-        for (idx, plan) in info.plans.iter().enumerate() {
-            match plan {
-                IncPlan::Class(ci) => {
-                    if DataSource::is_member(self, oid, *ci)? {
-                        return Ok(true);
-                    }
+        let live: Vec<Oid> = changed
+            .iter()
+            .copied()
+            .filter(|&oid| DataSource::object_exists(self, oid))
+            .collect();
+        let mut admitted = BTreeSet::new();
+        for inc in includes {
+            let (class, filter) = match inc {
+                Include::Class(class) => (*class, None),
+                Include::Filter(f) => (f.class, Some(f)),
+                _ => unreachable!("checked by try_incremental"),
+            };
+            let mut candidates = Vec::new();
+            for &oid in &live {
+                if !admitted.contains(&oid) && DataSource::is_member(self, oid, class)? {
+                    candidates.push(oid);
                 }
-                IncPlan::Filter { class, var, filter } => {
-                    if DataSource::is_member(self, oid, *class)? {
-                        match filter {
-                            None => return Ok(true),
-                            // Retest with the bind-time compiled predicate
-                            // when one exists (same steps and errors as the
-                            // interpreter, minus the tree walk).
-                            Some(_)
-                                if ov_query::compiled_enabled() && info.compiled[idx].is_some() =>
-                            {
-                                let prog = info.compiled[idx].as_deref().expect("checked");
-                                let mut scan = ov_query::Scan::new(prog, self);
-                                scan.bind(0, Value::Oid(oid));
-                                if ov_query::truthy(&scan.run(0)?) {
-                                    return Ok(true);
-                                }
-                            }
-                            Some(f) => {
-                                let mut env = ov_query::Env::new();
-                                env.bind(*var, Value::Oid(oid));
-                                let keep = ov_query::Evaluator::new(self).eval(f, &mut env)?;
-                                if ov_query::truthy(&keep) {
-                                    return Ok(true);
-                                }
-                            }
-                        }
-                    }
+            }
+            match filter {
+                Some(f) if !candidates.is_empty() => {
+                    let mut unreported = plan::ScanActuals::default();
+                    self.run_rows(f.row_spec(), &candidates, &mut unreported, &mut admitted)?
                 }
-                IncPlan::Opaque => unreachable!("checked by try_incremental"),
+                _ => admitted.extend(candidates),
             }
         }
-        Ok(false)
+        Ok(admitted)
     }
 
-    /// Filters `extent` by `filter` (with `var` bound to each object) on a
-    /// scoped worker pool (see [`PopBracket`] for the eval-state bracket). Workers inherit the calling thread's evaluation
-    /// state — the in-progress population set (cycle guard) and the
-    /// privileged-visibility depth — so the filter sees exactly what a
-    /// sequential scan would see. The first error (in chunk order) wins.
-    /// The planner's row estimate for a canonical specialization query:
+    /// The membership loop every candidate source shares: a row test built
+    /// on this thread from `spec`, fed `candidates` in order, admitting
+    /// into `out` under [`ov_query::rowtest`]'s charge rule.
+    fn run_rows(
+        &self,
+        spec: RowSpec<'_>,
+        candidates: &[Oid],
+        counted: &mut plan::ScanActuals,
+        out: &mut BTreeSet<Oid>,
+    ) -> ov_query::Result<()> {
+        let mut test = RowTest::new(self, spec);
+        let rows = candidates.iter().map(|&oid| Value::Oid(oid));
+        ov_query::scan_rows(rows, &mut test, counted, |row| {
+            out.insert(row.as_oid().expect("a population projects its oids"))
+        })
+    }
+
+    /// The actuals bracket of one include-term scan: runs `scan` in a fresh
+    /// actuals frame, reports the rows it counted, and records the scan
+    /// event with everything the frame measured — on error too.
+    fn measured<R>(
+        kind: plan::ScanKind,
+        est_rows: Option<u64>,
+        scan: impl FnOnce(&mut plan::ScanActuals) -> ov_query::Result<R>,
+    ) -> ov_query::Result<R> {
+        let (r, actuals) = plan::with_scan_actuals(|| {
+            let mut counted = plan::ScanActuals::default();
+            let r = scan(&mut counted);
+            plan::add_actuals(&counted);
+            r
+        });
+        plan::record_scan_est(kind, actuals, est_rows);
+        r
+    }
+
+    /// The planner's row estimate for a single-binding class scan:
     /// estimated class cardinality × filter selectivity, from the
-    /// statistics plane. `None` when the planner is off, the query is not
-    /// a single-binding class scan, or the class has no warm cardinality.
+    /// statistics plane. `None` when the planner is off, the query has
+    /// another shape, or the class has no warm cardinality.
     fn scan_estimate(&self, q: &SelectExpr) -> Option<u64> {
         if !ov_query::planner_enabled() {
             return None;
@@ -1996,362 +1987,19 @@ impl View {
         ov_query::estimate_select(*class_name, *var, q.filter.as_deref())
     }
 
-    fn parallel_filter(
-        &self,
-        extent: &[Oid],
-        var: Symbol,
-        filter: Option<&Expr>,
-        compiled: Option<&ov_query::Program>,
-        est_rows: Option<u64>,
-    ) -> ov_query::Result<BTreeSet<Oid>> {
-        let (populating, depth) = self.with_eval(|s| (s.populating.clone(), s.body_depth));
-        let workers = self.parallel.workers_for(extent.len());
-        let chunk_len = extent.len().div_ceil(workers);
-        let engine = if compiled.is_some() {
-            plan::Engine::Compiled
-        } else {
-            plan::Engine::Interpreted
-        };
-        let chunks = extent.len().div_ceil(chunk_len);
-        // Work counters cross the thread boundary through shared atomics:
-        // each worker measures its own chunk (including nested scans inside
-        // computed-attribute bodies) in a thread-local frame, then folds the
-        // work counters here. Budget charges are *not* folded — workers
-        // bracket a shared budget concurrently, so their deltas overlap; the
-        // coordinator's own frame below measures the true total.
-        let shared: [AtomicU64; 4] = std::array::from_fn(|_| AtomicU64::new(0));
-        let (result, actuals) = plan::with_scan_actuals(|| {
-            let results: Vec<ov_query::Result<BTreeSet<Oid>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = extent
-                    .chunks(chunk_len)
-                    .map(|chunk| {
-                        let populating = &populating;
-                        let shared = &shared;
-                        scope.spawn(move || {
-                            // Per-chunk span, emitted on the worker thread so
-                            // the flight recorder attributes it to the worker.
-                            let _chunk_span = ov_oodb::span!("view.scan_chunk", len = chunk.len());
-                            self.adopt_eval_state(populating, depth);
-                            let scan = || -> ov_query::Result<BTreeSet<Oid>> {
-                                // Failpoint: per-chunk errors and panics, for
-                                // exercising the sequential-fallback breaker.
-                                if ov_oodb::faults::enabled() {
-                                    ov_oodb::faults::hit("view.scan_chunk")
-                                        .map_err(OodbError::Fault)?;
-                                }
-                                let mut actuals = plan::ScanActuals::default();
-                                // Each chunk builds its own executor: the
-                                // register file, value stack, and resolution
-                                // caches are per-thread state.
-                                let mut exec = compiled.map(|prog| ov_query::Scan::new(prog, self));
-                                let r = (|| -> ov_query::Result<BTreeSet<Oid>> {
-                                    let mut keep = BTreeSet::new();
-                                    if let Some(scan) = exec.as_mut() {
-                                        for &oid in chunk {
-                                            scan.bind(0, Value::Oid(oid));
-                                            actuals.rows_scanned += 1;
-                                            if ov_query::truthy(&scan.run(0)?) {
-                                                actuals.rows_matched += 1;
-                                                keep.insert(oid);
-                                            }
-                                        }
-                                        return Ok(keep);
-                                    }
-                                    let ev = ov_query::Evaluator::new(self);
-                                    for &oid in chunk {
-                                        actuals.rows_scanned += 1;
-                                        let ok = match filter {
-                                            None => true,
-                                            Some(f) => {
-                                                let mut env = ov_query::Env::new();
-                                                env.bind(var, Value::Oid(oid));
-                                                ov_query::truthy(&ev.eval(f, &mut env)?)
-                                            }
-                                        };
-                                        if ok {
-                                            actuals.rows_matched += 1;
-                                            keep.insert(oid);
-                                        }
-                                    }
-                                    Ok(keep)
-                                })();
-                                if let Some(scan) = exec.as_mut() {
-                                    actuals.absorb(&scan.take_actuals());
-                                }
-                                plan::add_actuals(&actuals);
-                                r
-                            };
-                            let (r, a) = plan::with_scan_actuals(scan);
-                            for (slot, v) in shared.iter().zip([
-                                a.rows_scanned,
-                                a.rows_matched,
-                                a.cache_hits,
-                                a.cache_misses,
-                            ]) {
-                                slot.fetch_add(v, Ordering::Relaxed);
-                            }
-                            self.clear_eval_state();
-                            r
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        // A panicking chunk becomes a typed per-chunk error
-                        // instead of tearing down the coordinator; the worker's
-                        // eval state dies with its thread.
-                        Err(payload) => Err(QueryError::Panicked {
-                            site: "view.scan_chunk",
-                            msg: ov_query::panic_message(&payload),
-                        }),
-                    })
-                    .collect()
-            });
-            plan::add_actuals(&plan::ScanActuals {
-                rows_scanned: shared[0].load(Ordering::Relaxed),
-                rows_matched: shared[1].load(Ordering::Relaxed),
-                cache_hits: shared[2].load(Ordering::Relaxed),
-                cache_misses: shared[3].load(Ordering::Relaxed),
-                ..Default::default()
-            });
-            let mut out = BTreeSet::new();
-            for r in results {
-                out.extend(r?);
-            }
-            Ok(out)
-        });
-        plan::record_scan_est(
-            plan::ScanKind::Parallel { chunks, engine },
-            actuals,
-            est_rows,
-        );
-        result
-    }
-
     fn compute_population(&self, c: ClassId) -> ov_query::Result<BTreeSet<Oid>> {
         // Failpoint: lets the chaos harness fail (or delay, or panic) a
         // recompute as a whole, exercising the retry / stale-serve paths.
         if ov_oodb::faults::enabled() {
             ov_oodb::faults::hit("view.population_recompute").map_err(OodbError::Fault)?;
         }
-        let info = self.virtual_info(c);
         let mut out = BTreeSet::new();
-        for (idx, inc) in info.includes.iter().enumerate() {
+        for inc in self.includes_of(c).iter() {
             match inc {
-                BoundInclude::Class(ci) => {
-                    out.extend(DataSource::extent(self, *ci)?);
-                }
-                BoundInclude::Query(q) => {
-                    // The bind-time compiled membership predicate, unless
-                    // `.engine interp` turned the bytecode engine off.
-                    let compiled = if ov_query::compiled_enabled() {
-                        info.compiled[idx].as_deref()
-                    } else {
-                        None
-                    };
-                    // Index pushdown: a specialization query with an
-                    // equality conjunct on an indexed stored attribute is
-                    // answered from the index instead of scanning the
-                    // extent.
-                    let est = self.scan_estimate(q);
-                    if let Some((candidates, index)) = self.index_candidates(q) {
-                        self.bump_stat(Stat::IndexPushdown);
-                        let engine = if compiled.is_some() {
-                            plan::Engine::Compiled
-                        } else {
-                            plan::Engine::Interpreted
-                        };
-                        let var = q.bindings[0].0;
-                        let (r, actuals) = plan::with_scan_actuals(|| -> ov_query::Result<()> {
-                            let mut actuals = plan::ScanActuals::default();
-                            let mut exec = compiled.map(|prog| ov_query::Scan::new(prog, self));
-                            let r = (|| -> ov_query::Result<()> {
-                                if let Some(scan) = exec.as_mut() {
-                                    for &oid in &candidates {
-                                        scan.bind(0, Value::Oid(oid));
-                                        actuals.rows_scanned += 1;
-                                        if ov_query::truthy(&scan.run(0)?) {
-                                            actuals.rows_matched += 1;
-                                            out.insert(oid);
-                                        }
-                                    }
-                                    return Ok(());
-                                }
-                                for oid in candidates {
-                                    actuals.rows_scanned += 1;
-                                    let mut env = ov_query::Env::new();
-                                    env.bind(var, Value::Oid(oid));
-                                    let keep = match &q.filter {
-                                        None => true,
-                                        Some(f) => ov_query::truthy(
-                                            &ov_query::Evaluator::new(self).eval(f, &mut env)?,
-                                        ),
-                                    };
-                                    if keep {
-                                        actuals.rows_matched += 1;
-                                        out.insert(oid);
-                                    }
-                                }
-                                Ok(())
-                            })();
-                            if let Some(scan) = exec.as_mut() {
-                                actuals.absorb(&scan.take_actuals());
-                            }
-                            plan::add_actuals(&actuals);
-                            r
-                        });
-                        plan::record_scan_est(
-                            plan::ScanKind::IndexPushdown { index, engine },
-                            actuals,
-                            est,
-                        );
-                        r?;
-                        continue;
-                    }
-                    // Parallel scan: a specialization query over a plain
-                    // class extent splits across worker threads when the
-                    // extent is large enough. Guarded on the binding name
-                    // not shadowing a named object, so the collection is
-                    // genuinely the class extent the sequential evaluator
-                    // would resolve to.
-                    if let IncPlan::Filter { class, var, filter } = self.incremental_plan(q) {
-                        let Expr::Name(coll_name) = &q.bindings[0].1 else {
-                            unreachable!("IncPlan::Filter implies a Name collection")
-                        };
-                        if !q.the && ov_query::DataSource::named_object(self, *coll_name).is_none()
-                        {
-                            let extent = DataSource::extent(self, class)?;
-                            // Strategy choice: the cost model weighs the
-                            // split's fixed overhead against the per-worker
-                            // share; planner off keeps the fixed threshold.
-                            let split = if ov_query::planner_enabled() {
-                                ov_query::planner::choose_split(
-                                    extent.len(),
-                                    self.parallel.workers_for(extent.len()),
-                                    self.parallel.threshold,
-                                )
-                            } else {
-                                self.parallel.should_split(extent.len())
-                            };
-                            if split
-                                && self.parallel_strikes.load(Ordering::Relaxed)
-                                    < PARALLEL_STRIKE_LIMIT
-                            {
-                                self.bump_stat(Stat::ParallelScan);
-                                match self.parallel_filter(
-                                    &extent,
-                                    var,
-                                    filter.as_ref(),
-                                    compiled,
-                                    est,
-                                ) {
-                                    Ok(set) => {
-                                        self.parallel_strikes.store(0, Ordering::Relaxed);
-                                        out.extend(set);
-                                        continue;
-                                    }
-                                    // Chunk faults and panics degrade to the
-                                    // sequential scan below; enough strikes
-                                    // in a row trip the breaker and the view
-                                    // stops splitting scans. Budget breaches
-                                    // propagate — a sequential retry would
-                                    // breach the same shared counters.
-                                    Err(e)
-                                        if e.is_transient()
-                                            || matches!(e, QueryError::Panicked { .. }) =>
-                                    {
-                                        let strikes =
-                                            self.parallel_strikes.fetch_add(1, Ordering::Relaxed)
-                                                + 1;
-                                        self.bump_stat(Stat::SeqFallback);
-                                        let _s = ov_oodb::span!(
-                                            "view.seq_fallback",
-                                            strikes = strikes as usize
-                                        );
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                            }
-                            // Compiled sequential scan: same rows, budget
-                            // steps, and errors as the `eval_select` below,
-                            // minus the per-row tree walk and Env clones.
-                            if let Some(prog) = compiled {
-                                let (r, actuals) = plan::with_scan_actuals(
-                                    || -> ov_query::Result<BTreeSet<Oid>> {
-                                        let mut actuals = plan::ScanActuals::default();
-                                        let mut scan = ov_query::Scan::new(prog, self);
-                                        let r = (|| -> ov_query::Result<BTreeSet<Oid>> {
-                                            let budget = ov_query::budget::current();
-                                            // One node entry for the collection name,
-                                            // then per row the filter and (on keep) the
-                                            // projection node — the tree walker's exact
-                                            // accounting.
-                                            scan.step(1)?;
-                                            let mut kept = BTreeSet::new();
-                                            for &oid in &extent {
-                                                scan.bind(0, Value::Oid(oid));
-                                                actuals.rows_scanned += 1;
-                                                if ov_query::truthy(&scan.run(1)?) {
-                                                    actuals.rows_matched += 1;
-                                                    scan.step(1)?;
-                                                    if kept.insert(oid) {
-                                                        if let Some(b) = &budget {
-                                                            b.note_rows(1)?;
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                            Ok(kept)
-                                        })();
-                                        actuals.absorb(&scan.take_actuals());
-                                        plan::add_actuals(&actuals);
-                                        r
-                                    },
-                                );
-                                plan::record_scan_est(
-                                    plan::ScanKind::Sequential {
-                                        engine: plan::Engine::Compiled,
-                                    },
-                                    actuals,
-                                    est,
-                                );
-                                out.extend(r?);
-                                continue;
-                            }
-                        }
-                    }
-                    let (r, actuals) = plan::with_scan_actuals(|| eval_select(self, q));
-                    plan::record_scan_est(
-                        plan::ScanKind::Sequential {
-                            engine: plan::Engine::Interpreted,
-                        },
-                        actuals,
-                        est,
-                    );
-                    let v = r?;
-                    let Value::Set(items) = v else {
-                        unreachable!("select returns a set")
-                    };
-                    for item in items {
-                        match item {
-                            Value::Oid(o) => {
-                                out.insert(o);
-                            }
-                            Value::Null => {}
-                            other => {
-                                let name = self.schema.read().class(c).name;
-                                return Err(ViewError::NonObjectPopulation {
-                                    class: name,
-                                    found: other.kind().to_string(),
-                                }
-                                .into());
-                            }
-                        }
-                    }
-                }
-                BoundInclude::Like { spec } => {
+                Include::Class(ci) => out.extend(DataSource::extent(self, *ci)?),
+                Include::Filter(f) => out.append(&mut self.scan_filter(c, f)?),
+                Include::Query(q) => out.append(&mut self.eval_query(c, q)?),
+                Include::Like { spec } => {
                     // Re-scan: classes defined after this one are admitted
                     // automatically.
                     let populating = self.with_eval(|s| s.populating.clone());
@@ -2372,7 +2020,7 @@ impl View {
                         out.extend(DataSource::extent(self, m)?);
                     }
                 }
-                BoundInclude::Imaginary(q) => {
+                Include::Imaginary(q) => {
                     let v = eval_select(self, q)?;
                     let Value::Set(items) = v else {
                         unreachable!("select returns a set")
@@ -2398,31 +2046,123 @@ impl View {
         Ok(out)
     }
 
-    /// If `q` is a canonical specialization query with an equality
-    /// conjunct `var.A = literal` that [`DataSource::indexed_lookup`] can
-    /// serve exactly, returns the candidate oids from the index together
-    /// with the index's `Class.Attr` label (the full filter is still
-    /// applied by the caller).
-    fn index_candidates(&self, q: &SelectExpr) -> Option<(Vec<Oid>, String)> {
-        let [(var, Expr::Name(class_name))] = q.bindings.as_slice() else {
-            return None;
-        };
-        if *q.proj != Expr::Name(*var) {
-            return None;
+    /// Populates a canonical specialization include. The four candidate
+    /// sources meet here and nowhere else: one guard, then index postings
+    /// if [`Self::index_candidates`] answers, else a split of the extent
+    /// across workers if the strategy choice and the strike counter allow,
+    /// else the sequential scan. Each feeds [`Self::run_rows`].
+    fn scan_filter(&self, c: ClassId, inc: &FilterInclude) -> ov_query::Result<BTreeSet<Oid>> {
+        // The guard: the row loop scans `class`, which is what the query
+        // means only while no named object shadows the collection name
+        // (`resolve_name` order; objects can be named after bind).
+        if DataSource::named_object(self, inc.coll).is_some() {
+            return self.eval_query(c, &inc.query);
         }
-        let class = self.lookup_class(*class_name)?;
-        let (attr, value) = ov_query::planner::conjuncts(q.filter.as_deref()?)
+        let est = self.scan_estimate(&inc.query);
+        let spec = inc.row_spec();
+        let engine = spec.engine();
+        let mut out = BTreeSet::new();
+        if let Some((postings, index)) = self.index_candidates(inc) {
+            self.bump_stat(Stat::IndexPushdown);
+            let kind = plan::ScanKind::IndexPushdown { index, engine };
+            Self::measured(kind, est, |counted| {
+                self.run_rows(spec, &postings, counted, &mut out)
+            })?;
+            return Ok(out);
+        }
+        let extent = DataSource::extent(self, inc.class)?;
+        // A scan of the whole extent owes one node entry for the collection
+        // name; then per row the filter and (on keep) the projection node —
+        // the tree walker's exact accounting.
+        let collection_step = || ov_query::budget::current().map_or(Ok(()), |b| b.step(1));
+        if self.parallel.chooses_split(extent.len())
+            && self.parallel_strikes.load(Ordering::Relaxed) < PARALLEL_STRIKE_LIMIT
+        {
+            self.bump_stat(Stat::ParallelScan);
+            let chunks = extent.len().div_ceil(self.parallel.chunk_len(extent.len()));
+            let (populating, depth) = self.with_eval(|s| (s.populating.clone(), s.body_depth));
+            let split = Self::measured(plan::ScanKind::Parallel { chunks, engine }, est, |_| {
+                collection_step()?;
+                let site = "view.scan_chunk";
+                ov_query::filter_map_chunked(&self.parallel, site, &extent, |chunk, keep| {
+                    let _state = self.adopt_eval_state(&populating, depth);
+                    let mut counted = plan::ScanActuals::default();
+                    let r = self.run_rows(spec, chunk, &mut counted, keep);
+                    plan::add_actuals(&counted);
+                    r
+                })
+            });
+            match split {
+                Ok(set) => {
+                    self.parallel_strikes.store(0, Ordering::Relaxed);
+                    return Ok(set);
+                }
+                // Chunk faults and panics degrade to the sequential scan
+                // below; enough strikes in a row trip the breaker and the
+                // view stops splitting scans. Budget breaches propagate — a
+                // sequential retry would breach the same shared counters.
+                Err(e) if e.is_transient() || matches!(e, QueryError::Panicked { .. }) => {
+                    let strikes = self.parallel_strikes.fetch_add(1, Ordering::Relaxed) + 1;
+                    self.bump_stat(Stat::SeqFallback);
+                    let _s = ov_oodb::span!("view.seq_fallback", strikes = strikes as usize);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Self::measured(plan::ScanKind::Sequential { engine }, est, |counted| {
+            collection_step()?;
+            self.run_rows(spec, &extent, counted, &mut out)
+        })?;
+        Ok(out)
+    }
+
+    /// Populates from a query the row loop does not cover — another shape,
+    /// or a shadowed collection name — by interpreting it whole.
+    fn eval_query(&self, c: ClassId, q: &SelectExpr) -> ov_query::Result<BTreeSet<Oid>> {
+        let kind = plan::ScanKind::Sequential {
+            engine: plan::Engine::Interpreted,
+        };
+        let v = Self::measured(kind, self.scan_estimate(q), |_| eval_select(self, q))?;
+        let Value::Set(items) = v else {
+            unreachable!("select returns a set")
+        };
+        let mut out = BTreeSet::new();
+        for item in items {
+            match item {
+                Value::Oid(o) => {
+                    out.insert(o);
+                }
+                Value::Null => {}
+                other => {
+                    let name = self.schema.read().class(c).name;
+                    return Err(ViewError::NonObjectPopulation {
+                        class: name,
+                        found: other.kind().to_string(),
+                    }
+                    .into());
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// If the include's filter has an equality conjunct `var.A = literal`
+    /// that [`DataSource::indexed_lookup`] can serve exactly, returns the
+    /// candidate oids from the index together with the index's `Class.Attr`
+    /// label (the caller still applies the full filter).
+    fn index_candidates(&self, inc: &FilterInclude) -> Option<(Vec<Oid>, String)> {
+        let (attr, value) = ov_query::planner::conjuncts(inc.query.filter.as_deref()?)
             .into_iter()
-            .find_map(|leg| ov_query::planner::eq_conjunct(leg, *var))?;
+            .find_map(|leg| ov_query::planner::eq_conjunct(leg, inc.var))?;
         // Cost-based veto: on a low-NDV attribute each index posting list
         // is a large fraction of the extent, so probing the index and then
         // re-filtering loses to the straight compiled scan. Unmeasured
         // attributes keep the historical pushdown-always behavior.
-        if ov_query::planner_enabled() && !ov_query::planner::index_worthwhile(*class_name, attr) {
+        if ov_query::planner_enabled() && !ov_query::planner::index_worthwhile(inc.coll, attr) {
             return None;
         }
-        let candidates = DataSource::indexed_lookup(self, class, attr, value)?;
-        Some((candidates, format!("{class_name}.{attr}")))
+        let candidates = DataSource::indexed_lookup(self, inc.class, attr, value)?;
+        Some((candidates, format!("{}.{attr}", inc.coll)))
     }
 
     /// Maps a core tuple to its imaginary oid (§5.1): "there could be a
@@ -3174,17 +2914,13 @@ impl DataSource for View {
         Err(QueryError::from(OodbError::UnknownObject(oid)))
     }
 
-    fn resolution_class(&self, oid: Oid) -> Option<ClassId> {
-        // The *raw* presented class, not `class_of`: hidden classes map to
-        // visible ancestors only at body depth 0, so two oids of one hidden
-        // class must not share a cache key with oids of the ancestor.
-        self.view_class_of(oid).ok()
-    }
-
     fn resolution_class_and_field(&self, oid: Oid, name: Symbol) -> Option<(ClassId, Value)> {
-        // Fused `resolution_class` + `stored_field`: one source-store probe
-        // instead of two, which matters at a lock acquisition and a hash
-        // lookup per scanned row.
+        // One source-store probe for the class key and the field, which
+        // matters at a lock acquisition and a hash lookup per scanned row.
+        // The key is the *raw* presented class, not `class_of`: hidden
+        // classes map to visible ancestors only at body depth 0, so two
+        // oids of one hidden class must not share a cache key with oids of
+        // the ancestor.
         if let Some(hit) = self.imaginary_object(oid, |im| {
             (im.class, im.core.get(name).cloned().unwrap_or(Value::Null))
         }) {

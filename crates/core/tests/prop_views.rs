@@ -10,12 +10,48 @@
 //!   equality-defined populations agree across planner on / planner off /
 //!   interpreter / no indexes, whatever overrides, hides, virtual-class
 //!   definitions and partial imports stand between the query and the
-//!   stored field.
+//!   stored field;
+//! * a population is the same set whatever feeds its row loop — the whole
+//!   extent, a split of it, index postings, the journal delta — and
+//!   whichever engine runs the row test, and a budget governs every one of
+//!   those sources by the same charge rule.
 
-use ov_oodb::{sym, ClassId, Database, OodbError, Symbol, System, Type, Value};
-use ov_query::DataSource;
-use ov_views::{Materialization, ViewDef, ViewError, ViewOptions};
+use ov_oodb::{sym, ClassId, Database, Oid, OodbError, Symbol, System, Type, Value};
+use ov_query::{Budget, DataSource, EngineMode, ParallelConfig, PopPath, QueryError};
+use ov_views::{Materialization, View, ViewDef, ViewError, ViewOptions};
 use proptest::prelude::*;
+
+const ENGINES: [EngineMode; 2] = [EngineMode::Compiled, EngineMode::Interp];
+
+/// A split at every opportunity: four workers, no minimum extent.
+const SPLIT: ParallelConfig = ParallelConfig {
+    threads: 4,
+    threshold: 1,
+};
+
+/// Reads the population of `class` and checks it against its own trace:
+/// when the read recomputed, the last scan event of the class matched as
+/// many rows as the population holds — plus, when `nested`, whatever the
+/// populations that ran inside its row test matched (an actuals frame
+/// includes the frames nested in it).
+fn population(view: &View, class: &str, nested: bool) -> Result<Vec<Oid>, String> {
+    let (oids, traces) = ov_query::plan::collect(|| view.extent_of(sym(class)));
+    let oids = oids.map_err(|e| e.to_string())?;
+    let trace = traces.iter().rev().find(|t| t.class == sym(class));
+    if let Some(PopPath::FullRecompute { scans }) = trace.map(|t| &t.path) {
+        let matched = scans
+            .last()
+            .expect("one scan per include")
+            .actuals
+            .rows_matched;
+        let members = oids.len() as u64;
+        assert!(
+            matched == members || (nested && matched > members),
+            "{class} has {members} members: {scans:?}"
+        );
+    }
+    Ok(oids)
+}
 
 /// Builds a people database with the given (name, age) rows.
 fn people_db(rows: &[(String, i64)]) -> System {
@@ -135,18 +171,22 @@ proptest! {
             db.write().create_object(person, row(*age, *income)).unwrap();
         }
         let defs: Vec<ViewDef> = STACK.iter().map(|s| ViewDef::from_script(s).unwrap()).collect();
-        let recomputing: Vec<ov_views::View> = defs
+        // Always recomputing, by a sequential scan and by a split one.
+        let recomputing: Vec<[View; 2]> = defs
             .iter()
             .map(|def| {
-                def.binder(session.system())
-                    .over_all(&defs)
-                    .options(
-                        ViewOptions::builder()
-                            .materialization(Materialization::AlwaysRecompute)
-                            .build(),
-                    )
-                    .bind()
-                    .unwrap()
+                [ParallelConfig::default(), SPLIT].map(|parallel| {
+                    def.binder(session.system())
+                        .over_all(&defs)
+                        .options(
+                            ViewOptions::builder()
+                                .materialization(Materialization::AlwaysRecompute)
+                                .parallel(parallel)
+                                .build(),
+                        )
+                        .bind()
+                        .unwrap()
+                })
             })
             .collect();
         let maintained = |level: usize| {
@@ -158,7 +198,7 @@ proptest! {
         }
         // The writes go to the database directly: `Session::execute` would
         // propagate each one itself, and the property picks eager or lazy.
-        for (kind, target, age, income, eager) in &writes {
+        for (step, (kind, target, age, income, eager)) in writes.iter().enumerate() {
             let oids = db.read().deep_extent(person);
             let target = (!oids.is_empty()).then(|| oids[target.index(oids.len())]);
             match (kind, target) {
@@ -176,14 +216,33 @@ proptest! {
             if *eager {
                 prop_assert_eq!(session.propagate(sym("Staff")), 3);
             }
+            // Every source × engine cell holds the same set. The first
+            // engine to read a maintained population runs its delta, so
+            // the engines take turns going first.
+            let mut engines = ENGINES;
+            engines.rotate_left(step % 2);
             for (level, class) in POPULATIONS {
-                prop_assert_eq!(
-                    maintained(level).extent_of(sym(class)).unwrap(),
-                    recomputing[level].extent_of(sym(class)).unwrap(),
-                    "{} in view {}", class, defs[level].name
-                );
+                let delta = ov_query::with_engine_mode(engines[0], || {
+                    maintained(level).extent_of(sym(class)).unwrap()
+                });
+                for engine in engines {
+                    ov_query::with_engine_mode(engine, || {
+                        let [sequential, split] = &recomputing[level];
+                        for (view, source) in [(sequential, "sequential"), (split, "split")] {
+                            assert_eq!(
+                                population(view, class, false).as_ref(),
+                                Ok(&delta),
+                                "{class} in view {}, {source} scan, {engine:?}",
+                                defs[level].name
+                            );
+                        }
+                    });
+                }
             }
         }
+        // Three rows are the least that split (`choose_split`).
+        let split_scans = recomputing[0][1].stats().parallel_scans;
+        prop_assert!(split_scans > 0 || db.read().deep_extent(person).len() < 3);
         for level in 0..3 {
             let stats = maintained(level).stats();
             prop_assert_eq!(stats.recomputations, level as u64 + 1, "cold populates only");
@@ -614,15 +673,23 @@ proptest! {
                         let d = handle.read();
                         ov_query::run_query(&*d, &q).map_err(|e| e.to_string())
                     });
-                    // The equality-defined population, with the indexes of
-                    // the moment and with none.
-                    let hit = || view.extent_of(sym("Hit")).map_err(|e| e.to_string());
-                    let with_indexes = hit();
+                    // The equality-defined population: the same set from
+                    // index postings and from the scan (the indexes of the
+                    // moment, then none), under either engine.
+                    let hit = |engine| {
+                        // Resolving `Id` populates the overlapping classes
+                        // that define it.
+                        let nested = shape.virtual_defs > 0;
+                        ov_query::with_engine_mode(engine, || population(&view, "Hit", nested))
+                    };
+                    let with_indexes = ENGINES.map(hit);
                     let defs = handle.read().store.index_defs();
                     for (c, a) in &defs {
                         handle.write().store.drop_index(*c, *a);
                     }
-                    prop_assert_eq!(with_indexes, hit(), "population Hit, indexes {:?}", defs);
+                    let scanned = ENGINES.map(hit);
+                    prop_assert_eq!(&scanned[0], &scanned[1], "population Hit, engines");
+                    prop_assert_eq!(with_indexes, scanned, "population Hit, indexes {:?}", defs);
                     for (c, a) in defs {
                         handle.write().store.create_index(c, a);
                     }
@@ -692,4 +759,191 @@ fn a_key_probe_through_a_view_stack_explains_as_an_index_probe() {
         );
         assert!(trace.contains("actuals: scanned=1 matched=1"), "{trace}");
     }
+}
+
+// ----------------------------------------------------------------------
+// One charge rule, four candidate sources
+// ----------------------------------------------------------------------
+
+const AGES: [i64; 12] = [5, 30, 40, 17, 65, 21, 40, 80, 3, 40, 55, 19];
+
+/// The fixed dataset of the budget sweeps, with or without an index on
+/// `Person.Age`.
+fn sweep_system(indexed: bool) -> System {
+    let sys = people_db(&AGES.map(|age| (format!("p{age}"), age)));
+    if indexed {
+        let handle = sys.database(sym("P")).unwrap();
+        let mut db = handle.write();
+        let person = db.schema.class_by_name(sym("Person")).unwrap();
+        db.create_index(person, sym("Age")).unwrap();
+    }
+    sys
+}
+
+/// A view over [`sweep_system`], bound with `options`.
+fn sweep_view(sys: &System, options: ViewOptions) -> View {
+    ViewDef::from_script(
+        "create view V; import all classes from database P; \
+         class Adult includes (select X from Person where X.Age >= 21); \
+         class Forty includes (select X from Person where X.Age = 40 and X.Name != \"\");",
+    )
+    .unwrap()
+    .binder(sys)
+    .options(options)
+    .bind()
+    .unwrap()
+}
+
+/// One budgeted read of `class`: the answer, and the steps and rows the
+/// budget was charged.
+fn governed(view: &View, class: &str, budget: Budget) -> (Result<Vec<Oid>, ViewError>, u64, u64) {
+    let budget = std::sync::Arc::new(budget);
+    let answer = ov_query::budget::with(budget.clone(), || view.extent_of(sym(class)));
+    (answer, budget.steps_used(), budget.rows_used())
+}
+
+/// Every candidate source is governed, and by the same rule. Each source
+/// is swept with every step cap from 1 to the sequential scan's cost and
+/// every row cap up to the population's size: the answer is the whole
+/// population exactly when the cap covers what the source charges
+/// unbudgeted, and a typed `ResourceExhausted` otherwise — never another
+/// set. What a source charges is pinned against the sequential scan: a
+/// split charges the same steps, index postings at most as many, and every
+/// source one row per member. The sequential scan stops at the same step
+/// under both engines.
+#[test]
+fn every_population_source_is_governed_by_one_charge_rule() {
+    let recompute = |parallel| {
+        ViewOptions::builder()
+            .materialization(Materialization::AlwaysRecompute)
+            .parallel(parallel)
+            .build()
+    };
+    // (source, class, options, index on Person.Age)
+    let sources = [
+        (
+            "sequential",
+            "Adult",
+            recompute(ParallelConfig::default()),
+            false,
+        ),
+        ("split", "Adult", recompute(SPLIT), false),
+        (
+            "sequential",
+            "Forty",
+            recompute(ParallelConfig::default()),
+            false,
+        ),
+        ("index", "Forty", recompute(ParallelConfig::default()), true),
+    ];
+    let mut costs = Vec::new();
+    for (source, class, options, indexed) in sources {
+        // A fresh bind per read: a view that has answered once answers a
+        // breach with that population, as a stale serve.
+        let sys = sweep_system(indexed);
+        let read = |budget: Budget| {
+            let view = sweep_view(&sys, options.clone());
+            let (answer, steps, rows) = governed(&view, class, budget);
+            (answer, steps, rows, view.stats())
+        };
+        let (full, steps, rows, stats) = read(Budget::new());
+        let full = full.unwrap();
+        assert_eq!(
+            rows,
+            full.len() as u64,
+            "{source} {class}: one row per member"
+        );
+        assert_eq!(stats.parallel_scans > 0, source == "split", "{stats:?}");
+        assert_eq!(stats.index_pushdowns > 0, source == "index", "{stats:?}");
+        costs.push((steps, rows));
+        let caps = (1..=steps + 1)
+            .map(|cap| ("steps", cap, steps))
+            .chain((0..=rows).map(|cap| ("rows", cap, rows)));
+        for (unit, cap, cost) in caps {
+            let enough = cap >= cost;
+            let what = format!("{source} {class} under max_{unit} {cap}");
+            let [compiled, interp] = ENGINES.map(|engine| {
+                let budget = match unit {
+                    "steps" => Budget::new().with_max_steps(cap),
+                    _ => Budget::new().with_max_rows(cap),
+                };
+                ov_query::with_engine_mode(engine, || read(budget))
+            });
+            match &compiled.0 {
+                Ok(oids) => assert!(enough && *oids == full, "{what}: {oids:?}"),
+                Err(ViewError::Query(QueryError::ResourceExhausted(_))) => {
+                    assert!(!enough, "{what}: breached")
+                }
+                Err(other) => panic!("{what}: {other}"),
+            }
+            assert_eq!(compiled.0.is_ok(), interp.0.is_ok(), "{what}: engines");
+            if source == "sequential" {
+                assert_eq!(
+                    (compiled.1, compiled.2),
+                    (interp.1, interp.2),
+                    "{what}: engines"
+                );
+            }
+        }
+    }
+    let [adult, split, forty, index] = costs[..] else {
+        unreachable!("four sources")
+    };
+    assert_eq!(
+        split, adult,
+        "a split scan charges what the sequential scan does"
+    );
+    assert!(
+        index.0 < forty.0 && index.1 == forty.1,
+        "{index:?} vs {forty:?}"
+    );
+}
+
+/// The journal delta as a candidate source, under the same sweep: a
+/// maintained population read after a write that moves one object in
+/// answers with the patched set, or — the budget breached inside the delta
+/// — with the pre-write set as a counted stale serve, or with the typed
+/// breach; never with anything else.
+#[test]
+fn a_governed_delta_is_all_or_nothing() {
+    let incremental = || {
+        ViewOptions::builder()
+            .materialization(Materialization::Incremental)
+            .build()
+    };
+    let mut outcomes = [0; 3];
+    for engine in ENGINES {
+        for cap in 1..40 {
+            let sys = sweep_system(false);
+            let view = sweep_view(&sys, incremental());
+            let before = view.extent_of(sym("Adult")).unwrap();
+            let db = sys.database(sym("P")).unwrap();
+            let person = db.read().schema.class_by_name(sym("Person")).unwrap();
+            let child = db.read().deep_extent(person)[0];
+            assert!(!before.contains(&child));
+            db.write()
+                .set_attr(child, sym("Age"), Value::Int(50))
+                .unwrap();
+            let mut after = before.clone();
+            after.push(child);
+            after.sort();
+            let budget = Budget::new().with_max_steps(cap);
+            let (answer, ..) =
+                ov_query::with_engine_mode(engine, || governed(&view, "Adult", budget));
+            let stats = view.stats();
+            match answer {
+                Ok(oids) if oids == after => {
+                    outcomes[0] += 1;
+                    assert_eq!((stats.incremental_updates, stats.stale_serves), (1, 0));
+                }
+                Ok(oids) if oids == before => {
+                    outcomes[1] += 1;
+                    assert_eq!((stats.incremental_updates, stats.stale_serves), (0, 1));
+                }
+                Err(ViewError::Query(QueryError::ResourceExhausted(_))) => outcomes[2] += 1,
+                other => panic!("{engine:?}, max_steps {cap}: {other:?}"),
+            }
+        }
+    }
+    assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
 }

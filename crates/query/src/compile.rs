@@ -58,7 +58,8 @@ use ov_oodb::{AggFunc, BinOp, ClassId, Expr, Oid, SelectExpr, Symbol, UnOp, Valu
 
 use crate::budget::{self, Budget};
 use crate::error::{QueryError, Result};
-use crate::eval::{self, truthy, Evaluator};
+use crate::eval::{self, finish_select, truthy, Evaluator};
+use crate::rowtest::{scan_rows, Code, RowSpec, RowTest};
 use crate::source::{DataSource, ResolvedAttr};
 
 // --- engine selection -----------------------------------------------------
@@ -1211,6 +1212,7 @@ fn no_args(name: Symbol, args: &[Value]) -> Result<()> {
 /// (`select [the] proj from V in Class [where filter]`).
 pub struct SelectScan {
     class: ClassId,
+    var: Symbol,
     filter: Option<Program>,
     proj: Program,
 }
@@ -1240,6 +1242,7 @@ pub fn compile_select_scan(src: &dyn DataSource, q: &SelectExpr) -> Option<Selec
     let proj = compile_predicate(&q.proj, &vars)?;
     Some(SelectScan {
         class,
+        var: *var,
         filter,
         proj,
     })
@@ -1266,7 +1269,7 @@ pub(crate) fn try_run_compiled(src: &dyn DataSource, expr: &Expr) -> Option<Resu
             if crate::planner::planner_enabled() {
                 return Some(run_planned_select(src, expr, q, &scan));
             }
-            return Some(run_select_scan(src, q, &scan));
+            return Some(run_select_scan(src, q, &scan, None));
         }
         // Multi-binding over independent class extents: the planner may
         // pick a cheapest-first binding order. Only when no budget is
@@ -1319,17 +1322,17 @@ fn run_planned_select(
     let r = match &decision.strategy {
         crate::planner::Strategy::IndexPushdown { attr, value, .. } => {
             match src.indexed_lookup(scan.class, *attr, value) {
-                Some(candidates) => run_pushdown_scan(src, q, scan, candidates),
+                Some(candidates) => run_select_scan(src, q, scan, Some(candidates)),
                 None => {
                     // The plan assumed an index that isn't there (cold
                     // statistics, dropped index): demote the cached plan
                     // so later executions skip the doomed probe.
                     crate::planner::demote_to_seq(&fp);
-                    run_select_scan(src, q, scan)
+                    run_select_scan(src, q, scan, None)
                 }
             }
         }
-        _ => run_select_scan(src, q, scan),
+        _ => run_select_scan(src, q, scan, None),
     };
     let rows = match &r {
         Ok(Value::Set(s)) => Some(s.len() as u64),
@@ -1338,43 +1341,6 @@ fn run_planned_select(
     };
     crate::planner::record_outcome(&fp, decision, rows);
     r
-}
-
-/// Runs a compiled single-binding scan over index `candidates` instead
-/// of the full extent. Candidates are re-tested against the full
-/// compiled filter (the index only served one equality conjunct), in
-/// oid order. Only reachable through
-/// the planner, which owns the cost decision; results are identical to
-/// the sequential scan because the index is exact on its conjunct and
-/// the filter re-runs in full.
-fn run_pushdown_scan(
-    src: &dyn DataSource,
-    q: &SelectExpr,
-    scan: &SelectScan,
-    candidates: Vec<Oid>,
-) -> Result<Value> {
-    let _span = ov_oodb::span!("query.compiled_scan");
-    let budget = budget::current();
-    let mut filter = scan.filter.as_ref().map(|p| Scan::new(p, src));
-    let mut proj = Scan::new(&scan.proj, src);
-    let mut actuals = crate::plan::ScanActuals::default();
-    let result = (|| -> Result<BTreeSet<Value>> {
-        proj.step(0)?; // the `select` node itself
-        proj.step(1)?; // the collection name
-        scan_rows(
-            &candidates,
-            &mut filter,
-            &mut proj,
-            budget.as_deref(),
-            &mut actuals,
-        )
-    })();
-    if let Some(f) = &mut filter {
-        actuals.absorb(&f.take_actuals());
-    }
-    actuals.absorb(&proj.take_actuals());
-    crate::plan::add_actuals(&actuals);
-    finish_select(q.the, result?)
 }
 
 /// Attempts the planner's reordered nested-loop join for a multi-binding
@@ -1542,39 +1508,6 @@ fn join_nest(
     Ok(())
 }
 
-/// The row loop shared by the sequential and index-pushdown scans: per
-/// row `bind` + `run` of the filter and — only for rows that pass — of the
-/// projection, at depth 1, plus one `note_rows` per newly inserted result.
-/// Rows execute and charge strictly in order, so a budget breach or error
-/// stops at the exact row the interpreter would.
-fn scan_rows(
-    rows: &[Oid],
-    filter: &mut Option<Scan>,
-    proj: &mut Scan,
-    budget: Option<&Budget>,
-    actuals: &mut crate::plan::ScanActuals,
-) -> Result<BTreeSet<Value>> {
-    let mut out = BTreeSet::new();
-    for &oid in rows {
-        actuals.rows_scanned += 1;
-        if let Some(f) = filter {
-            f.bind(0, Value::Oid(oid));
-            if !truthy(&f.run(1)?) {
-                continue;
-            }
-        }
-        actuals.rows_matched += 1;
-        proj.bind(0, Value::Oid(oid));
-        let v = proj.run(1)?;
-        if out.insert(v) {
-            if let Some(b) = budget {
-                b.note_rows(1)?;
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Rows at the head of a profiled sequential scan whose attributes feed
 /// the statistics plane — enough for a useful sample, cheap enough to
 /// never dominate a scan.
@@ -1608,57 +1541,53 @@ fn feed_scan_stats(src: &dyn DataSource, class: Symbol, scan: &SelectScan, exten
     }
 }
 
-/// Runs a compiled canonical scan, charging the budget exactly as the
-/// interpreter's `eval_expr` → `select_depth` → `iterate_bindings` chain
-/// would: one step for the `select` node (depth 0), one for the collection
-/// name (depth 1), then [`scan_rows`].
-fn run_select_scan(src: &dyn DataSource, q: &SelectExpr, scan: &SelectScan) -> Result<Value> {
+/// Runs a compiled canonical scan over `candidates` — index postings the
+/// planner chose, re-tested against the full filter in oid order (the index
+/// served one equality conjunct, exactly) — or, given `None`, over the
+/// whole extent. Charges the budget exactly as the interpreter's
+/// `eval_expr` → `select_depth` → `iterate_bindings` chain would: one step
+/// for the `select` node (depth 0), one for the collection name (depth 1),
+/// then the rows through [`scan_rows`].
+fn run_select_scan(
+    src: &dyn DataSource,
+    q: &SelectExpr,
+    scan: &SelectScan,
+    candidates: Option<Vec<Oid>>,
+) -> Result<Value> {
     let _span = ov_oodb::span!("query.compiled_scan");
-    let budget = budget::current();
-    let mut filter = scan.filter.as_ref().map(|p| Scan::new(p, src));
-    let mut proj = Scan::new(&scan.proj, src);
+    let spec = RowSpec {
+        var: scan.var,
+        filter: scan.filter.as_ref().map(Code::Compiled),
+        proj: Some(Code::Compiled(&scan.proj)),
+    };
+    let mut test = RowTest::new(src, spec);
     let mut actuals = crate::plan::ScanActuals::default();
-    // The loop runs in a closure so measured actuals are reported even
-    // when a row errors or breaches the budget mid-scan.
-    let result = (|| -> Result<BTreeSet<Value>> {
-        proj.step(0)?; // the `select` node itself
-        proj.step(1)?; // the collection name
-        let extent = src.extent(scan.class)?;
-        if ov_oodb::metrics::profiling_enabled() {
-            // The scanned collection's class name (compile_select_scan
-            // required the plain-name shape) attributes the statistics.
-            if let Some((_, Expr::Name(class))) = q.bindings.first() {
-                feed_scan_stats(src, *class, scan, &extent);
+    let mut out = BTreeSet::new();
+    // In a closure so measured actuals are reported even when a row errors
+    // or breaches the budget mid-scan.
+    let result = (|| {
+        test.step(0)?; // the `select` node itself
+        test.step(1)?; // the collection name
+        let rows = match candidates {
+            Some(postings) => postings,
+            None => {
+                let extent = src.extent(scan.class)?;
+                if ov_oodb::metrics::profiling_enabled() {
+                    // The scanned collection's class name (compile_select_scan
+                    // required the plain-name shape) attributes the statistics.
+                    if let Some((_, Expr::Name(class))) = q.bindings.first() {
+                        feed_scan_stats(src, *class, scan, &extent);
+                    }
+                }
+                extent
             }
-        }
-        scan_rows(
-            &extent,
-            &mut filter,
-            &mut proj,
-            budget.as_deref(),
-            &mut actuals,
-        )
+        };
+        let rows = rows.into_iter().map(Value::Oid);
+        scan_rows(rows, &mut test, &mut actuals, |v| out.insert(v))
     })();
-    if let Some(f) = &mut filter {
-        actuals.absorb(&f.take_actuals());
-    }
-    actuals.absorb(&proj.take_actuals());
     crate::plan::add_actuals(&actuals);
-    finish_select(q.the, result?)
-}
-
-/// `select the` yields its single row (or the cardinality error); a plain
-/// `select` yields the set.
-pub(crate) fn finish_select(the: bool, out: BTreeSet<Value>) -> Result<Value> {
-    if the {
-        if out.len() == 1 {
-            Ok(out.into_iter().next().expect("len checked"))
-        } else {
-            Err(QueryError::TheCardinality { got: out.len() })
-        }
-    } else {
-        Ok(Value::Set(out))
-    }
+    result?;
+    finish_select(q.the, out)
 }
 
 #[cfg(test)]
@@ -2139,9 +2068,6 @@ mod tests {
         }
         fn class_type(&self, c: ClassId) -> Type {
             DataSource::class_type(&self.db, c)
-        }
-        fn resolution_class(&self, oid: Oid) -> Option<ClassId> {
-            self.db.store.get(oid).map(|o| o.class)
         }
         fn resolution_class_and_field(&self, oid: Oid, name: Symbol) -> Option<(ClassId, Value)> {
             self.probes.lock().unwrap().push(name);

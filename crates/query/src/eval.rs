@@ -123,7 +123,7 @@ pub struct Evaluator<'a> {
     src: &'a dyn DataSource,
     /// The budget governing this thread when the evaluator was built
     /// (captured once — see [`crate::budget`] for the install discipline).
-    budget: Option<std::sync::Arc<crate::budget::Budget>>,
+    pub(crate) budget: Option<std::sync::Arc<crate::budget::Budget>>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -141,13 +141,21 @@ impl<'a> Evaluator<'a> {
         self.eval_depth(expr, env, 0)
     }
 
-    fn eval_depth(&self, expr: &Expr, env: &mut Env, depth: usize) -> Result<Value> {
+    /// One expression-node entry: the depth-limit check plus one budget
+    /// step at `depth`.
+    #[inline]
+    pub(crate) fn step(&self, depth: usize) -> Result<()> {
         if depth > MAX_DEPTH {
             return Err(depth_error());
         }
         if let Some(b) = &self.budget {
             b.step(depth)?;
         }
+        Ok(())
+    }
+
+    pub(crate) fn eval_depth(&self, expr: &Expr, env: &mut Env, depth: usize) -> Result<Value> {
+        self.step(depth)?;
         match expr {
             Expr::Lit(v) => Ok(v.clone()),
             Expr::SelfRef => env
@@ -279,12 +287,7 @@ impl<'a> Evaluator<'a> {
 
     /// Attribute access on an object: resolve, then read or compute.
     fn attr_of(&self, oid: Oid, name: Symbol, args: Vec<Value>, depth: usize) -> Result<Value> {
-        if depth > MAX_DEPTH {
-            return Err(depth_error());
-        }
-        if let Some(b) = &self.budget {
-            b.step(depth)?;
-        }
+        self.step(depth)?;
         match self.src.resolve(oid, name)? {
             ResolvedAttr::Stored => {
                 if !args.is_empty() {
@@ -394,17 +397,9 @@ impl<'a> Evaluator<'a> {
                 false
             }
         })?;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        if q.the {
-            if out.len() == 1 {
-                Ok(out.into_iter().next().expect("len checked"))
-            } else {
-                Err(QueryError::TheCardinality { got: out.len() })
-            }
-        } else {
-            Ok(Value::Set(out))
+        match err {
+            Some(e) => Err(e),
+            None => finish_select(q.the, out),
         }
     }
 
@@ -486,6 +481,20 @@ impl<'a> Evaluator<'a> {
             }
         }
         Ok(true)
+    }
+}
+
+/// `select the` yields its single row (or the cardinality error); a plain
+/// `select` yields the set.
+pub(crate) fn finish_select(the: bool, out: BTreeSet<Value>) -> Result<Value> {
+    if the {
+        if out.len() == 1 {
+            Ok(out.into_iter().next().expect("len checked"))
+        } else {
+            Err(QueryError::TheCardinality { got: out.len() })
+        }
+    } else {
+        Ok(Value::Set(out))
     }
 }
 

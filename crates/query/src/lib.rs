@@ -38,6 +38,7 @@ pub mod parallel;
 pub mod parser;
 pub mod plan;
 pub mod planner;
+pub mod rowtest;
 pub mod source;
 pub mod typecheck;
 
@@ -55,7 +56,9 @@ pub use exec::{
 };
 pub use fingerprint::{fingerprint_expr, fingerprint_query};
 pub use optimize::{optimize_expr, optimize_select};
-pub use parallel::{eval_select_parallel, panic_message, run_query_parallel, ParallelConfig};
+pub use parallel::{
+    eval_select_parallel, filter_map_chunked, panic_message, run_query_parallel, ParallelConfig,
+};
 pub use parser::{parse_expr, parse_program, parse_select, parse_type};
 pub use plan::{
     run_query_traced, Engine, PlanChoice, PopOutcome, PopPath, PopulationTrace, QueryTrace,
@@ -65,6 +68,7 @@ pub use planner::{
     clear_plan_cache, estimate_select, planner_enabled, set_planner_enabled, with_planner,
     Decision as PlanDecision, Strategy as PlanStrategy,
 };
+pub use rowtest::{scan_rows, Code, RowSpec, RowTest};
 pub use source::{require_class, DataSource, ResolvedAttr, SourceGraph};
 pub use typecheck::{
     infer, infer_expr, infer_select, infer_select_in, referenced_classes,

@@ -14,12 +14,13 @@
 //! its caches moved to sharded locks) `ov_views::View`.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ov_oodb::{SelectExpr, Value};
 
 use crate::error::{QueryError, Result};
-use crate::eval::{eval_expr, truthy, Env, Evaluator};
+use crate::eval::{eval_expr, finish_select, Env, Evaluator};
+use crate::plan::ScanActuals;
+use crate::rowtest::{scan_rows, Code, RowSpec, RowTest};
 use crate::source::DataSource;
 
 /// Knobs for parallel scans.
@@ -62,9 +63,27 @@ impl ParallelConfig {
         self.threads > 1 && len >= self.threshold.max(2)
     }
 
+    /// The strategy choice for a scan over `len` elements: the cost-based
+    /// planner weighs the split's fixed overhead (~one threshold's worth of
+    /// rows) against the per-worker share; with the planner off, the fixed
+    /// threshold of [`Self::should_split`] decides.
+    pub fn chooses_split(&self, len: usize) -> bool {
+        if crate::planner::planner_enabled() {
+            crate::planner::choose_split(len, self.workers_for(len), self.threshold)
+        } else {
+            self.should_split(len)
+        }
+    }
+
     /// Worker count for a scan over `len` elements (≥ 1, ≤ `len`).
     pub fn workers_for(&self, len: usize) -> usize {
         self.threads.max(1).min(len.max(1))
+    }
+
+    /// Chunk length of a split scan over `len` elements: one chunk per
+    /// worker.
+    pub fn chunk_len(&self, len: usize) -> usize {
+        len.div_ceil(self.workers_for(len))
     }
 }
 
@@ -95,84 +114,38 @@ pub fn eval_select_parallel(
             )))
         }
     };
-    // Strategy choice: the cost-based planner weighs the split's fixed
-    // overhead (~one threshold's worth of rows) against the per-worker
-    // share; with the planner off, the fixed threshold heuristic decides.
-    let split = if crate::planner::planner_enabled() {
-        crate::planner::choose_split(items.len(), cfg.workers_for(items.len()), cfg.threshold)
-    } else {
-        cfg.should_split(items.len())
-    };
-    if !split {
+    if !cfg.chooses_split(items.len()) {
         return Evaluator::new(src).select(q, &mut Env::new());
     }
     // Compile the filter and projection once on the coordinator; every
-    // chunk then builds its own executor (register file, value stack, and
-    // resolution caches are per-thread state). Any uncovered expression —
-    // or `.engine interp` — drops the whole scan to the interpreter.
-    let compiled = if crate::compile::compiled_enabled() {
-        let vars = [*var];
-        let filter = match q.filter.as_deref() {
-            Some(f) => crate::compile::compile_predicate(f, &vars).map(Some),
-            None => Some(None),
-        };
-        match (filter, crate::compile::compile_predicate(&q.proj, &vars)) {
-            (Some(f), Some(p)) => Some((f, p)),
-            _ => None,
+    // chunk then builds its own row test. An uncovered expression — or
+    // `.engine interp` — runs through the interpreter.
+    let compile = |e: &ov_oodb::Expr| {
+        if crate::compile::compiled_enabled() {
+            crate::compile::compile_predicate(e, &[*var])
+        } else {
+            None
         }
-    } else {
-        None
     };
-    let out = match &compiled {
-        Some((filter, proj)) => filter_map_chunked(cfg, &items, |chunk, keep| {
-            let mut fscan = filter.as_ref().map(|p| crate::compile::Scan::new(p, src));
-            let mut pscan = crate::compile::Scan::new(proj, src);
-            let mut actuals = crate::plan::ScanActuals::default();
-            let r = (|| {
-                for item in chunk {
-                    actuals.rows_scanned += 1;
-                    if let Some(f) = &mut fscan {
-                        f.bind(0, item.clone());
-                        if !truthy(&f.run(0)?) {
-                            continue;
-                        }
-                    }
-                    actuals.rows_matched += 1;
-                    pscan.bind(0, item.clone());
-                    keep.insert(pscan.run(0)?);
-                }
-                Ok(())
-            })();
-            if let Some(f) = &mut fscan {
-                actuals.absorb(&f.take_actuals());
-            }
-            actuals.absorb(&pscan.take_actuals());
-            crate::plan::add_actuals(&actuals);
-            r
-        })?,
-        None => filter_map_chunked(cfg, &items, |chunk, keep| {
-            let ev = Evaluator::new(src);
-            let mut actuals = crate::plan::ScanActuals::default();
-            let r = (|| {
-                for item in chunk {
-                    let mut env = Env::new();
-                    env.bind(*var, item.clone());
-                    actuals.rows_scanned += 1;
-                    if let Some(f) = q.filter.as_deref() {
-                        if !truthy(&ev.eval(f, &mut env)?) {
-                            continue;
-                        }
-                    }
-                    actuals.rows_matched += 1;
-                    keep.insert(ev.eval(&q.proj, &mut env)?);
-                }
-                Ok(())
-            })();
-            crate::plan::add_actuals(&actuals);
-            r
-        })?,
+    let filter_prog = q.filter.as_deref().and_then(compile);
+    let proj_prog = compile(&q.proj);
+    let spec = RowSpec {
+        var: *var,
+        filter: q
+            .filter
+            .as_deref()
+            .map(|f| Code::of(f, filter_prog.as_ref())),
+        proj: Some(Code::of(&q.proj, proj_prog.as_ref())),
     };
-    crate::compile::finish_select(q.the, out)
+    let out = filter_map_chunked(cfg, "query.scan_chunk", &items, |chunk, keep| {
+        let mut test = RowTest::new(src, spec);
+        let mut actuals = ScanActuals::default();
+        let rows = chunk.iter().cloned();
+        let r = scan_rows(rows, &mut test, &mut actuals, |v| keep.insert(v));
+        crate::plan::add_actuals(&actuals);
+        r
+    })?;
+    finish_select(q.the, out)
 }
 
 /// Runs a query string, executing top-level selects through
@@ -190,19 +163,25 @@ pub fn run_query_parallel(
 }
 
 /// Splits `items` into one chunk per worker and runs `per_chunk` on each
-/// chunk on a scoped thread pool, merging the per-chunk result sets.
-/// The first error (in chunk order) wins.
-fn filter_map_chunked<T, F>(
+/// chunk on a scoped thread pool, merging the per-chunk result sets — the
+/// one fan-out, shared by [`eval_select_parallel`] and the view layer's
+/// split population scans. `site` names the per-chunk failpoint and span
+/// and labels a caught worker panic ([`QueryError::Panicked`]). Every
+/// worker runs under the coordinator's budget and checks its deadline
+/// before it starts; rows are charged by `per_chunk`'s row loop. The first
+/// error (in chunk order) wins.
+pub fn filter_map_chunked<T, K, F>(
     cfg: &ParallelConfig,
+    site: &'static str,
     items: &[T],
     per_chunk: F,
-) -> Result<BTreeSet<Value>>
+) -> Result<BTreeSet<K>>
 where
     T: Sync,
-    F: Fn(&[T], &mut BTreeSet<Value>) -> Result<()> + Sync,
+    K: Ord + Send,
+    F: Fn(&[T], &mut BTreeSet<K>) -> Result<()> + Sync,
 {
-    let workers = cfg.workers_for(items.len());
-    let chunk_len = items.len().div_ceil(workers);
+    let chunk_len = cfg.chunk_len(items.len());
     let _span = ov_oodb::span!(
         "query.parallel_scan",
         items = items.len(),
@@ -212,82 +191,60 @@ where
     // chunks drain the same shared step/row counters.
     let budget = crate::budget::current();
     // Workers cannot see the coordinator's thread-local actuals frame, so
-    // when one is open each worker measures its chunk in a frame of its
-    // own and folds the *work counters* into these shared cells; the
-    // coordinator reports them once after the scope. Budget charges are
+    // each measures its chunk in a frame of its own and hands the result
+    // back with its chunk; the coordinator folds the *work counters* into
+    // its own frame (a no-op when it has none open). Budget charges are
     // deliberately not folded — worker-side budget deltas overlap under
     // concurrency, and the coordinator's own bracketing delta already
     // covers every worker's charges (the budget is shared).
-    let track = crate::plan::actuals_active();
-    let shared: [AtomicU64; 4] = std::array::from_fn(|_| AtomicU64::new(0));
-    let results: Vec<Result<BTreeSet<Value>>> = std::thread::scope(|scope| {
+    let results: Vec<(Result<BTreeSet<K>>, ScanActuals)> = std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
             .enumerate()
             .map(|(i, chunk)| {
                 let per_chunk = &per_chunk;
                 let budget = budget.clone();
-                let shared = &shared;
                 scope.spawn(move || {
                     // Emitted on the worker, so the flight recorder sees
                     // the chunk under the worker's own thread id.
-                    let _chunk_span =
-                        ov_oodb::span!("query.scan_chunk", chunk = i, len = chunk.len());
-                    let work = || -> Result<BTreeSet<Value>> {
-                        ov_oodb::faults::hit("query.scan_chunk")
-                            .map_err(ov_oodb::OodbError::Fault)?;
+                    let _chunk_span = ov_oodb::span!(site, chunk = i, len = chunk.len());
+                    let work = || -> Result<BTreeSet<K>> {
+                        ov_oodb::faults::hit(site).map_err(ov_oodb::OodbError::Fault)?;
                         if let Some(b) = &budget {
                             b.check_deadline()?;
                         }
                         let mut keep = BTreeSet::new();
                         per_chunk(chunk, &mut keep)?;
-                        if let Some(b) = &budget {
-                            b.note_rows(keep.len() as u64)?;
-                        }
                         Ok(keep)
                     };
-                    let work = || match &budget {
+                    crate::plan::with_scan_actuals(|| match &budget {
                         Some(b) => crate::budget::with(b.clone(), work),
                         None => work(),
-                    };
-                    if track {
-                        let (r, a) = crate::plan::with_scan_actuals(work);
-                        let cells = [a.rows_scanned, a.rows_matched, a.cache_hits, a.cache_misses];
-                        for (cell, n) in shared.iter().zip(cells) {
-                            cell.fetch_add(n, Ordering::Relaxed);
-                        }
-                        r
-                    } else {
-                        work()
-                    }
+                    })
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
+            .map(|h| {
                 // A panicking chunk (an injected panic, a bug in an
                 // attribute body) becomes a typed per-chunk error instead
                 // of tearing down the coordinator.
-                Err(payload) => Err(QueryError::Panicked {
-                    site: "query.scan_chunk",
-                    msg: panic_message(&payload),
-                }),
+                h.join().unwrap_or_else(|payload| {
+                    let msg = panic_message(&payload);
+                    (
+                        Err(QueryError::Panicked { site, msg }),
+                        ScanActuals::default(),
+                    )
+                })
             })
             .collect()
     });
-    if track {
-        crate::plan::add_actuals(&crate::plan::ScanActuals {
-            rows_scanned: shared[0].load(Ordering::Relaxed),
-            rows_matched: shared[1].load(Ordering::Relaxed),
-            cache_hits: shared[2].load(Ordering::Relaxed),
-            cache_misses: shared[3].load(Ordering::Relaxed),
-            ..Default::default()
-        });
+    for (_, counted) in &results {
+        crate::plan::add_actuals(counted);
     }
     let mut out = BTreeSet::new();
-    for r in results {
+    for (r, _) in results {
         out.extend(r?);
     }
     Ok(out)

@@ -393,13 +393,6 @@ thread_local! {
     static ACTUALS: RefCell<Vec<ScanActuals>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Is an actuals frame open on this thread? Engine drivers check this once
-/// per scan before reporting (the per-row counting itself is plain local
-/// integers and is never gated).
-pub fn actuals_active() -> bool {
-    ACTUALS.with(|a| !a.borrow().is_empty())
-}
-
 /// Folds measured work counters into the innermost open actuals frame.
 /// No-op when no frame is open (the untraced, unprofiled hot path).
 pub fn add_actuals(actuals: &ScanActuals) {
@@ -757,7 +750,6 @@ mod tests {
         // No budget installed → no charges measured.
         assert_eq!(outer.steps, 0);
         assert_eq!(outer.rows_charged, 0);
-        assert!(!actuals_active());
     }
 
     #[test]

@@ -99,40 +99,34 @@ pub trait DataSource {
 
     // --- resolution caching (compiled scans) --------------------------
 
-    /// A cheap per-object class key under which [`DataSource::resolve`]
-    /// results may be cached for the duration of one scan, or `None` if the
-    /// source cannot provide one (caching stays off). For a database this is
-    /// the object's stored class; for a view, the raw class the view maps
-    /// the object to *before* any membership-dependent adjustment.
-    fn resolution_class(&self, _oid: Oid) -> Option<ClassId> {
-        None
-    }
-
     /// May a resolution of attribute `name` be cached under `class` (as
-    /// returned by [`DataSource::resolution_class`]) for the duration of one
-    /// scan? `true` asserts that every object with that resolution class
-    /// resolves `name` identically while the source's scan-visible state
-    /// (schema, virtual-class populations in flight, body depth) is held
-    /// fixed. Sources whose resolution can depend on per-object facts beyond
-    /// the class — e.g. a view where some virtual class specializes `name` —
-    /// must answer `false`. Defaults to `false` (never cache).
+    /// returned by [`DataSource::resolution_class_and_field`]) for the
+    /// duration of one scan? `true` asserts that every object with that
+    /// resolution class resolves `name` identically while the source's
+    /// scan-visible state (schema, virtual-class populations in flight,
+    /// body depth) is held fixed. Sources whose resolution can depend on
+    /// per-object facts beyond the class — e.g. a view where some virtual
+    /// class specializes `name` — must answer `false`. Defaults to `false`
+    /// (never cache).
     fn resolution_is_class_pure(&self, _class: ClassId, _name: Symbol) -> bool {
         false
     }
 
     /// One object lookup serving both halves of a compiled attribute
-    /// access: the [`DataSource::resolution_class`] of `oid` together with
-    /// the raw stored field `name` of its value (`Null` when the field is
-    /// absent — exactly what [`DataSource::stored_field`] would return).
-    /// `None` when the object is unknown or has no resolution class; the
-    /// scan then falls back to the uncached resolve path, which reproduces
-    /// the interpreter's error byte for byte. The value half is meaningful
-    /// only if resolution later says the attribute is stored; callers
-    /// discard it otherwise. Sources where the class and the field share
-    /// one lookup should override the composing default.
-    fn resolution_class_and_field(&self, oid: Oid, name: Symbol) -> Option<(ClassId, Value)> {
-        let class = self.resolution_class(oid)?;
-        Some((class, self.stored_field(oid, name).ok()?))
+    /// access: a cheap per-object class key under which
+    /// [`DataSource::resolve`] results may be cached for the duration of
+    /// one scan — for a database the object's stored class; for a view, the
+    /// raw class the view maps the object to *before* any
+    /// membership-dependent adjustment — together with the raw stored field
+    /// `name` of its value (`Null` when the field is absent — exactly what
+    /// [`DataSource::stored_field`] would return). `None` when the object
+    /// is unknown or the source provides no such key (the default: caching
+    /// stays off); the scan then falls back to the uncached resolve path,
+    /// which reproduces the interpreter's error byte for byte. The value
+    /// half is meaningful only if resolution later says the attribute is
+    /// stored; callers discard it otherwise.
+    fn resolution_class_and_field(&self, _oid: Oid, _name: Symbol) -> Option<(ClassId, Value)> {
+        None
     }
 
     /// A counter the source bumps whenever scan-visible resolution state
@@ -278,10 +272,6 @@ impl DataSource for Database {
 
     fn class_type(&self, c: ClassId) -> Type {
         self.schema.class_type(c)
-    }
-
-    fn resolution_class(&self, oid: Oid) -> Option<ClassId> {
-        self.store.get(oid).map(|o| o.class)
     }
 
     fn resolution_is_class_pure(&self, _class: ClassId, _name: Symbol) -> bool {

@@ -190,6 +190,45 @@ fn parallel_scan_matches_sequential() {
     );
 }
 
+/// A population that splits stays under the caller's budget: the workers
+/// drain the coordinator's step and row counters, so a cap that stops the
+/// sequential scan stops the split one with the same typed error.
+#[test]
+fn split_population_is_governed_by_the_callers_budget() {
+    use objects_and_views::query::{run_query_with_budget, Budget, QueryError};
+    let sys = staff_system();
+    let recomputing = |parallel: ParallelConfig| {
+        let options = ViewOptions::builder()
+            .population(Population::AlwaysRecompute)
+            .parallel(parallel);
+        adult_view(&sys, options.build())
+    };
+    let seq = recomputing(ParallelConfig::default());
+    let par = recomputing(ParallelConfig {
+        threads: 4,
+        threshold: 16,
+    });
+    let budgets: [fn() -> Budget; 2] = [
+        || Budget::new().with_max_steps(50),
+        || Budget::new().with_max_rows(10),
+    ];
+    for budget in budgets {
+        for (view, name) in [(&seq, "sequential"), (&par, "split")] {
+            let got = run_query_with_budget(view, "count(Adult)", budget().into());
+            assert!(
+                matches!(got, Err(QueryError::ResourceExhausted(_))),
+                "{name} scan under {:?}: {got:?}",
+                budget()
+            );
+        }
+    }
+    assert!(
+        par.stats().parallel_scans > 0,
+        "the split path should have run"
+    );
+    assert_eq!(seq.stats().parallel_scans, 0);
+}
+
 /// Virtual attributes resolve correctly from worker threads: resolution
 /// walks populations (privileged visibility, cycle guards) whose state is
 /// now thread-local.
