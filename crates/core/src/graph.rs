@@ -12,7 +12,9 @@
 //! Invariants the DDL layer ([`crate::catalog`]) enforces with this graph:
 //!
 //! * **acyclic** — a definition that would close a cycle is rejected at
-//!   bind time ([`DependencyGraph::would_cycle`]);
+//!   bind time, while the binder expands view imports
+//!   ([`crate::ViewError::CyclicViewDependency`]), so a cyclic graph is
+//!   never registered here;
 //! * **RESTRICT** — a view with dependents cannot be dropped, and
 //!   redefining it atomically revalidates every transitive dependent;
 //! * **topological propagation** — after a base schema change, only the
@@ -167,44 +169,6 @@ impl DependencyGraph {
         }
         out
     }
-
-    /// Would registering `view` with edges `deps` close a cycle? Returns
-    /// the offending path `view → … → view` when it would.
-    pub fn would_cycle(&self, view: Symbol, deps: &[DepEdge]) -> Option<Vec<Symbol>> {
-        // DFS from each proposed view-edge through the *existing* edges.
-        let mut stack = vec![view];
-        for d in deps {
-            if let DepTarget::View(u) = d.on {
-                if let Some(path) = self.dfs_to(u, view, &mut stack) {
-                    return Some(path);
-                }
-            }
-        }
-        None
-    }
-
-    fn dfs_to(&self, from: Symbol, needle: Symbol, stack: &mut Vec<Symbol>) -> Option<Vec<Symbol>> {
-        if from == needle {
-            let mut path = stack.clone();
-            path.push(needle);
-            return Some(path);
-        }
-        if stack.contains(&from) {
-            return None; // pre-existing cycle guard; cannot happen in a DAG
-        }
-        stack.push(from);
-        if let Some(deps) = self.edges.get(&from) {
-            for d in deps {
-                if let DepTarget::View(u) = d.on {
-                    if let Some(path) = self.dfs_to(u, needle, stack) {
-                        return Some(path);
-                    }
-                }
-            }
-        }
-        stack.pop();
-        None
-    }
 }
 
 #[cfg(test)]
@@ -254,25 +218,5 @@ mod tests {
             g.direct_dependents(DepTarget::View(sym("A"))),
             vec![sym("B")]
         );
-    }
-
-    #[test]
-    fn cycle_detection_reports_the_path() {
-        let g = chain();
-        // Redefining A to read C would close A → C → B → A.
-        let path = g
-            .would_cycle(sym("A"), &[edge(DepTarget::View(sym("C")), &[])])
-            .expect("cycle expected");
-        assert_eq!(path.first(), Some(&sym("A")));
-        assert_eq!(path.last(), Some(&sym("A")));
-        assert!(path.contains(&sym("B")) && path.contains(&sym("C")));
-        // A self-edge is the smallest cycle.
-        assert!(g
-            .would_cycle(sym("D"), &[edge(DepTarget::View(sym("D")), &[])])
-            .is_some());
-        // Reading a database never cycles.
-        assert!(g
-            .would_cycle(sym("A"), &[edge(DepTarget::Database(sym("Staff")), &[])])
-            .is_none());
     }
 }

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use ov_oodb::{sym, Durability, Oid, OodbError, Symbol, System, Value, WalStatus};
+use ov_oodb::{sym, Durability, Expr, Oid, OodbError, Symbol, System, Value, WalStatus};
 use ov_query::{execute_stmts_with_map, parse_program, Stmt};
 
 use crate::def::{AttrDecl, Hide, Import, ViewDef, ViewElement, VirtualClassDef};
@@ -51,11 +51,14 @@ pub struct Session {
     /// Session-persistent `#n` literal → oid bindings, so interactive
     /// statements can refer to objects declared earlier.
     oid_map: HashMap<u64, Oid>,
-    /// This session's execution-engine choice. `None` inherits the process
-    /// default ([`ov_query::engine_mode`]); `Some` scopes the choice to this
-    /// session's statements via the thread-scoped override, so concurrent
-    /// sessions with different `.engine` settings never race on a global.
+    /// This session's execution-engine choice. `None` inherits what governs
+    /// the calling thread ([`ov_query::engine_mode`]); `Some` scopes the
+    /// choice to this session's statements via the thread-scoped override,
+    /// so concurrent sessions with different `.engine` settings never race.
     engine: Option<ov_query::EngineMode>,
+    /// This session's cost-based-planner switch, scoped the same way
+    /// (`None` inherits [`ov_query::planner_enabled`]).
+    planner: Option<bool>,
     /// Root directory of a durable session ([`Session::open`]); `None` for
     /// in-memory sessions. Databases live under `<root>/databases/<name>/`,
     /// view definitions in `<root>/views.ovq`.
@@ -86,6 +89,7 @@ impl Session {
             graph: DependencyGraph::new(),
             oid_map: HashMap::new(),
             engine: None,
+            planner: None,
             durable_root: None,
             durability: Durability::None,
         }
@@ -169,17 +173,29 @@ impl Session {
     }
 
     /// Sets this session's execution engine ([`ov_query::EngineMode`]).
-    /// `None` reverts to the process default. The choice applies to every
-    /// statement and query this session runs — and only to those: it is
-    /// installed as a thread-scoped override around each run, so other
-    /// sessions (even on other threads) are unaffected.
+    /// `None` reverts to whatever governs the calling thread. The choice
+    /// applies to every statement and query this session runs — and only to
+    /// those: it is installed as a thread-scoped override around each run,
+    /// so other sessions (even on other threads) are unaffected.
     pub fn set_engine(&mut self, mode: Option<ov_query::EngineMode>) {
         self.engine = mode;
     }
 
-    /// This session's engine override, if any (`None` = process default).
+    /// This session's engine override, if any (`None` = the thread's).
     pub fn engine(&self) -> Option<ov_query::EngineMode> {
         self.engine
+    }
+
+    /// Turns the cost-based planner on or off for this session's statements
+    /// and queries, scoped like [`Self::set_engine`]. `None` reverts to
+    /// whatever governs the calling thread.
+    pub fn set_planner(&mut self, on: Option<bool>) {
+        self.planner = on;
+    }
+
+    /// This session's planner override, if any (`None` = the thread's).
+    pub fn planner(&self) -> Option<bool> {
+        self.planner
     }
 
     /// A session with non-default view options (conflict policy etc.).
@@ -344,10 +360,10 @@ impl Session {
                 Focus::Nothing => Err(no_focus()),
             },
             // Data statements and queries dispatch on focus, under the
-            // session's engine override (if any).
+            // session's engine and planner overrides (if any).
             other => {
-                let engine = self.engine;
-                under_engine(engine, || match self.focus {
+                let (engine, planner) = (self.engine, self.planner);
+                under_settings(engine, planner, || match self.focus {
                     Focus::Database(db) => self.run_on_database(db, other),
                     Focus::View(vname) => self.run_on_view(vname, other),
                     Focus::Nothing => Err(no_focus()),
@@ -542,16 +558,19 @@ impl Session {
 
     fn run_on_view(&mut self, vname: Symbol, stmt: Stmt) -> Result<Outcome> {
         let (_, view) = self.views.get(&vname).expect("focused view exists");
+        // Every read goes through the view's degradation bracket, as
+        // `Session::query` does.
+        let eval = |e: &Expr| view.with_degradation(|| ov_query::eval_expr(view, e));
         match stmt {
             Stmt::Query(e) => {
                 // `run_expr`, not `eval_expr`: a canonical class scan on the
                 // focused view takes the compiled engine, same as
                 // `Session::query` and the database path.
-                let v = ov_query::run_expr(view, &e).map_err(ViewError::from)?;
+                let v = view.with_degradation(|| ov_query::run_expr(view, &e))?;
                 Ok(Outcome::Value(v))
             }
             Stmt::Insert { class, value } => {
-                let v = ov_query::eval_expr(view, &value).map_err(ViewError::from)?;
+                let v = eval(&value)?;
                 let oid = view.insert(class, v)?;
                 Ok(Outcome::Value(Value::Oid(oid)))
             }
@@ -560,19 +579,17 @@ impl Session {
                 attr,
                 value,
             } => {
-                let t = ov_query::eval_expr(view, &target).map_err(ViewError::from)?;
-                let Value::Oid(oid) = t else {
+                let Value::Oid(oid) = eval(&target)? else {
                     return Err(ViewError::Definition(
                         "`set` target must evaluate to an object".into(),
                     ));
                 };
-                let v = ov_query::eval_expr(view, &value).map_err(ViewError::from)?;
+                let v = eval(&value)?;
                 view.update_attr(oid, attr, v)?;
                 Ok(Outcome::Done)
             }
             Stmt::Delete(e) => {
-                let t = ov_query::eval_expr(view, &e).map_err(ViewError::from)?;
-                let Value::Oid(oid) = t else {
+                let Value::Oid(oid) = eval(&e)? else {
                     return Err(ViewError::Definition(
                         "`delete` target must evaluate to an object".into(),
                     ));
@@ -723,10 +740,18 @@ impl Session {
     }
 }
 
-/// Runs `f` under `engine` when the session has an override, plain
-/// otherwise. A free function (not a method) so callers can pass `&mut
+/// Runs `f` under the session's `engine` and `planner` overrides, where it
+/// has them. A free function (not a method) so callers can pass `&mut
 /// self` closures without a borrow conflict.
-fn under_engine<R>(engine: Option<ov_query::EngineMode>, f: impl FnOnce() -> R) -> R {
+fn under_settings<R>(
+    engine: Option<ov_query::EngineMode>,
+    planner: Option<bool>,
+    f: impl FnOnce() -> R,
+) -> R {
+    let f = || match planner {
+        Some(on) => ov_query::with_planner(on, f),
+        None => f(),
+    };
     match engine {
         Some(mode) => ov_query::with_engine_mode(mode, f),
         None => f(),
@@ -743,9 +768,9 @@ fn no_focus() -> ViewError {
 // through generic code paths if desired.
 impl Session {
     /// Runs a query against a named view or database (under the session's
-    /// engine override, if any).
+    /// engine and planner overrides, if any).
     pub fn query(&self, target: Symbol, query: &str) -> Result<Value> {
-        under_engine(self.engine, || {
+        under_settings(self.engine, self.planner, || {
             if let Some((_, view)) = self.views.get(&target) {
                 return view.query(query);
             }
@@ -799,14 +824,7 @@ impl Session {
         // population request, which path resolved it (cache hit / delta /
         // full recompute with its scans). Same rendering as
         // `View::explain`.
-        let traced = if let Some((_, view)) = self.views.get(&target) {
-            under_engine(self.engine, || ov_query::run_query_traced(view, query))
-        } else {
-            let db = self.system.database(target)?;
-            let db = db.read();
-            under_engine(self.engine, || ov_query::run_query_traced(&*db, query))
-        };
-        match traced {
+        match self.run_traced(target, query) {
             Ok((_, trace)) => {
                 let _ = write!(out, "{trace}");
             }
@@ -823,15 +841,21 @@ impl Session {
     /// roll-up, engine, and fingerprint — followed by the result value.
     /// `.explain` without the static prelude; drives the REPL's `.analyze`.
     pub fn analyze(&self, target: Symbol, query: &str) -> Result<String> {
-        let traced = if let Some((_, view)) = self.views.get(&target) {
-            under_engine(self.engine, || ov_query::run_query_traced(view, query))
-        } else {
+        let (value, trace) = self.run_traced(target, query)?;
+        Ok(format!("{trace}result: {value}\n"))
+    }
+
+    /// Runs `query` traced against a named view — through its degradation
+    /// bracket, like [`Self::query`] — or database.
+    fn run_traced(&self, target: Symbol, query: &str) -> Result<(Value, ov_query::QueryTrace)> {
+        under_settings(self.engine, self.planner, || {
+            if let Some((_, view)) = self.views.get(&target) {
+                return view.explain(query);
+            }
             let db = self.system.database(target)?;
             let db = db.read();
-            under_engine(self.engine, || ov_query::run_query_traced(&*db, query))
-        };
-        let (value, trace) = traced.map_err(ViewError::from)?;
-        Ok(format!("{trace}result: {value}\n"))
+            ov_query::run_query_traced(&*db, query).map_err(ViewError::from)
+        })
     }
 
     /// Explains how the population of virtual class `class` of view `view`
@@ -843,8 +867,8 @@ impl Session {
             .get(&view)
             .ok_or(ViewError::Oodb(ov_oodb::OodbError::UnknownDatabase(view)))?;
         // The explain may trigger the population recompute it then reports,
-        // so it must run under the session's engine like any other read.
-        under_engine(self.engine, || {
+        // so it must run under the session's settings like any other read.
+        under_settings(self.engine, self.planner, || {
             Ok(format!("{}\n", v.explain_population(class)?))
         })
     }
@@ -1076,10 +1100,25 @@ mod tests {
         assert_eq!(restored.save(), script);
     }
 
+    /// The planner switch is a session setting: it governs this session's
+    /// reads and leaves the thread's own setting alone.
+    #[test]
+    fn the_planner_switch_scopes_to_the_session() {
+        let mut s = loaded_session();
+        let q = "select P from P in Person where P.Age > 1";
+        let planned = |s: &Session| s.explain(sym("Staff"), q).unwrap().contains("planner:");
+        assert!(planned(&s));
+        s.set_planner(Some(false));
+        assert!(!planned(&s));
+        assert!(ov_query::planner_enabled());
+        s.set_planner(None);
+        assert!(planned(&s));
+    }
+
     /// Satellite regression (engine-mode scoping): two sessions on two
     /// threads with *different* engine overrides run concurrently; each
     /// session's scans use its own engine (visible in the EXPLAIN scan
-    /// markers) and the process default is untouched afterwards.
+    /// markers) and the spawning thread's mode is untouched afterwards.
     #[test]
     fn concurrent_sessions_scope_their_engine_modes() {
         let default_before = ov_query::engine_mode();

@@ -84,9 +84,6 @@ thread_local! {
     /// removed as soon as they return to the default state, so the map
     /// only holds views this thread is *currently* evaluating.
     static EVAL_STATE: RefCell<HashMap<u64, EvalState>> = RefCell::new(HashMap::new());
-    /// Per-thread stats contributions, keyed by view token (see
-    /// [`View::thread_stats`]).
-    static THREAD_STATS: RefCell<HashMap<u64, ViewStats>> = RefCell::new(HashMap::new());
     /// Set by [`View::population`] when degradation *failed* — the retry
     /// budget is spent and no cached population existed to serve stale.
     /// The public entry points consume it to wrap the propagating error in
@@ -317,11 +314,9 @@ pub struct View {
 
 impl Drop for View {
     fn drop(&mut self) {
-        // Clean this thread's TLS entries; other threads' thread-stats
-        // entries die with their threads. `try_with` because a View may be
-        // dropped during thread teardown, after the TLS maps are gone.
+        // Clean this thread's TLS entry. `try_with` because a View may be
+        // dropped during thread teardown, after the TLS map is gone.
         let _ = EVAL_STATE.try_with(|m| m.borrow_mut().remove(&self.token));
-        let _ = THREAD_STATS.try_with(|m| m.borrow_mut().remove(&self.token));
     }
 }
 
@@ -598,100 +593,79 @@ fn element_reads(view: &View, element: &ViewElement) -> BTreeSet<Symbol> {
     out
 }
 
-/// Observability counters for a view's population machinery (monotonic;
-/// snapshot with [`View::stats`]). Used by tests and benchmarks to assert
-/// that the intended code path — cache hit, delta update, index pushdown —
-/// actually ran.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ViewStats {
+/// The population counters, one row each: the [`Stat`] that names the
+/// counter at its bump site, its public [`ViewStats`] field, and its name in
+/// the process-wide registry (`ViewStats` is the per-view picture, the
+/// registry the cross-view aggregate the harness and shell report).
+macro_rules! view_stats {
+    ($($(#[$doc:meta])* $stat:ident, $field:ident, $metric:literal;)*) => {
+        /// Observability counters for a view's population machinery
+        /// (monotonic; snapshot with [`View::stats`]). Used by tests and
+        /// benchmarks to assert that the intended code path — cache hit,
+        /// delta update, index pushdown — actually ran.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct ViewStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        /// One counter of [`ViewStats`].
+        #[derive(Clone, Copy)]
+        enum Stat {
+            $($stat,)*
+        }
+
+        /// Atomic storage behind [`ViewStats`]. Relaxed ordering: the
+        /// counters are monotonic observability data, never synchronization.
+        #[derive(Debug, Default)]
+        struct StatCells {
+            $($field: AtomicU64,)*
+        }
+
+        impl StatCells {
+            /// Counts one `stat`, here and in the registry.
+            fn bump(&self, stat: Stat) {
+                match stat {
+                    $(Stat::$stat => {
+                        self.$field.fetch_add(1, Ordering::Relaxed);
+                        ov_oodb::metric_counter!($metric).inc();
+                    })*
+                }
+            }
+
+            fn snapshot(&self) -> ViewStats {
+                ViewStats {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+view_stats! {
     /// Population served from the version-keyed cache.
-    pub cache_hits: u64,
+    CacheHit, cache_hits, "views.cache_hits";
     /// Population requests the cache could not serve (cold, stale, or
     /// schema-invalidated). Each miss proceeds to a delta update or a full
     /// recomputation.
-    pub cache_misses: u64,
+    CacheMiss, cache_misses, "views.cache_misses";
     /// Population recomputed from scratch.
-    pub recomputations: u64,
+    Recomputation, recomputations, "views.recomputations";
     /// Population delta-updated from change journals.
-    pub incremental_updates: u64,
+    IncrementalUpdate, incremental_updates, "views.incremental_updates";
     /// Population queries answered from a secondary index.
-    pub index_pushdowns: u64,
+    IndexPushdown, index_pushdowns, "views.index_pushdowns";
     /// Cache write-lock acquisitions that had to wait for another thread.
-    pub lock_contention: u64,
+    LockContention, lock_contention, "views.lock_contention";
     /// Population scans that were split across worker threads.
-    pub parallel_scans: u64,
+    ParallelScan, parallel_scans, "views.parallel_scans";
     /// Population requests answered from a stale cached population after
     /// recomputation failed (graceful degradation).
-    pub stale_serves: u64,
+    StaleServe, stale_serves, "views.degraded_serves";
     /// Population recompute attempts retried after a transient fault.
-    pub fault_retries: u64,
+    FaultRetry, fault_retries, "views.fault_retries";
     /// Parallel population scans that fell back to a sequential scan after
     /// worker chunks faulted or panicked.
-    pub seq_fallbacks: u64,
-}
-
-/// One counter of [`ViewStats`], bumped through [`StatCells`].
-#[derive(Clone, Copy)]
-enum Stat {
-    CacheHit,
-    CacheMiss,
-    Recomputation,
-    IncrementalUpdate,
-    IndexPushdown,
-    LockContention,
-    ParallelScan,
-    StaleServe,
-    FaultRetry,
-    SeqFallback,
-}
-
-/// Atomic storage behind [`ViewStats`]. Relaxed ordering: the counters are
-/// monotonic observability data, never synchronization.
-#[derive(Debug, Default)]
-struct StatCells {
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    recomputations: AtomicU64,
-    incremental_updates: AtomicU64,
-    index_pushdowns: AtomicU64,
-    lock_contention: AtomicU64,
-    parallel_scans: AtomicU64,
-    stale_serves: AtomicU64,
-    fault_retries: AtomicU64,
-    seq_fallbacks: AtomicU64,
-}
-
-impl StatCells {
-    fn bump(&self, stat: Stat) {
-        let cell = match stat {
-            Stat::CacheHit => &self.cache_hits,
-            Stat::CacheMiss => &self.cache_misses,
-            Stat::Recomputation => &self.recomputations,
-            Stat::IncrementalUpdate => &self.incremental_updates,
-            Stat::IndexPushdown => &self.index_pushdowns,
-            Stat::LockContention => &self.lock_contention,
-            Stat::ParallelScan => &self.parallel_scans,
-            Stat::StaleServe => &self.stale_serves,
-            Stat::FaultRetry => &self.fault_retries,
-            Stat::SeqFallback => &self.seq_fallbacks,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> ViewStats {
-        ViewStats {
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            recomputations: self.recomputations.load(Ordering::Relaxed),
-            incremental_updates: self.incremental_updates.load(Ordering::Relaxed),
-            index_pushdowns: self.index_pushdowns.load(Ordering::Relaxed),
-            lock_contention: self.lock_contention.load(Ordering::Relaxed),
-            parallel_scans: self.parallel_scans.load(Ordering::Relaxed),
-            stale_serves: self.stale_serves.load(Ordering::Relaxed),
-            fault_retries: self.fault_retries.load(Ordering::Relaxed),
-            seq_fallbacks: self.seq_fallbacks.load(Ordering::Relaxed),
-        }
-    }
+    SeqFallback, seq_fallbacks, "views.seq_fallbacks";
 }
 
 /// The paper's name for the population caching policy, used by the
@@ -867,48 +841,6 @@ impl View {
         self.stats.snapshot()
     }
 
-    /// The calling thread's contribution to [`Self::stats`] — how many
-    /// cache hits/misses, recomputations, etc. *this* thread caused. Useful
-    /// for attributing contention in multi-threaded read workloads.
-    pub fn thread_stats(&self) -> ViewStats {
-        THREAD_STATS.with(|m| m.borrow().get(&self.token).copied().unwrap_or_default())
-    }
-
-    fn bump_stat(&self, stat: Stat) {
-        self.stats.bump(stat);
-        // Mirror into the process-wide registry: `ViewStats` is the
-        // per-view picture, the registry the cross-view aggregate the
-        // harness and shell report.
-        match stat {
-            Stat::CacheHit => ov_oodb::metric_counter!("views.cache_hits").inc(),
-            Stat::CacheMiss => ov_oodb::metric_counter!("views.cache_misses").inc(),
-            Stat::Recomputation => ov_oodb::metric_counter!("views.recomputations").inc(),
-            Stat::IncrementalUpdate => ov_oodb::metric_counter!("views.incremental_updates").inc(),
-            Stat::IndexPushdown => ov_oodb::metric_counter!("views.index_pushdowns").inc(),
-            Stat::LockContention => ov_oodb::metric_counter!("views.lock_contention").inc(),
-            Stat::ParallelScan => ov_oodb::metric_counter!("views.parallel_scans").inc(),
-            Stat::StaleServe => ov_oodb::metric_counter!("views.degraded_serves").inc(),
-            Stat::FaultRetry => ov_oodb::metric_counter!("views.fault_retries").inc(),
-            Stat::SeqFallback => ov_oodb::metric_counter!("views.seq_fallbacks").inc(),
-        }
-        THREAD_STATS.with(|m| {
-            let mut map = m.borrow_mut();
-            let s = map.entry(self.token).or_default();
-            match stat {
-                Stat::CacheHit => s.cache_hits += 1,
-                Stat::CacheMiss => s.cache_misses += 1,
-                Stat::Recomputation => s.recomputations += 1,
-                Stat::IncrementalUpdate => s.incremental_updates += 1,
-                Stat::IndexPushdown => s.index_pushdowns += 1,
-                Stat::LockContention => s.lock_contention += 1,
-                Stat::ParallelScan => s.parallel_scans += 1,
-                Stat::StaleServe => s.stale_serves += 1,
-                Stat::FaultRetry => s.fault_retries += 1,
-                Stat::SeqFallback => s.seq_fallbacks += 1,
-            }
-        });
-    }
-
     // ------------------------------------------------------------------
     // Thread-local evaluation state (cycle guard + privileged depth)
     // ------------------------------------------------------------------
@@ -967,7 +899,7 @@ impl View {
         match shard.try_write() {
             Some(guard) => guard,
             None => {
-                self.bump_stat(Stat::LockContention);
+                self.stats.bump(Stat::LockContention);
                 shard.write()
             }
         }
@@ -1047,7 +979,7 @@ impl View {
     /// fallbacks were exhausted. The note rides a thread-local because the
     /// `DataSource` methods between here and `population` speak
     /// `QueryError`, which has no room for view-layer context.
-    fn with_degradation<R>(&self, f: impl FnOnce() -> ov_query::Result<R>) -> Result<R> {
+    pub(crate) fn with_degradation<R>(&self, f: impl FnOnce() -> ov_query::Result<R>) -> Result<R> {
         DEGRADED_NOTE.with(|n| n.set(None));
         f().map_err(|e| {
             let e = ViewError::from(e);
@@ -1614,7 +1546,7 @@ impl View {
             match self.population_inner(c) {
                 Ok(ok) => break Ok(ok),
                 Err(e) if e.is_transient() && attempts < MAX_POPULATION_ATTEMPTS => {
-                    self.bump_stat(Stat::FaultRetry);
+                    self.stats.bump(Stat::FaultRetry);
                     let _retry_span =
                         ov_oodb::span!("view.population_retry", attempt = attempts as usize);
                     // 50µs, 100µs, 200µs, … capped at 400µs: enough to let a
@@ -1713,7 +1645,7 @@ impl View {
         if degradable {
             let stale = self.pop_shard(c).read().get(&c).map(|p| p.oids.clone());
             if let Some(oids) = stale {
-                self.bump_stat(Stat::StaleServe);
+                self.stats.bump(Stat::StaleServe);
                 let nanos = t0.elapsed().as_nanos() as u64;
                 ov_oodb::metric_histogram!("views.population.stale_serve_ns").record(nanos);
                 if span.is_recording() {
@@ -1755,19 +1687,19 @@ impl View {
         if self.materialization != Materialization::AlwaysRecompute {
             if let Some(cached) = self.pop_shard(c).read().get(&c) {
                 if cached.versions == versions && cached.schema_len == schema_len {
-                    self.bump_stat(Stat::CacheHit);
+                    self.stats.bump(Stat::CacheHit);
                     return Ok((cached.oids.clone(), plan::PopOutcome::CacheHit));
                 }
             }
-            self.bump_stat(Stat::CacheMiss);
+            self.stats.bump(Stat::CacheMiss);
         }
         if self.materialization == Materialization::Incremental {
             if let Some((oids, retested)) = self.try_incremental(c, &versions, schema_len)? {
-                self.bump_stat(Stat::IncrementalUpdate);
+                self.stats.bump(Stat::IncrementalUpdate);
                 return Ok((oids, plan::PopOutcome::Delta { retested }));
             }
         }
-        self.bump_stat(Stat::Recomputation);
+        self.stats.bump(Stat::Recomputation);
         // Population queries are view-internal definitions: like attribute
         // bodies, they see through the view's hides (paper Example 5 hides
         // the very attributes its imaginary Address class selects). The
@@ -2063,7 +1995,7 @@ impl View {
         let engine = spec.engine();
         let mut out = BTreeSet::new();
         if let Some((postings, index)) = self.index_candidates(inc) {
-            self.bump_stat(Stat::IndexPushdown);
+            self.stats.bump(Stat::IndexPushdown);
             let kind = plan::ScanKind::IndexPushdown { index, engine };
             Self::measured(kind, est, |counted| {
                 self.run_rows(spec, &postings, counted, &mut out)
@@ -2078,7 +2010,7 @@ impl View {
         if self.parallel.chooses_split(extent.len())
             && self.parallel_strikes.load(Ordering::Relaxed) < PARALLEL_STRIKE_LIMIT
         {
-            self.bump_stat(Stat::ParallelScan);
+            self.stats.bump(Stat::ParallelScan);
             let chunks = extent.len().div_ceil(self.parallel.chunk_len(extent.len()));
             let (populating, depth) = self.with_eval(|s| (s.populating.clone(), s.body_depth));
             let split = Self::measured(plan::ScanKind::Parallel { chunks, engine }, est, |_| {
@@ -2103,7 +2035,7 @@ impl View {
                 // sequential retry would breach the same shared counters.
                 Err(e) if e.is_transient() || matches!(e, QueryError::Panicked { .. }) => {
                     let strikes = self.parallel_strikes.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.bump_stat(Stat::SeqFallback);
+                    self.stats.bump(Stat::SeqFallback);
                     let _s = ov_oodb::span!("view.seq_fallback", strikes = strikes as usize);
                 }
                 Err(e) => return Err(e),
@@ -2337,44 +2269,49 @@ impl View {
         Err(QueryError::from(OodbError::UnknownObject(oid)))
     }
 
-    /// All classes from which attribute resolution may start for `oid`:
-    /// its presented class (or nearest visible ancestors if that class is
-    /// hidden) plus every virtual class whose population contains it.
-    pub(crate) fn membership_roots(
-        &self,
-        oid: Oid,
-        relevant_to: Option<Symbol>,
-    ) -> ov_query::Result<Vec<ClassId>> {
-        let base = self.view_class_of(oid)?;
-        let mut roots: Vec<ClassId> = if self.is_hidden_class(base) && self.body_depth() == 0 {
-            // Nearest visible ancestors.
-            let schema = self.schema.read();
-            let mut visible: Vec<ClassId> = schema
-                .ancestors(base)
-                .into_iter()
-                .filter(|&a| !self.is_hidden_class(a))
-                .collect();
-            let all = visible.clone();
-            visible.retain(|&a| !all.iter().any(|&b| b != a && schema.is_subclass(b, a)));
-            if visible.is_empty() {
-                return Err(ViewError::NotVisible(oid).into());
-            }
-            visible
+    /// The nearest visible ancestors of hidden class `class`: what its
+    /// objects present as. Empty when every ancestor is hidden too.
+    fn nearest_visible_ancestors(&self, schema: &Schema, class: ClassId) -> Vec<ClassId> {
+        let visible: Vec<ClassId> = schema
+            .ancestors(class)
+            .into_iter()
+            .filter(|&a| !self.is_hidden_class(a))
+            .collect();
+        visible
+            .iter()
+            .copied()
+            .filter(|&a| !visible.iter().any(|&b| b != a && schema.is_subclass(b, a)))
+            .collect()
+    }
+
+    /// The classes resolution starts from for an object presenting as
+    /// `class`, before virtual memberships: `class` itself, or — outside
+    /// the view's own definitions — its nearest visible ancestors when it
+    /// is hidden. Empty: the object is not visible at all.
+    fn base_roots(&self, class: ClassId) -> Vec<ClassId> {
+        if self.is_hidden_class(class) && self.body_depth() == 0 {
+            self.nearest_visible_ancestors(&self.schema.read(), class)
         } else {
-            vec![base]
-        };
-        // Virtual memberships (overlapping classes, §4.2). Classes being
-        // populated right now are skipped — an attribute defined on a class
-        // cannot be used inside that class's own population query. Classes
-        // that cannot possibly define `relevant_to` are skipped without
-        // populating them: membership only matters to resolution when some
-        // ancestor actually provides a definition, and skipping the rest
-        // avoids both wasted work and spurious population cycles.
-        //
-        // Definitions already reachable through the base roots: a virtual
-        // membership is only *relevant* to resolving `attr` if it
-        // contributes a definition the base chain does not.
-        let base_defs: HashSet<ClassId> = match relevant_to {
+            vec![class]
+        }
+    }
+
+    /// The virtual classes whose population decides how `attr` resolves for
+    /// an object with base roots `roots` (`None`: every attribute), in
+    /// definition order. Classes that cannot be populated right now are
+    /// out ([`Self::populatable_virtuals`]) — an attribute defined on a
+    /// class cannot be used inside that class's own population query. So
+    /// are classes that cannot contribute a definition of `attr` the base
+    /// chain does not already reach: membership only matters to resolution
+    /// when some ancestor actually provides one, and skipping the rest
+    /// avoids both wasted work and spurious population cycles.
+    ///
+    /// [`Self::membership_roots`] populates these and
+    /// [`Self::resolves_by_class`] asks whether there are any; both must
+    /// read the same list, or the compiled engine's per-class verdict cache
+    /// conflates members with non-members.
+    fn relevant_virtuals(&self, roots: &[ClassId], attr: Option<Symbol>) -> Vec<ClassId> {
+        let base_defs: HashSet<ClassId> = match attr {
             None => HashSet::new(),
             Some(_) => {
                 let schema = self.schema.read();
@@ -2384,9 +2321,9 @@ impl View {
                     .collect()
             }
         };
-        let candidates = self.populatable_virtuals(|schema, v| {
+        self.populatable_virtuals(|schema, v| {
             !roots.contains(&v)
-                && match relevant_to {
+                && match attr {
                     None => true,
                     Some(attr) => ClassGraph::ancestors(schema, v).iter().any(|&a| {
                         !base_defs.contains(&a)
@@ -2396,8 +2333,23 @@ impl View {
                                 .is_some_and(|d| !d.is_abstract())
                     }),
                 }
-        });
-        for v in candidates {
+        })
+    }
+
+    /// All classes from which attribute resolution may start for `oid`:
+    /// its presented class (or nearest visible ancestors if that class is
+    /// hidden) plus every virtual class (overlapping classes, §4.2)
+    /// relevant to `relevant_to` whose population contains it.
+    pub(crate) fn membership_roots(
+        &self,
+        oid: Oid,
+        relevant_to: Option<Symbol>,
+    ) -> ov_query::Result<Vec<ClassId>> {
+        let mut roots = self.base_roots(self.view_class_of(oid)?);
+        if roots.is_empty() {
+            return Err(ViewError::NotVisible(oid).into());
+        }
+        for v in self.relevant_virtuals(&roots, relevant_to) {
             if self.population(v)?.contains(&oid) {
                 roots.push(v);
             }
@@ -2463,47 +2415,13 @@ impl View {
     }
 
     /// Is resolving `name` a function of `class` alone, for the virtual
-    /// classes that exist right now?
+    /// classes that exist right now? Only when no virtual class is relevant
+    /// — otherwise membership in its population makes resolution
+    /// per-object. With no base roots `resolve` errors for every such
+    /// object; that is not cached either.
     fn resolves_by_class(&self, class: ClassId, name: Symbol) -> bool {
-        // Mirrors `membership_roots`: resolving `name` is a pure function
-        // of the class only when no virtual class could contribute a
-        // *relevant* definition — otherwise membership in that class's
-        // population makes resolution per-object, and the per-class cache
-        // would conflate members with non-members.
-        let populating = self.with_eval(|s| s.populating.clone());
-        let schema = self.schema.read();
-        let roots: Vec<ClassId> = if self.is_hidden_class(class) && self.body_depth() == 0 {
-            let mut visible: Vec<ClassId> = schema
-                .ancestors(class)
-                .into_iter()
-                .filter(|&a| !self.is_hidden_class(a))
-                .collect();
-            let all = visible.clone();
-            visible.retain(|&a| !all.iter().any(|&b| b != a && schema.is_subclass(b, a)));
-            if visible.is_empty() {
-                // `resolve` errors for every such object; don't cache that.
-                return false;
-            }
-            visible
-        } else {
-            vec![class]
-        };
-        let base_defs: HashSet<ClassId> = roots
-            .iter()
-            .flat_map(|&r| ClassGraph::ancestors(&*schema, r))
-            .collect();
-        let virt = self.virt.read();
-        !virt.keys().copied().any(|v| {
-            !populating.contains(&v)
-                && !roots.contains(&v)
-                && ClassGraph::ancestors(&*schema, v).iter().any(|&a| {
-                    !base_defs.contains(&a)
-                        && schema
-                            .class(a)
-                            .own_attr(name)
-                            .is_some_and(|d| !d.is_abstract())
-                })
-        })
+        let roots = self.base_roots(class);
+        !roots.is_empty() && self.relevant_virtuals(&roots, Some(name)).is_empty()
     }
 
     // ------------------------------------------------------------------
@@ -2812,15 +2730,7 @@ impl DataSource for View {
         let c = self.view_class_of(oid)?;
         if self.is_hidden_class(c) {
             // Present the object under its nearest visible ancestor.
-            let schema = self.schema.read();
-            let mut visible: Vec<ClassId> = schema
-                .ancestors(c)
-                .into_iter()
-                .filter(|&a| !self.is_hidden_class(a))
-                .collect();
-            let all = visible.clone();
-            visible.retain(|&a| !all.iter().any(|&b| b != a && schema.is_subclass(b, a)));
-            visible
+            self.nearest_visible_ancestors(&self.schema.read(), c)
                 .first()
                 .copied()
                 .ok_or_else(|| ViewError::NotVisible(oid).into())

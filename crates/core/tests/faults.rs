@@ -9,7 +9,7 @@
 use ov_oodb::faults::{self, FaultAction, FaultSchedule};
 use ov_oodb::{sym, System, Value};
 use ov_query::{execute_script, ParallelConfig, PopPath};
-use ov_views::{View, ViewDef, ViewError, ViewOptions};
+use ov_views::{Session, View, ViewDef, ViewError, ViewOptions};
 
 /// Serializes the tests of this binary and scopes arming to its own
 /// lifetime: the registry is clear when a test starts and when it ends,
@@ -165,6 +165,49 @@ fn degraded_error_when_no_cached_population() {
     faults::clear();
     // The view recovers completely once the fault clears.
     assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+}
+
+/// Every way a statement reaches a view through a `Session` reports
+/// exhausted degradation the same way: `Session::query`, a statement run by
+/// `Session::execute`, and the traced run behind `.analyze`.
+#[test]
+fn session_statements_report_degradation_like_session_queries() {
+    let _guard = FaultGuard::take();
+    let mut session = Session::new();
+    session
+        .execute(
+            r#"
+            database Staff;
+            class Person type [Name: string, Age: integer];
+            object #1 in Person value [Name: "Maggy", Age: 66];
+            create view V;
+            import all classes from database Staff;
+            class Adult includes (select P from Person where P.Age >= 21);
+            "#,
+        )
+        .unwrap();
+    // Cold cache + every attempt fails: nothing to serve stale.
+    faults::arm(
+        "view.population_recompute",
+        FaultSchedule::From(1),
+        FaultAction::Error,
+    );
+    let degraded = |r: Result<(), ViewError>| match r.unwrap_err() {
+        ViewError::Degraded {
+            class, attempts, ..
+        } => (class, attempts),
+        other => panic!("expected Degraded, got {other}"),
+    };
+    let by_query = degraded(session.query(sym("V"), "count(Adult)").map(drop));
+    assert_eq!(by_query, (sym("Adult"), 3));
+    assert_eq!(
+        degraded(session.execute("count(Adult);").map(drop)),
+        by_query
+    );
+    assert_eq!(
+        degraded(session.analyze(sym("V"), "count(Adult)").map(drop)),
+        by_query
+    );
 }
 
 #[test]

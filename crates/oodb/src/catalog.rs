@@ -60,11 +60,6 @@ impl System {
         Ok(self.databases[id.0 as usize].clone())
     }
 
-    /// The handle for database id `id`.
-    pub fn database_by_id(&self, id: DbId) -> DbHandle {
-        self.databases[id.0 as usize].clone()
-    }
-
     /// All database names, sorted.
     pub fn names(&self) -> Vec<Symbol> {
         let mut v: Vec<Symbol> = self.by_name.keys().copied().collect();

@@ -212,20 +212,6 @@ impl Database {
         }
     }
 
-    /// Creates a class naming its parents.
-    pub fn create_class_named(
-        &mut self,
-        name: Symbol,
-        parent_names: &[Symbol],
-        attrs: Vec<AttrDef>,
-    ) -> Result<ClassId> {
-        let parents: Vec<ClassId> = parent_names
-            .iter()
-            .map(|&p| self.schema.require_class(p))
-            .collect::<Result<_>>()?;
-        self.schema.add_class(name, &parents, attrs)
-    }
-
     /// Creates an object *real* in `class` (unique root rule) with the given
     /// stored attribute values. Fields are validated against the class's
     /// stored attribute types; missing stored attributes are filled with

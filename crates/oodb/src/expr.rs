@@ -289,134 +289,6 @@ impl Expr {
             rhs: Box::new(rhs),
         }
     }
-
-    /// Walks the expression tree, calling `f` on every node (pre-order).
-    pub fn walk(&self, f: &mut dyn FnMut(&Expr)) {
-        f(self);
-        match self {
-            Expr::Lit(_) | Expr::SelfRef | Expr::Name(_) => {}
-            Expr::Attr { recv, args, .. } => {
-                recv.walk(f);
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            Expr::TupleCons(fields) => {
-                for (_, e) in fields {
-                    e.walk(f);
-                }
-            }
-            Expr::SetCons(es) | Expr::ListCons(es) => {
-                for e in es {
-                    e.walk(f);
-                }
-            }
-            Expr::Unary { expr, .. } => expr.walk(f),
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
-            }
-            Expr::If { cond, then, els } => {
-                cond.walk(f);
-                then.walk(f);
-                els.walk(f);
-            }
-            Expr::Select(s) | Expr::Exists(s) => s.walk(f),
-            Expr::Aggregate { arg, .. } => arg.walk(f),
-            Expr::IsA { expr, .. } => expr.walk(f),
-            Expr::Apply { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-        }
-    }
-
-    /// The free names referenced by this expression (query variables and/or
-    /// class names — resolution is contextual). Bound select variables are
-    /// excluded. Used by the view layer to find class dependencies.
-    pub fn free_names(&self) -> Vec<Symbol> {
-        let mut out = Vec::new();
-        self.free_names_into(&mut Vec::new(), &mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn free_names_into(&self, bound: &mut Vec<Symbol>, out: &mut Vec<Symbol>) {
-        match self {
-            Expr::Name(n) => {
-                if !bound.contains(n) {
-                    out.push(*n);
-                }
-            }
-            Expr::Lit(_) | Expr::SelfRef => {}
-            Expr::Attr { recv, args, .. } => {
-                recv.free_names_into(bound, out);
-                for a in args {
-                    a.free_names_into(bound, out);
-                }
-            }
-            Expr::TupleCons(fields) => {
-                for (_, e) in fields {
-                    e.free_names_into(bound, out);
-                }
-            }
-            Expr::SetCons(es) | Expr::ListCons(es) => {
-                for e in es {
-                    e.free_names_into(bound, out);
-                }
-            }
-            Expr::Unary { expr, .. } => expr.free_names_into(bound, out),
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.free_names_into(bound, out);
-                rhs.free_names_into(bound, out);
-            }
-            Expr::If { cond, then, els } => {
-                cond.free_names_into(bound, out);
-                then.free_names_into(bound, out);
-                els.free_names_into(bound, out);
-            }
-            Expr::Select(s) | Expr::Exists(s) => s.free_names_into(bound, out),
-            Expr::Aggregate { arg, .. } => arg.free_names_into(bound, out),
-            Expr::IsA { expr, class } => {
-                expr.free_names_into(bound, out);
-                out.push(*class);
-            }
-            Expr::Apply { name, args } => {
-                out.push(*name);
-                for a in args {
-                    a.free_names_into(bound, out);
-                }
-            }
-        }
-    }
-}
-
-impl SelectExpr {
-    /// Walks all sub-expressions.
-    pub fn walk(&self, f: &mut dyn FnMut(&Expr)) {
-        self.proj.walk(f);
-        for (_, c) in &self.bindings {
-            c.walk(f);
-        }
-        if let Some(w) = &self.filter {
-            w.walk(f);
-        }
-    }
-
-    fn free_names_into(&self, bound: &mut Vec<Symbol>, out: &mut Vec<Symbol>) {
-        let depth = bound.len();
-        for (var, coll) in &self.bindings {
-            coll.free_names_into(bound, out);
-            bound.push(*var);
-        }
-        self.proj.free_names_into(bound, out);
-        if let Some(w) = &self.filter {
-            w.free_names_into(bound, out);
-        }
-        bound.truncate(depth);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -673,38 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn free_names_excludes_bound_variables() {
-        let q = Expr::Select(adult_query());
-        let names: Vec<&str> = q.free_names().iter().map(|s| s.as_str()).collect();
-        assert_eq!(names, vec!["Person"]);
-    }
-
-    #[test]
-    fn free_names_sees_nested_collections() {
-        // select X from X in (select Y from Y in Rich where Y in Beautiful)
-        let inner = SelectExpr {
-            distinct: false,
-            the: false,
-            proj: Box::new(Expr::name("Y")),
-            bindings: vec![(sym("Y"), Expr::name("Rich"))],
-            filter: Some(Box::new(Expr::bin(
-                BinOp::In,
-                Expr::name("Y"),
-                Expr::name("Beautiful"),
-            ))),
-        };
-        let outer = Expr::Select(SelectExpr {
-            distinct: false,
-            the: false,
-            proj: Box::new(Expr::name("X")),
-            bindings: vec![(sym("X"), Expr::Select(inner))],
-            filter: None,
-        });
-        let names: Vec<&str> = outer.free_names().iter().map(|s| s.as_str()).collect();
-        assert_eq!(names, vec!["Beautiful", "Rich"]);
-    }
-
-    #[test]
     fn select_the_displays() {
         let q = SelectExpr {
             distinct: false,
@@ -714,14 +554,5 @@ mod tests {
             filter: None,
         };
         assert_eq!(q.to_string(), "select the A from A in Address");
-    }
-
-    #[test]
-    fn walk_visits_every_node() {
-        let q = Expr::Select(adult_query());
-        let mut count = 0;
-        q.walk(&mut |_| count += 1);
-        // Select, proj Name, binding Name, filter Binary, Attr, Name(P), Lit.
-        assert_eq!(count, 7);
     }
 }

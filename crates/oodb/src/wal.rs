@@ -343,19 +343,6 @@ impl WalRecord {
             }
         })
     }
-
-    /// Does this record mutate the object store (as opposed to schema,
-    /// names, indexes, or identity tables)? Store mutations bump the store
-    /// version on replay.
-    pub fn is_store_mutation(&self) -> bool {
-        matches!(
-            self,
-            WalRecord::Insert { .. }
-                | WalRecord::Update { .. }
-                | WalRecord::SetField { .. }
-                | WalRecord::Remove { .. }
-        )
-    }
 }
 
 /// An open write-ahead log file.
@@ -662,25 +649,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (_, recs) = Wal::open(&path).unwrap();
         assert_eq!(recs.len(), 3, "only the damaged record is lost");
-    }
-
-    #[test]
-    fn injected_torn_write_recovers_prefix() {
-        let path = tmp("fp-torn");
-        let (mut wal, _) = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Remove { oid: Oid(9) }).unwrap();
-        crate::faults::arm(
-            "wal.torn_write",
-            crate::FaultSchedule::Nth(1),
-            crate::FaultAction::Error,
-        );
-        let err = wal.append(&WalRecord::Remove { oid: Oid(10) }).unwrap_err();
-        crate::faults::clear();
-        assert!(matches!(err, OodbError::Io { .. }));
-        wal.sync().unwrap();
-        drop(wal);
-        let (_, recs) = Wal::open(&path).unwrap();
-        assert_eq!(recs, vec![(1, WalRecord::Remove { oid: Oid(9) })]);
     }
 
     #[test]

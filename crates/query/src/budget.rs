@@ -11,24 +11,24 @@
 //! surfaces breaches as typed [`QueryError::Cancelled`] /
 //! [`QueryError::ResourceExhausted`] errors instead of running away.
 //!
-//! Installation follows the same thread-local discipline as
-//! [`crate::plan`]: threading a budget through every evaluator frame would
-//! infect each `DataSource` signature, so the governing caller brackets the
-//! work with [`with`] and the evaluator captures the current budget once at
+//! The budget is part of the thread's ambient execution context
+//! (`ctx.rs`): threading it through every evaluator frame would infect each
+//! `DataSource` signature, so the governing caller brackets the work with
+//! [`with`] and the evaluator captures the current budget once at
 //! construction. Counters (`steps`, `rows`) are shared atomics, so parallel
-//! scan workers — which re-install the coordinator's budget via [`current`]
-//! — drain one global allowance rather than one per thread.
+//! scan workers — which inherit the coordinator's context — drain one
+//! global allowance rather than one per thread.
 //!
 //! Both engines charge steps and rows **per row, in row order**, so a cap
 //! is breached at exactly the same row — with the same error — whichever
 //! engine runs the scan.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::ctx;
 use crate::error::QueryError;
 
 /// How often (in eval steps) the deadline is re-checked. Reading the clock
@@ -181,32 +181,16 @@ impl Budget {
     }
 }
 
-thread_local! {
-    static CURRENT: RefCell<Option<Arc<Budget>>> = const { RefCell::new(None) };
-}
-
 /// Runs `f` with `budget` installed as this thread's current budget,
-/// restoring the previous one after (budgets nest; the innermost governs).
+/// restoring the previous one after, on unwind too (budgets nest; the
+/// innermost governs).
 pub fn with<R>(budget: Arc<Budget>, f: impl FnOnce() -> R) -> R {
-    let prev = CURRENT.with(|c| c.borrow_mut().replace(budget));
-    // Restore on unwind too: a panic mid-query (e.g. an injected one) must
-    // not leave a stale budget governing unrelated later work.
-    struct Restore(Option<Arc<Budget>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            CURRENT.with(|c| *c.borrow_mut() = prev);
-        }
-    }
-    let _restore = Restore(prev);
-    f()
+    ctx::scoped(|c| &mut c.budget, Some(budget), f).0
 }
 
-/// The budget governing this thread, if any. Parallel scan coordinators
-/// capture this and re-install it (via [`with`]) on their worker threads so
-/// chunks drain the same shared counters.
+/// The budget governing this thread, if any.
 pub fn current() -> Option<Arc<Budget>> {
-    CURRENT.with(|c| c.borrow().clone())
+    ctx::with(|c| c.budget.clone())
 }
 
 /// The effective parser nesting cap: the installed budget's depth cap,

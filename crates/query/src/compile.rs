@@ -48,15 +48,14 @@
 //! bracket, template instantiation) bumps its generation and the scan
 //! drops its cached verdicts.
 
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use ov_oodb::{AggFunc, BinOp, ClassId, Expr, Oid, SelectExpr, Symbol, UnOp, Value};
 
 use crate::budget::{self, Budget};
+use crate::ctx;
 use crate::error::{QueryError, Result};
 use crate::eval::{self, finish_select, truthy, Evaluator};
 use crate::rowtest::{scan_rows, Code, RowSpec, RowTest};
@@ -64,17 +63,14 @@ use crate::source::{DataSource, ResolvedAttr};
 
 // --- engine selection -----------------------------------------------------
 
-/// Which engine scan paths should use. There is a process-wide default
-/// (set once at startup by tooling) and a thread-scoped override
-/// ([`with_engine_mode`]) so concurrent sessions — and parallel tests —
-/// can pick engines independently without racing on the global.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which engine scan paths should use: a thread-scoped setting
+/// ([`with_engine_mode`]) that the workers of a split scan inherit, so
+/// concurrent sessions — and parallel tests — pick engines independently.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Compile where the expression is covered, fall back otherwise
-    /// (the default).
-    Auto,
-    /// The explicit spelling of [`EngineMode::Auto`] (ovq `.engine
-    /// compiled`): compile when covered, fall back otherwise.
+    /// Compile where the expression is covered, fall back to the
+    /// interpreter otherwise (the default).
+    #[default]
     Compiled,
     /// Never compile; every scan runs the tree-walking interpreter.
     Interp,
@@ -84,7 +80,6 @@ impl EngineMode {
     /// The ovq-facing spelling.
     pub fn as_str(self) -> &'static str {
         match self {
-            EngineMode::Auto => "auto",
             EngineMode::Compiled => "compiled",
             EngineMode::Interp => "interp",
         }
@@ -93,7 +88,6 @@ impl EngineMode {
     /// Parses the ovq-facing spelling.
     pub fn parse(s: &str) -> Option<EngineMode> {
         match s {
-            "auto" => Some(EngineMode::Auto),
             "compiled" => Some(EngineMode::Compiled),
             "interp" => Some(EngineMode::Interp),
             _ => None,
@@ -101,55 +95,19 @@ impl EngineMode {
     }
 }
 
-static ENGINE_MODE: AtomicU8 = AtomicU8::new(0);
-
-thread_local! {
-    static TLS_ENGINE: Cell<Option<EngineMode>> = const { Cell::new(None) };
-}
-
-/// Sets the process-wide *default* engine mode. Scopes that need a
-/// different engine without affecting concurrent sessions should use
-/// [`with_engine_mode`] instead.
-pub fn set_engine_mode(mode: EngineMode) {
-    let v = match mode {
-        EngineMode::Auto => 0,
-        EngineMode::Compiled => 1,
-        EngineMode::Interp => 2,
-    };
-    ENGINE_MODE.store(v, Ordering::Relaxed);
-}
-
 /// The engine mode governing this thread: the innermost
-/// [`with_engine_mode`] override if one is active, else the process-wide
-/// default.
+/// [`with_engine_mode`] scope, else the default.
 pub fn engine_mode() -> EngineMode {
-    if let Some(m) = TLS_ENGINE.with(|c| c.get()) {
-        return m;
-    }
-    match ENGINE_MODE.load(Ordering::Relaxed) {
-        1 => EngineMode::Compiled,
-        2 => EngineMode::Interp,
-        _ => EngineMode::Auto,
-    }
+    ctx::with(|c| c.engine).unwrap_or_default()
 }
 
 /// Runs `f` with `mode` as this thread's engine mode, restoring the
-/// previous override on the way out (also on unwind). This is how
-/// per-`Session` engine selection works without racing the global:
-/// nothing outside the closure — other threads, other sessions — sees
-/// the override. Note that scans dispatched to *worker* threads inside
-/// `f` (parallel chunk scans, background populations) consult their own
-/// thread's mode, i.e. the process default; both engines are
-/// bit-identical, so this affects performance characteristics only.
+/// previous one on the way out (also on unwind). This is how
+/// per-`Session` engine selection works: nothing outside the closure —
+/// other threads, other sessions — sees the setting, and scans that `f`
+/// splits across worker threads carry it to their workers.
 pub fn with_engine_mode<R>(mode: EngineMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<EngineMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TLS_ENGINE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(TLS_ENGINE.with(|c| c.replace(Some(mode))));
-    f()
+    ctx::scoped(|c| &mut c.engine, Some(mode), f).0
 }
 
 /// Should scan paths attempt compiled execution at all?
@@ -158,8 +116,8 @@ pub fn compiled_enabled() -> bool {
 }
 
 /// Top-level expressions the compiled engine declined while it was
-/// enabled ([`EngineMode::Auto`] or [`EngineMode::Compiled`]) and that
-/// therefore ran in the interpreter. Zero when everything a workload runs
+/// enabled ([`EngineMode::Compiled`]) and that therefore ran in the
+/// interpreter. Zero when everything a workload runs
 /// is covered; a growing count is a coverage gap.
 pub fn compile_fallbacks() -> u64 {
     ov_oodb::metric_counter!("compile.fallbacks").get()
@@ -1261,7 +1219,6 @@ pub(crate) fn try_run_compiled(src: &dyn DataSource, expr: &Expr) -> Option<Resu
     if !compiled_enabled() {
         return None;
     }
-    crate::planner::clear_last_decision();
     if let Expr::Select(q) = expr {
         // Canonical single-binding class scan: the fast path, with the
         // planner choosing between sequential scan and index pushdown.
@@ -1596,6 +1553,7 @@ mod tests {
     use crate::eval::Env;
     use crate::parser::parse_expr;
     use ov_oodb::{sym, AttrDef, Database, Type};
+    use std::sync::atomic::Ordering;
 
     fn staff() -> Database {
         let mut db = Database::new(sym("Staff"));
@@ -1814,20 +1772,16 @@ mod tests {
     }
 
     #[test]
-    fn every_compiled_mode_counts_interpreter_fallbacks() {
+    fn the_compiled_engine_counts_interpreter_fallbacks() {
         let db = staff();
         // A free name outside an aggregate argument is not covered.
         let expr = parse_expr("select P from P in Person where P isa Person").unwrap();
-        for mode in [EngineMode::Auto, EngineMode::Compiled] {
-            let before = compile_fallbacks();
-            with_engine_mode(mode, || {
-                assert!(try_run_compiled(&db, &expr).is_none());
-            });
-            assert!(
-                compile_fallbacks() > before,
-                "a fallback under {mode:?} should bump compile.fallbacks"
-            );
-        }
+        let before = compile_fallbacks();
+        assert!(try_run_compiled(&db, &expr).is_none());
+        assert!(
+            compile_fallbacks() > before,
+            "a fallback should bump compile.fallbacks"
+        );
     }
 
     #[test]
@@ -1987,7 +1941,7 @@ mod tests {
 
     #[test]
     fn engine_mode_override_scopes_to_the_thread() {
-        assert_eq!(engine_mode(), EngineMode::Auto);
+        assert_eq!(engine_mode(), EngineMode::Compiled);
         with_engine_mode(EngineMode::Interp, || {
             assert_eq!(engine_mode(), EngineMode::Interp);
             // Nested overrides stack…
@@ -1995,20 +1949,20 @@ mod tests {
                 assert_eq!(engine_mode(), EngineMode::Compiled);
             });
             assert_eq!(engine_mode(), EngineMode::Interp);
-            // …and other threads see the process default, not our override.
-            std::thread::spawn(|| assert_eq!(engine_mode(), EngineMode::Auto))
+            // …and a thread we did not fork sees the default, not our override.
+            std::thread::spawn(|| assert_eq!(engine_mode(), EngineMode::Compiled))
                 .join()
                 .unwrap();
         });
-        assert_eq!(engine_mode(), EngineMode::Auto);
+        assert_eq!(engine_mode(), EngineMode::Compiled);
     }
 
     #[test]
     fn engine_mode_round_trips_its_spelling() {
-        for mode in [EngineMode::Auto, EngineMode::Compiled, EngineMode::Interp] {
+        for mode in [EngineMode::Compiled, EngineMode::Interp] {
             assert_eq!(EngineMode::parse(mode.as_str()), Some(mode));
         }
-        assert_eq!(EngineMode::parse("jit"), None);
+        assert_eq!(EngineMode::parse("auto"), None);
     }
 
     /// A source whose resolution can change mid-scan, announced via the
@@ -2119,11 +2073,9 @@ mod tests {
         // Three rows, one match: the filter attribute is probed per row,
         // the projection attribute only for the row that passed.
         let expr = parse_expr("select P.Name from P in Person where P.Age = 30").unwrap();
-        let got = with_engine_mode(EngineMode::Auto, || {
-            crate::planner::with_planner(false, || try_run_compiled(&src, &expr))
-        })
-        .expect("canonical scan compiles")
-        .unwrap();
+        let got = crate::planner::with_planner(false, || try_run_compiled(&src, &expr))
+            .expect("canonical scan compiles")
+            .unwrap();
         assert_eq!(got, Value::set([Value::str("Tony")]));
         let probes = src.probes.lock().unwrap();
         let count = |name: &str| probes.iter().filter(|p| **p == sym(name)).count();

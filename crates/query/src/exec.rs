@@ -18,7 +18,7 @@ use ov_oodb::{
 
 use crate::ast::{Stmt, TypeExpr};
 use crate::error::{QueryError, Result};
-use crate::eval::{eval_expr, Env, Evaluator};
+use crate::eval::eval_expr;
 use crate::parser::parse_program;
 use crate::typecheck::{infer, TypeEnv};
 
@@ -427,7 +427,7 @@ pub fn rewrite_expr(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> Expr 
 
 /// Runs a single query string against any data source (database or view).
 /// Canonical class scans run the compiled predicate engine (unless disabled
-/// via [`set_engine_mode`](crate::set_engine_mode)); everything else — and
+/// via [`with_engine_mode`](crate::with_engine_mode)); everything else — and
 /// every expression outside the compiler's coverage — takes the
 /// tree-walking interpreter, with identical observable behavior.
 ///
@@ -479,10 +479,10 @@ fn run_expr_profiled(
     // Fold constants before planning/execution so literals substituted by
     // parameterized-class instantiation feed selectivity estimation.
     let e = &crate::optimize::optimize_expr(e);
-    let ((result, populations), actuals) = {
+    let ((result, observed), actuals) = {
         let _exec = ov_oodb::span!("query.execute");
         plan::with_scan_actuals(|| {
-            plan::collect(|| match crate::compile::try_run_compiled(src, e) {
+            plan::observe(|| match crate::compile::try_run_compiled(src, e) {
                 Some(r) => (r, Engine::Compiled),
                 None => (crate::eval::eval_expr(src, e), Engine::Interpreted),
             })
@@ -505,15 +505,14 @@ fn run_expr_profiled(
         Engine::Compiled => entry.compiled.inc(),
         Engine::Interpreted => entry.interpreted.inc(),
     }
-    let plan_choice = crate::planner::take_last_decision();
-    if let Some(d) = &plan_choice {
+    if let Some(d) = &observed.decision {
         if d.cache_hit {
             entry.plan_cache_hits.inc();
         } else {
             entry.plan_cache_misses.inc();
         }
     }
-    for p in &populations {
+    for p in &observed.events {
         match &p.path {
             plan::PopPath::CacheHit => entry.pop_cache_hits.inc(),
             plan::PopPath::Delta { .. } => entry.pop_deltas.inc(),
@@ -529,17 +528,13 @@ fn run_expr_profiled(
                 nanos,
                 detail: format!("engine={engine}"),
             }],
-            populations,
+            populations: observed.events,
             rows,
             actuals,
             engine: Some(engine),
             fingerprint: fingerprint.clone(),
             normalized,
-            planner: plan_choice.map(|d| plan::PlanChoice {
-                strategy: d.strategy.to_string(),
-                est_rows: d.est_rows,
-                cache_hit: d.cache_hit,
-            }),
+            planner: observed.decision.map(plan::PlanChoice::from),
         };
         log.record(ov_oodb::metrics::SlowQuery {
             query: query.map(str::to_string).unwrap_or_else(|| e.to_string()),
@@ -578,16 +573,6 @@ pub fn run_query_with_budget(
     budget: std::sync::Arc<crate::budget::Budget>,
 ) -> Result<Value> {
     crate::budget::with(budget, || run_query(src, query))
-}
-
-/// Runs a query with a pre-bound environment (rarely needed; used in tests).
-pub fn run_query_env(
-    src: &dyn crate::source::DataSource,
-    query: &str,
-    env: &mut Env,
-) -> Result<Value> {
-    let e = crate::parser::parse_expr(query)?;
-    Evaluator::new(src).eval(&e, env)
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@
 pub mod ast;
 pub mod budget;
 pub mod compile;
+mod ctx;
 pub mod error;
 pub mod eval;
 pub mod exec;
@@ -46,7 +47,7 @@ pub use ast::{ImportWhat, IncludeSpec, Stmt, TypeExpr};
 pub use budget::{Budget, BudgetBreach};
 pub use compile::{
     compile_fallbacks, compile_predicate, compile_select_scan, compiled_enabled, engine_mode,
-    set_engine_mode, with_engine_mode, EngineMode, Program, Scan, SelectScan,
+    with_engine_mode, EngineMode, Program, Scan, SelectScan,
 };
 pub use error::{Pos, QueryError, Result};
 pub use eval::{eval_attr, eval_expr, eval_select, truthy, value_eq, Env, Evaluator};
@@ -65,8 +66,8 @@ pub use plan::{
     ScanActuals, ScanEvent, ScanKind, Stage,
 };
 pub use planner::{
-    clear_plan_cache, estimate_select, planner_enabled, set_planner_enabled, with_planner,
-    Decision as PlanDecision, Strategy as PlanStrategy,
+    clear_plan_cache, estimate_select, planner_enabled, with_planner, Decision as PlanDecision,
+    Strategy as PlanStrategy,
 };
 pub use rowtest::{scan_rows, Code, RowSpec, RowTest};
 pub use source::{require_class, DataSource, ResolvedAttr, SourceGraph};

@@ -167,9 +167,9 @@ pub fn run_query_parallel(
 /// one fan-out, shared by [`eval_select_parallel`] and the view layer's
 /// split population scans. `site` names the per-chunk failpoint and span
 /// and labels a caught worker panic ([`QueryError::Panicked`]). Every
-/// worker runs under the coordinator's budget and checks its deadline
-/// before it starts; rows are charged by `per_chunk`'s row loop. The first
-/// error (in chunk order) wins.
+/// worker runs under the coordinator's engine mode, planner switch and
+/// budget, and checks the deadline before it starts; rows are charged by
+/// `per_chunk`'s row loop. The first error (in chunk order) wins.
 pub fn filter_map_chunked<T, K, F>(
     cfg: &ParallelConfig,
     site: &'static str,
@@ -187,39 +187,33 @@ where
         items = items.len(),
         chunks = items.len().div_ceil(chunk_len)
     );
-    // The coordinator's budget is re-installed on every worker so all
-    // chunks drain the same shared step/row counters.
-    let budget = crate::budget::current();
-    // Workers cannot see the coordinator's thread-local actuals frame, so
-    // each measures its chunk in a frame of its own and hands the result
-    // back with its chunk; the coordinator folds the *work counters* into
-    // its own frame (a no-op when it has none open). Budget charges are
-    // deliberately not folded — worker-side budget deltas overlap under
-    // concurrency, and the coordinator's own bracketing delta already
-    // covers every worker's charges (the budget is shared).
+    // Workers inherit the coordinator's engine, planner switch and budget
+    // (shared, so all chunks drain the same step/row counters). They cannot
+    // see its actuals frame, so each measures its chunk in a frame of its
+    // own and hands the result back with its chunk; the coordinator folds
+    // the *work counters* into its own frame (a no-op when it has none
+    // open). Budget charges are deliberately not folded — worker-side
+    // budget deltas overlap under concurrency, and the coordinator's own
+    // bracketing delta already covers every worker's charges.
+    let fork = crate::ctx::fork();
     let results: Vec<(Result<BTreeSet<K>>, ScanActuals)> = std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
             .enumerate()
             .map(|(i, chunk)| {
-                let per_chunk = &per_chunk;
-                let budget = budget.clone();
+                let (per_chunk, fork) = (&per_chunk, &fork);
                 scope.spawn(move || {
                     // Emitted on the worker, so the flight recorder sees
                     // the chunk under the worker's own thread id.
                     let _chunk_span = ov_oodb::span!(site, chunk = i, len = chunk.len());
-                    let work = || -> Result<BTreeSet<K>> {
+                    fork.run(|| -> Result<BTreeSet<K>> {
                         ov_oodb::faults::hit(site).map_err(ov_oodb::OodbError::Fault)?;
-                        if let Some(b) = &budget {
+                        if let Some(b) = crate::budget::current() {
                             b.check_deadline()?;
                         }
                         let mut keep = BTreeSet::new();
                         per_chunk(chunk, &mut keep)?;
                         Ok(keep)
-                    };
-                    crate::plan::with_scan_actuals(|| match &budget {
-                        Some(b) => crate::budget::with(b.clone(), work),
-                        None => work(),
                     })
                 })
             })

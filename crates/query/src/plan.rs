@@ -8,24 +8,27 @@
 //! it evaluates, and [`run_query_traced`] wraps a query with per-stage
 //! timings ([`Stage`]) plus every population event the evaluation triggered.
 //!
-//! The collector is thread-local on purpose: population happens deep inside
+//! The collector is ambient on purpose: population happens deep inside
 //! `DataSource::deep_extent` calls whose signatures know nothing about
 //! tracing, and threading a context through every evaluator frame would
 //! infect the whole query layer. Instead, the explaining caller brackets
 //! the work with [`collect`], and the view layer calls
-//! [`begin_population`] / [`record_scan`] / [`end_population`] at the
-//! decision points. When no collector is installed every hook is a cheap
-//! thread-local read followed by a no-op, so the untraced hot path stays
-//! untraced. Worker threads spawned *inside* a traced evaluation (parallel
-//! scans) do not see the parent's collector — the chunk count is recorded
-//! by the coordinating thread, which is the one making the plan decision.
+//! [`begin_population`] / [`record_scan_est`] / [`end_population`] at the
+//! decision points. The collector and the open actuals frame are fields of
+//! the thread's one execution context (`ctx.rs`). When no collector is
+//! installed every hook is a cheap thread-local read followed by a no-op,
+//! so the untraced hot path stays untraced. Worker threads spawned *inside*
+//! a traced evaluation (parallel scans) do not see the parent's collector —
+//! the chunk count is recorded by the coordinating thread, which is the one
+//! making the plan decision.
 
-use std::cell::RefCell;
 use std::fmt;
 
 use ov_oodb::Symbol;
 
+use crate::ctx;
 use crate::error::Result;
+use crate::planner::Decision;
 use crate::source::DataSource;
 
 /// Which evaluation engine ran a scan's per-row predicate work.
@@ -316,12 +319,22 @@ pub struct QueryTrace {
 /// estimate, and whether the plan came from the fingerprint-keyed cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanChoice {
-    /// Rendered strategy (`seq`, `index Class.Attr`, `parallel x4`, `join(…)`).
+    /// Rendered strategy (`seq`, `index Class.Attr`, `join(…)`).
     pub strategy: String,
     /// Estimated result rows at planning time.
     pub est_rows: u64,
     /// Whether the plan was served from the plan cache.
     pub cache_hit: bool,
+}
+
+impl From<Decision> for PlanChoice {
+    fn from(d: Decision) -> PlanChoice {
+        PlanChoice {
+            strategy: d.strategy.to_string(),
+            est_rows: d.est_rows,
+            cache_hit: d.cache_hit,
+        }
+    }
 }
 
 impl fmt::Display for PlanChoice {
@@ -378,27 +391,25 @@ pub fn fmt_ns(ns: u64) -> String {
 /// [`begin_population`].
 type ScanFrame = Vec<ScanEvent>;
 
-struct Collector {
-    events: Vec<PopulationTrace>,
+/// What one [`collect`] scope observed.
+#[derive(Default)]
+pub(crate) struct Collector {
+    /// Population events, in completion order.
+    pub(crate) events: Vec<PopulationTrace>,
+    /// The decision of the planned query that ran in the scope
+    /// ([`note_decision`]).
+    pub(crate) decision: Option<Decision>,
     /// Stack of open population frames (populations can nest when a view
     /// body mentions another virtual class).
     frames: Vec<ScanFrame>,
 }
 
-thread_local! {
-    static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
-    /// Stack of open actuals frames (see [`with_scan_actuals`]); separate
-    /// from the collector so budget/row accounting can be measured even
-    /// where no population event is being built.
-    static ACTUALS: RefCell<Vec<ScanActuals>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Folds measured work counters into the innermost open actuals frame.
 /// No-op when no frame is open (the untraced, unprofiled hot path).
 pub fn add_actuals(actuals: &ScanActuals) {
-    ACTUALS.with(|a| {
-        if let Some(top) = a.borrow_mut().last_mut() {
-            top.absorb(actuals);
+    ctx::with(|c| {
+        if let Some(frame) = &mut c.actuals {
+            frame.absorb(actuals);
         }
     });
 }
@@ -411,67 +422,60 @@ pub fn add_actuals(actuals: &ScanActuals) {
 /// budget delta is measured here — outside both engines — so compiled and
 /// interpreted runs of the same work are identical by construction.
 ///
-/// On return the popped frame's work counters are folded into the parent
-/// frame (if one is open); budget charges are not (the parent's own delta
-/// already covers them).
+/// On return the closed frame's work counters are folded into the frame
+/// that is innermost again (if one is open); budget charges are not (that
+/// frame's own delta already covers them). A frame `f` unwinds out of is
+/// dropped.
 pub fn with_scan_actuals<R>(f: impl FnOnce() -> R) -> (R, ScanActuals) {
     let budget = crate::budget::current();
-    let before = budget
-        .as_ref()
-        .map(|b| (b.steps_used(), b.rows_used()))
-        .unwrap_or((0, 0));
-    ACTUALS.with(|a| a.borrow_mut().push(ScanActuals::default()));
-    let r = f();
-    let mut actuals = ACTUALS.with(|a| {
-        let mut frames = a.borrow_mut();
-        let popped = frames.pop().unwrap_or_default();
-        if let Some(parent) = frames.last_mut() {
-            parent.absorb(&popped);
-        }
-        popped
-    });
-    if let Some(b) = &budget {
-        actuals.steps = b.steps_used().saturating_sub(before.0);
-        actuals.rows_charged = b.rows_used().saturating_sub(before.1);
-    }
+    let charged = || {
+        budget
+            .as_ref()
+            .map_or((0, 0), |b| (b.steps_used(), b.rows_used()))
+    };
+    let before = charged();
+    let (r, frame) = ctx::scoped(|c| &mut c.actuals, Some(ScanActuals::default()), f);
+    let mut actuals = frame.unwrap_or_default();
+    add_actuals(&actuals);
+    let after = charged();
+    actuals.steps = after.0.saturating_sub(before.0);
+    actuals.rows_charged = after.1.saturating_sub(before.1);
     (r, actuals)
 }
 
 /// Is a trace collector installed on this thread? The view layer may use
 /// this to skip building detail strings on the untraced path.
 pub fn tracing_active() -> bool {
-    COLLECTOR.with(|c| c.borrow().is_some())
+    ctx::with(|c| c.collector.is_some())
+}
+
+/// Runs `f` on the open collector; no-op without one.
+fn collecting(f: impl FnOnce(&mut Collector)) {
+    ctx::with(|c| {
+        if let Some(collector) = &mut c.collector {
+            f(collector);
+        }
+    });
 }
 
 /// Opens a population frame. Every call must be paired with exactly one
 /// [`end_population`] or [`abort_population`]. No-op without a collector.
 pub fn begin_population() {
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            col.frames.push(Vec::new());
-        }
-    });
+    collecting(|col| col.frames.push(Vec::new()));
 }
 
 /// Records how an include-term scan of the current population frame was
-/// executed, together with what it measured. No-op without a collector or
-/// an open frame.
-pub fn record_scan(kind: ScanKind, actuals: ScanActuals) {
-    record_scan_est(kind, actuals, None);
-}
-
-/// Like [`record_scan`], but also attaches the planner's row estimate for
-/// the scan when one was produced.
+/// executed, together with what it measured and the planner's row estimate
+/// for it when one was produced. No-op without a collector or an open
+/// frame.
 pub fn record_scan_est(kind: ScanKind, actuals: ScanActuals, est_rows: Option<u64>) {
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            if let Some(frame) = col.frames.last_mut() {
-                frame.push(ScanEvent {
-                    kind,
-                    actuals,
-                    est_rows,
-                });
-            }
+    collecting(|col| {
+        if let Some(frame) = col.frames.last_mut() {
+            frame.push(ScanEvent {
+                kind,
+                actuals,
+                est_rows,
+            });
         }
     });
 }
@@ -479,53 +483,51 @@ pub fn record_scan_est(kind: ScanKind, actuals: ScanActuals, est_rows: Option<u6
 /// Closes the current population frame as `outcome` and emits its event.
 /// No-op without a collector.
 pub fn end_population(class: Symbol, outcome: PopOutcome, rows: usize, nanos: u64) {
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            let scans = col.frames.pop().unwrap_or_default();
-            let path = match outcome {
-                PopOutcome::CacheHit => PopPath::CacheHit,
-                PopOutcome::Delta { retested } => PopPath::Delta { retested },
-                PopOutcome::FullRecompute => PopPath::FullRecompute { scans },
-                PopOutcome::StaleServe { attempts } => PopPath::StaleServe { attempts },
-            };
-            col.events.push(PopulationTrace {
-                class,
-                path,
-                rows,
-                nanos,
-            });
-        }
+    collecting(|col| {
+        let scans = col.frames.pop().unwrap_or_default();
+        let path = match outcome {
+            PopOutcome::CacheHit => PopPath::CacheHit,
+            PopOutcome::Delta { retested } => PopPath::Delta { retested },
+            PopOutcome::FullRecompute => PopPath::FullRecompute { scans },
+            PopOutcome::StaleServe { attempts } => PopPath::StaleServe { attempts },
+        };
+        col.events.push(PopulationTrace {
+            class,
+            path,
+            rows,
+            nanos,
+        });
     });
 }
 
 /// Closes the current population frame without emitting an event (the
 /// population failed). No-op without a collector.
 pub fn abort_population() {
-    COLLECTOR.with(|c| {
-        if let Some(col) = c.borrow_mut().as_mut() {
-            col.frames.pop();
-        }
+    collecting(|col| {
+        col.frames.pop();
     });
+}
+
+/// Notes the decision of the planned query that just ran. No-op without a
+/// collector: an unobserved statement records nothing.
+pub(crate) fn note_decision(decision: Decision) {
+    collecting(|col| col.decision = Some(decision));
 }
 
 /// Runs `f` with a trace collector installed on this thread and returns its
 /// result together with every population event it emitted. Nests: a
 /// `collect` inside a `collect` captures its own events only, then restores
-/// the outer collector.
+/// the outer collector — as does a panic unwinding out of `f`.
 pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Vec<PopulationTrace>) {
-    let prev = COLLECTOR.with(|c| {
-        c.borrow_mut().replace(Collector {
-            events: Vec::new(),
-            frames: Vec::new(),
-        })
-    });
-    let r = f();
-    let col = COLLECTOR.with(|c| match prev {
-        Some(prev) => c.borrow_mut().replace(prev),
-        None => c.borrow_mut().take(),
-    });
-    let events = col.map(|c| c.events).unwrap_or_default();
-    (r, events)
+    let (r, observed) = observe(f);
+    (r, observed.events)
+}
+
+/// [`collect`], returning everything the collector observed: the population
+/// events and the planner's decision.
+pub(crate) fn observe<R>(f: impl FnOnce() -> R) -> (R, Collector) {
+    let (r, collector) = ctx::scoped(|c| &mut c.collector, Some(Collector::default()), f);
+    (r, collector.unwrap_or_default())
 }
 
 /// Runs a query like [`run_query`](crate::run_query) but returns, alongside
@@ -583,10 +585,10 @@ pub fn run_query_traced(src: &dyn DataSource, query: &str) -> Result<(ov_oodb::V
     trace.normalized = normalized;
 
     let t0 = Instant::now();
-    let (((value, engine), populations), actuals) = {
+    let (((value, engine), observed), actuals) = {
         let _s = ov_oodb::span!("query.execute");
         with_scan_actuals(|| {
-            collect(|| match crate::compile::try_run_compiled(src, &optimized) {
+            observe(|| match crate::compile::try_run_compiled(src, &optimized) {
                 Some(r) => (r, Engine::Compiled),
                 None => (crate::eval::eval_expr(src, &optimized), Engine::Interpreted),
             })
@@ -597,14 +599,10 @@ pub fn run_query_traced(src: &dyn DataSource, query: &str) -> Result<(ov_oodb::V
         nanos: t0.elapsed().as_nanos() as u64,
         detail: format!("engine={engine}"),
     });
-    trace.populations = populations;
+    trace.populations = observed.events;
     trace.actuals = actuals;
     trace.engine = Some(engine);
-    trace.planner = crate::planner::take_last_decision().map(|d| PlanChoice {
-        strategy: d.strategy.to_string(),
-        est_rows: d.est_rows,
-        cache_hit: d.cache_hit,
-    });
+    trace.planner = observed.decision.map(PlanChoice::from);
     let value = value?;
     trace.rows = match &value {
         ov_oodb::Value::Set(s) => Some(s.len()),
@@ -639,7 +637,7 @@ mod tests {
     fn hooks_are_noops_without_a_collector() {
         assert!(!tracing_active());
         begin_population();
-        record_scan(seq(), ScanActuals::default());
+        record_scan_est(seq(), ScanActuals::default(), None);
         end_population(sym("X"), PopOutcome::FullRecompute, 0, 1);
         abort_population();
         // Nothing to observe: the point is simply that none of it panics.
@@ -650,14 +648,15 @@ mod tests {
         let ((), events) = collect(|| {
             assert!(tracing_active());
             begin_population();
-            record_scan(
+            record_scan_est(
                 ScanKind::Parallel {
                     chunks: 4,
                     engine: Engine::Compiled,
                 },
                 ScanActuals::default(),
+                None,
             );
-            record_scan(seq(), ScanActuals::default());
+            record_scan_est(seq(), ScanActuals::default(), None);
             end_population(sym("Adult"), PopOutcome::FullRecompute, 12, 5_000);
         });
         assert_eq!(events.len(), 1);
@@ -682,14 +681,15 @@ mod tests {
     fn nested_frames_attach_scans_to_the_right_population() {
         let ((), events) = collect(|| {
             begin_population(); // outer
-            record_scan(seq(), ScanActuals::default());
+            record_scan_est(seq(), ScanActuals::default(), None);
             begin_population(); // inner
-            record_scan(
+            record_scan_est(
                 ScanKind::IndexPushdown {
                     index: "Person.City".into(),
                     engine: Engine::Interpreted,
                 },
                 ScanActuals::default(),
+                None,
             );
             end_population(sym("Inner"), PopOutcome::FullRecompute, 1, 10);
             end_population(sym("Outer"), PopOutcome::FullRecompute, 2, 20);
@@ -717,7 +717,7 @@ mod tests {
     fn abort_closes_a_frame_without_an_event() {
         let ((), events) = collect(|| {
             begin_population();
-            record_scan(seq(), ScanActuals::default());
+            record_scan_est(seq(), ScanActuals::default(), None);
             abort_population();
         });
         assert!(events.is_empty());

@@ -26,15 +26,14 @@
 //!   `planner.replans`): planning again from the same sketches would only
 //!   repeat the same misestimate on every execution.
 
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use ov_oodb::stats::{stats, ClassStatistics};
 use ov_oodb::{metric_counter, BinOp, Expr, SelectExpr, Symbol, UnOp, Value};
 
+use crate::ctx;
 use crate::fingerprint::fingerprint_expr;
 use crate::source::DataSource;
 
@@ -55,38 +54,21 @@ pub const PUSHDOWN_MIN_NDV: u64 = 4;
 pub const DRIFT_FACTOR: u64 = 10;
 
 // ---------------------------------------------------------------------
-// Enablement: a process default plus a thread-scoped override, same
-// shape as the engine-mode switch in `compile.rs`.
+// Enablement: a thread-scoped setting in the ambient execution context,
+// same shape as the engine mode in `compile.rs`. Off reproduces the
+// pre-planner fixed heuristics exactly (the E19 baseline).
 // ---------------------------------------------------------------------
-
-static PLANNER_ON: AtomicBool = AtomicBool::new(true);
-
-thread_local! {
-    static TLS_PLANNER: Cell<Option<bool>> = const { Cell::new(None) };
-    static LAST_DECISION: RefCell<Option<Decision>> = const { RefCell::new(None) };
-}
-
-/// Turns the cost-based planner on or off process-wide. Off reproduces
-/// the pre-planner fixed heuristics exactly (the E19 baseline).
-pub fn set_planner_enabled(on: bool) {
-    PLANNER_ON.store(on, Ordering::SeqCst);
-}
 
 /// Is the planner consulted for strategy choices on this thread?
 pub fn planner_enabled() -> bool {
-    TLS_PLANNER
-        .with(|t| t.get())
-        .unwrap_or_else(|| PLANNER_ON.load(Ordering::SeqCst))
+    ctx::with(|c| c.planner).unwrap_or(true)
 }
 
-/// Runs `f` with the planner forced on or off on this thread only.
+/// Runs `f` with the planner forced on or off on this thread — and on the
+/// workers of any scan `f` splits — restoring the previous setting on the
+/// way out (also on unwind).
 pub fn with_planner<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    TLS_PLANNER.with(|t| {
-        let prev = t.replace(Some(on));
-        let r = f();
-        t.set(prev);
-        r
-    })
+    ctx::scoped(|c| &mut c.planner, Some(on), f).0
 }
 
 // ---------------------------------------------------------------------
@@ -109,11 +91,6 @@ pub enum Strategy {
         /// The literal being probed for.
         value: Value,
     },
-    /// Split the extent across worker threads.
-    Parallel {
-        /// Number of workers the estimate was costed against.
-        workers: usize,
-    },
     /// Multi-binding nested loop with bindings iterated in `order`
     /// (indices into the select's binding list), cheapest first.
     Join {
@@ -127,7 +104,6 @@ impl fmt::Display for Strategy {
         match self {
             Strategy::Seq => write!(f, "seq"),
             Strategy::IndexPushdown { class, attr, .. } => write!(f, "index {class}.{attr}"),
-            Strategy::Parallel { workers } => write!(f, "parallel x{workers}"),
             Strategy::Join { order } => {
                 write!(f, "join(")?;
                 for (i, b) in order.iter().enumerate() {
@@ -153,23 +129,6 @@ pub struct Decision {
     pub est_rows: u64,
     /// `true` when the plan was served from the fingerprint-keyed cache.
     pub cache_hit: bool,
-}
-
-/// Clears the thread's "last planner decision" slot. Called at the top
-/// of every planned query so EXPLAIN never reports a stale decision.
-pub fn clear_last_decision() {
-    LAST_DECISION.with(|d| *d.borrow_mut() = None);
-}
-
-/// Publishes the decision the planner just made for the running query,
-/// so EXPLAIN and the workload registry can surface it.
-pub fn set_last_decision(d: Decision) {
-    LAST_DECISION.with(|slot| *slot.borrow_mut() = Some(d));
-}
-
-/// Takes the decision recorded for the query that just ran, if any.
-pub fn take_last_decision() -> Option<Decision> {
-    LAST_DECISION.with(|d| d.borrow_mut().take())
 }
 
 // ---------------------------------------------------------------------
@@ -687,14 +646,14 @@ pub fn mentioned_vars(e: &Expr, vars: &[Symbol]) -> Option<Vec<usize>> {
     )
 }
 
-/// Records the decision for the query (fingerprint `fp`) that just
-/// executed and, on success, feeds the measured row count back for drift
-/// detection.
+/// Feeds the measured row count of the query (fingerprint `fp`) that just
+/// executed back for drift detection — on success — and notes its decision
+/// in the open trace collector, if one is observing (EXPLAIN, the profiler).
 pub fn record_outcome(fp: &str, decision: Decision, result_rows: Option<u64>) {
     if let Some(rows) = result_rows {
         observe_actual(fp, rows);
     }
-    set_last_decision(decision);
+    crate::plan::note_decision(decision);
 }
 
 /// Plan-cache hit/miss/replan counters, for `.engine`-style reporting.
@@ -719,7 +678,7 @@ mod tests {
     fn measured(card: u64, attr: &str, values: impl IntoIterator<Item = Value>) -> Symbol {
         // A unique class name per call keeps global-registry tests
         // independent of each other and of execution order.
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let class = sym(&format!("PlannerT{}", N.fetch_add(1, Ordering::SeqCst)));
         let cs = stats().class(class);

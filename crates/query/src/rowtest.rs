@@ -45,9 +45,9 @@ impl<'a> Code<'a> {
     }
 }
 
-/// What a scan does per row, as plain shared data: decided once on the
-/// coordinating thread (the engine switch is thread-scoped), handed to
-/// every worker, each of which builds its own [`RowTest`] from it.
+/// What a scan does per row, as plain shared data: decided once, before
+/// any fan-out, so an expression compiles once per scan and not once per
+/// chunk; every worker builds its own [`RowTest`] from it.
 #[derive(Clone, Copy)]
 pub struct RowSpec<'a> {
     /// The scan variable.

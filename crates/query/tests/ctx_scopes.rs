@@ -1,0 +1,80 @@
+//! The ambient execution context's two promises, through the public API:
+//! every scope restores what the thread read before it — also when a panic
+//! unwinds out of it and is caught above — and a scan that fans out hands
+//! its workers the coordinator's engine mode and planner switch.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+use ov_query::plan::{collect, tracing_active};
+use ov_query::{
+    budget, engine_mode, filter_map_chunked, planner_enabled, with_engine_mode, with_planner,
+    Budget, EngineMode, ParallelConfig,
+};
+
+/// Runs `scope` around a panic, catches it, and hands back whether it was
+/// one.
+fn panics_inside(scope: impl FnOnce(&dyn Fn())) -> bool {
+    catch_unwind(AssertUnwindSafe(|| scope(&|| panic!("boom")))).is_err()
+}
+
+#[test]
+fn a_budget_scope_restores_after_a_caught_panic() {
+    assert!(budget::current().is_none());
+    assert!(panics_inside(|boom| budget::with(
+        Arc::new(Budget::new()),
+        boom
+    )));
+    assert!(budget::current().is_none());
+}
+
+#[test]
+fn an_engine_scope_restores_after_a_caught_panic() {
+    let before = engine_mode();
+    assert_ne!(before, EngineMode::Interp);
+    assert!(panics_inside(|boom| with_engine_mode(
+        EngineMode::Interp,
+        boom
+    )));
+    assert_eq!(engine_mode(), before);
+}
+
+#[test]
+fn a_planner_scope_restores_after_a_caught_panic() {
+    assert!(planner_enabled());
+    assert!(panics_inside(|boom| with_planner(false, boom)));
+    assert!(planner_enabled(), "the override outlived its scope");
+}
+
+#[test]
+fn a_collector_scope_restores_after_a_caught_panic() {
+    assert!(!tracing_active());
+    assert!(panics_inside(|boom| collect(boom).0));
+    assert!(!tracing_active(), "the collector outlived its scope");
+}
+
+#[test]
+fn workers_of_a_split_scan_inherit_engine_and_planner() {
+    let cfg = ParallelConfig {
+        threads: 4,
+        threshold: 1,
+    };
+    let items: Vec<u32> = (0..64).collect();
+    let seen = with_engine_mode(EngineMode::Interp, || {
+        with_planner(false, || {
+            filter_map_chunked(&cfg, "query.scan_chunk", &items, |chunk, keep| {
+                keep.insert((chunk[0], engine_mode().as_str(), planner_enabled()));
+                Ok(())
+            })
+        })
+    })
+    .unwrap();
+    assert_eq!(seen.len(), 4, "one report per chunk");
+    for (first, engine, planner) in seen {
+        assert_eq!(
+            (engine, planner),
+            ("interp", false),
+            "the worker of the chunk starting at {first}"
+        );
+    }
+}

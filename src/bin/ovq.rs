@@ -82,7 +82,7 @@ const HELP: &str = "\
 .budget          current per-statement budget\n\
 .budget ms N | steps N | rows N | depth N | off\n\
 .engine          current predicate engine (scans show it in .plan/.explain)\n\
-.engine compiled | interp | auto\n\
+.engine compiled | interp\n\
 .planner         cost-based planner status + plan-cache hit/miss/replan counts\n\
 .planner on|off  enable/disable statistics-driven strategy selection\n\
 .wal             per-database WAL status (durable sessions only)\n\
@@ -605,29 +605,30 @@ fn meta(session: &mut Session, budget: &mut BudgetSpec, cmd: &str) -> bool {
                     .unwrap_or_else(objects_and_views::query::engine_mode);
                 println!(
                     "-- engine: {} (scans report Compiled/Interpreted in .plan and .explain)",
-                    engine_mode_name(mode)
+                    mode.as_str()
                 );
                 println!(
-                    "-- compile fallbacks: {} (statements the compiled engine declined, in \
-                     `auto` or `compiled` mode, and ran in the interpreter)",
+                    "-- compile fallbacks: {} (statements the compiled engine declined and \
+                     ran in the interpreter)",
                     objects_and_views::query::compile_fallbacks()
                 );
             } else {
-                match parse_engine_mode(arg) {
+                match EngineMode::parse(arg) {
                     Some(mode) => {
                         // Session-scoped, not process-global: two shells (or
                         // a shell and a library embedder) never race on a
                         // shared engine setting.
                         session.set_engine(Some(mode));
-                        println!("-- engine: {}", engine_mode_name(mode));
+                        println!("-- engine: {}", mode.as_str());
                     }
-                    None => eprintln!("usage: .engine [compiled | interp | auto]"),
+                    None => eprintln!("usage: .engine [compiled | interp]"),
                 }
             }
         }
         ".planner" => match arg {
             "on" | "off" => {
-                objects_and_views::query::set_planner_enabled(arg == "on");
+                // Session-scoped, like `.engine`.
+                session.set_planner(Some(arg == "on"));
                 println!("-- planner: {arg}");
             }
             "" => {
@@ -636,7 +637,10 @@ fn meta(session: &mut Session, budget: &mut BudgetSpec, cmd: &str) -> bool {
                 println!(
                     "-- planner: {} (plan cache: {hits} hits, {misses} misses, \
                      {replans} drift replans)",
-                    if objects_and_views::query::planner_enabled() {
+                    if session
+                        .planner()
+                        .unwrap_or_else(objects_and_views::query::planner_enabled)
+                    {
                         "on"
                     } else {
                         "off"
@@ -748,24 +752,6 @@ fn load_file(session: &mut Session, path: &str) -> Result<(), Box<dyn std::error
     Ok(())
 }
 
-/// `.engine` argument → mode; `None` means "print the usage line".
-fn parse_engine_mode(arg: &str) -> Option<EngineMode> {
-    match arg {
-        "compiled" => Some(EngineMode::Compiled),
-        "interp" => Some(EngineMode::Interp),
-        "auto" => Some(EngineMode::Auto),
-        _ => None,
-    }
-}
-
-fn engine_mode_name(mode: EngineMode) -> &'static str {
-    match mode {
-        EngineMode::Auto => "auto",
-        EngineMode::Compiled => "compiled",
-        EngineMode::Interp => "interp",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,7 +787,7 @@ mod tests {
         }
         // The usage line shown for a bad `.engine` argument matches the
         // modes the parser actually accepts.
-        assert!(HELP.contains(".engine compiled | interp | auto"));
+        assert!(HELP.contains(".engine compiled | interp"));
     }
 
     #[test]
@@ -809,13 +795,12 @@ mod tests {
         for (arg, mode) in [
             ("compiled", EngineMode::Compiled),
             ("interp", EngineMode::Interp),
-            ("auto", EngineMode::Auto),
         ] {
-            assert_eq!(parse_engine_mode(arg), Some(mode));
-            assert_eq!(engine_mode_name(mode), arg);
+            assert_eq!(EngineMode::parse(arg), Some(mode));
+            assert_eq!(mode.as_str(), arg);
         }
-        assert_eq!(parse_engine_mode("bytecode"), None);
-        assert_eq!(parse_engine_mode(""), None);
+        assert_eq!(EngineMode::parse("auto"), None);
+        assert_eq!(EngineMode::parse(""), None);
     }
 
     #[test]
