@@ -31,7 +31,7 @@
 //!   `--baseline`; a cell regresses when `new/old > X` and the absolute
 //!   delta clears a small noise floor.
 //!
-//! Each section corresponds to an experiment id (E1–E19) in EXPERIMENTS.md,
+//! Each section corresponds to an experiment id (E1–E20) in EXPERIMENTS.md,
 //! which maps them back to the paper's sections. Timings are coarse
 //! wall-clock means (use the Criterion benches for statistically careful
 //! numbers); the semantic rows are exact.
@@ -90,6 +90,7 @@ fn main() {
     e17_profiling_overhead();
     e18_durability(&args);
     e19_planner();
+    e20_front_end();
     write_metrics_and_trace(&args);
     if let Some(path) = &args.save_baseline {
         let json = baseline::to_json(&baseline::snapshot());
@@ -1446,17 +1447,19 @@ fn e14_compiled_engine() {
 }
 
 /// Staff -> Adults(Adult) -> Earners(Rich) -> Top(Elite): a three-level
-/// view stack over [`people`], bottom up. Bind the last over the first two.
+/// view stack over a `Staff` database with `Person [Age, Income]`, bottom up.
+const STACK_SCRIPTS: [&str; 3] = [
+    "create view Adults; import all classes from database Staff; \
+     class Adult includes (select P from Person where P.Age >= 21);",
+    "create view Earners; import all classes from view Adults; \
+     class Rich includes (select A from Adult where A.Income >= 100000);",
+    "create view Top; import all classes from view Earners; \
+     class Elite includes (select R from Rich where R.Age >= 60);",
+];
+
+/// [`STACK_SCRIPTS`] over [`people`]. Bind the last over the first two.
 fn stack_defs() -> [ViewDef; 3] {
-    [
-        "create view Adults; import all classes from database Staff; \
-         class Adult includes (select P from Person where P.Age >= 21);",
-        "create view Earners; import all classes from view Adults; \
-         class Rich includes (select A from Adult where A.Income >= 100000);",
-        "create view Top; import all classes from view Earners; \
-         class Elite includes (select R from Rich where R.Age >= 60);",
-    ]
-    .map(|script| ViewDef::from_script(script).unwrap())
+    STACK_SCRIPTS.map(|script| ViewDef::from_script(script).unwrap())
 }
 
 fn e15_stacked_views() {
@@ -1962,4 +1965,115 @@ fn e19_planner() {
             None => println!("E19/canary/{n} no plan recorded MISESTIMATE"),
         }
     }
+}
+
+/// What a short statement pays before and around its execution: the
+/// parser, the session's dispatch of a database read, and the plan-cache
+/// key. The statement shapes are the end-to-end benchmark's (`ovbench`):
+/// the unique-key probe of `point_query` and the `insert` every set-up
+/// loads rows with.
+fn e20_front_end() {
+    use ov_views::Session;
+    header(
+        "E20",
+        "statement front end: parse, session dispatch, plan-cache key (ns per statement)",
+    );
+    const N: usize = 10_000;
+    const ITERS: u32 = 20_000;
+    let was_profiling = ov_oodb::profiling_enabled();
+    ov_oodb::set_profiling(false);
+    let mut session = Session::with_options(
+        ViewOptions::builder()
+            .materialization(Materialization::Incremental)
+            .build(),
+    );
+    session
+        .execute(
+            "database Staff; \
+             class Person type [Id: integer, Name: string, Age: integer, City: string, \
+                                Street: string, Income: integer];",
+        )
+        .unwrap();
+    let mut t_parse_insert = f64::INFINITY;
+    for chunk in 0..N / 1000 {
+        let script: String = (chunk * 1000..(chunk + 1) * 1000)
+            .map(|i| {
+                format!(
+                    "insert Person value [Id: {i}, Name: \"p{i}\", Age: {}, City: \"Paris\", \
+                     Street: \"{} St\", Income: {}];\n",
+                    i % 100,
+                    i % 97,
+                    (i * 7919) % 200_000
+                )
+            })
+            .collect();
+        let t0 = std::time::Instant::now();
+        let stmts = ov_query::parse_program(&script).unwrap();
+        t_parse_insert = t_parse_insert.min(t0.elapsed().as_nanos() as f64 / 1000.0);
+        for stmt in stmts {
+            session.execute_stmt(stmt).unwrap();
+        }
+    }
+    {
+        let db = session.system().database(sym("Staff")).unwrap();
+        let mut db = db.write();
+        let person = db.schema.class_by_name(sym("Person")).unwrap();
+        db.create_index(person, sym("Id")).unwrap();
+    }
+    // The three-level stack, bound and warm: what a database read must not
+    // pay for.
+    session.execute(&STACK_SCRIPTS.concat()).unwrap();
+    session.propagate(sym("Staff"));
+    session.focus(sym("Staff")).unwrap();
+
+    let probe = "select P.Name from P in Person where P.Id = 4711;";
+    let expected = ov_views::Outcome::Value(Value::set([Value::str("p4711")]));
+    assert_eq!(session.execute(probe).unwrap(), [expected]);
+    let t_parse_probe = time_ns(ITERS, || {
+        std::hint::black_box(ov_query::parse_program(probe).unwrap());
+    });
+    let t_execute = time_ns(ITERS, || {
+        std::hint::black_box(session.execute(probe).unwrap());
+    });
+    let stmts = ov_query::parse_program(probe).unwrap();
+    let [ov_query::Stmt::Query(expr)] = stmts.as_slice() else {
+        unreachable!("the probe is one query")
+    };
+    let t_run = {
+        let db = session.system().database(sym("Staff")).unwrap();
+        let db = db.read();
+        time_ns(ITERS, || {
+            std::hint::black_box(ov_query::run_expr(&*db, expr).unwrap());
+        })
+    };
+    // The glue: what `Session::execute` costs beyond parsing the text and
+    // running the expression.
+    let t_glue = (t_execute - t_parse_probe - t_run).max(0.0);
+    let t_hash = time_ns(ITERS, || {
+        std::hint::black_box(ov_query::fingerprint_hash(expr));
+    });
+    let t_rendered = time_ns(ITERS, || {
+        std::hint::black_box(ov_query::fingerprint_expr(expr));
+    });
+    ov_oodb::set_profiling(was_profiling);
+
+    row("cell", &["ns per statement".into()]);
+    row("parse/probe", &[tcell("parse", "probe", t_parse_probe)]);
+    row("parse/insert", &[tcell("parse", "insert", t_parse_insert)]);
+    row(
+        "session/db_read",
+        &[
+            tcell("session", "db_read", t_glue),
+            format!(
+                "(execute {} - parse - run_expr {})",
+                fmt_ns(t_execute),
+                fmt_ns(t_run)
+            ),
+        ],
+    );
+    row("fingerprint/hash", &[tcell("fingerprint", "hash", t_hash)]);
+    row(
+        "fingerprint/rendered",
+        &[tcell("fingerprint", "rendered", t_rendered)],
+    );
 }

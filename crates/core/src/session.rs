@@ -501,29 +501,38 @@ impl Session {
     }
 
     fn run_on_database(&mut self, db: Symbol, stmt: Stmt) -> Result<Outcome> {
-        // Reuse the script executor with an explicit database context; the
-        // session-persistent oid map keeps `#n` bindings across statements.
-        let stmts = vec![Stmt::Database(db), stmt];
-        let schema_change = matches!(
-            stmts[1],
-            Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. }
-        );
-        let results = execute_stmts_with_map(&mut self.system, &stmts, &mut self.oid_map)
-            .map_err(ViewError::from)?;
+        let schema_change = matches!(stmt, Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. });
+        let read_only = matches!(stmt, Stmt::Query(_));
+        let result = match stmt {
+            // A data statement needs no schema or allocation pass: it runs
+            // as the one statement it is.
+            Stmt::Query(_) | Stmt::Insert { .. } | Stmt::SetAttr { .. } | Stmt::Delete(_) => {
+                ov_query::execute_data_stmt(&self.system, db, &stmt, &self.oid_map)
+                    .map_err(ViewError::from)?
+            }
+            // Declarations reuse the script executor with an explicit
+            // database context; the session-persistent oid map keeps `#n`
+            // bindings across statements.
+            decl => execute_stmts_with_map(
+                &mut self.system,
+                &[Stmt::Database(db), decl],
+                &mut self.oid_map,
+            )
+            .map_err(ViewError::from)?
+            .pop(),
+        };
         if schema_change {
             // Schema changes revalidate — but only the transitive
             // dependents of the changed database, in dependency order.
             // Unrelated views keep their bound state and warm caches.
             self.rebind_dependents(DepTarget::Database(db), db)?;
-        } else if self.options.materialization == Materialization::Incremental {
+        } else if !read_only && self.options.materialization == Materialization::Incremental {
             // Data writes under incremental materialization are pushed
-            // eagerly through the stack so reads find warm populations.
+            // eagerly through the stack so reads find warm populations. A
+            // read changed no base state, so it owes the views nothing.
             self.propagate(db);
         }
-        Ok(match results.into_iter().next() {
-            Some(v) => Outcome::Value(v),
-            None => Outcome::Done,
-        })
+        Ok(result.map_or(Outcome::Done, Outcome::Value))
     }
 
     /// Runs pre-validated DDL statements against database `db` (catalog

@@ -298,13 +298,41 @@ impl Expr {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_prec(f, 0)
+        self.fmt_prec(f, 0, false)
     }
 }
 
+/// Writes `items` separated by `", "`.
+fn comma_separated<W: fmt::Write, T>(
+    f: &mut W,
+    items: &[T],
+    mut item: impl FnMut(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, it) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(", ")?;
+        }
+        item(f, it)?;
+    }
+    Ok(())
+}
+
 impl Expr {
-    fn fmt_prec(&self, f: &mut fmt::Formatter<'_>, parent_prec: u8) -> fmt::Result {
+    /// Writes the expression's *shape*: its [`Display`](fmt::Display) text
+    /// with every literal printed as `?`. This is the text query
+    /// fingerprints hash; writing it into a hashing sink fingerprints an
+    /// expression without building a string or a copy of the tree.
+    pub fn write_normalized<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        self.fmt_prec(out, 0, true)
+    }
+
+    /// The printer. `normalized` prints literals as `?`; it travels as an
+    /// argument because nested selects re-enter the printer, where a
+    /// formatter flag would be lost.
+    fn fmt_prec<W: fmt::Write>(&self, f: &mut W, parent_prec: u8, normalized: bool) -> fmt::Result {
+        let sub = |f: &mut W, e: &Expr| e.fmt_prec(f, 0, normalized);
         match self {
+            Expr::Lit(_) if normalized => f.write_str("?"),
             Expr::Lit(v) => {
                 // A negative numeric literal prints with a leading minus; in
                 // tight positions (`-1.A`) that would reparse as unary
@@ -317,69 +345,52 @@ impl Expr {
                     write!(f, "{v}")
                 }
             }
-            Expr::SelfRef => write!(f, "self"),
-            Expr::Name(n) => write!(f, "{n}"),
+            Expr::SelfRef => f.write_str("self"),
+            Expr::Name(n) => f.write_str(n.as_str()),
             Expr::Attr { recv, name, args } => {
-                recv.fmt_prec(f, 10)?;
-                write!(f, ".{name}")?;
+                recv.fmt_prec(f, 10, normalized)?;
+                f.write_str(".")?;
+                f.write_str(name.as_str())?;
                 if !args.is_empty() {
-                    write!(f, "(")?;
-                    for (i, a) in args.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        a.fmt_prec(f, 0)?;
-                    }
-                    write!(f, ")")?;
+                    f.write_str("(")?;
+                    comma_separated(f, args, sub)?;
+                    f.write_str(")")?;
                 }
                 Ok(())
             }
             Expr::TupleCons(fields) => {
-                write!(f, "[")?;
-                for (i, (n, e)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{n}: ")?;
-                    e.fmt_prec(f, 0)?;
-                }
-                write!(f, "]")
+                f.write_str("[")?;
+                comma_separated(f, fields, |f, (n, e)| {
+                    f.write_str(n.as_str())?;
+                    f.write_str(": ")?;
+                    sub(f, e)
+                })?;
+                f.write_str("]")
             }
             Expr::SetCons(es) => {
-                write!(f, "{{")?;
-                for (i, e) in es.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    e.fmt_prec(f, 0)?;
-                }
-                write!(f, "}}")
+                f.write_str("{")?;
+                comma_separated(f, es, sub)?;
+                f.write_str("}")
             }
             Expr::ListCons(es) => {
-                write!(f, "list(")?;
-                for (i, e) in es.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    e.fmt_prec(f, 0)?;
-                }
-                write!(f, ")")
+                f.write_str("list(")?;
+                comma_separated(f, es, sub)?;
+                f.write_str(")")
             }
             Expr::Unary { op, expr } => {
                 // Unary binds between the multiplicative level (7) and
                 // postfix attribute access (10).
                 let parens = parent_prec > 8;
                 if parens {
-                    write!(f, "(")?;
+                    f.write_str("(")?;
                 }
-                let tok = match op {
+                f.write_str(match op {
                     UnOp::Not => "not ",
                     UnOp::Neg => "-",
-                };
-                write!(f, "{tok}")?;
-                expr.fmt_prec(f, 9)?;
+                })?;
+                expr.fmt_prec(f, 9, normalized)?;
                 if parens {
-                    write!(f, ")")?;
+                    f.write_str(")")?;
                 }
                 Ok(())
             }
@@ -387,63 +398,67 @@ impl Expr {
                 let p = op.precedence();
                 let parens = p < parent_prec;
                 if parens {
-                    write!(f, "(")?;
+                    f.write_str("(")?;
                 }
-                lhs.fmt_prec(f, p)?;
-                write!(f, " {} ", op.token())?;
+                lhs.fmt_prec(f, p, normalized)?;
+                f.write_str(" ")?;
+                f.write_str(op.token())?;
+                f.write_str(" ")?;
                 // Left associative: the rhs needs strictly higher precedence.
-                rhs.fmt_prec(f, p + 1)?;
+                rhs.fmt_prec(f, p + 1, normalized)?;
                 if parens {
-                    write!(f, ")")?;
+                    f.write_str(")")?;
                 }
                 Ok(())
             }
             Expr::If { cond, then, els } => {
                 let parens = parent_prec > 0;
                 if parens {
-                    write!(f, "(")?;
+                    f.write_str("(")?;
                 }
-                write!(f, "if ")?;
-                cond.fmt_prec(f, 0)?;
-                write!(f, " then ")?;
-                then.fmt_prec(f, 0)?;
-                write!(f, " else ")?;
-                els.fmt_prec(f, 0)?;
+                f.write_str("if ")?;
+                sub(f, cond)?;
+                f.write_str(" then ")?;
+                sub(f, then)?;
+                f.write_str(" else ")?;
+                sub(f, els)?;
                 if parens {
-                    write!(f, ")")?;
+                    f.write_str(")")?;
                 }
                 Ok(())
             }
             Expr::Select(s) => {
-                write!(f, "({s})")
+                f.write_str("(")?;
+                s.fmt_with(f, normalized)?;
+                f.write_str(")")
             }
             Expr::Exists(s) => {
-                write!(f, "exists({s})")
+                f.write_str("exists(")?;
+                s.fmt_with(f, normalized)?;
+                f.write_str(")")
             }
             Expr::Aggregate { func, arg } => {
-                write!(f, "{}(", func.name())?;
-                arg.fmt_prec(f, 0)?;
-                write!(f, ")")
+                f.write_str(func.name())?;
+                f.write_str("(")?;
+                sub(f, arg)?;
+                f.write_str(")")
             }
             Expr::Apply { name, args } => {
-                write!(f, "{name}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    a.fmt_prec(f, 0)?;
-                }
-                write!(f, ")")
+                f.write_str(name.as_str())?;
+                f.write_str("(")?;
+                comma_separated(f, args, sub)?;
+                f.write_str(")")
             }
             Expr::IsA { expr, class } => {
                 let parens = parent_prec > 3;
                 if parens {
-                    write!(f, "(")?;
+                    f.write_str("(")?;
                 }
-                expr.fmt_prec(f, 4)?;
-                write!(f, " isa {class}")?;
+                expr.fmt_prec(f, 4, normalized)?;
+                f.write_str(" isa ")?;
+                f.write_str(class.as_str())?;
                 if parens {
-                    write!(f, ")")?;
+                    f.write_str(")")?;
                 }
                 Ok(())
             }
@@ -453,27 +468,31 @@ impl Expr {
 
 impl fmt::Display for SelectExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "select ")?;
+        self.fmt_with(f, false)
+    }
+}
+
+impl SelectExpr {
+    fn fmt_with<W: fmt::Write>(&self, f: &mut W, normalized: bool) -> fmt::Result {
+        f.write_str("select ")?;
         if self.the {
-            write!(f, "the ")?;
+            f.write_str("the ")?;
         }
         if self.distinct {
-            write!(f, "distinct ")?;
+            f.write_str("distinct ")?;
         }
         // The projection position parses at the precedence just above `in`
         // (so the binding keyword is unambiguous); print accordingly.
-        self.proj.fmt_prec(f, 4)?;
-        write!(f, " from ")?;
-        for (i, (var, coll)) in self.bindings.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{var} in ")?;
-            coll.fmt_prec(f, 4)?;
-        }
+        self.proj.fmt_prec(f, 4, normalized)?;
+        f.write_str(" from ")?;
+        comma_separated(f, &self.bindings, |f, (var, coll)| {
+            f.write_str(var.as_str())?;
+            f.write_str(" in ")?;
+            coll.fmt_prec(f, 4, normalized)
+        })?;
         if let Some(w) = &self.filter {
-            write!(f, " where ")?;
-            w.fmt_prec(f, 0)?;
+            f.write_str(" where ")?;
+            w.fmt_prec(f, 0, normalized)?;
         }
         Ok(())
     }

@@ -1272,10 +1272,10 @@ fn run_planned_select(
     q: &SelectExpr,
     scan: &SelectScan,
 ) -> Result<Value> {
-    // The plan cache is keyed by the fingerprint: render it once, for the
+    // The plan cache is keyed by the fingerprint: hash it once, for the
     // lookup and for whatever the outcome feeds back.
-    let (fp, _) = crate::fingerprint::fingerprint_expr(expr);
-    let decision = crate::planner::plan_select_keyed(src, &fp, q);
+    let fp = crate::fingerprint::fingerprint_hash(expr);
+    let decision = crate::planner::plan_select_keyed(src, fp, q);
     let r = match &decision.strategy {
         crate::planner::Strategy::IndexPushdown { attr, value, .. } => {
             match src.indexed_lookup(scan.class, *attr, value) {
@@ -1284,7 +1284,7 @@ fn run_planned_select(
                     // The plan assumed an index that isn't there (cold
                     // statistics, dropped index): demote the cached plan
                     // so later executions skip the doomed probe.
-                    crate::planner::demote_to_seq(&fp);
+                    crate::planner::demote_to_seq(fp);
                     run_select_scan(src, q, scan, None)
                 }
             }
@@ -1296,7 +1296,7 @@ fn run_planned_select(
         Ok(_) => Some(1),
         Err(_) => None,
     };
-    crate::planner::record_outcome(&fp, decision, rows);
+    crate::planner::record_outcome(fp, decision, rows);
     r
 }
 
@@ -1354,8 +1354,8 @@ fn try_run_planned_join(
         extents.push(ext);
     }
     let class_names: Vec<Symbol> = classes.iter().map(|(n, _)| *n).collect();
-    let (fp, _) = crate::fingerprint::fingerprint_expr(expr);
-    let decision = plan_join(src, &fp, q, &class_names, &cards);
+    let fp = crate::fingerprint::fingerprint_hash(expr);
+    let decision = plan_join(src, fp, q, &class_names, &cards);
     let Strategy::Join { order } = &decision.strategy else {
         return None;
     };
@@ -1418,7 +1418,7 @@ fn try_run_planned_join(
     crate::plan::add_actuals(&actuals);
     let rows = out.len() as u64;
     let r = result.and_then(|()| finish_select(q.the, out));
-    record_outcome(&fp, decision, r.as_ref().ok().map(|_| rows));
+    record_outcome(fp, decision, r.as_ref().ok().map(|_| rows));
     Some(r)
 }
 

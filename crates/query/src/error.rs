@@ -16,6 +16,20 @@ pub struct Pos {
     pub col: u32,
 }
 
+impl Pos {
+    /// The position of byte `offset` of `src`: lines are counted by `\n`,
+    /// columns by character. Tokens carry offsets; this runs only when an
+    /// error is built.
+    pub fn at(src: &str, offset: usize) -> Pos {
+        let before = &src[..offset];
+        let line_start = before.rfind('\n').map_or(0, |nl| nl + 1);
+        Pos {
+            line: 1 + before.bytes().filter(|&b| b == b'\n').count() as u32,
+            col: 1 + before[line_start..].chars().count() as u32,
+        }
+    }
+}
+
 impl fmt::Display for Pos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.line, self.col)

@@ -10,6 +10,7 @@
 //! values (with `#n` literals remapped to the allocated oids), binds names,
 //! and runs updates/queries in order.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use ov_oodb::{
@@ -74,6 +75,71 @@ pub fn execute_stmts_with_map(
         oid_map,
     };
     exec.run(stmts)
+}
+
+/// Executes one data statement — a query, `insert`, `set` or `delete` —
+/// against database `db`, and returns the value it produces (a query's
+/// result, an insert's oid). These four need no schema or allocation pass,
+/// so this is the whole of what a script does for them: the script loop
+/// calls the same function. `#n` literals read `oid_map`. Any other
+/// statement kind is an error; run it as a script
+/// ([`execute_stmts_with_map`]).
+pub fn execute_data_stmt(
+    system: &System,
+    db: Symbol,
+    stmt: &Stmt,
+    oid_map: &HashMap<u64, Oid>,
+) -> Result<Option<Value>> {
+    run_data_stmt(&system.database(db)?, oid_map, stmt)
+}
+
+/// [`execute_data_stmt`] on a resolved database.
+fn run_data_stmt(db: &DbHandle, oid_map: &HashMap<u64, Oid>, stmt: &Stmt) -> Result<Option<Value>> {
+    match stmt {
+        Stmt::SetAttr {
+            target,
+            attr,
+            value,
+        } => {
+            let Value::Oid(o) = eval_remapped(db, oid_map, target)? else {
+                return Err(QueryError::eval("`set` target must evaluate to an object"));
+            };
+            let v = eval_remapped(db, oid_map, value)?;
+            db.write().set_attr(o, *attr, v)?;
+            Ok(None)
+        }
+        Stmt::Delete(e) => {
+            let Value::Oid(o) = eval_remapped(db, oid_map, e)? else {
+                return Err(QueryError::eval(
+                    "`delete` target must evaluate to an object",
+                ));
+            };
+            db.write().delete_object(o)?;
+            Ok(None)
+        }
+        Stmt::Insert { class, value } => {
+            let v = eval_remapped(db, oid_map, value)?;
+            let mut db = db.write();
+            let class_id = db.schema.require_class(*class)?;
+            Ok(Some(Value::Oid(db.create_object(class_id, v)?)))
+        }
+        Stmt::Query(e) => {
+            // `run_expr`, not `eval_expr`: canonical scans take the
+            // compiled engine and profiled runs feed the workload
+            // registry, same as `run_query` on a text query.
+            let e = remap_oids(e, oid_map);
+            run_expr(&*db.read(), &e).map(Some)
+        }
+        _ => Err(QueryError::eval(
+            "only queries, `insert`, `set` and `delete` run as single data statements",
+        )),
+    }
+}
+
+/// Evaluates `e` against `db` with its `#n` literals remapped.
+fn eval_remapped(db: &DbHandle, oid_map: &HashMap<u64, Oid>, e: &Expr) -> Result<Value> {
+    let e = remap_oids(e, oid_map);
+    eval_expr(&*db.read(), &e)
 }
 
 struct Executor<'a> {
@@ -180,11 +246,10 @@ impl Executor<'_> {
                 Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. } => {}
                 Stmt::ObjectDecl { oid, value, .. } => {
                     let real = self.oid_map[oid];
-                    let value = self.eval_with_remap(value)?;
-                    let Value::Tuple(t) = value else {
+                    let db = self.current()?;
+                    let Value::Tuple(t) = eval_remapped(&db, self.oid_map, value)? else {
                         return Err(QueryError::eval("object value must be a tuple"));
                     };
-                    let db = self.current()?;
                     let mut db = db.write();
                     for (field, v) in t.iter() {
                         db.set_attr(real, field, v.clone())?;
@@ -195,46 +260,8 @@ impl Executor<'_> {
                     let db = self.current()?;
                     db.write().name_object(*name, real)?;
                 }
-                Stmt::SetAttr {
-                    target,
-                    attr,
-                    value,
-                } => {
-                    let target = self.eval_with_remap(target)?;
-                    let Value::Oid(o) = target else {
-                        return Err(QueryError::eval("`set` target must evaluate to an object"));
-                    };
-                    let v = self.eval_with_remap(value)?;
-                    let db = self.current()?;
-                    db.write().set_attr(o, *attr, v)?;
-                }
-                Stmt::Delete(e) => {
-                    let v = self.eval_with_remap(e)?;
-                    let Value::Oid(o) = v else {
-                        return Err(QueryError::eval(
-                            "`delete` target must evaluate to an object",
-                        ));
-                    };
-                    let db = self.current()?;
-                    db.write().delete_object(o)?;
-                }
-                Stmt::Insert { class, value } => {
-                    let v = self.eval_with_remap(value)?;
-                    let db = self.current()?;
-                    let mut db = db.write();
-                    let class_id = db.schema.require_class(*class)?;
-                    let oid = db.create_object(class_id, v)?;
-                    results.push(Value::Oid(oid));
-                }
-                Stmt::Query(e) => {
-                    // `run_expr`, not `eval_expr`: canonical scans take the
-                    // compiled engine and profiled runs feed the workload
-                    // registry, same as `run_query` on a text query.
-                    let remapped = remap_oids(e, self.oid_map);
-                    let db = self.current()?;
-                    let db = db.read();
-                    let v = run_expr(&*db, &remapped)?;
-                    results.push(v);
+                Stmt::SetAttr { .. } | Stmt::Delete(_) | Stmt::Insert { .. } | Stmt::Query(_) => {
+                    results.extend(run_data_stmt(&self.current()?, self.oid_map, stmt)?);
                 }
                 Stmt::CreateView(_)
                 | Stmt::Import { .. }
@@ -300,29 +327,23 @@ impl Executor<'_> {
     fn resolve_oid_lit(&self, n: u64) -> Oid {
         self.oid_map.get(&n).copied().unwrap_or(Oid(n))
     }
-
-    fn eval_with_remap(&self, e: &Expr) -> Result<Value> {
-        let remapped = remap_oids(e, self.oid_map);
-        let db = self.current()?;
-        let db = db.read();
-        eval_expr(&*db, &remapped)
-    }
 }
 
 /// Rewrites `#n` oid literals through `map` (deeply, including literals
-/// inside constructed values).
-fn remap_oids(e: &Expr, map: &HashMap<u64, Oid>) -> Expr {
+/// inside constructed values). With nothing declared there is nothing to
+/// rewrite, and the expression is borrowed.
+fn remap_oids<'e>(e: &'e Expr, map: &HashMap<u64, Oid>) -> Cow<'e, Expr> {
     if map.is_empty() {
-        return e.clone();
+        return Cow::Borrowed(e);
     }
-    map_expr(e, &mut |expr| {
+    Cow::Owned(map_expr(e, &mut |expr| {
         if let Expr::Lit(v) = expr {
             let mut v2 = v.clone();
             remap_value(&mut v2, map);
             return Some(Expr::Lit(v2));
         }
         None
-    })
+    }))
 }
 
 fn remap_value(v: &mut Value, map: &HashMap<u64, Oid>) {

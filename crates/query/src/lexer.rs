@@ -8,19 +8,23 @@
 //!
 //! Comments run from `--` to end of line (SQL style) or `//` to end of line.
 
+use std::borrow::Cow;
+
 use crate::error::{Pos, QueryError, Result};
 
-/// A token kind.
+/// A token kind. Identifiers and escape-free string literals are slices of
+/// the source text, so scanning a token allocates nothing.
 #[derive(Clone, PartialEq, Debug)]
-pub enum Tok {
+pub enum Tok<'a> {
     /// Identifier or contextual keyword (`select`, `Person`, …).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// String literal (quotes and escapes already processed).
-    Str(String),
+    /// String literal (quotes and escapes already processed): borrowed from
+    /// the source unless an escape had to be rewritten.
+    Str(Cow<'a, str>),
     /// Object-identifier literal `#42` or `#i42` (imaginary range).
     OidLit(u64),
     /// `(`
@@ -71,7 +75,7 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// Human-readable rendering for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -109,156 +113,141 @@ impl Tok {
 
 /// A token with its source position.
 #[derive(Clone, Debug)]
-pub struct Token {
+pub struct Token<'a> {
     /// The token itself.
-    pub tok: Tok,
-    /// Where it starts.
-    pub pos: Pos,
+    pub tok: Tok<'a>,
+    /// Byte offset of its first character in the source; [`Pos::at`] turns
+    /// it into a line and column when an error needs one.
+    pub pos: usize,
 }
 
-/// Tokenizes `input` fully.
-pub fn lex(input: &str) -> Result<Vec<Token>> {
-    Lexer::new(input).run()
+/// Tokenizes `input` fully, ending with [`Tok::Eof`].
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>> {
+    let mut lexer = Lexer::new(input);
+    let mut out = Vec::new();
+    loop {
+        let token = lexer.next_token()?;
+        let done = token.tok == Tok::Eof;
+        out.push(token);
+        if done {
+            return Ok(out);
+        }
+    }
 }
 
-struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    line: u32,
-    col: u32,
+/// The scanner: hands out one token at a time, so the parser holds two
+/// tokens and a statement's tokens are never collected.
+///
+/// Scans by byte: every character the grammar gives meaning to is ASCII
+/// except `≥` / `≤`, so a `char` is decoded only at a non-ASCII byte (a
+/// Unicode letter in an identifier, Unicode whitespace, or an error).
+/// `i` always rests on a character boundary.
+pub(crate) struct Lexer<'a> {
+    src: &'a str,
+    bytes: &'a [u8],
+    i: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(input: &'a str) -> Lexer<'a> {
+    /// A scanner at the start of `src`.
+    pub(crate) fn new(src: &'a str) -> Lexer<'a> {
         Lexer {
-            chars: input.chars().peekable(),
-            line: 1,
-            col: 1,
+            src,
+            bytes: src.as_bytes(),
+            i: 0,
         }
     }
 
-    fn pos(&self) -> Pos {
-        Pos {
-            line: self.line,
-            col: self.col,
-        }
+    /// The text being scanned.
+    pub(crate) fn source(&self) -> &'a str {
+        self.src
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.i).copied()
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    /// The character starting at byte `at`.
+    fn char_at(&self, at: usize) -> Option<char> {
+        self.src[at..].chars().next()
     }
 
+    /// An error at the current offset — like the positions the parser
+    /// reports, the line and column are computed only here.
     fn error(&self, msg: impl Into<String>) -> QueryError {
         QueryError::Lex {
-            pos: self.pos(),
+            pos: Pos::at(self.src, self.i),
             msg: msg.into(),
         }
     }
 
-    fn run(mut self) -> Result<Vec<Token>> {
-        let mut out = Vec::new();
-        loop {
-            // Skip whitespace and comments.
-            loop {
-                match self.peek() {
-                    Some(c) if c.is_whitespace() => {
-                        self.bump();
-                    }
-                    Some('-') => {
-                        // Maybe a `--` comment; otherwise fall through to the
-                        // operator path below.
-                        let mut clone = self.chars.clone();
-                        clone.next();
-                        if clone.peek() == Some(&'-') {
-                            while let Some(c) = self.peek() {
-                                if c == '\n' {
-                                    break;
-                                }
-                                self.bump();
-                            }
-                        } else {
-                            break;
-                        }
-                    }
-                    Some('/') => {
-                        let mut clone = self.chars.clone();
-                        clone.next();
-                        if clone.peek() == Some(&'/') {
-                            while let Some(c) = self.peek() {
-                                if c == '\n' {
-                                    break;
-                                }
-                                self.bump();
-                            }
-                        } else {
-                            break;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-            let pos = self.pos();
-            let Some(c) = self.peek() else {
-                out.push(Token { tok: Tok::Eof, pos });
-                return Ok(out);
-            };
-            let tok = if c.is_ascii_digit() {
-                self.number()?
-            } else if c.is_alphabetic() || c == '_' {
-                self.ident()
-            } else if c == '"' {
-                self.string()?
-            } else if c == '#' {
-                self.oid_literal()?
-            } else {
-                self.operator()?
-            };
-            out.push(Token { tok, pos });
+    fn skip_line(&mut self) {
+        while self.peek().is_some_and(|b| b != b'\n') {
+            self.i += 1;
         }
     }
 
-    fn number(&mut self) -> Result<Tok> {
-        let mut text = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || c == '_' {
-                if c != '_' {
-                    text.push(c);
-                }
-                self.bump();
-            } else {
-                break;
+    fn skip_whitespace_and_comments(&mut self) {
+        while let Some(b) = self.peek() {
+            match b {
+                // `char::is_whitespace` over ASCII: space, \t \n VT FF \r.
+                b' ' | b'\t'..=b'\r' => self.i += 1,
+                b'-' | b'/' if self.bytes.get(self.i + 1) == Some(&b) => self.skip_line(),
+                0x80.. => match self.char_at(self.i) {
+                    Some(c) if c.is_whitespace() => self.i += c.len_utf8(),
+                    _ => return,
+                },
+                _ => return,
             }
+        }
+    }
+
+    /// The next token; at the end of the input, [`Tok::Eof`] (again and
+    /// again). After an error the scanner rests mid-token and must not be
+    /// asked for more.
+    pub(crate) fn next_token(&mut self) -> Result<Token<'a>> {
+        self.skip_whitespace_and_comments();
+        let pos = self.i;
+        let Some(b) = self.peek() else {
+            return Ok(Token { tok: Tok::Eof, pos });
+        };
+        let tok = match b {
+            b'0'..=b'9' => self.number()?,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(),
+            b'"' => self.string()?,
+            b'#' => self.oid_literal()?,
+            0x80.. if self.char_at(pos).is_some_and(char::is_alphabetic) => self.ident(),
+            _ => self.operator()?,
+        };
+        Ok(Token { tok, pos })
+    }
+
+    fn digits(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.i += 1;
+        }
+    }
+
+    fn number(&mut self) -> Result<Tok<'a>> {
+        let start = self.i;
+        while self.peek().is_some_and(|b| b.is_ascii_digit() || b == b'_') {
+            self.i += 1;
         }
         // A fractional part only if `.` is followed by a digit — `1.Age`
         // must lex as `1` `.` `Age`.
-        let mut is_float = false;
-        if self.peek() == Some('.') {
-            let mut clone = self.chars.clone();
-            clone.next();
-            if clone.peek().is_some_and(|c| c.is_ascii_digit()) {
-                is_float = true;
-                text.push('.');
-                self.bump();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_digit() {
-                        text.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
+        let is_float =
+            self.peek() == Some(b'.') && self.bytes.get(self.i + 1).is_some_and(u8::is_ascii_digit);
+        if is_float {
+            self.i += 1;
+            self.digits();
         }
+        let raw = &self.src[start..self.i];
+        // `5_000`: only a literal with separators is copied.
+        let text: Cow<'_, str> = if raw.contains('_') {
+            Cow::Owned(raw.replace('_', ""))
+        } else {
+            Cow::Borrowed(raw)
+        };
         if is_float {
             text.parse::<f64>()
                 .map(Tok::Float)
@@ -270,58 +259,75 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn ident(&mut self) -> Tok {
-        let mut text = String::new();
-        while let Some(c) = self.peek() {
-            // `&` is allowed mid-identifier for the paper's `Rich&Beautiful`.
-            if c.is_alphanumeric() || c == '_' || c == '&' {
-                text.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        Tok::Ident(text)
-    }
-
-    fn string(&mut self) -> Result<Tok> {
-        self.bump(); // opening quote
-        let mut text = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.error("unterminated string literal")),
-                Some('"') => return Ok(Tok::Str(text)),
-                Some('\\') => match self.bump() {
-                    Some('n') => text.push('\n'),
-                    Some('t') => text.push('\t'),
-                    Some('"') => text.push('"'),
-                    Some('\\') => text.push('\\'),
-                    other => {
-                        return Err(self.error(format!("bad escape: \\{}", other.unwrap_or(' '))))
-                    }
+    fn ident(&mut self) -> Tok<'a> {
+        let start = self.i;
+        while let Some(b) = self.peek() {
+            match b {
+                // `&` is allowed mid-identifier for the paper's `Rich&Beautiful`.
+                b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'&' => self.i += 1,
+                0x80.. => match self.char_at(self.i) {
+                    Some(c) if c.is_alphanumeric() => self.i += c.len_utf8(),
+                    _ => break,
                 },
-                Some(c) => text.push(c),
+                _ => break,
+            }
+        }
+        Tok::Ident(&self.src[start..self.i])
+    }
+
+    fn string(&mut self) -> Result<Tok<'a>> {
+        self.i += 1; // opening quote
+        let mut run = self.i; // start of the text not yet copied
+        let mut owned: Option<String> = None;
+        loop {
+            // `"` and `\` are ASCII, so they never match inside a
+            // multi-byte character.
+            match self.peek() {
+                None => return Err(self.error("unterminated string literal")),
+                Some(b'"') => {
+                    let tail = &self.src[run..self.i];
+                    self.i += 1;
+                    return Ok(Tok::Str(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut text) => {
+                            text.push_str(tail);
+                            Cow::Owned(text)
+                        }
+                    }));
+                }
+                Some(b'\\') => {
+                    let text = owned.get_or_insert_with(String::new);
+                    text.push_str(&self.src[run..self.i]);
+                    self.i += 1;
+                    let escaped = self.char_at(self.i);
+                    self.i += escaped.map_or(0, char::len_utf8);
+                    text.push(match escaped {
+                        Some('n') => '\n',
+                        Some('t') => '\t',
+                        Some('"') => '"',
+                        Some('\\') => '\\',
+                        other => {
+                            return Err(
+                                self.error(format!("bad escape: \\{}", other.unwrap_or(' ')))
+                            )
+                        }
+                    });
+                    run = self.i;
+                }
+                Some(_) => self.i += 1,
             }
         }
     }
 
-    fn oid_literal(&mut self) -> Result<Tok> {
-        self.bump(); // '#'
-        let imaginary = if self.peek() == Some('i') {
-            self.bump();
-            true
-        } else {
-            false
-        };
-        let mut text = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                text.push(c);
-                self.bump();
-            } else {
-                break;
-            }
+    fn oid_literal(&mut self) -> Result<Tok<'a>> {
+        self.i += 1; // '#'
+        let imaginary = self.peek() == Some(b'i');
+        if imaginary {
+            self.i += 1;
         }
+        let start = self.i;
+        self.digits();
+        let text = &self.src[start..self.i];
         if text.is_empty() {
             return Err(self.error("expected digits after `#`"));
         }
@@ -339,10 +345,20 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn operator(&mut self) -> Result<Tok> {
+    /// Consumes a following `=` if there is one.
+    fn eat_eq(&mut self) -> bool {
+        let eq = self.peek() == Some(b'=');
+        if eq {
+            self.i += 1;
+        }
+        eq
+    }
+
+    fn operator(&mut self) -> Result<Tok<'a>> {
         // Unreachable expect: the caller dispatches here only after peeking
-        // a non-EOF character, and nothing bumps in between.
-        let c = self.bump().expect("peeked");
+        // a byte at `i`, which rests on a character boundary.
+        let c = self.char_at(self.i).expect("peeked");
+        self.i += c.len_utf8();
         Ok(match c {
             '(' => Tok::LParen,
             ')' => Tok::RParen,
@@ -355,8 +371,8 @@ impl<'a> Lexer<'a> {
             ':' => Tok::Colon,
             '.' => Tok::Dot,
             '+' => {
-                if self.peek() == Some('+') {
-                    self.bump();
+                if self.peek() == Some(b'+') {
+                    self.i += 1;
                     Tok::PlusPlus
                 } else {
                     Tok::Plus
@@ -368,24 +384,21 @@ impl<'a> Lexer<'a> {
             '%' => Tok::Percent,
             '=' => Tok::Eq,
             '!' => {
-                if self.peek() == Some('=') {
-                    self.bump();
+                if self.eat_eq() {
                     Tok::Ne
                 } else {
                     return Err(self.error("expected `=` after `!`"));
                 }
             }
             '<' => {
-                if self.peek() == Some('=') {
-                    self.bump();
+                if self.eat_eq() {
                     Tok::Le
                 } else {
                     Tok::Lt
                 }
             }
             '>' => {
-                if self.peek() == Some('=') {
-                    self.bump();
+                if self.eat_eq() {
                     Tok::Ge
                 } else {
                     Tok::Gt
@@ -402,7 +415,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -412,14 +425,14 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Tok::Ident("select".into()),
-                Tok::Ident("P".into()),
-                Tok::Ident("from".into()),
-                Tok::Ident("Person".into()),
-                Tok::Ident("where".into()),
-                Tok::Ident("P".into()),
+                Tok::Ident("select"),
+                Tok::Ident("P"),
+                Tok::Ident("from"),
+                Tok::Ident("Person"),
+                Tok::Ident("where"),
+                Tok::Ident("P"),
                 Tok::Dot,
-                Tok::Ident("Age".into()),
+                Tok::Ident("Age"),
                 Tok::Ge,
                 Tok::Int(21),
                 Tok::Eof,
@@ -435,7 +448,7 @@ mod tests {
                 Tok::Float(1.5),
                 Tok::Int(1),
                 Tok::Dot,
-                Tok::Ident("Age".into()),
+                Tok::Ident("Age"),
                 Tok::Eof
             ]
         );
@@ -467,21 +480,13 @@ mod tests {
         let toks = kinds("a -- comment\n b // another\n c");
         assert_eq!(
             toks,
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Ident("b".into()),
-                Tok::Ident("c".into()),
-                Tok::Eof
-            ]
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Ident("c"), Tok::Eof]
         );
     }
 
     #[test]
     fn ampersand_identifiers() {
-        assert_eq!(
-            kinds("Rich&Beautiful")[0],
-            Tok::Ident("Rich&Beautiful".into())
-        );
+        assert_eq!(kinds("Rich&Beautiful")[0], Tok::Ident("Rich&Beautiful"));
     }
 
     #[test]
@@ -492,8 +497,99 @@ mod tests {
 
     #[test]
     fn positions_track_lines() {
-        let toks = lex("a\n  b").unwrap();
-        assert_eq!(toks[1].pos, Pos { line: 2, col: 3 });
+        let src = "a\n  b";
+        let toks = lex(src).unwrap();
+        assert_eq!(Pos::at(src, toks[1].pos), Pos { line: 2, col: 3 });
+    }
+
+    /// The lexer's contract as a table: each source lexes to exactly these
+    /// tokens at these positions, or fails with this message at this
+    /// position. Columns count characters, not bytes, and an error is
+    /// reported where scanning stopped.
+    #[test]
+    fn contract_table() {
+        let at = |line, col| Pos { line, col };
+        let ok: &[(&str, &[(Tok, Pos)])] = &[
+            (
+                "5_000 1.Age 1.5",
+                &[
+                    (Tok::Int(5000), at(1, 1)),
+                    (Tok::Int(1), at(1, 7)),
+                    (Tok::Dot, at(1, 8)),
+                    (Tok::Ident("Age"), at(1, 9)),
+                    (Tok::Float(1.5), at(1, 13)),
+                    (Tok::Eof, at(1, 16)),
+                ],
+            ),
+            (
+                "a --b\nc",
+                &[
+                    (Tok::Ident("a"), at(1, 1)),
+                    (Tok::Ident("c"), at(2, 1)),
+                    (Tok::Eof, at(2, 2)),
+                ],
+            ),
+            (
+                "Rich&Beautiful ++x",
+                &[
+                    (Tok::Ident("Rich&Beautiful"), at(1, 1)),
+                    (Tok::PlusPlus, at(1, 16)),
+                    (Tok::Ident("x"), at(1, 18)),
+                    (Tok::Eof, at(1, 19)),
+                ],
+            ),
+            (
+                // `é` is two bytes and `≥` three: the columns after them
+                // still advance by one each.
+                "é ≥ b\n\"é\" ≤ #7",
+                &[
+                    (Tok::Ident("é"), at(1, 1)),
+                    (Tok::Ge, at(1, 3)),
+                    (Tok::Ident("b"), at(1, 5)),
+                    (Tok::Str("é".into()), at(2, 1)),
+                    (Tok::Le, at(2, 5)),
+                    (Tok::OidLit(7), at(2, 7)),
+                    (Tok::Eof, at(2, 9)),
+                ],
+            ),
+        ];
+        for (src, want) in ok {
+            let got: Vec<(Tok, Pos)> = lex(src)
+                .unwrap_or_else(|e| panic!("{src:?}: {e}"))
+                .into_iter()
+                .map(|t| (t.tok, Pos::at(src, t.pos)))
+                .collect();
+            assert_eq!(got, *want, "{src:?}");
+        }
+        let err: &[(&str, &str, Pos)] = &[
+            // Position = end of input.
+            ("x = \"abc", "unterminated string literal", at(1, 9)),
+            ("\"é\\", "bad escape: \\ ", at(1, 4)),
+            ("\"é\\q\"", "bad escape: \\q", at(1, 5)),
+            (
+                "#i18446744073709551615",
+                "imaginary oid literal out of range",
+                at(1, 23),
+            ),
+            ("a\n é ≥ ~", "unexpected character `~`", at(2, 7)),
+            ("é !x", "expected `=` after `!`", at(1, 4)),
+            ("# 3", "expected digits after `#`", at(1, 2)),
+        ];
+        for (src, msg, pos) in err {
+            match lex(src) {
+                Err(QueryError::Lex { pos: p, msg: m }) => {
+                    assert_eq!((m.as_str(), p), (*msg, *pos), "{src:?}")
+                }
+                other => panic!("{src:?}: expected a lex error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn only_an_escaped_string_owns_its_text() {
+        let toks = lex(r#""plain" "a\nb""#).unwrap();
+        assert!(matches!(&toks[0].tok, Tok::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(&toks[1].tok, Tok::Str(Cow::Owned(s)) if s == "a\nb"));
     }
 
     #[test]

@@ -52,10 +52,10 @@ pub use compile::{
 pub use error::{Pos, QueryError, Result};
 pub use eval::{eval_attr, eval_expr, eval_select, truthy, value_eq, Env, Evaluator};
 pub use exec::{
-    execute_script, execute_stmts, execute_stmts_with_map, map_select, resolve_type, rewrite_expr,
-    run_expr, run_query, run_query_with_budget,
+    execute_data_stmt, execute_script, execute_stmts, execute_stmts_with_map, map_select,
+    resolve_type, rewrite_expr, run_expr, run_query, run_query_with_budget,
 };
-pub use fingerprint::{fingerprint_expr, fingerprint_query};
+pub use fingerprint::{fingerprint_expr, fingerprint_hash, fingerprint_query};
 pub use optimize::{optimize_expr, optimize_select};
 pub use parallel::{
     eval_select_parallel, filter_map_chunked, panic_message, run_query_parallel, ParallelConfig,

@@ -15,41 +15,45 @@ use ov_oodb::{AggFunc, BinOp, Expr, SelectExpr, Symbol, UnOp, Value};
 
 use crate::ast::{ImportWhat, IncludeSpec, Stmt, TypeExpr};
 use crate::error::{Pos, QueryError, Result};
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{Lexer, Tok, Token};
 
 /// Parses a complete statement script.
 pub fn parse_program(src: &str) -> Result<Vec<Stmt>> {
-    let mut p = Parser::new(src)?;
-    let mut out = Vec::new();
-    while !p.at_eof() {
-        out.push(p.statement()?);
-    }
-    Ok(out)
+    Parser::run(src, |p| {
+        let mut out = Vec::new();
+        while !p.at_eof() {
+            out.push(p.statement()?);
+        }
+        Ok(out)
+    })
 }
 
 /// Parses a single expression (must consume all input).
 pub fn parse_expr(src: &str) -> Result<Expr> {
-    let mut p = Parser::new(src)?;
-    let e = p.expr()?;
-    p.expect_eof()?;
-    Ok(e)
+    Parser::run(src, |p| {
+        let e = p.expr()?;
+        p.expect_eof()?;
+        Ok(e)
+    })
 }
 
 /// Parses a single `select …` query (must consume all input).
 pub fn parse_select(src: &str) -> Result<SelectExpr> {
-    let mut p = Parser::new(src)?;
-    p.expect_kw("select")?;
-    let s = p.select_body()?;
-    p.expect_eof()?;
-    Ok(s)
+    Parser::run(src, |p| {
+        p.expect_kw("select")?;
+        let s = p.select_body()?;
+        p.expect_eof()?;
+        Ok(s)
+    })
 }
 
 /// Parses a type expression (must consume all input).
 pub fn parse_type(src: &str) -> Result<TypeExpr> {
-    let mut p = Parser::new(src)?;
-    let t = p.type_expr()?;
-    p.expect_eof()?;
-    Ok(t)
+    Parser::run(src, |p| {
+        let t = p.type_expr()?;
+        p.expect_eof()?;
+        Ok(t)
+    })
 }
 
 /// Hard cap on parser nesting. Each grammar level is several stack frames
@@ -59,23 +63,51 @@ pub fn parse_type(src: &str) -> Result<TypeExpr> {
 /// [`Budget`](crate::Budget) with a lower depth cap tightens this further.
 const MAX_PARSE_DEPTH: usize = 128;
 
-struct Parser {
-    tokens: Vec<Token>,
-    idx: usize,
+struct Parser<'a> {
+    /// Tokens are scanned as the grammar asks for them and borrow from the
+    /// source; error positions are computed from it ([`Pos::at`]).
+    lexer: Lexer<'a>,
+    /// The current token and the one after it — all the grammar looks at.
+    cur: Token<'a>,
+    next: Token<'a>,
+    /// The first lexical error, met while scanning ahead. The token stream
+    /// ends ([`Tok::Eof`]) where it happened; see [`Parser::run`].
+    lex_error: Option<QueryError>,
     /// Current nesting depth of recursive grammar productions.
     depth: usize,
     /// The effective cap (see [`MAX_PARSE_DEPTH`]).
     depth_cap: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser> {
-        Ok(Parser {
-            tokens: lex(src)?,
-            idx: 0,
+impl<'a> Parser<'a> {
+    /// Runs the production `parse` over `src`. A lexical error anywhere in
+    /// the text is reported before anything the grammar has to say, as if
+    /// the whole text were tokenized before parsing began: one the parser
+    /// scanned into replaces its verdict on the truncated stream, and after
+    /// a syntax error the rest of the text is scanned for one.
+    fn run<T>(src: &'a str, parse: impl FnOnce(&mut Parser<'a>) -> Result<T>) -> Result<T> {
+        let mut lexer = Lexer::new(src);
+        let mut lex_error = None;
+        let cur = scan(&mut lexer, &mut lex_error);
+        let next = scan(&mut lexer, &mut lex_error);
+        let mut p = Parser {
+            lexer,
+            cur,
+            next,
+            lex_error,
             depth: 0,
             depth_cap: crate::budget::parse_depth_cap(MAX_PARSE_DEPTH),
-        })
+        };
+        let parsed = parse(&mut p);
+        if parsed.is_err() {
+            while p.lex_error.is_none() && p.next.tok != Tok::Eof {
+                p.next = scan(&mut p.lexer, &mut p.lex_error);
+            }
+        }
+        match p.lex_error {
+            Some(e) => Err(e),
+            None => parsed,
+        }
     }
 
     /// Enters one level of recursive grammar nesting, erring (a typed
@@ -104,24 +136,23 @@ impl Parser {
         self.depth -= 1;
     }
 
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.idx].tok
+    fn peek(&self) -> &Tok<'a> {
+        &self.cur.tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.idx + 1).min(self.tokens.len() - 1)].tok
+    fn peek2(&self) -> &Tok<'a> {
+        &self.next.tok
     }
 
     fn pos(&self) -> Pos {
-        self.tokens[self.idx].pos
+        Pos::at(self.lexer.source(), self.cur.pos)
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.idx].tok.clone();
-        if self.idx + 1 < self.tokens.len() {
-            self.idx += 1;
-        }
-        t
+    /// Passes the current token. Past the end there is only more
+    /// [`Tok::Eof`], at the same position.
+    fn bump(&mut self) {
+        let next = scan(&mut self.lexer, &mut self.lex_error);
+        self.cur = std::mem::replace(&mut self.next, next);
     }
 
     fn at_eof(&self) -> bool {
@@ -161,7 +192,7 @@ impl Parser {
 
     /// Is the current token the identifier `kw`?
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+        matches!(self.peek(), Tok::Ident(s) if *s == kw)
     }
 
     /// Consumes the identifier `kw` if present.
@@ -210,7 +241,7 @@ impl Parser {
 
     fn statement(&mut self) -> Result<Stmt> {
         let stmt = match self.peek() {
-            Tok::Ident(kw) => match kw.as_str() {
+            Tok::Ident(kw) => match *kw {
                 "database" => {
                     self.bump();
                     Stmt::Database(self.expect_ident()?)
@@ -485,7 +516,7 @@ impl Parser {
     }
 
     fn type_expr_inner(&mut self) -> Result<TypeExpr> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LBrace => {
                 self.bump();
                 let inner = self.type_expr()?;
@@ -510,7 +541,7 @@ impl Parser {
                 self.expect(Tok::RBracket)?;
                 Ok(TypeExpr::Tuple(fields))
             }
-            Tok::Ident(s) if s == "list" => {
+            Tok::Ident("list") => {
                 self.bump();
                 self.expect(Tok::LParen)?;
                 let inner = self.type_expr()?;
@@ -586,7 +617,7 @@ impl Parser {
             Tok::Le => BinOp::Le,
             Tok::Gt => BinOp::Gt,
             Tok::Ge => BinOp::Ge,
-            Tok::Ident(s) => match s.as_str() {
+            Tok::Ident(s) => match *s {
                 "and" => BinOp::And,
                 "or" => BinOp::Or,
                 "in" => BinOp::In,
@@ -665,23 +696,20 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            Tok::Int(i) => {
-                self.bump();
-                Ok(Expr::Lit(Value::Int(i)))
-            }
-            Tok::Float(x) => {
-                self.bump();
-                Ok(Expr::Lit(Value::Float(x)))
-            }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr::Lit(Value::str(&s)))
-            }
-            Tok::OidLit(n) => {
-                self.bump();
-                Ok(Expr::Lit(Value::Oid(ov_oodb::Oid(n))))
-            }
+        // A literal's value is built before its token is passed, so no
+        // token is ever copied.
+        let lit = match self.peek() {
+            Tok::Int(i) => Some(Value::Int(*i)),
+            Tok::Float(x) => Some(Value::Float(*x)),
+            Tok::Str(s) => Some(Value::str(s)),
+            Tok::OidLit(n) => Some(Value::Oid(ov_oodb::Oid(*n))),
+            _ => None,
+        };
+        if let Some(v) = lit {
+            self.bump();
+            return Ok(Expr::Lit(v));
+        }
+        match self.peek() {
             Tok::LParen => {
                 self.bump();
                 let e = if self.at_kw("select") {
@@ -727,7 +755,7 @@ impl Parser {
                 self.expect(Tok::RBrace)?;
                 Ok(Expr::SetCons(items))
             }
-            Tok::Ident(word) => match word.as_str() {
+            Tok::Ident(word) => match *word {
                 "true" => {
                     self.bump();
                     Ok(Expr::Lit(Value::Bool(true)))
@@ -787,7 +815,7 @@ impl Parser {
                     Ok(Expr::ListCons(items))
                 }
                 _ => {
-                    if let Some(func) = AggFunc::from_name(&word) {
+                    if let Some(func) = AggFunc::from_name(word) {
                         if *self.peek2() == Tok::LParen {
                             self.bump();
                             self.bump();
@@ -891,7 +919,7 @@ impl Parser {
     fn parse_from_binding(&mut self, proj: &Expr) -> Result<(Symbol, Expr)> {
         // Explicit form: IDENT `in` …
         if let (Tok::Ident(v), Tok::Ident(kw)) = (self.peek(), self.peek2()) {
-            if kw == "in" {
+            if *kw == "in" {
                 let var = Symbol::new(v);
                 self.bump();
                 self.bump();
@@ -909,6 +937,21 @@ impl Parser {
             )
         })?;
         Ok((var, coll))
+    }
+}
+
+/// Scans one more token. The first lexical error is kept in `lex_error`
+/// and ends the stream: from then on every token is [`Tok::Eof`].
+fn scan<'a>(lexer: &mut Lexer<'a>, lex_error: &mut Option<QueryError>) -> Token<'a> {
+    if lex_error.is_none() {
+        match lexer.next_token() {
+            Ok(token) => return token,
+            Err(e) => *lex_error = Some(e),
+        }
+    }
+    Token {
+        tok: Tok::Eof,
+        pos: lexer.source().len(),
     }
 }
 
@@ -930,7 +973,7 @@ fn implied_variable(proj: &Expr) -> Option<Symbol> {
 
 /// Tokens that mean the preceding word was the projection, not a flag.
 fn is_proj_terminator(tok: &Tok) -> bool {
-    matches!(tok, Tok::Ident(s) if s == "from" || s == "in")
+    matches!(tok, Tok::Ident("from" | "in"))
 }
 
 #[cfg(test)]
@@ -1241,6 +1284,71 @@ mod tests {
             QueryError::Parse { pos, .. } => assert_eq!(pos.line, 1),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Positions are computed from token offsets only when an error is
+    /// built: far into a long script, and past multi-byte characters, they
+    /// are the line and the character column of the offending token.
+    #[test]
+    fn error_positions_deep_in_a_script_and_past_multibyte_characters() {
+        let pos_of = |src: &str| match parse_program(src).unwrap_err() {
+            QueryError::Parse { pos, .. } => pos,
+            other => panic!("unexpected {other:?}"),
+        };
+        let mut script = String::new();
+        for i in 1..=1000 {
+            if i == 900 {
+                script.push_str("insert Person value [Id: ];\n");
+            } else {
+                script.push_str(&format!("insert Person value [Id: {i}];\n"));
+            }
+        }
+        assert_eq!(pos_of(&script), Pos { line: 900, col: 26 });
+        // `é` and `≥` are one column each, whatever their byte length.
+        assert_eq!(
+            pos_of("select P from P in Person\nwhere P.Né ≥ \"é\" )"),
+            Pos { line: 2, col: 18 }
+        );
+    }
+
+    /// Tokens are scanned on demand, yet a lexical error anywhere in the
+    /// text is still what comes back: before an earlier syntax error, and
+    /// after a parse that would otherwise have succeeded.
+    #[test]
+    fn a_lexical_error_anywhere_comes_before_any_syntax_error() {
+        let lex_error_at = |src: &str| match parse_program(src).unwrap_err() {
+            QueryError::Lex { pos, .. } => pos,
+            other => panic!("{src:?}: expected a lexical error, got {other:?}"),
+        };
+        // A syntax error on line 1, a bad character on line 3.
+        assert_eq!(
+            lex_error_at("select from;\ncount(Person);\nx ~ y;"),
+            Pos { line: 3, col: 4 }
+        );
+        // Complete statements, then an unterminated string.
+        assert_eq!(
+            lex_error_at("count(Person);\n\"abc"),
+            Pos { line: 2, col: 5 }
+        );
+        // The first of two lexical errors, in text order.
+        assert_eq!(lex_error_at("a ! b; c ~ d"), Pos { line: 1, col: 4 });
+        // Without one, the syntax error stands.
+        assert!(matches!(
+            parse_program("select from;\ncount(Person);"),
+            Err(QueryError::Parse { .. })
+        ));
+    }
+
+    #[test]
+    fn string_literals_yield_the_same_value_borrowed_or_owned() {
+        assert_eq!(
+            parse_expr(r#""plain""#).unwrap(),
+            Expr::Lit(Value::str("plain"))
+        );
+        assert_eq!(
+            parse_expr(r#""a\nb\t\"q\"\\""#).unwrap(),
+            Expr::Lit(Value::str("a\nb\t\"q\"\\"))
+        );
     }
 
     #[test]

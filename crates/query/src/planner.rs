@@ -7,10 +7,10 @@
 //! estimates per-scan row counts from the sketches (conjunct splitting,
 //! so each `and` leg is costed independently), chooses a [`Strategy`]
 //! per scan, and caches chosen plans keyed by the PR 8 query
-//! fingerprint. The paper's view mechanism multiplies derived queries
-//! (parameterized-class instantiation, stacked-view repopulation), so
-//! one planning decision is amortized across thousands of
-//! re-evaluations.
+//! fingerprint (its `u64` form, [`fingerprint_hash`]). The paper's view
+//! mechanism multiplies derived queries (parameterized-class
+//! instantiation, stacked-view repopulation), so one planning decision is
+//! amortized across thousands of re-evaluations.
 //!
 //! Two invariants keep estimation honest:
 //!
@@ -34,7 +34,7 @@ use ov_oodb::stats::{stats, ClassStatistics};
 use ov_oodb::{metric_counter, BinOp, Expr, SelectExpr, Symbol, UnOp, Value};
 
 use crate::ctx;
-use crate::fingerprint::fingerprint_expr;
+use crate::fingerprint::fingerprint_hash;
 use crate::source::DataSource;
 
 /// Selectivity assumed for a predicate leg the model cannot analyze.
@@ -135,17 +135,28 @@ pub struct Decision {
 // The plan cache
 // ---------------------------------------------------------------------
 
+/// A cached access path, without its literal: fingerprints are
+/// literal-normalized, so one entry serves every literal value of a query
+/// shape, and a pushdown's probe value always comes from the query being
+/// planned.
 #[derive(Clone, Debug)]
+enum CachedStrategy {
+    Seq,
+    IndexPushdown { class: Symbol, attr: Symbol },
+    Join { order: Vec<usize> },
+}
+
+#[derive(Debug)]
 struct CachedPlan {
-    strategy: Strategy,
+    strategy: CachedStrategy,
     est_rows: u64,
     /// `resolution_generation` of the source the plan was made under; a
     /// moved generation invalidates the entry.
     generation: u64,
 }
 
-fn cache() -> &'static Mutex<HashMap<String, CachedPlan>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, CachedPlan>>> = OnceLock::new();
+fn cache() -> &'static Mutex<HashMap<u64, CachedPlan>> {
+    static CACHE: OnceLock<Mutex<HashMap<u64, CachedPlan>>> = OnceLock::new();
     CACHE.get_or_init(Mutex::default)
 }
 
@@ -155,12 +166,14 @@ pub fn clear_plan_cache() {
     cache().lock().expect("plan cache poisoned").clear();
 }
 
-fn cache_lookup(fp: &str, generation: u64) -> Option<CachedPlan> {
+/// The strategy and row estimate cached under `fp`, if made under
+/// `generation`.
+fn cache_lookup(fp: u64, generation: u64) -> Option<(CachedStrategy, u64)> {
     let guard = cache().lock().expect("plan cache poisoned");
-    match guard.get(fp) {
+    match guard.get(&fp) {
         Some(c) if c.generation == generation => {
             metric_counter!("planner.plan_cache.hits").inc();
-            Some(c.clone())
+            Some((c.strategy.clone(), c.est_rows))
         }
         _ => {
             metric_counter!("planner.plan_cache.misses").inc();
@@ -176,22 +189,22 @@ fn cache_lookup(fp: &str, generation: u64) -> Option<CachedPlan> {
 /// and re-planning a dropped shape costs one miss.
 pub const PLAN_CACHE_CAP: usize = 4096;
 
-fn cache_store(fp: &str, plan: CachedPlan) {
+fn cache_store(fp: u64, plan: CachedPlan) {
     let mut guard = cache().lock().expect("plan cache poisoned");
-    if guard.len() >= PLAN_CACHE_CAP && !guard.contains_key(fp) {
+    if guard.len() >= PLAN_CACHE_CAP && !guard.contains_key(&fp) {
         metric_counter!("planner.cache_evictions").add(guard.len() as u64);
         guard.clear();
     }
-    guard.insert(fp.to_string(), plan);
+    guard.insert(fp, plan);
 }
 
 /// Rewrites the plan cached under fingerprint `fp` to a sequential scan —
 /// called when execution discovers a pushdown plan's index does not
 /// exist, so later queries skip the doomed probe.
-pub fn demote_to_seq(fp: &str) {
+pub fn demote_to_seq(fp: u64) {
     let mut guard = cache().lock().expect("plan cache poisoned");
-    if let Some(c) = guard.get_mut(fp) {
-        c.strategy = Strategy::Seq;
+    if let Some(c) = guard.get_mut(&fp) {
+        c.strategy = CachedStrategy::Seq;
     }
 }
 
@@ -201,9 +214,9 @@ pub fn demote_to_seq(fp: &str) {
 /// measured rows as its estimate (counted in `planner.replans`). Evicting
 /// instead would re-plan from the same sketches, reach the same estimate
 /// and drift again on every execution of the shape.
-pub fn observe_actual(fp: &str, actual_rows: u64) {
+pub fn observe_actual(fp: u64, actual_rows: u64) {
     let mut guard = cache().lock().expect("plan cache poisoned");
-    if let Some(c) = guard.get_mut(fp) {
+    if let Some(c) = guard.get_mut(&fp) {
         let est = c.est_rows.max(1);
         let act = actual_rows.max(1);
         if est / act >= DRIFT_FACTOR || act / est >= DRIFT_FACTOR {
@@ -447,42 +460,47 @@ pub fn choose_split(rows: usize, workers: usize, overhead_rows: usize) -> bool {
 /// filter has a high-NDV equality conjunct, sequential otherwise.
 /// Consults and fills the fingerprint-keyed plan cache.
 pub fn plan_select(src: &dyn DataSource, expr: &Expr, q: &SelectExpr) -> Decision {
-    plan_select_keyed(src, &fingerprint_expr(expr).0, q)
+    plan_select_keyed(src, fingerprint_hash(expr), q)
+}
+
+/// The `(attr, literal)` of the first equality conjunct of `q`'s filter
+/// over its variable that `accept`s — the conjunct an index probe serves.
+fn pushdown_conjunct(
+    q: &SelectExpr,
+    mut accept: impl FnMut(Symbol) -> bool,
+) -> Option<(Symbol, &Value)> {
+    let var = q.bindings[0].0;
+    conjuncts(q.filter.as_deref()?)
+        .into_iter()
+        .filter_map(|leg| eq_conjunct(leg, var))
+        .find(|(attr, _)| accept(*attr))
 }
 
 /// [`plan_select`] for a caller that already holds the query's
 /// fingerprint `fp`.
-pub(crate) fn plan_select_keyed(src: &dyn DataSource, fp: &str, q: &SelectExpr) -> Decision {
+pub(crate) fn plan_select_keyed(src: &dyn DataSource, fp: u64, q: &SelectExpr) -> Decision {
     let generation = src.resolution_generation();
-    if let Some(c) = cache_lookup(fp, generation) {
-        // Fingerprints are literal-normalized, so one cache entry serves
-        // every literal value of the same query shape. The pushdown probe
-        // value must therefore come from *this* query's filter, not the
-        // cached plan (which holds the literal of whichever query planned
-        // first).
-        let strategy = match c.strategy {
-            Strategy::IndexPushdown {
-                class,
-                attr,
-                value: cached,
-            } => {
-                let rebound = q.filter.as_deref().and_then(|f| {
-                    conjuncts(f).into_iter().find_map(|leg| {
-                        let (a, v) = eq_conjunct(leg, q.bindings[0].0)?;
-                        (a == attr).then(|| v.clone())
-                    })
-                });
-                Strategy::IndexPushdown {
-                    class,
-                    attr,
-                    value: rebound.unwrap_or(cached),
+    if let Some((cached, est_rows)) = cache_lookup(fp, generation) {
+        let strategy = match cached {
+            // The probe value is this query's own literal. A query that has
+            // no such conjunct is not the shape that was planned (only a
+            // fingerprint collision gets here): scan, which is always right.
+            CachedStrategy::IndexPushdown { class, attr } => {
+                match pushdown_conjunct(q, |a| a == attr) {
+                    Some((_, value)) => Strategy::IndexPushdown {
+                        class,
+                        attr,
+                        value: value.clone(),
+                    },
+                    None => Strategy::Seq,
                 }
             }
-            other => other,
+            CachedStrategy::Seq => Strategy::Seq,
+            CachedStrategy::Join { order } => Strategy::Join { order },
         };
         return Decision {
             strategy,
-            est_rows: c.est_rows,
+            est_rows,
             cache_hit: true,
         };
     }
@@ -494,28 +512,21 @@ pub(crate) fn plan_select_keyed(src: &dyn DataSource, fp: &str, q: &SelectExpr) 
     let cs = stats().class(class).snapshot();
     let card = cs.cardinality.unwrap_or(DEFAULT_CARDINALITY);
     let est_rows = est_rows_from(card, filter_selectivity(&cs, *var, q.filter.as_deref()));
-    let strategy = q
-        .filter
-        .as_deref()
-        .and_then(|f| {
-            conjuncts(f).into_iter().find_map(|leg| {
-                let (attr, value) = eq_conjunct(leg, *var)?;
-                if index_worthwhile(class, attr) {
-                    Some(Strategy::IndexPushdown {
-                        class,
-                        attr,
-                        value: value.clone(),
-                    })
-                } else {
-                    None
-                }
-            })
-        })
-        .unwrap_or(Strategy::Seq);
+    let (cached, strategy) = match pushdown_conjunct(q, |attr| index_worthwhile(class, attr)) {
+        Some((attr, value)) => (
+            CachedStrategy::IndexPushdown { class, attr },
+            Strategy::IndexPushdown {
+                class,
+                attr,
+                value: value.clone(),
+            },
+        ),
+        None => (CachedStrategy::Seq, Strategy::Seq),
+    };
     cache_store(
         fp,
         CachedPlan {
-            strategy: strategy.clone(),
+            strategy: cached,
             est_rows,
             generation,
         },
@@ -536,20 +547,18 @@ pub(crate) fn plan_select_keyed(src: &dyn DataSource, fp: &str, q: &SelectExpr) 
 /// cross-binding leg. `fp` is the query's fingerprint.
 pub fn plan_join(
     src: &dyn DataSource,
-    fp: &str,
+    fp: u64,
     q: &SelectExpr,
     classes: &[Symbol],
     cards: &[u64],
 ) -> Decision {
     let generation = src.resolution_generation();
-    if let Some(c) = cache_lookup(fp, generation) {
-        if let Strategy::Join { .. } = c.strategy {
-            return Decision {
-                strategy: c.strategy,
-                est_rows: c.est_rows,
-                cache_hit: true,
-            };
-        }
+    if let Some((CachedStrategy::Join { order }, est_rows)) = cache_lookup(fp, generation) {
+        return Decision {
+            strategy: Strategy::Join { order },
+            est_rows,
+            cache_hit: true,
+        };
     }
     let vars: Vec<Symbol> = q.bindings.iter().map(|(v, _)| *v).collect();
     let legs: Vec<&Expr> = q.filter.as_deref().map(conjuncts).unwrap_or_default();
@@ -581,17 +590,18 @@ pub fn plan_join(
     });
     let est = per_binding.iter().product::<f64>() * DEFAULT_SELECTIVITY.powi(cross_legs as i32);
     let est_rows = (est.round() as u64).max(if cards.contains(&0) { 0 } else { 1 });
-    let strategy = Strategy::Join { order };
     cache_store(
         fp,
         CachedPlan {
-            strategy: strategy.clone(),
+            strategy: CachedStrategy::Join {
+                order: order.clone(),
+            },
             est_rows,
             generation,
         },
     );
     Decision {
-        strategy,
+        strategy: Strategy::Join { order },
         est_rows,
         cache_hit: false,
     }
@@ -649,7 +659,7 @@ pub fn mentioned_vars(e: &Expr, vars: &[Symbol]) -> Option<Vec<usize>> {
 /// Feeds the measured row count of the query (fingerprint `fp`) that just
 /// executed back for drift detection — on success — and notes its decision
 /// in the open trace collector, if one is observing (EXPLAIN, the profiler).
-pub fn record_outcome(fp: &str, decision: Decision, result_rows: Option<u64>) {
+pub fn record_outcome(fp: u64, decision: Decision, result_rows: Option<u64>) {
     if let Some(rows) = result_rows {
         observe_actual(fp, rows);
     }
@@ -798,21 +808,21 @@ mod tests {
     fn drift_corrects_the_estimate_in_place() {
         let fp_expr = leg("select P from P in PlannerDriftClass where P.Age = 1");
         // Manufacture a cached plan with a wild estimate, then observe.
-        let (fp, _) = fingerprint_expr(&fp_expr);
+        let fp = fingerprint_hash(&fp_expr);
         cache_store(
-            &fp,
+            fp,
             CachedPlan {
-                strategy: Strategy::Seq,
+                strategy: CachedStrategy::Seq,
                 est_rows: 1000,
                 generation: 0,
             },
         );
         let est = || cache().lock().unwrap().get(&fp).map(|c| c.est_rows);
-        observe_actual(&fp, 150); // within 10x: left alone
+        observe_actual(fp, 150); // within 10x: left alone
         assert_eq!(est(), Some(1000));
-        observe_actual(&fp, 1); // 1000x off: the plan stays, the estimate learns
+        observe_actual(fp, 1); // 1000x off: the plan stays, the estimate learns
         assert_eq!(est(), Some(1));
-        observe_actual(&fp, 1);
+        observe_actual(fp, 1);
         assert_eq!(est(), Some(1));
     }
 
@@ -832,15 +842,13 @@ mod tests {
             };
             let d = plan_select(&db, &expr, q);
             if lit == 6 {
-                // Seed the shared entry with a pushdown plan for value 6.
-                let (fp, _) = fingerprint_expr(&expr);
+                // Seed the shared entry with a pushdown plan.
                 cache_store(
-                    &fp,
+                    fingerprint_hash(&expr),
                     CachedPlan {
-                        strategy: Strategy::IndexPushdown {
+                        strategy: CachedStrategy::IndexPushdown {
                             class: sym("PlannerRebindClass"),
                             attr: sym("Age"),
-                            value: Value::Int(6),
                         },
                         est_rows: d.est_rows,
                         generation: db.resolution_generation(),

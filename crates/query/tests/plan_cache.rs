@@ -73,8 +73,8 @@ fn a_stream_of_distinct_shapes_cannot_grow_the_cache_without_bound() {
     let before = evictions();
     let last = PLAN_CACHE_CAP + 9;
     assert!((0..=last).all(|i| !plan(i, 1)), "every shape is new");
-    // The other test of this binary holds one entry at most, so the cap was
-    // reached, and emptied, exactly once.
+    // The other tests of this binary hold one entry each at most, so the
+    // cap was reached, and emptied, exactly once.
     let dropped = evictions() - before;
     assert!(
         (PLAN_CACHE_CAP as u64..=PLAN_CACHE_CAP as u64 + 1).contains(&dropped),
@@ -82,4 +82,49 @@ fn a_stream_of_distinct_shapes_cannot_grow_the_cache_without_bound() {
     );
     // A shape planned after the overflow is served from the cache again.
     assert!(plan(last, 2));
+}
+
+/// Fingerprints normalize literals, so two probes that differ only in
+/// their literal share one cache entry — which holds no literal: each
+/// probes the index for its *own* value and gets its own row.
+#[test]
+fn probes_differing_only_in_their_literal_share_a_plan_and_probe_their_own_value() {
+    use ov_query::planner::{plan_select, Strategy};
+    let _serial = PLAN_CACHE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = Database::new(sym("RebindDb"));
+    let item = db
+        .create_class(
+            sym("RebindItem"),
+            &[],
+            vec![AttrDef::stored(sym("Id"), Type::Int)],
+        )
+        .unwrap();
+    for i in 0..50i64 {
+        db.create_object(item, Value::tuple([("Id", Value::Int(i))]))
+            .unwrap();
+    }
+    db.create_index(item, sym("Id")).unwrap();
+    let probe = |k: i64| {
+        let expr = ov_query::parse_expr(&format!(
+            "select P.Id from P in RebindItem where P.Id = {k}"
+        ))
+        .unwrap();
+        let ov_oodb::Expr::Select(q) = &expr else {
+            unreachable!()
+        };
+        let rows = ov_query::run_expr(&db, &expr).unwrap();
+        assert_eq!(rows, Value::set([Value::Int(k)]), "probe {k}");
+        plan_select(&db, &expr, q)
+    };
+    let pushdown = |k: i64| Strategy::IndexPushdown {
+        class: sym("RebindItem"),
+        attr: sym("Id"),
+        value: Value::Int(k),
+    };
+    // The first probe's own run planned the shape; everything after hits.
+    for k in [7, 9, 7, 31] {
+        let d = probe(k);
+        assert!(d.cache_hit, "probe {k} shares the entry");
+        assert_eq!(d.strategy, pushdown(k), "probe {k} probes its own literal");
+    }
 }

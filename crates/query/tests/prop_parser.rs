@@ -1,6 +1,7 @@
 //! Property tests: printing an expression and reparsing it yields the same
 //! AST. This pins down operator precedence, associativity and literal
-//! syntax in one stroke.
+//! syntax in one stroke. And the fingerprint computed by streaming equals
+//! the fingerprint of the rendered normalized text, on the same trees.
 
 use ov_oodb::{sym, AggFunc, BinOp, Expr, SelectExpr, UnOp, Value};
 use ov_query::parse_expr;
@@ -14,9 +15,11 @@ fn arb_lit() -> impl Strategy<Value = Expr> {
         Just(Expr::Lit(Value::Null)),
         any::<bool>().prop_map(|b| Expr::Lit(Value::Bool(b))),
         any::<i64>().prop_map(|i| Expr::Lit(Value::Int(i))),
-        // Positive, printable floats (negative ones print as unary minus
-        // and re-fold into literals — covered by a dedicated test below).
+        // Printable floats. Negative ones (like negative integers) print
+        // as unary minus — parenthesized in receiver position — and
+        // re-fold into literals.
         (0.0f64..1e9).prop_map(|f| Expr::Lit(Value::Float(f))),
+        (-1e9f64..-1e-6).prop_map(|f| Expr::Lit(Value::Float(f))),
         "[a-zA-Z0-9 _.,!?-]{0,10}".prop_map(|s| Expr::Lit(Value::str(&s))),
     ]
 }
@@ -47,6 +50,24 @@ fn arb_binop() -> impl Strategy<Value = BinOp> {
         Just(BinOp::Intersect),
         Just(BinOp::Except),
     ]
+}
+
+/// A select block over `inner` (explicit bindings); nests, since `inner`
+/// may itself hold selects.
+fn arb_select(inner: impl Strategy<Value = Expr> + Clone) -> impl Strategy<Value = SelectExpr> {
+    (
+        inner.clone(),
+        prop::collection::vec(("[A-Z][a-z]{0,3}", inner.clone()), 1..3),
+        prop::option::of(inner),
+        any::<bool>(),
+    )
+        .prop_map(|(proj, bindings, filter, the)| SelectExpr {
+            distinct: false,
+            the,
+            proj: Box::new(proj),
+            bindings: bindings.into_iter().map(|(v, c)| (sym(&v), c)).collect(),
+            filter: filter.map(Box::new),
+        })
 }
 
 fn arb_expr() -> impl Strategy<Value = Expr> {
@@ -127,22 +148,9 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
                     name: sym(&n),
                     args
                 }),
-            // Selects (with explicit bindings).
-            (
-                inner.clone(),
-                prop::collection::vec(("[A-Z][a-z]{0,3}", inner.clone()), 1..3),
-                prop::option::of(inner.clone()),
-                any::<bool>(),
-            )
-                .prop_map(|(proj, bindings, filter, the)| {
-                    Expr::Select(SelectExpr {
-                        distinct: false,
-                        the,
-                        proj: Box::new(proj),
-                        bindings: bindings.into_iter().map(|(v, c)| (sym(&v), c)).collect(),
-                        filter: filter.map(Box::new),
-                    })
-                }),
+            // Selects and `exists`: both re-enter the printer.
+            arb_select(inner.clone()).prop_map(Expr::Select),
+            arb_select(inner.clone()).prop_map(Expr::Exists),
         ]
     })
 }
@@ -157,6 +165,21 @@ proptest! {
         let reparsed = parse_expr(&printed)
             .unwrap_or_else(|err| panic!("`{printed}` failed to reparse: {err}"));
         prop_assert_eq!(e, reparsed, "printed form: `{}`", printed);
+    }
+
+    /// The streamed fingerprint is the rendered one: for every expression
+    /// the hash equals FNV-1a of the normalized tree's text, and the display
+    /// form is that hash in hex beside that text.
+    #[test]
+    fn streamed_fingerprint_equals_rendered(e in arb_expr()) {
+        use ov_query::fingerprint::{fingerprint_hash, fnv1a, normalize_expr};
+        let rendered = normalize_expr(&e).to_string();
+        let hash = fingerprint_hash(&e);
+        prop_assert_eq!(hash, fnv1a(rendered.as_bytes()), "normalized: `{}`", rendered);
+        prop_assert_eq!(
+            ov_query::fingerprint_expr(&e),
+            (format!("{hash:016x}"), rendered)
+        );
     }
 
     /// Negative numeric literals fold back into literals.

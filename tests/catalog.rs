@@ -397,6 +397,107 @@ fn base_write_delta_propagates_through_the_stack() {
     assert_eq!(s.query(sym("Top"), "count(Rich)").unwrap(), Value::Int(2));
 }
 
+/// A read changes no base state, so it owes the views nothing: a query on
+/// the focused *database* leaves every view's counters where they were,
+/// while a write still pushes its delta through the stack before the next
+/// read, and a write made behind the session's back is picked up by the
+/// view's own lazy read path.
+#[test]
+fn a_database_read_refreshes_no_view_and_a_write_still_does() {
+    let mut s = Session::with_options(
+        ViewOptions::builder()
+            .population(Population::Incremental)
+            .build(),
+    );
+    s.execute(
+        r#"
+        database Staff;
+        class Person type [Id: integer, Name: string, Age: integer, Income: integer];
+        object #1 in Person value [Id: 1, Name: "Maggy", Age: 66, Income: 120];
+        object #2 in Person value [Id: 2, Name: "Bart", Age: 10, Income: 0];
+        object #3 in Person value [Id: 3, Name: "Tony", Age: 30, Income: 150];
+        create view Adults;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        create view Earners;
+        import all classes from view Adults;
+        class Rich includes (select A from Adult where A.Income >= 100);
+        create view Top;
+        import all classes from view Earners;
+        class Elite includes (select R from Rich where R.Age >= 60);
+        "#,
+    )
+    .unwrap();
+    let stack = [sym("Adults"), sym("Earners"), sym("Top")];
+    let stats = |s: &Session| stack.map(|v| s.view(v).unwrap().stats());
+    let one = |s: &mut Session, stmt: &str| s.execute(stmt).unwrap().pop().unwrap();
+    // Warm all six populations (one in `Adults`, two in `Earners`, three
+    // in `Top`: a stacked view expands its upstream's classes).
+    assert_eq!(s.propagate(sym("Staff")), 3);
+    assert_eq!(s.query(sym("Top"), "count(Elite)").unwrap(), Value::Int(1));
+
+    // The read: every counter of every view stays put.
+    let warm = stats(&s);
+    s.focus(sym("Staff")).unwrap();
+    assert_eq!(
+        one(&mut s, "select P.Name from P in Person where P.Id = 3;"),
+        Outcome::Value(Value::set([Value::str("Tony")]))
+    );
+    assert_eq!(stats(&s), warm, "a database read touched a view");
+
+    // The write (`#3` goes through the session's oid map): Tony turns 61
+    // and enters Elite. The delta lands on the write...
+    assert_eq!(one(&mut s, "set #3.Age = 61;"), Outcome::Done);
+    let written = stats(&s);
+    for (after, before) in written.iter().zip(&warm) {
+        assert!(
+            after.incremental_updates > before.incremental_updates,
+            "the write propagated to every level: {after:?}"
+        );
+    }
+    // ...so the read through `Top` is a cache hit on a population that
+    // already holds it.
+    s.focus(sym("Top")).unwrap();
+    assert_eq!(one(&mut s, "count(Elite);"), Outcome::Value(Value::Int(2)));
+    let [.., top_written] = written;
+    let [.., top_read] = stats(&s);
+    assert!(top_read.cache_hits > top_written.cache_hits, "{top_read:?}");
+    assert_eq!(
+        (
+            top_read.cache_misses,
+            top_read.incremental_updates,
+            top_read.recomputations
+        ),
+        (
+            top_written.cache_misses,
+            top_written.incremental_updates,
+            top_written.recomputations
+        ),
+        "the read had nothing left to refresh"
+    );
+
+    // A write made directly on the `Database`: a session read of the
+    // database does not warm the views as a side effect, and the view's
+    // own read still sees the write.
+    let Value::Oid(bart) = s
+        .query(sym("Staff"), "select the P from P in Person where P.Id = 2")
+        .unwrap()
+    else {
+        panic!("Bart is an object");
+    };
+    let staff = s.system().database(sym("Staff")).unwrap();
+    staff
+        .write()
+        .set_attr(bart, sym("Age"), Value::Int(40))
+        .unwrap();
+    let behind = stats(&s);
+    s.focus(sym("Staff")).unwrap();
+    assert_eq!(one(&mut s, "count(Person);"), Outcome::Value(Value::Int(3)));
+    assert_eq!(stats(&s), behind);
+    s.focus(sym("Top")).unwrap();
+    assert_eq!(one(&mut s, "count(Adult);"), Outcome::Value(Value::Int(3)));
+}
+
 /// Regression for the stale-`Elite` defect: retesting `Rich`'s delta asks
 /// "is the object an `Adult`?", which used to walk `Adult`'s virtual
 /// subclasses in hash-map order and could populate `Elite` under `Rich`'s
