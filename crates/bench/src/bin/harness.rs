@@ -31,7 +31,7 @@
 //!   `--baseline`; a cell regresses when `new/old > X` and the absolute
 //!   delta clears a small noise floor.
 //!
-//! Each section corresponds to an experiment id (E1–E20) in EXPERIMENTS.md,
+//! Each section corresponds to an experiment id (E1–E21) in EXPERIMENTS.md,
 //! which maps them back to the paper's sections. Timings are coarse
 //! wall-clock means (use the Criterion benches for statistically careful
 //! numbers); the semantic rows are exact.
@@ -91,6 +91,7 @@ fn main() {
     e18_durability(&args);
     e19_planner();
     e20_front_end();
+    e21_cold_path();
     write_metrics_and_trace(&args);
     if let Some(path) = &args.save_baseline {
         let json = baseline::to_json(&baseline::snapshot());
@@ -2075,5 +2076,120 @@ fn e20_front_end() {
     row(
         "fingerprint/rendered",
         &[tcell("fingerprint", "rendered", t_rendered)],
+    );
+}
+
+/// The cold path of crash → recovery → first query, cell by cell: an
+/// imaginary population through the row loop (cold, and as what any write
+/// costs while the class is bound and propagated eagerly), the checksum
+/// kernel, and the snapshot read. Data and view are shaped like the
+/// end-to-end benchmark's (`ovbench`): 25 000 [`people`] over 8 cities and
+/// 97 streets, `Household` the distinct `(City, Street)` of the over-90s.
+fn e21_cold_path() {
+    header(
+        "E21",
+        "crash → recovery → first query: imaginary population, checksum, snapshot read",
+    );
+    const N: usize = 25_000;
+    let was_profiling = ov_oodb::profiling_enabled();
+    ov_oodb::set_profiling(false);
+    let sys = people(N);
+    let db = sys.database(sym("Staff")).unwrap();
+    let homes = |materialization| {
+        ViewDef::from_script(
+            "create view Homes; import all classes from database Staff; \
+             class Household includes imaginary \
+               (select [City: P.City, Street: P.Street] from P in Person where P.Age >= 90);",
+        )
+        .unwrap()
+        .binder(&sys)
+        .options(
+            ViewOptions::builder()
+                .materialization(materialization)
+                .build(),
+        )
+        .bind()
+        .unwrap()
+    };
+
+    // imaginary/cold: every read recomputes; the identity table is warm
+    // after the first, as it is after recovery's adoption.
+    let cold = homes(Materialization::AlwaysRecompute);
+    let households = cold.extent_of(sym("Household")).unwrap().len();
+    let t_cold = time_ns(8, || {
+        std::hint::black_box(cold.extent_of(sym("Household")).unwrap());
+    });
+
+    // imaginary/write: one base write and the refresh `Session::propagate`
+    // gives every dependent view. The class is opaque to deltas, so the
+    // refresh is a recompute through the same loop.
+    let eager = homes(Materialization::Incremental);
+    eager.refresh().unwrap();
+    let target = person_oids(&sys, 1)[0];
+    let mut age = 0;
+    let t_write = time_ns(8, || {
+        age = (age + 1) % 80;
+        db.write()
+            .set_attr(target, sym("Age"), Value::Int(age))
+            .unwrap();
+        eager.refresh().unwrap();
+    });
+    assert_eq!(eager.stats().incremental_updates, 0, "opaque to deltas");
+
+    // crc32/mib: the kernel behind every page and WAL frame.
+    let mib: Vec<u8> = (0..1u32 << 20).map(|i| (i * 31 + 7) as u8).collect();
+    let t_crc = time_ns(40, || {
+        std::hint::black_box(ov_oodb::codec::crc32(std::hint::black_box(&mib)));
+    });
+
+    // snapshot/read: the same objects as a checkpoint writes them, then
+    // page checksums, body copy and decode.
+    let dir = std::env::temp_dir().join(format!("ov-e21-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut image = ov_oodb::pager::SnapshotImage::default();
+    {
+        let db = db.read();
+        image.name = sym("Staff");
+        image.store_version = db.store.version();
+        image.capture_schema(&db.schema);
+        image.objects = db.store.iter().cloned().collect();
+    }
+    ov_oodb::pager::write_snapshot(&dir, &image).unwrap();
+    let snapshot_bytes = std::fs::metadata(dir.join(ov_oodb::pager::SNAPSHOT_FILE))
+        .unwrap()
+        .len();
+    let t_read = time_ns(8, || {
+        let image = ov_oodb::pager::read_snapshot(&dir).unwrap().unwrap();
+        assert_eq!(image.objects.len(), N);
+        std::hint::black_box(image);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    ov_oodb::set_profiling(was_profiling);
+
+    row("cell", &["time".into()]);
+    row(
+        "imaginary/cold",
+        &[
+            tcell("imaginary", "cold", t_cold),
+            format!(
+                "({N} rows, {households} households, {:.0} ns/row)",
+                t_cold / N as f64
+            ),
+        ],
+    );
+    row("imaginary/write", &[tcell("imaginary", "write", t_write)]);
+    row(
+        "crc32/mib",
+        &[
+            tcell("crc32", "mib", t_crc),
+            format!("({:.2} GB/s)", (1u64 << 20) as f64 / t_crc),
+        ],
+    );
+    row(
+        "snapshot/read",
+        &[
+            tcell("snapshot", "read", t_read),
+            format!("({snapshot_bytes} B)"),
+        ],
     );
 }

@@ -25,6 +25,20 @@
 //! paper's §5.1 identity semantics ("we are guaranteed that the same tuple
 //! will be assigned the same oid each time the class C is invoked").
 //!
+//! ## One row loop
+//!
+//! A population query of the shape `select E from V in C [where F]` is
+//! bound once (`ScanInclude`: filter and projection compiled at bind) and
+//! populated by one row loop, `View::run_rows`, fed from one of four
+//! candidate sources — index postings, a split of the extent across
+//! workers, the sequential scan, the journal delta. A specialization (`E`
+//! is `V`) keeps the admitted oids; an imaginary class keeps the distinct
+//! projected tuples and then maps them to oids in set order, so the
+//! identity table fills exactly as if the query had been interpreted
+//! whole. Only the specialization is delta-maintainable: an imaginary
+//! tuple may be produced by many rows, so a write recomputes the class —
+//! through the same loop. Every other shape is interpreted whole.
+//!
 //! ## Concurrency
 //!
 //! A bound view is `Send + Sync`: shared state lives behind `RwLock`s (the
@@ -200,43 +214,96 @@ enum Include {
     Class(ClassId),
     /// The canonical specialization `select V from V in C [where F]`:
     /// membership is a test per object, so this is the shape the row loop
-    /// runs and a delta maintains.
-    Filter(FilterInclude),
+    /// runs — its sink the admitted oids — and a delta maintains.
+    Filter(ScanInclude),
     /// Behavioral spec — re-scanned at population time so classes defined
     /// *after* this one are admitted automatically (§4.1's flexibility
     /// argument).
     Like { spec: ClassId },
     /// Any other population query: interpreted whole, on recompute only.
     Query(SelectExpr),
-    /// Imaginary population (§5).
-    Imaginary(SelectExpr),
+    /// Imaginary population (§5) of the canonical shape `select E from V in
+    /// C [where F]`: bound like a [`Include::Filter`] and populated by the
+    /// same row loop from the same candidate sources, its sink the distinct
+    /// projected tuples, which then map to oids in set order
+    /// ([`View::adopt_tuples`]). Still opaque to deltas: a row's tuple may
+    /// be shared with other rows, so one changed row decides nothing about
+    /// its tuple's membership — a write recomputes the class.
+    Imaginary(ScanInclude),
+    /// Any other imaginary population query: interpreted whole.
+    ImaginaryQuery(SelectExpr),
 }
 
-/// See [`Include::Filter`].
+/// A population query of the shape `select E from V in C [where F]`, bound
+/// for the row loop. See [`Include::Filter`] (`E` is `V`) and
+/// [`Include::Imaginary`].
 #[derive(Debug)]
-struct FilterInclude {
+struct ScanInclude {
     /// The scanned class `C`, and its name as the query spells it.
     class: ClassId,
     coll: Symbol,
     var: Symbol,
-    /// The filter compiled at bind time, when there is one and the bytecode
-    /// compiler covers it.
-    prog: Option<ov_query::Program>,
-    /// The constant-folded query: its filter is `F`, and the whole of it
-    /// runs when a named object shadows `coll`.
+    /// The filter and the projection compiled at bind time, each when
+    /// there is one — a specialization projects its scan variable, which
+    /// needs no evaluation — and the bytecode compiler covers it.
+    filter_prog: Option<ov_query::Program>,
+    proj_prog: Option<ov_query::Program>,
+    /// The constant-folded query: its filter is `F`, its projection `E`,
+    /// and the whole of it runs when a named object shadows `coll`.
     query: SelectExpr,
 }
 
-impl FilterInclude {
-    /// What the row loop runs per candidate: the bind-time program, unless
-    /// `.engine interp` turned the bytecode engine off.
+impl ScanInclude {
+    /// Does the query project its scan variable itself?
+    fn projects_var(&self) -> bool {
+        *self.query.proj == Expr::Name(self.var)
+    }
+
+    /// What the row loop runs per candidate: the bind-time programs, unless
+    /// `.engine interp` turned the bytecode engine off; each expression
+    /// the compiler did not cover goes to the interpreter on its own.
     fn row_spec(&self) -> RowSpec<'_> {
-        let prog = self.prog.as_ref().filter(|_| ov_query::compiled_enabled());
+        fn code<'a>(e: &'a Expr, prog: &'a Option<ov_query::Program>) -> Code<'a> {
+            Code::of(e, prog.as_ref().filter(|_| ov_query::compiled_enabled()))
+        }
+        let q = &self.query;
         RowSpec {
             var: self.var,
-            filter: self.query.filter.as_deref().map(|f| Code::of(f, prog)),
-            proj: None,
+            filter: q.filter.as_deref().map(|f| code(f, &self.filter_prog)),
+            proj: (!self.projects_var()).then(|| code(&q.proj, &self.proj_prog)),
         }
+    }
+}
+
+/// What a population keeps of each row its scan admits — the sink of
+/// [`View::run_rows`]: the row's oid for a specialization, the projected
+/// value for an imaginary class.
+trait Kept: Ord + Send + Sized {
+    /// What is kept of a row the loop projected.
+    fn of_row(row: Value) -> Self;
+
+    /// The answer of the whole query `q` populating class `c`, for when
+    /// the row loop cannot stand for it.
+    fn of_query(view: &View, c: ClassId, q: &SelectExpr) -> ov_query::Result<BTreeSet<Self>>;
+}
+
+impl Kept for Oid {
+    fn of_row(row: Value) -> Oid {
+        row.as_oid().expect("a specialization projects its oids")
+    }
+
+    fn of_query(view: &View, c: ClassId, q: &SelectExpr) -> ov_query::Result<BTreeSet<Oid>> {
+        view.eval_query(c, q)
+    }
+}
+
+impl Kept for Value {
+    fn of_row(row: Value) -> Value {
+        row
+    }
+
+    fn of_query(view: &View, _: ClassId, q: &SelectExpr) -> ov_query::Result<BTreeSet<Value>> {
+        view.eval_whole(q)
     }
 }
 
@@ -1330,7 +1397,7 @@ impl View {
                     units.push(crate::infer::unit_of(&self.schema.read(), &constraints));
                     // Population queries run on every (re)computation:
                     // fold their constants once, at definition time.
-                    bound.push(self.bind_query(ov_query::optimize_select(q)));
+                    bound.push(self.bind_query(ov_query::optimize_select(q), false));
                 }
                 IncludeSpec::Imaginary(q) => {
                     let ty =
@@ -1353,7 +1420,7 @@ impl View {
                         }
                     };
                     imaginary_core = Some(core);
-                    bound.push(Include::Imaginary(ov_query::optimize_select(q)));
+                    bound.push(self.bind_query(ov_query::optimize_select(q), true));
                 }
             }
         }
@@ -1438,29 +1505,44 @@ impl View {
         Ok(class_id)
     }
 
-    /// Binds a population query. The canonical specialization shape `select
-    /// V from V in C [where F]` becomes an [`Include::Filter`], its filter
-    /// compiled here, once; population scans and delta retests reuse the
-    /// program. Any other query stays whole.
-    fn bind_query(&self, q: SelectExpr) -> Include {
+    /// Binds a population query. The canonical shape — one binding over a
+    /// class name, no `the`; a specialization `select V from V in C [where
+    /// F]` projects its variable, an imaginary class `select E from V in C
+    /// [where F]` anything — becomes a [`ScanInclude`], its filter and
+    /// projection compiled here, once; population scans and delta retests
+    /// reuse the programs. Any other query stays whole.
+    fn bind_query(&self, q: SelectExpr, imaginary: bool) -> Include {
         let canonical = match q.bindings.as_slice() {
-            [(var, Expr::Name(coll))] if !q.the && *q.proj == Expr::Name(*var) => {
+            [(var, Expr::Name(coll))] if !q.the && (imaginary || *q.proj == Expr::Name(*var)) => {
                 self.lookup_class(*coll).map(|class| (class, *coll, *var))
             }
             _ => None,
         };
         let Some((class, coll, var)) = canonical else {
-            return Include::Query(q);
+            return if imaginary {
+                Include::ImaginaryQuery(q)
+            } else {
+                Include::Query(q)
+            };
         };
-        let filter = q.filter.as_deref();
-        let prog = filter.and_then(|f| ov_query::compile_predicate(f, &[var]));
-        Include::Filter(FilterInclude {
+        let mut scan = ScanInclude {
             class,
             coll,
             var,
-            prog,
+            filter_prog: None,
+            proj_prog: None,
             query: q,
-        })
+        };
+        let compile = |e: &Expr| ov_query::compile_predicate(e, &[var]);
+        scan.filter_prog = scan.query.filter.as_deref().and_then(compile);
+        if !scan.projects_var() {
+            scan.proj_prog = compile(&scan.query.proj);
+        }
+        if imaginary {
+            Include::Imaginary(scan)
+        } else {
+            Include::Filter(scan)
+        }
     }
 
     /// Extracts extra population sources from membership conjuncts in the
@@ -1872,19 +1954,19 @@ impl View {
 
     /// The membership loop every candidate source shares: a row test built
     /// on this thread from `spec`, fed `candidates` in order, admitting
-    /// into `out` under [`ov_query::rowtest`]'s charge rule.
-    fn run_rows(
+    /// into `out` — oids or projected values, see [`Kept`] — under
+    /// [`ov_query::rowtest`]'s charge rule: a row is charged when `out` did
+    /// not hold what it projects, which is `select`'s set semantics.
+    fn run_rows<K: Kept>(
         &self,
         spec: RowSpec<'_>,
         candidates: &[Oid],
         counted: &mut plan::ScanActuals,
-        out: &mut BTreeSet<Oid>,
+        out: &mut BTreeSet<K>,
     ) -> ov_query::Result<()> {
         let mut test = RowTest::new(self, spec);
         let rows = candidates.iter().map(|&oid| Value::Oid(oid));
-        ov_query::scan_rows(rows, &mut test, counted, |row| {
-            out.insert(row.as_oid().expect("a population projects its oids"))
-        })
+        ov_query::scan_rows(rows, &mut test, counted, |row| out.insert(K::of_row(row)))
     }
 
     /// The actuals bracket of one include-term scan: runs `scan` in a fresh
@@ -1952,43 +2034,29 @@ impl View {
                         out.extend(DataSource::extent(self, m)?);
                     }
                 }
-                Include::Imaginary(q) => {
-                    let v = eval_select(self, q)?;
-                    let Value::Set(items) = v else {
-                        unreachable!("select returns a set")
-                    };
-                    for item in items {
-                        match item {
-                            Value::Tuple(t) => {
-                                out.insert(self.imaginary_oid(c, t));
-                            }
-                            other => {
-                                let name = self.schema.read().class(c).name;
-                                return Err(ViewError::NonTuplePopulation {
-                                    class: name,
-                                    found: other.kind().to_string(),
-                                }
-                                .into());
-                            }
-                        }
-                    }
+                Include::Imaginary(f) => {
+                    out.append(&mut self.adopt_tuples(c, self.scan_filter(c, f)?)?)
+                }
+                Include::ImaginaryQuery(q) => {
+                    out.append(&mut self.adopt_tuples(c, self.eval_whole(q)?)?)
                 }
             }
         }
         Ok(out)
     }
 
-    /// Populates a canonical specialization include. The four candidate
-    /// sources meet here and nowhere else: one guard, then index postings
-    /// if [`Self::index_candidates`] answers, else a split of the extent
+    /// Populates a canonical include — a specialization's oids or an
+    /// imaginary class's distinct tuples. The four candidate sources meet
+    /// here and nowhere else: one guard, then index postings if
+    /// [`Self::index_candidates`] answers, else a split of the extent
     /// across workers if the strategy choice and the strike counter allow,
     /// else the sequential scan. Each feeds [`Self::run_rows`].
-    fn scan_filter(&self, c: ClassId, inc: &FilterInclude) -> ov_query::Result<BTreeSet<Oid>> {
+    fn scan_filter<K: Kept>(&self, c: ClassId, inc: &ScanInclude) -> ov_query::Result<BTreeSet<K>> {
         // The guard: the row loop scans `class`, which is what the query
         // means only while no named object shadows the collection name
         // (`resolve_name` order; objects can be named after bind).
         if DataSource::named_object(self, inc.coll).is_some() {
-            return self.eval_query(c, &inc.query);
+            return K::of_query(self, c, &inc.query);
         }
         let est = self.scan_estimate(&inc.query);
         let spec = inc.row_spec();
@@ -2048,18 +2116,24 @@ impl View {
         Ok(out)
     }
 
-    /// Populates from a query the row loop does not cover — another shape,
-    /// or a shadowed collection name — by interpreting it whole.
-    fn eval_query(&self, c: ClassId, q: &SelectExpr) -> ov_query::Result<BTreeSet<Oid>> {
+    /// The answer of a query the row loop does not cover — another shape,
+    /// or a shadowed collection name — interpreted whole, as one measured
+    /// scan.
+    fn eval_whole(&self, q: &SelectExpr) -> ov_query::Result<BTreeSet<Value>> {
         let kind = plan::ScanKind::Sequential {
             engine: plan::Engine::Interpreted,
         };
-        let v = Self::measured(kind, self.scan_estimate(q), |_| eval_select(self, q))?;
-        let Value::Set(items) = v else {
-            unreachable!("select returns a set")
-        };
+        match Self::measured(kind, self.scan_estimate(q), |_| eval_select(self, q))? {
+            Value::Set(items) => Ok(items),
+            _ => unreachable!("select returns a set"),
+        }
+    }
+
+    /// Populates a specialization from [`Self::eval_whole`]: its answer
+    /// must be objects.
+    fn eval_query(&self, c: ClassId, q: &SelectExpr) -> ov_query::Result<BTreeSet<Oid>> {
         let mut out = BTreeSet::new();
-        for item in items {
+        for item in self.eval_whole(q)? {
             match item {
                 Value::Oid(o) => {
                     out.insert(o);
@@ -2082,7 +2156,7 @@ impl View {
     /// that [`DataSource::indexed_lookup`] can serve exactly, returns the
     /// candidate oids from the index together with the index's `Class.Attr`
     /// label (the caller still applies the full filter).
-    fn index_candidates(&self, inc: &FilterInclude) -> Option<(Vec<Oid>, String)> {
+    fn index_candidates(&self, inc: &ScanInclude) -> Option<(Vec<Oid>, String)> {
         let (attr, value) = ov_query::planner::conjuncts(inc.query.filter.as_deref()?)
             .into_iter()
             .find_map(|leg| ov_query::planner::eq_conjunct(leg, inc.var))?;
@@ -2095,6 +2169,29 @@ impl View {
         }
         let candidates = DataSource::indexed_lookup(self, inc.class, attr, value)?;
         Some((candidates, format!("{}.{attr}", inc.coll)))
+    }
+
+    /// Maps the distinct tuples an imaginary population query produced to
+    /// the class's objects, assigning oids in set order. Anything but a
+    /// tuple is [`ViewError::NonTuplePopulation`].
+    fn adopt_tuples(&self, c: ClassId, tuples: BTreeSet<Value>) -> ov_query::Result<BTreeSet<Oid>> {
+        let mut out = BTreeSet::new();
+        for item in tuples {
+            match item {
+                Value::Tuple(t) => {
+                    out.insert(self.imaginary_oid(c, t));
+                }
+                other => {
+                    let name = self.schema.read().class(c).name;
+                    return Err(ViewError::NonTuplePopulation {
+                        class: name,
+                        found: other.kind().to_string(),
+                    }
+                    .into());
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Maps a core tuple to its imaginary oid (§5.1): "there could be a
@@ -2121,7 +2218,10 @@ impl View {
             }
             let oid = Oid(self.next_imaginary.fetch_add(1, Ordering::Relaxed));
             table.insert(core.clone(), oid);
-            drop(identity);
+            // The object goes in before the identity lock is released
+            // (lock order identity → imaginary): the table hands the oid
+            // to the next thread that maps this tuple, and an oid it hands
+            // out must already read as an object.
             self.imaginary.write().insert(
                 oid,
                 ImaginaryObject {
@@ -2129,6 +2229,7 @@ impl View {
                     core: core.clone(),
                 },
             );
+            drop(identity);
             // Only the winning assignment reaches the WAL; losers returned
             // early above. Logging happens outside every lock.
             if let Some(name) = durable_name {

@@ -14,11 +14,14 @@
 //! * a population is the same set whatever feeds its row loop — the whole
 //!   extent, a split of it, index postings, the journal delta — and
 //!   whichever engine runs the row test, and a budget governs every one of
-//!   those sources by the same charge rule.
+//!   those sources by the same charge rule;
+//! * an imaginary class of the canonical shape goes through that row loop
+//!   and comes out as the tree walker's answer mapped to oids in set order:
+//!   same population, same core tuples, same identity table.
 
 use ov_oodb::{sym, ClassId, Database, Oid, OodbError, Symbol, System, Type, Value};
 use ov_query::{Budget, DataSource, EngineMode, ParallelConfig, PopPath, QueryError};
-use ov_views::{Materialization, View, ViewDef, ViewError, ViewOptions};
+use ov_views::{IdentityMode, Materialization, View, ViewDef, ViewError, ViewOptions};
 use proptest::prelude::*;
 
 const ENGINES: [EngineMode; 2] = [EngineMode::Compiled, EngineMode::Interp];
@@ -762,7 +765,306 @@ fn a_key_probe_through_a_view_stack_explains_as_an_index_probe() {
 }
 
 // ----------------------------------------------------------------------
-// One charge rule, four candidate sources
+// The row loop ≡ the walker, for imaginary classes
+// ----------------------------------------------------------------------
+
+/// `Group`'s query: canonical, an equality conjunct an index on
+/// `Person.Kind` serves, and core fields that repeat and go `null`.
+const GROUP_QUERY: &str = "select [Name: P.Name, Age: P.Age] from P in Person where P.Kind = 1";
+
+/// `Ratio`'s query: filter and projection both fail on a row whose `Div`
+/// is 0.
+const RATIO_QUERY: &str = "select [Q: 10 / P.Div] from P in Person where 10 / P.Div >= 0";
+
+/// One `Person` row of the imaginary-class properties; `None` is `null`.
+type GroupRow = (Option<String>, Option<i64>, i64, Option<i64>);
+
+fn group_row() -> impl Strategy<Value = GroupRow> {
+    (
+        prop::option::of("[ab]"),
+        prop::option::of(0i64..3),
+        0i64..3,
+        prop::option::of(0i64..4),
+    )
+}
+
+fn group_system(rows: &[GroupRow], indexed: bool) -> System {
+    let mut sys = System::new();
+    let mut db = Database::new(sym("P"));
+    let attr = |name, ty| ov_oodb::AttrDef::stored(sym(name), ty);
+    let attrs = vec![
+        attr("Name", Type::Str),
+        attr("Age", Type::Int),
+        attr("Kind", Type::Int),
+        attr("Div", Type::Int),
+    ];
+    let person = db.create_class(sym("Person"), &[], attrs).unwrap();
+    let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+    for (name, age, kind, div) in rows {
+        let name = name.as_deref().map_or(Value::Null, Value::str);
+        let fields = [
+            ("Name", name),
+            ("Age", int(*age)),
+            ("Kind", Value::Int(*kind)),
+            ("Div", int(*div)),
+        ];
+        db.create_object(person, Value::tuple(fields)).unwrap();
+    }
+    if indexed {
+        db.create_index(person, sym("Kind")).unwrap();
+    }
+    sys.add_database(db).unwrap();
+    sys
+}
+
+fn group_view(sys: &System, options: ViewOptions) -> View {
+    ViewDef::from_script(&format!(
+        "create view V; import all classes from database P; \
+         class Group includes imaginary ({GROUP_QUERY}); \
+         class Ratio includes imaginary ({RATIO_QUERY});"
+    ))
+    .unwrap()
+    .binder(sys)
+    .options(options)
+    .bind()
+    .unwrap()
+}
+
+/// The tree walker's answer to `query` on the base database.
+fn walked(sys: &System, query: &str) -> Result<Vec<Value>, QueryError> {
+    let db = sys.database(sym("P")).unwrap();
+    let db = db.read();
+    let q = ov_query::parse_select(query).unwrap();
+    let answer = ov_query::eval_select(&*db, &q)?;
+    Ok(answer.as_set().unwrap().iter().cloned().collect())
+}
+
+/// §5.1's table as the parent builds it: the walker's distinct tuples, in
+/// set order, each new one taking the next oid.
+#[derive(Default)]
+struct IdentityModel {
+    table: std::collections::BTreeMap<Value, Oid>,
+}
+
+impl IdentityModel {
+    fn populate(&mut self, tuples: &[Value]) -> Vec<Oid> {
+        let mut oids: Vec<Oid> = Vec::new();
+        for tuple in tuples {
+            let next = Oid(ov_oodb::ids::IMAGINARY_OID_BASE + self.table.len() as u64);
+            oids.push(*self.table.entry(tuple.clone()).or_insert(next));
+        }
+        oids.sort();
+        oids
+    }
+}
+
+/// Reads `Group` and checks population, core tuples, identity table and
+/// the scan's own account of itself against the walker and `model`.
+fn check_group(view: &View, sys: &System, model: &mut IdentityModel, what: &str) {
+    let tuples = walked(sys, GROUP_QUERY).unwrap();
+    let expected = model.populate(&tuples);
+    let (oids, traces) = ov_query::plan::collect(|| view.extent_of(sym("Group")));
+    assert_eq!(oids.unwrap(), expected, "{what}: population");
+    for tuple in &tuples {
+        let oid = model.table[tuple];
+        let core = tuple.as_tuple().unwrap();
+        for field in ["Name", "Age"] {
+            let stored = view.attr(oid, sym(field)).unwrap();
+            assert_eq!(
+                Some(&stored),
+                core.get(sym(field)),
+                "{what}: {field} of {oid}"
+            );
+        }
+    }
+    assert_eq!(
+        view.identity_table_len(sym("Group")),
+        model.table.len(),
+        "{what}: identity table"
+    );
+    // One measured scan: the candidates it was fed, the rows it admitted.
+    let trace = traces.iter().rev().find(|t| t.class == sym("Group"));
+    let Some(PopPath::FullRecompute { scans }) = trace.map(|t| &t.path) else {
+        panic!("{what}: an imaginary class recomputes: {traces:?}")
+    };
+    let [scan] = scans.as_slice() else {
+        panic!("{what}: one scan per include: {scans:?}")
+    };
+    let admitted = walked(sys, "select P from P in Person where P.Kind = 1").unwrap();
+    assert_eq!(scan.actuals.rows_matched, admitted.len() as u64, "{what}");
+    assert!(
+        scan.actuals.rows_scanned >= scan.actuals.rows_matched,
+        "{what}"
+    );
+}
+
+/// Reads `Ratio`: the walker's answer, or the walker's error with no oid
+/// assigned.
+fn check_ratio(view: &View, sys: &System, model: &mut IdentityModel, what: &str) {
+    match walked(sys, RATIO_QUERY) {
+        Ok(tuples) => {
+            // `Group` and `Ratio` draw oids from one counter; which oid a
+            // ratio gets is `check_group`'s subject, so here: one object
+            // per distinct tuple, stable across reads, carrying its tuple.
+            let oids = view.extent_of(sym("Ratio")).unwrap();
+            assert_eq!(oids.len(), tuples.len(), "{what}: Ratio");
+            for oid in &oids {
+                let q = view.attr(*oid, sym("Q")).unwrap();
+                let tuple = Value::tuple([("Q", q)]);
+                assert!(tuples.contains(&tuple), "{what}: {tuple} is no ratio");
+                assert_eq!(*model.table.entry(tuple).or_insert(*oid), *oid, "{what}");
+            }
+        }
+        Err(expected) => {
+            let before = view.identity_table_len(sym("Ratio"));
+            match view.extent_of(sym("Ratio")) {
+                Err(ViewError::Query(e)) => assert_eq!(e.to_string(), expected.to_string()),
+                other => panic!("{what}: expected `{expected}`, got {other:?}"),
+            }
+            assert_eq!(view.identity_table_len(sym("Ratio")), before, "{what}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An imaginary class of the canonical shape, populated by the row
+    /// loop from each of its candidate sources under each engine, is the
+    /// tree walker's answer mapped to oids in set order — before and
+    /// after every write — and a filter that fails on some row fails the
+    /// population with the walker's error.
+    #[test]
+    fn an_imaginary_row_loop_is_the_walker(
+        rows in prop::collection::vec(group_row(), 1..12),
+        writes in prop::collection::vec(
+            (any::<prop::sample::Index>(), 0usize..4, prop::option::of(0i64..3)),
+            0..5,
+        ),
+    ) {
+        for indexed in [false, true] {
+            for parallel in [ParallelConfig::default(), SPLIT] {
+                for engine in ENGINES {
+                    let what = format!("index {indexed}, {} workers, {engine:?}", parallel.threads);
+                    let sys = group_system(&rows, indexed);
+                    let options = ViewOptions::builder().parallel(parallel).build();
+                    let view = group_view(&sys, options);
+                    let (mut groups, mut ratios) = (IdentityModel::default(), IdentityModel::default());
+                    let db = sys.database(sym("P")).unwrap();
+                    let person = db.read().schema.class_by_name(sym("Person")).unwrap();
+                    let people = db.read().deep_extent(person);
+                    ov_query::with_engine_mode(engine, || {
+                        check_group(&view, &sys, &mut groups, &what);
+                        for (target, attr, value) in &writes {
+                            let target = people[target.index(people.len())];
+                            let attr = ["Name", "Age", "Kind", "Div"][*attr];
+                            let value = match (attr, value) {
+                                ("Kind", v) => Value::Int(v.unwrap_or(1)),
+                                (_, None) => Value::Null,
+                                ("Name", Some(v)) => Value::str(["a", "b", "c"][*v as usize]),
+                                (_, Some(v)) => Value::Int(*v),
+                            };
+                            db.write().set_attr(target, sym(attr), value).unwrap();
+                            check_group(&view, &sys, &mut groups, &what);
+                        }
+                    });
+                    let stats = view.stats();
+                    prop_assert_eq!(stats.incremental_updates, 0, "opaque to deltas");
+                    if indexed {
+                        prop_assert!(stats.index_pushdowns > 0, "{}: {:?}", what, stats);
+                    } else if parallel == SPLIT && people.len() >= 3 {
+                        prop_assert!(stats.parallel_scans > 0, "{}: {:?}", what, stats);
+                    }
+                    // `Ratio` last, on a view of its own: its oids come
+                    // from the counter `Group`'s model assumes it owns.
+                    let view = group_view(&sys, ViewOptions::builder().parallel(parallel).build());
+                    ov_query::with_engine_mode(engine, || {
+                        check_ratio(&view, &sys, &mut ratios, &what);
+                        check_ratio(&view, &sys, &mut ratios, &what);
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The shapes and settings the row loop stands aside for behave as they
+/// always did: a named object shadowing the collection name fails the
+/// population with the whole query's error, a two-binding query is
+/// interpreted whole, and `IdentityMode::Fresh` hands out one new object
+/// per distinct tuple on every population.
+#[test]
+fn the_imaginary_row_loop_stands_aside() {
+    let rows: Vec<GroupRow> = [(0, 1), (1, 1), (0, 1), (2, 0), (1, 1)]
+        .iter()
+        .map(|&(age, kind)| (Some("a".to_string()), Some(age), kind, Some(1)))
+        .collect();
+    let recompute = || {
+        ViewOptions::builder()
+            .materialization(Materialization::AlwaysRecompute)
+            .build()
+    };
+    for engine in ENGINES {
+        ov_query::with_engine_mode(engine, || {
+            // Shadowed: `from P in Person` now ranges over an object.
+            let sys = group_system(&rows, false);
+            let view = group_view(&sys, recompute());
+            assert_eq!(view.extent_of(sym("Group")).unwrap().len(), 2);
+            let db = sys.database(sym("P")).unwrap();
+            let person = db.read().schema.class_by_name(sym("Person")).unwrap();
+            let first = db.read().deep_extent(person)[0];
+            db.write().name_object(sym("Person"), first).unwrap();
+            let expected = walked(&sys, GROUP_QUERY).unwrap_err();
+            match view.extent_of(sym("Group")) {
+                Err(ViewError::Query(e)) => assert_eq!(e.to_string(), expected.to_string()),
+                other => panic!("shadowed: {other:?}"),
+            }
+            assert_eq!(view.identity_table_len(sym("Group")), 2);
+
+            // Two bindings: pairs of equal age, interpreted whole.
+            let pairs = "select [A: P.Age, B: Q.Age] from P in Person, Q in Person \
+                         where P.Age = Q.Age and P.Kind = 1";
+            let sys = group_system(&rows, false);
+            let view = ViewDef::from_script(&format!(
+                "create view V; import all classes from database P; \
+                 class Pair includes imaginary ({pairs});"
+            ))
+            .unwrap()
+            .binder(&sys)
+            .options(recompute())
+            .bind()
+            .unwrap();
+            let expected = IdentityModel::default().populate(&walked(&sys, pairs).unwrap());
+            assert_eq!(expected.len(), 2);
+            assert_eq!(view.extent_of(sym("Pair")).unwrap(), expected);
+            assert_eq!(view.extent_of(sym("Pair")).unwrap(), expected);
+            assert_eq!(
+                view.stats().index_pushdowns + view.stats().parallel_scans,
+                0
+            );
+
+            // Fresh oids: two objects per population, never the same two.
+            let sys = group_system(&rows, false);
+            let options = ViewOptions::builder().identity_mode(IdentityMode::Fresh);
+            let view = group_view(
+                &sys,
+                options
+                    .materialization(Materialization::AlwaysRecompute)
+                    .build(),
+            );
+            let base = ov_oodb::ids::IMAGINARY_OID_BASE;
+            let first = view.extent_of(sym("Group")).unwrap();
+            let second = view.extent_of(sym("Group")).unwrap();
+            assert_eq!(first, [Oid(base), Oid(base + 1)]);
+            assert_eq!(second, [Oid(base + 2), Oid(base + 3)]);
+            assert_eq!(view.attr(second[0], sym("Age")).unwrap(), Value::Int(0));
+            assert_eq!(view.identity_table_len(sym("Group")), 0);
+        });
+    }
+}
+
+// ----------------------------------------------------------------------
+// One charge rule, four candidate sources, two sinks
 // ----------------------------------------------------------------------
 
 const AGES: [i64; 12] = [5, 30, 40, 17, 65, 21, 40, 80, 3, 40, 55, 19];
@@ -785,7 +1087,9 @@ fn sweep_view(sys: &System, options: ViewOptions) -> View {
     ViewDef::from_script(
         "create view V; import all classes from database P; \
          class Adult includes (select X from Person where X.Age >= 21); \
-         class Forty includes (select X from Person where X.Age = 40 and X.Name != \"\");",
+         class Forty includes (select X from Person where X.Age = 40 and X.Name != \"\"); \
+         class Named includes imaginary \
+           (select [N: X.Name] from X in Person where X.Age = 40 and X.Name != \"\");",
     )
     .unwrap()
     .binder(sys)
@@ -810,7 +1114,10 @@ fn governed(view: &View, class: &str, budget: Budget) -> (Result<Vec<Oid>, ViewE
 /// set. What a source charges is pinned against the sequential scan: a
 /// split charges the same steps, index postings at most as many, and every
 /// source one row per member. The sequential scan stops at the same step
-/// under both engines.
+/// under both engines. The imaginary class `Named` — three admitted rows,
+/// one distinct tuple — goes through the same sources under the same
+/// rule; its sink is per chunk when the scan is split, so there a tuple is
+/// charged once per chunk that produced it.
 #[test]
 fn every_population_source_is_governed_by_one_charge_rule() {
     let recompute = |parallel| {
@@ -835,6 +1142,14 @@ fn every_population_source_is_governed_by_one_charge_rule() {
             false,
         ),
         ("index", "Forty", recompute(ParallelConfig::default()), true),
+        (
+            "sequential",
+            "Named",
+            recompute(ParallelConfig::default()),
+            false,
+        ),
+        ("split", "Named", recompute(SPLIT), false),
+        ("index", "Named", recompute(ParallelConfig::default()), true),
     ];
     let mut costs = Vec::new();
     for (source, class, options, indexed) in sources {
@@ -848,11 +1163,16 @@ fn every_population_source_is_governed_by_one_charge_rule() {
         };
         let (full, steps, rows, stats) = read(Budget::new());
         let full = full.unwrap();
-        assert_eq!(
-            rows,
-            full.len() as u64,
-            "{source} {class}: one row per member"
-        );
+        if (source, class) == ("split", "Named") {
+            // AGES puts the three forties in three different chunks.
+            assert_eq!((rows, full.len()), (3, 1), "one row per chunk's tuple");
+        } else {
+            assert_eq!(
+                rows,
+                full.len() as u64,
+                "{source} {class}: one row per member"
+            );
+        }
         assert_eq!(stats.parallel_scans > 0, source == "split", "{stats:?}");
         assert_eq!(stats.index_pushdowns > 0, source == "index", "{stats:?}");
         costs.push((steps, rows));
@@ -886,8 +1206,8 @@ fn every_population_source_is_governed_by_one_charge_rule() {
             }
         }
     }
-    let [adult, split, forty, index] = costs[..] else {
-        unreachable!("four sources")
+    let [adult, split, forty, index, named, named_split, named_index] = costs[..] else {
+        unreachable!("seven sources")
     };
     assert_eq!(
         split, adult,
@@ -897,6 +1217,23 @@ fn every_population_source_is_governed_by_one_charge_rule() {
         index.0 < forty.0 && index.1 == forty.1,
         "{index:?} vs {forty:?}"
     );
+    assert_eq!(named_split.0, named.0, "the same steps, split or not");
+    assert!(
+        named_index.0 < named.0 && named_index.1 == named.1,
+        "{named_index:?} vs {named:?}"
+    );
+    // And what the tree walker charges for `Named`'s query, to the step.
+    let sys = sweep_system(false);
+    let db = sys.database(sym("P")).unwrap();
+    let q = ov_query::parse_select(
+        "select [N: X.Name] from X in Person where X.Age = 40 and X.Name != \"\"",
+    )
+    .unwrap();
+    let budget = std::sync::Arc::new(Budget::new());
+    ov_query::budget::with(budget.clone(), || {
+        ov_query::eval_select(&*db.read(), &q).unwrap()
+    });
+    assert_eq!(named, (budget.steps_used(), budget.rows_used()));
 }
 
 /// The journal delta as a candidate source, under the same sweep: a

@@ -25,13 +25,16 @@ use crate::types::Type;
 use crate::value::{Tuple, Value};
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected, table-driven)
+// CRC32 (IEEE 802.3, reflected, slicing-by-8)
 // ---------------------------------------------------------------------------
 
-/// The 256-entry lookup table for the reflected IEEE polynomial 0xEDB88320,
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Eight 256-entry lookup tables for the reflected IEEE polynomial
+/// 0xEDB88320, built at compile time (8 KB). Table 0 is the classic
+/// one-byte table; `CRC32_TABLES[k][b]` is the checksum state byte `b`
+/// leaves after `k` further zero bytes, which is what lets one step fold
+/// eight input bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -44,18 +47,44 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `bytes` — the checksum used by every durable structure
-/// in this crate (WAL record frames, snapshot pages, checked dumps).
+/// in this crate (WAL record frames, snapshot pages, checked dumps). Eight
+/// bytes at a step, one table look-up each with no dependency between them;
+/// the value is the one the bit-serial definition gives, for every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut steps = bytes.chunks_exact(8);
+    for c in &mut steps {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in steps.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -211,17 +240,19 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn take_str(&mut self) -> Result<String> {
+    /// Reads a length-prefixed UTF-8 string, validated where it lies: the
+    /// result borrows the buffer, so the caller's `Arc<str>` or interned
+    /// symbol is the only copy made.
+    pub fn take_str(&mut self) -> Result<&'a str> {
         let len = self.take_u32()? as usize;
         let bytes = self.take(len, "string body")?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| OodbError::corrupt(format!("{}: string is not valid UTF-8", self.context)))
     }
 
     /// Reads a symbol (interning its string).
     pub fn take_symbol(&mut self) -> Result<Symbol> {
-        Ok(Symbol::new(&self.take_str()?))
+        Ok(Symbol::new(self.take_str()?))
     }
 
     /// Reads a `u32` length prefix, validated against the remaining buffer
@@ -759,12 +790,59 @@ mod tests {
     use super::*;
     use crate::symbol::sym;
 
+    /// One step of the reference the kernel is checked against: the
+    /// reflected IEEE CRC32 by its bit-serial definition, one byte of input
+    /// folded into the running state.
+    fn bytewise_step(mut crc: u32, b: u8) -> u32 {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+        crc
+    }
+
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes
+            .iter()
+            .fold(0xFFFF_FFFF, |crc, &b| bytewise_step(crc, b))
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+        // A fixed 1 KiB pattern, pinned to the value every earlier build
+        // wrote into its page and frame checksums.
+        let pattern: Vec<u8> = (0..1024u32).map(|i| (i * 31 + 7) as u8).collect();
+        assert_eq!(crc32(&pattern), 0x7C32_1B5D);
+        assert_eq!(crc32_bytewise(&pattern), 0x7C32_1B5D);
+    }
+
+    /// The checksum does not move: eight bytes at a step gives what one
+    /// byte at a step gives, at every length around the step and page
+    /// boundaries and at every alignment of the first byte.
+    #[test]
+    fn crc32_equals_the_bytewise_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE_C021);
+        let buf: Vec<u8> = (0..4099 + 8)
+            .map(|_| rng.gen_range(0u32..256) as u8)
+            .collect();
+        for start in 0..8 {
+            // The reference state after `len` bytes, carried along.
+            let mut state = 0xFFFF_FFFFu32;
+            for len in 0..=4099 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), !state, "start {start}, len {len}");
+                state = bytewise_step(state, buf[start + len]);
+            }
+        }
     }
 
     fn roundtrip_value(v: &Value) {
@@ -906,6 +984,46 @@ mod tests {
                 Ok(_) => panic!("decoded from a truncated prefix of len {cut}"),
                 Err(other) => panic!("wrong error kind: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_bad_string_is_corrupt_not_a_panic_or_an_allocation() {
+        // An invalid UTF-8 byte inside an otherwise well-framed string.
+        let mut w = Writer::new();
+        put_value(&mut w, &Value::str("hello"));
+        let mut bytes = w.into_bytes();
+        *bytes.last_mut().unwrap() = 0xFF;
+        let mut r = Reader::new(&bytes, "utf8 test");
+        match take_value(&mut r) {
+            Err(OodbError::Corrupt { context }) => {
+                assert_eq!(context, "utf8 test: string is not valid UTF-8")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // A string whose length prefix runs past the buffer is refused by
+        // the bounds check, before anything is copied or allocated for it.
+        let mut w = Writer::new();
+        w.put_u8(4); // string tag
+        w.put_u32(u32::MAX);
+        w.put_bytes(b"short");
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes, "len test");
+        match take_value(&mut r) {
+            Err(OodbError::Corrupt { context }) => assert_eq!(
+                context,
+                "len test: truncated while reading string body at offset 5"
+            ),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // And an element count no buffer of this size could hold.
+        let mut r = Reader::new(&bytes[1..], "len test");
+        match r.take_len(1) {
+            Err(OodbError::Corrupt { context }) => assert_eq!(
+                context,
+                "len test: implausible element count 4294967295 at offset 0"
+            ),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 

@@ -248,6 +248,62 @@ fn attribute_resolution_across_threads() {
     });
 }
 
+/// §5.1 under a cold-start race: eight threads released together populate
+/// one fresh imaginary class, every one recomputing, and each reads a core
+/// attribute of every oid it was handed. The identity table hands a
+/// tuple's oid to whichever thread maps that tuple next, so the object
+/// must exist by then: a read never answers `UnknownObject`, and the
+/// threads agree on one oid per tuple.
+#[test]
+fn an_imaginary_oid_is_an_object_as_soon_as_any_thread_holds_it() {
+    let sys = staff_system();
+    let distinct_ages = N_PEOPLE.min(90) as usize;
+    for round in 0..20 {
+        let view = ViewDef::from_script(
+            r#"
+            create view V;
+            import all classes from database Staff;
+            class AgeGroup includes imaginary (select [Age: P.Age] from P in Person);
+            "#,
+        )
+        .unwrap()
+        .binder(&sys)
+        .options(
+            ViewOptions::builder()
+                .materialization(Materialization::AlwaysRecompute)
+                .build(),
+        )
+        .bind()
+        .unwrap();
+        let start = std::sync::Barrier::new(N_READERS);
+        let by_thread: Vec<Vec<(Value, Oid)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..N_READERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let groups = view.extent_of(sym("AgeGroup")).unwrap();
+                        groups
+                            .into_iter()
+                            .map(|g| {
+                                let age = view.attr(g, sym("Age")).unwrap_or_else(|e| {
+                                    panic!("round {round}: {g} unreadable: {e}")
+                                });
+                                (age, g)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(by_thread[0].len(), distinct_ages);
+        for seen in &by_thread[1..] {
+            assert_eq!(seen, &by_thread[0], "round {round}: one oid per tuple");
+        }
+        assert_eq!(view.identity_table_len(sym("AgeGroup")), distinct_ages);
+    }
+}
+
 /// An incremental view whose cached version falls behind a trimmed journal
 /// must fall back to full recomputation — and still agree, under concurrent
 /// writers, with a freshly-bound view's population.
