@@ -1,9 +1,9 @@
-//! Bench baseline snapshots: record, save, load, compare.
+//! Bench snapshots, the ledger, and the perf gate.
 //!
-//! The harness records one mean-nanoseconds sample per timed table cell
-//! under a stable `"Experiment/label/column"` key (e.g.
-//! `"E1/10000/computed@view"`). A *baseline* is the flat JSON object of
-//! those keys, written with sorted keys so snapshots diff cleanly:
+//! The harness records one nanoseconds sample per timed table cell under a
+//! stable `"Experiment/label/column"` key (e.g. `"E1/10000/computed@view"`).
+//! A *snapshot* is the flat JSON object of those keys, written with sorted
+//! keys so snapshots diff cleanly:
 //!
 //! ```json
 //! {
@@ -12,28 +12,39 @@
 //! }
 //! ```
 //!
-//! `harness --save-baseline [FILE]` writes one; `harness --baseline [FILE]`
-//! re-runs the experiments, compares against the saved snapshot, prints
-//! per-key deltas grouped by experiment, and exits nonzero when any key
-//! regressed beyond the threshold. Comparison is deliberately coarse — the
-//! harness takes wall-clock means, so a regression needs BOTH a ratio above
-//! `threshold` AND an absolute delta above a noise floor before it counts.
+//! Three things are done with snapshots, and values are only ever compared
+//! between runs on one machine:
+//!
+//! * `harness --save-baseline FILE` writes the snapshot of a run.
+//! * `harness --ledger FILE` checks the *key set* of a run against the
+//!   committed ledger (`BENCH_latest.json`): a cell the ledger names and
+//!   the run did not produce, or the reverse, fails the run
+//!   ([`key_diff`]). The ledger's values are a record, not a threshold.
+//! * `harness --compare OLD[,OLD…] NEW[,NEW…]` is the gate
+//!   (`crates/bench/perf-gate.sh` feeds it three alternating runs of two
+//!   builds, six to confirm a failure): each side is reduced to its per-key minimum ([`min_of`]),
+//!   which absorbs a burst of scheduler steal in any one run, and a cell
+//!   regresses when `new/old` exceeds [`GATE_RATIO`] AND the absolute
+//!   delta clears [`NOISE_FLOOR_NS`] ([`compare`]).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Ratio (new/old) above which a timing counts as regressed, by default.
-pub const DEFAULT_THRESHOLD: f64 = 2.0;
+/// Ratio (new/old) above which a cell counts as regressed. On a quiet
+/// machine the per-key minima of three runs a side of one binary stay
+/// inside it on every cell, and a 1.3× handicap of one cell does not
+/// (EXPERIMENTS.md, "Flight recorder & baselines"; on a busy machine
+/// `perf-gate.sh` confirms a failure with three more rounds).
+pub const GATE_RATIO: f64 = 1.25;
 
 /// Absolute delta (ns) below which a ratio blowup is ignored as noise:
 /// a 30 ns → 90 ns cell is a 3× "regression" that means nothing.
 pub const NOISE_FLOOR_NS: f64 = 1_000.0;
 
-/// Default snapshot filename used when `--baseline`/`--save-baseline` are
-/// given without an argument.
-pub const DEFAULT_FILE: &str = "BENCH_baseline.json";
+/// One run's cells: `"Experiment/label/column"` → ns.
+pub type Snapshot = BTreeMap<String, f64>;
 
-static RECORDS: Mutex<Option<BTreeMap<String, f64>>> = Mutex::new(None);
+static RECORDS: Mutex<Option<Snapshot>> = Mutex::new(None);
 
 /// Records one timed cell under `experiment/label/column`.
 ///
@@ -50,7 +61,7 @@ pub fn record(experiment: &str, label: &str, column: &str, ns: f64) {
 }
 
 /// All records so far, keyed `"Experiment/label/column"` → mean ns.
-pub fn snapshot() -> BTreeMap<String, f64> {
+pub fn snapshot() -> Snapshot {
     RECORDS
         .lock()
         .expect("baseline records poisoned")
@@ -59,7 +70,7 @@ pub fn snapshot() -> BTreeMap<String, f64> {
 }
 
 /// Renders a snapshot as pretty JSON with sorted keys (BTreeMap order).
-pub fn to_json(map: &BTreeMap<String, f64>) -> String {
+pub fn to_json(map: &Snapshot) -> String {
     let mut out = String::from("{\n");
     for (i, (k, v)) in map.iter().enumerate() {
         if i > 0 {
@@ -83,7 +94,7 @@ fn escape(s: &str) -> String {
 
 /// Parses a flat `{"key": number, ...}` JSON object (the only shape
 /// [`to_json`] produces). Rejects anything nested; good errors, no deps.
-pub fn parse_json(src: &str) -> Result<BTreeMap<String, f64>, String> {
+pub fn parse_json(src: &str) -> Result<Snapshot, String> {
     let mut map = BTreeMap::new();
     let s = src.trim();
     let inner = s
@@ -138,30 +149,80 @@ fn parse_string(s: &str) -> Result<(String, &str), String> {
     Err("unterminated string in baseline file".into())
 }
 
+/// The per-key minimum over several snapshots of one build.
+pub fn min_of(snapshots: &[Snapshot]) -> Snapshot {
+    let mut out = BTreeMap::new();
+    for snap in snapshots {
+        for (key, &ns) in snap {
+            out.entry(key.clone())
+                .and_modify(|best: &mut f64| *best = best.min(ns))
+                .or_insert(ns);
+        }
+    }
+    out
+}
+
+/// How two key sets differ.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KeyDiff {
+    /// Keys of `expected` that `got` lacks.
+    pub missing: Vec<String>,
+    /// Keys of `got` that `expected` lacks.
+    pub added: Vec<String>,
+}
+
+impl KeyDiff {
+    /// Do the two sides hold exactly the same keys?
+    pub fn is_empty(&self) -> bool {
+        self.missing.is_empty() && self.added.is_empty()
+    }
+}
+
+impl std::fmt::Display for KeyDiff {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for k in &self.missing {
+            writeln!(f, "  - {k}")?;
+        }
+        for k in &self.added {
+            writeln!(f, "  + {k}")?;
+        }
+        Ok(())
+    }
+}
+
+/// The keys `got` lacks and the keys it adds, against `expected`.
+pub fn key_diff(expected: &Snapshot, got: &Snapshot) -> KeyDiff {
+    let only_in =
+        |a: &Snapshot, b: &Snapshot| a.keys().filter(|k| !b.contains_key(*k)).cloned().collect();
+    KeyDiff {
+        missing: only_in(expected, got),
+        added: only_in(got, expected),
+    }
+}
+
 /// One compared key.
 #[derive(Clone, Debug)]
 pub struct Delta {
     /// `"Experiment/label/column"`.
     pub key: String,
-    /// Baseline mean ns.
+    /// Old build, ns.
     pub old_ns: f64,
-    /// Current mean ns.
+    /// New build, ns.
     pub new_ns: f64,
     /// `new / old` (∞-safe: old ≤ 0 counts as ratio 1).
     pub ratio: f64,
-    /// Did this key regress past the threshold and noise floor?
+    /// Did this key regress past [`GATE_RATIO`] and the noise floor?
     pub regressed: bool,
 }
 
-/// The result of comparing a current run against a saved baseline.
-#[derive(Clone, Debug, Default)]
+/// The result of comparing a new build against an old one.
+#[derive(Clone, Debug)]
 pub struct Comparison {
-    /// One row per key present in both snapshots, sorted by key.
+    /// One row per key present on both sides, sorted by key.
     pub rows: Vec<Delta>,
-    /// Keys in the baseline but absent from the current run.
-    pub missing: Vec<String>,
-    /// Keys in the current run but absent from the baseline.
-    pub added: Vec<String>,
+    /// Keys the old build produced and the new one did not (a failure),
+    /// and keys only the new build produced (reported, not a failure).
+    pub keys: KeyDiff,
 }
 
 impl Comparison {
@@ -169,59 +230,57 @@ impl Comparison {
     pub fn regressions(&self) -> usize {
         self.rows.iter().filter(|d| d.regressed).count()
     }
+
+    /// Does the gate pass? No regressed cell, and no cell lost.
+    pub fn passes(&self) -> bool {
+        self.regressions() == 0 && self.keys.missing.is_empty()
+    }
 }
 
-/// Compares `current` against `baseline`. A key regresses when
-/// `new/old > threshold` AND `new - old > NOISE_FLOOR_NS`.
-pub fn compare(
-    baseline: &BTreeMap<String, f64>,
-    current: &BTreeMap<String, f64>,
-    threshold: f64,
-) -> Comparison {
-    let mut cmp = Comparison::default();
-    for (key, &old_ns) in baseline {
-        match current.get(key) {
-            None => cmp.missing.push(key.clone()),
-            Some(&new_ns) => {
-                let ratio = if old_ns > 0.0 { new_ns / old_ns } else { 1.0 };
-                let regressed = ratio > threshold && (new_ns - old_ns) > NOISE_FLOOR_NS;
-                cmp.rows.push(Delta {
-                    key: key.clone(),
-                    old_ns,
-                    new_ns,
-                    ratio,
-                    regressed,
-                });
-            }
-        }
+/// Compares `new` against `old` (each already reduced by [`min_of`]). A
+/// key regresses when `new/old > GATE_RATIO` AND `new - old >
+/// NOISE_FLOOR_NS`.
+pub fn compare(old: &Snapshot, new: &Snapshot) -> Comparison {
+    let rows = old
+        .iter()
+        .filter_map(|(key, &old_ns)| {
+            let new_ns = *new.get(key)?;
+            let ratio = if old_ns > 0.0 { new_ns / old_ns } else { 1.0 };
+            Some(Delta {
+                key: key.clone(),
+                old_ns,
+                new_ns,
+                ratio,
+                regressed: ratio > GATE_RATIO && (new_ns - old_ns) > NOISE_FLOOR_NS,
+            })
+        })
+        .collect();
+    Comparison {
+        rows,
+        keys: key_diff(old, new),
     }
-    for key in current.keys() {
-        if !baseline.contains_key(key) {
-            cmp.added.push(key.clone());
-        }
-    }
-    cmp
 }
 
-/// Renders a comparison as the per-experiment delta report the harness
+/// Renders a comparison as the per-experiment delta report the gate
 /// prints. Keys share sort order with the snapshots, so rows group by
 /// experiment naturally; a blank line separates experiments.
-pub fn render(cmp: &Comparison, threshold: f64) -> String {
+pub fn render(cmp: &Comparison) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "# baseline comparison ({} keys, threshold {threshold}x)\n",
-        cmp.rows.len()
+        "# perf gate ({} keys, fails above {GATE_RATIO}x and +{})\n",
+        cmp.rows.len(),
+        crate::fmt_ns(NOISE_FLOOR_NS)
     ));
-    let mut last_exp = String::new();
+    let mut last_exp = "";
     for d in &cmp.rows {
-        let exp = d.key.split('/').next().unwrap_or("").to_string();
+        let exp = d.key.split('/').next().unwrap_or("");
         if exp != last_exp {
             out.push('\n');
             last_exp = exp;
         }
         let flag = if d.regressed {
             "  REGRESSED"
-        } else if d.ratio < 1.0 / DEFAULT_THRESHOLD {
+        } else if d.ratio < 1.0 / GATE_RATIO {
             "  (improved)"
         } else {
             ""
@@ -235,25 +294,15 @@ pub fn render(cmp: &Comparison, threshold: f64) -> String {
             flag
         ));
     }
-    if !cmp.missing.is_empty() {
-        out.push_str(&format!(
-            "\n{} baseline key(s) not produced by this run:\n",
-            cmp.missing.len()
-        ));
-        for k in &cmp.missing {
-            out.push_str(&format!("  - {k}\n"));
-        }
+    if !cmp.keys.is_empty() {
+        out.push_str("\ncells lost (-) and gained (+) by the new build:\n");
+        out.push_str(&cmp.keys.to_string());
     }
-    if !cmp.added.is_empty() {
-        out.push_str(&format!(
-            "\n{} new key(s) absent from the baseline:\n",
-            cmp.added.len()
-        ));
-        for k in &cmp.added {
-            out.push_str(&format!("  + {k}\n"));
-        }
-    }
-    out.push_str(&format!("\nregressions: {}\n", cmp.regressions()));
+    out.push_str(&format!(
+        "\nregressions: {}  cells lost: {}\n",
+        cmp.regressions(),
+        cmp.keys.missing.len()
+    ));
     out
 }
 
@@ -287,39 +336,104 @@ mod tests {
         assert!(parse_json("").is_err());
     }
 
-    #[test]
-    fn compare_flags_real_regressions_only() {
-        let mut old = BTreeMap::new();
-        let mut new = BTreeMap::new();
-        // 3x over a microsecond: regression.
-        old.insert("E1/a/x".into(), 10_000.0);
-        new.insert("E1/a/x".into(), 30_000.0);
-        // 3x but tiny absolute delta: noise, not a regression.
-        old.insert("E1/a/y".into(), 100.0);
-        new.insert("E1/a/y".into(), 300.0);
-        // Within threshold.
-        old.insert("E2/b/z".into(), 10_000.0);
-        new.insert("E2/b/z".into(), 12_000.0);
-        // Missing + added.
-        old.insert("E3/gone/x".into(), 1.0);
-        new.insert("E3/new/x".into(), 1.0);
-        let cmp = compare(&old, &new, 2.0);
-        assert_eq!(cmp.regressions(), 1);
-        assert_eq!(cmp.rows.iter().find(|d| d.regressed).unwrap().key, "E1/a/x");
-        assert_eq!(cmp.missing, vec!["E3/gone/x".to_string()]);
-        assert_eq!(cmp.added, vec!["E3/new/x".to_string()]);
-        let report = render(&cmp, 2.0);
-        assert!(report.contains("REGRESSED"));
-        assert!(report.contains("regressions: 1"));
+    /// A snapshot of five cells, ms-scale down to tens of ns.
+    fn base() -> Snapshot {
+        [
+            ("E14/100000/compiled", 9_000_000.0),
+            ("E14/100000/interp", 25_000_000.0),
+            ("E15/100000/delta", 76_000.0),
+            ("E20/fingerprint/hash", 30.0),
+            ("E5/depth32/resolve+eval", 194.0),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
+    }
+
+    /// `snap` with `key` multiplied by `factor`.
+    fn scaled(snap: &Snapshot, key: &str, factor: f64) -> Snapshot {
+        let mut out = snap.clone();
+        *out.get_mut(key).expect("key exists") *= factor;
+        out
+    }
+
+    fn gate(old: &[Snapshot], new: &[Snapshot]) -> Comparison {
+        compare(&min_of(old), &min_of(new))
+    }
+
+    fn flagged(cmp: &Comparison) -> Vec<&str> {
+        cmp.rows
+            .iter()
+            .filter(|d| d.regressed)
+            .map(|d| d.key.as_str())
+            .collect()
     }
 
     #[test]
-    fn same_snapshot_has_zero_regressions() {
-        let mut snap = BTreeMap::new();
-        snap.insert("E1/a/x".into(), 5_000.0);
-        snap.insert("E9/b/pop".into(), 123_456.0);
-        let cmp = compare(&snap, &snap, 2.0);
+    fn a_cell_slowed_in_every_head_run_is_the_only_row_flagged() {
+        let old = vec![base(); 3];
+        let new = vec![scaled(&base(), "E14/100000/compiled", 1.3); 3];
+        let cmp = gate(&old, &new);
+        assert_eq!(flagged(&cmp), ["E14/100000/compiled"]);
+        assert!(!cmp.passes());
+        let report = render(&cmp);
+        assert!(report.contains("REGRESSED"));
+        assert!(report.contains("regressions: 1  cells lost: 0"));
+
+        let new = vec![scaled(&base(), "E14/100000/compiled", 1.2); 3];
+        assert!(gate(&old, &new).passes(), "1.2x is inside the gate");
+    }
+
+    #[test]
+    fn the_minimum_absorbs_a_burst_in_one_run() {
+        let old = vec![base(); 3];
+        let new = vec![base(), scaled(&base(), "E15/100000/delta", 1.3), base()];
+        assert!(gate(&old, &new).passes());
+        // A slow run on the old side must not hide a regression either.
+        let old = vec![scaled(&base(), "E15/100000/delta", 2.0), base(), base()];
+        let new = vec![scaled(&base(), "E15/100000/delta", 1.3); 3];
+        assert_eq!(flagged(&gate(&old, &new)), ["E15/100000/delta"]);
+    }
+
+    #[test]
+    fn a_ratio_under_the_noise_floor_passes() {
+        let old = vec![base(); 3];
+        let new = vec![scaled(&base(), "E20/fingerprint/hash", 3.0); 3];
+        let cmp = gate(&old, &new);
+        assert!(cmp.passes(), "30 -> 90 ns is noise");
+        assert!(cmp.rows.iter().any(|d| d.ratio > 2.9));
+    }
+
+    #[test]
+    fn a_cell_lost_by_the_head_side_fails_and_a_new_one_does_not() {
+        let old = vec![base(); 3];
+        let mut without = base();
+        without.remove("E15/100000/delta");
+        let cmp = gate(&old, &vec![without; 3]);
         assert_eq!(cmp.regressions(), 0);
-        assert!(cmp.missing.is_empty() && cmp.added.is_empty());
+        assert!(!cmp.passes());
+        assert_eq!(cmp.keys.missing, ["E15/100000/delta"]);
+        assert!(render(&cmp).contains("  - E15/100000/delta"));
+
+        let mut with = base();
+        with.insert("E22/new/cell".into(), 1.0);
+        let cmp = gate(&old, &vec![with; 3]);
+        assert!(cmp.passes());
+        assert_eq!(cmp.keys.added, ["E22/new/cell"]);
+    }
+
+    #[test]
+    fn the_ledger_check_names_a_missing_and_an_added_key() {
+        let ledger = base();
+        assert!(key_diff(&ledger, &scaled(&base(), "E14/100000/interp", 50.0)).is_empty());
+        let mut run = base();
+        run.remove("E14/100000/interp");
+        run.insert("E16/100000/batched".into(), 1.0);
+        let diff = key_diff(&ledger, &run);
+        assert_eq!(diff.missing, ["E14/100000/interp"]);
+        assert_eq!(diff.added, ["E16/100000/batched"]);
+        let shown = diff.to_string();
+        assert!(shown.contains("  - E14/100000/interp"));
+        assert!(shown.contains("  + E16/100000/batched"));
     }
 }

@@ -1,8 +1,7 @@
 //! # ov-bench — workloads and the experiment harness
 //!
 //! Deterministic synthetic workload generators for the experiment suite in
-//! `EXPERIMENTS.md`, shared between the Criterion benches
-//! (`crates/bench/benches/*`) and the table-printing harness
+//! `EXPERIMENTS.md`, and the table-printing harness that runs them
 //! (`cargo run -p ov-bench --bin harness`).
 //!
 //! The paper has no quantitative evaluation, so the workloads here are
@@ -16,7 +15,7 @@ pub mod baseline;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ov_oodb::{sym, AttrDef, ClassId, Database, Symbol, System, Type, Value};
+use ov_oodb::{sym, AttrDef, ClassId, Database, System, Type, Value};
 use ov_relational::{Relation, RelationalDb};
 use ov_views::{View, ViewDef, ViewOptions};
 
@@ -260,8 +259,8 @@ pub fn staff_view(sys: &System, options: ViewOptions) -> View {
 /// to four batches of `iters / 4` runs (after one warmup). The minimum is
 /// a robust estimator of the uncontended cost on shared or single-vCPU
 /// machines, where scheduler steal inflates arbitrary batches and a plain
-/// mean makes regression gates flaky. Used by the harness binary;
-/// Criterion does the serious measuring.
+/// mean makes regression gates flaky. The perf gate takes a second
+/// minimum on top of this one, over three runs (see [`baseline`]).
 pub fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
     f();
     let batches = if iters >= 4 { 4 } else { 1 };
@@ -288,11 +287,6 @@ pub fn fmt_ns(ns: f64) -> String {
     } else {
         format!("{:.2} s", ns / 1_000_000_000.0)
     }
-}
-
-/// The attribute names used by benches, pre-interned.
-pub fn bench_syms() -> (Symbol, Symbol, Symbol) {
-    (sym("Age"), sym("Address"), sym("City"))
 }
 
 #[cfg(test)]

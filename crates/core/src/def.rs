@@ -129,23 +129,6 @@ impl ViewDef {
         self
     }
 
-    /// `import class name from database db as alias`.
-    pub fn import_class_as(
-        mut self,
-        db: impl Into<Symbol>,
-        name: impl Into<Symbol>,
-        alias: impl Into<Symbol>,
-    ) -> ViewDef {
-        self.imports.push(Import {
-            db: db.into(),
-            what: ImportWhat::Class {
-                name: name.into(),
-                alias: Some(alias.into()),
-            },
-        });
-        self
-    }
-
     /// `hide attribute attr in class class`.
     pub fn hide_attr(mut self, class: impl Into<Symbol>, attr: impl Into<Symbol>) -> ViewDef {
         self.elements.push(ViewElement::Hide(Hide::Attrs {
@@ -168,22 +151,6 @@ impl ViewDef {
             .push(ViewElement::VirtualClass(VirtualClassDef {
                 name: name.into(),
                 params: Vec::new(),
-                includes,
-            }));
-        self
-    }
-
-    /// Adds a parameterized virtual class declaration.
-    pub fn parameterized_class(
-        mut self,
-        name: impl Into<Symbol>,
-        params: Vec<Symbol>,
-        includes: Vec<IncludeSpec>,
-    ) -> ViewDef {
-        self.elements
-            .push(ViewElement::VirtualClass(VirtualClassDef {
-                name: name.into(),
-                params,
                 includes,
             }));
         self

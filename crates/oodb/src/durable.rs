@@ -268,12 +268,6 @@ impl DurableCore {
         self.identity.lock().next_imaginary()
     }
 
-    /// Raises the imaginary allocator floor (e.g. after a view allocated
-    /// fresh oids) so a checkpoint never re-issues a live oid.
-    pub fn raise_imaginary_floor(&self, floor: u64) {
-        self.identity.lock().raise_floor(floor);
-    }
-
     /// Forces the WAL to disk regardless of durability level.
     pub fn sync(&self) -> Result<()> {
         self.wal.lock().sync()

@@ -27,11 +27,6 @@ impl AttrIndex {
         self.map.get(value).into_iter().flatten().copied()
     }
 
-    /// Number of distinct indexed values.
-    pub fn distinct_values(&self) -> usize {
-        self.map.len()
-    }
-
     pub(crate) fn insert(&mut self, value: Value, oid: Oid) {
         self.map.entry(value).or_default().insert(oid);
     }

@@ -310,11 +310,6 @@ impl Schema {
         Ok(())
     }
 
-    /// Direct subclasses of `c`.
-    pub fn direct_subclasses(&self, c: ClassId) -> &[ClassId] {
-        &self.children[c.0 as usize]
-    }
-
     /// All strict ancestors of `c` (excluding `c`), breadth-first from the
     /// direct parents, deduplicated.
     pub fn strict_ancestors(&self, c: ClassId) -> Vec<ClassId> {

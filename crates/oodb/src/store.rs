@@ -353,11 +353,6 @@ impl Store {
         Some(hits)
     }
 
-    /// Is `(class, attr)` indexed?
-    pub fn has_index(&self, class: ClassId, attr: crate::Symbol) -> bool {
-        self.indexes.contains(class, attr)
-    }
-
     /// The oids changed (created, updated, or removed) after `version`, or
     /// `None` if the journal no longer reaches back that far. An empty list
     /// means the store is unchanged since `version`.

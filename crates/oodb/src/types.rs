@@ -150,19 +150,6 @@ impl Type {
         }
     }
 
-    /// Least upper bound of a non-empty sequence of types (folds [`Type::lub`]).
-    pub fn lub_all<'a>(
-        mut types: impl Iterator<Item = &'a Type>,
-        g: &dyn ClassGraph,
-    ) -> Option<Type> {
-        let first = types.next()?;
-        let mut acc = first.clone();
-        for t in types {
-            acc = acc.lub(t, g)?;
-        }
-        Some(acc)
-    }
-
     /// Greatest lower bound of two types, if one exists. Used when a query
     /// constrains a variable to lie in two classes at once (the paper's
     /// `Rich&Beautiful`).

@@ -197,14 +197,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The integer payload, if this is an `Int`.
     pub fn as_int(&self) -> Option<i64> {
         match self {

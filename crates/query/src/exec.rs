@@ -458,58 +458,61 @@ pub fn rewrite_expr(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> Expr 
 /// path executes the *same* expression the unprofiled path would — it only
 /// measures around it. Disabled cost: one relaxed atomic load.
 pub fn run_query(src: &dyn crate::source::DataSource, query: &str) -> Result<Value> {
-    if ov_oodb::metrics::profiling_enabled() && !crate::plan::tracing_active() {
-        return run_query_profiled(src, query);
-    }
     let _span = ov_oodb::span!("query.run");
     let e = {
         let _parse = ov_oodb::span!("query.parse");
         crate::parser::parse_expr(query)?
     };
-    let _exec = ov_oodb::span!("query.execute");
-    run_expr(src, &e)
+    run_parsed(src, &e, Some(query))
 }
 
-/// The profiled twin of [`run_query`]: same parse, same [`run_expr`]
-/// execution, but bracketed by an actuals frame and the population
-/// collector so the workload registry learns the query's fingerprint,
-/// latency, rows, engine, and population-path mix — and the slow-query
-/// log captures a full annotated trace when the run crosses the
-/// threshold. Only successful runs are recorded.
-fn run_query_profiled(src: &dyn crate::source::DataSource, query: &str) -> Result<Value> {
-    let _span = ov_oodb::span!("query.run");
-    let e = {
-        let _parse = ov_oodb::span!("query.parse");
-        crate::parser::parse_expr(query)?
-    };
-    run_expr_profiled(src, &e, Some(query))
+/// Runs a pre-parsed expression against any data source, routing canonical
+/// class scans through the compiled engine exactly like [`run_query`].
+/// Callers that hold an [`Expr`] (e.g. a session dispatching a parsed
+/// statement) should prefer this over [`eval_expr`], which always
+/// interprets.
+pub fn run_expr(src: &dyn crate::source::DataSource, e: &Expr) -> Result<Value> {
+    run_parsed(src, e, None)
 }
 
-/// The shared profiled execution core: runs `e` through the same engine
-/// dispatch as [`run_expr`], measured. `query` is the original source text
-/// when the caller has it (for the slow-query log); pre-parsed callers pass
-/// `None` and the expression's rendering stands in.
-fn run_expr_profiled(
+/// The one choice of engine: the compiled engine where the compiler covers
+/// `e` (already constant-folded by the caller), the interpreter otherwise.
+pub(crate) fn dispatch(
     src: &dyn crate::source::DataSource,
     e: &Expr,
-    query: Option<&str>,
-) -> Result<Value> {
+) -> (Result<Value>, crate::plan::Engine) {
+    use crate::plan::Engine;
+    let _exec = ov_oodb::span!("query.execute");
+    match crate::compile::try_run_compiled(src, e) {
+        Some(r) => (r, Engine::Compiled),
+        None => (eval_expr(src, e), Engine::Interpreted),
+    }
+}
+
+/// What [`run_query`] and [`run_expr`] do once they hold an expression.
+/// `text` is the source text when the caller has it (for the slow-query
+/// log); pre-parsed callers pass `None` and the expression's rendering
+/// stands in.
+///
+/// With the profiler on (and no EXPLAIN collecting) the run is bracketed by
+/// an actuals frame and the population collector so the workload registry
+/// learns the query's fingerprint, latency, rows, engine, and
+/// population-path mix — and the slow-query log captures a full annotated
+/// trace when the run crosses the threshold. Only successful runs are
+/// recorded.
+fn run_parsed(src: &dyn crate::source::DataSource, e: &Expr, text: Option<&str>) -> Result<Value> {
     use crate::plan::{self, Engine, QueryTrace, Stage};
+    let profiled = ov_oodb::metrics::profiling_enabled() && !plan::tracing_active();
+    if !profiled {
+        // Fold constants before planning/execution so literals substituted
+        // by parameterized-class instantiation feed selectivity estimation.
+        return dispatch(src, &crate::optimize::optimize_expr(e)).0;
+    }
     let t0 = std::time::Instant::now();
     let (fingerprint, normalized) = crate::fingerprint::fingerprint_expr(e);
-    // Fold constants before planning/execution so literals substituted by
-    // parameterized-class instantiation feed selectivity estimation.
     let e = &crate::optimize::optimize_expr(e);
-    let ((result, observed), actuals) = {
-        let _exec = ov_oodb::span!("query.execute");
-        plan::with_scan_actuals(|| {
-            plan::observe(|| match crate::compile::try_run_compiled(src, e) {
-                Some(r) => (r, Engine::Compiled),
-                None => (crate::eval::eval_expr(src, e), Engine::Interpreted),
-            })
-        })
-    };
-    let (value, engine) = result;
+    let (((value, engine), observed), actuals) =
+        plan::with_scan_actuals(|| plan::observe(|| dispatch(src, e)));
     let value = value?;
     let nanos = t0.elapsed().as_nanos() as u64;
 
@@ -558,30 +561,13 @@ fn run_expr_profiled(
             planner: observed.decision.map(plan::PlanChoice::from),
         };
         log.record(ov_oodb::metrics::SlowQuery {
-            query: query.map(str::to_string).unwrap_or_else(|| e.to_string()),
+            query: text.map(str::to_string).unwrap_or_else(|| e.to_string()),
             fingerprint,
             nanos,
             trace: trace.to_string(),
         });
     }
     Ok(value)
-}
-
-/// Runs a pre-parsed expression against any data source, routing canonical
-/// class scans through the compiled engine exactly like [`run_query`].
-/// Callers that hold an [`Expr`] (e.g. a session dispatching a parsed
-/// statement) should prefer this over [`eval_expr`], which always
-/// interprets.
-pub fn run_expr(src: &dyn crate::source::DataSource, e: &Expr) -> Result<Value> {
-    if ov_oodb::metrics::profiling_enabled() && !crate::plan::tracing_active() {
-        return run_expr_profiled(src, e, None);
-    }
-    // Fold constants before planning/execution (see `run_expr_profiled`).
-    let e = &crate::optimize::optimize_expr(e);
-    match crate::compile::try_run_compiled(src, e) {
-        Some(r) => r,
-        None => eval_expr(src, e),
-    }
 }
 
 /// Runs a query governed by a cooperative [`Budget`](crate::Budget): the

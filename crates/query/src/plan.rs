@@ -585,15 +585,8 @@ pub fn run_query_traced(src: &dyn DataSource, query: &str) -> Result<(ov_oodb::V
     trace.normalized = normalized;
 
     let t0 = Instant::now();
-    let (((value, engine), observed), actuals) = {
-        let _s = ov_oodb::span!("query.execute");
-        with_scan_actuals(|| {
-            observe(|| match crate::compile::try_run_compiled(src, &optimized) {
-                Some(r) => (r, Engine::Compiled),
-                None => (crate::eval::eval_expr(src, &optimized), Engine::Interpreted),
-            })
-        })
-    };
+    let (((value, engine), observed), actuals) =
+        with_scan_actuals(|| observe(|| crate::exec::dispatch(src, &optimized)));
     trace.stages.push(Stage {
         name: "execute",
         nanos: t0.elapsed().as_nanos() as u64,
