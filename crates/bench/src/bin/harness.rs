@@ -2174,14 +2174,18 @@ fn e20_front_end() {
 /// The cold path of crash → recovery → first query, cell by cell: an
 /// imaginary population through the row loop (cold, and as what any write
 /// costs while the class is bound and propagated eagerly), the checksum
-/// kernel, and the snapshot read. Data and view are shaped like the
-/// end-to-end benchmark's (`ovbench`): 25 000 [`people`] over 8 cities and
-/// 97 streets, `Household` the distinct `(City, Street)` of the over-90s.
+/// kernel, the snapshot read, `Database::open` of that snapshot plus a WAL
+/// tail, and the first index probe after it. Data and view are shaped like
+/// the end-to-end benchmark's (`ovbench`): 25 000 [`people`] over 8 cities
+/// and 97 streets, `Household` the distinct `(City, Street)` of the
+/// over-90s, a 2 000-record tail, and a key held by one object (`Name`,
+/// as `ovbench` has `Id`) indexed on the three classes.
 fn e21_cold_path() {
     header(
         "E21",
-        "crash → recovery → first query: imaginary population, checksum, snapshot read",
+        "crash → recovery → first query: imaginary population, checksum, snapshot read, open, first probe",
     );
+    const TAIL: usize = 2_000;
     const N: usize = 25_000;
     let was_profiling = ov_oodb::profiling_enabled();
     ov_oodb::set_profiling(false);
@@ -2237,15 +2241,20 @@ fn e21_cold_path() {
     // snapshot/read: the same objects as a checkpoint writes them, then
     // page checksums, body copy and decode.
     let dir = std::env::temp_dir().join(format!("ov-e21-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let mut image = ov_oodb::pager::SnapshotImage::default();
-    {
+    let person = {
         let db = db.read();
         image.name = sym("Staff");
         image.store_version = db.store.version();
         image.capture_schema(&db.schema);
         image.objects = db.store.iter().cloned().collect();
-    }
+        let person = db.schema.class_by_name(sym("Person")).unwrap();
+        let classes = std::iter::once(person).chain(db.schema.strict_descendants(person));
+        image.index_defs = classes.map(|c| (c, sym("Name"))).collect();
+        person
+    };
     ov_oodb::pager::write_snapshot(&dir, &image).unwrap();
     let snapshot_bytes = std::fs::metadata(dir.join(ov_oodb::pager::SNAPSHOT_FILE))
         .unwrap()
@@ -2255,6 +2264,34 @@ fn e21_cold_path() {
         assert_eq!(image.objects.len(), N);
         std::hint::black_box(image);
     });
+
+    // database/open: that snapshot and a tail of `TAIL` logged writes.
+    // Opening a log with no torn tail writes nothing, so every open reads
+    // the same files.
+    let open = || ov_oodb::Database::open(sym("Staff"), &dir, ov_oodb::Durability::Wal).unwrap();
+    {
+        let mut db = open();
+        for (i, oid) in person_oids(&sys, TAIL).into_iter().enumerate() {
+            db.set_attr(oid, sym("Age"), Value::Int(i as i64 % 100))
+                .unwrap();
+        }
+        db.durable_core().unwrap().sync().unwrap();
+    }
+    let t_open = time_ns(8, || {
+        std::hint::black_box(open());
+    });
+    // index/first_probe: the first deep lookup of a key after an open.
+    let key = Value::str("p4711");
+    let t_probe = (0..8)
+        .map(|_| {
+            let db = open();
+            let t0 = std::time::Instant::now();
+            let hits = db.indexed_deep_lookup(person, sym("Name"), &key).unwrap();
+            let ns = t0.elapsed().as_nanos() as f64;
+            assert_eq!(hits.len(), 1);
+            ns
+        })
+        .fold(f64::INFINITY, f64::min);
     let _ = std::fs::remove_dir_all(&dir);
     ov_oodb::set_profiling(was_profiling);
 
@@ -2282,6 +2319,20 @@ fn e21_cold_path() {
         &[
             tcell("snapshot", "read", t_read),
             format!("({snapshot_bytes} B)"),
+        ],
+    );
+    row(
+        "database/open",
+        &[
+            tcell("database", "open", t_open),
+            format!("({N} objects, {TAIL}-record tail)"),
+        ],
+    );
+    row(
+        "index/first_probe",
+        &[
+            tcell("index", "first_probe", t_probe),
+            format!("({N} keys over 3 classes)"),
         ],
     );
 }

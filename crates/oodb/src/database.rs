@@ -71,12 +71,17 @@ impl Database {
     }
 
     /// Opens (or creates) a **durable** database rooted at the directory
-    /// `dir`: loads the latest snapshot if one exists, replays the WAL
-    /// tail, rebuilds secondary indexes, re-seats the journal floor at the
-    /// recovered version, and attaches the durability core so every
-    /// subsequent mutation is redo-logged. The §5.1 imaginary identity
-    /// tables recovered alongside are exposed via
-    /// [`Database::durable_core`] for views to re-adopt at bind time.
+    /// `dir`: loads the latest snapshot if one exists (the WAL is scanned
+    /// beside it, see [`DurableCore::open`]), seats the store in bulk,
+    /// registers the secondary-index definitions, replays the WAL tail,
+    /// re-seats the journal floor at the recovered version, and attaches
+    /// the durability core so every subsequent mutation is redo-logged.
+    /// The §5.1 imaginary identity tables recovered alongside are exposed
+    /// via [`Database::durable_core`] for views to re-adopt at bind time.
+    ///
+    /// No index is built here, nor by the replay: each is built by its
+    /// first probe (see [`Store::create_index`]), whose statement it
+    /// charges no rows and no steps.
     pub fn open(name: Symbol, dir: &Path, durability: Durability) -> Result<Database> {
         let t0 = std::time::Instant::now();
         let mut span = crate::span!("recovery.replay", db = name);
@@ -86,8 +91,9 @@ impl Database {
             db.schema = img.restore_schema()?;
             db.store.restore(img.objects, img.store_version)?;
             db.names = img.names.into_iter().collect();
-            // Indexes are derived: rebuild from the persisted definitions.
-            // The durability core is not attached yet, so nothing re-logs.
+            // Indexes are derived: register the persisted definitions, for
+            // the first probe of each to build. The durability core is not
+            // attached yet, so nothing re-logs.
             for (class, attr) in img.index_defs {
                 db.store.create_index(class, attr);
             }

@@ -56,7 +56,7 @@ pub mod error;
 pub mod expr;
 pub mod faults;
 pub mod ids;
-pub mod index;
+mod index;
 pub mod metrics;
 pub mod pager;
 pub mod resolve;
@@ -79,7 +79,6 @@ pub use error::{OodbError, Result};
 pub use expr::{AggFunc, BinOp, Expr, SelectExpr, UnOp};
 pub use faults::{FaultAction, FaultSchedule, InjectedFault};
 pub use ids::{ClassId, DbId, Oid};
-pub use index::{AttrIndex, IndexSet};
 pub use metrics::{
     profiling_enabled, registry, set_profiling, slow_queries, workload, Counter, Histogram,
     MetricsRegistry, MetricsSnapshot, SlowQuery, SlowQueryLog, WorkloadEntry, WorkloadRegistry,

@@ -105,7 +105,7 @@ pub struct SnapshotImage {
     pub objects: Vec<StoredObject>,
     /// Named roots.
     pub names: Vec<(Symbol, Oid)>,
-    /// Secondary index definitions (indexes themselves are rebuilt).
+    /// Secondary index definitions (each index is built by its first probe).
     pub index_defs: Vec<(ClassId, Symbol)>,
     /// The imaginary identity tables, flattened.
     pub identity: Vec<IdentityEntry>,
@@ -270,14 +270,17 @@ impl SnapshotImage {
             classes.push((cname, parents, attrs));
         }
         let ns = r.take_len(4)?;
-        let mut shapes: Vec<Vec<Symbol>> = Vec::with_capacity(ns);
+        // Each shape with whether its names are strictly ascending, as every
+        // shape this build writes is: its tuples then need no sort.
+        let mut shapes: Vec<(Vec<Symbol>, bool)> = Vec::with_capacity(ns);
         for _ in 0..ns {
             let nf = r.take_len(4)?;
             let mut shape = Vec::with_capacity(nf);
             for _ in 0..nf {
                 shape.push(r.take_symbol()?);
             }
-            shapes.push(shape);
+            let sorted = shape.windows(2).all(|w| w[0] < w[1]);
+            shapes.push((shape, sorted));
         }
         let no = r.take_len(16)?;
         let mut objects = Vec::with_capacity(no);
@@ -285,7 +288,7 @@ impl SnapshotImage {
             let oid = Oid(r.take_u64()?);
             let class = ClassId(r.take_u32()?);
             let shape_no = r.take_u32()? as usize;
-            let shape = shapes.get(shape_no).ok_or_else(|| {
+            let (shape, sorted) = shapes.get(shape_no).ok_or_else(|| {
                 OodbError::corrupt(format!(
                     "snapshot body: object {oid} names shape {shape_no} of {}",
                     shapes.len()
@@ -297,11 +300,12 @@ impl SnapshotImage {
             }
             // `from_fields` orders and dedups, so even a hostile shape
             // (unsorted, repeated names) yields a well-formed tuple.
-            objects.push(StoredObject {
-                oid,
-                class,
-                value: Tuple::from_fields(fields),
-            });
+            let value = if *sorted {
+                Tuple::from_sorted_fields(fields)
+            } else {
+                Tuple::from_fields(fields)
+            };
+            objects.push(StoredObject { oid, class, value });
         }
         let nn = r.take_len(12)?;
         let mut names = Vec::with_capacity(nn);

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crate::durable::DurableCore;
 use crate::error::{OodbError, Result};
 use crate::ids::{ClassId, Oid};
-use crate::index::IndexSet;
+use crate::index::{self, IndexSet, Postings};
 use crate::value::Tuple;
 use crate::wal::WalRecord;
 
@@ -230,7 +230,8 @@ pub struct Store {
     /// journal; requests older than it must fall back to a full recompute.
     journal_floor: u64,
     journal_cap: usize,
-    /// Secondary attribute indexes, maintained on every mutation.
+    /// Secondary attribute indexes: each built by its first probe, then
+    /// maintained on every mutation.
     indexes: IndexSet,
     /// When attached, every mutation is appended to the WAL *before* it is
     /// applied in memory (redo logging): a failed append leaves the store
@@ -292,14 +293,22 @@ impl Store {
         }
     }
 
-    /// Creates (and backfills) a secondary index on `(class, attr)`.
-    /// Idempotent. Indexes cover the *shallow* extent (objects real in
-    /// `class`); deep lookups combine per-class indexes.
+    /// Defines a secondary index on `(class, attr)`. Idempotent. Indexes
+    /// cover the *shallow* extent (objects real in `class`); deep lookups
+    /// combine per-class indexes.
+    ///
+    /// Nothing is built here. The first [`Store::index_lookup`] of the index
+    /// builds it from the extent as it is then, under the read lock that
+    /// probe already holds (concurrent first probes build once). The build
+    /// is not the query's scan: it charges the probing statement no rows and
+    /// no steps, and a deadline that passes meanwhile breaches, as a typed
+    /// `Cancelled`, at that statement's next deadline check. Writes maintain an
+    /// index only once it is built.
     pub fn create_index(&mut self, class: ClassId, attr: crate::Symbol) {
-        if self.indexes.contains(class, attr) {
+        if self.indexes.get(class, attr).is_some() {
             return;
         }
-        // Index definitions are logged so recovery rebuilds them; a failed
+        // Index definitions are logged so recovery registers them; a failed
         // append degrades (the data is unaffected, only lookup speed) and
         // the next checkpoint persists the definition anyway.
         if self
@@ -309,16 +318,11 @@ impl Store {
             crate::metric_counter!("oodb.index.log_failures").inc();
         }
         self.indexes.create(class, attr);
-        let index = self.indexes.create(class, attr);
-        for &oid in self.extents.get(&class).into_iter().flatten() {
-            let v = self.objects.get(oid).and_then(|o| o.value.get(attr));
-            index.insert(v.cloned().unwrap_or(crate::Value::Null), oid);
-        }
     }
 
     /// Drops a secondary index; returns whether it existed.
     pub fn drop_index(&mut self, class: ClassId, attr: crate::Symbol) -> bool {
-        if self.indexes.contains(class, attr)
+        if self.indexes.get(class, attr).is_some()
             && self.log_wal(&WalRecord::DropIndex { class, attr }).is_err()
         {
             crate::metric_counter!("oodb.index.log_failures").inc();
@@ -332,7 +336,8 @@ impl Store {
     }
 
     /// Indexed lookup over the shallow extent of `class`: the oids whose
-    /// stored `attr` equals `value`, or `None` if no index exists.
+    /// stored `attr` equals `value`, or `None` if no index exists. The first
+    /// lookup of an index builds it (see [`Store::create_index`]).
     pub fn index_lookup(
         &self,
         class: ClassId,
@@ -347,10 +352,20 @@ impl Store {
             span.field("outcome", "injected_miss");
             return None;
         }
-        let hits: Vec<Oid> = self.indexes.get(class, attr)?.get(value).collect();
+        let index = self.indexes.get(class, attr)?;
+        let hits = index.get(value, || self.build_index(class, attr));
         crate::metric_counter!("oodb.index.hits").inc();
         span.field("hits", hits.len());
         Some(hits)
+    }
+
+    /// The map of the index on `(class, attr)`, from the extent as it is.
+    fn build_index(&self, class: ClassId, attr: crate::Symbol) -> Postings {
+        let rows = self.extent_len(class);
+        let _span = crate::span!("store.index_build", class = u64::from(class.0), rows = rows);
+        crate::metric_counter!("oodb.index.builds").inc();
+        let objects = self.extent(class).filter_map(|oid| self.objects.get(oid));
+        index::build(attr, rows, objects)
     }
 
     /// The oids changed (created, updated, or removed) after `version`, or
@@ -460,18 +475,31 @@ impl Store {
     /// are seated wholesale, the version counter jumps to the checkpoint
     /// version, and the journal starts empty with its floor at that
     /// version (so `changes_since` older than the checkpoint reports a gap
-    /// instead of a silently empty delta). Indexes are *not* built here —
-    /// the caller rebuilds them from the persisted definitions. An image
-    /// holding an oid in the imaginary range is refused.
+    /// instead of a silently empty delta). Indexes are *not* touched — the
+    /// caller registers the persisted definitions, and each is built by its
+    /// first probe. An image holding an oid in the imaginary range is
+    /// refused.
+    ///
+    /// A checkpoint lists objects in oid order, so each class's oids arrive
+    /// sorted and its extent is built in one pass (any order is still
+    /// correct, only slower), and the oid allocator is raised once.
     pub fn restore(&mut self, objects: Vec<StoredObject>, version: u64) -> Result<()> {
         self.objects = ObjectTable::default();
-        self.extents.clear();
+        let mut extents: HashMap<ClassId, Vec<Oid>> = HashMap::new();
+        let mut top = None;
         for obj in objects {
             require_base_oid(obj.oid)?;
-            ensure_oid_floor(obj.oid);
-            self.extents.entry(obj.class).or_default().insert(obj.oid);
+            top = top.max(Some(obj.oid));
+            extents.entry(obj.class).or_default().push(obj.oid);
             self.objects.insert(obj);
         }
+        if let Some(top) = top {
+            ensure_oid_floor(top);
+        }
+        self.extents = extents
+            .into_iter()
+            .map(|(class, oids)| (class, BTreeSet::from_iter(oids)))
+            .collect();
         self.version = version;
         self.journal.clear();
         self.journal_floor = version;

@@ -52,6 +52,14 @@ impl Tuple {
         Tuple(fields)
     }
 
+    /// Wraps fields already in strictly ascending name order: what
+    /// [`Tuple::from_fields`] builds from them, without its sort. The
+    /// caller checked the order (the snapshot decoder, once per shape).
+    pub(crate) fn from_sorted_fields(fields: Vec<(Symbol, Value)>) -> Tuple {
+        debug_assert!(fields.windows(2).all(|w| w[0].0 < w[1].0));
+        Tuple(fields)
+    }
+
     /// Position of field `name`.
     fn find(&self, name: Symbol) -> Option<usize> {
         if self.0.len() <= SCAN_MAX {

@@ -6,20 +6,30 @@
 //! in-memory store, so the log is always a superset of volatile state and
 //! replaying it after a crash recovers exactly the committed prefix.
 //!
-//! ## Frame format
+//! ## File format
 //!
 //! ```text
-//! ┌─────────┬─────────┬─────────┬──────────────┐
-//! │ len u32 │ crc u32 │ lsn u64 │ payload …    │   (all little-endian)
-//! └─────────┴─────────┴─────────┴──────────────┘
+//! header:  magic "OVWALOG1" · format u32 · crc u32        (16 bytes)
+//! frames:  ┌─────────┬─────────┬─────────┬──────────────┐
+//!          │ len u32 │ crc u32 │ lsn u64 │ payload …    │  (little-endian)
+//!          └─────────┴─────────┴─────────┴──────────────┘
 //! ```
 //!
-//! `len` counts the lsn plus payload bytes; `crc` is CRC32 (IEEE) over those
-//! same bytes. LSNs are **monotonic** starting at 1. On open the log is
-//! scanned frame by frame; the first frame with a short body, a checksum
-//! mismatch, or a non-monotonic LSN marks the *torn tail* — everything from
-//! there on is truncated away (a crash mid-append must lose at most the
-//! records that were never acknowledged as synced).
+//! The header is written when the log is created, and [`Wal::reset`] cuts
+//! the log back to it; its `crc` is CRC32 over magic and format. A log whose
+//! format is not [`WAL_FORMAT`], older or newer, fails with
+//! [`OodbError::UnsupportedFormat`] instead of misparsing, as the snapshot
+//! does. A log longer than a header and without the magic is format 0: what
+//! builds before the header wrote; there is no migration path. A file no
+//! longer than a header that is not a whole one (a crash while the log was
+//! created or reset: cut, or zero-filled) holds no frame and is an empty log.
+//!
+//! A frame's `len` counts the lsn plus payload bytes; its `crc` is CRC32
+//! (IEEE) over those same bytes. LSNs are **monotonic** starting at 1. On
+//! open the log is scanned frame by frame; the first frame with a short
+//! body, a checksum mismatch, or a non-monotonic LSN marks the *torn tail*
+//! — everything from there on is truncated away (a crash mid-append must
+//! lose at most the records that were never acknowledged as synced).
 //!
 //! ## Sync policy
 //!
@@ -32,7 +42,7 @@
 //! error — simulates a crash mid-write), `wal.fsync` (fail the sync).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{self, crc32, Reader, Writer};
@@ -48,6 +58,55 @@ pub const GROUP_COMMIT_INTERVAL: u64 = 64;
 
 /// Frame header bytes: `len` + `crc`.
 const FRAME_HEADER: usize = 8;
+
+/// Magic bytes opening every log.
+pub const WAL_MAGIC: &[u8; 8] = b"OVWALOG1";
+
+/// The log format version this build writes and reads.
+pub const WAL_FORMAT: u32 = 1;
+
+/// Bytes of the log header: magic, format, crc.
+const WAL_HEADER_LEN: usize = 16;
+
+/// The header of a log of this build's format.
+fn header() -> [u8; WAL_HEADER_LEN] {
+    let mut h = [0u8; WAL_HEADER_LEN];
+    h[..8].copy_from_slice(WAL_MAGIC);
+    h[8..12].copy_from_slice(&WAL_FORMAT.to_le_bytes());
+    let crc = crc32(&h[..12]);
+    h[12..].copy_from_slice(&crc.to_le_bytes());
+    h
+}
+
+/// Checks the header `raw` begins with: `Ok(true)` when the header is whole
+/// and of this build's format; `Ok(false)` when the file is no longer than a
+/// header and is not a whole one. Such a file holds no frame — a crash while
+/// the log was created or reset, which may leave zeros where the header
+/// went — so it is an empty log whose header must be written again.
+fn check_header(raw: &[u8]) -> Result<bool> {
+    let word = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().expect("4 bytes"));
+    let magic = raw.starts_with(WAL_MAGIC);
+    let sealed = magic && raw.len() >= WAL_HEADER_LEN && crc32(&raw[..12]) == word(12);
+    if raw.len() <= WAL_HEADER_LEN && !sealed {
+        return Ok(false);
+    }
+    if !magic {
+        return Err(OodbError::UnsupportedFormat {
+            found: 0,
+            supported: WAL_FORMAT,
+        });
+    }
+    if !sealed {
+        return Err(OodbError::corrupt("wal header: checksum mismatch"));
+    }
+    match word(8) {
+        WAL_FORMAT => Ok(true),
+        found => Err(OodbError::UnsupportedFormat {
+            found,
+            supported: WAL_FORMAT,
+        }),
+    }
+}
 
 /// Durability level of a database.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -361,24 +420,47 @@ pub struct Wal {
     bytes: u64,
 }
 
+/// A log as read by [`Wal::scan`]: its valid records and where they end.
+/// Scanning writes nothing; [`WalScan::open`] makes it the live log.
+#[derive(Debug)]
+pub struct WalScan {
+    path: PathBuf,
+    records: Vec<(u64, WalRecord)>,
+    next_lsn: u64,
+    /// Is the header whole? If not, the file is no longer than a header:
+    /// empty, cut inside it, or zero-filled.
+    has_header: bool,
+    /// End of the header and the last valid frame: where a torn tail begins.
+    good: u64,
+    /// The file's length as read.
+    len: u64,
+}
+
 impl Wal {
     /// Opens (creating if absent) the log at `path`, scanning and returning
     /// every valid record, and truncating any torn tail left by a crash
-    /// mid-append.
+    /// mid-append: [`Wal::scan`], then [`WalScan::open`].
     pub fn open(path: &Path) -> Result<(Wal, Vec<(u64, WalRecord)>)> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(|e| OodbError::io("wal open", e))?;
-        let mut raw = Vec::new();
-        file.read_to_end(&mut raw)
-            .map_err(|e| OodbError::io("wal read", e))?;
+        Wal::scan(path)?.open()
+    }
 
+    /// Reads and decodes the log at `path` without writing a byte (a
+    /// missing file is an empty log). Fails on a header of another format
+    /// or a damaged one; a damaged frame only ends the scan.
+    pub fn scan(path: &Path) -> Result<WalScan> {
+        let raw = match std::fs::read(path) {
+            Ok(raw) => raw,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(OodbError::io("wal read", e)),
+        };
+        let has_header = check_header(&raw)?;
         let mut records = Vec::new();
-        let mut good = 0usize; // byte offset of the end of the last valid frame
+        // Byte offset of the end of the last valid frame.
+        let mut good = if has_header {
+            WAL_HEADER_LEN
+        } else {
+            raw.len()
+        };
         let mut next_lsn = 1u64;
         while raw.len() - good >= FRAME_HEADER {
             let len = u32::from_le_bytes(raw[good..good + 4].try_into().expect("4 bytes")) as usize;
@@ -406,29 +488,14 @@ impl Wal {
             next_lsn = lsn + 1;
             good += FRAME_HEADER + len;
         }
-
-        if good < raw.len() {
-            let dropped = (raw.len() - good) as u64;
-            crate::metric_counter!("wal.truncated_bytes").add(dropped);
-            file.set_len(good as u64)
-                .map_err(|e| OodbError::io("wal truncate torn tail", e))?;
-            file.sync_all()
-                .map_err(|e| OodbError::io("wal fsync after truncation", e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| OodbError::io("wal seek", e))?;
-
-        Ok((
-            Wal {
-                file,
-                path: path.to_path_buf(),
-                next_lsn,
-                unsynced: 0,
-                records_since_reset: records.len() as u64,
-                bytes: good as u64,
-            },
+        Ok(WalScan {
+            path: path.to_path_buf(),
             records,
-        ))
+            next_lsn,
+            has_header,
+            good: good as u64,
+            len: raw.len() as u64,
+        })
     }
 
     /// Appends one record, returning its LSN. The record is written (and
@@ -510,17 +577,18 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncates the log after a successful checkpoint. LSNs keep counting
-    /// from where they were (they are monotonic for the life of the
-    /// database directory, not of one log file) — except that a fresh scan
-    /// of the now-empty file restarts at 1, so the checkpoint records the
-    /// LSN watermark instead.
+    /// Truncates the log to its header after a successful checkpoint. LSNs
+    /// keep counting from where they were (they are monotonic for the life
+    /// of the database directory, not of one log file) — except that a
+    /// fresh scan of the now-empty log restarts at 1, so the checkpoint
+    /// records the LSN watermark instead.
     pub fn reset(&mut self) -> Result<()> {
+        let header = WAL_HEADER_LEN as u64;
         self.file
-            .set_len(0)
+            .set_len(header)
             .map_err(|e| OodbError::io("wal reset", e))?;
         self.file
-            .seek(SeekFrom::Start(0))
+            .seek(SeekFrom::Start(header))
             .map_err(|e| OodbError::io("wal seek", e))?;
         self.file
             .sync_all()
@@ -528,7 +596,7 @@ impl Wal {
         self.next_lsn = 1;
         self.unsynced = 0;
         self.records_since_reset = 0;
-        self.bytes = 0;
+        self.bytes = WAL_HEADER_LEN as u64;
         Ok(())
     }
 
@@ -542,7 +610,7 @@ impl Wal {
         self.records_since_reset
     }
 
-    /// Current log size in bytes.
+    /// Current log size in bytes, header included.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -550,6 +618,48 @@ impl Wal {
     /// The log file's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+impl WalScan {
+    /// Makes the scanned log the live one: creates the file, or writes its
+    /// header again if it was not whole; truncates a torn tail; and
+    /// positions for appends. Returns the log and its valid records.
+    pub fn open(self) -> Result<(Wal, Vec<(u64, WalRecord)>)> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&self.path)
+            .map_err(|e| OodbError::io("wal open", e))?;
+        let mut bytes = self.good;
+        if !self.has_header {
+            // Synced now. A crash before the sync may leave the new length
+            // durable without the bytes; those zeros open as an empty log.
+            file.set_len(0)
+                .and_then(|()| file.write_all(&header()))
+                .and_then(|()| file.sync_all())
+                .map_err(|e| OodbError::io("wal create", e))?;
+            bytes = WAL_HEADER_LEN as u64;
+        } else if self.good < self.len {
+            crate::metric_counter!("wal.truncated_bytes").add(self.len - self.good);
+            file.set_len(self.good)
+                .map_err(|e| OodbError::io("wal truncate torn tail", e))?;
+            file.sync_all()
+                .map_err(|e| OodbError::io("wal fsync after truncation", e))?;
+        }
+        file.seek(SeekFrom::End(0))
+            .map_err(|e| OodbError::io("wal seek", e))?;
+        let wal = Wal {
+            file,
+            path: self.path,
+            next_lsn: self.next_lsn,
+            unsynced: 0,
+            records_since_reset: self.records.len() as u64,
+            bytes,
+        };
+        Ok((wal, self.records))
     }
 }
 
@@ -677,12 +787,80 @@ mod tests {
         }
         wal.reset().unwrap();
         assert_eq!(wal.records_since_reset(), 0);
-        assert_eq!(wal.bytes(), 0);
+        assert_eq!(wal.bytes(), WAL_HEADER_LEN as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), header());
         wal.append(&WalRecord::Remove { oid: Oid(5) }).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let (_, recs) = Wal::open(&path).unwrap();
         assert_eq!(recs.len(), 1);
+    }
+
+    /// The header is the log's first bytes from creation on. A file cut
+    /// anywhere inside it, or a header's length of zeros (the new length
+    /// made durable before the bytes), is an empty log, whose header open
+    /// writes again.
+    #[test]
+    fn a_log_cut_inside_its_header_is_empty() {
+        let path = tmp("header-cut");
+        let (wal, _) = Wal::open(&path).unwrap();
+        assert_eq!(wal.bytes(), WAL_HEADER_LEN as u64);
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), header());
+        let cuts = (0..WAL_HEADER_LEN).map(|cut| header()[..cut].to_vec());
+        for torn in cuts.chain([vec![0u8; WAL_HEADER_LEN]]) {
+            std::fs::write(&path, &torn).unwrap();
+            let scan = Wal::scan(&path).unwrap();
+            // Scanning wrote nothing.
+            assert_eq!(std::fs::read(&path).unwrap(), torn);
+            let (mut wal, recs) = scan.open().unwrap();
+            assert!(recs.is_empty(), "{torn:?}");
+            assert_eq!(std::fs::read(&path).unwrap(), header(), "{torn:?}");
+            wal.append(&WalRecord::Remove { oid: Oid(3) }).unwrap();
+            wal.sync().unwrap();
+            drop(wal);
+            assert_eq!(Wal::open(&path).unwrap().1.len(), 1, "{torn:?}");
+        }
+    }
+
+    /// A log of another format — a newer header, or none at all as every
+    /// build before the header wrote — is refused, typed, and left as it
+    /// was; so is a damaged header.
+    #[test]
+    fn a_log_of_another_format_is_refused() {
+        let path = tmp("format");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(&WalRecord::Remove { oid: Oid(1) }).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let ours = std::fs::read(&path).unwrap();
+        let mut newer = ours.clone();
+        newer[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let crc = crc32(&newer[..12]);
+        newer[12..16].copy_from_slice(&crc.to_le_bytes());
+        // A newer build's empty log is a whole header: refused too.
+        let newer_empty = newer[..WAL_HEADER_LEN].to_vec();
+        let headerless = ours[WAL_HEADER_LEN..].to_vec();
+        let mut flipped = ours.clone();
+        flipped[9] ^= 1;
+        for (bytes, want) in [
+            (newer, Some(2)),
+            (newer_empty, Some(2)),
+            (headerless, Some(0)),
+            (flipped, None),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            match (Wal::open(&path), want) {
+                (Err(OodbError::UnsupportedFormat { found, supported }), Some(want)) => {
+                    assert_eq!((found, supported), (want, WAL_FORMAT));
+                }
+                (Err(OodbError::Corrupt { context }), None) => {
+                    assert!(context.contains("checksum"), "{context}");
+                }
+                (other, _) => panic!("expected a typed refusal, got {:?}", other.map(|_| ())),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "a refusal wrote");
+        }
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! recovered database must equal the reference replay of **some prefix**
 //! of the committed operations — never a mix, never a suffix, never a
 //! corrupted hybrid — and longer surviving WALs must recover longer
-//! prefixes (monotonicity).
+//! prefixes (monotonicity). Recovery builds no index: each recovered index
+//! must answer, when first probed, exactly as a scan of the recovered store
+//! does — probed before any further write, and after writes.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ov_oodb::{sym, AttrDef, Database, Durability, Type, Value};
+use ov_oodb::{sym, AttrDef, Database, Durability, Oid, Type, Value};
 use proptest::prelude::*;
 
 /// One store mutation, victim-addressed by *index* into the oid-sorted
@@ -66,6 +69,42 @@ fn apply(db: &mut Database, class: ov_oodb::ClassId, op: &Op) {
 /// objects, names — position-independent) plus the persisted index defs.
 fn fingerprint(db: &Database) -> (String, Vec<(ov_oodb::ClassId, ov_oodb::Symbol)>) {
     (ov_oodb::dump_database(db), db.store.index_defs())
+}
+
+/// Every index of `db` answers every key its extent holds, and `null`,
+/// exactly as a scan of the extent does.
+fn indexes_agree_with_a_scan(db: &Database) -> Result<(), TestCaseError> {
+    for (class, attr) in db.store.index_defs() {
+        let value = |oid: Oid| {
+            let obj = db.store.get(oid).expect("an extent oid is live");
+            obj.value.get(attr).cloned().unwrap_or(Value::Null)
+        };
+        let mut keys: BTreeSet<Value> = db.store.extent(class).map(value).collect();
+        keys.insert(Value::Null);
+        for key in keys {
+            let scan: Vec<Oid> = db
+                .store
+                .extent(class)
+                .filter(|&o| value(o) == key)
+                .collect();
+            prop_assert_eq!(db.store.index_lookup(class, attr, &key), Some(scan));
+        }
+    }
+    Ok(())
+}
+
+/// Writes to a recovered database: an insert, an update and a delete, or
+/// nothing when recovery stopped before `Person` existed.
+fn write_after_recovery(db: &mut Database) {
+    if let Ok(class) = db.schema.require_class(sym("Person")) {
+        for op in [
+            Op::Insert { age: 7 },
+            Op::SetAge { idx: 1, age: 7 },
+            Op::Remove { idx: 2 },
+        ] {
+            apply(db, class, &op);
+        }
+    }
 }
 
 /// A fresh scratch dir per case (proptest runs many cases per process).
@@ -126,13 +165,17 @@ proptest! {
             .set_len(cut)
             .unwrap();
         // Recovery must succeed and land on exactly one reference prefix.
-        let recovered = Database::open(sym("P"), &dir, Durability::Wal).unwrap();
+        let mut recovered = Database::open(sym("P"), &dir, Durability::Wal).unwrap();
         let got = fingerprint(&recovered);
         prop_assert!(
             prefixes.contains(&got),
             "recovered state (cut {cut}/{len}) matches no committed prefix:\n{}",
             got.0
         );
+        // The first probe before any further write, then writes it maintains.
+        indexes_agree_with_a_scan(&recovered)?;
+        write_after_recovery(&mut recovered);
+        indexes_agree_with_a_scan(&recovered)?;
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -172,7 +215,7 @@ proptest! {
             let cut = (wal_bytes.len() as f64 * frac) as usize;
             // Restore the full WAL, then truncate to this cut.
             std::fs::write(dir.join("wal.ovl"), &wal_bytes[..cut]).unwrap();
-            let recovered = Database::open(sym("P"), &dir, Durability::Wal).unwrap();
+            let mut recovered = Database::open(sym("P"), &dir, Durability::Wal).unwrap();
             let got = fingerprint(&recovered);
             let idx = prefixes
                 .iter()
@@ -184,6 +227,9 @@ proptest! {
                  a longer WAL survival recovered a shorter history"
             );
             last_idx = idx.unwrap();
+            // Writes before the first probe, which builds from them.
+            write_after_recovery(&mut recovered);
+            indexes_agree_with_a_scan(&recovered)?;
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -125,6 +125,71 @@ fn cold_start_race_converges_and_stats_account() {
     );
 }
 
+/// An index is built by the first probe that reads it, once: four readers
+/// probing one unbuilt index at once cause one build and read the same
+/// answers. A write made before the first probe is in the build; one made
+/// after it is maintained. (No other test in this binary indexes, so the
+/// process-wide counter moves for this test alone.)
+#[test]
+fn concurrent_first_probes_build_an_index_once() {
+    use std::sync::Barrier;
+    let sys = staff_system();
+    let handle = sys.database(sym("Staff")).unwrap();
+    let person = handle.read().schema.require_class(sym("Person")).unwrap();
+    let late = |name: &str| {
+        Value::tuple([
+            (sym("Name"), Value::str(name)),
+            (sym("Age"), Value::Int(200)),
+            (sym("Income"), Value::Int(0)),
+        ])
+    };
+    let before = {
+        let mut db = handle.write();
+        db.create_index(person, sym("Age")).unwrap();
+        db.create_object(person, late("before")).unwrap()
+    };
+    let builds = objects_and_views::oodb::registry().counter("oodb.index.builds");
+    let built = builds.get();
+    let ages = [Value::Int(17), Value::Int(89), Value::Int(200), Value::Null];
+    let barrier = Barrier::new(4);
+    let answers: Vec<Vec<Vec<Oid>>> = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    let db = handle.read();
+                    ages.iter()
+                        .map(|age| db.indexed_deep_lookup(person, sym("Age"), age).unwrap())
+                        .collect()
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(builds.get() - built, 1, "one build for four first probes");
+    let db = handle.read();
+    for (age, got) in ages.iter().zip(&answers[0]) {
+        let scan: Vec<Oid> = db
+            .deep_extent(person)
+            .into_iter()
+            .filter(|&o| db.stored_attr(o, sym("Age")).unwrap() == age)
+            .collect();
+        assert_eq!(got, &scan, "age {age}");
+    }
+    assert_eq!(answers[0][2], vec![before], "the write before the probe");
+    assert!(answers.iter().all(|a| a == &answers[0]));
+    drop(db);
+    let after = handle.write().create_object(person, late("after")).unwrap();
+    let db = handle.read();
+    let found = db.indexed_deep_lookup(person, sym("Age"), &Value::Int(200));
+    assert_eq!(
+        found,
+        Some(vec![before, after]),
+        "the write after the probe"
+    );
+    assert_eq!(builds.get() - built, 1, "maintained, not rebuilt");
+}
+
 /// Warm-cache reads are all hits, and every thread's are counted.
 #[test]
 fn warm_cache_hits_count_per_thread() {

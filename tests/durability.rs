@@ -204,6 +204,42 @@ fn torn_wal_tail_is_truncated_on_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An open that fails writes nothing: with the snapshot damaged and the WAL
+/// holding a torn tail, the snapshot's error is returned and `wal.ovl` is
+/// byte-identical — the tail is not truncated by an open that did not load.
+#[test]
+fn a_failed_open_leaves_the_wal_byte_identical() {
+    use std::io::Write as _;
+    let dir = scratch("failed-open");
+    {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        build_fixture(&mut s);
+        s.checkpoint().unwrap();
+        s.execute(r#"database Staff; insert Person value [Name: "Eve", Age: 29, City: "Oslo"];"#)
+            .unwrap();
+    }
+    let db_dir = dir.join("databases/Staff");
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(db_dir.join("wal.ovl"))
+        .unwrap();
+    f.write_all(&[0xDE, 0xAD, 0xBE]).unwrap();
+    drop(f);
+    let snapshot = db_dir.join("snapshot.ovp");
+    let mut raw = std::fs::read(&snapshot).unwrap();
+    let last = raw.len() - 1;
+    raw[last] ^= 0x01;
+    std::fs::write(&snapshot, &raw).unwrap();
+    let wal_before = std::fs::read(db_dir.join("wal.ovl")).unwrap();
+    let err = Session::open(&dir, Durability::Wal).err();
+    assert!(
+        matches!(&err, Some(ViewError::Oodb(e)) if e.to_string().contains("checksum")),
+        "the snapshot's error, got {err:?}"
+    );
+    assert_eq!(std::fs::read(db_dir.join("wal.ovl")).unwrap(), wal_before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_views_script_is_rejected_with_typed_error() {
     let dir = scratch("views-corrupt");
