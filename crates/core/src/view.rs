@@ -57,6 +57,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use ov_oodb::event::Event;
 use ov_oodb::ids::IMAGINARY_OID_BASE;
 use ov_oodb::{
     AttrBody, AttrDef, AttrSig, ClassGraph, ClassId, ConflictPolicy, DbHandle, DurableCore, Expr,
@@ -884,15 +885,13 @@ impl View {
             let name = self.schema.read().class(c).name;
             return Err(ViewError::CyclicVirtualClass(name).into());
         }
-        let t0 = std::time::Instant::now();
-        let mut span = ov_oodb::span!("view.population");
-        plan::begin_population();
+        let request = Event::Population.open();
         // Transient faults (an injected fault, a flaky source) are retried
         // with a tiny capped backoff before any degradation kicks in.
         // Budget breaches and semantic errors are never retried: the former
         // would breach again immediately, the latter are deterministic.
         let mut attempts = 1u32;
-        let result = loop {
+        let (resolved, scans) = plan::population_scans(|| loop {
             match self.population_inner(c) {
                 Ok(ok) => break Ok(ok),
                 Err(e) if e.is_transient() && attempts < MAX_POPULATION_ATTEMPTS => {
@@ -916,53 +915,73 @@ impl View {
                 }
                 Err(e) => break Err(e),
             }
+        });
+        let resolved = resolved.or_else(|e| self.degrade(c, e, attempts));
+        self.close_population(c, request, resolved, attempts, scans)
+    }
+
+    /// The one close of a population request, which every surface reads:
+    /// the span (fields and duration), the histogram and view counter of the
+    /// path that resolved it, the EXPLAIN event — a recompute's carrying
+    /// `scans` — and the statistics plane. A failed request closes its span
+    /// only, naming the class and the attempts made.
+    fn close_population(
+        &self,
+        c: ClassId,
+        mut request: ov_oodb::event::Open,
+        resolved: ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)>,
+        attempts: u32,
+        scans: Vec<plan::ScanEvent>,
+    ) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
+        use plan::PopPath;
+        let (event, label) = match resolved.as_ref().map(|(_, path)| path) {
+            Ok(PopPath::CacheHit) => (Event::PopulationCacheHit, "cache_hit"),
+            Ok(PopPath::Delta { .. }) => (Event::PopulationDelta, "delta"),
+            Ok(PopPath::FullRecompute { .. }) => (Event::PopulationRecompute, "recompute"),
+            Ok(PopPath::StaleServe { .. }) => (Event::PopulationStaleServe, "stale_serve"),
+            Err(_) => (Event::Population, "error"),
         };
-        match result {
-            Ok((oids, outcome)) => {
-                let nanos = t0.elapsed().as_nanos() as u64;
-                let path = match outcome {
-                    plan::PopOutcome::CacheHit => {
-                        ov_oodb::metric_histogram!("views.population.cache_hit_ns").record(nanos);
-                        "cache_hit"
-                    }
-                    plan::PopOutcome::Delta { .. } => {
-                        ov_oodb::metric_histogram!("views.population.delta_ns").record(nanos);
-                        "delta"
-                    }
-                    plan::PopOutcome::FullRecompute => {
-                        ov_oodb::metric_histogram!("views.population.recompute_ns").record(nanos);
-                        "recompute"
-                    }
-                    plan::PopOutcome::StaleServe { .. } => {
-                        unreachable!("population_inner never reports StaleServe")
-                    }
-                };
-                if span.is_recording() {
-                    span.field("class", self.schema.read().class(c).name);
-                    span.field("path", path);
-                    span.field("rows", oids.len());
-                    if attempts > 1 {
-                        span.field("retries", (attempts - 1) as usize);
-                    }
-                }
-                if plan::tracing_active() {
-                    let name = self.schema.read().class(c).name;
-                    plan::end_population(name, outcome, oids.len(), nanos);
-                }
-                // Opportunistic statistics: a finished population is an
-                // exact cardinality observation for the virtual class, keyed
-                // to the resolution generation it was computed under.
-                if ov_oodb::metrics::profiling_enabled() {
-                    let name = self.schema.read().class(c).name;
-                    ov_oodb::stats::stats().class(name).note_cardinality(
-                        ov_query::DataSource::resolution_generation(self),
-                        oids.len() as u64,
-                    );
-                }
-                Ok(oids)
-            }
-            Err(e) => self.degrade(c, e, attempts, t0, span),
+        // `recomputations` and `cache_misses` count attempts, not requests:
+        // `population_inner` bumps them.
+        match event {
+            Event::PopulationCacheHit => self.stats.bump(Stat::CacheHit),
+            Event::PopulationDelta => self.stats.bump(Stat::IncrementalUpdate),
+            Event::PopulationStaleServe => self.stats.bump(Stat::StaleServe),
+            _ => {}
         }
+        let name = || self.schema.read().class(c).name;
+        if request.is_recording() {
+            request.field("class", name());
+            request.field("path", label);
+            if let Ok((oids, _)) = &resolved {
+                request.field("rows", oids.len());
+            }
+            request.field("attempts", attempts as usize);
+        }
+        let nanos = request.close_as(event, 1);
+        let (oids, path) = resolved?;
+        if plan::tracing_active() {
+            let path = match path {
+                PopPath::FullRecompute { .. } => PopPath::FullRecompute { scans },
+                path => path,
+            };
+            plan::record_population(plan::PopulationTrace {
+                class: name(),
+                rows: oids.len(),
+                path,
+                nanos,
+            });
+        }
+        // Opportunistic statistics: a population that was computed now is an
+        // exact cardinality observation for the virtual class, keyed to the
+        // resolution generation it was computed under.
+        if event != Event::PopulationStaleServe && ov_oodb::metrics::profiling_enabled() {
+            ov_oodb::stats::stats().class(name()).note_cardinality(
+                ov_query::DataSource::resolution_generation(self),
+                oids.len() as u64,
+            );
+        }
+        Ok(oids)
     }
 
     /// The failure tail of [`Self::population`]: serves the last good
@@ -983,9 +1002,7 @@ impl View {
         c: ClassId,
         e: QueryError,
         attempts: u32,
-        t0: std::time::Instant,
-        mut span: ov_oodb::SpanGuard,
-    ) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
+    ) -> ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)> {
         let fault_induced = e.is_transient() || matches!(e, QueryError::Panicked { .. });
         let degradable = fault_induced
             || matches!(
@@ -995,28 +1012,9 @@ impl View {
         if degradable {
             let stale = self.pop_shard(c).read().get(&c).map(|p| p.oids.clone());
             if let Some(oids) = stale {
-                self.stats.bump(Stat::StaleServe);
-                let nanos = t0.elapsed().as_nanos() as u64;
-                ov_oodb::metric_histogram!("views.population.stale_serve_ns").record(nanos);
-                if span.is_recording() {
-                    span.field("class", self.schema.read().class(c).name);
-                    span.field("path", "stale_serve");
-                    span.field("attempts", attempts as usize);
-                }
-                if plan::tracing_active() {
-                    let name = self.schema.read().class(c).name;
-                    plan::end_population(
-                        name,
-                        plan::PopOutcome::StaleServe { attempts },
-                        oids.len(),
-                        nanos,
-                    );
-                }
-                return Ok(oids);
+                return Ok((oids, plan::PopPath::StaleServe { attempts }));
             }
         }
-        plan::abort_population();
-        span.field("path", "error");
         if fault_induced {
             // No cached fallback: record that degradation was attempted
             // and exhausted, so the public boundary can say so.
@@ -1026,27 +1024,26 @@ impl View {
         Err(e)
     }
 
-    /// The un-traced body of [`Self::population`]: resolves the request and
-    /// reports which of the three paths did it.
+    /// One attempt of [`Self::population`]: resolves the request and reports
+    /// which of the three paths did it — a recompute with no scans, which
+    /// the close attaches.
     fn population_inner(
         &self,
         c: ClassId,
-    ) -> ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopOutcome)> {
+    ) -> ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)> {
         let versions = self.source_versions();
         let schema_len = self.schema.read().len();
         if self.materialization != Materialization::AlwaysRecompute {
             if let Some(cached) = self.pop_shard(c).read().get(&c) {
                 if cached.versions == versions && cached.schema_len == schema_len {
-                    self.stats.bump(Stat::CacheHit);
-                    return Ok((cached.oids.clone(), plan::PopOutcome::CacheHit));
+                    return Ok((cached.oids.clone(), plan::PopPath::CacheHit));
                 }
             }
             self.stats.bump(Stat::CacheMiss);
         }
         if self.materialization == Materialization::Incremental {
             if let Some((oids, retested)) = self.try_incremental(c, &versions, schema_len)? {
-                self.stats.bump(Stat::IncrementalUpdate);
-                return Ok((oids, plan::PopOutcome::Delta { retested }));
+                return Ok((oids, plan::PopPath::Delta { retested }));
             }
         }
         self.stats.bump(Stat::Recomputation);
@@ -1061,7 +1058,7 @@ impl View {
         };
         let oids = Arc::new(result?);
         self.store_pop(c, versions, schema_len, oids.clone());
-        Ok((oids, plan::PopOutcome::FullRecompute))
+        Ok((oids, plan::PopPath::FullRecompute { scans: Vec::new() }))
     }
 
     /// The bound includes of virtual class `c` (a pointer clone).
@@ -1237,21 +1234,37 @@ impl View {
         ov_query::scan_rows(rows, &mut test, counted, |row| out.insert(K::of_row(row)))
     }
 
-    /// The actuals bracket of one include-term scan: runs `scan` in a fresh
-    /// actuals frame, reports the rows it counted, and records the scan
-    /// event with everything the frame measured — on error too.
+    /// One include-term scan: runs `scan` in a fresh actuals frame and
+    /// reports the rows it counted. Its one close, on error too, feeds the
+    /// `view.scan` span, the view's counter of `kind` and the EXPLAIN scan
+    /// event.
     fn measured<R>(
+        &self,
         kind: plan::ScanKind,
         est_rows: Option<u64>,
         scan: impl FnOnce(&mut plan::ScanActuals) -> ov_query::Result<R>,
     ) -> ov_query::Result<R> {
+        let mut span = ov_oodb::span!("view.scan");
         let (r, actuals) = plan::with_scan_actuals(|| {
             let mut counted = plan::ScanActuals::default();
             let r = scan(&mut counted);
             plan::add_actuals(&counted);
             r
         });
-        plan::record_scan_est(kind, actuals, est_rows);
+        let (label, stat) = match kind {
+            plan::ScanKind::Sequential { .. } => ("seq", None),
+            plan::ScanKind::Parallel { .. } => ("parallel", Some(Stat::ParallelScan)),
+            plan::ScanKind::IndexPushdown { .. } => ("index", Some(Stat::IndexPushdown)),
+        };
+        if let Some(stat) = stat {
+            self.stats.bump(stat);
+        }
+        span.field("kind", label);
+        plan::record_scan(plan::ScanEvent {
+            kind,
+            actuals,
+            est_rows,
+        });
         r
     }
 
@@ -1331,9 +1344,8 @@ impl View {
         let engine = spec.engine();
         let mut out = BTreeSet::new();
         if let Some((postings, index)) = self.index_candidates(inc) {
-            self.stats.bump(Stat::IndexPushdown);
             let kind = plan::ScanKind::IndexPushdown { index, engine };
-            Self::measured(kind, est, |counted| {
+            self.measured(kind, est, |counted| {
                 self.run_rows(spec, &postings, counted, &mut out)
             })?;
             return Ok(out);
@@ -1346,10 +1358,9 @@ impl View {
         if self.parallel.chooses_split(extent.len())
             && self.parallel_strikes.load(Ordering::Relaxed) < PARALLEL_STRIKE_LIMIT
         {
-            self.stats.bump(Stat::ParallelScan);
             let chunks = extent.len().div_ceil(self.parallel.chunk_len(extent.len()));
             let (populating, depth) = self.with_eval(|s| (s.populating.clone(), s.body_depth));
-            let split = Self::measured(plan::ScanKind::Parallel { chunks, engine }, est, |_| {
+            let split = self.measured(plan::ScanKind::Parallel { chunks, engine }, est, |_| {
                 collection_step()?;
                 let site = "view.scan_chunk";
                 ov_query::filter_map_chunked(&self.parallel, site, &extent, |chunk, keep| {
@@ -1377,7 +1388,7 @@ impl View {
                 Err(e) => return Err(e),
             }
         }
-        Self::measured(plan::ScanKind::Sequential { engine }, est, |counted| {
+        self.measured(plan::ScanKind::Sequential { engine }, est, |counted| {
             collection_step()?;
             self.run_rows(spec, &extent, counted, &mut out)
         })?;
@@ -1391,7 +1402,7 @@ impl View {
         let kind = plan::ScanKind::Sequential {
             engine: plan::Engine::Interpreted,
         };
-        match Self::measured(kind, self.scan_estimate(q), |_| eval_select(self, q))? {
+        match self.measured(kind, self.scan_estimate(q), |_| eval_select(self, q))? {
             Value::Set(items) => Ok(items),
             _ => unreachable!("select returns a set"),
         }

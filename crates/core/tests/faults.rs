@@ -7,7 +7,7 @@
 //! test populating a class beside these.
 
 use ov_oodb::faults::{self, FaultAction, FaultSchedule};
-use ov_oodb::{sym, System, Value};
+use ov_oodb::{sym, FieldValue, System, Value};
 use ov_query::{execute_script, ParallelConfig, PopPath};
 use ov_views::{Session, View, ViewDef, ViewError, ViewOptions};
 
@@ -165,6 +165,42 @@ fn degraded_error_when_no_cached_population() {
     faults::clear();
     // The view recovers completely once the fault clears.
     assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+}
+
+/// A failed population's span says what failed and how often: the class,
+/// `path=error` and the attempts made, as a served population's span does.
+#[test]
+fn a_failed_population_span_names_its_class_and_attempts() {
+    let _guard = FaultGuard::take();
+    let sys = people_system();
+    let view = adult_view(&sys, ViewOptions::default());
+    faults::arm(
+        "view.population_recompute",
+        FaultSchedule::From(1),
+        FaultAction::Error,
+    );
+    // Tracing is process-wide; the guard keeps every other test of this
+    // binary out while it is on.
+    ov_oodb::recorder().clear();
+    ov_oodb::trace::set_enabled(true);
+    let err = view.query("count(Adult)").unwrap_err();
+    ov_oodb::trace::set_enabled(false);
+    assert!(matches!(err, ViewError::Degraded { .. }), "{err}");
+    let spans: Vec<_> = ov_oodb::recorder()
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.name == "view.population")
+        .collect();
+    let [failed] = spans.as_slice() else {
+        panic!("one population request, one span: {spans:?}");
+    };
+    let field = |key| failed.fields.iter().flatten().find(|(k, _)| *k == key);
+    assert_eq!(
+        field("class"),
+        Some(&("class", FieldValue::Sym(sym("Adult"))))
+    );
+    assert_eq!(field("path"), Some(&("path", FieldValue::Str("error"))));
+    assert_eq!(field("attempts"), Some(&("attempts", FieldValue::U64(3))));
 }
 
 /// Every way a statement reaches a view through a `Session` reports

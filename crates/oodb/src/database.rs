@@ -83,8 +83,8 @@ impl Database {
     /// first probe (see [`Store::create_index`]), whose statement it
     /// charges no rows and no steps.
     pub fn open(name: Symbol, dir: &Path, durability: Durability) -> Result<Database> {
-        let t0 = std::time::Instant::now();
-        let mut span = crate::span!("recovery.replay", db = name);
+        let mut replay = crate::event::Event::RecoveryReplay.open();
+        replay.field("db", name);
         let (core, snapshot, tail) = DurableCore::open(dir, durability)?;
         let mut db = Database::new(name);
         if let Some(img) = snapshot {
@@ -111,10 +111,9 @@ impl Database {
         db.names.retain(|_, oid| store.get(*oid).is_some());
         db.store.seal_recovery();
         db.store.attach_durable(core);
-        crate::metric_counter!("recovery.replayed_records").add(replayed);
-        crate::metric_histogram!("recovery_ns").record(t0.elapsed().as_nanos() as u64);
-        span.field("replayed", replayed);
-        span.field("version", db.store.version());
+        replay.field("replayed", replayed);
+        replay.field("version", db.store.version());
+        replay.close(replayed);
         Ok(db)
     }
 

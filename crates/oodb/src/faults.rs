@@ -239,14 +239,16 @@ fn hit_armed(site: &'static str) -> Result<(), InjectedFault> {
         (s.action, s.hits)
     };
     let (action, hits) = decision;
-    crate::metric_counter!("faults.injected").inc();
-    let _span = crate::span!("fault.injected", site = site, hit = hits);
+    let mut injected = crate::event::Event::FaultInjected.open();
+    injected.field("site", site);
+    injected.field("hit", hits);
+    if let FaultAction::Delay(d) = action {
+        std::thread::sleep(d);
+    }
+    injected.close(1);
     match action {
         FaultAction::Error => Err(InjectedFault { site, hit: hits }),
-        FaultAction::Delay(d) => {
-            std::thread::sleep(d);
-            Ok(())
-        }
+        FaultAction::Delay(_) => Ok(()),
         FaultAction::Panic => panic!("injected panic at failpoint `{site}` (hit #{hits})"),
     }
 }

@@ -53,6 +53,7 @@ pub mod database;
 pub mod dump;
 pub mod durable;
 pub mod error;
+pub mod event;
 pub mod expr;
 pub mod faults;
 pub mod ids;

@@ -10,9 +10,9 @@
 //!
 //! Design constraints: **no external dependencies** (hand-rolled JSON, std
 //! atomics) and **no hot-path locking** — call sites cache their
-//! `Arc<Counter>` in a `OnceLock` via [`metric_counter!`] /
-//! [`metric_histogram!`], so steady-state cost is one relaxed
-//! `fetch_add`.
+//! `Arc<Counter>` in a `OnceLock` via [`metric_counter!`](crate::metric_counter), so steady-state
+//! cost is one relaxed `fetch_add`. Every histogram is the duration of an
+//! event close: the [`crate::event`] table names them.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
+
+use crate::trace::json_str;
 
 /// Is the query profiler (workload registry + slow-query log + statistics
 /// feeding) enabled? One relaxed load — this is the *entire* cost of the
@@ -41,11 +43,6 @@ static PROFILING: AtomicBool = AtomicBool::new(false);
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
@@ -123,19 +120,6 @@ impl Histogram {
         self.sum.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Times `f` and records its wall-clock duration.
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        self.record(t0.elapsed().as_nanos() as u64);
-        r
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// A consistent-enough copy of the histogram (relaxed reads; exact only
     /// in quiescence, which is all observability needs).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -204,9 +188,9 @@ impl HistogramSnapshot {
 
 /// A process-wide registry of named counters and histograms.
 ///
-/// Metric names are dot-separated paths (`"oodb.store.mutations"`,
-/// `"views.population.recompute_ns"`). Lookup takes a read lock; hot call
-/// sites should cache the returned `Arc` (see [`metric_counter!`]).
+/// Metric names are dot-separated paths (`"oodb.store.mutations"`). Lookup
+/// takes a read lock; hot call sites should cache the returned `Arc` (see
+/// [`metric_counter!`](crate::metric_counter)).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -314,45 +298,6 @@ impl MetricsSnapshot {
         }
         out.push_str("\n  }\n}\n");
         out
-    }
-}
-
-impl MetricsSnapshot {
-    /// The movement between `earlier` and `self`: counters as saturating
-    /// differences, histograms as per-bucket/count/sum saturating
-    /// differences. Names absent from `earlier` keep their full value, so
-    /// tests can assert on exactly the counters their own work moved
-    /// without cross-test contamination from the process-wide registry.
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, &v)| {
-                    (
-                        k.clone(),
-                        v.saturating_sub(earlier.counters.get(k).copied().unwrap_or(0)),
-                    )
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    let d = match earlier.histograms.get(k) {
-                        Some(e) => HistogramSnapshot {
-                            count: h.count.saturating_sub(e.count),
-                            sum: h.sum.saturating_sub(e.sum),
-                            buckets: std::array::from_fn(|i| {
-                                h.buckets[i].saturating_sub(e.buckets[i])
-                            }),
-                        },
-                        None => h.clone(),
-                    };
-                    (k.clone(), d)
-                })
-                .collect(),
-        }
     }
 }
 
@@ -614,27 +559,6 @@ pub fn slow_queries() -> &'static SlowQueryLog {
     GLOBAL.get_or_init(SlowQueryLog::default)
 }
 
-/// Quotes and escapes a string for JSON.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The process-wide counter named by the literal, resolved once per call
 /// site and cached in a `OnceLock` — steady-state cost is one relaxed
 /// `fetch_add`, no locking.
@@ -648,7 +572,7 @@ macro_rules! metric_counter {
 }
 
 /// The process-wide histogram named by the literal, cached per call site
-/// like [`metric_counter!`].
+/// like [`metric_counter!`](crate::metric_counter). Only the [`crate::event`] table records one.
 #[macro_export]
 macro_rules! metric_histogram {
     ($name:expr) => {{
@@ -727,27 +651,6 @@ mod tests {
     #[test]
     fn json_escapes_strings() {
         assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
-    fn delta_since_isolates_counter_movement() {
-        let r = MetricsRegistry::new();
-        r.counter("a").add(10);
-        r.counter("b").add(1);
-        r.histogram("h_ns").record(200);
-        let before = r.snapshot();
-        r.counter("a").add(5);
-        r.counter("c").add(7); // born after the baseline
-        r.histogram("h_ns").record(200);
-        r.histogram("h_ns").record(5_000);
-        let delta = r.snapshot().delta_since(&before);
-        assert_eq!(delta.counters["a"], 5);
-        assert_eq!(delta.counters["b"], 0);
-        assert_eq!(delta.counters["c"], 7);
-        let h = &delta.histograms["h_ns"];
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 5_200);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 2);
     }
 
     #[test]

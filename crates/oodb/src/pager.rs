@@ -355,7 +355,8 @@ impl SnapshotImage {
 /// Writes `image` as the snapshot of the database directory `dir`,
 /// atomically (temp file → fsync → rename → directory fsync).
 pub fn write_snapshot(dir: &Path, image: &SnapshotImage) -> Result<()> {
-    let mut span = crate::span!("checkpoint.write", version = image.store_version);
+    let mut write = crate::event::Event::CheckpointWrite.open();
+    write.field("version", image.store_version);
     let body = image.encode();
     let pages: Vec<&[u8]> = if body.is_empty() {
         Vec::new()
@@ -397,9 +398,9 @@ pub fn write_snapshot(dir: &Path, image: &SnapshotImage) -> Result<()> {
     if let Ok(d) = fs::File::open(dir) {
         let _ = d.sync_all();
     }
-    crate::metric_counter!("checkpoint.writes").inc();
-    span.field("bytes", body.len());
-    span.field("pages", pages.len());
+    write.field("bytes", body.len());
+    write.field("pages", pages.len());
+    write.close(1);
     Ok(())
 }
 

@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use crate::durable::DurableCore;
 use crate::error::{OodbError, Result};
+use crate::event::Event;
 use crate::ids::{ClassId, Oid};
 use crate::index::{self, IndexSet, Postings};
 use crate::value::Tuple;
@@ -344,28 +345,35 @@ impl Store {
         attr: crate::Symbol,
         value: &crate::Value,
     ) -> Option<Vec<Oid>> {
-        let mut span = crate::span!("store.index_lookup", attr = attr);
-        crate::metric_counter!("oodb.index.lookups").inc();
+        let mut lookup = Event::IndexLookup.open();
+        lookup.field("attr", attr);
         // Injected fault = forced index miss: callers already treat `None`
         // as "no index, scan instead", so degradation is exercised for free.
-        if crate::faults::hit("store.index_lookup").is_err() {
-            span.field("outcome", "injected_miss");
-            return None;
-        }
-        let index = self.indexes.get(class, attr)?;
-        let hits = index.get(value, || self.build_index(class, attr));
-        crate::metric_counter!("oodb.index.hits").inc();
-        span.field("hits", hits.len());
-        Some(hits)
+        let hits = if crate::faults::hit("store.index_lookup").is_err() {
+            lookup.field("outcome", "injected_miss");
+            None
+        } else {
+            self.indexes.get(class, attr).map(|index| {
+                let hits = index.get(value, || self.build_index(class, attr));
+                crate::metric_counter!("oodb.index.hits").inc();
+                lookup.field("hits", hits.len());
+                hits
+            })
+        };
+        lookup.close(1);
+        hits
     }
 
     /// The map of the index on `(class, attr)`, from the extent as it is.
     fn build_index(&self, class: ClassId, attr: crate::Symbol) -> Postings {
         let rows = self.extent_len(class);
-        let _span = crate::span!("store.index_build", class = u64::from(class.0), rows = rows);
-        crate::metric_counter!("oodb.index.builds").inc();
+        let mut build = Event::IndexBuild.open();
+        build.field("class", u64::from(class.0));
+        build.field("rows", rows);
         let objects = self.extent(class).filter_map(|oid| self.objects.get(oid));
-        index::build(attr, rows, objects)
+        let postings = index::build(attr, rows, objects);
+        build.close(1);
+        postings
     }
 
     /// The oids changed (created, updated, or removed) after `version`, or

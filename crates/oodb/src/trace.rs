@@ -283,8 +283,9 @@ impl TraceRecorder {
     }
 
     /// Sets the per-thread ring capacity for threads registered *after*
-    /// this call (existing rings keep theirs). Mainly for tests.
-    pub fn set_thread_capacity(&self, capacity: usize) {
+    /// this call (existing rings keep theirs).
+    #[cfg(test)]
+    fn set_thread_capacity(&self, capacity: usize) {
         self.thread_capacity
             .store(capacity.max(1), Ordering::Relaxed);
     }
@@ -426,7 +427,7 @@ fn push_sep(out: &mut String, first: &mut bool) {
 }
 
 /// Quotes and escapes a string for JSON.
-fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -535,9 +536,13 @@ impl SpanGuard {
         self.0.is_some()
     }
 
-    /// This span's id, or 0 when inert.
-    pub fn id(&self) -> u64 {
-        self.0.as_ref().map_or(0, |o| o.id)
+    /// Closes the span now with `dur_ns` as its duration. A site that times
+    /// the same scope for another surface — a histogram, an EXPLAIN stage —
+    /// hands in that one reading, so the span and the surface agree.
+    pub fn finish(mut self, dur_ns: u64) {
+        if let Some(open) = self.0.take() {
+            open.record(dur_ns);
+        }
     }
 }
 
@@ -545,51 +550,31 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(open) = self.0.take() else { return };
         let dur_ns = open.start.elapsed().as_nanos() as u64;
+        open.record(dur_ns);
+    }
+}
+
+impl OpenSpan {
+    /// Completes the span with `dur_ns` and emits it into this thread's ring.
+    fn record(self, dur_ns: u64) {
         with_state(|s| {
             // Pop this span (and anything leaked above it, defensively).
             while let Some(top) = s.open.pop() {
-                if top == open.id {
+                if top == self.id {
                     break;
                 }
             }
             s.ring.emit(SpanRecord {
-                id: open.id,
-                parent: open.parent,
-                name: open.name,
+                id: self.id,
+                parent: self.parent,
+                name: self.name,
                 thread: s.ring.ordinal,
-                start_ns: open.start_ns,
+                start_ns: self.start_ns,
                 dur_ns,
-                fields: open.fields,
+                fields: self.fields,
             });
         });
     }
-}
-
-/// Records an already-measured span (used to bridge externally timed
-/// events — e.g. the query layer's population traces — into the
-/// recorder). The parent is the innermost span currently open on this
-/// thread. No-op when tracing is disabled.
-pub fn emit_complete(name: &'static str, start_ns: u64, dur_ns: u64, fields: &[Field]) {
-    if !enabled() {
-        return;
-    }
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let mut arr: [Option<Field>; MAX_FIELDS] = [None; MAX_FIELDS];
-    for (slot, f) in arr.iter_mut().zip(fields.iter()) {
-        *slot = Some(*f);
-    }
-    with_state(|s| {
-        let parent = s.open.last().copied().unwrap_or(0);
-        s.ring.emit(SpanRecord {
-            id,
-            parent,
-            name,
-            thread: s.ring.ordinal,
-            start_ns,
-            dur_ns,
-            fields: arr,
-        });
-    });
 }
 
 /// Opens a [`SpanGuard`] over the rest of the enclosing scope:
@@ -686,9 +671,10 @@ mod tests {
             for _ in 0..1_000 {
                 let g = span!("test.disabled", n = 1u64);
                 assert!(!g.is_recording());
-                assert_eq!(g.id(), 0);
             }
-            emit_complete("test.disabled_complete", 0, 1, &[]);
+            let mut event = crate::event::Event::Population.open();
+            event.field("n", 1u64);
+            assert!(!event.is_recording());
         })
         .join()
         .unwrap();
@@ -832,30 +818,5 @@ mod tests {
         assert!(line.starts_with("{\"dur_ns\""));
         assert!(line.find("\"a\":").unwrap() < line.find("\"z\":").unwrap());
         assert_eq!(line.matches('{').count(), line.matches('}').count());
-    }
-
-    #[test]
-    fn emit_complete_uses_open_parent() {
-        let _guard = test_lock();
-        set_enabled(true);
-        let spans = spans_of(|| {
-            let outer = span!("test.bridge_outer");
-            emit_complete(
-                "test.bridge",
-                recorder().now_ns(),
-                1_234,
-                &[("rows", FieldValue::U64(7))],
-            );
-            drop(outer);
-        });
-        set_enabled(false);
-        let outer = spans
-            .iter()
-            .find(|s| s.name == "test.bridge_outer")
-            .unwrap();
-        let bridged = spans.iter().find(|s| s.name == "test.bridge").unwrap();
-        assert_eq!(bridged.parent, outer.id);
-        assert_eq!(bridged.dur_ns, 1_234);
-        assert_eq!(bridged.sorted_fields(), vec![("rows", FieldValue::U64(7))]);
     }
 }

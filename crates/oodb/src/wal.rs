@@ -47,6 +47,7 @@ use std::path::{Path, PathBuf};
 
 use crate::codec::{self, crc32, Reader, Writer};
 use crate::error::{OodbError, Result};
+use crate::event::Event;
 use crate::ids::{ClassId, Oid};
 use crate::schema::AttrDef;
 use crate::symbol::Symbol;
@@ -506,7 +507,8 @@ impl Wal {
     /// before the error — simulating a crash mid-write; the torn bytes are
     /// truncated away on the next open.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64> {
-        let mut span = crate::span!("wal.append", lsn = self.next_lsn);
+        let mut append = Event::WalAppend.open();
+        append.field("lsn", self.next_lsn);
         crate::failpoint!("wal.append");
         let lsn = self.next_lsn;
         let mut body = Writer::new();
@@ -525,7 +527,7 @@ impl Wal {
             let _ = self.file.write_all(&frame[..cut]);
             let _ = self.file.flush();
             self.bytes += cut as u64;
-            span.field("outcome", "torn_write");
+            append.field("outcome", "torn_write");
             return Err(OodbError::Io {
                 context: "wal append".to_string(),
                 message: "injected torn write".to_string(),
@@ -539,8 +541,8 @@ impl Wal {
         self.unsynced += 1;
         self.records_since_reset += 1;
         self.bytes += frame.len() as u64;
-        crate::metric_counter!("wal.appends").inc();
-        span.field("bytes", frame.len());
+        append.field("bytes", frame.len());
+        append.close(1);
         Ok(lsn)
     }
 
@@ -567,12 +569,11 @@ impl Wal {
             return Ok(());
         }
         crate::failpoint!("wal.fsync");
-        let t0 = std::time::Instant::now();
+        let fsync = Event::WalFsync.open();
         self.file
             .sync_data()
             .map_err(|e| OodbError::io("wal fsync", e))?;
-        crate::metric_histogram!("wal_fsync_ns").record(t0.elapsed().as_nanos() as u64);
-        crate::metric_counter!("wal.fsyncs").inc();
+        fsync.close(1);
         self.unsynced = 0;
         Ok(())
     }

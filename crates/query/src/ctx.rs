@@ -7,11 +7,12 @@
 //! below read the bracket. All of it lives here, in one [`ExecCtx`] behind
 //! the crate's one `thread_local!`: the engine and planner overrides, the
 //! budget, the trace collector (population events and the planner's
-//! decision) and the open actuals frame. The public entry points keep their
-//! homes — [`crate::with_engine_mode`], [`crate::with_planner`],
+//! decision), the open population request's scans and the open actuals
+//! frame. The public entry points keep their homes —
+//! [`crate::with_engine_mode`], [`crate::with_planner`],
 //! [`crate::budget::with`], [`crate::plan::collect`],
-//! [`crate::plan::with_scan_actuals`] — and are each a [`scoped`] call on
-//! one field.
+//! [`crate::plan::population_scans`], [`crate::plan::with_scan_actuals`] —
+//! and are each a [`scoped`] call on one field.
 //!
 //! Two rules hold for every field alike:
 //!
@@ -34,7 +35,7 @@ use std::sync::Arc;
 
 use crate::budget::Budget;
 use crate::compile::EngineMode;
-use crate::plan::{Collector, ScanActuals};
+use crate::plan::{Collector, ScanActuals, ScanEvent};
 
 /// One thread's execution context. Every field is the *innermost* open
 /// scope's value; the enclosing scopes' values wait in their [`scoped`]
@@ -48,6 +49,9 @@ pub(crate) struct ExecCtx {
     pub budget: Option<Arc<Budget>>,
     /// The open trace collector ([`crate::plan::collect`]).
     pub collector: Option<Collector>,
+    /// The innermost population request's scans, while a collector is open
+    /// ([`crate::plan::population_scans`]).
+    pub scans: Option<Vec<ScanEvent>>,
     /// The open actuals frame ([`crate::plan::with_scan_actuals`]).
     pub actuals: Option<ScanActuals>,
 }
@@ -59,6 +63,7 @@ impl ExecCtx {
             planner: None,
             budget: None,
             collector: None,
+            scans: None,
             actuals: None,
         }
     }

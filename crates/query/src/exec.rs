@@ -482,7 +482,6 @@ pub(crate) fn dispatch(
     e: &Expr,
 ) -> (Result<Value>, crate::plan::Engine) {
     use crate::plan::Engine;
-    let _exec = ov_oodb::span!("query.execute");
     match crate::compile::try_run_compiled(src, e) {
         Some(r) => (r, Engine::Compiled),
         None => (eval_expr(src, e), Engine::Interpreted),
@@ -494,75 +493,50 @@ pub(crate) fn dispatch(
 /// log); pre-parsed callers pass `None` and the expression's rendering
 /// stands in.
 ///
-/// With the profiler on (and no EXPLAIN collecting) the run is bracketed by
-/// an actuals frame and the population collector so the workload registry
-/// learns the query's fingerprint, latency, rows, engine, and
-/// population-path mix — and the slow-query log captures a full annotated
-/// trace when the run crosses the threshold. Only successful runs are
-/// recorded.
+/// With the profiler on (and no EXPLAIN collecting) the statement runs
+/// observed ([`crate::plan::observed`]), and its close is recorded: the
+/// workload registry learns the query's fingerprint, latency, rows, engine,
+/// plan-cache outcome and population-path mix, and the slow-query log keeps
+/// the rendered trace when the run crosses the threshold. Only successful
+/// runs are recorded.
 fn run_parsed(src: &dyn crate::source::DataSource, e: &Expr, text: Option<&str>) -> Result<Value> {
-    use crate::plan::{self, Engine, QueryTrace, Stage};
-    let profiled = ov_oodb::metrics::profiling_enabled() && !plan::tracing_active();
-    if !profiled {
+    use crate::plan::{Engine, PopPath};
+    if !ov_oodb::metrics::profiling_enabled() || crate::plan::tracing_active() {
         // Fold constants before planning/execution so literals substituted
         // by parameterized-class instantiation feed selectivity estimation.
-        return dispatch(src, &crate::optimize::optimize_expr(e)).0;
+        let folded = crate::optimize::optimize_expr(e);
+        let _exec = ov_oodb::span!("query.execute");
+        return dispatch(src, &folded).0;
     }
-    let t0 = std::time::Instant::now();
-    let (fingerprint, normalized) = crate::fingerprint::fingerprint_expr(e);
-    let e = &crate::optimize::optimize_expr(e);
-    let (((value, engine), observed), actuals) =
-        plan::with_scan_actuals(|| plan::observe(|| dispatch(src, e)));
+    let (value, trace) = crate::plan::observed(src, e, Vec::new());
     let value = value?;
-    let nanos = t0.elapsed().as_nanos() as u64;
-
-    let rows = match &value {
-        Value::Set(s) => Some(s.len()),
-        Value::List(l) => Some(l.len()),
-        _ => None,
-    };
-    let entry = ov_oodb::metrics::workload().entry(&fingerprint, &normalized);
+    let nanos = trace.stages.iter().map(|s| s.nanos).sum();
+    let entry = ov_oodb::metrics::workload().entry(&trace.fingerprint, &trace.normalized);
     entry.calls.inc();
-    entry.rows.add(rows.unwrap_or(0) as u64);
+    entry.rows.add(trace.rows.unwrap_or(0) as u64);
     entry.latency.record(nanos);
-    match engine {
-        Engine::Compiled => entry.compiled.inc(),
-        Engine::Interpreted => entry.interpreted.inc(),
+    match trace.engine {
+        Some(Engine::Compiled) => entry.compiled.inc(),
+        _ => entry.interpreted.inc(),
     }
-    if let Some(d) = &observed.decision {
-        if d.cache_hit {
-            entry.plan_cache_hits.inc();
-        } else {
-            entry.plan_cache_misses.inc();
-        }
+    match &trace.planner {
+        Some(p) if p.cache_hit => entry.plan_cache_hits.inc(),
+        Some(_) => entry.plan_cache_misses.inc(),
+        None => {}
     }
-    for p in &observed.events {
+    for p in &trace.populations {
         match &p.path {
-            plan::PopPath::CacheHit => entry.pop_cache_hits.inc(),
-            plan::PopPath::Delta { .. } => entry.pop_deltas.inc(),
-            plan::PopPath::FullRecompute { .. } => entry.pop_recomputes.inc(),
-            plan::PopPath::StaleServe { .. } => entry.pop_stale_serves.inc(),
+            PopPath::CacheHit => entry.pop_cache_hits.inc(),
+            PopPath::Delta { .. } => entry.pop_deltas.inc(),
+            PopPath::FullRecompute { .. } => entry.pop_recomputes.inc(),
+            PopPath::StaleServe { .. } => entry.pop_stale_serves.inc(),
         }
     }
     let log = ov_oodb::metrics::slow_queries();
     if nanos >= log.threshold_ns() {
-        let trace = QueryTrace {
-            stages: vec![Stage {
-                name: "execute",
-                nanos,
-                detail: format!("engine={engine}"),
-            }],
-            populations: observed.events,
-            rows,
-            actuals,
-            engine: Some(engine),
-            fingerprint: fingerprint.clone(),
-            normalized,
-            planner: observed.decision.map(plan::PlanChoice::from),
-        };
         log.record(ov_oodb::metrics::SlowQuery {
-            query: text.map(str::to_string).unwrap_or_else(|| e.to_string()),
-            fingerprint,
+            query: text.map_or_else(|| e.to_string(), str::to_owned),
+            fingerprint: trace.fingerprint.clone(),
             nanos,
             trace: trace.to_string(),
         });

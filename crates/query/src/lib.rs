@@ -62,8 +62,8 @@ pub use parallel::{
 };
 pub use parser::{parse_expr, parse_program, parse_select, parse_type};
 pub use plan::{
-    run_query_traced, Engine, PlanChoice, PopOutcome, PopPath, PopulationTrace, QueryTrace,
-    ScanActuals, ScanEvent, ScanKind, Stage,
+    run_query_traced, Engine, PlanChoice, PopPath, PopulationTrace, QueryTrace, ScanActuals,
+    ScanEvent, ScanKind, Stage,
 };
 pub use planner::{
     clear_plan_cache, estimate_select, planner_enabled, with_planner, Decision as PlanDecision,

@@ -1,30 +1,28 @@
 //! Plan introspection and structured tracing (the `EXPLAIN` substrate).
 //!
-//! PR 1 gave population requests three resolution paths — cache hit, delta
-//! update from the store's change journal, full recompute — plus parallel
-//! scans and index pushdown inside a recompute. Nothing reported *which*
-//! path fired. This module is the record of that decision: the view layer
-//! emits [`PopulationTrace`] events through a thread-local collector while
-//! it evaluates, and [`run_query_traced`] wraps a query with per-stage
-//! timings ([`Stage`]) plus every population event the evaluation triggered.
+//! A population request resolves by one of three paths — cache hit, delta
+//! update from the store's change journal, full recompute — and a recompute
+//! runs its include-term scans sequentially, split across workers, or from
+//! an index. This module is the record of those decisions: the view layer
+//! closes each scan and each population request into the thread's
+//! collector ([`record_scan`], [`record_population`]), and a statement's
+//! observed run ([`run_query_traced`], the profiler) closes with per-stage
+//! timings ([`Stage`]) plus every population event it triggered.
 //!
 //! The collector is ambient on purpose: population happens deep inside
 //! `DataSource::deep_extent` calls whose signatures know nothing about
-//! tracing, and threading a context through every evaluator frame would
-//! infect the whole query layer. Instead, the explaining caller brackets
-//! the work with [`collect`], and the view layer calls
-//! [`begin_population`] / [`record_scan_est`] / [`end_population`] at the
-//! decision points. The collector and the open actuals frame are fields of
-//! the thread's one execution context (`ctx.rs`). When no collector is
-//! installed every hook is a cheap thread-local read followed by a no-op,
-//! so the untraced hot path stays untraced. Worker threads spawned *inside*
-//! a traced evaluation (parallel scans) do not see the parent's collector —
-//! the chunk count is recorded by the coordinating thread, which is the one
-//! making the plan decision.
+//! tracing. The explaining caller brackets the work with [`collect`]; a
+//! population request runs inside [`population_scans`], which gives its
+//! scans a frame of their own. The collector, the open scan frame and the
+//! open actuals frame are fields of the thread's one execution context
+//! (`ctx.rs`). With no collector installed every record is a thread-local
+//! read and a no-op. Worker threads of a parallel scan do not see the
+//! collector: the coordinating thread makes the plan decision and records
+//! the scan.
 
 use std::fmt;
 
-use ov_oodb::Symbol;
+use ov_oodb::{Expr, Symbol, Value};
 
 use crate::ctx;
 use crate::error::Result;
@@ -221,26 +219,6 @@ impl fmt::Display for PopPath {
     }
 }
 
-/// The path outcome the view layer reports to [`end_population`]; the
-/// collector grafts the recorded scans onto `FullRecompute` itself.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PopOutcome {
-    /// See [`PopPath::CacheHit`].
-    CacheHit,
-    /// See [`PopPath::Delta`].
-    Delta {
-        /// Number of changed oids re-tested.
-        retested: usize,
-    },
-    /// See [`PopPath::FullRecompute`].
-    FullRecompute,
-    /// See [`PopPath::StaleServe`].
-    StaleServe {
-        /// Failed recompute attempts before the stale fallback.
-        attempts: u32,
-    },
-}
-
 /// One population request: which class, which path, how many members, how
 /// long.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -387,21 +365,14 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// One in-flight population frame: the scans recorded since its
-/// [`begin_population`].
-type ScanFrame = Vec<ScanEvent>;
-
 /// What one [`collect`] scope observed.
 #[derive(Default)]
 pub(crate) struct Collector {
     /// Population events, in completion order.
-    pub(crate) events: Vec<PopulationTrace>,
+    events: Vec<PopulationTrace>,
     /// The decision of the planned query that ran in the scope
     /// ([`note_decision`]).
-    pub(crate) decision: Option<Decision>,
-    /// Stack of open population frames (populations can nest when a view
-    /// body mentions another virtual class).
-    frames: Vec<ScanFrame>,
+    decision: Option<Decision>,
 }
 
 /// Folds measured work counters into the innermost open actuals frame.
@@ -458,54 +429,32 @@ fn collecting(f: impl FnOnce(&mut Collector)) {
     });
 }
 
-/// Opens a population frame. Every call must be paired with exactly one
-/// [`end_population`] or [`abort_population`]. No-op without a collector.
-pub fn begin_population() {
-    collecting(|col| col.frames.push(Vec::new()));
+/// Runs `f`, one population request, with a scan frame of its own when a
+/// collector is open, and returns `f`'s result with the scans recorded into
+/// the frame ([`record_scan`]), in order. The enclosing request's frame is
+/// innermost again afterwards, on unwind too.
+pub fn population_scans<R>(f: impl FnOnce() -> R) -> (R, Vec<ScanEvent>) {
+    if !tracing_active() {
+        return (f(), Vec::new());
+    }
+    let (r, scans) = ctx::scoped(|c| &mut c.scans, Some(Vec::new()), f);
+    (r, scans.unwrap_or_default())
 }
 
-/// Records how an include-term scan of the current population frame was
-/// executed, together with what it measured and the planner's row estimate
-/// for it when one was produced. No-op without a collector or an open
-/// frame.
-pub fn record_scan_est(kind: ScanKind, actuals: ScanActuals, est_rows: Option<u64>) {
-    collecting(|col| {
-        if let Some(frame) = col.frames.last_mut() {
-            frame.push(ScanEvent {
-                kind,
-                actuals,
-                est_rows,
-            });
+/// Records a closed include-term scan in the innermost population frame.
+/// No-op without one.
+pub fn record_scan(scan: ScanEvent) {
+    ctx::with(|c| {
+        if let Some(frame) = &mut c.scans {
+            frame.push(scan);
         }
     });
 }
 
-/// Closes the current population frame as `outcome` and emits its event.
-/// No-op without a collector.
-pub fn end_population(class: Symbol, outcome: PopOutcome, rows: usize, nanos: u64) {
-    collecting(|col| {
-        let scans = col.frames.pop().unwrap_or_default();
-        let path = match outcome {
-            PopOutcome::CacheHit => PopPath::CacheHit,
-            PopOutcome::Delta { retested } => PopPath::Delta { retested },
-            PopOutcome::FullRecompute => PopPath::FullRecompute { scans },
-            PopOutcome::StaleServe { attempts } => PopPath::StaleServe { attempts },
-        };
-        col.events.push(PopulationTrace {
-            class,
-            path,
-            rows,
-            nanos,
-        });
-    });
-}
-
-/// Closes the current population frame without emitting an event (the
-/// population failed). No-op without a collector.
-pub fn abort_population() {
-    collecting(|col| {
-        col.frames.pop();
-    });
+/// Records a closed population request in the open collector. No-op
+/// without one.
+pub fn record_population(population: PopulationTrace) {
+    collecting(|col| col.events.push(population));
 }
 
 /// Notes the decision of the planned query that just ran. No-op without a
@@ -525,7 +474,7 @@ pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Vec<PopulationTrace>) {
 
 /// [`collect`], returning everything the collector observed: the population
 /// events and the planner's decision.
-pub(crate) fn observe<R>(f: impl FnOnce() -> R) -> (R, Collector) {
+fn observe<R>(f: impl FnOnce() -> R) -> (R, Collector) {
     let (r, collector) = ctx::scoped(|c| &mut c.collector, Some(Collector::default()), f);
     (r, collector.unwrap_or_default())
 }
@@ -535,74 +484,87 @@ pub(crate) fn observe<R>(f: impl FnOnce() -> R) -> (R, Collector) {
 /// timings and every population event execution triggered. Typecheck
 /// failure is recorded in the trace but does not abort the run (the
 /// evaluator is dynamically typed, matching `run_query`).
-pub fn run_query_traced(src: &dyn DataSource, query: &str) -> Result<(ov_oodb::Value, QueryTrace)> {
-    use std::time::Instant;
+pub fn run_query_traced(src: &dyn DataSource, query: &str) -> Result<(Value, QueryTrace)> {
     let _span = ov_oodb::span!("query.run");
-    let mut trace = QueryTrace::default();
-
-    let t0 = Instant::now();
-    let expr = {
-        let _s = ov_oodb::span!("query.parse");
-        crate::parser::parse_expr(query)?
+    let mut stages = Vec::new();
+    let parse = || crate::parser::parse_expr(query);
+    let expr = stage(&mut stages, "query.parse", parse, |e| {
+        e.as_ref().map_or_else(|_| String::new(), Expr::to_string)
+    })?;
+    let infer = || match crate::typecheck::infer_expr(src, &expr) {
+        Ok(t) => format!("{t:?}"),
+        Err(e) => format!("error: {e}"),
     };
-    trace.stages.push(Stage {
-        name: "parse",
-        nanos: t0.elapsed().as_nanos() as u64,
-        detail: expr.to_string(),
-    });
+    stage(&mut stages, "query.typecheck", infer, String::clone);
+    let (value, trace) = observed(src, &expr, stages);
+    Ok((value?, trace))
+}
 
-    let t0 = Instant::now();
-    let detail = {
-        let _s = ov_oodb::span!("query.typecheck");
-        match crate::typecheck::infer_expr(src, &expr) {
-            Ok(t) => format!("{t:?}"),
-            Err(e) => format!("error: {e}"),
-        }
-    };
-    trace.stages.push(Stage {
-        name: "typecheck",
-        nanos: t0.elapsed().as_nanos() as u64,
-        detail,
-    });
-
-    let t0 = Instant::now();
-    let optimized = {
-        let _s = ov_oodb::span!("query.optimize");
-        crate::optimize::optimize_expr(&expr)
-    };
-    trace.stages.push(Stage {
-        name: "optimize",
-        nanos: t0.elapsed().as_nanos() as u64,
-        detail: if optimized == expr {
+/// Runs the statement `e` observed, after the `stages` its caller already
+/// ran, and closes it into the one [`QueryTrace`] every consumer reads:
+/// EXPLAIN renders it, the profiler records it in the workload registry and
+/// the slow-query log. The folded statement goes through the same engine
+/// dispatch as an unobserved run, inside an actuals frame and a collector,
+/// so observing changes neither the answer nor the budget charges.
+pub(crate) fn observed(
+    src: &dyn DataSource,
+    e: &Expr,
+    mut stages: Vec<Stage>,
+) -> (Result<Value>, QueryTrace) {
+    let (fingerprint, normalized) = crate::fingerprint::fingerprint_expr(e);
+    let fold = || crate::optimize::optimize_expr(e);
+    let folded = stage(&mut stages, "query.optimize", fold, |f| {
+        if f == e {
             "(unchanged)".to_owned()
         } else {
-            optimized.to_string()
-        },
+            f.to_string()
+        }
     });
-
-    let (fp, normalized) = crate::fingerprint::fingerprint_expr(&expr);
-    trace.fingerprint = fp;
-    trace.normalized = normalized;
-
-    let t0 = Instant::now();
-    let (((value, engine), observed), actuals) =
-        with_scan_actuals(|| observe(|| crate::exec::dispatch(src, &optimized)));
-    trace.stages.push(Stage {
-        name: "execute",
-        nanos: t0.elapsed().as_nanos() as u64,
-        detail: format!("engine={engine}"),
-    });
-    trace.populations = observed.events;
-    trace.actuals = actuals;
-    trace.engine = Some(engine);
-    trace.planner = observed.decision.map(PlanChoice::from);
-    let value = value?;
-    trace.rows = match &value {
-        ov_oodb::Value::Set(s) => Some(s.len()),
-        ov_oodb::Value::List(l) => Some(l.len()),
+    let run = || with_scan_actuals(|| observe(|| crate::exec::dispatch(src, &folded)));
+    let (((value, engine), collector), actuals) = stage(
+        &mut stages,
+        "query.execute",
+        run,
+        |(((_, engine), _), _)| format!("engine={engine}"),
+    );
+    let rows = match &value {
+        Ok(Value::Set(s)) => Some(s.len()),
+        Ok(Value::List(l)) => Some(l.len()),
         _ => None,
     };
-    Ok((value, trace))
+    let trace = QueryTrace {
+        stages,
+        populations: collector.events,
+        rows,
+        actuals,
+        engine: Some(engine),
+        fingerprint,
+        normalized,
+        planner: collector.decision.map(PlanChoice::from),
+    };
+    (value, trace)
+}
+
+/// Runs one stage of an observed statement under its span (`query.<stage>`)
+/// and notes it in `stages`: the span's own duration, and the detail
+/// `describe` renders from the stage's output.
+fn stage<T>(
+    stages: &mut Vec<Stage>,
+    span: &'static str,
+    run: impl FnOnce() -> T,
+    describe: impl FnOnce(&T) -> String,
+) -> T {
+    let guard = ov_oodb::span!(span);
+    let t0 = std::time::Instant::now();
+    let out = run();
+    let nanos = t0.elapsed().as_nanos() as u64;
+    guard.finish(nanos);
+    stages.push(Stage {
+        name: span.trim_start_matches("query."),
+        nanos,
+        detail: describe(&out),
+    });
+    out
 }
 
 #[cfg(test)]
@@ -626,31 +588,37 @@ mod tests {
         }
     }
 
+    /// Closes a population request of `class` the way the view layer does.
+    fn close(class: &str, path: PopPath, rows: usize) {
+        record_population(PopulationTrace {
+            class: sym(class),
+            path,
+            rows,
+            nanos: 1,
+        });
+    }
+
     #[test]
     fn hooks_are_noops_without_a_collector() {
         assert!(!tracing_active());
-        begin_population();
-        record_scan_est(seq(), ScanActuals::default(), None);
-        end_population(sym("X"), PopOutcome::FullRecompute, 0, 1);
-        abort_population();
-        // Nothing to observe: the point is simply that none of it panics.
+        let ((), scans) = population_scans(|| record_scan(ev(seq())));
+        assert!(scans.is_empty(), "no frame without a collector");
+        close("X", PopPath::FullRecompute { scans }, 0);
     }
 
     #[test]
     fn collect_captures_population_events() {
+        let parallel = ScanKind::Parallel {
+            chunks: 4,
+            engine: Engine::Compiled,
+        };
         let ((), events) = collect(|| {
             assert!(tracing_active());
-            begin_population();
-            record_scan_est(
-                ScanKind::Parallel {
-                    chunks: 4,
-                    engine: Engine::Compiled,
-                },
-                ScanActuals::default(),
-                None,
-            );
-            record_scan_est(seq(), ScanActuals::default(), None);
-            end_population(sym("Adult"), PopOutcome::FullRecompute, 12, 5_000);
+            let ((), scans) = population_scans(|| {
+                record_scan(ev(parallel.clone()));
+                record_scan(ev(seq()));
+            });
+            close("Adult", PopPath::FullRecompute { scans }, 12);
         });
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].class, sym("Adult"));
@@ -658,13 +626,7 @@ mod tests {
         assert_eq!(
             events[0].path,
             PopPath::FullRecompute {
-                scans: vec![
-                    ev(ScanKind::Parallel {
-                        chunks: 4,
-                        engine: Engine::Compiled
-                    }),
-                    ev(seq())
-                ]
+                scans: vec![ev(parallel), ev(seq())]
             }
         );
         assert!(!tracing_active());
@@ -672,30 +634,24 @@ mod tests {
 
     #[test]
     fn nested_frames_attach_scans_to_the_right_population() {
+        let index = ScanKind::IndexPushdown {
+            index: "Person.City".into(),
+            engine: Engine::Interpreted,
+        };
         let ((), events) = collect(|| {
-            begin_population(); // outer
-            record_scan_est(seq(), ScanActuals::default(), None);
-            begin_population(); // inner
-            record_scan_est(
-                ScanKind::IndexPushdown {
-                    index: "Person.City".into(),
-                    engine: Engine::Interpreted,
-                },
-                ScanActuals::default(),
-                None,
-            );
-            end_population(sym("Inner"), PopOutcome::FullRecompute, 1, 10);
-            end_population(sym("Outer"), PopOutcome::FullRecompute, 2, 20);
+            let ((), outer) = population_scans(|| {
+                record_scan(ev(seq()));
+                let ((), inner) = population_scans(|| record_scan(ev(index.clone())));
+                close("Inner", PopPath::FullRecompute { scans: inner }, 1);
+            });
+            close("Outer", PopPath::FullRecompute { scans: outer }, 2);
         });
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].class, sym("Inner"));
         assert_eq!(
             events[0].path,
             PopPath::FullRecompute {
-                scans: vec![ev(ScanKind::IndexPushdown {
-                    index: "Person.City".into(),
-                    engine: Engine::Interpreted,
-                })]
+                scans: vec![ev(index)]
             }
         );
         assert_eq!(
@@ -706,12 +662,24 @@ mod tests {
         );
     }
 
+    /// A failed request is not closed into the collector, and the frame a
+    /// panic unwinds out of is gone: the enclosing request takes what is
+    /// recorded next.
     #[test]
     fn abort_closes_a_frame_without_an_event() {
         let ((), events) = collect(|| {
-            begin_population();
-            record_scan_est(seq(), ScanActuals::default(), None);
-            abort_population();
+            let ((), outer) = population_scans(|| {
+                let ((), _failed) = population_scans(|| record_scan(ev(seq())));
+                let unwound = std::panic::catch_unwind(|| {
+                    population_scans(|| {
+                        record_scan(ev(seq()));
+                        panic!("boom")
+                    })
+                });
+                assert!(unwound.is_err());
+                record_scan(ev(seq()));
+            });
+            assert_eq!(outer, vec![ev(seq())]);
         });
         assert!(events.is_empty());
     }
@@ -771,16 +739,11 @@ mod tests {
     #[test]
     fn nested_collect_restores_the_outer_collector() {
         let ((), outer) = collect(|| {
-            begin_population();
-            end_population(sym("A"), PopOutcome::CacheHit, 1, 1);
-            let ((), inner) = collect(|| {
-                begin_population();
-                end_population(sym("B"), PopOutcome::CacheHit, 2, 2);
-            });
+            close("A", PopPath::CacheHit, 1);
+            let ((), inner) = collect(|| close("B", PopPath::CacheHit, 2));
             assert_eq!(inner.len(), 1);
             assert_eq!(inner[0].class, sym("B"));
-            begin_population();
-            end_population(sym("C"), PopOutcome::CacheHit, 3, 3);
+            close("C", PopPath::CacheHit, 3);
         });
         let classes: Vec<_> = outer.iter().map(|e| e.class).collect();
         assert_eq!(classes, vec![sym("A"), sym("C")]);
