@@ -16,9 +16,9 @@
 //! generalization** (`like B`): "group all classes whose type is at least
 //! as specific as the type of B".
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use ov_oodb::{ClassGraph, ClassId, Schema, Symbol, Type};
+use ov_oodb::{AttrDef, ClassGraph, ClassId, Schema, Symbol, Type};
 
 /// The inferred position of a new virtual class.
 #[derive(Debug, PartialEq)]
@@ -92,40 +92,37 @@ pub fn unit_of(schema: &Schema, constraints: &[ClassId]) -> Vec<ClassId> {
 
 /// Upward inheritance (§4.3): the attributes the virtual class acquires
 /// from its contributors. Returns `name → τ` for every zero-parameter
-/// attribute visible (and not hidden — the caller pre-filters) in **all**
-/// contributors whose types have a least upper bound. Attributes already
-/// provided by `parents` are skipped (ordinary downward inheritance already
-/// delivers them).
-pub fn upward_attrs(
+/// attribute visible in **all** contributors whose types have a least upper
+/// bound. `visible` is the caller's visible attribute set of a class — for a
+/// view, [`ov_oodb::resolve::visible_in`] under its hides and policy.
+/// Attributes already provided by `parents` are skipped (ordinary downward
+/// inheritance already delivers them).
+pub fn upward_attrs<'a>(
     schema: &Schema,
     contributors: &[ClassId],
     parents: &[ClassId],
-    hidden: &dyn Fn(ClassId, Symbol) -> bool,
+    visible: &dyn Fn(ClassId) -> BTreeMap<Symbol, (ClassId, &'a AttrDef)>,
 ) -> BTreeMap<Symbol, Type> {
     let mut out = BTreeMap::new();
     let Some((&first, rest)) = contributors.split_first() else {
         return out;
     };
-    'attrs: for (name, (def_in, def)) in schema.visible_attrs(first) {
-        if !def.sig.params.is_empty() || hidden(def_in, name) {
-            continue;
-        }
+    let provided: BTreeSet<Symbol> = parents
+        .iter()
+        .flat_map(|&p| visible(p).into_keys())
+        .collect();
+    let rest: Vec<_> = rest.iter().map(|&c| visible(c)).collect();
+    'attrs: for (name, (_, def)) in visible(first) {
         // Skip if a parent already provides it (standard inheritance).
-        if parents.iter().any(|&p| {
-            schema
-                .visible_attrs(p)
-                .get(&name)
-                .is_some_and(|(d, _)| !hidden(*d, name))
-        }) {
+        if !def.sig.params.is_empty() || provided.contains(&name) {
             continue;
         }
         let mut ty = def.sig.ty.clone();
-        for &c in rest {
-            let visible = schema.visible_attrs(c);
-            let Some((d, other)) = visible.get(&name) else {
+        for other in &rest {
+            let Some((_, other)) = other.get(&name) else {
                 continue 'attrs;
             };
-            if !other.sig.params.is_empty() || hidden(*d, name) {
+            if !other.sig.params.is_empty() {
                 continue 'attrs;
             }
             match ty.lub(&other.sig.ty, schema) {
@@ -175,7 +172,7 @@ pub fn conforms_to(schema: &Schema, c: ClassId, spec: ClassId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ov_oodb::{sym, AttrDef};
+    use ov_oodb::{resolve, sym, ConflictPolicy};
 
     fn navy() -> (Schema, ClassId, ClassId, ClassId, ClassId, ClassId) {
         let mut s = Schema::new();
@@ -283,12 +280,12 @@ mod tests {
         // "if Tanker and Trawler both have an attribute called Cargo, then
         // the class Merchant_Vessel will inherit it."
         let (s, ship, tanker, trawler, frigate, _) = navy();
-        let acquired = upward_attrs(&s, &[tanker, trawler], &[ship], &|_, _| false);
+        let acquired = upward_attrs(&s, &[tanker, trawler], &[ship], &|c| s.visible_attrs(c));
         assert_eq!(acquired.get(&sym("Cargo")), Some(&Type::Str));
         // Tonnage comes from the parent Ship, so it is not re-acquired.
         assert!(!acquired.contains_key(&sym("Tonnage")));
         // Armament is not common to tanker+trawler.
-        let none = upward_attrs(&s, &[tanker, frigate], &[ship], &|_, _| false);
+        let none = upward_attrs(&s, &[tanker, frigate], &[ship], &|c| s.visible_attrs(c));
         assert!(!none.contains_key(&sym("Cargo")));
         assert!(!none.contains_key(&sym("Armament")));
     }
@@ -302,15 +299,16 @@ mod tests {
         let b = s
             .add_class(sym("B"), &[], vec![AttrDef::stored(sym("X"), Type::Float)])
             .unwrap();
-        let acquired = upward_attrs(&s, &[a, b], &[], &|_, _| false);
+        let acquired = upward_attrs(&s, &[a, b], &[], &|c| s.visible_attrs(c));
         assert_eq!(acquired.get(&sym("X")), Some(&Type::Float));
     }
 
     #[test]
     fn hidden_attributes_do_not_upward_inherit() {
         let (s, ship, tanker, trawler, ..) = navy();
-        let hidden = |_c: ClassId, a: Symbol| a == sym("Cargo");
-        let acquired = upward_attrs(&s, &[tanker, trawler], &[ship], &hidden);
+        let unhidden = |_: ClassId, def: &AttrDef| def.sig.name != sym("Cargo");
+        let visible = |c| resolve::visible_in(&s, c, &unhidden, &ConflictPolicy::CreationOrder);
+        let acquired = upward_attrs(&s, &[tanker, trawler], &[ship], &visible);
         assert!(!acquired.contains_key(&sym("Cargo")));
     }
 

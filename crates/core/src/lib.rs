@@ -16,6 +16,7 @@
 //! | §4.1 specialization / generalization / behavioral | `class C includes …` with queries, class names, `like B` |
 //! | §4.1 parameterized classes | `class C(X) includes …`, [`View::instantiate`] |
 //! | §4.2 hierarchy inference (R1/R2) | [`infer::infer_position`] |
+//! | §4.2 upward resolution, one rule for typing and evaluation | [`ov_oodb::resolve`] |
 //! | §4.3 upward inheritance, schizophrenia | [`infer::upward_attrs`], [`ov_oodb::ConflictPolicy`] |
 //! | §5 imaginary objects | `class C includes imaginary (select …)` |
 //! | §5.1 identity tables | [`IdentityMode::Table`] (and the naive [`IdentityMode::Fresh`] baseline) |

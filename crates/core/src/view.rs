@@ -60,7 +60,7 @@ use parking_lot::RwLock;
 use ov_oodb::event::Event;
 use ov_oodb::ids::IMAGINARY_OID_BASE;
 use ov_oodb::{
-    AttrBody, AttrDef, AttrSig, ClassGraph, ClassId, ConflictPolicy, DbHandle, DurableCore, Expr,
+    resolve, AttrDef, AttrSig, ClassGraph, ClassId, ConflictPolicy, DbHandle, DurableCore, Expr,
     Oid, OodbError, Schema, SelectExpr, Symbol, System, Tuple, Type, Value,
 };
 use ov_query::{
@@ -829,19 +829,52 @@ impl View {
             })
     }
 
-    /// Is the definition of `attr` in (defining) class `def_in` hidden?
-    /// `hide attribute A in class C` hides the definitions of `A` "in class
-    /// C **and all its subclasses**" (§3).
-    fn is_hidden_attr(&self, def_in: ClassId, attr: Symbol, schema: &Schema) -> bool {
-        if self.body_depth() > 0 {
-            // Privileged: the view's own computed-attribute bodies see
-            // everything (Example 5 hides City/Street *after* defining the
-            // Address attribute over them).
-            return false;
+    /// The view's filter for the one resolution rule
+    /// ([`ov_oodb::resolve`]): a definition counts unless a hide covers it
+    /// — `hide attribute A in class C` hides the definitions of `A` "in
+    /// class C **and all its subclasses**" (§3) — and is not an abstract
+    /// signature, which counts only when `abstract_ok` (typing a virtual
+    /// class, [`Self::types_abstractly`]).
+    fn counts<'a>(
+        &'a self,
+        schema: &'a Schema,
+        abstract_ok: bool,
+    ) -> impl Fn(ClassId, &AttrDef) -> bool + 'a {
+        // Privileged: the view's own computed-attribute bodies see through
+        // hides (Example 5 hides City/Street *after* defining the Address
+        // attribute over them).
+        let hides: &[_] = if self.hidden_attrs.is_empty() || self.body_depth() > 0 {
+            &[]
+        } else {
+            &self.hidden_attrs
+        };
+        move |def_in, def| {
+            (abstract_ok || !def.is_abstract())
+                && !hides
+                    .iter()
+                    .any(|&(c, a)| a == def.sig.name && schema.is_subclass(def_in, c))
         }
-        self.hidden_attrs
-            .iter()
-            .any(|&(c, a)| a == attr && schema.is_subclass(def_in, c))
+    }
+
+    /// Does typing class `c` count abstract signatures? Only for a virtual
+    /// class: objects are real in imported or imaginary classes, which type
+    /// through the concrete definitions their objects evaluate.
+    fn types_abstractly(&self, c: ClassId) -> bool {
+        matches!(self.kinds.read().get(&c), Some(ClassKind::Virtual))
+    }
+
+    /// The definition of `name` for an object whose resolution starts at
+    /// `roots`, read through the view's rule: its hides, its conflict
+    /// policy, and body-depth privilege.
+    fn definition<'s>(
+        &self,
+        schema: &'s Schema,
+        roots: &[ClassId],
+        name: Symbol,
+        abstract_ok: bool,
+    ) -> ov_oodb::Result<(ClassId, &'s AttrDef)> {
+        let keep = self.counts(schema, abstract_ok);
+        resolve::resolve_in(schema, roots, name, &keep, &self.policy)
     }
 
     fn is_hidden_class(&self, c: ClassId) -> bool {
@@ -1739,61 +1772,6 @@ impl View {
         Ok(roots)
     }
 
-    /// Upward resolution of `name` from `roots` (an object's
-    /// [`View::membership_roots`]): among the classes above them that
-    /// define it — abstract signatures and hidden definitions do not count
-    /// — the most specific one, the conflict policy deciding among several.
-    fn defining_class(
-        &self,
-        schema: &Schema,
-        roots: &[ClassId],
-        name: Symbol,
-    ) -> ov_query::Result<ClassId> {
-        let mut defining: Vec<ClassId> = Vec::new();
-        for &root in roots {
-            for anc in ClassGraph::ancestors(schema, root) {
-                if let Some(def) = schema.class(anc).own_attr(name) {
-                    if !def.is_abstract() && !self.is_hidden_attr(anc, name, schema) {
-                        defining.push(anc);
-                    }
-                }
-            }
-        }
-        defining.sort();
-        defining.dedup();
-        if defining.is_empty() {
-            return Err(QueryError::from(OodbError::UnknownAttr {
-                class: schema.class(roots[0]).name,
-                attr: name,
-            }));
-        }
-        let minimal: Vec<ClassId> = defining
-            .iter()
-            .copied()
-            .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))
-            .collect();
-        Ok(match minimal.as_slice() {
-            [one] => *one,
-            several => match &self.policy {
-                ConflictPolicy::Error => {
-                    return Err(QueryError::from(OodbError::Schizophrenia {
-                        class: schema.class(roots[0]).name,
-                        attr: name,
-                        defined_in: several.iter().map(|&c| schema.class(c).name).collect(),
-                    }))
-                }
-                ConflictPolicy::CreationOrder => several[0],
-                ConflictPolicy::Priority(order) => order
-                    .iter()
-                    .find_map(|n| {
-                        let id = schema.class_by_name(*n)?;
-                        several.contains(&id).then_some(id)
-                    })
-                    .unwrap_or(several[0]),
-            },
-        })
-    }
-
     /// Is resolving `name` a function of `class` alone, for the virtual
     /// classes that exist right now? Only when no virtual class is relevant
     /// — otherwise membership in its population makes resolution
@@ -1839,45 +1817,33 @@ impl View {
         }
         let view_class = self.view_class_of(oid).map_err(ViewError::from)?;
         let schema = self.schema.read();
-        match schema.visible_attrs(view_class).get(&attr) {
-            Some((def_in, def)) => {
-                if self.is_hidden_attr(*def_in, attr, &schema) {
-                    return Err(ViewError::HiddenAttr {
-                        class: schema.class(view_class).name,
-                        attr,
-                    });
-                }
-                // A computed definition shadows any stored base attribute
-                // of the same name; forwarding the write would store a
-                // base value the view never reads back.
-                if !def.is_stored() {
-                    return Err(ViewError::ComputedAttrUpdate {
-                        class: schema.class(view_class).name,
-                        attr,
-                    });
-                }
+        let class = schema.class(view_class).name;
+        match self.definition(&schema, &[view_class], attr, false) {
+            // A computed definition shadows any stored base attribute of
+            // the same name; forwarding the write would store a base value
+            // the view never reads back.
+            Ok((_, def)) if !def.is_stored() => {
+                return Err(ViewError::ComputedAttrUpdate { class, attr })
             }
-            None => {
-                // The attribute has no visible definition here — but the
-                // write still reaches the base store below, so a hide must
-                // still block it. Without a definition site to test
-                // precisely, fall back to the subclass-closed name check
-                // (§3: a hide in C covers C and all its subclasses): any
-                // hide whose root is related to `view_class` suppresses
-                // the name along this object's resolution chain.
+            Ok(_) => {}
+            // No definition counts here — but the write still reaches the
+            // base store below, so a hide must still block it. Any hide
+            // whose root is related to `view_class` suppresses the name
+            // along this object's resolution chain (§3: a hide in C covers
+            // C and all its subclasses).
+            Err(OodbError::UnknownAttr { .. })
                 if self.body_depth() == 0
                     && self.hidden_attrs.iter().any(|&(c, a)| {
                         a == attr
                             && (schema.is_subclass(view_class, c)
                                 || schema.is_subclass(c, view_class))
-                    })
-                {
-                    return Err(ViewError::HiddenAttr {
-                        class: schema.class(view_class).name,
-                        attr,
-                    });
-                }
+                    }) =>
+            {
+                return Err(ViewError::HiddenAttr { class, attr })
             }
+            // Unknown here: the base store below says so.
+            Err(OodbError::UnknownAttr { .. }) => {}
+            Err(e) => return Err(e.into()),
         }
         drop(schema);
         for handle in &self.sources {
@@ -2091,16 +2057,8 @@ impl DataSource for View {
         let _span = ov_oodb::span!("view.resolve", attr = name);
         let roots = self.membership_roots(oid, Some(name))?;
         let schema = self.schema.read();
-        let chosen = self.defining_class(&schema, &roots, name)?;
-        let def = schema.class(chosen).own_attr(name).expect("defines it");
-        Ok(match &def.body {
-            AttrBody::Stored => ResolvedAttr::Stored,
-            AttrBody::Computed(body) => ResolvedAttr::Computed {
-                params: def.sig.params.iter().map(|(p, _)| *p).collect(),
-                body: body.clone(),
-            },
-            AttrBody::Abstract => unreachable!("abstract defs filtered above"),
-        })
+        let (_, def) = self.definition(&schema, &roots, name, false)?;
+        Ok(def.into())
     }
 
     fn stored_field(&self, oid: Oid, name: Symbol) -> ov_query::Result<Value> {
@@ -2170,8 +2128,8 @@ impl DataSource for View {
                         if self.is_hidden_class(d) && self.body_depth() == 0 {
                             return None;
                         }
-                        let def_in = self.defining_class(&schema, &[d], attr).ok()?;
-                        if !schema.class(def_in).own_attr(attr)?.is_stored() {
+                        let (_, def) = self.definition(&schema, &[d], attr, false).ok()?;
+                        if !def.is_stored() {
                             return None;
                         }
                         parts.push((d, *source, *orig));
@@ -2207,25 +2165,17 @@ impl DataSource for View {
     }
 
     fn attr_sig(&self, c: ClassId, name: Symbol) -> Option<AttrSig> {
+        let abstract_ok = self.types_abstractly(c);
         let schema = self.schema.read();
-        let (def_in, def) = *schema.visible_attrs(c).get(&name)?;
-        if self.is_hidden_attr(def_in, name, &schema) {
-            return None;
-        }
+        let (_, def) = self.definition(&schema, &[c], name, abstract_ok).ok()?;
         Some(def.sig.clone())
     }
 
     fn class_type(&self, c: ClassId) -> Type {
+        let abstract_ok = self.types_abstractly(c);
         let schema = self.schema.read();
-        let fields = schema
-            .visible_attrs(c)
-            .into_iter()
-            .filter(|(n, (def_in, def))| {
-                def.sig.params.is_empty() && !self.is_hidden_attr(*def_in, *n, &schema)
-            })
-            .map(|(n, (_, def))| (n, def.sig.ty.clone()))
-            .collect();
-        Type::Tuple(fields)
+        let keep = self.counts(&schema, abstract_ok);
+        resolve::class_type_in(&schema, c, &keep, &self.policy)
     }
 
     fn apply(&self, name: Symbol, args: &[Value]) -> ov_query::Result<Value> {

@@ -591,20 +591,14 @@ impl View {
             v.dedup();
             v
         };
-        // Pre-expand the hide list: (C, a) hides the definition of `a` in C
-        // and every subclass of C. Expanded here (read borrow) because the
-        // upward-inheritance closure below runs under the mutable borrow.
-        let hidden_expanded: HashSet<(ClassId, Symbol)> = {
-            let schema = self.schema.read();
-            self.hidden_attrs
-                .iter()
-                .flat_map(|&(hc, a)| {
-                    let mut v = vec![(hc, a)];
-                    v.extend(schema.strict_descendants(hc).into_iter().map(|d| (d, a)));
-                    v
-                })
-                .collect()
-        };
+        // Which contributors and parents (all drawn from the units) type
+        // through abstract signatures, read before the schema lock is taken.
+        let virtuals: HashSet<ClassId> = units
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&c| self.types_abstractly(c))
+            .collect();
         // Position by R1/R2 and create the class.
         let class_id = {
             let mut schema = self.schema.write();
@@ -622,13 +616,13 @@ impl View {
             for &sub in &pos.new_subclasses {
                 schema.add_superclass(sub, id)?;
             }
-            // Upward inheritance (§4.3) over all contributors.
-            let acquired = upward_attrs(
-                &schema,
-                &contributors,
-                &pos.parents,
-                &|def_in: ClassId, attr: Symbol| hidden_expanded.contains(&(def_in, attr)),
-            );
+            // Upward inheritance (§4.3) over all contributors, each typed
+            // through the view's own rule.
+            let visible = |c| {
+                let keep = self.counts(&schema, virtuals.contains(&c));
+                resolve::visible_in(&schema, c, &keep, &self.policy)
+            };
+            let acquired = upward_attrs(&schema, &contributors, &pos.parents, &visible);
             for (attr_name, ty) in acquired {
                 if schema.class(id).own_attr(attr_name).is_none() {
                     schema.add_attr(id, AttrDef::abstract_sig(attr_name, ty))?;

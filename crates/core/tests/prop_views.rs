@@ -6,6 +6,8 @@
 //! * specialization populations always agree with re-filtering the base;
 //! * hiding an attribute makes it unreachable from every user query path;
 //! * hierarchy inference produces an acyclic hierarchy respecting R1/R2;
+//! * static typing names the definition evaluation reads, over random
+//!   multiple inheritance, hides and conflict policies;
 //! * an equality index never changes an answer: probes and
 //!   equality-defined populations agree across planner on / planner off /
 //!   interpreter / no indexes, whatever overrides, hides, virtual-class
@@ -20,7 +22,7 @@
 //!   same population, same core tuples, same identity table.
 
 use ov_oodb::{sym, ClassId, Database, Oid, OodbError, Symbol, System, Type, Value};
-use ov_query::{Budget, DataSource, EngineMode, ParallelConfig, PopPath, QueryError};
+use ov_query::{Budget, DataSource, EngineMode, ParallelConfig, PopPath, QueryError, ResolvedAttr};
 use ov_views::{IdentityMode, Materialization, View, ViewDef, ViewError, ViewOptions};
 use proptest::prelude::*;
 
@@ -346,6 +348,119 @@ proptest! {
     }
 }
 
+/// A random lattice: a class count `n` and one to three subsets, each a
+/// flag per class.
+fn lattice() -> impl Strategy<Value = (usize, Vec<Vec<bool>>)> {
+    (
+        2usize..6,
+        prop::collection::vec(prop::collection::vec(any::<bool>(), 6), 1..4),
+    )
+}
+
+/// The attribute type of the definition class `Ki` gives a name when
+/// `tags` are `i` and every ancestor of `Ki` that defines it: a tuple with
+/// one integer field per tag, so each definition has a type of its own and
+/// every override is covariant (width subtyping).
+fn tag_type(tags: &[usize]) -> Type {
+    Type::Tuple(
+        tags.iter()
+            .map(|t| (sym(&format!("K{t}")), Type::Int))
+            .collect(),
+    )
+}
+
+/// A value of a tag type, and the class whose definition has that type.
+fn tag_value(ty: &Type) -> (Value, usize) {
+    let Type::Tuple(fields) = ty else {
+        unreachable!("tag types are tuples")
+    };
+    let own = fields
+        .keys()
+        .map(|f| f.as_str()[1..].parse::<usize>().unwrap())
+        .max();
+    (
+        Value::tuple(fields.keys().map(|&f| (f, Value::Int(0)))),
+        own.expect("a tag type names its class"),
+    )
+}
+
+/// Static typing's answer about `obj.name` on `src`, where `obj` is real
+/// in `class`: `attr_sig`, the field of `class_type` and `infer_expr`
+/// must give one type or all fail.
+fn static_type(
+    src: &dyn DataSource,
+    class: ClassId,
+    obj: &str,
+    name: Symbol,
+) -> Result<Option<Type>, TestCaseError> {
+    let sig = src.attr_sig(class, name).map(|s| s.ty);
+    let Type::Tuple(fields) = src.class_type(class) else {
+        unreachable!("class types are tuples")
+    };
+    let inferred = ov_query::infer_expr(
+        src,
+        &ov_query::parse_expr(&format!("{obj}.{name}")).unwrap(),
+    );
+    prop_assert_eq!(
+        fields.get(&name),
+        sig.as_ref(),
+        "class_type of {} against attr_sig",
+        obj
+    );
+    prop_assert_eq!(
+        inferred.ok(),
+        sig.clone(),
+        "infer_expr of {}.{} against attr_sig",
+        obj,
+        name
+    );
+    Ok(sig)
+}
+
+/// Evaluation's answer about `obj.name` on `src` against `typed`, static
+/// typing's answer — after the caller stored `typed`'s tag value in the
+/// field. Both fail, or `resolve` reads the kind of definition `typed`
+/// names and `run_query` a value of that type.
+fn evaluation_agrees(
+    src: &dyn DataSource,
+    oid: Oid,
+    obj: &str,
+    name: Symbol,
+    typed: Option<&Type>,
+    stored: impl Fn(usize) -> bool,
+) -> Result<(), TestCaseError> {
+    let value = ov_query::run_query(src, &format!("{obj}.{name}"));
+    let resolved = src.resolve(oid, name);
+    match typed {
+        None => {
+            prop_assert!(
+                value.is_err(),
+                "{}.{} typed nothing but read {:?}",
+                obj,
+                name,
+                value
+            );
+            prop_assert!(resolved.is_err());
+        }
+        Some(ty) => {
+            let (_, class) = tag_value(ty);
+            prop_assert_eq!(
+                value.as_ref().map(ov_query::type_of_value).ok().as_ref(),
+                Some(ty)
+            );
+            prop_assert_eq!(
+                matches!(resolved, Ok(ResolvedAttr::Stored)),
+                stored(class),
+                "{}.{} typed as K{}'s definition",
+                obj,
+                name,
+                class
+            );
+        }
+    }
+    Ok(())
+}
+
 // Random generalization lattices: define virtual classes over random
 // subsets of base classes; R1/R2 and acyclicity must hold.
 proptest! {
@@ -355,12 +470,9 @@ proptest! {
     fn inferred_hierarchies_are_sound(
         // Base: a root with `n` children; virtual classes over random
         // non-empty subsets of the children.
-        n in 2usize..6,
-        subsets in prop::collection::vec(
-            prop::collection::vec(any::<bool>(), 6),
-            1..4
-        ),
+        lattice in lattice(),
     ) {
+        let (n, subsets) = lattice;
         let mut sys = System::new();
         let mut db = Database::new(sym("B"));
         let root = db.create_class(sym("Root"), &[], vec![]).unwrap();
@@ -395,6 +507,124 @@ proptest! {
             }
             // R1: Root is a superclass.
             prop_assert!(view.is_subclass_by_name(sym(vname), sym("Root")).unwrap());
+        }
+    }
+
+    /// Static typing reads the definition evaluation reads. Class `Ki`
+    /// inherits the earlier classes its lattice flags pick and defines
+    /// each of `X` and `Y` or not, stored or computed, at its own tag type
+    /// (see [`tag_type`]). For an object real in every class and each
+    /// name, the type static typing gives is the type of what `run_query`
+    /// reads and names the kind of definition `resolve` reads, or both
+    /// fail: on the base database, and through a view with a random
+    /// generalization, random hides and a random conflict policy.
+    #[test]
+    fn typing_reads_the_definition_evaluation_reads(
+        lattice in lattice(),
+        // Per class and name: 0 or 1 none, 2 stored, 3 computed.
+        defs in prop::collection::vec((0u8..4, 0u8..4), 6),
+        general in prop::collection::vec(any::<bool>(), 6),
+        hides in prop::collection::vec((0usize..6, any::<bool>()), 0..3),
+        policy in 0u8..3,
+        priority in prop::collection::vec(0usize..6, 0..3),
+    ) {
+        use ov_oodb::ClassGraph;
+        let (n, subsets) = lattice;
+        let names = [sym("X"), sym("Y")];
+        let mut db = Database::new(sym("L"));
+        let mut ids: Vec<ClassId> = Vec::new();
+        // kinds[i][a]: does `Ki` define `names[a]`, and is it stored?
+        let mut kinds: Vec<[Option<bool>; 2]> = Vec::new();
+        for i in 0..n {
+            let parents: Vec<ClassId> =
+                (0..i).filter(|&j| subsets[i % subsets.len()][j]).map(|j| ids[j]).collect();
+            let own = [defs[i].0, defs[i].1].map(|d| (d >= 2).then_some(d == 2));
+            let mut attrs = Vec::new();
+            for (a, name) in names.iter().enumerate() {
+                let Some(stored) = own[a] else { continue };
+                let mut tags: Vec<usize> = parents
+                    .iter()
+                    .flat_map(|&p| db.schema.ancestors(p))
+                    .map(|c| c.0 as usize)
+                    .filter(|&j| kinds[j][a].is_some())
+                    .chain([i])
+                    .collect();
+                tags.sort();
+                tags.dedup();
+                let ty = tag_type(&tags);
+                attrs.push(if stored {
+                    ov_oodb::AttrDef::stored(*name, ty)
+                } else {
+                    let (value, _) = tag_value(&ty);
+                    ov_oodb::AttrDef::computed(*name, ty, ov_oodb::Expr::lit(value))
+                });
+            }
+            ids.push(db.create_class(sym(&format!("K{i}")), &parents, attrs).unwrap());
+            kinds.push(own);
+        }
+        let oids: Vec<Oid> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                let oid = db.create_object(c, Value::empty_tuple()).unwrap();
+                db.name_object(sym(&format!("o{i}")), oid).unwrap();
+                oid
+            })
+            .collect();
+        // The base database, under its creation-order default.
+        for (i, &oid) in oids.iter().enumerate() {
+            let obj = format!("o{i}");
+            for (a, &name) in names.iter().enumerate() {
+                let typed = static_type(&db, ids[i], &obj, name)?;
+                if let Some(ty) = &typed {
+                    db.store.set_field(oid, name, tag_value(ty).0).unwrap();
+                }
+                evaluation_agrees(&db, oid, &obj, name, typed.as_ref(), |k| kinds[k][a] == Some(true))?;
+            }
+        }
+
+        // A view with a generalization over some classes (which become its
+        // subclasses and may give it abstract signatures), hides after it
+        // (on classes that can see the name) and a policy.
+        let mut script = String::from("create view V; import all classes from database L;\n");
+        let included: Vec<String> = (0..n).filter(|&i| general[i]).map(|i| format!("K{i}")).collect();
+        if !included.is_empty() {
+            script.push_str(&format!("class G includes {};\n", included.join(", ")));
+        }
+        for &(h, y) in &hides {
+            let (class, name) = (h % n, names[usize::from(y)]);
+            if db.schema.visible_attrs(ids[class]).contains_key(&name) {
+                script.push_str(&format!("hide attribute {name} in class K{class};\n"));
+            }
+        }
+        let policy = match policy {
+            0 => ov_oodb::ConflictPolicy::Error,
+            1 => ov_oodb::ConflictPolicy::CreationOrder,
+            _ => ov_oodb::ConflictPolicy::Priority(
+                priority.iter().map(|p| sym(&format!("K{}", p % n))).collect(),
+            ),
+        };
+        let mut sys = System::new();
+        sys.add_database(db).unwrap();
+        let handle = sys.database(sym("L")).unwrap();
+        let view = ViewDef::from_script(&script)
+            .unwrap()
+            .binder(&sys)
+            .options(ViewOptions::builder().policy(policy).build())
+            .bind()
+            .unwrap();
+        for (i, &oid) in oids.iter().enumerate() {
+            let obj = format!("o{i}");
+            let class = DataSource::class_by_name(&view, sym(&format!("K{i}"))).unwrap();
+            for (a, &name) in names.iter().enumerate() {
+                let typed = static_type(&view, class, &obj, name)?;
+                if let Some(ty) = &typed {
+                    handle.write().store.set_field(oid, name, tag_value(ty).0).unwrap();
+                }
+                evaluation_agrees(&view, oid, &obj, name, typed.as_ref(), |k| {
+                    kinds[k][a] == Some(true)
+                })?;
+            }
         }
     }
 }

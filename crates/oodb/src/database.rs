@@ -258,48 +258,31 @@ impl Database {
     /// them with `ov-query`.
     pub fn stored_attr(&self, oid: Oid, name: Symbol) -> Result<&Value> {
         let obj = self.store.require(oid)?;
-        // Conflicts resolve by creation order, like the query path
-        // (`DataSource::resolve`), so both read the same definition.
-        let (_, def) = resolve_with_policy(
-            &self.schema,
-            obj.class,
-            name,
-            &ConflictPolicy::CreationOrder,
-        )?;
-        if !def.is_stored() {
-            return Err(OodbError::NotStored {
-                class: self.schema.class(obj.class).name,
-                attr: name,
-            });
-        }
+        self.stored_def(obj.class, name)?;
         Ok(obj.value.get(name).unwrap_or(&Value::Null))
     }
 
     /// Updates a stored attribute of `oid`, type-checked.
     pub fn set_attr(&mut self, oid: Oid, name: Symbol, value: Value) -> Result<()> {
         let class = self.store.require(oid)?.class;
-        let class_name = self.schema.class(class).name;
-        let stored = self.schema.stored_attr_types(class);
-        match stored.get(&name) {
-            None => {
-                // Either unknown or computed.
-                if self.schema.visible_attrs(class).contains_key(&name) {
-                    Err(OodbError::NotStored {
-                        class: class_name,
-                        attr: name,
-                    })
-                } else {
-                    Err(OodbError::UnknownAttr {
-                        class: class_name,
-                        attr: name,
-                    })
-                }
-            }
-            Some(ty) => {
-                self.check_value(&value, ty, &format!("attribute `{name}`"))?;
-                self.store.set_field(oid, name, value)
-            }
+        let def = self.stored_def(class, name)?;
+        self.check_value(&value, &def.sig.ty, &format!("attribute `{name}`"))?;
+        self.store.set_field(oid, name, value)
+    }
+
+    /// The stored definition `name` resolves to on `class` (else
+    /// [`OodbError::NotStored`]) — by creation order, as the query path and
+    /// [`Schema::stored_attr_types`] resolve it.
+    fn stored_def(&self, class: ClassId, name: Symbol) -> Result<&AttrDef> {
+        let (_, def) =
+            resolve_with_policy(&self.schema, class, name, &ConflictPolicy::CreationOrder)?;
+        if !def.is_stored() {
+            return Err(OodbError::NotStored {
+                class: self.schema.class(class).name,
+                attr: name,
+            });
         }
+        Ok(def)
     }
 
     /// Deletes an object. References to it elsewhere become dangling
@@ -453,21 +436,7 @@ impl Database {
     /// subclass** (indexes cover shallow extents; deep lookups combine
     /// them). The attribute must be stored on the class.
     pub fn create_index(&mut self, class: ClassId, attr: Symbol) -> Result<()> {
-        match self.schema.visible_attrs(class).get(&attr) {
-            None => {
-                return Err(OodbError::UnknownAttr {
-                    class: self.schema.class(class).name,
-                    attr,
-                })
-            }
-            Some((_, def)) if !def.is_stored() => {
-                return Err(OodbError::NotStored {
-                    class: self.schema.class(class).name,
-                    attr,
-                })
-            }
-            Some(_) => {}
-        }
+        self.stored_def(class, attr)?;
         self.store.create_index(class, attr);
         for sub in self.schema.strict_descendants(class) {
             self.store.create_index(sub, attr);
@@ -491,13 +460,7 @@ impl Database {
     ) -> Option<Vec<Oid>> {
         let mut out = Vec::new();
         for c in std::iter::once(class).chain(self.schema.strict_descendants(class)) {
-            // The policy is the one `DataSource::resolve` applies to a
-            // base database.
-            let (_, def) =
-                resolve_with_policy(&self.schema, c, attr, &ConflictPolicy::CreationOrder).ok()?;
-            if !def.is_stored() {
-                return None;
-            }
+            self.stored_def(c, attr).ok()?;
             out.extend(self.store.index_lookup(c, attr, value)?);
         }
         out.sort();

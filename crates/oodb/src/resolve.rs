@@ -12,12 +12,23 @@
 //! schizophrenia, but should provide a default instead." We therefore
 //! expose the conflict *explicitly* ([`Resolution::Conflict`]) and resolve
 //! it under a configurable [`ConflictPolicy`].
+//!
+//! This module is the one place that rule lives, in three steps: (1) take
+//! the classes above an object's root classes that define the name and
+//! pass the caller's [`Filter`]; (2) keep the most specific; (3) let the
+//! [`ConflictPolicy`] decide among several. Typing and evaluation differ
+//! only in the filter — evaluation skips the abstract signatures
+//! ([`concrete`]) that typing a view's virtual class counts, and a view
+//! drops what its hides cover — so the type checker, a class's stored
+//! shape and the evaluator pick one definition.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{OodbError, Result};
 use crate::ids::ClassId;
 use crate::schema::{AttrDef, Schema};
 use crate::symbol::Symbol;
-use crate::types::ClassGraph;
+use crate::types::{ClassGraph, Type};
 
 /// The result of upward resolution of `attr` starting at a class.
 #[derive(Debug)]
@@ -52,53 +63,28 @@ pub enum ConflictPolicy {
     Priority(Vec<Symbol>),
 }
 
-/// Upward resolution of `name` for (an object real in) `class`.
-///
-/// Finds all classes in `{class} ∪ ancestors(class)` that define `name`
-/// themselves, then keeps the minimal ones with respect to the subclass
-/// order. Zero → `NotFound`; one → `Found`; several → `Conflict`.
-pub fn resolve_attr<'a>(schema: &'a Schema, mut class: ClassId, name: Symbol) -> Resolution<'a> {
-    // Up a single-inheritance chain the nearest definition is the only
-    // minimal one, and a class that defines nothing resolves like its one
-    // parent: no ancestor set to build.
-    loop {
-        let c = schema.class(class);
-        if let Some(def) = c.own_attr(name) {
-            return Resolution::Found { def_in: class, def };
-        }
-        match c.parents.as_slice() {
-            [] => return Resolution::NotFound,
-            [parent] => class = *parent,
-            _ => break,
-        }
-    }
-    let mut defining: Vec<ClassId> = Vec::new();
-    for c in schema.ancestors(class) {
-        if schema.class(c).own_attr(name).is_some() {
-            defining.push(c);
-        }
-    }
-    if defining.is_empty() {
-        return Resolution::NotFound;
-    }
-    let mut minimal: Vec<ClassId> = defining
-        .iter()
-        .copied()
-        .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))
-        .collect();
-    minimal.sort();
-    match minimal.as_slice() {
-        [one] => Resolution::Found {
-            def_in: *one,
-            // Unreachable expect: `minimal` only holds classes that were
-            // collected above precisely because they define `name`.
-            def: schema.class(*one).own_attr(name).expect("defines it"),
-        },
-        _ => Resolution::Conflict(minimal),
-    }
+/// Step 1's filter: does the definition a class gives a name count?
+pub type Filter<'a> = dyn Fn(ClassId, &AttrDef) -> bool + 'a;
+
+/// The filter of static typing on a base schema: every definition counts.
+pub fn every(_: ClassId, _: &AttrDef) -> bool {
+    true
 }
 
-/// Resolution with a conflict policy applied; errors only under
+/// The filter of evaluation on a base database: an abstract signature has
+/// no value to read, so only stored and computed definitions count.
+pub fn concrete(_: ClassId, def: &AttrDef) -> bool {
+    !def.is_abstract()
+}
+
+/// Upward resolution of `name` for (an object real in) `class`: steps 1
+/// and 2 of the rule with every definition counting. Zero most specific
+/// definitions → `NotFound`; one → `Found`; several → `Conflict`.
+pub fn resolve_attr<'a>(schema: &'a Schema, class: ClassId, name: Symbol) -> Resolution<'a> {
+    most_specific(schema, &[class], name, &every)
+}
+
+/// [`resolve_attr`] with step 3 applied; errors only under
 /// [`ConflictPolicy::Error`] (or when the attribute is simply absent).
 pub fn resolve_with_policy<'a>(
     schema: &'a Schema,
@@ -106,37 +92,184 @@ pub fn resolve_with_policy<'a>(
     name: Symbol,
     policy: &ConflictPolicy,
 ) -> Result<(ClassId, &'a AttrDef)> {
-    match resolve_attr(schema, class, name) {
-        Resolution::Found { def_in, def } => Ok((def_in, def)),
-        Resolution::NotFound => Err(OodbError::UnknownAttr {
-            class: schema.class(class).name,
-            attr: name,
-        }),
-        Resolution::Conflict(candidates) => match policy {
-            ConflictPolicy::Error => Err(OodbError::Schizophrenia {
-                class: schema.class(class).name,
+    resolve_in(schema, &[class], name, &every, policy)
+}
+
+/// The rule: the definition of `name` for an object whose resolution
+/// starts at `roots` (non-empty), counting only definitions that pass
+/// `keep`. [`OodbError::UnknownAttr`] when none counts,
+/// [`OodbError::Schizophrenia`] when `policy` refuses to choose.
+pub fn resolve_in<'a>(
+    schema: &'a Schema,
+    roots: &[ClassId],
+    name: Symbol,
+    keep: &Filter<'_>,
+    policy: &ConflictPolicy,
+) -> Result<(ClassId, &'a AttrDef)> {
+    let found = most_specific(schema, roots, name, keep);
+    decide(schema, roots[0], name, found, policy)
+}
+
+/// The visible attribute set of `class`: every name it can resolve,
+/// mapped to the definition [`resolve_in`] picks under `keep` and
+/// `policy`. A name whose conflict the policy refuses is left out.
+pub fn visible_in<'a>(
+    schema: &'a Schema,
+    class: ClassId,
+    keep: &Filter<'_>,
+    policy: &ConflictPolicy,
+) -> BTreeMap<Symbol, (ClassId, &'a AttrDef)> {
+    let mut out = BTreeMap::new();
+    // Up a single-inheritance chain the nearest counted definition of each
+    // name is the one the rule picks: no ancestor set to build.
+    let mut c = class;
+    let above = loop {
+        let cls = schema.class(c);
+        for def in cls.attrs.iter().filter(|d| keep(c, d)) {
+            out.entry(def.sig.name).or_insert((c, def));
+        }
+        match cls.parents.as_slice() {
+            [] => return out,
+            [parent] => c = *parent,
+            _ => break ancestors_of(schema, &[c]),
+        }
+    };
+    // Names defined below the first multiple-inheritance point are more
+    // specific than anything above it; the rest go through the whole rule.
+    let names: BTreeSet<Symbol> = above
+        .iter()
+        .flat_map(|&a| schema.class(a).attrs.iter().map(|d| d.sig.name))
+        .filter(|n| !out.contains_key(n))
+        .collect();
+    for name in names {
+        let found = among(schema, &above, name, keep);
+        if let Ok(found) = decide(schema, class, name, found, policy) {
+            out.insert(name, found);
+        }
+    }
+    out
+}
+
+/// The tuple type of `class` under `keep` and `policy`: its visible
+/// zero-parameter attributes.
+pub fn class_type_in(
+    schema: &Schema,
+    class: ClassId,
+    keep: &Filter<'_>,
+    policy: &ConflictPolicy,
+) -> Type {
+    Type::Tuple(
+        visible_in(schema, class, keep, policy)
+            .into_iter()
+            .filter(|(_, (_, def))| def.sig.params.is_empty())
+            .map(|(name, (_, def))| (name, def.sig.ty.clone()))
+            .collect(),
+    )
+}
+
+/// Steps 1 and 2 from `roots`. Generic over the filter so that
+/// [`resolve_attr`]'s [`every`] costs nothing.
+fn most_specific<'a, F: Fn(ClassId, &AttrDef) -> bool + ?Sized>(
+    schema: &'a Schema,
+    roots: &[ClassId],
+    name: Symbol,
+    keep: &F,
+) -> Resolution<'a> {
+    let &[mut class] = roots else {
+        return among(schema, &ancestors_of(schema, roots), name, keep);
+    };
+    // Up a single-inheritance chain the nearest counted definition is the
+    // only most specific one, and a class whose definition does not count
+    // resolves like its one parent: no ancestor set to build.
+    loop {
+        let c = schema.class(class);
+        if let Some(def) = c.own_attr(name).filter(|d| keep(class, d)) {
+            return Resolution::Found { def_in: class, def };
+        }
+        match c.parents.as_slice() {
+            [] => return Resolution::NotFound,
+            [parent] => class = *parent,
+            _ => return among(schema, &ancestors_of(schema, &[class]), name, keep),
+        }
+    }
+}
+
+/// `roots` and all their ancestors, in ascending id order.
+fn ancestors_of(schema: &Schema, roots: &[ClassId]) -> Vec<ClassId> {
+    let mut out: Vec<ClassId> = roots.iter().flat_map(|&r| schema.ancestors(r)).collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// Steps 1 and 2 over `classes` (ascending id order, closed upward).
+fn among<'a, F: Fn(ClassId, &AttrDef) -> bool + ?Sized>(
+    schema: &'a Schema,
+    classes: &[ClassId],
+    name: Symbol,
+    keep: &F,
+) -> Resolution<'a> {
+    let defining: Vec<ClassId> = classes
+        .iter()
+        .copied()
+        .filter(|&c| schema.class(c).own_attr(name).is_some_and(|d| keep(c, d)))
+        .collect();
+    let minimal: Vec<ClassId> = defining
+        .iter()
+        .copied()
+        .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))
+        .collect();
+    match minimal.as_slice() {
+        [] => Resolution::NotFound,
+        // Unreachable expect: `minimal` only holds classes defining `name`.
+        [one] => Resolution::Found {
+            def_in: *one,
+            def: schema.class(*one).own_attr(name).expect("defines it"),
+        },
+        _ => Resolution::Conflict(minimal),
+    }
+}
+
+/// Step 3: the definition `policy` picks from steps 1 and 2's answer for
+/// an object presenting as `root`.
+fn decide<'a>(
+    schema: &'a Schema,
+    root: ClassId,
+    name: Symbol,
+    found: Resolution<'a>,
+    policy: &ConflictPolicy,
+) -> Result<(ClassId, &'a AttrDef)> {
+    let candidates = match found {
+        Resolution::Found { def_in, def } => return Ok((def_in, def)),
+        Resolution::NotFound => {
+            return Err(OodbError::UnknownAttr {
+                class: schema.class(root).name,
+                attr: name,
+            })
+        }
+        Resolution::Conflict(candidates) => candidates,
+    };
+    // Candidates are in ascending id (creation) order.
+    let chosen = match policy {
+        ConflictPolicy::Error => {
+            return Err(OodbError::Schizophrenia {
+                class: schema.class(root).name,
                 attr: name,
                 defined_in: candidates.iter().map(|&c| schema.class(c).name).collect(),
-            }),
-            ConflictPolicy::CreationOrder => {
-                let c = candidates[0]; // candidates are id-sorted
-                Ok((c, schema.class(c).own_attr(name).expect("defines it")))
-            }
-            ConflictPolicy::Priority(order) => {
-                let chosen = order
-                    .iter()
-                    .find_map(|n| {
-                        let id = schema.class_by_name(*n)?;
-                        candidates.contains(&id).then_some(id)
-                    })
-                    .unwrap_or(candidates[0]);
-                Ok((
-                    chosen,
-                    schema.class(chosen).own_attr(name).expect("defines it"),
-                ))
-            }
-        },
-    }
+            })
+        }
+        ConflictPolicy::CreationOrder => candidates[0],
+        ConflictPolicy::Priority(order) => order
+            .iter()
+            .find_map(|n| {
+                let id = schema.class_by_name(*n)?;
+                candidates.contains(&id).then_some(id)
+            })
+            .unwrap_or(candidates[0]),
+    };
+    // Unreachable expect: every candidate defines `name`.
+    let def = schema.class(chosen).own_attr(name).expect("defines it");
+    Ok((chosen, def))
 }
 
 #[cfg(test)]
@@ -259,5 +392,42 @@ mod tests {
             resolve_attr(&s, d, sym("Print")),
             Resolution::Found { def_in, .. } if def_in == a
         ));
+    }
+
+    #[test]
+    fn a_definition_the_filter_drops_resolves_like_its_parent() {
+        let mut s = Schema::new();
+        let a = s.add_class(sym("A"), &[], vec![print_def()]).unwrap();
+        let b = s.add_class(sym("B"), &[a], vec![print_def()]).unwrap();
+        let c = s.add_class(sym("C"), &[b], vec![]).unwrap();
+        let not_b = |def_in: ClassId, _: &AttrDef| def_in != b;
+        let policy = ConflictPolicy::Error;
+        let (def_in, _) = resolve_in(&s, &[c], sym("Print"), &not_b, &policy).unwrap();
+        assert_eq!(def_in, a);
+        assert_eq!(visible_in(&s, c, &not_b, &policy)[&sym("Print")].0, a);
+    }
+
+    #[test]
+    fn the_visible_set_picks_what_resolution_picks() {
+        // `E inherits C, B`, B created first: creation order picks B's
+        // definition wherever the parents are listed.
+        let mut s = Schema::new();
+        let b = s.add_class(sym("B"), &[], vec![print_def()]).unwrap();
+        let c = s.add_class(sym("C"), &[], vec![print_def()]).unwrap();
+        let e = s.add_class(sym("E"), &[c, b], vec![]).unwrap();
+        let below = s.add_class(sym("Below"), &[e], vec![]).unwrap();
+        for policy in [
+            ConflictPolicy::CreationOrder,
+            ConflictPolicy::Priority(vec![sym("C")]),
+        ] {
+            for class in [e, below] {
+                let (def_in, _) = resolve_with_policy(&s, class, sym("Print"), &policy).unwrap();
+                let visible = visible_in(&s, class, &every, &policy);
+                assert_eq!(visible[&sym("Print")].0, def_in);
+            }
+        }
+        assert_eq!(s.visible_attrs(e)[&sym("Print")].0, b);
+        // Under `Error` the conflicting name is not visible at all.
+        assert!(visible_in(&s, e, &every, &ConflictPolicy::Error).is_empty());
     }
 }

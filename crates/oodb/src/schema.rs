@@ -18,6 +18,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use crate::error::{OodbError, Result};
 use crate::expr::Expr;
 use crate::ids::ClassId;
+use crate::resolve::{self, ConflictPolicy};
 use crate::symbol::Symbol;
 use crate::types::{ClassGraph, Type};
 
@@ -340,48 +341,19 @@ impl Schema {
     }
 
     /// The *visible attribute set* of class `c`: every attribute name
-    /// reachable by upward resolution, mapped to the class providing the
-    /// most specific definition. Where several incomparable definitions
-    /// exist (schizophrenia), the definition from the smallest class id is
-    /// chosen — a deterministic default, as the paper requires a view system
-    /// to "provide a default instead" of forbidding conflicts. Strict
-    /// conflict *detection* is in [`crate::resolve`].
+    /// reachable by upward resolution, mapped to the definition
+    /// [`crate::resolve`] picks for an object real in `c` — the most
+    /// specific one, several incomparable ones (schizophrenia) decided by
+    /// creation order, the default a base database's queries read.
     pub fn visible_attrs(&self, c: ClassId) -> BTreeMap<Symbol, (ClassId, &AttrDef)> {
-        let mut out: BTreeMap<Symbol, (ClassId, &AttrDef)> = BTreeMap::new();
-        let mut chain = vec![c];
-        chain.extend(self.strict_ancestors(c));
-        for &cls in &chain {
-            for def in &self.class(cls).attrs {
-                match out.get(&def.sig.name) {
-                    None => {
-                        out.insert(def.sig.name, (cls, def));
-                    }
-                    Some(&(prev, _)) => {
-                        // Keep the more specific definition; the BFS order
-                        // already visits subclasses before superclasses, but
-                        // diamonds can revisit: replace only if cls is a
-                        // strict subclass of prev.
-                        if cls != prev && self.is_subclass(cls, prev) {
-                            out.insert(def.sig.name, (cls, def));
-                        }
-                    }
-                }
-            }
-        }
-        out
+        resolve::visible_in(self, c, &resolve::every, &ConflictPolicy::CreationOrder)
     }
 
     /// The tuple *type* of class `c`: all visible zero-parameter attributes.
     /// This is the type used for behavioral generalization (`like B`) and
     /// structural subtype checks.
     pub fn class_type(&self, c: ClassId) -> Type {
-        let fields = self
-            .visible_attrs(c)
-            .into_iter()
-            .filter(|(_, (_, def))| def.sig.params.is_empty())
-            .map(|(name, (_, def))| (name, def.sig.ty.clone()))
-            .collect();
-        Type::Tuple(fields)
+        resolve::class_type_in(self, c, &resolve::every, &ConflictPolicy::CreationOrder)
     }
 
     /// The names of *stored* attributes visible on `c` — the shape of the

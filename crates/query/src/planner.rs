@@ -56,7 +56,10 @@ pub const DRIFT_FACTOR: u64 = 10;
 // ---------------------------------------------------------------------
 // Enablement: a thread-scoped setting in the ambient execution context,
 // same shape as the engine mode in `compile.rs`. Off reproduces the
-// pre-planner fixed heuristics exactly (the E19 baseline).
+// pre-planner fixed heuristics exactly (the E19 baseline): a top-level
+// statement never probes an index, while a view population still probes
+// one whenever `index_candidates` answers (off drops only its
+// `index_worthwhile` veto).
 // ---------------------------------------------------------------------
 
 /// Is the planner consulted for strategy choices on this thread?

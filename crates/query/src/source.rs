@@ -8,9 +8,10 @@
 //! field access — and both `ov_oodb::Database` and `ov_views::View`
 //! implement it.
 
+use ov_oodb::resolve::{concrete, resolve_in};
 use ov_oodb::{
-    resolve_attr, AttrBody, AttrSig, ClassId, ConflictPolicy, Database, Expr, Oid, OodbError,
-    Resolution, Symbol, Type, Value,
+    AttrBody, AttrDef, AttrSig, ClassId, ConflictPolicy, Database, Expr, Oid, OodbError, Symbol,
+    Type, Value,
 };
 
 use crate::error::{QueryError, Result};
@@ -28,6 +29,21 @@ pub enum ResolvedAttr {
         /// The body expression.
         body: Expr,
     },
+}
+
+impl From<&AttrDef> for ResolvedAttr {
+    /// How to obtain a definition evaluation resolved to. Evaluation's
+    /// filter ([`concrete`]) never lets an abstract signature through.
+    fn from(def: &AttrDef) -> ResolvedAttr {
+        match &def.body {
+            AttrBody::Stored => ResolvedAttr::Stored,
+            AttrBody::Computed(body) => ResolvedAttr::Computed {
+                params: def.sig.params.iter().map(|(p, _)| *p).collect(),
+                body: body.clone(),
+            },
+            AttrBody::Abstract => unreachable!("evaluation skips abstract signatures"),
+        }
+    }
 }
 
 /// A queryable source of objects: a database or a view.
@@ -206,48 +222,11 @@ impl DataSource for Database {
 
     fn resolve(&self, oid: Oid, name: Symbol) -> Result<ResolvedAttr> {
         let obj = self.store.require(oid)?;
-        match resolve_attr(&self.schema, obj.class, name) {
-            Resolution::Found { def, .. } => Ok(match &def.body {
-                AttrBody::Stored => ResolvedAttr::Stored,
-                AttrBody::Computed(body) => ResolvedAttr::Computed {
-                    params: def.sig.params.iter().map(|(p, _)| *p).collect(),
-                    body: body.clone(),
-                },
-                AttrBody::Abstract => {
-                    return Err(QueryError::eval(format!(
-                        "attribute `{name}` is abstract (signature only)"
-                    )))
-                }
-            }),
-            Resolution::NotFound => Err(OodbError::UnknownAttr {
-                class: self.schema.class(obj.class).name,
-                attr: name,
-            }
-            .into()),
-            Resolution::Conflict(classes) => {
-                // Base databases default to the creation-order policy; views
-                // make this configurable.
-                let (_, def) = ov_oodb::resolve::resolve_with_policy(
-                    &self.schema,
-                    obj.class,
-                    name,
-                    &ConflictPolicy::CreationOrder,
-                )?;
-                let _ = classes;
-                Ok(match &def.body {
-                    AttrBody::Stored => ResolvedAttr::Stored,
-                    AttrBody::Computed(body) => ResolvedAttr::Computed {
-                        params: def.sig.params.iter().map(|(p, _)| *p).collect(),
-                        body: body.clone(),
-                    },
-                    AttrBody::Abstract => {
-                        return Err(QueryError::eval(format!(
-                            "attribute `{name}` is abstract (signature only)"
-                        )))
-                    }
-                })
-            }
-        }
+        // Base databases resolve conflicts by creation order, as their
+        // typing does (`Schema::visible_attrs`); views make it configurable.
+        let creation_order = ConflictPolicy::CreationOrder;
+        let (_, def) = resolve_in(&self.schema, &[obj.class], name, &concrete, &creation_order)?;
+        Ok(def.into())
     }
 
     fn stored_field(&self, oid: Oid, name: Symbol) -> Result<Value> {

@@ -1,9 +1,11 @@
 //! Edge-of-the-language tests: corners that real schemas hit but the paper
 //! examples don't exercise.
 
-use objects_and_views::oodb::{sym, System, Value};
-use objects_and_views::query::{execute_script, run_query};
-use objects_and_views::views::ViewDef;
+use objects_and_views::oodb::{sym, ConflictPolicy, OodbError, System, Type, Value};
+use objects_and_views::query::{
+    execute_script, infer_expr, parse_expr, run_query, type_of_value, DataSource, QueryError,
+};
+use objects_and_views::views::{View, ViewDef, ViewOptions};
 
 fn sys_with(script: &str) -> System {
     let mut sys = System::new();
@@ -357,4 +359,116 @@ fn a_population_probe_respects_a_computed_override_in_the_view() {
     .unwrap();
     assert_eq!(plain.query("count(Seven)").unwrap(), Value::Int(1));
     assert_eq!(plain.stats().index_pushdowns, 1);
+}
+
+// ----------------------------------------------------------------------
+// One upward-resolution rule: static typing names the definition
+// evaluation reads (§4.2 upward resolution, §4.3 "provide a default").
+// ----------------------------------------------------------------------
+
+/// `class E inherits C, B`, `B` created first, each of `B` and `C` defining
+/// `X` at a different type, and one object `e` real in `E`. `B` computes
+/// `1` or, when `b_stores`, stores an integer; `C` computes a string or,
+/// when `b_stores`, the integer `2`.
+fn two_definitions(b_stores: bool) -> System {
+    let (b, c_x) = if b_stores {
+        ("class B type [X: integer];", "2")
+    } else {
+        ("class B; attribute X in class B has value 1;", r#""c""#)
+    };
+    sys_with(&format!(
+        "database D; {b} class C; attribute X in class C has value {c_x}; \
+         class E inherits C, B; object #1 in E value []; name e = #1;"
+    ))
+}
+
+fn view_over(sys: &System, script: &str, policy: ConflictPolicy) -> View {
+    ViewDef::from_script(&format!(
+        "create view V; import all classes from database D; {script}"
+    ))
+    .unwrap()
+    .binder(sys)
+    .options(ViewOptions::builder().policy(policy).build())
+    .bind()
+    .unwrap()
+}
+
+/// Asks `src` about `e.X` statically — `infer_expr`, `attr_sig` and the
+/// `X` field of `class_type(E)` — and dynamically — `run_query`. Each
+/// static answer must be the type of the value evaluation reads, or fail
+/// where evaluation fails. Returns what evaluation read.
+fn typing_matches_evaluation(src: &dyn DataSource) -> Result<Value, QueryError> {
+    let e = src.class_by_name(sym("E")).unwrap();
+    let inferred = infer_expr(src, &parse_expr("e.X").unwrap()).ok();
+    let sig = src.attr_sig(e, sym("X")).map(|s| s.ty);
+    let Type::Tuple(fields) = src.class_type(e) else {
+        unreachable!("class types are tuples")
+    };
+    let value = run_query(src, "e.X");
+    let evaluated = value.as_ref().ok().map(type_of_value);
+    for (what, ty) in [
+        ("infer_expr", inferred),
+        ("attr_sig", sig),
+        ("class_type", fields.get(&sym("X")).cloned()),
+    ] {
+        assert_eq!(ty, evaluated, "{what} against the value {value:?}");
+    }
+    value
+}
+
+#[test]
+fn typing_follows_creation_order_like_evaluation() {
+    let sys = two_definitions(false);
+    let db = sys.database(sym("D")).unwrap();
+    assert_eq!(typing_matches_evaluation(&*db.read()), Ok(Value::Int(1)));
+}
+
+#[test]
+fn typing_reads_past_a_hidden_definition_like_evaluation() {
+    let sys = two_definitions(false);
+    let view = view_over(
+        &sys,
+        "hide attribute X in class C;",
+        ConflictPolicy::CreationOrder,
+    );
+    assert_eq!(typing_matches_evaluation(&view), Ok(Value::Int(1)));
+    // The hide covers `C`'s definition only: `E` still has `B`'s.
+    let e = DataSource::class_by_name(&view, sym("E")).unwrap();
+    assert_eq!(
+        DataSource::class_type(&view, e),
+        Type::tuple([("X", Type::Int)])
+    );
+}
+
+#[test]
+fn typing_follows_a_priority_list_like_evaluation() {
+    let sys = two_definitions(false);
+    let b_first = view_over(&sys, "", ConflictPolicy::Priority(vec![sym("B")]));
+    assert_eq!(typing_matches_evaluation(&b_first), Ok(Value::Int(1)));
+    let c_first = view_over(&sys, "", ConflictPolicy::Priority(vec![sym("C")]));
+    assert_eq!(typing_matches_evaluation(&c_first), Ok(Value::str("c")));
+}
+
+#[test]
+fn typing_refuses_a_conflict_the_error_policy_refuses() {
+    let sys = two_definitions(false);
+    let strict = view_over(&sys, "", ConflictPolicy::Error);
+    let err = typing_matches_evaluation(&strict).unwrap_err();
+    assert!(
+        matches!(err, QueryError::Oodb(OodbError::Schizophrenia { .. })),
+        "got {err:?}"
+    );
+}
+
+/// `B` stores `X` and `C` computes it: creation order picks `B`'s stored
+/// definition, so the stored shape of `E` holds `X` and a write lands
+/// where reads look.
+#[test]
+fn a_write_lands_where_reads_look() {
+    let sys = two_definitions(true);
+    let db = sys.database(sym("D")).unwrap();
+    let e = db.read().named(sym("e")).unwrap();
+    db.write().set_attr(e, sym("X"), Value::Int(5)).unwrap();
+    assert_eq!(db.read().stored_attr(e, sym("X")), Ok(&Value::Int(5)));
+    assert_eq!(typing_matches_evaluation(&*db.read()), Ok(Value::Int(5)));
 }
