@@ -241,9 +241,15 @@ impl std::error::Error for ViewError {
 }
 
 impl From<QueryError> for ViewError {
+    /// Unwraps what the query layer carried: a view's own error comes back
+    /// as the [`ViewError`] it was raised as.
     fn from(e: QueryError) -> ViewError {
         match e {
             QueryError::Oodb(o) => ViewError::Oodb(o),
+            QueryError::Source(s) => match s.error.downcast_ref::<ViewError>() {
+                Some(v) => v.clone(),
+                None => ViewError::Query(QueryError::Source(s)),
+            },
             other => ViewError::Query(other),
         }
     }
@@ -257,12 +263,15 @@ impl From<OodbError> for ViewError {
 
 impl From<ViewError> for QueryError {
     /// The `DataSource` trait speaks `QueryError`; view-specific failures
-    /// cross the boundary as evaluation errors with their display text.
+    /// cross the boundary typed, with their transience.
     fn from(e: ViewError) -> QueryError {
         match e {
             ViewError::Query(q) => q,
             ViewError::Oodb(o) => QueryError::Oodb(o),
-            other => QueryError::Eval(other.to_string()),
+            other => QueryError::Source(ov_query::SourceError {
+                transient: other.is_transient(),
+                error: std::sync::Arc::new(other),
+            }),
         }
     }
 }
@@ -275,8 +284,10 @@ mod tests {
     #[test]
     fn round_trips_through_query_error() {
         let v = ViewError::VirtualInsert(sym("Adult"));
-        let q: QueryError = v.into();
+        let q: QueryError = v.clone().into();
         assert!(q.to_string().contains("virtual class `Adult`"));
+        assert!(!q.is_transient());
+        assert_eq!(ViewError::from(q), v, "the same variant comes back");
     }
 
     #[test]

@@ -567,16 +567,13 @@ impl Session {
 
     fn run_on_view(&mut self, vname: Symbol, stmt: Stmt) -> Result<Outcome> {
         let (_, view) = self.views.get(&vname).expect("focused view exists");
-        // Every read goes through the view's degradation bracket, as
-        // `Session::query` does.
-        let eval = |e: &Expr| view.with_degradation(|| ov_query::eval_expr(view, e));
+        let eval = |e: &Expr| ov_query::eval_expr(view, e);
         match stmt {
             Stmt::Query(e) => {
                 // `run_expr`, not `eval_expr`: a canonical class scan on the
                 // focused view takes the compiled engine, same as
                 // `Session::query` and the database path.
-                let v = view.with_degradation(|| ov_query::run_expr(view, &e))?;
-                Ok(Outcome::Value(v))
+                Ok(Outcome::Value(ov_query::run_expr(view, &e)?))
             }
             Stmt::Insert { class, value } => {
                 let v = eval(&value)?;
@@ -854,8 +851,7 @@ impl Session {
         Ok(format!("{trace}result: {value}\n"))
     }
 
-    /// Runs `query` traced against a named view — through its degradation
-    /// bracket, like [`Self::query`] — or database.
+    /// Runs `query` traced against a named view or database.
     fn run_traced(&self, target: Symbol, query: &str) -> Result<(Value, ov_query::QueryTrace)> {
         under_settings(self.engine, self.planner, || {
             if let Some((_, view)) = self.views.get(&target) {

@@ -45,12 +45,17 @@
 //! population cache is sharded by class id to keep readers from serializing
 //! on one lock), counters are atomics, and the two pieces of *call-stack*
 //! state — the population cycle guard and the privileged-visibility depth —
-//! are thread-local, keyed by a per-view token. Any number of threads may
-//! query one view concurrently; population of large specialization queries
-//! can itself be split across a scoped thread pool (see
-//! [`ov_query::ParallelConfig`]).
+//! are the view's frame in `ov_query`'s execution context
+//! ([`ov_query::ViewFrame`]), keyed by a per-view token: restored on unwind
+//! like every other field of it, and handed to the workers of a split scan
+//! by the same fork. Any number of threads may query one view
+//! concurrently; population of large specialization queries can itself be
+//! split across a scoped thread pool (see [`ov_query::ParallelConfig`]).
+//!
+//! A view's own errors cross the `DataSource` boundary typed
+//! ([`ov_query::QueryError::Source`]) and come back out of every public
+//! read as the [`ViewError`] they were raised as.
 
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,34 +86,8 @@ pub use bind::Binder;
 const POP_SHARDS: usize = 16;
 
 /// Source of per-view tokens. A monotonically increasing counter (never an
-/// address, which could be reused) keys the thread-local evaluation state.
+/// address, which could be reused) keys the view's evaluation frame.
 static NEXT_VIEW_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-/// Call-stack state of one thread evaluating against one view.
-#[derive(Default)]
-struct EvalState {
-    /// Classes whose population is being computed on this thread (cycle
-    /// guard: `A includes select … from B`, `B includes select … from A`).
-    populating: HashSet<ClassId>,
-    /// Depth of computed-attribute bodies / population queries currently
-    /// being evaluated. While positive, hidden attributes and classes
-    /// resolve normally: the view's own definitions see through its hides
-    /// (paper Example 5).
-    body_depth: u32,
-}
-
-thread_local! {
-    /// Per-thread evaluation state, keyed by view token. Entries are
-    /// removed as soon as they return to the default state, so the map
-    /// only holds views this thread is *currently* evaluating.
-    static EVAL_STATE: RefCell<HashMap<u64, EvalState>> = RefCell::new(HashMap::new());
-    /// Set by [`View::population`] when degradation *failed* — the retry
-    /// budget is spent and no cached population existed to serve stale.
-    /// The public entry points consume it to wrap the propagating error in
-    /// [`ViewError::Degraded`]; `DataSource` trait methods can't carry the
-    /// context themselves because they speak `QueryError`.
-    static DEGRADED_NOTE: Cell<Option<(Symbol, u32)>> = const { Cell::new(None) };
-}
 
 /// Recompute attempts [`View::population`] makes on a transient fault
 /// (initial try + retries) before degrading to the stale cache.
@@ -123,51 +102,6 @@ const PATCH_ROUNDS: u32 = 3;
 /// population scans across workers (sticky for the view's lifetime;
 /// visible as [`ViewStats::seq_fallbacks`]).
 const PARALLEL_STRIKE_LIMIT: u32 = 3;
-
-/// Scope guard for the population eval-state bracket: marks `class` as
-/// populating and raises the privileged-visibility depth on construction,
-/// restores both on drop. Drop-based so the bracket also closes when the
-/// computation *unwinds* (an injected panic, a bug in an attribute body) —
-/// otherwise a leaked `body_depth` would let later queries on this thread
-/// see through the view's hides.
-struct PopBracket<'a> {
-    view: &'a View,
-    class: ClassId,
-}
-
-impl<'a> PopBracket<'a> {
-    fn enter(view: &'a View, class: ClassId) -> PopBracket<'a> {
-        view.with_eval(|s| {
-            s.populating.insert(class);
-            s.body_depth += 1;
-        });
-        // Membership in the populating set changes what
-        // `resolution_class_and_field` answers for this class, so warm
-        // compiled-scan resolution caches must be invalidated on both
-        // edges of the bracket.
-        view.res_gen.fetch_add(1, Ordering::Release);
-        PopBracket { view, class }
-    }
-}
-
-impl Drop for PopBracket<'_> {
-    fn drop(&mut self) {
-        self.view.with_eval(|s| {
-            s.body_depth -= 1;
-            s.populating.remove(&self.class);
-        });
-        self.view.res_gen.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Scope guard of [`View::adopt_eval_state`].
-struct AdoptedEval<'a>(&'a View);
-
-impl Drop for AdoptedEval<'_> {
-    fn drop(&mut self) {
-        let _ = EVAL_STATE.try_with(|m| m.borrow_mut().remove(&self.0.token));
-    }
-}
 
 /// How virtual-class populations are (re)computed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -335,7 +269,7 @@ struct CachedPop {
 /// through it concurrently (see the module docs).
 #[derive(Debug)]
 pub struct View {
-    /// Unique token keying this view's thread-local evaluation state.
+    /// Unique token keying this view's evaluation frame.
     token: u64,
     name: Symbol,
     /// The view's own schema: copies of imported classes plus virtual
@@ -381,14 +315,6 @@ pub struct View {
     /// Dependency edges recorded at bind time: which databases and which
     /// upstream views this definition reads, with the class names read.
     deps: Vec<DepEdge>,
-}
-
-impl Drop for View {
-    fn drop(&mut self) {
-        // Clean this thread's TLS entry. `try_with` because a View may be
-        // dropped during thread teardown, after the TLS map is gone.
-        let _ = EVAL_STATE.try_with(|m| m.borrow_mut().remove(&self.token));
-    }
 }
 
 /// The population counters, one row each: the [`Stat`] that names the
@@ -628,7 +554,7 @@ impl View {
             .collect();
         ids.sort();
         for &c in &ids {
-            self.with_degradation(|| self.population(c))?;
+            self.population(c)?;
         }
         Ok(ids.len())
     }
@@ -640,44 +566,29 @@ impl View {
     }
 
     // ------------------------------------------------------------------
-    // Thread-local evaluation state (cycle guard + privileged depth)
+    // Evaluation frame (cycle guard + privileged depth)
     // ------------------------------------------------------------------
 
-    /// Runs `f` on this thread's evaluation state for this view. `f` must
-    /// not re-enter view code (it holds the thread-local map's borrow).
-    fn with_eval<R>(&self, f: impl FnOnce(&mut EvalState) -> R) -> R {
-        EVAL_STATE.with(|m| {
-            let mut map = m.borrow_mut();
-            let state = map.entry(self.token).or_default();
-            let r = f(state);
-            if state.populating.is_empty() && state.body_depth == 0 {
-                map.remove(&self.token);
-            }
-            r
-        })
+    /// This thread's evaluation state for this view.
+    fn frame(&self) -> ov_query::ViewFrame {
+        ov_query::view_frame(self.token)
     }
 
-    /// This thread's privileged-visibility depth.
-    fn body_depth(&self) -> u32 {
-        self.with_eval(|s| s.body_depth)
-    }
-
-    /// Installs the coordinator's evaluation state on a worker thread — the
-    /// in-progress population set (cycle guard) and the
-    /// privileged-visibility depth — so a chunk's filter sees exactly what a
-    /// sequential scan would see. The guard removes it again, also when the
-    /// chunk unwinds.
-    fn adopt_eval_state(&self, populating: &HashSet<ClassId>, body_depth: u32) -> AdoptedEval<'_> {
-        EVAL_STATE.with(|m| {
-            m.borrow_mut().insert(
-                self.token,
-                EvalState {
-                    populating: populating.clone(),
-                    body_depth,
-                },
-            );
-        });
-        AdoptedEval(self)
+    /// Runs `f`, a step of populating `c`, with `c` in flight (the cycle
+    /// guard) and the view's hides see-through: population queries are
+    /// view-internal definitions, like attribute bodies (paper Example 5
+    /// hides the very attributes its imaginary Address class selects). The
+    /// bracket closes on unwind too, so a panicking recompute leaks no
+    /// privilege into later queries on this thread. Membership in the
+    /// populating set changes what `resolution_class_and_field` answers for
+    /// `c`, so both edges move the resolution generation and drop warm
+    /// compiled-scan caches (a scan that cached under a bracket that
+    /// unwinds is unwound with it).
+    fn in_population<R>(&self, c: ClassId, f: impl FnOnce() -> R) -> R {
+        self.res_gen.fetch_add(1, Ordering::Release);
+        let r = ov_query::in_view(self.token, Some(c), f);
+        self.res_gen.fetch_add(1, Ordering::Release);
+        r
     }
 
     // ------------------------------------------------------------------
@@ -752,39 +663,17 @@ impl View {
         let c = self
             .lookup_class(name)
             .ok_or(OodbError::UnknownClass(name))?;
-        self.with_degradation(|| DataSource::extent(self, c))
+        Ok(DataSource::extent(self, c)?)
     }
 
     /// Evaluates attribute `attr` of `oid` through the view.
     pub fn attr(&self, oid: Oid, attr: Symbol) -> Result<Value> {
-        self.with_degradation(|| ov_query::eval_attr(self, oid, attr, &[]))
+        Ok(ov_query::eval_attr(self, oid, attr, &[])?)
     }
 
     /// Runs a query string against the view.
     pub fn query(&self, src: &str) -> Result<Value> {
-        self.with_degradation(|| ov_query::run_query(self, src))
-    }
-
-    /// Brackets a query-layer call at the public boundary: clears any
-    /// leftover degradation note (a caller may have abandoned an errored
-    /// evaluation), runs `f`, and on error upgrades it to
-    /// [`ViewError::Degraded`] when [`Self::population`] noted that its
-    /// fallbacks were exhausted. The note rides a thread-local because the
-    /// `DataSource` methods between here and `population` speak
-    /// `QueryError`, which has no room for view-layer context.
-    pub(crate) fn with_degradation<R>(&self, f: impl FnOnce() -> ov_query::Result<R>) -> Result<R> {
-        DEGRADED_NOTE.with(|n| n.set(None));
-        f().map_err(|e| {
-            let e = ViewError::from(e);
-            match DEGRADED_NOTE.with(|n| n.take()) {
-                Some((class, attempts)) => ViewError::Degraded {
-                    class,
-                    attempts,
-                    cause: Box::new(e),
-                },
-                None => e,
-            }
-        })
+        Ok(ov_query::run_query(self, src)?)
     }
 
     /// Runs a query like [`Self::query`] and additionally returns its
@@ -794,7 +683,7 @@ impl View {
     /// each scan ran (sequential, parallel with chunk count, index
     /// pushdown).
     pub fn explain(&self, src: &str) -> Result<(Value, ov_query::QueryTrace)> {
-        self.with_degradation(|| ov_query::run_query_traced(self, src))
+        Ok(ov_query::run_query_traced(self, src)?)
     }
 
     /// Requests the population of virtual (or imaginary) class `class` and
@@ -815,7 +704,7 @@ impl View {
                 )))
             }
         }
-        let (result, events) = plan::collect(|| self.with_degradation(|| self.population(c)));
+        let (result, events) = plan::collect(|| self.population(c));
         result?;
         let name = self.schema.read().class(c).name;
         // The requested class's event completes last (nested populations of
@@ -843,7 +732,7 @@ impl View {
         // Privileged: the view's own computed-attribute bodies see through
         // hides (Example 5 hides City/Street *after* defining the Address
         // attribute over them).
-        let hides: &[_] = if self.hidden_attrs.is_empty() || self.body_depth() > 0 {
+        let hides: &[_] = if self.hidden_attrs.is_empty() || self.frame().body_depth > 0 {
             &[]
         } else {
             &self.hidden_attrs
@@ -887,7 +776,7 @@ impl View {
         // View-internal definitions (attribute bodies, population queries)
         // may reference hidden classes — the relational bridge hides its
         // staging classes while its imaginary populations select from them.
-        if self.is_hidden_class(c) && self.body_depth() == 0 {
+        if self.is_hidden_class(c) && self.frame().body_depth == 0 {
             None
         } else {
             Some(c)
@@ -914,7 +803,7 @@ impl View {
     /// readers of other classes in the same shard for the whole computation
     /// would serialize the read path this refactor exists to parallelize.
     fn population(&self, c: ClassId) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
-        if self.with_eval(|s| s.populating.contains(&c)) {
+        if self.frame().populating.contains(&c) {
             let name = self.schema.read().class(c).name;
             return Err(ViewError::CyclicVirtualClass(name).into());
         }
@@ -1019,9 +908,11 @@ impl View {
 
     /// The failure tail of [`Self::population`]: serves the last good
     /// cached population (any version — it is by definition stale) when the
-    /// failure is degradable, else lets the typed error propagate, noting
-    /// exhausted degradation for [`Self::with_degradation`] when the
-    /// failure was fault-induced.
+    /// failure is degradable, else lets the typed error propagate — as
+    /// [`ViewError::Degraded`] when the failure was fault-induced. A nested
+    /// population that exhausted its own fallbacks hands its fault up, so
+    /// the outermost exhausted population names the error, with the
+    /// innermost fault as its cause.
     ///
     /// A stale serve can never mix generations. The cache holds one
     /// `Arc<BTreeSet<Oid>>` per class, cloned out under the shard read
@@ -1036,11 +927,16 @@ impl View {
         e: QueryError,
         attempts: u32,
     ) -> ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)> {
-        let fault_induced = e.is_transient() || matches!(e, QueryError::Panicked { .. });
+        let e = match ViewError::from(e) {
+            ViewError::Degraded { cause, .. } => *cause,
+            e => e,
+        };
+        let fault_induced =
+            e.is_transient() || matches!(e, ViewError::Query(QueryError::Panicked { .. }));
         let degradable = fault_induced
             || matches!(
                 e,
-                QueryError::Cancelled(_) | QueryError::ResourceExhausted(_)
+                ViewError::Query(QueryError::Cancelled(_) | QueryError::ResourceExhausted(_))
             );
         if degradable {
             let stale = self.pop_shard(c).read().get(&c).map(|p| p.oids.clone());
@@ -1048,13 +944,15 @@ impl View {
                 return Ok((oids, plan::PopPath::StaleServe { attempts }));
             }
         }
-        if fault_induced {
-            // No cached fallback: record that degradation was attempted
-            // and exhausted, so the public boundary can say so.
-            let name = self.schema.read().class(c).name;
-            DEGRADED_NOTE.with(|n| n.set(Some((name, attempts))));
+        if !fault_induced {
+            return Err(e.into());
         }
-        Err(e)
+        Err(ViewError::Degraded {
+            class: self.schema.read().class(c).name,
+            attempts,
+            cause: Box::new(e),
+        }
+        .into())
     }
 
     /// One attempt of [`Self::population`]: resolves the request and reports
@@ -1080,16 +978,7 @@ impl View {
             }
         }
         self.stats.bump(Stat::Recomputation);
-        // Population queries are view-internal definitions: like attribute
-        // bodies, they see through the view's hides (paper Example 5 hides
-        // the very attributes its imaginary Address class selects). The
-        // bracket restores on unwind too: a panicking recompute must not
-        // leak privileged visibility into later queries on this thread.
-        let result = {
-            let _guard = PopBracket::enter(self, c);
-            self.compute_population(c)
-        };
-        let oids = Arc::new(result?);
+        let oids = Arc::new(self.in_population(c, || self.compute_population(c))?);
         self.store_pop(c, versions, schema_len, oids.clone());
         Ok((oids, plan::PopPath::FullRecompute { scans: Vec::new() }))
     }
@@ -1178,8 +1067,7 @@ impl View {
             let admitted = if changed.is_empty() {
                 BTreeSet::new()
             } else {
-                let _guard = PopBracket::enter(self, c);
-                self.delta_admits(&includes, &changed)?
+                self.in_population(c, || self.delta_admits(&includes, &changed))?
             };
             let mut shard = self.pop_shard_write(c);
             let Some(entry) = shard.get_mut(&c) else {
@@ -1330,7 +1218,7 @@ impl View {
                 Include::Like { spec } => {
                     // Re-scan: classes defined after this one are admitted
                     // automatically.
-                    let populating = self.with_eval(|s| s.populating.clone());
+                    let populating = self.frame().populating;
                     let matches: Vec<ClassId> = {
                         let schema = self.schema.read();
                         schema
@@ -1392,12 +1280,10 @@ impl View {
             && self.parallel_strikes.load(Ordering::Relaxed) < PARALLEL_STRIKE_LIMIT
         {
             let chunks = extent.len().div_ceil(self.parallel.chunk_len(extent.len()));
-            let (populating, depth) = self.with_eval(|s| (s.populating.clone(), s.body_depth));
             let split = self.measured(plan::ScanKind::Parallel { chunks, engine }, est, |_| {
                 collection_step()?;
                 let site = "view.scan_chunk";
                 ov_query::filter_map_chunked(&self.parallel, site, &extent, |chunk, keep| {
-                    let _state = self.adopt_eval_state(&populating, depth);
                     let mut counted = plan::ScanActuals::default();
                     let r = self.run_rows(spec, chunk, &mut counted, keep);
                     plan::add_actuals(&counted);
@@ -1585,7 +1471,7 @@ impl View {
             .lookup_class(name)
             .ok_or(OodbError::UnknownClass(name))?;
         // Force a fresh population so the live-oid set is current.
-        let live = self.population(class).map_err(ViewError::from)?;
+        let live = self.population(class)?;
         let mut identity = self.identity.write();
         let Some(table) = identity.get_mut(&class) else {
             return Ok(0);
@@ -1636,7 +1522,7 @@ impl View {
     /// there through the classes its definition reads, which the caller
     /// reaches without it.
     fn populatable_virtuals(&self, keep: impl Fn(&Schema, ClassId) -> bool) -> Vec<ClassId> {
-        let populating = self.with_eval(|s| s.populating.clone());
+        let populating = self.frame().populating;
         let virt = self.virt.read();
         let schema = self.schema.read();
         let mut out: Vec<ClassId> = virt
@@ -1702,7 +1588,7 @@ impl View {
     /// the view's own definitions — its nearest visible ancestors when it
     /// is hidden. Empty: the object is not visible at all.
     fn base_roots(&self, class: ClassId) -> Vec<ClassId> {
-        if self.is_hidden_class(class) && self.body_depth() == 0 {
+        if self.is_hidden_class(class) && self.frame().body_depth == 0 {
             self.nearest_visible_ancestors(&self.schema.read(), class)
         } else {
             vec![class]
@@ -1832,7 +1718,7 @@ impl View {
             // along this object's resolution chain (§3: a hide in C covers
             // C and all its subclasses).
             Err(OodbError::UnknownAttr { .. })
-                if self.body_depth() == 0
+                if self.frame().body_depth == 0
                     && self.hidden_attrs.iter().any(|&(c, a)| {
                         a == attr
                             && (schema.is_subclass(view_class, c)
@@ -2125,7 +2011,7 @@ impl DataSource for View {
                     ClassKind::Imported { source, orig } => {
                         // A hidden class resolves through its visible
                         // ancestors, not through itself.
-                        if self.is_hidden_class(d) && self.body_depth() == 0 {
+                        if self.is_hidden_class(d) && self.frame().body_depth == 0 {
                             return None;
                         }
                         let (_, def) = self.definition(&schema, &[d], attr, false).ok()?;
@@ -2184,12 +2070,8 @@ impl DataSource for View {
         Ok(Value::Set(oids.into_iter().map(Value::Oid).collect()))
     }
 
-    fn enter_body(&self) {
-        self.with_eval(|s| s.body_depth += 1);
-    }
-
-    fn exit_body(&self) {
-        self.with_eval(|s| s.body_depth = s.body_depth.saturating_sub(1));
+    fn frame_key(&self) -> Option<u64> {
+        Some(self.token)
     }
 
     fn apply_type(&self, name: Symbol, args: &[Type]) -> ov_query::Result<Type> {

@@ -246,6 +246,103 @@ fn session_statements_report_degradation_like_session_queries() {
     );
 }
 
+/// Populations nest on a two-level stack: `Rich` (view `Top`) is populated
+/// from `Adult` (view `Base`). When both run out of retries, the outermost
+/// exhausted population names the error, and the injected fault is still
+/// the tail of its `source()` chain.
+#[test]
+fn nested_exhausted_populations_degrade_as_the_outermost() {
+    let _guard = FaultGuard::take();
+    let mut session = Session::new();
+    session
+        .execute(
+            r#"
+            database Staff;
+            class Person type [Name: string, Age: integer, Income: integer];
+            object #1 in Person value [Name: "Maggy", Age: 66, Income: 300];
+            create view Base;
+            import all classes from database Staff;
+            class Adult includes (select P from Person where P.Age >= 21);
+            create view Top;
+            import all classes from view Base;
+            class Rich includes (select A from Adult where A.Income >= 100);
+            "#,
+        )
+        .unwrap();
+    // `Rich`'s first recompute passes the failpoint and fails in `Adult`'s,
+    // which fails all three of its own attempts; then every recompute
+    // fails.
+    faults::arm(
+        "view.population_recompute",
+        FaultSchedule::From(2),
+        FaultAction::Error,
+    );
+    let err = session.query(sym("Top"), "count(Rich)").unwrap_err();
+    let ViewError::Degraded {
+        class,
+        attempts,
+        ref cause,
+    } = err
+    else {
+        panic!("expected Degraded, got {err}");
+    };
+    assert_eq!((class, attempts), (sym("Rich"), 3));
+    assert!(matches!(**cause, ViewError::Oodb(_)), "cause: {cause:?}");
+    assert!(err.is_transient());
+    let mut cur: &dyn std::error::Error = &err;
+    while let Some(next) = std::error::Error::source(cur) {
+        cur = next;
+    }
+    assert!(
+        cur.to_string().contains("view.population_recompute"),
+        "chain tail: {cur}"
+    );
+    let stats = session.view(sym("Top")).unwrap().stats();
+    assert_eq!(stats.fault_retries, 4, "two per population: {stats:?}");
+}
+
+/// A panic that unwinds out of a computed body leaves the reading thread's
+/// hides as they were: the body bracket is a scope of the execution
+/// context, restored on unwind, in both engines.
+#[test]
+fn a_panicking_body_leaks_no_hide_privilege() {
+    let _guard = FaultGuard::take();
+    let sys = people_system();
+    let view = ViewDef::from_script(
+        r#"
+        create view V;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        attribute Adults in class Person has value count(Adult);
+        hide attribute Age in class Person;
+        "#,
+    )
+    .unwrap()
+    .binder(&sys)
+    .bind()
+    .unwrap();
+    assert!(view.query("maggy.Age").is_err(), "Age is hidden");
+    // The cache is cold, so the body's `count(Adult)` recomputes — and
+    // panics. The interpreter runs `maggy.Adults`; a scan compiles the
+    // body.
+    faults::arm(
+        "view.population_recompute",
+        FaultSchedule::From(1),
+        FaultAction::Panic,
+    );
+    for query in [
+        "maggy.Adults",
+        "select P from P in Person where P.Adults > 0",
+    ] {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| view.query(query)));
+        assert!(caught.is_err(), "{query} panics");
+        let seen = view.query("maggy.Age");
+        assert!(seen.is_err(), "after {query}, Age reads {seen:?}");
+    }
+    faults::clear();
+    assert_eq!(view.query("maggy.Adults").unwrap(), Value::Int(5));
+}
+
 #[test]
 fn faulting_chunks_fall_back_to_sequential_then_trip_the_breaker() {
     let _guard = FaultGuard::take();

@@ -19,8 +19,8 @@
 //! * **computed-attribute bodies compile too**: when a slot's cached
 //!   resolution is class-pure and the body is in the covered subset, the
 //!   body is lowered once into its own [`Program`] (`self` in register 0,
-//!   parameters after it, bracketed by `EnterBody`/`ExitBody`
-//!   instructions) and invoked as a bytecode frame instead of
+//!   parameters after it) and invoked as a bytecode frame, inside the
+//!   source's body bracket as `run_computed` opens it, instead of
 //!   round-tripping through `Evaluator::run_computed` per row;
 //! * every attribute access is **one lazy probe**
 //!   ([`DataSource::resolution_class_and_field`]): the object lookup that
@@ -182,14 +182,6 @@ enum Inst {
     /// Pop a collection, push the aggregate over it (the interpreter's own
     /// `aggregate`, so values and error variants are its).
     Aggregate(AggFunc),
-    /// Frame entry of a compiled computed-attribute body: the
-    /// `DataSource::enter_body` bracket the interpreter's `run_computed`
-    /// opens before evaluating the body.
-    EnterBody,
-    /// …and the matching `exit_body`. Skipped when the body errors; the
-    /// frame driver ([`Scan::run_body`]) re-balances, exactly like
-    /// `run_computed` exiting on the error path.
-    ExitBody,
 }
 
 /// A compiled expression: flat instructions, a constant pool, and one
@@ -279,14 +271,13 @@ pub fn compile_predicate(expr: &Expr, vars: &[Symbol]) -> Option<Program> {
 }
 
 /// Lowers a computed-attribute body to a [`Program`] with `self` in
-/// register 0 and `params` in registers `1..`, bracketed by
-/// `EnterBody`/`ExitBody` so the body-privilege window and its budget
-/// charges land exactly where `Evaluator::run_computed` puts them.
-/// `None` when the body uses anything outside the covered subset — the
-/// scan then falls back to `run_computed` for that slot.
+/// register 0 and `params` in registers `1..`; [`Scan::run_body`] runs it
+/// inside the body bracket `Evaluator::run_computed` opens. `None` when
+/// the body uses anything outside the covered subset — the scan then falls
+/// back to `run_computed` for that slot.
 fn compile_body(params: &[Symbol], body: &Expr) -> Option<Program> {
     let mut c = Compiler {
-        insts: vec![Inst::EnterBody],
+        insts: Vec::new(),
         consts: Vec::new(),
         slots: Vec::new(),
         slot_recv: Vec::new(),
@@ -297,7 +288,6 @@ fn compile_body(params: &[Symbol], body: &Expr) -> Option<Program> {
         self_reg: Some(0),
     };
     c.emit(body, 0)?;
-    c.insts.push(Inst::ExitBody);
     Some(c.finish())
 }
 
@@ -606,10 +596,6 @@ pub struct Scan<'a> {
     /// its global-slot base, found by `Arc` identity. Holding the `Arc`
     /// keeps the address from being reused while registered.
     child_bases: Vec<(Arc<Program>, usize)>,
-    /// In-flight `EnterBody` brackets, so an error unwinding past
-    /// `ExitBody` instructions can be re-balanced exactly like
-    /// `run_computed`'s exit-on-error.
-    open_bodies: usize,
     /// The source's resolution generation when the caches were last
     /// (re)filled; a bump drops every cached verdict.
     gen: u64,
@@ -634,7 +620,6 @@ impl<'a> Scan<'a> {
             bodies: Vec::new(),
             interp: Vec::new(),
             child_bases: Vec::new(),
-            open_bodies: 0,
             gen: src.resolution_generation(),
             cache_hits: 0,
             cache_misses: 0,
@@ -783,14 +768,6 @@ impl<'a> Scan<'a> {
                 Inst::Aggregate(func) => {
                     let v = self.stack.pop().expect("aggregate argument on stack");
                     self.stack.push(eval::aggregate(func, &v)?);
-                }
-                Inst::EnterBody => {
-                    self.src.enter_body();
-                    self.open_bodies += 1;
-                }
-                Inst::ExitBody => {
-                    self.src.exit_body();
-                    self.open_bodies -= 1;
                 }
             }
             pc += 1;
@@ -1030,9 +1007,8 @@ impl<'a> Scan<'a> {
     /// Invokes compiled body `body`: arity check, a fresh register frame
     /// (`self`, then the arguments by move), and the body's own slot
     /// range. Bit-identical to `Evaluator::run_computed` — same arity
-    /// error, same `enter_body`/step ordering (the program's `EnterBody` +
-    /// root `Step`), and the body bracket is closed even when the body
-    /// errors.
+    /// error, and the program, root `Step` first, runs inside the same body
+    /// bracket, which closes however the body ends.
     fn run_body(
         &mut self,
         body: usize,
@@ -1056,14 +1032,9 @@ impl<'a> Scan<'a> {
         let frame = self.regs.len();
         self.regs.push(Value::Oid(oid));
         self.regs.extend(args);
-        let open = self.open_bodies;
-        let result = self.exec(&prog, depth + 1, frame, slot_base);
-        // On error the body's `ExitBody` never ran; close the bracket(s)
-        // like `run_computed`'s unconditional exit.
-        while self.open_bodies > open {
-            self.src.exit_body();
-            self.open_bodies -= 1;
-        }
+        let result = ctx::in_body(self.src.frame_key(), || {
+            self.exec(&prog, depth + 1, frame, slot_base)
+        });
         self.regs.truncate(frame);
         result
     }
@@ -1096,7 +1067,7 @@ impl<'a> Scan<'a> {
     ///
     /// Slot-cache soundness across body depths: a given slot only ever
     /// executes at one body-privilege polarity — outer-program slots
-    /// outside any `EnterBody` bracket this scan opened, body-program
+    /// outside any body bracket this scan opened, body-program
     /// slots always inside one (nesting depth may vary, but visibility is
     /// a binary in-body/not-in-body distinction) — so one verdict per
     /// (slot, class) cannot be observed from the other polarity.

@@ -5,40 +5,61 @@
 //! and `&View` *is* the data source, so the governing caller cannot hand
 //! these down the read path; it brackets the work instead and the layers
 //! below read the bracket. All of it lives here, in one [`ExecCtx`] behind
-//! the crate's one `thread_local!`: the engine and planner overrides, the
-//! budget, the trace collector (population events and the planner's
-//! decision), the open population request's scans and the open actuals
-//! frame. The public entry points keep their homes —
-//! [`crate::with_engine_mode`], [`crate::with_planner`],
-//! [`crate::budget::with`], [`crate::plan::collect`],
-//! [`crate::plan::population_scans`], [`crate::plan::with_scan_actuals`] —
-//! and are each a [`scoped`] call on one field.
+//! the one `thread_local!` of the query and view layers: the engine and
+//! planner overrides, the budget, the trace collector (population events
+//! and the planner's decision), the open population request's scans, the
+//! open actuals frame, and the open view brackets, which add up to each
+//! view's [`ViewFrame`] (its cycle guard and its body depth). The public
+//! entry points keep their homes — [`crate::with_engine_mode`],
+//! [`crate::with_planner`], [`crate::budget::with`],
+//! [`crate::plan::collect`], [`crate::plan::population_scans`],
+//! [`crate::plan::with_scan_actuals`], [`in_view`] — and are each a
+//! [`scope`] over the context.
 //!
 //! Two rules hold for every field alike:
 //!
-//! * **A scope restores on unwind.** [`scoped`] is the only install/restore
+//! * **A scope restores on unwind.** [`scope`] is the only install/restore
 //!   sequence; a panic caught above it (the chaos suites do this on the
-//!   reading thread) leaves the thread reading what it read before.
+//!   reading thread) leaves the thread reading what it read before — a
+//!   view's hides included.
 //! * **Workers inherit through [`fork`].** A scan that fans out hands its
-//!   workers the engine, the planner switch and the budget, and each worker
-//!   measures in an actuals frame of its own. The collector stays with the
-//!   coordinator: it is the thread making the plan decision.
+//!   workers the engine, the planner switch, the budget and the view
+//!   brackets, and each worker measures in an actuals frame of its own and —
+//!   when the coordinator is tracing — observes in a collector of its own;
+//!   both come back with its chunk.
 //!
 //! Borrows of the cell are short by construction: [`with`] runs a closure
-//! that must not call back into the engine, and [`scoped`] releases the
+//! that must not call back into the engine, and [`scope`] releases the
 //! cell before the scoped work starts. Per-row code never comes here —
 //! `Scan::new`, `Evaluator::new` and `RowTest::new` capture the budget once
 //! per scan.
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::Arc;
+
+use ov_oodb::ClassId;
 
 use crate::budget::Budget;
 use crate::compile::EngineMode;
-use crate::plan::{Collector, ScanActuals, ScanEvent};
+use crate::plan::{Collector, PopulationTrace, ScanActuals, ScanEvent};
+
+/// One view's evaluation state on one thread — what the paper's view
+/// evaluation keeps on the call stack — as the thread's open brackets of
+/// that view add it up ([`view_frame`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ViewFrame {
+    /// Classes whose population is in flight, innermost last: the cycle
+    /// guard (`A includes select … from B`, `B includes select … from A`).
+    pub populating: Vec<ClassId>,
+    /// Computed-attribute bodies and population queries open. While
+    /// positive, the view's own definitions see through its hides (paper
+    /// Example 5).
+    pub body_depth: u32,
+}
 
 /// One thread's execution context. Every field is the *innermost* open
-/// scope's value; the enclosing scopes' values wait in their [`scoped`]
+/// scope's value; the enclosing scopes' values wait in their [`scope`]
 /// calls, so the call stack is the stack.
 pub(crate) struct ExecCtx {
     /// [`crate::with_engine_mode`]'s override; `None` is the default engine.
@@ -54,6 +75,10 @@ pub(crate) struct ExecCtx {
     pub scans: Option<Vec<ScanEvent>>,
     /// The open actuals frame ([`crate::plan::with_scan_actuals`]).
     pub actuals: Option<ScanActuals>,
+    /// The open view brackets ([`in_view`]), innermost last: the view's
+    /// [`crate::DataSource::frame_key`] and the class the bracket
+    /// populates, `None` for a computed body.
+    pub views: Vec<(u64, Option<ClassId>)>,
 }
 
 impl ExecCtx {
@@ -65,6 +90,7 @@ impl ExecCtx {
             collector: None,
             scans: None,
             actuals: None,
+            views: Vec::new(),
         }
     }
 }
@@ -79,38 +105,77 @@ pub(crate) fn with<R>(f: impl FnOnce(&mut ExecCtx) -> R) -> R {
     CTX.with(|c| f(&mut c.borrow_mut()))
 }
 
+/// The one install/restore sequence: `enter` edits the context and returns
+/// what it displaced, `f` runs, and `leave` puts that back and hands out
+/// what the scope leaves behind — after `f` returns, or as it unwinds. The
+/// cell is not borrowed while `f` runs.
+fn scope<S, V, R>(
+    enter: impl FnOnce(&mut ExecCtx) -> S,
+    leave: impl FnOnce(&mut ExecCtx, S) -> V,
+    f: impl FnOnce() -> R,
+) -> (R, V) {
+    struct Pending<S, V, L: FnOnce(&mut ExecCtx, S) -> V>(Option<(S, L)>, PhantomData<V>);
+    impl<S, V, L: FnOnce(&mut ExecCtx, S) -> V> Pending<S, V, L> {
+        /// Leaves the scope (once).
+        fn leave(&mut self) -> Option<V> {
+            let (held, leave) = self.0.take()?;
+            Some(with(|c| leave(c, held)))
+        }
+    }
+    impl<S, V, L: FnOnce(&mut ExecCtx, S) -> V> Drop for Pending<S, V, L> {
+        fn drop(&mut self) {
+            self.leave();
+        }
+    }
+    let held = with(enter);
+    let mut pending = Pending(Some((held, leave)), PhantomData);
+    let r = f();
+    (r, pending.leave().expect("a scope is left once"))
+}
+
 /// Where one setting lives in the context.
 type Slot<T> = fn(&mut ExecCtx) -> &mut T;
 
 /// Runs `f` with `value` in `slot` and returns its result together with
 /// what the slot held when it finished; the slot's previous content is put
-/// back on the way out, on unwind too. The cell is not borrowed while `f`
-/// runs.
-pub(crate) fn scoped<T: 'static, R>(slot: Slot<T>, value: T, f: impl FnOnce() -> R) -> (R, T) {
-    struct Restore<T: 'static> {
-        slot: Slot<T>,
-        outer: Option<T>,
-    }
-    impl<T> Restore<T> {
-        /// Puts the outer value back (once) and hands out the scope's own.
-        fn leave(&mut self) -> Option<T> {
-            let outer = self.outer.take()?;
-            Some(with(|c| std::mem::replace((self.slot)(c), outer)))
-        }
-    }
-    impl<T> Drop for Restore<T> {
-        fn drop(&mut self) {
-            self.leave();
-        }
-    }
-    let outer = with(|c| std::mem::replace(slot(c), value));
-    let mut restore = Restore {
-        slot,
-        outer: Some(outer),
+/// back on the way out, on unwind too.
+pub(crate) fn scoped<T, R>(slot: Slot<T>, value: T, f: impl FnOnce() -> R) -> (R, T) {
+    let replace = move |c: &mut ExecCtx, v: T| std::mem::replace(slot(c), v);
+    scope(|c| replace(c, value), replace, f)
+}
+
+/// Runs `f` inside one more bracket of the view keyed `key`: a computed
+/// body, or, with `populating`, the population query of that class, which
+/// is in flight meanwhile. The bracket closes on the way out, on unwind
+/// too.
+pub fn in_view<R>(key: u64, populating: Option<ClassId>, f: impl FnOnce() -> R) -> R {
+    let enter = |c: &mut ExecCtx| {
+        c.views.push((key, populating));
+        c.views.len() - 1
     };
-    let r = f();
-    let inner = restore.leave().expect("a scope is left once");
-    (r, inner)
+    scope(enter, |c, held| c.views.truncate(held), f).0
+}
+
+/// Runs `f`, the body of a computed attribute of a source keyed `key`, in
+/// one more bracket of that source — in none for a source without a key.
+pub(crate) fn in_body<R>(key: Option<u64>, f: impl FnOnce() -> R) -> R {
+    match key {
+        Some(key) => in_view(key, None, f),
+        None => f(),
+    }
+}
+
+/// The frame of the view keyed `key` on this thread: what its open
+/// brackets add up to, the default when none is open.
+pub fn view_frame(key: u64) -> ViewFrame {
+    with(|c| {
+        let mut frame = ViewFrame::default();
+        for &(_, populating) in c.views.iter().filter(|(k, _)| *k == key) {
+            frame.body_depth += 1;
+            frame.populating.extend(populating);
+        }
+        frame
+    })
 }
 
 /// What a coordinating thread hands the workers of a scan it splits.
@@ -118,38 +183,53 @@ pub(crate) struct Fork {
     engine: Option<EngineMode>,
     planner: Option<bool>,
     budget: Option<Arc<Budget>>,
+    views: Vec<(u64, Option<ClassId>)>,
+    /// The coordinator has a collector open.
+    tracing: bool,
 }
 
 /// The inheritable part of this thread's context: the engine, the planner
-/// switch, and the budget — shared, so every worker drains the
-/// coordinator's counters.
+/// switch, the budget — shared, so every worker drains the coordinator's
+/// counters — and the view brackets, so a chunk's filter sees exactly what
+/// a sequential scan would see.
 pub(crate) fn fork() -> Fork {
     with(|c| Fork {
         engine: c.engine,
         planner: c.planner,
         budget: c.budget.clone(),
+        views: c.views.clone(),
+        tracing: c.collector.is_some(),
     })
 }
 
 impl Fork {
-    /// Runs `f` on the calling (worker) thread under the forked settings,
-    /// in an actuals frame of its own, and returns what the frame measured
-    /// with the result. No collector: workers emit no population events.
-    pub fn run<R>(&self, f: impl FnOnce() -> R) -> (R, ScanActuals) {
+    /// Runs `f` on the calling (worker) thread under the forked settings
+    /// and brackets, in an actuals frame of its own and, when the
+    /// coordinator is tracing, a collector of its own; returns the result
+    /// with what the frame measured and the population events the
+    /// collector observed.
+    pub fn run<R>(&self, f: impl FnOnce() -> R) -> (R, ScanActuals, Vec<PopulationTrace>) {
         let worker = ExecCtx {
             engine: self.engine,
             planner: self.planner,
             budget: self.budget.clone(),
+            collector: self.tracing.then(Collector::default),
+            views: self.views.clone(),
             ..ExecCtx::new()
         };
-        scoped(|c| c, worker, || crate::plan::with_scan_actuals(f)).0
+        let ((r, actuals), worker) = scoped(|c| c, worker, || crate::plan::with_scan_actuals(f));
+        (
+            r,
+            actuals,
+            worker.collector.map_or_else(Vec::new, |c| c.events),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{add_actuals, with_scan_actuals};
+    use crate::plan::{add_actuals, with_scan_actuals, PopPath};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn scanned(rows_scanned: u64) -> ScanActuals {
@@ -200,21 +280,29 @@ mod tests {
     }
 
     #[test]
-    fn a_fork_carries_settings_and_budget_but_no_collector() {
+    fn a_fork_carries_settings_budget_frames_and_a_collector_of_its_own() {
         let budget = Arc::new(Budget::new());
-        let fork = crate::budget::with(budget.clone(), || {
+        let (fork, _) = crate::budget::with(budget.clone(), || {
             crate::with_engine_mode(EngineMode::Interp, || {
-                crate::with_planner(false, || crate::plan::collect(fork).0)
+                crate::with_planner(false, || {
+                    in_view(9, Some(ClassId(4)), || crate::plan::collect(fork))
+                })
             })
         });
-        let (seen, actuals) = std::thread::spawn(move || {
+        let (seen, actuals, events) = std::thread::spawn(move || {
             fork.run(|| {
                 add_actuals(&scanned(7));
+                crate::plan::record_population(crate::plan::PopulationTrace {
+                    class: ov_oodb::sym("W"),
+                    path: PopPath::CacheHit,
+                    rows: 1,
+                    nanos: 1,
+                });
                 (
                     crate::engine_mode(),
                     crate::planner_enabled(),
                     crate::budget::current(),
-                    crate::plan::tracing_active(),
+                    view_frame(9),
                 )
             })
         })
@@ -223,7 +311,8 @@ mod tests {
         assert_eq!(seen.0, EngineMode::Interp);
         assert!(!seen.1);
         assert!(Arc::ptr_eq(&seen.2.unwrap(), &budget));
-        assert!(!seen.3, "workers do not collect population events");
+        assert_eq!(seen.3.populating, [ClassId(4)], "the coordinator's bracket");
         assert_eq!(actuals.rows_scanned, 7, "the worker's own frame");
+        assert_eq!(events.len(), 1, "the worker's own collector");
     }
 }

@@ -1,6 +1,7 @@
 //! Errors for the language layer.
 
 use std::fmt;
+use std::sync::Arc;
 
 use ov_oodb::OodbError;
 
@@ -79,6 +80,26 @@ pub enum QueryError {
         /// The panic payload, rendered.
         msg: String,
     },
+    /// A data source's own error (a view's), crossing the
+    /// [`DataSource`](crate::DataSource) boundary typed.
+    Source(SourceError),
+}
+
+/// A data source's own error, carried through the query layer as
+/// [`QueryError::Source`]; the source downcasts it back.
+#[derive(Clone, Debug)]
+pub struct SourceError {
+    /// The source's error.
+    pub error: Arc<dyn std::error::Error + Send + Sync>,
+    /// What [`QueryError::is_transient`] answers for it.
+    pub transient: bool,
+}
+
+impl PartialEq for SourceError {
+    /// Two source errors are equal when they say the same thing.
+    fn eq(&self, other: &SourceError) -> bool {
+        self.transient == other.transient && self.error.to_string() == other.error.to_string()
+    }
 }
 
 impl QueryError {
@@ -110,6 +131,7 @@ impl fmt::Display for QueryError {
             QueryError::Panicked { site, msg } => {
                 write!(f, "worker panicked at `{site}`: {msg}")
             }
+            QueryError::Source(e) => write!(f, "{}", e.error),
         }
     }
 }
@@ -119,6 +141,7 @@ impl std::error::Error for QueryError {
         match self {
             QueryError::Oodb(e) => Some(e),
             QueryError::Cancelled(b) | QueryError::ResourceExhausted(b) => Some(b),
+            QueryError::Source(e) => Some(&*e.error),
             _ => None,
         }
     }
@@ -129,7 +152,11 @@ impl QueryError {
     /// (Budget breaches are *not* transient: retrying an exhausted budget
     /// burns time without changing the outcome.)
     pub fn is_transient(&self) -> bool {
-        matches!(self, QueryError::Oodb(e) if e.is_transient())
+        match self {
+            QueryError::Oodb(e) => e.is_transient(),
+            QueryError::Source(e) => e.transient,
+            _ => false,
+        }
     }
 }
 

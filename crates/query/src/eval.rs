@@ -328,10 +328,9 @@ impl<'a> Evaluator<'a> {
         for (p, v) in params.iter().zip(args) {
             env.bind(*p, v);
         }
-        self.src.enter_body();
-        let result = self.eval_depth(body, &mut env, depth + 1);
-        self.src.exit_body();
-        result
+        crate::ctx::in_body(self.src.frame_key(), || {
+            self.eval_depth(body, &mut env, depth + 1)
+        })
     }
 
     fn binary(

@@ -49,7 +49,8 @@ pub use compile::{
     compile_fallbacks, compile_predicate, compile_select_scan, compiled_enabled, engine_mode,
     with_engine_mode, EngineMode, Program, Scan, SelectScan,
 };
-pub use error::{Pos, QueryError, Result};
+pub use ctx::{in_view, view_frame, ViewFrame};
+pub use error::{Pos, QueryError, Result, SourceError};
 pub use eval::{eval_attr, eval_expr, eval_select, truthy, value_eq, Env, Evaluator};
 pub use exec::{
     execute_data_stmt, execute_script, execute_stmts, execute_stmts_with_map, map_select,

@@ -167,9 +167,10 @@ pub fn run_query_parallel(
 /// one fan-out, shared by [`eval_select_parallel`] and the view layer's
 /// split population scans. `site` names the per-chunk failpoint and span
 /// and labels a caught worker panic ([`QueryError::Panicked`]). Every
-/// worker runs under the coordinator's engine mode, planner switch and
-/// budget, and checks the deadline before it starts; rows are charged by
-/// `per_chunk`'s row loop. The first error (in chunk order) wins.
+/// worker runs under the coordinator's engine mode, planner switch, budget
+/// and view frames, and checks the deadline before it starts; rows are
+/// charged by `per_chunk`'s row loop. The first error (in chunk order)
+/// wins.
 pub fn filter_map_chunked<T, K, F>(
     cfg: &ParallelConfig,
     site: &'static str,
@@ -187,16 +188,18 @@ where
         items = items.len(),
         chunks = items.len().div_ceil(chunk_len)
     );
-    // Workers inherit the coordinator's engine, planner switch and budget
-    // (shared, so all chunks drain the same step/row counters). They cannot
-    // see its actuals frame, so each measures its chunk in a frame of its
-    // own and hands the result back with its chunk; the coordinator folds
-    // the *work counters* into its own frame (a no-op when it has none
-    // open). Budget charges are deliberately not folded — worker-side
-    // budget deltas overlap under concurrency, and the coordinator's own
-    // bracketing delta already covers every worker's charges.
+    // Workers inherit the coordinator's engine, planner switch, budget
+    // (shared, so all chunks drain the same step/row counters) and view
+    // frames. They cannot see its actuals frame or its collector, so each
+    // measures its chunk in a frame of its own, observes in a collector of
+    // its own, and hands both back with its chunk; the coordinator folds the
+    // *work counters* into its own frame (a no-op when it has none open)
+    // and the population events into its collector, in chunk order. Budget
+    // charges are deliberately not folded — worker-side budget deltas
+    // overlap under concurrency, and the coordinator's own bracketing delta
+    // already covers every worker's charges.
     let fork = crate::ctx::fork();
-    let results: Vec<(Result<BTreeSet<K>>, ScanActuals)> = std::thread::scope(|scope| {
+    let mut results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
             .enumerate()
@@ -229,16 +232,18 @@ where
                     (
                         Err(QueryError::Panicked { site, msg }),
                         ScanActuals::default(),
+                        Vec::new(),
                     )
                 })
             })
             .collect()
     });
-    for (_, counted) in &results {
+    for (_, counted, events) in &mut results {
         crate::plan::add_actuals(counted);
+        events.drain(..).for_each(crate::plan::record_population);
     }
     let mut out = BTreeSet::new();
-    for (r, _) in results {
+    for (r, _, _) in results {
         out.extend(r?);
     }
     Ok(out)

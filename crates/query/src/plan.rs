@@ -16,9 +16,10 @@
 //! scans a frame of their own. The collector, the open scan frame and the
 //! open actuals frame are fields of the thread's one execution context
 //! (`ctx.rs`). With no collector installed every record is a thread-local
-//! read and a no-op. Worker threads of a parallel scan do not see the
-//! collector: the coordinating thread makes the plan decision and records
-//! the scan.
+//! read and a no-op. A worker of a parallel scan records the populations
+//! it requests into a collector of its own, folded back into the
+//! coordinator's in chunk order; the coordinating thread makes the plan
+//! decision and records the scan.
 
 use std::fmt;
 
@@ -369,7 +370,7 @@ pub fn fmt_ns(ns: u64) -> String {
 #[derive(Default)]
 pub(crate) struct Collector {
     /// Population events, in completion order.
-    events: Vec<PopulationTrace>,
+    pub(crate) events: Vec<PopulationTrace>,
     /// The decision of the planned query that ran in the scope
     /// ([`note_decision`]).
     decision: Option<Decision>,

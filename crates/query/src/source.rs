@@ -179,16 +179,18 @@ pub trait DataSource {
         None
     }
 
-    /// Called by the evaluator when it starts evaluating the body of a
-    /// computed attribute, and…
-    fn enter_body(&self) {}
-
-    /// …when it finishes. Views use this pair to give attribute bodies
-    /// *privileged* visibility: an attribute hidden by the view is still
-    /// readable from the bodies of the view's own computed attributes
-    /// (the paper's Example 5 defines `Address` over `City`/`Street` and
-    /// then hides them).
-    fn exit_body(&self) {}
+    /// The key of this source's frame in the execution context
+    /// ([`crate::ViewFrame`]). Both engines evaluate the body of a computed
+    /// attribute inside one more body bracket of that frame
+    /// ([`crate::in_view`]), restored on unwind too. Views use it to give
+    /// attribute bodies *privileged* visibility: an attribute hidden by the
+    /// view is still readable from the bodies of the view's own computed
+    /// attributes (the paper's Example 5 defines `Address` over
+    /// `City`/`Street` and then hides them). `None`, the default: the
+    /// source keeps no evaluation state, and a body opens no bracket.
+    fn frame_key(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl DataSource for Database {

@@ -1,16 +1,26 @@
 //! The ambient execution context's two promises, through the public API:
 //! every scope restores what the thread read before it — also when a panic
 //! unwinds out of it and is caught above — and a scan that fans out hands
-//! its workers the coordinator's engine mode and planner switch.
+//! its workers the coordinator's engine mode, planner switch and view
+//! frames.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use ov_oodb::ClassId;
 use ov_query::plan::{collect, tracing_active};
 use ov_query::{
-    budget, engine_mode, filter_map_chunked, planner_enabled, with_engine_mode, with_planner,
-    Budget, EngineMode, ParallelConfig,
+    budget, engine_mode, filter_map_chunked, in_view, planner_enabled, view_frame,
+    with_engine_mode, with_planner, Budget, EngineMode, ParallelConfig, ViewFrame,
 };
+
+/// The key of a view's frame, as a view would hand it out.
+const VIEW: u64 = 41;
+
+/// This thread's frame of [`VIEW`].
+fn frame() -> ViewFrame {
+    view_frame(VIEW)
+}
 
 /// Runs `scope` around a panic, catches it, and hands back whether it was
 /// one.
@@ -51,6 +61,56 @@ fn a_collector_scope_restores_after_a_caught_panic() {
     assert!(!tracing_active());
     assert!(panics_inside(|boom| collect(boom).0));
     assert!(!tracing_active(), "the collector outlived its scope");
+}
+
+#[test]
+fn a_view_frame_restores_after_a_caught_panic() {
+    assert_eq!(frame(), ViewFrame::default());
+    assert!(panics_inside(|boom| in_view(VIEW, Some(ClassId(1)), boom)));
+    assert_eq!(
+        frame(),
+        ViewFrame::default(),
+        "the frame outlived its scope"
+    );
+
+    // Under an open population, the body a panic abandoned is closed and
+    // the population is innermost again.
+    in_view(VIEW, Some(ClassId(1)), || {
+        assert!(panics_inside(|boom| in_view(VIEW, None, boom)));
+        let open = ViewFrame {
+            populating: vec![ClassId(1)],
+            body_depth: 1,
+        };
+        assert_eq!(frame(), open);
+    });
+}
+
+#[test]
+fn workers_of_a_split_scan_inherit_view_frames() {
+    let cfg = ParallelConfig {
+        threads: 4,
+        threshold: 1,
+    };
+    let items: Vec<u32> = (0..64).collect();
+    let seen = in_view(VIEW, Some(ClassId(3)), || {
+        in_view(VIEW, None, || {
+            filter_map_chunked(&cfg, "query.scan_chunk", &items, |chunk, keep| {
+                let f = frame();
+                keep.insert((chunk[0], f.populating, f.body_depth));
+                Ok(())
+            })
+        })
+    })
+    .unwrap();
+    assert_eq!(seen.len(), 4, "one report per chunk");
+    for (first, populating, depth) in seen {
+        assert_eq!(
+            (populating, depth),
+            (vec![ClassId(3)], 2),
+            "the worker of the chunk starting at {first}"
+        );
+    }
+    assert_eq!(frame(), ViewFrame::default());
 }
 
 #[test]

@@ -50,14 +50,12 @@ impl Rng {
     }
 }
 
-/// `Adults` → `Earners` → `Top`, incremental; `Londoner` is populated from
-/// the index on `Person.City`, `CityTag` is imaginary, and scans of the
-/// extent are split across two workers.
-///
-/// A worker's events reach the spans and the counters but not EXPLAIN,
-/// whose collector stays with the coordinating thread. No filter here reads
-/// an attribute a virtual class defines (`CityTag` names its one `Town`),
-/// so no worker requests a population.
+/// `Adults` → `Earners` → `Top`, incremental; `First` is populated from the
+/// index on `Person.Id`, `CityTag` is imaginary, and scans of the extent
+/// are split across two workers. `CityTag` defines `City`, so `Londoner`'s
+/// filter asks of every person whether `CityTag` holds them: a worker of
+/// its split scan requests `CityTag`'s population, whose events come back
+/// to EXPLAIN through the worker's own collector.
 fn stack() -> Session {
     let mut s = Session::with_options(
         ViewOptions::builder()
@@ -85,15 +83,16 @@ fn stack() -> Session {
         let db = s.system().database(sym("Staff")).unwrap();
         let mut db = db.write();
         let person = db.schema.class_by_name(sym("Person")).unwrap();
-        db.create_index(person, sym("City")).unwrap();
+        db.create_index(person, sym("Id")).unwrap();
     }
     s.execute(
         r#"
         create view Adults;
         import all classes from database Staff;
         class Adult includes (select P from Person where P.Age >= 21);
+        class First includes (select P from Person where P.Id = 1);
         class Londoner includes (select P from Person where P.City = "London");
-        class CityTag includes imaginary (select [Town: P.City] from P in Person where P.Age >= 30);
+        class CityTag includes imaginary (select [City: P.City] from P in Person where P.Age >= 30);
         create view Earners;
         import all classes from view Adults;
         class Rich includes (select A from Adult where A.Income >= 100);
@@ -132,10 +131,25 @@ fn explained(events: &[PopulationTrace]) -> Tally {
     tally
 }
 
-/// The spans: `view.population` by path, `view.scan` by kind.
+/// The spans: `view.population` by path, `view.scan` by kind; and, as
+/// `worker`, the populations a worker of a split scan requested.
 fn spanned() -> Tally {
+    let spans = recorder().snapshot();
+    let up: BTreeMap<u64, (&str, u64)> = spans.iter().map(|s| (s.id, (s.name, s.parent))).collect();
+    let on_worker = |mut parent| {
+        while let Some(&(name, grandparent)) = up.get(&parent) {
+            if name == "view.scan_chunk" {
+                return true;
+            }
+            parent = grandparent;
+        }
+        false
+    };
     let mut tally = Tally::new();
-    for span in recorder().snapshot() {
+    for span in &spans {
+        if span.name == "view.population" && on_worker(span.parent) {
+            *tally.entry("worker").or_default() += 1;
+        }
         let key = match span.name {
             "view.population" => "path",
             "view.scan" => "kind",
@@ -169,7 +183,7 @@ fn counted(before: &metrics::MetricsSnapshot) -> Tally {
 fn step(s: &mut Session, rng: &mut Rng) -> Vec<QueryTrace> {
     let view = [sym("Adults"), sym("Earners"), sym("Top")][rng.below(3) as usize];
     let class = match view.as_str() {
-        "Adults" => ["Adult", "Londoner", "CityTag"][rng.below(3) as usize],
+        "Adults" => ["Adult", "First", "Londoner", "CityTag"][rng.below(4) as usize],
         "Earners" => ["Adult", "Rich"][rng.below(2) as usize],
         _ => ["Rich", "Elite", "CityTag"][rng.below(3) as usize],
     };
@@ -240,10 +254,12 @@ fn counters_spans_and_explain_events_agree_per_path_and_scan_kind() {
                 }
                 *seen.entry(label).or_default() += sp;
             }
+            *seen.entry("worker").or_default() += spans.get("worker").copied().unwrap_or(0);
         }
         trace::set_enabled(false);
     }
-    // Every path and kind but the stale serve (no faults here) was met.
+    // Every path and kind but the stale serve (no faults here) was met, and
+    // so were populations a worker requested.
     for label in [
         "cache_hit",
         "delta",
@@ -251,6 +267,7 @@ fn counters_spans_and_explain_events_agree_per_path_and_scan_kind() {
         "index",
         "parallel",
         "seq",
+        "worker",
     ] {
         assert!(
             seen.get(label) > Some(&0),

@@ -128,6 +128,44 @@ fn view_misuses_each_have_a_precise_error() {
     }
 }
 
+/// A view's own error raised while a population is computed — below the
+/// `DataSource` methods the evaluator calls — comes out of every public
+/// read as the variant it was raised as, not as its text.
+#[test]
+fn population_errors_come_back_typed() {
+    let mut s = Session::new();
+    s.execute(
+        r#"
+        database D;
+        class Person type [Name: string, Age: integer];
+        object #1 in Person value [Name: "A", Age: 30];
+        name a = #1;
+        create view V;
+        import all classes from database D;
+        class Over(N) includes (select P from Person where P.Age > N and P in Over(N));
+        class Odd includes (select X from X in {1, a});
+        "#,
+    )
+    .unwrap();
+    type Check = fn(&ViewError) -> bool;
+    let cases: [(&str, Check); 2] = [
+        ("count(Over(20))", |e| {
+            matches!(e, ViewError::CyclicVirtualClass(_))
+        }),
+        ("count(Odd)", |e| {
+            matches!(e, ViewError::NonObjectPopulation { .. })
+        }),
+    ];
+    for (query, check) in cases {
+        let by_view = s.view(sym("V")).unwrap().query(query).unwrap_err();
+        let by_session = s.query(sym("V"), query).unwrap_err();
+        let by_statement = s.execute(&format!("{query};")).unwrap_err();
+        for err in [by_view, by_session, by_statement] {
+            assert!(check(&err), "{query} gave {err:?}");
+        }
+    }
+}
+
 #[test]
 fn virtual_class_write_protections() {
     let sys = base();
