@@ -51,13 +51,10 @@ pub struct Session {
     /// Session-persistent `#n` literal → oid bindings, so interactive
     /// statements can refer to objects declared earlier.
     oid_map: HashMap<u64, Oid>,
-    /// This session's execution-engine choice. `None` inherits what governs
-    /// the calling thread ([`ov_query::engine_mode`]); `Some` scopes the
-    /// choice to this session's statements via the thread-scoped override,
-    /// so concurrent sessions with different `.engine` settings never race.
-    engine: Option<ov_query::EngineMode>,
-    /// This session's cost-based-planner switch, scoped the same way
-    /// (`None` inherits [`ov_query::planner_enabled`]).
+    /// This session's cost-based-planner switch. `None` inherits what
+    /// governs the calling thread ([`ov_query::planner_enabled`]); `Some`
+    /// scopes the choice to this session's statements via the thread-scoped
+    /// override, so concurrent sessions with different settings never race.
     planner: Option<bool>,
     /// Root directory of a durable session ([`Session::open`]); `None` for
     /// in-memory sessions. Databases live under `<root>/databases/<name>/`,
@@ -88,7 +85,6 @@ impl Session {
             focus: Focus::Nothing,
             graph: DependencyGraph::new(),
             oid_map: HashMap::new(),
-            engine: None,
             planner: None,
             durable_root: None,
             durability: Durability::None,
@@ -172,23 +168,11 @@ impl Session {
         self.durability
     }
 
-    /// Sets this session's execution engine ([`ov_query::EngineMode`]).
-    /// `None` reverts to whatever governs the calling thread. The choice
-    /// applies to every statement and query this session runs — and only to
-    /// those: it is installed as a thread-scoped override around each run,
-    /// so other sessions (even on other threads) are unaffected.
-    pub fn set_engine(&mut self, mode: Option<ov_query::EngineMode>) {
-        self.engine = mode;
-    }
-
-    /// This session's engine override, if any (`None` = the thread's).
-    pub fn engine(&self) -> Option<ov_query::EngineMode> {
-        self.engine
-    }
-
     /// Turns the cost-based planner on or off for this session's statements
-    /// and queries, scoped like [`Self::set_engine`]. `None` reverts to
-    /// whatever governs the calling thread.
+    /// and queries — and only for those: it is installed as a thread-scoped
+    /// override around each run, so other sessions (even on other threads)
+    /// are unaffected. `None` reverts to whatever governs the calling
+    /// thread.
     pub fn set_planner(&mut self, on: Option<bool>) {
         self.planner = on;
     }
@@ -360,10 +344,10 @@ impl Session {
                 Focus::Nothing => Err(no_focus()),
             },
             // Data statements and queries dispatch on focus, under the
-            // session's engine and planner overrides (if any).
+            // session's planner override (if any).
             other => {
-                let (engine, planner) = (self.engine, self.planner);
-                under_settings(engine, planner, || match self.focus {
+                let planner = self.planner;
+                under_planner(planner, || match self.focus {
                     Focus::Database(db) => self.run_on_database(db, other),
                     Focus::View(vname) => self.run_on_view(vname, other),
                     Focus::Nothing => Err(no_focus()),
@@ -570,8 +554,8 @@ impl Session {
         let eval = |e: &Expr| ov_query::eval_expr(view, e);
         match stmt {
             Stmt::Query(e) => {
-                // `run_expr`, not `eval_expr`: a canonical class scan on the
-                // focused view takes the compiled engine, same as
+                // `run_expr`, not `eval_expr`: a statement on the focused
+                // view takes the dispatch rule's engine, same as
                 // `Session::query` and the database path.
                 Ok(Outcome::Value(ov_query::run_expr(view, &e)?))
             }
@@ -746,20 +730,12 @@ impl Session {
     }
 }
 
-/// Runs `f` under the session's `engine` and `planner` overrides, where it
-/// has them. A free function (not a method) so callers can pass `&mut
-/// self` closures without a borrow conflict.
-fn under_settings<R>(
-    engine: Option<ov_query::EngineMode>,
-    planner: Option<bool>,
-    f: impl FnOnce() -> R,
-) -> R {
-    let f = || match planner {
+/// Runs `f` under the session's `planner` override, where it has one. A
+/// free function (not a method) so callers can pass `&mut self` closures
+/// without a borrow conflict.
+fn under_planner<R>(planner: Option<bool>, f: impl FnOnce() -> R) -> R {
+    match planner {
         Some(on) => ov_query::with_planner(on, f),
-        None => f(),
-    };
-    match engine {
-        Some(mode) => ov_query::with_engine_mode(mode, f),
         None => f(),
     }
 }
@@ -774,9 +750,9 @@ fn no_focus() -> ViewError {
 // through generic code paths if desired.
 impl Session {
     /// Runs a query against a named view or database (under the session's
-    /// engine and planner overrides, if any).
+    /// planner override, if any).
     pub fn query(&self, target: Symbol, query: &str) -> Result<Value> {
-        under_settings(self.engine, self.planner, || {
+        under_planner(self.planner, || {
             if let Some((_, view)) = self.views.get(&target) {
                 return view.query(query);
             }
@@ -853,7 +829,7 @@ impl Session {
 
     /// Runs `query` traced against a named view or database.
     fn run_traced(&self, target: Symbol, query: &str) -> Result<(Value, ov_query::QueryTrace)> {
-        under_settings(self.engine, self.planner, || {
+        under_planner(self.planner, || {
             if let Some((_, view)) = self.views.get(&target) {
                 return view.explain(query);
             }
@@ -873,7 +849,7 @@ impl Session {
             .ok_or(ViewError::Oodb(ov_oodb::OodbError::UnknownDatabase(view)))?;
         // The explain may trigger the population recompute it then reports,
         // so it must run under the session's settings like any other read.
-        under_settings(self.engine, self.planner, || {
+        under_planner(self.planner, || {
             Ok(format!("{}\n", v.explain_population(class)?))
         })
     }
@@ -1120,14 +1096,14 @@ mod tests {
         assert!(planned(&s));
     }
 
-    /// Satellite regression (engine-mode scoping): two sessions on two
-    /// threads with *different* engine overrides run concurrently; each
-    /// session's scans use its own engine (visible in the EXPLAIN scan
-    /// markers) and the spawning thread's mode is untouched afterwards.
+    /// Two sessions on two threads with *different* planner switches run
+    /// concurrently; each session's statements see its own switch (visible
+    /// as the EXPLAIN `planner:` line, present or not) and the spawning
+    /// thread's switch is untouched afterwards.
     #[test]
-    fn concurrent_sessions_scope_their_engine_modes() {
-        let default_before = ov_query::engine_mode();
-        let run = |mode: ov_query::EngineMode, marker: &str| {
+    fn concurrent_sessions_scope_their_planner_switches() {
+        let default_before = ov_query::planner_enabled();
+        let run = |on: bool| {
             // AlwaysRecompute so every explain records a fresh scan.
             let mut s = Session::with_options(
                 ViewOptions::builder()
@@ -1145,18 +1121,19 @@ mod tests {
                 "#,
             )
             .unwrap();
-            s.set_engine(Some(mode));
+            s.set_planner(Some(on));
+            let q = "select A from A in Adult where A.Age > 30";
             for _ in 0..20 {
                 assert_eq!(s.query(sym("V"), "count(Adult)").unwrap(), Value::Int(1));
-                let e = s.explain(sym("V"), "count(Adult)").unwrap();
-                assert!(e.contains(marker), "mode {mode:?}: got {e}");
+                let e = s.explain(sym("V"), q).unwrap();
+                assert_eq!(e.contains("planner:"), on, "planner {on}: got {e}");
             }
         };
         std::thread::scope(|scope| {
-            scope.spawn(|| run(ov_query::EngineMode::Compiled, "[seq compiled]"));
-            scope.spawn(|| run(ov_query::EngineMode::Interp, "[seq]"));
+            scope.spawn(|| run(true));
+            scope.spawn(|| run(false));
         });
-        assert_eq!(ov_query::engine_mode(), default_before);
+        assert_eq!(ov_query::planner_enabled(), default_before);
     }
 
     /// Satellite regression (stale compiled bytecode): redefining an
@@ -1166,7 +1143,7 @@ mod tests {
     fn redefining_an_upstream_view_recompiles_dependents() {
         let mut s = loaded_session();
         // A (Adult: Age >= 21) feeds B (Named: a virtual class over A's
-        // Adult). Both predicates are in the compiler's covered subset.
+        // Adult). Both predicates compile at bind.
         s.execute(
             "create view A; import all classes from database Staff; \
              class Adult includes (select P from Person where P.Age >= 21);",

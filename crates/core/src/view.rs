@@ -34,10 +34,11 @@
 //! workers, the sequential scan, the journal delta. A specialization (`E`
 //! is `V`) keeps the admitted oids; an imaginary class keeps the distinct
 //! projected tuples and then maps them to oids in set order, so the
-//! identity table fills exactly as if the query had been interpreted
-//! whole. Only the specialization is delta-maintainable: an imaginary
+//! identity table fills exactly as if the query had been run whole.
+//! Only the specialization is delta-maintainable: an imaginary
 //! tuple may be produced by many rows, so a write recomputes the class —
-//! through the same loop. Every other shape is interpreted whole.
+//! through the same loop. Every other shape runs whole, as one compiled
+//! program: no population runs in the tree walker.
 //!
 //! ## Concurrency
 //!
@@ -69,8 +70,8 @@ use ov_oodb::{
     Oid, OodbError, Schema, SelectExpr, Symbol, System, Tuple, Type, Value,
 };
 use ov_query::{
-    eval_select, infer_select_in, plan, resolve_type, Code, DataSource, IncludeSpec,
-    ParallelConfig, QueryError, ResolvedAttr, RowSpec, RowTest, TypeEnv,
+    infer_select_in, plan, resolve_type, DataSource, IncludeSpec, ParallelConfig, QueryError,
+    ResolvedAttr, RowSpec, RowTest, TypeEnv,
 };
 
 use crate::def::{AttrDecl, Hide, Import, ViewDef, ViewElement};
@@ -79,6 +80,7 @@ use crate::graph::DepEdge;
 use crate::infer::{conforms_to, infer_position, upward_attrs};
 
 mod bind;
+mod identity;
 pub use bind::Binder;
 
 /// Number of shards in the population cache. Sharding by class id lets
@@ -158,7 +160,7 @@ enum Include {
     /// *after* this one are admitted automatically (§4.1's flexibility
     /// argument).
     Like { spec: ClassId },
-    /// Any other population query: interpreted whole, on recompute only.
+    /// Any other population query: run whole, on recompute only.
     Query(SelectExpr),
     /// Imaginary population (§5) of the canonical shape `select E from V in
     /// C [where F]`: bound like a [`Include::Filter`] and populated by the
@@ -168,7 +170,7 @@ enum Include {
     /// be shared with other rows, so one changed row decides nothing about
     /// its tuple's membership — a write recomputes the class.
     Imaginary(ScanInclude),
-    /// Any other imaginary population query: interpreted whole.
+    /// Any other imaginary population query: run whole.
     ImaginaryQuery(SelectExpr),
 }
 
@@ -181,34 +183,22 @@ struct ScanInclude {
     class: ClassId,
     coll: Symbol,
     var: Symbol,
-    /// The filter and the projection compiled at bind time, each when
-    /// there is one — a specialization projects its scan variable, which
-    /// needs no evaluation — and the bytecode compiler covers it.
-    filter_prog: Option<ov_query::Program>,
-    proj_prog: Option<ov_query::Program>,
+    /// `F` compiled at bind time; `None` when the query has no filter.
+    filter: Option<ov_query::Program>,
+    /// `E` compiled at bind time; `None` for a specialization, which
+    /// projects its scan variable and so needs no evaluation.
+    proj: Option<ov_query::Program>,
     /// The constant-folded query: its filter is `F`, its projection `E`,
     /// and the whole of it runs when a named object shadows `coll`.
     query: SelectExpr,
 }
 
 impl ScanInclude {
-    /// Does the query project its scan variable itself?
-    fn projects_var(&self) -> bool {
-        *self.query.proj == Expr::Name(self.var)
-    }
-
-    /// What the row loop runs per candidate: the bind-time programs, unless
-    /// `.engine interp` turned the bytecode engine off; each expression
-    /// the compiler did not cover goes to the interpreter on its own.
+    /// What the row loop runs per candidate: the bind-time programs.
     fn row_spec(&self) -> RowSpec<'_> {
-        fn code<'a>(e: &'a Expr, prog: &'a Option<ov_query::Program>) -> Code<'a> {
-            Code::of(e, prog.as_ref().filter(|_| ov_query::compiled_enabled()))
-        }
-        let q = &self.query;
         RowSpec {
-            var: self.var,
-            filter: q.filter.as_deref().map(|f| code(f, &self.filter_prog)),
-            proj: (!self.projects_var()).then(|| code(&q.proj, &self.proj_prog)),
+            filter: self.filter.as_ref(),
+            proj: self.proj.as_ref(),
         }
     }
 }
@@ -1173,7 +1163,7 @@ impl View {
             r
         });
         let (label, stat) = match kind {
-            plan::ScanKind::Sequential { .. } => ("seq", None),
+            plan::ScanKind::Sequential => ("seq", None),
             plan::ScanKind::Parallel { .. } => ("parallel", Some(Stat::ParallelScan)),
             plan::ScanKind::IndexPushdown { .. } => ("index", Some(Stat::IndexPushdown)),
         };
@@ -1262,10 +1252,9 @@ impl View {
         }
         let est = self.scan_estimate(&inc.query);
         let spec = inc.row_spec();
-        let engine = spec.engine();
         let mut out = BTreeSet::new();
         if let Some((postings, index)) = self.index_candidates(inc) {
-            let kind = plan::ScanKind::IndexPushdown { index, engine };
+            let kind = plan::ScanKind::IndexPushdown { index };
             self.measured(kind, est, |counted| {
                 self.run_rows(spec, &postings, counted, &mut out)
             })?;
@@ -1280,7 +1269,7 @@ impl View {
             && self.parallel_strikes.load(Ordering::Relaxed) < PARALLEL_STRIKE_LIMIT
         {
             let chunks = extent.len().div_ceil(self.parallel.chunk_len(extent.len()));
-            let split = self.measured(plan::ScanKind::Parallel { chunks, engine }, est, |_| {
+            let split = self.measured(plan::ScanKind::Parallel { chunks }, est, |_| {
                 collection_step()?;
                 let site = "view.scan_chunk";
                 ov_query::filter_map_chunked(&self.parallel, site, &extent, |chunk, keep| {
@@ -1307,7 +1296,7 @@ impl View {
                 Err(e) => return Err(e),
             }
         }
-        self.measured(plan::ScanKind::Sequential { engine }, est, |counted| {
+        self.measured(plan::ScanKind::Sequential, est, |counted| {
             collection_step()?;
             self.run_rows(spec, &extent, counted, &mut out)
         })?;
@@ -1315,13 +1304,13 @@ impl View {
     }
 
     /// The answer of a query the row loop does not cover — another shape,
-    /// or a shadowed collection name — interpreted whole, as one measured
-    /// scan.
+    /// or a shadowed collection name — run whole as one compiled program,
+    /// as one measured scan.
     fn eval_whole(&self, q: &SelectExpr) -> ov_query::Result<BTreeSet<Value>> {
-        let kind = plan::ScanKind::Sequential {
-            engine: plan::Engine::Interpreted,
-        };
-        match self.measured(kind, self.scan_estimate(q), |_| eval_select(self, q))? {
+        let est = self.scan_estimate(q);
+        match self.measured(plan::ScanKind::Sequential, est, |_| {
+            ov_query::run_select(self, q)
+        })? {
             Value::Set(items) => Ok(items),
             _ => unreachable!("select returns a set"),
         }
@@ -1367,145 +1356,6 @@ impl View {
         }
         let candidates = DataSource::indexed_lookup(self, inc.class, attr, value)?;
         Some((candidates, format!("{}.{attr}", inc.coll)))
-    }
-
-    /// Maps the distinct tuples an imaginary population query produced to
-    /// the class's objects, assigning oids in set order. Anything but a
-    /// tuple is [`ViewError::NonTuplePopulation`].
-    fn adopt_tuples(&self, c: ClassId, tuples: BTreeSet<Value>) -> ov_query::Result<BTreeSet<Oid>> {
-        let mut out = BTreeSet::new();
-        for item in tuples {
-            match item {
-                Value::Tuple(t) => {
-                    out.insert(self.imaginary_oid(c, t));
-                }
-                other => {
-                    let name = self.schema.read().class(c).name;
-                    return Err(ViewError::NonTuplePopulation {
-                        class: name,
-                        found: other.kind().to_string(),
-                    }
-                    .into());
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Maps a core tuple to its imaginary oid (§5.1): "there could be a
-    /// table giving the mapping between the tuples and oid's. In this way,
-    /// we are guaranteed that the same tuple will be assigned the same oid
-    /// each time the class C is invoked. (Note that a tuple will generate a
-    /// different oid when used in a different class.)"
-    fn imaginary_oid(&self, class: ClassId, core: Tuple) -> Oid {
-        if self.identity_mode == IdentityMode::Table {
-            // Resolve the durable class *name* before the identity lock:
-            // names are the durable key (ids are rebuilt per bind), and
-            // taking the schema lock later would invert lock orders.
-            let durable_name = if self.durable.is_empty() {
-                None
-            } else {
-                Some(self.schema.read().class(class).name)
-            };
-            // Check-and-assign under one write lock: two threads mapping
-            // the same tuple concurrently must agree on its oid.
-            let mut identity = self.identity.write();
-            let table = identity.entry(class).or_default();
-            if let Some(&oid) = table.get(&core) {
-                return oid;
-            }
-            let oid = Oid(self.next_imaginary.fetch_add(1, Ordering::Relaxed));
-            table.insert(core.clone(), oid);
-            // The object goes in before the identity lock is released
-            // (lock order identity → imaginary): the table hands the oid
-            // to the next thread that maps this tuple, and an oid it hands
-            // out must already read as an object.
-            self.imaginary.write().insert(
-                oid,
-                ImaginaryObject {
-                    class,
-                    core: core.clone(),
-                },
-            );
-            drop(identity);
-            // Only the winning assignment reaches the WAL; losers returned
-            // early above. Logging happens outside every lock.
-            if let Some(name) = durable_name {
-                for d in &self.durable {
-                    d.log_identity_assign(self.name, name, core.clone(), oid);
-                }
-            }
-            oid
-        } else {
-            let oid = Oid(self.next_imaginary.fetch_add(1, Ordering::Relaxed));
-            self.imaginary
-                .write()
-                .insert(oid, ImaginaryObject { class, core });
-            oid
-        }
-    }
-
-    /// The core attribute names of a named imaginary class (§5), sorted.
-    pub fn core_attrs(&self, name: Symbol) -> Option<Vec<Symbol>> {
-        let c = self.lookup_class(name)?;
-        match self.kinds.read().get(&c) {
-            Some(ClassKind::Imaginary { core }) => Some(core.clone()),
-            _ => None,
-        }
-    }
-
-    /// Garbage-collects the identity table of imaginary class `name`:
-    /// entries whose core tuple is no longer produced by the population
-    /// query are dropped (with their cached imaginary objects). Live
-    /// entries keep their oids.
-    ///
-    /// DECISION: the paper keeps the table abstract ("there could be a
-    /// table giving the mapping"); unbounded growth under churn (Example 6)
-    /// is real, so we expose collection as an explicit, user-invoked
-    /// choice — collecting implicitly would *change identity semantics*
-    /// for tuples that disappear and later reappear.
-    ///
-    /// Returns the number of entries removed.
-    pub fn gc_identity(&self, name: Symbol) -> Result<usize> {
-        let class = self
-            .lookup_class(name)
-            .ok_or(OodbError::UnknownClass(name))?;
-        // Force a fresh population so the live-oid set is current.
-        let live = self.population(class)?;
-        let mut identity = self.identity.write();
-        let Some(table) = identity.get_mut(&class) else {
-            return Ok(0);
-        };
-        let dead: Vec<(Tuple, Oid)> = table
-            .iter()
-            .filter(|(_, o)| !live.contains(o))
-            .map(|(t, o)| (t.clone(), *o))
-            .collect();
-        table.retain(|_, oid| live.contains(oid));
-        let mut imaginary = self.imaginary.write();
-        for (_, o) in &dead {
-            imaginary.remove(o);
-        }
-        drop(imaginary);
-        drop(identity);
-        if !self.durable.is_empty() && !dead.is_empty() {
-            let class_name = self.schema.read().class(class).name;
-            for (tuple, _) in &dead {
-                for d in &self.durable {
-                    d.log_identity_drop(self.name, class_name, tuple);
-                }
-            }
-        }
-        Ok(dead.len())
-    }
-
-    /// Number of identity-table entries for a named imaginary class
-    /// (observability for tests and benchmarks).
-    pub fn identity_table_len(&self, name: Symbol) -> usize {
-        let Some(c) = self.lookup_class(name) else {
-            return 0;
-        };
-        self.identity.read().get(&c).map_or(0, |t| t.len())
     }
 
     // ------------------------------------------------------------------
@@ -1760,93 +1610,6 @@ impl View {
             }
         }
         Err(OodbError::UnknownObject(oid).into())
-    }
-
-    /// Drops every identity-table entry whose core tuple references `dead`
-    /// (with its cached imaginary object). Lock order identity → imaginary,
-    /// matching [`Self::gc_identity`] and [`Self::imaginary_oid`].
-    fn purge_dead_identity(&self, dead: Oid) {
-        let mut purged: Vec<(ClassId, Tuple, Oid)> = Vec::new();
-        let mut identity = self.identity.write();
-        for (&class, table) in identity.iter_mut() {
-            table.retain(|tuple, &mut im_oid| {
-                let mut refs = Vec::new();
-                for (_, v) in tuple.iter() {
-                    v.collect_oids(&mut refs);
-                }
-                if refs.contains(&dead) {
-                    purged.push((class, tuple.clone(), im_oid));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        let mut imaginary = self.imaginary.write();
-        for (_, _, o) in &purged {
-            imaginary.remove(o);
-        }
-        drop(imaginary);
-        drop(identity);
-        if !purged.is_empty() {
-            ov_oodb::metric_counter!("views.identity_purged").add(purged.len() as u64);
-            if !self.durable.is_empty() {
-                let schema = self.schema.read();
-                for (class, tuple, _) in &purged {
-                    let class_name = schema.class(*class).name;
-                    for d in &self.durable {
-                        d.log_identity_drop(self.name, class_name, tuple);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-seats identity assignments persisted by an earlier incarnation
-    /// of this view (recovered by the sources' durability cores): each
-    /// durable `(class name, core tuple) → oid` entry whose class is still
-    /// an imaginary class of this view is installed in the in-memory
-    /// tables, and the imaginary-oid allocator starts above every
-    /// recovered oid. Called once at the end of bind.
-    fn adopt_durable_identity(&self) {
-        if self.durable.is_empty() {
-            return;
-        }
-        let schema = self.schema.read();
-        let kinds = self.kinds.read();
-        let mut identity = self.identity.write();
-        let mut imaginary = self.imaginary.write();
-        let mut floor = IMAGINARY_OID_BASE;
-        let mut adopted = 0u64;
-        for core in &self.durable {
-            floor = floor.max(core.next_imaginary());
-            for (class_name, tuple, oid) in core.identity_for_view(self.name) {
-                let Some(cid) = schema.class_by_name(class_name) else {
-                    continue; // class no longer in the view definition
-                };
-                if !matches!(kinds.get(&cid), Some(ClassKind::Imaginary { .. })) {
-                    continue;
-                }
-                let table = identity.entry(cid).or_default();
-                if table.contains_key(&tuple) {
-                    continue;
-                }
-                table.insert(tuple.clone(), oid);
-                imaginary.insert(
-                    oid,
-                    ImaginaryObject {
-                        class: cid,
-                        core: tuple,
-                    },
-                );
-                floor = floor.max(oid.0 + 1);
-                adopted += 1;
-            }
-        }
-        self.next_imaginary.fetch_max(floor, Ordering::Relaxed);
-        if adopted > 0 {
-            ov_oodb::metric_counter!("views.identity_adopted").add(adopted);
-        }
     }
 }
 // ----------------------------------------------------------------------

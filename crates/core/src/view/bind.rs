@@ -663,19 +663,15 @@ impl View {
                 Include::Query(q)
             };
         };
-        let mut scan = ScanInclude {
+        let compile = |e: &Expr| ov_query::compile_predicate(e, &[var]);
+        let scan = ScanInclude {
             class,
             coll,
             var,
-            filter_prog: None,
-            proj_prog: None,
+            filter: q.filter.as_deref().map(compile),
+            proj: (*q.proj != Expr::Name(var)).then(|| compile(&q.proj)),
             query: q,
         };
-        let compile = |e: &Expr| ov_query::compile_predicate(e, &[var]);
-        scan.filter_prog = scan.query.filter.as_deref().and_then(compile);
-        if !scan.projects_var() {
-            scan.proj_prog = compile(&scan.query.proj);
-        }
         if imaginary {
             Include::Imaginary(scan)
         } else {

@@ -14,19 +14,17 @@
 //!   definitions and partial imports stand between the query and the
 //!   stored field;
 //! * a population is the same set whatever feeds its row loop — the whole
-//!   extent, a split of it, index postings, the journal delta — and
-//!   whichever engine runs the row test, and a budget governs every one of
-//!   those sources by the same charge rule;
+//!   extent, a split of it, index postings, the journal delta — and a
+//!   budget governs every one of those sources by the same charge rule, the
+//!   tree walker's;
 //! * an imaginary class of the canonical shape goes through that row loop
 //!   and comes out as the tree walker's answer mapped to oids in set order:
 //!   same population, same core tuples, same identity table.
 
 use ov_oodb::{sym, ClassId, Database, Oid, OodbError, Symbol, System, Type, Value};
-use ov_query::{Budget, DataSource, EngineMode, ParallelConfig, PopPath, QueryError, ResolvedAttr};
+use ov_query::{Budget, DataSource, ParallelConfig, PopPath, QueryError, ResolvedAttr};
 use ov_views::{IdentityMode, Materialization, View, ViewDef, ViewError, ViewOptions};
 use proptest::prelude::*;
-
-const ENGINES: [EngineMode; 2] = [EngineMode::Compiled, EngineMode::Interp];
 
 /// A split at every opportunity: four workers, no minimum extent.
 const SPLIT: ParallelConfig = ParallelConfig {
@@ -203,7 +201,7 @@ proptest! {
         }
         // The writes go to the database directly: `Session::execute` would
         // propagate each one itself, and the property picks eager or lazy.
-        for (step, (kind, target, age, income, eager)) in writes.iter().enumerate() {
+        for (kind, target, age, income, eager) in &writes {
             let oids = db.read().deep_extent(person);
             let target = (!oids.is_empty()).then(|| oids[target.index(oids.len())]);
             match (kind, target) {
@@ -221,27 +219,20 @@ proptest! {
             if *eager {
                 prop_assert_eq!(session.propagate(sym("Staff")), 3);
             }
-            // Every source × engine cell holds the same set. The first
-            // engine to read a maintained population runs its delta, so
-            // the engines take turns going first.
-            let mut engines = ENGINES;
-            engines.rotate_left(step % 2);
+            // Every source holds the same set: the delta, the sequential
+            // scan and the split one.
             for (level, class) in POPULATIONS {
-                let delta = ov_query::with_engine_mode(engines[0], || {
-                    maintained(level).extent_of(sym(class)).unwrap()
-                });
-                for engine in engines {
-                    ov_query::with_engine_mode(engine, || {
-                        let [sequential, split] = &recomputing[level];
-                        for (view, source) in [(sequential, "sequential"), (split, "split")] {
-                            assert_eq!(
-                                population(view, class, false).as_ref(),
-                                Ok(&delta),
-                                "{class} in view {}, {source} scan, {engine:?}",
-                                defs[level].name
-                            );
-                        }
-                    });
+                let delta = maintained(level).extent_of(sym(class)).unwrap();
+                let [sequential, split] = &recomputing[level];
+                for (view, source) in [(sequential, "sequential"), (split, "split")] {
+                    prop_assert_eq!(
+                        population(view, class, false).as_ref(),
+                        Ok(&delta),
+                        "{} in view {}, {} scan",
+                        class,
+                        defs[level].name,
+                        source
+                    );
                 }
             }
         }
@@ -908,20 +899,15 @@ proptest! {
                     });
                     // The equality-defined population: the same set from
                     // index postings and from the scan (the indexes of the
-                    // moment, then none), under either engine.
-                    let hit = |engine| {
-                        // Resolving `Id` populates the overlapping classes
-                        // that define it.
-                        let nested = shape.virtual_defs > 0;
-                        ov_query::with_engine_mode(engine, || population(&view, "Hit", nested))
-                    };
-                    let with_indexes = ENGINES.map(hit);
+                    // moment, then none). Resolving `Id` populates the
+                    // overlapping classes that define it.
+                    let hit = || population(&view, "Hit", shape.virtual_defs > 0);
+                    let with_indexes = hit();
                     let defs = handle.read().store.index_defs();
                     for (c, a) in &defs {
                         handle.write().store.drop_index(*c, *a);
                     }
-                    let scanned = ENGINES.map(hit);
-                    prop_assert_eq!(&scanned[0], &scanned[1], "population Hit, engines");
+                    let scanned = hit();
                     prop_assert_eq!(with_indexes, scanned, "population Hit, indexes {:?}", defs);
                     for (c, a) in defs {
                         handle.write().store.create_index(c, a);
@@ -1160,10 +1146,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// An imaginary class of the canonical shape, populated by the row
-    /// loop from each of its candidate sources under each engine, is the
-    /// tree walker's answer mapped to oids in set order — before and
-    /// after every write — and a filter that fails on some row fails the
-    /// population with the walker's error.
+    /// loop from each of its candidate sources, is the tree walker's answer
+    /// mapped to oids in set order — before and after every write — and a
+    /// filter that fails on some row fails the population with the
+    /// walker's error.
     #[test]
     fn an_imaginary_row_loop_is_the_walker(
         rows in prop::collection::vec(group_row(), 1..12),
@@ -1174,45 +1160,39 @@ proptest! {
     ) {
         for indexed in [false, true] {
             for parallel in [ParallelConfig::default(), SPLIT] {
-                for engine in ENGINES {
-                    let what = format!("index {indexed}, {} workers, {engine:?}", parallel.threads);
-                    let sys = group_system(&rows, indexed);
-                    let options = ViewOptions::builder().parallel(parallel).build();
-                    let view = group_view(&sys, options);
-                    let (mut groups, mut ratios) = (IdentityModel::default(), IdentityModel::default());
-                    let db = sys.database(sym("P")).unwrap();
-                    let person = db.read().schema.class_by_name(sym("Person")).unwrap();
-                    let people = db.read().deep_extent(person);
-                    ov_query::with_engine_mode(engine, || {
-                        check_group(&view, &sys, &mut groups, &what);
-                        for (target, attr, value) in &writes {
-                            let target = people[target.index(people.len())];
-                            let attr = ["Name", "Age", "Kind", "Div"][*attr];
-                            let value = match (attr, value) {
-                                ("Kind", v) => Value::Int(v.unwrap_or(1)),
-                                (_, None) => Value::Null,
-                                ("Name", Some(v)) => Value::str(["a", "b", "c"][*v as usize]),
-                                (_, Some(v)) => Value::Int(*v),
-                            };
-                            db.write().set_attr(target, sym(attr), value).unwrap();
-                            check_group(&view, &sys, &mut groups, &what);
-                        }
-                    });
-                    let stats = view.stats();
-                    prop_assert_eq!(stats.incremental_updates, 0, "opaque to deltas");
-                    if indexed {
-                        prop_assert!(stats.index_pushdowns > 0, "{}: {:?}", what, stats);
-                    } else if parallel == SPLIT && people.len() >= 3 {
-                        prop_assert!(stats.parallel_scans > 0, "{}: {:?}", what, stats);
-                    }
-                    // `Ratio` last, on a view of its own: its oids come
-                    // from the counter `Group`'s model assumes it owns.
-                    let view = group_view(&sys, ViewOptions::builder().parallel(parallel).build());
-                    ov_query::with_engine_mode(engine, || {
-                        check_ratio(&view, &sys, &mut ratios, &what);
-                        check_ratio(&view, &sys, &mut ratios, &what);
-                    });
+                let what = format!("index {indexed}, {} workers", parallel.threads);
+                let sys = group_system(&rows, indexed);
+                let options = ViewOptions::builder().parallel(parallel).build();
+                let view = group_view(&sys, options);
+                let (mut groups, mut ratios) = (IdentityModel::default(), IdentityModel::default());
+                let db = sys.database(sym("P")).unwrap();
+                let person = db.read().schema.class_by_name(sym("Person")).unwrap();
+                let people = db.read().deep_extent(person);
+                check_group(&view, &sys, &mut groups, &what);
+                for (target, attr, value) in &writes {
+                    let target = people[target.index(people.len())];
+                    let attr = ["Name", "Age", "Kind", "Div"][*attr];
+                    let value = match (attr, value) {
+                        ("Kind", v) => Value::Int(v.unwrap_or(1)),
+                        (_, None) => Value::Null,
+                        ("Name", Some(v)) => Value::str(["a", "b", "c"][*v as usize]),
+                        (_, Some(v)) => Value::Int(*v),
+                    };
+                    db.write().set_attr(target, sym(attr), value).unwrap();
+                    check_group(&view, &sys, &mut groups, &what);
                 }
+                let stats = view.stats();
+                prop_assert_eq!(stats.incremental_updates, 0, "opaque to deltas");
+                if indexed {
+                    prop_assert!(stats.index_pushdowns > 0, "{}: {:?}", what, stats);
+                } else if parallel == SPLIT && people.len() >= 3 {
+                    prop_assert!(stats.parallel_scans > 0, "{}: {:?}", what, stats);
+                }
+                // `Ratio` last, on a view of its own: its oids come
+                // from the counter `Group`'s model assumes it owns.
+                let view = group_view(&sys, ViewOptions::builder().parallel(parallel).build());
+                check_ratio(&view, &sys, &mut ratios, &what);
+                check_ratio(&view, &sys, &mut ratios, &what);
             }
         }
     }
@@ -1221,7 +1201,7 @@ proptest! {
 /// The shapes and settings the row loop stands aside for behave as they
 /// always did: a named object shadowing the collection name fails the
 /// population with the whole query's error, a two-binding query is
-/// interpreted whole, and `IdentityMode::Fresh` hands out one new object
+/// run whole, and `IdentityMode::Fresh` hands out one new object
 /// per distinct tuple on every population.
 #[test]
 fn the_imaginary_row_loop_stands_aside() {
@@ -1234,63 +1214,59 @@ fn the_imaginary_row_loop_stands_aside() {
             .materialization(Materialization::AlwaysRecompute)
             .build()
     };
-    for engine in ENGINES {
-        ov_query::with_engine_mode(engine, || {
-            // Shadowed: `from P in Person` now ranges over an object.
-            let sys = group_system(&rows, false);
-            let view = group_view(&sys, recompute());
-            assert_eq!(view.extent_of(sym("Group")).unwrap().len(), 2);
-            let db = sys.database(sym("P")).unwrap();
-            let person = db.read().schema.class_by_name(sym("Person")).unwrap();
-            let first = db.read().deep_extent(person)[0];
-            db.write().name_object(sym("Person"), first).unwrap();
-            let expected = walked(&sys, GROUP_QUERY).unwrap_err();
-            match view.extent_of(sym("Group")) {
-                Err(ViewError::Query(e)) => assert_eq!(e.to_string(), expected.to_string()),
-                other => panic!("shadowed: {other:?}"),
-            }
-            assert_eq!(view.identity_table_len(sym("Group")), 2);
-
-            // Two bindings: pairs of equal age, interpreted whole.
-            let pairs = "select [A: P.Age, B: Q.Age] from P in Person, Q in Person \
-                         where P.Age = Q.Age and P.Kind = 1";
-            let sys = group_system(&rows, false);
-            let view = ViewDef::from_script(&format!(
-                "create view V; import all classes from database P; \
-                 class Pair includes imaginary ({pairs});"
-            ))
-            .unwrap()
-            .binder(&sys)
-            .options(recompute())
-            .bind()
-            .unwrap();
-            let expected = IdentityModel::default().populate(&walked(&sys, pairs).unwrap());
-            assert_eq!(expected.len(), 2);
-            assert_eq!(view.extent_of(sym("Pair")).unwrap(), expected);
-            assert_eq!(view.extent_of(sym("Pair")).unwrap(), expected);
-            assert_eq!(
-                view.stats().index_pushdowns + view.stats().parallel_scans,
-                0
-            );
-
-            // Fresh oids: two objects per population, never the same two.
-            let sys = group_system(&rows, false);
-            let options = ViewOptions::builder().identity_mode(IdentityMode::Fresh);
-            let view = group_view(
-                &sys,
-                options
-                    .materialization(Materialization::AlwaysRecompute)
-                    .build(),
-            );
-            let base = ov_oodb::ids::IMAGINARY_OID_BASE;
-            let first = view.extent_of(sym("Group")).unwrap();
-            let second = view.extent_of(sym("Group")).unwrap();
-            assert_eq!(first, [Oid(base), Oid(base + 1)]);
-            assert_eq!(second, [Oid(base + 2), Oid(base + 3)]);
-            assert_eq!(view.attr(second[0], sym("Age")).unwrap(), Value::Int(0));
-            assert_eq!(view.identity_table_len(sym("Group")), 0);
-        });
+    // Shadowed: `from P in Person` now ranges over an object.
+    let sys = group_system(&rows, false);
+    let view = group_view(&sys, recompute());
+    assert_eq!(view.extent_of(sym("Group")).unwrap().len(), 2);
+    let db = sys.database(sym("P")).unwrap();
+    let person = db.read().schema.class_by_name(sym("Person")).unwrap();
+    let first = db.read().deep_extent(person)[0];
+    db.write().name_object(sym("Person"), first).unwrap();
+    let expected = walked(&sys, GROUP_QUERY).unwrap_err();
+    match view.extent_of(sym("Group")) {
+        Err(ViewError::Query(e)) => assert_eq!(e.to_string(), expected.to_string()),
+        other => panic!("shadowed: {other:?}"),
     }
+    assert_eq!(view.identity_table_len(sym("Group")), 2);
+
+    // Two bindings: pairs of equal age, run whole.
+    let pairs = "select [A: P.Age, B: Q.Age] from P in Person, Q in Person \
+                 where P.Age = Q.Age and P.Kind = 1";
+    let sys = group_system(&rows, false);
+    let view = ViewDef::from_script(&format!(
+        "create view V; import all classes from database P; \
+         class Pair includes imaginary ({pairs});"
+    ))
+    .unwrap()
+    .binder(&sys)
+    .options(recompute())
+    .bind()
+    .unwrap();
+    let expected = IdentityModel::default().populate(&walked(&sys, pairs).unwrap());
+    assert_eq!(expected.len(), 2);
+    assert_eq!(view.extent_of(sym("Pair")).unwrap(), expected);
+    assert_eq!(view.extent_of(sym("Pair")).unwrap(), expected);
+    assert_eq!(
+        view.stats().index_pushdowns + view.stats().parallel_scans,
+        0
+    );
+
+    // Fresh oids: two objects per population, never the same two.
+    let sys = group_system(&rows, false);
+    let options = ViewOptions::builder().identity_mode(IdentityMode::Fresh);
+    let view = group_view(
+        &sys,
+        options
+            .materialization(Materialization::AlwaysRecompute)
+            .build(),
+    );
+    let base = ov_oodb::ids::IMAGINARY_OID_BASE;
+    let first = view.extent_of(sym("Group")).unwrap();
+    let second = view.extent_of(sym("Group")).unwrap();
+    assert_eq!(first, [Oid(base), Oid(base + 1)]);
+    assert_eq!(second, [Oid(base + 2), Oid(base + 3)]);
+    assert_eq!(view.attr(second[0], sym("Age")).unwrap(), Value::Int(0));
+    assert_eq!(view.identity_table_len(sym("Group")), 0);
 }
 
 // ----------------------------------------------------------------------
@@ -1343,8 +1319,8 @@ fn governed(view: &View, class: &str, budget: Budget) -> (Result<Vec<Oid>, ViewE
 /// unbudgeted, and a typed `ResourceExhausted` otherwise — never another
 /// set. What a source charges is pinned against the sequential scan: a
 /// split charges the same steps, index postings at most as many, and every
-/// source one row per member. The sequential scan stops at the same step
-/// under both engines. The imaginary class `Named` — three admitted rows,
+/// source one row per member, and the sequential scan charges what the tree
+/// walker charges for the same query. The imaginary class `Named` — three admitted rows,
 /// one distinct tuple — goes through the same sources under the same
 /// rule; its sink is per chunk when the scan is split, so there a tuple is
 /// charged once per chunk that produced it.
@@ -1412,27 +1388,16 @@ fn every_population_source_is_governed_by_one_charge_rule() {
         for (unit, cap, cost) in caps {
             let enough = cap >= cost;
             let what = format!("{source} {class} under max_{unit} {cap}");
-            let [compiled, interp] = ENGINES.map(|engine| {
-                let budget = match unit {
-                    "steps" => Budget::new().with_max_steps(cap),
-                    _ => Budget::new().with_max_rows(cap),
-                };
-                ov_query::with_engine_mode(engine, || read(budget))
-            });
-            match &compiled.0 {
-                Ok(oids) => assert!(enough && *oids == full, "{what}: {oids:?}"),
+            let budget = match unit {
+                "steps" => Budget::new().with_max_steps(cap),
+                _ => Budget::new().with_max_rows(cap),
+            };
+            match read(budget).0 {
+                Ok(oids) => assert!(enough && oids == full, "{what}: {oids:?}"),
                 Err(ViewError::Query(QueryError::ResourceExhausted(_))) => {
                     assert!(!enough, "{what}: breached")
                 }
                 Err(other) => panic!("{what}: {other}"),
-            }
-            assert_eq!(compiled.0.is_ok(), interp.0.is_ok(), "{what}: engines");
-            if source == "sequential" {
-                assert_eq!(
-                    (compiled.1, compiled.2),
-                    (interp.1, interp.2),
-                    "{what}: engines"
-                );
             }
         }
     }
@@ -1452,18 +1417,22 @@ fn every_population_source_is_governed_by_one_charge_rule() {
         named_index.0 < named.0 && named_index.1 == named.1,
         "{named_index:?} vs {named:?}"
     );
-    // And what the tree walker charges for `Named`'s query, to the step.
+    // And each sequential scan charges what the tree walker charges for
+    // its class's query, to the step.
     let sys = sweep_system(false);
     let db = sys.database(sym("P")).unwrap();
-    let q = ov_query::parse_select(
-        "select [N: X.Name] from X in Person where X.Age = 40 and X.Name != \"\"",
-    )
-    .unwrap();
-    let budget = std::sync::Arc::new(Budget::new());
-    ov_query::budget::with(budget.clone(), || {
-        ov_query::eval_select(&*db.read(), &q).unwrap()
-    });
-    assert_eq!(named, (budget.steps_used(), budget.rows_used()));
+    let walked = |query: &str| {
+        let q = ov_query::parse_select(query).unwrap();
+        let budget = std::sync::Arc::new(Budget::new());
+        ov_query::budget::with(budget.clone(), || {
+            ov_query::eval_select(&*db.read(), &q).unwrap()
+        });
+        (budget.steps_used(), budget.rows_used())
+    };
+    let forty_query = "from X in Person where X.Age = 40 and X.Name != \"\"";
+    assert_eq!(adult, walked("select X from X in Person where X.Age >= 21"));
+    assert_eq!(forty, walked(&format!("select X {forty_query}")));
+    assert_eq!(named, walked(&format!("select [N: X.Name] {forty_query}")));
 }
 
 /// The journal delta as a candidate source, under the same sweep: a
@@ -1479,37 +1448,34 @@ fn a_governed_delta_is_all_or_nothing() {
             .build()
     };
     let mut outcomes = [0; 3];
-    for engine in ENGINES {
-        for cap in 1..40 {
-            let sys = sweep_system(false);
-            let view = sweep_view(&sys, incremental());
-            let before = view.extent_of(sym("Adult")).unwrap();
-            let db = sys.database(sym("P")).unwrap();
-            let person = db.read().schema.class_by_name(sym("Person")).unwrap();
-            let child = db.read().deep_extent(person)[0];
-            assert!(!before.contains(&child));
-            db.write()
-                .set_attr(child, sym("Age"), Value::Int(50))
-                .unwrap();
-            let mut after = before.clone();
-            after.push(child);
-            after.sort();
-            let budget = Budget::new().with_max_steps(cap);
-            let (answer, ..) =
-                ov_query::with_engine_mode(engine, || governed(&view, "Adult", budget));
-            let stats = view.stats();
-            match answer {
-                Ok(oids) if oids == after => {
-                    outcomes[0] += 1;
-                    assert_eq!((stats.incremental_updates, stats.stale_serves), (1, 0));
-                }
-                Ok(oids) if oids == before => {
-                    outcomes[1] += 1;
-                    assert_eq!((stats.incremental_updates, stats.stale_serves), (0, 1));
-                }
-                Err(ViewError::Query(QueryError::ResourceExhausted(_))) => outcomes[2] += 1,
-                other => panic!("{engine:?}, max_steps {cap}: {other:?}"),
+    for cap in 1..40 {
+        let sys = sweep_system(false);
+        let view = sweep_view(&sys, incremental());
+        let before = view.extent_of(sym("Adult")).unwrap();
+        let db = sys.database(sym("P")).unwrap();
+        let person = db.read().schema.class_by_name(sym("Person")).unwrap();
+        let child = db.read().deep_extent(person)[0];
+        assert!(!before.contains(&child));
+        db.write()
+            .set_attr(child, sym("Age"), Value::Int(50))
+            .unwrap();
+        let mut after = before.clone();
+        after.push(child);
+        after.sort();
+        let budget = Budget::new().with_max_steps(cap);
+        let (answer, ..) = governed(&view, "Adult", budget);
+        let stats = view.stats();
+        match answer {
+            Ok(oids) if oids == after => {
+                outcomes[0] += 1;
+                assert_eq!((stats.incremental_updates, stats.stale_serves), (1, 0));
             }
+            Ok(oids) if oids == before => {
+                outcomes[1] += 1;
+                assert_eq!((stats.incremental_updates, stats.stale_serves), (0, 1));
+            }
+            Err(ViewError::Query(QueryError::ResourceExhausted(_))) => outcomes[2] += 1,
+            other => panic!("max_steps {cap}: {other:?}"),
         }
     }
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");

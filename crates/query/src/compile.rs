@@ -17,8 +17,7 @@
 //!   [`DataSource::resolution_is_class_pure`]) that resolution depends on
 //!   the class alone;
 //! * **computed-attribute bodies compile too**: when a slot's cached
-//!   resolution is class-pure and the body is in the covered subset, the
-//!   body is lowered once into its own [`Program`] (`self` in register 0,
+//!   resolution is class-pure, the body is lowered once into its own [`Program`] (`self` in register 0,
 //!   parameters after it) and invoked as a bytecode frame, inside the
 //!   source's body bracket as `run_computed` opens it, instead of
 //!   round-tripping through `Evaluator::run_computed` per row;
@@ -33,14 +32,12 @@
 //! [`crate::Budget`] step/row accounting (a `Step` instruction is
 //! emitted exactly where `eval_depth` would charge a step, at the same
 //! depth, so a breach stops at the exact row the interpreter would), same
-//! depth-limit behavior, and uncovered computed bodies still delegate to
-//! the interpreter (`Evaluator::run_computed`). Expressions outside the
-//! covered subset (`Lit`, scan variables, `self` in bodies, `Attr`,
-//! tuple/set/list constructors, `Unary`, `Binary`, `If`, nested
-//! `select`/`exists`, aggregates) simply fail to compile and the caller
-//! falls back to the interpreter, recording the scan as interpreted in
-//! EXPLAIN output ([`crate::plan::Engine`]) and the fallback in the
-//! `compile.fallbacks` metric.
+//! depth-limit behavior. Coverage is total: every [`Expr`] compiles, free
+//! names, `isa`, parameterized-class applications and an unbound `self`
+//! included, so every row loop has one executable form. Only computed
+//! bodies the source cannot vouch for per class still delegate to the
+//! interpreter (`Evaluator::run_computed`). Which engine runs a top-level
+//! statement is decided once, in `exec::dispatch`.
 //!
 //! **Consistency model.** Slot caches are guarded by
 //! [`DataSource::resolution_generation`]: a source that invalidates
@@ -58,41 +55,24 @@ use crate::budget::{self, Budget};
 use crate::ctx;
 use crate::error::{QueryError, Result};
 use crate::eval::{self, finish_select, truthy, Evaluator};
-use crate::rowtest::{scan_rows, Code, RowSpec, RowTest};
+use crate::rowtest::{scan_rows, RowSpec, RowTest};
 use crate::source::{DataSource, ResolvedAttr};
 
 // --- engine selection -----------------------------------------------------
 
-/// Which engine scan paths should use: a thread-scoped setting
-/// ([`with_engine_mode`]) that the workers of a split scan inherit, so
-/// concurrent sessions — and parallel tests — pick engines independently.
+/// The oracle override: how `exec::dispatch` runs top-level statements on
+/// this thread. Row loops — populations, scan chunks — always run
+/// bytecode; only the engine of a whole statement can be overridden, so
+/// the differential suites can run the tree walker as the oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Compile where the expression is covered, fall back to the
-    /// interpreter otherwise (the default).
+    /// The dispatch rule: a statement that iterates compiles, anything
+    /// else walks (the default).
     #[default]
     Compiled,
-    /// Never compile; every scan runs the tree-walking interpreter.
+    /// Every top-level statement walks, a select handed to
+    /// [`crate::run_query_parallel`] included.
     Interp,
-}
-
-impl EngineMode {
-    /// The ovq-facing spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineMode::Compiled => "compiled",
-            EngineMode::Interp => "interp",
-        }
-    }
-
-    /// Parses the ovq-facing spelling.
-    pub fn parse(s: &str) -> Option<EngineMode> {
-        match s {
-            "compiled" => Some(EngineMode::Compiled),
-            "interp" => Some(EngineMode::Interp),
-            _ => None,
-        }
-    }
 }
 
 /// The engine mode governing this thread: the innermost
@@ -102,23 +82,17 @@ pub fn engine_mode() -> EngineMode {
 }
 
 /// Runs `f` with `mode` as this thread's engine mode, restoring the
-/// previous one on the way out (also on unwind). This is how
-/// per-`Session` engine selection works: nothing outside the closure —
-/// other threads, other sessions — sees the setting, and scans that `f`
-/// splits across worker threads carry it to their workers.
+/// previous one on the way out (also on unwind). Nothing outside the
+/// closure — other threads — sees the setting, and the workers of a scan
+/// that `f` splits inherit it.
 pub fn with_engine_mode<R>(mode: EngineMode, f: impl FnOnce() -> R) -> R {
     ctx::scoped(|c| &mut c.engine, Some(mode), f).0
 }
 
-/// Should scan paths attempt compiled execution at all?
-pub fn compiled_enabled() -> bool {
-    engine_mode() != EngineMode::Interp
-}
-
-/// Top-level expressions the compiled engine declined while it was
-/// enabled ([`EngineMode::Compiled`]) and that therefore ran in the
-/// interpreter. Zero when everything a workload runs
-/// is covered; a growing count is a coverage gap.
+/// Top-level statements that walked by the dispatch rule — they contain no
+/// `select`, `exists` or aggregate — under [`EngineMode::Compiled`]. Each
+/// one paid the tree walker where a compiled run would have paid a
+/// compile.
 pub fn compile_fallbacks() -> u64 {
     ov_oodb::metric_counter!("compile.fallbacks").get()
 }
@@ -175,13 +149,22 @@ enum Inst {
     /// subroutine drives its binding loops row-at-a-time with the
     /// interpreter's exact depth/step charges.
     Select { sub: usize, rel: usize },
-    /// Push free name `name` resolved at depth `base + rel` — named object,
-    /// else class extent — exactly like the evaluator's `resolve_name` tail
-    /// ([`Scan::free_name`]).
-    FreeName { name: Symbol, rel: usize },
+    /// Push a name no variable binds — named object, else class extent,
+    /// else the unknown-name error — resolved per execution, so a rebind
+    /// or a repopulation mid-scan is observed as the interpreter observes
+    /// it (the evaluator's own [`eval::free_name`]).
+    FreeName(Symbol),
     /// Pop a collection, push the aggregate over it (the interpreter's own
     /// `aggregate`, so values and error variants are its).
     Aggregate(AggFunc),
+    /// Pop a value, push whether it is a member of the named class (the
+    /// evaluator's own [`eval::isa`], class looked up per execution).
+    IsA(Symbol),
+    /// Pop `nargs` arguments, push the parameterized class `name` applied
+    /// to them ([`DataSource::apply`]).
+    Apply { name: Symbol, nargs: usize },
+    /// `self` where no body binds it: the interpreter's error.
+    SelfUnbound,
 }
 
 /// A compiled expression: flat instructions, a constant pool, and one
@@ -206,21 +189,6 @@ pub struct Program {
     n_regs: usize,
 }
 
-/// How a sub-select binding's collection is produced, once per enclosing
-/// iteration (the interpreter re-evaluates collections each time the
-/// outer bindings advance, and so does the compiled form).
-#[derive(Debug)]
-enum CollPlan {
-    /// A compiled collection expression (a variable path, a constructed
-    /// set, an earlier binding's attribute, …).
-    Prog(Arc<Program>),
-    /// A free name, resolved per iteration exactly like the evaluator's
-    /// `resolve_name` tail: named object first, then class extent, else
-    /// the unknown-name error — so mid-scan rebinds and repopulations
-    /// behave identically to the interpreter.
-    Free(Symbol),
-}
-
 /// One `var in collection` binding of a compiled sub-select.
 #[derive(Debug)]
 struct SubBinding {
@@ -228,7 +196,9 @@ struct SubBinding {
     /// The frame-relative register the variable binds into (past the
     /// enclosing program's registers; the file grows on demand).
     reg: usize,
-    coll: CollPlan,
+    /// The collection, run once per enclosing iteration (the interpreter
+    /// re-evaluates collections each time the outer bindings advance).
+    coll: Arc<Program>,
 }
 
 /// A nested `select` (or `exists`) compiled as a subroutine: collection
@@ -252,43 +222,30 @@ impl Program {
 
 /// Lowers `expr` to a [`Program`] with the scan variables `vars` mapped to
 /// registers `0..vars.len()` (innermost binding wins, like `Env::lookup`).
-/// Returns `None` when `expr` uses any construct outside the covered subset
-/// — the caller falls back to the interpreter.
-pub fn compile_predicate(expr: &Expr, vars: &[Symbol]) -> Option<Program> {
-    let mut c = Compiler {
-        insts: Vec::new(),
-        consts: Vec::new(),
-        slots: Vec::new(),
-        slot_recv: Vec::new(),
-        shapes: Vec::new(),
-        subs: Vec::new(),
-        vars: vars.to_vec(),
-        reg_base: 0,
-        self_reg: None,
-    };
-    c.emit(expr, 0)?;
-    Some(c.finish())
+pub fn compile_predicate(expr: &Expr, vars: &[Symbol]) -> Program {
+    let mut c = Compiler::new(vars.to_vec(), 0, None);
+    c.emit(expr, 0);
+    c.finish()
 }
 
 /// Lowers a computed-attribute body to a [`Program`] with `self` in
 /// register 0 and `params` in registers `1..`; [`Scan::run_body`] runs it
-/// inside the body bracket `Evaluator::run_computed` opens. `None` when
-/// the body uses anything outside the covered subset — the scan then falls
-/// back to `run_computed` for that slot.
-fn compile_body(params: &[Symbol], body: &Expr) -> Option<Program> {
-    let mut c = Compiler {
-        insts: Vec::new(),
-        consts: Vec::new(),
-        slots: Vec::new(),
-        slot_recv: Vec::new(),
-        shapes: Vec::new(),
-        subs: Vec::new(),
-        vars: params.to_vec(),
-        reg_base: 1,
-        self_reg: Some(0),
-    };
-    c.emit(body, 0)?;
-    Some(c.finish())
+/// inside the body bracket `Evaluator::run_computed` opens.
+fn compile_body(params: &[Symbol], body: &Expr) -> Program {
+    let mut c = Compiler::new(params.to_vec(), 1, Some(0));
+    c.emit(body, 0);
+    c.finish()
+}
+
+/// Runs the select `q` compiled, charged like [`crate::eval_select`]: no
+/// step for the `select` node itself, the bindings, filter and projection
+/// at depth 1. The one form of a query the row loop does not cover — a
+/// view's non-canonical population, a scan too small to split.
+pub fn run_select(src: &dyn DataSource, q: &SelectExpr) -> Result<Value> {
+    let mut c = Compiler::new(Vec::new(), 0, None);
+    let sub = c.compile_sub(q, false);
+    c.insts.push(Inst::Select { sub, rel: 0 });
+    run_program(src, &c.finish())
 }
 
 struct Compiler {
@@ -311,6 +268,20 @@ struct Compiler {
 }
 
 impl Compiler {
+    fn new(vars: Vec<Symbol>, reg_base: usize, self_reg: Option<usize>) -> Compiler {
+        Compiler {
+            insts: Vec::new(),
+            consts: Vec::new(),
+            slots: Vec::new(),
+            slot_recv: Vec::new(),
+            shapes: Vec::new(),
+            subs: Vec::new(),
+            vars,
+            reg_base,
+            self_reg,
+        }
+    }
+
     /// Seals the compiled state into a [`Program`]. `n_regs` counts only
     /// the program's *own* registers — sub-select variables bind past
     /// this count into a register file that grows on demand and is
@@ -332,54 +303,32 @@ impl Compiler {
     /// frame-relative register layout: same `reg_base`/`self_reg`, and
     /// the current variable scope — including enclosing sub-select
     /// variables — resolves to the same registers.
-    fn compile_child(&self, e: &Expr) -> Option<Program> {
-        let mut c = Compiler {
-            insts: Vec::new(),
-            consts: Vec::new(),
-            slots: Vec::new(),
-            slot_recv: Vec::new(),
-            shapes: Vec::new(),
-            subs: Vec::new(),
-            vars: self.vars.clone(),
-            reg_base: self.reg_base,
-            self_reg: self.self_reg,
-        };
-        c.emit(e, 0)?;
-        Some(c.finish())
+    fn compile_child(&self, e: &Expr) -> Arc<Program> {
+        let mut c = Compiler::new(self.vars.clone(), self.reg_base, self.self_reg);
+        c.emit(e, 0);
+        Arc::new(c.finish())
     }
 
     /// Compiles a nested `select`/`exists` into a [`SubSelect`] table
     /// entry. Binding collections compile before their variable enters
     /// scope (matching `iterate_bindings`: later collections may refer
     /// to earlier variables); the filter and projection see every
-    /// binding. Any uncovered piece fails the whole enclosing compile.
-    fn compile_sub(&mut self, q: &SelectExpr, exists: bool) -> Option<usize> {
+    /// binding.
+    fn compile_sub(&mut self, q: &SelectExpr, exists: bool) -> usize {
         let outer = self.vars.len();
         let mut bindings = Vec::with_capacity(q.bindings.len());
         for (var, coll) in &q.bindings {
-            let plan = match coll {
-                // A name not bound by any in-scope variable resolves at
-                // runtime (named object / class extent), per iteration.
-                Expr::Name(n) if !self.vars.contains(n) => CollPlan::Free(*n),
-                _ => CollPlan::Prog(Arc::new(self.compile_child(coll)?)),
-            };
+            let coll = self.compile_child(coll);
             let reg = self.reg_base + self.vars.len();
             self.vars.push(*var);
             bindings.push(SubBinding {
                 var: *var,
                 reg,
-                coll: plan,
+                coll,
             });
         }
-        let filter = match q.filter.as_deref() {
-            Some(f) => Some(Arc::new(self.compile_child(f)?)),
-            None => None,
-        };
-        let proj = if exists {
-            None
-        } else {
-            Some(Arc::new(self.compile_child(&q.proj)?))
-        };
+        let filter = q.filter.as_deref().map(|f| self.compile_child(f));
+        let proj = (!exists).then(|| self.compile_child(&q.proj));
         self.vars.truncate(outer);
         self.subs.push(Arc::new(SubSelect {
             the: q.the,
@@ -387,7 +336,7 @@ impl Compiler {
             filter,
             proj,
         }));
-        Some(self.subs.len() - 1)
+        self.subs.len() - 1
     }
 
     /// The register `e` reads directly, if `e` is exactly a register read.
@@ -404,8 +353,8 @@ impl Compiler {
     }
 
     /// Emits code for `e` at depth `rel` relative to the program root.
-    /// Every covered node nets exactly one value on the stack.
-    fn emit(&mut self, e: &Expr, rel: usize) -> Option<()> {
+    /// Every node nets exactly one value on the stack (or raises).
+    fn emit(&mut self, e: &Expr, rel: usize) {
         self.insts.push(Inst::Step { rel });
         match e {
             Expr::Lit(v) => {
@@ -413,24 +362,23 @@ impl Compiler {
                 self.consts.push(v.clone());
                 self.insts.push(Inst::Const(idx));
             }
-            Expr::Name(n) => {
-                // Only scan variables compile; free names (named objects,
-                // class extents) can be rebound or repopulated mid-scan, so
-                // freezing them at compile time would diverge from the
-                // interpreter. Innermost binding wins, like `Env::lookup`.
-                let reg = self.vars.iter().rposition(|v| v == n)?;
-                self.insts.push(Inst::Reg(self.reg_base + reg));
-            }
-            Expr::SelfRef => {
-                // `self` is a register only inside a body program.
-                let r = self.self_reg?;
-                self.insts.push(Inst::Reg(r));
-            }
+            // A variable is a register (innermost binding wins, like
+            // `Env::lookup`); any other name resolves per execution, since
+            // a named object or class extent can change mid-scan.
+            Expr::Name(n) => self.insts.push(match self.reg_of(e) {
+                Some(reg) => Inst::Reg(reg),
+                None => Inst::FreeName(*n),
+            }),
+            // `self` is a register only inside a body program.
+            Expr::SelfRef => self.insts.push(match self.self_reg {
+                Some(reg) => Inst::Reg(reg),
+                None => Inst::SelfUnbound,
+            }),
             Expr::Attr { recv, name, args } => {
                 let recv_reg = self.reg_of(recv);
-                self.emit(recv, rel + 1)?;
+                self.emit(recv, rel + 1);
                 for a in args {
-                    self.emit(a, rel + 1)?;
+                    self.emit(a, rel + 1);
                 }
                 let slot = self.slots.len();
                 self.slots.push(*name);
@@ -443,7 +391,7 @@ impl Compiler {
             }
             Expr::TupleCons(fields) => {
                 for (_, fe) in fields {
-                    self.emit(fe, rel + 1)?;
+                    self.emit(fe, rel + 1);
                 }
                 let shape = self.shapes.len();
                 self.shapes.push(fields.iter().map(|(n, _)| *n).collect());
@@ -451,18 +399,18 @@ impl Compiler {
             }
             Expr::SetCons(items) => {
                 for it in items {
-                    self.emit(it, rel + 1)?;
+                    self.emit(it, rel + 1);
                 }
                 self.insts.push(Inst::MakeSet { n: items.len() });
             }
             Expr::ListCons(items) => {
                 for it in items {
-                    self.emit(it, rel + 1)?;
+                    self.emit(it, rel + 1);
                 }
                 self.insts.push(Inst::MakeList { n: items.len() });
             }
             Expr::Unary { op, expr } => {
-                self.emit(expr, rel + 1)?;
+                self.emit(expr, rel + 1);
                 self.insts.push(Inst::Unary(*op));
             }
             Expr::Binary {
@@ -470,13 +418,13 @@ impl Compiler {
                 lhs,
                 rhs,
             } => {
-                self.emit(lhs, rel + 1)?;
+                self.emit(lhs, rel + 1);
                 let patch = self.insts.len();
                 self.insts.push(match op {
                     BinOp::And => Inst::AndShort { to: 0 },
                     _ => Inst::OrShort { to: 0 },
                 });
-                self.emit(rhs, rel + 1)?;
+                self.emit(rhs, rel + 1);
                 self.insts.push(Inst::Booleanize);
                 let end = self.insts.len();
                 self.insts[patch] = match op {
@@ -485,50 +433,49 @@ impl Compiler {
                 };
             }
             Expr::Binary { op, lhs, rhs } => {
-                self.emit(lhs, rel + 1)?;
-                self.emit(rhs, rel + 1)?;
+                self.emit(lhs, rel + 1);
+                self.emit(rhs, rel + 1);
                 self.insts.push(Inst::Binary(*op));
             }
             Expr::If { cond, then, els } => {
-                self.emit(cond, rel + 1)?;
+                self.emit(cond, rel + 1);
                 let branch = self.insts.len();
                 self.insts.push(Inst::BranchFalsy { to: 0 });
-                self.emit(then, rel + 1)?;
+                self.emit(then, rel + 1);
                 let jump = self.insts.len();
                 self.insts.push(Inst::Jump { to: 0 });
                 let else_start = self.insts.len();
                 self.insts[branch] = Inst::BranchFalsy { to: else_start };
-                self.emit(els, rel + 1)?;
+                self.emit(els, rel + 1);
                 let end = self.insts.len();
                 self.insts[jump] = Inst::Jump { to: end };
             }
             Expr::Select(q) => {
-                let sub = self.compile_sub(q, false)?;
+                let sub = self.compile_sub(q, false);
                 self.insts.push(Inst::Select { sub, rel });
             }
             Expr::Exists(q) => {
-                let sub = self.compile_sub(q, true)?;
+                let sub = self.compile_sub(q, true);
                 self.insts.push(Inst::Select { sub, rel });
             }
             Expr::Aggregate { func, arg } => {
-                match &**arg {
-                    // `count(Elite)`: a free class or named-object name,
-                    // resolved per execution like a sub-select collection.
-                    Expr::Name(n) if !self.vars.contains(n) => {
-                        self.insts.push(Inst::FreeName {
-                            name: *n,
-                            rel: rel + 1,
-                        });
-                    }
-                    arg => self.emit(arg, rel + 1)?,
-                }
+                self.emit(arg, rel + 1);
                 self.insts.push(Inst::Aggregate(*func));
             }
-            // Everything else — free names elsewhere, `isa`, `Apply` — is
-            // interpreter territory.
-            _ => return None,
+            Expr::IsA { expr, class } => {
+                self.emit(expr, rel + 1);
+                self.insts.push(Inst::IsA(*class));
+            }
+            Expr::Apply { name, args } => {
+                for a in args {
+                    self.emit(a, rel + 1);
+                }
+                self.insts.push(Inst::Apply {
+                    name: *name,
+                    nargs: args.len(),
+                });
+            }
         }
-        Some(())
     }
 }
 
@@ -542,12 +489,8 @@ impl Compiler {
 enum Verdict {
     /// Class-pure and stored: the probe's raw field is the value.
     Stored,
-    /// Class-pure and computed, body in the covered subset: run
-    /// `Scan::bodies[i]`, compiled once.
+    /// Class-pure and computed: run `Scan::bodies[i]`, compiled once.
     Body(usize),
-    /// Class-pure and computed, body outside the covered subset: hand
-    /// `Scan::interp[i]` to the interpreter.
-    Interp(usize),
     /// The source couldn't vouch for purity: re-resolve every row (and
     /// run computed bodies through the interpreter — compiling per row
     /// would cost more than it saves).
@@ -570,8 +513,8 @@ struct Body {
 pub struct Scan<'a> {
     prog: &'a Program,
     src: &'a dyn DataSource,
-    /// Delegate for uncovered computed-attribute bodies (captures the same
-    /// budget).
+    /// Delegate for computed-attribute bodies the source cannot vouch for
+    /// per class (captures the same budget).
     ev: Evaluator<'a>,
     budget: Option<Arc<Budget>>,
     /// Register file: the outer program's registers first, then one frame
@@ -590,8 +533,6 @@ pub struct Scan<'a> {
     /// are never removed, so frames in flight across a generation bump
     /// keep their slot ranges.
     bodies: Vec<Body>,
-    /// Resolutions the interpreter runs, indexed by [`Verdict::Interp`].
-    interp: Vec<ResolvedAttr>,
     /// Registered sub-select programs — a scan runs a handful — each with
     /// its global-slot base, found by `Arc` identity. Holding the `Arc`
     /// keeps the address from being reused while registered.
@@ -618,7 +559,6 @@ impl<'a> Scan<'a> {
             stack: Vec::with_capacity(8),
             caches: prog.slots.iter().map(|_| Vec::new()).collect(),
             bodies: Vec::new(),
-            interp: Vec::new(),
             child_bases: Vec::new(),
             gen: src.resolution_generation(),
             cache_hits: 0,
@@ -660,13 +600,7 @@ impl<'a> Scan<'a> {
     /// execute themselves (the `select` node, the collection name) exactly
     /// as the tree walker would.
     pub fn step(&self, depth: usize) -> Result<()> {
-        if depth > eval::MAX_DEPTH {
-            return Err(eval::depth_error());
-        }
-        if let Some(b) = &self.budget {
-            b.step(depth)?;
-        }
-        Ok(())
+        eval::charge(self.budget.as_deref(), depth)
     }
 
     /// Executes the program with the expression root at depth `base`
@@ -761,14 +695,20 @@ impl<'a> Scan<'a> {
                     let v = self.run_sub(&prog.subs[sub], base + rel, frame)?;
                     self.stack.push(v);
                 }
-                Inst::FreeName { name, rel } => {
-                    let v = self.free_name(name, base + rel)?;
-                    self.stack.push(v);
-                }
+                Inst::FreeName(name) => self.stack.push(eval::free_name(self.src, name)?),
                 Inst::Aggregate(func) => {
                     let v = self.stack.pop().expect("aggregate argument on stack");
                     self.stack.push(eval::aggregate(func, &v)?);
                 }
+                Inst::IsA(class) => {
+                    let v = self.stack.pop().expect("`isa` operand on stack");
+                    self.stack.push(eval::isa(self.src, v, class)?);
+                }
+                Inst::Apply { name, nargs } => {
+                    let args = self.stack.split_off(self.stack.len() - nargs);
+                    self.stack.push(self.src.apply(name, &args)?);
+                }
+                Inst::SelfUnbound => return Err(eval::self_unbound()),
             }
             pc += 1;
         }
@@ -864,10 +804,7 @@ impl<'a> Scan<'a> {
         }
         let b = &sub.bindings[i];
         let (var, reg) = (b.var, b.reg);
-        let coll = match &b.coll {
-            CollPlan::Prog(p) => self.run_child(p, depth + 1, frame)?,
-            CollPlan::Free(n) => self.free_name(*n, depth + 1)?,
-        };
+        let coll = self.run_child(&b.coll, depth + 1, frame)?;
         let items: Vec<Value> = match coll {
             Value::Set(s) => s.into_iter().collect(),
             Value::List(l) => l,
@@ -897,24 +834,6 @@ impl<'a> Scan<'a> {
         self.exec(prog, base, frame, slot_base)
     }
 
-    /// Resolves a free name at `depth`, exactly like the evaluator: the
-    /// node prologue (depth check + budget step), then named object →
-    /// class extent → unknown-name error. Resolution is per call, so a
-    /// rebind or repopulation mid-scan is observed like the interpreter
-    /// would observe it.
-    fn free_name(&mut self, name: Symbol, depth: usize) -> Result<Value> {
-        self.step(depth)?;
-        if let Some(oid) = self.src.named_object(name) {
-            return Ok(Value::Oid(oid));
-        }
-        if let Some(class) = self.src.class_by_name(name) {
-            return crate::source::extent_value(self.src, class);
-        }
-        Err(QueryError::eval(format!(
-            "unknown name `{name}` (not a variable, named object, or class)"
-        )))
-    }
-
     /// Attribute access, mirroring `Evaluator::access`/`attr_of` byte for
     /// byte — with the resolve call routed through the slot cache.
     fn attr(
@@ -929,12 +848,7 @@ impl<'a> Scan<'a> {
             Value::Null => Ok(Value::Null),
             Value::Oid(oid) => {
                 // attr_of charges a second step at the access node's depth.
-                if depth > eval::MAX_DEPTH {
-                    return Err(eval::depth_error());
-                }
-                if let Some(b) = &self.budget {
-                    b.step(depth)?;
-                }
+                self.step(depth)?;
                 // One fused object lookup yields the cache key *and* the raw
                 // stored field; the field half is used only when resolution
                 // says the attribute is stored (it never depends on
@@ -949,9 +863,6 @@ impl<'a> Scan<'a> {
                 match verdict {
                     Verdict::Stored => no_args(name, &args).map(|()| raw),
                     Verdict::Body(i) => self.run_body(i, oid, name, args, depth),
-                    Verdict::Interp(i) => {
-                        self.run_resolved(&self.interp[i], oid, name, Some(raw), args, depth)
-                    }
                     Verdict::Impure => {
                         let res = match fresh {
                             Some(res) => res,
@@ -978,8 +889,8 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// Serves a resolution that has no compiled form: a stored field
-    /// (`raw` when the probe already fetched it), or a computed body
+    /// Serves a resolution the scan does not cache per class: a stored
+    /// field (`raw` when the probe already fetched it), or a computed body
     /// through the interpreter.
     fn run_resolved(
         &self,
@@ -1103,21 +1014,16 @@ impl<'a> Scan<'a> {
         }
         let v = match &res {
             ResolvedAttr::Stored => Verdict::Stored,
-            ResolvedAttr::Computed { params, body } => match compile_body(params, body) {
-                Some(prog) => {
-                    let slot_base = self.alloc_slots(&prog);
-                    self.bodies.push(Body {
-                        prog: Rc::new(prog),
-                        nparams: params.len(),
-                        slot_base,
-                    });
-                    Verdict::Body(self.bodies.len() - 1)
-                }
-                None => {
-                    self.interp.push(res);
-                    Verdict::Interp(self.interp.len() - 1)
-                }
-            },
+            ResolvedAttr::Computed { params, body } => {
+                let prog = compile_body(params, body);
+                let slot_base = self.alloc_slots(&prog);
+                self.bodies.push(Body {
+                    prog: Rc::new(prog),
+                    nparams: params.len(),
+                    slot_base,
+                });
+                Verdict::Body(self.bodies.len() - 1)
+            }
         };
         self.caches[gslot].push((class, v));
         Ok((v, None))
@@ -1141,20 +1047,15 @@ fn no_args(name: Symbol, args: &[Value]) -> Result<()> {
 /// (`select [the] proj from V in Class [where filter]`).
 pub struct SelectScan {
     class: ClassId,
-    var: Symbol,
     filter: Option<Program>,
     proj: Program,
 }
 
 /// Compiles the scan pieces of `q` when it has the canonical shape: one
-/// binding, collection is a plain class name (not shadowed by a named
-/// object), and the filter and projection both compile.
+/// binding whose collection is a plain class name (not shadowed by a named
+/// object).
 pub fn compile_select_scan(src: &dyn DataSource, q: &SelectExpr) -> Option<SelectScan> {
-    if q.bindings.len() != 1 {
-        return None;
-    }
-    let (var, coll) = &q.bindings[0];
-    let Expr::Name(coll_name) = coll else {
+    let [(var, Expr::Name(coll_name))] = q.bindings.as_slice() else {
         return None;
     };
     // resolve_name order is variable → named object → class extent; a
@@ -1164,40 +1065,29 @@ pub fn compile_select_scan(src: &dyn DataSource, q: &SelectExpr) -> Option<Selec
     }
     let class = src.class_by_name(*coll_name)?;
     let vars = [*var];
-    let filter = match q.filter.as_deref() {
-        Some(f) => Some(compile_predicate(f, &vars)?),
-        None => None,
-    };
-    let proj = compile_predicate(&q.proj, &vars)?;
     Some(SelectScan {
         class,
-        var: *var,
-        filter,
-        proj,
+        filter: q.filter.as_deref().map(|f| compile_predicate(f, &vars)),
+        proj: compile_predicate(&q.proj, &vars),
     })
 }
 
-/// Attempts compiled execution of a whole top-level expression. `None`
-/// means the engine is off or the shape is not covered — the caller falls
-/// back to the interpreter. `Some(result)` is bit-identical to what
-/// `eval_expr` would have produced (values, errors, budget accounting),
-/// with one documented exception: when the cost-based planner is enabled
-/// and may reorder a multi-binding select (no budget installed,
-/// independent class-extent bindings), the *values* are identical but a
-/// filter that errors on some rows may surface a different row's error
-/// (standard predicate-reorder semantics; see `planner`).
-pub(crate) fn try_run_compiled(src: &dyn DataSource, expr: &Expr) -> Option<Result<Value>> {
-    if !compiled_enabled() {
-        return None;
-    }
+/// Runs a whole top-level expression compiled. The result is
+/// bit-identical to what `eval_expr` would have produced (values, errors,
+/// budget accounting), with one documented exception: when the cost-based
+/// planner is enabled and may reorder a multi-binding select (no budget
+/// installed, independent class-extent bindings), the *values* are
+/// identical but a filter that errors on some rows may surface a different
+/// row's error (standard predicate-reorder semantics; see `planner`).
+pub(crate) fn run_compiled(src: &dyn DataSource, expr: &Expr) -> Result<Value> {
     if let Expr::Select(q) = expr {
         // Canonical single-binding class scan: the fast path, with the
         // planner choosing between sequential scan and index pushdown.
         if let Some(scan) = compile_select_scan(src, q) {
             if crate::planner::planner_enabled() {
-                return Some(run_planned_select(src, expr, q, &scan));
+                return run_planned_select(src, expr, q, &scan);
             }
-            return Some(run_select_scan(src, q, &scan, None));
+            return run_select_scan(src, q, &scan, None);
         }
         // Multi-binding over independent class extents: the planner may
         // pick a cheapest-first binding order. Only when no budget is
@@ -1205,27 +1095,21 @@ pub(crate) fn try_run_compiled(src: &dyn DataSource, expr: &Expr) -> Option<Resu
         // charge sequence.
         if crate::planner::planner_enabled() && budget::current().is_none() {
             if let Some(r) = try_run_planned_join(src, expr, q) {
-                return Some(r);
+                return r;
             }
         }
     }
     // General shapes — multi-binding and nested selects, aggregates, a
     // bare `exists(...)` — compile into one program (selects as
     // subroutines) with the interpreter's exact semantics.
-    match compile_predicate(expr, &[]) {
-        Some(prog) => Some(run_compiled_expr(src, &prog)),
-        None => {
-            ov_oodb::metric_counter!("compile.fallbacks").inc();
-            None
-        }
-    }
+    run_program(src, &compile_predicate(expr, &[]))
 }
 
-/// Runs a fully compiled general expression (multi-binding or nested
+/// Runs a general program with no scan variables (multi-binding or nested
 /// selects, a bare `exists`): the program roots at depth 0, sub-selects
 /// do their own row accounting and actuals reporting, and the scan's
 /// cache counters fold into the actuals frame.
-fn run_compiled_expr(src: &dyn DataSource, prog: &Program) -> Result<Value> {
+pub(crate) fn run_program(src: &dyn DataSource, prog: &Program) -> Result<Value> {
     let _span = ov_oodb::span!("query.compiled_scan");
     let mut scan = Scan::new(prog, src);
     let r = scan.run(0);
@@ -1355,14 +1239,12 @@ fn try_run_planned_join(
             Some(acc) => Expr::bin(BinOp::And, acc, (*leg).clone()),
         });
     }
-    let mut filter_progs: Vec<Option<Program>> = Vec::with_capacity(vars.len());
-    for (p, f) in level_filters.iter().enumerate() {
-        match f {
-            None => filter_progs.push(None),
-            Some(f) => filter_progs.push(Some(compile_predicate(f, &order_vars[..=p])?)),
-        }
-    }
-    let proj_prog = compile_predicate(&q.proj, &order_vars)?;
+    let filter_progs: Vec<Option<Program>> = level_filters
+        .iter()
+        .enumerate()
+        .map(|(p, f)| f.as_ref().map(|f| compile_predicate(f, &order_vars[..=p])))
+        .collect();
+    let proj_prog = compile_predicate(&q.proj, &order_vars);
     // Execute the nest.
     let _span = ov_oodb::span!("query.compiled_scan");
     let mut filter_scans: Vec<Option<Scan>> = filter_progs
@@ -1484,9 +1366,8 @@ fn run_select_scan(
 ) -> Result<Value> {
     let _span = ov_oodb::span!("query.compiled_scan");
     let spec = RowSpec {
-        var: scan.var,
-        filter: scan.filter.as_ref().map(Code::Compiled),
-        proj: Some(Code::Compiled(&scan.proj)),
+        filter: scan.filter.as_ref(),
+        proj: Some(&scan.proj),
     };
     let mut test = RowTest::new(src, spec);
     let mut actuals = crate::plan::ScanActuals::default();
@@ -1569,16 +1450,38 @@ mod tests {
         db
     }
 
+    /// `staff` plus what one-shot shapes read: `maggy` names Maggy, Denis's
+    /// `Spouse` is Maggy, Eve is an `Employee`, and `Older(n)` is a
+    /// parameterized class (the people older than `n`).
+    fn family() -> GenSource {
+        let mut db = staff();
+        let person = db.schema.class_by_name(sym("Person")).unwrap();
+        db.schema
+            .add_attr(person, AttrDef::stored(sym("Spouse"), Type::Class(person)))
+            .unwrap();
+        let employee = db.create_class(sym("Employee"), &[person], vec![]).unwrap();
+        let people = db.deep_extent(person);
+        let (maggy, denis) = (people[0], people[1]);
+        db.name_object(sym("maggy"), maggy).unwrap();
+        db.set_attr(denis, sym("Spouse"), Value::Oid(maggy))
+            .unwrap();
+        db.create_object(
+            employee,
+            Value::tuple([("Name", Value::str("Eve")), ("Age", Value::Int(40))]),
+        )
+        .unwrap();
+        GenSource::over(db)
+    }
+
     /// Runs `src` both ways against every Person and asserts agreement.
-    fn assert_differential(db: &Database, src: &str) {
+    fn assert_differential(db: &dyn DataSource, src: &str) {
         let expr = parse_expr(src).unwrap();
         let p = sym("P");
-        let prog =
-            compile_predicate(&expr, &[p]).unwrap_or_else(|| panic!("`{src}` should compile"));
+        let prog = compile_predicate(&expr, &[p]);
         let mut scan = Scan::new(&prog, db);
         let ev = Evaluator::new(db);
-        let person = db.schema.class_by_name(sym("Person")).unwrap();
-        for oid in db.deep_extent(person) {
+        let person = db.class_by_name(sym("Person")).unwrap();
+        for oid in db.extent(person).unwrap() {
             let mut env = Env::new();
             env.bind(p, Value::Oid(oid));
             let interpreted = ev.eval(&expr, &mut env);
@@ -1630,18 +1533,28 @@ mod tests {
         }
     }
 
+    /// The shapes that once fell back to the interpreter compile, and
+    /// agree with it value for value and error for error.
     #[test]
-    fn uncovered_shapes_do_not_compile() {
-        for src in [
-            "P in Person", // free name `Person`
-            "self.Age",    // `self` is not a scan variable
-            "maggy.Age",   // free name
+    fn every_shape_compiles() {
+        let src = family();
+        for text in [
+            "P in Person",      // free class name
+            "maggy.Age",        // named object
+            "P.Spouse = maggy", // named object beside a stored reference
+            "Ghost",            // unknown name
+            "P isa Employee",
+            "P isa Person and P.Age > 50",
+            "P isa Ghost",         // unknown class
+            "P.Spouse isa Person", // `null isa …`
+            "P.Age isa Person",    // not an object
+            "P in Older(60)",      // parameterized class
+            "count(Older(P.Age))",
+            "Ghost(1)", // not a parameterized class
+            "self",     // no body binds `self`
+            "self.Age",
         ] {
-            let expr = parse_expr(src).unwrap();
-            assert!(
-                compile_predicate(&expr, &[sym("P")]).is_none(),
-                "`{src}` should not compile"
-            );
+            assert_differential(&src, text);
         }
     }
 
@@ -1699,10 +1612,8 @@ mod tests {
         ] {
             let expr = parse_expr(src).unwrap();
             let interp = crate::eval::eval_expr(&db, &expr);
-            let on = crate::planner::with_planner(true, || try_run_compiled(&db, &expr))
-                .unwrap_or_else(|| panic!("`{src}` should take a compiled path (planner on)"));
-            let off = crate::planner::with_planner(false, || try_run_compiled(&db, &expr))
-                .unwrap_or_else(|| panic!("`{src}` should take a compiled path (planner off)"));
+            let on = crate::planner::with_planner(true, || run_compiled(&db, &expr));
+            let off = crate::planner::with_planner(false, || run_compiled(&db, &expr));
             assert_eq!(on, interp, "planner-on divergence on `{src}`");
             assert_eq!(off, interp, "planner-off divergence on `{src}`");
         }
@@ -1710,7 +1621,7 @@ mod tests {
 
     #[test]
     fn top_level_budget_charges_match_the_interpreter() {
-        let db = staff();
+        let db = family();
         for src in [
             "select P.Doubled from P in Person where P.Age >= 30",
             "sum(select P.Doubled from P in Person where P.Age >= 30)",
@@ -1718,16 +1629,19 @@ mod tests {
             "select P.Name from P in Person, Q in Person where P.Age < Q.Age",
             "select P.Name from P in Person \
              where exists(select Q from Q in Person where Q.Age > P.Age)",
+            "select P.Name from P in Person where P.Spouse = maggy",
+            "select P.Name from P in Person where P isa Employee",
+            "select P.Name from P in Person where P isa Ghost",
+            "select P.Name from P in Person where P in Older(P.Age - 1)",
+            "count(Older(60))",
+            "select self from P in Person",
         ] {
             let expr = parse_expr(src).unwrap();
             let interp_budget = std::sync::Arc::new(crate::Budget::new());
             let interp =
                 crate::budget::with(interp_budget.clone(), || crate::eval::eval_expr(&db, &expr));
             let comp_budget = std::sync::Arc::new(crate::Budget::new());
-            let compiled = crate::budget::with(comp_budget.clone(), || {
-                try_run_compiled(&db, &expr)
-                    .unwrap_or_else(|| panic!("`{src}` should take a compiled path"))
-            });
+            let compiled = crate::budget::with(comp_budget.clone(), || run_compiled(&db, &expr));
             assert_eq!(compiled, interp, "value divergence on `{src}`");
             assert_eq!(
                 comp_budget.steps_used(),
@@ -1742,17 +1656,35 @@ mod tests {
         }
     }
 
+    /// The dispatch rule: a statement that iterates compiles, any other
+    /// walks, and `compile.fallbacks` counts exactly the statements that
+    /// walked.
     #[test]
     fn the_compiled_engine_counts_interpreter_fallbacks() {
-        let db = staff();
-        // A free name outside an aggregate argument is not covered.
-        let expr = parse_expr("select P from P in Person where P isa Person").unwrap();
-        let before = compile_fallbacks();
-        assert!(try_run_compiled(&db, &expr).is_none());
-        assert!(
-            compile_fallbacks() > before,
-            "a fallback should bump compile.fallbacks"
-        );
+        use crate::plan::Engine;
+        let src = family();
+        for (text, engine, walked) in [
+            (
+                "select P from P in Person where P isa Person",
+                Engine::Compiled,
+                0,
+            ),
+            ("maggy.Age", Engine::Interpreted, 1),
+            ("[N: maggy.Name]", Engine::Interpreted, 1),
+        ] {
+            let expr = parse_expr(text).unwrap();
+            // The counter is process-wide and other tests walk statements
+            // concurrently, which can only add to it: retry until a run
+            // sees no one else's.
+            let seen = (0..1_000).find_map(|_| {
+                let before = compile_fallbacks();
+                let (value, ran) = crate::exec::dispatch(&src, &expr);
+                assert_eq!(value, crate::eval::eval_expr(&src, &expr), "`{text}`");
+                assert_eq!(ran, engine, "`{text}`");
+                (compile_fallbacks() - before == walked).then_some(())
+            });
+            assert!(seen.is_some(), "`{text}` must count {walked} fallback(s)");
+        }
     }
 
     #[test]
@@ -1782,7 +1714,7 @@ mod tests {
         let db = staff();
         let expr = parse_expr("P.Age >= 30 and P.Doubled < 200").unwrap();
         let p = sym("P");
-        let prog = compile_predicate(&expr, &[p]).unwrap();
+        let prog = compile_predicate(&expr, &[p]);
         let person = db.schema.class_by_name(sym("Person")).unwrap();
         let oids = db.deep_extent(person);
 
@@ -1814,7 +1746,7 @@ mod tests {
         let db = staff();
         let expr = parse_expr("P.Doubled > 100").unwrap();
         let p = sym("P");
-        let prog = compile_predicate(&expr, &[p]).unwrap();
+        let prog = compile_predicate(&expr, &[p]);
         let person = db.schema.class_by_name(sym("Person")).unwrap();
         let oid = db.deep_extent(person)[0];
 
@@ -1843,7 +1775,7 @@ mod tests {
     fn resolution_cache_reuses_pure_resolutions() {
         let db = staff();
         let expr = parse_expr("P.Age >= 65").unwrap();
-        let prog = compile_predicate(&expr, &[sym("P")]).unwrap();
+        let prog = compile_predicate(&expr, &[sym("P")]);
         let mut scan = Scan::new(&prog, &db);
         let person = db.schema.class_by_name(sym("Person")).unwrap();
         for oid in db.deep_extent(person) {
@@ -1862,7 +1794,7 @@ mod tests {
     fn computed_bodies_compile_into_the_scan() {
         let db = staff();
         let expr = parse_expr("P.Doubled").unwrap();
-        let prog = compile_predicate(&expr, &[sym("P")]).unwrap();
+        let prog = compile_predicate(&expr, &[sym("P")]);
         let mut scan = Scan::new(&prog, &db);
         let person = db.schema.class_by_name(sym("Person")).unwrap();
         let ages = [65, 70, 30];
@@ -1893,21 +1825,47 @@ mod tests {
             "select [N: P.Name, D: P.Doubled] from P in Person",
         ] {
             let expr = parse_expr(src).unwrap();
-            let compiled =
-                try_run_compiled(&db, &expr).unwrap_or_else(|| panic!("`{src}` should compile"));
+            let compiled = run_compiled(&db, &expr);
             let interpreted = crate::eval::eval_expr(&db, &expr);
             assert_eq!(compiled, interpreted, "divergence on `{src}`");
         }
     }
 
+    /// `run_select` — a view's non-canonical population, a scan too small
+    /// to split — charges what `eval_select` charges: nothing for the
+    /// `select` node itself.
+    #[test]
+    fn run_select_charges_like_eval_select() {
+        let src = family();
+        for text in [
+            "select P.Name from P in Person where P.Age >= 65",
+            "select [A: P.Name, B: Q.Name] from P in Person, Q in Person where P.Spouse = Q",
+            "select X from P in Person, X in {P.Age} where X > 60",
+            "select the P from P in Person",
+            "select P from P in maggy",
+        ] {
+            let q = crate::parser::parse_select(text).unwrap();
+            let charged = |run: &dyn Fn() -> Result<Value>| {
+                let b = Arc::new(Budget::new());
+                let v = budget::with(b.clone(), run);
+                (v, b.steps_used(), b.rows_used())
+            };
+            assert_eq!(
+                charged(&|| run_select(&src, &q)),
+                charged(&|| crate::eval::eval_select(&src, &q)),
+                "`{text}`"
+            );
+        }
+    }
+
     #[test]
     fn interp_mode_disables_compilation() {
+        use crate::plan::Engine;
         let db = staff();
         let expr = parse_expr("select P from P in Person").unwrap();
-        with_engine_mode(EngineMode::Interp, || {
-            assert!(try_run_compiled(&db, &expr).is_none());
-        });
-        assert!(try_run_compiled(&db, &expr).is_some());
+        let engine = |mode| with_engine_mode(mode, || crate::exec::dispatch(&db, &expr).1);
+        assert_eq!(engine(EngineMode::Interp), Engine::Interpreted);
+        assert_eq!(engine(EngineMode::Compiled), Engine::Compiled);
     }
 
     #[test]
@@ -1928,17 +1886,10 @@ mod tests {
         assert_eq!(engine_mode(), EngineMode::Compiled);
     }
 
-    #[test]
-    fn engine_mode_round_trips_its_spelling() {
-        for mode in [EngineMode::Compiled, EngineMode::Interp] {
-            assert_eq!(EngineMode::parse(mode.as_str()), Some(mode));
-        }
-        assert_eq!(EngineMode::parse("auto"), None);
-    }
-
     /// A source whose resolution can change mid-scan, announced via the
     /// generation counter — the shape of a view's population brackets. It
-    /// also logs every fused object probe, by attribute name.
+    /// also logs every fused object probe, by attribute name, and knows one
+    /// parameterized class, `Older(n)`.
     struct GenSource {
         db: Database,
         probes: std::sync::Mutex<Vec<Symbol>>,
@@ -1948,7 +1899,28 @@ mod tests {
         redefined: std::sync::atomic::AtomicBool,
     }
 
+    impl GenSource {
+        fn over(db: Database) -> GenSource {
+            GenSource {
+                db,
+                probes: Default::default(),
+                generation: Default::default(),
+                redefined: Default::default(),
+            }
+        }
+    }
+
     impl DataSource for GenSource {
+        fn apply(&self, name: Symbol, args: &[Value]) -> Result<Value> {
+            let (true, [Value::Int(n)]) = (name == sym("Older"), args) else {
+                return DataSource::apply(&self.db, name, args);
+            };
+            let person = self.db.schema.class_by_name(sym("Person")).unwrap();
+            let older = self.db.deep_extent(person).into_iter().filter(
+                |&o| matches!(self.db.stored_attr(o, sym("Age")), Ok(Value::Int(a)) if a > n),
+            );
+            Ok(Value::Set(older.map(Value::Oid).collect()))
+        }
         fn class_by_name(&self, name: Symbol) -> Option<ClassId> {
             DataSource::class_by_name(&self.db, name)
         }
@@ -2008,14 +1980,9 @@ mod tests {
 
     #[test]
     fn generation_bump_invalidates_warm_slot_caches() {
-        let src = GenSource {
-            db: staff(),
-            probes: Default::default(),
-            generation: std::sync::atomic::AtomicU64::new(0),
-            redefined: std::sync::atomic::AtomicBool::new(false),
-        };
+        let src = GenSource::over(staff());
         let expr = parse_expr("P.Age").unwrap();
-        let prog = compile_predicate(&expr, &[sym("P")]).unwrap();
+        let prog = compile_predicate(&expr, &[sym("P")]);
         let mut scan = Scan::new(&prog, &src);
         let person = src.class_by_name(sym("Person")).unwrap();
         let oid = DataSource::extent(&src, person).unwrap()[0];
@@ -2035,18 +2002,11 @@ mod tests {
 
     #[test]
     fn a_scan_probes_each_row_once_per_attribute_it_evaluates() {
-        let src = GenSource {
-            db: staff(),
-            probes: Default::default(),
-            generation: std::sync::atomic::AtomicU64::new(0),
-            redefined: std::sync::atomic::AtomicBool::new(false),
-        };
+        let src = GenSource::over(staff());
         // Three rows, one match: the filter attribute is probed per row,
         // the projection attribute only for the row that passed.
         let expr = parse_expr("select P.Name from P in Person where P.Age = 30").unwrap();
-        let got = crate::planner::with_planner(false, || try_run_compiled(&src, &expr))
-            .expect("canonical scan compiles")
-            .unwrap();
+        let got = crate::planner::with_planner(false, || run_compiled(&src, &expr)).unwrap();
         assert_eq!(got, Value::set([Value::str("Tony")]));
         let probes = src.probes.lock().unwrap();
         let count = |name: &str| probes.iter().filter(|p| **p == sym(name)).count();

@@ -35,6 +35,55 @@ pub(crate) fn depth_error() -> QueryError {
     QueryError::eval("evaluation depth limit exceeded (recursive computed attribute?)")
 }
 
+/// The error of `self` where no computed body binds it.
+pub(crate) fn self_unbound() -> QueryError {
+    QueryError::eval("`self` is not bound here")
+}
+
+/// One expression-node entry: the depth-limit check plus one budget step
+/// at `depth`. Both engines and the row loop charge through this.
+#[inline]
+pub(crate) fn charge(budget: Option<&crate::budget::Budget>, depth: usize) -> Result<()> {
+    if depth > MAX_DEPTH {
+        return Err(depth_error());
+    }
+    if let Some(b) = budget {
+        b.step(depth)?;
+    }
+    Ok(())
+}
+
+/// A name no variable binds: the named object, else the class extent, else
+/// the unknown-name error.
+pub(crate) fn free_name(src: &dyn DataSource, name: Symbol) -> Result<Value> {
+    if let Some(oid) = src.named_object(name) {
+        return Ok(Value::Oid(oid));
+    }
+    if let Some(class) = src.class_by_name(name) {
+        return extent_value(src, class);
+    }
+    Err(QueryError::eval(format!(
+        "unknown name `{name}` (not a variable, named object, or class)"
+    )))
+}
+
+/// `v isa class`, with `v` already evaluated: the class is looked up by
+/// name first (an unknown class is an error even for `null`), then `null`
+/// is a member of nothing and an object asks the source.
+pub(crate) fn isa(src: &dyn DataSource, v: Value, class: Symbol) -> Result<Value> {
+    let class_id = src
+        .class_by_name(class)
+        .ok_or(ov_oodb::OodbError::UnknownClass(class))?;
+    match v {
+        Value::Null => Ok(Value::Bool(false)),
+        Value::Oid(o) => Ok(Value::Bool(src.is_member(o, class_id)?)),
+        other => Err(QueryError::eval(format!(
+            "`isa` applies to objects, not {}",
+            other.kind()
+        ))),
+    }
+}
+
 /// A variable environment: lexically scoped bindings plus the `self`
 /// receiver.
 #[derive(Clone, Debug, Default)]
@@ -145,24 +194,19 @@ impl<'a> Evaluator<'a> {
     /// step at `depth`.
     #[inline]
     pub(crate) fn step(&self, depth: usize) -> Result<()> {
-        if depth > MAX_DEPTH {
-            return Err(depth_error());
-        }
-        if let Some(b) = &self.budget {
-            b.step(depth)?;
-        }
-        Ok(())
+        charge(self.budget.as_deref(), depth)
     }
 
     pub(crate) fn eval_depth(&self, expr: &Expr, env: &mut Env, depth: usize) -> Result<Value> {
         self.step(depth)?;
         match expr {
             Expr::Lit(v) => Ok(v.clone()),
-            Expr::SelfRef => env
-                .self_val
-                .clone()
-                .ok_or_else(|| QueryError::eval("`self` is not bound here")),
-            Expr::Name(n) => self.resolve_name(*n, env),
+            Expr::SelfRef => env.self_val.clone().ok_or_else(self_unbound),
+            // Variable → named object → class extent.
+            Expr::Name(n) => match env.lookup(*n) {
+                Some(v) => Ok(v.clone()),
+                None => free_name(self.src, *n),
+            },
             Expr::Attr { recv, name, args } => {
                 let recv_val = self.eval_depth(recv, env, depth + 1)?;
                 let mut arg_vals = Vec::with_capacity(args.len());
@@ -220,18 +264,7 @@ impl<'a> Evaluator<'a> {
             }
             Expr::IsA { expr, class } => {
                 let v = self.eval_depth(expr, env, depth + 1)?;
-                let class_id = self
-                    .src
-                    .class_by_name(*class)
-                    .ok_or(ov_oodb::OodbError::UnknownClass(*class))?;
-                match v {
-                    Value::Null => Ok(Value::Bool(false)),
-                    Value::Oid(o) => Ok(Value::Bool(self.src.is_member(o, class_id)?)),
-                    other => Err(QueryError::eval(format!(
-                        "`isa` applies to objects, not {}",
-                        other.kind()
-                    ))),
-                }
+                isa(self.src, v, *class)
             }
             Expr::Apply { name, args } => {
                 let mut arg_vals = Vec::with_capacity(args.len());
@@ -241,22 +274,6 @@ impl<'a> Evaluator<'a> {
                 self.src.apply(*name, &arg_vals)
             }
         }
-    }
-
-    /// Name resolution order: query variable → named object → class extent.
-    fn resolve_name(&self, name: Symbol, env: &Env) -> Result<Value> {
-        if let Some(v) = env.lookup(name) {
-            return Ok(v.clone());
-        }
-        if let Some(oid) = self.src.named_object(name) {
-            return Ok(Value::Oid(oid));
-        }
-        if let Some(class) = self.src.class_by_name(name) {
-            return extent_value(self.src, class);
-        }
-        Err(QueryError::eval(format!(
-            "unknown name `{name}` (not a variable, named object, or class)"
-        )))
     }
 
     /// `recv.name(args)` — "The dot notation here combines both

@@ -124,8 +124,8 @@ fn run_data_stmt(db: &DbHandle, oid_map: &HashMap<u64, Oid>, stmt: &Stmt) -> Res
             Ok(Some(Value::Oid(db.create_object(class_id, v)?)))
         }
         Stmt::Query(e) => {
-            // `run_expr`, not `eval_expr`: canonical scans take the
-            // compiled engine and profiled runs feed the workload
+            // `run_expr`, not `eval_expr`: the statement takes the
+            // dispatch rule's engine and profiled runs feed the workload
             // registry, same as `run_query` on a text query.
             let e = remap_oids(e, oid_map);
             run_expr(&*db.read(), &e).map(Some)
@@ -446,11 +446,10 @@ pub fn rewrite_expr(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> Expr 
     map_expr(e, f)
 }
 
-/// Runs a single query string against any data source (database or view).
-/// Canonical class scans run the compiled predicate engine (unless disabled
-/// via [`with_engine_mode`](crate::with_engine_mode)); everything else — and
-/// every expression outside the compiler's coverage — takes the
-/// tree-walking interpreter, with identical observable behavior.
+/// Runs a single query string against any data source (database or view),
+/// in the engine one rule picks: a statement that iterates (it contains a
+/// `select`, an `exists` or an aggregate) runs compiled, any other walks,
+/// with identical observable behavior.
 ///
 /// When the profiler is on ([`ov_oodb::metrics::set_profiling`]) the run is
 /// additionally fingerprinted and recorded in the process-wide workload
@@ -466,25 +465,48 @@ pub fn run_query(src: &dyn crate::source::DataSource, query: &str) -> Result<Val
     run_parsed(src, &e, Some(query))
 }
 
-/// Runs a pre-parsed expression against any data source, routing canonical
-/// class scans through the compiled engine exactly like [`run_query`].
-/// Callers that hold an [`Expr`] (e.g. a session dispatching a parsed
-/// statement) should prefer this over [`eval_expr`], which always
-/// interprets.
+/// Runs a pre-parsed expression against any data source, in the engine
+/// [`run_query`]'s rule picks. Callers that hold an [`Expr`] (e.g. a
+/// session dispatching a parsed statement) should prefer this over
+/// [`eval_expr`], which always walks.
 pub fn run_expr(src: &dyn crate::source::DataSource, e: &Expr) -> Result<Value> {
     run_parsed(src, e, None)
 }
 
-/// The one choice of engine: the compiled engine where the compiler covers
-/// `e` (already constant-folded by the caller), the interpreter otherwise.
+/// The one choice of engine for a top-level statement `e` (already
+/// constant-folded by the caller). A statement that iterates — it contains
+/// a `select`, an `exists` or an aggregate — runs compiled. Anything else
+/// touches a handful of objects, where compiling costs more than walking
+/// the tree once, so it walks and counts in `compile.fallbacks`. Under
+/// [`EngineMode::Interp`](crate::EngineMode) every statement walks: the
+/// differential oracle.
 pub(crate) fn dispatch(
     src: &dyn crate::source::DataSource,
     e: &Expr,
 ) -> (Result<Value>, crate::plan::Engine) {
     use crate::plan::Engine;
-    match crate::compile::try_run_compiled(src, e) {
-        Some(r) => (r, Engine::Compiled),
-        None => (eval_expr(src, e), Engine::Interpreted),
+    if crate::compile::engine_mode() == crate::EngineMode::Compiled {
+        if iterates(e) {
+            return (crate::compile::run_compiled(src, e), Engine::Compiled);
+        }
+        ov_oodb::metric_counter!("compile.fallbacks").inc();
+    }
+    (eval_expr(src, e), Engine::Interpreted)
+}
+
+/// Does `e` loop: does it contain a `select`, an `exists` or an aggregate?
+fn iterates(e: &Expr) -> bool {
+    match e {
+        Expr::Select(_) | Expr::Exists(_) | Expr::Aggregate { .. } => true,
+        Expr::Lit(_) | Expr::SelfRef | Expr::Name(_) => false,
+        Expr::Attr { recv, args, .. } => iterates(recv) || args.iter().any(iterates),
+        Expr::TupleCons(fields) => fields.iter().any(|(_, e)| iterates(e)),
+        Expr::SetCons(items) | Expr::ListCons(items) | Expr::Apply { args: items, .. } => {
+            items.iter().any(iterates)
+        }
+        Expr::Unary { expr, .. } | Expr::IsA { expr, .. } => iterates(expr),
+        Expr::Binary { lhs, rhs, .. } => iterates(lhs) || iterates(rhs),
+        Expr::If { cond, then, els } => iterates(cond) || iterates(then) || iterates(els),
     }
 }
 

@@ -2,9 +2,11 @@
 //!
 //! The language layer of the *Objects and Views* reproduction: a lexer, a
 //! recursive-descent parser for expressions / queries / schema DDL / view
-//! DDL, static type inference, and a tree-walking evaluator that runs
-//! against any [`DataSource`] — a base `ov_oodb::Database` or an
-//! `ov_views::View` ("A view should be treated as a database", paper §6).
+//! DDL, static type inference, and two engines that run against any
+//! [`DataSource`] — a base `ov_oodb::Database` or an `ov_views::View` ("A
+//! view should be treated as a database", paper §6): a bytecode compiler
+//! that runs every loop, and a tree-walking evaluator for statements that
+//! touch a few objects.
 //!
 //! ## Quick taste
 //!
@@ -46,7 +48,7 @@ pub mod typecheck;
 pub use ast::{ImportWhat, IncludeSpec, Stmt, TypeExpr};
 pub use budget::{Budget, BudgetBreach};
 pub use compile::{
-    compile_fallbacks, compile_predicate, compile_select_scan, compiled_enabled, engine_mode,
+    compile_fallbacks, compile_predicate, compile_select_scan, engine_mode, run_select,
     with_engine_mode, EngineMode, Program, Scan, SelectScan,
 };
 pub use ctx::{in_view, view_frame, ViewFrame};
@@ -70,7 +72,7 @@ pub use planner::{
     clear_plan_cache, estimate_select, planner_enabled, with_planner, Decision as PlanDecision,
     Strategy as PlanStrategy,
 };
-pub use rowtest::{scan_rows, Code, RowSpec, RowTest};
+pub use rowtest::{scan_rows, RowSpec, RowTest};
 pub use source::{require_class, DataSource, ResolvedAttr, SourceGraph};
 pub use typecheck::{
     infer, infer_expr, infer_select, infer_select_in, referenced_classes,

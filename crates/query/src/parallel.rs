@@ -5,9 +5,8 @@
 //! element — an embarrassingly parallel loop. [`eval_select_parallel`]
 //! splits the collection into chunks and evaluates them on a scoped thread
 //! pool, merging the per-chunk sets. Everything else (multi-binding
-//! queries, small collections, non-select expressions) falls back to the
-//! sequential evaluator, so results are always identical to
-//! [`crate::eval_select`].
+//! queries, small collections) runs the compiled select sequentially, so
+//! results are always identical to [`crate::eval_select`].
 //!
 //! This requires the data source to be shareable across threads, hence the
 //! `DataSource + Sync` bound — satisfied by `ov_oodb::Database` and (since
@@ -17,10 +16,11 @@ use std::collections::BTreeSet;
 
 use ov_oodb::{SelectExpr, Value};
 
+use crate::compile::{compile_predicate, run_select};
 use crate::error::{QueryError, Result};
-use crate::eval::{eval_expr, finish_select, Env, Evaluator};
+use crate::eval::{finish_select, Env, Evaluator};
 use crate::plan::ScanActuals;
-use crate::rowtest::{scan_rows, Code, RowSpec, RowTest};
+use crate::rowtest::{scan_rows, RowSpec, RowTest};
 use crate::source::DataSource;
 
 /// Knobs for parallel scans.
@@ -97,7 +97,7 @@ pub fn eval_select_parallel(
     // Only the single-binding form parallelizes: later bindings may refer
     // to earlier variables, which forces the sequential nested loop.
     let [(var, coll_expr)] = q.bindings.as_slice() else {
-        return Evaluator::new(src).select(q, &mut Env::new());
+        return run_select(src, q);
     };
     // The binding collection itself is evaluated sequentially — this keeps
     // the name-resolution order (variable → named object → class extent)
@@ -115,27 +115,15 @@ pub fn eval_select_parallel(
         }
     };
     if !cfg.chooses_split(items.len()) {
-        return Evaluator::new(src).select(q, &mut Env::new());
+        return run_select(src, q);
     }
     // Compile the filter and projection once on the coordinator; every
-    // chunk then builds its own row test. An uncovered expression — or
-    // `.engine interp` — runs through the interpreter.
-    let compile = |e: &ov_oodb::Expr| {
-        if crate::compile::compiled_enabled() {
-            crate::compile::compile_predicate(e, &[*var])
-        } else {
-            None
-        }
-    };
-    let filter_prog = q.filter.as_deref().and_then(compile);
-    let proj_prog = compile(&q.proj);
+    // chunk then builds its own row test.
+    let filter = q.filter.as_deref().map(|f| compile_predicate(f, &[*var]));
+    let proj = compile_predicate(&q.proj, &[*var]);
     let spec = RowSpec {
-        var: *var,
-        filter: q
-            .filter
-            .as_deref()
-            .map(|f| Code::of(f, filter_prog.as_ref())),
-        proj: Some(Code::of(&q.proj, proj_prog.as_ref())),
+        filter: filter.as_ref(),
+        proj: Some(&proj),
     };
     let out = filter_map_chunked(cfg, "query.scan_chunk", &items, |chunk, keep| {
         let mut test = RowTest::new(src, spec);
@@ -149,7 +137,9 @@ pub fn eval_select_parallel(
 }
 
 /// Runs a query string, executing top-level selects through
-/// [`eval_select_parallel`]. Non-select expressions evaluate sequentially.
+/// [`eval_select_parallel`]. Any other statement — and, under
+/// [`crate::EngineMode::Interp`], a select too — runs like
+/// [`crate::run_expr`]'s.
 pub fn run_query_parallel(
     src: &(dyn DataSource + Sync),
     cfg: &ParallelConfig,
@@ -157,8 +147,10 @@ pub fn run_query_parallel(
 ) -> Result<Value> {
     let e = crate::parser::parse_expr(query)?;
     match &e {
-        ov_oodb::Expr::Select(q) => eval_select_parallel(src, cfg, q),
-        _ => eval_expr(src, &e),
+        ov_oodb::Expr::Select(q) if crate::engine_mode() == crate::EngineMode::Compiled => {
+            eval_select_parallel(src, cfg, q)
+        }
+        _ => crate::run_expr(src, &e),
     }
 }
 

@@ -30,14 +30,14 @@ use crate::error::Result;
 use crate::planner::Decision;
 use crate::source::DataSource;
 
-/// Which evaluation engine ran a scan's per-row predicate work.
+/// Which evaluation engine ran a top-level statement (`exec::dispatch`'s
+/// rule). Row loops always run compiled, so scans do not record one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// The scan ran the compiled predicate engine ([`crate::compile`]).
+    /// The statement iterates and ran compiled ([`crate::compile`]).
     Compiled,
-    /// The scan ran the tree-walking interpreter (either by choice — see
-    /// [`crate::EngineMode`] — or because the expression fell outside the
-    /// compiler's covered subset).
+    /// The statement walked: it does not iterate, or
+    /// [`crate::EngineMode::Interp`] asked for the oracle.
     Interpreted,
 }
 
@@ -115,39 +115,25 @@ impl fmt::Display for ScanActuals {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScanKind {
     /// Plain single-threaded evaluation over the source extent.
-    Sequential {
-        /// Which engine evaluated the predicate per row.
-        engine: Engine,
-    },
+    Sequential,
     /// The extent was split across worker threads.
     Parallel {
         /// Number of chunks the extent was split into.
         chunks: usize,
-        /// Which engine evaluated the predicate per row.
-        engine: Engine,
     },
     /// An equality conjunct was answered from a secondary index.
     IndexPushdown {
         /// The index used, as `Class.Attr`.
         index: String,
-        /// Which engine re-checked the full filter per candidate.
-        engine: Engine,
     },
 }
 
 impl fmt::Display for ScanKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Interpreted scans keep the pre-engine rendering ("[seq]" …) so
-        // existing EXPLAIN consumers are unaffected; compiled scans append
-        // the marker.
-        let (body, engine) = match self {
-            ScanKind::Sequential { engine } => ("seq".to_owned(), engine),
-            ScanKind::Parallel { chunks, engine } => (format!("parallel ×{chunks}"), engine),
-            ScanKind::IndexPushdown { index, engine } => (format!("index {index}"), engine),
-        };
-        match engine {
-            Engine::Interpreted => write!(f, "[{body}]"),
-            compiled => write!(f, "[{body} {compiled}]"),
+        match self {
+            ScanKind::Sequential => write!(f, "[seq]"),
+            ScanKind::Parallel { chunks } => write!(f, "[parallel ×{chunks}]"),
+            ScanKind::IndexPushdown { index } => write!(f, "[index {index}]"),
         }
     }
 }
@@ -573,11 +559,9 @@ mod tests {
     use super::*;
     use ov_oodb::sym;
 
-    /// A sequential interpreted scan, the common test fixture.
+    /// A sequential scan, the common test fixture.
     fn seq() -> ScanKind {
-        ScanKind::Sequential {
-            engine: Engine::Interpreted,
-        }
+        ScanKind::Sequential
     }
 
     /// Wraps a kind in a zero-actuals [`ScanEvent`].
@@ -609,10 +593,7 @@ mod tests {
 
     #[test]
     fn collect_captures_population_events() {
-        let parallel = ScanKind::Parallel {
-            chunks: 4,
-            engine: Engine::Compiled,
-        };
+        let parallel = ScanKind::Parallel { chunks: 4 };
         let ((), events) = collect(|| {
             assert!(tracing_active());
             let ((), scans) = population_scans(|| {
@@ -637,7 +618,6 @@ mod tests {
     fn nested_frames_attach_scans_to_the_right_population() {
         let index = ScanKind::IndexPushdown {
             index: "Person.City".into(),
-            engine: Engine::Interpreted,
         };
         let ((), events) = collect(|| {
             let ((), outer) = population_scans(|| {
@@ -766,12 +746,8 @@ mod tests {
             scans: vec![
                 ev(ScanKind::IndexPushdown {
                     index: "Person.City".into(),
-                    engine: Engine::Interpreted,
                 }),
-                ev(ScanKind::Parallel {
-                    chunks: 8,
-                    engine: Engine::Interpreted,
-                }),
+                ev(ScanKind::Parallel { chunks: 8 }),
             ],
         };
         assert_eq!(
@@ -782,31 +758,21 @@ mod tests {
         assert_eq!(fmt_ns(3_100_000), "3.1ms");
     }
 
+    /// Every scan runs bytecode, so a scan marker names its strategy and
+    /// nothing else; the engine is the statement's (`engine:`).
     #[test]
-    fn compiled_scans_carry_the_engine_marker() {
+    fn scan_markers_name_the_strategy_alone() {
         assert_eq!(seq().to_string(), "[seq]");
         assert_eq!(
-            ScanKind::Sequential {
-                engine: Engine::Compiled
-            }
-            .to_string(),
-            "[seq compiled]"
-        );
-        assert_eq!(
-            ScanKind::Parallel {
-                chunks: 4,
-                engine: Engine::Compiled
-            }
-            .to_string(),
-            "[parallel ×4 compiled]"
+            ScanKind::Parallel { chunks: 4 }.to_string(),
+            "[parallel ×4]"
         );
         assert_eq!(
             ScanKind::IndexPushdown {
                 index: "Person.City".into(),
-                engine: Engine::Compiled
             }
             .to_string(),
-            "[index Person.City compiled]"
+            "[index Person.City]"
         );
     }
 
@@ -814,9 +780,7 @@ mod tests {
     fn scan_events_render_actuals_only_when_measured() {
         assert_eq!(ev(seq()).to_string(), "[seq]");
         let measured = ScanEvent {
-            kind: ScanKind::Sequential {
-                engine: Engine::Compiled,
-            },
+            kind: ScanKind::Sequential,
             actuals: ScanActuals {
                 rows_scanned: 6,
                 rows_matched: 2,
@@ -829,7 +793,7 @@ mod tests {
         };
         assert_eq!(
             measured.to_string(),
-            "[seq compiled] (scanned=6 matched=2 steps=20 rows_charged=2 cache=5/6)"
+            "[seq] (scanned=6 matched=2 steps=20 rows_charged=2 cache=5/6)"
         );
     }
 }

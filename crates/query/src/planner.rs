@@ -669,7 +669,7 @@ pub fn record_outcome(fp: u64, decision: Decision, result_rows: Option<u64>) {
     crate::plan::note_decision(decision);
 }
 
-/// Plan-cache hit/miss/replan counters, for `.engine`-style reporting.
+/// Plan-cache hit/miss/replan counters, as ovq's `.planner` reports them.
 pub fn plan_cache_counters() -> (u64, u64, u64) {
     (
         metric_counter!("planner.plan_cache.hits").get(),

@@ -5,7 +5,8 @@
 //! compiled top-level select and its index pushdown, a chunk of
 //! [`crate::eval_select_parallel`], and every source of a view population
 //! — the whole extent, a worker's chunk of it, index postings, the journal
-//! delta. They differ only in where the candidates come from.
+//! delta. They differ only in where the candidates come from. Every row
+//! runs bytecode.
 //!
 //! ## The charge rule
 //!
@@ -18,100 +19,39 @@
 //! steps for the nodes around the rows (the `select`, the collection name)
 //! belong to whoever produced the candidates: [`RowTest::step`].
 
-use ov_oodb::{Expr, Symbol, Value};
+use std::sync::Arc;
 
+use ov_oodb::Value;
+
+use crate::budget::Budget;
 use crate::compile::{Program, Scan};
 use crate::error::Result;
-use crate::eval::{truthy, Env, Evaluator};
-use crate::plan::{Engine, ScanActuals};
+use crate::eval::truthy;
+use crate::plan::ScanActuals;
 use crate::source::DataSource;
 
-/// One expression of a scan, in the form it will run: the bind-time
-/// program, or the expression itself for the interpreter.
-#[derive(Clone, Copy)]
-pub enum Code<'a> {
-    /// Run the compiled program.
-    Compiled(&'a Program),
-    /// Walk the expression.
-    Interp(&'a Expr),
-}
-
-impl<'a> Code<'a> {
-    /// `prog` when there is one — the caller passes `None` when the
-    /// compiler did not cover `expr` or [`crate::compiled_enabled`] is off —
-    /// else `expr`.
-    pub fn of(expr: &'a Expr, prog: Option<&'a Program>) -> Code<'a> {
-        prog.map_or(Code::Interp(expr), Code::Compiled)
-    }
-}
-
-/// What a scan does per row, as plain shared data: decided once, before
+/// What a scan does per row, as plain shared data: compiled once, before
 /// any fan-out, so an expression compiles once per scan and not once per
-/// chunk; every worker builds its own [`RowTest`] from it.
+/// chunk; every worker builds its own [`RowTest`] from it. The programs
+/// bind the scan variable in register 0.
 #[derive(Clone, Copy)]
 pub struct RowSpec<'a> {
-    /// The scan variable.
-    pub var: Symbol,
     /// The filter; `None` admits every row.
-    pub filter: Option<Code<'a>>,
+    pub filter: Option<&'a Program>,
     /// The projection; `None` projects the scan variable itself (a
     /// population's `select V from V in C …`): one step, no evaluation.
-    pub proj: Option<Code<'a>>,
-}
-
-impl RowSpec<'_> {
-    /// The engine EXPLAIN reports for the scan: compiled when a program
-    /// runs per row.
-    pub fn engine(&self) -> Engine {
-        let compiled = |c: &Option<Code>| matches!(c, Some(Code::Compiled(_)));
-        if compiled(&self.filter) || compiled(&self.proj) {
-            Engine::Compiled
-        } else {
-            Engine::Interpreted
-        }
-    }
-}
-
-/// [`Code`] with its per-thread execution state. A scan owns one or two,
-/// inline: boxing the executor would put a pointer chase under every row.
-#[allow(clippy::large_enum_variant)]
-enum Runner<'a> {
-    Compiled(Scan<'a>),
-    Interp(&'a Expr),
-}
-
-impl<'a> Runner<'a> {
-    fn new(code: Code<'a>, src: &'a dyn DataSource) -> Runner<'a> {
-        match code {
-            Code::Compiled(prog) => Runner::Compiled(Scan::new(prog, src)),
-            Code::Interp(expr) => Runner::Interp(expr),
-        }
-    }
-
-    fn run(&mut self, ev: &Evaluator<'_>, var: Symbol, item: &Value) -> Result<Value> {
-        match self {
-            Runner::Compiled(scan) => {
-                scan.bind(0, item.clone());
-                scan.run(1)
-            }
-            Runner::Interp(expr) => {
-                let mut env = Env::new();
-                env.bind(var, item.clone());
-                ev.eval_depth(expr, &mut env, 1)
-            }
-        }
-    }
+    pub proj: Option<&'a Program>,
 }
 
 /// A per-thread executor for one [`RowSpec`]: register files, value stacks
 /// and resolution caches are thread state (`Scan` is not `Send`), and the
 /// thread's budget is captured once, as `Evaluator::new` does. Build one
-/// per scan or per chunk, then [`scan_rows`].
+/// per scan or per chunk, then [`scan_rows`]. A scan owns its executors
+/// inline: boxing them would put a pointer chase under every row.
 pub struct RowTest<'a> {
-    var: Symbol,
-    ev: Evaluator<'a>,
-    filter: Option<Runner<'a>>,
-    proj: Option<Runner<'a>>,
+    budget: Option<Arc<Budget>>,
+    filter: Option<Scan<'a>>,
+    proj: Option<Scan<'a>>,
 }
 
 impl<'a> RowTest<'a> {
@@ -119,10 +59,9 @@ impl<'a> RowTest<'a> {
     /// budget.
     pub fn new(src: &'a dyn DataSource, spec: RowSpec<'a>) -> RowTest<'a> {
         RowTest {
-            var: spec.var,
-            ev: Evaluator::new(src),
-            filter: spec.filter.map(|c| Runner::new(c, src)),
-            proj: spec.proj.map(|c| Runner::new(c, src)),
+            budget: crate::budget::current(),
+            filter: spec.filter.map(|p| Scan::new(p, src)),
+            proj: spec.proj.map(|p| Scan::new(p, src)),
         }
     }
 
@@ -130,33 +69,35 @@ impl<'a> RowTest<'a> {
     /// `select` node, the collection name — charged as the tree walker
     /// would.
     pub fn step(&self, depth: usize) -> Result<()> {
-        self.ev.step(depth)
+        crate::eval::charge(self.budget.as_deref(), depth)
     }
 
     /// Runs the filter on `item` and, when it passes, the projection.
     /// `None`: the filter rejected the row.
     fn admit(&mut self, item: Value) -> Result<Option<Value>> {
         if let Some(f) = &mut self.filter {
-            if !truthy(&f.run(&self.ev, self.var, &item)?) {
+            f.bind(0, item.clone());
+            if !truthy(&f.run(1)?) {
                 return Ok(None);
             }
         }
         match &mut self.proj {
-            Some(p) => p.run(&self.ev, self.var, &item).map(Some),
+            Some(p) => {
+                p.bind(0, item);
+                p.run(1).map(Some)
+            }
             None => {
-                self.ev.step(1)?;
+                self.step(1)?;
                 Ok(Some(item))
             }
         }
     }
 
-    /// Drains the compiled runners' resolution-cache counters.
+    /// Drains the executors' resolution-cache counters.
     fn take_actuals(&mut self) -> ScanActuals {
         let mut out = ScanActuals::default();
-        for runner in self.filter.iter_mut().chain(&mut self.proj) {
-            if let Runner::Compiled(scan) = runner {
-                out.absorb(&scan.take_actuals());
-            }
+        for scan in self.filter.iter_mut().chain(&mut self.proj) {
+            out.absorb(&scan.take_actuals());
         }
         out
     }
@@ -179,7 +120,7 @@ pub fn scan_rows(
             if let Some(row) = test.admit(item)? {
                 actuals.rows_matched += 1;
                 if sink(row) {
-                    if let Some(b) = &test.ev.budget {
+                    if let Some(b) = &test.budget {
                         b.note_rows(1)?;
                     }
                 }

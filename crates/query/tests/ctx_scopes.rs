@@ -123,17 +123,18 @@ fn workers_of_a_split_scan_inherit_engine_and_planner() {
     let seen = with_engine_mode(EngineMode::Interp, || {
         with_planner(false, || {
             filter_map_chunked(&cfg, "query.scan_chunk", &items, |chunk, keep| {
-                keep.insert((chunk[0], engine_mode().as_str(), planner_enabled()));
+                let interp = engine_mode() == EngineMode::Interp;
+                keep.insert((chunk[0], interp, planner_enabled()));
                 Ok(())
             })
         })
     })
     .unwrap();
     assert_eq!(seen.len(), 4, "one report per chunk");
-    for (first, engine, planner) in seen {
+    for (first, interp, planner) in seen {
         assert_eq!(
-            (engine, planner),
-            ("interp", false),
+            (interp, planner),
+            (true, false),
             "the worker of the chunk starting at {first}"
         );
     }

@@ -12,7 +12,9 @@ use ov_query::{compile_predicate, Budget, Env, Evaluator, QueryError, Scan};
 use proptest::prelude::*;
 
 /// A small database with stored and computed attributes, so random
-/// predicates exercise the slot-resolution cache on both kinds.
+/// predicates exercise the slot-resolution cache on both kinds, plus what
+/// free names and `isa` read: the named object `aa` (row `a`) and a
+/// subclass `Clerk` with one member.
 fn db() -> Database {
     let mut db = Database::new(sym("CompDb"));
     let person = db
@@ -37,6 +39,14 @@ fn db() -> Database {
         )
         .unwrap();
     }
+    let a = db.store.extent(person).next().unwrap();
+    db.name_object(sym("aa"), a).unwrap();
+    let clerk = db.create_class(sym("Clerk"), &[person], vec![]).unwrap();
+    db.create_object(
+        clerk,
+        Value::tuple([("Name", Value::str("d")), ("Age", Value::Int(40))]),
+    )
+    .unwrap();
     db
 }
 
@@ -56,10 +66,11 @@ fn arb_lit() -> impl Strategy<Value = Expr> {
     ]
 }
 
-/// Random predicates over scan variable `V`: mostly shapes the compiler
-/// covers (literals, the variable, attribute access, operators, `if`), plus
-/// a low-weight tail of uncovered shapes (set/list constructors) to check
-/// the fallback never panics or diverges.
+/// Random predicates over scan variable `V`: literals, the variable,
+/// attribute access, free names (a named object, a class extent, an
+/// unknown name), an unbound `self`, operators, `if`, `isa` (on a class,
+/// a subclass, an unknown class), a parameterized-class application and
+/// set constructors.
 fn arb_pred() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         arb_lit(),
@@ -69,6 +80,11 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
         Just(Expr::attr(Expr::name("V"), "Senior")),
         Just(Expr::attr(Expr::name("V"), "NoSuchAttr")),
         Just(Expr::attr(Expr::lit(Value::Int(3)), "Age")),
+        Just(Expr::name("aa")),
+        Just(Expr::attr(Expr::name("aa"), "Age")),
+        Just(Expr::name("Person")),
+        Just(Expr::name("Ghost")),
+        Just(Expr::SelfRef),
     ];
     leaf.prop_recursive(4, 24, 3, |inner| {
         prop_oneof![
@@ -107,6 +123,14 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
                 els: Box::new(e),
             }),
             prop::collection::vec(inner.clone(), 0..3).prop_map(Expr::SetCons),
+            (inner.clone(), 0usize..3).prop_map(|(e, class)| Expr::IsA {
+                expr: Box::new(e),
+                class: sym(["Person", "Clerk", "Ghost"][class]),
+            }),
+            inner.clone().prop_map(|e| Expr::Apply {
+                name: sym("Older"),
+                args: vec![e],
+            }),
         ]
     })
 }
@@ -130,23 +154,23 @@ fn interp(
     }
 }
 
-/// The compiled engine's verdict, or `None` when the shape is uncovered.
+/// The compiled engine's verdict.
 fn compiled(
     db: &Database,
     e: &Expr,
     row: &Value,
     budget: Option<Arc<Budget>>,
-) -> Option<Result<Value, QueryError>> {
-    let prog = compile_predicate(e, &[sym("V")])?;
+) -> Result<Value, QueryError> {
+    let prog = compile_predicate(e, &[sym("V")]);
     let run = || {
         let mut scan = Scan::new(&prog, db);
         scan.bind(0, row.clone());
         scan.run(0)
     };
-    Some(match budget {
+    match budget {
         Some(b) => ov_query::budget::with(b, run),
         None => run(),
-    })
+    }
 }
 
 /// Scans `rows` through the interpreter with one shared budget — the
@@ -174,15 +198,15 @@ fn interp_scan_all(
 
 /// Scans `rows` through one compiled executor (so rows after the first
 /// run on warm resolution caches), sharing one budget across the whole
-/// scan. `None` when the predicate is uncovered.
+/// scan.
 fn compiled_scan_all(
     db: &Database,
     e: &Expr,
     rows: &[Value],
     budget: Arc<Budget>,
-) -> Option<(Vec<Value>, Option<QueryError>)> {
-    let prog = compile_predicate(e, &[sym("V")])?;
-    Some(ov_query::budget::with(budget, || {
+) -> (Vec<Value>, Option<QueryError>) {
+    let prog = compile_predicate(e, &[sym("V")]);
+    ov_query::budget::with(budget, || {
         let mut scan = Scan::new(&prog, db);
         let mut vals = Vec::new();
         for row in rows {
@@ -193,24 +217,22 @@ fn compiled_scan_all(
             }
         }
         (vals, None)
-    }))
+    })
 }
 
 /// Asserts that scanning `rows` with `e` under a `max_steps` budget gives
 /// the same values, the same first error at the same row, and the same
-/// step count in both engines. `Ok(false)` when `e` is uncovered.
+/// step count in both engines.
 fn assert_scans_agree(
     db: &Database,
     e: &Expr,
     rows: &[Value],
     max_steps: u64,
-) -> Result<bool, TestCaseError> {
+) -> Result<(), TestCaseError> {
     let bi = Arc::new(Budget::new().with_max_steps(max_steps));
     let want = interp_scan_all(db, e, rows, bi.clone());
     let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-    let Some(got) = compiled_scan_all(db, e, rows, bc.clone()) else {
-        return Ok(false);
-    };
+    let got = compiled_scan_all(db, e, rows, bc.clone());
     prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
     prop_assert_eq!(
         bc.steps_used(),
@@ -219,7 +241,7 @@ fn assert_scans_agree(
         e,
         max_steps
     );
-    Ok(true)
+    Ok(())
 }
 
 proptest! {
@@ -239,9 +261,8 @@ proptest! {
         let db = db();
         for row in rows(&db) {
             let want = interp(&db, &e, &row, None);
-            if let Some(got) = compiled(&db, &e, &row, None) {
-                prop_assert_eq!(&got, &want, "expr: {}", e);
-            }
+            let got = compiled(&db, &e, &row, None);
+            prop_assert_eq!(&got, &want, "expr: {}", e);
         }
     }
 
@@ -255,9 +276,7 @@ proptest! {
             let bi = Arc::new(Budget::new().with_max_steps(max_steps));
             let want = interp(&db, &e, &row, Some(bi.clone()));
             let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-            let Some(got) = compiled(&db, &e, &row, Some(bc.clone())) else {
-                continue;
-            };
+            let got = compiled(&db, &e, &row, Some(bc.clone()));
             prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
             prop_assert_eq!(
                 bc.steps_used(),
@@ -317,9 +336,7 @@ proptest! {
             let bi = Arc::new(Budget::new());
             let want = interp(&db, &e, &row, Some(bi.clone()));
             let bc = Arc::new(Budget::new());
-            let Some(got) = compiled(&db, &e, &row, Some(bc.clone())) else {
-                continue;
-            };
+            let got = compiled(&db, &e, &row, Some(bc.clone()));
             prop_assert_eq!(&got, &want, "expr: {}", e);
             prop_assert_eq!(bc.steps_used(), bi.steps_used(), "expr: {}", e);
         }
@@ -427,7 +444,7 @@ proptest! {
     /// Aggregates (`count`/`sum`/`min`/`max`/`avg`) over correlated
     /// selects, free class and unknown names, and non-collections: values,
     /// error variants, budget breach points, and step counts are identical
-    /// across engines — and every such shape compiles.
+    /// across engines.
     #[test]
     fn aggregates_are_bit_identical(
         filter in arb_pred2("Q", "V"),
@@ -460,8 +477,7 @@ proptest! {
             ]),
         };
         let e = Expr::Aggregate { func, arg: Box::new(arg) };
-        let covered = assert_scans_agree(&db, &e, &rows(&db), max_steps)?;
-        prop_assert!(covered, "aggregate should compile: {}", e);
+        assert_scans_agree(&db, &e, &rows(&db), max_steps)?;
     }
 
     /// Top-level multi-binding selects: the compiled nested-loop produces
@@ -480,9 +496,7 @@ proptest! {
         let want = ov_query::budget::with(bi.clone(), || {
             Evaluator::new(&db).eval(&e, &mut Env::new())
         });
-        let Some(prog) = compile_predicate(&e, &[]) else {
-            return Ok(()); // uncovered tail shape in the filter
-        };
+        let prog = compile_predicate(&e, &[]);
         let bc = Arc::new(Budget::new().with_max_steps(max_steps));
         let got = ov_query::budget::with(bc.clone(), || Scan::new(&prog, &db).run(0));
         prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
@@ -553,10 +567,10 @@ proptest! {
     }
 }
 
-/// An injected fault mid-scan surfaces identically through both engines:
-/// the parallel scan's per-chunk failpoint fires before any predicate runs,
-/// so the resulting error is engine-independent — and with faults cleared,
-/// everyone agrees on the result.
+/// An injected fault mid-scan surfaces as the failpoint's typed error: the
+/// parallel scan's per-chunk failpoint fires before any predicate runs, so
+/// the error is the same whatever the filter holds — and with faults
+/// cleared, the split scan agrees with the tree walker.
 #[test]
 fn injected_faults_surface_identically() {
     use ov_query::ParallelConfig;
@@ -590,35 +604,42 @@ fn injected_faults_surface_identically() {
 
 fn injected_faults_surface_identically_for(db: &Database, cfg: &ov_query::ParallelConfig, q: &str) {
     use ov_oodb::faults::{arm, clear, FaultAction, FaultSchedule};
-    use ov_query::{run_query_parallel, EngineMode};
+    use ov_query::run_query_parallel;
 
-    // Thread-scoped override: this test does not mutate the process
-    // default, so it cannot leak engine mode into concurrently running
-    // tests.
-    let run_with =
-        |mode: EngineMode| ov_query::with_engine_mode(mode, || run_query_parallel(db, cfg, q));
+    // Fault on the 2nd chunk: the split scan dies with the failpoint's
+    // typed error, the same on every run.
+    let faulted = || {
+        arm(
+            "query.scan_chunk",
+            FaultSchedule::Nth(2),
+            FaultAction::Error,
+        );
+        let r = run_query_parallel(db, cfg, q);
+        clear();
+        r
+    };
+    let err = faulted().expect_err("fault must surface");
+    assert!(
+        matches!(err, QueryError::Oodb(ov_oodb::OodbError::Fault(_))),
+        "{err:?}"
+    );
+    assert_eq!(faulted(), Err(err));
 
-    // Fault on the 2nd chunk: both engines die with the same typed error.
+    // Faults cleared: the split scan agrees with the tree walker.
+    let walked = ov_query::eval_expr(db, &ov_query::parse_expr(q).unwrap());
+    assert!(walked.is_ok());
+    assert_eq!(run_query_parallel(db, cfg, q), walked);
+
+    // Under the oracle override the select walks like any top-level
+    // statement: no chunk runs, so an armed chunk fault never fires.
     arm(
         "query.scan_chunk",
-        FaultSchedule::Nth(2),
+        FaultSchedule::From(1),
         FaultAction::Error,
     );
-    let compiled_err = run_with(EngineMode::Compiled);
+    let oracle = ov_query::with_engine_mode(ov_query::EngineMode::Interp, || {
+        run_query_parallel(db, cfg, q)
+    });
     clear();
-    arm(
-        "query.scan_chunk",
-        FaultSchedule::Nth(2),
-        FaultAction::Error,
-    );
-    let interp_err = run_with(EngineMode::Interp);
-    clear();
-    assert!(compiled_err.is_err(), "fault must surface");
-    assert_eq!(compiled_err, interp_err);
-
-    // Faults cleared: both engines agree on the value.
-    let compiled_ok = run_with(EngineMode::Compiled);
-    let interp_ok = run_with(EngineMode::Interp);
-    assert!(compiled_ok.is_ok());
-    assert_eq!(compiled_ok, interp_ok);
+    assert_eq!(oracle, walked);
 }

@@ -33,7 +33,7 @@
 //! | `.trace on\|off\|dump FILE` | flight recorder control + Chrome-trace export |
 //! | `.faults …` | fault-injection control (see `.help`) |
 //! | `.budget …` | per-statement execution budget (see `.help`) |
-//! | `.engine …` | predicate engine for scans (see `.help`) |
+//! | `.planner …` | cost-based planner switch and plan-cache counters (see `.help`) |
 //! | `.wal` | per-database WAL status (durable sessions) |
 //! | `.checkpoint` | snapshot every durable database, truncate WALs |
 //! | `.quit` | exit |
@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use objects_and_views::oodb::faults;
 use objects_and_views::prelude::*;
-use objects_and_views::query::{Budget, EngineMode};
+use objects_and_views::query::Budget;
 
 /// The `.help` table, as a const so tests can assert every meta command
 /// documents itself.
@@ -81,8 +81,6 @@ const HELP: &str = "\
 .faults disarm SITE | .faults clear\n\
 .budget          current per-statement budget\n\
 .budget ms N | steps N | rows N | depth N | off\n\
-.engine          current predicate engine (scans show it in .plan/.explain)\n\
-.engine compiled | interp\n\
 .planner         cost-based planner status + plan-cache hit/miss/replan counts\n\
 .planner on|off  enable/disable statistics-driven strategy selection\n\
 .wal             per-database WAL status (durable sessions only)\n\
@@ -598,36 +596,10 @@ fn meta(session: &mut Session, budget: &mut BudgetSpec, cmd: &str) -> bool {
                 Err(e) => eprintln!("error: {e}"),
             };
         }
-        ".engine" => {
-            if arg.is_empty() {
-                let mode = session
-                    .engine()
-                    .unwrap_or_else(objects_and_views::query::engine_mode);
-                println!(
-                    "-- engine: {} (scans report Compiled/Interpreted in .plan and .explain)",
-                    mode.as_str()
-                );
-                println!(
-                    "-- compile fallbacks: {} (statements the compiled engine declined and \
-                     ran in the interpreter)",
-                    objects_and_views::query::compile_fallbacks()
-                );
-            } else {
-                match EngineMode::parse(arg) {
-                    Some(mode) => {
-                        // Session-scoped, not process-global: two shells (or
-                        // a shell and a library embedder) never race on a
-                        // shared engine setting.
-                        session.set_engine(Some(mode));
-                        println!("-- engine: {}", mode.as_str());
-                    }
-                    None => eprintln!("usage: .engine [compiled | interp]"),
-                }
-            }
-        }
         ".planner" => match arg {
             "on" | "off" => {
-                // Session-scoped, like `.engine`.
+                // Session-scoped, not process-global: two shells (or a
+                // shell and a library embedder) never race on it.
                 session.set_planner(Some(arg == "on"));
                 println!("-- planner: {arg}");
             }
@@ -777,7 +749,6 @@ mod tests {
             ".trace",
             ".faults",
             ".budget",
-            ".engine",
             ".planner",
             ".wal",
             ".checkpoint",
@@ -785,22 +756,6 @@ mod tests {
         ] {
             assert!(HELP.contains(cmd), "`.help` must document `{cmd}`");
         }
-        // The usage line shown for a bad `.engine` argument matches the
-        // modes the parser actually accepts.
-        assert!(HELP.contains(".engine compiled | interp"));
-    }
-
-    #[test]
-    fn engine_mode_arguments_parse_and_round_trip() {
-        for (arg, mode) in [
-            ("compiled", EngineMode::Compiled),
-            ("interp", EngineMode::Interp),
-        ] {
-            assert_eq!(EngineMode::parse(arg), Some(mode));
-            assert_eq!(mode.as_str(), arg);
-        }
-        assert_eq!(EngineMode::parse("auto"), None);
-        assert_eq!(EngineMode::parse(""), None);
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn explained(events: &[PopulationTrace]) -> Tally {
         *tally.entry(path).or_default() += 1;
         for scan in scans {
             let kind = match scan.kind {
-                ScanKind::Sequential { .. } => "seq",
+                ScanKind::Sequential => "seq",
                 ScanKind::Parallel { .. } => "parallel",
                 ScanKind::IndexPushdown { .. } => "index",
             };
