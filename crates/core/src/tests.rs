@@ -740,6 +740,107 @@ fn redefining_in_an_overlap_class_resolves_conflict() {
     assert_eq!(view.query("maggy.Print").unwrap(), Value::str("both"));
 }
 
+/// A view keeps one verdict per (class, attribute) read at body depth 0,
+/// for one resolution generation: a population bracket or a template
+/// instantiation drops them all. A membership-dependent attribute, an error
+/// and a read inside a body never become one, and a body never reads one.
+#[test]
+fn a_resolution_generation_bump_drops_the_class_verdicts() {
+    let sys = people_system();
+    let def = ViewDef::from_script(
+        r#"
+        create view V;
+        import all classes from database Staff;
+        class Rich includes (select P from Person where P.Income >= 90000);
+        attribute Print in class Rich has value "rich";
+        attribute Zone in class Person has value self.Zip_Code;
+        attribute Nick in class Person has value "person";
+        attribute Nick in class Employee has value "employee";
+        hide attribute Zip_Code in class Person;
+        hide attribute Nick in class Employee;
+        class Resident(X) includes (select P from Person where P.City = X);
+        "#,
+    )
+    .unwrap();
+    let in_body = |view: &crate::View, oid, attr: &str| {
+        let body = DataSource::frame_key(view).unwrap();
+        ov_query::in_view(body, None, || view.attr(oid, sym(attr)))
+    };
+    // Employee's own Nick is hidden at depth 0, where Person's shows; a
+    // body sees Employee's. A verdict left at one depth never answers the
+    // other, in either order.
+    for body_first in [false, true] {
+        let view = def.binder(&sys).bind().unwrap();
+        let tony = DataSource::named_object(&view, sym("tony")).unwrap();
+        if body_first {
+            assert_eq!(
+                in_body(&view, tony, "Nick").unwrap(),
+                Value::str("employee")
+            );
+        }
+        assert_eq!(view.attr(tony, sym("Nick")).unwrap(), Value::str("person"));
+        assert_eq!(
+            in_body(&view, tony, "Nick").unwrap(),
+            Value::str("employee")
+        );
+        assert_eq!(view.served_verdicts(), 1, "the depth-0 read's alone");
+    }
+
+    let view = def.binder(&sys).bind().unwrap();
+    let person = DataSource::class_by_name(&view, sym("Person")).unwrap();
+    let maggy = DataSource::named_object(&view, sym("maggy")).unwrap();
+    let denis = DataSource::named_object(&view, sym("denis")).unwrap();
+    let read = |attr: &str| view.attr(maggy, sym(attr));
+    // Populated before the verdicts are watched: a first population bumps
+    // the generation too.
+    assert_eq!(view.query("count(Rich)").unwrap(), Value::Int(2));
+    assert_eq!(view.served_verdicts(), 0);
+    assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
+    assert_eq!(
+        view.served_verdicts(),
+        1,
+        "a depth-0 read leaves its verdict"
+    );
+    assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
+    assert!(matches!(
+        view.class_verdict(person, sym("Name")),
+        Some(ov_query::ResolvedAttr::Stored)
+    ));
+
+    // Rich defines Print: membership decides, so there is no verdict.
+    assert_eq!(read("Print").unwrap(), Value::str("rich"));
+    assert!(view.class_verdict(person, sym("Print")).is_none());
+    // Errors are not kept: a hidden attribute, an unknown one.
+    assert!(read("Zip_Code").is_err());
+    assert!(read("Ghost").is_err());
+    assert!(view.class_verdict(person, sym("Zip_Code")).is_none());
+    assert_eq!(view.served_verdicts(), 1);
+    // Zone's body reads the hidden Zip_Code through the hide; only Zone,
+    // read at depth 0, leaves a verdict, and Zip_Code stays hidden there.
+    assert_eq!(read("Zone").unwrap(), Value::str("SW1"));
+    assert_eq!(view.served_verdicts(), 2);
+    assert!(read("Zip_Code").is_err());
+    assert_eq!(
+        in_body(&view, maggy, "Zip_Code").unwrap(),
+        Value::str("SW1")
+    );
+    assert_eq!(view.served_verdicts(), 2);
+
+    // A recompute opens a population bracket: every verdict goes.
+    view.update_attr(denis, sym("Income"), Value::Int(95000))
+        .unwrap();
+    assert_eq!(view.query("count(Rich)").unwrap(), Value::Int(3));
+    assert_eq!(view.served_verdicts(), 0, "a population bracket");
+    assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
+    assert_eq!(view.served_verdicts(), 1);
+    // So does a template instantiation.
+    view.instantiate(sym("Resident"), &[Value::str("Paris")])
+        .unwrap();
+    assert_eq!(view.served_verdicts(), 0, "a template instantiation");
+    assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
+    assert!(read("Zip_Code").is_err());
+}
+
 #[test]
 fn no_direct_insertion_into_virtual_classes() {
     // §4.1: "it is not possible for a user to insert an object directly

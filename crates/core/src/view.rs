@@ -80,6 +80,7 @@ use crate::graph::DepEdge;
 use crate::infer::{conforms_to, infer_position, upward_attrs};
 
 mod bind;
+mod degrade;
 mod identity;
 pub use bind::Binder;
 
@@ -90,10 +91,6 @@ const POP_SHARDS: usize = 16;
 /// Source of per-view tokens. A monotonically increasing counter (never an
 /// address, which could be reused) keys the view's evaluation frame.
 static NEXT_VIEW_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-/// Recompute attempts [`View::population`] makes on a transient fault
-/// (initial try + retries) before degrading to the stale cache.
-const MAX_POPULATION_ATTEMPTS: u32 = 3;
 
 /// Times [`View::try_incremental`] starts over because another thread
 /// advanced the cached entry between its retests and its patch, before it
@@ -248,6 +245,28 @@ struct ImaginaryObject {
     core: Tuple,
 }
 
+/// The per-(class, attribute) verdicts [`View::class_rule`] computed at
+/// body depth 0, all under one resolution generation.
+#[derive(Debug, Default)]
+struct Verdicts {
+    /// The generation every entry was computed under.
+    gen: u64,
+    map: HashMap<(ClassId, Symbol), ResolvedAttr>,
+}
+
+/// How objects presenting as one class resolve one attribute
+/// ([`View::class_rule`]).
+enum Rule {
+    /// The class decides: every such object resolves this way.
+    Class(ResolvedAttr),
+    /// Membership decides: the object's base roots, joined by those of
+    /// `virtuals` whose population holds it. No roots: it is not visible.
+    Membership {
+        roots: Vec<ClassId>,
+        virtuals: Vec<ClassId>,
+    },
+}
+
 #[derive(Clone, Debug)]
 struct CachedPop {
     versions: Vec<u64>,
@@ -296,12 +315,16 @@ pub struct View {
     parallel_strikes: AtomicU32,
     /// Attribute-resolution generation, surfaced to the compiled engine via
     /// [`DataSource::resolution_generation`]. Bumped whenever something that
-    /// can change what `resolution_class_and_field` returns for a given
-    /// `(class, name)` happens mid-session: opening/closing a population
-    /// bracket (populating-set membership gates virtual-class resolution)
-    /// and template instantiation (which grows the schema). Warm per-slot
-    /// resolution caches in `ov_query::Scan` are dropped when this moves.
+    /// can change how a `(class, name)` resolves happens mid-session:
+    /// opening/closing a population bracket (populating-set membership
+    /// gates virtual-class resolution) and template instantiation (which
+    /// grows the schema). Warm per-slot resolution caches in
+    /// `ov_query::Scan` and the entries of [`View::verdicts`] are dropped
+    /// when this moves.
     res_gen: AtomicU64,
+    /// The class verdicts of body depth 0, for one resolution generation
+    /// (see [`View::class_rule`]).
+    verdicts: RwLock<Verdicts>,
     /// Dependency edges recorded at bind time: which databases and which
     /// upstream views this definition reads, with the class names read.
     deps: Vec<DepEdge>,
@@ -564,6 +587,13 @@ impl View {
         ov_query::view_frame(self.token)
     }
 
+    /// This thread's body depth in this view: the frame's `body_depth`,
+    /// read without building the frame. While positive, the view's own
+    /// definitions see through its hides and hidden classes.
+    fn depth(&self) -> u32 {
+        ov_query::view_depth(self.token)
+    }
+
     /// Runs `f`, a step of populating `c`, with `c` in flight (the cycle
     /// guard) and the view's hides see-through: population queries are
     /// view-internal definitions, like attribute bodies (paper Example 5
@@ -722,7 +752,7 @@ impl View {
         // Privileged: the view's own computed-attribute bodies see through
         // hides (Example 5 hides City/Street *after* defining the Address
         // attribute over them).
-        let hides: &[_] = if self.hidden_attrs.is_empty() || self.frame().body_depth > 0 {
+        let hides: &[_] = if self.hidden_attrs.is_empty() || self.depth() > 0 {
             &[]
         } else {
             &self.hidden_attrs
@@ -766,7 +796,7 @@ impl View {
         // View-internal definitions (attribute bodies, population queries)
         // may reference hidden classes — the relational bridge hides its
         // staging classes while its imaginary populations select from them.
-        if self.is_hidden_class(c) && self.frame().body_depth == 0 {
+        if self.is_hidden_class(c) && self.depth() == 0 {
             None
         } else {
             Some(c)
@@ -780,169 +810,6 @@ impl View {
     /// Current versions of all source databases (the population cache key).
     fn source_versions(&self) -> Vec<u64> {
         self.sources.iter().map(|h| h.read().version()).collect()
-    }
-
-    /// The population of a virtual/imaginary class, cached.
-    ///
-    /// Concurrency: two threads may find the cache cold and compute the
-    /// same population simultaneously. That is benign — both compute the
-    /// same set (the computation only reads source data at the cached
-    /// versions) and cache insertion is last-writer-wins with equal values.
-    /// We deliberately do NOT hold the shard lock across the computation:
-    /// population is re-entrant (computing A may populate B), and blocking
-    /// readers of other classes in the same shard for the whole computation
-    /// would serialize the read path this refactor exists to parallelize.
-    fn population(&self, c: ClassId) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
-        if self.frame().populating.contains(&c) {
-            let name = self.schema.read().class(c).name;
-            return Err(ViewError::CyclicVirtualClass(name).into());
-        }
-        let request = Event::Population.open();
-        // Transient faults (an injected fault, a flaky source) are retried
-        // with a tiny capped backoff before any degradation kicks in.
-        // Budget breaches and semantic errors are never retried: the former
-        // would breach again immediately, the latter are deterministic.
-        let mut attempts = 1u32;
-        let (resolved, scans) = plan::population_scans(|| loop {
-            match self.population_inner(c) {
-                Ok(ok) => break Ok(ok),
-                Err(e) if e.is_transient() && attempts < MAX_POPULATION_ATTEMPTS => {
-                    self.stats.bump(Stat::FaultRetry);
-                    let _retry_span =
-                        ov_oodb::span!("view.population_retry", attempt = attempts as usize);
-                    // 50µs, 100µs, 200µs, … capped at 400µs: enough to let a
-                    // contended writer finish, small enough to be invisible
-                    // to deadlines measured in milliseconds.
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        50u64 << (attempts - 1).min(3),
-                    ));
-                    attempts += 1;
-                    // A deadline that expired while we slept turns into a
-                    // typed cancellation rather than another doomed attempt.
-                    if let Some(b) = ov_query::budget::current() {
-                        if let Err(breach) = b.check_deadline() {
-                            break Err(breach);
-                        }
-                    }
-                }
-                Err(e) => break Err(e),
-            }
-        });
-        let resolved = resolved.or_else(|e| self.degrade(c, e, attempts));
-        self.close_population(c, request, resolved, attempts, scans)
-    }
-
-    /// The one close of a population request, which every surface reads:
-    /// the span (fields and duration), the histogram and view counter of the
-    /// path that resolved it, the EXPLAIN event — a recompute's carrying
-    /// `scans` — and the statistics plane. A failed request closes its span
-    /// only, naming the class and the attempts made.
-    fn close_population(
-        &self,
-        c: ClassId,
-        mut request: ov_oodb::event::Open,
-        resolved: ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)>,
-        attempts: u32,
-        scans: Vec<plan::ScanEvent>,
-    ) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
-        use plan::PopPath;
-        let (event, label) = match resolved.as_ref().map(|(_, path)| path) {
-            Ok(PopPath::CacheHit) => (Event::PopulationCacheHit, "cache_hit"),
-            Ok(PopPath::Delta { .. }) => (Event::PopulationDelta, "delta"),
-            Ok(PopPath::FullRecompute { .. }) => (Event::PopulationRecompute, "recompute"),
-            Ok(PopPath::StaleServe { .. }) => (Event::PopulationStaleServe, "stale_serve"),
-            Err(_) => (Event::Population, "error"),
-        };
-        // `recomputations` and `cache_misses` count attempts, not requests:
-        // `population_inner` bumps them.
-        match event {
-            Event::PopulationCacheHit => self.stats.bump(Stat::CacheHit),
-            Event::PopulationDelta => self.stats.bump(Stat::IncrementalUpdate),
-            Event::PopulationStaleServe => self.stats.bump(Stat::StaleServe),
-            _ => {}
-        }
-        let name = || self.schema.read().class(c).name;
-        if request.is_recording() {
-            request.field("class", name());
-            request.field("path", label);
-            if let Ok((oids, _)) = &resolved {
-                request.field("rows", oids.len());
-            }
-            request.field("attempts", attempts as usize);
-        }
-        let nanos = request.close_as(event, 1);
-        let (oids, path) = resolved?;
-        if plan::tracing_active() {
-            let path = match path {
-                PopPath::FullRecompute { .. } => PopPath::FullRecompute { scans },
-                path => path,
-            };
-            plan::record_population(plan::PopulationTrace {
-                class: name(),
-                rows: oids.len(),
-                path,
-                nanos,
-            });
-        }
-        // Opportunistic statistics: a population that was computed now is an
-        // exact cardinality observation for the virtual class, keyed to the
-        // resolution generation it was computed under.
-        if event != Event::PopulationStaleServe && ov_oodb::metrics::profiling_enabled() {
-            ov_oodb::stats::stats().class(name()).note_cardinality(
-                ov_query::DataSource::resolution_generation(self),
-                oids.len() as u64,
-            );
-        }
-        Ok(oids)
-    }
-
-    /// The failure tail of [`Self::population`]: serves the last good
-    /// cached population (any version — it is by definition stale) when the
-    /// failure is degradable, else lets the typed error propagate — as
-    /// [`ViewError::Degraded`] when the failure was fault-induced. A nested
-    /// population that exhausted its own fallbacks hands its fault up, so
-    /// the outermost exhausted population names the error, with the
-    /// innermost fault as its cause.
-    ///
-    /// A stale serve can never mix generations. The cache holds one
-    /// `Arc<BTreeSet<Oid>>` per class, cloned out under the shard read
-    /// lock. A recompute swaps the pointer and a delta patches the set,
-    /// both under the shard write lock, and a delta applies all of its
-    /// verdicts or none; a set some caller still holds is copied before it
-    /// is patched ([`Self::try_incremental`]). So callers see either the
-    /// old population or the new one in full — never a blend.
-    fn degrade(
-        &self,
-        c: ClassId,
-        e: QueryError,
-        attempts: u32,
-    ) -> ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)> {
-        let e = match ViewError::from(e) {
-            ViewError::Degraded { cause, .. } => *cause,
-            e => e,
-        };
-        let fault_induced =
-            e.is_transient() || matches!(e, ViewError::Query(QueryError::Panicked { .. }));
-        let degradable = fault_induced
-            || matches!(
-                e,
-                ViewError::Query(QueryError::Cancelled(_) | QueryError::ResourceExhausted(_))
-            );
-        if degradable {
-            let stale = self.pop_shard(c).read().get(&c).map(|p| p.oids.clone());
-            if let Some(oids) = stale {
-                return Ok((oids, plan::PopPath::StaleServe { attempts }));
-            }
-        }
-        if !fault_induced {
-            return Err(e.into());
-        }
-        Err(ViewError::Degraded {
-            class: self.schema.read().class(c).name,
-            attempts,
-            cause: Box::new(e),
-        }
-        .into())
     }
 
     /// One attempt of [`Self::population`]: resolves the request and reports
@@ -1438,7 +1305,7 @@ impl View {
     /// the view's own definitions — its nearest visible ancestors when it
     /// is hidden. Empty: the object is not visible at all.
     fn base_roots(&self, class: ClassId) -> Vec<ClassId> {
-        if self.is_hidden_class(class) && self.frame().body_depth == 0 {
+        if self.is_hidden_class(class) && self.depth() == 0 {
             self.nearest_visible_ancestors(&self.schema.read(), class)
         } else {
             vec![class]
@@ -1453,13 +1320,12 @@ impl View {
     /// are classes that cannot contribute a definition of `attr` the base
     /// chain does not already reach: membership only matters to resolution
     /// when some ancestor actually provides one, and skipping the rest
-    /// avoids both wasted work and spurious population cycles.
-    ///
-    /// [`Self::membership_roots`] populates these and
-    /// [`Self::resolves_by_class`] asks whether there are any; both must
-    /// read the same list, or the compiled engine's per-class verdict cache
-    /// conflates members with non-members.
+    /// avoids both wasted work and spurious population cycles. None for no
+    /// roots: such an object is not visible, whatever it is a member of.
     fn relevant_virtuals(&self, roots: &[ClassId], attr: Option<Symbol>) -> Vec<ClassId> {
+        if roots.is_empty() {
+            return Vec::new();
+        }
         let base_defs: HashSet<ClassId> = match attr {
             None => HashSet::new(),
             Some(_) => {
@@ -1494,11 +1360,23 @@ impl View {
         oid: Oid,
         relevant_to: Option<Symbol>,
     ) -> ov_query::Result<Vec<ClassId>> {
-        let mut roots = self.base_roots(self.view_class_of(oid)?);
+        let roots = self.base_roots(self.view_class_of(oid)?);
+        let virtuals = self.relevant_virtuals(&roots, relevant_to);
+        self.joined(oid, roots, virtuals)
+    }
+
+    /// `roots` joined by each of `virtuals` whose population holds `oid`,
+    /// sorted; no roots is [`ViewError::NotVisible`].
+    fn joined(
+        &self,
+        oid: Oid,
+        mut roots: Vec<ClassId>,
+        virtuals: Vec<ClassId>,
+    ) -> ov_query::Result<Vec<ClassId>> {
         if roots.is_empty() {
             return Err(ViewError::NotVisible(oid).into());
         }
-        for v in self.relevant_virtuals(&roots, relevant_to) {
+        for v in virtuals {
             if self.population(v)?.contains(&oid) {
                 roots.push(v);
             }
@@ -1508,14 +1386,65 @@ impl View {
         Ok(roots)
     }
 
-    /// Is resolving `name` a function of `class` alone, for the virtual
-    /// classes that exist right now? Only when no virtual class is relevant
-    /// — otherwise membership in its population makes resolution
-    /// per-object. With no base roots `resolve` errors for every such
-    /// object; that is not cached either.
-    fn resolves_by_class(&self, class: ClassId, name: Symbol) -> bool {
+    /// How objects presenting as `class` (the raw class
+    /// [`DataSource::resolution_class_and_field`] keys on) resolve `name`,
+    /// by the one rule: their base roots, the relevant virtual classes,
+    /// then [`Self::definition`]. With no relevant virtual class the class
+    /// decides, and that [`Rule::Class`] is the view's verdict for both
+    /// engines ([`DataSource::resolve`] asks here first, a compiled scan
+    /// through [`DataSource::class_verdict`]).
+    ///
+    /// At body depth 0 a class verdict is memoised in [`View::verdicts`]
+    /// for the resolution generation it was computed under, so a point
+    /// read pays one map probe. Inside a population bracket or a computed
+    /// body — hides see-through, populations in flight — it is computed
+    /// afresh on every call and never stored, and neither is an error or
+    /// a membership rule.
+    fn class_rule(&self, class: ClassId, name: Symbol) -> ov_query::Result<Rule> {
+        let at_top = self.depth() == 0;
+        // Read before the rule is computed: a verdict computed across a
+        // bump is stamped with the generation it may not match.
+        let gen = self.res_gen.load(Ordering::Acquire);
+        if at_top {
+            let memo = self.verdicts.read();
+            if memo.gen == gen {
+                if let Some(res) = memo.map.get(&(class, name)) {
+                    return Ok(Rule::Class(res.clone()));
+                }
+            }
+        }
         let roots = self.base_roots(class);
-        !roots.is_empty() && self.relevant_virtuals(&roots, Some(name)).is_empty()
+        let virtuals = self.relevant_virtuals(&roots, Some(name));
+        if roots.is_empty() || !virtuals.is_empty() {
+            return Ok(Rule::Membership { roots, virtuals });
+        }
+        let res = {
+            let schema = self.schema.read();
+            ResolvedAttr::from(self.definition(&schema, &roots, name, false)?.1)
+        };
+        if at_top {
+            let mut memo = self.verdicts.write();
+            if gen > memo.gen {
+                memo.map.clear();
+                memo.gen = gen;
+            }
+            if gen == memo.gen {
+                memo.map.insert((class, name), res.clone());
+            }
+        }
+        Ok(Rule::Class(res))
+    }
+
+    /// How many verdicts [`Self::class_rule`] would serve from its memo
+    /// right now.
+    #[cfg(test)]
+    pub(crate) fn served_verdicts(&self) -> usize {
+        let memo = self.verdicts.read();
+        if memo.gen == self.res_gen.load(Ordering::Acquire) {
+            memo.map.len()
+        } else {
+            0
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1568,7 +1497,7 @@ impl View {
             // along this object's resolution chain (§3: a hide in C covers
             // C and all its subclasses).
             Err(OodbError::UnknownAttr { .. })
-                if self.frame().body_depth == 0
+                if self.depth() == 0
                     && self.hidden_attrs.iter().any(|&(c, a)| {
                         a == attr
                             && (schema.is_subclass(view_class, c)
@@ -1704,7 +1633,11 @@ impl DataSource for View {
         // from the candidate set below, so the span covers the full
         // membership + upward-resolution walk.
         let _span = ov_oodb::span!("view.resolve", attr = name);
-        let roots = self.membership_roots(oid, Some(name))?;
+        let (roots, virtuals) = match self.class_rule(self.view_class_of(oid)?, name)? {
+            Rule::Class(res) => return Ok(res),
+            Rule::Membership { roots, virtuals } => (roots, virtuals),
+        };
+        let roots = self.joined(oid, roots, virtuals)?;
         let schema = self.schema.read();
         let (_, def) = self.definition(&schema, &roots, name, false)?;
         Ok(def.into())
@@ -1749,10 +1682,13 @@ impl DataSource for View {
         self.res_gen.load(Ordering::Acquire)
     }
 
-    fn resolution_is_class_pure(&self, class: ClassId, name: Symbol) -> bool {
-        // Parameterized templates can mint new virtual classes mid-scan
-        // (through `apply` in a filter); give up on caching entirely.
-        self.templates.is_empty() && self.resolves_by_class(class, name)
+    fn class_verdict(&self, class: ClassId, name: Symbol) -> Option<ResolvedAttr> {
+        // A template instantiated mid-scan (through `apply` in a filter)
+        // bumps the generation, which drops the scan's slots and the memo.
+        match self.class_rule(class, name) {
+            Ok(Rule::Class(res)) => Some(res),
+            _ => None,
+        }
     }
 
     fn indexed_lookup(&self, class: ClassId, attr: Symbol, value: &Value) -> Option<Vec<Oid>> {
@@ -1774,11 +1710,7 @@ impl DataSource for View {
                     ClassKind::Imported { source, orig } => {
                         // A hidden class resolves through its visible
                         // ancestors, not through itself.
-                        if self.is_hidden_class(d) && self.frame().body_depth == 0 {
-                            return None;
-                        }
-                        let (_, def) = self.definition(&schema, &[d], attr, false).ok()?;
-                        if !def.is_stored() {
+                        if self.is_hidden_class(d) && self.depth() == 0 {
                             return None;
                         }
                         parts.push((d, *source, *orig));
@@ -1786,13 +1718,15 @@ impl DataSource for View {
                 }
             }
         }
+        // Every object of every part reads the stored field: the class
+        // verdict, which no override and no virtual class's membership
+        // stands against.
+        let stored = |d| matches!(self.class_verdict(d, attr), Some(ResolvedAttr::Stored));
+        if !parts.iter().all(|&(d, ..)| stored(d)) {
+            return None;
+        }
         let mut out = Vec::new();
-        for (d, source, orig) in parts {
-            // Templates do not matter here: an instance minted while the
-            // candidates are retested owns abstract signatures only.
-            if !self.resolves_by_class(d, attr) {
-                return None;
-            }
+        for (_, source, orig) in parts {
             let db = self.sources[source].read();
             out.extend(db.store.index_lookup(orig, attr, value)?);
         }

@@ -171,6 +171,7 @@ impl<'a> Binder<'a> {
             stats: StatCells::default(),
             parallel_strikes: AtomicU32::new(0),
             res_gen: AtomicU64::new(0),
+            verdicts: RwLock::default(),
             deps: Vec::new(),
         };
         // Which dependency target defined each class name the view can

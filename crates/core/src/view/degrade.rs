@@ -1,0 +1,176 @@
+//! The retry / stale-serve ladder of a population request: transient
+//! faults are retried with a short backoff, an exhausted or budget-stopped
+//! recompute serves the last good population, and one close reports the
+//! outcome to every surface. A child of `view` so it can reach the view's
+//! caches and counters.
+
+use super::*;
+
+/// Recompute attempts [`View::population`] makes on a transient fault
+/// (initial try + retries) before degrading to the stale cache.
+const MAX_POPULATION_ATTEMPTS: u32 = 3;
+
+impl View {
+    /// The population of a virtual/imaginary class, cached.
+    ///
+    /// Concurrency: two threads may find the cache cold and compute the
+    /// same population simultaneously. That is benign — both compute the
+    /// same set (the computation only reads source data at the cached
+    /// versions) and cache insertion is last-writer-wins with equal values.
+    /// We deliberately do NOT hold the shard lock across the computation:
+    /// population is re-entrant (computing A may populate B), and blocking
+    /// readers of other classes in the same shard for the whole computation
+    /// would serialize the read path this refactor exists to parallelize.
+    pub(super) fn population(&self, c: ClassId) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
+        if self.frame().populating.contains(&c) {
+            let name = self.schema.read().class(c).name;
+            return Err(ViewError::CyclicVirtualClass(name).into());
+        }
+        let request = Event::Population.open();
+        // Transient faults (an injected fault, a flaky source) are retried
+        // with a tiny capped backoff before any degradation kicks in.
+        // Budget breaches and semantic errors are never retried: the former
+        // would breach again immediately, the latter are deterministic.
+        let mut attempts = 1u32;
+        let (resolved, scans) = plan::population_scans(|| loop {
+            match self.population_inner(c) {
+                Ok(ok) => break Ok(ok),
+                Err(e) if e.is_transient() && attempts < MAX_POPULATION_ATTEMPTS => {
+                    self.stats.bump(Stat::FaultRetry);
+                    let _retry_span =
+                        ov_oodb::span!("view.population_retry", attempt = attempts as usize);
+                    // 50µs, 100µs, 200µs, … capped at 400µs: enough to let a
+                    // contended writer finish, small enough to be invisible
+                    // to deadlines measured in milliseconds.
+                    std::thread::sleep(std::time::Duration::from_micros(
+                        50u64 << (attempts - 1).min(3),
+                    ));
+                    attempts += 1;
+                    // A deadline that expired while we slept turns into a
+                    // typed cancellation rather than another doomed attempt.
+                    if let Some(b) = ov_query::budget::current() {
+                        if let Err(breach) = b.check_deadline() {
+                            break Err(breach);
+                        }
+                    }
+                }
+                Err(e) => break Err(e),
+            }
+        });
+        let resolved = resolved.or_else(|e| self.degrade(c, e, attempts));
+        self.close_population(c, request, resolved, attempts, scans)
+    }
+
+    /// The one close of a population request, which every surface reads:
+    /// the span (fields and duration), the histogram and view counter of the
+    /// path that resolved it, the EXPLAIN event — a recompute's carrying
+    /// `scans` — and the statistics plane. A failed request closes its span
+    /// only, naming the class and the attempts made.
+    fn close_population(
+        &self,
+        c: ClassId,
+        mut request: ov_oodb::event::Open,
+        resolved: ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)>,
+        attempts: u32,
+        scans: Vec<plan::ScanEvent>,
+    ) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
+        use plan::PopPath;
+        let (event, label) = match resolved.as_ref().map(|(_, path)| path) {
+            Ok(PopPath::CacheHit) => (Event::PopulationCacheHit, "cache_hit"),
+            Ok(PopPath::Delta { .. }) => (Event::PopulationDelta, "delta"),
+            Ok(PopPath::FullRecompute { .. }) => (Event::PopulationRecompute, "recompute"),
+            Ok(PopPath::StaleServe { .. }) => (Event::PopulationStaleServe, "stale_serve"),
+            Err(_) => (Event::Population, "error"),
+        };
+        // `recomputations` and `cache_misses` count attempts, not requests:
+        // `population_inner` bumps them.
+        match event {
+            Event::PopulationCacheHit => self.stats.bump(Stat::CacheHit),
+            Event::PopulationDelta => self.stats.bump(Stat::IncrementalUpdate),
+            Event::PopulationStaleServe => self.stats.bump(Stat::StaleServe),
+            _ => {}
+        }
+        let name = || self.schema.read().class(c).name;
+        if request.is_recording() {
+            request.field("class", name());
+            request.field("path", label);
+            if let Ok((oids, _)) = &resolved {
+                request.field("rows", oids.len());
+            }
+            request.field("attempts", attempts as usize);
+        }
+        let nanos = request.close_as(event, 1);
+        let (oids, path) = resolved?;
+        if plan::tracing_active() {
+            let path = match path {
+                PopPath::FullRecompute { .. } => PopPath::FullRecompute { scans },
+                path => path,
+            };
+            plan::record_population(plan::PopulationTrace {
+                class: name(),
+                rows: oids.len(),
+                path,
+                nanos,
+            });
+        }
+        // Opportunistic statistics: a population that was computed now is an
+        // exact cardinality observation for the virtual class, keyed to the
+        // resolution generation it was computed under.
+        if event != Event::PopulationStaleServe && ov_oodb::metrics::profiling_enabled() {
+            ov_oodb::stats::stats().class(name()).note_cardinality(
+                ov_query::DataSource::resolution_generation(self),
+                oids.len() as u64,
+            );
+        }
+        Ok(oids)
+    }
+
+    /// The failure tail of [`Self::population`]: serves the last good
+    /// cached population (any version — it is by definition stale) when the
+    /// failure is degradable, else lets the typed error propagate — as
+    /// [`ViewError::Degraded`] when the failure was fault-induced. A nested
+    /// population that exhausted its own fallbacks hands its fault up, so
+    /// the outermost exhausted population names the error, with the
+    /// innermost fault as its cause.
+    ///
+    /// A stale serve can never mix generations. The cache holds one
+    /// `Arc<BTreeSet<Oid>>` per class, cloned out under the shard read
+    /// lock. A recompute swaps the pointer and a delta patches the set,
+    /// both under the shard write lock, and a delta applies all of its
+    /// verdicts or none; a set some caller still holds is copied before it
+    /// is patched ([`Self::try_incremental`]). So callers see either the
+    /// old population or the new one in full — never a blend.
+    fn degrade(
+        &self,
+        c: ClassId,
+        e: QueryError,
+        attempts: u32,
+    ) -> ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)> {
+        let e = match ViewError::from(e) {
+            ViewError::Degraded { cause, .. } => *cause,
+            e => e,
+        };
+        let fault_induced =
+            e.is_transient() || matches!(e, ViewError::Query(QueryError::Panicked { .. }));
+        let degradable = fault_induced
+            || matches!(
+                e,
+                ViewError::Query(QueryError::Cancelled(_) | QueryError::ResourceExhausted(_))
+            );
+        if degradable {
+            let stale = self.pop_shard(c).read().get(&c).map(|p| p.oids.clone());
+            if let Some(oids) = stale {
+                return Ok((oids, plan::PopPath::StaleServe { attempts }));
+            }
+        }
+        if !fault_induced {
+            return Err(e.into());
+        }
+        Err(ViewError::Degraded {
+            class: self.schema.read().class(c).name,
+            attempts,
+            cause: Box::new(e),
+        }
+        .into())
+    }
+}

@@ -13,6 +13,9 @@
 //!   interpreter / no indexes, whatever overrides, hides, virtual-class
 //!   definitions and partial imports stand between the query and the
 //!   stored field;
+//! * a point read through a view reads the same cold, warm (from the view's
+//!   class verdict) and on a fresh bind, in both engines, and a read inside
+//!   a computed body sees through the hides whatever depth 0 keeps;
 //! * a population is the same set whatever feeds its row loop — the whole
 //!   extent, a split of it, index postings, the journal delta — and a
 //!   budget governs every one of those sources by the same charge rule, the
@@ -452,6 +455,70 @@ fn evaluation_agrees(
     Ok(())
 }
 
+/// What a point read of an attribute through a view sees.
+#[derive(Debug, PartialEq)]
+struct PointRead {
+    /// The walker's value.
+    walked: Result<Value, String>,
+    /// What `resolve` reads.
+    resolved: Result<ResolvedAttr, String>,
+    /// The compiled engine's answer to the one-object `select`.
+    compiled: Result<Value, String>,
+}
+
+/// The point read of `name` on `oid` through `view`, at body depth 0 or
+/// inside one of the view's computed bodies, where its hides are
+/// see-through.
+fn point_read(view: &View, oid: Oid, name: Symbol, in_body: bool) -> PointRead {
+    let read = || PointRead {
+        walked: view.attr(oid, name).map_err(|e| e.to_string()),
+        resolved: DataSource::resolve(view, oid, name).map_err(|e| e.to_string()),
+        compiled: view
+            .query(&format!("select O.{name} from O in {{{oid}}}"))
+            .map_err(|e| e.to_string()),
+    };
+    if in_body {
+        ov_query::in_view(DataSource::frame_key(view).unwrap(), None, read)
+    } else {
+        read()
+    }
+}
+
+/// The point read of `name` on `oid`, first on `view`, then again there
+/// (served from the view's class verdict when it has one), then on
+/// `other`, another bind of the same definition: one answer, whose two
+/// engines agree.
+fn point_reads_agree(
+    view: &View,
+    other: &View,
+    oid: Oid,
+    name: Symbol,
+    in_body: bool,
+) -> Result<PointRead, TestCaseError> {
+    let first = point_read(view, oid, name, in_body);
+    prop_assert_eq!(
+        &point_read(view, oid, name, in_body),
+        &first,
+        "warm {}.{}",
+        oid,
+        name
+    );
+    prop_assert_eq!(
+        &point_read(other, oid, name, in_body),
+        &first,
+        "other bind {}.{}",
+        oid,
+        name
+    );
+    match (&first.walked, &first.compiled) {
+        (Ok(walked), Ok(compiled)) => {
+            prop_assert_eq!(compiled, &Value::set([walked.clone()]), "{}.{}", oid, name)
+        }
+        (walked, compiled) => prop_assert_eq!(walked.is_err(), compiled.is_err()),
+    }
+    Ok(first)
+}
+
 // Random generalization lattices: define virtual classes over random
 // subsets of base classes; R1/R2 and acyclicity must hold.
 proptest! {
@@ -598,12 +665,15 @@ proptest! {
         let mut sys = System::new();
         sys.add_database(db).unwrap();
         let handle = sys.database(sym("L")).unwrap();
-        let view = ViewDef::from_script(&script)
-            .unwrap()
-            .binder(&sys)
-            .options(ViewOptions::builder().policy(policy).build())
-            .bind()
-            .unwrap();
+        let bind = || {
+            ViewDef::from_script(&script)
+                .unwrap()
+                .binder(&sys)
+                .options(ViewOptions::builder().policy(policy.clone()).build())
+                .bind()
+                .unwrap()
+        };
+        let view = bind();
         for (i, &oid) in oids.iter().enumerate() {
             let obj = format!("o{i}");
             let class = DataSource::class_by_name(&view, sym(&format!("K{i}"))).unwrap();
@@ -612,6 +682,7 @@ proptest! {
                 if let Some(ty) = &typed {
                     handle.write().store.set_field(oid, name, tag_value(ty).0).unwrap();
                 }
+                point_reads_agree(&view, &bind(), oid, name, false)?;
                 evaluation_agrees(&view, oid, &obj, name, typed.as_ref(), |k| {
                     kinds[k][a] == Some(true)
                 })?;
@@ -811,29 +882,35 @@ proptest! {
                  attribute Id in class Early has value 5;\n"
             ));
         }
+        // `Ident`'s body reads `Id` through any hide.
         top.push_str(&format!(
             "class Hit includes (select P from P in {root} where P.Id = 3);\n\
-             class Tag includes imaginary (select [Key: P.Id] from P in {root});\n"
+             class Tag includes imaginary (select [Key: P.Id] from P in {root});\n\
+             attribute Ident in class {root} has value self.Id;\n"
         ));
+        let unhidden = top.clone();
         match shape.hide {
             1 => top.push_str("hide attribute Id in class Employee;\n"),
             2 => top.push_str(&format!("hide attribute Id in class {root};\n")),
             _ => {}
         }
         let upstream = ViewDef::from_script(&upstream).unwrap();
-        let view = ViewDef::from_script(&top)
-            .unwrap()
-            .binder(&sys)
-            .over(&upstream)
-            // Every request recomputes, so every request meets the
-            // indexes of the moment.
-            .options(
-                ViewOptions::builder()
-                    .materialization(Materialization::AlwaysRecompute)
-                    .build(),
-            )
-            .bind()
-            .unwrap();
+        let bind = |script: &str| {
+            ViewDef::from_script(script)
+                .unwrap()
+                .binder(&sys)
+                .over(&upstream)
+                // Every request recomputes, so every request meets the
+                // indexes of the moment.
+                .options(
+                    ViewOptions::builder()
+                        .materialization(Materialization::AlwaysRecompute)
+                        .build(),
+                )
+                .bind()
+                .unwrap()
+        };
+        let view = bind(&top);
 
         let handle = sys.database(sym("B")).unwrap();
         if shape.late_subclass {
@@ -911,6 +988,31 @@ proptest! {
                     prop_assert_eq!(with_indexes, scanned, "population Hit, indexes {:?}", defs);
                     for (c, a) in defs {
                         handle.write().store.create_index(c, a);
+                    }
+                    // Point reads of every object, cold, warm and on fresh
+                    // binds. `view` reads at depth 0 only; `body_first`
+                    // reads inside a body before it reads at depth 0, so a
+                    // verdict left by a body read would show there. A body
+                    // read sees through the hides: it is the depth-0 read
+                    // of a bind without them.
+                    let top_first = bind(&top);
+                    let body_first = bind(&top);
+                    let open = bind(&unhidden);
+                    // Objects of a class bound after the view are not in it,
+                    // but they are in a fresh bind.
+                    let oids = handle.read().deep_extent(person);
+                    for oid in oids.into_iter().filter(|&o| DataSource::class_of(&view, o).is_ok()) {
+                        let at_top = point_reads_agree(&view, &top_first, oid, id, false)?;
+                        let inside = point_reads_agree(&body_first, &top_first, oid, id, true)?;
+                        prop_assert_eq!(&point_read(&body_first, oid, id, false), &at_top);
+                        prop_assert_eq!(&inside, &point_read(&open, oid, id, false), "{} in a body", oid);
+                        point_reads_agree(&body_first, &top_first, oid, sym("Ident"), false)?;
+                    }
+                    // A virtual class that defines `Id` makes it a matter of
+                    // membership: never a class verdict.
+                    if shape.virtual_defs > 0 {
+                        let c = DataSource::class_by_name(&view, sym(root)).unwrap();
+                        prop_assert!(DataSource::class_verdict(&view, c, id).is_none());
                     }
                 }
             }

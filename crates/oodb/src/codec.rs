@@ -15,6 +15,7 @@
 //! replay walk classes in that same order.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::error::{OodbError, Result};
 use crate::expr::{AggFunc, BinOp, Expr, SelectExpr, UnOp};
@@ -767,7 +768,7 @@ pub fn take_attr_def(r: &mut Reader<'_>) -> Result<AttrDef> {
     let ty = take_type(r)?;
     let body = match r.take_u8()? {
         0 => AttrBody::Stored,
-        1 => AttrBody::Computed(take_expr(r)?),
+        1 => AttrBody::Computed(Arc::new(take_expr(r)?)),
         2 => AttrBody::Abstract,
         t => return Err(bad_tag(r, "attribute body", t)),
     };

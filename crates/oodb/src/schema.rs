@@ -14,6 +14,7 @@
 //! (covariant redefinition).
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use crate::error::{OodbError, Result};
 use crate::expr::Expr;
@@ -40,7 +41,8 @@ pub enum AttrBody {
     /// Stored in the object's tuple value.
     Stored,
     /// Computed by evaluating the body with `self` (and parameters) bound.
-    Computed(Expr),
+    /// Shared: a resolution hands the body out without copying the tree.
+    Computed(Arc<Expr>),
     /// Signature only: the value is resolved dynamically on the object's
     /// own class. Produced by the view layer's *upward inheritance* (§4.3),
     /// where a virtual class acquires an attribute common to all its
@@ -78,7 +80,7 @@ impl AttrDef {
                 params: Vec::new(),
                 ty,
             },
-            body: AttrBody::Computed(body),
+            body: AttrBody::Computed(Arc::new(body)),
         }
     }
 
@@ -86,7 +88,7 @@ impl AttrDef {
     pub fn method(name: Symbol, params: Vec<(Symbol, Type)>, ty: Type, body: Expr) -> AttrDef {
         AttrDef {
             sig: AttrSig { name, params, ty },
-            body: AttrBody::Computed(body),
+            body: AttrBody::Computed(Arc::new(body)),
         }
     }
 

@@ -12,15 +12,16 @@
 //! * `And`/`Or`/`if` short-circuiting becomes **jump threading**, decided
 //!   at compile time instead of re-discovered per row;
 //! * attribute accesses become **slots** carrying a per-scan inline cache
-//!   of `resolve` results keyed by the object's presentation class, used
-//!   only where the source vouches (via
-//!   [`DataSource::resolution_is_class_pure`]) that resolution depends on
-//!   the class alone;
-//! * **computed-attribute bodies compile too**: when a slot's cached
-//!   resolution is class-pure, the body is lowered once into its own [`Program`] (`self` in register 0,
-//!   parameters after it) and invoked as a bytecode frame, inside the
-//!   source's body bracket as `run_computed` opens it, instead of
-//!   round-tripping through `Evaluator::run_computed` per row;
+//!   of the source's per-class verdicts ([`DataSource::class_verdict`]),
+//!   keyed by the object's presentation class; where the source has no
+//!   verdict (resolution depends on more than the class) the slot
+//!   re-resolves every row;
+//! * **computed-attribute bodies compile too**: when a slot's verdict is
+//!   a computed attribute, the body is lowered once into its own
+//!   [`Program`] (`self` in register 0, parameters after it) and invoked
+//!   as a bytecode frame, inside the source's body bracket as
+//!   `run_computed` opens it, instead of round-tripping through
+//!   `Evaluator::run_computed` per row;
 //! * every attribute access is **one lazy probe**
 //!   ([`DataSource::resolution_class_and_field`]): the object lookup that
 //!   yields the cache key also yields the stored field, and it happens only
@@ -35,7 +36,7 @@
 //! depth-limit behavior. Coverage is total: every [`Expr`] compiles, free
 //! names, `isa`, parameterized-class applications and an unbound `self`
 //! included, so every row loop has one executable form. Only computed
-//! bodies the source cannot vouch for per class still delegate to the
+//! bodies the source has no class verdict for still delegate to the
 //! interpreter (`Evaluator::run_computed`). Which engine runs a top-level
 //! statement is decided once, in `exec::dispatch`.
 //!
@@ -487,11 +488,12 @@ impl Compiler {
 /// no reference count.
 #[derive(Clone, Copy, Debug)]
 enum Verdict {
-    /// Class-pure and stored: the probe's raw field is the value.
+    /// The class's verdict is stored: the probe's raw field is the value.
     Stored,
-    /// Class-pure and computed: run `Scan::bodies[i]`, compiled once.
+    /// The class's verdict is computed: run `Scan::bodies[i]`, compiled
+    /// once.
     Body(usize),
-    /// The source couldn't vouch for purity: re-resolve every row (and
+    /// The source has no verdict for the class: re-resolve every row (and
     /// run computed bodies through the interpreter — compiling per row
     /// would cost more than it saves).
     Impure,
@@ -513,8 +515,8 @@ struct Body {
 pub struct Scan<'a> {
     prog: &'a Program,
     src: &'a dyn DataSource,
-    /// Delegate for computed-attribute bodies the source cannot vouch for
-    /// per class (captures the same budget).
+    /// Delegate for computed-attribute bodies the source has no class
+    /// verdict for (captures the same budget).
     ev: Evaluator<'a>,
     budget: Option<Arc<Budget>>,
     /// Register file: the outer program's registers first, then one frame
@@ -969,12 +971,13 @@ impl<'a> Scan<'a> {
     }
 
     /// The slot's verdict for objects of the already-fetched resolution
-    /// `class`. It is asked once per (slot, class) per scan — dropped and
-    /// re-asked whenever the source bumps its resolution generation — and
-    /// errors are never cached (the first error aborts the scan anyway). A
-    /// class-pure computed attribute gets its body compiled here, once.
-    /// The row that *decides* a slot impure also gets back the resolution
-    /// it just paid for, so it does not resolve twice.
+    /// `class`: the source's [`DataSource::class_verdict`], asked once per
+    /// (slot, class) per scan — dropped and re-asked whenever the source
+    /// bumps its resolution generation. A computed verdict gets its body
+    /// compiled here, once. Without a verdict the slot re-resolves every
+    /// row; the row that finds that out gets back the resolution it just
+    /// paid for, so it does not resolve twice, and its error is never
+    /// cached (the first error aborts the scan anyway).
     ///
     /// Slot-cache soundness across body depths: a given slot only ever
     /// executes at one body-privilege polarity — outer-program slots
@@ -1007,11 +1010,11 @@ impl<'a> Scan<'a> {
             return Ok((*v, None));
         }
         self.cache_misses += 1;
-        let res = self.src.resolve(oid, name)?;
-        if !self.src.resolution_is_class_pure(class, name) {
+        let Some(res) = self.src.class_verdict(class, name) else {
+            let res = self.src.resolve(oid, name)?;
             self.caches[gslot].push((class, Verdict::Impure));
             return Ok((Verdict::Impure, Some(res)));
-        }
+        };
         let v = match &res {
             ResolvedAttr::Stored => Verdict::Stored,
             ResolvedAttr::Computed { params, body } => {
@@ -1782,7 +1785,7 @@ mod tests {
             scan.bind(0, Value::Oid(oid));
             scan.run(0).unwrap();
         }
-        // One slot (P.Age), one class, decided Pure after the first row.
+        // One slot (P.Age), one class, its verdict asked on the first row.
         assert_eq!(scan.caches.len(), 1);
         assert!(matches!(
             scan.caches[0].as_slice(),
@@ -1802,7 +1805,7 @@ mod tests {
             scan.bind(0, Value::Oid(oid));
             assert_eq!(scan.run(0).unwrap(), Value::Int(2 * ages[i]));
         }
-        // The Doubled slot cached a Pure entry with a compiled body, and
+        // The Doubled slot cached a computed verdict's compiled body, and
         // the body program registered its own slot range (self.Age twice
         // → two body slots appended after the outer slot).
         assert!(matches!(
@@ -1908,6 +1911,16 @@ mod tests {
                 redefined: Default::default(),
             }
         }
+
+        /// `Age`'s resolution while it is redefined.
+        fn redefinition(&self, name: Symbol) -> Option<ResolvedAttr> {
+            (name == sym("Age") && self.redefined.load(Ordering::Relaxed)).then(|| {
+                ResolvedAttr::Computed {
+                    params: vec![],
+                    body: Arc::new(parse_expr("999").unwrap()),
+                }
+            })
+        }
     }
 
     impl DataSource for GenSource {
@@ -1943,13 +1956,14 @@ mod tests {
             DataSource::is_member(&self.db, oid, class)
         }
         fn resolve(&self, oid: Oid, name: Symbol) -> Result<ResolvedAttr> {
-            if name == sym("Age") && self.redefined.load(Ordering::Relaxed) {
-                return Ok(ResolvedAttr::Computed {
-                    params: vec![],
-                    body: parse_expr("999").unwrap(),
-                });
+            match self.redefinition(name) {
+                Some(res) => Ok(res),
+                None => DataSource::resolve(&self.db, oid, name),
             }
-            DataSource::resolve(&self.db, oid, name)
+        }
+        fn class_verdict(&self, class: ClassId, name: Symbol) -> Option<ResolvedAttr> {
+            self.redefinition(name)
+                .or_else(|| self.db.class_verdict(class, name))
         }
         fn stored_field(&self, oid: Oid, name: Symbol) -> Result<Value> {
             DataSource::stored_field(&self.db, oid, name)
@@ -1970,9 +1984,6 @@ mod tests {
             self.probes.lock().unwrap().push(name);
             DataSource::resolution_class_and_field(&self.db, oid, name)
         }
-        fn resolution_is_class_pure(&self, _class: ClassId, _name: Symbol) -> bool {
-            true
-        }
         fn resolution_generation(&self) -> u64 {
             self.generation.load(Ordering::Relaxed)
         }
@@ -1989,7 +2000,7 @@ mod tests {
         scan.bind(0, Value::Oid(oid));
         assert_eq!(scan.run(0).unwrap(), Value::Int(65)); // warm the cache
 
-        // Redefine without announcing: the warm Pure(Stored) verdict is
+        // Redefine without announcing: the warm `Stored` verdict is
         // (by design) served for the rest of the scan.
         src.redefined.store(true, Ordering::Relaxed);
         assert_eq!(scan.run(0).unwrap(), Value::Int(65));

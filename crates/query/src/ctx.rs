@@ -178,6 +178,12 @@ pub fn view_frame(key: u64) -> ViewFrame {
     })
 }
 
+/// How many brackets of the view keyed `key` are open on this thread: the
+/// `body_depth` of its [`view_frame`], read without building the frame.
+pub fn view_depth(key: u64) -> u32 {
+    with(|c| c.views.iter().filter(|(k, _)| *k == key).count() as u32)
+}
+
 /// What a coordinating thread hands the workers of a scan it splits.
 pub(crate) struct Fork {
     engine: Option<EngineMode>,

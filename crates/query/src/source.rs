@@ -8,6 +8,8 @@
 //! field access — and both `ov_oodb::Database` and `ov_views::View`
 //! implement it.
 
+use std::sync::Arc;
+
 use ov_oodb::resolve::{concrete, resolve_in};
 use ov_oodb::{
     AttrBody, AttrDef, AttrSig, ClassId, ConflictPolicy, Database, Expr, Oid, OodbError, Symbol,
@@ -17,7 +19,7 @@ use ov_oodb::{
 use crate::error::{QueryError, Result};
 
 /// How an attribute, once resolved for a given object, is to be obtained.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ResolvedAttr {
     /// Read the object's stored tuple field of the same name.
     Stored,
@@ -26,8 +28,8 @@ pub enum ResolvedAttr {
     Computed {
         /// Parameter names to bind, in order.
         params: Vec<Symbol>,
-        /// The body expression.
-        body: Expr,
+        /// The body expression, shared with the definition it came from.
+        body: Arc<Expr>,
     },
 }
 
@@ -113,19 +115,19 @@ pub trait DataSource {
         )))
     }
 
-    // --- resolution caching (compiled scans) --------------------------
+    // --- the per-class verdict ------------------------------------------
 
-    /// May a resolution of attribute `name` be cached under `class` (as
-    /// returned by [`DataSource::resolution_class_and_field`]) for the
-    /// duration of one scan? `true` asserts that every object with that
-    /// resolution class resolves `name` identically while the source's
-    /// scan-visible state (schema, virtual-class populations in flight,
-    /// body depth) is held fixed. Sources whose resolution can depend on
-    /// per-object facts beyond the class — e.g. a view where some virtual
-    /// class specializes `name` — must answer `false`. Defaults to `false`
-    /// (never cache).
-    fn resolution_is_class_pure(&self, _class: ClassId, _name: Symbol) -> bool {
-        false
+    /// The resolution of attribute `name` that every object presenting as
+    /// `class` (the key [`DataSource::resolution_class_and_field`] returns)
+    /// gets, when that resolution depends on the class alone while the
+    /// source's resolution state (schema, populations in flight, body
+    /// depth) is held fixed. `None` when it does not — a view where some
+    /// virtual class specializes `name` decides per object, by membership —
+    /// or when resolving fails: [`DataSource::resolve`] then decides per
+    /// object and raises the error. A compiled scan asks once per (slot,
+    /// class); a view's own `resolve` asks it first. Defaults to `None`.
+    fn class_verdict(&self, _class: ClassId, _name: Symbol) -> Option<ResolvedAttr> {
+        None
     }
 
     /// One object lookup serving both halves of a compiled attribute
@@ -145,15 +147,15 @@ pub trait DataSource {
         None
     }
 
-    /// A counter the source bumps whenever scan-visible resolution state
-    /// changes mid-scan — for a view: opening/closing a population
-    /// bracket (the thread's `populating` set feeds purity verdicts) or
-    /// instantiating a parameterized-class template. Compiled scans
-    /// capture the generation when created and drop their per-(slot,
-    /// class) caches when it moves, so a verdict computed under one state
-    /// is never served under another. Sources whose resolution state
-    /// cannot change under a shared reference (a base `Database` behind
-    /// `&self`) keep the default constant `0`.
+    /// A counter the source bumps whenever resolution state can change —
+    /// for a view: opening/closing a population bracket (the thread's
+    /// `populating` set feeds class verdicts) or instantiating a
+    /// parameterized-class template. Compiled scans capture the generation
+    /// when created and drop their per-(slot, class) caches when it moves,
+    /// and a view keeps its own verdicts for one generation, so a verdict
+    /// computed under one state is never served under another. Sources
+    /// whose resolution state cannot change under a shared reference (a
+    /// base `Database` behind `&self`) keep the default constant `0`.
     fn resolution_generation(&self) -> u64 {
         0
     }
@@ -223,12 +225,15 @@ impl DataSource for Database {
     }
 
     fn resolve(&self, oid: Oid, name: Symbol) -> Result<ResolvedAttr> {
-        let obj = self.store.require(oid)?;
-        // Base databases resolve conflicts by creation order, as their
-        // typing does (`Schema::visible_attrs`); views make it configurable.
-        let creation_order = ConflictPolicy::CreationOrder;
-        let (_, def) = resolve_in(&self.schema, &[obj.class], name, &concrete, &creation_order)?;
-        Ok(def.into())
+        let class = self.store.require(oid)?.class;
+        Ok(resolve_by_class(self, class, name)?)
+    }
+
+    fn class_verdict(&self, class: ClassId, name: Symbol) -> Option<ResolvedAttr> {
+        // Base-database resolution walks only the schema from the object's
+        // class, so it is always the class's; only an error is left to
+        // `resolve`.
+        resolve_by_class(self, class, name).ok()
     }
 
     fn stored_field(&self, oid: Oid, name: Symbol) -> Result<Value> {
@@ -255,12 +260,6 @@ impl DataSource for Database {
         self.schema.class_type(c)
     }
 
-    fn resolution_is_class_pure(&self, _class: ClassId, _name: Symbol) -> bool {
-        // Base-database resolution walks only the schema, which cannot
-        // change while a scan holds `&Database`.
-        true
-    }
-
     fn resolution_class_and_field(&self, oid: Oid, name: Symbol) -> Option<(ClassId, Value)> {
         let obj = self.store.get(oid)?;
         Some((
@@ -272,6 +271,15 @@ impl DataSource for Database {
     fn indexed_lookup(&self, class: ClassId, attr: Symbol, value: &Value) -> Option<Vec<Oid>> {
         self.indexed_deep_lookup(class, attr, value)
     }
+}
+
+/// How `name` resolves for an object of `class` in a base database.
+fn resolve_by_class(db: &Database, class: ClassId, name: Symbol) -> ov_oodb::Result<ResolvedAttr> {
+    // Base databases resolve conflicts by creation order, as their typing
+    // does (`Schema::visible_attrs`); views make it configurable.
+    let creation_order = ConflictPolicy::CreationOrder;
+    let (_, def) = resolve_in(&db.schema, &[class], name, &concrete, &creation_order)?;
+    Ok(def.into())
 }
 
 /// Adapts a [`DataSource`] to the data-model's [`ov_oodb::ClassGraph`] so
@@ -353,6 +361,12 @@ mod tests {
             ResolvedAttr::Computed { .. }
         ));
         assert!(DataSource::resolve(&d, o, sym("Ghost")).is_err());
+        // The class answers for its objects; an error is left to `resolve`.
+        assert!(matches!(
+            d.class_verdict(person, sym("Age")),
+            Some(ResolvedAttr::Stored)
+        ));
+        assert!(d.class_verdict(person, sym("Ghost")).is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use ov_oodb::ClassId;
 use ov_query::plan::{collect, tracing_active};
 use ov_query::{
-    budget, engine_mode, filter_map_chunked, in_view, planner_enabled, view_frame,
+    budget, engine_mode, filter_map_chunked, in_view, planner_enabled, view_depth, view_frame,
     with_engine_mode, with_planner, Budget, EngineMode, ParallelConfig, ViewFrame,
 };
 
@@ -82,7 +82,9 @@ fn a_view_frame_restores_after_a_caught_panic() {
             body_depth: 1,
         };
         assert_eq!(frame(), open);
+        assert_eq!(view_depth(VIEW), open.body_depth, "the depth-only reader");
     });
+    assert_eq!(view_depth(VIEW), 0);
 }
 
 #[test]

@@ -561,3 +561,101 @@ fn readers_see_only_legal_states_while_a_writer_flips_a_boundary() {
     let stats = view.stats();
     assert!(stats.incremental_updates > 0, "no delta fired: {stats:?}");
 }
+
+/// Point reads through the `Adults → Earners → Top` stack while a writer
+/// forces recomputes. Two readers read `boss.Name`, `boss.Address.City`
+/// (whose body reads `City` and the hidden `Street` inside a body bracket)
+/// and `boss.Street` (hidden at depth 0) in both engines; a third thread
+/// flips other people across the `Adult` and `Elite` boundaries and
+/// repopulates the stack, so every population bracket moves the resolution
+/// generation under the readers' class verdicts. Every answer equals a
+/// fresh bind's.
+#[test]
+fn point_reads_agree_with_a_fresh_bind_while_recomputes_move_the_generation() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const FLIPS: i64 = 500;
+    let mut sys = System::new();
+    execute_script(
+        &mut sys,
+        r#"
+        database Staff;
+        class Person type [Name: string, Age: integer, City: string, Street: string,
+                           Income: integer];
+        object #1 in Person value [Name: "Boss", Age: 64, City: "Paris", Street: "Rivoli",
+                                   Income: 250000];
+        object #2 in Person value [Name: "Ann", Age: 17, City: "Roma", Street: "Appia",
+                                   Income: 150000];
+        object #3 in Person value [Name: "Bob", Age: 40, City: "Oslo", Street: "Karl Johan",
+                                   Income: 20000];
+        name boss = #1;
+        name ann = #2;
+        "#,
+    )
+    .unwrap();
+    let defs = [
+        "create view Adults;
+         import all classes from database Staff;
+         attribute Address in class Person has value [City: self.City, Street: self.Street];
+         class Adult includes (select P from P in Person where P.Age >= 21);",
+        "create view Earners;
+         import all classes from view Adults;
+         class Rich includes (select A from A in Adult where A.Income >= 100000);",
+        "create view Top;
+         import all classes from view Earners;
+         class Elite includes (select R from R in Rich where R.Age >= 60);
+         hide attribute Street in class Person;",
+    ]
+    .map(|d| ViewDef::from_script(d).unwrap());
+    let bind = || defs[2].binder(&sys).over_all(&defs[..2]).bind().unwrap();
+    let reads = [
+        "boss.Name",
+        "boss.Address.City",
+        "boss.Street",
+        "select P.Address.City from P in {boss}",
+    ];
+    let answers = |view: &View| reads.map(|q| view.query(q).map_err(|e| e.to_string()));
+    let expected = answers(&bind());
+    assert_eq!(expected[0], Ok(Value::str("Boss")));
+    assert_eq!(expected[1], Ok(Value::str("Paris")));
+    assert!(expected[2].is_err(), "Street is hidden at depth 0");
+
+    let view = bind();
+    let handle = sys.database(sym("Staff")).unwrap();
+    let ann = DataSource::named_object(&view, sym("ann")).unwrap();
+    let generation = DataSource::resolution_generation(&view);
+    let done = AtomicBool::new(false);
+    let progress = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    assert_eq!(answers(&view), expected);
+                    progress.fetch_add(1, Ordering::Release);
+                }
+            });
+        }
+        s.spawn(|| {
+            for flip in 0..FLIPS {
+                let age = if flip % 2 == 0 { 70 } else { 17 };
+                handle
+                    .write()
+                    .set_attr(ann, sym("Age"), Value::Int(age))
+                    .unwrap();
+                let elite = view.extent_of(sym("Elite")).unwrap();
+                assert_eq!(elite.contains(&ann), age == 70);
+                // Hold the next flip until a read ran since this one.
+                let seen = progress.load(Ordering::Acquire);
+                while progress.load(Ordering::Acquire) == seen {
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+    });
+    assert!(
+        DataSource::resolution_generation(&view) > generation + FLIPS as u64,
+        "every recompute moves the generation"
+    );
+    assert_eq!(answers(&view), answers(&bind()));
+    assert_eq!(answers(&view), expected);
+}
