@@ -5,8 +5,8 @@
 //! Flags (see `--help` for the same text):
 //!
 //! - `--threads N` (default 1) additionally runs the multi-threaded read
-//!   experiments in E4 and E5: population scans split across `N` workers,
-//!   and `N` concurrent reader threads sharing one view.
+//!   experiments in E4 and E5: `N` concurrent reader threads sharing one
+//!   view.
 //! - `--metrics FILE` writes, after all experiments, a JSON snapshot of
 //!   the process-wide metrics registry (store mutations, journal delta/gap
 //!   counts, index lookups, view population path counters and latency
@@ -42,7 +42,7 @@ use std::sync::Mutex;
 use ov_bench::*;
 use ov_oodb::{sym, ConflictPolicy, Value};
 use ov_query::eval_attr;
-use ov_views::{IdentityMode, Materialization, ParallelConfig, Population, ViewDef, ViewOptions};
+use ov_views::{IdentityMode, Materialization, Population, ViewDef, ViewOptions};
 
 fn main() {
     let args = parse_args();
@@ -78,7 +78,7 @@ fn main() {
     e2_overloading();
     e3_import_hide();
     e4_population();
-    e4_parallel(threads);
+    e4_readers(threads);
     e5_resolution();
     e5_concurrent(threads);
     e6_inference();
@@ -229,7 +229,7 @@ struct Args {
 const USAGE: &str = "\
 usage: harness [FLAGS]
 
-  --threads N           run E4b/E5b with N worker/reader threads (default 1)
+  --threads N           run E4b/E5b with N reader threads (default 1)
   --metrics FILE        write a JSON metrics snapshot (counters + histogram
                         p50/p95/p99) to FILE after the run
   --trace FILE          enable the flight recorder and write the span trace
@@ -250,7 +250,7 @@ usage: harness [FLAGS]
                         --save-baseline, also write the NEW side's minimum
   --chaos SEED          skip the experiments; run the seeded fault-injection
                         workload instead (probabilistic failpoints on every
-                        store/query/view site) and verify the robustness
+                        store/view site) and verify the robustness
                         invariants: no escaped panics, typed errors only,
                         full recovery once faults clear
   --budget-ms N         (chaos only) run every chaos read under an N ms
@@ -385,8 +385,8 @@ fn parse_args() -> Args {
 /// armed probabilistically, then a write/read/churn loop against one view.
 ///
 /// Invariants checked (any breach exits nonzero):
-/// 1. no panic escapes any store write or view read — injected panics must
-///    be contained to typed `QueryError::Panicked` errors or retried away;
+/// 1. no panic escapes any store write or view read — the armed sites
+///    inject typed errors only, so any panic is a bug;
 /// 2. every failure is a typed error (enforced by construction: both arms
 ///    return `Result`, and arm 1 catches anything else);
 /// 3. once faults clear, the pipeline recovers completely — no poisoned
@@ -400,9 +400,9 @@ fn chaos_run(seed: u64, budget_ms: Option<u64>) -> Result<(), String> {
     if let Some(ms) = budget_ms {
         println!("# every read under a {ms} ms deadline budget");
     }
-    // Incremental materialization + parallel scans + an index, so the
-    // journal (`store.changes_since`), chunked-scan (`*.scan_chunk`) and
-    // `store.index_lookup` sites all sit on the hot path.
+    // Incremental materialization + an index, so the journal
+    // (`store.changes_since`) and `store.index_lookup` sites sit on the hot
+    // path.
     let sys = people(2_000);
     let db = sys.database(sym("Staff")).unwrap();
     let victims = person_oids(&sys, 32);
@@ -427,7 +427,6 @@ fn chaos_run(seed: u64, budget_ms: Option<u64>) -> Result<(), String> {
     .options(
         ViewOptions::builder()
             .materialization(Materialization::Incremental)
-            .parallel(ParallelConfig::with_threads(4))
             .build(),
     )
     .bind()
@@ -449,24 +448,10 @@ fn chaos_run(seed: u64, budget_ms: Option<u64>) -> Result<(), String> {
         "store.remove",
         "store.index_lookup",
         "store.changes_since",
-        "query.scan_chunk",
-        "view.scan_chunk",
         "view.population_recompute",
     ] {
         faults::arm(site, FaultSchedule::Probability(0.05), FaultAction::Error);
     }
-    // One site injects panics too, to exercise unwind containment in the
-    // parallel scan path.
-    faults::arm(
-        "view.scan_chunk",
-        FaultSchedule::Probability(0.03),
-        FaultAction::Panic,
-    );
-
-    // Injected panics are caught below (or inside the parallel scan), but
-    // the default hook would still spam stderr for each one.
-    let quiet = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
 
     let budget =
         budget_ms.map(|ms| std::sync::Arc::new(ov_query::Budget::new().with_deadline_ms(ms)));
@@ -533,24 +518,16 @@ fn chaos_run(seed: u64, budget_ms: Option<u64>) -> Result<(), String> {
             }
         }
         // Rotate across the read paths: plain-scan population, indexed
-        // population, and the parallel query executor.
-        let qcfg = ov_views::ParallelConfig {
-            threads: 4,
-            threshold: 64,
-        };
+        // population, and a query over the view.
         let do_read = || -> Result<usize, String> {
             match i % 4 {
                 2 => view
                     .extent_of(sym("Londoner"))
                     .map(|ext| ext.len())
                     .map_err(|e| e.to_string()),
-                3 => ov_query::run_query_parallel(
-                    &view,
-                    &qcfg,
-                    "select P.Name from P in Adult where P.Age >= 65",
-                )
-                .map(|v| std::hint::black_box(v.to_string()).len())
-                .map_err(|e| e.to_string()),
+                3 => ov_query::run_query(&view, "select P.Name from P in Adult where P.Age >= 65")
+                    .map(|v| std::hint::black_box(v.to_string()).len())
+                    .map_err(|e| e.to_string()),
                 _ => view
                     .extent_of(sym("Adult"))
                     .map(|ext| ext.len())
@@ -576,7 +553,6 @@ fn chaos_run(seed: u64, budget_ms: Option<u64>) -> Result<(), String> {
             }
         }
     }
-    std::panic::set_hook(quiet);
     let status = faults::status();
     faults::clear();
     if let Some(msg) = violation {
@@ -590,8 +566,8 @@ fn chaos_run(seed: u64, budget_ms: Option<u64>) -> Result<(), String> {
     }
     let st = view.stats();
     println!(
-        "degradation: stale_serves={} fault_retries={} seq_fallbacks={} recomputations={}",
-        st.stale_serves, st.fault_retries, st.seq_fallbacks, st.recomputations
+        "degradation: stale_serves={} fault_retries={} recomputations={}",
+        st.stale_serves, st.fault_retries, st.recomputations
     );
 
     // Recovery: with faults cleared, one more write must land and the next
@@ -850,24 +826,19 @@ fn e4_population() {
     }
 }
 
-/// E4b — multi-threaded population, enabled by `--threads N` (N > 1): the
-/// population scan split across a worker pool, and N reader threads
-/// sharing one warm cached view.
-fn e4_parallel(threads: usize) {
+/// E4b — concurrent readers, enabled by `--threads N` (N > 1): N reader
+/// threads sharing one warm cached view, next to one thread's recompute.
+fn e4_readers(threads: usize) {
     if threads <= 1 {
         return;
     }
     header(
         "E4b",
-        &format!("population with --threads {threads}: parallel scan + concurrent reads"),
+        &format!("population with --threads {threads}: concurrent reads"),
     );
     row(
         "n",
-        &[
-            "recompute x1".into(),
-            format!("recompute x{threads}"),
-            format!("{threads} conc. readers"),
-        ],
+        &["recompute x1".into(), format!("{threads} conc. readers")],
     );
     for &n in &[10_000usize, 100_000] {
         let sys = people(n);
@@ -877,18 +848,8 @@ fn e4_parallel(threads: usize) {
                 .population(Population::AlwaysRecompute)
                 .build(),
         );
-        let par = staff_view(
-            &sys,
-            ViewOptions::builder()
-                .population(Population::AlwaysRecompute)
-                .parallel(ParallelConfig::with_threads(threads))
-                .build(),
-        );
         let t_seq = time_ns(5, || {
             std::hint::black_box(seq.extent_of(sym("Adult")).unwrap());
-        });
-        let t_par = time_ns(5, || {
-            std::hint::black_box(par.extent_of(sym("Adult")).unwrap());
         });
         // N readers hammering one warm cached view; the reported cost is
         // wall clock divided by total reads, i.e. amortized ns per read.
@@ -912,12 +873,9 @@ fn e4_parallel(threads: usize) {
             &label,
             &[
                 tcell(&label, "recompute x1", t_seq),
-                tcell(&label, "recompute xN", t_par),
                 tcell(&label, "concurrent readers", t_conc),
             ],
         );
-        let st = par.stats();
-        assert!(st.parallel_scans > 0, "parallel path did not trigger");
     }
 }
 

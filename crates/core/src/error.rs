@@ -109,9 +109,8 @@ pub enum ViewError {
     },
     /// Misc definition error with context.
     Definition(String),
-    /// Graceful degradation failed: a population recompute kept faulting
-    /// (or a worker chunk panicked), the retry budget is spent, and no
-    /// last-good cached population was available to serve stale. The
+    /// Graceful degradation failed: a population recompute kept faulting,
+    /// the retry budget is spent, and no last-good cached population was available to serve stale. The
     /// underlying failure is in `cause` (and in [`source`]).
     ///
     /// [`source`]: std::error::Error::source

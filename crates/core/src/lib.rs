@@ -63,7 +63,6 @@ pub use catalog::{CatalogTxn, DdlOutcome};
 pub use def::{AttrDecl, Hide, Import, ViewDef, ViewElement, VirtualClassDef};
 pub use error::{Result, ViewError};
 pub use graph::{DepEdge, DepTarget, DependencyGraph};
-pub use ov_query::ParallelConfig;
 pub use session::{Outcome, Session};
 pub use view::{
     Binder, IdentityMode, Materialization, Population, View, ViewHealth, ViewOptions,

@@ -29,12 +29,12 @@
 //!
 //! A population query of the shape `select E from V in C [where F]` is
 //! bound once (`ScanInclude`: filter and projection compiled at bind) and
-//! populated by one row loop, `View::run_rows`, fed from one of four
-//! candidate sources — index postings, a split of the extent across
-//! workers, the sequential scan, the journal delta. A specialization (`E`
-//! is `V`) keeps the admitted oids; an imaginary class keeps the distinct
-//! projected tuples and then maps them to oids in set order, so the
-//! identity table fills exactly as if the query had been run whole.
+//! populated by one row loop, `View::run_rows`, fed from one of three
+//! candidate sources — index postings, the sequential scan, the journal
+//! delta. A specialization (`E` is `V`) keeps the admitted oids; an
+//! imaginary class keeps the distinct projected tuples and then maps them
+//! to oids in set order, so the identity table fills exactly as if the
+//! query had been run whole.
 //! Only the specialization is delta-maintainable: an imaginary
 //! tuple may be produced by many rows, so a write recomputes the class —
 //! through the same loop. Every other shape runs whole, as one compiled
@@ -47,18 +47,17 @@
 //! on one lock), counters are atomics, and the two pieces of *call-stack*
 //! state — the population cycle guard and the privileged-visibility depth —
 //! are the view's frame in `ov_query`'s execution context
-//! ([`ov_query::ViewFrame`]), keyed by a per-view token: restored on unwind
-//! like every other field of it, and handed to the workers of a split scan
-//! by the same fork. Any number of threads may query one view
-//! concurrently; population of large specialization queries can itself be
-//! split across a scoped thread pool (see [`ov_query::ParallelConfig`]).
+//! ([`ov_query::ViewFrame`]), keyed by a per-view token and restored on
+//! unwind like every other field of it. Any number of threads may query one
+//! view concurrently; each scan runs on the thread that reads, from start
+//! to end.
 //!
 //! A view's own errors cross the `DataSource` boundary typed
 //! ([`ov_query::QueryError::Source`]) and come back out of every public
 //! read as the [`ViewError`] they were raised as.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -70,8 +69,8 @@ use ov_oodb::{
     Oid, OodbError, Schema, SelectExpr, Symbol, System, Tuple, Type, Value,
 };
 use ov_query::{
-    infer_select_in, plan, resolve_type, DataSource, IncludeSpec, ParallelConfig, QueryError,
-    ResolvedAttr, RowSpec, RowTest, TypeEnv,
+    infer_select_in, plan, resolve_type, DataSource, IncludeSpec, QueryError, ResolvedAttr,
+    RowSpec, RowTest, TypeEnv,
 };
 
 use crate::def::{AttrDecl, Hide, Import, ViewDef, ViewElement};
@@ -96,11 +95,6 @@ static NEXT_VIEW_TOKEN: AtomicU64 = AtomicU64::new(1);
 /// advanced the cached entry between its retests and its patch, before it
 /// gives up and lets the caller recompute.
 const PATCH_ROUNDS: u32 = 3;
-
-/// Consecutive parallel-scan failures before a view stops splitting
-/// population scans across workers (sticky for the view's lifetime;
-/// visible as [`ViewStats::seq_fallbacks`]).
-const PARALLEL_STRIKE_LIMIT: u32 = 3;
 
 /// How virtual-class populations are (re)computed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -203,7 +197,7 @@ impl ScanInclude {
 /// What a population keeps of each row its scan admits — the sink of
 /// [`View::run_rows`]: the row's oid for a specialization, the projected
 /// value for an imaginary class.
-trait Kept: Ord + Send + Sized {
+trait Kept: Ord + Sized {
     /// What is kept of a row the loop projected.
     fn of_row(row: Value) -> Self;
 
@@ -307,12 +301,7 @@ pub struct View {
     policy: ConflictPolicy,
     materialization: Materialization,
     identity_mode: IdentityMode,
-    parallel: ParallelConfig,
     stats: StatCells,
-    /// Consecutive parallel population-scan failures (chunk faults or
-    /// panics). At [`PARALLEL_STRIKE_LIMIT`] the view stops splitting scans
-    /// and stays sequential — a tripped circuit breaker.
-    parallel_strikes: AtomicU32,
     /// Attribute-resolution generation, surfaced to the compiled engine via
     /// [`DataSource::resolution_generation`]. Bumped whenever something that
     /// can change how a `(class, name)` resolves happens mid-session:
@@ -393,16 +382,11 @@ view_stats! {
     IndexPushdown, index_pushdowns, "views.index_pushdowns";
     /// Cache write-lock acquisitions that had to wait for another thread.
     LockContention, lock_contention, "views.lock_contention";
-    /// Population scans that were split across worker threads.
-    ParallelScan, parallel_scans, "views.parallel_scans";
     /// Population requests answered from a stale cached population after
     /// recomputation failed (graceful degradation).
     StaleServe, stale_serves, "views.degraded_serves";
     /// Population recompute attempts retried after a transient fault.
     FaultRetry, fault_retries, "views.fault_retries";
-    /// Parallel population scans that fell back to a sequential scan after
-    /// worker chunks faulted or panicked.
-    SeqFallback, seq_fallbacks, "views.seq_fallbacks";
 }
 
 /// The paper's name for the population caching policy, used by the
@@ -421,8 +405,6 @@ pub struct ViewOptions {
     pub materialization: Materialization,
     /// Imaginary identity semantics (§5.1).
     pub identity_mode: IdentityMode,
-    /// Parallel population-scan configuration (default: sequential).
-    pub parallel: ParallelConfig,
 }
 
 impl ViewOptions {
@@ -466,12 +448,6 @@ impl ViewOptionsBuilder {
         self
     }
 
-    /// Sets the parallel population-scan configuration.
-    pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.opts.parallel = parallel;
-        self
-    }
-
     /// Finishes the build.
     pub fn build(self) -> ViewOptions {
         self.opts
@@ -480,8 +456,7 @@ impl ViewOptionsBuilder {
 
 /// A summary of a view's degradation state (PR 4's graceful-degradation
 /// ladder), for `Session::describe` and the `ovq` shell: how often the
-/// view served stale data, retried faults, fell back to sequential scans,
-/// and whether the parallel-scan circuit breaker is currently tripped.
+/// view served stale data and retried faults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ViewHealth {
     /// Populations served from a stale cached generation after recompute
@@ -489,16 +464,10 @@ pub struct ViewHealth {
     pub stale_serves: u64,
     /// Population recompute attempts retried after a transient fault.
     pub fault_retries: u64,
-    /// Parallel scans that fell back to sequential execution.
-    pub seq_fallbacks: u64,
-    /// The parallel-scan circuit breaker is tripped: the view stopped
-    /// splitting scans for its lifetime.
-    pub parallel_disabled: bool,
 }
 
 impl ViewHealth {
-    /// True when nothing degraded: no stale serves, retries, fallbacks, or
-    /// tripped breaker.
+    /// True when nothing degraded: no stale serves and no retries.
     pub fn is_clean(&self) -> bool {
         *self == ViewHealth::default()
     }
@@ -515,12 +484,6 @@ impl std::fmt::Display for ViewHealth {
         }
         if self.fault_retries > 0 {
             parts.push(format!("{} fault retry(ies)", self.fault_retries));
-        }
-        if self.seq_fallbacks > 0 {
-            parts.push(format!("{} seq fallback(s)", self.seq_fallbacks));
-        }
-        if self.parallel_disabled {
-            parts.push("parallel scans disabled".into());
         }
         write!(f, "{}", parts.join(", "))
     }
@@ -545,9 +508,6 @@ impl View {
         ViewHealth {
             stale_serves: stats.stale_serves,
             fault_retries: stats.fault_retries,
-            seq_fallbacks: stats.seq_fallbacks,
-            parallel_disabled: self.parallel_strikes.load(Ordering::Relaxed)
-                >= PARALLEL_STRIKE_LIMIT,
         }
     }
 
@@ -700,8 +660,7 @@ impl View {
     /// [`ov_query::QueryTrace`]: parse / typecheck / optimize / execute
     /// timings plus, for every population request execution triggered,
     /// which path resolved it (cache hit, delta, full recompute) and how
-    /// each scan ran (sequential, parallel with chunk count, index
-    /// pushdown).
+    /// each scan ran (sequential or index pushdown).
     pub fn explain(&self, src: &str) -> Result<(Value, ov_query::QueryTrace)> {
         Ok(ov_query::run_query_traced(self, src)?)
     }
@@ -1029,14 +988,13 @@ impl View {
             plan::add_actuals(&counted);
             r
         });
-        let (label, stat) = match kind {
-            plan::ScanKind::Sequential => ("seq", None),
-            plan::ScanKind::Parallel { .. } => ("parallel", Some(Stat::ParallelScan)),
-            plan::ScanKind::IndexPushdown { .. } => ("index", Some(Stat::IndexPushdown)),
+        let label = match kind {
+            plan::ScanKind::Sequential => "seq",
+            plan::ScanKind::IndexPushdown { .. } => {
+                self.stats.bump(Stat::IndexPushdown);
+                "index"
+            }
         };
-        if let Some(stat) = stat {
-            self.stats.bump(stat);
-        }
         span.field("kind", label);
         plan::record_scan(plan::ScanEvent {
             kind,
@@ -1105,11 +1063,10 @@ impl View {
     }
 
     /// Populates a canonical include — a specialization's oids or an
-    /// imaginary class's distinct tuples. The four candidate sources meet
+    /// imaginary class's distinct tuples. The scan's candidate sources meet
     /// here and nowhere else: one guard, then index postings if
-    /// [`Self::index_candidates`] answers, else a split of the extent
-    /// across workers if the strategy choice and the strike counter allow,
-    /// else the sequential scan. Each feeds [`Self::run_rows`].
+    /// [`Self::index_candidates`] answers, else the sequential scan. Each
+    /// feeds [`Self::run_rows`].
     fn scan_filter<K: Kept>(&self, c: ClassId, inc: &ScanInclude) -> ov_query::Result<BTreeSet<K>> {
         // The guard: the row loop scans `class`, which is what the query
         // means only while no named object shadows the collection name
@@ -1128,43 +1085,13 @@ impl View {
             return Ok(out);
         }
         let extent = DataSource::extent(self, inc.class)?;
-        // A scan of the whole extent owes one node entry for the collection
-        // name; then per row the filter and (on keep) the projection node —
-        // the tree walker's exact accounting.
-        let collection_step = || ov_query::budget::current().map_or(Ok(()), |b| b.step(1));
-        if self.parallel.chooses_split(extent.len())
-            && self.parallel_strikes.load(Ordering::Relaxed) < PARALLEL_STRIKE_LIMIT
-        {
-            let chunks = extent.len().div_ceil(self.parallel.chunk_len(extent.len()));
-            let split = self.measured(plan::ScanKind::Parallel { chunks }, est, |_| {
-                collection_step()?;
-                let site = "view.scan_chunk";
-                ov_query::filter_map_chunked(&self.parallel, site, &extent, |chunk, keep| {
-                    let mut counted = plan::ScanActuals::default();
-                    let r = self.run_rows(spec, chunk, &mut counted, keep);
-                    plan::add_actuals(&counted);
-                    r
-                })
-            });
-            match split {
-                Ok(set) => {
-                    self.parallel_strikes.store(0, Ordering::Relaxed);
-                    return Ok(set);
-                }
-                // Chunk faults and panics degrade to the sequential scan
-                // below; enough strikes in a row trip the breaker and the
-                // view stops splitting scans. Budget breaches propagate — a
-                // sequential retry would breach the same shared counters.
-                Err(e) if e.is_transient() || matches!(e, QueryError::Panicked { .. }) => {
-                    let strikes = self.parallel_strikes.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.stats.bump(Stat::SeqFallback);
-                    let _s = ov_oodb::span!("view.seq_fallback", strikes = strikes as usize);
-                }
-                Err(e) => return Err(e),
-            }
-        }
         self.measured(plan::ScanKind::Sequential, est, |counted| {
-            collection_step()?;
+            // A scan of the whole extent owes one node entry for the
+            // collection name; then per row the filter and (on keep) the
+            // projection node — the tree walker's exact accounting.
+            if let Some(b) = ov_query::budget::current() {
+                b.step(1)?;
+            }
             self.run_rows(spec, &extent, counted, &mut out)
         })?;
         Ok(out)

@@ -167,9 +167,7 @@ impl<'a> Binder<'a> {
             policy: options.policy,
             materialization: options.materialization,
             identity_mode: options.identity_mode,
-            parallel: options.parallel,
             stats: StatCells::default(),
-            parallel_strikes: AtomicU32::new(0),
             res_gen: AtomicU64::new(0),
             verdicts: RwLock::default(),
             deps: Vec::new(),

@@ -20,7 +20,7 @@ impl View {
     /// We deliberately do NOT hold the shard lock across the computation:
     /// population is re-entrant (computing A may populate B), and blocking
     /// readers of other classes in the same shard for the whole computation
-    /// would serialize the read path this refactor exists to parallelize.
+    /// would serialize concurrent readers of the view.
     pub(super) fn population(&self, c: ClassId) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
         if self.frame().populating.contains(&c) {
             let name = self.schema.read().class(c).name;
@@ -150,8 +150,7 @@ impl View {
             ViewError::Degraded { cause, .. } => *cause,
             e => e,
         };
-        let fault_induced =
-            e.is_transient() || matches!(e, ViewError::Query(QueryError::Panicked { .. }));
+        let fault_induced = e.is_transient();
         let degradable = fault_induced
             || matches!(
                 e,

@@ -1,5 +1,5 @@
-//! Fault injection through the view layer: retries, stale serving,
-//! graceful degradation, and the parallel-scan breaker.
+//! Fault injection through the view layer: retries, stale serving and
+//! graceful degradation.
 //!
 //! Their own test binary, every test behind [`FaultGuard`]: the failpoint
 //! registry is process-wide, so a site armed here fires in whatever else
@@ -8,7 +8,7 @@
 
 use ov_oodb::faults::{self, FaultAction, FaultSchedule};
 use ov_oodb::{sym, FieldValue, System, Value};
-use ov_query::{execute_script, ParallelConfig, PopPath};
+use ov_query::{execute_script, PopPath};
 use ov_views::{Session, View, ViewDef, ViewError, ViewOptions};
 
 /// Serializes the tests of this binary and scopes arming to its own
@@ -67,15 +67,6 @@ fn adult_view(sys: &System, options: ViewOptions) -> View {
     .options(options)
     .bind()
     .unwrap()
-}
-
-fn two_workers() -> ViewOptions {
-    ViewOptions::builder()
-        .parallel(ParallelConfig {
-            threads: 2,
-            threshold: 2,
-        })
-        .build()
 }
 
 #[test]
@@ -341,45 +332,4 @@ fn a_panicking_body_leaks_no_hide_privilege() {
     }
     faults::clear();
     assert_eq!(view.query("maggy.Adults").unwrap(), Value::Int(5));
-}
-
-#[test]
-fn faulting_chunks_fall_back_to_sequential_then_trip_the_breaker() {
-    let _guard = FaultGuard::take();
-    let sys = people_system();
-    let view = adult_view(&sys, two_workers());
-    faults::arm(
-        "view.scan_chunk",
-        FaultSchedule::From(1),
-        FaultAction::Error,
-    );
-    let db = sys.database(sym("Staff")).unwrap();
-    let maggy = db.read().named(sym("maggy")).unwrap();
-    // Each round: invalidate the cache, repopulate. The parallel scan
-    // fails, the sequential fallback still answers correctly; after three
-    // strikes the view stops attempting parallel scans at all.
-    for round in 0..5u32 {
-        db.write()
-            .set_attr(maggy, sym("Age"), Value::Int(66 + i64::from(round)))
-            .unwrap();
-        assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
-    }
-    let stats = view.stats();
-    assert_eq!(stats.parallel_scans, 3, "breaker trips after 3: {stats:?}");
-    assert_eq!(stats.seq_fallbacks, 3, "{stats:?}");
-}
-
-#[test]
-fn panicking_chunk_becomes_typed_fallback_not_a_crash() {
-    let _guard = FaultGuard::take();
-    let sys = people_system();
-    let view = adult_view(&sys, two_workers());
-    // The first chunk hit panics on its worker thread; the coordinator
-    // converts it to a typed error and the sequential fallback answers.
-    faults::arm("view.scan_chunk", FaultSchedule::Nth(1), FaultAction::Panic);
-    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
-    let stats = view.stats();
-    assert_eq!(stats.seq_fallbacks, 1, "{stats:?}");
-    // Privileged visibility did not leak from the unwound population.
-    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
 }

@@ -17,7 +17,7 @@
 //!   class verdict) and on a fresh bind, in both engines, and a read inside
 //!   a computed body sees through the hides whatever depth 0 keeps;
 //! * a population is the same set whatever feeds its row loop — the whole
-//!   extent, a split of it, index postings, the journal delta — and a
+//!   extent, index postings, the journal delta — and a
 //!   budget governs every one of those sources by the same charge rule, the
 //!   tree walker's;
 //! * an imaginary class of the canonical shape goes through that row loop
@@ -25,15 +25,9 @@
 //!   same population, same core tuples, same identity table.
 
 use ov_oodb::{sym, ClassId, Database, Oid, OodbError, Symbol, System, Type, Value};
-use ov_query::{Budget, DataSource, ParallelConfig, PopPath, QueryError, ResolvedAttr};
+use ov_query::{Budget, DataSource, PopPath, QueryError, ResolvedAttr};
 use ov_views::{IdentityMode, Materialization, View, ViewDef, ViewError, ViewOptions};
 use proptest::prelude::*;
-
-/// A split at every opportunity: four workers, no minimum extent.
-const SPLIT: ParallelConfig = ParallelConfig {
-    threads: 4,
-    threshold: 1,
-};
 
 /// Reads the population of `class` and checks it against its own trace:
 /// when the read recomputed, the last scan event of the class matched as
@@ -177,22 +171,19 @@ proptest! {
             db.write().create_object(person, row(*age, *income)).unwrap();
         }
         let defs: Vec<ViewDef> = STACK.iter().map(|s| ViewDef::from_script(s).unwrap()).collect();
-        // Always recomputing, by a sequential scan and by a split one.
-        let recomputing: Vec<[View; 2]> = defs
+        // Always recomputing, by a sequential scan.
+        let recomputing: Vec<View> = defs
             .iter()
             .map(|def| {
-                [ParallelConfig::default(), SPLIT].map(|parallel| {
-                    def.binder(session.system())
-                        .over_all(&defs)
-                        .options(
-                            ViewOptions::builder()
-                                .materialization(Materialization::AlwaysRecompute)
-                                .parallel(parallel)
-                                .build(),
-                        )
-                        .bind()
-                        .unwrap()
-                })
+                def.binder(session.system())
+                    .over_all(&defs)
+                    .options(
+                        ViewOptions::builder()
+                            .materialization(Materialization::AlwaysRecompute)
+                            .build(),
+                    )
+                    .bind()
+                    .unwrap()
             })
             .collect();
         let maintained = |level: usize| {
@@ -222,26 +213,19 @@ proptest! {
             if *eager {
                 prop_assert_eq!(session.propagate(sym("Staff")), 3);
             }
-            // Every source holds the same set: the delta, the sequential
-            // scan and the split one.
+            // Both sources hold the same set: the delta and the sequential
+            // scan.
             for (level, class) in POPULATIONS {
                 let delta = maintained(level).extent_of(sym(class)).unwrap();
-                let [sequential, split] = &recomputing[level];
-                for (view, source) in [(sequential, "sequential"), (split, "split")] {
-                    prop_assert_eq!(
-                        population(view, class, false).as_ref(),
-                        Ok(&delta),
-                        "{} in view {}, {} scan",
-                        class,
-                        defs[level].name,
-                        source
-                    );
-                }
+                prop_assert_eq!(
+                    population(&recomputing[level], class, false).as_ref(),
+                    Ok(&delta),
+                    "{} in view {}",
+                    class,
+                    defs[level].name
+                );
             }
         }
-        // Three rows are the least that split (`choose_split`).
-        let split_scans = recomputing[0][1].stats().parallel_scans;
-        prop_assert!(split_scans > 0 || db.read().deep_extent(person).len() < 3);
         for level in 0..3 {
             let stats = maintained(level).stats();
             prop_assert_eq!(stats.recomputations, level as u64 + 1, "cold populates only");
@@ -1261,41 +1245,36 @@ proptest! {
         ),
     ) {
         for indexed in [false, true] {
-            for parallel in [ParallelConfig::default(), SPLIT] {
-                let what = format!("index {indexed}, {} workers", parallel.threads);
-                let sys = group_system(&rows, indexed);
-                let options = ViewOptions::builder().parallel(parallel).build();
-                let view = group_view(&sys, options);
-                let (mut groups, mut ratios) = (IdentityModel::default(), IdentityModel::default());
-                let db = sys.database(sym("P")).unwrap();
-                let person = db.read().schema.class_by_name(sym("Person")).unwrap();
-                let people = db.read().deep_extent(person);
+            let what = format!("index {indexed}");
+            let sys = group_system(&rows, indexed);
+            let view = group_view(&sys, ViewOptions::default());
+            let (mut groups, mut ratios) = (IdentityModel::default(), IdentityModel::default());
+            let db = sys.database(sym("P")).unwrap();
+            let person = db.read().schema.class_by_name(sym("Person")).unwrap();
+            let people = db.read().deep_extent(person);
+            check_group(&view, &sys, &mut groups, &what);
+            for (target, attr, value) in &writes {
+                let target = people[target.index(people.len())];
+                let attr = ["Name", "Age", "Kind", "Div"][*attr];
+                let value = match (attr, value) {
+                    ("Kind", v) => Value::Int(v.unwrap_or(1)),
+                    (_, None) => Value::Null,
+                    ("Name", Some(v)) => Value::str(["a", "b", "c"][*v as usize]),
+                    (_, Some(v)) => Value::Int(*v),
+                };
+                db.write().set_attr(target, sym(attr), value).unwrap();
                 check_group(&view, &sys, &mut groups, &what);
-                for (target, attr, value) in &writes {
-                    let target = people[target.index(people.len())];
-                    let attr = ["Name", "Age", "Kind", "Div"][*attr];
-                    let value = match (attr, value) {
-                        ("Kind", v) => Value::Int(v.unwrap_or(1)),
-                        (_, None) => Value::Null,
-                        ("Name", Some(v)) => Value::str(["a", "b", "c"][*v as usize]),
-                        (_, Some(v)) => Value::Int(*v),
-                    };
-                    db.write().set_attr(target, sym(attr), value).unwrap();
-                    check_group(&view, &sys, &mut groups, &what);
-                }
-                let stats = view.stats();
-                prop_assert_eq!(stats.incremental_updates, 0, "opaque to deltas");
-                if indexed {
-                    prop_assert!(stats.index_pushdowns > 0, "{}: {:?}", what, stats);
-                } else if parallel == SPLIT && people.len() >= 3 {
-                    prop_assert!(stats.parallel_scans > 0, "{}: {:?}", what, stats);
-                }
-                // `Ratio` last, on a view of its own: its oids come
-                // from the counter `Group`'s model assumes it owns.
-                let view = group_view(&sys, ViewOptions::builder().parallel(parallel).build());
-                check_ratio(&view, &sys, &mut ratios, &what);
-                check_ratio(&view, &sys, &mut ratios, &what);
             }
+            let stats = view.stats();
+            prop_assert_eq!(stats.incremental_updates, 0, "opaque to deltas");
+            if indexed {
+                prop_assert!(stats.index_pushdowns > 0, "{}: {:?}", what, stats);
+            }
+            // `Ratio` last, on a view of its own: its oids come
+            // from the counter `Group`'s model assumes it owns.
+            let view = group_view(&sys, ViewOptions::default());
+            check_ratio(&view, &sys, &mut ratios, &what);
+            check_ratio(&view, &sys, &mut ratios, &what);
         }
     }
 }
@@ -1348,10 +1327,7 @@ fn the_imaginary_row_loop_stands_aside() {
     assert_eq!(expected.len(), 2);
     assert_eq!(view.extent_of(sym("Pair")).unwrap(), expected);
     assert_eq!(view.extent_of(sym("Pair")).unwrap(), expected);
-    assert_eq!(
-        view.stats().index_pushdowns + view.stats().parallel_scans,
-        0
-    );
+    assert_eq!(view.stats().index_pushdowns, 0);
 
     // Fresh oids: two objects per population, never the same two.
     let sys = group_system(&rows, false);
@@ -1372,7 +1348,7 @@ fn the_imaginary_row_loop_stands_aside() {
 }
 
 // ----------------------------------------------------------------------
-// One charge rule, four candidate sources, two sinks
+// One charge rule, three candidate sources, two sinks
 // ----------------------------------------------------------------------
 
 const AGES: [i64; 12] = [5, 30, 40, 17, 65, 21, 40, 80, 3, 40, 55, 19];
@@ -1419,48 +1395,27 @@ fn governed(view: &View, class: &str, budget: Budget) -> (Result<Vec<Oid>, ViewE
 /// every row cap up to the population's size: the answer is the whole
 /// population exactly when the cap covers what the source charges
 /// unbudgeted, and a typed `ResourceExhausted` otherwise — never another
-/// set. What a source charges is pinned against the sequential scan: a
-/// split charges the same steps, index postings at most as many, and every
-/// source one row per member, and the sequential scan charges what the tree
-/// walker charges for the same query. The imaginary class `Named` — three admitted rows,
-/// one distinct tuple — goes through the same sources under the same
-/// rule; its sink is per chunk when the scan is split, so there a tuple is
-/// charged once per chunk that produced it.
+/// set. What a source charges is pinned against the sequential scan: index
+/// postings at most as many steps, and every source one row per member, and
+/// the sequential scan charges what the tree walker charges for the same
+/// query. The imaginary class `Named` — three admitted rows, one distinct
+/// tuple — goes through the same sources under the same rule: its tuple is
+/// charged once per scan, however many rows produce it.
 #[test]
 fn every_population_source_is_governed_by_one_charge_rule() {
-    let recompute = |parallel| {
-        ViewOptions::builder()
-            .materialization(Materialization::AlwaysRecompute)
-            .parallel(parallel)
-            .build()
-    };
-    // (source, class, options, index on Person.Age)
+    let options = ViewOptions::builder()
+        .materialization(Materialization::AlwaysRecompute)
+        .build();
+    // (source, class, index on Person.Age)
     let sources = [
-        (
-            "sequential",
-            "Adult",
-            recompute(ParallelConfig::default()),
-            false,
-        ),
-        ("split", "Adult", recompute(SPLIT), false),
-        (
-            "sequential",
-            "Forty",
-            recompute(ParallelConfig::default()),
-            false,
-        ),
-        ("index", "Forty", recompute(ParallelConfig::default()), true),
-        (
-            "sequential",
-            "Named",
-            recompute(ParallelConfig::default()),
-            false,
-        ),
-        ("split", "Named", recompute(SPLIT), false),
-        ("index", "Named", recompute(ParallelConfig::default()), true),
+        ("sequential", "Adult", false),
+        ("sequential", "Forty", false),
+        ("index", "Forty", true),
+        ("sequential", "Named", false),
+        ("index", "Named", true),
     ];
     let mut costs = Vec::new();
-    for (source, class, options, indexed) in sources {
+    for (source, class, indexed) in sources {
         // A fresh bind per read: a view that has answered once answers a
         // breach with that population, as a stale serve.
         let sys = sweep_system(indexed);
@@ -1471,17 +1426,11 @@ fn every_population_source_is_governed_by_one_charge_rule() {
         };
         let (full, steps, rows, stats) = read(Budget::new());
         let full = full.unwrap();
-        if (source, class) == ("split", "Named") {
-            // AGES puts the three forties in three different chunks.
-            assert_eq!((rows, full.len()), (3, 1), "one row per chunk's tuple");
-        } else {
-            assert_eq!(
-                rows,
-                full.len() as u64,
-                "{source} {class}: one row per member"
-            );
-        }
-        assert_eq!(stats.parallel_scans > 0, source == "split", "{stats:?}");
+        assert_eq!(
+            rows,
+            full.len() as u64,
+            "{source} {class}: one row per member"
+        );
         assert_eq!(stats.index_pushdowns > 0, source == "index", "{stats:?}");
         costs.push((steps, rows));
         let caps = (1..=steps + 1)
@@ -1503,18 +1452,13 @@ fn every_population_source_is_governed_by_one_charge_rule() {
             }
         }
     }
-    let [adult, split, forty, index, named, named_split, named_index] = costs[..] else {
-        unreachable!("seven sources")
+    let [adult, forty, index, named, named_index] = costs[..] else {
+        unreachable!("five sources")
     };
-    assert_eq!(
-        split, adult,
-        "a split scan charges what the sequential scan does"
-    );
     assert!(
         index.0 < forty.0 && index.1 == forty.1,
         "{index:?} vs {forty:?}"
     );
-    assert_eq!(named_split.0, named.0, "the same steps, split or not");
     assert!(
         named_index.0 < named.0 && named_index.1 == named.1,
         "{named_index:?} vs {named:?}"

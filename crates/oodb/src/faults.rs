@@ -34,7 +34,6 @@
 //! | `store.insert` / `store.update` / `store.set_field` / `store.remove` | store mutations |
 //! | `store.changes_since` | journal delta serving |
 //! | `store.index_lookup` | secondary-index lookups |
-//! | `query.scan_chunk` | parallel scan chunks |
 //! | `view.population_recompute` | virtual-class population recompute |
 //! | `wal.append` | WAL record append (fails before any bytes are written) |
 //! | `wal.torn_write` | WAL append that writes only a partial frame (crash mid-write) |

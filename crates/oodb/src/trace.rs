@@ -7,8 +7,8 @@
 //! events into counters; this module keeps the **time dimension** — what
 //! every thread was doing, span by span, in the moments before a latency
 //! spike. All three crates emit here: store mutations, journal delta
-//! serving and index lookups (`ov-oodb`), query stages and parallel scan
-//! chunks (`ov-query`), and view binding / population / hide processing
+//! serving and index lookups (`ov-oodb`), query stages and compiled scans
+//! (`ov-query`), and view binding / population / hide processing
 //! (`ov-views`).
 //!
 //! ## Design

@@ -7,17 +7,17 @@
 //! **max-eval-steps** cap, a **max-rows** cap on materialized results, and a
 //! **recursion-depth** cap (shared with the parser, which counts its
 //! nesting against the same limit). Evaluation checks the budget
-//! cooperatively — once per expression node, once per parallel chunk — and
-//! surfaces breaches as typed [`QueryError::Cancelled`] /
+//! cooperatively — once per expression node and once per materialized
+//! row — and surfaces breaches as typed [`QueryError::Cancelled`] /
 //! [`QueryError::ResourceExhausted`] errors instead of running away.
 //!
 //! The budget is part of the thread's ambient execution context
 //! (`ctx.rs`): threading it through every evaluator frame would infect each
 //! `DataSource` signature, so the governing caller brackets the work with
 //! [`with`] and the evaluator captures the current budget once at
-//! construction. Counters (`steps`, `rows`) are shared atomics, so parallel
-//! scan workers — which inherit the coordinator's context — drain one
-//! global allowance rather than one per thread.
+//! construction. Counters (`steps`, `rows`) are shared atomics, so threads
+//! that install the same budget (`Arc` clones of it) drain one allowance
+//! rather than one each.
 //!
 //! Both engines charge steps and rows **per row, in row order**, so a cap
 //! is breached at exactly the same row — with the same error — whichever
@@ -151,7 +151,7 @@ impl Budget {
         Ok(())
     }
 
-    /// Checks the deadline *now* (chunk boundaries, retry loops).
+    /// Checks the deadline *now* (step charges, retry loops).
     pub fn check_deadline(&self) -> Result<(), QueryError> {
         if let Some(deadline) = self.deadline {
             if Instant::now() > deadline {

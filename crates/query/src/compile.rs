@@ -62,7 +62,7 @@ use crate::source::{DataSource, ResolvedAttr};
 // --- engine selection -----------------------------------------------------
 
 /// The oracle override: how `exec::dispatch` runs top-level statements on
-/// this thread. Row loops — populations, scan chunks — always run
+/// this thread. Row loops — populations, scans — always run
 /// bytecode; only the engine of a whole statement can be overridden, so
 /// the differential suites can run the tree walker as the oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,8 +71,7 @@ pub enum EngineMode {
     /// else walks (the default).
     #[default]
     Compiled,
-    /// Every top-level statement walks, a select handed to
-    /// [`crate::run_query_parallel`] included.
+    /// Every top-level statement walks.
     Interp,
 }
 
@@ -84,8 +83,7 @@ pub fn engine_mode() -> EngineMode {
 
 /// Runs `f` with `mode` as this thread's engine mode, restoring the
 /// previous one on the way out (also on unwind). Nothing outside the
-/// closure — other threads — sees the setting, and the workers of a scan
-/// that `f` splits inherit it.
+/// closure — other threads — sees the setting.
 pub fn with_engine_mode<R>(mode: EngineMode, f: impl FnOnce() -> R) -> R {
     ctx::scoped(|c| &mut c.engine, Some(mode), f).0
 }
@@ -241,7 +239,7 @@ fn compile_body(params: &[Symbol], body: &Expr) -> Program {
 /// Runs the select `q` compiled, charged like [`crate::eval_select`]: no
 /// step for the `select` node itself, the bindings, filter and projection
 /// at depth 1. The one form of a query the row loop does not cover — a
-/// view's non-canonical population, a scan too small to split.
+/// view's non-canonical population, a multi-binding select.
 pub fn run_select(src: &dyn DataSource, q: &SelectExpr) -> Result<Value> {
     let mut c = Compiler::new(Vec::new(), 0, None);
     let sub = c.compile_sub(q, false);
@@ -510,8 +508,8 @@ struct Body {
 
 /// A per-scan executor for one [`Program`]: the reusable value stack, the
 /// register file, the captured [`Budget`] and the per-slot resolution
-/// caches. Create one per scan (or per parallel chunk — caches are not
-/// shared across threads), then `bind` + `run` per row.
+/// caches. Create one per scan (caches are not shared across threads),
+/// then `bind` + `run` per row.
 pub struct Scan<'a> {
     prog: &'a Program,
     src: &'a dyn DataSource,
@@ -1881,7 +1879,7 @@ mod tests {
                 assert_eq!(engine_mode(), EngineMode::Compiled);
             });
             assert_eq!(engine_mode(), EngineMode::Interp);
-            // …and a thread we did not fork sees the default, not our override.
+            // …and another thread sees the default, not our override.
             std::thread::spawn(|| assert_eq!(engine_mode(), EngineMode::Compiled))
                 .join()
                 .unwrap();

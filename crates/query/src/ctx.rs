@@ -16,17 +16,13 @@
 //! [`crate::plan::with_scan_actuals`], [`in_view`] — and are each a
 //! [`scope`] over the context.
 //!
-//! Two rules hold for every field alike:
-//!
-//! * **A scope restores on unwind.** [`scope`] is the only install/restore
-//!   sequence; a panic caught above it (the chaos suites do this on the
-//!   reading thread) leaves the thread reading what it read before — a
-//!   view's hides included.
-//! * **Workers inherit through [`fork`].** A scan that fans out hands its
-//!   workers the engine, the planner switch, the budget and the view
-//!   brackets, and each worker measures in an actuals frame of its own and —
-//!   when the coordinator is tracing — observes in a collector of its own;
-//!   both come back with its chunk.
+//! One rule holds for every field alike: **a scope restores on unwind.**
+//! [`scope`] is the only install/restore sequence; a panic caught above it
+//! (the chaos suites do this on the reading thread) leaves the thread
+//! reading what it read before — a view's hides included. Every scan runs
+//! on the thread that asked for it, so nothing here is ever handed to
+//! another thread: a second reader of the same view has a context of its
+//! own.
 //!
 //! Borrows of the cell are short by construction: [`with`] runs a closure
 //! that must not call back into the engine, and [`scope`] releases the
@@ -42,7 +38,7 @@ use ov_oodb::ClassId;
 
 use crate::budget::Budget;
 use crate::compile::EngineMode;
-use crate::plan::{Collector, PopulationTrace, ScanActuals, ScanEvent};
+use crate::plan::{Collector, ScanActuals, ScanEvent};
 
 /// One view's evaluation state on one thread — what the paper's view
 /// evaluation keeps on the call stack — as the thread's open brackets of
@@ -184,58 +180,10 @@ pub fn view_depth(key: u64) -> u32 {
     with(|c| c.views.iter().filter(|(k, _)| *k == key).count() as u32)
 }
 
-/// What a coordinating thread hands the workers of a scan it splits.
-pub(crate) struct Fork {
-    engine: Option<EngineMode>,
-    planner: Option<bool>,
-    budget: Option<Arc<Budget>>,
-    views: Vec<(u64, Option<ClassId>)>,
-    /// The coordinator has a collector open.
-    tracing: bool,
-}
-
-/// The inheritable part of this thread's context: the engine, the planner
-/// switch, the budget — shared, so every worker drains the coordinator's
-/// counters — and the view brackets, so a chunk's filter sees exactly what
-/// a sequential scan would see.
-pub(crate) fn fork() -> Fork {
-    with(|c| Fork {
-        engine: c.engine,
-        planner: c.planner,
-        budget: c.budget.clone(),
-        views: c.views.clone(),
-        tracing: c.collector.is_some(),
-    })
-}
-
-impl Fork {
-    /// Runs `f` on the calling (worker) thread under the forked settings
-    /// and brackets, in an actuals frame of its own and, when the
-    /// coordinator is tracing, a collector of its own; returns the result
-    /// with what the frame measured and the population events the
-    /// collector observed.
-    pub fn run<R>(&self, f: impl FnOnce() -> R) -> (R, ScanActuals, Vec<PopulationTrace>) {
-        let worker = ExecCtx {
-            engine: self.engine,
-            planner: self.planner,
-            budget: self.budget.clone(),
-            collector: self.tracing.then(Collector::default),
-            views: self.views.clone(),
-            ..ExecCtx::new()
-        };
-        let ((r, actuals), worker) = scoped(|c| c, worker, || crate::plan::with_scan_actuals(f));
-        (
-            r,
-            actuals,
-            worker.collector.map_or_else(Vec::new, |c| c.events),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{add_actuals, with_scan_actuals, PopPath};
+    use crate::plan::{add_actuals, with_scan_actuals};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn scanned(rows_scanned: u64) -> ScanActuals {
@@ -283,42 +231,5 @@ mod tests {
         });
         assert_eq!(outer.rows_scanned, 5);
         assert!(with(|c| c.actuals.is_none()));
-    }
-
-    #[test]
-    fn a_fork_carries_settings_budget_frames_and_a_collector_of_its_own() {
-        let budget = Arc::new(Budget::new());
-        let (fork, _) = crate::budget::with(budget.clone(), || {
-            crate::with_engine_mode(EngineMode::Interp, || {
-                crate::with_planner(false, || {
-                    in_view(9, Some(ClassId(4)), || crate::plan::collect(fork))
-                })
-            })
-        });
-        let (seen, actuals, events) = std::thread::spawn(move || {
-            fork.run(|| {
-                add_actuals(&scanned(7));
-                crate::plan::record_population(crate::plan::PopulationTrace {
-                    class: ov_oodb::sym("W"),
-                    path: PopPath::CacheHit,
-                    rows: 1,
-                    nanos: 1,
-                });
-                (
-                    crate::engine_mode(),
-                    crate::planner_enabled(),
-                    crate::budget::current(),
-                    view_frame(9),
-                )
-            })
-        })
-        .join()
-        .unwrap();
-        assert_eq!(seen.0, EngineMode::Interp);
-        assert!(!seen.1);
-        assert!(Arc::ptr_eq(&seen.2.unwrap(), &budget));
-        assert_eq!(seen.3.populating, [ClassId(4)], "the coordinator's bracket");
-        assert_eq!(actuals.rows_scanned, 7, "the worker's own frame");
-        assert_eq!(events.len(), 1, "the worker's own collector");
     }
 }

@@ -71,15 +71,6 @@ pub enum QueryError {
     /// A cooperative [`Budget`](crate::Budget) count limit (eval steps,
     /// rows, recursion depth) was exceeded.
     ResourceExhausted(crate::budget::BudgetBreach),
-    /// A worker thread panicked mid-evaluation (e.g. an injected panic in a
-    /// parallel scan chunk); the panic was caught at the chunk boundary and
-    /// converted instead of poisoning the coordinator.
-    Panicked {
-        /// The site that caught the panic.
-        site: &'static str,
-        /// The panic payload, rendered.
-        msg: String,
-    },
     /// A data source's own error (a view's), crossing the
     /// [`DataSource`](crate::DataSource) boundary typed.
     Source(SourceError),
@@ -128,9 +119,6 @@ impl fmt::Display for QueryError {
             QueryError::Oodb(e) => write!(f, "{e}"),
             QueryError::Cancelled(b) => write!(f, "query cancelled: {b}"),
             QueryError::ResourceExhausted(b) => write!(f, "resource exhausted: {b}"),
-            QueryError::Panicked { site, msg } => {
-                write!(f, "worker panicked at `{site}`: {msg}")
-            }
             QueryError::Source(e) => write!(f, "{}", e.error),
         }
     }

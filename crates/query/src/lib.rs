@@ -37,7 +37,6 @@ pub mod exec;
 pub mod fingerprint;
 pub mod lexer;
 pub mod optimize;
-pub mod parallel;
 pub mod parser;
 pub mod plan;
 pub mod planner;
@@ -60,9 +59,6 @@ pub use exec::{
 };
 pub use fingerprint::{fingerprint_expr, fingerprint_hash, fingerprint_query};
 pub use optimize::{optimize_expr, optimize_select};
-pub use parallel::{
-    eval_select_parallel, filter_map_chunked, panic_message, run_query_parallel, ParallelConfig,
-};
 pub use parser::{parse_expr, parse_program, parse_select, parse_type};
 pub use plan::{
     run_query_traced, Engine, PlanChoice, PopPath, PopulationTrace, QueryTrace, ScanActuals,

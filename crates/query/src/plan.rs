@@ -2,8 +2,7 @@
 //!
 //! A population request resolves by one of three paths — cache hit, delta
 //! update from the store's change journal, full recompute — and a recompute
-//! runs its include-term scans sequentially, split across workers, or from
-//! an index. This module is the record of those decisions: the view layer
+//! runs its include-term scans sequentially or from an index. This module is the record of those decisions: the view layer
 //! closes each scan and each population request into the thread's
 //! collector ([`record_scan`], [`record_population`]), and a statement's
 //! observed run ([`run_query_traced`], the profiler) closes with per-stage
@@ -16,10 +15,8 @@
 //! scans a frame of their own. The collector, the open scan frame and the
 //! open actuals frame are fields of the thread's one execution context
 //! (`ctx.rs`). With no collector installed every record is a thread-local
-//! read and a no-op. A worker of a parallel scan records the populations
-//! it requests into a collector of its own, folded back into the
-//! coordinator's in chunk order; the coordinating thread makes the plan
-//! decision and records the scan.
+//! read and a no-op. Every scan runs on the thread that requested it, so
+//! what a statement triggers lands in its collector in completion order.
 
 use std::fmt;
 
@@ -116,11 +113,6 @@ impl fmt::Display for ScanActuals {
 pub enum ScanKind {
     /// Plain single-threaded evaluation over the source extent.
     Sequential,
-    /// The extent was split across worker threads.
-    Parallel {
-        /// Number of chunks the extent was split into.
-        chunks: usize,
-    },
     /// An equality conjunct was answered from a secondary index.
     IndexPushdown {
         /// The index used, as `Class.Attr`.
@@ -132,7 +124,6 @@ impl fmt::Display for ScanKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScanKind::Sequential => write!(f, "[seq]"),
-            ScanKind::Parallel { chunks } => write!(f, "[parallel ×{chunks}]"),
             ScanKind::IndexPushdown { index } => write!(f, "[index {index}]"),
         }
     }
@@ -356,7 +347,7 @@ pub fn fmt_ns(ns: u64) -> String {
 #[derive(Default)]
 pub(crate) struct Collector {
     /// Population events, in completion order.
-    pub(crate) events: Vec<PopulationTrace>,
+    events: Vec<PopulationTrace>,
     /// The decision of the planned query that ran in the scope
     /// ([`note_decision`]).
     decision: Option<Decision>,
@@ -593,11 +584,13 @@ mod tests {
 
     #[test]
     fn collect_captures_population_events() {
-        let parallel = ScanKind::Parallel { chunks: 4 };
+        let index = ScanKind::IndexPushdown {
+            index: "Person.City".into(),
+        };
         let ((), events) = collect(|| {
             assert!(tracing_active());
             let ((), scans) = population_scans(|| {
-                record_scan(ev(parallel.clone()));
+                record_scan(ev(index.clone()));
                 record_scan(ev(seq()));
             });
             close("Adult", PopPath::FullRecompute { scans }, 12);
@@ -608,7 +601,7 @@ mod tests {
         assert_eq!(
             events[0].path,
             PopPath::FullRecompute {
-                scans: vec![ev(parallel), ev(seq())]
+                scans: vec![ev(index), ev(seq())]
             }
         );
         assert!(!tracing_active());
@@ -747,13 +740,10 @@ mod tests {
                 ev(ScanKind::IndexPushdown {
                     index: "Person.City".into(),
                 }),
-                ev(ScanKind::Parallel { chunks: 8 }),
+                ev(seq()),
             ],
         };
-        assert_eq!(
-            full.to_string(),
-            "FullRecompute [index Person.City] [parallel ×8]"
-        );
+        assert_eq!(full.to_string(), "FullRecompute [index Person.City] [seq]");
         assert_eq!(fmt_ns(870), "870ns");
         assert_eq!(fmt_ns(3_100_000), "3.1ms");
     }
@@ -763,10 +753,6 @@ mod tests {
     #[test]
     fn scan_markers_name_the_strategy_alone() {
         assert_eq!(seq().to_string(), "[seq]");
-        assert_eq!(
-            ScanKind::Parallel { chunks: 4 }.to_string(),
-            "[parallel ×4]"
-        );
         assert_eq!(
             ScanKind::IndexPushdown {
                 index: "Person.City".into(),

@@ -2,15 +2,15 @@
 //!
 //! PR 8 grew a statistics plane (`ov_oodb::stats`: cardinality, NDV via
 //! HLL, min–max, null fraction) that nothing consumed; scans picked
-//! their strategy — index pushdown, sequential compiled scan, parallel
-//! split — by fixed shape heuristics. This module closes the loop: it
-//! estimates per-scan row counts from the sketches (conjunct splitting,
-//! so each `and` leg is costed independently), chooses a [`Strategy`]
-//! per scan, and caches chosen plans keyed by the PR 8 query
-//! fingerprint (its `u64` form, [`fingerprint_hash`]). The paper's view
-//! mechanism multiplies derived queries (parameterized-class
-//! instantiation, stacked-view repopulation), so one planning decision is
-//! amortized across thousands of re-evaluations.
+//! their strategy — index pushdown or sequential compiled scan — by fixed
+//! shape heuristics. This module closes the loop: it estimates per-scan
+//! row counts from the sketches (conjunct splitting, so each `and` leg is
+//! costed independently), chooses a [`Strategy`] per scan, and caches
+//! chosen plans keyed by the PR 8 query fingerprint (its `u64` form,
+//! [`fingerprint_hash`]). The paper's view mechanism multiplies derived
+//! queries (parameterized-class instantiation, stacked-view repopulation),
+//! so one planning decision is amortized across thousands of
+//! re-evaluations.
 //!
 //! Two invariants keep estimation honest:
 //!
@@ -67,9 +67,8 @@ pub fn planner_enabled() -> bool {
     ctx::with(|c| c.planner).unwrap_or(true)
 }
 
-/// Runs `f` with the planner forced on or off on this thread — and on the
-/// workers of any scan `f` splits — restoring the previous setting on the
-/// way out (also on unwind).
+/// Runs `f` with the planner forced on or off on this thread, restoring
+/// the previous setting on the way out (also on unwind).
 pub fn with_planner<R>(on: bool, f: impl FnOnce() -> R) -> R {
     ctx::scoped(|c| &mut c.planner, Some(on), f).0
 }
@@ -450,15 +449,6 @@ pub fn index_worthwhile(class: Symbol, attr: Symbol) -> bool {
     }
 }
 
-/// Should a scan of `rows` rows split across `workers` threads? Costs
-/// the parallel path as `rows / workers` plus a fixed per-split
-/// overhead of `overhead_rows` row-equivalents (thread spawn, chunk
-/// bookkeeping, result merge) and splits only when that beats the
-/// sequential `rows`.
-pub fn choose_split(rows: usize, workers: usize, overhead_rows: usize) -> bool {
-    workers > 1 && rows >= 2 && rows / workers + overhead_rows < rows
-}
-
 /// Plans a canonical single-binding class scan: index pushdown when the
 /// filter has a high-NDV equality conjunct, sequential otherwise.
 /// Consults and fills the fingerprint-keyed plan cache.
@@ -770,13 +760,6 @@ mod tests {
         assert!(index_worthwhile(class, sym("NeverObserved")));
         let unique = measured(100, "Name", (0..100).map(|i| Value::str(&format!("p{i}"))));
         assert!(index_worthwhile(unique, sym("Name")));
-    }
-
-    #[test]
-    fn split_choice_weighs_overhead_against_rows() {
-        assert!(!choose_split(10, 4, 1000), "tiny scan must stay sequential");
-        assert!(choose_split(100_000, 4, 1024));
-        assert!(!choose_split(100_000, 1, 0), "one worker never splits");
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! filter, and what does it project", and the one loop that feeds it.
 //!
 //! Every single-binding scan runs [`scan_rows`] over a [`RowTest`]: the
-//! compiled top-level select and its index pushdown, a chunk of
-//! [`crate::eval_select_parallel`], and every source of a view population
-//! — the whole extent, a worker's chunk of it, index postings, the journal
-//! delta. They differ only in where the candidates come from. Every row
-//! runs bytecode.
+//! compiled top-level select and its index pushdown, and every source of a
+//! view population — the whole extent, index postings, the journal delta.
+//! They differ only in where the candidates come from. Every scan runs on
+//! the reading thread, and every row runs bytecode.
 //!
 //! ## The charge rule
 //!
@@ -17,7 +16,10 @@
 //! evaluates them, and rows run and charge strictly in order, so a budget
 //! breach or an error stops at the row the interpreter would stop at. The
 //! steps for the nodes around the rows (the `select`, the collection name)
-//! belong to whoever produced the candidates: [`RowTest::step`].
+//! belong to whoever produced the candidates: [`RowTest::step`]. The
+//! sink is the scan's whole answer, so a projected value is charged once
+//! per scan, however many rows produce it — a population's imaginary tuple
+//! like any other source's row.
 
 use std::sync::Arc;
 
@@ -30,10 +32,9 @@ use crate::eval::truthy;
 use crate::plan::ScanActuals;
 use crate::source::DataSource;
 
-/// What a scan does per row, as plain shared data: compiled once, before
-/// any fan-out, so an expression compiles once per scan and not once per
-/// chunk; every worker builds its own [`RowTest`] from it. The programs
-/// bind the scan variable in register 0.
+/// What a scan does per row, as plain data: compiled once — at bind time
+/// for a view's population — and turned into a [`RowTest`] per scan. The
+/// programs bind the scan variable in register 0.
 #[derive(Clone, Copy)]
 pub struct RowSpec<'a> {
     /// The filter; `None` admits every row.
@@ -46,7 +47,7 @@ pub struct RowSpec<'a> {
 /// A per-thread executor for one [`RowSpec`]: register files, value stacks
 /// and resolution caches are thread state (`Scan` is not `Send`), and the
 /// thread's budget is captured once, as `Evaluator::new` does. Build one
-/// per scan or per chunk, then [`scan_rows`]. A scan owns its executors
+/// per scan, then [`scan_rows`]. A scan owns its executors
 /// inline: boxing them would put a pointer chase under every row.
 pub struct RowTest<'a> {
     budget: Option<Arc<Budget>>,

@@ -1,8 +1,6 @@
-//! The ambient execution context's two promises, through the public API:
-//! every scope restores what the thread read before it — also when a panic
-//! unwinds out of it and is caught above — and a scan that fans out hands
-//! its workers the coordinator's engine mode, planner switch and view
-//! frames.
+//! The ambient execution context's promise, through the public API: every
+//! scope restores what the thread read before it — also when a panic
+//! unwinds out of it and is caught above.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -10,8 +8,8 @@ use std::sync::Arc;
 use ov_oodb::ClassId;
 use ov_query::plan::{collect, tracing_active};
 use ov_query::{
-    budget, engine_mode, filter_map_chunked, in_view, planner_enabled, view_depth, view_frame,
-    with_engine_mode, with_planner, Budget, EngineMode, ParallelConfig, ViewFrame,
+    budget, engine_mode, in_view, planner_enabled, view_depth, view_frame, with_engine_mode,
+    with_planner, Budget, EngineMode, ViewFrame,
 };
 
 /// The key of a view's frame, as a view would hand it out.
@@ -85,59 +83,4 @@ fn a_view_frame_restores_after_a_caught_panic() {
         assert_eq!(view_depth(VIEW), open.body_depth, "the depth-only reader");
     });
     assert_eq!(view_depth(VIEW), 0);
-}
-
-#[test]
-fn workers_of_a_split_scan_inherit_view_frames() {
-    let cfg = ParallelConfig {
-        threads: 4,
-        threshold: 1,
-    };
-    let items: Vec<u32> = (0..64).collect();
-    let seen = in_view(VIEW, Some(ClassId(3)), || {
-        in_view(VIEW, None, || {
-            filter_map_chunked(&cfg, "query.scan_chunk", &items, |chunk, keep| {
-                let f = frame();
-                keep.insert((chunk[0], f.populating, f.body_depth));
-                Ok(())
-            })
-        })
-    })
-    .unwrap();
-    assert_eq!(seen.len(), 4, "one report per chunk");
-    for (first, populating, depth) in seen {
-        assert_eq!(
-            (populating, depth),
-            (vec![ClassId(3)], 2),
-            "the worker of the chunk starting at {first}"
-        );
-    }
-    assert_eq!(frame(), ViewFrame::default());
-}
-
-#[test]
-fn workers_of_a_split_scan_inherit_engine_and_planner() {
-    let cfg = ParallelConfig {
-        threads: 4,
-        threshold: 1,
-    };
-    let items: Vec<u32> = (0..64).collect();
-    let seen = with_engine_mode(EngineMode::Interp, || {
-        with_planner(false, || {
-            filter_map_chunked(&cfg, "query.scan_chunk", &items, |chunk, keep| {
-                let interp = engine_mode() == EngineMode::Interp;
-                keep.insert((chunk[0], interp, planner_enabled()));
-                Ok(())
-            })
-        })
-    })
-    .unwrap();
-    assert_eq!(seen.len(), 4, "one report per chunk");
-    for (first, interp, planner) in seen {
-        assert_eq!(
-            (interp, planner),
-            (true, false),
-            "the worker of the chunk starting at {first}"
-        );
-    }
 }

@@ -567,13 +567,13 @@ proptest! {
     }
 }
 
-/// An injected fault mid-scan surfaces as the failpoint's typed error: the
-/// parallel scan's per-chunk failpoint fires before any predicate runs, so
-/// the error is the same whatever the filter holds — and with faults
-/// cleared, the split scan agrees with the tree walker.
+/// An injected fault mid-scan never changes an answer: a failed index
+/// probe (`store.index_lookup`) is a forced miss, so the compiled select
+/// falls back to scanning the extent and agrees with the tree walker,
+/// armed or not.
 #[test]
 fn injected_faults_surface_identically() {
-    use ov_query::ParallelConfig;
+    use ov_oodb::faults::{arm, clear, status, FaultAction, FaultSchedule};
 
     let mut db = Database::new(sym("FaultDb"));
     let person = db
@@ -587,59 +587,31 @@ fn injected_faults_surface_identically() {
         db.create_object(person, Value::tuple([("Age", Value::Int(i))]))
             .unwrap();
     }
-    let cfg = ParallelConfig {
-        threads: 4,
-        threshold: 1,
-    };
+    db.create_index(person, sym("Age")).unwrap();
     // The second query carries a nested sub-select in its filter, so the
     // fault also exercises the compiled sub-select path.
     for q in [
-        "select P from P in Person where P.Age >= 21",
+        "select P from P in Person where P.Age = 21",
         "select P from P in Person \
-         where P.Age >= 21 and exists(select Q from Q in Person where Q.Age > P.Age)",
+         where P.Age = 21 and exists(select Q from Q in Person where Q.Age > P.Age)",
     ] {
-        injected_faults_surface_identically_for(&db, &cfg, q);
-    }
-}
-
-fn injected_faults_surface_identically_for(db: &Database, cfg: &ov_query::ParallelConfig, q: &str) {
-    use ov_oodb::faults::{arm, clear, FaultAction, FaultSchedule};
-    use ov_query::run_query_parallel;
-
-    // Fault on the 2nd chunk: the split scan dies with the failpoint's
-    // typed error, the same on every run.
-    let faulted = || {
+        let walked = ov_query::eval_expr(&db, &ov_query::parse_expr(q).unwrap());
+        assert!(
+            matches!(&walked, Ok(Value::Set(s)) if s.len() == 1),
+            "{walked:?}"
+        );
+        assert_eq!(ov_query::run_query(&db, q), walked, "{q}");
         arm(
-            "query.scan_chunk",
-            FaultSchedule::Nth(2),
+            "store.index_lookup",
+            FaultSchedule::From(1),
             FaultAction::Error,
         );
-        let r = run_query_parallel(db, cfg, q);
+        let faulted = ov_query::run_query(&db, q);
+        let fired = status()
+            .into_iter()
+            .any(|(site, _, fired)| site == "store.index_lookup" && fired > 0);
         clear();
-        r
-    };
-    let err = faulted().expect_err("fault must surface");
-    assert!(
-        matches!(err, QueryError::Oodb(ov_oodb::OodbError::Fault(_))),
-        "{err:?}"
-    );
-    assert_eq!(faulted(), Err(err));
-
-    // Faults cleared: the split scan agrees with the tree walker.
-    let walked = ov_query::eval_expr(db, &ov_query::parse_expr(q).unwrap());
-    assert!(walked.is_ok());
-    assert_eq!(run_query_parallel(db, cfg, q), walked);
-
-    // Under the oracle override the select walks like any top-level
-    // statement: no chunk runs, so an armed chunk fault never fires.
-    arm(
-        "query.scan_chunk",
-        FaultSchedule::From(1),
-        FaultAction::Error,
-    );
-    let oracle = ov_query::with_engine_mode(ov_query::EngineMode::Interp, || {
-        run_query_parallel(db, cfg, q)
-    });
-    clear();
-    assert_eq!(oracle, walked);
+        assert!(fired, "the probe ran and failed: {q}");
+        assert_eq!(faulted, walked, "{q}");
+    }
 }

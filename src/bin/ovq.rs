@@ -102,8 +102,6 @@ const FAULT_SITES: &[&str] = &[
     "store.remove",
     "store.index_lookup",
     "store.changes_since",
-    "query.scan_chunk",
-    "view.scan_chunk",
     "view.population_recompute",
     "view.bind",
     "wal.append",
@@ -760,9 +758,9 @@ mod tests {
 
     #[test]
     fn fault_arm_arguments_validate() {
-        assert!(parse_arm("query.scan_chunk", "nth:2", "error").is_ok());
+        assert!(parse_arm("store.index_lookup", "nth:2", "error").is_ok());
         assert!(parse_arm("no.such.site", "nth:2", "error").is_err());
-        assert!(parse_arm("query.scan_chunk", "always", "error").is_err());
-        assert!(parse_arm("query.scan_chunk", "nth:2", "explode").is_err());
+        assert!(parse_arm("store.index_lookup", "always", "error").is_err());
+        assert!(parse_arm("store.index_lookup", "nth:2", "explode").is_err());
     }
 }

@@ -158,14 +158,4 @@ mod tests {
         assert!(unified.to_string().contains("`Adult`"));
         assert!(chain.last().unwrap().contains("view.population_recompute"));
     }
-
-    #[test]
-    fn worker_panic_is_a_typed_error() {
-        let q = QueryError::Panicked {
-            site: "query.scan_chunk",
-            msg: "boom".into(),
-        };
-        let unified: Error = q.into();
-        assert!(unified.to_string().contains("query.scan_chunk"));
-    }
 }

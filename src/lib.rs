@@ -60,9 +60,7 @@ pub mod prelude {
     pub use crate::oodb::{
         sym, ClassId, ConflictPolicy, Durability, Oid, Symbol, System, Type, Value,
     };
-    pub use crate::query::{
-        execute_script, run_query, run_query_parallel, DataSource, ParallelConfig,
-    };
+    pub use crate::query::{execute_script, run_query, DataSource};
     pub use crate::relational::{bridge, Relation, RelationalDb};
     pub use crate::views::{
         Binder, CatalogTxn, DdlOutcome, DepEdge, DepTarget, DependencyGraph, IdentityMode,

@@ -1,7 +1,7 @@
 //! The concurrent read path, end to end: `View` is `Send + Sync`, N reader
-//! threads sharing one view agree with a sequential baseline, the sharded
-//! population cache counts hits under contention, and the parallel query
-//! executor returns byte-identical results to the sequential one.
+//! threads sharing one view agree with a sequential baseline, and the
+//! sharded population cache counts hits under contention. Each reader runs
+//! its scans on its own thread.
 
 use objects_and_views::prelude::*;
 
@@ -211,87 +211,7 @@ fn warm_cache_hits_count_per_thread() {
     assert_eq!(after.recomputations, before.recomputations);
 }
 
-/// The parallel population scan and the parallel query executor return the
-/// same answers as their sequential counterparts.
-#[test]
-fn parallel_scan_matches_sequential() {
-    let sys = staff_system();
-    let seq = adult_view(&sys, ViewOptions::default());
-    let par = adult_view(
-        &sys,
-        ViewOptions::builder()
-            .population(Population::AlwaysRecompute)
-            .parallel(ParallelConfig {
-                threads: 4,
-                threshold: 16,
-            })
-            .build(),
-    );
-    assert_eq!(
-        seq.extent_of(sym("Adult")).unwrap(),
-        par.extent_of(sym("Adult")).unwrap()
-    );
-    assert_eq!(
-        seq.extent_of(sym("Rich")).unwrap(),
-        par.extent_of(sym("Rich")).unwrap()
-    );
-    assert!(
-        par.stats().parallel_scans > 0,
-        "the split path should have run"
-    );
-
-    // Parallel query executor over the view as a data source.
-    let cfg = ParallelConfig {
-        threads: 4,
-        threshold: 1,
-    };
-    let q = "select P.Name from P in Adult where P.Age >= 65";
-    assert_eq!(
-        seq.query(q).unwrap(),
-        run_query_parallel(&par, &cfg, q).unwrap()
-    );
-}
-
-/// A population that splits stays under the caller's budget: the workers
-/// drain the coordinator's step and row counters, so a cap that stops the
-/// sequential scan stops the split one with the same typed error.
-#[test]
-fn split_population_is_governed_by_the_callers_budget() {
-    use objects_and_views::query::{run_query_with_budget, Budget, QueryError};
-    let sys = staff_system();
-    let recomputing = |parallel: ParallelConfig| {
-        let options = ViewOptions::builder()
-            .population(Population::AlwaysRecompute)
-            .parallel(parallel);
-        adult_view(&sys, options.build())
-    };
-    let seq = recomputing(ParallelConfig::default());
-    let par = recomputing(ParallelConfig {
-        threads: 4,
-        threshold: 16,
-    });
-    let budgets: [fn() -> Budget; 2] = [
-        || Budget::new().with_max_steps(50),
-        || Budget::new().with_max_rows(10),
-    ];
-    for budget in budgets {
-        for (view, name) in [(&seq, "sequential"), (&par, "split")] {
-            let got = run_query_with_budget(view, "count(Adult)", budget().into());
-            assert!(
-                matches!(got, Err(QueryError::ResourceExhausted(_))),
-                "{name} scan under {:?}: {got:?}",
-                budget()
-            );
-        }
-    }
-    assert!(
-        par.stats().parallel_scans > 0,
-        "the split path should have run"
-    );
-    assert_eq!(seq.stats().parallel_scans, 0);
-}
-
-/// Virtual attributes resolve correctly from worker threads: resolution
+/// Virtual attributes resolve correctly from reader threads: resolution
 /// walks populations (privileged visibility, cycle guards) whose state is
 /// now thread-local.
 #[test]

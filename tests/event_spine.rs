@@ -15,7 +15,7 @@ use objects_and_views::oodb::event::Event;
 use objects_and_views::oodb::{metrics, recorder, sym, trace, FieldValue, Value};
 use objects_and_views::query::{plan, run_query, run_query_with_budget, Budget, PopPath};
 use objects_and_views::query::{PopulationTrace, QueryTrace, ScanKind};
-use objects_and_views::views::{ParallelConfig, Population, Session, ViewOptions};
+use objects_and_views::views::{Population, Session, ViewOptions};
 
 /// Each population path: its `path` span field and its registry counter.
 const PATHS: [(&str, &str); 4] = [
@@ -26,10 +26,7 @@ const PATHS: [(&str, &str); 4] = [
 ];
 
 /// Each counted scan kind: its `kind` span field and its registry counter.
-const SCANS: [(&str, &str); 2] = [
-    ("index", "views.index_pushdowns"),
-    ("parallel", "views.parallel_scans"),
-];
+const SCANS: [(&str, &str); 1] = [("index", "views.index_pushdowns")];
 
 const PEOPLE: u64 = 24;
 
@@ -51,19 +48,14 @@ impl Rng {
 }
 
 /// `Adults` → `Earners` → `Top`, incremental; `First` is populated from the
-/// index on `Person.Id`, `CityTag` is imaginary, and scans of the extent
-/// are split across two workers. `CityTag` defines `City`, so `Londoner`'s
-/// filter asks of every person whether `CityTag` holds them: a worker of
-/// its split scan requests `CityTag`'s population, whose events come back
-/// to EXPLAIN through the worker's own collector.
+/// index on `Person.Id` and `CityTag` is imaginary. `CityTag` defines
+/// `City`, so `Londoner`'s filter asks of every person whether `CityTag`
+/// holds them: its scan requests `CityTag`'s population from inside the
+/// row loop, and that population's events reach EXPLAIN like any other.
 fn stack() -> Session {
     let mut s = Session::with_options(
         ViewOptions::builder()
             .population(Population::Incremental)
-            .parallel(ParallelConfig {
-                threads: 2,
-                threshold: 8,
-            })
             .build(),
     );
     let mut script = String::from(
@@ -122,7 +114,6 @@ fn explained(events: &[PopulationTrace]) -> Tally {
         for scan in scans {
             let kind = match scan.kind {
                 ScanKind::Sequential => "seq",
-                ScanKind::Parallel { .. } => "parallel",
                 ScanKind::IndexPushdown { .. } => "index",
             };
             *tally.entry(kind).or_default() += 1;
@@ -132,13 +123,13 @@ fn explained(events: &[PopulationTrace]) -> Tally {
 }
 
 /// The spans: `view.population` by path, `view.scan` by kind; and, as
-/// `worker`, the populations a worker of a split scan requested.
+/// `nested`, the populations a scan's row loop requested.
 fn spanned() -> Tally {
     let spans = recorder().snapshot();
     let up: BTreeMap<u64, (&str, u64)> = spans.iter().map(|s| (s.id, (s.name, s.parent))).collect();
-    let on_worker = |mut parent| {
+    let in_scan = |mut parent| {
         while let Some(&(name, grandparent)) = up.get(&parent) {
-            if name == "view.scan_chunk" {
+            if name == "view.scan" {
                 return true;
             }
             parent = grandparent;
@@ -147,8 +138,8 @@ fn spanned() -> Tally {
     };
     let mut tally = Tally::new();
     for span in &spans {
-        if span.name == "view.population" && on_worker(span.parent) {
-            *tally.entry("worker").or_default() += 1;
+        if span.name == "view.population" && in_scan(span.parent) {
+            *tally.entry("nested").or_default() += 1;
         }
         let key = match span.name {
             "view.population" => "path",
@@ -254,21 +245,13 @@ fn counters_spans_and_explain_events_agree_per_path_and_scan_kind() {
                 }
                 *seen.entry(label).or_default() += sp;
             }
-            *seen.entry("worker").or_default() += spans.get("worker").copied().unwrap_or(0);
+            *seen.entry("nested").or_default() += spans.get("nested").copied().unwrap_or(0);
         }
         trace::set_enabled(false);
     }
     // Every path and kind but the stale serve (no faults here) was met, and
-    // so were populations a worker requested.
-    for label in [
-        "cache_hit",
-        "delta",
-        "recompute",
-        "index",
-        "parallel",
-        "seq",
-        "worker",
-    ] {
+    // so were populations a scan's row loop requested.
+    for label in ["cache_hit", "delta", "recompute", "index", "seq", "nested"] {
         assert!(
             seen.get(label) > Some(&0),
             "no `{label}` in the run: {seen:?}"
