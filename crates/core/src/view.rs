@@ -1086,12 +1086,6 @@ impl View {
         }
         let extent = DataSource::extent(self, inc.class)?;
         self.measured(plan::ScanKind::Sequential, est, |counted| {
-            // A scan of the whole extent owes one node entry for the
-            // collection name; then per row the filter and (on keep) the
-            // projection node — the tree walker's exact accounting.
-            if let Some(b) = ov_query::budget::current() {
-                b.step(1)?;
-            }
             self.run_rows(spec, &extent, counted, &mut out)
         })?;
         Ok(out)

@@ -1,27 +1,30 @@
 //! Cooperative resource governance for query evaluation.
 //!
-//! The evaluator is a tree walker over user-authored expressions; nothing
-//! in the language stops a query (or a virtual-attribute body) from running
-//! arbitrarily long or materializing arbitrarily many rows. A [`Budget`] is
-//! the caller's contract with the evaluator: a wall-clock **deadline**, a
-//! **max-eval-steps** cap, a **max-rows** cap on materialized results, and a
-//! **recursion-depth** cap (shared with the parser, which counts its
-//! nesting against the same limit). Evaluation checks the budget
-//! cooperatively — once per expression node and once per materialized
-//! row — and surfaces breaches as typed [`QueryError::Cancelled`] /
-//! [`QueryError::ResourceExhausted`] errors instead of running away.
+//! Nothing in the language stops a query (or a virtual-attribute body) from
+//! running arbitrarily long or materializing arbitrarily many rows. A
+//! [`Budget`] is the caller's contract with the engine: a wall-clock
+//! **deadline**, a **max-steps** cap, a **max-rows** cap on materialized
+//! results, and a **recursion-depth** cap (shared with the parser, which
+//! counts its nesting against the same limit). Breaches surface as typed
+//! [`QueryError::Cancelled`] / [`QueryError::ResourceExhausted`] errors
+//! instead of running away.
+//!
+//! A budget charges what the plan touches, not how an engine walks it
+//! (DESIGN.md §8): **one step per row a binding loop binds** (each
+//! candidate of a scan, each item of every level of a nested loop), **one
+//! step per computed body run** (so a recursive body stays governed on one
+//! row), and **one row per value a `select` adds to its answer**. Nothing
+//! else is charged, so the charge is a function of (plan, rows touched):
+//! one plan charges alike in either engine, and a plan that touches fewer
+//! rows charges fewer.
 //!
 //! The budget is part of the thread's ambient execution context
 //! (`ctx.rs`): threading it through every evaluator frame would infect each
 //! `DataSource` signature, so the governing caller brackets the work with
-//! [`with`] and the evaluator captures the current budget once at
-//! construction. Counters (`steps`, `rows`) are shared atomics, so threads
-//! that install the same budget (`Arc` clones of it) drain one allowance
-//! rather than one each.
-//!
-//! Both engines charge steps and rows **per row, in row order**, so a cap
-//! is breached at exactly the same row — with the same error — whichever
-//! engine runs the scan.
+//! [`with`] and each executor captures the current budget once at
+//! construction. Counters (`steps`, `rows`) are atomics, so readers on
+//! several threads that install the same budget (`Arc` clones of it) drain
+//! one allowance rather than one each.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,16 +34,16 @@ use std::time::{Duration, Instant};
 use crate::ctx;
 use crate::error::QueryError;
 
-/// How often (in eval steps) the deadline is re-checked. Reading the clock
-/// every node would dominate evaluation cost; every 64th step bounds the
-/// overshoot to microseconds.
+/// How often (in steps) the deadline is re-checked. Reading the clock every
+/// row would dominate a scan's cost; every 64th step bounds the overshoot
+/// to 64 rows or bodies.
 const DEADLINE_STRIDE: u64 = 64;
 
 /// One breached budget dimension — the `source()` of a
 /// [`QueryError::Cancelled`] / [`QueryError::ResourceExhausted`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BudgetBreach {
-    /// The dimension that was exhausted (`"deadline"`, `"eval steps"`, …).
+    /// The dimension that was exhausted (`"deadline"`, `"steps"`, …).
     pub limit: &'static str,
     /// The configured allowance (milliseconds for the deadline, a count
     /// otherwise).
@@ -88,7 +91,7 @@ impl Budget {
         self
     }
 
-    /// Caps the number of expression nodes evaluated.
+    /// Caps the number of steps: rows bound plus computed bodies run.
     pub fn with_max_steps(mut self, steps: u64) -> Budget {
         self.max_steps = Some(steps);
         self
@@ -107,7 +110,7 @@ impl Budget {
         self
     }
 
-    /// Eval steps consumed so far (across all threads sharing this budget).
+    /// Steps charged so far (across all threads sharing this budget).
     pub fn steps_used(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)
     }
@@ -122,26 +125,17 @@ impl Budget {
         self.max_depth
     }
 
-    /// Accounts one evaluation step at `depth`; errs on any breached
-    /// dimension. Called once per expression node, so this is the hot path:
-    /// one `fetch_add` plus compares, with the clock read amortized.
-    pub fn step(&self, depth: usize) -> Result<(), QueryError> {
+    /// Charges one step — a row bound or a body run; errs on a breached
+    /// step cap or, every 64 steps, a passed deadline.
+    /// The hot path: one `fetch_add` plus a compare.
+    pub fn step(&self) -> Result<(), QueryError> {
         let steps = self.steps.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(max) = self.max_steps {
             if steps > max {
                 ov_oodb::metric_counter!("query.budget_exhausted").inc();
                 return Err(QueryError::ResourceExhausted(BudgetBreach {
-                    limit: "eval steps",
+                    limit: "steps",
                     allowed: max,
-                }));
-            }
-        }
-        if let Some(max) = self.max_depth {
-            if depth > max {
-                ov_oodb::metric_counter!("query.budget_exhausted").inc();
-                return Err(QueryError::ResourceExhausted(BudgetBreach {
-                    limit: "recursion depth",
-                    allowed: max as u64,
                 }));
             }
         }
@@ -151,7 +145,21 @@ impl Budget {
         Ok(())
     }
 
-    /// Checks the deadline *now* (step charges, retry loops).
+    /// Errs when `depth` exceeds the recursion-depth cap.
+    pub fn check_depth(&self, depth: usize) -> Result<(), QueryError> {
+        match self.max_depth {
+            Some(max) if depth > max => {
+                ov_oodb::metric_counter!("query.budget_exhausted").inc();
+                Err(QueryError::ResourceExhausted(BudgetBreach {
+                    limit: "recursion depth",
+                    allowed: max as u64,
+                }))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Checks the deadline *now* (the step stride, retry loops).
     pub fn check_deadline(&self) -> Result<(), QueryError> {
         if let Some(deadline) = self.deadline {
             if Instant::now() > deadline {
@@ -209,7 +217,8 @@ mod tests {
     fn unlimited_budget_passes_every_check() {
         let b = Budget::new();
         for d in 0..10_000 {
-            b.step(d % 64).unwrap();
+            b.step().unwrap();
+            b.check_depth(d % 64).unwrap();
         }
         b.note_rows(1 << 40).unwrap();
         b.check_deadline().unwrap();
@@ -219,11 +228,11 @@ mod tests {
     fn step_cap_trips_exactly_at_the_limit() {
         let b = Budget::new().with_max_steps(10);
         for _ in 0..10 {
-            b.step(0).unwrap();
+            b.step().unwrap();
         }
-        match b.step(0) {
+        match b.step() {
             Err(QueryError::ResourceExhausted(breach)) => {
-                assert_eq!(breach.limit, "eval steps");
+                assert_eq!(breach.limit, "steps");
                 assert_eq!(breach.allowed, 10);
             }
             other => panic!("expected ResourceExhausted, got {other:?}"),
@@ -243,8 +252,11 @@ mod tests {
     #[test]
     fn depth_cap_trips() {
         let b = Budget::new().with_max_depth(5);
-        b.step(5).unwrap();
-        assert!(matches!(b.step(6), Err(QueryError::ResourceExhausted(_))));
+        b.check_depth(5).unwrap();
+        assert!(matches!(
+            b.check_depth(6),
+            Err(QueryError::ResourceExhausted(_))
+        ));
     }
 
     #[test]
@@ -289,7 +301,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        if b.step(0).is_err() {
+                        if b.step().is_err() {
                             hit_limit.store(true, Ordering::Relaxed);
                             return;
                         }

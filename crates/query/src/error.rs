@@ -68,7 +68,7 @@ pub enum QueryError {
     /// A cooperative [`Budget`](crate::Budget) deadline expired; evaluation
     /// stopped at the next check point.
     Cancelled(crate::budget::BudgetBreach),
-    /// A cooperative [`Budget`](crate::Budget) count limit (eval steps,
+    /// A cooperative [`Budget`](crate::Budget) count limit (steps,
     /// rows, recursion depth) was exceeded.
     ResourceExhausted(crate::budget::BudgetBreach),
     /// A data source's own error (a view's), crossing the

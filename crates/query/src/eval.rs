@@ -23,34 +23,43 @@ use ov_oodb::{AggFunc, BinOp, Expr, Oid, SelectExpr, Symbol, UnOp, Value};
 use crate::error::{QueryError, Result};
 use crate::source::{extent_value, DataSource, ResolvedAttr};
 
-/// Maximum depth of nested computed-attribute evaluation, guarding against
-/// recursive virtual attributes (`attribute A … has value self.A`).
-/// Shared with the compiled engine ([`crate::compile`]), which enforces the
-/// same limit at the same points.
-pub(crate) const MAX_DEPTH: usize = 128;
-
-/// The error produced when [`MAX_DEPTH`] is exceeded (one constructor so
-/// the interpreter and the compiled engine agree byte-for-byte).
-pub(crate) fn depth_error() -> QueryError {
-    QueryError::eval("evaluation depth limit exceeded (recursive computed attribute?)")
-}
+/// Maximum expression depth at which a computed-attribute body may start,
+/// guarding against recursive virtual attributes (`attribute A … has value
+/// self.A`). Depth counts expression nesting, across bodies: a body runs
+/// one level below the attribute access that called it.
+const MAX_DEPTH: usize = 128;
 
 /// The error of `self` where no computed body binds it.
 pub(crate) fn self_unbound() -> QueryError {
     QueryError::eval("`self` is not bound here")
 }
 
-/// One expression-node entry: the depth-limit check plus one budget step
-/// at `depth`. Both engines and the row loop charge through this.
-#[inline]
-pub(crate) fn charge(budget: Option<&crate::budget::Budget>, depth: usize) -> Result<()> {
+/// A computed body about to run at `depth`: the depth checks, then the
+/// body's one step ([`crate::budget`]'s charge rule). Both engines enter
+/// every body through this.
+pub(crate) fn enter_body(budget: Option<&crate::budget::Budget>, depth: usize) -> Result<()> {
     if depth > MAX_DEPTH {
-        return Err(depth_error());
+        return Err(QueryError::eval(
+            "evaluation depth limit exceeded (recursive computed attribute?)",
+        ));
     }
-    if let Some(b) = budget {
-        b.step(depth)?;
+    match budget {
+        Some(b) => {
+            b.check_depth(depth)?;
+            b.step()
+        }
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// One row a binding loop binds: its step ([`crate::budget`]'s charge
+/// rule). Every loop of both engines charges through this.
+#[inline]
+pub(crate) fn bind_row(budget: Option<&crate::budget::Budget>) -> Result<()> {
+    match budget {
+        Some(b) => b.step(),
+        None => Ok(()),
+    }
 }
 
 /// A name no variable binds: the named object, else the class extent, else
@@ -190,15 +199,7 @@ impl<'a> Evaluator<'a> {
         self.eval_depth(expr, env, 0)
     }
 
-    /// One expression-node entry: the depth-limit check plus one budget
-    /// step at `depth`.
-    #[inline]
-    pub(crate) fn step(&self, depth: usize) -> Result<()> {
-        charge(self.budget.as_deref(), depth)
-    }
-
     pub(crate) fn eval_depth(&self, expr: &Expr, env: &mut Env, depth: usize) -> Result<Value> {
-        self.step(depth)?;
         match expr {
             Expr::Lit(v) => Ok(v.clone()),
             Expr::SelfRef => env.self_val.clone().ok_or_else(self_unbound),
@@ -304,7 +305,6 @@ impl<'a> Evaluator<'a> {
 
     /// Attribute access on an object: resolve, then read or compute.
     fn attr_of(&self, oid: Oid, name: Symbol, args: Vec<Value>, depth: usize) -> Result<Value> {
-        self.step(depth)?;
         match self.src.resolve(oid, name)? {
             ResolvedAttr::Stored => {
                 if !args.is_empty() {
@@ -321,10 +321,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates a computed-attribute body with `self` bound to `oid` and
-    /// the parameters bound (by move) to `args`. Shared with the compiled
-    /// engine, which delegates computed attributes here so nested bodies
-    /// keep exact interpreter semantics (budget steps, depth, body
-    /// bracketing).
+    /// the parameters bound (by move) to `args`, one level below the
+    /// access at `depth`. Shared with the compiled engine, which delegates
+    /// the bodies it has no class verdict for here.
     pub(crate) fn run_computed(
         &self,
         oid: Oid,
@@ -341,6 +340,7 @@ impl<'a> Evaluator<'a> {
                 args.len()
             )));
         }
+        enter_body(self.budget.as_deref(), depth + 1)?;
         let mut env = Env::with_self(Value::Oid(oid));
         for (p, v) in params.iter().zip(args) {
             env.bind(*p, v);
@@ -488,6 +488,7 @@ impl<'a> Evaluator<'a> {
             }
         };
         for item in items {
+            bind_row(self.budget.as_deref())?;
             env.bind(*var, item);
             let cont =
                 self.iterate_bindings(bindings, i + 1, filter, env, depth, visit, actuals)?;

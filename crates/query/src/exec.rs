@@ -567,8 +567,8 @@ fn run_parsed(src: &dyn crate::source::DataSource, e: &Expr, text: Option<&str>)
 }
 
 /// Runs a query governed by a cooperative [`Budget`](crate::Budget): the
-/// budget is installed for the duration of the run (parse depth, eval
-/// steps, rows, and the deadline all count against it) and breaches
+/// budget is installed for the duration of the run (parse depth, steps,
+/// rows, and the deadline all count against it) and breaches
 /// surface as [`QueryError::Cancelled`] / [`QueryError::ResourceExhausted`].
 pub fn run_query_with_budget(
     src: &dyn crate::source::DataSource,

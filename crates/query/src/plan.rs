@@ -50,9 +50,9 @@ impl fmt::Display for Engine {
 /// Measured execution counters for one scan (or one whole traced query).
 ///
 /// `rows_scanned`, `rows_matched`, and the budget charges (`steps`,
-/// `rows_charged`) are **engine-invariant**: the compiled engine and the
-/// tree-walking interpreter report identical numbers for semantically
-/// identical work — the differential proptest suite gates this.
+/// `rows_charged`) are **engine-invariant**: they are the plan's, so the
+/// compiled engine and the tree-walking interpreter report identical
+/// numbers for one plan — the differential proptest suite gates this.
 /// `cache_hits` and `cache_misses` are compiled-engine diagnostics (the
 /// interpreter has no resolution-slot caches and reports 0).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -693,11 +693,11 @@ mod tests {
         crate::budget::with(budget, || {
             let ((), outer) = with_scan_actuals(|| {
                 let b = crate::budget::current().unwrap();
-                b.step(0).unwrap();
-                b.step(0).unwrap();
+                b.step().unwrap();
+                b.step().unwrap();
                 let ((), inner) = with_scan_actuals(|| {
                     let b = crate::budget::current().unwrap();
-                    b.step(0).unwrap();
+                    b.step().unwrap();
                     b.note_rows(7).unwrap();
                 });
                 assert_eq!(inner.steps, 1);

@@ -18,7 +18,8 @@
 //!   at execution time: a pushdown plan whose index turns out not to
 //!   exist is demoted to a sequential scan; a reordered join is only
 //!   attempted when reordering provably cannot change the result set
-//!   (independent class-extent bindings, no budget installed).
+//!   (independent class-extent bindings). A budget does not block it: the
+//!   reordered nest is charged the rows it binds, like any loop.
 //! - **Plans expire, estimates learn.** A cached plan is invalidated when
 //!   the source's `resolution_generation` moves. When a query's measured
 //!   rows diverge from the cached estimate by more than [`DRIFT_FACTOR`]×

@@ -9,17 +9,17 @@
 //!
 //! ## The charge rule
 //!
-//! Per candidate: the filter's own steps. Per admitted row: the
-//! projection's steps (one, for a bare scan variable) and one
-//! `note_rows(1)` when the sink did not already hold the result. Filter and
+//! [`crate::budget`]'s rule, applied to one loop: one step per candidate,
+//! before its filter runs; one step per computed body the filter or the
+//! projection runs; one `note_rows(1)` per projected value the sink did not
+//! already hold. Nothing around the rows is charged, so a source's charge
+//! is its candidate count plus its bodies — index postings charge fewer
+//! steps than the whole extent because they are fewer rows. Filter and
 //! projection root at depth 1, where the interpreter's `select_depth`
-//! evaluates them, and rows run and charge strictly in order, so a budget
-//! breach or an error stops at the row the interpreter would stop at. The
-//! steps for the nodes around the rows (the `select`, the collection name)
-//! belong to whoever produced the candidates: [`RowTest::step`]. The
-//! sink is the scan's whole answer, so a projected value is charged once
-//! per scan, however many rows produce it — a population's imaginary tuple
-//! like any other source's row.
+//! evaluates them, and rows run and charge strictly in order. The sink is
+//! the scan's whole answer, so a projected value is charged once per scan,
+//! however many rows produce it — a population's imaginary tuple like any
+//! other source's row.
 
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ pub struct RowSpec<'a> {
     /// The filter; `None` admits every row.
     pub filter: Option<&'a Program>,
     /// The projection; `None` projects the scan variable itself (a
-    /// population's `select V from V in C …`): one step, no evaluation.
+    /// population's `select V from V in C …`): no evaluation.
     pub proj: Option<&'a Program>,
 }
 
@@ -66,13 +66,6 @@ impl<'a> RowTest<'a> {
         }
     }
 
-    /// One interpreter-equivalent node entry outside the rows — the
-    /// `select` node, the collection name — charged as the tree walker
-    /// would.
-    pub fn step(&self, depth: usize) -> Result<()> {
-        crate::eval::charge(self.budget.as_deref(), depth)
-    }
-
     /// Runs the filter on `item` and, when it passes, the projection.
     /// `None`: the filter rejected the row.
     fn admit(&mut self, item: Value) -> Result<Option<Value>> {
@@ -87,10 +80,7 @@ impl<'a> RowTest<'a> {
                 p.bind(0, item);
                 p.run(1).map(Some)
             }
-            None => {
-                self.step(1)?;
-                Ok(Some(item))
-            }
+            None => Ok(Some(item)),
         }
     }
 
@@ -118,6 +108,7 @@ pub fn scan_rows(
     let r = (|| {
         for item in candidates {
             actuals.rows_scanned += 1;
+            crate::eval::bind_row(test.budget.as_deref())?;
             if let Some(row) = test.admit(item)? {
                 actuals.rows_matched += 1;
                 if sink(row) {

@@ -1,14 +1,21 @@
-//! Property tests: the compiled predicate engine is observationally
-//! identical to the tree-walking interpreter. For random predicates over a
-//! scan variable, both engines produce the same value or the *same* error
-//! (`QueryError` is `PartialEq`, so error variants and messages are
-//! compared exactly), charge the same number of budget steps, breach
-//! budgets at the same point, and surface injected faults identically.
+//! Property tests of the compiled predicate engine. Against the
+//! tree-walking interpreter it answers alike: for random predicates over a
+//! scan variable, the same value or the *same* error (`QueryError` is
+//! `PartialEq`, so error variants and messages are compared exactly), and
+//! injected faults surface identically. Against the budget's charge
+//! formula (DESIGN.md §8) each engine is checked on its own: it is charged
+//! what the plan touches — one step per row a loop binds and per computed
+//! body run, one row per value an answer gains — and a step cap breaches
+//! exactly when it is below that charge.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ov_oodb::{sym, AttrDef, BinOp, Database, Expr, Type, UnOp, Value};
-use ov_query::{compile_predicate, Budget, Env, Evaluator, QueryError, Scan};
+use ov_oodb::{sym, AttrDef, BinOp, ClassId, Database, Expr, Oid, Symbol, Type, UnOp, Value};
+use ov_query::{
+    compile_predicate, Budget, DataSource, EngineMode, Env, Evaluator, QueryError, ResolvedAttr,
+    Scan,
+};
 use proptest::prelude::*;
 
 /// A small database with stored and computed attributes, so random
@@ -220,42 +227,175 @@ fn compiled_scan_all(
     })
 }
 
-/// Asserts that scanning `rows` with `e` under a `max_steps` budget gives
-/// the same values, the same first error at the same row, and the same
-/// step count in both engines.
+/// Runs `run` under an uncapped budget, then under a cap of `max_steps`.
+/// A cap that covers the uncapped charge answers what the uncapped run
+/// answered; a lower one breaches, typed, on the steps limit (`breach`
+/// finds the error in an outcome). Returns the capped outcome.
+fn governed<R: PartialEq + std::fmt::Debug>(
+    run: impl Fn(Arc<Budget>) -> R,
+    breach: fn(&R) -> Option<&QueryError>,
+    max_steps: u64,
+) -> Result<R, TestCaseError> {
+    let uncapped = Arc::new(Budget::new());
+    let want = run(uncapped.clone());
+    let charge = uncapped.steps_used();
+    let got = run(Arc::new(Budget::new().with_max_steps(max_steps)));
+    if max_steps >= charge {
+        prop_assert_eq!(
+            &got,
+            &want,
+            "the cap {} covers the charge {}",
+            max_steps,
+            charge
+        );
+    } else {
+        prop_assert!(
+            matches!(breach(&got), Some(QueryError::ResourceExhausted(b)) if b.limit == "steps"),
+            "the cap {} is below the charge {}: {:?}",
+            max_steps,
+            charge,
+            got
+        );
+    }
+    Ok(got)
+}
+
+/// The error a scan of several rows stopped on.
+fn scan_error(outcome: &(Vec<Value>, Option<QueryError>)) -> Option<&QueryError> {
+    outcome.1.as_ref()
+}
+
+/// The error a run stopped on.
+fn run_error(outcome: &Result<Value, QueryError>) -> Option<&QueryError> {
+    outcome.as_ref().err()
+}
+
+/// Scans `rows` with `e` under a `max_steps` cap: each engine is governed
+/// by its own charge, and the two answer alike — the same values, the same
+/// first error on the same row.
 fn assert_scans_agree(
     db: &Database,
     e: &Expr,
     rows: &[Value],
     max_steps: u64,
 ) -> Result<(), TestCaseError> {
-    let bi = Arc::new(Budget::new().with_max_steps(max_steps));
-    let want = interp_scan_all(db, e, rows, bi.clone());
-    let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-    let got = compiled_scan_all(db, e, rows, bc.clone());
+    let want = governed(|b| interp_scan_all(db, e, rows, b), scan_error, max_steps)?;
+    let got = governed(|b| compiled_scan_all(db, e, rows, b), scan_error, max_steps)?;
     prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
-    prop_assert_eq!(
-        bc.steps_used(),
-        bi.steps_used(),
-        "step divergence on {} (max_steps={})",
-        e,
-        max_steps
-    );
     Ok(())
+}
+
+/// [`db`] with `Person.Senior` made to count the bodies run: its body
+/// reads `Tick(self.Age >= 65)`, and `Tick(v)` answers `v` and adds one to
+/// `ticks`. One tick is one body run, whichever engine runs it and however
+/// it reaches it — the walker through `resolve`, a compiled scan through
+/// its class verdict.
+struct Ticking {
+    db: Database,
+    senior: ResolvedAttr,
+    ticks: AtomicU64,
+}
+
+impl Ticking {
+    fn new() -> Ticking {
+        let body = Expr::Apply {
+            name: sym("Tick"),
+            args: vec![Expr::bin(
+                BinOp::Ge,
+                Expr::self_attr("Age"),
+                Expr::lit(Value::Int(65)),
+            )],
+        };
+        Ticking {
+            db: db(),
+            senior: ResolvedAttr::Computed {
+                params: vec![],
+                body: Arc::new(body),
+            },
+            ticks: AtomicU64::new(0),
+        }
+    }
+
+    /// The counting resolution, when `name` is `Senior`.
+    fn ticking(&self, name: Symbol) -> Option<ResolvedAttr> {
+        (name == sym("Senior")).then(|| self.senior.clone())
+    }
+}
+
+impl DataSource for Ticking {
+    fn apply(&self, name: Symbol, args: &[Value]) -> ov_query::Result<Value> {
+        match (name == sym("Tick"), args) {
+            (true, [v]) => {
+                self.ticks.fetch_add(1, Ordering::Relaxed);
+                Ok(v.clone())
+            }
+            _ => DataSource::apply(&self.db, name, args),
+        }
+    }
+    fn class_by_name(&self, name: Symbol) -> Option<ClassId> {
+        DataSource::class_by_name(&self.db, name)
+    }
+    fn class_name(&self, c: ClassId) -> Symbol {
+        DataSource::class_name(&self.db, c)
+    }
+    fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
+        DataSource::is_subclass(&self.db, sub, sup)
+    }
+    fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
+        DataSource::ancestors(&self.db, c)
+    }
+    fn class_of(&self, oid: Oid) -> ov_query::Result<ClassId> {
+        DataSource::class_of(&self.db, oid)
+    }
+    fn extent(&self, class: ClassId) -> ov_query::Result<Vec<Oid>> {
+        DataSource::extent(&self.db, class)
+    }
+    fn is_member(&self, oid: Oid, class: ClassId) -> ov_query::Result<bool> {
+        DataSource::is_member(&self.db, oid, class)
+    }
+    fn resolve(&self, oid: Oid, name: Symbol) -> ov_query::Result<ResolvedAttr> {
+        match self.ticking(name) {
+            Some(res) => Ok(res),
+            None => DataSource::resolve(&self.db, oid, name),
+        }
+    }
+    fn class_verdict(&self, class: ClassId, name: Symbol) -> Option<ResolvedAttr> {
+        self.ticking(name)
+            .or_else(|| self.db.class_verdict(class, name))
+    }
+    fn stored_field(&self, oid: Oid, name: Symbol) -> ov_query::Result<Value> {
+        DataSource::stored_field(&self.db, oid, name)
+    }
+    fn named_object(&self, name: Symbol) -> Option<Oid> {
+        DataSource::named_object(&self.db, name)
+    }
+    fn object_exists(&self, oid: Oid) -> bool {
+        DataSource::object_exists(&self.db, oid)
+    }
+    fn attr_sig(&self, c: ClassId, name: Symbol) -> Option<ov_oodb::AttrSig> {
+        DataSource::attr_sig(&self.db, c, name)
+    }
+    fn class_type(&self, c: ClassId) -> Type {
+        DataSource::class_type(&self.db, c)
+    }
+    fn resolution_class_and_field(&self, oid: Oid, name: Symbol) -> Option<(ClassId, Value)> {
+        DataSource::resolution_class_and_field(&self.db, oid, name)
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// A budget breach in a multi-row scan lands on the same row, with the
-    /// same error and the same step count, in both engines.
+    /// A multi-row scan under a step cap: each engine answers in full when
+    /// the cap covers its charge and breaches, typed, when it does not —
+    /// and the two stop on the same row with the same error.
     #[test]
-    fn multi_row_scans_breach_identically(e in arb_pred(), max_steps in 0u64..96) {
+    fn multi_row_scans_breach_identically(e in arb_pred(), max_steps in 0u64..8) {
         let db = db();
         assert_scans_agree(&db, &e, &rows(&db), max_steps)?;
     }
 
-    /// Same value, or the same error (variant *and* payload), on every row.
+    /// Same value, or the same error (variant and payload), on every row.
     #[test]
     fn compiled_matches_interpreter(e in arb_pred()) {
         let db = db();
@@ -266,9 +406,8 @@ proptest! {
         }
     }
 
-    /// Under a step budget, both engines charge identical step counts and
-    /// breach at exactly the same point with exactly the same error —
-    /// including breaches that land mid-expression.
+    /// Under a step cap, both engines charge the bodies a predicate runs
+    /// alike and breach at the same point with the same error.
     #[test]
     fn budget_accounting_is_bit_identical(e in arb_pred(), max_steps in 0u64..48) {
         let db = db();
@@ -288,6 +427,59 @@ proptest! {
         }
     }
 
+    /// With no cap, both engines still meter the same steps: the
+    /// accounting itself, not just the breach, is alike.
+    #[test]
+    fn uncapped_step_counts_match(e in arb_pred()) {
+        let db = db();
+        for row in rows(&db) {
+            let bi = Arc::new(Budget::new());
+            let want = interp(&db, &e, &row, Some(bi.clone()));
+            let bc = Arc::new(Budget::new());
+            let got = compiled(&db, &e, &row, Some(bc.clone()));
+            prop_assert_eq!(&got, &want, "expr: {}", e);
+            prop_assert_eq!(bc.steps_used(), bi.steps_used(), "expr: {}", e);
+        }
+    }
+
+    /// The charge formula, in each engine on its own: a select over
+    /// `Person`, the predicate as its filter or as its projection, charges
+    /// one step per row its loop binds (EXPLAIN's `scanned`) and one per
+    /// `Senior` body it runs (the source's ticks), and one row per value
+    /// of its answer — an error stops both counts on the same row.
+    #[test]
+    fn a_budget_charges_each_row_and_each_body(e in arb_pred(), as_filter in any::<bool>()) {
+        let src = Ticking::new();
+        let q = Expr::Select(ov_oodb::SelectExpr {
+            distinct: false,
+            the: false,
+            proj: Box::new(if as_filter { Expr::name("V") } else { e.clone() }),
+            bindings: vec![(sym("V"), Expr::name("Person"))],
+            filter: as_filter.then(|| Box::new(e.clone())),
+        });
+        for mode in [EngineMode::Interp, EngineMode::Compiled] {
+            src.ticks.store(0, Ordering::Relaxed);
+            let budget = Arc::new(Budget::new());
+            let (answer, actuals) = ov_query::budget::with(budget.clone(), || {
+                ov_query::with_engine_mode(mode, || {
+                    ov_query::plan::with_scan_actuals(|| ov_query::run_expr(&src, &q))
+                })
+            });
+            let bodies = src.ticks.load(Ordering::Relaxed);
+            prop_assert_eq!(
+                budget.steps_used(),
+                actuals.rows_scanned + bodies,
+                "{:?}: steps of {} ({:?})",
+                mode,
+                q,
+                answer
+            );
+            if let Ok(Value::Set(s)) = &answer {
+                prop_assert_eq!(budget.rows_used(), s.len() as u64, "{:?}: rows of {}", mode, q);
+            }
+        }
+    }
+
     /// EXPLAIN ANALYZE actuals are engine-invariant: for one query, the
     /// tree-walking interpreter and the compiled engine report identical
     /// rows-scanned, rows-matched, and budget-step actuals in the query
@@ -298,7 +490,7 @@ proptest! {
         threshold in -5i64..105,
         q_idx in 0usize..6,
     ) {
-        use ov_query::{run_query_traced, EngineMode};
+        use ov_query::run_query_traced;
         let db = db();
         let queries = [
             format!("select V.Name from V in Person where V.Age >= {threshold}"),
@@ -325,21 +517,6 @@ proptest! {
         prop_assert_eq!(t.actuals.rows_matched, t0.actuals.rows_matched, "rows_matched on `{}`", q);
         prop_assert_eq!(t.actuals.steps, t0.actuals.steps, "steps on `{}`", q);
         prop_assert_eq!(t.actuals.rows_charged, t0.actuals.rows_charged, "rows_charged on `{}`", q);
-    }
-
-    /// With no budget cap, an uncapped run still meters the same steps —
-    /// the accounting itself (not just the breach behaviour) is identical.
-    #[test]
-    fn uncapped_step_counts_match(e in arb_pred()) {
-        let db = db();
-        for row in rows(&db) {
-            let bi = Arc::new(Budget::new());
-            let want = interp(&db, &e, &row, Some(bi.clone()));
-            let bc = Arc::new(Budget::new());
-            let got = compiled(&db, &e, &row, Some(bc.clone()));
-            prop_assert_eq!(&got, &want, "expr: {}", e);
-            prop_assert_eq!(bc.steps_used(), bi.steps_used(), "expr: {}", e);
-        }
     }
 }
 
@@ -427,14 +604,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Nested sub-selects (correlated and not, `exists` and value-compared,
-    /// `the` and plain): values, error variants, budget breach points, and
-    /// step counts are identical across engines.
+    /// `the` and plain): values and error variants are identical across
+    /// engines, and each is governed by its own charge.
     #[test]
     fn nested_selects_are_bit_identical(
         filter in arb_pred2("Q", "V"),
         exists in any::<bool>(),
         the in any::<bool>(),
-        max_steps in 0u64..400,
+        max_steps in 0u64..48,
     ) {
         let db = db();
         let e = nested_pred(exists, the, filter);
@@ -442,15 +619,15 @@ proptest! {
     }
 
     /// Aggregates (`count`/`sum`/`min`/`max`/`avg`) over correlated
-    /// selects, free class and unknown names, and non-collections: values,
-    /// error variants, budget breach points, and step counts are identical
-    /// across engines.
+    /// selects, free class and unknown names, and non-collections: values
+    /// and error variants are identical across engines, and each is
+    /// governed by its own charge.
     #[test]
     fn aggregates_are_bit_identical(
         filter in arb_pred2("Q", "V"),
         func_idx in 0usize..5,
         arg_idx in 0usize..7,
-        max_steps in 0u64..400,
+        max_steps in 0u64..48,
     ) {
         use ov_oodb::AggFunc;
         let db = db();
@@ -480,33 +657,24 @@ proptest! {
         assert_scans_agree(&db, &e, &rows(&db), max_steps)?;
     }
 
-    /// Top-level multi-binding selects: the compiled nested-loop produces
-    /// the same value (or the same error, at the same budget breach point,
-    /// with the same step count) as the interpreter.
+    /// Top-level multi-binding selects: the compiled nested loop produces
+    /// the same value, or the same error, as the interpreter, and each is
+    /// governed by its own charge.
     #[test]
     fn multi_binding_selects_are_bit_identical(
         filter in arb_pred2("V", "W"),
         the in any::<bool>(),
         proj_idx in 0usize..3,
-        max_steps in 0u64..600,
+        max_steps in 0u64..48,
     ) {
         let db = db();
         let e = select2(the, proj_idx, filter);
-        let bi = Arc::new(Budget::new().with_max_steps(max_steps));
-        let want = ov_query::budget::with(bi.clone(), || {
-            Evaluator::new(&db).eval(&e, &mut Env::new())
-        });
+        let walk = |b| ov_query::budget::with(b, || Evaluator::new(&db).eval(&e, &mut Env::new()));
+        let want = governed(walk, run_error, max_steps)?;
         let prog = compile_predicate(&e, &[]);
-        let bc = Arc::new(Budget::new().with_max_steps(max_steps));
-        let got = ov_query::budget::with(bc.clone(), || Scan::new(&prog, &db).run(0));
+        let run = |b| ov_query::budget::with(b, || Scan::new(&prog, &db).run(0));
+        let got = governed(run, run_error, max_steps)?;
         prop_assert_eq!(&got, &want, "expr: {} (max_steps={})", e, max_steps);
-        prop_assert_eq!(
-            bc.steps_used(),
-            bi.steps_used(),
-            "step divergence on {} (max_steps={})",
-            e,
-            max_steps
-        );
     }
 }
 
@@ -518,7 +686,7 @@ proptest! {
     /// and the forced interpreter agree on every error-free workload.
     #[test]
     fn planner_choice_never_changes_results(t in 0i64..100, pick in 0usize..4) {
-        use ov_query::{run_query, with_planner, EngineMode};
+        use ov_query::{run_query, with_planner};
         let mut db = Database::new(sym("PlanDb"));
         let person = db
             .create_class(
@@ -555,15 +723,27 @@ proptest! {
         ];
         let q = &queries[pick];
         // Warm the statistics plane so planning runs from measured
-        // cardinality/NDV, then compare every strategy's verdict.
+        // cardinality/NDV, then compare every strategy's verdict, each run
+        // under a budget: a plan runs budgeted as it runs unbudgeted.
         ov_oodb::metrics::set_profiling(true);
         let _ = run_query(&db, "select P.Name from P in Person where P.Age >= 0");
         ov_oodb::metrics::set_profiling(false);
+        let charged = |planner: bool| {
+            let budget = Arc::new(Budget::new());
+            let answer = ov_query::budget::with(budget.clone(), || {
+                with_planner(planner, || run_query(&db, q))
+            });
+            (answer, budget.steps_used())
+        };
         let want = ov_query::with_engine_mode(EngineMode::Interp, || run_query(&db, q));
-        let on = with_planner(true, || run_query(&db, q));
-        let off = with_planner(false, || run_query(&db, q));
+        let (on, on_steps) = charged(true);
+        let (off, off_steps) = charged(false);
         prop_assert_eq!(&on, &want, "planner-on divergence on `{}`", q);
         prop_assert_eq!(&off, &want, "planner-off divergence on `{}`", q);
+        // The planner's plan touches no more rows than the textual nested
+        // loop — index postings, a join level its filter prunes — and is
+        // charged what it touches.
+        prop_assert!(on_steps <= off_steps, "`{}`: {} > {}", q, on_steps, off_steps);
     }
 }
 

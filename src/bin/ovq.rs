@@ -81,6 +81,7 @@ const HELP: &str = "\
 .faults disarm SITE | .faults clear\n\
 .budget          current per-statement budget\n\
 .budget ms N | steps N | rows N | depth N | off\n\
+                 (a step: a row a loop binds, or a computed body run)\n\
 .planner         cost-based planner status + plan-cache hit/miss/replan counts\n\
 .planner on|off  enable/disable statistics-driven strategy selection\n\
 .wal             per-database WAL status (durable sessions only)\n\

@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn resource_exhausted_chains_to_the_breach() {
         let budget = crate::query::Budget::new().with_max_steps(0);
-        let q = budget.step(0).expect_err("zero-step budget must breach");
+        let q = budget.step().expect_err("zero-step budget must breach");
         assert!(matches!(q, QueryError::ResourceExhausted(_)));
         let unified: Error = q.into();
         let s1 = unified.source().expect("layer error");
