@@ -42,7 +42,7 @@ use std::sync::Mutex;
 use ov_bench::*;
 use ov_oodb::{sym, ConflictPolicy, Value};
 use ov_query::eval_attr;
-use ov_views::{IdentityMode, Materialization, Population, ViewDef, ViewOptions};
+use ov_views::{IdentityMode, Materialization, ViewDef, ViewOptions};
 
 fn main() {
     let args = parse_args();
@@ -760,7 +760,6 @@ fn e4_population() {
         &[
             "recompute".into(),
             "cached".into(),
-            "upd+read cached".into(),
             "upd+read incr.".into(),
             "chained recompute".into(),
         ],
@@ -768,12 +767,6 @@ fn e4_population() {
     for &n in &[1_000usize, 10_000, 100_000] {
         let sys = people(n);
         let cached = staff_view(&sys, ViewOptions::default());
-        let incremental = staff_view(
-            &sys,
-            ViewOptions::builder()
-                .materialization(Materialization::Incremental)
-                .build(),
-        );
         let recompute = staff_view(
             &sys,
             ViewOptions::builder()
@@ -781,7 +774,6 @@ fn e4_population() {
                 .build(),
         );
         cached.extent_of(sym("Adult")).unwrap();
-        incremental.extent_of(sym("Adult")).unwrap();
         let t_rec = time_ns(5, || {
             std::hint::black_box(recompute.extent_of(sym("Adult")).unwrap());
         });
@@ -796,7 +788,7 @@ fn e4_population() {
         let db = sys.database(sym("Staff")).unwrap();
         let victims = person_oids(&sys, 16);
         let mut i = 0usize;
-        let t_upd_cache = time_ns(5, || {
+        let t_upd_incr = time_ns(5, || {
             let o = victims[i % victims.len()];
             i += 1;
             db.write()
@@ -804,21 +796,12 @@ fn e4_population() {
                 .unwrap();
             std::hint::black_box(cached.extent_of(sym("Adult")).unwrap());
         });
-        let t_upd_incr = time_ns(5, || {
-            let o = victims[i % victims.len()];
-            i += 1;
-            db.write()
-                .set_attr(o, sym("Age"), Value::Int((i % 90) as i64))
-                .unwrap();
-            std::hint::black_box(incremental.extent_of(sym("Adult")).unwrap());
-        });
         let label = n.to_string();
         row(
             &label,
             &[
                 tcell(&label, "recompute", t_rec),
                 tcell(&label, "cached", t_cache),
-                tcell(&label, "upd+read cached", t_upd_cache),
                 tcell(&label, "upd+read incr", t_upd_incr),
                 tcell(&label, "chained recompute", t_chained),
             ],
@@ -845,7 +828,7 @@ fn e4_readers(threads: usize) {
         let seq = staff_view(
             &sys,
             ViewOptions::builder()
-                .population(Population::AlwaysRecompute)
+                .materialization(Materialization::AlwaysRecompute)
                 .build(),
         );
         let t_seq = time_ns(5, || {
@@ -2135,8 +2118,8 @@ fn e20_front_end() {
 }
 
 /// The cold path of crash → recovery → first query, cell by cell: an
-/// imaginary population through the row loop (cold, and as what any write
-/// costs while the class is bound and propagated eagerly), the checksum
+/// imaginary population through the row loop (cold, and as what the first
+/// read after any write costs while the class is bound), the checksum
 /// kernel, the snapshot read, `Database::open` of that snapshot plus a WAL
 /// tail, and the first index probe after it. Data and view are shaped like
 /// the end-to-end benchmark's (`ovbench`): 25 000 [`people`] over 8 cities
@@ -2179,9 +2162,10 @@ fn e21_cold_path() {
         std::hint::black_box(cold.extent_of(sym("Household")).unwrap());
     });
 
-    // imaginary/write: one base write and the refresh `Session::propagate`
-    // gives every dependent view. The class is opaque to deltas, so the
-    // refresh is a recompute through the same loop.
+    // imaginary/write: one base write and the refresh the next read makes
+    // (`View::refresh`, which `Session::propagate` calls). A delta does not
+    // decide the class, so the refresh is a recompute through the same
+    // loop.
     let eager = homes(Materialization::Incremental);
     eager.refresh().unwrap();
     let target = person_oids(&sys, 1)[0];

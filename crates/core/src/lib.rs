@@ -65,8 +65,8 @@ pub use error::{Result, ViewError};
 pub use graph::{DepEdge, DepTarget, DependencyGraph};
 pub use session::{Outcome, Session};
 pub use view::{
-    Binder, IdentityMode, Materialization, Population, View, ViewHealth, ViewOptions,
-    ViewOptionsBuilder, ViewStats,
+    Binder, IdentityMode, Materialization, View, ViewHealth, ViewOptions, ViewOptionsBuilder,
+    ViewStats,
 };
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use ov_query::{execute_stmts_with_map, parse_program, Stmt};
 use crate::def::{AttrDecl, Hide, Import, ViewDef, ViewElement, VirtualClassDef};
 use crate::error::{Result, ViewError};
 use crate::graph::{DepTarget, DependencyGraph};
-use crate::view::{Materialization, View, ViewOptions};
+use crate::view::{View, ViewOptions};
 
 /// What the prompt currently points at.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -486,7 +486,6 @@ impl Session {
 
     fn run_on_database(&mut self, db: Symbol, stmt: Stmt) -> Result<Outcome> {
         let schema_change = matches!(stmt, Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. });
-        let read_only = matches!(stmt, Stmt::Query(_));
         let result = match stmt {
             // A data statement needs no schema or allocation pass: it runs
             // as the one statement it is.
@@ -510,12 +509,9 @@ impl Session {
             // dependents of the changed database, in dependency order.
             // Unrelated views keep their bound state and warm caches.
             self.rebind_dependents(DepTarget::Database(db), db)?;
-        } else if !read_only && self.options.materialization == Materialization::Incremental {
-            // Data writes under incremental materialization are pushed
-            // eagerly through the stack so reads find warm populations. A
-            // read changed no base state, so it owes the views nothing.
-            self.propagate(db);
         }
+        // A data write refreshes no view: each population follows its
+        // sources on the read that needs it.
         Ok(result.map_or(Outcome::Done, Outcome::Value))
     }
 
@@ -530,13 +526,14 @@ impl Session {
         Ok(())
     }
 
-    /// Pushes a base write through the dependency graph: refreshes the
-    /// populations of every transitive dependent of database `db`, in
-    /// topological order (upstream views before the views stacked on
-    /// them). Under [`Materialization::Incremental`] each refresh is a
-    /// delta retest of the journal's changed oids. Failures are skipped —
-    /// the lazy read path (with its degradation ladder) recovers on next
-    /// access. Returns the number of views refreshed.
+    /// Warms every transitive dependent of database `db` after a base
+    /// write, in topological order (upstream views before the views
+    /// stacked on them): each [`View::refresh`] makes the requests the next
+    /// reads would make. Nothing calls it on a write — a read needs no
+    /// warm-up — so it is for callers that want the cost paid up front.
+    /// Failures are skipped — the lazy read path (with its degradation
+    /// ladder) recovers on next access. Returns the number of views
+    /// refreshed.
     pub fn propagate(&self, db: Symbol) -> usize {
         let mut refreshed = 0;
         for name in self.graph.transitive_dependents(DepTarget::Database(db)) {
@@ -858,6 +855,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::Materialization;
     use ov_oodb::sym;
 
     fn loaded_session() -> Session {

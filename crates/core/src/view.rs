@@ -10,20 +10,21 @@
 //!
 //! ## Laziness and caching
 //!
-//! Virtual-class populations are evaluated lazily, under one of three
-//! [`Materialization`] policies. [`Materialization::Cached`] (the default)
-//! keys the cached population on the versions of the source databases and
-//! fully recomputes when any of them changes.
-//! [`Materialization::Incremental`] patches the cached population instead:
-//! it re-tests membership only for the oids in the stores' change
-//! journals, falling back to a full recompute on a journal gap or a
-//! non-delta-maintainable include. [`Materialization::AlwaysRecompute`]
-//! skips caching entirely (the relational baseline the benchmarks compare
-//! against). `View::explain_population` reports which path resolved a
-//! given request. The **identity tables** of imaginary classes are *not*
-//! keyed: they survive recomputation and updates, which is precisely the
-//! paper's §5.1 identity semantics ("we are guaranteed that the same tuple
-//! will be assigned the same oid each time the class C is invoked").
+//! Virtual-class populations are evaluated lazily, on the read that needs
+//! them, under one of two [`Materialization`] policies.
+//! [`Materialization::Incremental`] (the default) caches each population
+//! keyed on the versions of the source databases. When a source moves, a
+//! *delta-decided* class (see `View::decide_delta`) is patched: only the
+//! oids in the stores' change journals are re-tested. Any other class, or
+//! a journal gap, recomputes. [`Materialization::AlwaysRecompute`] skips
+//! caching entirely (the relational baseline the benchmarks compare
+//! against, and the oracle the tests compare with). Nothing is pushed on a
+//! write: `View::refresh` is an explicit warm-up.
+//! `View::explain_population` reports which path resolved a given request.
+//! The **identity tables** of imaginary classes are *not* keyed: they
+//! survive recomputation and updates, which is precisely the paper's §5.1
+//! identity semantics ("we are guaranteed that the same tuple will be
+//! assigned the same oid each time the class C is invoked").
 //!
 //! ## One row loop
 //!
@@ -35,10 +36,11 @@
 //! imaginary class keeps the distinct projected tuples and then maps them
 //! to oids in set order, so the identity table fills exactly as if the
 //! query had been run whole.
-//! Only the specialization is delta-maintainable: an imaginary
-//! tuple may be produced by many rows, so a write recomputes the class —
-//! through the same loop. Every other shape runs whole, as one compiled
-//! program: no population runs in the tree walker.
+//! Only a specialization whose filter reads nothing but its own row is
+//! delta-decided: an imaginary tuple may be produced by many rows, so a
+//! write recomputes the class — through the same loop. Every other shape
+//! runs whole, as one compiled program: no population runs in the tree
+//! walker.
 //!
 //! ## Concurrency
 //!
@@ -99,21 +101,18 @@ const PATCH_ROUNDS: u32 = 3;
 /// How virtual-class populations are (re)computed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Materialization {
-    /// Cache the population; invalidate (fully recompute) when any source
-    /// database changes.
+    /// Cache each population and follow its sources: on the first read
+    /// after a source changed, a delta-decided class re-tests only the
+    /// oids in the stores' change journals; any other class, or a journal
+    /// gap, recomputes. This is our answer to the paper's closing remark
+    /// that materialized views "acquire a new dimension in the context of
+    /// objects" (§6).
     #[default]
-    Cached,
-    /// Recompute on every access (the relational-view baseline; used by the
-    /// benchmarks to quantify what caching buys).
-    AlwaysRecompute,
-    /// Maintain cached populations **incrementally**: on source change,
-    /// re-test membership only for the oids in the stores' change journals.
-    /// Falls back to full recomputation when the journal has gaps or when
-    /// an include is not delta-maintainable (`like`, `imaginary`,
-    /// multi-binding queries). This is our answer to the paper's closing
-    /// remark that materialized views "acquire a new dimension in the
-    /// context of objects" (§6).
     Incremental,
+    /// Recompute on every access (the relational-view baseline; used by the
+    /// benchmarks to quantify what caching buys, and by the tests as the
+    /// oracle a cached population must equal).
+    AlwaysRecompute,
 }
 
 /// How imaginary objects receive oids (§5.1).
@@ -317,6 +316,9 @@ pub struct View {
     /// Dependency edges recorded at bind time: which databases and which
     /// upstream views this definition reads, with the class names read.
     deps: Vec<DepEdge>,
+    /// The delta-decided classes ([`View::decide_delta`]), each with the
+    /// imported classes its members come from.
+    delta_decided: RwLock<HashMap<ClassId, Vec<ClassId>>>,
 }
 
 /// The population counters, one row each: the [`Stat`] that names the
@@ -389,10 +391,6 @@ view_stats! {
     FaultRetry, fault_retries, "views.fault_retries";
 }
 
-/// The paper's name for the population caching policy, used by the
-/// [`ViewOptions`] builder (`.population(Population::Incremental)`).
-pub use Materialization as Population;
-
 /// Tunable view behaviors. Construct with [`ViewOptions::builder`] — the
 /// struct is `#[non_exhaustive]`, so it cannot be built literally outside
 /// this crate and new knobs can be added compatibly.
@@ -429,14 +427,7 @@ impl ViewOptionsBuilder {
         self
     }
 
-    /// Sets the population caching policy, under its paper name.
-    pub fn population(mut self, population: Population) -> Self {
-        self.opts.materialization = population;
-        self
-    }
-
-    /// Sets the population caching policy ([`population`][Self::population]
-    /// under its implementation name).
+    /// Sets the population caching policy.
     pub fn materialization(mut self, materialization: Materialization) -> Self {
         self.opts.materialization = materialization;
         self
@@ -513,10 +504,9 @@ impl View {
 
     /// Eagerly refreshes every virtual and imaginary population, in class
     /// creation order (dependencies before dependents within this view),
-    /// and returns how many were refreshed. Under
-    /// [`Materialization::Incremental`] each refresh is a delta retest of
-    /// the journal-changed oids; the session uses this to propagate a base
-    /// write through a view stack in topological order.
+    /// and returns how many were refreshed: each is the request the next
+    /// read would make — a delta retest of the journal-changed oids for a
+    /// delta-decided class. A warm-up only; a read never needs it.
     pub fn refresh(&self) -> Result<usize> {
         let mut ids: Vec<ClassId> = self
             .kinds
@@ -780,15 +770,13 @@ impl View {
     ) -> ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)> {
         let versions = self.source_versions();
         let schema_len = self.schema.read().len();
-        if self.materialization != Materialization::AlwaysRecompute {
+        if self.materialization == Materialization::Incremental {
             if let Some(cached) = self.pop_shard(c).read().get(&c) {
                 if cached.versions == versions && cached.schema_len == schema_len {
                     return Ok((cached.oids.clone(), plan::PopPath::CacheHit));
                 }
             }
             self.stats.bump(Stat::CacheMiss);
-        }
-        if self.materialization == Materialization::Incremental {
             if let Some((oids, retested)) = self.try_incremental(c, &versions, schema_len)? {
                 return Ok((oids, plan::PopPath::Delta { retested }));
             }
@@ -828,8 +816,8 @@ impl View {
     /// Attempts a delta update of `c`'s cached population, patching the
     /// cached set in place. Returns the patched population together with
     /// how many changed oids were re-tested, or `Ok(None)` when a full
-    /// recompute is required (no cache, journal gap, schema change, an
-    /// opaque include, or [`PATCH_ROUNDS`] lost races).
+    /// recompute is required (no cache, journal gap, schema change, a class
+    /// that is not delta-decided, or [`PATCH_ROUNDS`] lost races).
     ///
     /// The order is retest, then lock, then patch. Retests run with no lock
     /// held (population is re-entrant), so an error in any of them leaves
@@ -853,11 +841,10 @@ impl View {
         versions: &[u64],
         schema_len: usize,
     ) -> ov_query::Result<Option<(Arc<BTreeSet<Oid>>, usize)>> {
-        let includes = self.includes_of(c);
-        let maintainable = |i: &Include| matches!(i, Include::Class(_) | Include::Filter(_));
-        if !includes.iter().all(maintainable) {
+        if !self.delta_decided.read().contains_key(&c) {
             return Ok(None);
         }
+        let includes = self.includes_of(c);
         for _ in 0..PATCH_ROUNDS {
             let base = match self.pop_shard(c).read().get(&c) {
                 Some(entry) if entry.schema_len == schema_len => entry.versions.clone(),
@@ -935,7 +922,7 @@ impl View {
             let (class, filter) = match inc {
                 Include::Class(class) => (*class, None),
                 Include::Filter(f) => (f.class, Some(f)),
-                _ => unreachable!("checked by try_incremental"),
+                _ => unreachable!("a delta-decided class has no other include"),
             };
             let mut candidates = Vec::new();
             for &oid in &live {
@@ -952,6 +939,72 @@ impl View {
             }
         }
         Ok(admitted)
+    }
+
+    /// Decides once whether a journal delta decides virtual class `c`, and
+    /// if so records it in [`View::delta_decided`]. Run when the view's
+    /// definitions are complete: at the end of bind, and for each template
+    /// instance as it is defined.
+    ///
+    /// DECISION: a delta patches a population only when one changed object
+    /// decides its own membership and nothing else's. That holds when each
+    /// include is a whole class, or a canonical `select V from V in C
+    /// where F`, over a `C` that is imported or itself delta-decided, and
+    /// `F` reads only stored attributes of `V` ([`ov_query::Program::row_attrs`],
+    /// each with the class verdict `Stored` for every imported class whose
+    /// objects can be in `C`). A free name (a named object, a class
+    /// extent), a sub-select, an aggregate, `in`, `isa`, an application, a
+    /// path tail or a computed attribute can read objects the journal does
+    /// not name, so a class with one recomputes when a source moves. The
+    /// verdicts are taken inside `c`'s population bracket, as the retest
+    /// sees them; a nested population excludes more virtual classes, which
+    /// can only keep a verdict `Stored`.
+    fn decide_delta(&self, c: ClassId) {
+        let includes = self.includes_of(c);
+        let stored = |d, a| matches!(self.class_rule(d, a), Ok(Rule::Class(ResolvedAttr::Stored)));
+        let members = self.in_population(c, || {
+            let mut members = Vec::new();
+            for inc in includes.iter() {
+                let (class, filter) = match inc {
+                    Include::Class(class) => (*class, None),
+                    Include::Filter(f) => (f.class, f.filter.as_ref()),
+                    _ => return None,
+                };
+                let attrs = match filter {
+                    Some(program) => program.row_attrs()?,
+                    None => Vec::new(),
+                };
+                let from = self.member_classes(class)?;
+                if !from.iter().all(|&d| attrs.iter().all(|&a| stored(d, a))) {
+                    return None;
+                }
+                members.extend(from);
+            }
+            Some(members)
+        });
+        if let Some(members) = members {
+            self.delta_decided.write().insert(c, members);
+        }
+    }
+
+    /// The imported classes whose objects can be members of `class`: an
+    /// imported class and its imported subclasses, or what a delta-decided
+    /// class's includes draw from. `None` for any other class.
+    fn member_classes(&self, class: ClassId) -> Option<Vec<ClassId>> {
+        let kinds = self.kinds.read();
+        match kinds.get(&class)? {
+            ClassKind::Imported { .. } => {
+                let schema = self.schema.read();
+                let below = std::iter::once(class).chain(schema.strict_descendants(class));
+                Some(
+                    below
+                        .filter(|d| matches!(kinds.get(d), Some(ClassKind::Imported { .. })))
+                        .collect(),
+                )
+            }
+            ClassKind::Virtual => self.delta_decided.read().get(&class).cloned(),
+            ClassKind::Imaginary { .. } => None,
+        }
     }
 
     /// The membership loop every candidate source shares: a row test built

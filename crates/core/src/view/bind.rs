@@ -35,7 +35,7 @@ struct ExpandedDef {
 /// ```ignore
 /// let view = def
 ///     .binder(&system)
-///     .options(ViewOptions::builder().population(Population::Incremental).build())
+///     .options(ViewOptions::builder().materialization(Materialization::AlwaysRecompute).build())
 ///     .over(&upstream_def) // resolve `import … from view Upstream`
 ///     .bind()?;
 /// ```
@@ -45,8 +45,8 @@ struct ExpandedDef {
 /// definition is expanded in place — the upstream's own imports and
 /// elements are spliced in (deduplicated, depth first) ahead of this
 /// definition's elements, so its virtual classes are queryable, delta
-/// retests flow through them level by level, and a change to the shared
-/// base propagates through the whole stack. Cycles among definitions are
+/// retests flow through them level by level, and the next read through
+/// any level sees a change to the shared base. Cycles among definitions are
 /// rejected here, at bind time.
 pub struct Binder<'a> {
     def: &'a ViewDef,
@@ -171,6 +171,7 @@ impl<'a> Binder<'a> {
             res_gen: AtomicU64::new(0),
             verdicts: RwLock::default(),
             deps: Vec::new(),
+            delta_decided: RwLock::default(),
         };
         // Which dependency target defined each class name the view can
         // read: imported classes map to their database, spliced virtual
@@ -227,6 +228,13 @@ impl<'a> Binder<'a> {
             .into_iter()
             .map(|(on, classes)| DepEdge { on, classes })
             .collect();
+        // Every definition is in: decide which classes a delta decides,
+        // in definition order, so each class's includes are decided first.
+        let mut virtuals: Vec<ClassId> = view.virt.read().keys().copied().collect();
+        virtuals.sort_unstable();
+        for c in virtuals {
+            view.decide_delta(c);
+        }
         // With every class defined, re-adopt identity assignments an
         // earlier incarnation of this view persisted (§5.1 across
         // restarts).
@@ -766,6 +774,7 @@ impl View {
         }
         instance_name.push(')');
         let class = self.define_virtual_class(Symbol::new(&instance_name), &substituted)?;
+        self.decide_delta(class);
         instances.insert(key, class);
         // The schema grew: `Param(x)` names now resolve where they didn't,
         // so any warm compiled-scan resolution caches must be refreshed.

@@ -134,19 +134,26 @@ proptest! {
     /// Incremental maintenance agrees with recomputation through a
     /// three-level view stack, whether a write is pushed through the stack
     /// eagerly (`Session::propagate`) or found by the next lazy read: after
-    /// every insert, update and delete, each of the six maintained
-    /// populations equals that of an always-recomputing bind.
+    /// every insert, update and delete, each of the six delta-decided
+    /// populations equals that of an always-recomputing bind, and so does
+    /// each level's copy of two classes a delta cannot decide — one reads a
+    /// named object the writes also change, one draws from an imaginary
+    /// class. No delta-decided population recomputes after its cold read.
     #[test]
     fn stacked_incremental_agrees_with_recomputation(
         rows in prop::collection::vec((0i64..100, 0i64..200), 1..10),
         writes in prop::collection::vec(
-            (0u8..4, any::<prop::sample::Index>(), 0i64..100, 0i64..200, any::<bool>()),
+            (0u8..5, any::<prop::sample::Index>(), 0i64..100, 0i64..200, any::<bool>()),
             1..12,
         ),
     ) {
         const STACK: [&str; 3] = [
             "create view Adults; import all classes from database Staff; \
-             class Adult includes (select P from Person where P.Age >= 21);",
+             class Adult includes (select P from Person where P.Age >= 21); \
+             class Junior includes (select P from Person where P.Age < boss.Age); \
+             class Band includes imaginary \
+                 (select [Years: P.Age] from P in Person where P.Age >= 21); \
+             class Seasoned includes (select B from B in Band where B.Years >= 60);",
             "create view Earners; import all classes from view Adults; \
              class Rich includes (select A from Adult where A.Income >= 100);",
             "create view Top; import all classes from view Earners; \
@@ -155,15 +162,31 @@ proptest! {
         const POPULATIONS: [(usize, &str); 6] = [
             (0, "Adult"), (1, "Adult"), (1, "Rich"), (2, "Adult"), (2, "Rich"), (2, "Elite"),
         ];
-        let mut session = ov_views::Session::with_options(
-            ViewOptions::builder().materialization(Materialization::Incremental).build(),
-        );
+        // Defined at level 0, so every level holds its own copy; each with
+        // the attribute it reads. (`Band` names its field `Years`: a class
+        // defining `Age` would make every `Age` read depend on membership,
+        // and no class filtering on `Age` would be delta-decided.)
+        const UNDECIDED: [(&str, &str); 2] = [("Junior", "Age"), ("Seasoned", "Years")];
+        // The delta-decided recomputes among `traces`.
+        let recomputes = |traces: &[ov_query::PopulationTrace]| {
+            traces
+                .iter()
+                .filter(|t| POPULATIONS.iter().any(|&(_, c)| t.class == sym(c)))
+                .filter(|t| matches!(t.path, PopPath::FullRecompute { .. }))
+                .count()
+        };
+        let mut session = ov_views::Session::new();
         session
-            .execute("database Staff; class Person type [Age: integer, Income: integer];")
+            .execute(
+                "database Staff; class Person type [Age: integer, Income: integer]; \
+                 class Boss type [Age: integer]; object #1 in Boss value [Age: 50]; \
+                 name boss = #1;",
+            )
             .unwrap();
         session.execute(&STACK.concat()).unwrap();
         let db = session.system().database(sym("Staff")).unwrap();
         let person = db.read().schema.class_by_name(sym("Person")).unwrap();
+        let boss = db.read().named(sym("boss")).unwrap();
         let row = |age: i64, income: i64| {
             Value::tuple([("Age", Value::Int(age)), ("Income", Value::Int(income))])
         };
@@ -189,12 +212,22 @@ proptest! {
         let maintained = |level: usize| {
             session.view(defs[level].name).expect("view of the stack")
         };
-        // Warm all six, so every write below is a delta at every level.
-        for (level, class) in POPULATIONS {
-            maintained(level).extent_of(sym(class)).unwrap();
+        // Warm every population, so every write below is a delta at every
+        // level for each delta-decided class: its cold read is its one
+        // recompute.
+        for level in 0..3 {
+            let ((), traces) = ov_query::plan::collect(|| {
+                for (_, class) in POPULATIONS.iter().filter(|&&(l, _)| l == level) {
+                    maintained(level).extent_of(sym(class)).unwrap();
+                }
+                for (class, _) in UNDECIDED {
+                    maintained(level).extent_of(sym(class)).unwrap();
+                }
+            });
+            prop_assert_eq!(recomputes(&traces), level + 1, "cold populates only");
         }
-        // The writes go to the database directly: `Session::execute` would
-        // propagate each one itself, and the property picks eager or lazy.
+        // The writes go to the database directly, and the property picks
+        // whether the stack is warmed eagerly before the reads.
         for (kind, target, age, income, eager) in &writes {
             let oids = db.read().deep_extent(person);
             let target = (!oids.is_empty()).then(|| oids[target.index(oids.len())]);
@@ -206,17 +239,23 @@ proptest! {
                 (3, Some(oid)) => {
                     db.write().delete_object(oid).unwrap();
                 }
+                (4, _) => db.write().set_attr(boss, sym("Age"), Value::Int(*age)).unwrap(),
                 _ => {
                     db.write().create_object(person, row(*age, *income)).unwrap();
                 }
             }
             if *eager {
-                prop_assert_eq!(session.propagate(sym("Staff")), 3);
+                let (refreshed, traces) =
+                    ov_query::plan::collect(|| session.propagate(sym("Staff")));
+                prop_assert_eq!(refreshed, 3);
+                prop_assert_eq!(recomputes(&traces), 0, "a delta-decided class recomputed");
             }
             // Both sources hold the same set: the delta and the sequential
             // scan.
             for (level, class) in POPULATIONS {
-                let delta = maintained(level).extent_of(sym(class)).unwrap();
+                let (delta, traces) =
+                    ov_query::plan::collect(|| maintained(level).extent_of(sym(class)).unwrap());
+                prop_assert_eq!(recomputes(&traces), 0, "{} recomputed", class);
                 prop_assert_eq!(
                     population(&recomputing[level], class, false).as_ref(),
                     Ok(&delta),
@@ -225,10 +264,23 @@ proptest! {
                     defs[level].name
                 );
             }
+            for level in 0..3 {
+                for (class, attr) in UNDECIDED {
+                    let read = |view: &View| {
+                        view.query(&format!("select X.{attr} from X in {class}")).unwrap()
+                    };
+                    prop_assert_eq!(
+                        read(maintained(level)),
+                        read(&recomputing[level]),
+                        "{} in view {}",
+                        class,
+                        defs[level].name
+                    );
+                }
+            }
         }
         for level in 0..3 {
             let stats = maintained(level).stats();
-            prop_assert_eq!(stats.recomputations, level as u64 + 1, "cold populates only");
             prop_assert!(stats.incremental_updates >= writes.len() as u64);
         }
         // One thread never holds a population across its own write, so

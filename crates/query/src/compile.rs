@@ -215,6 +215,37 @@ impl Program {
     pub fn n_regs(&self) -> usize {
         self.n_regs
     }
+
+    /// The attributes this program reads off the object in register 0,
+    /// when that is all it reads: no free name, sub-select, aggregate,
+    /// `in`, `isa`, application, attribute with arguments or path tail.
+    /// `None` when it reaches beyond that object. Whether each attribute
+    /// is stored is the source's to say ([`DataSource::class_verdict`]).
+    pub fn row_attrs(&self) -> Option<Vec<Symbol>> {
+        let mut attrs = Vec::new();
+        for inst in &self.insts {
+            match *inst {
+                Inst::Attr { slot, nargs: 0, .. } if self.slot_recv[slot] == Some(0) => {
+                    attrs.push(self.slots[slot])
+                }
+                Inst::Binary(BinOp::In) => return None,
+                Inst::Const(_)
+                | Inst::Reg(0)
+                | Inst::Unary(_)
+                | Inst::Binary(_)
+                | Inst::AndShort { .. }
+                | Inst::OrShort { .. }
+                | Inst::Booleanize
+                | Inst::BranchFalsy { .. }
+                | Inst::Jump { .. }
+                | Inst::MakeTuple { .. }
+                | Inst::MakeSet { .. }
+                | Inst::MakeList { .. } => {}
+                _ => return None,
+            }
+        }
+        Some(attrs)
+    }
 }
 
 /// Lowers `expr` to a [`Program`] with the scan variables `vars` mapped to

@@ -95,7 +95,7 @@ fn main() {
     .options(
         ViewOptions::builder()
             .identity_mode(IdentityMode::Fresh)
-            .population(Population::AlwaysRecompute)
+            .materialization(Materialization::AlwaysRecompute)
             .build(),
     )
     .bind()

@@ -32,7 +32,7 @@
 //!         .binder(&sys)
 //!         .options(
 //!             ViewOptions::builder()
-//!                 .population(Population::Incremental)
+//!                 .materialization(Materialization::AlwaysRecompute)
 //!                 .build(),
 //!         )
 //!         .bind()?;
@@ -64,8 +64,8 @@ pub mod prelude {
     pub use crate::relational::{bridge, Relation, RelationalDb};
     pub use crate::views::{
         Binder, CatalogTxn, DdlOutcome, DepEdge, DepTarget, DependencyGraph, IdentityMode,
-        Materialization, Outcome, Population, Session, View, ViewDef, ViewError, ViewHealth,
-        ViewOptions, ViewOptionsBuilder, ViewStats,
+        Materialization, Outcome, Session, View, ViewDef, ViewError, ViewHealth, ViewOptions,
+        ViewOptionsBuilder, ViewStats,
     };
     pub use crate::Error;
 }

@@ -2,8 +2,9 @@
 //! each close once, and the registry counter, the flight-recorder span and
 //! the EXPLAIN event are all read off that close — so, step by step through
 //! a seeded random run of reads, writes, `explain`s and `propagate`s over a
-//! three-level `Incremental` stack and an imaginary class, with tracing on
-//! and a collector open, they count the same things.
+//! three-level stack and an imaginary class, with tracing on and a
+//! collector open, they count the same things. A write counts nothing: the
+//! read after it makes the requests.
 //!
 //! The registry, the recorder and the profiler switch are process-wide:
 //! this binary holds these tests only, and they take [`serial`].
@@ -15,7 +16,7 @@ use objects_and_views::oodb::event::Event;
 use objects_and_views::oodb::{metrics, recorder, sym, trace, FieldValue, Value};
 use objects_and_views::query::{plan, run_query, run_query_with_budget, Budget, PopPath};
 use objects_and_views::query::{PopulationTrace, QueryTrace, ScanKind};
-use objects_and_views::views::{Population, Session, ViewOptions};
+use objects_and_views::views::Session;
 
 /// Each population path: its `path` span field and its registry counter.
 const PATHS: [(&str, &str); 4] = [
@@ -47,17 +48,13 @@ impl Rng {
     }
 }
 
-/// `Adults` → `Earners` → `Top`, incremental; `First` is populated from the
+/// `Adults` → `Earners` → `Top`; `First` is populated from the
 /// index on `Person.Id` and `CityTag` is imaginary. `CityTag` defines
 /// `City`, so `Londoner`'s filter asks of every person whether `CityTag`
 /// holds them: its scan requests `CityTag`'s population from inside the
 /// row loop, and that population's events reach EXPLAIN like any other.
 fn stack() -> Session {
-    let mut s = Session::with_options(
-        ViewOptions::builder()
-            .population(Population::Incremental)
-            .build(),
-    );
+    let mut s = Session::new();
     let mut script = String::from(
         "database Staff;
          class Person type [Id: integer, Age: integer, Income: integer, City: string];",
@@ -193,7 +190,13 @@ fn step(s: &mut Session, rng: &mut Rng) -> Vec<QueryTrace> {
                 ),
             };
             s.focus(sym("Staff")).unwrap();
+            let before = metrics::registry().snapshot();
             s.execute(&format!("set #{oid}.{attr} = {value};")).unwrap();
+            assert_eq!(
+                counted(&before),
+                Tally::new(),
+                "a write moved a view counter"
+            );
         }
         2 => {
             // Behind the session's back: the next read patches lazily.

@@ -146,7 +146,6 @@ fn the_full_campus_view_works() {
 #[test]
 fn campus_view_tracks_updates_under_all_materializations() {
     for materialization in [
-        Materialization::Cached,
         Materialization::AlwaysRecompute,
         Materialization::Incremental,
     ] {
