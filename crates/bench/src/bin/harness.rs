@@ -1494,9 +1494,21 @@ const STACK_SCRIPTS: [&str; 3] = [
      class Elite includes (select R from Rich where R.Age >= 60);",
 ];
 
-/// [`STACK_SCRIPTS`] over [`people`]. Bind the last over the first two.
-fn stack_defs() -> [ViewDef; 3] {
-    STACK_SCRIPTS.map(|script| ViewDef::from_script(script).unwrap())
+/// [`STACK_SCRIPTS`] bound over `sys` with `options`, bottom up, each
+/// level over the one below: each populates the class it declares.
+fn bind_stack(sys: &ov_oodb::System, options: ViewOptions) -> [std::sync::Arc<ov_views::View>; 3] {
+    let mut bound: Vec<std::sync::Arc<ov_views::View>> = Vec::new();
+    for script in STACK_SCRIPTS {
+        let view = ViewDef::from_script(script)
+            .unwrap()
+            .binder(sys)
+            .options(options.clone())
+            .over_all(&bound)
+            .bind()
+            .unwrap();
+        bound.push(std::sync::Arc::new(view));
+    }
+    bound.try_into().unwrap()
 }
 
 fn e15_stacked_views() {
@@ -1518,30 +1530,27 @@ fn e15_stacked_views() {
         let mut size = 0usize;
         for incremental in [true, false] {
             let sys = people(n);
-            // The bound Top view carries all three levels, so one base
-            // write must cross three population definitions to reach
-            // Elite.
-            let [adults, earners, top] = stack_defs();
-            let view = top
-                .binder(&sys)
-                .over_all([&adults, &earners])
-                .options(
-                    ViewOptions::builder()
-                        .materialization(if incremental {
-                            Materialization::Incremental
-                        } else {
-                            Materialization::AlwaysRecompute
-                        })
-                        .build(),
-                )
-                .bind()
-                .unwrap();
+            // Each level populates the class it declares, so one base
+            // write must cross three population definitions, in three
+            // views, to reach Elite.
+            let stack = bind_stack(
+                &sys,
+                ViewOptions::builder()
+                    .materialization(if incremental {
+                        Materialization::Incremental
+                    } else {
+                        Materialization::AlwaysRecompute
+                    })
+                    .build(),
+            );
+            let view = &stack[2];
+            let recomputations = || stack.iter().map(|v| v.stats().recomputations).sum::<u64>();
             // Warm every level, then refresh after a single base write.
             size = view.extent_of(sym("Elite")).unwrap().len();
             let db = sys.database(sym("Staff")).unwrap();
             let person = db.read().schema.class_by_name(sym("Person")).unwrap();
             let victim = db.read().deep_extent(person)[0];
-            let recomputes_before = view.stats().recomputations;
+            let recomputes_before = recomputations();
             let mut flip = 0i64;
             let t = time_ns(5, || {
                 flip += 1;
@@ -1555,7 +1564,7 @@ fn e15_stacked_views() {
                 // retests of the one changed oid; a full recomputation
                 // anywhere in the stack is a regression.
                 assert_eq!(
-                    view.stats().recomputations,
+                    recomputations(),
                     recomputes_before,
                     "E15: stacked delta refresh fell back to FullRecompute"
                 );
@@ -1948,12 +1957,7 @@ fn e19_planner() {
         // stack. The view answers `indexed_lookup` by probing each imported
         // class's index in the base, so it stays beside `uniform-on`
         // instead of scanning the extent.
-        let [adults, earners, top] = stack_defs();
-        let top = top
-            .binder(&sys)
-            .over_all([&adults, &earners])
-            .bind()
-            .unwrap();
+        let [_, _, top] = bind_stack(&sys, ViewOptions::default());
         let probe_view = ov_query::with_planner(true, || {
             assert_eq!(
                 top.query(&uniform).unwrap(),

@@ -134,7 +134,7 @@ impl<'s> CatalogTxn<'s> {
             )));
         }
         let view = self.session.bind_def(&def)?;
-        self.session.install_view(def, view);
+        self.session.install_view(view);
         Ok(DdlOutcome::Defined(name))
     }
 

@@ -8,9 +8,11 @@
 //! object (including imaginary ones) becomes a real object, and every
 //! zero-parameter attribute is evaluated and stored.
 //!
-//! Materialization is also how views stack: register the materialized
-//! database in a [`ov_oodb::System`] and define the next view over it
-//! ("we can build views on top of views on top of views", §3).
+//! A snapshot is a database like any other: register it in a
+//! [`ov_oodb::System`] and a view can be defined over it. Views stack
+//! without it — `import all classes from view V` reads `V` live (see
+//! [`crate::Binder`]) — so a snapshot is for keeping a view's state, not
+//! for building on it.
 
 use std::collections::{BTreeSet, HashMap};
 

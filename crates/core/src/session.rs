@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use ov_oodb::{sym, Durability, Expr, Oid, OodbError, Symbol, System, Value, WalStatus};
 use ov_query::{execute_stmts_with_map, parse_program, Stmt};
@@ -42,7 +43,9 @@ pub enum Outcome {
 /// An interactive session over a system of databases and named views.
 pub struct Session {
     pub(crate) system: System,
-    pub(crate) views: HashMap<Symbol, (ViewDef, View)>,
+    /// The bound views, each keeping the definition it was bound from; a
+    /// view stacked on another holds that one too, so the `Arc` is shared.
+    pub(crate) views: HashMap<Symbol, Arc<View>>,
     options: ViewOptions,
     focus: Focus,
     /// Which databases and views each view's definition reads; kept in
@@ -211,13 +214,13 @@ impl Session {
 
     /// The bound view called `name`, if any.
     pub fn view(&self, name: Symbol) -> Option<&View> {
-        self.views.get(&name).map(|(_, v)| v)
+        self.views.get(&name).map(|v| &**v)
     }
 
     /// The DDL text of view `name`'s current definition (see
     /// [`ViewDef::to_script`]).
     pub fn view_script(&self, name: Symbol) -> Option<String> {
-        self.views.get(&name).map(|(def, _)| def.to_script())
+        self.views.get(&name).map(|v| v.def().to_script())
     }
 
     /// Names of all defined views, sorted.
@@ -284,9 +287,8 @@ impl Session {
                         "view `{name}` already exists in this session"
                     )));
                 }
-                let def = ViewDef::new(name);
-                let view = self.bind_def(&def)?;
-                self.install_view(def, view);
+                let view = self.bind_def(&ViewDef::new(name))?;
+                self.install_view(view);
                 self.focus = Focus::View(name);
                 Ok(Outcome::Notice(format!("view {name}")))
             }
@@ -366,8 +368,7 @@ impl Session {
         };
         // Unreachable expect: `focus` is only ever set to a key of
         // `views`, and entries are never removed through this path.
-        let (def, _) = self.views.get(&name).expect("focused view exists");
-        let mut candidate = def.clone();
+        let mut candidate = self.views[&name].def().clone();
         patch(&mut candidate);
         let _span = ov_oodb::span!("session.rebind_view", view = name);
         self.replace_view_def(candidate)?;
@@ -378,20 +379,28 @@ impl Session {
     /// session view available as an upstream (so `import all classes from
     /// V` resolves and views can stack).
     pub(crate) fn bind_def(&self, def: &ViewDef) -> Result<View> {
-        let mut binder = def.binder(&self.system).options(self.options.clone());
-        for (n, (d, _)) in &self.views {
-            if *n != def.name {
-                binder = binder.over(d);
-            }
-        }
-        binder.bind()
+        self.bind_staged(def, &HashMap::new())
+    }
+
+    /// [`Self::bind_def`] over the `staged` views where they are, else the
+    /// installed ones.
+    fn bind_staged(&self, def: &ViewDef, staged: &HashMap<Symbol, Arc<View>>) -> Result<View> {
+        let upstreams = self
+            .views
+            .iter()
+            .filter(|(n, _)| **n != def.name)
+            .map(|(n, v)| staged.get(n).unwrap_or(v));
+        def.binder(&self.system)
+            .options(self.options.clone())
+            .over_all(upstreams)
+            .bind()
     }
 
     /// Registers a freshly bound view and its dependency edges.
-    pub(crate) fn install_view(&mut self, def: ViewDef, view: View) {
-        let name = def.name;
+    pub(crate) fn install_view(&mut self, view: View) {
+        let name = view.name();
         self.graph.set(name, view.dependencies().to_vec());
-        self.views.insert(name, (def, view));
+        self.views.insert(name, Arc::new(view));
         self.persist_views_best_effort();
     }
 
@@ -413,9 +422,9 @@ impl Session {
     pub(crate) fn replace_view_def(&mut self, candidate: ViewDef) -> Result<usize> {
         let name = candidate.name;
         let view = self.bind_def(&candidate)?;
-        let old = self.views.insert(name, (candidate, view));
+        let new_edges = view.dependencies().to_vec();
+        let old = self.views.insert(name, Arc::new(view));
         let old_edges = self.graph.deps_of(name).map(<[_]>::to_vec);
-        let new_edges = self.views[&name].1.dependencies().to_vec();
         self.graph.set(name, new_edges);
         match self.rebind_dependents(DepTarget::View(name), name) {
             Ok(n) => {
@@ -442,9 +451,11 @@ impl Session {
     }
 
     /// Rebinds every transitive dependent of `target`, in topological
-    /// order. All rebinds are staged before any is committed, so a failure
-    /// leaves every dependent untouched; the error names the dependent
-    /// that failed and the change (`changed`) that triggered revalidation.
+    /// order, each over the dependents staged before it: a view stacked on
+    /// a rebound view reads the new one. All rebinds are staged before any
+    /// is committed, so a failure leaves every dependent untouched; the
+    /// error names the dependent that failed and the change (`changed`)
+    /// that triggered revalidation.
     pub(crate) fn rebind_dependents(
         &mut self,
         target: DepTarget,
@@ -455,31 +466,28 @@ impl Session {
             return Ok(0);
         }
         let _span = ov_oodb::span!("session.rebind_dependents");
-        let mut staged: Vec<(Symbol, View)> = Vec::new();
+        let mut staged: HashMap<Symbol, Arc<View>> = HashMap::new();
         for &name in &order {
-            let (def, _) = self.views.get(&name).expect("graph tracks session views");
-            let def = def.clone();
-            // `bind_def` is a *full* rebind: it re-runs bind-time predicate
-            // compilation, so each staged dependent's bound includes and
-            // their bytecode are rebuilt against the new upstream
-            // definitions — a dependent never keeps stale compiled
-            // programs after a redefinition commits (regression-tested in
+            let def = self.views[&name].def();
+            // A *full* rebind over the staged upstreams: each staged
+            // dependent's own includes are recompiled, and the classes it
+            // reads from upstream views are read from the new ones — a
+            // dependent never serves an old definition after a
+            // redefinition commits (regression-tested in
             // `redefining_an_upstream_view_recompiles_dependents`).
-            let view = self
-                .bind_def(&def)
-                .map_err(|e| ViewError::RevalidationFailed {
-                    changed,
-                    dependent: name,
-                    cause: Box::new(e),
-                })?;
-            staged.push((name, view));
+            let view =
+                self.bind_staged(def, &staged)
+                    .map_err(|e| ViewError::RevalidationFailed {
+                        changed,
+                        dependent: name,
+                        cause: Box::new(e),
+                    })?;
+            staged.insert(name, Arc::new(view));
         }
         let n = staged.len();
         for (name, view) in staged {
             self.graph.set(name, view.dependencies().to_vec());
-            if let Some(entry) = self.views.get_mut(&name) {
-                entry.1 = view;
-            }
+            self.views.insert(name, view);
         }
         Ok(n)
     }
@@ -537,7 +545,7 @@ impl Session {
     pub fn propagate(&self, db: Symbol) -> usize {
         let mut refreshed = 0;
         for name in self.graph.transitive_dependents(DepTarget::Database(db)) {
-            if let Some((_, view)) = self.views.get(&name) {
+            if let Some(view) = self.views.get(&name) {
                 if view.refresh().is_ok() {
                     refreshed += 1;
                 }
@@ -547,7 +555,7 @@ impl Session {
     }
 
     fn run_on_view(&mut self, vname: Symbol, stmt: Stmt) -> Result<Outcome> {
-        let (_, view) = self.views.get(&vname).expect("focused view exists");
+        let view = &*self.views[&vname];
         let eval = |e: &Expr| ov_query::eval_expr(view, e);
         match stmt {
             Stmt::Query(e) => {
@@ -610,8 +618,7 @@ impl Session {
             offset += db.store.len() as u64;
         }
         for vname in self.graph.topo_order(self.view_names()) {
-            let (def, _) = &self.views[&vname];
-            out.push_str(&def.to_script());
+            out.push_str(&self.views[&vname].def().to_script());
         }
         out
     }
@@ -625,7 +632,7 @@ impl Session {
         };
         let mut script = String::new();
         for vname in self.graph.topo_order(self.view_names()) {
-            script.push_str(&self.views[&vname].0.to_script());
+            script.push_str(&self.views[&vname].def().to_script());
         }
         let text = ov_oodb::wrap_checked(&script);
         let write = || -> std::io::Result<()> {
@@ -711,7 +718,7 @@ impl Session {
             }
         }
         for vname in self.view_names() {
-            let (_, view) = &self.views[&vname];
+            let view = &self.views[&vname];
             let _ = writeln!(out, "view {vname}: classes {:?}", view.class_names());
             for edge in view.dependencies() {
                 if edge.classes.is_empty() {
@@ -750,7 +757,7 @@ impl Session {
     /// planner override, if any).
     pub fn query(&self, target: Symbol, query: &str) -> Result<Value> {
         under_planner(self.planner, || {
-            if let Some((_, view)) = self.views.get(&target) {
+            if let Some(view) = self.views.get(&target) {
                 return view.query(query);
             }
             let db = self.system.database(target)?;
@@ -767,8 +774,8 @@ impl Session {
         let expr = ov_query::parse_expr(query).map_err(ViewError::from)?;
         let mut out = String::new();
         let _ = writeln!(out, "parsed:    {expr}");
-        let ty = if let Some((_, view)) = self.views.get(&target) {
-            ov_query::infer_expr(view, &expr)
+        let ty = if let Some(view) = self.views.get(&target) {
+            ov_query::infer_expr(&**view, &expr)
         } else {
             let db = self.system.database(target)?;
             let db = db.read();
@@ -789,7 +796,7 @@ impl Session {
             let _ = writeln!(out, "optimized: (unchanged)");
         }
         // For a view target, surface its place in the dependency graph.
-        if let Some((_, view)) = self.views.get(&target) {
+        if let Some(view) = self.views.get(&target) {
             if !view.dependencies().is_empty() {
                 let deps: Vec<String> = view
                     .dependencies()
@@ -827,7 +834,7 @@ impl Session {
     /// Runs `query` traced against a named view or database.
     fn run_traced(&self, target: Symbol, query: &str) -> Result<(Value, ov_query::QueryTrace)> {
         under_planner(self.planner, || {
-            if let Some((_, view)) = self.views.get(&target) {
+            if let Some(view) = self.views.get(&target) {
                 return view.explain(query);
             }
             let db = self.system.database(target)?;
@@ -840,7 +847,7 @@ impl Session {
     /// is resolved right now (see `View::explain_population`), rendered as
     /// one line.
     pub fn explain_population(&self, view: Symbol, class: Symbol) -> Result<String> {
-        let (_, v) = self
+        let v = self
             .views
             .get(&view)
             .ok_or(ViewError::Oodb(ov_oodb::OodbError::UnknownDatabase(view)))?;
@@ -1134,9 +1141,9 @@ mod tests {
         assert_eq!(ov_query::planner_enabled(), default_before);
     }
 
-    /// Satellite regression (stale compiled bytecode): redefining an
-    /// upstream view must recompile the *dependent's* membership programs,
-    /// not leave them pointing at the old definition's bytecode.
+    /// Satellite regression (stale upstream): redefining an upstream view
+    /// must rebind the dependent over the new definition, not leave it
+    /// reading the old one's populations.
     #[test]
     fn redefining_an_upstream_view_recompiles_dependents() {
         let mut s = loaded_session();
@@ -1154,10 +1161,10 @@ mod tests {
         .unwrap();
         assert_eq!(s.query(sym("B"), "count(Senior)").unwrap(), Value::Int(2));
         // Redefine A through the catalog: Adult's threshold moves 21 → 60.
-        // Binding B *expanded* A's definition into B's own schema, so B
-        // holds its own compiled program for the spliced Adult filter — a
-        // stale one would still admit Tony (30).
-        let mut def = s.views[&sym("A")].0.clone();
+        // B reads Adult from the A it was bound over, so B must be rebound
+        // over the new A — read from the old one, Senior would still
+        // admit Tony (30).
+        let mut def = s.views[&sym("A")].def().clone();
         for el in &mut def.elements {
             if let ViewElement::VirtualClass(vc) = el {
                 vc.includes = vec![ov_query::IncludeSpec::Query(

@@ -2334,6 +2334,7 @@ fn binder_stacks_views_programmatically() {
         "#,
     )
     .unwrap();
+    let base = std::sync::Arc::new(base.binder(&sys).bind().unwrap());
     let view = upper.binder(&sys).over(&base).bind().unwrap();
     assert_eq!(view.query("count(Senior)").unwrap(), Value::Int(3));
     // The stacked view's definition reads only the upstream view; its
@@ -2352,4 +2353,50 @@ fn binder_stacks_views_programmatically() {
     assert!(bad.binder(&sys).over(&base).bind().is_err());
     // Importing an unknown upstream still reads as an unknown database.
     assert!(upper.binder(&sys).bind().is_err());
+}
+
+/// One owner per population: on a three-level stack read wholly through
+/// its top view, each view holds a cache entry, delta-decided flag or
+/// identity table only for the classes it declares — the top view reads
+/// the others from the views below.
+#[test]
+fn each_class_is_held_by_the_view_that_declares_it() {
+    let mut s = crate::Session::new();
+    s.execute(
+        r#"
+        database Staff;
+        class Person type [Name: string, Age: integer, City: string, Income: integer];
+        object #1 in Person value [Name: "Maggy", Age: 66, City: "Paris", Income: 120];
+        object #2 in Person value [Name: "Bart", Age: 10, City: "Rome", Income: 0];
+        object #3 in Person value [Name: "Tony", Age: 30, City: "Paris", Income: 80];
+        create view Adults;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        class Home includes imaginary (select [City: P.City] from P in Person);
+        create view Earners;
+        import all classes from view Adults;
+        class Rich includes (select A from Adult where A.Income >= 100);
+        create view Top;
+        import all classes from view Earners;
+        class Elite includes (select R from Rich where R.Age >= 60);
+        class Tag includes imaginary (select [Name: E.Name] from E in Elite);
+        "#,
+    )
+    .unwrap();
+    for q in [
+        "count(Adult)",
+        "count(Rich)",
+        "count(Elite)",
+        "count(Home)",
+        "count(Tag)",
+    ] {
+        s.query(sym("Top"), q).unwrap();
+    }
+    let held = |view: &str| {
+        let names = s.view(sym(view)).unwrap().held_classes();
+        names.iter().map(|n| n.to_string()).collect::<Vec<_>>()
+    };
+    assert_eq!(held("Adults"), ["Adult", "Home"]);
+    assert_eq!(held("Earners"), ["Rich"]);
+    assert_eq!(held("Top"), ["Elite", "Tag"]);
 }

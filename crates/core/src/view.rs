@@ -26,6 +26,22 @@
 //! identity semantics ("we are guaranteed that the same tuple will be
 //! assigned the same oid each time the class C is invoked").
 //!
+//! ## Stacking: one owner per population
+//!
+//! A view bound over upstream views (`import all classes from view V`,
+//! [`Binder::over`]) splices their definitions into its own schema, so a
+//! class it imports from `V` has the same position, attributes and hides
+//! as the view's own classes and types the same way. That is all the
+//! splice is for. Each virtual or imaginary class is populated,
+//! delta-patched and — if imaginary — given oids by exactly one view: the
+//! view that declares it. A stacked view holds nothing for an upstream's
+//! class but its schema entry and the view to ask (`Populated::Upstream`):
+//! its population, its membership tests, its imaginary objects and its
+//! identity table are the declaring view's. W ∘ V reads V's output; it
+//! does not re-run V's body, so a class reads the same through every view
+//! of a stack — by the definitions of the view that declares it — and a
+//! k-level stack keeps k populations, not k(k+1)/2.
+//!
 //! ## One row loop
 //!
 //! A population query of the shape `select E from V in C [where F]` is
@@ -230,6 +246,19 @@ impl Kept for Value {
 struct ParamTemplate {
     params: Vec<Symbol>,
     includes: Vec<IncludeSpec>,
+    /// The upstream view that declares the template (an index into
+    /// [`View::upstreams`]), which instantiates it; `None`: this view.
+    upstream: Option<usize>,
+}
+
+/// Who populates a virtual or imaginary class of a view.
+#[derive(Clone, Debug)]
+enum Populated {
+    /// The view itself, from these bound includes: it declares the class.
+    Here(Arc<[Include]>),
+    /// The upstream view that declares the class (an index into
+    /// [`View::upstreams`]), under the class's id there.
+    Upstream(usize, ClassId),
 }
 
 #[derive(Clone, Debug)]
@@ -279,7 +308,14 @@ pub struct View {
     /// lock.
     schema: RwLock<Schema>,
     kinds: RwLock<HashMap<ClassId, ClassKind>>,
-    virt: RwLock<HashMap<ClassId, Arc<[Include]>>>,
+    /// Every virtual and imaginary class, with who populates it.
+    virt: RwLock<HashMap<ClassId, Populated>>,
+    /// The definition the view was bound from.
+    def: ViewDef,
+    /// The views that declare the classes this view imports from views,
+    /// each once, upstream first: the bound views it was bound over and,
+    /// through them, theirs.
+    upstreams: Vec<Arc<View>>,
     sources: Vec<DbHandle>,
     /// Durability cores of durable sources (deduplicated). Imaginary
     /// identity assignments are logged here so §5.1 identity survives
@@ -296,7 +332,8 @@ pub struct View {
     pop_cache: [RwLock<HashMap<ClassId, CachedPop>>; POP_SHARDS],
     identity: RwLock<HashMap<ClassId, HashMap<Tuple, Oid>>>,
     imaginary: RwLock<HashMap<Oid, ImaginaryObject>>,
-    next_imaginary: AtomicU64,
+    /// The system's imaginary-oid allocator ([`System::imaginary_oids`]).
+    next_imaginary: Arc<AtomicU64>,
     policy: ConflictPolicy,
     materialization: Materialization,
     identity_mode: IdentityMode,
@@ -493,6 +530,25 @@ impl View {
         &self.deps
     }
 
+    /// The definition the view was bound from.
+    pub fn def(&self) -> &ViewDef {
+        &self.def
+    }
+
+    /// The view that declares class `c` and `c`'s id there, when that is
+    /// an upstream view; `None` for a class this view declares or imports
+    /// from a database. A view over no view answers without a lock: every
+    /// population request asks.
+    fn upstream_of(&self, c: ClassId) -> Option<(&View, ClassId)> {
+        if self.upstreams.is_empty() {
+            return None;
+        }
+        match self.virt.read().get(&c)? {
+            Populated::Upstream(up, class) => Some((&self.upstreams[*up], *class)),
+            Populated::Here(_) => None,
+        }
+    }
+
     /// The view's current degradation state (see [`ViewHealth`]).
     pub fn health(&self) -> ViewHealth {
         let stats = self.stats();
@@ -502,17 +558,19 @@ impl View {
         }
     }
 
-    /// Eagerly refreshes every virtual and imaginary population, in class
-    /// creation order (dependencies before dependents within this view),
-    /// and returns how many were refreshed: each is the request the next
-    /// read would make — a delta retest of the journal-changed oids for a
-    /// delta-decided class. A warm-up only; a read never needs it.
+    /// Eagerly refreshes every virtual and imaginary population this view
+    /// declares, in class creation order (dependencies before dependents
+    /// within this view), and returns how many were refreshed: each is the
+    /// request the next read would make — a delta retest of the
+    /// journal-changed oids for a delta-decided class. The classes of an
+    /// upstream view are that view's to refresh. A warm-up only; a read
+    /// never needs it.
     pub fn refresh(&self) -> Result<usize> {
         let mut ids: Vec<ClassId> = self
-            .kinds
+            .virt
             .read()
             .iter()
-            .filter(|(_, k)| matches!(k, ClassKind::Virtual | ClassKind::Imaginary { .. }))
+            .filter(|(_, p)| matches!(p, Populated::Here(_)))
             .map(|(c, _)| *c)
             .collect();
         ids.sort();
@@ -592,6 +650,19 @@ impl View {
         let c = self.lookup_class(name)?;
         let shard = self.pop_shard(c).read();
         shard.get(&c).map(|p| (p.versions.clone(), p.oids.clone()))
+    }
+
+    /// The classes this view holds population state for — a cache entry,
+    /// a delta-decided flag or an identity table — by name.
+    #[cfg(test)]
+    pub(crate) fn held_classes(&self) -> BTreeSet<Symbol> {
+        let mut held: BTreeSet<ClassId> = self.delta_decided.read().keys().copied().collect();
+        held.extend(self.identity.read().keys());
+        for shard in &self.pop_cache {
+            held.extend(shard.read().keys());
+        }
+        let schema = self.schema.read();
+        held.into_iter().map(|c| schema.class(c).name).collect()
     }
 
     /// All class names visible in the view, sorted.
@@ -787,13 +858,13 @@ impl View {
         Ok((oids, plan::PopPath::FullRecompute { scans: Vec::new() }))
     }
 
-    /// The bound includes of virtual class `c` (a pointer clone).
+    /// The bound includes of virtual class `c`, which this view declares
+    /// (a pointer clone).
     fn includes_of(&self, c: ClassId) -> Arc<[Include]> {
-        self.virt
-            .read()
-            .get(&c)
-            .cloned()
-            .expect("population requested for non-virtual class")
+        match self.virt.read().get(&c) {
+            Some(Populated::Here(includes)) => includes.clone(),
+            _ => unreachable!("includes requested for a class this view does not declare"),
+        }
     }
 
     fn store_pop(
@@ -989,8 +1060,19 @@ impl View {
 
     /// The imported classes whose objects can be members of `class`: an
     /// imported class and its imported subclasses, or what a delta-decided
-    /// class's includes draw from. `None` for any other class.
+    /// class's includes draw from — as the declaring view decides it, for
+    /// a class of an upstream view. `None` for any other class.
     fn member_classes(&self, class: ClassId) -> Option<Vec<ClassId>> {
+        if let Some((up, theirs)) = self.upstream_of(class) {
+            // The upstream imported the same classes under the same names.
+            let names: Vec<Symbol> = {
+                let from = up.member_classes(theirs)?;
+                let schema = up.schema.read();
+                from.iter().map(|&d| schema.class(d).name).collect()
+            };
+            let schema = self.schema.read();
+            return names.iter().map(|&n| schema.class_by_name(n)).collect();
+        }
         let kinds = self.kinds.read();
         match kinds.get(&class)? {
             ClassKind::Imported { .. } => {
@@ -1225,15 +1307,27 @@ impl View {
         out
     }
 
-    /// Reads `oid`'s entry in the imaginary-object table. Base stores
-    /// allocate strictly below [`IMAGINARY_OID_BASE`] and this
-    /// view strictly at or above it, so a base oid — every row of an
-    /// ordinary scan — skips the table lock and the hash probe.
-    fn imaginary_object<R>(&self, oid: Oid, read: impl FnOnce(&ImaginaryObject) -> R) -> Option<R> {
+    /// Reads imaginary object `oid` — its class, as this view names it, and
+    /// its core — from the table of the view that declares its class: this
+    /// one, else an upstream. Base stores allocate strictly below
+    /// [`IMAGINARY_OID_BASE`] and views strictly at or above it, so a base
+    /// oid — every row of an ordinary scan — skips the table locks and the
+    /// hash probes.
+    fn imaginary_object<R>(&self, oid: Oid, read: impl FnOnce(ClassId, &Tuple) -> R) -> Option<R> {
         if !oid.is_imaginary() {
             return None;
         }
-        self.imaginary.read().get(&oid).map(read)
+        if let Some(im) = self.imaginary.read().get(&oid) {
+            return Some(read(im.class, &im.core));
+        }
+        for up in &self.upstreams {
+            if let Some(im) = up.imaginary.read().get(&oid) {
+                let name = up.schema.read().class(im.class).name;
+                let class = self.schema.read().class_by_name(name)?;
+                return Some(read(class, &im.core));
+            }
+        }
+        None
     }
 
     /// The view class that class `class` of source `source` was imported as.
@@ -1245,7 +1339,7 @@ impl View {
     /// real class mapped through the imports. Errors if the class was not
     /// imported.
     fn view_class_of(&self, oid: Oid) -> ov_query::Result<ClassId> {
-        if let Some(class) = self.imaginary_object(oid, |im| im.class) {
+        if let Some(class) = self.imaginary_object(oid, |class, _| class) {
             return Ok(class);
         }
         for (idx, handle) in self.sources.iter().enumerate() {
@@ -1294,12 +1388,26 @@ impl View {
     /// are classes that cannot contribute a definition of `attr` the base
     /// chain does not already reach: membership only matters to resolution
     /// when some ancestor actually provides one, and skipping the rest
-    /// avoids both wasted work and spurious population cycles. None for no
-    /// roots: such an object is not visible, whatever it is a member of.
+    /// avoids both wasted work and spurious population cycles. So, for
+    /// base roots, are the classes only imaginary objects can belong to —
+    /// an imaginary class and the classes positioned below one: a base
+    /// object is never a member of them. None for no roots: such an object
+    /// is not visible, whatever it is a member of.
     fn relevant_virtuals(&self, roots: &[ClassId], attr: Option<Symbol>) -> Vec<ClassId> {
         if roots.is_empty() {
             return Vec::new();
         }
+        let imaginary: Vec<ClassId> = {
+            let kinds = self.kinds.read();
+            let base = roots
+                .iter()
+                .all(|r| matches!(kinds.get(r), Some(ClassKind::Imported { .. })));
+            kinds
+                .iter()
+                .filter(|(_, k)| base && matches!(k, ClassKind::Imaginary { .. }))
+                .map(|(&c, _)| c)
+                .collect()
+        };
         let base_defs: HashSet<ClassId> = match attr {
             None => HashSet::new(),
             Some(_) => {
@@ -1311,10 +1419,14 @@ impl View {
             }
         };
         self.populatable_virtuals(|schema, v| {
-            !roots.contains(&v)
+            if roots.contains(&v) {
+                return false;
+            }
+            let above = ClassGraph::ancestors(schema, v);
+            !above.iter().any(|a| imaginary.contains(a))
                 && match attr {
                     None => true,
-                    Some(attr) => ClassGraph::ancestors(schema, v).iter().any(|&a| {
+                    Some(attr) => above.iter().any(|&a| {
                         !base_defs.contains(&a)
                             && schema
                                 .class(a)
@@ -1450,8 +1562,8 @@ impl View {
     /// not assignable; imaginary objects' core attributes are immutable
     /// (§5.1).
     pub fn update_attr(&self, oid: Oid, attr: Symbol, value: Value) -> Result<()> {
-        if let Some(im) = self.imaginary.read().get(&oid) {
-            let class = self.schema.read().class(im.class).name;
+        if let Some(class) = self.imaginary_object(oid, |class, _| class) {
+            let class = self.schema.read().class(class).name;
             return Err(ViewError::CoreAttrUpdate { class, attr });
         }
         let view_class = self.view_class_of(oid).map_err(ViewError::from)?;
@@ -1495,12 +1607,14 @@ impl View {
     }
 
     /// Deletes a base object through the view. Identity-table entries whose
-    /// core tuple references the deleted oid are swept immediately: under
-    /// [`IdentityMode::Table`] a stale entry would otherwise resurrect its
-    /// imaginary oid from a dead tuple if an equal tuple ever reappeared.
+    /// core tuple references the deleted oid are swept immediately — in
+    /// this view and in every upstream view it reads, each the owner of
+    /// its own tables: under [`IdentityMode::Table`] a stale entry would
+    /// otherwise resurrect its imaginary oid from a dead tuple if an equal
+    /// tuple ever reappeared.
     pub fn delete(&self, oid: Oid) -> Result<()> {
-        if let Some(im) = self.imaginary.read().get(&oid) {
-            let class = self.schema.read().class(im.class).name;
+        if let Some(class) = self.imaginary_object(oid, |class, _| class) {
+            let class = self.schema.read().class(class).name;
             return Err(ViewError::ImaginaryUpdate(class));
         }
         for handle in &self.sources {
@@ -1509,6 +1623,9 @@ impl View {
                 db.delete_object(oid)?;
                 drop(db);
                 self.purge_dead_identity(oid);
+                for up in &self.upstreams {
+                    up.purge_dead_identity(oid);
+                }
                 return Ok(());
             }
         }
@@ -1618,7 +1735,7 @@ impl DataSource for View {
     }
 
     fn stored_field(&self, oid: Oid, name: Symbol) -> ov_query::Result<Value> {
-        if let Some(v) = self.imaginary_object(oid, |im| im.core.get(name).cloned()) {
+        if let Some(v) = self.imaginary_object(oid, |_, core| core.get(name).cloned()) {
             return Ok(v.unwrap_or(Value::Null));
         }
         for handle in &self.sources {
@@ -1637,8 +1754,8 @@ impl DataSource for View {
         // classes map to visible ancestors only at body depth 0, so two
         // oids of one hidden class must not share a cache key with oids of
         // the ancestor.
-        if let Some(hit) = self.imaginary_object(oid, |im| {
-            (im.class, im.core.get(name).cloned().unwrap_or(Value::Null))
+        if let Some(hit) = self.imaginary_object(oid, |class, core| {
+            (class, core.get(name).cloned().unwrap_or(Value::Null))
         }) {
             return Some(hit);
         }
@@ -1714,7 +1831,7 @@ impl DataSource for View {
     }
 
     fn object_exists(&self, oid: Oid) -> bool {
-        self.imaginary_object(oid, |_| ()).is_some()
+        self.imaginary_object(oid, |_, _| ()).is_some()
             || self
                 .sources
                 .iter()

@@ -2,6 +2,11 @@
 //! hides, attribute and virtual-class definitions, and the instantiation of
 //! parameterized classes. A child of `view` so it can fill in the view's
 //! private fields; nothing here runs on the read path.
+//!
+//! A view imported from a view is expanded for typing only: its classes,
+//! attributes and hides enter the bound view's schema, but a class keeps
+//! being populated by the view that declares it (see the `view` module
+//! docs), so no population query of an upstream class is compiled here.
 
 use super::*;
 
@@ -19,12 +24,16 @@ impl ViewDef {
     }
 }
 
-/// The definition of a view, flattened for binding: upstream view imports
+/// The definition of a view, flattened for typing: upstream view imports
 /// expanded into their own (base) imports and elements, each element tagged
-/// with the view it came from (`None` = the definition being bound).
+/// with the view that declares it.
 struct ExpandedDef {
     imports: Vec<Import>,
-    elements: Vec<(ViewElement, Option<Symbol>)>,
+    /// Each element with its declaring view: an index into `views`, or
+    /// `None` for the definition being bound.
+    elements: Vec<(ViewElement, Option<usize>)>,
+    /// The bound upstream views whose definitions were spliced, each once.
+    views: Vec<Arc<View>>,
     /// Direct dependency targets of the root definition, in import order.
     direct: Vec<crate::graph::DepTarget>,
 }
@@ -33,26 +42,30 @@ struct ExpandedDef {
 /// [`ViewOptions::builder`]):
 ///
 /// ```ignore
+/// let adults = Arc::new(adults_def.binder(&system).bind()?);
 /// let view = def
 ///     .binder(&system)
 ///     .options(ViewOptions::builder().materialization(Materialization::AlwaysRecompute).build())
-///     .over(&upstream_def) // resolve `import … from view Upstream`
+///     .over(&adults) // resolve `import … from view Adults`
 ///     .bind()?;
 /// ```
 ///
-/// `over` registers upstream view definitions so the bound view may import
-/// *views*, not just databases: an import whose name matches a registered
-/// definition is expanded in place — the upstream's own imports and
-/// elements are spliced in (deduplicated, depth first) ahead of this
-/// definition's elements, so its virtual classes are queryable, delta
-/// retests flow through them level by level, and the next read through
-/// any level sees a change to the shared base. Cycles among definitions are
+/// `over` registers bound upstream views so the bound view may import
+/// *views*, not just databases. An import whose name matches a registered
+/// view is expanded in place for typing: the upstream's own imports and
+/// elements — and, through the views *it* was bound over, theirs — are
+/// spliced in (deduplicated, depth first) ahead of this definition's
+/// elements, so its classes are queryable and type as they do upstream.
+/// Each upstream class is read from the bound view that declares it — its
+/// population, delta maintenance and imaginary identity are that view's —
+/// so the stack shares one copy of each, and the next read through any
+/// level sees a change to the shared base. Cycles among definitions are
 /// rejected here, at bind time.
 pub struct Binder<'a> {
     def: &'a ViewDef,
     system: &'a System,
     options: ViewOptions,
-    upstream: HashMap<Symbol, &'a ViewDef>,
+    upstream: HashMap<Symbol, Arc<View>>,
 }
 
 impl<'a> Binder<'a> {
@@ -62,31 +75,33 @@ impl<'a> Binder<'a> {
         self
     }
 
-    /// Registers one upstream view definition that imports may resolve to.
-    pub fn over(mut self, upstream: &'a ViewDef) -> Self {
-        self.upstream.insert(upstream.name, upstream);
+    /// Registers one bound upstream view that imports may resolve to.
+    pub fn over(mut self, upstream: &Arc<View>) -> Self {
+        self.upstream.insert(upstream.name, upstream.clone());
         self
     }
 
-    /// Registers several upstream view definitions at once.
-    pub fn over_all(mut self, defs: impl IntoIterator<Item = &'a ViewDef>) -> Self {
-        for def in defs {
-            self.upstream.insert(def.name, def);
+    /// Registers several bound upstream views at once.
+    pub fn over_all<'v>(mut self, views: impl IntoIterator<Item = &'v Arc<View>>) -> Self {
+        for view in views {
+            self.upstream.insert(view.name, view.clone());
         }
         self
     }
 
-    /// Expands view imports recursively. `stack` is the chain of views
-    /// being expanded (cycle guard), `spliced` the set already merged in
-    /// (diamond dedup).
+    /// Expands view imports recursively. `origin` is the declaring view of
+    /// `def`'s elements (`None`: the root), `upstream` resolves the views
+    /// `def` imports — the registered ones for the root, the views an
+    /// upstream was bound over for it — and `stack` is the chain of views
+    /// being expanded (cycle guard).
     fn expand_into(
         def: &ViewDef,
-        upstream: &HashMap<Symbol, &'a ViewDef>,
+        origin: Option<usize>,
+        upstream: &dyn Fn(Symbol) -> Option<Arc<View>>,
         stack: &mut Vec<Symbol>,
-        spliced: &mut BTreeSet<Symbol>,
         out: &mut ExpandedDef,
     ) -> Result<()> {
-        let root = stack.is_empty();
+        let root = origin.is_none();
         stack.push(def.name);
         for import in &def.imports {
             if stack.contains(&import.db) {
@@ -97,7 +112,7 @@ impl<'a> Binder<'a> {
                     path,
                 });
             }
-            if let Some(updef) = upstream.get(&import.db) {
+            if let Some(up) = upstream(import.db) {
                 if !matches!(import.what, ov_query::ImportWhat::AllClasses) {
                     return Err(ViewError::Definition(format!(
                         "`{}` is a view; only `import all classes` is supported from a view",
@@ -107,8 +122,12 @@ impl<'a> Binder<'a> {
                 if root {
                     out.direct.push(crate::graph::DepTarget::View(import.db));
                 }
-                if spliced.insert(import.db) {
-                    Self::expand_into(updef, upstream, stack, spliced, out)?;
+                // Diamond: a view reached twice is spliced once.
+                if out.views.iter().all(|v| v.name != import.db) {
+                    out.views.push(up.clone());
+                    let idx = out.views.len() - 1;
+                    let theirs = |name| up.upstreams.iter().find(|v| v.name == name).cloned();
+                    Self::expand_into(&up.def, Some(idx), &theirs, stack, out)?;
                 }
             } else {
                 if root {
@@ -120,7 +139,6 @@ impl<'a> Binder<'a> {
                 }
             }
         }
-        let origin = if root { None } else { Some(def.name) };
         for element in &def.elements {
             out.elements.push((element.clone(), origin));
         }
@@ -137,15 +155,11 @@ impl<'a> Binder<'a> {
         let mut expanded = ExpandedDef {
             imports: Vec::new(),
             elements: Vec::new(),
+            views: Vec::new(),
             direct: Vec::new(),
         };
-        Self::expand_into(
-            def,
-            &self.upstream,
-            &mut Vec::new(),
-            &mut BTreeSet::new(),
-            &mut expanded,
-        )?;
+        let registered = |name| self.upstream.get(&name).cloned();
+        Self::expand_into(def, None, &registered, &mut Vec::new(), &mut expanded)?;
         let options = self.options;
         let mut view = View {
             token: NEXT_VIEW_TOKEN.fetch_add(1, Ordering::Relaxed),
@@ -153,6 +167,8 @@ impl<'a> Binder<'a> {
             schema: RwLock::new(Schema::new()),
             kinds: RwLock::new(HashMap::new()),
             virt: RwLock::new(HashMap::new()),
+            def: def.clone(),
+            upstreams: std::mem::take(&mut expanded.views),
             sources: Vec::new(),
             durable: Vec::new(),
             import_maps: Vec::new(),
@@ -163,7 +179,7 @@ impl<'a> Binder<'a> {
             pop_cache: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             identity: RwLock::new(HashMap::new()),
             imaginary: RwLock::new(HashMap::new()),
-            next_imaginary: AtomicU64::new(IMAGINARY_OID_BASE),
+            next_imaginary: self.system.imaginary_oids(),
             policy: options.policy,
             materialization: options.materialization,
             identity_mode: options.identity_mode,
@@ -206,18 +222,23 @@ impl<'a> Binder<'a> {
             match element {
                 ViewElement::VirtualClass(vc) => {
                     if vc.params.is_empty() {
-                        view.define_virtual_class(vc.name, &vc.includes)?;
+                        let upstream = match origin {
+                            Some(up) => Some((*up, view.upstream_class(*up, vc.name)?)),
+                            None => None,
+                        };
+                        view.define_virtual_class(vc.name, &vc.includes, upstream)?;
                     } else {
                         view.templates.insert(
                             vc.name,
                             ParamTemplate {
                                 params: vc.params.clone(),
                                 includes: vc.includes.clone(),
+                                upstream: *origin,
                             },
                         );
                     }
                     if let Some(up) = origin {
-                        provenance.insert(vc.name, DepTarget::View(*up));
+                        provenance.insert(vc.name, DepTarget::View(view.upstreams[*up].name));
                     }
                 }
                 ViewElement::Attribute(decl) => view.define_attribute(decl)?,
@@ -228,11 +249,18 @@ impl<'a> Binder<'a> {
             .into_iter()
             .map(|(on, classes)| DepEdge { on, classes })
             .collect();
-        // Every definition is in: decide which classes a delta decides,
-        // in definition order, so each class's includes are decided first.
-        let mut virtuals: Vec<ClassId> = view.virt.read().keys().copied().collect();
-        virtuals.sort_unstable();
-        for c in virtuals {
+        // Every definition is in: decide which of its own classes a delta
+        // decides, in definition order, so each class's includes are
+        // decided first.
+        let mut own: Vec<ClassId> = view
+            .virt
+            .read()
+            .iter()
+            .filter(|(_, p)| matches!(p, Populated::Here(_)))
+            .map(|(c, _)| *c)
+            .collect();
+        own.sort_unstable();
+        for c in own {
             view.decide_delta(c);
         }
         // With every class defined, re-adopt identity assignments an
@@ -289,6 +317,17 @@ impl View {
     // ------------------------------------------------------------------
     // Binding internals
     // ------------------------------------------------------------------
+
+    /// The id of class `name` in upstream view `up`, which declares it.
+    fn upstream_class(&self, up: usize, name: Symbol) -> Result<ClassId> {
+        let upstream = &self.upstreams[up];
+        upstream.schema.read().class_by_name(name).ok_or_else(|| {
+            ViewError::Definition(format!(
+                "view `{}` does not define its class `{name}`",
+                upstream.name
+            ))
+        })
+    }
 
     /// Imports one specification, returning the class names it made
     /// visible (the binder records their provenance for the dependency
@@ -484,8 +523,15 @@ impl View {
     /// Defines a virtual class from its include list: binds the includes,
     /// infers position (R1/R2), creates the class, adds upward-inherited
     /// attributes. Shared by bind-time definitions and parameterized-class
-    /// instantiation.
-    fn define_virtual_class(&self, name: Symbol, includes: &[IncludeSpec]) -> Result<ClassId> {
+    /// instantiation. A class an upstream view declares (`upstream`: that
+    /// view and the class's id there) is typed the same way, but its
+    /// population queries are not bound: the upstream populates it.
+    fn define_virtual_class(
+        &self,
+        name: Symbol,
+        includes: &[IncludeSpec],
+        upstream: Option<(usize, ClassId)>,
+    ) -> Result<ClassId> {
         let n_imaginary = includes
             .iter()
             .filter(|i| matches!(i, IncludeSpec::Imaginary(_)))
@@ -548,7 +594,9 @@ impl View {
                     units.push(crate::infer::unit_of(&self.schema.read(), &constraints));
                     // Population queries run on every (re)computation:
                     // fold their constants once, at definition time.
-                    bound.push(self.bind_query(ov_query::optimize_select(q), false));
+                    if upstream.is_none() {
+                        bound.push(self.bind_query(ov_query::optimize_select(q), false));
+                    }
                 }
                 IncludeSpec::Imaginary(q) => {
                     let ty =
@@ -571,7 +619,9 @@ impl View {
                         }
                     };
                     imaginary_core = Some(core);
-                    bound.push(self.bind_query(ov_query::optimize_select(q), true));
+                    if upstream.is_none() {
+                        bound.push(self.bind_query(ov_query::optimize_select(q), true));
+                    }
                 }
             }
         }
@@ -646,7 +696,11 @@ impl View {
                 None => ClassKind::Virtual,
             },
         );
-        self.virt.write().insert(class_id, bound.into());
+        let populated = match upstream {
+            Some((up, theirs)) => Populated::Upstream(up, theirs),
+            None => Populated::Here(bound.into()),
+        };
+        self.virt.write().insert(class_id, populated);
         Ok(class_id)
     }
 
@@ -735,7 +789,9 @@ impl View {
 
     /// Instantiates a parameterized class (`Resident("France")`), creating
     /// and caching the instance class on first use (§4.1: "classes
-    /// automatically disappear or are created").
+    /// automatically disappear or are created"). The view that declares the
+    /// template instantiates it and populates the instance; a view stacked
+    /// above types its own copy of the instance and reads it from there.
     pub fn instantiate(&self, name: Symbol, args: &[Value]) -> Result<ClassId> {
         let template = self
             .templates
@@ -773,8 +829,15 @@ impl View {
             instance_name.push_str(&a.to_string());
         }
         instance_name.push(')');
-        let class = self.define_virtual_class(Symbol::new(&instance_name), &substituted)?;
-        self.decide_delta(class);
+        let upstream = match template.upstream {
+            Some(up) => Some((up, self.upstreams[up].instantiate(name, args)?)),
+            None => None,
+        };
+        let class =
+            self.define_virtual_class(Symbol::new(&instance_name), &substituted, upstream)?;
+        if upstream.is_none() {
+            self.decide_delta(class);
+        }
         instances.insert(key, class);
         // The schema grew: `Param(x)` names now resolve where they didn't,
         // so any warm compiled-scan resolution caches must be refreshed.

@@ -11,7 +11,9 @@ use super::*;
 const MAX_POPULATION_ATTEMPTS: u32 = 3;
 
 impl View {
-    /// The population of a virtual/imaginary class, cached.
+    /// The population of a virtual/imaginary class, cached — by the view
+    /// that declares it: the population of an upstream view's class is
+    /// that view's, with its cache, counters and events.
     ///
     /// Concurrency: two threads may find the cache cold and compute the
     /// same population simultaneously. That is benign — both compute the
@@ -22,6 +24,9 @@ impl View {
     /// readers of other classes in the same shard for the whole computation
     /// would serialize concurrent readers of the view.
     pub(super) fn population(&self, c: ClassId) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
+        if let Some((up, theirs)) = self.upstream_of(c) {
+            return up.population(theirs);
+        }
         if self.frame().populating.contains(&c) {
             let name = self.schema.read().class(c).name;
             return Err(ViewError::CyclicVirtualClass(name).into());

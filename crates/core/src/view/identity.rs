@@ -1,6 +1,10 @@
 //! Imaginary identity (§5.1): the tables that map each imaginary class's
 //! core tuples to oids, kept across recomputations, deletes and restarts.
-//! A child of `view` so it can reach the view's private tables.
+//! A class has one table, kept — and logged to the durable cores — by the
+//! view that declares it; a view stacked above reads the table there, so a
+//! tuple has one oid through every view of a stack. Oids come from the
+//! system's one allocator. A child of `view` so it can reach the view's
+//! private tables.
 
 use super::*;
 
@@ -110,6 +114,14 @@ impl View {
         let class = self
             .lookup_class(name)
             .ok_or(OodbError::UnknownClass(name))?;
+        self.gc_class(class)
+    }
+
+    /// [`Self::gc_identity`] of class `class`, by the view that declares it.
+    fn gc_class(&self, class: ClassId) -> Result<usize> {
+        if let Some((up, theirs)) = self.upstream_of(class) {
+            return up.gc_class(theirs);
+        }
         // Force a fresh population so the live-oid set is current.
         let live = self.population(class)?;
         let mut identity = self.identity.write();
@@ -145,12 +157,21 @@ impl View {
         let Some(c) = self.lookup_class(name) else {
             return 0;
         };
-        self.identity.read().get(&c).map_or(0, |t| t.len())
+        self.table_len(c)
     }
 
-    /// Drops every identity-table entry whose core tuple references `dead`
-    /// (with its cached imaginary object). Lock order identity → imaginary,
-    /// matching [`Self::gc_identity`] and [`Self::imaginary_oid`].
+    /// The size of class `c`'s identity table, in the view that declares it.
+    fn table_len(&self, c: ClassId) -> usize {
+        match self.upstream_of(c) {
+            Some((up, theirs)) => up.table_len(theirs),
+            None => self.identity.read().get(&c).map_or(0, |t| t.len()),
+        }
+    }
+
+    /// Drops every entry of this view's own identity tables whose core
+    /// tuple references `dead` (with its cached imaginary object). Lock
+    /// order identity → imaginary, matching [`Self::gc_identity`] and
+    /// [`Self::imaginary_oid`].
     pub(super) fn purge_dead_identity(&self, dead: Oid) {
         let mut purged: Vec<(ClassId, Tuple, Oid)> = Vec::new();
         let mut identity = self.identity.write();
@@ -191,15 +212,18 @@ impl View {
     /// Re-seats identity assignments persisted by an earlier incarnation
     /// of this view (recovered by the sources' durability cores): each
     /// durable `(class name, core tuple) → oid` entry whose class is still
-    /// an imaginary class of this view is installed in the in-memory
-    /// tables, and the imaginary-oid allocator starts above every
-    /// recovered oid. Called once at the end of bind.
+    /// an imaginary class this view declares is installed in the in-memory
+    /// tables, and the system's imaginary-oid allocator moves above every
+    /// recovered oid. An entry for a class an upstream view declares —
+    /// older builds logged one per view a class was spliced into — is not
+    /// this view's and is ignored. Called once at the end of bind.
     pub(super) fn adopt_durable_identity(&self) {
         if self.durable.is_empty() {
             return;
         }
         let schema = self.schema.read();
         let kinds = self.kinds.read();
+        let virt = self.virt.read();
         let mut identity = self.identity.write();
         let mut imaginary = self.imaginary.write();
         let mut floor = IMAGINARY_OID_BASE;
@@ -210,7 +234,9 @@ impl View {
                 let Some(cid) = schema.class_by_name(class_name) else {
                     continue; // class no longer in the view definition
                 };
-                if !matches!(kinds.get(&cid), Some(ClassKind::Imaginary { .. })) {
+                if !matches!(kinds.get(&cid), Some(ClassKind::Imaginary { .. }))
+                    || !matches!(virt.get(&cid), Some(Populated::Here(_)))
+                {
                     continue;
                 }
                 let table = identity.entry(cid).or_default();

@@ -60,7 +60,11 @@ const UNDECIDED: [&str; 8] = [
 ];
 
 fn bind(sys: &System, materialization: Materialization) -> View {
-    ViewDef::from_script(VIEW)
+    bind_script(sys, VIEW, materialization)
+}
+
+fn bind_script(sys: &System, script: &str, materialization: Materialization) -> View {
+    ViewDef::from_script(script)
         .unwrap()
         .binder(sys)
         .options(
@@ -134,4 +138,34 @@ fn every_cached_population_equals_a_recomputation_after_a_write() {
             "{class}: {path:?}"
         );
     }
+}
+
+/// A base object is never a member of an imaginary class: `Band` defines
+/// `Age`, yet a person's `Age` is its stored field whatever `Band` holds,
+/// so `Adult`, whose filter reads it, keeps its delta.
+#[test]
+fn an_imaginary_class_defining_the_filtered_attribute_leaves_the_delta() {
+    const BANDED: &str = r#"
+        create view Banded;
+        import all classes from database Staff;
+        class Band includes imaginary (select [Age: P.Age] from P in Person where P.Age >= 21);
+        class Adult includes (select P from P in Person where P.Age >= 21);
+    "#;
+    let mut sys = System::new();
+    execute_script(&mut sys, BASE).unwrap();
+    let cached = bind_script(&sys, BANDED, Materialization::Incremental);
+    let oracle = bind_script(&sys, BANDED, Materialization::AlwaysRecompute);
+    assert_eq!(read(&cached, "Adult"), read(&oracle, "Adult"), "cold");
+    let db = sys.database(sym("Staff")).unwrap();
+    let lisa = db.read().named(sym("lisa")).unwrap();
+    db.write()
+        .set_attr(lisa, sym("Age"), Value::Int(25))
+        .unwrap();
+    let path = cached.explain_population(sym("Adult")).unwrap().path;
+    assert_eq!(path, PopPath::Delta { retested: 1 });
+    assert_eq!(
+        read(&cached, "Adult"),
+        read(&oracle, "Adult"),
+        "after the write"
+    );
 }

@@ -6,29 +6,50 @@
 //! names and hands out shared, lock-protected handles.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::database::Database;
 use crate::error::{OodbError, Result};
-use crate::ids::DbId;
+use crate::ids::{DbId, IMAGINARY_OID_BASE};
 use crate::symbol::Symbol;
 
 /// A shared handle to a database.
 pub type DbHandle = Arc<RwLock<Database>>;
 
 /// A catalog of named databases.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct System {
     databases: Vec<DbHandle>,
     by_name: HashMap<Symbol, DbId>,
+    /// The next imaginary oid (§5.1). Every view bound against this system
+    /// draws from it, so no two views hand out the same oid.
+    imaginary_oids: Arc<AtomicU64>,
+}
+
+impl Default for System {
+    fn default() -> System {
+        System {
+            databases: Vec::new(),
+            by_name: HashMap::new(),
+            imaginary_oids: Arc::new(AtomicU64::new(IMAGINARY_OID_BASE)),
+        }
+    }
 }
 
 impl System {
     /// An empty catalog.
     pub fn new() -> System {
         System::default()
+    }
+
+    /// The imaginary-oid allocator of this system: it starts at
+    /// [`IMAGINARY_OID_BASE`], and each view bound against the system
+    /// takes its imaginary oids from it.
+    pub fn imaginary_oids(&self) -> Arc<AtomicU64> {
+        self.imaginary_oids.clone()
     }
 
     /// Registers a database under its own name.

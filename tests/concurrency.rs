@@ -526,7 +526,12 @@ fn point_reads_agree_with_a_fresh_bind_while_recomputes_move_the_generation() {
          hide attribute Street in class Person;",
     ]
     .map(|d| ViewDef::from_script(d).unwrap());
-    let bind = || defs[2].binder(&sys).over_all(&defs[..2]).bind().unwrap();
+    // Each level bound over the one below, which populates what it declares.
+    let bind = || {
+        let adults = std::sync::Arc::new(defs[0].binder(&sys).bind().unwrap());
+        let earners = std::sync::Arc::new(defs[1].binder(&sys).over(&adults).bind().unwrap());
+        defs[2].binder(&sys).over(&earners).bind().unwrap()
+    };
     let reads = [
         "boss.Name",
         "boss.Address.City",

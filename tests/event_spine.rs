@@ -49,10 +49,12 @@ impl Rng {
 }
 
 /// `Adults` → `Earners` → `Top`; `First` is populated from the
-/// index on `Person.Id` and `CityTag` is imaginary. `CityTag` defines
-/// `City`, so `Londoner`'s filter asks of every person whether `CityTag`
-/// holds them: its scan requests `CityTag`'s population from inside the
-/// row loop, and that population's events reach EXPLAIN like any other.
+/// index on `Person.Id` and `CityTag` is imaginary. `Elder` defines
+/// `City`, so `Londoner`'s filter asks of every person whether `Elder`
+/// holds them: its scan requests `Elder`'s population from inside the row
+/// loop, and that population's events reach EXPLAIN like any other.
+/// (`CityTag` defines `City` too, but no person is a member of an
+/// imaginary class, so no scan of persons asks for it.)
 fn stack() -> Session {
     let mut s = Session::new();
     let mut script = String::from(
@@ -80,6 +82,8 @@ fn stack() -> Session {
         import all classes from database Staff;
         class Adult includes (select P from Person where P.Age >= 21);
         class First includes (select P from Person where P.Id = 1);
+        class Elder includes (select P from Person where P.Age >= 70);
+        attribute City in class Elder has value "Elsewhere";
         class Londoner includes (select P from Person where P.City = "London");
         class CityTag includes imaginary (select [City: P.City] from P in Person where P.Age >= 30);
         create view Earners;
