@@ -1,0 +1,113 @@
+// ----------------------------------------------------------------------
+// Robustness (the tests that arm failpoints live in `tests/faults.rs`: the
+// registry is process-wide, and an armed site fires in whatever test runs
+// beside the one that armed it)
+// ----------------------------------------------------------------------
+
+#[test]
+fn budget_breach_during_population_stays_typed() {
+    let sys = people_system();
+    let view = ViewDef::from_script(
+        r#"
+        create view V;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        "#,
+    )
+    .unwrap()
+    .binder(&sys)
+    .bind()
+    .unwrap();
+    let budget = std::sync::Arc::new(ov_query::Budget::new().with_max_steps(3));
+    let err = ov_query::run_query_with_budget(&view, "count(Adult)", budget).unwrap_err();
+    assert!(
+        matches!(err, ov_query::QueryError::ResourceExhausted(_)),
+        "budget breaches must not be retried or masked: {err}"
+    );
+}
+
+#[test]
+fn binder_stacks_views_programmatically() {
+    let sys = people_system();
+    let base = ViewDef::from_script(
+        r#"
+        create view Adults;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        "#,
+    )
+    .unwrap();
+    let upper = ViewDef::from_script(
+        r#"
+        create view Seniors;
+        import all classes from view Adults;
+        class Senior includes (select A from Adult where A.Age >= 65);
+        "#,
+    )
+    .unwrap();
+    let base = std::sync::Arc::new(base.binder(&sys).bind().unwrap());
+    let view = upper.binder(&sys).over(&base).bind().unwrap();
+    assert_eq!(view.query("count(Senior)").unwrap(), Value::Int(3));
+    // The stacked view's definition reads only the upstream view; its
+    // reach to database Staff is mediated by Adults (the dependency graph
+    // closes over view edges transitively).
+    let deps = view.dependencies();
+    assert!(deps
+        .iter()
+        .any(|e| e.on == crate::graph::DepTarget::View(sym("Adults"))
+            && e.classes.contains(&sym("Adult"))));
+    assert!(!deps
+        .iter()
+        .any(|e| e.on == crate::graph::DepTarget::Database(sym("Staff"))));
+    // A view import must take all classes; cherry-picking is base-only.
+    let bad = ViewDef::new(sym("Partial")).import_class(sym("Adults"), sym("Adult"));
+    assert!(bad.binder(&sys).over(&base).bind().is_err());
+    // Importing an unknown upstream still reads as an unknown database.
+    assert!(upper.binder(&sys).bind().is_err());
+}
+
+/// One owner per population: on a three-level stack read wholly through
+/// its top view, each view holds a cache entry, delta-decided flag or
+/// identity table only for the classes it declares — the top view reads
+/// the others from the views below.
+#[test]
+fn each_class_is_held_by_the_view_that_declares_it() {
+    let mut s = crate::Session::new();
+    s.execute(
+        r#"
+        database Staff;
+        class Person type [Name: string, Age: integer, City: string, Income: integer];
+        object #1 in Person value [Name: "Maggy", Age: 66, City: "Paris", Income: 120];
+        object #2 in Person value [Name: "Bart", Age: 10, City: "Rome", Income: 0];
+        object #3 in Person value [Name: "Tony", Age: 30, City: "Paris", Income: 80];
+        create view Adults;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        class Home includes imaginary (select [City: P.City] from P in Person);
+        create view Earners;
+        import all classes from view Adults;
+        class Rich includes (select A from Adult where A.Income >= 100);
+        create view Top;
+        import all classes from view Earners;
+        class Elite includes (select R from Rich where R.Age >= 60);
+        class Tag includes imaginary (select [Name: E.Name] from E in Elite);
+        "#,
+    )
+    .unwrap();
+    for q in [
+        "count(Adult)",
+        "count(Rich)",
+        "count(Elite)",
+        "count(Home)",
+        "count(Tag)",
+    ] {
+        s.query(sym("Top"), q).unwrap();
+    }
+    let held = |view: &str| {
+        let names = s.view(sym(view)).unwrap().held_classes();
+        names.iter().map(|n| n.to_string()).collect::<Vec<_>>()
+    };
+    assert_eq!(held("Adults"), ["Adult", "Home"]);
+    assert_eq!(held("Earners"), ["Rich"]);
+    assert_eq!(held("Top"), ["Elite", "Tag"]);
+}

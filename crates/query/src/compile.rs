@@ -41,6 +41,19 @@
 //! (`Evaluator::run_computed`). Which engine runs a top-level statement is
 //! decided once, in `exec::dispatch`.
 //!
+//! **Code and literals.** A [`Program`] is two halves: its code (`Code`:
+//! instructions, slots, tuple shapes, sub-selects), shared through an
+//! `Arc`, and the literal vector `Inst::Const` reads, in emit order. A
+//! top-level statement's code is cached per statement shape, in the
+//! plan-cache entry of its fingerprint ([`crate::planner`]): [`run_compiled`]
+//! serves a statement of a cached shape by binding the statement's own
+//! literals to that code, and compiles only in the code-cache fill, on a
+//! miss. The code names no source — slots are attribute names, and per-class
+//! verdicts live in each [`Scan`] — so it outlives the resolution-generation
+//! change that drops a plan. A statement is served code only when its
+//! folded tree equals the one the code was compiled from but for literal
+//! values, so a fingerprint collision never runs another shape's code.
+//!
 //! **Consistency model.** Slot caches are guarded by
 //! [`DataSource::resolution_generation`]: a source that invalidates
 //! scan-visible resolution state (a view opening or closing a population
@@ -105,7 +118,7 @@ pub fn compile_fallbacks() -> u64 {
 /// sub-select, whose pieces do.
 #[derive(Clone, Copy, Debug)]
 enum Inst {
-    /// Push a constant (from the program's pool).
+    /// Push the `i`-th literal of the program being run.
     Const(usize),
     /// Push a register: a scan variable, or — in a body program — `self`
     /// (register 0) or a parameter.
@@ -164,13 +177,15 @@ enum Inst {
     SelfUnbound,
 }
 
-/// A compiled expression: flat instructions, a constant pool, and one
-/// resolution slot per attribute-access site. Compile once per scan (or
-/// once per view bind), execute per row via [`Scan`].
-#[derive(Clone, Debug)]
-pub struct Program {
+/// The shape half of a compiled expression: flat instructions, one
+/// resolution slot per attribute-access site, tuple shapes and compiled
+/// sub-selects. It holds no literal — `Inst::Const(i)` reads the `i`-th
+/// literal of the [`Program`] it runs for — and names no source: slots are
+/// attribute names, and their verdicts live in each [`Scan`]. So one `Code`
+/// serves every literal value of a statement shape, over any source.
+#[derive(Debug)]
+struct Code {
     insts: Vec<Inst>,
-    consts: Vec<Value>,
     /// Attribute name per resolution slot, in slot order.
     slots: Vec<Symbol>,
     /// For each slot, the register its receiver reads directly (the
@@ -186,6 +201,18 @@ pub struct Program {
     n_regs: usize,
 }
 
+/// A compiled expression: its code (`Code`), shared through an `Arc`, and
+/// the literal vector `Inst::Const` reads, in the compiler's emit order.
+/// Compile once per scan, per view bind or per statement shape; execute
+/// per row via [`Scan`]. A statement whose shape is cached gets its
+/// `Program` by binding its own literals to the cached code, not by
+/// compiling.
+#[derive(Clone, Debug)]
+pub struct Program {
+    code: Arc<Code>,
+    lits: Vec<Value>,
+}
+
 /// One `var in collection` binding of a compiled sub-select.
 #[derive(Debug)]
 struct SubBinding {
@@ -195,7 +222,7 @@ struct SubBinding {
     reg: usize,
     /// The collection, run once per enclosing iteration (the interpreter
     /// re-evaluates collections each time the outer bindings advance).
-    coll: Arc<Program>,
+    coll: Arc<Code>,
 }
 
 /// A nested `select` (or `exists`) compiled as a subroutine: collection
@@ -205,15 +232,15 @@ struct SubBinding {
 struct SubSelect {
     the: bool,
     bindings: Vec<SubBinding>,
-    filter: Option<Arc<Program>>,
-    proj: Option<Arc<Program>>,
+    filter: Option<Arc<Code>>,
+    proj: Option<Arc<Code>>,
 }
 
 impl Program {
     /// Number of registers (scan variables; in a body program, `self`
     /// plus the parameters).
     pub fn n_regs(&self) -> usize {
-        self.n_regs
+        self.code.n_regs
     }
 
     /// The attributes this program reads off the object in register 0,
@@ -222,11 +249,12 @@ impl Program {
     /// `None` when it reaches beyond that object. Whether each attribute
     /// is stored is the source's to say ([`DataSource::class_verdict`]).
     pub fn row_attrs(&self) -> Option<Vec<Symbol>> {
+        let code = &*self.code;
         let mut attrs = Vec::new();
-        for inst in &self.insts {
+        for inst in &code.insts {
             match *inst {
-                Inst::Attr { slot, nargs: 0, .. } if self.slot_recv[slot] == Some(0) => {
-                    attrs.push(self.slots[slot])
+                Inst::Attr { slot, nargs: 0, .. } if code.slot_recv[slot] == Some(0) => {
+                    attrs.push(code.slots[slot])
                 }
                 Inst::Binary(BinOp::In) => return None,
                 Inst::Const(_)
@@ -278,7 +306,9 @@ pub fn run_select(src: &dyn DataSource, q: &SelectExpr) -> Result<Value> {
 
 struct Compiler {
     insts: Vec<Inst>,
-    consts: Vec<Value>,
+    /// The literals, in emit order — one vector for a program and every
+    /// sub-select child compiled inside it.
+    lits: Vec<Value>,
     slots: Vec<Symbol>,
     slot_recv: Vec<Option<usize>>,
     shapes: Vec<Vec<Symbol>>,
@@ -299,7 +329,7 @@ impl Compiler {
     fn new(vars: Vec<Symbol>, reg_base: usize, self_reg: Option<usize>) -> Compiler {
         Compiler {
             insts: Vec::new(),
-            consts: Vec::new(),
+            lits: Vec::new(),
             slots: Vec::new(),
             slot_recv: Vec::new(),
             shapes: Vec::new(),
@@ -315,26 +345,39 @@ impl Compiler {
     /// this count into a register file that grows on demand and is
     /// truncated back at every [`Scan::run`].
     fn finish(self) -> Program {
+        let (code, lits) = self.seal();
         Program {
+            code: Arc::new(code),
+            lits,
+        }
+    }
+
+    /// Splits the compiled state into its [`Code`] and its literals.
+    fn seal(self) -> (Code, Vec<Value>) {
+        let code = Code {
             insts: self.insts,
-            consts: self.consts,
             slots: self.slots,
             slot_recv: self.slot_recv,
             shapes: self.shapes,
             subs: self.subs,
             n_regs: self.reg_base + self.vars.len(),
-        }
+        };
+        (code, self.lits)
     }
 
-    /// Compiles `e` as a standalone child [`Program`] (a sub-select
+    /// Compiles `e` as a standalone child [`Code`] (a sub-select
     /// collection, filter, or projection) sharing this compiler's
     /// frame-relative register layout: same `reg_base`/`self_reg`, and
     /// the current variable scope — including enclosing sub-select
-    /// variables — resolves to the same registers.
-    fn compile_child(&self, e: &Expr) -> Arc<Program> {
+    /// variables — resolves to the same registers. Its literals continue
+    /// this compiler's vector: a child runs with its parent's.
+    fn compile_child(&mut self, e: &Expr) -> Arc<Code> {
         let mut c = Compiler::new(self.vars.clone(), self.reg_base, self.self_reg);
+        c.lits = std::mem::take(&mut self.lits);
         c.emit(e, 0);
-        Arc::new(c.finish())
+        let (code, lits) = c.seal();
+        self.lits = lits;
+        Arc::new(code)
     }
 
     /// Compiles a nested `select`/`exists` into a [`SubSelect`] table
@@ -385,9 +428,8 @@ impl Compiler {
     fn emit(&mut self, e: &Expr, rel: usize) {
         match e {
             Expr::Lit(v) => {
-                let idx = self.consts.len();
-                self.consts.push(v.clone());
-                self.insts.push(Inst::Const(idx));
+                self.insts.push(Inst::Const(self.lits.len()));
+                self.lits.push(v.clone());
             }
             // A variable is a register (innermost binding wins, like
             // `Env::lookup`); any other name resolves per execution, since
@@ -561,10 +603,10 @@ pub struct Scan<'a> {
     /// are never removed, so frames in flight across a generation bump
     /// keep their slot ranges.
     bodies: Vec<Body>,
-    /// Registered sub-select programs — a scan runs a handful — each with
-    /// its global-slot base, found by `Arc` identity. Holding the `Arc`
-    /// keeps the address from being reused while registered.
-    child_bases: Vec<(Arc<Program>, usize)>,
+    /// Registered sub-select code — a scan runs a handful — each with its
+    /// global-slot base, found by `Arc` identity. Holding the `Arc` keeps
+    /// the address from being reused while registered.
+    child_bases: Vec<(Arc<Code>, usize)>,
     /// The source's resolution generation when the caches were last
     /// (re)filled; a bump drops every cached verdict.
     gen: u64,
@@ -583,9 +625,9 @@ impl<'a> Scan<'a> {
             src,
             ev: Evaluator::new(src),
             budget: budget::current(),
-            regs: vec![Value::Null; prog.n_regs],
+            regs: vec![Value::Null; prog.code.n_regs],
             stack: Vec::with_capacity(8),
-            caches: prog.slots.iter().map(|_| Vec::new()).collect(),
+            caches: prog.code.slots.iter().map(|_| Vec::new()).collect(),
             bodies: Vec::new(),
             child_bases: Vec::new(),
             gen: src.resolution_generation(),
@@ -628,30 +670,31 @@ impl<'a> Scan<'a> {
     pub fn run(&mut self, base: usize) -> Result<Value> {
         let prog = self.prog;
         self.stack.clear();
-        self.regs.truncate(prog.n_regs);
-        self.exec(prog, base, 0, 0)
+        self.regs.truncate(prog.code.n_regs);
+        self.exec(&prog.code, &prog.lits, base, 0, 0)
     }
 
-    /// The bytecode loop. `frame` is the base of this invocation's
-    /// registers, `slot_base` the base of its resolution slots; the outer
-    /// program runs at (0, 0), body programs at their pushed frame and
-    /// registered slot range.
+    /// The bytecode loop over `code` with its program's literals `lits`.
+    /// `frame` is the base of this invocation's registers, `slot_base` the
+    /// base of its resolution slots; the outer program runs at (0, 0), body
+    /// programs at their pushed frame and registered slot range.
     fn exec(
         &mut self,
-        prog: &Program,
+        code: &Code,
+        lits: &[Value],
         base: usize,
         frame: usize,
         slot_base: usize,
     ) -> Result<Value> {
         let mut pc = 0;
-        while pc < prog.insts.len() {
-            match prog.insts[pc] {
-                Inst::Const(i) => self.stack.push(prog.consts[i].clone()),
+        while pc < code.insts.len() {
+            match code.insts[pc] {
+                Inst::Const(i) => self.stack.push(lits[i].clone()),
                 Inst::Reg(i) => self.stack.push(self.regs[frame + i].clone()),
                 Inst::Attr { slot, nargs, rel } => {
                     let args = self.stack.split_off(self.stack.len() - nargs);
                     let recv = self.stack.pop().expect("receiver on stack");
-                    let name = prog.slots[slot];
+                    let name = code.slots[slot];
                     let v = self.attr(recv, slot_base + slot, name, args, base + rel)?;
                     self.stack.push(v);
                 }
@@ -696,7 +739,7 @@ impl<'a> Scan<'a> {
                     continue;
                 }
                 Inst::MakeTuple { shape } => {
-                    let fields = &prog.shapes[shape];
+                    let fields = &code.shapes[shape];
                     let vals = self.stack.split_off(self.stack.len() - fields.len());
                     let t = ov_oodb::Tuple::from_fields(fields.iter().copied().zip(vals));
                     self.stack.push(Value::Tuple(t));
@@ -710,7 +753,7 @@ impl<'a> Scan<'a> {
                     self.stack.push(Value::List(vals));
                 }
                 Inst::Select { sub, rel } => {
-                    let v = self.run_sub(&prog.subs[sub], base + rel, frame)?;
+                    let v = self.run_sub(&code.subs[sub], lits, base + rel, frame)?;
                     self.stack.push(v);
                 }
                 Inst::FreeName(name) => self.stack.push(eval::free_name(self.src, name)?),
@@ -741,13 +784,20 @@ impl<'a> Scan<'a> {
     /// and collection errors propagate immediately, projection errors and
     /// `note_rows` breaches stop the iteration and surface after the
     /// actuals are folded in.
-    fn run_sub(&mut self, sub: &SubSelect, depth: usize, frame: usize) -> Result<Value> {
+    fn run_sub(
+        &mut self,
+        sub: &SubSelect,
+        lits: &[Value],
+        depth: usize,
+        frame: usize,
+    ) -> Result<Value> {
         let mut actuals = crate::plan::ScanActuals::default();
         let mut out = BTreeSet::new();
         let mut err: Option<QueryError> = None;
         let mut found = false;
         let r = self.sub_bindings(
             sub,
+            lits,
             0,
             depth,
             frame,
@@ -779,6 +829,7 @@ impl<'a> Scan<'a> {
     fn sub_bindings(
         &mut self,
         sub: &SubSelect,
+        lits: &[Value],
         i: usize,
         depth: usize,
         frame: usize,
@@ -790,7 +841,7 @@ impl<'a> Scan<'a> {
         if i == sub.bindings.len() {
             actuals.rows_scanned += 1;
             if let Some(f) = &sub.filter {
-                let keep = self.run_child(f, depth + 1, frame)?;
+                let keep = self.run_child(f, lits, depth + 1, frame)?;
                 if !truthy(&keep) {
                     return Ok(true);
                 }
@@ -801,7 +852,7 @@ impl<'a> Scan<'a> {
                     *found = true;
                     Ok(false)
                 }
-                Some(p) => match self.run_child(p, depth + 1, frame) {
+                Some(p) => match self.run_child(p, lits, depth + 1, frame) {
                     Ok(v) => {
                         if out.insert(v) {
                             if let Some(b) = &self.budget {
@@ -822,7 +873,7 @@ impl<'a> Scan<'a> {
         }
         let b = &sub.bindings[i];
         let (var, reg) = (b.var, b.reg);
-        let coll = self.run_child(&b.coll, depth + 1, frame)?;
+        let coll = self.run_child(&b.coll, lits, depth + 1, frame)?;
         let items: Vec<Value> = match coll {
             Value::Set(s) => s.into_iter().collect(),
             Value::List(l) => l,
@@ -837,7 +888,8 @@ impl<'a> Scan<'a> {
         for item in items {
             eval::bind_row(self.budget.as_deref())?;
             self.set_reg(frame + reg, item);
-            let cont = self.sub_bindings(sub, i + 1, depth, frame, actuals, out, err, found)?;
+            let cont =
+                self.sub_bindings(sub, lits, i + 1, depth, frame, actuals, out, err, found)?;
             if !cont {
                 return Ok(false);
             }
@@ -845,12 +897,19 @@ impl<'a> Scan<'a> {
         Ok(true)
     }
 
-    /// Executes a child program (a sub-select piece) with its root at
-    /// depth `base`, sharing this scan's register file at `frame` and
-    /// registering the program's resolution slots on first use.
-    fn run_child(&mut self, prog: &Arc<Program>, base: usize, frame: usize) -> Result<Value> {
-        let slot_base = self.slot_base_for(prog);
-        self.exec(prog, base, frame, slot_base)
+    /// Executes a child's code (a sub-select piece) with its parent's
+    /// literals and its root at depth `base`, sharing this scan's register
+    /// file at `frame` and registering the code's resolution slots on first
+    /// use.
+    fn run_child(
+        &mut self,
+        code: &Arc<Code>,
+        lits: &[Value],
+        base: usize,
+        frame: usize,
+    ) -> Result<Value> {
+        let slot_base = self.slot_base_for(code);
+        self.exec(code, lits, base, frame, slot_base)
     }
 
     /// Attribute access, mirroring `Evaluator::access`/`attr_of` — with the
@@ -962,27 +1021,27 @@ impl<'a> Scan<'a> {
         self.regs.push(Value::Oid(oid));
         self.regs.extend(args);
         let result = ctx::in_body(self.src.frame_key(), || {
-            self.exec(&prog, depth + 1, frame, slot_base)
+            self.exec(&prog.code, &prog.lits, depth + 1, frame, slot_base)
         });
         self.regs.truncate(frame);
         result
     }
 
-    /// Appends one verdict list per slot of `prog`, returning their base.
-    fn alloc_slots(&mut self, prog: &Program) -> usize {
+    /// Appends one verdict list per slot of `code`, returning their base.
+    fn alloc_slots(&mut self, code: &Code) -> usize {
         let base = self.caches.len();
-        self.caches.extend(prog.slots.iter().map(|_| Vec::new()));
+        self.caches.extend(code.slots.iter().map(|_| Vec::new()));
         base
     }
 
-    /// The global-slot base for a sub-select program, registering it (and
+    /// The global-slot base for a sub-select's code, registering it (and
     /// allocating its slot caches) on first use.
-    fn slot_base_for(&mut self, prog: &Arc<Program>) -> usize {
-        if let Some((_, base)) = self.child_bases.iter().find(|(p, _)| Arc::ptr_eq(p, prog)) {
+    fn slot_base_for(&mut self, code: &Arc<Code>) -> usize {
+        if let Some((_, base)) = self.child_bases.iter().find(|(c, _)| Arc::ptr_eq(c, code)) {
             return *base;
         }
-        let base = self.alloc_slots(prog);
-        self.child_bases.push((prog.clone(), base));
+        let base = self.alloc_slots(code);
+        self.child_bases.push((code.clone(), base));
         base
     }
 
@@ -1035,7 +1094,7 @@ impl<'a> Scan<'a> {
             ResolvedAttr::Stored => Verdict::Stored,
             ResolvedAttr::Computed { params, body } => {
                 let prog = compile_body(params, body);
-                let slot_base = self.alloc_slots(&prog);
+                let slot_base = self.alloc_slots(&prog.code);
                 self.bodies.push(Body {
                     prog: Rc::new(prog),
                     nparams: params.len(),
@@ -1072,9 +1131,23 @@ pub struct SelectScan {
 
 /// Compiles the scan pieces of `q` when it has the canonical shape: one
 /// binding whose collection is a plain class name (not shadowed by a named
-/// object).
+/// object). Always compiles; a statement gets its scan from its shape's
+/// cached code instead ([`run_compiled`]).
 pub fn compile_select_scan(src: &dyn DataSource, q: &SelectExpr) -> Option<SelectScan> {
-    let [(var, Expr::Name(coll_name))] = q.bindings.as_slice() else {
+    let class = scan_class(src, q)?;
+    let vars = [q.bindings[0].0];
+    Some(SelectScan {
+        class,
+        filter: q.filter.as_deref().map(|f| compile_predicate(f, &vars)),
+        proj: compile_predicate(&q.proj, &vars),
+    })
+}
+
+/// The class a canonical scan of `q` reads, when `q` has that shape on
+/// `src`: one binding whose collection is a plain class name. Asked per
+/// statement, since cached code names no class.
+fn scan_class(src: &dyn DataSource, q: &SelectExpr) -> Option<ClassId> {
+    let [(_, Expr::Name(coll_name))] = q.bindings.as_slice() else {
         return None;
     };
     // resolve_name order is variable → named object → class extent; a
@@ -1082,13 +1155,222 @@ pub fn compile_select_scan(src: &dyn DataSource, q: &SelectExpr) -> Option<Selec
     if src.named_object(*coll_name).is_some() {
         return None;
     }
-    let class = src.class_by_name(*coll_name)?;
-    let vars = [*var];
-    Some(SelectScan {
+    src.class_by_name(*coll_name)
+}
+
+// --- statement code -------------------------------------------------------
+
+/// The compiled code of one statement shape, held by the plan-cache entry
+/// of its fingerprint beside the plan ([`crate::planner`]). It names no
+/// source, so it outlives the resolution-generation change that drops the
+/// plan. `template` is the folded statement it was compiled from: a
+/// statement is served this code only when it has the template's shape
+/// ([`bind_shape`]), so a fingerprint collision never runs another shape's
+/// code.
+pub(crate) struct StmtCode {
+    template: Expr,
+    kind: CodeKind,
+}
+
+enum CodeKind {
+    /// A canonical single-binding class scan: filter and projection over
+    /// the scan variable in register 0.
+    Scan {
+        filter: Option<Arc<Code>>,
+        proj: Arc<Code>,
+    },
+    /// A general program with no scan variables.
+    Program(Arc<Code>),
+}
+
+/// Is `e` the tree `t` but for the values of its literals — so that it
+/// compiles to the same [`Code`]? If so, `out` has gained `e`'s literals in
+/// the compiler's emit order: the vector a [`Program`] compiled from `e`
+/// reads. The walk visits what `emit` visits, in its order; an `exists`
+/// projection is never compiled, so it is compared and its literals go
+/// nowhere.
+fn bind_shape(t: &Expr, e: &Expr, out: &mut Vec<Value>) -> bool {
+    let all = |t: &[Expr], e: &[Expr], out: &mut Vec<Value>| {
+        t.len() == e.len() && t.iter().zip(e).all(|(x, y)| bind_shape(x, y, out))
+    };
+    match (t, e) {
+        (Expr::Lit(_), Expr::Lit(v)) => {
+            out.push(v.clone());
+            true
+        }
+        (Expr::SelfRef, Expr::SelfRef) => true,
+        (Expr::Name(x), Expr::Name(y)) => x == y,
+        (
+            Expr::Attr { recv, name, args },
+            Expr::Attr {
+                recv: r,
+                name: n,
+                args: a,
+            },
+        ) => name == n && bind_shape(recv, r, out) && all(args, a, out),
+        (Expr::TupleCons(f), Expr::TupleCons(g)) => {
+            f.len() == g.len()
+                && (f.iter().zip(g)).all(|((m, x), (n, y))| m == n && bind_shape(x, y, out))
+        }
+        (Expr::SetCons(x), Expr::SetCons(y)) | (Expr::ListCons(x), Expr::ListCons(y)) => {
+            all(x, y, out)
+        }
+        (Expr::Unary { op, expr }, Expr::Unary { op: o, expr: x }) => {
+            op == o && bind_shape(expr, x, out)
+        }
+        (
+            Expr::Binary { op, lhs, rhs },
+            Expr::Binary {
+                op: o,
+                lhs: l,
+                rhs: r,
+            },
+        ) => op == o && bind_shape(lhs, l, out) && bind_shape(rhs, r, out),
+        (
+            Expr::If { cond, then, els },
+            Expr::If {
+                cond: c,
+                then: t,
+                els: e,
+            },
+        ) => bind_shape(cond, c, out) && bind_shape(then, t, out) && bind_shape(els, e, out),
+        (Expr::Select(p), Expr::Select(q)) => {
+            bind_select_head(p, q, out) && bind_shape(&p.proj, &q.proj, out)
+        }
+        (Expr::Exists(p), Expr::Exists(q)) => {
+            bind_select_head(p, q, out) && bind_shape(&p.proj, &q.proj, &mut Vec::new())
+        }
+        (Expr::Aggregate { func, arg }, Expr::Aggregate { func: f, arg: a }) => {
+            func == f && bind_shape(arg, a, out)
+        }
+        (Expr::IsA { expr, class }, Expr::IsA { expr: x, class: c }) => {
+            class == c && bind_shape(expr, x, out)
+        }
+        (Expr::Apply { name, args }, Expr::Apply { name: n, args: a }) => {
+            name == n && all(args, a, out)
+        }
+        _ => false,
+    }
+}
+
+/// [`bind_shape`] over a select's flags, bindings and filter — all of it
+/// but the projection, which the compiler emits last.
+fn bind_select_head(t: &SelectExpr, e: &SelectExpr, out: &mut Vec<Value>) -> bool {
+    t.distinct == e.distinct
+        && t.the == e.the
+        && t.bindings.len() == e.bindings.len()
+        && (t.bindings.iter().zip(&e.bindings))
+            .all(|((v, c), (w, d))| v == w && bind_shape(c, d, out))
+        && match (&t.filter, &e.filter) {
+            (None, None) => true,
+            (Some(f), Some(g)) => bind_shape(f, g, out),
+            _ => false,
+        }
+}
+
+/// The canonical scan of the statement `expr` (the select `q`) over
+/// `class`: `code`, the cached code of the statement's fingerprint `fp`,
+/// with the statement's literals bound when it is a scan of this shape,
+/// else compiled and cached.
+fn statement_scan(
+    fp: u64,
+    code: Option<&StmtCode>,
+    expr: &Expr,
+    q: &SelectExpr,
+    class: ClassId,
+) -> SelectScan {
+    if let Some(StmtCode {
+        template: Expr::Select(t),
+        kind: CodeKind::Scan { filter, proj },
+    }) = code
+    {
+        // The binding is a class name, so every literal of the head is the
+        // filter's.
+        let (mut filter_lits, mut proj_lits) = (Vec::new(), Vec::new());
+        if bind_select_head(t, q, &mut filter_lits) && bind_shape(&t.proj, &q.proj, &mut proj_lits)
+        {
+            return SelectScan {
+                class,
+                filter: filter.as_ref().map(|code| Program {
+                    code: Arc::clone(code),
+                    lits: filter_lits,
+                }),
+                proj: Program {
+                    code: Arc::clone(proj),
+                    lits: proj_lits,
+                },
+            };
+        }
+    }
+    fill_scan_code(fp, expr, q, class)
+}
+
+/// The general program of the statement `expr`: the cached `code` of its
+/// fingerprint `fp` with the statement's literals bound, else compiled and
+/// cached.
+fn statement_program(fp: u64, code: Option<&StmtCode>, expr: &Expr) -> Program {
+    if let Some(StmtCode {
+        template,
+        kind: CodeKind::Program(code),
+    }) = code
+    {
+        let mut lits = Vec::new();
+        if bind_shape(template, expr, &mut lits) {
+            return Program {
+                code: Arc::clone(code),
+                lits,
+            };
+        }
+    }
+    fill_program_code(fp, expr)
+}
+
+/// The code-cache fill for a canonical scan: compiles the scan of `q` and
+/// caches its code under `fp`.
+fn fill_scan_code(fp: u64, expr: &Expr, q: &SelectExpr, class: ClassId) -> SelectScan {
+    let vars = [q.bindings[0].0];
+    let filter = q.filter.as_deref().map(|f| compile_predicate(f, &vars));
+    let proj = compile_predicate(&q.proj, &vars);
+    debug_assert!((filter.iter().zip(q.filter.as_deref())).all(|(p, f)| emit_order_holds(p, f)));
+    debug_assert!(emit_order_holds(&proj, &q.proj));
+    let kind = CodeKind::Scan {
+        filter: filter.as_ref().map(|p| Arc::clone(&p.code)),
+        proj: Arc::clone(&proj.code),
+    };
+    store_code(fp, expr, kind);
+    SelectScan {
         class,
-        filter: q.filter.as_deref().map(|f| compile_predicate(f, &vars)),
-        proj: compile_predicate(&q.proj, &vars),
-    })
+        filter,
+        proj,
+    }
+}
+
+/// The code-cache fill for a general program: compiles `expr` and caches
+/// its code under `fp`.
+fn fill_program_code(fp: u64, expr: &Expr) -> Program {
+    let prog = compile_predicate(expr, &[]);
+    debug_assert!(emit_order_holds(&prog, expr));
+    store_code(fp, expr, CodeKind::Program(Arc::clone(&prog.code)));
+    prog
+}
+
+/// Counts a statement compile in `compile.programs` and caches its code
+/// under `fp`, with the statement `expr` as its template — replacing
+/// whatever code the entry held.
+fn store_code(fp: u64, expr: &Expr, kind: CodeKind) {
+    ov_oodb::metric_counter!("compile.programs").inc();
+    let code = StmtCode {
+        template: expr.clone(),
+        kind,
+    };
+    crate::planner::store_code(fp, Arc::new(code));
+}
+
+/// Does [`bind_shape`] list `e`'s literals as the compiler emitted them
+/// into `prog`? What makes binding a cached shape's literals sound.
+fn emit_order_holds(prog: &Program, e: &Expr) -> bool {
+    let mut lits = Vec::new();
+    bind_shape(e, e, &mut lits) && lits == prog.lits
 }
 
 /// Runs a whole top-level expression compiled. The result is what
@@ -1098,20 +1380,32 @@ pub fn compile_select_scan(src: &dyn DataSource, q: &SelectExpr) -> Option<Selec
 /// filter that errors on some rows may surface a different row's error
 /// (standard predicate-reorder semantics; see `planner`), and the budget
 /// is charged the rows the reordered plan binds.
+///
+/// The statement's fingerprint keys one plan-cache entry, read under one
+/// lock, that holds both the plan and the compiled code of its shape. A
+/// statement of a cached shape compiles nothing: it binds its literals.
+/// What stays per statement is what depends on the source — the class
+/// lookup, the named-object shadow check — and the index probe value. A
+/// planned join still compiles per run.
 pub(crate) fn run_compiled(src: &dyn DataSource, expr: &Expr) -> Result<Value> {
+    let fp = crate::fingerprint::fingerprint_hash(expr);
+    let planned = crate::planner::planner_enabled();
     if let Expr::Select(q) = expr {
         // Canonical single-binding class scan: the fast path, with the
         // planner choosing between sequential scan and index pushdown.
-        if let Some(scan) = compile_select_scan(src, q) {
-            if crate::planner::planner_enabled() {
-                return run_planned_select(src, expr, q, &scan);
-            }
-            return run_select_scan(src, q, &scan, None);
+        if let Some(class) = scan_class(src, q) {
+            let generation = planned.then(|| src.resolution_generation());
+            let (plan, code) = crate::planner::lookup(fp, generation);
+            let scan = statement_scan(fp, code.as_deref(), expr, q, class);
+            return match generation {
+                Some(generation) => run_planned_select(src, fp, q, &scan, generation, plan),
+                None => run_select_scan(src, q, &scan, None),
+            };
         }
         // Multi-binding over independent class extents: the planner may
         // pick a cheapest-first binding order.
-        if crate::planner::planner_enabled() {
-            if let Some(r) = try_run_planned_join(src, expr, q) {
+        if planned {
+            if let Some(r) = try_run_planned_join(src, fp, q) {
                 return r;
             }
         }
@@ -1119,7 +1413,8 @@ pub(crate) fn run_compiled(src: &dyn DataSource, expr: &Expr) -> Result<Value> {
     // General shapes — multi-binding and nested selects, aggregates, a
     // bare `exists(...)` — compile into one program (selects as
     // subroutines) with the interpreter's exact semantics.
-    run_program(src, &compile_predicate(expr, &[]))
+    let (_, code) = crate::planner::lookup(fp, None);
+    run_program(src, &statement_program(fp, code.as_deref(), expr))
 }
 
 /// Runs a general program with no scan variables (multi-binding or nested
@@ -1134,20 +1429,20 @@ pub(crate) fn run_program(src: &dyn DataSource, prog: &Program) -> Result<Value>
     r
 }
 
-/// Runs a planned single-binding scan: consult the plan cache / cost
-/// model, execute the chosen strategy (validating it — a pushdown whose
-/// index is missing demotes to sequential), then feed the actual row
-/// count back for drift detection and publish the decision for EXPLAIN.
+/// Runs a planned single-binding scan: decide from the `cached` plan of
+/// fingerprint `fp` (made under `generation`) or the cost model, execute
+/// the chosen strategy (validating it — a pushdown whose index is missing
+/// demotes to sequential), then feed the actual row count back for drift
+/// detection and publish the decision for EXPLAIN.
 fn run_planned_select(
     src: &dyn DataSource,
-    expr: &Expr,
+    fp: u64,
     q: &SelectExpr,
     scan: &SelectScan,
+    generation: u64,
+    cached: Option<crate::planner::PlanHit>,
 ) -> Result<Value> {
-    // The plan cache is keyed by the fingerprint: hash it once, for the
-    // lookup and for whatever the outcome feeds back.
-    let fp = crate::fingerprint::fingerprint_hash(expr);
-    let decision = crate::planner::plan_select_keyed(src, fp, q);
+    let decision = crate::planner::plan_select_with(fp, q, generation, cached);
     let r = match &decision.strategy {
         crate::planner::Strategy::IndexPushdown { attr, value, .. } => {
             match src.indexed_lookup(scan.class, *attr, value) {
@@ -1173,7 +1468,7 @@ fn run_planned_select(
 }
 
 /// Attempts the planner's reordered nested-loop join for a multi-binding
-/// select. Applicability is strict — every collection a free class name
+/// select (fingerprint `fp`). Applicability is strict — every collection a free class name
 /// (independent extents, so order cannot change the result set),
 /// distinct variables, every filter leg analyzable and free of nested
 /// selects / free names / `self`, everything compiles — and `None`
@@ -1182,11 +1477,7 @@ fn run_planned_select(
 /// variables in scope, so a selective leg prunes whole subtrees of the
 /// loop nest. Charged like any loop: one step per row each level binds,
 /// one row per value the answer gains.
-fn try_run_planned_join(
-    src: &dyn DataSource,
-    expr: &Expr,
-    q: &SelectExpr,
-) -> Option<Result<Value>> {
+fn try_run_planned_join(src: &dyn DataSource, fp: u64, q: &SelectExpr) -> Option<Result<Value>> {
     use crate::planner::{mentioned_vars, plan_join, record_outcome, Strategy};
     if q.bindings.len() < 2 {
         return None;
@@ -1227,7 +1518,6 @@ fn try_run_planned_join(
         extents.push(ext);
     }
     let class_names: Vec<Symbol> = classes.iter().map(|(n, _)| *n).collect();
-    let fp = crate::fingerprint::fingerprint_hash(expr);
     let decision = plan_join(src, fp, q, &class_names, &cards);
     let Strategy::Join { order } = &decision.strategy else {
         return None;
@@ -1362,7 +1652,7 @@ fn feed_scan_stats(src: &dyn DataSource, class: Symbol, scan: &SelectScan, exten
     let sample = &extent[..extent.len().min(STATS_SAMPLE_ROWS)];
     let mut names: Vec<Symbol> = Vec::new();
     for prog in scan.filter.iter().chain([&scan.proj]) {
-        for (name, recv) in prog.slots.iter().zip(&prog.slot_recv) {
+        for (name, recv) in prog.code.slots.iter().zip(&prog.code.slot_recv) {
             if *recv == Some(0) && !names.contains(name) {
                 names.push(*name);
             }

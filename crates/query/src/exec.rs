@@ -526,7 +526,7 @@ fn run_parsed(src: &dyn crate::source::DataSource, e: &Expr, text: Option<&str>)
     if !ov_oodb::metrics::profiling_enabled() || crate::plan::tracing_active() {
         // Fold constants before planning/execution so literals substituted
         // by parameterized-class instantiation feed selectivity estimation.
-        let folded = crate::optimize::optimize_expr(e);
+        let folded = crate::optimize::fold(e);
         let _exec = ov_oodb::span!("query.execute");
         return dispatch(src, &folded).0;
     }

@@ -58,7 +58,7 @@ pub use exec::{
     resolve_type, rewrite_expr, run_expr, run_query, run_query_with_budget,
 };
 pub use fingerprint::{fingerprint_expr, fingerprint_hash, fingerprint_query};
-pub use optimize::{optimize_expr, optimize_select};
+pub use optimize::{fold, optimize_expr, optimize_select};
 pub use parser::{parse_expr, parse_program, parse_select, parse_type};
 pub use plan::{
     run_query_traced, Engine, PlanChoice, PopPath, PopulationTrace, QueryTrace, ScanActuals,

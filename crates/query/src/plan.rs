@@ -18,6 +18,7 @@
 //! read and a no-op. Every scan runs on the thread that requested it, so
 //! what a statement triggers lands in its collector in completion order.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use ov_oodb::{Expr, Symbol, Value};
@@ -490,13 +491,10 @@ pub(crate) fn observed(
     mut stages: Vec<Stage>,
 ) -> (Result<Value>, QueryTrace) {
     let (fingerprint, normalized) = crate::fingerprint::fingerprint_expr(e);
-    let fold = || crate::optimize::optimize_expr(e);
-    let folded = stage(&mut stages, "query.optimize", fold, |f| {
-        if f == e {
-            "(unchanged)".to_owned()
-        } else {
-            f.to_string()
-        }
+    let fold = || crate::optimize::fold(e);
+    let folded = stage(&mut stages, "query.optimize", fold, |f| match f {
+        Cow::Borrowed(_) => "(unchanged)".to_owned(),
+        Cow::Owned(f) => f.to_string(),
     });
     let run = || with_scan_actuals(|| observe(|| crate::exec::dispatch(src, &folded)));
     let (((value, engine), collector), actuals) = stage(

@@ -12,6 +12,13 @@
 //! so one planning decision is amortized across thousands of
 //! re-evaluations.
 //!
+//! The entry of a fingerprint also holds the shape's compiled code
+//! (`compile::StmtCode`), so one lock acquisition per statement serves
+//! both: the plan when it was made under the source's resolution
+//! generation, the code whatever the generation — code names no source.
+//! Both live and die together: [`PLAN_CACHE_CAP`]'s evict-all and
+//! [`clear_plan_cache`] drop an entry whole.
+//!
 //! Two invariants keep estimation honest:
 //!
 //! - **Estimates never affect correctness.** Every choice is validated
@@ -29,11 +36,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use ov_oodb::stats::{stats, ClassStatistics};
 use ov_oodb::{metric_counter, BinOp, Expr, SelectExpr, Symbol, UnOp, Value};
 
+use crate::compile::StmtCode;
 use crate::ctx;
 use crate::fingerprint::fingerprint_hash;
 use crate::source::DataSource;
@@ -143,37 +151,59 @@ pub struct Decision {
 /// shape, and a pushdown's probe value always comes from the query being
 /// planned.
 #[derive(Clone, Debug)]
-enum CachedStrategy {
+pub(crate) enum CachedStrategy {
     Seq,
     IndexPushdown { class: Symbol, attr: Symbol },
     Join { order: Vec<usize> },
 }
+
+/// A plan served from the cache: its strategy and row estimate.
+pub(crate) type PlanHit = (CachedStrategy, u64);
 
 #[derive(Debug)]
 struct CachedPlan {
     strategy: CachedStrategy,
     est_rows: u64,
     /// `resolution_generation` of the source the plan was made under; a
-    /// moved generation invalidates the entry.
+    /// moved generation invalidates the plan.
     generation: u64,
 }
 
-fn cache() -> &'static Mutex<HashMap<u64, CachedPlan>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, CachedPlan>>> = OnceLock::new();
-    CACHE.get_or_init(Mutex::default)
+/// Everything cached for one statement shape, under its fingerprint: the
+/// plan, valid for one resolution generation, and the compiled code,
+/// valid for any source (it names none).
+#[derive(Default)]
+struct Entry {
+    plan: Option<CachedPlan>,
+    code: Option<Arc<StmtCode>>,
 }
 
-/// Drops every cached plan (tests and benchmarks use this to start from
-/// a cold planner).
+fn cache() -> MutexGuard<'static, HashMap<u64, Entry>> {
+    static CACHE: OnceLock<Mutex<HashMap<u64, Entry>>> = OnceLock::new();
+    CACHE
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("plan cache poisoned")
+}
+
+/// Drops every cached plan and the code cached with it (tests and
+/// benchmarks use this to start from a cold planner).
 pub fn clear_plan_cache() {
-    cache().lock().expect("plan cache poisoned").clear();
+    cache().clear();
 }
 
-/// The strategy and row estimate cached under `fp`, if made under
-/// `generation`.
-fn cache_lookup(fp: u64, generation: u64) -> Option<(CachedStrategy, u64)> {
-    let guard = cache().lock().expect("plan cache poisoned");
-    match guard.get(&fp) {
+/// What the entry under `fp` holds for one statement, read under one lock:
+/// the plan, asked for only when `generation` is given (a planned
+/// statement) and served only if made under it — counted as a hit or a
+/// miss — and the code, served whatever the generation.
+pub(crate) fn lookup(fp: u64, generation: Option<u64>) -> (Option<PlanHit>, Option<Arc<StmtCode>>) {
+    let guard = cache();
+    let entry = guard.get(&fp);
+    let code = entry.and_then(|e| e.code.clone());
+    let Some(generation) = generation else {
+        return (None, code);
+    };
+    let plan = match entry.and_then(|e| e.plan.as_ref()) {
         Some(c) if c.generation == generation => {
             metric_counter!("planner.plan_cache.hits").inc();
             Some((c.strategy.clone(), c.est_rows))
@@ -182,31 +212,41 @@ fn cache_lookup(fp: u64, generation: u64) -> Option<(CachedStrategy, u64)> {
             metric_counter!("planner.plan_cache.misses").inc();
             None
         }
-    }
+    };
+    (plan, code)
 }
 
-/// Plans the cache holds before a new fingerprint empties it (counted
-/// per dropped plan in `planner.cache_evictions`). Fingerprints
+/// Entries the cache holds before a new fingerprint empties it (counted
+/// per dropped entry in `planner.cache_evictions`). Fingerprints
 /// normalize literals, so a workload's set of shapes is small; a stream
 /// of distinct shapes (generated queries) must not grow the map forever,
-/// and re-planning a dropped shape costs one miss.
+/// and re-planning and re-compiling a dropped shape costs one miss.
 pub const PLAN_CACHE_CAP: usize = 4096;
 
-fn cache_store(fp: u64, plan: CachedPlan) {
-    let mut guard = cache().lock().expect("plan cache poisoned");
-    if guard.len() >= PLAN_CACHE_CAP && !guard.contains_key(&fp) {
-        metric_counter!("planner.cache_evictions").add(guard.len() as u64);
-        guard.clear();
+/// The entry under `fp`, created if new — after emptying the whole cache
+/// when it already holds [`PLAN_CACHE_CAP`] entries.
+fn entry(map: &mut HashMap<u64, Entry>, fp: u64) -> &mut Entry {
+    if map.len() >= PLAN_CACHE_CAP && !map.contains_key(&fp) {
+        metric_counter!("planner.cache_evictions").add(map.len() as u64);
+        map.clear();
     }
-    guard.insert(fp, plan);
+    map.entry(fp).or_default()
+}
+
+fn cache_store(fp: u64, plan: CachedPlan) {
+    entry(&mut cache(), fp).plan = Some(plan);
+}
+
+/// Caches the compiled code of the statement shape `fp`, beside its plan.
+pub(crate) fn store_code(fp: u64, code: Arc<StmtCode>) {
+    entry(&mut cache(), fp).code = Some(code);
 }
 
 /// Rewrites the plan cached under fingerprint `fp` to a sequential scan —
 /// called when execution discovers a pushdown plan's index does not
 /// exist, so later queries skip the doomed probe.
 pub fn demote_to_seq(fp: u64) {
-    let mut guard = cache().lock().expect("plan cache poisoned");
-    if let Some(c) = guard.get_mut(&fp) {
+    if let Some(c) = cache().get_mut(&fp).and_then(|e| e.plan.as_mut()) {
         c.strategy = CachedStrategy::Seq;
     }
 }
@@ -218,15 +258,19 @@ pub fn demote_to_seq(fp: u64) {
 /// instead would re-plan from the same sketches, reach the same estimate
 /// and drift again on every execution of the shape.
 pub fn observe_actual(fp: u64, actual_rows: u64) {
-    let mut guard = cache().lock().expect("plan cache poisoned");
-    if let Some(c) = guard.get_mut(&fp) {
-        let est = c.est_rows.max(1);
-        let act = actual_rows.max(1);
-        if est / act >= DRIFT_FACTOR || act / est >= DRIFT_FACTOR {
+    if let Some(c) = cache().get_mut(&fp).and_then(|e| e.plan.as_mut()) {
+        if drifts(c.est_rows, actual_rows) {
             c.est_rows = actual_rows;
             metric_counter!("planner.replans").inc();
         }
     }
+}
+
+/// Are `est` and `actual` rows more than [`DRIFT_FACTOR`]× apart, in
+/// either direction?
+fn drifts(est: u64, actual: u64) -> bool {
+    let (est, act) = (est.max(1), actual.max(1));
+    est / act >= DRIFT_FACTOR || act / est >= DRIFT_FACTOR
 }
 
 // ---------------------------------------------------------------------
@@ -454,7 +498,10 @@ pub fn index_worthwhile(class: Symbol, attr: Symbol) -> bool {
 /// filter has a high-NDV equality conjunct, sequential otherwise.
 /// Consults and fills the fingerprint-keyed plan cache.
 pub fn plan_select(src: &dyn DataSource, expr: &Expr, q: &SelectExpr) -> Decision {
-    plan_select_keyed(src, fingerprint_hash(expr), q)
+    let fp = fingerprint_hash(expr);
+    let generation = src.resolution_generation();
+    let (cached, _) = lookup(fp, Some(generation));
+    plan_select_with(fp, q, generation, cached)
 }
 
 /// The `(attr, literal)` of the first equality conjunct of `q`'s filter
@@ -470,11 +517,16 @@ fn pushdown_conjunct(
         .find(|(attr, _)| accept(*attr))
 }
 
-/// [`plan_select`] for a caller that already holds the query's
-/// fingerprint `fp`.
-pub(crate) fn plan_select_keyed(src: &dyn DataSource, fp: u64, q: &SelectExpr) -> Decision {
-    let generation = src.resolution_generation();
-    if let Some((cached, est_rows)) = cache_lookup(fp, generation) {
+/// [`plan_select`] for a caller that already looked up the query's
+/// fingerprint `fp`: `cached` is the plan the entry held for the source's
+/// resolution `generation`, if any; a miss plans and fills the entry.
+pub(crate) fn plan_select_with(
+    fp: u64,
+    q: &SelectExpr,
+    generation: u64,
+    cached: Option<PlanHit>,
+) -> Decision {
+    if let Some((cached, est_rows)) = cached {
         let strategy = match cached {
             // The probe value is this query's own literal. A query that has
             // no such conjunct is not the shape that was planned (only a
@@ -547,7 +599,7 @@ pub fn plan_join(
     cards: &[u64],
 ) -> Decision {
     let generation = src.resolution_generation();
-    if let Some((CachedStrategy::Join { order }, est_rows)) = cache_lookup(fp, generation) {
+    if let (Some((CachedStrategy::Join { order }, est_rows)), _) = lookup(fp, Some(generation)) {
         return Decision {
             strategy: Strategy::Join { order },
             est_rows,
@@ -653,8 +705,11 @@ pub fn mentioned_vars(e: &Expr, vars: &[Symbol]) -> Option<Vec<usize>> {
 /// Feeds the measured row count of the query (fingerprint `fp`) that just
 /// executed back for drift detection — on success — and notes its decision
 /// in the open trace collector, if one is observing (EXPLAIN, the profiler).
+/// The decision carries the estimate the entry held, so the cache is locked
+/// again only when that estimate drifted: a statement of a settled shape
+/// takes the lock once, for its lookup.
 pub fn record_outcome(fp: u64, decision: Decision, result_rows: Option<u64>) {
-    if let Some(rows) = result_rows {
+    if let Some(rows) = result_rows.filter(|&rows| drifts(decision.est_rows, rows)) {
         observe_actual(fp, rows);
     }
     crate::plan::note_decision(decision);
@@ -804,7 +859,12 @@ mod tests {
                 generation: 0,
             },
         );
-        let est = || cache().lock().unwrap().get(&fp).map(|c| c.est_rows);
+        let est = || {
+            cache()
+                .get(&fp)
+                .and_then(|e| e.plan.as_ref())
+                .map(|c| c.est_rows)
+        };
         observe_actual(fp, 150); // within 10x: left alone
         assert_eq!(est(), Some(1000));
         observe_actual(fp, 1); // 1000x off: the plan stays, the estimate learns

@@ -18,6 +18,16 @@ use ov_query::{
 };
 use proptest::prelude::*;
 
+/// Serializes the tests that change process-wide state a concurrent test
+/// would observe: the plan cache and the code in it (cleared between a
+/// fill and its cached run, the cached run would be a fresh one), the
+/// failpoint registry (an armed index probe fails in every test) and the
+/// profiler switch (which feeds the sketches plans are chosen from).
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static PROCESS_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    PROCESS_STATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// A small database with stored and computed attributes, so random
 /// predicates exercise the slot-resolution cache on both kinds, plus what
 /// free names and `isa` read: the named object `aa` (row `a`) and a
@@ -687,6 +697,7 @@ proptest! {
     #[test]
     fn planner_choice_never_changes_results(t in 0i64..100, pick in 0usize..4) {
         use ov_query::{run_query, with_planner};
+        let _serial = serial();
         let mut db = Database::new(sym("PlanDb"));
         let person = db
             .create_class(
@@ -755,6 +766,7 @@ proptest! {
 fn injected_faults_surface_identically() {
     use ov_oodb::faults::{arm, clear, status, FaultAction, FaultSchedule};
 
+    let _serial = serial();
     let mut db = Database::new(sym("FaultDb"));
     let person = db
         .create_class(
@@ -793,5 +805,282 @@ fn injected_faults_surface_identically() {
         clear();
         assert!(fired, "the probe ran and failed: {q}");
         assert_eq!(faulted, walked, "{q}");
+    }
+}
+
+// --- the code cache ---------------------------------------------------------
+//
+// A statement shape compiles once: its plan-cache entry holds the code, and
+// every later statement of the shape binds its own literals to it. These
+// tests run each random statement shape with two literal vectors, each
+// first from the other vector's cached code and then from a fresh compile
+// (the plan cache cleared), and require the same value or typed error and
+// the same budget charges — over a base database, a view that caches its
+// populations and a view that recomputes them on every request (so every
+// read of a virtual class has a population in flight, moving the view's
+// resolution generation mid-statement), and again after a generation bump.
+
+/// The database `Firm`: eight `Staffer`s with an indexed key `Id`, a
+/// computed `Senior`, and the named object `st`.
+fn firm() -> ov_oodb::System {
+    let mut db = Database::new(sym("Firm"));
+    let staffer = db
+        .create_class(
+            sym("Staffer"),
+            &[],
+            vec![
+                AttrDef::stored(sym("Id"), Type::Int),
+                AttrDef::stored(sym("Name"), Type::Str),
+                AttrDef::stored(sym("Age"), Type::Int),
+                AttrDef::computed(
+                    sym("Senior"),
+                    Type::Bool,
+                    Expr::bin(BinOp::Ge, Expr::self_attr("Age"), Expr::lit(Value::Int(50))),
+                ),
+            ],
+        )
+        .unwrap();
+    for i in 0..8i64 {
+        let row = Value::tuple([
+            ("Id", Value::Int(i)),
+            ("Name", Value::str(["ann", "bob", "cy"][i as usize % 3])),
+            ("Age", Value::Int(15 + 7 * i)),
+        ]);
+        let oid = db.create_object(staffer, row).unwrap();
+        if i == 2 {
+            db.name_object(sym("st"), oid).unwrap();
+        }
+    }
+    db.create_index(staffer, sym("Id")).unwrap();
+    let mut sys = ov_oodb::System::new();
+    sys.add_database(db).unwrap();
+    sys
+}
+
+/// A view over [`firm`] with a virtual class `Adult`, a virtual attribute
+/// `Twice`, and the given population policy.
+fn firm_view(sys: &ov_oodb::System, materialization: ov_views::Materialization) -> ov_views::View {
+    ov_views::ViewDef::from_script(
+        "create view FirmView;
+         import all classes from database Firm;
+         attribute Twice in class Staffer has value self.Age * 2;
+         class Adult includes (select P from P in Staffer where P.Age >= 21);",
+    )
+    .unwrap()
+    .binder(sys)
+    .options(
+        ov_views::ViewOptions::builder()
+            .materialization(materialization)
+            .build(),
+    )
+    .bind()
+    .unwrap()
+}
+
+/// Random predicates over the scan variable `V` of a `Staffer` scan: its
+/// stored and computed attributes, the view's virtual attribute (an error
+/// on the base), the named object, and membership in the virtual class
+/// (a population in flight on the view, an unknown name on the base).
+fn arb_staff_pred() -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        arb_lit(),
+        (0i64..10).prop_map(|i| Expr::lit(Value::Int(i))),
+        Just(Expr::name("V")),
+        Just(Expr::attr(Expr::name("V"), "Id")),
+        Just(Expr::attr(Expr::name("V"), "Age")),
+        Just(Expr::attr(Expr::name("V"), "Name")),
+        Just(Expr::attr(Expr::name("V"), "Senior")),
+        Just(Expr::attr(Expr::name("V"), "Twice")),
+        Just(Expr::attr(Expr::name("st"), "Age")),
+        Just(Expr::bin(BinOp::In, Expr::name("V"), Expr::name("Adult"))),
+    ];
+    leaf.prop_recursive(3, 16, 3, |inner| {
+        prop_oneof![
+            (
+                prop_oneof![
+                    Just(BinOp::Add),
+                    Just(BinOp::Mul),
+                    Just(BinOp::Div),
+                    Just(BinOp::Eq),
+                    Just(BinOp::Ne),
+                    Just(BinOp::Lt),
+                    Just(BinOp::Ge),
+                    Just(BinOp::And),
+                    Just(BinOp::Or),
+                ],
+                inner.clone(),
+                inner.clone()
+            )
+                .prop_map(|(op, l, r)| Expr::bin(op, l, r)),
+            inner.clone().prop_map(|e| Expr::Unary {
+                op: UnOp::Not,
+                expr: Box::new(e),
+            }),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| Expr::If {
+                cond: Box::new(c),
+                then: Box::new(t),
+                els: Box::new(e),
+            }),
+        ]
+    })
+}
+
+/// A select over `V in class` with the given projection and filter.
+fn staff_select(class: &str, proj: Expr, filter: Option<Expr>) -> ov_oodb::SelectExpr {
+    ov_oodb::SelectExpr {
+        distinct: false,
+        the: false,
+        proj: Box::new(proj),
+        bindings: vec![(sym("V"), Expr::name(class))],
+        filter: filter.map(Box::new),
+    }
+}
+
+/// Random statement shapes: canonical scans, point reads by the indexed
+/// key (through the base class, through the virtual class, and with a
+/// membership test that populates it mid-scan), and general programs
+/// (aggregates over a select, a bare `exists`, a nested select).
+fn arb_statement() -> impl Strategy<Value = Expr> {
+    (0usize..8, arb_staff_pred(), arb_staff_pred(), 0i64..10).prop_map(|(shape, p, q, k)| {
+        let key = || {
+            Expr::bin(
+                BinOp::Eq,
+                Expr::attr(Expr::name("V"), "Id"),
+                Expr::lit(Value::Int(k)),
+            )
+        };
+        let pair = || {
+            Expr::TupleCons(vec![
+                (sym("A"), Expr::attr(Expr::name("V"), "Name")),
+                (sym("B"), q.clone()),
+            ])
+        };
+        match shape {
+            0 => Expr::Select(staff_select("Staffer", q.clone(), Some(p))),
+            1 => Expr::Select(staff_select(
+                "Staffer",
+                pair(),
+                Some(Expr::bin(BinOp::And, key(), p)),
+            )),
+            2 => Expr::Select(staff_select("Adult", pair(), Some(key()))),
+            3 => Expr::Select(staff_select(
+                "Staffer",
+                Expr::attr(Expr::name("V"), "Name"),
+                Some(Expr::bin(
+                    BinOp::And,
+                    key(),
+                    Expr::bin(BinOp::In, Expr::name("V"), Expr::name("Adult")),
+                )),
+            )),
+            4 => Expr::Aggregate {
+                func: ov_oodb::AggFunc::Count,
+                arg: Box::new(Expr::Select(staff_select(
+                    "Staffer",
+                    Expr::name("V"),
+                    Some(p),
+                ))),
+            },
+            5 => Expr::Exists(staff_select("Adult", q.clone(), Some(p))),
+            6 => Expr::Aggregate {
+                func: ov_oodb::AggFunc::Sum,
+                arg: Box::new(Expr::Select(staff_select(
+                    "Staffer",
+                    Expr::attr(Expr::name("V"), "Age"),
+                    Some(p),
+                ))),
+            },
+            _ => Expr::TupleCons(vec![
+                (
+                    sym("N"),
+                    Expr::Select(staff_select("Staffer", q.clone(), Some(key()))),
+                ),
+                (
+                    sym("M"),
+                    Expr::Exists(staff_select("Adult", Expr::name("V"), Some(p))),
+                ),
+            ]),
+        }
+    })
+}
+
+/// `e` with its literals replaced, in order, by `vals` (cycled): the same
+/// shape with another literal vector.
+fn relit(e: &Expr, vals: &[Value]) -> Expr {
+    let mut next = vals.iter().cycle();
+    ov_query::rewrite_expr(e, &mut |x| {
+        matches!(x, Expr::Lit(_)).then(|| Expr::Lit(next.next().expect("cycled").clone()))
+    })
+}
+
+/// What a run is compared on: its value or typed error, and the steps and
+/// rows its budget was charged.
+type Charged = (Result<Value, QueryError>, u64, u64);
+
+/// Runs the statement `e` under a fresh uncapped budget.
+fn charged(src: &dyn DataSource, e: &Expr) -> Charged {
+    let budget = Arc::new(Budget::new());
+    let r = ov_query::budget::with(budget.clone(), || ov_query::run_expr(src, e));
+    (r, budget.steps_used(), budget.rows_used())
+}
+
+/// Runs `e` compiled afresh: the plan cache, and the code in it, cleared.
+fn fresh(src: &dyn DataSource, e: &Expr) -> Charged {
+    ov_query::clear_plan_cache();
+    charged(src, e)
+}
+
+/// On `src` (named `on` in a failure), each of `a` and `b` (one shape,
+/// two literal vectors) run from the other's cached code answers and
+/// charges as its fresh compile.
+fn cached_runs_as_fresh(
+    on: &str,
+    src: &dyn DataSource,
+    a: &Expr,
+    b: &Expr,
+) -> Result<(), TestCaseError> {
+    let want_a = fresh(src, a);
+    let got_b = charged(src, b);
+    let want_b = fresh(src, b);
+    prop_assert_eq!(&got_b, &want_b, "on {}: {} from the code of {}", on, b, a);
+    let got_a = charged(src, a);
+    prop_assert_eq!(&got_a, &want_a, "on {}: {} from the code of {}", on, a, b);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn cached_code_runs_as_a_fresh_compile(
+        e in arb_statement(),
+        vals in prop::collection::vec(
+            prop_oneof![(0i64..10).prop_map(Value::Int), arb_lit().prop_map(|l| match l {
+                Expr::Lit(v) => v,
+                _ => unreachable!(),
+            })],
+            1..6,
+        ),
+    ) {
+        let _serial = serial();
+        let other = relit(&e, &vals);
+        let sys = firm();
+        {
+            let db = sys.database(sym("Firm")).unwrap();
+            let db = db.read();
+            cached_runs_as_fresh("the base", &*db, &e, &other)?;
+        }
+        // Populated before the runs: the statement that populates a caching
+        // view's class is charged the population, the ones after it not.
+        let cached = firm_view(&sys, ov_views::Materialization::Incremental);
+        cached.extent_of(sym("Adult")).unwrap();
+        cached_runs_as_fresh("a caching view", &cached, &e, &other)?;
+        let recomputing = firm_view(&sys, ov_views::Materialization::AlwaysRecompute);
+        cached_runs_as_fresh("a recomputing view", &recomputing, &e, &other)?;
+        // A resolution-generation bump drops the plan, not the code.
+        let gen = recomputing.resolution_generation();
+        recomputing.extent_of(sym("Adult")).unwrap();
+        prop_assert!(recomputing.resolution_generation() > gen);
+        let got = charged(&recomputing, &other);
+        prop_assert_eq!(&got, &fresh(&recomputing, &other), "{} after a bump", other);
     }
 }

@@ -1,9 +1,12 @@
 //! Property test: the optimizer preserves semantics. For random expressions
 //! evaluated against a small database, the optimized form produces the same
-//! outcome (same value, or both error).
+//! outcome (same value, or both error). And folding borrows: it copies a
+//! tree only when something in it folds.
 
-use ov_oodb::{sym, AttrDef, BinOp, Database, Expr, Type, UnOp, Value};
-use ov_query::{eval_expr, optimize_expr};
+use std::borrow::Cow;
+
+use ov_oodb::{sym, AttrDef, BinOp, Database, Expr, SelectExpr, Type, UnOp, Value};
+use ov_query::{eval_expr, fold, optimize_expr};
 use proptest::prelude::*;
 
 fn db() -> Database {
@@ -91,6 +94,29 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             }),
             prop::collection::vec(inner.clone(), 0..3).prop_map(Expr::SetCons),
             prop::collection::vec(inner.clone(), 0..3).prop_map(Expr::ListCons),
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| Expr::TupleCons(vec![(sym("A"), a), (sym("B"), b),])),
+            (inner.clone(), prop::collection::vec(inner.clone(), 0..2)).prop_map(|(r, args)| {
+                Expr::Attr {
+                    recv: Box::new(r),
+                    name: sym("Age"),
+                    args,
+                }
+            }),
+            (inner.clone(), inner.clone(), any::<bool>()).prop_map(|(proj, filter, exists)| {
+                let q = SelectExpr {
+                    distinct: false,
+                    the: false,
+                    proj: Box::new(proj),
+                    bindings: vec![(sym("X"), Expr::name("Person"))],
+                    filter: Some(Box::new(filter)),
+                };
+                if exists {
+                    Expr::Exists(q)
+                } else {
+                    Expr::Select(q)
+                }
+            }),
         ]
     })
 }
@@ -123,5 +149,25 @@ proptest! {
         let once = optimize_expr(&e);
         let twice = optimize_expr(&once);
         prop_assert_eq!(once, twice);
+    }
+
+    /// `optimize_expr` is `fold` made owned, and `fold` borrows exactly
+    /// when the tree has nothing to fold: a statement that folds nothing is
+    /// never copied, and one that does is never mistaken for unchanged.
+    #[test]
+    fn fold_borrows_exactly_when_nothing_folds(e in arb_expr()) {
+        let folded = fold(&e);
+        let owned = optimize_expr(&e);
+        prop_assert_eq!(&*folded, &owned, "expr: {}", e);
+        prop_assert_eq!(
+            matches!(folded, Cow::Borrowed(_)),
+            owned == e,
+            "expr: {} folds to {}",
+            e,
+            owned
+        );
+        if let Cow::Borrowed(b) = folded {
+            prop_assert!(std::ptr::eq(b, &e), "a borrow of the tree itself: {}", e);
+        }
     }
 }
