@@ -566,8 +566,8 @@ fn chaos_run(seed: u64, budget_ms: Option<u64>) -> Result<(), String> {
     }
     let st = view.stats();
     println!(
-        "degradation: stale_serves={} fault_retries={} recomputations={}",
-        st.stale_serves, st.fault_retries, st.recomputations
+        "degradation: stale_serves={} recomputations={}",
+        st.stale_serves, st.recomputations
     );
 
     // Recovery: with faults cleared, one more write must land and the next

@@ -109,35 +109,17 @@ pub enum ViewError {
     },
     /// Misc definition error with context.
     Definition(String),
-    /// Graceful degradation failed: a population recompute kept faulting,
-    /// the retry budget is spent, and no last-good cached population was available to serve stale. The
+    /// Graceful degradation failed: a population recompute faulted and no
+    /// last-good cached population was available to serve stale. The
     /// underlying failure is in `cause` (and in [`source`]).
     ///
     /// [`source`]: std::error::Error::source
     Degraded {
         /// The virtual (or imaginary) class whose population failed.
         class: Symbol,
-        /// Recompute attempts made (initial try + retries).
-        attempts: u32,
         /// The final failure.
         cause: Box<ViewError>,
     },
-}
-
-impl ViewError {
-    /// True when the failure is transient — an injected or environmental
-    /// fault that a retry might clear — as opposed to a semantic error or a
-    /// resource-budget breach. Mirrors [`QueryError::is_transient`] and
-    /// `OodbError::is_transient`.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            ViewError::Query(e) => e.is_transient(),
-            ViewError::Oodb(e) => e.is_transient(),
-            ViewError::Degraded { cause, .. } => cause.is_transient(),
-            ViewError::RevalidationFailed { cause, .. } => cause.is_transient(),
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for ViewError {
@@ -214,14 +196,9 @@ impl fmt::Display for ViewError {
                  failed to revalidate: {cause}"
             ),
             ViewError::Definition(msg) => write!(f, "view definition error: {msg}"),
-            ViewError::Degraded {
-                class,
-                attempts,
-                cause,
-            } => write!(
+            ViewError::Degraded { class, cause } => write!(
                 f,
-                "view degraded: population of `{class}` failed after {attempts} attempt(s) \
-                 with no cached fallback: {cause}"
+                "view degraded: population of `{class}` failed with no cached fallback: {cause}"
             ),
         }
     }
@@ -262,13 +239,12 @@ impl From<OodbError> for ViewError {
 
 impl From<ViewError> for QueryError {
     /// The `DataSource` trait speaks `QueryError`; view-specific failures
-    /// cross the boundary typed, with their transience.
+    /// cross the boundary typed.
     fn from(e: ViewError) -> QueryError {
         match e {
             ViewError::Query(q) => q,
             ViewError::Oodb(o) => QueryError::Oodb(o),
             other => QueryError::Source(ov_query::SourceError {
-                transient: other.is_transient(),
                 error: std::sync::Arc::new(other),
             }),
         }
@@ -285,7 +261,6 @@ mod tests {
         let v = ViewError::VirtualInsert(sym("Adult"));
         let q: QueryError = v.clone().into();
         assert!(q.to_string().contains("virtual class `Adult`"));
-        assert!(!q.is_transient());
         assert_eq!(ViewError::from(q), v, "the same variant comes back");
     }
 

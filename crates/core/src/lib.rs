@@ -65,8 +65,7 @@ pub use error::{Result, ViewError};
 pub use graph::{DepEdge, DepTarget, DependencyGraph};
 pub use session::{Outcome, Session};
 pub use view::{
-    Binder, IdentityMode, Materialization, View, ViewHealth, ViewOptions, ViewOptionsBuilder,
-    ViewStats,
+    Binder, IdentityMode, Materialization, View, ViewOptions, ViewOptionsBuilder, ViewStats,
 };
 
 #[cfg(test)]

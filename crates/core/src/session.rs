@@ -728,7 +728,10 @@ impl Session {
                     let _ = writeln!(out, "  depends on {} (reads {})", edge.on, reads.join(", "));
                 }
             }
-            let _ = writeln!(out, "  health: {}", view.health());
+            let _ = match view.stats().stale_serves {
+                0 => writeln!(out, "  health: healthy"),
+                n => writeln!(out, "  health: {n} stale serve(s)"),
+            };
         }
         out
     }

@@ -424,8 +424,6 @@ view_stats! {
     /// Population requests answered from a stale cached population after
     /// recomputation failed (graceful degradation).
     StaleServe, stale_serves, "views.degraded_serves";
-    /// Population recompute attempts retried after a transient fault.
-    FaultRetry, fault_retries, "views.fault_retries";
 }
 
 /// Tunable view behaviors. Construct with [`ViewOptions::builder`] — the
@@ -482,41 +480,6 @@ impl ViewOptionsBuilder {
     }
 }
 
-/// A summary of a view's degradation state (PR 4's graceful-degradation
-/// ladder), for `Session::describe` and the `ovq` shell: how often the
-/// view served stale data and retried faults.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ViewHealth {
-    /// Populations served from a stale cached generation after recompute
-    /// failures.
-    pub stale_serves: u64,
-    /// Population recompute attempts retried after a transient fault.
-    pub fault_retries: u64,
-}
-
-impl ViewHealth {
-    /// True when nothing degraded: no stale serves and no retries.
-    pub fn is_clean(&self) -> bool {
-        *self == ViewHealth::default()
-    }
-}
-
-impl std::fmt::Display for ViewHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_clean() {
-            return write!(f, "healthy");
-        }
-        let mut parts: Vec<String> = Vec::new();
-        if self.stale_serves > 0 {
-            parts.push(format!("{} stale serve(s)", self.stale_serves));
-        }
-        if self.fault_retries > 0 {
-            parts.push(format!("{} fault retry(ies)", self.fault_retries));
-        }
-        write!(f, "{}", parts.join(", "))
-    }
-}
-
 impl View {
     /// The view's name.
     pub fn name(&self) -> Symbol {
@@ -546,15 +509,6 @@ impl View {
         match self.virt.read().get(&c)? {
             Populated::Upstream(up, class) => Some((&self.upstreams[*up], *class)),
             Populated::Here(_) => None,
-        }
-    }
-
-    /// The view's current degradation state (see [`ViewHealth`]).
-    pub fn health(&self) -> ViewHealth {
-        let stats = self.stats();
-        ViewHealth {
-            stale_serves: stats.stale_serves,
-            fault_retries: stats.fault_retries,
         }
     }
 
@@ -1155,7 +1109,8 @@ impl View {
 
     fn compute_population(&self, c: ClassId) -> ov_query::Result<BTreeSet<Oid>> {
         // Failpoint: lets the chaos harness fail (or delay, or panic) a
-        // recompute as a whole, exercising the retry / stale-serve paths.
+        // recompute as a whole, exercising the stale-serve and degraded
+        // paths.
         if ov_oodb::faults::enabled() {
             ov_oodb::faults::hit("view.population_recompute").map_err(OodbError::Fault)?;
         }

@@ -1,14 +1,9 @@
-//! The retry / stale-serve ladder of a population request: transient
-//! faults are retried with a short backoff, an exhausted or budget-stopped
-//! recompute serves the last good population, and one close reports the
-//! outcome to every surface. A child of `view` so it can reach the view's
-//! caches and counters.
+//! The stale-serve ladder of a population request: one recompute attempt,
+//! and a faulted or budget-stopped one serves the last good population;
+//! one close reports the outcome to every surface. A child of `view` so it
+//! can reach the view's caches and counters.
 
 use super::*;
-
-/// Recompute attempts [`View::population`] makes on a transient fault
-/// (initial try + retries) before degrading to the stale cache.
-const MAX_POPULATION_ATTEMPTS: u32 = 3;
 
 impl View {
     /// The population of a virtual/imaginary class, cached — by the view
@@ -32,51 +27,23 @@ impl View {
             return Err(ViewError::CyclicVirtualClass(name).into());
         }
         let request = Event::Population.open();
-        // Transient faults (an injected fault, a flaky source) are retried
-        // with a tiny capped backoff before any degradation kicks in.
-        // Budget breaches and semantic errors are never retried: the former
-        // would breach again immediately, the latter are deterministic.
-        let mut attempts = 1u32;
-        let (resolved, scans) = plan::population_scans(|| loop {
-            match self.population_inner(c) {
-                Ok(ok) => break Ok(ok),
-                Err(e) if e.is_transient() && attempts < MAX_POPULATION_ATTEMPTS => {
-                    self.stats.bump(Stat::FaultRetry);
-                    let _retry_span =
-                        ov_oodb::span!("view.population_retry", attempt = attempts as usize);
-                    // 50µs, 100µs, 200µs, … capped at 400µs: enough to let a
-                    // contended writer finish, small enough to be invisible
-                    // to deadlines measured in milliseconds.
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        50u64 << (attempts - 1).min(3),
-                    ));
-                    attempts += 1;
-                    // A deadline that expired while we slept turns into a
-                    // typed cancellation rather than another doomed attempt.
-                    if let Some(b) = ov_query::budget::current() {
-                        if let Err(breach) = b.check_deadline() {
-                            break Err(breach);
-                        }
-                    }
-                }
-                Err(e) => break Err(e),
-            }
-        });
-        let resolved = resolved.or_else(|e| self.degrade(c, e, attempts));
-        self.close_population(c, request, resolved, attempts, scans)
+        // One attempt: a population is a function of in-memory base state,
+        // so a recompute run again over the same state fails again.
+        let (resolved, scans) = plan::population_scans(|| self.population_inner(c));
+        let resolved = resolved.or_else(|e| self.degrade(c, e));
+        self.close_population(c, request, resolved, scans)
     }
 
     /// The one close of a population request, which every surface reads:
     /// the span (fields and duration), the histogram and view counter of the
     /// path that resolved it, the EXPLAIN event — a recompute's carrying
     /// `scans` — and the statistics plane. A failed request closes its span
-    /// only, naming the class and the attempts made.
+    /// only, naming the class.
     fn close_population(
         &self,
         c: ClassId,
         mut request: ov_oodb::event::Open,
         resolved: ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)>,
-        attempts: u32,
         scans: Vec<plan::ScanEvent>,
     ) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
         use plan::PopPath;
@@ -84,11 +51,10 @@ impl View {
             Ok(PopPath::CacheHit) => (Event::PopulationCacheHit, "cache_hit"),
             Ok(PopPath::Delta { .. }) => (Event::PopulationDelta, "delta"),
             Ok(PopPath::FullRecompute { .. }) => (Event::PopulationRecompute, "recompute"),
-            Ok(PopPath::StaleServe { .. }) => (Event::PopulationStaleServe, "stale_serve"),
+            Ok(PopPath::StaleServe) => (Event::PopulationStaleServe, "stale_serve"),
             Err(_) => (Event::Population, "error"),
         };
-        // `recomputations` and `cache_misses` count attempts, not requests:
-        // `population_inner` bumps them.
+        // `population_inner` bumps `recomputations` and `cache_misses`.
         match event {
             Event::PopulationCacheHit => self.stats.bump(Stat::CacheHit),
             Event::PopulationDelta => self.stats.bump(Stat::IncrementalUpdate),
@@ -102,7 +68,6 @@ impl View {
             if let Ok((oids, _)) = &resolved {
                 request.field("rows", oids.len());
             }
-            request.field("attempts", attempts as usize);
         }
         let nanos = request.close_as(event, 1);
         let (oids, path) = resolved?;
@@ -132,10 +97,10 @@ impl View {
 
     /// The failure tail of [`Self::population`]: serves the last good
     /// cached population (any version — it is by definition stale) when the
-    /// failure is degradable, else lets the typed error propagate — as
-    /// [`ViewError::Degraded`] when the failure was fault-induced. A nested
-    /// population that exhausted its own fallbacks hands its fault up, so
-    /// the outermost exhausted population names the error, with the
+    /// failure is a fault or a budget breach, else lets the typed error
+    /// propagate — as [`ViewError::Degraded`] when the failure was a fault.
+    /// A nested population with no fallback hands its fault up, so the
+    /// outermost population with no fallback names the error, with the
     /// innermost fault as its cause.
     ///
     /// A stale serve can never mix generations. The cache holds one
@@ -149,13 +114,12 @@ impl View {
         &self,
         c: ClassId,
         e: QueryError,
-        attempts: u32,
     ) -> ov_query::Result<(Arc<BTreeSet<Oid>>, plan::PopPath)> {
         let e = match ViewError::from(e) {
             ViewError::Degraded { cause, .. } => *cause,
             e => e,
         };
-        let fault_induced = e.is_transient();
+        let fault_induced = matches!(e, ViewError::Oodb(OodbError::Fault(_)));
         let degradable = fault_induced
             || matches!(
                 e,
@@ -164,7 +128,7 @@ impl View {
         if degradable {
             let stale = self.pop_shard(c).read().get(&c).map(|p| p.oids.clone());
             if let Some(oids) = stale {
-                return Ok((oids, plan::PopPath::StaleServe { attempts }));
+                return Ok((oids, plan::PopPath::StaleServe));
             }
         }
         if !fault_induced {
@@ -172,7 +136,6 @@ impl View {
         }
         Err(ViewError::Degraded {
             class: self.schema.read().class(c).name,
-            attempts,
             cause: Box::new(e),
         }
         .into())

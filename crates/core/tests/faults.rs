@@ -1,13 +1,13 @@
-//! Fault injection through the view layer: retries, stale serving and
-//! graceful degradation.
+//! Fault injection through the view layer: one recompute attempt per
+//! population request, stale serving and graceful degradation.
 //!
 //! Their own test binary, every test behind [`FaultGuard`]: the failpoint
 //! registry is process-wide, so a site armed here fires in whatever else
 //! runs in the process. Inside the library's unit-test binary that was any
 //! test populating a class beside these.
 
-use ov_oodb::faults::{self, FaultAction, FaultSchedule};
-use ov_oodb::{sym, FieldValue, System, Value};
+use ov_oodb::faults::{self, FaultAction, FaultSchedule, InjectedFault};
+use ov_oodb::{sym, FieldValue, OodbError, System, Value};
 use ov_query::{execute_script, PopPath};
 use ov_views::{Session, View, ViewDef, ViewError, ViewOptions};
 
@@ -69,23 +69,47 @@ fn adult_view(sys: &System, options: ViewOptions) -> View {
     .unwrap()
 }
 
+/// The last error of `err`'s `source()` chain.
+fn chain_tail(err: &ViewError) -> &(dyn std::error::Error + 'static) {
+    let mut cur: &(dyn std::error::Error + 'static) = err;
+    while let Some(next) = cur.source() {
+        cur = next;
+    }
+    cur
+}
+
+/// A population request makes one recompute attempt: a single fault on a
+/// warm cache serves stale once, and the next request recomputes.
 #[test]
-fn transient_population_fault_is_retried() {
+fn one_population_fault_serves_stale_once() {
     let _guard = FaultGuard::take();
     let sys = people_system();
     let view = adult_view(&sys, ViewOptions::default());
-    // First recompute attempt fails; the retry succeeds.
+    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+    // Invalidate the cache with a write no delta can cross (no journal),
+    // so the next request recomputes.
+    let db = sys.database(sym("Staff")).unwrap();
+    let maggy = db.read().named(sym("maggy")).unwrap();
+    db.write().store.set_journal_cap(0);
+    db.write()
+        .set_attr(maggy, sym("Age"), Value::Int(67))
+        .unwrap();
+    let before = view.stats();
     faults::arm(
         "view.population_recompute",
         FaultSchedule::Nth(1),
         FaultAction::Error,
     );
-    let v = view.query("count(Adult)").unwrap();
-    assert_eq!(v, Value::Int(5));
+    let trace = view.explain_population(sym("Adult")).unwrap();
+    assert_eq!(trace.path, PopPath::StaleServe, "{trace}");
     let stats = view.stats();
-    assert_eq!(stats.fault_retries, 1, "{stats:?}");
-    assert_eq!(stats.stale_serves, 0, "{stats:?}");
-    assert_eq!(stats.recomputations, 2, "one failed + one good: {stats:?}");
+    assert_eq!(stats.recomputations, before.recomputations + 1, "{stats:?}");
+    assert_eq!(stats.stale_serves, before.stale_serves + 1, "{stats:?}");
+    // The fault fired once: the next request recomputes and answers.
+    assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
+    let after = view.stats();
+    assert_eq!(after.recomputations, stats.recomputations + 1, "{after:?}");
+    assert_eq!(after.stale_serves, stats.stale_serves, "{after:?}");
 }
 
 #[test]
@@ -103,20 +127,25 @@ fn failed_recompute_serves_stale_population() {
     db.write()
         .set_attr(maggy, sym("Age"), Value::Int(20))
         .unwrap();
-    // Every recompute attempt now fails: the view serves the stale cached
+    // Every recompute now fails: the view serves the stale cached
     // population (still 5 members) with the marker visible in the trace.
+    let before = view.stats();
     faults::arm(
         "view.population_recompute",
         FaultSchedule::From(1),
         FaultAction::Error,
     );
     let trace = view.explain_population(sym("Adult")).unwrap();
-    assert_eq!(trace.path, PopPath::StaleServe { attempts: 3 }, "{trace}");
+    assert_eq!(trace.path, PopPath::StaleServe, "{trace}");
     assert_eq!(trace.rows, 5, "stale generation, not a blend: {trace}");
     assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
     let stats = view.stats();
     assert!(stats.stale_serves >= 2, "{stats:?}");
-    assert_eq!(stats.fault_retries, 4, "2 retries per request: {stats:?}");
+    assert_eq!(
+        stats.recomputations - before.recomputations,
+        2,
+        "one attempt per request: {stats:?}"
+    );
     // Fault cleared: the next request recomputes and sees the eviction.
     faults::clear();
     assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(4));
@@ -127,43 +156,38 @@ fn degraded_error_when_no_cached_population() {
     let _guard = FaultGuard::take();
     let sys = people_system();
     let view = adult_view(&sys, ViewOptions::default());
-    // Cold cache + every attempt fails: nothing to serve stale.
+    // Cold cache + the recompute fails: nothing to serve stale.
     faults::arm(
         "view.population_recompute",
         FaultSchedule::From(1),
         FaultAction::Error,
     );
     let err = view.query("count(Adult)").unwrap_err();
-    let ViewError::Degraded {
-        class,
-        attempts,
-        ref cause,
-    } = err
-    else {
+    let ViewError::Degraded { class, ref cause } = err else {
         panic!("expected Degraded, got {err}");
     };
     assert_eq!(class, sym("Adult"));
-    assert_eq!(attempts, 3);
-    assert!(cause.is_transient());
-    assert!(err.is_transient());
-    // The chain bottoms out in the injected fault.
-    let mut cur: &dyn std::error::Error = &err;
-    while let Some(next) = std::error::Error::source(cur) {
-        cur = next;
-    }
     assert!(
-        cur.to_string().contains("view.population_recompute"),
-        "chain tail: {cur}"
+        matches!(**cause, ViewError::Oodb(OodbError::Fault(_))),
+        "cause: {cause:?}"
+    );
+    assert_eq!(view.stats().recomputations, 1, "one attempt");
+    // The chain bottoms out in the injected fault.
+    let tail = chain_tail(&err);
+    assert!(
+        tail.to_string().contains("view.population_recompute"),
+        "chain tail: {tail}"
     );
     faults::clear();
     // The view recovers completely once the fault clears.
     assert_eq!(view.query("count(Adult)").unwrap(), Value::Int(5));
 }
 
-/// A failed population's span says what failed and how often: the class,
-/// `path=error` and the attempts made, as a served population's span does.
+/// A failed population's span says what failed: the class and
+/// `path=error`, as a served population's span does. There is one span,
+/// for one attempt, and no `attempts` field.
 #[test]
-fn a_failed_population_span_names_its_class_and_attempts() {
+fn a_failed_population_span_names_its_class() {
     let _guard = FaultGuard::take();
     let sys = people_system();
     let view = adult_view(&sys, ViewOptions::default());
@@ -193,7 +217,7 @@ fn a_failed_population_span_names_its_class_and_attempts() {
         Some(&("class", FieldValue::Sym(sym("Adult"))))
     );
     assert_eq!(field("path"), Some(&("path", FieldValue::Str("error"))));
-    assert_eq!(field("attempts"), Some(&("attempts", FieldValue::U64(3))));
+    assert_eq!(field("attempts"), None);
 }
 
 /// Every way a statement reaches a view through a `Session` reports
@@ -215,20 +239,22 @@ fn session_statements_report_degradation_like_session_queries() {
             "#,
         )
         .unwrap();
-    // Cold cache + every attempt fails: nothing to serve stale.
+    // Cold cache + every recompute fails: nothing to serve stale.
     faults::arm(
         "view.population_recompute",
         FaultSchedule::From(1),
         FaultAction::Error,
     );
     let degraded = |r: Result<(), ViewError>| match r.unwrap_err() {
-        ViewError::Degraded {
-            class, attempts, ..
-        } => (class, attempts),
+        err @ ViewError::Degraded { class, .. } => {
+            let tail = chain_tail(&err);
+            assert!(tail.is::<InjectedFault>(), "chain tail: {tail}");
+            class
+        }
         other => panic!("expected Degraded, got {other}"),
     };
     let by_query = degraded(session.query(sym("V"), "count(Adult)").map(drop));
-    assert_eq!(by_query, (sym("Adult"), 3));
+    assert_eq!(by_query, sym("Adult"));
     assert_eq!(
         degraded(session.execute("count(Adult);").map(drop)),
         by_query
@@ -240,9 +266,9 @@ fn session_statements_report_degradation_like_session_queries() {
 }
 
 /// Populations nest on a two-level stack: `Rich` (view `Top`) is populated
-/// from `Adult` (view `Base`). When both run out of retries, the outermost
-/// exhausted population names the error, and the injected fault is still
-/// the tail of its `source()` chain.
+/// from `Adult` (view `Base`). When neither has a fallback, the outermost
+/// population names the error, and the injected fault is still the tail
+/// of its `source()` chain.
 #[test]
 fn nested_exhausted_populations_degrade_as_the_outermost() {
     let _guard = FaultGuard::take();
@@ -262,38 +288,31 @@ fn nested_exhausted_populations_degrade_as_the_outermost() {
             "#,
         )
         .unwrap();
-    // `Rich`'s first recompute passes the failpoint and fails in `Adult`'s,
-    // which fails all three of its own attempts; then every recompute
-    // fails.
+    // `Rich`'s recompute passes the failpoint and fails in `Adult`'s, its
+    // one attempt; every later recompute fails too.
     faults::arm(
         "view.population_recompute",
         FaultSchedule::From(2),
         FaultAction::Error,
     );
     let err = session.query(sym("Top"), "count(Rich)").unwrap_err();
-    let ViewError::Degraded {
-        class,
-        attempts,
-        ref cause,
-    } = err
-    else {
+    let ViewError::Degraded { class, ref cause } = err else {
         panic!("expected Degraded, got {err}");
     };
-    assert_eq!((class, attempts), (sym("Rich"), 3));
-    assert!(matches!(**cause, ViewError::Oodb(_)), "cause: {cause:?}");
-    assert!(err.is_transient());
-    let mut cur: &dyn std::error::Error = &err;
-    while let Some(next) = std::error::Error::source(cur) {
-        cur = next;
-    }
+    assert_eq!(class, sym("Rich"));
     assert!(
-        cur.to_string().contains("view.population_recompute"),
-        "chain tail: {cur}"
+        matches!(**cause, ViewError::Oodb(OodbError::Fault(_))),
+        "cause: {cause:?}"
     );
-    // Each population retries in the view that declares it.
+    let tail = chain_tail(&err);
+    assert!(
+        tail.to_string().contains("view.population_recompute"),
+        "chain tail: {tail}"
+    );
+    // Each population recomputes once, in the view that declares it.
     for view in ["Base", "Top"] {
         let stats = session.view(sym(view)).unwrap().stats();
-        assert_eq!(stats.fault_retries, 2, "two per population: {stats:?}");
+        assert_eq!(stats.recomputations, 1, "one per population: {stats:?}");
     }
 }
 

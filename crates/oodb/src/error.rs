@@ -91,8 +91,8 @@ pub enum OodbError {
         /// The offending oid.
         oid: Oid,
     },
-    /// A failpoint fired (see [`crate::faults`]). Deliberately transient:
-    /// retry/degradation logic upstack keys off this variant.
+    /// A failpoint fired (see [`crate::faults`]). A view's degradation
+    /// ladder keys off this variant: it serves a stale population for it.
     Fault(crate::faults::InjectedFault),
     /// An operating-system I/O failure in the durability layer. Carries the
     /// rendered OS message rather than the `std::io::Error` itself so the
@@ -194,13 +194,6 @@ impl std::error::Error for OodbError {
 }
 
 impl OodbError {
-    /// Is this error an injected (or otherwise transient) failure that a
-    /// retry could plausibly clear? Degradation logic in `ov-views` uses
-    /// this to decide between retrying and serving a stale population.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, OodbError::Fault(_))
-    }
-
     /// Wraps a `std::io::Error` with the operation that hit it.
     pub fn io(context: &str, err: std::io::Error) -> OodbError {
         OodbError::Io {

@@ -22,7 +22,7 @@
 //! * **Typed.** A firing site yields [`InjectedFault`], a real
 //!   `std::error::Error` carried by [`OodbError::Fault`](crate::OodbError)
 //!   — so injected failures travel the same `source()` chains as organic
-//!   ones and degradation logic can classify them as transient.
+//!   ones and degradation logic can tell them apart by variant.
 //! * **Observable.** Every fire bumps `faults.injected` in
 //!   [`crate::metrics`] and emits a `fault.injected` span into the flight
 //!   recorder.
@@ -89,7 +89,7 @@ pub enum FaultSchedule {
 /// Deliberately a struct (not a variant of [`OodbError`] directly) so that
 /// `OodbError::Fault(InjectedFault)` has a real `source()` and the unified
 /// `objects_and_views::Error` chain bottoms out in a distinct type that
-/// retry logic can `downcast_ref` for.
+/// a caller can `downcast_ref` for.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InjectedFault {
     /// The site that fired.

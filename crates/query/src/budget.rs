@@ -159,7 +159,7 @@ impl Budget {
         }
     }
 
-    /// Checks the deadline *now* (the step stride, retry loops).
+    /// Checks the deadline *now* (the step stride).
     pub fn check_deadline(&self) -> Result<(), QueryError> {
         if let Some(deadline) = self.deadline {
             if Instant::now() > deadline {

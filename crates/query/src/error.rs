@@ -82,14 +82,12 @@ pub enum QueryError {
 pub struct SourceError {
     /// The source's error.
     pub error: Arc<dyn std::error::Error + Send + Sync>,
-    /// What [`QueryError::is_transient`] answers for it.
-    pub transient: bool,
 }
 
 impl PartialEq for SourceError {
     /// Two source errors are equal when they say the same thing.
     fn eq(&self, other: &SourceError) -> bool {
-        self.transient == other.transient && self.error.to_string() == other.error.to_string()
+        self.error.to_string() == other.error.to_string()
     }
 }
 
@@ -131,19 +129,6 @@ impl std::error::Error for QueryError {
             QueryError::Cancelled(b) | QueryError::ResourceExhausted(b) => Some(b),
             QueryError::Source(e) => Some(&*e.error),
             _ => None,
-        }
-    }
-}
-
-impl QueryError {
-    /// Is this error an injected/transient failure a retry could clear?
-    /// (Budget breaches are *not* transient: retrying an exhausted budget
-    /// burns time without changing the outcome.)
-    pub fn is_transient(&self) -> bool {
-        match self {
-            QueryError::Oodb(e) => e.is_transient(),
-            QueryError::Source(e) => e.transient,
-            _ => false,
         }
     }
 }

@@ -551,7 +551,7 @@ fn run_parsed(src: &dyn crate::source::DataSource, e: &Expr, text: Option<&str>)
             PopPath::CacheHit => entry.pop_cache_hits.inc(),
             PopPath::Delta { .. } => entry.pop_deltas.inc(),
             PopPath::FullRecompute { .. } => entry.pop_recomputes.inc(),
-            PopPath::StaleServe { .. } => entry.pop_stale_serves.inc(),
+            PopPath::StaleServe => entry.pop_stale_serves.inc(),
         }
     }
     let log = ov_oodb::metrics::slow_queries();

@@ -174,11 +174,7 @@ pub enum PopPath {
     },
     /// Recomputation failed (fault, timeout) and the last good cached
     /// population was served instead — the result is explicitly stale.
-    StaleServe {
-        /// How many recompute attempts (initial + retries) failed before
-        /// the view fell back to the cached population.
-        attempts: u32,
-    },
+    StaleServe,
 }
 
 impl fmt::Display for PopPath {
@@ -193,7 +189,7 @@ impl fmt::Display for PopPath {
                 }
                 Ok(())
             }
-            PopPath::StaleServe { attempts } => write!(f, "StaleServe{{attempts={attempts}}}"),
+            PopPath::StaleServe => write!(f, "StaleServe"),
         }
     }
 }

@@ -110,7 +110,6 @@ mod tests {
             .check_deadline()
             .expect_err("expired deadline must cancel");
         assert!(matches!(q, QueryError::Cancelled(_)));
-        assert!(!q.is_transient(), "budget breaches are not retryable");
         let unified: Error = q.into();
         let s1 = unified.source().expect("layer error");
         let s2 = s1.source().expect("breach");
@@ -124,7 +123,6 @@ mod tests {
             hit: 1,
         };
         let v: ViewError = OodbError::Fault(fault).into();
-        assert!(v.is_transient());
         let unified: Error = v.into();
         // Error -> ViewError -> OodbError -> InjectedFault.
         let s1 = unified.source().expect("view error");
@@ -142,10 +140,8 @@ mod tests {
         }));
         let degraded = ViewError::Degraded {
             class: crate::oodb::sym("Adult"),
-            attempts: 3,
             cause: Box::new(cause),
         };
-        assert!(degraded.is_transient(), "degraded keeps the cause's nature");
         let unified: Error = degraded.into();
         // Error -> Degraded -> cause ViewError -> OodbError -> InjectedFault.
         let mut chain = Vec::new();

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::relational::{bridge, Relation, RelationalDb};
     pub use crate::views::{
         Binder, CatalogTxn, DdlOutcome, DepEdge, DepTarget, DependencyGraph, IdentityMode,
-        Materialization, Outcome, Session, View, ViewDef, ViewError, ViewHealth, ViewOptions,
+        Materialization, Outcome, Session, View, ViewDef, ViewError, ViewOptions,
         ViewOptionsBuilder, ViewStats,
     };
     pub use crate::Error;

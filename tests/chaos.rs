@@ -5,8 +5,9 @@
 //! 1. **no escaped panics** — the armed sites inject typed errors, and
 //!    every read and write runs on the test's thread, so a panic that
 //!    reaches the `catch_unwind` around one is a bug;
-//! 2. **typed errors only** — every failure surfaces as an error value
-//!    with a non-empty rendering and an intact `source()` chain root;
+//! 2. **typed errors only** — every failed write renders, and every failed
+//!    read is one the failure model names: a `Degraded` whose `source()`
+//!    chain ends in the injected fault, a raw fault, or a budget breach;
 //! 3. **monotonic journal floor** — the store version never moves
 //!    backwards, even across failed mutations;
 //! 4. **identity stability** — imaginary oids are a function of their core
@@ -24,10 +25,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use objects_and_views::oodb::faults::{self, FaultAction, FaultSchedule};
-use objects_and_views::oodb::Tuple;
+use objects_and_views::oodb::faults::{self, FaultAction, FaultSchedule, InjectedFault};
+use objects_and_views::oodb::{OodbError, Tuple};
 use objects_and_views::prelude::*;
-use objects_and_views::query::{budget, Budget};
+use objects_and_views::query::{budget, Budget, QueryError};
 
 /// The fault registry is process-global: chaos tests must not interleave
 /// with each other (cargo runs tests on threads). Poisoning is ignored —
@@ -112,6 +113,30 @@ fn chaos_view(sys: &System) -> View {
     )
     .bind()
     .unwrap()
+}
+
+type DynError = dyn std::error::Error + 'static;
+
+/// The last error of `e`'s `source()` chain.
+fn chain_tail(e: &DynError) -> &DynError {
+    let mut cur = e;
+    while let Some(next) = cur.source() {
+        cur = next;
+    }
+    cur
+}
+
+/// Invariant 2 for reads: the only ways a read may fail under chaos — a
+/// fault with no stale population to serve, typed as `Degraded` down to
+/// the injected fault; a fault raised outside a population; a budget
+/// breach.
+fn is_typed_read_failure(e: &ViewError) -> bool {
+    match e {
+        ViewError::Degraded { .. } => chain_tail(e).is::<InjectedFault>(),
+        ViewError::Oodb(OodbError::Fault(_)) => true,
+        ViewError::Query(QueryError::ResourceExhausted(_) | QueryError::Cancelled(_)) => true,
+        _ => false,
+    }
 }
 
 /// One full seeded run. Panics (via `assert!`) on any invariant breach so
@@ -217,13 +242,10 @@ fn run_chaos(seed: u64) {
                 );
                 identity_floor = len;
             }
-            Ok(Err(e)) => {
-                let msg = e.to_string();
-                assert!(
-                    !msg.is_empty(),
-                    "seed {seed} round {i}: error with an empty rendering"
-                );
-            }
+            Ok(Err(e)) => assert!(
+                is_typed_read_failure(&e),
+                "seed {seed} round {i}: untyped read failure: {e:?}"
+            ),
             Err(_) => {
                 escaped = Some(format!("seed {seed} round {i}: panic escaped a view read"));
                 break;
@@ -311,7 +333,11 @@ fn chaos_fault_mid_revalidation_keeps_catalog_atomic() {
         matches!(err, ViewError::RevalidationFailed { .. }),
         "got: {err}"
     );
-    assert!(err.is_transient(), "injected fault should stay transient");
+    let tail = chain_tail(&err).downcast_ref::<InjectedFault>();
+    assert!(
+        matches!(tail, Some(f) if f.site == "view.bind"),
+        "chain should end in the view.bind fault: {err:?}"
+    );
     faults::clear();
     // Nothing half-moved: definitions, dependency graph, and answers all
     // match the pre-fault session.

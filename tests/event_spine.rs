@@ -109,7 +109,7 @@ fn explained(events: &[PopulationTrace]) -> Tally {
             PopPath::CacheHit => ("cache_hit", &[][..]),
             PopPath::Delta { .. } => ("delta", &[][..]),
             PopPath::FullRecompute { scans } => ("recompute", &scans[..]),
-            PopPath::StaleServe { .. } => ("stale_serve", &[][..]),
+            PopPath::StaleServe => ("stale_serve", &[][..]),
         };
         *tally.entry(path).or_default() += 1;
         for scan in scans {
