@@ -2159,7 +2159,7 @@ fn e21_cold_path() {
     };
 
     // imaginary/cold: every read recomputes; the identity table is warm
-    // after the first, as it is after recovery's adoption.
+    // after the first, as it is after recovery seeds the system's.
     let cold = homes(Materialization::AlwaysRecompute);
     let households = cold.extent_of(sym("Household")).unwrap().len();
     let t_cold = time_ns(8, || {

@@ -85,13 +85,12 @@ impl<'s> CatalogTxn<'s> {
         CatalogTxn { session }
     }
 
-    /// Creates database `name` (idempotent: an existing database of that
-    /// name is left untouched).
+    /// Creates database `name` as the `database` statement does — durable
+    /// in a durable session (idempotent: an existing database of that name
+    /// is left untouched).
     pub fn create_database(&mut self, name: impl Into<Symbol>) -> Result<DdlOutcome> {
         let name = name.into();
-        if self.session.system.database(name).is_err() {
-            self.session.system.create_database(name)?;
-        }
+        self.session.create_database(name)?;
         Ok(DdlOutcome::Defined(name))
     }
 

@@ -101,8 +101,9 @@ impl Session {
     /// order), then `<dir>/views.ovq` — the checked script of view
     /// definitions — is verified and replayed, rebinding each view against
     /// the recovered bases. Imaginary-object identity is restored from the
-    /// databases' durable identity tables when the views rebind, so
-    /// imaginary oids are stable across open/close cycles.
+    /// databases' durable identity tables as each database joins the
+    /// session's system, before any view binds, so imaginary oids are
+    /// stable across open/close cycles.
     ///
     /// `durability` applies to every database the session opens here or
     /// creates later (`database D;` statements create durable databases
@@ -262,22 +263,7 @@ impl Session {
         let _span = ov_oodb::span!("session.execute_stmt");
         match stmt {
             Stmt::Database(name) => {
-                if self.system.database(name).is_err() {
-                    match &self.durable_root {
-                        // Durable sessions create durable databases: an
-                        // empty directory under the root, opened with the
-                        // session's durability so every write WAL-logs.
-                        Some(root) => {
-                            let dir = root.join("databases").join(name.to_string());
-                            let db = ov_oodb::Database::open(name, &dir, self.durability)
-                                .map_err(ViewError::Oodb)?;
-                            self.system.add_database(db).map_err(ViewError::Oodb)?;
-                        }
-                        None => {
-                            self.system.create_database(name)?;
-                        }
-                    }
-                }
+                self.create_database(name)?;
                 self.focus = Focus::Database(name);
                 Ok(Outcome::Notice(format!("database {name}")))
             }
@@ -373,6 +359,26 @@ impl Session {
         let _span = ov_oodb::span!("session.rebind_view", view = name);
         self.replace_view_def(candidate)?;
         Ok(Outcome::Done)
+    }
+
+    /// Creates database `name` unless it exists. A durable session
+    /// creates a durable database — a directory under the root, opened
+    /// with the session's durability so every write WAL-logs.
+    pub(crate) fn create_database(&mut self, name: Symbol) -> Result<()> {
+        if self.system.database(name).is_ok() {
+            return Ok(());
+        }
+        match &self.durable_root {
+            Some(root) => {
+                let dir = root.join("databases").join(name.to_string());
+                let db = ov_oodb::Database::open(name, &dir, self.durability)?;
+                self.system.add_database(db)?;
+            }
+            None => {
+                self.system.create_database(name)?;
+            }
+        }
+        Ok(())
     }
 
     /// Binds `def` against the session's system with every *other*

@@ -67,9 +67,10 @@ fn binder_stacks_views_programmatically() {
 }
 
 /// One owner per population: on a three-level stack read wholly through
-/// its top view, each view holds a cache entry, delta-decided flag or
-/// identity table only for the classes it declares — the top view reads
-/// the others from the views below.
+/// its top view, each view holds a cache entry or delta-decided flag only
+/// for the classes it declares — the top view reads the others from the
+/// views below — and the system's identity tables key each imaginary class
+/// by the view that declares it.
 #[test]
 fn each_class_is_held_by_the_view_that_declares_it() {
     let mut s = crate::Session::new();
@@ -110,4 +111,13 @@ fn each_class_is_held_by_the_view_that_declares_it() {
     assert_eq!(held("Adults"), ["Adult", "Home"]);
     assert_eq!(held("Earners"), ["Rich"]);
     assert_eq!(held("Top"), ["Elite", "Tag"]);
+    let tables: std::collections::BTreeSet<(String, String)> = s
+        .system()
+        .identity()
+        .entries()
+        .iter()
+        .map(|e| (e.view.to_string(), e.class.to_string()))
+        .collect();
+    let owners = [("Adults", "Home"), ("Top", "Tag")];
+    assert_eq!(tables, owners.map(|(v, c)| (v.into(), c.into())).into());
 }

@@ -21,10 +21,11 @@
 //! against, and the oracle the tests compare with). Nothing is pushed on a
 //! write: `View::refresh` is an explicit warm-up.
 //! `View::explain_population` reports which path resolved a given request.
-//! The **identity tables** of imaginary classes are *not* keyed: they
-//! survive recomputation and updates, which is precisely the paper's §5.1
-//! identity semantics ("we are guaranteed that the same tuple will be
-//! assigned the same oid each time the class C is invoked").
+//! The **identity tables** of imaginary classes are *not* keyed: they are
+//! the system's ([`ov_oodb::IdentityStore`]), not the bound view's, so they
+//! survive recomputation, updates *and rebinds*, which is precisely the
+//! paper's §5.1 identity semantics ("we are guaranteed that the same tuple
+//! will be assigned the same oid each time the class C is invoked").
 //!
 //! ## Stacking: one owner per population
 //!
@@ -81,10 +82,9 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use ov_oodb::event::Event;
-use ov_oodb::ids::IMAGINARY_OID_BASE;
 use ov_oodb::{
     resolve, AttrDef, AttrSig, ClassGraph, ClassId, ConflictPolicy, DbHandle, DurableCore, Expr,
-    Oid, OodbError, Schema, SelectExpr, Symbol, System, Tuple, Type, Value,
+    IdentityStore, Oid, OodbError, Schema, SelectExpr, Symbol, System, Tuple, Type, Value,
 };
 use ov_query::{
     infer_select_in, plan, resolve_type, DataSource, IncludeSpec, QueryError, ResolvedAttr,
@@ -261,12 +261,6 @@ enum Populated {
     Upstream(usize, ClassId),
 }
 
-#[derive(Clone, Debug)]
-struct ImaginaryObject {
-    class: ClassId,
-    core: Tuple,
-}
-
 /// The per-(class, attribute) verdicts [`View::class_rule`] computed at
 /// body depth 0, all under one resolution generation.
 #[derive(Debug, Default)]
@@ -330,10 +324,8 @@ pub struct View {
     instances: RwLock<HashMap<(Symbol, Vec<Value>), ClassId>>,
     /// Population cache, sharded by class id (see [`POP_SHARDS`]).
     pop_cache: [RwLock<HashMap<ClassId, CachedPop>>; POP_SHARDS],
-    identity: RwLock<HashMap<ClassId, HashMap<Tuple, Oid>>>,
-    imaginary: RwLock<HashMap<Oid, ImaginaryObject>>,
-    /// The system's imaginary-oid allocator ([`System::imaginary_oids`]).
-    next_imaginary: Arc<AtomicU64>,
+    /// The system's identity tables ([`System::identity`]).
+    identity: Arc<IdentityStore>,
     policy: ConflictPolicy,
     materialization: Materialization,
     identity_mode: IdentityMode,
@@ -606,12 +598,11 @@ impl View {
         shard.get(&c).map(|p| (p.versions.clone(), p.oids.clone()))
     }
 
-    /// The classes this view holds population state for — a cache entry,
-    /// a delta-decided flag or an identity table — by name.
+    /// The classes this view holds population state for — a cache entry
+    /// or a delta-decided flag — by name.
     #[cfg(test)]
     pub(crate) fn held_classes(&self) -> BTreeSet<Symbol> {
         let mut held: BTreeSet<ClassId> = self.delta_decided.read().keys().copied().collect();
-        held.extend(self.identity.read().keys());
         for shard in &self.pop_cache {
             held.extend(shard.read().keys());
         }
@@ -1263,26 +1254,24 @@ impl View {
     }
 
     /// Reads imaginary object `oid` — its class, as this view names it, and
-    /// its core — from the table of the view that declares its class: this
-    /// one, else an upstream. Base stores allocate strictly below
-    /// [`IMAGINARY_OID_BASE`] and views strictly at or above it, so a base
-    /// oid — every row of an ordinary scan — skips the table locks and the
-    /// hash probes.
+    /// its core — from the system's identity tables. It is an object here
+    /// when the view that declares its class is this one or an upstream.
+    /// Base stores allocate strictly below
+    /// [`ov_oodb::ids::IMAGINARY_OID_BASE`] and views strictly at or above
+    /// it, so a base oid — every row of an ordinary scan — skips the table
+    /// lock and the hash probe.
     fn imaginary_object<R>(&self, oid: Oid, read: impl FnOnce(ClassId, &Tuple) -> R) -> Option<R> {
         if !oid.is_imaginary() {
             return None;
         }
-        if let Some(im) = self.imaginary.read().get(&oid) {
-            return Some(read(im.class, &im.core));
-        }
-        for up in &self.upstreams {
-            if let Some(im) = up.imaginary.read().get(&oid) {
-                let name = up.schema.read().class(im.class).name;
-                let class = self.schema.read().class_by_name(name)?;
-                return Some(read(class, &im.core));
-            }
-        }
-        None
+        self.identity
+            .object(oid, |im| {
+                let owner =
+                    im.view == self.name || self.upstreams.iter().any(|u| u.name == im.view);
+                let class = owner.then(|| self.schema.read().class_by_name(im.class))??;
+                Some(read(class, &im.core))
+            })
+            .flatten()
     }
 
     /// The view class that class `class` of source `source` was imported as.

@@ -177,9 +177,7 @@ impl<'a> Binder<'a> {
             templates: HashMap::new(),
             instances: RwLock::new(HashMap::new()),
             pop_cache: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            identity: RwLock::new(HashMap::new()),
-            imaginary: RwLock::new(HashMap::new()),
-            next_imaginary: self.system.imaginary_oids(),
+            identity: self.system.identity().clone(),
             policy: options.policy,
             materialization: options.materialization,
             identity_mode: options.identity_mode,
@@ -263,10 +261,6 @@ impl<'a> Binder<'a> {
         for c in own {
             view.decide_delta(c);
         }
-        // With every class defined, re-adopt identity assignments an
-        // earlier incarnation of this view persisted (§5.1 across
-        // restarts).
-        view.adopt_durable_identity();
         Ok(view)
     }
 }

@@ -302,22 +302,25 @@ proptest! {
     }
 
     /// Imaginary identity: equal core tuples keep their oid across
-    /// arbitrary unrelated updates; distinct tuples get distinct oids.
+    /// arbitrary unrelated updates and across rebinds of the view against
+    /// the same system; distinct tuples get distinct oids.
     #[test]
     fn imaginary_identity_is_a_function(
         rows in prop::collection::vec(("[a-z]{1,6}", 0i64..5), 1..8),
-        updates in prop::collection::vec((any::<prop::sample::Index>(), 0i64..5), 0..6),
+        updates in prop::collection::vec(
+            (any::<prop::sample::Index>(), 0i64..5, any::<bool>()),
+            0..6,
+        ),
     ) {
         let sys = people_db(
             &rows.iter().map(|(n, a)| (n.clone(), *a)).collect::<Vec<_>>(),
         );
-        let view = ViewDef::from_script(
+        let def = ViewDef::from_script(
             "create view V; import all classes from database P; \
              class AgeGroup includes imaginary (select [Age: X.Age] from X in Person);",
         )
-        .unwrap()
-        .binder(&sys).bind()
         .unwrap();
+        let mut view = def.binder(&sys).bind().unwrap();
         // Record the oid of each distinct age currently present.
         let mut seen: std::collections::HashMap<i64, ov_oodb::Oid> =
             std::collections::HashMap::new();
@@ -342,7 +345,10 @@ proptest! {
             Ok(())
         };
         observe(&view)?;
-        for (ix, new_age) in &updates {
+        for (ix, new_age, rebind) in &updates {
+            if *rebind {
+                view = def.binder(&sys).bind().unwrap();
+            }
             let target = oids[ix.index(oids.len())];
             db.write().set_attr(target, sym("Age"), Value::Int(*new_age)).unwrap();
             observe(&view)?;

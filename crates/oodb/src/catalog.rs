@@ -3,40 +3,32 @@
 //! "In general, there can be many databases in a system. In such systems,
 //! one database can use data from other databases via *import* statements"
 //! (§3). The [`System`] is what a view binds against: it resolves database
-//! names and hands out shared, lock-protected handles.
+//! names, hands out shared, lock-protected handles, and owns the §5.1
+//! identity of every imaginary class ([`IdentityStore`]).
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::database::Database;
 use crate::error::{OodbError, Result};
-use crate::ids::{DbId, IMAGINARY_OID_BASE};
+use crate::identity::IdentityStore;
+use crate::ids::DbId;
 use crate::symbol::Symbol;
 
 /// A shared handle to a database.
 pub type DbHandle = Arc<RwLock<Database>>;
 
 /// A catalog of named databases.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct System {
     databases: Vec<DbHandle>,
     by_name: HashMap<Symbol, DbId>,
-    /// The next imaginary oid (§5.1). Every view bound against this system
-    /// draws from it, so no two views hand out the same oid.
-    imaginary_oids: Arc<AtomicU64>,
-}
-
-impl Default for System {
-    fn default() -> System {
-        System {
-            databases: Vec::new(),
-            by_name: HashMap::new(),
-            imaginary_oids: Arc::new(AtomicU64::new(IMAGINARY_OID_BASE)),
-        }
-    }
+    /// The identity tables of every imaginary class (§5.1). Every bind of a
+    /// view against this system reads them, so a rebind keeps every oid
+    /// and no two views hand out the same oid.
+    identity: Arc<IdentityStore>,
 }
 
 impl System {
@@ -45,18 +37,20 @@ impl System {
         System::default()
     }
 
-    /// The imaginary-oid allocator of this system: it starts at
-    /// [`IMAGINARY_OID_BASE`], and each view bound against the system
-    /// takes its imaginary oids from it.
-    pub fn imaginary_oids(&self) -> Arc<AtomicU64> {
-        self.imaginary_oids.clone()
+    /// The identity tables of this system's imaginary classes.
+    pub fn identity(&self) -> &Arc<IdentityStore> {
+        &self.identity
     }
 
-    /// Registers a database under its own name.
+    /// Registers a database under its own name. A durable database seeds
+    /// the identity tables with the assignments it recovered.
     pub fn add_database(&mut self, db: Database) -> Result<DbId> {
         let name = db.name;
         if self.by_name.contains_key(&name) {
             return Err(OodbError::DuplicateDatabase(name));
+        }
+        if let Some(core) = db.durable_core() {
+            core.seed(&self.identity);
         }
         // Unreachable expect: 2^32 databases would exhaust memory first.
         let id = DbId(u32::try_from(self.databases.len()).expect("catalog overflow"));

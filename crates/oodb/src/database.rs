@@ -76,8 +76,9 @@ impl Database {
     /// registers the secondary-index definitions, replays the WAL tail,
     /// re-seats the journal floor at the recovered version, and attaches
     /// the durability core so every subsequent mutation is redo-logged.
-    /// The §5.1 imaginary identity tables recovered alongside are exposed
-    /// via [`Database::durable_core`] for views to re-adopt at bind time.
+    /// The §5.1 imaginary identity tables recovered alongside seed the
+    /// system's identity store when the database joins it
+    /// ([`crate::System::add_database`]).
     ///
     /// No index is built here, nor by the replay: each is built by its
     /// first probe (see [`Store::create_index`]), whose statement it

@@ -9,9 +9,10 @@
 //!   appended *before* it is applied in memory, so a crash recovers exactly
 //!   a prefix of committed work;
 //! * the **identity mirror** — a durable copy of each view's
-//!   tuple → imaginary-oid tables (§5.1 of the paper). The view layer keeps
-//!   its own working tables; the mirror exists so identity survives
-//!   restarts and can be checkpointed without consulting live views.
+//!   tuple → imaginary-oid tables (§5.1 of the paper). The system's
+//!   [`IdentityStore`] is the working copy; the mirror exists for
+//!   durability only — it seeds the store once when the database joins a
+//!   system, and is checkpointed without consulting live views.
 //!
 //! ## Lock discipline
 //!
@@ -30,6 +31,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::Result;
+use crate::identity::IdentityStore;
 use crate::ids::{Oid, IMAGINARY_OID_BASE};
 use crate::pager::{self, IdentityEntry, SnapshotImage};
 use crate::symbol::Symbol;
@@ -41,11 +43,12 @@ pub const WAL_FILE: &str = "wal.ovl";
 
 /// The durable mirror of all imaginary identity tables, keyed by
 /// `(view name, imaginary class name)`. Class *names* are the durable key:
-/// class ids are rebuilt on every view bind.
+/// class ids are rebuilt on every view bind. The system's
+/// [`IdentityStore`] keeps its forward table in one too.
 #[derive(Clone, Debug)]
 pub struct IdentityMirror {
-    tables: HashMap<(Symbol, Symbol), HashMap<Tuple, Oid>>,
-    next_imaginary: u64,
+    pub(crate) tables: HashMap<(Symbol, Symbol), HashMap<Tuple, Oid>>,
+    pub(crate) next_imaginary: u64,
 }
 
 impl Default for IdentityMirror {
@@ -91,20 +94,6 @@ impl IdentityMirror {
             })
             .collect();
         out.sort_by_key(|e| e.oid);
-        out
-    }
-
-    /// All durable entries for one view: `(class name, core tuple, oid)`.
-    pub fn entries_for_view(&self, view: Symbol) -> Vec<(Symbol, Tuple, Oid)> {
-        let mut out: Vec<(Symbol, Tuple, Oid)> = self
-            .tables
-            .iter()
-            .filter(|((v, _), _)| *v == view)
-            .flat_map(|((_, class), table)| {
-                table.iter().map(|(core, oid)| (*class, core.clone(), *oid))
-            })
-            .collect();
-        out.sort_by_key(|(_, _, oid)| *oid);
         out
     }
 
@@ -278,14 +267,10 @@ impl DurableCore {
         }
     }
 
-    /// Durable identity entries for one view, for re-adoption at bind time.
-    pub fn identity_for_view(&self, view: Symbol) -> Vec<(Symbol, Tuple, Oid)> {
-        self.identity.lock().entries_for_view(view)
-    }
-
-    /// Lowest imaginary oid recovery knows to be unassigned.
-    pub fn next_imaginary(&self) -> u64 {
-        self.identity.lock().next_imaginary()
+    /// Seeds a system's identity store from this database's recovered
+    /// mirror ([`IdentityStore::seed`]).
+    pub fn seed(&self, store: &IdentityStore) {
+        store.seed(&self.identity.lock());
     }
 
     /// Forces the WAL to disk regardless of durability level.
@@ -340,7 +325,10 @@ impl DurableCore {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::identity::ImaginaryObject;
     use crate::symbol::sym;
     use crate::value::Value;
 
@@ -353,6 +341,19 @@ mod tests {
 
     fn core_tuple(city: &str) -> Tuple {
         Tuple::from_fields([("City", Value::str(city))])
+    }
+
+    /// A store seeded from `core`, as a system the database joins.
+    fn seeded(core: &DurableCore) -> IdentityStore {
+        let store = IdentityStore::default();
+        core.seed(&store);
+        store
+    }
+
+    /// The oid `store` assigns next.
+    fn next_oid(store: &IdentityStore) -> Oid {
+        let (oids, _) = store.assign(sym("W"), sym("Probe"), vec![core_tuple("Probe")], false);
+        oids.into_iter().next().unwrap()
     }
 
     #[test]
@@ -368,9 +369,10 @@ mod tests {
         }
         let (core, _, tail) = DurableCore::open(&dir, Durability::Wal).unwrap();
         assert_eq!(tail.len(), 1);
-        let got = core.identity_for_view(sym("V"));
-        assert_eq!(got, vec![(sym("Addr"), core_tuple("Paris"), oid)]);
-        assert_eq!(core.next_imaginary(), oid.0 + 1);
+        let store = seeded(&core);
+        let (got, new) = store.assign(sym("V"), sym("Addr"), vec![core_tuple("Paris")], false);
+        assert_eq!((got, new), (BTreeSet::from([oid]), vec![]));
+        assert_eq!(next_oid(&store), Oid(oid.0 + 1));
     }
 
     #[test]
@@ -392,10 +394,12 @@ mod tests {
         let snap = snap.unwrap();
         assert_eq!(snap.store_version, 5);
         assert_eq!(snap.identity.len(), 1);
-        assert_eq!(
-            core.identity_for_view(sym("V")),
-            vec![(sym("Addr"), core_tuple("Lyon"), oid)]
-        );
+        let object = ImaginaryObject {
+            view: sym("V"),
+            class: sym("Addr"),
+            core: core_tuple("Lyon"),
+        };
+        assert_eq!(seeded(&core).object(oid, Clone::clone), Some(object));
     }
 
     #[test]
@@ -409,9 +413,10 @@ mod tests {
             core.sync().unwrap();
         }
         let (core, _, _) = DurableCore::open(&dir, Durability::Wal).unwrap();
-        assert!(core.identity_for_view(sym("V")).is_empty());
+        let store = seeded(&core);
+        assert_eq!(store.len(sym("V"), sym("Addr")), 0);
         // The floor still clears the dropped oid: identity is never reused.
-        assert_eq!(core.next_imaginary(), oid.0 + 1);
+        assert_eq!(next_oid(&store), Oid(oid.0 + 1));
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod error;
 pub mod event;
 pub mod expr;
 pub mod faults;
+pub mod identity;
 pub mod ids;
 mod index;
 pub mod metrics;
@@ -79,6 +80,7 @@ pub use durable::{DurableCore, IdentityMirror, WalStatus};
 pub use error::{OodbError, Result};
 pub use expr::{AggFunc, BinOp, Expr, SelectExpr, UnOp};
 pub use faults::{FaultAction, FaultSchedule, InjectedFault};
+pub use identity::{IdentityStore, ImaginaryObject};
 pub use ids::{ClassId, DbId, Oid};
 pub use metrics::{
     profiling_enabled, registry, set_profiling, slow_queries, workload, Counter, Histogram,

@@ -293,6 +293,10 @@ mod tests {
         for o in &before {
             assert!(after.contains(o), "pre-existing row changed identity");
         }
+        // The identity tables are the system's: a second view over it
+        // reads the same oids.
+        let again = object_view(&rdb, &sys).unwrap();
+        assert_eq!(again.extent_of(sym("Emp")).unwrap(), after);
     }
 
     #[test]

@@ -622,3 +622,103 @@ fn a_class_reads_by_the_definitions_of_the_view_that_declares_it() {
         Value::set([Value::str("Maggy")])
     );
 }
+
+/// §5.1 identity is the system's, not the bound view's: in an in-memory
+/// session, `Household` keeps every oid across each way its view is
+/// rebound — a view statement, base DDL that revalidates it,
+/// `redefine_view`, and a revalidation that fails and rolls back — and
+/// `W`, stacked on `V`, reads `V`'s oids after `V` is redefined.
+#[test]
+fn a_rebind_keeps_every_imaginary_oid() {
+    let mut s = staff_session();
+    s.execute(
+        r#"
+        create view V;
+        import all classes from database Staff;
+        class Household includes imaginary (select [Age: P.Age] from P in Person);
+        create view W;
+        import all classes from view V;
+        class Grown includes (select H from Household where H.Age >= 21);
+        "#,
+    )
+    .unwrap();
+    let households = |s: &Session, view: &str| {
+        s.query(sym(view), "select [O: H, Age: H.Age] from H in Household")
+            .unwrap()
+    };
+    let before = households(&s, "V");
+    assert_eq!(before.as_set().map(|h| h.len()), Some(3));
+    let unchanged = |s: &Session, after: &str| {
+        assert_eq!(households(s, "V"), before, "through V, after {after}");
+        assert_eq!(households(s, "W"), before, "through W, after {after}");
+    };
+    unchanged(&s, "binding W");
+
+    s.focus(sym("V")).unwrap();
+    s.execute("attribute Tag in class Person has value 1;")
+        .unwrap();
+    unchanged(&s, "a view statement");
+
+    let outcome = s
+        .catalog()
+        .define_class("Staff", "class Pet type [Name: string];")
+        .unwrap();
+    assert!(matches!(
+        outcome,
+        DdlOutcome::Revalidated { dependents: 2, .. }
+    ));
+    unchanged(&s, "base DDL");
+
+    let redefined = ViewDef::from_script(
+        "create view V; \
+         import all classes from database Staff; \
+         class Household includes imaginary (select [Age: P.Age] from P in Person); \
+         class Adult includes (select P from Person where P.Age >= 21);",
+    )
+    .unwrap();
+    s.catalog().redefine_view(redefined).unwrap();
+    unchanged(&s, "redefine_view");
+
+    // `W` reads `Household`, so renaming it fails W's revalidation.
+    let breaking = ViewDef::from_script(
+        "create view V; \
+         import all classes from database Staff; \
+         class Home includes imaginary (select [Age: P.Age] from P in Person);",
+    )
+    .unwrap();
+    let err = s.catalog().redefine_view(breaking).unwrap_err();
+    assert!(matches!(err, ViewError::RevalidationFailed { .. }), "{err}");
+    unchanged(&s, "a failed revalidation");
+}
+
+/// An imaginary oid is an object only through the view that declares its
+/// class and the views stacked on that one. `U` and `W` declare `Home`
+/// alike, and neither reads the other: `U`'s objects are not `W`'s.
+#[test]
+fn an_imaginary_oid_is_an_object_only_through_its_owners_stack() {
+    let mut s = staff_session();
+    s.execute(
+        r#"
+        create view U;
+        import all classes from database Staff;
+        class Home includes imaginary (select [Age: P.Age] from P in Person);
+        create view W;
+        import all classes from database Staff;
+        class Home includes imaginary (select [Age: P.Age] from P in Person);
+        "#,
+    )
+    .unwrap();
+    let (u, w) = (s.view(sym("U")).unwrap(), s.view(sym("W")).unwrap());
+    let theirs = u.extent_of(sym("Home")).unwrap();
+    let mine = w.extent_of(sym("Home")).unwrap();
+    assert_eq!((theirs.len(), mine.len()), (3, 3));
+    for &oid in &mine {
+        assert!(w.object_exists(oid));
+        assert!(!theirs.contains(&oid), "two classes share {oid}");
+    }
+    for &oid in &theirs {
+        assert!(u.object_exists(oid));
+        assert!(!w.object_exists(oid), "{oid} is U's, not W's");
+        assert!(w.attr(oid, sym("Age")).is_err());
+    }
+}

@@ -26,7 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use objects_and_views::oodb::faults::{self, FaultAction, FaultSchedule, InjectedFault};
-use objects_and_views::oodb::{OodbError, Tuple};
+use objects_and_views::oodb::{IdentityStore, OodbError};
 use objects_and_views::prelude::*;
 use objects_and_views::query::{budget, Budget, QueryError};
 
@@ -392,11 +392,13 @@ fn crash_identity(s: &Session) -> BTreeMap<(String, String), Oid> {
     let db = s.system().database(sym("Staff")).unwrap();
     let db = db.read();
     let core = db.durable_core().expect("durable database");
-    core.identity_for_view(sym("V"))
+    let recovered = IdentityStore::default();
+    core.seed(&recovered);
+    recovered
+        .entries()
         .into_iter()
-        .map(|(class, tuple, oid): (Symbol, Tuple, Oid)| {
-            ((class.to_string(), format!("{tuple:?}")), oid)
-        })
+        .filter(|e| e.view == sym("V"))
+        .map(|e| ((e.class.to_string(), format!("{:?}", e.core)), e.oid))
         .collect()
 }
 

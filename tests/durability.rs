@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use objects_and_views::oodb::{Oid, Tuple};
+use objects_and_views::oodb::{IdentityStore, Oid};
 use objects_and_views::prelude::*;
 
 /// A fresh scratch directory under the system temp dir (no tempfile crate:
@@ -47,11 +47,13 @@ fn identity_map(session: &Session) -> BTreeMap<(String, String), Oid> {
     let db = session.system().database(sym("Staff")).unwrap();
     let db = db.read();
     let core = db.durable_core().expect("durable database");
-    core.identity_for_view(sym("V"))
+    let recovered = IdentityStore::default();
+    core.seed(&recovered);
+    recovered
+        .entries()
         .into_iter()
-        .map(|(class, tuple, oid): (Symbol, Tuple, Oid)| {
-            ((class.to_string(), format!("{tuple:?}")), oid)
-        })
+        .filter(|e| e.view == sym("V"))
+        .map(|e| ((e.class.to_string(), format!("{:?}", e.core)), e.oid))
         .collect()
 }
 
@@ -126,6 +128,40 @@ fn checkpoint_truncates_wal_and_recovers_identically() {
     assert!(wal.exists(), "WAL file missing after checkpoint");
     let s = Session::open(&dir, Durability::Wal).unwrap();
     assert_eq!(s.save(), saved, "snapshot + WAL tail recovery diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A database the typed catalog creates in a durable session is durable,
+/// as one the `database` statement creates is: it, its object and a view
+/// importing it come back on reopen.
+#[test]
+fn a_catalog_database_of_a_durable_session_is_durable() {
+    let dir = scratch("catalog-db");
+    {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        let mut catalog = s.catalog();
+        catalog.create_database("D").unwrap();
+        catalog
+            .define_class("D", "class Item type [N: integer];")
+            .unwrap();
+        s.execute(
+            "database D; insert Item value [N: 7]; \
+             create view W; import all classes from database D;",
+        )
+        .unwrap();
+    }
+    let s = Session::open(&dir, Durability::Wal).unwrap();
+    assert!(s
+        .system()
+        .database(sym("D"))
+        .unwrap()
+        .read()
+        .durable_core()
+        .is_some());
+    assert_eq!(
+        s.query(sym("W"), "select I.N from I in Item").unwrap(),
+        Value::set([Value::Int(7)])
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
