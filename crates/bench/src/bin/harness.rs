@@ -945,7 +945,7 @@ fn e5_resolution() {
 
 /// E5b — attribute resolution under concurrent readers, enabled by
 /// `--threads N` (N > 1): N threads resolve overlap attributes against one
-/// shared view, exercising the sharded population cache under contention.
+/// shared view, exercising the population cache's one lock under contention.
 fn e5_concurrent(threads: usize) {
     if threads <= 1 {
         return;
@@ -996,8 +996,8 @@ fn e5_concurrent(threads: usize) {
     );
     let st = view.stats();
     println!(
-        "stats: cache_hits={} cache_misses={} lock_contention={}",
-        st.cache_hits, st.cache_misses, st.lock_contention
+        "stats: cache_hits={} cache_misses={}",
+        st.cache_hits, st.cache_misses
     );
 }
 

@@ -111,10 +111,7 @@ impl<'s> CatalogTxn<'s> {
                 ));
             }
         }
-        self.session.apply_ddl(db, stmts)?;
-        let n = self
-            .session
-            .rebind_dependents(DepTarget::Database(db), db)?;
+        let n = self.session.run_on_database(db, &stmts, |_| {})?;
         Ok(DdlOutcome::Revalidated {
             changed: db,
             dependents: n,

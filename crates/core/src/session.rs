@@ -1,11 +1,17 @@
 //! Interactive sessions: databases and views under one prompt.
 //!
 //! A [`Session`] owns a [`System`] of databases and a set of named views,
-//! and executes statements one at a time, the way the paper's programmer
-//! works: build a base database, `create view`, add imports / virtual
-//! classes / attributes incrementally, and query either world at any
-//! point. Views rebind automatically as their definitions grow, so each
-//! definition statement is checked the moment it is entered.
+//! and executes statements the way the paper's programmer works: build a
+//! base database, `create view`, add imports / virtual classes /
+//! attributes incrementally, and query either world at any point. Views
+//! rebind automatically as their definitions grow, so each definition
+//! statement is checked the moment it is entered.
+//!
+//! Base statements on a focused database run in *runs* (see
+//! [`Session::execute`]): each stretch between two `database` or view
+//! statements goes to `ov_query`'s script executor in one call, so its
+//! passes resolve forward references within the run — a saved session
+//! ([`Session::save`]) reloads. Every other statement runs alone.
 //!
 //! This is the engine behind the `ovq` REPL binary (workspace root).
 
@@ -247,27 +253,52 @@ impl Session {
         )))
     }
 
-    /// Parses and executes a script, one statement at a time. Returns one
-    /// outcome per statement; stops at the first error.
+    /// Parses and executes a script. On a focused database, base
+    /// statements execute in *runs*: a maximal stretch of `class`,
+    /// `attribute`, `object`, `name`, `insert`, `set`, `delete` and
+    /// queries, ended by a `database` or a view statement, goes to the
+    /// script executor in one call, so a reference resolves anywhere within
+    /// its run (a class type naming a later class, an `object` value naming
+    /// a later object) and a run that changes the schema revalidates the
+    /// database's dependents once. Every other statement executes alone.
+    /// Returns one outcome per statement, in order; stops at the first
+    /// error, leaving earlier runs applied.
     pub fn execute(&mut self, src: &str) -> Result<Vec<Outcome>> {
         let stmts = parse_program(src).map_err(ViewError::from)?;
         let mut out = Vec::with_capacity(stmts.len());
-        for stmt in stmts {
-            out.push(self.execute_stmt(stmt)?);
+        let mut rest = &stmts[..];
+        while !rest.is_empty() {
+            let n = match self.focus {
+                Focus::Database(_) => rest.iter().take_while(|s| is_base(s)).count().max(1),
+                _ => 1,
+            };
+            let (run, tail) = rest.split_at(n);
+            self.execute_run(run, |o| out.push(o))?;
+            rest = tail;
         }
         Ok(out)
     }
 
-    /// Executes a single pre-parsed statement.
+    /// Executes a single pre-parsed statement: a run of one.
     pub fn execute_stmt(&mut self, stmt: Stmt) -> Result<Outcome> {
+        let mut outcome = Outcome::Done;
+        self.execute_run(std::slice::from_ref(&stmt), |o| outcome = o)?;
+        Ok(outcome)
+    }
+
+    /// Executes `stmts` — a run of base statements on the focused
+    /// database, or one other statement — handing `each` one outcome per
+    /// statement.
+    fn execute_run(&mut self, stmts: &[Stmt], mut each: impl FnMut(Outcome)) -> Result<()> {
         let _span = ov_oodb::span!("session.execute_stmt");
-        match stmt {
+        let outcome = match &stmts[0] {
             Stmt::Database(name) => {
-                self.create_database(name)?;
-                self.focus = Focus::Database(name);
-                Ok(Outcome::Notice(format!("database {name}")))
+                self.create_database(*name)?;
+                self.focus = Focus::Database(*name);
+                Outcome::Notice(format!("database {name}"))
             }
             Stmt::CreateView(name) => {
+                let name = *name;
                 if self.views.contains_key(&name) {
                     return Err(ViewError::Definition(format!(
                         "view `{name}` already exists in this session"
@@ -276,72 +307,62 @@ impl Session {
                 let view = self.bind_def(&ViewDef::new(name))?;
                 self.install_view(view);
                 self.focus = Focus::View(name);
-                Ok(Outcome::Notice(format!("view {name}")))
+                Outcome::Notice(format!("view {name}"))
             }
             Stmt::Import { what, db } => self.extend_view(|def| {
-                def.imports.push(Import { db, what });
-            }),
-            Stmt::HideAttrs { attrs, class } => self.extend_view(move |def| {
-                def.elements
-                    .push(ViewElement::Hide(Hide::Attrs { attrs, class }));
-            }),
-            Stmt::HideClass(class) => self.extend_view(move |def| {
-                def.elements.push(ViewElement::Hide(Hide::Class(class)));
-            }),
+                def.imports.push(Import {
+                    db: *db,
+                    what: what.clone(),
+                });
+            })?,
+            Stmt::HideAttrs { attrs, class } => self.extend_view(|def| {
+                def.elements.push(ViewElement::Hide(Hide::Attrs {
+                    attrs: attrs.clone(),
+                    class: *class,
+                }));
+            })?,
+            Stmt::HideClass(class) => self.extend_view(|def| {
+                def.elements.push(ViewElement::Hide(Hide::Class(*class)));
+            })?,
             Stmt::VirtualClassDecl {
                 name,
                 params,
                 includes,
-            } => self.extend_view(move |def| {
+            } => self.extend_view(|def| {
                 def.elements
                     .push(ViewElement::VirtualClass(VirtualClassDef {
-                        name,
-                        params,
-                        includes,
+                        name: *name,
+                        params: params.clone(),
+                        includes: includes.clone(),
                     }));
-            }),
+            })?,
             Stmt::AttributeDecl {
                 name,
                 params,
                 ty,
                 class,
                 body,
-            } => match self.focus {
-                Focus::View(_) => self.extend_view(move |def| {
-                    def.elements.push(ViewElement::Attribute(AttrDecl {
-                        name,
-                        params,
-                        ty,
-                        class,
-                        body,
-                    }));
-                }),
-                Focus::Database(db) => {
-                    // Attribute declarations are valid base-schema DDL too.
-                    self.run_on_database(
-                        db,
-                        Stmt::AttributeDecl {
-                            name,
-                            params,
-                            ty,
-                            class,
-                            body,
-                        },
-                    )
+            } if matches!(self.focus, Focus::View(_)) => self.extend_view(|def| {
+                def.elements.push(ViewElement::Attribute(AttrDecl {
+                    name: *name,
+                    params: params.clone(),
+                    ty: ty.clone(),
+                    class: *class,
+                    body: body.clone(),
+                }));
+            })?,
+            // Base statements run on the focused database or view, under
+            // the session's planner override (if any).
+            stmt => match self.focus {
+                Focus::Database(db) => return self.run_on_database(db, stmts, each).map(drop),
+                Focus::View(vname) => {
+                    under_planner(self.planner, || self.run_on_view(vname, stmt))?
                 }
-                Focus::Nothing => Err(no_focus()),
+                Focus::Nothing => return Err(no_focus()),
             },
-            // Data statements and queries dispatch on focus, under the
-            // session's planner override (if any).
-            other => {
-                let planner = self.planner;
-                under_planner(planner, || match self.focus {
-                    Focus::Database(db) => self.run_on_database(db, other),
-                    Focus::View(vname) => self.run_on_view(vname, other),
-                    Focus::Nothing => Err(no_focus()),
-                })
-            }
-        }
+        };
+        each(outcome);
+        Ok(())
     }
 
     /// Applies `patch` to the focused view's definition and rebinds it;
@@ -498,46 +519,36 @@ impl Session {
         Ok(n)
     }
 
-    fn run_on_database(&mut self, db: Symbol, stmt: Stmt) -> Result<Outcome> {
-        let schema_change = matches!(stmt, Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. });
-        let result = match stmt {
-            // A data statement needs no schema or allocation pass: it runs
-            // as the one statement it is.
-            Stmt::Query(_) | Stmt::Insert { .. } | Stmt::SetAttr { .. } | Stmt::Delete(_) => {
-                ov_query::execute_data_stmt(&self.system, db, &stmt, &self.oid_map)
-                    .map_err(ViewError::from)?
-            }
-            // Declarations reuse the script executor with an explicit
-            // database context; the session-persistent oid map keeps `#n`
-            // bindings across statements.
-            decl => execute_stmts_with_map(
-                &mut self.system,
-                &[Stmt::Database(db), decl],
-                &mut self.oid_map,
-            )
-            .map_err(ViewError::from)?
-            .pop(),
+    /// Runs `stmts`, a run of base statements, on database `db`: the
+    /// session's one call into the script executor, whose passes see the
+    /// whole run. `each` receives one outcome per statement. A run that
+    /// declared a class or an attribute then rebinds the transitive
+    /// dependents of `db` once, in dependency order — also when a later
+    /// statement failed, since what the run applied stays applied;
+    /// unrelated views keep their bound state and warm caches. A data write
+    /// refreshes no view: each population follows its sources on the read
+    /// that needs it. Returns the number of dependents rebound.
+    pub(crate) fn run_on_database(
+        &mut self,
+        db: Symbol,
+        stmts: &[Stmt],
+        mut each: impl FnMut(Outcome),
+    ) -> Result<usize> {
+        let ran = under_planner(self.planner, || {
+            execute_stmts_with_map(&mut self.system, Some(db), stmts, &mut self.oid_map, |v| {
+                each(v.map_or(Outcome::Done, Outcome::Value))
+            })
+        });
+        let schema_change = stmts
+            .iter()
+            .any(|s| matches!(s, Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. }));
+        let rebound = if schema_change {
+            self.rebind_dependents(DepTarget::Database(db), db)
+        } else {
+            Ok(0)
         };
-        if schema_change {
-            // Schema changes revalidate — but only the transitive
-            // dependents of the changed database, in dependency order.
-            // Unrelated views keep their bound state and warm caches.
-            self.rebind_dependents(DepTarget::Database(db), db)?;
-        }
-        // A data write refreshes no view: each population follows its
-        // sources on the read that needs it.
-        Ok(result.map_or(Outcome::Done, Outcome::Value))
-    }
-
-    /// Runs pre-validated DDL statements against database `db` (catalog
-    /// path; callers revalidate dependents afterwards).
-    pub(crate) fn apply_ddl(&mut self, db: Symbol, stmts: Vec<Stmt>) -> Result<()> {
-        let mut program = Vec::with_capacity(stmts.len() + 1);
-        program.push(Stmt::Database(db));
-        program.extend(stmts);
-        execute_stmts_with_map(&mut self.system, &program, &mut self.oid_map)
-            .map_err(ViewError::from)?;
-        Ok(())
+        ran.map_err(ViewError::from)?;
+        rebound
     }
 
     /// Warms every transitive dependent of database `db` after a base
@@ -560,7 +571,7 @@ impl Session {
         refreshed
     }
 
-    fn run_on_view(&mut self, vname: Symbol, stmt: Stmt) -> Result<Outcome> {
+    fn run_on_view(&self, vname: Symbol, stmt: &Stmt) -> Result<Outcome> {
         let view = &*self.views[&vname];
         let eval = |e: &Expr| ov_query::eval_expr(view, e);
         match stmt {
@@ -568,11 +579,11 @@ impl Session {
                 // `run_expr`, not `eval_expr`: a statement on the focused
                 // view takes the dispatch rule's engine, same as
                 // `Session::query` and the database path.
-                Ok(Outcome::Value(ov_query::run_expr(view, &e)?))
+                Ok(Outcome::Value(ov_query::run_expr(view, e)?))
             }
             Stmt::Insert { class, value } => {
-                let v = eval(&value)?;
-                let oid = view.insert(class, v)?;
+                let v = eval(value)?;
+                let oid = view.insert(*class, v)?;
                 Ok(Outcome::Value(Value::Oid(oid)))
             }
             Stmt::SetAttr {
@@ -580,17 +591,17 @@ impl Session {
                 attr,
                 value,
             } => {
-                let Value::Oid(oid) = eval(&target)? else {
+                let Value::Oid(oid) = eval(target)? else {
                     return Err(ViewError::Definition(
                         "`set` target must evaluate to an object".into(),
                     ));
                 };
-                let v = eval(&value)?;
-                view.update_attr(oid, attr, v)?;
+                let v = eval(value)?;
+                view.update_attr(oid, *attr, v)?;
                 Ok(Outcome::Done)
             }
             Stmt::Delete(e) => {
-                let Value::Oid(oid) = eval(&e)? else {
+                let Value::Oid(oid) = eval(e)? else {
                     return Err(ViewError::Definition(
                         "`delete` target must evaluate to an object".into(),
                     ));
@@ -603,7 +614,7 @@ impl Session {
                     "base-data statements need a focused database, not a view".into(),
                 ))
             }
-            _ => unreachable!("handled by execute_stmt"),
+            _ => unreachable!("handled by execute_run"),
         }
     }
 
@@ -751,6 +762,20 @@ fn under_planner<R>(planner: Option<bool>, f: impl FnOnce() -> R) -> R {
         Some(on) => ov_query::with_planner(on, f),
         None => f(),
     }
+}
+
+/// Does `stmt` join a run on the focused database — is it anything but
+/// `database D;` or a view statement?
+fn is_base(stmt: &Stmt) -> bool {
+    !matches!(
+        stmt,
+        Stmt::Database(_)
+            | Stmt::CreateView(_)
+            | Stmt::Import { .. }
+            | Stmt::HideAttrs { .. }
+            | Stmt::HideClass(_)
+            | Stmt::VirtualClassDecl { .. }
+    )
 }
 
 fn no_focus() -> ViewError {
@@ -1066,6 +1091,26 @@ mod tests {
             "#,
         )
         .unwrap();
+        // A spouse pair made by `insert` and `set`, and a stored attribute
+        // typed by a class declared after its own: the saved script names
+        // each before it is declared, so it restores only as one run.
+        s.execute(
+            r#"
+            database Firm;
+            class Dept type [Title: string];
+            class Emp type [Name: string, Spouse: Emp];
+            attribute Head of type Emp in class Dept;
+            insert Emp value [Name: "Ann"];
+            insert Emp value [Name: "Bob"];
+            set (select the E from E in Emp where E.Name = "Ann").Spouse =
+                (select the E from E in Emp where E.Name = "Bob");
+            set (select the E from E in Emp where E.Name = "Bob").Spouse =
+                (select the E from E in Emp where E.Name = "Ann");
+            insert Dept value [Title: "R&D"];
+            set (select the D from D in Dept).Head = (select the E from E in Emp where E.Name = "Bob");
+            "#,
+        )
+        .unwrap();
         s.execute(
             "create view V; import all classes from database Staff;              class Adult includes (select P from Person where P.Age >= 21);",
         )
@@ -1091,8 +1136,64 @@ mod tests {
             restored.query(sym("Extra"), "count(Thing)").unwrap(),
             Value::Int(1)
         );
+        // The restored spouses read back their names.
+        let ann = r#"(select the E from E in Emp where E.Name = "Ann")"#;
+        for (path, name) in [("Spouse", "Bob"), ("Spouse.Spouse", "Ann")] {
+            assert_eq!(
+                restored
+                    .query(sym("Firm"), &format!("{ann}.{path}.Name"))
+                    .unwrap(),
+                Value::str(name)
+            );
+        }
+        assert_eq!(
+            restored
+                .query(sym("Firm"), "(select the D from D in Dept).Head.Name")
+                .unwrap(),
+            Value::str("Bob")
+        );
         // Saving the restored session reproduces the same script (fixpoint).
         assert_eq!(restored.save(), script);
+    }
+
+    /// A script's base statements execute in runs that end at a `database`
+    /// or view statement: a failing statement stops the script with its own
+    /// error, earlier runs stay applied, and a reference resolves within
+    /// its run only.
+    #[test]
+    fn a_script_executes_base_statements_in_runs() {
+        let mut s = Session::new();
+        let err = s
+            .execute(
+                "database D; class T type [N: integer]; insert T value [N: 1]; \
+                 database E; insert Nope value [N: 2]; class U type [N: integer];",
+            )
+            .unwrap_err();
+        assert!(err.to_string().contains("Nope"), "{err}");
+        assert_eq!(s.query(sym("D"), "count(T)").unwrap(), Value::Int(1));
+        // Pass 0 of the failing run declared `U` before pass 2 stopped.
+        assert_eq!(s.query(sym("E"), "count(U)").unwrap(), Value::Int(0));
+        // Within one run a class type and an object value may name what the
+        // run declares later ...
+        s.execute(
+            "database F; class A type [B: Bee]; class Bee type [A: A]; \
+             object #1 in A value [B: #2]; object #2 in Bee value [A: #1]; name a = #1;",
+        )
+        .unwrap();
+        assert_eq!(s.query(sym("F"), "a.B.A = a").unwrap(), Value::Bool(true));
+        // ... but not across a `database` or a view statement.
+        for script in [
+            "database G; class A type [B: Bee]; database G; class Bee type [X: integer];",
+            "database H; class A type [B: Bee]; create view W; database H; \
+             class Bee type [X: integer];",
+            // (An unmapped `#k` stands for the raw oid `k`: the literals are
+            // high so that no object of this process has that oid.)
+            "database F; object #900001 in A value [B: #900002]; database F; \
+             object #900002 in Bee value [];",
+        ] {
+            assert!(s.execute(script).is_err(), "{script}");
+        }
+        assert!(s.view(sym("W")).is_none());
     }
 
     /// The planner switch is a session setting: it governs this session's

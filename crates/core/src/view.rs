@@ -62,14 +62,13 @@
 //! ## Concurrency
 //!
 //! A bound view is `Send + Sync`: shared state lives behind `RwLock`s (the
-//! population cache is sharded by class id to keep readers from serializing
-//! on one lock), counters are atomics, and the two pieces of *call-stack*
-//! state — the population cycle guard and the privileged-visibility depth —
-//! are the view's frame in `ov_query`'s execution context
-//! ([`ov_query::ViewFrame`]), keyed by a per-view token and restored on
-//! unwind like every other field of it. Any number of threads may query one
-//! view concurrently; each scan runs on the thread that reads, from start
-//! to end.
+//! population cache is one map, read-locked by every cache hit), counters
+//! are atomics, and the two pieces of *call-stack* state — the population
+//! cycle guard and the privileged-visibility depth — are the view's frame
+//! in `ov_query`'s execution context ([`ov_query::ViewFrame`]), keyed by a
+//! per-view token and restored on unwind like every other field of it.
+//! Any number of threads may query one view concurrently; each scan runs
+//! on the thread that reads, from start to end.
 //!
 //! A view's own errors cross the `DataSource` boundary typed
 //! ([`ov_query::QueryError::Source`]) and come back out of every public
@@ -100,10 +99,6 @@ mod bind;
 mod degrade;
 mod identity;
 pub use bind::Binder;
-
-/// Number of shards in the population cache. Sharding by class id lets
-/// concurrent readers populating different classes take different locks.
-const POP_SHARDS: usize = 16;
 
 /// Source of per-view tokens. A monotonically increasing counter (never an
 /// address, which could be reused) keys the view's evaluation frame.
@@ -322,8 +317,8 @@ pub struct View {
     hidden_classes: HashSet<ClassId>,
     templates: HashMap<Symbol, ParamTemplate>,
     instances: RwLock<HashMap<(Symbol, Vec<Value>), ClassId>>,
-    /// Population cache, sharded by class id (see [`POP_SHARDS`]).
-    pop_cache: [RwLock<HashMap<ClassId, CachedPop>>; POP_SHARDS],
+    /// Population cache, keyed by class.
+    pop_cache: RwLock<HashMap<ClassId, CachedPop>>,
     /// The system's identity tables ([`System::identity`]).
     identity: Arc<IdentityStore>,
     policy: ConflictPolicy,
@@ -411,8 +406,6 @@ view_stats! {
     IncrementalUpdate, incremental_updates, "views.incremental_updates";
     /// Population queries answered from a secondary index.
     IndexPushdown, index_pushdowns, "views.index_pushdowns";
-    /// Cache write-lock acquisitions that had to wait for another thread.
-    LockContention, lock_contention, "views.lock_contention";
     /// Population requests answered from a stale cached population after
     /// recomputation failed (graceful degradation).
     StaleServe, stale_serves, "views.degraded_serves";
@@ -565,37 +558,14 @@ impl View {
         r
     }
 
-    // ------------------------------------------------------------------
-    // Sharded population cache
-    // ------------------------------------------------------------------
-
-    fn pop_shard(&self, c: ClassId) -> &RwLock<HashMap<ClassId, CachedPop>> {
-        &self.pop_cache[c.0 as usize % POP_SHARDS]
-    }
-
-    /// Write access to `c`'s cache shard, counting contended acquisitions.
-    fn pop_shard_write(
-        &self,
-        c: ClassId,
-    ) -> parking_lot::RwLockWriteGuard<'_, HashMap<ClassId, CachedPop>> {
-        let shard = self.pop_shard(c);
-        match shard.try_write() {
-            Some(guard) => guard,
-            None => {
-                self.stats.bump(Stat::LockContention);
-                shard.write()
-            }
-        }
-    }
-
     /// The cached entry of class `name`: the source versions it is stamped
     /// with and the set itself — held, not copied, so a test can be the
     /// reader a patch must not disturb.
     #[cfg(test)]
     pub(crate) fn cached_population(&self, name: Symbol) -> Option<(Vec<u64>, Arc<BTreeSet<Oid>>)> {
         let c = self.lookup_class(name)?;
-        let shard = self.pop_shard(c).read();
-        shard.get(&c).map(|p| (p.versions.clone(), p.oids.clone()))
+        let cache = self.pop_cache.read();
+        cache.get(&c).map(|p| (p.versions.clone(), p.oids.clone()))
     }
 
     /// The classes this view holds population state for — a cache entry
@@ -603,9 +573,7 @@ impl View {
     #[cfg(test)]
     pub(crate) fn held_classes(&self) -> BTreeSet<Symbol> {
         let mut held: BTreeSet<ClassId> = self.delta_decided.read().keys().copied().collect();
-        for shard in &self.pop_cache {
-            held.extend(shard.read().keys());
-        }
+        held.extend(self.pop_cache.read().keys());
         let schema = self.schema.read();
         held.into_iter().map(|c| schema.class(c).name).collect()
     }
@@ -787,7 +755,7 @@ impl View {
         let versions = self.source_versions();
         let schema_len = self.schema.read().len();
         if self.materialization == Materialization::Incremental {
-            if let Some(cached) = self.pop_shard(c).read().get(&c) {
+            if let Some(cached) = self.pop_cache.read().get(&c) {
                 if cached.versions == versions && cached.schema_len == schema_len {
                     return Ok((cached.oids.clone(), plan::PopPath::CacheHit));
                 }
@@ -819,7 +787,7 @@ impl View {
         schema_len: usize,
         oids: Arc<BTreeSet<Oid>>,
     ) {
-        self.pop_shard_write(c).insert(
+        self.pop_cache.write().insert(
             c,
             CachedPop {
                 versions,
@@ -839,7 +807,7 @@ impl View {
     /// held (population is re-entrant), so an error in any of them leaves
     /// the entry — set *and* versions — exactly as it was, which is what
     /// [`Self::degrade`] then serves. The verdicts are applied under the
-    /// shard write lock only if the entry still carries the versions the
+    /// cache's write lock only if the entry still carries the versions the
     /// journal was read against; an entry another thread advanced means
     /// the delta is against a state the set no longer has, so the round
     /// starts over from the new entry. `Arc::make_mut` patches the set
@@ -862,7 +830,7 @@ impl View {
         }
         let includes = self.includes_of(c);
         for _ in 0..PATCH_ROUNDS {
-            let base = match self.pop_shard(c).read().get(&c) {
+            let base = match self.pop_cache.read().get(&c) {
                 Some(entry) if entry.schema_len == schema_len => entry.versions.clone(),
                 _ => return Ok(None),
             };
@@ -888,8 +856,8 @@ impl View {
             } else {
                 self.in_population(c, || self.delta_admits(&includes, &changed))?
             };
-            let mut shard = self.pop_shard_write(c);
-            let Some(entry) = shard.get_mut(&c) else {
+            let mut cache = self.pop_cache.write();
+            let Some(entry) = cache.get_mut(&c) else {
                 return Ok(None);
             };
             if entry.versions != base || entry.schema_len != schema_len {

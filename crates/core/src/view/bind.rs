@@ -176,7 +176,7 @@ impl<'a> Binder<'a> {
             hidden_classes: HashSet::new(),
             templates: HashMap::new(),
             instances: RwLock::new(HashMap::new()),
-            pop_cache: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            pop_cache: RwLock::new(HashMap::new()),
             identity: self.system.identity().clone(),
             policy: options.policy,
             materialization: options.materialization,

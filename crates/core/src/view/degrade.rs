@@ -14,10 +14,10 @@ impl View {
     /// same population simultaneously. That is benign — both compute the
     /// same set (the computation only reads source data at the cached
     /// versions) and cache insertion is last-writer-wins with equal values.
-    /// We deliberately do NOT hold the shard lock across the computation:
+    /// We deliberately do NOT hold the cache lock across the computation:
     /// population is re-entrant (computing A may populate B), and blocking
-    /// readers of other classes in the same shard for the whole computation
-    /// would serialize concurrent readers of the view.
+    /// readers of other classes for the whole computation would serialize
+    /// concurrent readers of the view.
     pub(super) fn population(&self, c: ClassId) -> ov_query::Result<Arc<BTreeSet<Oid>>> {
         if let Some((up, theirs)) = self.upstream_of(c) {
             return up.population(theirs);
@@ -104,9 +104,9 @@ impl View {
     /// innermost fault as its cause.
     ///
     /// A stale serve can never mix generations. The cache holds one
-    /// `Arc<BTreeSet<Oid>>` per class, cloned out under the shard read
+    /// `Arc<BTreeSet<Oid>>` per class, cloned out under the cache's read
     /// lock. A recompute swaps the pointer and a delta patches the set,
-    /// both under the shard write lock, and a delta applies all of its
+    /// both under the cache's write lock, and a delta applies all of its
     /// verdicts or none; a set some caller still holds is copied before it
     /// is patched ([`Self::try_incremental`]). So callers see either the
     /// old population or the new one in full — never a blend.
@@ -126,7 +126,7 @@ impl View {
                 ViewError::Query(QueryError::Cancelled(_) | QueryError::ResourceExhausted(_))
             );
         if degradable {
-            let stale = self.pop_shard(c).read().get(&c).map(|p| p.oids.clone());
+            let stale = self.pop_cache.read().get(&c).map(|p| p.oids.clone());
             if let Some(oids) = stale {
                 return Ok((oids, plan::PopPath::StaleServe));
             }

@@ -19,33 +19,6 @@ use crate::types::{ClassGraph, Type};
 use crate::value::{Tuple, Value};
 use crate::wal::{Durability, WalRecord};
 
-/// Referential action applied when deleting an object (DECISION: the paper
-/// does not define deletion semantics; these are the standard choices).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DeleteMode {
-    /// Delete without checking; references become dangling.
-    #[default]
-    Unchecked,
-    /// Refuse the deletion while any object still references the target.
-    Restrict,
-    /// Replace every reference to the target with `null`, then delete.
-    Nullify,
-}
-
-/// Replaces references to `target` with null, recursively through tuples,
-/// sets and lists.
-fn nullify_refs(v: &Value, target: Oid) -> Value {
-    match v {
-        Value::Oid(o) if *o == target => Value::Null,
-        Value::Tuple(t) => Value::Tuple(Tuple::from_fields(
-            t.iter().map(|(n, fv)| (n, nullify_refs(fv, target))),
-        )),
-        Value::Set(s) => Value::Set(s.iter().map(|e| nullify_refs(e, target)).collect()),
-        Value::List(l) => Value::List(l.iter().map(|e| nullify_refs(e, target)).collect()),
-        other => other.clone(),
-    }
-}
-
 /// A named database.
 #[derive(Clone, Debug)]
 pub struct Database {
@@ -288,63 +261,10 @@ impl Database {
 
     /// Deletes an object. References to it elsewhere become dangling
     /// (DECISION: the paper does not define deletion semantics; we expose
-    /// [`Database::dangling_refs`] as an integrity check and
-    /// [`Database::delete_object_with`] for checked deletion).
+    /// [`Database::dangling_refs`] as an integrity check).
     pub fn delete_object(&mut self, oid: Oid) -> Result<StoredObject> {
         self.names.retain(|_, &mut o| o != oid);
         self.store.remove(oid)
-    }
-
-    /// Deletes an object under a referential action.
-    pub fn delete_object_with(&mut self, oid: Oid, mode: DeleteMode) -> Result<StoredObject> {
-        match mode {
-            DeleteMode::Unchecked => {}
-            DeleteMode::Restrict => {
-                let holder = self.store.iter().find(|obj| {
-                    obj.oid != oid && {
-                        let mut oids = Vec::new();
-                        for (_, v) in obj.value.iter() {
-                            v.collect_oids(&mut oids);
-                        }
-                        oids.contains(&oid)
-                    }
-                });
-                if let Some(h) = holder {
-                    return Err(OodbError::BadReference {
-                        context: format!("delete restricted: object {} still references it", h.oid),
-                        oid,
-                    });
-                }
-            }
-            DeleteMode::Nullify => {
-                // Replace every reference to `oid` with null, everywhere.
-                let holders: Vec<Oid> = self
-                    .store
-                    .iter()
-                    .filter(|obj| {
-                        let mut oids = Vec::new();
-                        for (_, v) in obj.value.iter() {
-                            v.collect_oids(&mut oids);
-                        }
-                        oids.contains(&oid)
-                    })
-                    .map(|obj| obj.oid)
-                    .collect();
-                for h in holders {
-                    let fields: Vec<(Symbol, Value)> = self
-                        .store
-                        .require(h)?
-                        .value
-                        .iter()
-                        .map(|(n, v)| (n, nullify_refs(v, oid)))
-                        .collect();
-                    for (n, v) in fields {
-                        self.store.set_field(h, n, v)?;
-                    }
-                }
-            }
-        }
-        self.delete_object(oid)
     }
 
     /// Binds a persistent name to an object.
@@ -753,51 +673,6 @@ mod tests {
             db.create_index(person, sym("Virt")),
             Err(OodbError::NotStored { .. })
         ));
-    }
-
-    #[test]
-    fn delete_modes() {
-        let mk = || {
-            let mut db = Database::new(sym("D"));
-            let node = db
-                .create_class(
-                    sym("Node"),
-                    &[],
-                    vec![
-                        AttrDef::stored(sym("Next"), Type::Class(ClassId(0))),
-                        AttrDef::stored(sym("Kids"), Type::set(Type::Class(ClassId(0)))),
-                    ],
-                )
-                .unwrap();
-            let a = db.create_object(node, Value::empty_tuple()).unwrap();
-            let b = db
-                .create_object(
-                    node,
-                    Value::tuple([
-                        ("Next", Value::Oid(a)),
-                        ("Kids", Value::set([Value::Oid(a)])),
-                    ]),
-                )
-                .unwrap();
-            (db, a, b)
-        };
-        // Restrict refuses while referenced.
-        let (mut db, a, b) = mk();
-        assert!(matches!(
-            db.delete_object_with(a, DeleteMode::Restrict),
-            Err(OodbError::BadReference { .. })
-        ));
-        db.delete_object(b).unwrap();
-        db.delete_object_with(a, DeleteMode::Restrict).unwrap();
-        // Nullify clears references everywhere, including inside sets.
-        let (mut db, a, b) = mk();
-        db.delete_object_with(a, DeleteMode::Nullify).unwrap();
-        assert_eq!(db.stored_attr(b, sym("Next")).unwrap(), &Value::Null);
-        assert_eq!(
-            db.stored_attr(b, sym("Kids")).unwrap(),
-            &Value::set([Value::Null])
-        );
-        assert!(db.dangling_refs().is_empty());
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod value;
 pub mod wal;
 
 pub use catalog::{DbHandle, System};
-pub use database::{Database, DeleteMode};
+pub use database::Database;
 pub use dump::{
     dump_database, dump_database_with_offset, read_checked, wrap_checked, DUMP_FORMAT, DUMP_MAGIC,
 };

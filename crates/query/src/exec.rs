@@ -9,6 +9,12 @@
 //! statements and allocates every declared object empty; pass 2 fills in
 //! values (with `#n` literals remapped to the allocated oids), binds names,
 //! and runs updates/queries in order.
+//!
+//! [`execute_script`] and [`execute_stmts`] run a whole script. An
+//! `ov_views::Session` runs each *run* of base statements — the stretch
+//! between two `database` or view statements — through
+//! [`execute_stmts_with_map`], so the passes see the whole run and a
+//! single statement is a run of one.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -57,43 +63,39 @@ pub fn execute_script(system: &mut System, src: &str) -> Result<Vec<Value>> {
 
 /// Executes pre-parsed statements against `system`.
 pub fn execute_stmts(system: &mut System, stmts: &[Stmt]) -> Result<Vec<Value>> {
-    let mut map = HashMap::new();
-    execute_stmts_with_map(system, stmts, &mut map)
+    let mut results = Vec::new();
+    execute_stmts_with_map(system, None, stmts, &mut HashMap::new(), |v| {
+        results.extend(v)
+    })?;
+    Ok(results)
 }
 
-/// Like [`execute_stmts`], but `#n` literal bindings persist in (and are
-/// read from) the caller-supplied map — this is what lets an interactive
-/// session refer to `#1` across separately-executed statements.
+/// Like [`execute_stmts`], starting in database `db` (if given), with the
+/// `#n` literal bindings persisting in (and read from) the caller-supplied
+/// map — this is what lets an interactive session refer to `#1` across
+/// separately-executed statements. `each` receives, in order, one entry per
+/// statement: the value it produced (a query's result, an insert's oid), or
+/// `None`.
 pub fn execute_stmts_with_map(
     system: &mut System,
+    db: Option<Symbol>,
     stmts: &[Stmt],
     oid_map: &mut HashMap<u64, Oid>,
-) -> Result<Vec<Value>> {
+    each: impl FnMut(Option<Value>),
+) -> Result<()> {
+    let start = db.map(|db| system.database(db)).transpose()?;
     let mut exec = Executor {
         system,
-        current: None,
+        start,
+        switched: None,
         oid_map,
     };
-    exec.run(stmts)
+    exec.run(stmts, each)
 }
 
-/// Executes one data statement — a query, `insert`, `set` or `delete` —
-/// against database `db`, and returns the value it produces (a query's
-/// result, an insert's oid). These four need no schema or allocation pass,
-/// so this is the whole of what a script does for them: the script loop
-/// calls the same function. `#n` literals read `oid_map`. Any other
-/// statement kind is an error; run it as a script
-/// ([`execute_stmts_with_map`]).
-pub fn execute_data_stmt(
-    system: &System,
-    db: Symbol,
-    stmt: &Stmt,
-    oid_map: &HashMap<u64, Oid>,
-) -> Result<Option<Value>> {
-    run_data_stmt(&system.database(db)?, oid_map, stmt)
-}
-
-/// [`execute_data_stmt`] on a resolved database.
+/// Pass 2 of a data statement — a query, `insert`, `set` or `delete` —
+/// on database `db`: the value it produces (a query's result, an insert's
+/// oid). `#n` literals read `oid_map`.
 fn run_data_stmt(db: &DbHandle, oid_map: &HashMap<u64, Oid>, stmt: &Stmt) -> Result<Option<Value>> {
     match stmt {
         Stmt::SetAttr {
@@ -130,9 +132,7 @@ fn run_data_stmt(db: &DbHandle, oid_map: &HashMap<u64, Oid>, stmt: &Stmt) -> Res
             let e = remap_oids(e, oid_map);
             run_expr(&*db.read(), &e).map(Some)
         }
-        _ => Err(QueryError::eval(
-            "only queries, `insert`, `set` and `delete` run as single data statements",
-        )),
+        _ => unreachable!("pass 2 runs only data statements here"),
     }
 }
 
@@ -144,19 +144,23 @@ fn eval_remapped(db: &DbHandle, oid_map: &HashMap<u64, Oid>, e: &Expr) -> Result
 
 struct Executor<'a> {
     system: &'a mut System,
-    current: Option<DbHandle>,
+    /// The database the statements start in, if the caller named one.
+    start: Option<DbHandle>,
+    /// The database a `database D;` statement of this pass switched to.
+    switched: Option<DbHandle>,
     /// Script-local `#n` literal → allocated oid.
     oid_map: &'a mut HashMap<u64, Oid>,
 }
 
 impl Executor<'_> {
-    fn current(&self) -> Result<DbHandle> {
-        self.current
-            .clone()
+    fn current(&self) -> Result<&DbHandle> {
+        self.switched
+            .as_ref()
+            .or(self.start.as_ref())
             .ok_or_else(|| QueryError::eval("no current database (start with `database D;`)"))
     }
 
-    fn run(&mut self, stmts: &[Stmt]) -> Result<Vec<Value>> {
+    fn run(&mut self, stmts: &[Stmt], mut each: impl FnMut(Option<Value>)) -> Result<()> {
         // Pass 0: create every declared class (parents resolved, attributes
         // deferred) so that attribute types may reference classes declared
         // later in the script, including self-references like
@@ -168,11 +172,10 @@ impl Executor<'_> {
                         Ok(h) => h,
                         Err(_) => self.system.create_database(*name)?,
                     };
-                    self.current = Some(handle);
+                    self.switched = Some(handle);
                 }
                 Stmt::ClassDecl { name, parents, .. } => {
-                    let db = self.current()?;
-                    let mut db = db.write();
+                    let mut db = self.current()?.write();
                     let parent_ids: Vec<ClassId> = parents
                         .iter()
                         .map(|p| db.schema.require_class(*p))
@@ -185,15 +188,14 @@ impl Executor<'_> {
         // Pass 1: stored/computed attributes and empty-object allocation.
         // The database context is re-tracked so multi-database scripts
         // allocate into the right stores.
-        self.current = None;
+        self.switched = None;
         for stmt in stmts {
             match stmt {
                 Stmt::Database(name) => {
-                    self.current = Some(self.system.database(*name)?);
+                    self.switched = Some(self.system.database(*name)?);
                 }
                 Stmt::ClassDecl { name, stored, .. } => {
-                    let db = self.current()?;
-                    let mut db = db.write();
+                    let mut db = self.current()?.write();
                     let class_id = db.schema.require_class(*name)?;
                     for (attr, t) in stored {
                         let ty = resolve_type(t, &db.schema)?;
@@ -212,10 +214,11 @@ impl Executor<'_> {
                     self.attribute_decl(*name, params, ty.as_ref(), *class, body.as_ref())?;
                 }
                 Stmt::ObjectDecl { oid, class, .. } => {
-                    let db = self.current()?;
-                    let mut db = db.write();
-                    let class_id = db.schema.require_class(*class)?;
-                    let real = db.create_object(class_id, Value::empty_tuple())?;
+                    let real = {
+                        let mut db = self.current()?.write();
+                        let class_id = db.schema.require_class(*class)?;
+                        db.create_object(class_id, Value::empty_tuple())?
+                    };
                     if self.oid_map.insert(*oid, real).is_some() {
                         return Err(QueryError::eval(format!(
                             "object literal #{oid} declared twice"
@@ -236,53 +239,54 @@ impl Executor<'_> {
             }
         }
         // Pass 2: data and queries, in order.
-        let mut results = Vec::new();
-        self.current = None;
+        self.switched = None;
         for stmt in stmts {
-            match stmt {
+            let value = match stmt {
                 Stmt::Database(name) => {
-                    self.current = Some(self.system.database(*name)?);
+                    self.switched = Some(self.system.database(*name)?);
+                    None
                 }
-                Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. } => {}
+                Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. } => None,
                 Stmt::ObjectDecl { oid, value, .. } => {
                     let real = self.oid_map[oid];
                     let db = self.current()?;
-                    let Value::Tuple(t) = eval_remapped(&db, self.oid_map, value)? else {
+                    let Value::Tuple(t) = eval_remapped(db, self.oid_map, value)? else {
                         return Err(QueryError::eval("object value must be a tuple"));
                     };
                     let mut db = db.write();
                     for (field, v) in t.iter() {
                         db.set_attr(real, field, v.clone())?;
                     }
+                    None
                 }
                 Stmt::NameDecl { name, oid } => {
                     let real = self.resolve_oid_lit(*oid);
-                    let db = self.current()?;
-                    db.write().name_object(*name, real)?;
+                    self.current()?.write().name_object(*name, real)?;
+                    None
                 }
                 Stmt::SetAttr { .. } | Stmt::Delete(_) | Stmt::Insert { .. } | Stmt::Query(_) => {
-                    results.extend(run_data_stmt(&self.current()?, self.oid_map, stmt)?);
+                    run_data_stmt(self.current()?, self.oid_map, stmt)?
                 }
                 Stmt::CreateView(_)
                 | Stmt::Import { .. }
                 | Stmt::HideAttrs { .. }
                 | Stmt::HideClass(_)
                 | Stmt::VirtualClassDecl { .. } => unreachable!("rejected in pass 1"),
-            }
+            };
+            each(value);
         }
-        Ok(results)
+        Ok(())
     }
 
     fn attribute_decl(
-        &mut self,
+        &self,
         name: Symbol,
         params: &[(Symbol, TypeExpr)],
         ty: Option<&TypeExpr>,
         class: Symbol,
         body: Option<&Expr>,
     ) -> Result<()> {
-        let db = self.current()?;
-        let mut db = db.write();
+        let mut db = self.current()?.write();
         let class_id = db.schema.require_class(class)?;
         let param_tys: Vec<(Symbol, Type)> = params
             .iter()

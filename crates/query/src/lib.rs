@@ -54,8 +54,8 @@ pub use ctx::{in_view, view_depth, view_frame, ViewFrame};
 pub use error::{Pos, QueryError, Result, SourceError};
 pub use eval::{eval_attr, eval_expr, eval_select, truthy, value_eq, Env, Evaluator};
 pub use exec::{
-    execute_data_stmt, execute_script, execute_stmts, execute_stmts_with_map, map_select,
-    resolve_type, rewrite_expr, run_expr, run_query, run_query_with_budget,
+    execute_script, execute_stmts, execute_stmts_with_map, map_select, resolve_type, rewrite_expr,
+    run_expr, run_query, run_query_with_budget,
 };
 pub use fingerprint::{fingerprint_expr, fingerprint_hash, fingerprint_query};
 pub use optimize::{fold, optimize_expr, optimize_select};

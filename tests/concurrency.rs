@@ -1,6 +1,6 @@
 //! The concurrent read path, end to end: `View` is `Send + Sync`, N reader
 //! threads sharing one view agree with a sequential baseline, and the
-//! sharded population cache counts hits under contention. Each reader runs
+//! population cache counts hits under contention. Each reader runs
 //! its scans on its own thread.
 
 use objects_and_views::prelude::*;

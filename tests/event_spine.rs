@@ -332,3 +332,37 @@ fn a_close_gives_its_span_and_its_histogram_one_duration() {
     );
     assert_eq!(spans[1], nanos);
 }
+
+/// A run of base statements is one `session.execute_stmt` span, and a run
+/// that declares classes rebinds the dependents of its database once: two
+/// declarations in one run make one `session.rebind_dependents` span, the
+/// same two split by a `database` statement make two.
+#[test]
+fn a_run_is_one_span_and_rebinds_its_dependents_once() {
+    let _serial = serial();
+    let mut s = Session::new();
+    s.execute(
+        "database D; class A type [N: integer]; \
+         create view V; import all classes from database D;",
+    )
+    .unwrap();
+    let mut spans = |script: &str, name: &str| {
+        recorder().clear();
+        trace::set_enabled(true);
+        let run = s.execute(script);
+        trace::set_enabled(false);
+        run.unwrap();
+        recorder()
+            .snapshot()
+            .iter()
+            .filter(|span| span.name == name)
+            .count()
+    };
+    let one_run = "database D; class B type [N: integer]; class C type [N: integer];";
+    assert_eq!(spans(one_run, "session.rebind_dependents"), 1);
+    let two_runs = "database D; class E type [N: integer]; database D; class F type [N: integer];";
+    assert_eq!(spans(two_runs, "session.rebind_dependents"), 2);
+    // `database D;`, then one run of three statements.
+    let statements = "database D; class G type [N: integer]; insert G value [N: 1]; count(G);";
+    assert_eq!(spans(statements, "session.execute_stmt"), 2);
+}

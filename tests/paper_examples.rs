@@ -3,7 +3,7 @@
 
 use objects_and_views::oodb::{sym, System, Value};
 use objects_and_views::query::{execute_script, run_query};
-use objects_and_views::views::ViewDef;
+use objects_and_views::views::{Session, ViewDef};
 
 fn load(script: &str) -> System {
     let mut sys = System::new();
@@ -160,7 +160,8 @@ fn full_view_script() {
     assert!(view.query("select E.Salary from E in Employee").is_err());
 }
 
-/// Dump → reload → view: serialization interoperates with the view layer.
+/// Dump → reload → view: serialization interoperates with the view layer,
+/// and a session loads the same script.
 #[test]
 fn dump_reload_then_view() {
     let sys = load(STAFF);
@@ -188,6 +189,14 @@ fn dump_reload_then_view() {
     // Relationships survived the round-trip.
     assert_eq!(
         view.query("maggy.Spouse.Name").unwrap(),
+        Value::str("Denis")
+    );
+    // A session loads the script as one run, so `#1`'s spouse resolves to
+    // `#2`, declared after it.
+    let mut session = Session::new();
+    session.execute(STAFF).expect("script loads in a session");
+    assert_eq!(
+        session.query(sym("Staff"), "maggy.Spouse.Name").unwrap(),
         Value::str("Denis")
     );
 }
