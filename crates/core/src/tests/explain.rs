@@ -45,7 +45,7 @@ fn the_engine_override_leaves_populations_compiled() {
 
 #[test]
 fn explain_population_reports_all_three_paths() {
-    use ov_query::{PopPath, ScanKind};
+    use ov_query::{PlanStrategy, PopPath};
     let sys = people_system();
     let def = ViewDef::from_script(
         r#"
@@ -66,7 +66,7 @@ fn explain_population_reports_all_three_paths() {
     let [scan] = scans.as_slice() else {
         panic!("one include-term scan expected: {cold}");
     };
-    assert_eq!(scan.kind, ScanKind::Sequential, "{cold}");
+    assert_eq!(scan.kind, PlanStrategy::Seq, "{cold}");
     // The scan measured its own work: every Person row was scanned, the
     // five adults matched.
     assert_eq!(scan.actuals.rows_matched, 5, "{cold}");
@@ -107,7 +107,7 @@ fn explain_population_reports_all_three_paths() {
 
 #[test]
 fn explain_population_reports_index_pushdown() {
-    use ov_query::{PopPath, ScanKind};
+    use ov_query::{PlanStrategy, PopPath};
     let sys = people_system();
     {
         let db = sys.database(sym("Staff")).unwrap();
@@ -135,8 +135,10 @@ fn explain_population_reports_index_pushdown() {
     };
     assert_eq!(
         scan.kind,
-        ScanKind::IndexPushdown {
-            index: "Person.City".into(),
+        PlanStrategy::IndexPushdown {
+            class: sym("Person"),
+            attr: sym("City"),
+            value: Value::str("London"),
         },
         "{trace}"
     );

@@ -47,9 +47,11 @@
 //!
 //! A population query of the shape `select E from V in C [where F]` is
 //! bound once (`ScanInclude`: filter and projection compiled at bind) and
-//! populated by one row loop, `View::run_rows`, fed from one of three
-//! candidate sources — index postings, the sequential scan, the journal
-//! delta. A specialization (`E` is `V`) keeps the admitted oids; an
+//! populated by one row loop, [`ov_query::scan_rows`], fed from one of
+//! three candidate sources — index postings, the sequential scan, the
+//! journal delta. The first two are a scan, which a view population runs
+//! as a statement does: through [`ov_query::run_scan`], by the planner's
+//! rule. A specialization (`E` is `V`) keeps the admitted oids; an
 //! imaginary class keeps the distinct projected tuples and then maps them
 //! to oids in set order, so the identity table fills exactly as if the
 //! query had been run whole.
@@ -86,8 +88,8 @@ use ov_oodb::{
     IdentityStore, Oid, OodbError, Schema, SelectExpr, Symbol, System, Tuple, Type, Value,
 };
 use ov_query::{
-    infer_select_in, plan, resolve_type, DataSource, IncludeSpec, QueryError, ResolvedAttr,
-    RowSpec, RowTest, TypeEnv,
+    infer_select_in, plan, resolve_type, DataSource, IncludeSpec, PlanStrategy, QueryError,
+    ResolvedAttr, RowTest, SelectScan, TypeEnv,
 };
 
 use crate::def::{AttrDecl, Hide, Import, ViewDef, ViewElement};
@@ -180,33 +182,19 @@ enum Include {
 /// [`Include::Imaginary`].
 #[derive(Debug)]
 struct ScanInclude {
-    /// The scanned class `C`, and its name as the query spells it.
-    class: ClassId,
+    /// The scan of `C`, `F` and `E` compiled at bind time; a specialization
+    /// projects its scan variable and so has no projection to run.
+    scan: SelectScan,
+    /// `C` as the query spells it.
     coll: Symbol,
-    var: Symbol,
-    /// `F` compiled at bind time; `None` when the query has no filter.
-    filter: Option<ov_query::Program>,
-    /// `E` compiled at bind time; `None` for a specialization, which
-    /// projects its scan variable and so needs no evaluation.
-    proj: Option<ov_query::Program>,
-    /// The constant-folded query: its filter is `F`, its projection `E`,
-    /// and the whole of it runs when a named object shadows `coll`.
+    /// The constant-folded query: its filter is `F`, its projection `E`;
+    /// the planner's rule reads it, and the whole of it runs when a named
+    /// object shadows `coll`.
     query: SelectExpr,
 }
 
-impl ScanInclude {
-    /// What the row loop runs per candidate: the bind-time programs.
-    fn row_spec(&self) -> RowSpec<'_> {
-        RowSpec {
-            filter: self.filter.as_ref(),
-            proj: self.proj.as_ref(),
-        }
-    }
-}
-
-/// What a population keeps of each row its scan admits — the sink of
-/// [`View::run_rows`]: the row's oid for a specialization, the projected
-/// value for an imaginary class.
+/// What a population keeps of each row its scan admits: the row's oid for a
+/// specialization, the projected value for an imaginary class.
 trait Kept: Ord + Sized {
     /// What is kept of a row the loop projected.
     fn of_row(row: Value) -> Self;
@@ -889,7 +877,8 @@ impl View {
     /// The `changed` oids some include admits right now. The journal delta
     /// as a candidate source: per include, the changed oids no earlier
     /// include admitted that are members of its class go through the row
-    /// loop.
+    /// loop, charged by [`ov_query::rowtest`]'s rule. There is no access
+    /// path to choose among them, and the retest is no scan EXPLAIN reports.
     fn delta_admits(
         &self,
         includes: &[Include],
@@ -905,7 +894,7 @@ impl View {
         for inc in includes {
             let (class, filter) = match inc {
                 Include::Class(class) => (*class, None),
-                Include::Filter(f) => (f.class, Some(f)),
+                Include::Filter(f) => (f.scan.class, Some(&f.scan)),
                 _ => unreachable!("a delta-decided class has no other include"),
             };
             let mut candidates = Vec::new();
@@ -915,9 +904,13 @@ impl View {
                 }
             }
             match filter {
-                Some(f) if !candidates.is_empty() => {
+                Some(scan) if !candidates.is_empty() => {
+                    let mut test = RowTest::new(self, scan.row_spec());
+                    let rows = candidates.into_iter().map(Value::Oid);
                     let mut unreported = plan::ScanActuals::default();
-                    self.run_rows(f.row_spec(), &candidates, &mut unreported, &mut admitted)?
+                    ov_query::scan_rows(rows, &mut test, &mut unreported, |row| {
+                        admitted.insert(Oid::of_row(row))
+                    })?
                 }
                 _ => admitted.extend(candidates),
             }
@@ -951,7 +944,7 @@ impl View {
             for inc in includes.iter() {
                 let (class, filter) = match inc {
                     Include::Class(class) => (*class, None),
-                    Include::Filter(f) => (f.class, f.filter.as_ref()),
+                    Include::Filter(f) => (f.scan.class, f.scan.filter.as_ref()),
                     _ => return None,
                 };
                 let attrs = match filter {
@@ -1002,70 +995,6 @@ impl View {
         }
     }
 
-    /// The membership loop every candidate source shares: a row test built
-    /// on this thread from `spec`, fed `candidates` in order, admitting
-    /// into `out` — oids or projected values, see [`Kept`] — under
-    /// [`ov_query::rowtest`]'s charge rule: a row is charged when `out` did
-    /// not hold what it projects, which is `select`'s set semantics.
-    fn run_rows<K: Kept>(
-        &self,
-        spec: RowSpec<'_>,
-        candidates: &[Oid],
-        counted: &mut plan::ScanActuals,
-        out: &mut BTreeSet<K>,
-    ) -> ov_query::Result<()> {
-        let mut test = RowTest::new(self, spec);
-        let rows = candidates.iter().map(|&oid| Value::Oid(oid));
-        ov_query::scan_rows(rows, &mut test, counted, |row| out.insert(K::of_row(row)))
-    }
-
-    /// One include-term scan: runs `scan` in a fresh actuals frame and
-    /// reports the rows it counted. Its one close, on error too, feeds the
-    /// `view.scan` span, the view's counter of `kind` and the EXPLAIN scan
-    /// event.
-    fn measured<R>(
-        &self,
-        kind: plan::ScanKind,
-        est_rows: Option<u64>,
-        scan: impl FnOnce(&mut plan::ScanActuals) -> ov_query::Result<R>,
-    ) -> ov_query::Result<R> {
-        let mut span = ov_oodb::span!("view.scan");
-        let (r, actuals) = plan::with_scan_actuals(|| {
-            let mut counted = plan::ScanActuals::default();
-            let r = scan(&mut counted);
-            plan::add_actuals(&counted);
-            r
-        });
-        let label = match kind {
-            plan::ScanKind::Sequential => "seq",
-            plan::ScanKind::IndexPushdown { .. } => {
-                self.stats.bump(Stat::IndexPushdown);
-                "index"
-            }
-        };
-        span.field("kind", label);
-        plan::record_scan(plan::ScanEvent {
-            kind,
-            actuals,
-            est_rows,
-        });
-        r
-    }
-
-    /// The planner's row estimate for a single-binding class scan:
-    /// estimated class cardinality × filter selectivity, from the
-    /// statistics plane. `None` when the planner is off, the query has
-    /// another shape, or the class has no warm cardinality.
-    fn scan_estimate(&self, q: &SelectExpr) -> Option<u64> {
-        if !ov_query::planner_enabled() {
-            return None;
-        }
-        let [(var, Expr::Name(class_name))] = q.bindings.as_slice() else {
-            return None;
-        };
-        ov_query::estimate_select(*class_name, *var, q.filter.as_deref())
-    }
-
     fn compute_population(&self, c: ClassId) -> ov_query::Result<BTreeSet<Oid>> {
         // Failpoint: lets the chaos harness fail (or delay, or panic) a
         // recompute as a whole, exercising the stale-serve and degraded
@@ -1112,10 +1041,10 @@ impl View {
     }
 
     /// Populates a canonical include — a specialization's oids or an
-    /// imaginary class's distinct tuples. The scan's candidate sources meet
-    /// here and nowhere else: one guard, then index postings if
-    /// [`Self::index_candidates`] answers, else the sequential scan. Each
-    /// feeds [`Self::run_rows`].
+    /// imaginary class's distinct tuples — through the one scan driver a
+    /// statement runs too, [`ov_query::run_scan`], by the planner's rule:
+    /// one guard, then index postings or the sequential scan. What is the
+    /// view's own is around the call: the `view.scan` span and its counter.
     fn scan_filter<K: Kept>(&self, c: ClassId, inc: &ScanInclude) -> ov_query::Result<BTreeSet<K>> {
         // The guard: the row loop scans `class`, which is what the query
         // means only while no named object shadows the collection name
@@ -1123,31 +1052,34 @@ impl View {
         if DataSource::named_object(self, inc.coll).is_some() {
             return K::of_query(self, c, &inc.query);
         }
-        let est = self.scan_estimate(&inc.query);
-        let spec = inc.row_spec();
+        // The rule, not the plan cache: `in_population` moves the
+        // resolution generation on both edges of its bracket, so a plan
+        // cached under one population would never be served to the next.
+        let decision =
+            ov_query::planner_enabled().then(|| ov_query::planner::choose_scan(&inc.query));
+        let mut span = ov_oodb::span!("view.scan");
         let mut out = BTreeSet::new();
-        if let Some((postings, index)) = self.index_candidates(inc) {
-            let kind = plan::ScanKind::IndexPushdown { index };
-            self.measured(kind, est, |counted| {
-                self.run_rows(spec, &postings, counted, &mut out)
-            })?;
-            return Ok(out);
-        }
-        let extent = DataSource::extent(self, inc.class)?;
-        self.measured(plan::ScanKind::Sequential, est, |counted| {
-            self.run_rows(spec, &extent, counted, &mut out)
-        })?;
-        Ok(out)
+        let (path, r) = ov_query::run_scan(self, &inc.scan, decision.as_ref(), |row| {
+            out.insert(K::of_row(row))
+        });
+        let kind = match path {
+            PlanStrategy::IndexPushdown { .. } => {
+                self.stats.bump(Stat::IndexPushdown);
+                "index"
+            }
+            _ => "seq",
+        };
+        span.field("kind", kind);
+        r.map(|()| out)
     }
 
     /// The answer of a query the row loop does not cover — another shape,
     /// or a shadowed collection name — run whole as one compiled program,
-    /// as one measured scan.
+    /// as one sequential scan with no decision behind it.
     fn eval_whole(&self, q: &SelectExpr) -> ov_query::Result<BTreeSet<Value>> {
-        let est = self.scan_estimate(q);
-        match self.measured(plan::ScanKind::Sequential, est, |_| {
-            ov_query::run_select(self, q)
-        })? {
+        let mut span = ov_oodb::span!("view.scan");
+        span.field("kind", "seq");
+        match plan::measure_scan(&PlanStrategy::Seq, None, |_| ov_query::run_select(self, q))? {
             Value::Set(items) => Ok(items),
             _ => unreachable!("select returns a set"),
         }
@@ -1174,25 +1106,6 @@ impl View {
             }
         }
         Ok(out)
-    }
-
-    /// If the include's filter has an equality conjunct `var.A = literal`
-    /// that [`DataSource::indexed_lookup`] can serve exactly, returns the
-    /// candidate oids from the index together with the index's `Class.Attr`
-    /// label (the caller still applies the full filter).
-    fn index_candidates(&self, inc: &ScanInclude) -> Option<(Vec<Oid>, String)> {
-        let (attr, value) = ov_query::planner::conjuncts(inc.query.filter.as_deref()?)
-            .into_iter()
-            .find_map(|leg| ov_query::planner::eq_conjunct(leg, inc.var))?;
-        // Cost-based veto: on a low-NDV attribute each index posting list
-        // is a large fraction of the extent, so probing the index and then
-        // re-filtering loses to the straight compiled scan. Unmeasured
-        // attributes keep the historical pushdown-always behavior.
-        if ov_query::planner_enabled() && !ov_query::planner::index_worthwhile(inc.coll, attr) {
-            return None;
-        }
-        let candidates = DataSource::indexed_lookup(self, inc.class, attr, value)?;
-        Some((candidates, format!("{}.{attr}", inc.coll)))
     }
 
     // ------------------------------------------------------------------

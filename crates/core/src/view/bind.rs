@@ -707,24 +707,20 @@ impl View {
     fn bind_query(&self, q: SelectExpr, imaginary: bool) -> Include {
         let canonical = match q.bindings.as_slice() {
             [(var, Expr::Name(coll))] if !q.the && (imaginary || *q.proj == Expr::Name(*var)) => {
-                self.lookup_class(*coll).map(|class| (class, *coll, *var))
+                self.lookup_class(*coll).map(|class| (class, *coll))
             }
             _ => None,
         };
-        let Some((class, coll, var)) = canonical else {
+        let Some((class, coll)) = canonical else {
             return if imaginary {
                 Include::ImaginaryQuery(q)
             } else {
                 Include::Query(q)
             };
         };
-        let compile = |e: &Expr| ov_query::compile_predicate(e, &[var]);
         let scan = ScanInclude {
-            class,
+            scan: ov_query::SelectScan::compile(class, &q),
             coll,
-            var,
-            filter: q.filter.as_deref().map(compile),
-            proj: (*q.proj != Expr::Name(var)).then(|| compile(&q.proj)),
             query: q,
         };
         if imaginary {

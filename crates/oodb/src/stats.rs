@@ -2,9 +2,10 @@
 //! NDV / min–max / null-fraction sketches.
 //!
 //! The statistics plane is fed *opportunistically*: nothing ever scans the
-//! store just to build statistics. Instead, the compiled scan executor and
-//! the view population paths — work that is already touching every row —
-//! drop what they see into this registry when profiling is enabled
+//! store just to build statistics. Instead, the one scan driver of the
+//! query layer — a statement's or a view population's sequential scan,
+//! work that is already touching every row — samples the head of the
+//! extent into this registry when profiling is enabled
 //! ([`crate::metrics::profiling_enabled`]). The sketches are deliberately
 //! cheap: NDV is a 64-register HyperLogLog over an FNV-1a hash of the
 //! value's canonical rendering (≈ 13% relative error, 64 bytes per
@@ -14,8 +15,9 @@
 //! Staleness is handled the same way as the compiled engine's resolution
 //! caches: every observation carries the source's generation, and a
 //! generation mismatch resets the class's statistics before the new
-//! observation lands. A future cost model reads the typed [`Statistics`]
-//! snapshot; today `ovq .stats` and `harness` surface it for humans.
+//! observation lands. The query planner reads the typed [`Statistics`]
+//! snapshot to choose access paths and join orders and to estimate rows;
+//! `ovq .stats` and `harness` surface it for humans.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -70,6 +70,7 @@ use crate::budget::{self, Budget};
 use crate::ctx;
 use crate::error::{QueryError, Result};
 use crate::eval::{self, finish_select, truthy, Evaluator};
+use crate::planner::{Decision, Strategy};
 use crate::rowtest::{scan_rows, RowSpec, RowTest};
 use crate::source::{DataSource, ResolvedAttr};
 
@@ -1122,11 +1123,40 @@ fn no_args(name: Symbol, args: &[Value]) -> Result<()> {
 // --- whole-query driver ---------------------------------------------------
 
 /// The compiled pieces of a canonical single-binding class scan
-/// (`select [the] proj from V in Class [where filter]`).
+/// (`select [the] proj from V in Class [where filter]`): what [`run_scan`]
+/// runs, whoever holds it — a statement, bound from its shape's cached code,
+/// or a view population, compiled at bind. The programs bind the scan
+/// variable in register 0.
+#[derive(Debug)]
 pub struct SelectScan {
-    class: ClassId,
-    filter: Option<Program>,
-    proj: Program,
+    /// The scanned class.
+    pub class: ClassId,
+    /// The filter; `None` admits every row.
+    pub filter: Option<Program>,
+    /// The projection; `None` projects the scan variable itself.
+    pub proj: Option<Program>,
+}
+
+impl SelectScan {
+    /// Compiles the scan of the canonical select `q` over `class`: its
+    /// filter, and its projection unless that is the scan variable.
+    pub fn compile(class: ClassId, q: &SelectExpr) -> SelectScan {
+        let var = q.bindings[0].0;
+        let compile = |e: &Expr| compile_predicate(e, &[var]);
+        SelectScan {
+            class,
+            filter: q.filter.as_deref().map(compile),
+            proj: (*q.proj != Expr::Name(var)).then(|| compile(&q.proj)),
+        }
+    }
+
+    /// What the row loop runs per candidate.
+    pub fn row_spec(&self) -> RowSpec<'_> {
+        RowSpec {
+            filter: self.filter.as_ref(),
+            proj: self.proj.as_ref(),
+        }
+    }
 }
 
 /// Compiles the scan pieces of `q` when it has the canonical shape: one
@@ -1134,13 +1164,7 @@ pub struct SelectScan {
 /// object). Always compiles; a statement gets its scan from its shape's
 /// cached code instead ([`run_compiled`]).
 pub fn compile_select_scan(src: &dyn DataSource, q: &SelectExpr) -> Option<SelectScan> {
-    let class = scan_class(src, q)?;
-    let vars = [q.bindings[0].0];
-    Some(SelectScan {
-        class,
-        filter: q.filter.as_deref().map(|f| compile_predicate(f, &vars)),
-        proj: compile_predicate(&q.proj, &vars),
-    })
+    Some(SelectScan::compile(scan_class(src, q)?, q))
 }
 
 /// The class a canonical scan of `q` reads, when `q` has that shape on
@@ -1156,6 +1180,50 @@ fn scan_class(src: &dyn DataSource, q: &SelectExpr) -> Option<ClassId> {
         return None;
     }
     src.class_by_name(*coll_name)
+}
+
+/// The access path of a scan no decision chose.
+static SEQ: Strategy = Strategy::Seq;
+
+/// The one scan driver: runs the canonical scan `scan` by the access path
+/// of `decision` — `None`, the planner is off: sequential — feeding each
+/// projected row to `sink`, which answers whether the row was new to it. A
+/// statement (`run_compiled`) and a view population run it alike. An index
+/// probe the source cannot answer scans sequentially instead, and a
+/// sequential scan samples the statistics plane while the profiler is on.
+/// The row loop is reported through [`crate::plan::measure_scan`] with the
+/// decision's estimate — what fetching the candidates measured, a
+/// population the extent asked for, is not the scan's. Returns the access
+/// path the scan ran, on error too.
+pub fn run_scan<'d>(
+    src: &dyn DataSource,
+    scan: &SelectScan,
+    decision: Option<&'d Decision>,
+    sink: impl FnMut(Value) -> bool,
+) -> (&'d Strategy, Result<()>) {
+    let probe = match decision.map(|d| &d.strategy) {
+        Some(probe @ Strategy::IndexPushdown { attr, value, .. }) => src
+            .indexed_lookup(scan.class, *attr, value)
+            .map(|postings| (probe, postings)),
+        _ => None,
+    };
+    let (path, candidates) = match probe {
+        Some((probe, postings)) => (probe, Ok(postings)),
+        None => {
+            let extent = src.extent(scan.class);
+            if ov_oodb::metrics::profiling_enabled() {
+                if let Ok(extent) = &extent {
+                    feed_scan_stats(src, scan, extent);
+                }
+            }
+            (&SEQ, extent)
+        }
+    };
+    let r = crate::plan::measure_scan(path, decision.map(|d| d.est_rows), |counted| {
+        let rows = candidates?.into_iter().map(Value::Oid);
+        scan_rows(rows, &mut RowTest::new(src, scan.row_spec()), counted, sink)
+    });
+    (path, r)
 }
 
 // --- statement code -------------------------------------------------------
@@ -1174,10 +1242,10 @@ pub(crate) struct StmtCode {
 
 enum CodeKind {
     /// A canonical single-binding class scan: filter and projection over
-    /// the scan variable in register 0.
+    /// the scan variable in register 0, as [`SelectScan`] holds them.
     Scan {
         filter: Option<Arc<Code>>,
-        proj: Arc<Code>,
+        proj: Option<Arc<Code>>,
     },
     /// A general program with no scan variables.
     Program(Arc<Code>),
@@ -1289,16 +1357,14 @@ fn statement_scan(
         let (mut filter_lits, mut proj_lits) = (Vec::new(), Vec::new());
         if bind_select_head(t, q, &mut filter_lits) && bind_shape(&t.proj, &q.proj, &mut proj_lits)
         {
+            let bound = |code: &Arc<Code>, lits| Program {
+                code: Arc::clone(code),
+                lits,
+            };
             return SelectScan {
                 class,
-                filter: filter.as_ref().map(|code| Program {
-                    code: Arc::clone(code),
-                    lits: filter_lits,
-                }),
-                proj: Program {
-                    code: Arc::clone(proj),
-                    lits: proj_lits,
-                },
+                filter: filter.as_ref().map(|code| bound(code, filter_lits)),
+                proj: proj.as_ref().map(|code| bound(code, proj_lits)),
             };
         }
     }
@@ -1328,21 +1394,18 @@ fn statement_program(fp: u64, code: Option<&StmtCode>, expr: &Expr) -> Program {
 /// The code-cache fill for a canonical scan: compiles the scan of `q` and
 /// caches its code under `fp`.
 fn fill_scan_code(fp: u64, expr: &Expr, q: &SelectExpr, class: ClassId) -> SelectScan {
-    let vars = [q.bindings[0].0];
-    let filter = q.filter.as_deref().map(|f| compile_predicate(f, &vars));
-    let proj = compile_predicate(&q.proj, &vars);
-    debug_assert!((filter.iter().zip(q.filter.as_deref())).all(|(p, f)| emit_order_holds(p, f)));
-    debug_assert!(emit_order_holds(&proj, &q.proj));
+    let scan = SelectScan::compile(class, q);
+    debug_assert!(
+        (scan.filter.iter().zip(q.filter.as_deref())).all(|(p, f)| emit_order_holds(p, f))
+    );
+    debug_assert!(scan.proj.iter().all(|p| emit_order_holds(p, &q.proj)));
+    let code = |p: &Program| Arc::clone(&p.code);
     let kind = CodeKind::Scan {
-        filter: filter.as_ref().map(|p| Arc::clone(&p.code)),
-        proj: Arc::clone(&proj.code),
+        filter: scan.filter.as_ref().map(code),
+        proj: scan.proj.as_ref().map(code),
     };
     store_code(fp, expr, kind);
-    SelectScan {
-        class,
-        filter,
-        proj,
-    }
+    scan
 }
 
 /// The code-cache fill for a general program: compiles `expr` and caches
@@ -1387,20 +1450,40 @@ fn emit_order_holds(prog: &Program, e: &Expr) -> bool {
 /// What stays per statement is what depends on the source — the class
 /// lookup, the named-object shadow check — and the index probe value. A
 /// planned join still compiles per run.
+///
+/// A canonical scan runs through [`run_scan`], as a view population does;
+/// what is the statement's alone is the plan cache around it: the decision
+/// comes from the cache, a probe the source could not answer demotes the
+/// cached plan, and the outcome feeds drift correction and EXPLAIN.
 pub(crate) fn run_compiled(src: &dyn DataSource, expr: &Expr) -> Result<Value> {
     let fp = crate::fingerprint::fingerprint_hash(expr);
     let planned = crate::planner::planner_enabled();
     if let Expr::Select(q) = expr {
-        // Canonical single-binding class scan: the fast path, with the
-        // planner choosing between sequential scan and index pushdown.
         if let Some(class) = scan_class(src, q) {
             let generation = planned.then(|| src.resolution_generation());
             let (plan, code) = crate::planner::lookup(fp, generation);
             let scan = statement_scan(fp, code.as_deref(), expr, q, class);
-            return match generation {
-                Some(generation) => run_planned_select(src, fp, q, &scan, generation, plan),
-                None => run_select_scan(src, q, &scan, None),
-            };
+            let decision = generation.map(|g| crate::planner::plan_select_with(fp, q, g, plan));
+            let _span = ov_oodb::span!("query.compiled_scan");
+            let mut out = BTreeSet::new();
+            let (path, r) = run_scan(src, &scan, decision.as_ref(), |v| out.insert(v));
+            let probed = *path != SEQ;
+            let r = r.and_then(|()| finish_select(q.the, out));
+            if let Some(decision) = decision {
+                if !probed && matches!(decision.strategy, Strategy::IndexPushdown { .. }) {
+                    // The plan assumed an index that isn't there (cold
+                    // statistics, dropped index): later executions skip
+                    // the doomed probe.
+                    crate::planner::demote_to_seq(fp);
+                }
+                let rows = match &r {
+                    Ok(Value::Set(s)) => Some(s.len() as u64),
+                    Ok(_) => Some(1),
+                    Err(_) => None,
+                };
+                crate::planner::record_outcome(fp, decision, rows);
+            }
+            return r;
         }
         // Multi-binding over independent class extents: the planner may
         // pick a cheapest-first binding order.
@@ -1429,44 +1512,6 @@ pub(crate) fn run_program(src: &dyn DataSource, prog: &Program) -> Result<Value>
     r
 }
 
-/// Runs a planned single-binding scan: decide from the `cached` plan of
-/// fingerprint `fp` (made under `generation`) or the cost model, execute
-/// the chosen strategy (validating it — a pushdown whose index is missing
-/// demotes to sequential), then feed the actual row count back for drift
-/// detection and publish the decision for EXPLAIN.
-fn run_planned_select(
-    src: &dyn DataSource,
-    fp: u64,
-    q: &SelectExpr,
-    scan: &SelectScan,
-    generation: u64,
-    cached: Option<crate::planner::PlanHit>,
-) -> Result<Value> {
-    let decision = crate::planner::plan_select_with(fp, q, generation, cached);
-    let r = match &decision.strategy {
-        crate::planner::Strategy::IndexPushdown { attr, value, .. } => {
-            match src.indexed_lookup(scan.class, *attr, value) {
-                Some(candidates) => run_select_scan(src, q, scan, Some(candidates)),
-                None => {
-                    // The plan assumed an index that isn't there (cold
-                    // statistics, dropped index): demote the cached plan
-                    // so later executions skip the doomed probe.
-                    crate::planner::demote_to_seq(fp);
-                    run_select_scan(src, q, scan, None)
-                }
-            }
-        }
-        _ => run_select_scan(src, q, scan, None),
-    };
-    let rows = match &r {
-        Ok(Value::Set(s)) => Some(s.len() as u64),
-        Ok(_) => Some(1),
-        Err(_) => None,
-    };
-    crate::planner::record_outcome(fp, decision, rows);
-    r
-}
-
 /// Attempts the planner's reordered nested-loop join for a multi-binding
 /// select (fingerprint `fp`). Applicability is strict — every collection a free class name
 /// (independent extents, so order cannot change the result set),
@@ -1478,7 +1523,7 @@ fn run_planned_select(
 /// loop nest. Charged like any loop: one step per row each level binds,
 /// one row per value the answer gains.
 fn try_run_planned_join(src: &dyn DataSource, fp: u64, q: &SelectExpr) -> Option<Result<Value>> {
-    use crate::planner::{mentioned_vars, plan_join, record_outcome, Strategy};
+    use crate::planner::{mentioned_vars, plan_join, record_outcome};
     if q.bindings.len() < 2 {
         return None;
     }
@@ -1640,18 +1685,19 @@ fn join_nest(
 const STATS_SAMPLE_ROWS: usize = 4096;
 
 /// Feeds the statistics plane from the first [`STATS_SAMPLE_ROWS`] rows of
-/// `extent`: the extent's cardinality, and one sketch column per attribute
-/// the filter or projection reads directly off the scanned row, probed
-/// with the same fused [`DataSource::resolution_class_and_field`] the scan
-/// uses. Every sampled row contributes to every column whatever the filter
-/// decides, so the sketches are not biased towards matching rows.
-fn feed_scan_stats(src: &dyn DataSource, class: Symbol, scan: &SelectScan, extent: &[Oid]) {
+/// `extent`, under the scanned class's name: the extent's cardinality, and
+/// one sketch column per attribute the filter or projection reads directly
+/// off the scanned row, probed with the same fused
+/// [`DataSource::resolution_class_and_field`] the scan uses. Every sampled
+/// row contributes to every column whatever the filter decides, so the
+/// sketches are not biased towards matching rows.
+fn feed_scan_stats(src: &dyn DataSource, scan: &SelectScan, extent: &[Oid]) {
     let gen = src.resolution_generation();
-    let stats = ov_oodb::stats::stats().class(class);
+    let stats = ov_oodb::stats::stats().class(src.class_name(scan.class));
     stats.note_cardinality(gen, extent.len() as u64);
     let sample = &extent[..extent.len().min(STATS_SAMPLE_ROWS)];
     let mut names: Vec<Symbol> = Vec::new();
-    for prog in scan.filter.iter().chain([&scan.proj]) {
+    for prog in scan.filter.iter().chain(&scan.proj) {
         for (name, recv) in prog.code.slots.iter().zip(&prog.code.slot_recv) {
             if *recv == Some(0) && !names.contains(name) {
                 names.push(*name);
@@ -1665,50 +1711,6 @@ fn feed_scan_stats(src: &dyn DataSource, class: Symbol, scan: &SelectScan, exten
             .collect();
         stats.observe_column(gen, name, column.iter().map(Option::as_ref));
     }
-}
-
-/// Runs a compiled canonical scan over `candidates` — index postings the
-/// planner chose, re-tested against the full filter in oid order (the index
-/// served one equality conjunct, exactly) — or, given `None`, over the
-/// whole extent, through [`scan_rows`], which charges the budget per
-/// candidate.
-fn run_select_scan(
-    src: &dyn DataSource,
-    q: &SelectExpr,
-    scan: &SelectScan,
-    candidates: Option<Vec<Oid>>,
-) -> Result<Value> {
-    let _span = ov_oodb::span!("query.compiled_scan");
-    let spec = RowSpec {
-        filter: scan.filter.as_ref(),
-        proj: Some(&scan.proj),
-    };
-    let mut test = RowTest::new(src, spec);
-    let mut actuals = crate::plan::ScanActuals::default();
-    let mut out = BTreeSet::new();
-    // In a closure so measured actuals are reported even when a row errors
-    // or breaches the budget mid-scan.
-    let result = (|| {
-        let rows = match candidates {
-            Some(postings) => postings,
-            None => {
-                let extent = src.extent(scan.class)?;
-                if ov_oodb::metrics::profiling_enabled() {
-                    // The scanned collection's class name (compile_select_scan
-                    // required the plain-name shape) attributes the statistics.
-                    if let Some((_, Expr::Name(class))) = q.bindings.first() {
-                        feed_scan_stats(src, *class, scan, &extent);
-                    }
-                }
-                extent
-            }
-        };
-        let rows = rows.into_iter().map(Value::Oid);
-        scan_rows(rows, &mut test, &mut actuals, |v| out.insert(v))
-    })();
-    crate::plan::add_actuals(&actuals);
-    result?;
-    finish_select(q.the, out)
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub mod typecheck;
 pub use ast::{ImportWhat, IncludeSpec, Stmt, TypeExpr};
 pub use budget::{Budget, BudgetBreach};
 pub use compile::{
-    compile_fallbacks, compile_predicate, compile_select_scan, engine_mode, run_select,
+    compile_fallbacks, compile_predicate, compile_select_scan, engine_mode, run_scan, run_select,
     with_engine_mode, EngineMode, Program, Scan, SelectScan,
 };
 pub use ctx::{in_view, view_depth, view_frame, ViewFrame};
@@ -62,10 +62,10 @@ pub use optimize::{fold, optimize_expr, optimize_select};
 pub use parser::{parse_expr, parse_program, parse_select, parse_type};
 pub use plan::{
     run_query_traced, Engine, PlanChoice, PopPath, PopulationTrace, QueryTrace, ScanActuals,
-    ScanEvent, ScanKind, Stage,
+    ScanEvent, Stage,
 };
 pub use planner::{
-    clear_plan_cache, estimate_select, planner_enabled, with_planner, Decision as PlanDecision,
+    clear_plan_cache, planner_enabled, with_planner, Decision as PlanDecision,
     Strategy as PlanStrategy,
 };
 pub use rowtest::{scan_rows, RowSpec, RowTest};

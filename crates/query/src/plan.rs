@@ -2,9 +2,11 @@
 //!
 //! A population request resolves by one of three paths — cache hit, delta
 //! update from the store's change journal, full recompute — and a recompute
-//! runs its include-term scans sequentially or from an index. This module is the record of those decisions: the view layer
-//! closes each scan and each population request into the thread's
-//! collector ([`record_scan`], [`record_population`]), and a statement's
+//! runs its include-term scans sequentially or from an index. This module
+//! is the record of those decisions: every scan closes through
+//! [`measure_scan`] into the innermost population frame, the view layer
+//! closes each population request into the thread's collector
+//! ([`record_population`]), and a statement's
 //! observed run ([`run_query_traced`], the profiler) closes with per-stage
 //! timings ([`Stage`]) plus every population event it triggered.
 //!
@@ -25,7 +27,7 @@ use ov_oodb::{Expr, Symbol, Value};
 
 use crate::ctx;
 use crate::error::Result;
-use crate::planner::Decision;
+use crate::planner::{Decision, Strategy};
 use crate::source::DataSource;
 
 /// Which evaluation engine ran a top-level statement (`exec::dispatch`'s
@@ -109,44 +111,23 @@ impl fmt::Display for ScanActuals {
     }
 }
 
-/// How one include-term scan inside a full recompute was executed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScanKind {
-    /// Plain single-threaded evaluation over the source extent.
-    Sequential,
-    /// An equality conjunct was answered from a secondary index.
-    IndexPushdown {
-        /// The index used, as `Class.Attr`.
-        index: String,
-    },
-}
-
-impl fmt::Display for ScanKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScanKind::Sequential => write!(f, "[seq]"),
-            ScanKind::IndexPushdown { index } => write!(f, "[index {index}]"),
-        }
-    }
-}
-
-/// One include-term scan inside a full recompute: how it was executed,
-/// plus the counters it measured while running.
+/// One scan, closed by [`measure_scan`]: the access path it ran, plus the
+/// counters it measured while running.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScanEvent {
-    /// How the scan was executed.
-    pub kind: ScanKind,
-    /// What the scan measured ([`ScanActuals::default`] when the scan ran
-    /// without an actuals frame, e.g. from a pre-actuals caller).
+    /// The access path the scan ran: sequential or an index probe.
+    pub kind: Strategy,
+    /// What the scan measured.
     pub actuals: ScanActuals,
-    /// The planner's row estimate for this scan, when one was produced
-    /// (`None` for pre-planner callers or cold statistics).
+    /// The row estimate of the planner's decision for this scan; `None`
+    /// when no decision was made (the planner is off, or the query ran
+    /// whole).
     pub est_rows: Option<u64>,
 }
 
 impl fmt::Display for ScanEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.kind)?;
+        write!(f, "[{}]", self.kind)?;
         if let Some(est) = self.est_rows {
             write!(f, " est_rows={est}")?;
         }
@@ -389,6 +370,35 @@ pub fn with_scan_actuals<R>(f: impl FnOnce() -> R) -> (R, ScanActuals) {
     (r, actuals)
 }
 
+/// Runs one scan, `run`, which counts its rows into the actuals it is
+/// handed, and reports what it counted — on error too: folded into the
+/// enclosing actuals frame and, only while a collector is open, closed into
+/// the innermost population frame as a [`ScanEvent`] of the access path
+/// `kind` with the estimate `est_rows`. An unobserved scan opens no frame
+/// and builds no event.
+pub fn measure_scan<R>(
+    kind: &Strategy,
+    est_rows: Option<u64>,
+    run: impl FnOnce(&mut ScanActuals) -> R,
+) -> R {
+    let counted = || {
+        let mut counted = ScanActuals::default();
+        let r = run(&mut counted);
+        add_actuals(&counted);
+        r
+    };
+    if !tracing_active() {
+        return counted();
+    }
+    let (r, actuals) = with_scan_actuals(counted);
+    record_scan(ScanEvent {
+        kind: kind.clone(),
+        actuals,
+        est_rows,
+    });
+    r
+}
+
 /// Is a trace collector installed on this thread? The view layer may use
 /// this to skip building detail strings on the untraced path.
 pub fn tracing_active() -> bool {
@@ -406,7 +416,7 @@ fn collecting(f: impl FnOnce(&mut Collector)) {
 
 /// Runs `f`, one population request, with a scan frame of its own when a
 /// collector is open, and returns `f`'s result with the scans recorded into
-/// the frame ([`record_scan`]), in order. The enclosing request's frame is
+/// the frame ([`measure_scan`]), in order. The enclosing request's frame is
 /// innermost again afterwards, on unwind too.
 pub fn population_scans<R>(f: impl FnOnce() -> R) -> (R, Vec<ScanEvent>) {
     if !tracing_active() {
@@ -416,9 +426,9 @@ pub fn population_scans<R>(f: impl FnOnce() -> R) -> (R, Vec<ScanEvent>) {
     (r, scans.unwrap_or_default())
 }
 
-/// Records a closed include-term scan in the innermost population frame.
-/// No-op without one.
-pub fn record_scan(scan: ScanEvent) {
+/// Records a closed scan in the innermost population frame. No-op without
+/// one.
+fn record_scan(scan: ScanEvent) {
     ctx::with(|c| {
         if let Some(frame) = &mut c.scans {
             frame.push(scan);
@@ -545,12 +555,21 @@ mod tests {
     use ov_oodb::sym;
 
     /// A sequential scan, the common test fixture.
-    fn seq() -> ScanKind {
-        ScanKind::Sequential
+    fn seq() -> Strategy {
+        Strategy::Seq
+    }
+
+    /// An index probe of `Person.City`.
+    fn city_index() -> Strategy {
+        Strategy::IndexPushdown {
+            class: sym("Person"),
+            attr: sym("City"),
+            value: Value::str("London"),
+        }
     }
 
     /// Wraps a kind in a zero-actuals [`ScanEvent`].
-    fn ev(kind: ScanKind) -> ScanEvent {
+    fn ev(kind: Strategy) -> ScanEvent {
         ScanEvent {
             kind,
             actuals: ScanActuals::default(),
@@ -578,9 +597,7 @@ mod tests {
 
     #[test]
     fn collect_captures_population_events() {
-        let index = ScanKind::IndexPushdown {
-            index: "Person.City".into(),
-        };
+        let index = city_index();
         let ((), events) = collect(|| {
             assert!(tracing_active());
             let ((), scans) = population_scans(|| {
@@ -603,9 +620,7 @@ mod tests {
 
     #[test]
     fn nested_frames_attach_scans_to_the_right_population() {
-        let index = ScanKind::IndexPushdown {
-            index: "Person.City".into(),
-        };
+        let index = city_index();
         let ((), events) = collect(|| {
             let ((), outer) = population_scans(|| {
                 record_scan(ev(seq()));
@@ -730,12 +745,7 @@ mod tests {
             "population Adult: Delta{retested=3} (rows=41, 12.4µs)"
         );
         let full = PopPath::FullRecompute {
-            scans: vec![
-                ev(ScanKind::IndexPushdown {
-                    index: "Person.City".into(),
-                }),
-                ev(seq()),
-            ],
+            scans: vec![ev(city_index()), ev(seq())],
         };
         assert_eq!(full.to_string(), "FullRecompute [index Person.City] [seq]");
         assert_eq!(fmt_ns(870), "870ns");
@@ -746,21 +756,15 @@ mod tests {
     /// nothing else; the engine is the statement's (`engine:`).
     #[test]
     fn scan_markers_name_the_strategy_alone() {
-        assert_eq!(seq().to_string(), "[seq]");
-        assert_eq!(
-            ScanKind::IndexPushdown {
-                index: "Person.City".into(),
-            }
-            .to_string(),
-            "[index Person.City]"
-        );
+        assert_eq!(ev(seq()).to_string(), "[seq]");
+        assert_eq!(ev(city_index()).to_string(), "[index Person.City]");
     }
 
     #[test]
     fn scan_events_render_actuals_only_when_measured() {
         assert_eq!(ev(seq()).to_string(), "[seq]");
         let measured = ScanEvent {
-            kind: ScanKind::Sequential,
+            kind: Strategy::Seq,
             actuals: ScanActuals {
                 rows_scanned: 6,
                 rows_matched: 2,

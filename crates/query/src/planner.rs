@@ -64,11 +64,10 @@ pub const DRIFT_FACTOR: u64 = 10;
 
 // ---------------------------------------------------------------------
 // Enablement: a thread-scoped setting in the ambient execution context,
-// same shape as the engine mode in `compile.rs`. Off reproduces the
-// pre-planner fixed heuristics exactly (the E19 baseline): a top-level
-// statement never probes an index, while a view population still probes
-// one whenever `index_candidates` answers (off drops only its
-// `index_worthwhile` veto).
+// same shape as the engine mode in `compile.rs`. Off is the E19 baseline:
+// every canonical scan — a statement's or a view population's — runs
+// sequentially with no estimate, and a multi-binding select keeps its
+// written binding order.
 // ---------------------------------------------------------------------
 
 /// Is the planner consulted for strategy choices on this thread?
@@ -86,10 +85,11 @@ pub fn with_planner<R>(on: bool, f: impl FnOnce() -> R) -> R {
 // Decisions
 // ---------------------------------------------------------------------
 
-/// The access path the planner chose for one scan.
-#[derive(Clone, Debug, PartialEq)]
+/// An access path: the one the planner chose for a scan, and the one a scan
+/// ran ([`crate::plan::ScanEvent::kind`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Strategy {
-    /// Batched sequential compiled scan over the extent.
+    /// Sequential scan over the extent.
     Seq,
     /// Probe an equality index on `attr` for `value`, then re-test the
     /// candidates. Demoted to [`Strategy::Seq`] at execution time if the
@@ -280,7 +280,7 @@ fn drifts(est: u64, actual: u64) -> bool {
 /// Splits a filter into its top-level `and` legs, in evaluation order.
 /// `truthy(a and b)` ⇔ `truthy(a) && truthy(b)`, so the legs can be
 /// costed (and, where provably safe, evaluated) independently.
-pub fn conjuncts(e: &Expr) -> Vec<&Expr> {
+pub(crate) fn conjuncts(e: &Expr) -> Vec<&Expr> {
     let mut out = Vec::new();
     fn walk<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
         match e {
@@ -301,7 +301,7 @@ pub fn conjuncts(e: &Expr) -> Vec<&Expr> {
 
 /// `var.Attr = literal` (either orientation) with no call arguments —
 /// the shape an equality index can serve.
-pub fn eq_conjunct(leg: &Expr, var: Symbol) -> Option<(Symbol, &Value)> {
+fn eq_conjunct(leg: &Expr, var: Symbol) -> Option<(Symbol, &Value)> {
     let Expr::Binary {
         op: BinOp::Eq,
         lhs,
@@ -466,16 +466,6 @@ fn est_rows_from(card: u64, selectivity: f64) -> u64 {
     ((card as f64 * selectivity).round() as u64).max(1)
 }
 
-/// Estimated result rows for a single-binding scan of `class` filtered
-/// by `filter`, from statistics alone. `None` when no scan has measured
-/// the class yet (cold statistics — display call sites show nothing
-/// rather than a guess).
-pub fn estimate_select(class: Symbol, var: Symbol, filter: Option<&Expr>) -> Option<u64> {
-    let cs = stats().class(class).snapshot();
-    let card = cs.cardinality?;
-    Some(est_rows_from(card, filter_selectivity(&cs, var, filter)))
-}
-
 // ---------------------------------------------------------------------
 // Strategy choice
 // ---------------------------------------------------------------------
@@ -486,7 +476,7 @@ pub fn estimate_select(class: Symbol, var: Symbol, filter: Option<&Expr>) -> Opt
 /// sketch says the column is low-NDV — the candidate set would be a
 /// large slice of the extent and per-candidate retests lose to the
 /// scan.
-pub fn index_worthwhile(class: Symbol, attr: Symbol) -> bool {
+fn index_worthwhile(class: Symbol, attr: Symbol) -> bool {
     let cs = stats().class(class).snapshot();
     match cs.attrs.get(&attr) {
         Some(s) if s.rows > 0 => s.ndv > PUSHDOWN_MIN_NDV,
@@ -494,9 +484,8 @@ pub fn index_worthwhile(class: Symbol, attr: Symbol) -> bool {
     }
 }
 
-/// Plans a canonical single-binding class scan: index pushdown when the
-/// filter has a high-NDV equality conjunct, sequential otherwise.
-/// Consults and fills the fingerprint-keyed plan cache.
+/// Plans a canonical single-binding class scan by [`choose_scan`]'s rule,
+/// through the fingerprint-keyed plan cache: consults it and fills it.
 pub fn plan_select(src: &dyn DataSource, expr: &Expr, q: &SelectExpr) -> Decision {
     let fp = fingerprint_hash(expr);
     let generation = src.resolution_generation();
@@ -550,6 +539,32 @@ pub(crate) fn plan_select_with(
             cache_hit: true,
         };
     }
+    let decision = choose_scan(q);
+    let strategy = match &decision.strategy {
+        Strategy::IndexPushdown { class, attr, .. } => CachedStrategy::IndexPushdown {
+            class: *class,
+            attr: *attr,
+        },
+        _ => CachedStrategy::Seq,
+    };
+    cache_store(
+        fp,
+        CachedPlan {
+            strategy,
+            est_rows: decision.est_rows,
+            generation,
+        },
+    );
+    decision
+}
+
+/// The access-path rule for a canonical single-binding class scan
+/// (`select E from V in C [where F]`), from statistics alone: an index probe
+/// on the first equality conjunct over `V` whose attribute is worth one
+/// (`index_worthwhile`), else sequential, with the estimated rows. A
+/// statement asks it through the plan cache ([`plan_select`]); a view
+/// population asks it directly, so both pick one path for one query.
+pub fn choose_scan(q: &SelectExpr) -> Decision {
     let (var, coll) = &q.bindings[0];
     let class = match coll {
         Expr::Name(n) => *n,
@@ -558,25 +573,14 @@ pub(crate) fn plan_select_with(
     let cs = stats().class(class).snapshot();
     let card = cs.cardinality.unwrap_or(DEFAULT_CARDINALITY);
     let est_rows = est_rows_from(card, filter_selectivity(&cs, *var, q.filter.as_deref()));
-    let (cached, strategy) = match pushdown_conjunct(q, |attr| index_worthwhile(class, attr)) {
-        Some((attr, value)) => (
-            CachedStrategy::IndexPushdown { class, attr },
-            Strategy::IndexPushdown {
-                class,
-                attr,
-                value: value.clone(),
-            },
-        ),
-        None => (CachedStrategy::Seq, Strategy::Seq),
-    };
-    cache_store(
-        fp,
-        CachedPlan {
-            strategy: cached,
-            est_rows,
-            generation,
+    let strategy = match pushdown_conjunct(q, |attr| index_worthwhile(class, attr)) {
+        Some((attr, value)) => Strategy::IndexPushdown {
+            class,
+            attr,
+            value: value.clone(),
         },
-    );
+        None => Strategy::Seq,
+    };
     Decision {
         strategy,
         est_rows,
@@ -732,6 +736,14 @@ mod tests {
 
     fn leg(src: &str) -> Expr {
         parse_expr(src).expect("parse")
+    }
+
+    /// Estimated rows of a scan of `class` over `var` filtered by `filter`;
+    /// `None` while no scan has measured the class.
+    fn estimate_select(class: Symbol, var: Symbol, filter: Option<&Expr>) -> Option<u64> {
+        let cs = stats().class(class).snapshot();
+        let card = cs.cardinality?;
+        Some(est_rows_from(card, filter_selectivity(&cs, var, filter)))
     }
 
     fn measured(card: u64, attr: &str, values: impl IntoIterator<Item = Value>) -> Symbol {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use objects_and_views::oodb::event::Event;
 use objects_and_views::oodb::{metrics, recorder, sym, trace, FieldValue, Value};
 use objects_and_views::query::{plan, run_query, run_query_with_budget, Budget, PopPath};
-use objects_and_views::query::{PopulationTrace, QueryTrace, ScanKind};
+use objects_and_views::query::{PlanStrategy, PopulationTrace, QueryTrace};
 use objects_and_views::views::Session;
 
 /// Each population path: its `path` span field and its registry counter.
@@ -114,8 +114,9 @@ fn explained(events: &[PopulationTrace]) -> Tally {
         *tally.entry(path).or_default() += 1;
         for scan in scans {
             let kind = match scan.kind {
-                ScanKind::Sequential => "seq",
-                ScanKind::IndexPushdown { .. } => "index",
+                PlanStrategy::Seq => "seq",
+                PlanStrategy::IndexPushdown { .. } => "index",
+                PlanStrategy::Join { .. } => panic!("a scan ran a join: {e}"),
             };
             *tally.entry(kind).or_default() += 1;
         }

@@ -361,6 +361,78 @@ fn a_population_probe_respects_a_computed_override_in_the_view() {
     assert_eq!(plain.stats().index_pushdowns, 1);
 }
 
+/// A population and a statement of one query take one access path, under
+/// either planner setting: 400 members, `Kind` ∈ {0, 1}, indexes on `Kind`
+/// and `Id`, and sketches warmed by one profiled scan. With the planner on
+/// both veto the two-valued `Kind` and probe `Id`; with it off both scan
+/// sequentially. The class has a name of its own: statistics and cached
+/// plans are process-wide and keyed by class name and query shape.
+#[test]
+fn a_population_and_a_statement_take_one_access_path() {
+    use objects_and_views::oodb::metrics;
+    use objects_and_views::query::{plan, with_planner, PopPath};
+    use objects_and_views::views::Materialization;
+    let mut script =
+        String::from("database Votes;\nclass Member type [Id: integer, Kind: integer];\n");
+    for i in 0..400 {
+        script.push_str(&format!(
+            "insert Member value [Id: {i}, Kind: {}];\n",
+            i % 2
+        ));
+    }
+    let sys = sys_with(&script);
+    let db = sys.database(sym("Votes")).unwrap();
+    {
+        let mut db = db.write();
+        let member = db.schema.class_by_name(sym("Member")).unwrap();
+        db.create_index(member, sym("Kind")).unwrap();
+        db.create_index(member, sym("Id")).unwrap();
+    }
+    metrics::set_profiling(true);
+    let warm = with_planner(false, || {
+        run_query(
+            &*db.read(),
+            "select M from M in Member where M.Id >= 0 and M.Kind >= 0",
+        )
+    });
+    metrics::set_profiling(false);
+    warm.unwrap();
+    let query = "select M from M in Member where M.Kind = 1 and M.Id = 7";
+    let view = ViewDef::from_script(&format!(
+        "create view V; import all classes from database Votes; class K includes ({query});"
+    ))
+    .unwrap()
+    .binder(&sys)
+    .options(
+        ViewOptions::builder()
+            .materialization(Materialization::AlwaysRecompute)
+            .build(),
+    )
+    .bind()
+    .unwrap();
+    for (planner, path) in [(true, "index Member.Id"), (false, "seq")] {
+        with_planner(planner, || {
+            let population = view.explain_population(sym("K")).unwrap();
+            let PopPath::FullRecompute { scans } = &population.path else {
+                panic!("planner {planner}: a recompute: {population}");
+            };
+            let [population] = scans.as_slice() else {
+                panic!("planner {planner}: one scan: {scans:?}");
+            };
+            let ((answer, statement), _) =
+                plan::collect(|| plan::population_scans(|| view.query(query)));
+            assert_eq!(answer.unwrap().as_set().map(|s| s.len()), Some(1));
+            let [statement] = statement.as_slice() else {
+                panic!("planner {planner}: one statement scan: {statement:?}");
+            };
+            assert_eq!(population.kind.to_string(), path, "planner {planner}");
+            assert_eq!(statement.kind, population.kind, "planner {planner}");
+            assert_eq!(statement.est_rows, population.est_rows, "planner {planner}");
+            assert_eq!(population.est_rows.is_some(), planner);
+        });
+    }
+}
+
 // ----------------------------------------------------------------------
 // One upward-resolution rule: static typing names the definition
 // evaluation reads (§4.2 upward resolution, §4.3 "provide a default").
