@@ -445,10 +445,12 @@ fn redefining_in_an_overlap_class_resolves_conflict() {
     assert_eq!(view.query("maggy.Print").unwrap(), Value::str("both"));
 }
 
-/// A view keeps one verdict per (class, attribute) read at body depth 0,
-/// for one resolution generation: a population bracket or a template
-/// instantiation drops them all. A membership-dependent attribute, an error
-/// and a read inside a body never become one, and a body never reads one.
+/// A view keeps one verdict per (class, attribute) on each side — read at
+/// body depth 0, or inside a computed body — for one resolution
+/// generation: a population bracket or a template instantiation drops both
+/// sides. A membership-dependent attribute and an error never become one,
+/// a verdict of one side never answers the other, and a read inside a
+/// population bracket neither reads nor fills either side.
 #[test]
 fn a_resolution_generation_bump_drops_the_class_verdicts() {
     let sys = people_system();
@@ -457,6 +459,7 @@ fn a_resolution_generation_bump_drops_the_class_verdicts() {
         create view V;
         import all classes from database Staff;
         class Rich includes (select P from Person where P.Income >= 90000);
+        attribute Print in class Person has value "person";
         attribute Print in class Rich has value "rich";
         attribute Zone in class Person has value self.Zip_Code;
         attribute Nick in class Person has value "person";
@@ -472,8 +475,8 @@ fn a_resolution_generation_bump_drops_the_class_verdicts() {
         ov_query::in_view(body, None, || view.attr(oid, sym(attr)))
     };
     // Employee's own Nick is hidden at depth 0, where Person's shows; a
-    // body sees Employee's. A verdict left at one depth never answers the
-    // other, in either order.
+    // body sees Employee's. A verdict left on one side never answers the
+    // other, whichever side fills first.
     for body_first in [false, true] {
         let view = def.binder(&sys).bind().unwrap();
         let tony = DataSource::named_object(&view, sym("tony")).unwrap();
@@ -482,66 +485,88 @@ fn a_resolution_generation_bump_drops_the_class_verdicts() {
                 in_body(&view, tony, "Nick").unwrap(),
                 Value::str("employee")
             );
+            assert_eq!(view.served_verdicts(), (0, 1), "an in-body read leaves its verdict");
         }
         assert_eq!(view.attr(tony, sym("Nick")).unwrap(), Value::str("person"));
         assert_eq!(
             in_body(&view, tony, "Nick").unwrap(),
             Value::str("employee")
         );
-        assert_eq!(view.served_verdicts(), 1, "the depth-0 read's alone");
+        assert_eq!(view.attr(tony, sym("Nick")).unwrap(), Value::str("person"));
+        assert_eq!(view.served_verdicts(), (1, 1), "one verdict a side");
     }
 
     let view = def.binder(&sys).bind().unwrap();
     let person = DataSource::class_by_name(&view, sym("Person")).unwrap();
+    let rich = DataSource::class_by_name(&view, sym("Rich")).unwrap();
     let maggy = DataSource::named_object(&view, sym("maggy")).unwrap();
     let denis = DataSource::named_object(&view, sym("denis")).unwrap();
     let read = |attr: &str| view.attr(maggy, sym(attr));
     // Populated before the verdicts are watched: a first population bumps
     // the generation too.
     assert_eq!(view.query("count(Rich)").unwrap(), Value::Int(2));
-    assert_eq!(view.served_verdicts(), 0);
+    assert_eq!(view.served_verdicts(), (0, 0));
     assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
-    assert_eq!(
-        view.served_verdicts(),
-        1,
-        "a depth-0 read leaves its verdict"
-    );
+    assert_eq!(view.served_verdicts(), (1, 0), "a depth-0 read leaves its verdict");
     assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
     assert!(matches!(
         view.class_verdict(person, sym("Name")),
         Some(ov_query::ResolvedAttr::Stored)
     ));
 
-    // Rich defines Print: membership decides, so there is no verdict.
+    // Rich defines Print: membership decides, so there is no verdict on
+    // either side.
     assert_eq!(read("Print").unwrap(), Value::str("rich"));
+    assert_eq!(view.attr(denis, sym("Print")).unwrap(), Value::str("person"));
+    assert_eq!(in_body(&view, maggy, "Print").unwrap(), Value::str("rich"));
     assert!(view.class_verdict(person, sym("Print")).is_none());
     // Errors are not kept: a hidden attribute, an unknown one.
     assert!(read("Zip_Code").is_err());
     assert!(read("Ghost").is_err());
+    assert!(in_body(&view, maggy, "Ghost").is_err());
     assert!(view.class_verdict(person, sym("Zip_Code")).is_none());
-    assert_eq!(view.served_verdicts(), 1);
-    // Zone's body reads the hidden Zip_Code through the hide; only Zone,
-    // read at depth 0, leaves a verdict, and Zip_Code stays hidden there.
+    assert_eq!(view.served_verdicts(), (1, 0));
+    // Zone's body reads the hidden Zip_Code through the hide: Zone leaves
+    // a depth-0 verdict, Zip_Code an in-body one, and Zip_Code stays
+    // hidden at depth 0.
     assert_eq!(read("Zone").unwrap(), Value::str("SW1"));
-    assert_eq!(view.served_verdicts(), 2);
+    assert_eq!(view.served_verdicts(), (2, 1), "a body's read leaves an in-body verdict");
     assert!(read("Zip_Code").is_err());
     assert_eq!(
         in_body(&view, maggy, "Zip_Code").unwrap(),
         Value::str("SW1")
     );
-    assert_eq!(view.served_verdicts(), 2);
+    assert_eq!(view.served_verdicts(), (2, 1));
+
+    // Inside a population bracket of Rich (opened here without a bump),
+    // Rich's definitions do not count: Print is Person's for every person
+    // there, a class verdict no side may keep, and Name is read afresh.
+    let key = DataSource::frame_key(&view).unwrap();
+    ov_query::in_view(key, Some(rich), || {
+        assert_eq!(read("Print").unwrap(), Value::str("person"));
+        assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
+        assert_eq!(read("Zip_Code").unwrap(), Value::str("SW1"));
+    });
+    assert_eq!(view.served_verdicts(), (2, 1), "a population bracket fills no side");
+    assert_eq!(read("Print").unwrap(), Value::str("rich"));
+    assert_eq!(in_body(&view, maggy, "Print").unwrap(), Value::str("rich"));
 
     // A recompute opens a population bracket: every verdict goes.
     view.update_attr(denis, sym("Income"), Value::Int(95000))
         .unwrap();
     assert_eq!(view.query("count(Rich)").unwrap(), Value::Int(3));
-    assert_eq!(view.served_verdicts(), 0, "a population bracket");
+    assert_eq!(view.served_verdicts(), (0, 0), "a population bracket");
     assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
-    assert_eq!(view.served_verdicts(), 1);
+    assert_eq!(view.served_verdicts(), (1, 0), "the first fill empties both sides");
+    assert_eq!(
+        in_body(&view, maggy, "Zip_Code").unwrap(),
+        Value::str("SW1")
+    );
+    assert_eq!(view.served_verdicts(), (1, 1));
     // So does a template instantiation.
     view.instantiate(sym("Resident"), &[Value::str("Paris")])
         .unwrap();
-    assert_eq!(view.served_verdicts(), 0, "a template instantiation");
+    assert_eq!(view.served_verdicts(), (0, 0), "a template instantiation");
     assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
     assert!(read("Zip_Code").is_err());
 }

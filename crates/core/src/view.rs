@@ -244,13 +244,16 @@ enum Populated {
     Upstream(usize, ClassId),
 }
 
-/// The per-(class, attribute) verdicts [`View::class_rule`] computed at
-/// body depth 0, all under one resolution generation.
+/// The per-(class, attribute) verdicts [`View::class_rule`] computed with
+/// no population bracket of the view open, all under one resolution
+/// generation. A side per body depth that resolves alike: depth 0, and
+/// inside a computed body, where the hides are see-through.
 #[derive(Debug, Default)]
 struct Verdicts {
-    /// The generation every entry was computed under.
+    /// The generation every entry of both sides was computed under.
     gen: u64,
-    map: HashMap<(ClassId, Symbol), ResolvedAttr>,
+    /// `[depth 0, in a body]`.
+    sides: [HashMap<(ClassId, Symbol), ResolvedAttr>; 2],
 }
 
 /// How objects presenting as one class resolve one attribute
@@ -322,8 +325,8 @@ pub struct View {
     /// `ov_query::Scan` and the entries of [`View::verdicts`] are dropped
     /// when this moves.
     res_gen: AtomicU64,
-    /// The class verdicts of body depth 0, for one resolution generation
-    /// (see [`View::class_rule`]).
+    /// The class verdicts of depth 0 and of computed bodies, for one
+    /// resolution generation (see [`View::class_rule`]).
     verdicts: RwLock<Verdicts>,
     /// Dependency edges recorded at bind time: which databases and which
     /// upstream views this definition reads, with the class names read.
@@ -1305,21 +1308,24 @@ impl View {
     /// engines ([`DataSource::resolve`] asks here first, a compiled scan
     /// through [`DataSource::class_verdict`]).
     ///
-    /// At body depth 0 a class verdict is memoised in [`View::verdicts`]
-    /// for the resolution generation it was computed under, so a point
-    /// read pays one map probe. Inside a population bracket or a computed
-    /// body — hides see-through, populations in flight — it is computed
-    /// afresh on every call and never stored, and neither is an error or
-    /// a membership rule.
+    /// A class verdict is memoised in [`View::verdicts`] for the
+    /// resolution generation it was computed under, on the side of the
+    /// body depth it was computed at — depth 0, or inside a computed body
+    /// (hides see-through) — so a point read and a body's read each pay
+    /// one map probe. The one exception is a population bracket of this
+    /// view open on the reading thread: the populating set gates which
+    /// virtual classes count, so there the rule is computed afresh on
+    /// every call, and the memo is neither read nor filled. An error or a
+    /// membership rule is never stored.
     fn class_rule(&self, class: ClassId, name: Symbol) -> ov_query::Result<Rule> {
-        let at_top = self.depth() == 0;
+        let side = (!ov_query::view_populating(self.token)).then(|| usize::from(self.depth() > 0));
         // Read before the rule is computed: a verdict computed across a
         // bump is stamped with the generation it may not match.
         let gen = self.res_gen.load(Ordering::Acquire);
-        if at_top {
+        if let Some(side) = side {
             let memo = self.verdicts.read();
             if memo.gen == gen {
-                if let Some(res) = memo.map.get(&(class, name)) {
+                if let Some(res) = memo.sides[side].get(&(class, name)) {
                     return Ok(Rule::Class(res.clone()));
                 }
             }
@@ -1333,28 +1339,28 @@ impl View {
             let schema = self.schema.read();
             ResolvedAttr::from(self.definition(&schema, &roots, name, false)?.1)
         };
-        if at_top {
+        if let Some(side) = side {
             let mut memo = self.verdicts.write();
             if gen > memo.gen {
-                memo.map.clear();
+                memo.sides.iter_mut().for_each(HashMap::clear);
                 memo.gen = gen;
             }
             if gen == memo.gen {
-                memo.map.insert((class, name), res.clone());
+                memo.sides[side].insert((class, name), res.clone());
             }
         }
         Ok(Rule::Class(res))
     }
 
     /// How many verdicts [`Self::class_rule`] would serve from its memo
-    /// right now.
+    /// right now, per side: (body depth 0, inside a computed body).
     #[cfg(test)]
-    pub(crate) fn served_verdicts(&self) -> usize {
+    pub(crate) fn served_verdicts(&self) -> (usize, usize) {
         let memo = self.verdicts.read();
         if memo.gen == self.res_gen.load(Ordering::Acquire) {
-            memo.map.len()
+            (memo.sides[0].len(), memo.sides[1].len())
         } else {
-            0
+            (0, 0)
         }
     }
 

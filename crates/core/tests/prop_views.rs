@@ -1051,9 +1051,9 @@ proptest! {
                     // Point reads of every object, cold, warm and on fresh
                     // binds. `view` reads at depth 0 only; `body_first`
                     // reads inside a body before it reads at depth 0, so a
-                    // verdict left by a body read would show there. A body
-                    // read sees through the hides: it is the depth-0 read
-                    // of a bind without them.
+                    // depth-0 read served the verdict a body read left
+                    // would show there. A body read sees through the hides:
+                    // it is the depth-0 read of a bind without them.
                     let top_first = bind(&top);
                     let body_first = bind(&top);
                     let open = bind(&unhidden);

@@ -45,7 +45,7 @@
 //! instructions, slots, tuple shapes, sub-selects), shared through an
 //! `Arc`, and the literal vector `Inst::Const` reads, in emit order. A
 //! top-level statement's code is cached per statement shape, in the
-//! plan-cache entry of its fingerprint ([`crate::planner`]): [`run_compiled`]
+//! plan-cache entry of its fingerprint ([`crate::planner`]): `run_compiled`
 //! serves a statement of a cached shape by binding the statement's own
 //! literals to that code, and compiles only in the code-cache fill, on a
 //! miss. The code names no source — slots are attribute names, and per-class
@@ -1162,7 +1162,7 @@ impl SelectScan {
 /// Compiles the scan pieces of `q` when it has the canonical shape: one
 /// binding whose collection is a plain class name (not shadowed by a named
 /// object). Always compiles; a statement gets its scan from its shape's
-/// cached code instead ([`run_compiled`]).
+/// cached code instead (`run_compiled`).
 pub fn compile_select_scan(src: &dyn DataSource, q: &SelectExpr) -> Option<SelectScan> {
     Some(SelectScan::compile(scan_class(src, q)?, q))
 }

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use ov_oodb::ClassId;
 use ov_query::plan::{collect, tracing_active};
 use ov_query::{
-    budget, engine_mode, in_view, planner_enabled, view_depth, view_frame, with_engine_mode,
-    with_planner, Budget, EngineMode, ViewFrame,
+    budget, engine_mode, in_view, planner_enabled, view_depth, view_frame, view_populating,
+    with_engine_mode, with_planner, Budget, EngineMode, ViewFrame,
 };
 
 /// The key of a view's frame, as a view would hand it out.
@@ -81,6 +81,11 @@ fn a_view_frame_restores_after_a_caught_panic() {
         };
         assert_eq!(frame(), open);
         assert_eq!(view_depth(VIEW), open.body_depth, "the depth-only reader");
+        assert!(view_populating(VIEW), "the populating-only reader");
     });
     assert_eq!(view_depth(VIEW), 0);
+    assert!(!view_populating(VIEW));
+    in_view(VIEW, None, || {
+        assert!(!view_populating(VIEW), "a body alone")
+    });
 }

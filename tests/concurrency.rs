@@ -485,11 +485,13 @@ fn readers_see_only_legal_states_while_a_writer_flips_a_boundary() {
 /// Point reads through the `Adults → Earners → Top` stack while a writer
 /// forces recomputes. Two readers read `boss.Name`, `boss.Address.City`
 /// (whose body reads `City` and the hidden `Street` inside a body bracket)
-/// and `boss.Street` (hidden at depth 0) in both engines; a third thread
-/// flips other people across the `Adult` and `Elite` boundaries and
-/// repopulates the stack, so every population bracket moves the resolution
-/// generation under the readers' class verdicts. Every answer equals a
-/// fresh bind's.
+/// and `boss.Street` (hidden at depth 0) in both engines, and `boss.Street`
+/// and `boss.Address.Street` inside a body bracket of their own, where
+/// `Street` is visible; a third thread flips other people across the
+/// `Adult` and `Elite` boundaries and repopulates the stack, so every
+/// population bracket moves the resolution generation under the readers'
+/// class verdicts of both sides. Every answer equals a fresh bind's, read
+/// at the same depth.
 #[test]
 fn point_reads_agree_with_a_fresh_bind_while_recomputes_move_the_generation() {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -538,11 +540,25 @@ fn point_reads_agree_with_a_fresh_bind_while_recomputes_move_the_generation() {
         "boss.Street",
         "select P.Address.City from P in {boss}",
     ];
-    let answers = |view: &View| reads.map(|q| view.query(q).map_err(|e| e.to_string()));
+    let body_reads = ["boss.Street", "boss.Address.Street"];
+    let answers = |view: &View| {
+        let key = DataSource::frame_key(view).unwrap();
+        let in_body = ov_query::in_view(key, None, || {
+            body_reads.map(|q| view.query(q).map_err(|e| e.to_string()))
+        });
+        (
+            reads.map(|q| view.query(q).map_err(|e| e.to_string())),
+            in_body,
+        )
+    };
     let expected = answers(&bind());
-    assert_eq!(expected[0], Ok(Value::str("Boss")));
-    assert_eq!(expected[1], Ok(Value::str("Paris")));
-    assert!(expected[2].is_err(), "Street is hidden at depth 0");
+    assert_eq!(expected.0[0], Ok(Value::str("Boss")));
+    assert_eq!(expected.0[1], Ok(Value::str("Paris")));
+    assert!(expected.0[2].is_err(), "Street is hidden at depth 0");
+    assert_eq!(
+        expected.1,
+        [Ok(Value::str("Rivoli")), Ok(Value::str("Rivoli"))]
+    );
 
     let view = bind();
     let handle = sys.database(sym("Staff")).unwrap();
