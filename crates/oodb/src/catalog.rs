@@ -3,8 +3,9 @@
 //! "In general, there can be many databases in a system. In such systems,
 //! one database can use data from other databases via *import* statements"
 //! (§3). The [`System`] is what a view binds against: it resolves database
-//! names, hands out shared, lock-protected handles, and owns the §5.1
-//! identity of every imaginary class ([`IdentityStore`]).
+//! names, hands out shared, lock-protected handles, and owns the identity
+//! of every object: the base-oid allocator its databases share, and the
+//! §5.1 identity of every imaginary class ([`IdentityStore`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,11 +21,15 @@ use crate::symbol::Symbol;
 /// A shared handle to a database.
 pub type DbHandle = Arc<RwLock<Database>>;
 
-/// A catalog of named databases.
+/// A catalog of named databases. Clones share the databases' handles, the
+/// base-oid allocator and the identity tables.
 #[derive(Clone, Default)]
 pub struct System {
     databases: Vec<DbHandle>,
     by_name: HashMap<Symbol, DbId>,
+    /// The base-oid allocator of every database that joined: no two of
+    /// them hand out one oid.
+    oids: crate::store::OidAllocator,
     /// The identity tables of every imaginary class (§5.1). Every bind of a
     /// view against this system reads them, so a rebind keeps every oid
     /// and no two views hand out the same oid.
@@ -42,13 +47,31 @@ impl System {
         &self.identity
     }
 
-    /// Registers a database under its own name. A durable database seeds
+    /// Registers a database under its own name. It is refused with
+    /// [`OodbError::SharedOid`] if it holds an oid a joined database holds
+    /// too: databases filled by two systems (two roots, two processes)
+    /// both number from `#0`. Once it joins, it draws fresh oids from the
+    /// system's allocator, raised past its own. A durable database seeds
     /// the identity tables with the assignments it recovered.
-    pub fn add_database(&mut self, db: Database) -> Result<DbId> {
+    pub fn add_database(&mut self, mut db: Database) -> Result<DbId> {
         let name = db.name;
         if self.by_name.contains_key(&name) {
             return Err(OodbError::DuplicateDatabase(name));
         }
+        // Raised before the check: an insert into a joined database from
+        // here on cannot take one of the joining database's oids.
+        self.oids.raise_past(&db.store.oids);
+        for joined in &self.databases {
+            let joined = joined.read();
+            if let Some(oid) = db.store.shared_oid(&joined.store) {
+                return Err(OodbError::SharedOid {
+                    joining: name,
+                    joined: joined.name,
+                    oid,
+                });
+            }
+        }
+        db.store.oids = self.oids.clone();
         if let Some(core) = db.durable_core() {
             core.seed(&self.identity);
         }
@@ -96,7 +119,82 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::Oid;
+    use crate::schema::AttrDef;
     use crate::symbol::sym;
+    use crate::types::Type;
+    use crate::value::Value;
+    use crate::wal::Durability;
+
+    /// A class `class` with one string attribute `attr`, and one object per
+    /// value.
+    fn fill(db: &mut Database, class: &str, attr: &str, values: &[&str]) -> Vec<Oid> {
+        let def = AttrDef::stored(sym(attr), Type::Str);
+        let class = db.create_class(sym(class), &[], vec![def]).unwrap();
+        let object = |v: &&str| Value::tuple([(attr, Value::str(v))]);
+        let values: Vec<Value> = values.iter().map(object).collect();
+        values
+            .into_iter()
+            .map(|v| db.create_object(class, v).unwrap())
+            .collect()
+    }
+
+    /// Each system numbers its objects from its own history: the first
+    /// object of either is `#0`, whatever the other did.
+    #[test]
+    fn two_systems_each_number_their_first_object_zero() {
+        let (mut one, mut two) = (System::new(), System::new());
+        let a = one.create_database(sym("A")).unwrap();
+        let b = two.create_database(sym("B")).unwrap();
+        assert_eq!(fill(&mut a.write(), "P", "Name", &["a0"]), vec![Oid(0)]);
+        assert_eq!(fill(&mut b.write(), "Q", "Label", &["b0"]), vec![Oid(0)]);
+        let c = one.create_database(sym("C")).unwrap();
+        assert_eq!(fill(&mut c.write(), "R", "Tag", &["c1"]), vec![Oid(1)]);
+        // A clone shares the allocator.
+        let d = one.clone().create_database(sym("D")).unwrap();
+        assert_eq!(fill(&mut d.write(), "S", "Tag", &["d2"]), vec![Oid(2)]);
+    }
+
+    /// Two durable databases filled apart both number from `#0`: the second
+    /// to join a system is refused with a typed error naming both and the
+    /// oid, and the system is as it was. A database whose oids are disjoint
+    /// joins, and numbers past every oid it holds.
+    #[test]
+    fn a_database_whose_oids_meet_a_joined_one_is_refused() {
+        let root = std::env::temp_dir().join(format!("ov-catalog-join-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let open = |name: &str| Database::open(sym(name), &root.join(name), Durability::Wal);
+        let mut a = open("A").unwrap();
+        assert_eq!(fill(&mut a, "P", "Name", &["a0", "a1"]), [Oid(0), Oid(1)]);
+        let mut b = open("B").unwrap();
+        assert_eq!(fill(&mut b, "Q", "Label", &["b0", "b1"]), [Oid(0), Oid(1)]);
+        let mut c = open("C").unwrap();
+        fill(&mut c, "R", "Tag", &["c0", "c1", "c2"]);
+        c.delete_object(Oid(0)).unwrap();
+        c.delete_object(Oid(1)).unwrap();
+        drop((a, b, c));
+
+        let mut sys = System::new();
+        sys.add_database(open("A").unwrap()).unwrap();
+        let refused = sys.add_database(open("B").unwrap());
+        assert_eq!(
+            refused,
+            Err(OodbError::SharedOid {
+                joining: sym("B"),
+                joined: sym("A"),
+                oid: Oid(0),
+            })
+        );
+        assert_eq!(sys.names(), vec![sym("A")]);
+        sys.add_database(open("C").unwrap()).unwrap();
+        let a = sys.database(sym("A")).unwrap();
+        let class = a.read().schema.class_by_name(sym("P")).unwrap();
+        let next = a
+            .write()
+            .create_object(class, Value::tuple([("Name", Value::str("a3"))]));
+        assert_eq!(next, Ok(Oid(3)));
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
     #[test]
     fn register_and_resolve() {

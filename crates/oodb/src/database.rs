@@ -49,9 +49,12 @@ impl Database {
     /// registers the secondary-index definitions, replays the WAL tail,
     /// re-seats the journal floor at the recovered version, and attaches
     /// the durability core so every subsequent mutation is redo-logged.
-    /// The §5.1 imaginary identity tables recovered alongside seed the
-    /// system's identity store when the database joins it
-    /// ([`crate::System::add_database`]).
+    /// The database numbers fresh objects past every oid it recovered, from
+    /// an allocator of its own until it joins a system
+    /// ([`crate::System::add_database`]), which checks that its oids are
+    /// disjoint from those of the databases already there. The §5.1
+    /// imaginary identity tables recovered alongside seed the system's
+    /// identity store when it joins.
     ///
     /// No index is built here, nor by the replay: each is built by its
     /// first probe (see [`Store::create_index`]), whose statement it
@@ -224,7 +227,7 @@ impl Database {
         // no store state touched. A WAL append failure behaves the same
         // way (redo logging happens before the in-memory apply).
         crate::failpoint!("store.insert");
-        self.store.try_insert(class, full)
+        self.store.insert(class, full)
     }
 
     /// Reads a stored attribute of `oid`, resolving the attribute name along

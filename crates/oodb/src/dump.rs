@@ -145,8 +145,9 @@ pub fn dump_database_with_offset(db: &Database, offset: u64) -> String {
         }
     }
     // Objects in oid order, with oids renumbered 0..n script-locally so that
-    // dumps are position-independent (base oids are globally unique and
-    // allocation-order dependent; the loader remaps `#k` literals anyway).
+    // dumps are position-independent (base oids depend on the allocation
+    // history of the system that wrote them; the loader remaps `#k`
+    // literals anyway).
     // References may be forward; the loader resolves them in a second pass.
     let renumber: std::collections::HashMap<crate::Oid, u64> = db
         .store

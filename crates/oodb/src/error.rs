@@ -84,6 +84,19 @@ pub enum OodbError {
     DuplicateDatabase(Symbol),
     /// A database name was not found in the system catalog.
     UnknownDatabase(Symbol),
+    /// A database holds an oid that a database already in the system holds
+    /// too: the oid would name two objects (§3), so the database does not
+    /// join.
+    SharedOid {
+        /// The database that was refused.
+        joining: Symbol,
+        /// The database in the system that holds the oid.
+        joined: Symbol,
+        /// One oid the two hold.
+        oid: Oid,
+    },
+    /// Every base oid is taken: the allocator reached the imaginary range.
+    BaseOidsExhausted,
     /// An object value referenced an oid of the wrong class.
     BadReference {
         /// Where the reference was found.
@@ -170,6 +183,15 @@ impl fmt::Display for OodbError {
             ),
             OodbError::DuplicateDatabase(n) => write!(f, "database `{n}` already exists"),
             OodbError::UnknownDatabase(n) => write!(f, "unknown database `{n}`"),
+            OodbError::SharedOid {
+                joining,
+                joined,
+                oid,
+            } => write!(
+                f,
+                "database `{joining}` cannot join: oid {oid} is an object of database `{joined}` too"
+            ),
+            OodbError::BaseOidsExhausted => write!(f, "base oid space exhausted"),
             OodbError::BadReference { context, oid } => {
                 write!(f, "{context}: dangling or ill-classed reference {oid}")
             }

@@ -220,11 +220,11 @@ mod tests {
     fn index_tracks_inserts_and_removals() {
         let mut st = Store::new();
         st.create_index(ClassId(0), sym("City"));
-        let a = st.insert(ClassId(0), city("Paris"));
-        let b = st.insert(ClassId(0), city("Paris"));
+        let a = st.insert(ClassId(0), city("Paris")).unwrap();
+        let b = st.insert(ClassId(0), city("Paris")).unwrap();
         st.remove(b).unwrap();
         assert_eq!(lookup(&st, ClassId(0), &Value::str("Paris")), Some(vec![a]));
-        let c = st.insert(ClassId(0), city("Paris"));
+        let c = st.insert(ClassId(0), city("Paris")).unwrap();
         assert_eq!(
             lookup(&st, ClassId(0), &Value::str("Paris")),
             Some(vec![a, c])
@@ -239,7 +239,7 @@ mod tests {
     fn set_field_moves_entries() {
         let mut st = Store::new();
         st.create_index(ClassId(0), sym("City"));
-        let a = st.insert(ClassId(0), city("Paris"));
+        let a = st.insert(ClassId(0), city("Paris")).unwrap();
         st.set_field(a, sym("City"), Value::str("Lyon")).unwrap();
         assert_eq!(lookup(&st, ClassId(0), &Value::str("Lyon")), Some(vec![a]));
         st.set_field(a, sym("City"), Value::str("Roma")).unwrap();
@@ -251,9 +251,9 @@ mod tests {
     fn missing_fields_index_as_null() {
         let mut st = Store::new();
         st.create_index(ClassId(0), sym("City"));
-        let a = st.insert(ClassId(0), Tuple::new());
+        let a = st.insert(ClassId(0), Tuple::new()).unwrap();
         assert_eq!(lookup(&st, ClassId(0), &Value::Null), Some(vec![a]));
-        let b = st.insert(ClassId(0), Tuple::new());
+        let b = st.insert(ClassId(0), Tuple::new()).unwrap();
         assert_eq!(lookup(&st, ClassId(0), &Value::Null), Some(vec![a, b]));
     }
 
@@ -262,7 +262,7 @@ mod tests {
     fn unindexed_classes_are_untouched() {
         let mut st = Store::new();
         st.create_index(ClassId(0), sym("City"));
-        st.insert(ClassId(3), city("Paris"));
+        st.insert(ClassId(3), city("Paris")).unwrap();
         assert_eq!(lookup(&st, ClassId(3), &Value::str("Paris")), None);
         assert_eq!(lookup(&st, ClassId(0), &Value::str("Paris")), Some(vec![]));
     }

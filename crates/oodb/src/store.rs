@@ -11,46 +11,51 @@
 //! layer keys its population caches on this version, which is how
 //! "materialized views … acquire a new dimension" (§6) is handled here.
 //!
-//! Concurrency: the store has no interior mutability — every read accessor
-//! takes `&self` and every mutation takes `&mut self`, so `Store` is
-//! `Send + Sync` and any number of threads may read one concurrently.
-//! Writers are serialized by the `RwLock` in [`crate::catalog::DbHandle`].
+//! Oids are the system's: a store draws fresh oids from an allocator it
+//! shares with every other database of its [`crate::System`] (one of its
+//! own until it joins one), and recovery raises that allocator past every
+//! oid it seats, so no fresh oid is one a store of the system holds.
+//!
+//! Concurrency: apart from that allocator (an atomic) the store has no
+//! interior mutability — every read accessor takes `&self` and every
+//! mutation takes `&mut self`, so `Store` is `Send + Sync` and any number
+//! of threads may read one concurrently. Writers are serialized by the
+//! `RwLock` in [`crate::catalog::DbHandle`].
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::durable::DurableCore;
 use crate::error::{OodbError, Result};
 use crate::event::Event;
-use crate::ids::{ClassId, Oid};
+use crate::ids::{ClassId, Oid, IMAGINARY_OID_BASE};
 use crate::index::{self, IndexSet, Postings};
 use crate::value::Tuple;
 use crate::wal::WalRecord;
 
-/// Process-global oid allocator. Oids are unique **across databases**, which
-/// is what lets a view import classes from several databases (§3) and still
-/// dereference any oid unambiguously.
-static NEXT_OID: AtomicU64 = AtomicU64::new(0);
+/// A base-oid allocator: the next oid it hands out. Clones share it. A
+/// standalone store has its own; the stores of one [`crate::System`] share
+/// the system's, so an oid names one object across every database a view
+/// imports from (§3).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct OidAllocator(Arc<AtomicU64>);
 
-/// Allocates a fresh globally-unique (non-imaginary) oid.
-pub fn fresh_oid() -> Oid {
-    let n = NEXT_OID.fetch_add(1, Ordering::Relaxed);
-    assert!(
-        n < crate::ids::IMAGINARY_OID_BASE,
-        "base oid space exhausted"
-    );
-    Oid(n)
-}
-
-/// Raises the process-global oid allocator so it never re-issues an oid at
-/// or below `oid`. Recovery calls this with every oid it replays: oids are
-/// unique across databases *and across restarts*.
-pub fn ensure_oid_floor(oid: Oid) {
-    if oid.0 >= crate::ids::IMAGINARY_OID_BASE {
-        return; // imaginary oids have their own allocator
+impl OidAllocator {
+    /// The next oid. Once the base range is used up — only a file holding
+    /// its topmost oid gets a store there — every call is
+    /// [`OodbError::BaseOidsExhausted`].
+    fn allocate(&self) -> Result<Oid> {
+        let next = self.0.fetch_update(Relaxed, Relaxed, |n| {
+            (n < IMAGINARY_OID_BASE).then_some(n + 1)
+        });
+        next.map(Oid).map_err(|_| OodbError::BaseOidsExhausted)
     }
-    NEXT_OID.fetch_max(oid.0 + 1, Ordering::Relaxed);
+
+    /// Never hands out an oid below the one `other` hands out next.
+    pub(crate) fn raise_past(&self, other: &OidAllocator) {
+        self.0.fetch_max(other.0.load(Relaxed), Relaxed);
+    }
 }
 
 /// Base stores hold base oids only: the imaginary range belongs to views,
@@ -109,12 +114,12 @@ struct Chunk {
 /// neighbouring oids are neighbours in memory, and a scan in oid order
 /// reads memory in order (a hash map scatters them: one cache miss per row).
 ///
-/// Oids come from one process-wide counter and are re-seated by recovery,
-/// so a store's oids are neither dense nor zero-based. Only chunks that
-/// hold an object exist, sorted by number (a store lives in a handful, so
-/// finding one is a short search); memory is one page per run of
-/// `PAGE_SLOTS` oids with a live object plus at most one small directory
-/// per chunk, whatever the largest oid.
+/// The stores of one system share one allocator, and recovery re-seats
+/// oids from files, so a store's oids are neither dense nor zero-based.
+/// Only chunks that hold an object exist, sorted by number (a store lives
+/// in a handful, so finding one is a short search); memory is one page per
+/// run of `PAGE_SLOTS` oids with a live object plus at most one small
+/// directory per chunk, whatever the largest oid.
 #[derive(Clone, Default)]
 struct ObjectTable {
     chunks: Vec<Chunk>,
@@ -238,13 +243,18 @@ pub struct Store {
     /// applied in memory (redo logging): a failed append leaves the store
     /// untouched, so a crash recovers exactly a prefix of committed work.
     durable: Option<Arc<DurableCore>>,
+    /// Where fresh oids come from: the store's own until its database joins
+    /// a system, the system's after. Replay raises it past each oid it
+    /// seats.
+    pub(crate) oids: OidAllocator,
 }
 
 /// Default number of retained journal entries.
 pub const DEFAULT_JOURNAL_CAP: usize = 4096;
 
 impl Store {
-    /// An empty store with the default journal retention.
+    /// An empty store with the default journal retention and an oid
+    /// allocator of its own.
     pub fn new() -> Store {
         Store {
             journal_cap: DEFAULT_JOURNAL_CAP,
@@ -432,23 +442,13 @@ impl Store {
         self.objects.len == 0
     }
 
-    /// Allocates a fresh (globally-unique) oid and inserts an object real in
-    /// `class`.
-    ///
-    /// Infallible only on non-durable stores. With a durability core
-    /// attached a WAL append can fail; use [`Store::try_insert`] there —
-    /// this method panics if the append does fail.
-    pub fn insert(&mut self, class: ClassId, value: Tuple) -> Oid {
-        self.try_insert(class, value)
-            .expect("WAL append failed; durable stores must use try_insert")
-    }
-
-    /// Like [`Store::insert`] but surfaces WAL append failures. On `Err`
-    /// the store is unchanged (the burned oid is never visible — oids are
-    /// not reused anyway).
-    pub fn try_insert(&mut self, class: ClassId, value: Tuple) -> Result<Oid> {
+    /// Allocates a fresh oid and inserts an object real in `class`. On `Err`
+    /// — a failed WAL append, or [`OodbError::BaseOidsExhausted`] — the
+    /// store is unchanged (an oid burned by a failed append is never
+    /// visible).
+    pub fn insert(&mut self, class: ClassId, value: Tuple) -> Result<Oid> {
         let _span = crate::span!("store.insert");
-        let oid = fresh_oid();
+        let oid = self.oids.allocate()?;
         if self.durable.is_some() {
             self.log_wal(&WalRecord::Insert {
                 oid,
@@ -458,6 +458,20 @@ impl Store {
         }
         self.seat(StoredObject { oid, class, value });
         Ok(oid)
+    }
+
+    /// An oid live in both `self` and `other`, if any: the smaller store's
+    /// oids probed in the larger, so an empty store costs nothing.
+    pub(crate) fn shared_oid(&self, other: &Store) -> Option<Oid> {
+        let (small, large) = if self.len() <= other.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        small
+            .iter()
+            .map(|o| o.oid)
+            .find(|&oid| large.get(oid).is_some())
     }
 
     /// Seats a new object in the table, its extent and the indexes.
@@ -471,10 +485,11 @@ impl Store {
 
     /// Replays an insert with its original oid (crash recovery only — no
     /// WAL logging; the record being replayed *is* the log entry). The oid
-    /// comes from a file: one in the imaginary range is refused.
+    /// comes from a file: one in the imaginary range is refused. The store's
+    /// allocator is raised past it.
     pub fn insert_with_oid(&mut self, oid: Oid, class: ClassId, value: Tuple) -> Result<()> {
         require_base_oid(oid)?;
-        ensure_oid_floor(oid);
+        self.oids.0.fetch_max(oid.0 + 1, Relaxed);
         self.seat(StoredObject { oid, class, value });
         Ok(())
     }
@@ -490,7 +505,8 @@ impl Store {
     ///
     /// A checkpoint lists objects in oid order, so each class's oids arrive
     /// sorted and its extent is built in one pass (any order is still
-    /// correct, only slower), and the oid allocator is raised once.
+    /// correct, only slower), and the store's oid allocator is raised once,
+    /// past the largest.
     pub fn restore(&mut self, objects: Vec<StoredObject>, version: u64) -> Result<()> {
         self.objects = ObjectTable::default();
         let mut extents: HashMap<ClassId, Vec<Oid>> = HashMap::new();
@@ -502,7 +518,7 @@ impl Store {
             self.objects.insert(obj);
         }
         if let Some(top) = top {
-            ensure_oid_floor(top);
+            self.oids.0.fetch_max(top.0 + 1, Relaxed);
         }
         self.extents = extents
             .into_iter()
@@ -658,7 +674,7 @@ mod tests {
             class: ClassId(0),
             value: Tuple::new(),
         };
-        let top = crate::ids::IMAGINARY_OID_BASE - 1;
+        let top = IMAGINARY_OID_BASE - 1;
         let oids = [5, 6, PAGE_SLOTS + 5, PAGE_SLOTS * CHUNK_PAGES, top];
         let mut table = ObjectTable::default();
         // Seated out of order; two neighbours share a page, the next page,
@@ -686,7 +702,9 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut st = Store::new();
         let c = ClassId(0);
-        let oid = st.insert(c, Tuple::from_fields([("Name", Value::str("Maggy"))]));
+        let oid = st
+            .insert(c, Tuple::from_fields([("Name", Value::str("Maggy"))]))
+            .unwrap();
         let obj = st.get(oid).unwrap();
         assert_eq!(obj.class, c);
         assert_eq!(obj.value.get(sym("Name")), Some(&Value::str("Maggy")));
@@ -697,8 +715,8 @@ mod tests {
         let mut st = Store::new();
         let a = ClassId(0);
         let b = ClassId(1);
-        let o1 = st.insert(a, Tuple::new());
-        let o2 = st.insert(b, Tuple::new());
+        let o1 = st.insert(a, Tuple::new()).unwrap();
+        let o2 = st.insert(b, Tuple::new()).unwrap();
         assert_eq!(st.extent(a).collect::<Vec<_>>(), vec![o1]);
         assert_eq!(st.extent(b).collect::<Vec<_>>(), vec![o2]);
         assert_eq!(st.extent_len(ClassId(9)), 0);
@@ -708,7 +726,7 @@ mod tests {
     fn every_mutation_bumps_version() {
         let mut st = Store::new();
         let v0 = st.version();
-        let oid = st.insert(ClassId(0), Tuple::new());
+        let oid = st.insert(ClassId(0), Tuple::new()).unwrap();
         let v1 = st.version();
         assert!(v1 > v0);
         st.set_field(oid, sym("X"), Value::Int(1)).unwrap();
@@ -721,7 +739,7 @@ mod tests {
     #[test]
     fn remove_clears_extent() {
         let mut st = Store::new();
-        let oid = st.insert(ClassId(0), Tuple::new());
+        let oid = st.insert(ClassId(0), Tuple::new()).unwrap();
         st.remove(oid).unwrap();
         assert_eq!(st.extent(ClassId(0)).count(), 0);
         assert!(st.get(oid).is_none());
@@ -732,8 +750,8 @@ mod tests {
     fn journal_reports_changes_since_version() {
         let mut st = Store::new();
         let v0 = st.version();
-        let a = st.insert(ClassId(0), Tuple::new());
-        let b = st.insert(ClassId(0), Tuple::new());
+        let a = st.insert(ClassId(0), Tuple::new()).unwrap();
+        let b = st.insert(ClassId(0), Tuple::new()).unwrap();
         let v2 = st.version();
         st.set_field(b, sym("X"), Value::Int(1)).unwrap();
         // Since v0: both objects (b deduplicated).
@@ -756,7 +774,7 @@ mod tests {
         st.set_journal_cap(2);
         let v0 = st.version();
         for _ in 0..5 {
-            st.insert(ClassId(0), Tuple::new());
+            st.insert(ClassId(0), Tuple::new()).unwrap();
         }
         // v0 predates the retained window.
         assert_eq!(st.changes_since(v0), None);
@@ -768,7 +786,7 @@ mod tests {
     #[test]
     fn removed_objects_appear_in_the_journal() {
         let mut st = Store::new();
-        let a = st.insert(ClassId(0), Tuple::new());
+        let a = st.insert(ClassId(0), Tuple::new()).unwrap();
         let v = st.version();
         st.remove(a).unwrap();
         assert_eq!(st.changes_since(v).unwrap(), vec![a]);
@@ -777,9 +795,99 @@ mod tests {
     #[test]
     fn oids_are_never_reused() {
         let mut st = Store::new();
-        let o1 = st.insert(ClassId(0), Tuple::new());
+        let o1 = st.insert(ClassId(0), Tuple::new()).unwrap();
         st.remove(o1).unwrap();
-        let o2 = st.insert(ClassId(0), Tuple::new());
+        let o2 = st.insert(ClassId(0), Tuple::new()).unwrap();
         assert_ne!(o1, o2);
+    }
+
+    /// The top of the base range: the topmost base oid costs one page, the
+    /// imaginary range is refused from a file, and once the topmost base
+    /// oid is replayed a fresh insert is a typed error that changes
+    /// nothing — in that store only.
+    #[test]
+    fn the_topmost_base_oid_costs_one_page_and_the_imaginary_range_is_refused() {
+        let top = Oid(IMAGINARY_OID_BASE - 1);
+        let object = |oid| StoredObject {
+            oid,
+            class: ClassId(0),
+            value: Tuple::new(),
+        };
+        let mut store = Store::new();
+        store
+            .insert_with_oid(Oid(3), ClassId(0), Tuple::new())
+            .unwrap();
+        store
+            .insert_with_oid(top, ClassId(0), Tuple::new())
+            .unwrap();
+        assert_eq!((store.len(), store.pages()), (2, 2));
+        assert_eq!(store.get(top), Some(&object(top)));
+        assert_eq!(store.sorted_oids(), vec![Oid(3), top]);
+        let version = store.version();
+        for _ in 0..2 {
+            let fresh = store.insert(ClassId(0), Tuple::new());
+            assert_eq!(fresh, Err(OodbError::BaseOidsExhausted));
+        }
+        assert_eq!((store.len(), store.version()), (2, version));
+        store.remove(top).unwrap();
+        assert_eq!((store.len(), store.pages()), (1, 1));
+        // Removing the top object does not lower the allocator.
+        assert_eq!(
+            store.insert(ClassId(0), Tuple::new()),
+            Err(OodbError::BaseOidsExhausted)
+        );
+
+        // A WAL or snapshot naming an imaginary oid is a damaged file, not a
+        // reason to seat a view's object in a base store.
+        for imaginary in [Oid(IMAGINARY_OID_BASE), Oid(u64::MAX)] {
+            let replayed = store.insert_with_oid(imaginary, ClassId(0), Tuple::new());
+            assert!(
+                matches!(replayed, Err(OodbError::Corrupt { .. })),
+                "{replayed:?}"
+            );
+            let restored = Store::new().restore(vec![object(imaginary)], 1);
+            assert!(
+                matches!(restored, Err(OodbError::Corrupt { .. })),
+                "{restored:?}"
+            );
+        }
+        assert_eq!((store.len(), store.pages()), (1, 1));
+        let mut restored = Store::new();
+        restored
+            .restore(vec![object(top), object(Oid(3))], 9)
+            .unwrap();
+        assert_eq!(
+            (restored.len(), restored.pages(), restored.version()),
+            (2, 2, 9)
+        );
+        assert_eq!(
+            restored.insert(ClassId(0), Tuple::new()),
+            Err(OodbError::BaseOidsExhausted)
+        );
+        // Every other store still numbers from its own history.
+        assert_eq!(Store::new().insert(ClassId(0), Tuple::new()), Ok(Oid(0)));
+    }
+
+    /// A store numbers from its own history. Two stores sharing one
+    /// allocator, as a system's databases do, number past each other, and
+    /// a replay into one raises both. `shared_oid` finds an oid two stores
+    /// both hold, whichever is larger.
+    #[test]
+    fn each_store_numbers_from_its_own_history() {
+        let (mut a, mut b) = (Store::new(), Store::new());
+        for _ in 0..3 {
+            a.insert(ClassId(0), Tuple::new()).unwrap();
+        }
+        assert_eq!(b.insert(ClassId(0), Tuple::new()), Ok(Oid(0)));
+        assert_eq!(a.shared_oid(&b), Some(Oid(0)));
+        assert_eq!(b.shared_oid(&a), Some(Oid(0)));
+        b.oids = a.oids.clone();
+        b.remove(Oid(0)).unwrap();
+        assert_eq!(b.insert(ClassId(0), Tuple::new()), Ok(Oid(3)));
+        assert_eq!(a.insert(ClassId(0), Tuple::new()), Ok(Oid(4)));
+        assert_eq!(a.shared_oid(&b), None);
+        assert_eq!(Store::new().shared_oid(&a), None);
+        b.insert_with_oid(Oid(9), ClassId(0), Tuple::new()).unwrap();
+        assert_eq!(a.insert(ClassId(0), Tuple::new()), Ok(Oid(10)));
     }
 }

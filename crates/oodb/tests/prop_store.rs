@@ -8,25 +8,31 @@
 //! by its first probe, so the writes before it must reach the build and
 //! the writes after it the maintenance.
 //!
-//! Replayed oids stop at 2^47: replaying one raises the process-wide oid
-//! allocator past it, and the topmost base oid would leave the fresh inserts
-//! of every later case nothing to allocate. `tests/store_top_oid.rs` drives
-//! that edge in a process of its own.
+//! The model also numbers fresh oids: a store's allocator hands out one
+//! past the largest oid it allocated or replayed, so replays reach the
+//! topmost base oid, after which a fresh insert is a typed error.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use ov_oodb::ids::IMAGINARY_OID_BASE;
 use ov_oodb::store::PAGE_SLOTS;
-use ov_oodb::{sym, ClassId, Oid, Store, StoredObject, Tuple, Value};
+use ov_oodb::{sym, ClassId, Oid, OodbError, Store, StoredObject, Tuple, Value};
 use proptest::prelude::*;
 
 /// Where replayed oids land: each region is pages away from the next, and
-/// an offset within one spans three pages.
-const REGIONS: [u64; 4] = [1 << 20, 1 << 33, (1 << 33) + 5 * PAGE_SLOTS, 1 << 47];
+/// an offset within one spans three pages. The last ends at the topmost
+/// base oid.
+const REGIONS: [u64; 4] = [
+    1 << 20,
+    1 << 33,
+    (1 << 33) + 5 * PAGE_SLOTS,
+    IMAGINARY_OID_BASE - 3 * PAGE_SLOTS,
+];
 const CLASSES: u32 = 3;
 
 #[derive(Clone, Debug)]
 enum Op {
-    /// `try_insert`: a fresh oid off the process-wide counter.
+    /// `insert`: a fresh oid off the store's allocator.
     Insert {
         class: u32,
         x: Option<i64>,
@@ -88,6 +94,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..64).prop_map(|pick| Op::RemovePage { pick }),
         Just(Op::Restore),
         (0..CLASSES).prop_map(|class| Op::CreateIndex { class }),
+        // The last region, one draw in 16 at the topmost base oid: every
+        // fresh insert after it fails.
+        (0..16u64, 0..CLASSES, x()).prop_map(|(n, class, x)| Op::Replay {
+            region: REGIONS.len() - 1,
+            offset: if n == 0 { 3 * PAGE_SLOTS - 1 } else { n },
+            class,
+            x
+        }),
     ]
 }
 
@@ -152,6 +166,8 @@ proptest! {
     ) {
         let mut store = Store::new();
         let mut model: BTreeMap<Oid, StoredObject> = BTreeMap::new();
+        // The oid the store's allocator hands out next.
+        let mut next = 0u64;
         // Oids that were live once: their slots must read as vacant.
         let mut gone: BTreeSet<Oid> = BTreeSet::new();
         // A step of this sequence: every case probes from it to the last step.
@@ -159,16 +175,25 @@ proptest! {
         for (step, op) in ops.iter().enumerate() {
             match *op {
                 Op::Insert { class, x } => {
-                    let class = ClassId(class);
-                    let oid = store.try_insert(class, tuple(x)).unwrap();
-                    let seated = model.insert(oid, StoredObject { oid, class, value: tuple(x) });
-                    prop_assert!(seated.is_none(), "fresh oid {oid} was already live");
+                    let (class, version) = (ClassId(class), store.version());
+                    let inserted = store.insert(class, tuple(x));
+                    if next == IMAGINARY_OID_BASE {
+                        prop_assert_eq!(inserted, Err(OodbError::BaseOidsExhausted));
+                        prop_assert_eq!(store.version(), version);
+                    } else {
+                        let oid = inserted.unwrap();
+                        prop_assert_eq!(oid, Oid(next));
+                        next += 1;
+                        let seated = model.insert(oid, StoredObject { oid, class, value: tuple(x) });
+                        prop_assert!(seated.is_none(), "fresh oid {oid} was already live");
+                    }
                 }
                 Op::Replay { region, offset, class, x } => {
                     let (oid, class) = (Oid(REGIONS[region] + offset), ClassId(class));
                     if let std::collections::btree_map::Entry::Vacant(free) = model.entry(oid) {
                         store.insert_with_oid(oid, class, tuple(x)).unwrap();
                         free.insert(StoredObject { oid, class, value: tuple(x) });
+                        next = next.max(oid.0 + 1);
                     }
                 }
                 Op::Update { pick, x } => match picked(&model, pick) {
@@ -212,6 +237,8 @@ proptest! {
                     }
                     prop_assert_eq!(restored.version(), store.version());
                     store = restored;
+                    // A new store's allocator: raised past the image only.
+                    next = model.keys().next_back().map_or(0, |o| o.0 + 1);
                 }
                 Op::CreateIndex { class } => store.create_index(ClassId(class), sym("X")),
             }

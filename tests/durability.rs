@@ -5,10 +5,10 @@
 //! written down; reopening the session must hand back the same oid for the
 //! same core tuple.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 
-use objects_and_views::oodb::{IdentityStore, Oid};
+use objects_and_views::oodb::{IdentityStore, Oid, OodbError};
 use objects_and_views::prelude::*;
 
 /// A fresh scratch directory under the system temp dir (no tempfile crate:
@@ -345,5 +345,136 @@ fn snapshot_of_an_older_format_is_rejected_with_a_typed_error() {
         ),
         "old snapshot must fail typed, got {err:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `script` against the durable root `dir` in an `ovq` process of its
+/// own: the roots two processes make both number their objects from `#0`.
+fn ovq_root(dir: &Path, script: &str) {
+    let file = dir.with_extension("ovq");
+    std::fs::write(&file, script).unwrap();
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_ovq"))
+        .args(["--batch", "--data-dir"])
+        .args([dir, &file])
+        .stdout(std::process::Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success(), "ovq on {}", file.display());
+    let _ = std::fs::remove_file(&file);
+}
+
+/// A copy of the directory tree at `from`, at `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_tree(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// Two roots made by two processes both hold a `#0`. A database copied
+/// from one into the other must not join it: a view importing both would
+/// read `A`'s object for `B`'s `#0` (§3 needs every base oid to name one
+/// object), and answer `{"a0"}` where `B` holds `"b0"`. The open is refused
+/// with a typed error, and the root opens again without the copy.
+#[test]
+fn a_database_copied_from_another_root_is_refused_on_open() {
+    let (r1, r2) = (scratch("join-r1"), scratch("join-r2"));
+    ovq_root(
+        &r1,
+        r#"database A; class P type [Name: string];
+           insert P value [Name: "a0"]; insert P value [Name: "a1"];"#,
+    );
+    ovq_root(
+        &r2,
+        r#"database B; class Q type [Name: string]; insert Q value [Name: "b0"];"#,
+    );
+    let copied = r1.join("databases").join("B");
+    copy_tree(&r2.join("databases").join("B"), &copied);
+    match Session::open(&r1, Durability::Wal) {
+        Err(err) => assert_eq!(
+            err,
+            ViewError::Oodb(OodbError::SharedOid {
+                joining: sym("B"),
+                joined: sym("A"),
+                oid: Oid(0),
+            })
+        ),
+        Ok(mut s) => {
+            s.execute(
+                "create view V; import all classes from database A; \
+                 import all classes from database B;",
+            )
+            .unwrap();
+            let read = s.query(sym("V"), "select X.Name from X in Q");
+            panic!("B joined A's root, and `Q` reads {read:?}");
+        }
+    }
+    std::fs::remove_dir_all(&copied).unwrap();
+    let s = Session::open(&r1, Durability::Wal).unwrap();
+    assert_eq!(s.system().names(), vec![sym("A")]);
+    for dir in [r1, r2] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Two databases of one durable root, filled by alternating inserts, draw
+/// from the system's one allocator: their oids interleave, every oid lives
+/// in exactly one store, a reopen (one database from a snapshot plus a WAL
+/// tail, the other from its WAL) changes none, and inserts after it take
+/// oids past all of them.
+#[test]
+fn alternating_inserts_into_two_databases_keep_their_oids_across_a_reopen() {
+    let dir = scratch("alternating");
+    let oids = |s: &Session| -> BTreeMap<Symbol, Vec<Oid>> {
+        let sys = s.system();
+        let stores = sys.names().into_iter();
+        stores
+            .map(|n| (n, sys.database(n).unwrap().read().store.sorted_oids()))
+            .collect()
+    };
+    let insert = |s: &mut Session, n: usize| {
+        s.execute(&format!(
+            "database A; insert P value [N: {n}]; database B; insert Q value [N: {n}];"
+        ))
+        .unwrap();
+    };
+    let before = {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        s.execute("database A; class P type [N: integer]; database B; class Q type [N: integer];")
+            .unwrap();
+        for n in 0..4 {
+            insert(&mut s, n);
+        }
+        s.system()
+            .database(sym("A"))
+            .unwrap()
+            .read()
+            .checkpoint()
+            .unwrap();
+        for n in 4..6 {
+            insert(&mut s, n);
+        }
+        oids(&s)
+    };
+    let (a, b) = (&before[&sym("A")], &before[&sym("B")]);
+    let all: BTreeSet<Oid> = a.iter().chain(b).copied().collect();
+    assert_eq!((a.len(), b.len(), all.len()), (6, 6, 12), "{before:?}");
+    assert!(a[0] < b[0] && b[0] < a[1], "one allocator: {before:?}");
+    let mut s = Session::open(&dir, Durability::Wal).unwrap();
+    assert_eq!(oids(&s), before);
+    insert(&mut s, 6);
+    let after = oids(&s);
+    let top = all.last().copied().unwrap();
+    for name in [sym("A"), sym("B")] {
+        let new = after[&name].last().copied().unwrap();
+        assert!(new > top && !all.contains(&new), "{after:?}");
+    }
+    assert_ne!(after[&sym("A")].last(), after[&sym("B")].last());
     let _ = std::fs::remove_dir_all(&dir);
 }
