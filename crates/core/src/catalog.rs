@@ -11,10 +11,14 @@
 //!   is rejected at bind time ([`crate::ViewError::CyclicViewDependency`]);
 //! * **RESTRICT** — dropping a view another view reads returns
 //!   [`DdlOutcome::Rejected`] with the dependents, and nothing changes;
-//! * **atomic revalidation** — redefining a view (or a base schema)
-//!   rebinds every transitive dependent in topological order, all-or-
-//!   nothing: a dependent that fails rolls the whole change back
-//!   ([`crate::ViewError::RevalidationFailed`]).
+//! * **stage, then commit** — a change first binds every view it touches
+//!   (a redefined view, then each transitive dependent in topological
+//!   order) against the state it would produce, then installs them all or
+//!   none: a dependent that fails leaves the session as it was
+//!   ([`crate::ViewError::RevalidationFailed`]). A view redefinition is
+//!   rolled back; a base schema change is refused before it applies, its
+//!   declarations having run against a schema-only candidate
+//!   ([`ov_oodb::System::with_schema_only`]).
 //!
 //! ```
 //! use ov_views::{DdlOutcome, Session, ViewDef};
@@ -95,12 +99,11 @@ impl<'s> CatalogTxn<'s> {
     }
 
     /// Runs schema DDL (`class …;` / `attribute …;` declarations only)
-    /// against database `db`, then revalidates the database's transitive
-    /// dependents in topological order. A dependent that no longer binds
-    /// fails the whole operation with
-    /// [`ViewError::RevalidationFailed`] — but note the base schema change
-    /// itself is *not* undone (base databases have no schema rollback);
-    /// the views keep their previous bound state.
+    /// against database `db`, revalidating the database's transitive
+    /// dependents in topological order. The declarations run against a
+    /// schema-only candidate first: if a dependent would no longer bind,
+    /// the change is refused with [`ViewError::RevalidationFailed`] before
+    /// any of it applies, and the views keep their bound state.
     pub fn define_class(&mut self, db: impl Into<Symbol>, script: &str) -> Result<DdlOutcome> {
         let db = db.into();
         let stmts = parse_program(script).map_err(ViewError::from)?;
@@ -124,13 +127,7 @@ impl<'s> CatalogTxn<'s> {
     /// close a dependency cycle.
     pub fn define_view(&mut self, def: ViewDef) -> Result<DdlOutcome> {
         let name = def.name;
-        if self.session.views.contains_key(&name) {
-            return Err(ViewError::Definition(format!(
-                "view `{name}` already exists (use `redefine_view` to replace it)"
-            )));
-        }
-        let view = self.session.bind_def(&def)?;
-        self.session.install_view(view);
+        self.session.define_view(def)?;
         Ok(DdlOutcome::Defined(name))
     }
 
@@ -146,7 +143,7 @@ impl<'s> CatalogTxn<'s> {
                 "view `{name}` does not exist (use `define_view` to create it)"
             )));
         }
-        let n = self.session.replace_view_def(def)?;
+        let n = self.session.put_view(def)?;
         Ok(DdlOutcome::Revalidated {
             changed: name,
             dependents: n,
@@ -167,6 +164,7 @@ impl<'s> CatalogTxn<'s> {
             return Ok(DdlOutcome::Rejected { name, dependents });
         }
         self.session.remove_view(name);
+        self.session.persist_views_best_effort();
         Ok(DdlOutcome::Dropped(name))
     }
 

@@ -96,15 +96,29 @@ pub enum ViewError {
         /// The offending path, `view → … → view`.
         path: Vec<Symbol>,
     },
-    /// A redefinition was rolled back because rebinding one of its
-    /// transitive dependents failed: the catalog revalidates dependents
-    /// atomically, so nothing was changed.
+    /// A catalog change applied nothing because one of its transitive
+    /// dependents failed to bind against the state it would produce: a
+    /// view redefinition was rolled back, a base schema change refused
+    /// before its first statement applied.
     RevalidationFailed {
         /// The view (or database) whose change triggered revalidation.
         changed: Symbol,
+        /// Whether `changed` is a base database (the change was refused)
+        /// rather than a view (its redefinition was rolled back).
+        base: bool,
         /// The dependent view that failed to rebind.
         dependent: Symbol,
         /// Why it failed.
+        cause: Box<ViewError>,
+    },
+    /// The view is unbound: its saved definition failed to bind on open,
+    /// it could not follow a base change that had already applied, or it
+    /// reads a view that is unbound. Its definition is kept (see
+    /// [`crate::Session::unbound_views`]).
+    Unbound {
+        /// The unbound view.
+        view: Symbol,
+        /// Why it failed to bind.
         cause: Box<ViewError>,
     },
     /// Misc definition error with context.
@@ -188,13 +202,21 @@ impl fmt::Display for ViewError {
             }
             ViewError::RevalidationFailed {
                 changed,
+                base,
                 dependent,
                 cause,
-            } => write!(
-                f,
-                "redefinition of `{changed}` rolled back: dependent view `{dependent}` \
-                 failed to revalidate: {cause}"
-            ),
+            } => {
+                if *base {
+                    write!(f, "change to database `{changed}` refused")?;
+                } else {
+                    write!(f, "redefinition of `{changed}` rolled back")?;
+                }
+                write!(
+                    f,
+                    ": dependent view `{dependent}` failed to revalidate: {cause}"
+                )
+            }
+            ViewError::Unbound { view, cause } => write!(f, "view `{view}` is unbound: {cause}"),
             ViewError::Definition(msg) => write!(f, "view definition error: {msg}"),
             ViewError::Degraded { class, cause } => write!(
                 f,
@@ -210,7 +232,9 @@ impl std::error::Error for ViewError {
             ViewError::Query(e) => Some(e),
             ViewError::Oodb(e) => Some(e),
             ViewError::Degraded { cause, .. } => Some(&**cause),
-            ViewError::RevalidationFailed { cause, .. } => Some(&**cause),
+            ViewError::RevalidationFailed { cause, .. } | ViewError::Unbound { cause, .. } => {
+                Some(&**cause)
+            }
             _ => None,
         }
     }
@@ -262,6 +286,28 @@ mod tests {
         let q: QueryError = v.clone().into();
         assert!(q.to_string().contains("virtual class `Adult`"));
         assert_eq!(ViewError::from(q), v, "the same variant comes back");
+    }
+
+    /// A refused base change and a rolled-back view redefinition each say
+    /// what happened to them.
+    #[test]
+    fn a_revalidation_failure_names_what_happened() {
+        let failed = |base| ViewError::RevalidationFailed {
+            changed: sym("A"),
+            base,
+            dependent: sym("V"),
+            cause: Box::new(ViewError::HiddenClass(sym("P"))),
+        };
+        assert_eq!(
+            failed(true).to_string(),
+            "change to database `A` refused: dependent view `V` failed to revalidate: \
+             class `P` is hidden in this view"
+        );
+        assert_eq!(
+            failed(false).to_string(),
+            "redefinition of `A` rolled back: dependent view `V` failed to revalidate: \
+             class `P` is hidden in this view"
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use catalog::{CatalogTxn, DdlOutcome};
 pub use def::{AttrDecl, Hide, Import, ViewDef, ViewElement, VirtualClassDef};
 pub use error::{Result, ViewError};
 pub use graph::{DepEdge, DepTarget, DependencyGraph};
-pub use session::{Outcome, Session};
+pub use session::{Outcome, Session, UnboundView};
 pub use view::{
     Binder, IdentityMode, Materialization, View, ViewOptions, ViewOptionsBuilder, ViewStats,
 };

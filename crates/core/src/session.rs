@@ -72,6 +72,22 @@ pub struct Session {
     /// Durability level applied to every database this session opens or
     /// creates. Irrelevant (always `None`) for in-memory sessions.
     durability: Durability,
+    /// The view definitions kept unbound, in the order they became so.
+    unbound: Vec<UnboundView>,
+}
+
+/// A view definition the session keeps but could not bind: a definition of
+/// `views.ovq` that fails against the recovered bases on open, one that
+/// reads a view that does, or a view that could not follow a base change
+/// that had already applied (only an injected fault gets there). It is not
+/// a view of the session until a `create view` of its name replaces it,
+/// and every rewrite of `views.ovq` writes it back as it was read.
+#[derive(Clone, Debug)]
+pub struct UnboundView {
+    /// The definition, as it was read.
+    pub def: ViewDef,
+    /// Why it does not bind.
+    pub cause: ViewError,
 }
 
 /// File (under the durable root) holding the session's view definitions as
@@ -97,6 +113,7 @@ impl Session {
             planner: None,
             durable_root: None,
             durability: Durability::None,
+            unbound: Vec::new(),
         }
     }
 
@@ -105,11 +122,14 @@ impl Session {
     /// Recovery order: every subdirectory of `<dir>/databases/` is opened
     /// via [`ov_oodb::Database::open`] (snapshot + WAL replay, in name
     /// order), then `<dir>/views.ovq` — the checked script of view
-    /// definitions — is verified and replayed, rebinding each view against
-    /// the recovered bases. Imaginary-object identity is restored from the
-    /// databases' durable identity tables as each database joins the
-    /// session's system, before any view binds, so imaginary oids are
-    /// stable across open/close cycles.
+    /// definitions — is verified and split at each `create view`, and each
+    /// definition is bound once against the recovered bases and committed,
+    /// in file order. A definition that fails, or reads a view that did,
+    /// does not fail the open: it is kept unbound, and
+    /// [`Session::unbound_views`] reports it with its cause. Imaginary-object
+    /// identity is restored from the databases' durable identity tables as
+    /// each database joins the session's system, before any view binds, so
+    /// imaginary oids are stable across open/close cycles.
     ///
     /// `durability` applies to every database the session opens here or
     /// creates later (`database D;` statements create durable databases
@@ -148,7 +168,10 @@ impl Session {
         match std::fs::read_to_string(dir.join(VIEWS_FILE)) {
             Ok(text) => {
                 let script = ov_oodb::read_checked(&text).map_err(ViewError::Oodb)?;
-                session.execute(script)?;
+                let stmts = parse_program(script).map_err(ViewError::from)?;
+                for def in stmts.chunk_by(|_, next| !matches!(next, Stmt::CreateView(_))) {
+                    session.open_view(ViewDef::from_stmts(def)?);
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => {
@@ -158,13 +181,35 @@ impl Session {
                 )))
             }
         }
-        // Replay leaves the prompt wherever the script ended; a freshly
-        // opened session starts unfocused, like a freshly created one.
-        session.focus = Focus::Nothing;
-        session.oid_map.clear();
         session.durable_root = Some(dir.to_path_buf());
         session.durability = durability;
         Ok(session)
+    }
+
+    /// Binds and commits one saved definition on open. One that fails, or
+    /// imports a view kept unbound, is kept unbound with its cause.
+    fn open_view(&mut self, def: ViewDef) {
+        let upstream = def
+            .imports
+            .iter()
+            .find_map(|i| self.unbound.iter().find(|u| u.def.name == i.db));
+        let bound = match upstream {
+            Some(up) => Err(ViewError::Unbound {
+                view: up.def.name,
+                cause: Box::new(up.cause.clone()),
+            }),
+            None => self.put_view(def.clone()).map(drop),
+        };
+        if let Err(cause) = bound {
+            self.unbound.push(UnboundView { def, cause });
+        }
+    }
+
+    /// The view definitions this session keeps but could not bind, in the
+    /// order they became unbound (see [`UnboundView`]). `ovq --data-dir`
+    /// prints them on open.
+    pub fn unbound_views(&self) -> &[UnboundView] {
+        &self.unbound
     }
 
     /// The durable root directory, if this session was opened with
@@ -202,7 +247,8 @@ impl Session {
 
     /// The typed DDL API over this session's catalog: define and drop
     /// databases, classes, and views with dependency-aware outcomes
-    /// (RESTRICT on drops, atomic revalidation on redefinitions). See
+    /// (RESTRICT on drops; every change stages its dependents, then
+    /// commits them all or none). See
     /// [`crate::catalog::CatalogTxn`].
     pub fn catalog(&mut self) -> crate::catalog::CatalogTxn<'_> {
         crate::catalog::CatalogTxn::new(self)
@@ -260,7 +306,10 @@ impl Session {
     /// script executor in one call, so a reference resolves anywhere within
     /// its run (a class type naming a later class, an `object` value naming
     /// a later object) and a run that changes the schema revalidates the
-    /// database's dependents once. Every other statement executes alone.
+    /// database's dependents once — before it applies, so a run that a
+    /// dependent cannot follow is refused whole (see
+    /// [`ViewError::RevalidationFailed`]). Every other statement executes
+    /// alone.
     /// Returns one outcome per statement, in order; stops at the first
     /// error, leaving earlier runs applied.
     pub fn execute(&mut self, src: &str) -> Result<Vec<Outcome>> {
@@ -298,15 +347,8 @@ impl Session {
                 Outcome::Notice(format!("database {name}"))
             }
             Stmt::CreateView(name) => {
-                let name = *name;
-                if self.views.contains_key(&name) {
-                    return Err(ViewError::Definition(format!(
-                        "view `{name}` already exists in this session"
-                    )));
-                }
-                let view = self.bind_def(&ViewDef::new(name))?;
-                self.install_view(view);
-                self.focus = Focus::View(name);
+                self.define_view(ViewDef::new(*name))?;
+                self.focus = Focus::View(*name);
                 Outcome::Notice(format!("view {name}"))
             }
             Stmt::Import { what, db } => self.extend_view(|def| {
@@ -365,8 +407,8 @@ impl Session {
         Ok(())
     }
 
-    /// Applies `patch` to the focused view's definition and rebinds it;
-    /// a failing statement is rolled back so the session view stays usable.
+    /// Applies `patch` to the focused view's definition and rebinds it; a
+    /// failing statement changes nothing, so the session view stays usable.
     fn extend_view(&mut self, patch: impl FnOnce(&mut ViewDef)) -> Result<Outcome> {
         let Focus::View(name) = self.focus else {
             return Err(ViewError::Definition(
@@ -378,7 +420,7 @@ impl Session {
         let mut candidate = self.views[&name].def().clone();
         patch(&mut candidate);
         let _span = ov_oodb::span!("session.rebind_view", view = name);
-        self.replace_view_def(candidate)?;
+        self.put_view(candidate)?;
         Ok(Outcome::Done)
     }
 
@@ -402,153 +444,193 @@ impl Session {
         Ok(())
     }
 
-    /// Binds `def` against the session's system with every *other*
-    /// session view available as an upstream (so `import all classes from
-    /// V` resolves and views can stack).
-    pub(crate) fn bind_def(&self, def: &ViewDef) -> Result<View> {
-        self.bind_staged(def, &HashMap::new())
-    }
-
-    /// [`Self::bind_def`] over the `staged` views where they are, else the
-    /// installed ones.
-    fn bind_staged(&self, def: &ViewDef, staged: &HashMap<Symbol, Arc<View>>) -> Result<View> {
-        let upstreams = self
-            .views
-            .iter()
-            .filter(|(n, _)| **n != def.name)
-            .map(|(n, v)| staged.get(n).unwrap_or(v));
-        def.binder(&self.system)
-            .options(self.options.clone())
-            .over_all(upstreams)
-            .bind()
-    }
-
-    /// Registers a freshly bound view and its dependency edges.
-    pub(crate) fn install_view(&mut self, view: View) {
-        let name = view.name();
-        self.graph.set(name, view.dependencies().to_vec());
-        self.views.insert(name, Arc::new(view));
-        self.persist_views_best_effort();
-    }
-
-    /// Removes `name` from the session (views map, dependency graph, and
-    /// focus if it was focused). Callers enforce RESTRICT first.
-    pub(crate) fn remove_view(&mut self, name: Symbol) {
-        self.views.remove(&name);
-        self.graph.remove(name);
-        if self.focus == Focus::View(name) {
-            self.focus = Focus::Nothing;
+    /// Defines a new view — `create view` and
+    /// [`crate::CatalogTxn::define_view`] both — refusing a name the
+    /// session already binds.
+    pub(crate) fn define_view(&mut self, def: ViewDef) -> Result<()> {
+        if self.views.contains_key(&def.name) {
+            return Err(ViewError::Definition(format!(
+                "view `{}` already exists in this session",
+                def.name
+            )));
         }
-        self.persist_views_best_effort();
+        self.put_view(def).map(drop)
     }
 
-    /// Replaces (or introduces) a view definition, then atomically
-    /// revalidates every transitive dependent: either the new definition
-    /// *and* all rebound dependents are committed, or the session is left
-    /// exactly as it was. Returns the number of dependents revalidated.
-    pub(crate) fn replace_view_def(&mut self, candidate: ViewDef) -> Result<usize> {
-        let name = candidate.name;
-        let view = self.bind_def(&candidate)?;
-        let new_edges = view.dependencies().to_vec();
-        let old = self.views.insert(name, Arc::new(view));
-        let old_edges = self.graph.deps_of(name).map(<[_]>::to_vec);
-        self.graph.set(name, new_edges);
-        match self.rebind_dependents(DepTarget::View(name), name) {
-            Ok(n) => {
-                self.persist_views_best_effort();
-                Ok(n)
-            }
-            Err(e) => {
-                // Roll back: restore the previous entry and edges.
-                match old {
-                    Some(entry) => {
-                        self.views.insert(name, entry);
-                    }
-                    None => {
-                        self.views.remove(&name);
-                    }
-                }
-                match old_edges {
-                    Some(edges) => self.graph.set(name, edges),
-                    None => self.graph.remove(name),
-                }
-                Err(e)
-            }
-        }
+    /// (Re)defines view `def.name`: stages `def` and every transitive
+    /// dependent over it, then commits them all, or, on error, none.
+    /// Returns the number of dependents revalidated.
+    pub(crate) fn put_view(&mut self, def: ViewDef) -> Result<usize> {
+        let staged = self.stage(&self.system, Some(&def), DepTarget::View(def.name))?;
+        let dependents = staged.len() - 1;
+        self.commit(staged);
+        Ok(dependents)
     }
 
-    /// Rebinds every transitive dependent of `target`, in topological
-    /// order, each over the dependents staged before it: a view stacked on
-    /// a rebound view reads the new one. All rebinds are staged before any
-    /// is committed, so a failure leaves every dependent untouched; the
-    /// error names the dependent that failed and the change (`changed`)
-    /// that triggered revalidation.
-    pub(crate) fn rebind_dependents(
-        &mut self,
-        target: DepTarget,
-        changed: Symbol,
-    ) -> Result<usize> {
-        let order = self.graph.transitive_dependents(target);
-        if order.is_empty() {
-            return Ok(0);
+    /// Stages a catalog change against `system`, the state the change
+    /// produces: binds `def`, when the change (re)defines a view, then every
+    /// transitive dependent of `changed` in topological order, each over the
+    /// views staged before it, so a view stacked on a restaged one reads the
+    /// new one. Nothing is installed ([`Self::commit`] does that), so an
+    /// error leaves the session as it was. A dependent that fails to bind
+    /// fails the stage with [`ViewError::RevalidationFailed`] naming it.
+    fn stage(
+        &self,
+        system: &System,
+        def: Option<&ViewDef>,
+        changed: DepTarget,
+    ) -> Result<Vec<Arc<View>>> {
+        let mut staged = Vec::new();
+        if let Some(def) = def {
+            staged.push(Arc::new(self.bind_over(system, def, &[])?));
         }
-        let _span = ov_oodb::span!("session.rebind_dependents");
-        let mut staged: HashMap<Symbol, Arc<View>> = HashMap::new();
-        for &name in &order {
-            let def = self.views[&name].def();
+        let (name, base) = match changed {
+            DepTarget::Database(n) => (n, true),
+            DepTarget::View(n) => (n, false),
+        };
+        for dependent in self.graph.transitive_dependents(changed) {
             // A *full* rebind over the staged upstreams: each staged
             // dependent's own includes are recompiled, and the classes it
             // reads from upstream views are read from the new ones — a
             // dependent never serves an old definition after a
             // redefinition commits (regression-tested in
             // `redefining_an_upstream_view_recompiles_dependents`).
-            let view =
-                self.bind_staged(def, &staged)
-                    .map_err(|e| ViewError::RevalidationFailed {
-                        changed,
-                        dependent: name,
-                        cause: Box::new(e),
-                    })?;
-            staged.insert(name, Arc::new(view));
+            let def = self.views[&dependent].def();
+            let view = self.bind_over(system, def, &staged).map_err(|e| {
+                ViewError::RevalidationFailed {
+                    changed: name,
+                    base,
+                    dependent,
+                    cause: Box::new(e),
+                }
+            })?;
+            staged.push(Arc::new(view));
         }
-        let n = staged.len();
-        for (name, view) in staged {
+        Ok(staged)
+    }
+
+    /// Binds `def` against `system` over every *other* view of the session
+    /// (so `import all classes from V` resolves and views stack), each as
+    /// `staged` holds it if it is there.
+    fn bind_over(&self, system: &System, def: &ViewDef, staged: &[Arc<View>]) -> Result<View> {
+        // `over_all` keeps the last view of each name: the staged one.
+        let upstreams = self.views.values().chain(staged);
+        def.binder(system)
+            .options(self.options.clone())
+            .over_all(upstreams.filter(|v| v.name() != def.name))
+            .bind()
+    }
+
+    /// Installs the views one catalog change staged, sets their dependency
+    /// edges and rewrites `views.ovq` once. A committed view replaces the
+    /// kept unbound definition of its name, if there is one.
+    fn commit(&mut self, staged: Vec<Arc<View>>) {
+        for view in staged {
+            let name = view.name();
+            self.unbound.retain(|u| u.def.name != name);
             self.graph.set(name, view.dependencies().to_vec());
             self.views.insert(name, view);
         }
-        Ok(n)
+        self.persist_views_best_effort();
+    }
+
+    /// Removes `name` from the session (views map, dependency graph, and
+    /// focus if it was focused), returning its view. Callers enforce
+    /// RESTRICT first, and rewrite `views.ovq`.
+    pub(crate) fn remove_view(&mut self, name: Symbol) -> Option<Arc<View>> {
+        self.graph.remove(name);
+        if self.focus == Focus::View(name) {
+            self.focus = Focus::Nothing;
+        }
+        self.views.remove(&name)
+    }
+
+    /// Moves view `name` and every view stacked on it out of the catalog
+    /// and keeps their definitions unbound: `name` for `cause`, the others
+    /// because they read it. Returns the error that says `name` is unbound.
+    fn unbind(&mut self, name: Symbol, cause: ViewError) -> ViewError {
+        let unbound = ViewError::Unbound {
+            view: name,
+            cause: Box::new(cause.clone()),
+        };
+        let causes = std::iter::once(cause).chain(std::iter::repeat(unbound.clone()));
+        let stacked = self.graph.transitive_dependents(DepTarget::View(name));
+        for (view, cause) in std::iter::once(name).chain(stacked).zip(causes) {
+            if let Some(removed) = self.remove_view(view) {
+                let def = removed.def().clone();
+                self.unbound.push(UnboundView { def, cause });
+            }
+        }
+        unbound
     }
 
     /// Runs `stmts`, a run of base statements, on database `db`: the
-    /// session's one call into the script executor, whose passes see the
-    /// whole run. `each` receives one outcome per statement. A run that
-    /// declared a class or an attribute then rebinds the transitive
-    /// dependents of `db` once, in dependency order — also when a later
-    /// statement failed, since what the run applied stays applied;
-    /// unrelated views keep their bound state and warm caches. A data write
-    /// refreshes no view: each population follows its sources on the read
-    /// that needs it. Returns the number of dependents rebound.
+    /// session's one caller of the script executor, whose passes see the
+    /// whole run. `each` receives one outcome per statement.
+    ///
+    /// A run that declares a class or an attribute on a database with
+    /// dependents is validated before it applies: its declarations run
+    /// against a candidate system ([`System::with_schema_only`]), and every
+    /// transitive dependent of `db` is staged over it. If one fails — or a
+    /// declaration does — the run is refused, and none of its statements
+    /// applies. Otherwise the run applies, and the dependents are staged
+    /// again against the real system and committed, in dependency order —
+    /// also when a later statement failed, since what the run applied stays
+    /// applied; unrelated views keep their bound state and warm caches. A
+    /// run on a database with no dependents builds no candidate. A data
+    /// write refreshes no view: each population follows its sources on the
+    /// read that needs it. Returns the number of dependents rebound.
     pub(crate) fn run_on_database(
         &mut self,
         db: Symbol,
         stmts: &[Stmt],
         mut each: impl FnMut(Outcome),
     ) -> Result<usize> {
+        let declares = |s: &&Stmt| matches!(s, Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. });
+        let follow = stmts.iter().any(|s| declares(&s))
+            && !self
+                .graph
+                .direct_dependents(DepTarget::Database(db))
+                .is_empty();
+        let _span = follow.then(|| ov_oodb::span!("session.rebind_dependents"));
+        if follow {
+            let decls: Vec<Stmt> = stmts.iter().filter(declares).cloned().collect();
+            let mut candidate = self.system.with_schema_only(db)?;
+            execute_stmts_with_map(&mut candidate, Some(db), &decls, &mut HashMap::new(), drop)?;
+            self.stage(&candidate, None, DepTarget::Database(db))?;
+        }
         let ran = under_planner(self.planner, || {
             execute_stmts_with_map(&mut self.system, Some(db), stmts, &mut self.oid_map, |v| {
                 each(v.map_or(Outcome::Done, Outcome::Value))
             })
         });
-        let schema_change = stmts
-            .iter()
-            .any(|s| matches!(s, Stmt::ClassDecl { .. } | Stmt::AttributeDecl { .. }));
-        let rebound = if schema_change {
-            self.rebind_dependents(DepTarget::Database(db), db)
-        } else {
-            Ok(0)
-        };
+        let rebound = if follow { self.follow(db) } else { Ok(0) };
         ran.map_err(ViewError::from)?;
         rebound
+    }
+
+    /// Stages the transitive dependents of database `db` against the
+    /// system after a run changed its schema, and commits them. The
+    /// candidate admitted the change, so a dependent fails here only by an
+    /// injected fault: it is unbound with every view stacked on it, so none
+    /// serves state the base no longer has, and the rest are staged again
+    /// without it. Returns the number committed, or the first unbound
+    /// view's [`ViewError::Unbound`].
+    fn follow(&mut self, db: Symbol) -> Result<usize> {
+        let mut unbound = Ok(());
+        loop {
+            match self.stage(&self.system, None, DepTarget::Database(db)) {
+                Ok(staged) => {
+                    let n = staged.len();
+                    self.commit(staged);
+                    return unbound.map(|()| n);
+                }
+                Err(ViewError::RevalidationFailed {
+                    dependent, cause, ..
+                }) => unbound = unbound.and(Err(self.unbind(dependent, *cause))),
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Warms every transitive dependent of database `db` after a base
@@ -622,7 +704,8 @@ impl Session {
     /// every view definition — as one script that [`Session::execute`] (or
     /// the `ovq` shell) replays into an equivalent session. View
     /// definitions are emitted in dependency order, so a view stacked on
-    /// another view restores after the views it imports. Imaginary
+    /// another view restores after the views it imports; a definition kept
+    /// unbound comes last, and its replay fails as its bind did. Imaginary
     /// identity tables are *not* part of the saved state: they repopulate
     /// deterministically on first use in the restored session.
     pub fn save(&self) -> String {
@@ -634,24 +717,28 @@ impl Session {
             out.push_str(&ov_oodb::dump_database_with_offset(&db, offset));
             offset += db.store.len() as u64;
         }
-        for vname in self.graph.topo_order(self.view_names()) {
-            out.push_str(&self.views[&vname].def().to_script());
-        }
+        out.push_str(&self.views_script());
         out
     }
 
+    /// Every view definition as DDL, in the order a replay needs: the bound
+    /// views in dependency order, so a view stacked on another follows the
+    /// views it imports, then the unbound ones as they were kept.
+    fn views_script(&self) -> String {
+        let bound = self.graph.topo_order(self.view_names());
+        let bound = bound.into_iter().map(|v| self.views[&v].def());
+        let unbound = self.unbound.iter().map(|u| &u.def);
+        bound.chain(unbound).map(ViewDef::to_script).collect()
+    }
+
     /// Rewrites `<root>/views.ovq` — the checked script of every view
-    /// definition, in dependency order — atomically (temp file, fsync,
+    /// definition, bound or kept unbound — atomically (temp file, fsync,
     /// rename). A no-op for in-memory sessions.
     pub fn persist_views(&self) -> Result<()> {
         let Some(root) = &self.durable_root else {
             return Ok(());
         };
-        let mut script = String::new();
-        for vname in self.graph.topo_order(self.view_names()) {
-            script.push_str(&self.views[&vname].def().to_script());
-        }
-        let text = ov_oodb::wrap_checked(&script);
+        let text = ov_oodb::wrap_checked(&self.views_script());
         let write = || -> std::io::Result<()> {
             use std::io::Write as _;
             let tmp = root.join("views.ovq.tmp");
@@ -672,7 +759,7 @@ impl Session {
     /// committed in memory stays committed; the miss is counted
     /// (`session.views_persist_failures`) and the next successful rewrite
     /// or [`Session::checkpoint`] heals the file.
-    fn persist_views_best_effort(&self) {
+    pub(crate) fn persist_views_best_effort(&self) {
         if self.persist_views().is_err() {
             ov_oodb::metric_counter!("session.views_persist_failures").inc();
         }
@@ -749,6 +836,9 @@ impl Session {
                 0 => writeln!(out, "  health: healthy"),
                 n => writeln!(out, "  health: {n} stale serve(s)"),
             };
+        }
+        for unbound in &self.unbound {
+            let _ = writeln!(out, "view {}: unbound: {}", unbound.def.name, unbound.cause);
         }
         out
     }

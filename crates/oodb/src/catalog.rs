@@ -98,6 +98,22 @@ impl System {
         Ok(self.databases[id.0 as usize].clone())
     }
 
+    /// The system a schema change to database `name` is validated against
+    /// before it applies: a clone of this one in which `name` is replaced
+    /// by its [`Database::schema_only`] copy. The other databases, the oid
+    /// allocator and the identity tables are shared, as in any clone.
+    pub fn with_schema_only(&self, name: Symbol) -> Result<System> {
+        let id = self
+            .by_name
+            .get(&name)
+            .copied()
+            .ok_or(OodbError::UnknownDatabase(name))?;
+        let copy = self.databases[id.0 as usize].read().schema_only()?;
+        let mut candidate = self.clone();
+        candidate.databases[id.0 as usize] = Arc::new(RwLock::new(copy));
+        Ok(candidate)
+    }
+
     /// All database names, sorted.
     pub fn names(&self) -> Vec<Symbol> {
         let mut v: Vec<Symbol> = self.by_name.keys().copied().collect();
@@ -194,6 +210,28 @@ mod tests {
             .create_object(class, Value::tuple([("Name", Value::str("a3"))]));
         assert_eq!(next, Ok(Oid(3)));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The candidate keeps the schema, the names and the named objects of
+    /// the database it copies, and nothing else of it: a class declared on
+    /// it stays off the real database, and the other databases are shared.
+    #[test]
+    fn a_schema_only_candidate_keeps_names_and_shares_the_rest() {
+        let mut sys = System::new();
+        let a = sys.create_database(sym("A")).unwrap();
+        let b = sys.create_database(sym("B")).unwrap();
+        let oids = fill(&mut a.write(), "P", "Name", &["a0", "a1"]);
+        a.write().name_object(sym("first"), oids[0]).unwrap();
+        let mut candidate = sys.with_schema_only(sym("A")).unwrap();
+        let copy = candidate.database(sym("A")).unwrap();
+        assert_eq!(copy.read().store.sorted_oids(), vec![oids[0]]);
+        assert_eq!(copy.read().named(sym("first")), Ok(oids[0]));
+        assert!(copy.read().durable_core().is_none());
+        copy.write().create_class(sym("Q"), &[], vec![]).unwrap();
+        assert!(a.read().schema.class_by_name(sym("Q")).is_none());
+        assert!(Arc::ptr_eq(&candidate.database(sym("B")).unwrap(), &b));
+        assert!(candidate.create_database(sym("A")).is_err());
+        assert!(sys.with_schema_only(sym("Z")).is_err());
     }
 
     #[test]

@@ -49,8 +49,9 @@ impl Database {
     /// registers the secondary-index definitions, replays the WAL tail,
     /// re-seats the journal floor at the recovered version, and attaches
     /// the durability core so every subsequent mutation is redo-logged.
-    /// The database numbers fresh objects past every oid it recovered, from
-    /// an allocator of its own until it joins a system
+    /// The database numbers fresh objects past every oid it recovered and
+    /// past the next oid its snapshot recorded (a deleted oid stays
+    /// retired), from an allocator of its own until it joins a system
     /// ([`crate::System::add_database`]), which checks that its oids are
     /// disjoint from those of the databases already there. The §5.1
     /// imaginary identity tables recovered alongside seed the system's
@@ -66,7 +67,8 @@ impl Database {
         let mut db = Database::new(name);
         if let Some(img) = snapshot {
             db.schema = img.restore_schema()?;
-            db.store.restore(img.objects, img.store_version)?;
+            db.store
+                .restore(img.objects, img.store_version, img.next_oid)?;
             db.names = img.names.into_iter().collect();
             // Indexes are derived: register the persisted definitions, for
             // the first probe of each to build. The durability core is not
@@ -128,6 +130,24 @@ impl Database {
         Ok(())
     }
 
+    /// A copy of this database that keeps what a schema change and a view
+    /// bind read of it: the schema, the names and the objects they name
+    /// (the typechecker reads a named object's class). It holds no other
+    /// object and no durability core, so nothing done to it is logged.
+    pub fn schema_only(&self) -> Result<Database> {
+        let mut copy = Database::new(self.name);
+        copy.schema = self.schema.clone();
+        for (&name, &oid) in &self.names {
+            if copy.store.get(oid).is_none() {
+                let obj = self.store.require(oid)?;
+                copy.store
+                    .insert_with_oid(oid, obj.class, obj.value.clone())?;
+            }
+            copy.names.insert(name, oid);
+        }
+        Ok(copy)
+    }
+
     /// The durability core, when this database was opened with
     /// [`Database::open`]. Views hold a clone to log identity assignments.
     pub fn durable_core(&self) -> Option<Arc<DurableCore>> {
@@ -144,6 +164,7 @@ impl Database {
         core.checkpoint(|img| {
             img.name = self.name;
             img.store_version = self.store.version();
+            img.next_oid = self.store.oids.next();
             img.capture_schema(&self.schema);
             img.objects = self.store.iter().cloned().collect();
             img.names = self.names();

@@ -20,10 +20,11 @@
 //! newer, fails with [`OodbError::UnsupportedFormat`] instead of
 //! misparsing.
 //!
-//! ## Body (format 2)
+//! ## Body (format 3)
 //!
 //! ```text
-//! name · store_version u64 · checkpoint_lsn u64 · next_imaginary u64
+//! name · store_version u64 · checkpoint_lsn u64 · next_imaginary u64 ·
+//! next_oid u64
 //! classes:  count u32 × ( name · parents · own attrs )
 //! shapes:   count u32 × ( field count u32 × field name )
 //! objects:  count u32 × ( oid u64 · class u32 · shape u32 · values )
@@ -38,8 +39,10 @@
 //! one encoded value per field of the shape. The table is self-describing:
 //! decoding needs no schema, and an object written before an `add_attr`
 //! simply has another shape. Format 1 repeated every field name inside
-//! every object. Tuples nested inside values and the identity entries keep
-//! the codec's `(name, value)` encoding, which the WAL shares.
+//! every object. Format 2 kept no `next_oid`, so an oid deleted above the
+//! largest live one before a checkpoint was handed out again after it.
+//! Tuples nested inside values and the identity entries keep the codec's
+//! `(name, value)` encoding, which the WAL shares.
 //!
 //! ## Atomicity
 //!
@@ -66,7 +69,7 @@ use crate::value::Tuple;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OVSNAP01";
 
 /// The snapshot format version this build writes and reads.
-pub const SNAPSHOT_FORMAT: u32 = 2;
+pub const SNAPSHOT_FORMAT: u32 = 3;
 
 /// Payload bytes per data page.
 pub const PAGE_SIZE: usize = 8192;
@@ -111,6 +114,9 @@ pub struct SnapshotImage {
     pub identity: Vec<IdentityEntry>,
     /// Lowest imaginary oid not yet assigned (allocator seed).
     pub next_imaginary: u64,
+    /// The base-oid allocator's next oid: no oid below it is handed out
+    /// again, also one whose object was deleted before the checkpoint.
+    pub next_oid: u64,
 }
 
 impl Default for SnapshotImage {
@@ -125,6 +131,7 @@ impl Default for SnapshotImage {
             index_defs: Vec::new(),
             identity: Vec::new(),
             next_imaginary: crate::ids::IMAGINARY_OID_BASE,
+            next_oid: 0,
         }
     }
 }
@@ -178,6 +185,7 @@ impl SnapshotImage {
         w.put_u64(self.store_version);
         w.put_u64(self.checkpoint_lsn);
         w.put_u64(self.next_imaginary);
+        w.put_u64(self.next_oid);
         w.put_u32(self.classes.len() as u32);
         for (name, parents, attrs) in &self.classes {
             w.put_symbol(*name);
@@ -253,6 +261,7 @@ impl SnapshotImage {
         let store_version = r.take_u64()?;
         let checkpoint_lsn = r.take_u64()?;
         let next_imaginary = r.take_u64()?;
+        let next_oid = r.take_u64()?;
         let nc = r.take_len(5)?;
         let mut classes = Vec::with_capacity(nc);
         for _ in 0..nc {
@@ -348,6 +357,7 @@ impl SnapshotImage {
             index_defs,
             identity,
             next_imaginary,
+            next_oid,
         })
     }
 }
@@ -523,6 +533,7 @@ mod tests {
             store_version: 17,
             checkpoint_lsn: 42,
             next_imaginary: crate::ids::IMAGINARY_OID_BASE + 9,
+            next_oid: 5,
             ..SnapshotImage::default()
         };
         img.capture_schema(&schema);
@@ -556,6 +567,7 @@ mod tests {
         assert_eq!(back.index_defs, img.index_defs);
         assert_eq!(back.identity, img.identity);
         assert_eq!(back.next_imaginary, img.next_imaginary);
+        assert_eq!(back.next_oid, 5);
         let schema = back.restore_schema().unwrap();
         assert_eq!(schema.len(), 2);
         use crate::types::ClassGraph;
@@ -606,7 +618,7 @@ mod tests {
         }
     }
 
-    /// A file an older build wrote must not reach the format-2 decoder.
+    /// A file an older build wrote must not reach this format's decoder.
     /// The header is hand-built: format 1, zero pages.
     #[test]
     fn older_format_version_rejected() {
@@ -625,7 +637,7 @@ mod tests {
         match read_snapshot(&dir) {
             Err(OodbError::UnsupportedFormat {
                 found: 1,
-                supported: 2,
+                supported: SNAPSHOT_FORMAT,
             }) => {}
             other => panic!("expected UnsupportedFormat, got {other:?}"),
         }
@@ -771,6 +783,7 @@ mod tests {
         w.put_u64(0);
         w.put_u64(1);
         w.put_u64(crate::ids::IMAGINARY_OID_BASE);
+        w.put_u64(8); // next oid
         w.put_u32(0); // classes
         w.put_u32(1); // shapes
         w.put_u32(3);

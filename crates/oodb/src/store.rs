@@ -54,7 +54,12 @@ impl OidAllocator {
 
     /// Never hands out an oid below the one `other` hands out next.
     pub(crate) fn raise_past(&self, other: &OidAllocator) {
-        self.0.fetch_max(other.0.load(Relaxed), Relaxed);
+        self.0.fetch_max(other.next(), Relaxed);
+    }
+
+    /// The oid the next allocation hands out.
+    pub(crate) fn next(&self) -> u64 {
+        self.0.load(Relaxed)
     }
 }
 
@@ -505,9 +510,21 @@ impl Store {
     ///
     /// A checkpoint lists objects in oid order, so each class's oids arrive
     /// sorted and its extent is built in one pass (any order is still
-    /// correct, only slower), and the store's oid allocator is raised once,
-    /// past the largest.
-    pub fn restore(&mut self, objects: Vec<StoredObject>, version: u64) -> Result<()> {
+    /// correct, only slower). The store's oid allocator is raised once, to
+    /// `next_oid` — the allocator's value the checkpoint recorded — or past
+    /// the largest oid, whichever is higher, so an oid deleted before the
+    /// checkpoint is not handed out again.
+    pub fn restore(
+        &mut self,
+        objects: Vec<StoredObject>,
+        version: u64,
+        next_oid: u64,
+    ) -> Result<()> {
+        if next_oid > IMAGINARY_OID_BASE {
+            return Err(OodbError::corrupt(format!(
+                "next base oid {next_oid} lies in the imaginary range"
+            )));
+        }
         self.objects = ObjectTable::default();
         let mut extents: HashMap<ClassId, Vec<Oid>> = HashMap::new();
         let mut top = None;
@@ -517,9 +534,8 @@ impl Store {
             extents.entry(obj.class).or_default().push(obj.oid);
             self.objects.insert(obj);
         }
-        if let Some(top) = top {
-            self.oids.0.fetch_max(top.0 + 1, Relaxed);
-        }
+        let top = top.map_or(0, |top| top.0 + 1);
+        self.oids.0.fetch_max(top.max(next_oid), Relaxed);
         self.extents = extents
             .into_iter()
             .map(|(class, oids)| (class, BTreeSet::from_iter(oids)))
@@ -845,7 +861,13 @@ mod tests {
                 matches!(replayed, Err(OodbError::Corrupt { .. })),
                 "{replayed:?}"
             );
-            let restored = Store::new().restore(vec![object(imaginary)], 1);
+            let restored = Store::new().restore(vec![object(imaginary)], 1, 0);
+            assert!(
+                matches!(restored, Err(OodbError::Corrupt { .. })),
+                "{restored:?}"
+            );
+            let next = imaginary.0.saturating_add(1);
+            let restored = Store::new().restore(Vec::new(), 1, next);
             assert!(
                 matches!(restored, Err(OodbError::Corrupt { .. })),
                 "{restored:?}"
@@ -854,7 +876,7 @@ mod tests {
         assert_eq!((store.len(), store.pages()), (1, 1));
         let mut restored = Store::new();
         restored
-            .restore(vec![object(top), object(Oid(3))], 9)
+            .restore(vec![object(top), object(Oid(3))], 9, 0)
             .unwrap();
         assert_eq!(
             (restored.len(), restored.pages(), restored.version()),

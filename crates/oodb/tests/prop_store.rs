@@ -231,7 +231,7 @@ proptest! {
                     let mut restored = Store::new();
                     // Any order: the image is a list, not a sorted one.
                     let image: Vec<StoredObject> = model.values().rev().cloned().collect();
-                    restored.restore(image, store.version()).unwrap();
+                    restored.restore(image, store.version(), 0).unwrap();
                     for (class, attr) in store.index_defs() {
                         restored.create_index(class, attr);
                     }

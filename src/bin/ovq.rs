@@ -12,14 +12,17 @@
 //! under `DIR/databases/<name>/` with a write-ahead log and snapshot
 //! checkpoints, and view definitions persist in `DIR/views.ovq`.
 //! `--durability` picks the commit level (`none`, `wal` — the default with
-//! `--data-dir` — or `walsync`).
+//! `--data-dir` — or `walsync`). A saved view that no longer binds does not
+//! stop the open: the shell prints `-- view V is unbound: CAUSE` for it
+//! (and for each view stacked on it), keeps its definition in `views.ovq`,
+//! and lists it in `.schema`; `create view V;` replaces it.
 //!
 //! Statements end with `;` and may span lines. Meta commands:
 //!
 //! | command | effect |
 //! |---|---|
 //! | `.help` | this table |
-//! | `.schema` | databases, classes, views in the session |
+//! | `.schema` | databases, classes, views in the session (unbound ones with their cause) |
 //! | `.use NAME` | focus a database or view |
 //! | `.load FILE` | execute a script file |
 //! | `.dump DB` | print a database as DDL |
@@ -49,7 +52,8 @@ use objects_and_views::query::Budget;
 /// documents itself.
 const HELP: &str = "\
 .help            this help\n\
-.schema          databases, classes and views\n\
+.schema          databases, classes and views (an unbound view\n\
+                 with why it does not bind)\n\
 .use NAME        focus a database or view\n\
 .load FILE       execute a script file\n\
 .dump DB         print a database as DDL\n\
@@ -188,6 +192,9 @@ fn main() {
                         "-- durable session at {dir} (durability {})",
                         level.as_str()
                     );
+                    for unbound in s.unbound_views() {
+                        println!("-- view {} is unbound: {}", unbound.def.name, unbound.cause);
+                    }
                     s
                 }
                 Err(e) => {

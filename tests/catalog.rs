@@ -722,3 +722,207 @@ fn an_imaginary_oid_is_an_object_only_through_its_owners_stack() {
         assert!(w.attr(oid, sym("Age")).is_err());
     }
 }
+
+/// A base whose view reads `P.Age` as an integer.
+const AGES: &str = r#"
+database A;
+class P type [Name: string, Age: integer];
+insert P value [Name: "alice", Age: 30];
+create view V;
+import all classes from database A;
+class Adult includes (select X from X in P where X.Age >= 21);
+"#;
+
+/// A run that `V` cannot follow: `Age` becomes a string-valued attribute.
+const AGE_BECOMES_TEXT: &str = r#"database A; attribute Age in class P has value "old";"#;
+
+/// Runs `AGE_BECOMES_TEXT` on a session loaded with `AGES`: the run is
+/// refused, nothing of it applies, and the base and `V` agree.
+fn refuse_the_change_to_age(s: &mut Session) {
+    let err = s.execute(AGE_BECOMES_TEXT).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ViewError::RevalidationFailed { changed, base: true, dependent, .. }
+                if (changed, dependent) == (sym("A"), sym("V"))
+        ),
+        "{err}"
+    );
+    assert!(
+        err.to_string()
+            .starts_with("change to database `A` refused: dependent view `V` failed"),
+        "{err}"
+    );
+    let ages =
+        |s: &Session, target: &str| s.query(sym(target), "select X.Age from X in P").unwrap();
+    assert_eq!(ages(s, "A"), Value::set([Value::Int(30)]));
+    assert_eq!(ages(s, "V"), ages(s, "A"));
+    s.execute(r#"insert P value [Name: "bob", Age: 40];"#)
+        .unwrap();
+    assert_eq!(ages(s, "A"), Value::set([Value::Int(30), Value::Int(40)]));
+    assert_eq!(ages(s, "V"), ages(s, "A"));
+    assert_eq!(s.query(sym("V"), "count(Adult)").unwrap(), Value::Int(2));
+}
+
+/// A base schema change that a dependent view cannot follow is refused
+/// before it applies, in memory: the base keeps its integer `Age` and
+/// takes the insert, and the view reads what the base holds.
+#[test]
+fn a_base_change_a_dependent_cannot_follow_is_refused_whole() {
+    let mut s = Session::new();
+    s.execute(AGES).unwrap();
+    refuse_the_change_to_age(&mut s);
+    // A refused run applies none of its statements, data ones included.
+    let err = s
+        .execute(r#"database A; insert P value [Name: "carl", Age: 50]; attribute Age in class P has value "old";"#)
+        .unwrap_err();
+    assert!(matches!(err, ViewError::RevalidationFailed { .. }), "{err}");
+    assert_eq!(s.query(sym("A"), "count(P)").unwrap(), Value::Int(2));
+    // A run whose own declaration fails is refused whole too.
+    let err = s
+        .execute(r#"database A; insert P value [Name: "dora", Age: 60]; class Q inherits Nope type [N: integer];"#)
+        .unwrap_err();
+    assert!(err.to_string().contains("Nope"), "{err}");
+    assert_eq!(s.query(sym("A"), "count(P)").unwrap(), Value::Int(2));
+    // A view redefinition that a dependent cannot follow is rolled back,
+    // and says so.
+    s.execute("create view W; import all classes from view V; class Old includes (select X from Adult where X.Age >= 35);")
+        .unwrap();
+    let renamed = ViewDef::from_script(
+        "create view V; import all classes from database A; \
+         class Grown includes (select X from X in P where X.Age >= 21);",
+    )
+    .unwrap();
+    let err = s.catalog().redefine_view(renamed).unwrap_err();
+    assert!(
+        err.to_string()
+            .starts_with("redefinition of `V` rolled back: dependent view `W` failed"),
+        "{err}"
+    );
+    assert_eq!(s.query(sym("W"), "count(Old)").unwrap(), Value::Int(1));
+}
+
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ov-catalog-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The refused change of a durable session logs nothing — the WAL holds
+/// as many records as before it — and the root reopens with `V` bound.
+#[test]
+fn a_refused_base_change_logs_nothing_and_the_root_reopens() {
+    let dir = scratch("refused");
+    {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        s.execute(AGES).unwrap();
+        let records = |s: &Session| s.wal_status()[0].1.records_since_reset;
+        let before = records(&s);
+        let err = s.execute(AGE_BECOMES_TEXT).unwrap_err();
+        assert!(matches!(err, ViewError::RevalidationFailed { .. }), "{err}");
+        assert_eq!(records(&s), before, "a refused run reached the WAL");
+        refuse_the_change_to_age(&mut s);
+    }
+    let s = Session::open(&dir, Durability::Wal).expect("the root reopens");
+    assert!(s.unbound_views().is_empty());
+    let ages = |target: &str| s.query(sym(target), "select X.Age from X in P").unwrap();
+    assert_eq!(ages("A"), Value::set([Value::Int(30), Value::Int(40)]));
+    assert_eq!(ages("V"), ages("A"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A root whose `views.ovq` holds a view that no longer binds (written
+/// here by hand, as a build without the refusal could leave it) opens: the
+/// report names that view and the one stacked on it, the other views
+/// bind, and both definitions survive a checkpoint and a reopen until a
+/// `create view` replaces the first.
+#[test]
+fn a_root_with_a_view_that_no_longer_binds_opens_with_a_report() {
+    let dir = scratch("unbound");
+    {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        s.execute(
+            r#"database A; class P type [Name: string]; attribute Age in class P has value "old";
+               insert P value [Name: "alice"];"#,
+        )
+        .unwrap();
+    }
+    let def = |src: &str| ViewDef::from_script(src).unwrap().to_script();
+    let v = def("create view V; import all classes from database A; \
+                 class Adult includes (select X from X in P where X.Age >= 21);");
+    let w = def("create view W; import all classes from view V; \
+                 class Old includes (select X from Adult where X.Age >= 60);");
+    let u = def("create view U; import all classes from database A;");
+    let script = format!("{v}{w}{u}");
+    std::fs::write(
+        dir.join("views.ovq"),
+        objects_and_views::oodb::wrap_checked(&script),
+    )
+    .unwrap();
+    let unbound = |s: &Session| -> Vec<(Symbol, String)> {
+        s.unbound_views()
+            .iter()
+            .map(|u| (u.def.name, u.cause.to_string()))
+            .collect()
+    };
+    let expected = vec![
+        (
+            sym("V"),
+            "type error: cannot order string and integer".to_string(),
+        ),
+        (
+            sym("W"),
+            "view `V` is unbound: type error: cannot order string and integer".to_string(),
+        ),
+    ];
+    {
+        let s = Session::open(&dir, Durability::Wal).expect("a view never fails the open");
+        assert_eq!(unbound(&s), expected);
+        assert_eq!(s.view_names(), vec![sym("U")]);
+        assert_eq!(s.query(sym("U"), "count(P)").unwrap(), Value::Int(1));
+        assert!(s
+            .describe()
+            .contains("view W: unbound: view `V` is unbound"));
+        s.checkpoint().unwrap();
+    }
+    let text = std::fs::read_to_string(dir.join("views.ovq")).unwrap();
+    assert!(text.contains(&v) && text.contains(&w), "{text}");
+    let mut s = Session::open(&dir, Durability::Wal).unwrap();
+    assert_eq!(unbound(&s), expected);
+    // `create view V` replaces the kept definition; `W` keeps its own.
+    s.execute("create view V; import all classes from database A;")
+        .unwrap();
+    let names: Vec<Symbol> = s.unbound_views().iter().map(|u| u.def.name).collect();
+    assert_eq!(names, vec![sym("W")]);
+    let text = std::fs::read_to_string(dir.join("views.ovq")).unwrap();
+    assert!(!text.contains(&v) && text.contains(&w), "{text}");
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The candidate a base change is validated against keeps the named
+/// objects: a dependent whose population reads one keeps binding across an
+/// unrelated class declaration, which is not refused.
+#[test]
+fn a_dependent_reading_a_named_object_follows_an_unrelated_change() {
+    let mut s = staff_session();
+    s.execute(
+        "database Staff; name maggy = #1; \
+         create view V; import all classes from database Staff; \
+         class Older includes (select P from Person where P.Age > maggy.Age - 40);",
+    )
+    .unwrap();
+    assert_eq!(s.query(sym("V"), "count(Older)").unwrap(), Value::Int(2));
+    let outcome = s
+        .catalog()
+        .define_class("Staff", "class Pet type [Name: string];")
+        .unwrap();
+    assert_eq!(
+        outcome,
+        DdlOutcome::Revalidated {
+            changed: sym("Staff"),
+            dependents: 1,
+        }
+    );
+    assert_eq!(s.query(sym("V"), "count(Older)").unwrap(), Value::Int(2));
+}

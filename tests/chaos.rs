@@ -350,6 +350,127 @@ fn chaos_fault_mid_revalidation_keeps_catalog_atomic() {
     );
 }
 
+/// A fault injected after a base change was validated and applied — while
+/// its dependents are bound again against the real base — unbinds the view
+/// it hits and the views stacked on it, so none serves the old schema; the
+/// other dependents follow the change.
+#[test]
+fn chaos_fault_after_a_base_change_applied_unbinds_its_view() {
+    let _serial = chaos_lock();
+    let _guard = ChaosGuard;
+    let mut s = Session::new();
+    s.execute(
+        r#"
+        database Staff;
+        class Person type [Name: string, Age: integer];
+        object #1 in Person value [Name: "Maggy", Age: 66];
+        create view Solo;
+        import all classes from database Staff;
+        create view V;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        create view W;
+        import all classes from view V;
+        class Elder includes (select A from Adult where A.Age >= 60);
+        "#,
+    )
+    .unwrap();
+    // The candidate binds Solo, V, W (hits 1–3); the second stage binds
+    // Solo, then V: fail that one.
+    faults::arm("view.bind", FaultSchedule::Nth(5), FaultAction::Error);
+    let err = s
+        .catalog()
+        .define_class("Staff", "class Pet type [Name: string];")
+        .unwrap_err();
+    faults::clear();
+    assert!(
+        matches!(&err, ViewError::Unbound { view, .. } if *view == sym("V")),
+        "{err}"
+    );
+    let unbound: Vec<Symbol> = s.unbound_views().iter().map(|u| u.def.name).collect();
+    assert_eq!(unbound, vec![sym("V"), sym("W")]);
+    assert_eq!(s.view_names(), vec![sym("Solo")]);
+    assert_eq!(s.query(sym("Solo"), "count(Pet)").unwrap(), Value::Int(0));
+    assert_eq!(s.query(sym("Staff"), "count(Pet)").unwrap(), Value::Int(0));
+    assert!(s.query(sym("V"), "count(Adult)").is_err());
+}
+
+/// A fault injected while `Session::open` binds the saved views never
+/// fails the open: each view it hits — and each view stacked on one — is
+/// reported unbound with its cause, its definition is kept, and the next
+/// clean open binds them all again.
+#[test]
+fn chaos_fault_while_binding_on_open_yields_a_report() {
+    let _serial = chaos_lock();
+    let _guard = ChaosGuard;
+    let dir = std::env::temp_dir().join(format!("ov-chaos-open-bind-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        s.execute(
+            r#"
+            database Staff;
+            class Person type [Name: string, Age: integer];
+            object #1 in Person value [Name: "Maggy", Age: 66];
+            create view Adults;
+            import all classes from database Staff;
+            class Adult includes (select P from Person where P.Age >= 21);
+            create view Top;
+            import all classes from view Adults;
+            class Elder includes (select A from Adult where A.Age >= 60);
+            create view Solo;
+            import all classes from database Staff;
+            "#,
+        )
+        .unwrap();
+    }
+    let views = std::fs::read(dir.join("views.ovq")).unwrap();
+    // Every bind fails: every view is reported, none fails the open.
+    faults::arm("view.bind", FaultSchedule::From(1), FaultAction::Error);
+    let s = Session::open(&dir, Durability::Wal).expect("a view never fails the open");
+    faults::clear();
+    let report: Vec<(Symbol, bool)> = s
+        .unbound_views()
+        .iter()
+        .map(|u| {
+            let ends_in_fault = chain_tail(&u.cause)
+                .downcast_ref::<InjectedFault>()
+                .is_some_and(|f| f.site == "view.bind");
+            (u.def.name, ends_in_fault)
+        })
+        .collect();
+    assert_eq!(
+        report,
+        vec![
+            (sym("Adults"), true),
+            (sym("Solo"), true),
+            (sym("Top"), true)
+        ]
+    );
+    assert!(matches!(
+        &s.unbound_views()[2].cause,
+        ViewError::Unbound { view, .. } if *view == sym("Adults")
+    ));
+    assert!(s.view_names().is_empty());
+    s.checkpoint().unwrap();
+    assert_eq!(std::fs::read(dir.join("views.ovq")).unwrap(), views);
+    drop(s);
+    // The first bind fails: `Adults`, and `Top`, stacked on it, stay
+    // unbound; `Solo` binds.
+    faults::arm("view.bind", FaultSchedule::Nth(1), FaultAction::Error);
+    let s = Session::open(&dir, Durability::Wal).unwrap();
+    faults::clear();
+    let unbound: Vec<Symbol> = s.unbound_views().iter().map(|u| u.def.name).collect();
+    assert_eq!(unbound, vec![sym("Adults"), sym("Top")]);
+    assert_eq!(s.view_names(), vec![sym("Solo")]);
+    drop(s);
+    let s = Session::open(&dir, Durability::Wal).unwrap();
+    assert!(s.unbound_views().is_empty());
+    assert_eq!(s.query(sym("Top"), "count(Elder)").unwrap(), Value::Int(1));
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Crash-recovery chaos: a durable session's workload interleaved with
 // injected WAL failures and simulated kills (drop without checkpoint, torn

@@ -326,11 +326,11 @@ fn snapshot_of_an_older_format_is_rejected_with_a_typed_error() {
         build_fixture(&mut s);
         s.checkpoint().unwrap();
     }
-    // Relabel the snapshot as format 1 (names inside every object) and
-    // re-seal the header checksum, so only the version differs.
+    // Relabel the snapshot as format 2 (no next oid) and re-seal the
+    // header checksum, so only the version differs.
     let path = dir.join("databases/Staff/snapshot.ovp");
     let mut raw = std::fs::read(&path).unwrap();
-    raw[8..12].copy_from_slice(&1u32.to_le_bytes());
+    raw[8..12].copy_from_slice(&2u32.to_le_bytes());
     let crc = crc32(&raw[..36]);
     raw[36..40].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(&path, &raw).unwrap();
@@ -339,8 +339,8 @@ fn snapshot_of_an_older_format_is_rejected_with_a_typed_error() {
         matches!(
             err,
             Some(ViewError::Oodb(OodbError::UnsupportedFormat {
-                found: 1,
-                supported: 2
+                found: 2,
+                supported: 3
             }))
         ),
         "old snapshot must fail typed, got {err:?}"
@@ -476,5 +476,34 @@ fn alternating_inserts_into_two_databases_keep_their_oids_across_a_reopen() {
         assert!(new > top && !all.contains(&new), "{after:?}");
     }
     assert_ne!(after[&sym("A")].last(), after[&sym("B")].last());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint keeps the allocator's high-water mark: an oid deleted above
+/// the largest live one before `.checkpoint` is not handed out again after
+/// a reopen, so a value still naming it never reads a new object.
+#[test]
+fn a_deleted_oid_stays_retired_across_a_checkpoint_and_a_reopen() {
+    let dir = scratch("retired-oid");
+    let insert = |s: &mut Session, n: i64| -> Value {
+        let out = s
+            .execute(&format!("database A; insert P value [N: {n}];"))
+            .unwrap();
+        match out.last() {
+            Some(Outcome::Value(v)) => v.clone(),
+            other => panic!("insert printed {other:?}"),
+        }
+    };
+    {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        s.execute("database A; class P type [N: integer];").unwrap();
+        assert_eq!(insert(&mut s, 0), Value::Oid(Oid(0)));
+        assert_eq!(insert(&mut s, 1), Value::Oid(Oid(1)));
+        s.execute("delete (select the X from X in P where X.N = 1);")
+            .unwrap();
+        s.checkpoint().unwrap();
+    }
+    let mut s = Session::open(&dir, Durability::Wal).unwrap();
+    assert_eq!(insert(&mut s, 2), Value::Oid(Oid(2)));
     let _ = std::fs::remove_dir_all(&dir);
 }
