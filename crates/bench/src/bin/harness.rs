@@ -1737,7 +1737,7 @@ fn e18_durability(args: &Args) {
     for level in levels {
         let dir = root.join(format!("e18-{}", level.as_str()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (t_insert, t_update) = {
+        let (t_insert, t_update, log) = {
             let mut db = Database::open(sym("E18"), &dir, level).unwrap();
             let class = db
                 .create_class(
@@ -1763,8 +1763,23 @@ fn e18_durability(args: &Args) {
                 )
                 .unwrap();
             });
-            (t_insert, t_update)
+            (
+                t_insert,
+                t_update,
+                db.durable_core().map(|core| core.status()),
+            )
         };
+        let label = level.as_str();
+        // The log as the writes left it: the class, then every insert and
+        // update, the timer's warm-up calls' too, as the log counts them.
+        if let Some(log) = log.filter(|s| level != Durability::None && s.records_since_reset > 0) {
+            snapshot_lines.push(format!(
+                "E18/wal/bytes_per_record {label} {:.1} B ({} B log, {} records)",
+                log.wal_bytes as f64 / log.records_since_reset as f64,
+                log.wal_bytes,
+                log.records_since_reset
+            ));
+        }
         // Recovery replays the whole history from the WAL. Opening only
         // reads, so it repeats; timed once, an open or a checkpoint swung
         // 2–3× from run to run of one binary.
@@ -1777,7 +1792,6 @@ fn e18_durability(args: &Args) {
         // rewrite the same snapshot beside an empty WAL.
         let t_checkpoint = time_ns(8, || db.checkpoint().unwrap());
         drop(db);
-        let label = level.as_str();
         // A byte count is not a timing cell: one line per level under the
         // table, in the manner of the E19 canary.
         if let Ok(meta) = std::fs::metadata(dir.join(ov_oodb::pager::SNAPSHOT_FILE)) {

@@ -150,20 +150,31 @@ impl<'s> CatalogTxn<'s> {
         })
     }
 
-    /// Drops view `name` — RESTRICT: if other views read it, returns
-    /// [`DdlOutcome::Rejected`] listing them and changes nothing.
+    /// Drops view `name`, bound or kept unbound
+    /// ([`crate::UnboundView`]) — RESTRICT: if another definition, bound or
+    /// kept, imports it, returns [`DdlOutcome::Rejected`] listing them and
+    /// changes nothing.
     pub fn drop_view(&mut self, name: impl Into<Symbol>) -> Result<DdlOutcome> {
         let name = name.into();
-        if !self.session.views.contains_key(&name) {
+        let kept = self
+            .session
+            .unbound_views()
+            .iter()
+            .any(|u| u.def.name == name);
+        if !kept && !self.session.views.contains_key(&name) {
             return Err(ViewError::Definition(format!(
                 "view `{name}` does not exist"
             )));
         }
-        let dependents = self.session.graph.direct_dependents(DepTarget::View(name));
+        let dependents = self.session.importers(name);
         if !dependents.is_empty() {
             return Ok(DdlOutcome::Rejected { name, dependents });
         }
-        self.session.remove_view(name);
+        if kept {
+            self.session.forget_unbound(name);
+        } else {
+            self.session.remove_view(name);
+        }
         self.session.persist_views_best_effort();
         Ok(DdlOutcome::Dropped(name))
     }

@@ -523,15 +523,64 @@ impl Session {
 
     /// Installs the views one catalog change staged, sets their dependency
     /// edges and rewrites `views.ovq` once. A committed view replaces the
-    /// kept unbound definition of its name, if there is one.
+    /// kept unbound definition of its name, if there is one. A kept
+    /// definition that imports a view committed here is staged again, in
+    /// dependency order (each once its imports are all bound), and
+    /// committed in the same step if it binds; if not, it stays kept with
+    /// the cause this attempt gave.
     fn commit(&mut self, staged: Vec<Arc<View>>) {
+        let mut committed = Vec::new();
+        self.install(staged, &mut committed);
+        let imports =
+            |def: &ViewDef, names: &[Symbol]| def.imports.iter().any(|i| names.contains(&i.db));
+        let mut tried = Vec::new();
+        loop {
+            let kept: Vec<Symbol> = self.unbound.iter().map(|u| u.def.name).collect();
+            let Some(at) = self.unbound.iter().position(|u| {
+                !tried.contains(&u.def.name)
+                    && imports(&u.def, &committed)
+                    && !imports(&u.def, &kept)
+            }) else {
+                break;
+            };
+            let def = self.unbound[at].def.clone();
+            tried.push(def.name);
+            match self.stage(&self.system, Some(&def), DepTarget::View(def.name)) {
+                Ok(staged) => self.install(staged, &mut committed),
+                Err(cause) => self.unbound[at].cause = cause,
+            }
+        }
+        self.persist_views_best_effort();
+    }
+
+    /// Installs `staged` into the views map and the dependency graph, in
+    /// place of any kept definition of the same name, noting each name in
+    /// `committed`.
+    fn install(&mut self, staged: Vec<Arc<View>>, committed: &mut Vec<Symbol>) {
         for view in staged {
             let name = view.name();
             self.unbound.retain(|u| u.def.name != name);
             self.graph.set(name, view.dependencies().to_vec());
             self.views.insert(name, view);
+            committed.push(name);
         }
-        self.persist_views_best_effort();
+    }
+
+    /// Every definition, bound or kept unbound, that imports `name`: the
+    /// views a RESTRICT drop of `name` must not orphan.
+    pub(crate) fn importers(&self, name: Symbol) -> Vec<Symbol> {
+        let mut out = self.graph.direct_dependents(DepTarget::View(name));
+        let kept = self.unbound.iter().map(|u| &u.def);
+        out.extend(
+            kept.filter(|d| d.imports.iter().any(|i| i.db == name))
+                .map(|d| d.name),
+        );
+        out
+    }
+
+    /// Forgets the kept unbound definition `name`, if there is one.
+    pub(crate) fn forget_unbound(&mut self, name: Symbol) {
+        self.unbound.retain(|u| u.def.name != name);
     }
 
     /// Removes `name` from the session (views map, dependency graph, and

@@ -1,20 +1,25 @@
 //! Binary encoding for the durability layer.
 //!
 //! The WAL ([`crate::wal`]) and snapshot pager ([`crate::pager`]) share one
-//! hand-rolled, dependency-free binary codec: little-endian fixed-width
-//! integers, length-prefixed strings, and a one-byte tag per enum variant.
-//! Decoding is **bounds-checked everywhere** and returns
-//! [`OodbError::Corrupt`] with a context string instead of panicking — a
-//! torn or foreign file must surface as a typed error (the same discipline
-//! the dump loader follows).
+//! hand-rolled, dependency-free binary codec. Integers are zigzag LEB128
+//! varints; oids, class ids, shape and name ids, and every length and count
+//! are unsigned LEB128 varints (seven bits a byte, low group first, the high
+//! bit set on every byte but the last); floats are their eight-byte IEEE-754
+//! bit patterns; an enum variant is one tag byte. The fixed-width put/take
+//! methods remain for the files' headers. Decoding is **bounds-checked
+//! everywhere** and returns [`OodbError::Corrupt`] with a context string
+//! instead of panicking — a torn or foreign file must surface as a typed
+//! error (the same discipline the dump loader follows): a varint longer than
+//! ten bytes, or one that does not fit the integer it is read into, is
+//! corrupt, and so is a count no remaining buffer could hold.
 //!
 //! [`Symbol`]s serialize as their strings: symbol ids are process-local
 //! intern indices and mean nothing across restarts. [`ClassId`]s serialize
-//! as raw `u32` indices, which is sound because [`crate::Schema`] assigns
+//! as raw indices, which is sound because [`crate::Schema`] assigns
 //! ids sequentially in creation order and both snapshot encode and WAL
 //! replay walk classes in that same order.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use crate::error::{OodbError, Result};
@@ -136,19 +141,35 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `i64`, little-endian two's complement.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends an `f64` as its IEEE-754 bit pattern.
     pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Appends a length-prefixed (`u32`) UTF-8 string.
+    /// Appends an unsigned LEB128 varint: one to ten bytes, seven bits
+    /// each, low group first.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Appends a signed integer as a zigzag varint, so small magnitudes of
+    /// either sign take few bytes.
+    pub fn put_zigzag(&mut self, v: i64) {
+        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    /// Appends a length or count as a varint.
+    pub fn put_len(&mut self, n: usize) {
+        self.put_varint(n as u64);
+    }
+
+    /// Appends a varint-length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
-        self.put_u32(u32::try_from(s.len()).expect("string longer than 4 GiB"));
+        self.put_len(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
 
@@ -231,21 +252,55 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn take_i64(&mut self) -> Result<i64> {
-        Ok(self.take_u64()? as i64)
-    }
-
     /// Reads an `f64` from its bit pattern.
     pub fn take_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
-    /// Reads a length-prefixed UTF-8 string, validated where it lies: the
-    /// result borrows the buffer, so the caller's `Arc<str>` or interned
-    /// symbol is the only copy made.
+    /// Reads an unsigned LEB128 varint of at most ten bytes whose value
+    /// fits a `u64`.
+    pub fn take_varint(&mut self) -> Result<u64> {
+        let start = self.pos;
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let Some(&b) = self.buf.get(self.pos) else {
+                return Err(self.short("varint"));
+            };
+            self.pos += 1;
+            let group = (b & 0x7F) as u64;
+            if shift == 63 && group > 1 {
+                return Err(self.bad_varint(start, "overflows u64"));
+            }
+            v |= group << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+        }
+        Err(self.bad_varint(start, "is longer than 10 bytes"))
+    }
+
+    /// Reads a varint whose value fits a `u32`.
+    pub fn take_var_u32(&mut self) -> Result<u32> {
+        let start = self.pos;
+        let v = self.take_varint()?;
+        u32::try_from(v).map_err(|_| self.bad_varint(start, "overflows u32"))
+    }
+
+    /// Reads a zigzag varint.
+    pub fn take_zigzag(&mut self) -> Result<i64> {
+        let v = self.take_varint()?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
+    }
+
+    fn bad_varint(&self, start: usize, why: &str) -> OodbError {
+        OodbError::corrupt(format!("{}: varint at offset {start} {why}", self.context))
+    }
+
+    /// Reads a varint-length-prefixed UTF-8 string, validated where it
+    /// lies: the result borrows the buffer, so the caller's `Arc<str>` or
+    /// interned symbol is the only copy made.
     pub fn take_str(&mut self) -> Result<&'a str> {
-        let len = self.take_u32()? as usize;
+        let len = self.take_var_u32()? as usize;
         let bytes = self.take(len, "string body")?;
         std::str::from_utf8(bytes)
             .map_err(|_| OodbError::corrupt(format!("{}: string is not valid UTF-8", self.context)))
@@ -256,15 +311,16 @@ impl<'a> Reader<'a> {
         Ok(Symbol::new(self.take_str()?))
     }
 
-    /// Reads a `u32` length prefix, validated against the remaining buffer
-    /// so a corrupt length cannot drive an over-allocation.
+    /// Reads a varint count of elements that each take at least
+    /// `elem_min_bytes` encoded bytes, validated against the remaining
+    /// buffer so a corrupt count cannot drive an over-allocation.
     pub fn take_len(&mut self, elem_min_bytes: usize) -> Result<usize> {
-        let n = self.take_u32()? as usize;
+        let start = self.pos;
+        let n = self.take_var_u32()? as usize;
         if n.saturating_mul(elem_min_bytes.max(1)) > self.remaining() {
             return Err(OodbError::corrupt(format!(
-                "{}: implausible element count {n} at offset {}",
-                self.context,
-                self.pos - 4
+                "{}: implausible element count {n} at offset {start}",
+                self.context
             )));
         }
         Ok(n)
@@ -285,7 +341,7 @@ pub fn put_value(w: &mut Writer, v: &Value) {
         }
         Value::Int(i) => {
             w.put_u8(2);
-            w.put_i64(*i);
+            w.put_zigzag(*i);
         }
         Value::Float(x) => {
             w.put_u8(3);
@@ -297,7 +353,7 @@ pub fn put_value(w: &mut Writer, v: &Value) {
         }
         Value::Oid(o) => {
             w.put_u8(5);
-            w.put_u64(o.0);
+            w.put_varint(o.0);
         }
         Value::Tuple(t) => {
             w.put_u8(6);
@@ -305,14 +361,14 @@ pub fn put_value(w: &mut Writer, v: &Value) {
         }
         Value::Set(s) => {
             w.put_u8(7);
-            w.put_u32(s.len() as u32);
+            w.put_len(s.len());
             for e in s {
                 put_value(w, e);
             }
         }
         Value::List(l) => {
             w.put_u8(8);
-            w.put_u32(l.len() as u32);
+            w.put_len(l.len());
             for e in l {
                 put_value(w, e);
             }
@@ -325,10 +381,10 @@ pub fn take_value(r: &mut Reader<'_>) -> Result<Value> {
     Ok(match r.take_u8()? {
         0 => Value::Null,
         1 => Value::Bool(r.take_u8()? != 0),
-        2 => Value::Int(r.take_i64()?),
+        2 => Value::Int(r.take_zigzag()?),
         3 => Value::Float(r.take_f64()?),
         4 => Value::Str(r.take_str()?.into()),
-        5 => Value::Oid(Oid(r.take_u64()?)),
+        5 => Value::Oid(Oid(r.take_varint()?)),
         6 => Value::Tuple(take_tuple(r)?),
         7 => {
             let n = r.take_len(1)?;
@@ -353,7 +409,7 @@ pub fn take_value(r: &mut Reader<'_>) -> Result<Value> {
 /// Encodes a [`Tuple`] (field count, then name-ordered `(symbol, value)`
 /// pairs — the tuple's iteration order, so encoding is deterministic).
 pub fn put_tuple(w: &mut Writer, t: &Tuple) {
-    w.put_u32(t.len() as u32);
+    w.put_len(t.len());
     for (name, v) in t.iter() {
         w.put_symbol(name);
         put_value(w, v);
@@ -362,13 +418,200 @@ pub fn put_tuple(w: &mut Writer, t: &Tuple) {
 
 /// Decodes a [`Tuple`].
 pub fn take_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
-    let n = r.take_len(5)?;
+    let n = r.take_len(2)?;
     let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let name = r.take_symbol()?;
         fields.push((name, take_value(r)?));
     }
     Ok(Tuple::from_fields(fields))
+}
+
+// ---------------------------------------------------------------------------
+// Name and shape tables
+// ---------------------------------------------------------------------------
+
+/// Names and tuple shapes numbered in order of first use, as the log (one
+/// table per log since its last reset) and the snapshot body (one per
+/// file) write them. The writer and the reader of one stream keep them
+/// alike, so one rule serves both: a reference below a table's length
+/// names an entry, one equal to it defines the next entry inline, and one
+/// above it is corrupt.
+///
+/// ```text
+/// name:          id varint [· string, when id is the table's length]
+/// shaped tuple:  shape id varint
+///                [· field count · count × name, when id is the table's length]
+///                · one value per field of the shape
+/// ```
+#[derive(Default, Debug, PartialEq)]
+pub(crate) struct Tables {
+    names: Numbered<Symbol>,
+    /// Each shape's field names, in name order.
+    shapes: Numbered<Box<[Symbol]>>,
+    /// Per shape, whether its names are strictly ascending (as every shape
+    /// this build writes is): its tuples then need no sort.
+    sorted: Vec<bool>,
+}
+
+/// How long each table was: what [`Tables::rollback`] returns to.
+pub(crate) type Mark = (usize, usize);
+
+/// Entries numbered in order of first use, with the number of each.
+#[derive(Debug, PartialEq)]
+struct Numbered<K: Eq + std::hash::Hash> {
+    list: Vec<K>,
+    ids: HashMap<K, u32>,
+}
+
+impl<K: Eq + std::hash::Hash> Default for Numbered<K> {
+    fn default() -> Numbered<K> {
+        Numbered {
+            list: Vec::new(),
+            ids: HashMap::new(),
+        }
+    }
+}
+
+impl<K: Clone + Eq + std::hash::Hash> Numbered<K> {
+    fn find<Q>(&self, key: &Q) -> Option<u32>
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Eq + std::hash::Hash + ?Sized,
+    {
+        self.ids.get(key).copied()
+    }
+
+    /// Appends `key`. A key defined twice (only a hostile stream does so)
+    /// keeps its first number.
+    fn push(&mut self, key: K) {
+        self.ids
+            .entry(key.clone())
+            .or_insert(self.list.len() as u32);
+        self.list.push(key);
+    }
+
+    fn truncate(&mut self, len: usize) {
+        for (key, at) in self
+            .list
+            .drain(len.min(self.list.len())..)
+            .zip(len as u32..)
+        {
+            if self.ids.get(&key) == Some(&at) {
+                self.ids.remove(&key);
+            }
+        }
+    }
+}
+
+impl Tables {
+    pub(crate) fn mark(&self) -> Mark {
+        (self.names.list.len(), self.shapes.list.len())
+    }
+
+    /// Forgets every definition made since `mark`: those of a frame that
+    /// did not reach the log, or did not decode.
+    pub(crate) fn rollback(&mut self, (names, shapes): Mark) {
+        self.names.truncate(names);
+        self.shapes.truncate(shapes);
+        self.sorted.truncate(shapes);
+    }
+
+    fn define_shape(&mut self, shape: Box<[Symbol]>, sorted: bool) {
+        self.sorted.push(sorted);
+        self.shapes.push(shape);
+    }
+
+    /// Writes `name` as its reference, defining it on first use.
+    pub(crate) fn put_name(&mut self, w: &mut Writer, name: Symbol) {
+        match self.names.find(&name) {
+            Some(id) => w.put_varint(id as u64),
+            None => {
+                w.put_len(self.names.list.len());
+                w.put_symbol(name);
+                self.names.push(name);
+            }
+        }
+    }
+
+    /// Reads a name reference, adding the definition it carries.
+    pub(crate) fn take_name(&mut self, r: &mut Reader<'_>) -> Result<Symbol> {
+        let id = r.take_var_u32()? as usize;
+        let defined = self.names.list.len();
+        match id.cmp(&defined) {
+            std::cmp::Ordering::Less => Ok(self.names.list[id]),
+            std::cmp::Ordering::Equal => {
+                let name = r.take_symbol()?;
+                self.names.push(name);
+                Ok(name)
+            }
+            std::cmp::Ordering::Greater => Err(OodbError::corrupt(format!(
+                "{}: name {id} of {defined}",
+                r.context
+            ))),
+        }
+    }
+
+    /// Writes `t` as its shape's reference, then one value per field.
+    pub(crate) fn put_tuple(&mut self, w: &mut Writer, t: &Tuple) {
+        let fields: Vec<Symbol> = t.iter().map(|(name, _)| name).collect();
+        match self.shapes.find(fields.as_slice()) {
+            Some(id) => w.put_varint(id as u64),
+            None => {
+                w.put_len(self.shapes.list.len());
+                w.put_len(fields.len());
+                for &name in &fields {
+                    self.put_name(w, name);
+                }
+                // A tuple's names are strictly ascending by construction.
+                self.define_shape(fields.into_boxed_slice(), true);
+            }
+        }
+        for (_, v) in t.iter() {
+            put_value(w, v);
+        }
+    }
+
+    /// Reads a shaped tuple, adding the definitions it carries.
+    pub(crate) fn take_tuple(&mut self, r: &mut Reader<'_>) -> Result<Tuple> {
+        let id = r.take_var_u32()? as usize;
+        if id == self.shapes.list.len() {
+            let n = r.take_len(1)?;
+            let mut shape = Vec::with_capacity(n);
+            for _ in 0..n {
+                shape.push(self.take_name(r)?);
+            }
+            let sorted = shape.windows(2).all(|w| w[0] < w[1]);
+            self.define_shape(shape.into_boxed_slice(), sorted);
+        }
+        let Some(shape) = self.shapes.list.get(id) else {
+            return Err(OodbError::corrupt(format!(
+                "{}: shape {id} of {}",
+                r.context,
+                self.shapes.list.len()
+            )));
+        };
+        // Each field's value takes at least its tag byte.
+        if shape.len() > r.remaining() {
+            return Err(OodbError::corrupt(format!(
+                "{}: {} values of shape {id} in {} bytes",
+                r.context,
+                shape.len(),
+                r.remaining()
+            )));
+        }
+        let mut fields = Vec::with_capacity(shape.len());
+        for &name in shape.iter() {
+            fields.push((name, take_value(r)?));
+        }
+        // `from_fields` orders and dedups, so even a hostile shape
+        // (unsorted, repeated names) yields a well-formed tuple.
+        Ok(if self.sorted[id] {
+            Tuple::from_sorted_fields(fields)
+        } else {
+            Tuple::from_fields(fields)
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -386,11 +629,11 @@ pub fn put_type(w: &mut Writer, t: &Type) {
         Type::Str => w.put_u8(5),
         Type::Class(c) => {
             w.put_u8(6);
-            w.put_u32(c.0);
+            w.put_varint(c.0 as u64);
         }
         Type::Tuple(fields) => {
             w.put_u8(7);
-            w.put_u32(fields.len() as u32);
+            w.put_len(fields.len());
             for (name, ft) in fields {
                 w.put_symbol(*name);
                 put_type(w, ft);
@@ -416,9 +659,9 @@ pub fn take_type(r: &mut Reader<'_>) -> Result<Type> {
         3 => Type::Int,
         4 => Type::Float,
         5 => Type::Str,
-        6 => Type::Class(ClassId(r.take_u32()?)),
+        6 => Type::Class(ClassId(r.take_var_u32()?)),
         7 => {
-            let n = r.take_len(5)?;
+            let n = r.take_len(2)?;
             let mut fields = BTreeMap::new();
             for _ in 0..n {
                 let name = r.take_symbol()?;
@@ -522,14 +765,14 @@ pub fn put_expr(w: &mut Writer, e: &Expr) {
             w.put_u8(3);
             put_expr(w, recv);
             w.put_symbol(*name);
-            w.put_u32(args.len() as u32);
+            w.put_len(args.len());
             for a in args {
                 put_expr(w, a);
             }
         }
         Expr::TupleCons(fields) => {
             w.put_u8(4);
-            w.put_u32(fields.len() as u32);
+            w.put_len(fields.len());
             for (n, fe) in fields {
                 w.put_symbol(*n);
                 put_expr(w, fe);
@@ -537,14 +780,14 @@ pub fn put_expr(w: &mut Writer, e: &Expr) {
         }
         Expr::SetCons(es) => {
             w.put_u8(5);
-            w.put_u32(es.len() as u32);
+            w.put_len(es.len());
             for fe in es {
                 put_expr(w, fe);
             }
         }
         Expr::ListCons(es) => {
             w.put_u8(6);
-            w.put_u32(es.len() as u32);
+            w.put_len(es.len());
             for fe in es {
                 put_expr(w, fe);
             }
@@ -590,7 +833,7 @@ pub fn put_expr(w: &mut Writer, e: &Expr) {
         Expr::Apply { name, args } => {
             w.put_u8(14);
             w.put_symbol(*name);
-            w.put_u32(args.len() as u32);
+            w.put_len(args.len());
             for a in args {
                 put_expr(w, a);
             }
@@ -615,7 +858,7 @@ pub fn take_expr(r: &mut Reader<'_>) -> Result<Expr> {
             Expr::Attr { recv, name, args }
         }
         4 => {
-            let n = r.take_len(5)?;
+            let n = r.take_len(2)?;
             let mut fields = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = r.take_symbol()?;
@@ -695,7 +938,7 @@ fn put_select(w: &mut Writer, s: &SelectExpr) {
     w.put_u8(s.distinct as u8);
     w.put_u8(s.the as u8);
     put_expr(w, &s.proj);
-    w.put_u32(s.bindings.len() as u32);
+    w.put_len(s.bindings.len());
     for (var, coll) in &s.bindings {
         w.put_symbol(*var);
         put_expr(w, coll);
@@ -713,7 +956,7 @@ fn take_select(r: &mut Reader<'_>) -> Result<SelectExpr> {
     let distinct = r.take_u8()? != 0;
     let the = r.take_u8()? != 0;
     let proj = Box::new(take_expr(r)?);
-    let n = r.take_len(5)?;
+    let n = r.take_len(2)?;
     let mut bindings = Vec::with_capacity(n);
     for _ in 0..n {
         let var = r.take_symbol()?;
@@ -740,7 +983,7 @@ fn take_select(r: &mut Reader<'_>) -> Result<SelectExpr> {
 /// Encodes an [`AttrDef`].
 pub fn put_attr_def(w: &mut Writer, def: &AttrDef) {
     w.put_symbol(def.sig.name);
-    w.put_u32(def.sig.params.len() as u32);
+    w.put_len(def.sig.params.len());
     for (p, t) in &def.sig.params {
         w.put_symbol(*p);
         put_type(w, t);
@@ -759,7 +1002,7 @@ pub fn put_attr_def(w: &mut Writer, def: &AttrDef) {
 /// Decodes an [`AttrDef`].
 pub fn take_attr_def(r: &mut Reader<'_>) -> Result<AttrDef> {
     let name = r.take_symbol()?;
-    let n = r.take_len(5)?;
+    let n = r.take_len(2)?;
     let mut params = Vec::with_capacity(n);
     for _ in 0..n {
         let p = r.take_symbol()?;
@@ -869,6 +1112,32 @@ mod tests {
             ("Pets", Value::set([Value::Oid(Oid(3)), Value::Int(1)])),
             ("L", Value::list([Value::Null, Value::Float(2.5)])),
         ]));
+    }
+
+    /// A rollback forgets exactly the entries past the mark, also when a
+    /// hostile stream defined one name twice.
+    #[test]
+    fn a_rollback_forgets_exactly_the_entries_past_its_mark() {
+        let names: Vec<Symbol> = (0..40).map(|i| sym(&format!("n{i}"))).collect();
+        let mut table = Numbered::default();
+        for &n in &names {
+            table.push(n);
+        }
+        for at in [40, 20, 10, 0] {
+            table.truncate(at);
+            for (i, n) in names.iter().enumerate() {
+                assert_eq!(table.find(n), (i < at).then_some(i as u32), "{at}: {n}");
+            }
+        }
+        let twice = sym("twice");
+        for n in [twice, sym("other"), twice] {
+            table.push(n);
+        }
+        assert_eq!(table.find(&twice), Some(0));
+        table.truncate(2);
+        assert_eq!(table.find(&twice), Some(0));
+        table.truncate(0);
+        assert_eq!(table.find(&twice), None);
     }
 
     #[test]
@@ -1006,14 +1275,14 @@ mod tests {
         // the bounds check, before anything is copied or allocated for it.
         let mut w = Writer::new();
         w.put_u8(4); // string tag
-        w.put_u32(u32::MAX);
+        w.put_varint(u32::MAX as u64);
         w.put_bytes(b"short");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes, "len test");
         match take_value(&mut r) {
             Err(OodbError::Corrupt { context }) => assert_eq!(
                 context,
-                "len test: truncated while reading string body at offset 5"
+                "len test: truncated while reading string body at offset 6"
             ),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -1035,9 +1304,87 @@ mod tests {
         // A huge length prefix must not drive allocation.
         let mut w = Writer::new();
         w.put_u8(8); // list tag
-        w.put_u32(u32::MAX);
+        w.put_varint(u32::MAX as u64);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes, "len test");
         assert!(matches!(take_value(&mut r), Err(OodbError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_width() {
+        let mut unsigned = vec![0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+        unsigned.extend((0..64).map(|k| 1u64 << k));
+        let signed = [0i64, 1, -1, 63, -64, 64, -65, i64::MAX, i64::MIN];
+        let mut w = Writer::new();
+        for &v in &unsigned {
+            w.put_varint(v);
+        }
+        for &v in &signed {
+            w.put_zigzag(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes, "varint test");
+        for &v in &unsigned {
+            assert_eq!(r.take_varint().unwrap(), v);
+        }
+        for &v in &signed {
+            assert_eq!(r.take_zigzag().unwrap(), v);
+        }
+        assert!(r.is_exhausted());
+        // Widths: seven bits a byte; zigzag keeps small magnitudes small.
+        let width = |f: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            f(&mut w);
+            w.len()
+        };
+        assert_eq!(width(&|w| w.put_varint(127)), 1);
+        assert_eq!(width(&|w| w.put_varint(128)), 2);
+        assert_eq!(width(&|w| w.put_varint(u64::MAX)), 10);
+        assert_eq!(width(&|w| w.put_zigzag(-64)), 1);
+        assert_eq!(width(&|w| w.put_zigzag(i64::MIN)), 10);
+    }
+
+    /// A varint longer than ten bytes, one whose value does not fit the
+    /// integer it is read into, and a count no remaining buffer could hold
+    /// are each corrupt, named by what is wrong.
+    #[test]
+    fn a_bad_varint_is_corrupt() {
+        let corrupt =
+            |bytes: &[u8], take: &dyn Fn(&mut Reader<'_>) -> Result<u64>, want: &str| match take(
+                &mut Reader::new(bytes, "varint test"),
+            ) {
+                Err(OodbError::Corrupt { context }) => {
+                    assert!(context.contains(want), "{bytes:?}: {context}")
+                }
+                other => panic!("{bytes:?}: expected Corrupt, got {other:?}"),
+            };
+        let u64_ = |r: &mut Reader<'_>| r.take_varint();
+        let u32_ = |r: &mut Reader<'_>| r.take_var_u32().map(u64::from);
+        let len = |r: &mut Reader<'_>| r.take_len(1).map(|n| n as u64);
+        let mut eleven = vec![0x80u8; 10];
+        eleven.push(0x00);
+        corrupt(&eleven, &u64_, "longer than 10 bytes");
+        corrupt(&[0x80; 12], &u64_, "longer than 10 bytes");
+        // Ten bytes whose last carries more than the 64th bit.
+        let mut wide = vec![0xFFu8; 9];
+        wide.push(0x02);
+        corrupt(&wide, &u64_, "overflows u64");
+        // 2^32 fits a u64 but not a u32.
+        let mut w = Writer::new();
+        w.put_varint(1 << 32);
+        let big = w.into_bytes();
+        assert_eq!(
+            u64_(&mut Reader::new(&big, "varint test")).unwrap(),
+            1 << 32
+        );
+        corrupt(&big, &u32_, "overflows u32");
+        corrupt(&big, &len, "overflows u32");
+        corrupt(&[0x80, 0x80], &u64_, "truncated while reading varint");
+        // A count of 200 one-byte elements with three bytes left.
+        corrupt(
+            &[0xC8, 0x01, 0, 0, 0],
+            &len,
+            "implausible element count 200 at offset 0",
+        );
     }
 }

@@ -20,29 +20,34 @@
 //! newer, fails with [`OodbError::UnsupportedFormat`] instead of
 //! misparsing.
 //!
-//! ## Body (format 3)
+//! ## Body (format 4)
 //!
 //! ```text
-//! name · store_version u64 · checkpoint_lsn u64 · next_imaginary u64 ·
-//! next_oid u64
-//! classes:  count u32 × ( name · parents · own attrs )
-//! shapes:   count u32 × ( field count u32 × field name )
-//! objects:  count u32 × ( oid u64 · class u32 · shape u32 · values )
-//! names · index definitions · identity entries
+//! name · store_version · checkpoint_lsn · next_imaginary · next_oid
+//! classes:  count × ( name ref · parents (count × class) · own attrs )
+//! objects:  count × ( oid · class · shaped tuple )
+//! names:    count × ( name ref · oid )
+//! indexes:  count × ( class · name ref )
+//! identity: count × ( view name ref · class name ref · shaped tuple · oid )
 //! ```
 //!
-//! A *shape* is the name-ordered list of field names of an object's tuple.
-//! The unique-root rule fixes an object's structure by its class (§4.2), so
-//! a store has about one shape per class; each distinct shape is written
-//! once, numbered in order of first appearance among the objects (which
-//! are in oid order), and an object carries its shape's index followed by
-//! one encoded value per field of the shape. The table is self-describing:
-//! decoding needs no schema, and an object written before an `add_attr`
-//! simply has another shape. Format 1 repeated every field name inside
-//! every object. Format 2 kept no `next_oid`, so an oid deleted above the
-//! largest live one before a checkpoint was handed out again after it.
-//! Tuples nested inside values and the identity entries keep the codec's
-//! `(name, value)` encoding, which the WAL shares.
+//! Every integer above is a varint and the database name a varint-length
+//! string ([`crate::codec`]); values are the codec's. Name references and
+//! shaped tuples are the log's ([`crate::wal`]), against one name and shape
+//! table per body: a *shape* is the name-ordered list of field names of a
+//! tuple, each distinct name and shape is numbered in order of first use,
+//! and its first use carries its definition inline. The unique-root rule
+//! fixes an object's structure by its class (§4.2), so a store has about
+//! one shape per class, and an object costs its oid, class, shape
+//! reference and one encoded value per field. The table is
+//! self-describing: decoding needs no schema, and an object written before
+//! an `add_attr` simply has another shape. Tuples nested inside values keep
+//! the codec's `(name, value)` encoding.
+//!
+//! Format 1 repeated every field name inside every object. Format 2 kept no
+//! `next_oid`, so an oid deleted above the largest live one before a
+//! checkpoint was handed out again after it. Format 3 wrote every scalar
+//! fixed-width and the shape table up front.
 //!
 //! ## Atomicity
 //!
@@ -52,12 +57,11 @@
 //! a mix. Failpoint sites: `checkpoint.write` (fail while writing the temp
 //! file), `checkpoint.rename` (fail before the rename commits).
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use crate::codec::{self, crc32, Reader, Writer};
+use crate::codec::{self, crc32, Reader, Tables, Writer};
 use crate::error::{OodbError, Result};
 use crate::ids::{ClassId, Oid};
 use crate::schema::{AttrDef, Schema};
@@ -69,7 +73,7 @@ use crate::value::Tuple;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OVSNAP01";
 
 /// The snapshot format version this build writes and reads.
-pub const SNAPSHOT_FORMAT: u32 = 3;
+pub const SNAPSHOT_FORMAT: u32 = 4;
 
 /// Payload bytes per data page.
 pub const PAGE_SIZE: usize = 8192;
@@ -181,75 +185,48 @@ impl SnapshotImage {
     /// Encodes the image body (the bytes that get paged and checksummed).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        // Numbered in order of first use, so equal images encode to equal
+        // bytes.
+        let mut t = Tables::default();
         w.put_symbol(self.name);
-        w.put_u64(self.store_version);
-        w.put_u64(self.checkpoint_lsn);
-        w.put_u64(self.next_imaginary);
-        w.put_u64(self.next_oid);
-        w.put_u32(self.classes.len() as u32);
+        w.put_varint(self.store_version);
+        w.put_varint(self.checkpoint_lsn);
+        w.put_varint(self.next_imaginary);
+        w.put_varint(self.next_oid);
+        w.put_len(self.classes.len());
         for (name, parents, attrs) in &self.classes {
-            w.put_symbol(*name);
-            w.put_u32(parents.len() as u32);
+            t.put_name(&mut w, *name);
+            w.put_len(parents.len());
             for p in parents {
-                w.put_u32(p.0);
+                w.put_varint(p.0 as u64);
             }
-            w.put_u32(attrs.len() as u32);
+            w.put_len(attrs.len());
             for a in attrs {
                 codec::put_attr_def(&mut w, a);
             }
         }
-        // Shape table: number each distinct field-name list in order of
-        // first appearance, so equal stores encode to equal bytes.
-        let mut shapes: Vec<Vec<Symbol>> = Vec::new();
-        let mut shape_ids: HashMap<Vec<Symbol>, u32> = HashMap::new();
-        let mut shape_of: Vec<u32> = Vec::with_capacity(self.objects.len());
-        let mut fields: Vec<Symbol> = Vec::new();
+        w.put_len(self.objects.len());
         for obj in &self.objects {
-            fields.clear();
-            fields.extend(obj.value.iter().map(|(name, _)| name));
-            let id = match shape_ids.get(fields.as_slice()) {
-                Some(&id) => id,
-                None => {
-                    let id = shapes.len() as u32;
-                    shapes.push(fields.clone());
-                    shape_ids.insert(fields.clone(), id);
-                    id
-                }
-            };
-            shape_of.push(id);
+            w.put_varint(obj.oid.0);
+            w.put_varint(obj.class.0 as u64);
+            t.put_tuple(&mut w, &obj.value);
         }
-        w.put_u32(shapes.len() as u32);
-        for shape in &shapes {
-            w.put_u32(shape.len() as u32);
-            for name in shape {
-                w.put_symbol(*name);
-            }
-        }
-        w.put_u32(self.objects.len() as u32);
-        for (obj, shape) in self.objects.iter().zip(shape_of) {
-            w.put_u64(obj.oid.0);
-            w.put_u32(obj.class.0);
-            w.put_u32(shape);
-            for (_, v) in obj.value.iter() {
-                codec::put_value(&mut w, v);
-            }
-        }
-        w.put_u32(self.names.len() as u32);
+        w.put_len(self.names.len());
         for (name, oid) in &self.names {
-            w.put_symbol(*name);
-            w.put_u64(oid.0);
+            t.put_name(&mut w, *name);
+            w.put_varint(oid.0);
         }
-        w.put_u32(self.index_defs.len() as u32);
+        w.put_len(self.index_defs.len());
         for (class, attr) in &self.index_defs {
-            w.put_u32(class.0);
-            w.put_symbol(*attr);
+            w.put_varint(class.0 as u64);
+            t.put_name(&mut w, *attr);
         }
-        w.put_u32(self.identity.len() as u32);
+        w.put_len(self.identity.len());
         for e in &self.identity {
-            w.put_symbol(e.view);
-            w.put_symbol(e.class);
-            codec::put_tuple(&mut w, &e.core);
-            w.put_u64(e.oid.0);
+            t.put_name(&mut w, e.view);
+            t.put_name(&mut w, e.class);
+            t.put_tuple(&mut w, &e.core);
+            w.put_varint(e.oid.0);
         }
         w.into_bytes()
     }
@@ -257,88 +234,62 @@ impl SnapshotImage {
     /// Decodes an image body.
     pub fn decode(bytes: &[u8]) -> Result<SnapshotImage> {
         let mut r = Reader::new(bytes, "snapshot body");
+        let mut t = Tables::default();
         let name = r.take_symbol()?;
-        let store_version = r.take_u64()?;
-        let checkpoint_lsn = r.take_u64()?;
-        let next_imaginary = r.take_u64()?;
-        let next_oid = r.take_u64()?;
-        let nc = r.take_len(5)?;
+        let store_version = r.take_varint()?;
+        let checkpoint_lsn = r.take_varint()?;
+        let next_imaginary = r.take_varint()?;
+        let next_oid = r.take_varint()?;
+        let class = |r: &mut Reader<'_>| r.take_var_u32().map(ClassId);
+        let oid = |r: &mut Reader<'_>| r.take_varint().map(Oid);
+        // Each count is checked against the least bytes an element takes:
+        // a class its name and two counts, an object its oid, class and
+        // shape, an identity entry two names, a shape and an oid.
+        let nc = r.take_len(3)?;
         let mut classes = Vec::with_capacity(nc);
         for _ in 0..nc {
-            let cname = r.take_symbol()?;
-            let np = r.take_len(4)?;
+            let cname = t.take_name(&mut r)?;
+            let np = r.take_len(1)?;
             let mut parents = Vec::with_capacity(np);
             for _ in 0..np {
-                parents.push(ClassId(r.take_u32()?));
+                parents.push(class(&mut r)?);
             }
-            let na = r.take_len(5)?;
+            let na = r.take_len(4)?;
             let mut attrs = Vec::with_capacity(na);
             for _ in 0..na {
                 attrs.push(codec::take_attr_def(&mut r)?);
             }
             classes.push((cname, parents, attrs));
         }
-        let ns = r.take_len(4)?;
-        // Each shape with whether its names are strictly ascending, as every
-        // shape this build writes is: its tuples then need no sort.
-        let mut shapes: Vec<(Vec<Symbol>, bool)> = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            let nf = r.take_len(4)?;
-            let mut shape = Vec::with_capacity(nf);
-            for _ in 0..nf {
-                shape.push(r.take_symbol()?);
-            }
-            let sorted = shape.windows(2).all(|w| w[0] < w[1]);
-            shapes.push((shape, sorted));
-        }
-        let no = r.take_len(16)?;
+        let no = r.take_len(3)?;
         let mut objects = Vec::with_capacity(no);
         for _ in 0..no {
-            let oid = Oid(r.take_u64()?);
-            let class = ClassId(r.take_u32()?);
-            let shape_no = r.take_u32()? as usize;
-            let (shape, sorted) = shapes.get(shape_no).ok_or_else(|| {
-                OodbError::corrupt(format!(
-                    "snapshot body: object {oid} names shape {shape_no} of {}",
-                    shapes.len()
-                ))
-            })?;
-            let mut fields = Vec::with_capacity(shape.len());
-            for name in shape {
-                fields.push((*name, codec::take_value(&mut r)?));
-            }
-            // `from_fields` orders and dedups, so even a hostile shape
-            // (unsorted, repeated names) yields a well-formed tuple.
-            let value = if *sorted {
-                Tuple::from_sorted_fields(fields)
-            } else {
-                Tuple::from_fields(fields)
-            };
-            objects.push(StoredObject { oid, class, value });
+            objects.push(StoredObject {
+                oid: oid(&mut r)?,
+                class: class(&mut r)?,
+                value: t.take_tuple(&mut r)?,
+            });
         }
-        let nn = r.take_len(12)?;
+        let nn = r.take_len(2)?;
         let mut names = Vec::with_capacity(nn);
         for _ in 0..nn {
-            let n = r.take_symbol()?;
-            names.push((n, Oid(r.take_u64()?)));
+            let n = t.take_name(&mut r)?;
+            names.push((n, oid(&mut r)?));
         }
-        let ni = r.take_len(8)?;
+        let ni = r.take_len(2)?;
         let mut index_defs = Vec::with_capacity(ni);
         for _ in 0..ni {
-            let c = ClassId(r.take_u32()?);
-            index_defs.push((c, r.take_symbol()?));
+            let c = class(&mut r)?;
+            index_defs.push((c, t.take_name(&mut r)?));
         }
-        let ne = r.take_len(20)?;
+        let ne = r.take_len(4)?;
         let mut identity = Vec::with_capacity(ne);
         for _ in 0..ne {
-            let view = r.take_symbol()?;
-            let class = r.take_symbol()?;
-            let core = codec::take_tuple(&mut r)?;
             identity.push(IdentityEntry {
-                view,
-                class,
-                core,
-                oid: Oid(r.take_u64()?),
+                view: t.take_name(&mut r)?,
+                class: t.take_name(&mut r)?,
+                core: t.take_tuple(&mut r)?,
+                oid: oid(&mut r)?,
             });
         }
         if !r.is_exhausted() {
@@ -619,27 +570,29 @@ mod tests {
     }
 
     /// A file an older build wrote must not reach this format's decoder.
-    /// The header is hand-built: format 1, zero pages.
+    /// The header is hand-built: zero pages, format 1 (names in every
+    /// object) or 3 (fixed-width scalars).
     #[test]
     fn older_format_version_rejected() {
         let dir = tmpdir("older");
-        let mut header = Writer::new();
-        header.put_bytes(SNAPSHOT_MAGIC);
-        header.put_u32(1); // format
-        header.put_u32(PAGE_SIZE as u32);
-        header.put_u32(0); // page_count
-        header.put_u64(0); // body_len
-        header.put_u64(1); // checkpoint_lsn
-        let mut raw = header.into_bytes();
-        let crc = crc32(&raw);
-        raw.extend_from_slice(&crc.to_le_bytes());
-        std::fs::write(dir.join(SNAPSHOT_FILE), &raw).unwrap();
-        match read_snapshot(&dir) {
-            Err(OodbError::UnsupportedFormat {
-                found: 1,
-                supported: SNAPSHOT_FORMAT,
-            }) => {}
-            other => panic!("expected UnsupportedFormat, got {other:?}"),
+        for format in [1, 3] {
+            let mut header = Writer::new();
+            header.put_bytes(SNAPSHOT_MAGIC);
+            header.put_u32(format);
+            header.put_u32(PAGE_SIZE as u32);
+            header.put_u32(0); // page_count
+            header.put_u64(0); // body_len
+            header.put_u64(1); // checkpoint_lsn
+            let mut raw = header.into_bytes();
+            let crc = crc32(&raw);
+            raw.extend_from_slice(&crc.to_le_bytes());
+            std::fs::write(dir.join(SNAPSHOT_FILE), &raw).unwrap();
+            match read_snapshot(&dir) {
+                Err(OodbError::UnsupportedFormat { found, supported }) => {
+                    assert_eq!((found, supported), (format, 4))
+                }
+                other => panic!("expected UnsupportedFormat, got {other:?}"),
+            }
         }
     }
 
@@ -702,38 +655,33 @@ mod tests {
         assert!(back.objects.is_empty());
     }
 
-    /// Byte offset of the shape table (its `u32` count) in `img.encode()`:
-    /// everything before it is the preamble and the class list.
-    fn shape_table_offset(img: &SnapshotImage) -> usize {
+    /// Byte offset of the object count in `img.encode()`: everything before
+    /// it is the preamble and the class list.
+    fn object_count_offset(img: &SnapshotImage) -> usize {
         let mut head = img.clone();
         head.objects.clear();
         head.names.clear();
         head.index_defs.clear();
         head.identity.clear();
-        // An image without objects ends in five zero counts: shapes,
+        // An image without objects ends in four one-byte zero counts:
         // objects, names, index definitions, identity entries.
-        head.encode().len() - 5 * 4
+        head.encode().len() - 4
     }
 
     #[test]
     fn shape_index_past_the_table_is_corrupt() {
         let img = mixed_shape_image();
         let mut body = img.encode();
-        // Shapes in order of first appearance: [Age, Name], [], [Age,
-        // Extra, Name]. Skip the table to the first object's shape index.
-        let mut at = shape_table_offset(&img);
-        assert_eq!(body[at..at + 4], 3u32.to_le_bytes());
-        at += 4;
-        for shape in [&["Age", "Name"][..], &[], &["Age", "Extra", "Name"]] {
-            at += 4 + shape.iter().map(|n| 4 + n.len()).sum::<usize>();
-        }
-        assert_eq!(body[at..at + 4], 4u32.to_le_bytes(), "object count");
-        at += 4 + 8 + 4; // count, oid, class
-        assert_eq!(body[at..at + 4], 0u32.to_le_bytes(), "first shape index");
-        body[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        let at = object_count_offset(&img);
+        assert_eq!(body[at], 4, "object count");
+        // Count, oid 3, class 0, then the first object's shape reference,
+        // which defines shape 0: the table is empty before it.
+        let at = at + 3;
+        assert_eq!(body[at], 0, "first shape reference");
+        body[at] = 1;
         match SnapshotImage::decode(&body) {
             Err(OodbError::Corrupt { context }) => {
-                assert!(context.contains("shape 3 of 3"), "got: {context}")
+                assert!(context.contains("shape 1 of 0"), "got: {context}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -743,9 +691,13 @@ mod tests {
     fn truncated_or_implausible_shape_table_is_corrupt() {
         let img = mixed_shape_image();
         let body = img.encode();
-        let at = shape_table_offset(&img);
-        // Cut inside the table: after its count, and inside a field name.
-        for cut in [at + 4, at + 4 + 4 + 4 + 2] {
+        let at = object_count_offset(&img);
+        // The first object's shape definition: its field count at `at + 4`,
+        // then `Age` defined as a name (reference, length, bytes).
+        assert_eq!(&body[at + 3..at + 6], &[0, 2, 2][..]);
+        // Cut inside the definition: after its field count, and inside a
+        // field name.
+        for cut in [at + 5, at + 8] {
             assert!(
                 matches!(
                     SnapshotImage::decode(&body[..cut]),
@@ -755,10 +707,13 @@ mod tests {
             );
         }
         // Counts no buffer of this size could hold are refused before
-        // anything is allocated for them.
-        for (offset, what) in [(at, "shape count"), (at + 4, "field count")] {
+        // anything is allocated for them: the one-byte count is replaced
+        // by the varint of `u32::MAX`.
+        for (offset, what) in [(at, "object count"), (at + 4, "field count")] {
+            let mut huge = Writer::new();
+            huge.put_varint(u32::MAX as u64);
             let mut bad = body.clone();
-            bad[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            bad.splice(offset..offset + 1, huge.into_bytes());
             match SnapshotImage::decode(&bad) {
                 Err(OodbError::Corrupt { context }) => {
                     assert!(context.contains("implausible"), "{what}: {context}")
@@ -780,25 +735,26 @@ mod tests {
     fn unsorted_shape_yields_a_well_formed_tuple() {
         let mut w = Writer::new();
         w.put_symbol(sym("D"));
-        w.put_u64(0);
-        w.put_u64(1);
-        w.put_u64(crate::ids::IMAGINARY_OID_BASE);
-        w.put_u64(8); // next oid
-        w.put_u32(0); // classes
-        w.put_u32(1); // shapes
-        w.put_u32(3);
-        for name in ["Zed", "Abe", "Zed"] {
-            w.put_symbol(sym(name));
-        }
-        w.put_u32(1); // objects
-        w.put_u64(7);
-        w.put_u32(0);
-        w.put_u32(0);
+        w.put_varint(0);
+        w.put_varint(1);
+        w.put_varint(crate::ids::IMAGINARY_OID_BASE);
+        w.put_varint(8); // next oid
+        w.put_len(0); // classes
+        w.put_len(1); // objects
+        w.put_varint(7);
+        w.put_varint(0);
+        w.put_varint(0); // defines shape 0:
+        w.put_len(3);
+        w.put_varint(0); // defines name 0
+        w.put_symbol(sym("Zed"));
+        w.put_varint(1); // defines name 1
+        w.put_symbol(sym("Abe"));
+        w.put_varint(0); // name 0 again
         for i in 1..=3 {
             codec::put_value(&mut w, &Value::Int(i));
         }
         for _ in 0..3 {
-            w.put_u32(0); // names, index definitions, identity
+            w.put_len(0); // names, index definitions, identity
         }
         let img = SnapshotImage::decode(&w.into_bytes()).unwrap();
         assert_eq!(
@@ -833,6 +789,41 @@ mod tests {
                 .count();
             assert_eq!(hits, 1, "`{name}` occurs {hits} times in the body");
         }
+        assert_eq!(SnapshotImage::decode(&body).unwrap().objects, img.objects);
+    }
+
+    /// A store of 1 000 rows of the benchmark's `Person` shape.
+    fn person_image() -> SnapshotImage {
+        const CITIES: [&str; 4] = ["Paris", "Lyon", "Marseille", "Toulouse"];
+        let mut img = SnapshotImage {
+            name: sym("Staff"),
+            ..SnapshotImage::default()
+        };
+        for i in 0..1000u64 {
+            img.objects.push(StoredObject {
+                oid: Oid(i),
+                class: ClassId(0),
+                value: Tuple::from_fields([
+                    ("Id", Value::Int(i as i64)),
+                    ("Name", Value::str(&format!("p{i}"))),
+                    ("Age", Value::Int(18 + (i % 70) as i64)),
+                    ("City", Value::str(CITIES[i as usize % 4])),
+                    ("Street", Value::str(&format!("{} St", i % 997))),
+                    ("Income", Value::Int(20_000 + (i * 7919 % 180_000) as i64)),
+                ]),
+            });
+        }
+        img
+    }
+
+    /// The size guard: an object costs its values plus a few varint bytes
+    /// (format 3: ≈ 79 B per object).
+    #[test]
+    fn an_object_costs_at_most_48_bytes() {
+        let img = person_image();
+        let body = img.encode();
+        let per_object = body.len() as f64 / img.objects.len() as f64;
+        assert!(per_object <= 48.0, "{per_object} B per object");
         assert_eq!(SnapshotImage::decode(&body).unwrap().objects, img.objects);
     }
 

@@ -10,26 +10,61 @@
 //!
 //! ```text
 //! header:  magic "OVWALOG1" · format u32 · crc u32        (16 bytes)
-//! frames:  ┌─────────┬─────────┬─────────┬──────────────┐
-//!          │ len u32 │ crc u32 │ lsn u64 │ payload …    │  (little-endian)
-//!          └─────────┴─────────┴─────────┴──────────────┘
+//! frames:  ┌────────────┬─────────┬────────────┬──────────────┐
+//!          │ len varint │ crc u32 │ lsn varint │ payload …    │
+//!          └────────────┴─────────┴────────────┴──────────────┘
+//! payload: tag u8 · the record's fields
+//!   Insert          0 · oid · class · shaped tuple
+//!   Update          1 · oid · shaped tuple
+//!   SetField        2 · oid · name · value
+//!   Remove          3 · oid
+//!   CreateIndex     4 · class · name
+//!   DropIndex       5 · class · name
+//!   NameBind        6 · name · oid
+//!   AddClass        7 · name · parents (count × class) · attr defs
+//!   AddAttr         8 · class · attr def
+//!   IdentityAssign  9 · view name · class name · shaped tuple · oid
+//!   IdentityDrop   10 · view name · class name · shaped tuple
+//! name:          id varint [· string, when id is the table's length]
+//! shaped tuple:  shape id varint
+//!                [· field count · count × name, when id is the table's length]
+//!                · one value per field of the shape
 //! ```
 //!
-//! The header is written when the log is created, and [`Wal::reset`] cuts
-//! the log back to it; its `crc` is CRC32 over magic and format. A log whose
-//! format is not [`WAL_FORMAT`], older or newer, fails with
-//! [`OodbError::UnsupportedFormat`] instead of misparsing, as the snapshot
-//! does. A log longer than a header and without the magic is format 0: what
-//! builds before the header wrote; there is no migration path. A file no
-//! longer than a header that is not a whole one (a crash while the log was
-//! created or reset: cut, or zero-filled) holds no frame and is an empty log.
+//! Oids, class ids, lengths and counts are varints, integers zigzag
+//! varints ([`crate::codec`]). The header is written when the log is
+//! created, and [`Wal::reset`] cuts the log back to it; its `crc` is CRC32
+//! over magic and format. A log whose format is not [`WAL_FORMAT`], older
+//! or newer, fails with [`OodbError::UnsupportedFormat`] instead of
+//! misparsing, as the snapshot does. A log longer than a header and without
+//! the magic is format 0: what builds before the header wrote. Format 1
+//! wrote fixed-width scalars and every field name in every record. There is
+//! no migration path. A file no longer than a header that is not a whole
+//! one (a crash while the log was created or reset: cut, or zero-filled)
+//! holds no frame and is an empty log.
 //!
 //! A frame's `len` counts the lsn plus payload bytes; its `crc` is CRC32
 //! (IEEE) over those same bytes. LSNs are **monotonic** starting at 1. On
 //! open the log is scanned frame by frame; the first frame with a short
-//! body, a checksum mismatch, or a non-monotonic LSN marks the *torn tail*
-//! — everything from there on is truncated away (a crash mid-append must
-//! lose at most the records that were never acknowledged as synced).
+//! body, a checksum mismatch, a non-monotonic LSN or a payload that does
+//! not decode marks the *torn tail* — everything from there on is truncated
+//! away (a crash mid-append must lose at most the records that were never
+//! acknowledged as synced).
+//!
+//! ## Name and shape tables
+//!
+//! The unique-root rule fixes an object's structure by its class (§4.2), so
+//! a log holds few distinct tuple *shapes* (name-ordered field-name lists)
+//! and few distinct names. The log numbers each in order of first use since
+//! the last [`Wal::reset`]; a record refers to a name or a shape by that
+//! number, and the record that uses one first carries its definition in the
+//! same frame (a reference equal to the table's length). The scan rebuilds
+//! both tables from the frames it keeps, and the opened log appends with
+//! exactly those tables, so no frame appended after an open uses a
+//! definition that a torn tail took away. [`WalRecord::encode`] is the
+//! self-contained form — a record encoded against empty tables, as the
+//! first frame of a log is. The snapshot body writes names and tuples by
+//! the same rule, with one table per file ([`crate::pager`]).
 //!
 //! ## Sync policy
 //!
@@ -45,7 +80,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{self, crc32, Reader, Writer};
+use crate::codec::{self, crc32, Reader, Tables, Writer};
 use crate::error::{OodbError, Result};
 use crate::event::Event;
 use crate::ids::{ClassId, Oid};
@@ -57,14 +92,11 @@ use crate::value::{Tuple, Value};
 /// [`Durability::Wal`]. [`Durability::WalSync`] syncs every commit.
 pub const GROUP_COMMIT_INTERVAL: u64 = 64;
 
-/// Frame header bytes: `len` + `crc`.
-const FRAME_HEADER: usize = 8;
-
 /// Magic bytes opening every log.
 pub const WAL_MAGIC: &[u8; 8] = b"OVWALOG1";
 
 /// The log format version this build writes and reads.
-pub const WAL_FORMAT: u32 = 1;
+pub const WAL_FORMAT: u32 = 2;
 
 /// Bytes of the log header: magic, format, crc.
 const WAL_HEADER_LEN: usize = 16;
@@ -250,44 +282,58 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// Encodes the record payload (tag byte + fields).
+    /// Encodes the record payload (tag byte + fields) in its self-contained
+    /// form: against empty tables, so every name and shape it uses is
+    /// defined inline, as in the first frame of a log.
     pub fn encode(&self, w: &mut Writer) {
+        self.encode_in(w, &mut Tables::default());
+    }
+
+    /// Decodes a payload in the self-contained form [`WalRecord::encode`]
+    /// writes.
+    pub fn decode(r: &mut Reader<'_>) -> Result<WalRecord> {
+        WalRecord::decode_in(r, &mut Tables::default())
+    }
+
+    /// Encodes the payload against a log's `tables`, defining each name and
+    /// shape they do not hold yet.
+    fn encode_in(&self, w: &mut Writer, t: &mut Tables) {
         match self {
             WalRecord::Insert { oid, class, value } => {
                 w.put_u8(0);
-                w.put_u64(oid.0);
-                w.put_u32(class.0);
-                codec::put_tuple(w, value);
+                w.put_varint(oid.0);
+                w.put_varint(class.0 as u64);
+                t.put_tuple(w, value);
             }
             WalRecord::Update { oid, value } => {
                 w.put_u8(1);
-                w.put_u64(oid.0);
-                codec::put_tuple(w, value);
+                w.put_varint(oid.0);
+                t.put_tuple(w, value);
             }
             WalRecord::SetField { oid, name, value } => {
                 w.put_u8(2);
-                w.put_u64(oid.0);
-                w.put_symbol(*name);
+                w.put_varint(oid.0);
+                t.put_name(w, *name);
                 codec::put_value(w, value);
             }
             WalRecord::Remove { oid } => {
                 w.put_u8(3);
-                w.put_u64(oid.0);
+                w.put_varint(oid.0);
             }
             WalRecord::CreateIndex { class, attr } => {
                 w.put_u8(4);
-                w.put_u32(class.0);
-                w.put_symbol(*attr);
+                w.put_varint(class.0 as u64);
+                t.put_name(w, *attr);
             }
             WalRecord::DropIndex { class, attr } => {
                 w.put_u8(5);
-                w.put_u32(class.0);
-                w.put_symbol(*attr);
+                w.put_varint(class.0 as u64);
+                t.put_name(w, *attr);
             }
             WalRecord::NameBind { name, oid } => {
                 w.put_u8(6);
-                w.put_symbol(*name);
-                w.put_u64(oid.0);
+                t.put_name(w, *name);
+                w.put_varint(oid.0);
             }
             WalRecord::AddClass {
                 name,
@@ -295,19 +341,19 @@ impl WalRecord {
                 attrs,
             } => {
                 w.put_u8(7);
-                w.put_symbol(*name);
-                w.put_u32(parents.len() as u32);
+                t.put_name(w, *name);
+                w.put_len(parents.len());
                 for p in parents {
-                    w.put_u32(p.0);
+                    w.put_varint(p.0 as u64);
                 }
-                w.put_u32(attrs.len() as u32);
+                w.put_len(attrs.len());
                 for a in attrs {
                     codec::put_attr_def(w, a);
                 }
             }
             WalRecord::AddAttr { class, def } => {
                 w.put_u8(8);
-                w.put_u32(class.0);
+                w.put_varint(class.0 as u64);
                 codec::put_attr_def(w, def);
             }
             WalRecord::IdentityAssign {
@@ -317,60 +363,62 @@ impl WalRecord {
                 oid,
             } => {
                 w.put_u8(9);
-                w.put_symbol(*view);
-                w.put_symbol(*class);
-                codec::put_tuple(w, core);
-                w.put_u64(oid.0);
+                t.put_name(w, *view);
+                t.put_name(w, *class);
+                t.put_tuple(w, core);
+                w.put_varint(oid.0);
             }
             WalRecord::IdentityDrop { view, class, core } => {
                 w.put_u8(10);
-                w.put_symbol(*view);
-                w.put_symbol(*class);
-                codec::put_tuple(w, core);
+                t.put_name(w, *view);
+                t.put_name(w, *class);
+                t.put_tuple(w, core);
             }
         }
     }
 
-    /// Decodes a record payload.
-    pub fn decode(r: &mut Reader<'_>) -> Result<WalRecord> {
+    /// Decodes a payload against a log's `tables`, adding the definitions
+    /// it carries. On an error the tables may hold some of them: the
+    /// caller rolls back ([`Tables::rollback`]).
+    fn decode_in(r: &mut Reader<'_>, t: &mut Tables) -> Result<WalRecord> {
+        let oid = |r: &mut Reader<'_>| r.take_varint().map(Oid);
+        let class = |r: &mut Reader<'_>| r.take_var_u32().map(ClassId);
         Ok(match r.take_u8()? {
             0 => WalRecord::Insert {
-                oid: Oid(r.take_u64()?),
-                class: ClassId(r.take_u32()?),
-                value: codec::take_tuple(r)?,
+                oid: oid(r)?,
+                class: class(r)?,
+                value: t.take_tuple(r)?,
             },
             1 => WalRecord::Update {
-                oid: Oid(r.take_u64()?),
-                value: codec::take_tuple(r)?,
+                oid: oid(r)?,
+                value: t.take_tuple(r)?,
             },
             2 => WalRecord::SetField {
-                oid: Oid(r.take_u64()?),
-                name: r.take_symbol()?,
+                oid: oid(r)?,
+                name: t.take_name(r)?,
                 value: codec::take_value(r)?,
             },
-            3 => WalRecord::Remove {
-                oid: Oid(r.take_u64()?),
-            },
+            3 => WalRecord::Remove { oid: oid(r)? },
             4 => WalRecord::CreateIndex {
-                class: ClassId(r.take_u32()?),
-                attr: r.take_symbol()?,
+                class: class(r)?,
+                attr: t.take_name(r)?,
             },
             5 => WalRecord::DropIndex {
-                class: ClassId(r.take_u32()?),
-                attr: r.take_symbol()?,
+                class: class(r)?,
+                attr: t.take_name(r)?,
             },
             6 => WalRecord::NameBind {
-                name: r.take_symbol()?,
-                oid: Oid(r.take_u64()?),
+                name: t.take_name(r)?,
+                oid: oid(r)?,
             },
             7 => {
-                let name = r.take_symbol()?;
-                let np = r.take_len(4)?;
+                let name = t.take_name(r)?;
+                let np = r.take_len(1)?;
                 let mut parents = Vec::with_capacity(np);
                 for _ in 0..np {
-                    parents.push(ClassId(r.take_u32()?));
+                    parents.push(class(r)?);
                 }
-                let na = r.take_len(5)?;
+                let na = r.take_len(4)?;
                 let mut attrs = Vec::with_capacity(na);
                 for _ in 0..na {
                     attrs.push(codec::take_attr_def(r)?);
@@ -382,19 +430,19 @@ impl WalRecord {
                 }
             }
             8 => WalRecord::AddAttr {
-                class: ClassId(r.take_u32()?),
+                class: class(r)?,
                 def: codec::take_attr_def(r)?,
             },
             9 => WalRecord::IdentityAssign {
-                view: r.take_symbol()?,
-                class: r.take_symbol()?,
-                core: codec::take_tuple(r)?,
-                oid: Oid(r.take_u64()?),
+                view: t.take_name(r)?,
+                class: t.take_name(r)?,
+                core: t.take_tuple(r)?,
+                oid: oid(r)?,
             },
             10 => WalRecord::IdentityDrop {
-                view: r.take_symbol()?,
-                class: r.take_symbol()?,
-                core: codec::take_tuple(r)?,
+                view: t.take_name(r)?,
+                class: t.take_name(r)?,
+                core: t.take_tuple(r)?,
             },
             tag => {
                 return Err(OodbError::corrupt(format!(
@@ -419,6 +467,8 @@ pub struct Wal {
     records_since_reset: u64,
     /// Current byte length of the log.
     bytes: u64,
+    /// The names and shapes the log's frames define.
+    tables: Tables,
 }
 
 /// A log as read by [`Wal::scan`]: its valid records and where they end.
@@ -427,6 +477,8 @@ pub struct Wal {
 pub struct WalScan {
     path: PathBuf,
     records: Vec<(u64, WalRecord)>,
+    /// The names and shapes `records` define: the tables appends go on with.
+    tables: Tables,
     next_lsn: u64,
     /// Is the header whole? If not, the file is no longer than a header:
     /// empty, cut inside it, or zero-filled.
@@ -463,35 +515,43 @@ impl Wal {
             raw.len()
         };
         let mut next_lsn = 1u64;
-        while raw.len() - good >= FRAME_HEADER {
-            let len = u32::from_le_bytes(raw[good..good + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(raw[good + 4..good + 8].try_into().expect("4 bytes"));
-            // A frame body is at least the 8-byte LSN.
-            if len < 8 || raw.len() - good - FRAME_HEADER < len {
-                break; // torn tail: header claims more bytes than exist
+        let mut tables = Tables::default();
+        while good < raw.len() {
+            // A frame whose header, body or payload does not read whole
+            // marks the torn (or damaged) tail.
+            let mut frame = Reader::new(&raw[good..], "wal frame");
+            let (Ok(len), Ok(crc)) = (frame.take_var_u32(), frame.take_u32()) else {
+                break;
+            };
+            let (len, head) = (len as usize, raw.len() - good - frame.remaining());
+            if frame.remaining() < len {
+                break;
             }
-            let body = &raw[good + FRAME_HEADER..good + FRAME_HEADER + len];
+            let body = &raw[good + head..good + head + len];
             if crc32(body) != crc {
-                break; // torn or corrupted tail
+                break;
             }
             let mut r = Reader::new(body, "wal record");
-            let lsn = r.take_u64().expect("length checked above");
-            if lsn != next_lsn {
+            if r.take_varint().ok() != Some(next_lsn) {
                 break; // non-monotonic LSN: treat as tail damage
             }
-            let Ok(rec) = WalRecord::decode(&mut r) else {
-                break; // payload decodes are all bounds-checked
-            };
-            if !r.is_exhausted() {
-                break; // trailing garbage inside a "valid" frame
+            let mark = tables.mark();
+            match WalRecord::decode_in(&mut r, &mut tables) {
+                Ok(rec) if r.is_exhausted() => records.push((next_lsn, rec)),
+                // Bounds-checked decode error, or trailing garbage inside a
+                // "valid" frame: its definitions go with it.
+                _ => {
+                    tables.rollback(mark);
+                    break;
+                }
             }
-            records.push((lsn, rec));
-            next_lsn = lsn + 1;
-            good += FRAME_HEADER + len;
+            next_lsn += 1;
+            good += head + len;
         }
         Ok(WalScan {
             path: path.to_path_buf(),
             records,
+            tables,
             next_lsn,
             has_header,
             good: good as u64,
@@ -511,22 +571,26 @@ impl Wal {
         append.field("lsn", self.next_lsn);
         crate::failpoint!("wal.append");
         let lsn = self.next_lsn;
+        let mark = self.tables.mark();
         let mut body = Writer::new();
-        body.put_u64(lsn);
-        rec.encode(&mut body);
+        body.put_varint(lsn);
+        rec.encode_in(&mut body, &mut self.tables);
         let body = body.into_bytes();
-        let mut frame = Vec::with_capacity(FRAME_HEADER + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
+        let mut frame = Writer::new();
+        frame.put_len(body.len());
+        frame.put_u32(crc32(&body));
+        let head = frame.len();
+        frame.put_bytes(&body);
+        let frame = frame.into_bytes();
 
         if crate::faults::hit("wal.torn_write").is_err() {
             // Write a partial frame (half the bytes, at least cutting into
             // the body) and report failure, as a crash mid-write would.
-            let cut = (frame.len() / 2).max(FRAME_HEADER + 1).min(frame.len() - 1);
+            let cut = (frame.len() / 2).max(head + 1).min(frame.len() - 1);
             let _ = self.file.write_all(&frame[..cut]);
             let _ = self.file.flush();
             self.bytes += cut as u64;
+            self.tables.rollback(mark);
             append.field("outcome", "torn_write");
             return Err(OodbError::Io {
                 context: "wal append".to_string(),
@@ -534,9 +598,10 @@ impl Wal {
             });
         }
 
-        self.file
-            .write_all(&frame)
-            .map_err(|e| OodbError::io("wal append", e))?;
+        if let Err(e) = self.file.write_all(&frame) {
+            self.tables.rollback(mark);
+            return Err(OodbError::io("wal append", e));
+        }
         self.next_lsn += 1;
         self.unsynced += 1;
         self.records_since_reset += 1;
@@ -578,7 +643,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncates the log to its header after a successful checkpoint. LSNs
+    /// Truncates the log to its header after a successful checkpoint, and
+    /// empties its name and shape tables. LSNs
     /// keep counting from where they were (they are monotonic for the life
     /// of the database directory, not of one log file) — except that a
     /// fresh scan of the now-empty log restarts at 1, so the checkpoint
@@ -598,6 +664,7 @@ impl Wal {
         self.unsynced = 0;
         self.records_since_reset = 0;
         self.bytes = WAL_HEADER_LEN as u64;
+        self.tables = Tables::default();
         Ok(())
     }
 
@@ -625,7 +692,8 @@ impl Wal {
 impl WalScan {
     /// Makes the scanned log the live one: creates the file, or writes its
     /// header again if it was not whole; truncates a torn tail; and
-    /// positions for appends. Returns the log and its valid records.
+    /// positions for appends, which go on with the tables of the frames
+    /// kept. Returns the log and its valid records.
     pub fn open(self) -> Result<(Wal, Vec<(u64, WalRecord)>)> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -659,6 +727,7 @@ impl WalScan {
             unsynced: 0,
             records_since_reset: self.records.len() as u64,
             bytes,
+            tables: self.tables,
         };
         Ok((wal, self.records))
     }
@@ -831,22 +900,31 @@ mod tests {
     fn a_log_of_another_format_is_refused() {
         let path = tmp("format");
         let (mut wal, _) = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Remove { oid: Oid(1) }).unwrap();
+        // One record longer than a header, so the headerless log is not
+        // taken for a cut header.
+        wal.append(&person(1)).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let ours = std::fs::read(&path).unwrap();
-        let mut newer = ours.clone();
-        newer[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let crc = crc32(&newer[..12]);
-        newer[12..16].copy_from_slice(&crc.to_le_bytes());
+        let of_format = |format: u32| {
+            let mut bytes = ours.clone();
+            bytes[8..12].copy_from_slice(&format.to_le_bytes());
+            let crc = crc32(&bytes[..12]);
+            bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        let newer = of_format(WAL_FORMAT + 1);
         // A newer build's empty log is a whole header: refused too.
         let newer_empty = newer[..WAL_HEADER_LEN].to_vec();
+        // Format 1: fixed-width scalars, field names in every record.
+        let older = of_format(1);
         let headerless = ours[WAL_HEADER_LEN..].to_vec();
         let mut flipped = ours.clone();
         flipped[9] ^= 1;
         for (bytes, want) in [
-            (newer, Some(2)),
-            (newer_empty, Some(2)),
+            (newer, Some(WAL_FORMAT + 1)),
+            (newer_empty, Some(WAL_FORMAT + 1)),
+            (older, Some(1)),
             (headerless, Some(0)),
             (flipped, None),
         ] {
@@ -861,6 +939,199 @@ mod tests {
                 (other, _) => panic!("expected a typed refusal, got {:?}", other.map(|_| ())),
             }
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "a refusal wrote");
+        }
+    }
+
+    /// A row of the benchmark's `Person` shape: six fields, about 43 bytes
+    /// of user data.
+    fn person(i: u64) -> WalRecord {
+        const CITIES: [&str; 4] = ["Paris", "Lyon", "Marseille", "Toulouse"];
+        WalRecord::Insert {
+            oid: Oid(i),
+            class: ClassId(0),
+            value: Tuple::from_fields([
+                ("Id", Value::Int(i as i64)),
+                ("Name", Value::str(&format!("p{i}"))),
+                ("Age", Value::Int(18 + (i % 70) as i64)),
+                ("City", Value::str(CITIES[i as usize % 4])),
+                ("Street", Value::str(&format!("{} St", i % 997))),
+                ("Income", Value::Int(20_000 + (i * 7919 % 180_000) as i64)),
+            ]),
+        }
+    }
+
+    /// The size guard: names are per-log facts and scalars are varints, so
+    /// a logged row costs its values plus a few bytes, not its field names
+    /// and fixed-width integers (format 1: ≈ 145 B per record).
+    #[test]
+    fn a_logged_row_costs_at_most_64_bytes() {
+        let path = tmp("size");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        let records: Vec<WalRecord> = (0..1000).map(person).collect();
+        for rec in &records {
+            wal.append(rec).unwrap();
+        }
+        let per_record = (wal.bytes() - WAL_HEADER_LEN as u64) as f64 / 1000.0;
+        assert!(per_record <= 64.0, "{per_record} B per record");
+        // The field names are written once, by the first record.
+        let raw = std::fs::read(&path).unwrap();
+        let hits = raw.windows(6).filter(|w| w == b"Income").count();
+        assert_eq!(hits, 1);
+        drop(wal);
+        let (_, back) = Wal::open(&path).unwrap();
+        let back: Vec<WalRecord> = back.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(back, records);
+    }
+
+    /// Every record kind in both forms: in sequence against one log's
+    /// tables, and self-contained.
+    #[test]
+    fn every_record_roundtrips_in_both_forms() {
+        let core = Tuple::from_fields([("City", Value::str("Paris"))]);
+        let records = vec![
+            WalRecord::AddClass {
+                name: sym("Person"),
+                parents: vec![ClassId(2)],
+                attrs: vec![AttrDef::stored(sym("Age"), crate::types::Type::Int)],
+            },
+            WalRecord::AddAttr {
+                class: ClassId(0),
+                def: AttrDef::stored(sym("Nick"), crate::types::Type::Str),
+            },
+            person(7),
+            person(8),
+            WalRecord::Update {
+                oid: Oid(7),
+                value: Tuple::from_fields([("Age", Value::Int(-3)), ("Nick", Value::str("x"))]),
+            },
+            WalRecord::SetField {
+                oid: Oid(8),
+                name: sym("Age"),
+                value: Value::Int(i64::MIN),
+            },
+            WalRecord::Remove { oid: Oid(u64::MAX) },
+            WalRecord::CreateIndex {
+                class: ClassId(0),
+                attr: sym("Age"),
+            },
+            WalRecord::DropIndex {
+                class: ClassId(0),
+                attr: sym("Age"),
+            },
+            WalRecord::NameBind {
+                name: sym("maggy"),
+                oid: Oid(7),
+            },
+            WalRecord::IdentityAssign {
+                view: sym("V"),
+                class: sym("Addr"),
+                core: core.clone(),
+                oid: Oid(crate::ids::IMAGINARY_OID_BASE + 4),
+            },
+            WalRecord::IdentityDrop {
+                view: sym("V"),
+                class: sym("Addr"),
+                core,
+            },
+        ];
+        let (mut enc, mut dec) = (Tables::default(), Tables::default());
+        for rec in &records {
+            let mut w = Writer::new();
+            rec.encode_in(&mut w, &mut enc);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes, "test");
+            assert_eq!(&WalRecord::decode_in(&mut r, &mut dec).unwrap(), rec);
+            assert!(r.is_exhausted());
+            let mut w = Writer::new();
+            rec.encode(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes, "test");
+            assert_eq!(&WalRecord::decode(&mut r).unwrap(), rec);
+            assert!(r.is_exhausted());
+        }
+        assert_eq!(enc, dec);
+    }
+
+    /// After an open the log appends with the tables of the frames it kept:
+    /// a cut that takes a definition away takes every use of it too, and
+    /// the next append defines it again. A reset empties the tables.
+    #[test]
+    fn appends_after_open_continue_the_surviving_tables() {
+        let path = tmp("tables");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(&person(1)).unwrap();
+        let one = wal.bytes();
+        wal.append(&person(2)).unwrap();
+        drop(wal);
+        let full = std::fs::read(&path).unwrap();
+        // Cut inside the first frame (which defines the shape), then
+        // inside the second (which uses it).
+        for (cut, kept) in [(one as usize - 3, 0), (full.len() - 2, 1)] {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let (mut wal, recs) = Wal::open(&path).unwrap();
+            assert_eq!(recs.len(), kept);
+            assert_eq!(wal.tables.mark().1, kept);
+            wal.append(&person(3)).unwrap();
+            wal.append(&WalRecord::SetField {
+                oid: Oid(3),
+                name: sym("Name"),
+                value: Value::str("q"),
+            })
+            .unwrap();
+            drop(wal);
+            let (mut wal, recs) = Wal::open(&path).unwrap();
+            let got: Vec<WalRecord> = recs.into_iter().map(|(_, r)| r).collect();
+            assert_eq!(got.len(), kept + 2);
+            assert_eq!(got[kept], person(3));
+            wal.reset().unwrap();
+            assert_eq!(wal.tables.mark(), (0, 0));
+            wal.append(&person(4)).unwrap();
+            drop(wal);
+            assert_eq!(Wal::open(&path).unwrap().1, vec![(1, person(4))]);
+        }
+    }
+
+    /// A log that defines and reuses many names reads back whole.
+    #[test]
+    fn a_log_of_many_names_reads_back_whole() {
+        let names: Vec<Symbol> = (0..40).map(|i| sym(&format!("n{i}"))).collect();
+        let path = tmp("many-names");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        let records: Vec<WalRecord> = names
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &name)| {
+                let oid = Oid(i as u64);
+                [
+                    WalRecord::NameBind { name, oid },
+                    WalRecord::SetField {
+                        oid,
+                        name: names[i / 2],
+                        value: Value::Int(i as i64),
+                    },
+                ]
+            })
+            .collect();
+        for rec in &records {
+            wal.append(rec).unwrap();
+        }
+        drop(wal);
+        let (_, back) = Wal::open(&path).unwrap();
+        let back: Vec<WalRecord> = back.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(back, records);
+    }
+
+    /// A reference past a table's end is corrupt, not a panic.
+    #[test]
+    fn a_reference_past_a_table_is_corrupt() {
+        for (payload, want) in [
+            (&[1u8, 0, 5][..], "shape 5 of 0"), // Update · oid 0 · shape 5
+            (&[2, 0, 1][..], "name 1 of 0"),    // SetField · oid 0 · name 1
+        ] {
+            match WalRecord::decode(&mut Reader::new(payload, "test")) {
+                Err(OodbError::Corrupt { context }) => assert!(context.contains(want), "{context}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
         }
     }
 

@@ -7,6 +7,11 @@
 //! prefixes (monotonicity). Recovery builds no index: each recovered index
 //! must answer, when first probed, exactly as a scan of the recovered store
 //! does — probed before any further write, and after writes.
+//!
+//! The histories add an attribute midway (so a second tuple shape appears
+//! mid-log), write a string-valued field, and checkpoint (which empties the
+//! log's name and shape tables). Writes made after a recovery must survive
+//! the next reopen: the log appends with the tables of the frames it kept.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -20,10 +25,26 @@ use proptest::prelude::*;
 /// regardless of absolute oid allocation.
 #[derive(Clone, Debug)]
 enum Op {
-    Insert { age: i64 },
-    SetAge { idx: usize, age: i64 },
-    Remove { idx: usize },
+    Insert {
+        age: i64,
+    },
+    SetAge {
+        idx: usize,
+        age: i64,
+    },
+    SetName {
+        idx: usize,
+        name: String,
+    },
+    Remove {
+        idx: usize,
+    },
     IndexAge,
+    /// Adds `Nick: string` to `Person` once: later inserts have a wider
+    /// shape than earlier ones.
+    AddNick,
+    /// A checkpoint on a durable database; nothing on the reference.
+    Checkpoint,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -31,8 +52,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0i64..100).prop_map(|age| Op::Insert { age }),
         (0i64..100).prop_map(|age| Op::Insert { age: age + 100 }),
         (0usize..64, 0i64..100).prop_map(|(idx, age)| Op::SetAge { idx, age }),
+        (0usize..64, "[a-z]{0,6}").prop_map(|(idx, name)| Op::SetName { idx, name }),
         (0usize..64).prop_map(|idx| Op::Remove { idx }),
         Just(Op::IndexAge),
+        Just(Op::AddNick),
+        Just(Op::Checkpoint),
     ]
 }
 
@@ -51,6 +75,13 @@ fn apply(db: &mut Database, class: ov_oodb::ClassId, op: &Op) {
                     .unwrap();
             }
         }
+        Op::SetName { idx, name } => {
+            let oids = db.store.sorted_oids();
+            if !oids.is_empty() {
+                db.set_attr(oids[idx % oids.len()], sym("Name"), Value::str(name))
+                    .unwrap();
+            }
+        }
         Op::Remove { idx } => {
             let oids = db.store.sorted_oids();
             if !oids.is_empty() {
@@ -60,6 +91,17 @@ fn apply(db: &mut Database, class: ov_oodb::ClassId, op: &Op) {
         Op::IndexAge => {
             if db.store.index_defs().is_empty() {
                 db.store.create_index(class, sym("Age"));
+            }
+        }
+        Op::AddNick => {
+            if db.schema.class(class).own_attr(sym("Nick")).is_none() {
+                db.add_attr(class, AttrDef::stored(sym("Nick"), Type::Str))
+                    .unwrap();
+            }
+        }
+        Op::Checkpoint => {
+            if db.durable_core().is_some() {
+                db.checkpoint().unwrap();
             }
         }
     }
@@ -93,18 +135,34 @@ fn indexes_agree_with_a_scan(db: &Database) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Writes to a recovered database: an insert, an update and a delete, or
-/// nothing when recovery stopped before `Person` existed.
-fn write_after_recovery(db: &mut Database) {
+/// Writes to a recovered database — an insert, updates of an integer and a
+/// string field, a delete, the attribute added if it was not, and an insert
+/// of the wider shape — or nothing when recovery stopped before `Person`
+/// existed. The reopen after them must find them all.
+fn write_after_recovery(db: &mut Database, dir: &std::path::Path) -> Result<(), TestCaseError> {
     if let Ok(class) = db.schema.require_class(sym("Person")) {
         for op in [
             Op::Insert { age: 7 },
             Op::SetAge { idx: 1, age: 7 },
+            Op::SetName {
+                idx: 3,
+                name: "after".into(),
+            },
             Op::Remove { idx: 2 },
+            Op::AddNick,
+            Op::Insert { age: 8 },
         ] {
             apply(db, class, &op);
         }
     }
+    let written = fingerprint(db);
+    let reopened = Database::open(sym("P"), dir, Durability::Wal).unwrap();
+    prop_assert_eq!(
+        fingerprint(&reopened),
+        written,
+        "writes after recovery lost on reopen"
+    );
+    Ok(())
 }
 
 /// A fresh scratch dir per case (proptest runs many cases per process).
@@ -120,7 +178,10 @@ fn person_class(db: &mut Database) -> ov_oodb::ClassId {
     db.create_class(
         sym("Person"),
         &[],
-        vec![AttrDef::stored(sym("Age"), Type::Int)],
+        vec![
+            AttrDef::stored(sym("Age"), Type::Int),
+            AttrDef::stored(sym("Name"), Type::Str),
+        ],
     )
     .unwrap()
 }
@@ -174,7 +235,7 @@ proptest! {
         );
         // The first probe before any further write, then writes it maintains.
         indexes_agree_with_a_scan(&recovered)?;
-        write_after_recovery(&mut recovered);
+        write_after_recovery(&mut recovered, &dir)?;
         indexes_agree_with_a_scan(&recovered)?;
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -228,7 +289,7 @@ proptest! {
             );
             last_idx = idx.unwrap();
             // Writes before the first probe, which builds from them.
-            write_after_recovery(&mut recovered);
+            write_after_recovery(&mut recovered, &dir)?;
             indexes_agree_with_a_scan(&recovered)?;
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -162,7 +162,7 @@ proptest! {
         // The byte stream the codec wrote off the map: count, then
         // name-ordered (symbol, value) pairs.
         let mut expected = Writer::new();
-        expected.put_u32(ma.len() as u32);
+        expected.put_len(ma.len());
         for (k, v) in &ma {
             expected.put_symbol(*k);
             put_value(&mut expected, v);

@@ -838,33 +838,7 @@ fn a_refused_base_change_logs_nothing_and_the_root_reopens() {
 /// `create view` replaces the first.
 #[test]
 fn a_root_with_a_view_that_no_longer_binds_opens_with_a_report() {
-    let dir = scratch("unbound");
-    {
-        let mut s = Session::open(&dir, Durability::Wal).unwrap();
-        s.execute(
-            r#"database A; class P type [Name: string]; attribute Age in class P has value "old";
-               insert P value [Name: "alice"];"#,
-        )
-        .unwrap();
-    }
-    let def = |src: &str| ViewDef::from_script(src).unwrap().to_script();
-    let v = def("create view V; import all classes from database A; \
-                 class Adult includes (select X from X in P where X.Age >= 21);");
-    let w = def("create view W; import all classes from view V; \
-                 class Old includes (select X from Adult where X.Age >= 60);");
-    let u = def("create view U; import all classes from database A;");
-    let script = format!("{v}{w}{u}");
-    std::fs::write(
-        dir.join("views.ovq"),
-        objects_and_views::oodb::wrap_checked(&script),
-    )
-    .unwrap();
-    let unbound = |s: &Session| -> Vec<(Symbol, String)> {
-        s.unbound_views()
-            .iter()
-            .map(|u| (u.def.name, u.cause.to_string()))
-            .collect()
-    };
+    let (dir, v, w) = root_with_unbound_views("unbound");
     let expected = vec![
         (
             sym("V"),
@@ -889,13 +863,93 @@ fn a_root_with_a_view_that_no_longer_binds_opens_with_a_report() {
     assert!(text.contains(&v) && text.contains(&w), "{text}");
     let mut s = Session::open(&dir, Durability::Wal).unwrap();
     assert_eq!(unbound(&s), expected);
-    // `create view V` replaces the kept definition; `W` keeps its own.
-    s.execute("create view V; import all classes from database A;")
-        .unwrap();
-    let names: Vec<Symbol> = s.unbound_views().iter().map(|u| u.def.name).collect();
-    assert_eq!(names, vec![sym("W")]);
+    // `create view V` replaces the kept definition, and `W`, which imports
+    // it, is staged again in the same commit: it binds and answers at once.
+    s.execute(
+        "create view V; import all classes from database A; \
+         attribute Age in class P has value 70; \
+         class Adult includes (select X from X in P where X.Age >= 21);",
+    )
+    .unwrap();
+    assert_eq!(unbound(&s), vec![]);
+    assert_eq!(s.query(sym("W"), "count(Old)").unwrap(), Value::Int(1));
     let text = std::fs::read_to_string(dir.join("views.ovq")).unwrap();
     assert!(!text.contains(&v) && text.contains(&w), "{text}");
+    drop(s);
+    let s = Session::open(&dir, Durability::Wal).unwrap();
+    assert_eq!(unbound(&s), vec![]);
+    assert_eq!(s.view_names(), vec![sym("U"), sym("V"), sym("W")]);
+    assert_eq!(s.query(sym("W"), "count(Old)").unwrap(), Value::Int(1));
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable root whose `views.ovq` holds `V`, which no longer binds to
+/// base `A`, `W`, which imports `V`, and `U`, which binds. Returns the root
+/// and the scripts of `V` and `W`.
+fn root_with_unbound_views(name: &str) -> (std::path::PathBuf, String, String) {
+    let dir = scratch(name);
+    {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        s.execute(
+            r#"database A; class P type [Name: string]; attribute Age in class P has value "old";
+               insert P value [Name: "alice"];"#,
+        )
+        .unwrap();
+    }
+    let def = |src: &str| ViewDef::from_script(src).unwrap().to_script();
+    let v = def("create view V; import all classes from database A; \
+                 class Adult includes (select X from X in P where X.Age >= 21);");
+    let w = def("create view W; import all classes from view V; \
+                 class Old includes (select X from Adult where X.Age >= 60);");
+    let u = def("create view U; import all classes from database A;");
+    let script = format!("{v}{w}{u}");
+    std::fs::write(
+        dir.join("views.ovq"),
+        objects_and_views::oodb::wrap_checked(&script),
+    )
+    .unwrap();
+    (dir, v, w)
+}
+
+/// The kept unbound definitions of `s`, each with its cause.
+fn unbound(s: &Session) -> Vec<(Symbol, String)> {
+    s.unbound_views()
+        .iter()
+        .map(|u| (u.def.name, u.cause.to_string()))
+        .collect()
+}
+
+/// A kept unbound definition is dropped like a bound view, RESTRICT: not
+/// while another definition imports it. Once dropped it is not written
+/// back, so a reopen reports neither view.
+#[test]
+fn a_kept_unbound_definition_drops_restrict() {
+    let (dir, v, w) = root_with_unbound_views("drop-unbound");
+    let mut s = Session::open(&dir, Durability::Wal).unwrap();
+    assert_eq!(unbound(&s).len(), 2);
+    assert_eq!(
+        s.catalog().drop_view("V").unwrap(),
+        DdlOutcome::Rejected {
+            name: sym("V"),
+            dependents: vec![sym("W")]
+        }
+    );
+    assert_eq!(
+        s.catalog().drop_view("W").unwrap(),
+        DdlOutcome::Dropped(sym("W"))
+    );
+    assert_eq!(
+        s.catalog().drop_view("V").unwrap(),
+        DdlOutcome::Dropped(sym("V"))
+    );
+    assert!(s.catalog().drop_view("V").is_err(), "dropped twice");
+    let text = std::fs::read_to_string(dir.join("views.ovq")).unwrap();
+    assert!(!text.contains(&v) && !text.contains(&w), "{text}");
+    drop(s);
+    let s = Session::open(&dir, Durability::Wal).unwrap();
+    assert_eq!(unbound(&s), vec![]);
+    assert_eq!(s.view_names(), vec![sym("U")]);
     drop(s);
     let _ = std::fs::remove_dir_all(&dir);
 }

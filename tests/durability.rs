@@ -326,11 +326,11 @@ fn snapshot_of_an_older_format_is_rejected_with_a_typed_error() {
         build_fixture(&mut s);
         s.checkpoint().unwrap();
     }
-    // Relabel the snapshot as format 2 (no next oid) and re-seal the
-    // header checksum, so only the version differs.
+    // Relabel the snapshot as format 3 (fixed-width scalars) and re-seal
+    // the header checksum, so only the version differs.
     let path = dir.join("databases/Staff/snapshot.ovp");
     let mut raw = std::fs::read(&path).unwrap();
-    raw[8..12].copy_from_slice(&2u32.to_le_bytes());
+    raw[8..12].copy_from_slice(&3u32.to_le_bytes());
     let crc = crc32(&raw[..36]);
     raw[36..40].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(&path, &raw).unwrap();
@@ -339,8 +339,8 @@ fn snapshot_of_an_older_format_is_rejected_with_a_typed_error() {
         matches!(
             err,
             Some(ViewError::Oodb(OodbError::UnsupportedFormat {
-                found: 2,
-                supported: 3
+                found: 3,
+                supported: 4
             }))
         ),
         "old snapshot must fail typed, got {err:?}"
