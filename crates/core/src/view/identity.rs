@@ -1,11 +1,12 @@
 //! Imaginary identity (§5.1): how a view maps each imaginary class's core
 //! tuples to oids. The tables are the system's ([`IdentityStore`]), kept
-//! across recomputations, deletes, rebinds and — through the durable
-//! mirrors that seed them — restarts. A class's entries are assigned, and
-//! logged to the durable cores, only by the view that declares it; a view
-//! stacked above reads the same entries, so a tuple has one oid through
-//! every view of a stack. A child of `view` so it can reach the view's
-//! private state.
+//! across recomputations, deletes, rebinds and restarts: each assignment
+//! and drop is logged to the durable cores of the databases the view
+//! reads, whose checkpoints write the system's tables, and a recovered
+//! database seeds them when it joins. A class's entries are assigned, and
+//! logged, only by the view that declares it; a view stacked above reads
+//! the same entries, so a tuple has one oid through every view of a stack.
+//! A child of `view` so it can reach the view's private state.
 
 use super::*;
 

@@ -52,7 +52,8 @@ impl System {
     /// too: databases filled by two systems (two roots, two processes)
     /// both number from `#0`. Once it joins, it draws fresh oids from the
     /// system's allocator, raised past its own. A durable database seeds
-    /// the identity tables with the assignments it recovered.
+    /// the identity tables with the assignments it recovered, and from then
+    /// on checkpoints the system's tables ([`crate::DurableCore`]).
     pub fn add_database(&mut self, mut db: Database) -> Result<DbId> {
         let name = db.name;
         if self.by_name.contains_key(&name) {
@@ -73,7 +74,7 @@ impl System {
         }
         db.store.oids = self.oids.clone();
         if let Some(core) = db.durable_core() {
-            core.seed(&self.identity);
+            core.join(&self.identity);
         }
         // Unreachable expect: 2^32 databases would exhaust memory first.
         let id = DbId(u32::try_from(self.databases.len()).expect("catalog overflow"));

@@ -54,8 +54,9 @@ impl Database {
     /// retired), from an allocator of its own until it joins a system
     /// ([`crate::System::add_database`]), which checks that its oids are
     /// disjoint from those of the databases already there. The §5.1
-    /// imaginary identity tables recovered alongside seed the system's
-    /// identity store when it joins.
+    /// imaginary identity tables recovered alongside (from the snapshot and
+    /// the tail's identity records) seed the system's identity store when
+    /// it joins, and the core keeps no copy of them after.
     ///
     /// No index is built here, nor by the replay: each is built by its
     /// first probe (see [`Store::create_index`]), whose statement it
@@ -99,7 +100,7 @@ impl Database {
     /// Applies one WAL record during recovery replay (never re-logged:
     /// the durability core is attached only after replay finishes).
     /// Identity records are a no-op here — [`DurableCore::open`] already
-    /// folded them into the identity mirror.
+    /// built the recovered identity tables from them.
     fn apply_wal_record(&mut self, rec: WalRecord) -> Result<()> {
         match rec {
             WalRecord::Insert { oid, class, value } => {
@@ -472,12 +473,15 @@ mod tests {
     /// The checkpoint image lists objects in the table's own order, so it
     /// is a function of the store's contents, not of how they got there: a
     /// store filled by inserts and deletes and the equal store recovery
-    /// rebuilt from its snapshot write the same bytes.
+    /// rebuilt from its snapshot write the same pages. (The header numbers
+    /// the checkpoint, which does count how the store got there.)
     #[test]
     fn checkpoints_of_equal_stores_are_byte_identical() {
         let dir = std::env::temp_dir().join(format!("ov-db-test-{}-ckpt", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let snapshot = || std::fs::read(dir.join(crate::pager::SNAPSHOT_FILE)).unwrap();
+        // The pages: what follows the 36-byte header and its crc.
+        let snapshot =
+            || std::fs::read(dir.join(crate::pager::SNAPSHOT_FILE)).unwrap()[40..].to_vec();
         let first = {
             let mut db = Database::open(sym("Staff"), &dir, Durability::Wal).unwrap();
             let item = db
@@ -493,9 +497,6 @@ mod tests {
                 db.delete_object(*oid).unwrap();
             }
             db.set_attr(oids[1], sym("N"), Value::Int(-1)).unwrap();
-            // Twice: the first one empties the WAL, whose next LSN the
-            // image records.
-            db.checkpoint().unwrap();
             db.checkpoint().unwrap();
             snapshot()
         };
@@ -503,6 +504,37 @@ mod tests {
         assert_eq!(db.store.len(), 466);
         db.checkpoint().unwrap();
         assert!(first == snapshot(), "snapshot bytes differ");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash after a checkpoint's snapshot is renamed into place and
+    /// before its log is reset — or a reset that failed — leaves the log of
+    /// the checkpoint before beside the new snapshot. The snapshot holds
+    /// every record of that log, so the open resets it instead of
+    /// replaying them a second time, and the log then follows the snapshot.
+    #[test]
+    fn a_log_its_snapshot_already_holds_is_not_replayed() {
+        let dir = std::env::temp_dir().join(format!("ov-db-test-{}-reset", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = dir.join(crate::durable::WAL_FILE);
+        let open = || Database::open(sym("Staff"), &dir, Durability::WalSync).unwrap();
+        let row = |n: i64| Value::tuple([("N", Value::Int(n))]);
+        let class = {
+            let mut db = open();
+            let def = AttrDef::stored(sym("N"), Type::Int);
+            let class = db.create_class(sym("P"), &[], vec![def]).unwrap();
+            db.create_object(class, row(1)).unwrap();
+            let before = std::fs::read(&wal).unwrap();
+            db.checkpoint().unwrap();
+            std::fs::write(&wal, before).unwrap();
+            class
+        };
+        {
+            let mut db = open();
+            assert_eq!(db.store.len(), 1);
+            db.create_object(class, row(2)).unwrap();
+        }
+        assert_eq!(open().store.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,29 +1,25 @@
-//! The per-database durability core: a shared WAL handle plus the durable
-//! mirror of the view layer's imaginary identity tables.
+//! The per-database durability core: a shared WAL handle, and what a
+//! checkpoint writes of the §5.1 identity tables.
 //!
 //! A [`DurableCore`] is created by `Database::open` and threaded (as an
 //! `Arc`) into the [`crate::Store`] and into every view bound over the
-//! database. It owns:
+//! database. It owns the write-ahead log ([`crate::wal::Wal`]): every store
+//! mutation is appended *before* it is applied in memory, so a crash
+//! recovers exactly a prefix of committed work.
 //!
-//! * the write-ahead log ([`crate::wal::Wal`]) — every store mutation is
-//!   appended *before* it is applied in memory, so a crash recovers exactly
-//!   a prefix of committed work;
-//! * the **identity mirror** — a durable copy of each view's
-//!   tuple → imaginary-oid tables (§5.1 of the paper). The system's
-//!   [`IdentityStore`] is the working copy; the mirror exists for
-//!   durability only — it seeds the store once when the database joins a
-//!   system, and is checkpointed without consulting live views.
-//!
-//! ## Lock discipline
-//!
-//! Checkpointing locks `wal` **then** `identity`. Identity logging locks
-//! `identity`, *releases it*, then locks `wal` — no thread ever holds
-//! `identity` while waiting for `wal`, so the two orders cannot deadlock.
-//! The window between a mirror update and its WAL append is benign: if a
-//! checkpoint interleaves, the snapshot already carries the mirror entry
-//! and replaying the (idempotent) `IdentityAssign` record is a no-op.
+//! It keeps no identity table of its own once its database joins a system.
+//! Open builds an [`IdentityStore`] from the snapshot and the log tail; the
+//! join ([`crate::System::add_database`]) seeds the system's store from it
+//! and hands the core the system's instead. A view logs each assignment
+//! and drop to the cores of the databases it reads, and each core notes
+//! the view's name; a checkpoint writes the store's current entries of the
+//! views it noted, and the store's floor. The name is noted, and the
+//! checkpoint reads the store, under the log's one lock, and no one holds
+//! the store's lock while waiting for the log's. An entry made while a
+//! checkpoint runs is in the snapshot or logged after it; replaying an
+//! identity record is idempotent.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -32,93 +28,14 @@ use parking_lot::Mutex;
 
 use crate::error::Result;
 use crate::identity::IdentityStore;
-use crate::ids::{Oid, IMAGINARY_OID_BASE};
-use crate::pager::{self, IdentityEntry, SnapshotImage};
+use crate::ids::Oid;
+use crate::pager::{self, SnapshotImage};
 use crate::symbol::Symbol;
 use crate::value::Tuple;
 use crate::wal::{Durability, Wal, WalRecord};
 
 /// File name of the write-ahead log within a database directory.
 pub const WAL_FILE: &str = "wal.ovl";
-
-/// The durable mirror of all imaginary identity tables, keyed by
-/// `(view name, imaginary class name)`. Class *names* are the durable key:
-/// class ids are rebuilt on every view bind. The system's
-/// [`IdentityStore`] keeps its forward table in one too.
-#[derive(Clone, Debug)]
-pub struct IdentityMirror {
-    pub(crate) tables: HashMap<(Symbol, Symbol), HashMap<Tuple, Oid>>,
-    pub(crate) next_imaginary: u64,
-}
-
-impl Default for IdentityMirror {
-    fn default() -> IdentityMirror {
-        IdentityMirror {
-            tables: HashMap::new(),
-            next_imaginary: IMAGINARY_OID_BASE,
-        }
-    }
-}
-
-impl IdentityMirror {
-    /// Records (or re-records) an assignment. Idempotent.
-    pub fn assign(&mut self, view: Symbol, class: Symbol, core: Tuple, oid: Oid) {
-        self.tables
-            .entry((view, class))
-            .or_default()
-            .insert(core, oid);
-        if oid.0 >= self.next_imaginary {
-            self.next_imaginary = oid.0 + 1;
-        }
-    }
-
-    /// Drops an assignment; `true` if it existed.
-    pub fn drop_entry(&mut self, view: Symbol, class: Symbol, core: &Tuple) -> bool {
-        self.tables
-            .get_mut(&(view, class))
-            .is_some_and(|t| t.remove(core).is_some())
-    }
-
-    /// Flattens the mirror for a snapshot, in a deterministic order.
-    pub fn entries(&self) -> Vec<IdentityEntry> {
-        let mut out: Vec<IdentityEntry> = self
-            .tables
-            .iter()
-            .flat_map(|((view, class), table)| {
-                table.iter().map(|(core, oid)| IdentityEntry {
-                    view: *view,
-                    class: *class,
-                    core: core.clone(),
-                    oid: *oid,
-                })
-            })
-            .collect();
-        out.sort_by_key(|e| e.oid);
-        out
-    }
-
-    /// Number of live entries across all tables.
-    pub fn len(&self) -> usize {
-        self.tables.values().map(HashMap::len).sum()
-    }
-
-    /// Is the mirror empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lowest imaginary oid not yet assigned.
-    pub fn next_imaginary(&self) -> u64 {
-        self.next_imaginary
-    }
-
-    /// Raises the allocator floor to at least `floor`.
-    pub fn raise_floor(&mut self, floor: u64) {
-        if floor > self.next_imaginary {
-            self.next_imaginary = floor;
-        }
-    }
-}
 
 /// A point-in-time report of the durability layer, for the ovq `.wal`
 /// command and tests.
@@ -134,17 +51,26 @@ pub struct WalStatus {
     pub records_since_reset: u64,
     /// Current WAL file size in bytes.
     pub wal_bytes: u64,
-    /// Live entries in the durable identity mirror.
+    /// The identity entries the next checkpoint writes.
     pub identity_entries: usize,
 }
 
-/// The shared durability core of one open database. See the module docs
-/// for the lock discipline.
+/// The shared durability core of one open database.
 pub struct DurableCore {
     dir: PathBuf,
     durability: Durability,
-    wal: Mutex<Wal>,
-    identity: Mutex<IdentityMirror>,
+    log: Mutex<Log>,
+}
+
+/// The log, and what a checkpoint reads beside it, under one lock.
+struct Log {
+    wal: Wal,
+    /// The identity tables: the ones the database recovered until it joins
+    /// a system, the system's after.
+    identity: Arc<IdentityStore>,
+    /// The views that logged identity here, or whose entries the database
+    /// recovered: a checkpoint writes their tables.
+    views: HashSet<Symbol>,
 }
 
 impl fmt::Debug for DurableCore {
@@ -191,37 +117,18 @@ impl DurableCore {
             (pager::read_snapshot(dir), Wal::scan(&wal_path))
         };
         let snapshot = snapshot?;
-        let (wal, tail) = scan?.open()?;
-        let mut identity = IdentityMirror::default();
-        if let Some(img) = &snapshot {
-            for e in &img.identity {
-                identity.assign(e.view, e.class, e.core.clone(), e.oid);
-            }
-            identity.raise_floor(img.next_imaginary);
-        }
-        // Identity records in the WAL tail are applied to the mirror here;
-        // store records are left for the caller's replay loop.
-        for (_, rec) in &tail {
-            match rec {
-                WalRecord::IdentityAssign {
-                    view,
-                    class,
-                    core,
-                    oid,
-                } => {
-                    identity.assign(*view, *class, core.clone(), *oid);
-                }
-                WalRecord::IdentityDrop { view, class, core } => {
-                    identity.drop_entry(*view, *class, core);
-                }
-                _ => {}
-            }
-        }
+        let checkpoint = snapshot.as_ref().map_or(0, |img| img.checkpoint);
+        let (wal, tail) = scan?.open(checkpoint)?;
+        let (identity, views) = IdentityStore::recover(snapshot.as_ref(), &tail);
+        let log = Log {
+            wal,
+            identity: Arc::new(identity),
+            views,
+        };
         let core = Arc::new(DurableCore {
             dir: dir.to_path_buf(),
             durability,
-            wal: Mutex::new(wal),
-            identity: Mutex::new(identity),
+            log: Mutex::new(log),
         });
         Ok((core, snapshot, tail))
     }
@@ -230,73 +137,73 @@ impl DurableCore {
     /// the strict path used by store mutations: the caller must *not*
     /// apply the mutation in memory if this fails.
     pub fn log(&self, rec: &WalRecord) -> Result<u64> {
-        let mut wal = self.wal.lock();
-        let lsn = wal.append(rec)?;
-        wal.commit(self.durability)?;
+        let mut log = self.log.lock();
+        let lsn = log.wal.append(rec)?;
+        log.wal.commit(self.durability)?;
         Ok(lsn)
     }
 
-    /// Records an imaginary identity assignment: mirror first, then WAL.
-    /// WAL failures degrade (counted, not raised) — the in-memory
-    /// assignment stands either way, and identity records are idempotent,
-    /// so a later retry or checkpoint heals the log.
+    /// Logs an imaginary identity assignment view `view` made. A failed
+    /// append degrades (counted, not raised): the assignment stands in the
+    /// store either way, and the view is noted before the append, so the
+    /// next checkpoint writes the entry.
     pub fn log_identity_assign(&self, view: Symbol, class: Symbol, core: Tuple, oid: Oid) {
-        self.identity.lock().assign(view, class, core.clone(), oid);
         let rec = WalRecord::IdentityAssign {
             view,
             class,
             core,
             oid,
         };
-        if self.log(&rec).is_err() {
-            crate::metric_counter!("identity.log_failures").inc();
-        }
+        self.log_identity(view, &rec);
     }
 
-    /// Records an imaginary identity drop (mirror first, then WAL; WAL
-    /// failures degrade as in [`Self::log_identity_assign`]).
+    /// Logs an imaginary identity drop view `view` made (failures degrade
+    /// as in [`Self::log_identity_assign`]).
     pub fn log_identity_drop(&self, view: Symbol, class: Symbol, core: &Tuple) {
-        self.identity.lock().drop_entry(view, class, core);
-        let rec = WalRecord::IdentityDrop {
-            view,
-            class,
-            core: core.clone(),
-        };
-        if self.log(&rec).is_err() {
+        let core = core.clone();
+        self.log_identity(view, &WalRecord::IdentityDrop { view, class, core });
+    }
+
+    fn log_identity(&self, view: Symbol, rec: &WalRecord) {
+        self.log.lock().views.insert(view);
+        if self.log(rec).is_err() {
             crate::metric_counter!("identity.log_failures").inc();
         }
     }
 
-    /// Seeds a system's identity store from this database's recovered
-    /// mirror ([`IdentityStore::seed`]).
-    pub fn seed(&self, store: &IdentityStore) {
-        store.seed(&self.identity.lock());
+    /// Joins, once, a system whose identity tables are `system`: seeds them
+    /// from the tables this database recovered ([`IdentityStore::seed`]),
+    /// which the core then drops for the system's.
+    pub(crate) fn join(&self, system: &Arc<IdentityStore>) {
+        let mut log = self.log.lock();
+        system.seed(&log.identity);
+        log.identity = Arc::clone(system);
     }
 
     /// Forces the WAL to disk regardless of durability level.
     pub fn sync(&self) -> Result<()> {
-        self.wal.lock().sync()
+        self.log.lock().wal.sync()
     }
 
     /// Writes a checkpoint. The caller fills the image with store state via
-    /// `fill`; the core contributes the identity mirror and the WAL
-    /// watermark, writes the snapshot atomically, then truncates the WAL.
-    /// The WAL lock is held throughout, so no mutation can slip between
-    /// the captured image and the truncation.
+    /// `fill`; the core contributes the identity tables of the views that
+    /// logged here, the imaginary-oid floor and the checkpoint's number
+    /// (one past the one the log follows), writes the snapshot atomically,
+    /// then resets the WAL to follow it. The log's lock is held throughout,
+    /// so no mutation can slip between the captured image and the reset.
+    /// What a failed write or reset left of the log is cut back first, so
+    /// the log on disk always follows the latest snapshot or the one
+    /// before.
     pub fn checkpoint(&self, fill: impl FnOnce(&mut SnapshotImage)) -> Result<()> {
-        let mut wal = self.wal.lock();
-        wal.sync()?;
+        let mut log = self.log.lock();
+        log.wal.heal()?;
+        log.wal.sync()?;
         let mut image = SnapshotImage::default();
-        {
-            let identity = self.identity.lock();
-            image.identity = identity.entries();
-            image.next_imaginary = identity.next_imaginary();
-        }
-        image.checkpoint_lsn = wal.next_lsn();
+        (image.identity, image.next_imaginary) = log.identity.image(&log.views);
+        image.checkpoint = log.wal.follows().saturating_add(1);
         fill(&mut image);
         pager::write_snapshot(&self.dir, &image)?;
-        wal.reset()?;
-        Ok(())
+        log.wal.reset(image.checkpoint)
     }
 
     /// The database's on-disk directory.
@@ -311,14 +218,14 @@ impl DurableCore {
 
     /// Snapshot of the durability layer's current state.
     pub fn status(&self) -> WalStatus {
-        let wal = self.wal.lock();
+        let log = self.log.lock();
         WalStatus {
             dir: self.dir.clone(),
             durability: self.durability,
-            next_lsn: wal.next_lsn(),
-            records_since_reset: wal.records_since_reset(),
-            wal_bytes: wal.bytes(),
-            identity_entries: self.identity.lock().len(),
+            next_lsn: log.wal.next_lsn(),
+            records_since_reset: log.wal.records_since_reset(),
+            wal_bytes: log.wal.bytes(),
+            identity_entries: log.identity.count(&log.views),
         }
     }
 }
@@ -343,11 +250,22 @@ mod tests {
         Tuple::from_fields([("City", Value::str(city))])
     }
 
-    /// A store seeded from `core`, as a system the database joins.
-    fn seeded(core: &DurableCore) -> IdentityStore {
-        let store = IdentityStore::default();
-        core.seed(&store);
-        store
+    /// A system's identity tables, which `core` joined as
+    /// `System::add_database` joins a database.
+    fn joined(core: &DurableCore) -> Arc<IdentityStore> {
+        let system = Arc::new(IdentityStore::default());
+        core.join(&system);
+        system
+    }
+
+    /// Gives `city`'s core tuple an oid in `system` and logs it to `core`,
+    /// as the declaring view does.
+    fn assign(core: &DurableCore, system: &IdentityStore, city: &str) -> Oid {
+        let (oids, new) = system.assign(sym("V"), sym("Addr"), vec![core_tuple(city)], false);
+        for (tuple, oid) in new {
+            core.log_identity_assign(sym("V"), sym("Addr"), tuple, oid);
+        }
+        oids.into_iter().next().unwrap()
     }
 
     /// The oid `store` assigns next.
@@ -359,17 +277,19 @@ mod tests {
     #[test]
     fn identity_survives_reopen_via_wal_tail() {
         let dir = tmpdir("identity-wal");
-        let oid = Oid(IMAGINARY_OID_BASE + 3);
-        {
+        let (oid, before) = {
             let (core, snap, tail) = DurableCore::open(&dir, Durability::Wal).unwrap();
             assert!(snap.is_none());
             assert!(tail.is_empty());
-            core.log_identity_assign(sym("V"), sym("Addr"), core_tuple("Paris"), oid);
+            let system = joined(&core);
+            let oid = assign(&core, &system, "Paris");
             core.sync().unwrap();
-        }
+            (oid, system.entries())
+        };
         let (core, _, tail) = DurableCore::open(&dir, Durability::Wal).unwrap();
         assert_eq!(tail.len(), 1);
-        let store = seeded(&core);
+        let store = joined(&core);
+        assert_eq!(store.entries(), before);
         let (got, new) = store.assign(sym("V"), sym("Addr"), vec![core_tuple("Paris")], false);
         assert_eq!((got, new), (BTreeSet::from([oid]), vec![]));
         assert_eq!(next_oid(&store), Oid(oid.0 + 1));
@@ -378,42 +298,49 @@ mod tests {
     #[test]
     fn checkpoint_truncates_wal_and_keeps_identity() {
         let dir = tmpdir("identity-ckpt");
-        let oid = Oid(IMAGINARY_OID_BASE + 7);
-        {
+        let (oid, before) = {
             let (core, _, _) = DurableCore::open(&dir, Durability::Wal).unwrap();
-            core.log_identity_assign(sym("V"), sym("Addr"), core_tuple("Lyon"), oid);
+            let system = joined(&core);
+            let oid = assign(&core, &system, "Lyon");
             core.checkpoint(|img| {
                 img.name = sym("Db");
                 img.store_version = 5;
             })
             .unwrap();
             assert_eq!(core.status().records_since_reset, 0);
-        }
+            (oid, system.entries())
+        };
         let (core, snap, tail) = DurableCore::open(&dir, Durability::Wal).unwrap();
         assert!(tail.is_empty(), "WAL should be empty after checkpoint");
         let snap = snap.unwrap();
         assert_eq!(snap.store_version, 5);
         assert_eq!(snap.identity.len(), 1);
+        let store = joined(&core);
+        assert_eq!(store.entries(), before);
         let object = ImaginaryObject {
             view: sym("V"),
             class: sym("Addr"),
             core: core_tuple("Lyon"),
         };
-        assert_eq!(seeded(&core).object(oid, Clone::clone), Some(object));
+        assert_eq!(store.object(oid, Clone::clone), Some(object));
     }
 
     #[test]
     fn drop_removes_entry_durably() {
         let dir = tmpdir("identity-drop");
-        let oid = Oid(IMAGINARY_OID_BASE + 1);
-        {
+        let (oid, before) = {
             let (core, _, _) = DurableCore::open(&dir, Durability::Wal).unwrap();
-            core.log_identity_assign(sym("V"), sym("Addr"), core_tuple("Nice"), oid);
-            core.log_identity_drop(sym("V"), sym("Addr"), &core_tuple("Nice"));
+            let system = joined(&core);
+            let oid = assign(&core, &system, "Nice");
+            for (class, tuple) in system.drop_where(sym("V"), |_, _, _| true) {
+                core.log_identity_drop(sym("V"), class, &tuple);
+            }
             core.sync().unwrap();
-        }
+            (oid, system.entries())
+        };
         let (core, _, _) = DurableCore::open(&dir, Durability::Wal).unwrap();
-        let store = seeded(&core);
+        let store = joined(&core);
+        assert_eq!(store.entries(), before);
         assert_eq!(store.len(sym("V"), sym("Addr")), 0);
         // The floor still clears the dropped oid: identity is never reused.
         assert_eq!(next_oid(&store), Oid(oid.0 + 1));

@@ -76,7 +76,7 @@ pub use database::Database;
 pub use dump::{
     dump_database, dump_database_with_offset, read_checked, wrap_checked, DUMP_FORMAT, DUMP_MAGIC,
 };
-pub use durable::{DurableCore, IdentityMirror, WalStatus};
+pub use durable::{DurableCore, WalStatus};
 pub use error::{OodbError, Result};
 pub use expr::{AggFunc, BinOp, Expr, SelectExpr, UnOp};
 pub use faults::{FaultAction, FaultSchedule, InjectedFault};

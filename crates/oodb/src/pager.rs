@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! header page:  magic "OVSNAP01" · format u32 · page_size u32 ·
-//!               page_count u32 · body_len u64 · checkpoint_lsn u64 ·
+//!               page_count u32 · body_len u64 · checkpoint u64 ·
 //!               header crc u32
 //! data pages:   page_count × ( crc u32 · chunk bytes )
 //! ```
@@ -20,10 +20,15 @@
 //! newer, fails with [`OodbError::UnsupportedFormat`] instead of
 //! misparsing.
 //!
-//! ## Body (format 4)
+//! `checkpoint` numbers the snapshot: the first a database writes is 1, and
+//! each next one is one past the checkpoint the log follows. The log's
+//! header names the checkpoint it follows ([`crate::wal`]), so recovery
+//! replays a log only after the snapshot it follows.
+//!
+//! ## Body (format 5)
 //!
 //! ```text
-//! name · store_version · checkpoint_lsn · next_imaginary · next_oid
+//! name · store_version · next_imaginary · next_oid
 //! classes:  count × ( name ref · parents (count × class) · own attrs )
 //! objects:  count × ( oid · class · shaped tuple )
 //! names:    count × ( name ref · oid )
@@ -47,7 +52,8 @@
 //! Format 1 repeated every field name inside every object. Format 2 kept no
 //! `next_oid`, so an oid deleted above the largest live one before a
 //! checkpoint was handed out again after it. Format 3 wrote every scalar
-//! fixed-width and the shape table up front.
+//! fixed-width and the shape table up front. Format 4 wrote an LSN that
+//! no one read in the body too.
 //!
 //! ## Atomicity
 //!
@@ -73,7 +79,7 @@ use crate::value::Tuple;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OVSNAP01";
 
 /// The snapshot format version this build writes and reads.
-pub const SNAPSHOT_FORMAT: u32 = 4;
+pub const SNAPSHOT_FORMAT: u32 = 5;
 
 /// Payload bytes per data page.
 pub const PAGE_SIZE: usize = 8192;
@@ -102,10 +108,9 @@ pub struct SnapshotImage {
     /// Store mutation counter at checkpoint time. Recovery re-seats
     /// `journal_floor` here (never back to 0).
     pub store_version: u64,
-    /// The WAL LSN watermark: every record with LSN < this is reflected in
-    /// the snapshot. The WAL is truncated at checkpoint, so after recovery
-    /// replayed LSNs are *relative to* this watermark.
-    pub checkpoint_lsn: u64,
+    /// The checkpoint's number, kept in the file's header: the log after
+    /// this snapshot names it as the checkpoint it follows.
+    pub checkpoint: u64,
     /// Classes in creation order: `(name, parents, own attrs)`.
     pub classes: Vec<(Symbol, Vec<ClassId>, Vec<AttrDef>)>,
     /// All objects (oid order for determinism).
@@ -128,7 +133,7 @@ impl Default for SnapshotImage {
         SnapshotImage {
             name: crate::symbol::sym(""),
             store_version: 0,
-            checkpoint_lsn: 1,
+            checkpoint: 1,
             classes: Vec::new(),
             objects: Vec::new(),
             names: Vec::new(),
@@ -190,7 +195,6 @@ impl SnapshotImage {
         let mut t = Tables::default();
         w.put_symbol(self.name);
         w.put_varint(self.store_version);
-        w.put_varint(self.checkpoint_lsn);
         w.put_varint(self.next_imaginary);
         w.put_varint(self.next_oid);
         w.put_len(self.classes.len());
@@ -231,13 +235,13 @@ impl SnapshotImage {
         w.into_bytes()
     }
 
-    /// Decodes an image body.
+    /// Decodes an image body. The checkpoint's number is the header's, so
+    /// it reads 0 here: [`read_snapshot`] sets it.
     pub fn decode(bytes: &[u8]) -> Result<SnapshotImage> {
         let mut r = Reader::new(bytes, "snapshot body");
         let mut t = Tables::default();
         let name = r.take_symbol()?;
         let store_version = r.take_varint()?;
-        let checkpoint_lsn = r.take_varint()?;
         let next_imaginary = r.take_varint()?;
         let next_oid = r.take_varint()?;
         let class = |r: &mut Reader<'_>| r.take_var_u32().map(ClassId);
@@ -301,7 +305,7 @@ impl SnapshotImage {
         Ok(SnapshotImage {
             name,
             store_version,
-            checkpoint_lsn,
+            checkpoint: 0,
             classes,
             objects,
             names,
@@ -331,7 +335,7 @@ pub fn write_snapshot(dir: &Path, image: &SnapshotImage) -> Result<()> {
     header.put_u32(PAGE_SIZE as u32);
     header.put_u32(pages.len() as u32);
     header.put_u64(body.len() as u64);
-    header.put_u64(image.checkpoint_lsn);
+    header.put_u64(image.checkpoint);
     let header_bytes = header.into_bytes();
     let header_crc = crc32(&header_bytes);
 
@@ -376,7 +380,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotImage>> {
         Err(e) => return Err(OodbError::io("snapshot read", e)),
     };
     // Header: magic(8) + format(4) + page_size(4) + page_count(4) +
-    // body_len(8) + checkpoint_lsn(8) = 36, then its crc(4).
+    // body_len(8) + checkpoint(8) = 36, then its crc(4).
     const HEADER_LEN: usize = 36;
     if raw.len() < HEADER_LEN + 4 {
         return Err(OodbError::corrupt(format!(
@@ -405,7 +409,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotImage>> {
     let page_size = r.take_u32()? as usize;
     let page_count = r.take_u32()? as usize;
     let body_len = r.take_u64()? as usize;
-    let _checkpoint_lsn = r.take_u64()?;
+    let checkpoint = r.take_u64()?;
     if page_size == 0 || page_size > (1 << 24) {
         return Err(OodbError::corrupt(format!(
             "snapshot header: implausible page size {page_size}"
@@ -445,7 +449,9 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotImage>> {
             raw.len() - pos
         )));
     }
-    Ok(Some(SnapshotImage::decode(&body)?))
+    let mut image = SnapshotImage::decode(&body)?;
+    image.checkpoint = checkpoint;
+    Ok(Some(image))
 }
 
 #[cfg(test)]
@@ -482,7 +488,7 @@ mod tests {
         let mut img = SnapshotImage {
             name: sym("Staff"),
             store_version: 17,
-            checkpoint_lsn: 42,
+            checkpoint: 42,
             next_imaginary: crate::ids::IMAGINARY_OID_BASE + 9,
             next_oid: 5,
             ..SnapshotImage::default()
@@ -512,7 +518,7 @@ mod tests {
         let back = read_snapshot(&dir).unwrap().unwrap();
         assert_eq!(back.name, img.name);
         assert_eq!(back.store_version, 17);
-        assert_eq!(back.checkpoint_lsn, 42);
+        assert_eq!(back.checkpoint, 42);
         assert_eq!(back.objects, img.objects);
         assert_eq!(back.names, img.names);
         assert_eq!(back.index_defs, img.index_defs);
@@ -571,25 +577,25 @@ mod tests {
 
     /// A file an older build wrote must not reach this format's decoder.
     /// The header is hand-built: zero pages, format 1 (names in every
-    /// object) or 3 (fixed-width scalars).
+    /// object), 3 (fixed-width scalars) or 4 (an LSN in the body).
     #[test]
     fn older_format_version_rejected() {
         let dir = tmpdir("older");
-        for format in [1, 3] {
+        for format in [1, 3, 4] {
             let mut header = Writer::new();
             header.put_bytes(SNAPSHOT_MAGIC);
             header.put_u32(format);
             header.put_u32(PAGE_SIZE as u32);
             header.put_u32(0); // page_count
             header.put_u64(0); // body_len
-            header.put_u64(1); // checkpoint_lsn
+            header.put_u64(1); // checkpoint
             let mut raw = header.into_bytes();
             let crc = crc32(&raw);
             raw.extend_from_slice(&crc.to_le_bytes());
             std::fs::write(dir.join(SNAPSHOT_FILE), &raw).unwrap();
             match read_snapshot(&dir) {
                 Err(OodbError::UnsupportedFormat { found, supported }) => {
-                    assert_eq!((found, supported), (format, 4))
+                    assert_eq!((found, supported), (format, SNAPSHOT_FORMAT))
                 }
                 other => panic!("expected UnsupportedFormat, got {other:?}"),
             }
@@ -736,7 +742,6 @@ mod tests {
         let mut w = Writer::new();
         w.put_symbol(sym("D"));
         w.put_varint(0);
-        w.put_varint(1);
         w.put_varint(crate::ids::IMAGINARY_OID_BASE);
         w.put_varint(8); // next oid
         w.put_len(0); // classes

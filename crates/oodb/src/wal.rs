@@ -9,7 +9,8 @@
 //! ## File format
 //!
 //! ```text
-//! header:  magic "OVWALOG1" · format u32 · crc u32        (16 bytes)
+//! header:  magic "OVWALOG1" · format u32 · follows u64 · crc u32
+//!                                                          (24 bytes)
 //! frames:  ┌────────────┬─────────┬────────────┬──────────────┐
 //!          │ len varint │ crc u32 │ lsn varint │ payload …    │
 //!          └────────────┴─────────┴────────────┴──────────────┘
@@ -34,14 +35,18 @@
 //! Oids, class ids, lengths and counts are varints, integers zigzag
 //! varints ([`crate::codec`]). The header is written when the log is
 //! created, and [`Wal::reset`] cuts the log back to it; its `crc` is CRC32
-//! over magic and format. A log whose format is not [`WAL_FORMAT`], older
-//! or newer, fails with [`OodbError::UnsupportedFormat`] instead of
-//! misparsing, as the snapshot does. A log longer than a header and without
-//! the magic is format 0: what builds before the header wrote. Format 1
-//! wrote fixed-width scalars and every field name in every record. There is
-//! no migration path. A file no longer than a header that is not a whole
-//! one (a crash while the log was created or reset: cut, or zero-filled)
-//! holds no frame and is an empty log.
+//! over the bytes before it. `follows` is the number of the checkpoint
+//! whose snapshot the log's records come after (0: none yet), so recovery
+//! can tell this log from the one before it ([`WalScan::open`]). A log
+//! whose format is not [`WAL_FORMAT`], older or newer, fails with
+//! [`OodbError::UnsupportedFormat`] instead of misparsing, as the snapshot
+//! does. A log longer than a header and without the magic is format 0:
+//! what builds before the header wrote. Format 1 wrote fixed-width scalars
+//! and every field name in every record; formats 1 and 2 wrote a 16-byte
+//! header with no `follows`. There is no migration path. A file no longer
+//! than a header that is not a whole one (a crash while the log was created
+//! or reset: cut, zero-filled, or half rewritten) holds no frame and is an
+//! empty log.
 //!
 //! A frame's `len` counts the lsn plus payload bytes; its `crc` is CRC32
 //! (IEEE) over those same bytes. LSNs are **monotonic** starting at 1. On
@@ -49,7 +54,10 @@
 //! body, a checksum mismatch, a non-monotonic LSN or a payload that does
 //! not decode marks the *torn tail* — everything from there on is truncated
 //! away (a crash mid-append must lose at most the records that were never
-//! acknowledged as synced).
+//! acknowledged as synced). An append that fails mid-write leaves such a
+//! tail too; the next append, or checkpoint, first cuts the file back to
+//! the end of the last whole frame (`Wal::heal`), so no acknowledged
+//! frame ever follows torn bytes.
 //!
 //! ## Name and shape tables
 //!
@@ -96,32 +104,43 @@ pub const GROUP_COMMIT_INTERVAL: u64 = 64;
 pub const WAL_MAGIC: &[u8; 8] = b"OVWALOG1";
 
 /// The log format version this build writes and reads.
-pub const WAL_FORMAT: u32 = 2;
+pub const WAL_FORMAT: u32 = 3;
 
-/// Bytes of the log header: magic, format, crc.
-const WAL_HEADER_LEN: usize = 16;
+/// Bytes of the log header: magic, format, follows, crc.
+const WAL_HEADER_LEN: usize = 24;
 
-/// The header of a log of this build's format.
-fn header() -> [u8; WAL_HEADER_LEN] {
+/// The header of a log of this build's format that follows checkpoint
+/// `follows`.
+fn header(follows: u64) -> [u8; WAL_HEADER_LEN] {
     let mut h = [0u8; WAL_HEADER_LEN];
     h[..8].copy_from_slice(WAL_MAGIC);
     h[8..12].copy_from_slice(&WAL_FORMAT.to_le_bytes());
-    let crc = crc32(&h[..12]);
-    h[12..].copy_from_slice(&crc.to_le_bytes());
+    h[12..20].copy_from_slice(&follows.to_le_bytes());
+    let crc = crc32(&h[..20]);
+    h[20..].copy_from_slice(&crc.to_le_bytes());
     h
 }
 
-/// Checks the header `raw` begins with: `Ok(true)` when the header is whole
-/// and of this build's format; `Ok(false)` when the file is no longer than a
-/// header and is not a whole one. Such a file holds no frame — a crash while
-/// the log was created or reset, which may leave zeros where the header
-/// went — so it is an empty log whose header must be written again.
-fn check_header(raw: &[u8]) -> Result<bool> {
+/// Checks the header `raw` begins with: `Ok(Some(follows))` when the header
+/// is whole and of this build's format; `Ok(None)` when the file is no
+/// longer than a header and is not a whole one. Such a file holds no frame —
+/// a crash while the log was created or reset, which may leave zeros where
+/// the header went — so it is an empty log whose header must be written
+/// again.
+fn check_header(raw: &[u8]) -> Result<Option<u64>> {
     let word = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().expect("4 bytes"));
     let magic = raw.starts_with(WAL_MAGIC);
-    let sealed = magic && raw.len() >= WAL_HEADER_LEN && crc32(&raw[..12]) == word(12);
+    let sealed_at = |crc: usize| magic && raw.len() >= crc + 4 && crc32(&raw[..crc]) == word(crc);
+    let sealed = sealed_at(WAL_HEADER_LEN - 4);
+    if !sealed && sealed_at(12) {
+        // The 16-byte header of formats 1 and 2.
+        return Err(OodbError::UnsupportedFormat {
+            found: word(8),
+            supported: WAL_FORMAT,
+        });
+    }
     if raw.len() <= WAL_HEADER_LEN && !sealed {
-        return Ok(false);
+        return Ok(None);
     }
     if !magic {
         return Err(OodbError::UnsupportedFormat {
@@ -133,7 +152,9 @@ fn check_header(raw: &[u8]) -> Result<bool> {
         return Err(OodbError::corrupt("wal header: checksum mismatch"));
     }
     match word(8) {
-        WAL_FORMAT => Ok(true),
+        WAL_FORMAT => Ok(Some(u64::from_le_bytes(
+            raw[12..20].try_into().expect("8 bytes"),
+        ))),
         found => Err(OodbError::UnsupportedFormat {
             found,
             supported: WAL_FORMAT,
@@ -458,6 +479,12 @@ impl WalRecord {
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// The checkpoint the log follows: the one its header names.
+    follows: u64,
+    /// Does the file differ from what the log is: torn bytes past `bytes`
+    /// that a failed write left, or the header of the checkpoint before
+    /// that a failed reset left? `Wal::heal` mends it.
+    stale: bool,
     /// The LSN the next append will carry.
     next_lsn: u64,
     /// Appended records not yet covered by an fsync.
@@ -465,7 +492,7 @@ pub struct Wal {
     /// Records appended since the last [`Wal::reset`] (i.e. since the last
     /// checkpoint).
     records_since_reset: u64,
-    /// Current byte length of the log.
+    /// Byte length of the log: its header and its whole frames.
     bytes: u64,
     /// The names and shapes the log's frames define.
     tables: Tables,
@@ -480,9 +507,10 @@ pub struct WalScan {
     /// The names and shapes `records` define: the tables appends go on with.
     tables: Tables,
     next_lsn: u64,
-    /// Is the header whole? If not, the file is no longer than a header:
-    /// empty, cut inside it, or zero-filled.
-    has_header: bool,
+    /// The checkpoint the header names; `None` if the header is not whole,
+    /// and the file no longer than a header: empty, cut inside it, or
+    /// zero-filled.
+    follows: Option<u64>,
     /// End of the header and the last valid frame: where a torn tail begins.
     good: u64,
     /// The file's length as read.
@@ -492,9 +520,12 @@ pub struct WalScan {
 impl Wal {
     /// Opens (creating if absent) the log at `path`, scanning and returning
     /// every valid record, and truncating any torn tail left by a crash
-    /// mid-append: [`Wal::scan`], then [`WalScan::open`].
+    /// mid-append: [`Wal::scan`], then [`WalScan::open`] after whichever
+    /// checkpoint the log follows.
     pub fn open(path: &Path) -> Result<(Wal, Vec<(u64, WalRecord)>)> {
-        Wal::scan(path)?.open()
+        let scan = Wal::scan(path)?;
+        let follows = scan.follows.unwrap_or(0);
+        scan.open(follows)
     }
 
     /// Reads and decodes the log at `path` without writing a byte (a
@@ -506,10 +537,10 @@ impl Wal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(OodbError::io("wal read", e)),
         };
-        let has_header = check_header(&raw)?;
+        let follows = check_header(&raw)?;
         let mut records = Vec::new();
         // Byte offset of the end of the last valid frame.
-        let mut good = if has_header {
+        let mut good = if follows.is_some() {
             WAL_HEADER_LEN
         } else {
             raw.len()
@@ -553,7 +584,7 @@ impl Wal {
             records,
             tables,
             next_lsn,
-            has_header,
+            follows,
             good: good as u64,
             len: raw.len() as u64,
         })
@@ -564,12 +595,15 @@ impl Wal {
     ///
     /// If the `wal.append` failpoint fires, nothing is written. If
     /// `wal.torn_write` fires, a deliberately partial frame is written
-    /// before the error — simulating a crash mid-write; the torn bytes are
-    /// truncated away on the next open.
+    /// before the error — simulating a crash mid-write. Torn bytes, from
+    /// the failpoint or a failed write, stay until the next append or
+    /// checkpoint cuts them off (`Wal::heal`), or an open truncates
+    /// them; if that cut fails, so does the append.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64> {
         let mut append = Event::WalAppend.open();
         append.field("lsn", self.next_lsn);
         crate::failpoint!("wal.append");
+        self.heal()?;
         let lsn = self.next_lsn;
         let mark = self.tables.mark();
         let mut body = Writer::new();
@@ -589,7 +623,7 @@ impl Wal {
             let cut = (frame.len() / 2).max(head + 1).min(frame.len() - 1);
             let _ = self.file.write_all(&frame[..cut]);
             let _ = self.file.flush();
-            self.bytes += cut as u64;
+            self.stale = true;
             self.tables.rollback(mark);
             append.field("outcome", "torn_write");
             return Err(OodbError::Io {
@@ -599,6 +633,7 @@ impl Wal {
         }
 
         if let Err(e) = self.file.write_all(&frame) {
+            self.stale = true;
             self.tables.rollback(mark);
             return Err(OodbError::io("wal append", e));
         }
@@ -643,29 +678,49 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncates the log to its header after a successful checkpoint, and
-    /// empties its name and shape tables. LSNs
-    /// keep counting from where they were (they are monotonic for the life
-    /// of the database directory, not of one log file) — except that a
-    /// fresh scan of the now-empty log restarts at 1, so the checkpoint
-    /// records the LSN watermark instead.
-    pub fn reset(&mut self) -> Result<()> {
-        let header = WAL_HEADER_LEN as u64;
-        self.file
-            .set_len(header)
-            .map_err(|e| OodbError::io("wal reset", e))?;
-        self.file
-            .seek(SeekFrom::Start(header))
-            .map_err(|e| OodbError::io("wal seek", e))?;
-        self.file
-            .sync_all()
-            .map_err(|e| OodbError::io("wal fsync after reset", e))?;
+    /// Empties the log once the snapshot of checkpoint `checkpoint` is
+    /// written: cuts it to its header, which then names that checkpoint,
+    /// and empties its name and shape tables. LSNs restart at 1; the header
+    /// tells this log from the one before. If the cut fails, the file is
+    /// still the log of the checkpoint before, all of whose records the
+    /// snapshot holds: an open resets it, and the next append or checkpoint
+    /// first finishes the cut (`Wal::heal`).
+    pub fn reset(&mut self, checkpoint: u64) -> Result<()> {
+        self.follows = checkpoint;
         self.next_lsn = 1;
         self.unsynced = 0;
         self.records_since_reset = 0;
         self.bytes = WAL_HEADER_LEN as u64;
         self.tables = Tables::default();
+        self.stale = true;
+        self.heal()
+    }
+
+    /// Makes the file what the log is, if a failed write or reset left it
+    /// otherwise: cuts it back to `bytes`, the end of the last whole frame,
+    /// and writes an empty log's header again once the cut is durable (a
+    /// header naming this checkpoint above frames of the one before would
+    /// replay them twice).
+    pub(crate) fn heal(&mut self) -> Result<()> {
+        if !self.stale {
+            return Ok(());
+        }
+        let io = |e| OodbError::io("wal: cutting back a failed write", e);
+        self.file.set_len(self.bytes).map_err(io)?;
+        if self.bytes == WAL_HEADER_LEN as u64 {
+            self.file.sync_all().map_err(io)?;
+            self.file.seek(SeekFrom::Start(0)).map_err(io)?;
+            self.file.write_all(&header(self.follows)).map_err(io)?;
+        }
+        self.file.sync_all().map_err(io)?;
+        self.file.seek(SeekFrom::End(0)).map_err(io)?;
+        self.stale = false;
         Ok(())
+    }
+
+    /// The checkpoint the log follows.
+    pub(crate) fn follows(&self) -> u64 {
+        self.follows
     }
 
     /// The LSN the next append will carry.
@@ -678,7 +733,7 @@ impl Wal {
         self.records_since_reset
     }
 
-    /// Current log size in bytes, header included.
+    /// The log's size in bytes: its header and its whole frames.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -690,46 +745,54 @@ impl Wal {
 }
 
 impl WalScan {
-    /// Makes the scanned log the live one: creates the file, or writes its
-    /// header again if it was not whole; truncates a torn tail; and
-    /// positions for appends, which go on with the tables of the frames
-    /// kept. Returns the log and its valid records.
-    pub fn open(self) -> Result<(Wal, Vec<(u64, WalRecord)>)> {
-        let mut file = OpenOptions::new()
+    /// Makes the scanned log the live one, as the log after checkpoint
+    /// `checkpoint` (0: no snapshot). A log that follows that checkpoint
+    /// keeps its records, and a torn tail is truncated. A log that follows
+    /// the checkpoint before holds only records its snapshot holds — a
+    /// crash or failure came between the snapshot's rename and the log's
+    /// reset — and is reset, as is a file without a whole header. Any other
+    /// log is [`OodbError::Corrupt`]. Appends go on with the tables of the
+    /// frames kept. Returns the log and the records to replay.
+    pub fn open(self, checkpoint: u64) -> Result<(Wal, Vec<(u64, WalRecord)>)> {
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&self.path)
             .map_err(|e| OodbError::io("wal open", e))?;
-        let mut bytes = self.good;
-        if !self.has_header {
-            // Synced now. A crash before the sync may leave the new length
-            // durable without the bytes; those zeros open as an empty log.
-            file.set_len(0)
-                .and_then(|()| file.write_all(&header()))
-                .and_then(|()| file.sync_all())
-                .map_err(|e| OodbError::io("wal create", e))?;
-            bytes = WAL_HEADER_LEN as u64;
-        } else if self.good < self.len {
-            crate::metric_counter!("wal.truncated_bytes").add(self.len - self.good);
-            file.set_len(self.good)
-                .map_err(|e| OodbError::io("wal truncate torn tail", e))?;
-            file.sync_all()
-                .map_err(|e| OodbError::io("wal fsync after truncation", e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| OodbError::io("wal seek", e))?;
-        let wal = Wal {
+        let mut wal = Wal {
             file,
             path: self.path,
+            follows: checkpoint,
+            stale: self.good < self.len,
             next_lsn: self.next_lsn,
             unsynced: 0,
             records_since_reset: self.records.len() as u64,
-            bytes,
+            bytes: self.good,
             tables: self.tables,
         };
-        Ok((wal, self.records))
+        match self.follows {
+            Some(follows) if follows == checkpoint => {
+                if wal.stale {
+                    crate::metric_counter!("wal.truncated_bytes").add(self.len - self.good);
+                }
+                wal.heal()?;
+                wal.file
+                    .seek(SeekFrom::End(0))
+                    .map_err(|e| OodbError::io("wal seek", e))?;
+                Ok((wal, self.records))
+            }
+            Some(follows) if checkpoint.checked_sub(1) != Some(follows) => {
+                Err(OodbError::corrupt(format!(
+                    "wal: the log follows checkpoint {follows}, the snapshot is checkpoint {checkpoint} (0: none)"
+                )))
+            }
+            _ => {
+                wal.reset(checkpoint)?;
+                Ok((wal, Vec::new()))
+            }
+        }
     }
 }
 
@@ -855,15 +918,50 @@ mod tests {
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
-        wal.reset().unwrap();
+        wal.reset(1).unwrap();
         assert_eq!(wal.records_since_reset(), 0);
         assert_eq!(wal.bytes(), WAL_HEADER_LEN as u64);
-        assert_eq!(std::fs::read(&path).unwrap(), header());
+        assert_eq!(std::fs::read(&path).unwrap(), header(1));
         wal.append(&WalRecord::Remove { oid: Oid(5) }).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let (_, recs) = Wal::open(&path).unwrap();
         assert_eq!(recs.len(), 1);
+    }
+
+    /// A log opens after the checkpoint it follows, with its records; after
+    /// the next one it is the log a crash between that checkpoint's
+    /// snapshot and its reset left, all of whose records the snapshot
+    /// holds, and it opens empty, reset to follow it. After any other
+    /// checkpoint it is corrupt, and left as it was.
+    #[test]
+    fn a_log_opens_after_the_checkpoint_it_follows() {
+        let path = tmp("follows");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.reset(2).unwrap();
+        wal.append(&WalRecord::Remove { oid: Oid(7) }).unwrap();
+        drop(wal);
+        let log = std::fs::read(&path).unwrap();
+        let (wal, recs) = Wal::scan(&path).unwrap().open(2).unwrap();
+        assert_eq!((wal.follows(), recs.len()), (2, 1));
+        drop(wal);
+        for checkpoint in [0, 1, 4] {
+            match Wal::scan(&path).unwrap().open(checkpoint) {
+                Err(OodbError::Corrupt { context }) => {
+                    assert!(context.contains("follows checkpoint 2"), "{context}")
+                }
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), log, "a refusal wrote");
+        }
+        let (mut wal, recs) = Wal::scan(&path).unwrap().open(3).unwrap();
+        assert!(recs.is_empty());
+        assert_eq!(std::fs::read(&path).unwrap(), header(3));
+        wal.append(&WalRecord::Remove { oid: Oid(8) }).unwrap();
+        drop(wal);
+        let (wal, recs) = Wal::scan(&path).unwrap().open(3).unwrap();
+        assert_eq!(recs, vec![(1, WalRecord::Remove { oid: Oid(8) })]);
+        assert_eq!(wal.follows(), 3);
     }
 
     /// The header is the log's first bytes from creation on. A file cut
@@ -876,16 +974,16 @@ mod tests {
         let (wal, _) = Wal::open(&path).unwrap();
         assert_eq!(wal.bytes(), WAL_HEADER_LEN as u64);
         drop(wal);
-        assert_eq!(std::fs::read(&path).unwrap(), header());
-        let cuts = (0..WAL_HEADER_LEN).map(|cut| header()[..cut].to_vec());
+        assert_eq!(std::fs::read(&path).unwrap(), header(0));
+        let cuts = (0..WAL_HEADER_LEN).map(|cut| header(0)[..cut].to_vec());
         for torn in cuts.chain([vec![0u8; WAL_HEADER_LEN]]) {
             std::fs::write(&path, &torn).unwrap();
             let scan = Wal::scan(&path).unwrap();
             // Scanning wrote nothing.
             assert_eq!(std::fs::read(&path).unwrap(), torn);
-            let (mut wal, recs) = scan.open().unwrap();
+            let (mut wal, recs) = scan.open(0).unwrap();
             assert!(recs.is_empty(), "{torn:?}");
-            assert_eq!(std::fs::read(&path).unwrap(), header(), "{torn:?}");
+            assert_eq!(std::fs::read(&path).unwrap(), header(0), "{torn:?}");
             wal.append(&WalRecord::Remove { oid: Oid(3) }).unwrap();
             wal.sync().unwrap();
             drop(wal);
@@ -893,9 +991,10 @@ mod tests {
         }
     }
 
-    /// A log of another format — a newer header, or none at all as every
-    /// build before the header wrote — is refused, typed, and left as it
-    /// was; so is a damaged header.
+    /// A log of another format — a newer header, the 16-byte header of
+    /// formats 1 and 2, or none at all as every build before the header
+    /// wrote — is refused, typed, and left as it was; so is a damaged
+    /// header.
     #[test]
     fn a_log_of_another_format_is_refused() {
         let path = tmp("format");
@@ -909,15 +1008,27 @@ mod tests {
         let of_format = |format: u32| {
             let mut bytes = ours.clone();
             bytes[8..12].copy_from_slice(&format.to_le_bytes());
-            let crc = crc32(&bytes[..12]);
-            bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+            let crc = crc32(&bytes[..20]);
+            bytes[20..24].copy_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        // Formats 1 and 2: magic, format and crc, then the frames.
+        let sixteen = |format: u32| {
+            let mut bytes = WAL_MAGIC.to_vec();
+            bytes.extend_from_slice(&format.to_le_bytes());
+            bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
+            bytes.extend_from_slice(&ours[WAL_HEADER_LEN..]);
             bytes
         };
         let newer = of_format(WAL_FORMAT + 1);
         // A newer build's empty log is a whole header: refused too.
         let newer_empty = newer[..WAL_HEADER_LEN].to_vec();
         // Format 1: fixed-width scalars, field names in every record.
-        let older = of_format(1);
+        let older = sixteen(1);
+        // Format 2: the frames of this format, no `follows`; its empty log
+        // is 16 bytes, shorter than a header of this format: refused too.
+        let format_2 = sixteen(2);
+        let format_2_empty = format_2[..16].to_vec();
         let headerless = ours[WAL_HEADER_LEN..].to_vec();
         let mut flipped = ours.clone();
         flipped[9] ^= 1;
@@ -925,6 +1036,8 @@ mod tests {
             (newer, Some(WAL_FORMAT + 1)),
             (newer_empty, Some(WAL_FORMAT + 1)),
             (older, Some(1)),
+            (format_2, Some(2)),
+            (format_2_empty, Some(2)),
             (headerless, Some(0)),
             (flipped, None),
         ] {
@@ -1083,7 +1196,7 @@ mod tests {
             let got: Vec<WalRecord> = recs.into_iter().map(|(_, r)| r).collect();
             assert_eq!(got.len(), kept + 2);
             assert_eq!(got[kept], person(3));
-            wal.reset().unwrap();
+            wal.reset(1).unwrap();
             assert_eq!(wal.tables.mark(), (0, 0));
             wal.append(&person(4)).unwrap();
             drop(wal);

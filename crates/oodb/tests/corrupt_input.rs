@@ -202,7 +202,7 @@ fn image() -> SnapshotImage {
     let mut img = SnapshotImage {
         name: sym("Staff"),
         store_version: 900,
-        checkpoint_lsn: 77,
+        checkpoint: 77,
         next_oid: 40,
         ..SnapshotImage::default()
     };
@@ -236,7 +236,7 @@ fn scratch() -> PathBuf {
 /// and the offset of its checksum.
 fn frames(raw: &[u8]) -> Vec<(usize, usize, usize)> {
     let mut out = Vec::new();
-    let mut at = 16; // the header
+    let mut at = 24; // the header
     while at < raw.len() {
         let mut r = Reader::new(&raw[at..], "frame");
         let len = r.take_varint().unwrap() as usize;

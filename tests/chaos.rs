@@ -26,7 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use objects_and_views::oodb::faults::{self, FaultAction, FaultSchedule, InjectedFault};
-use objects_and_views::oodb::{IdentityStore, OodbError};
+use objects_and_views::oodb::OodbError;
 use objects_and_views::prelude::*;
 use objects_and_views::query::{budget, Budget, QueryError};
 
@@ -507,15 +507,12 @@ fn crash_scratch(seed: u64) -> std::path::PathBuf {
     dir
 }
 
-/// The durable identity table for view `V` as a comparable map:
-/// `(class name, core tuple) → oid` is exactly what must survive a crash.
+/// The system's identity table for view `V` as a comparable map: `(class
+/// name, core tuple) → oid` is exactly what must survive a crash, so the
+/// map before one must equal the map after the reopen.
 fn crash_identity(s: &Session) -> BTreeMap<(String, String), Oid> {
-    let db = s.system().database(sym("Staff")).unwrap();
-    let db = db.read();
-    let core = db.durable_core().expect("durable database");
-    let recovered = IdentityStore::default();
-    core.seed(&recovered);
-    recovered
+    s.system()
+        .identity()
         .entries()
         .into_iter()
         .filter(|e| e.view == sym("V"))
@@ -613,8 +610,9 @@ fn run_crash_chaos(seed: u64) {
     }
 
     for cycle in 0..CRASH_CYCLES {
-        // Populate the imaginary extent with faults clear: identity
-        // assignments log strictly here, so the mirror and WAL agree.
+        // Populate the imaginary extent with faults clear: every identity
+        // assignment reaches the WAL, so the system's tables and the log
+        // agree when the crash comes.
         s.view(sym("V"))
             .unwrap()
             .extent_of(sym("CityTag"))
@@ -740,6 +738,55 @@ fn run_crash_chaos(seed: u64) {
             _ => {}
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Identity logging degrades: when every append fails during the first
+/// population of an imaginary class, the assignments stand in the system's
+/// tables and only `identity.log_failures` moves. The next checkpoint
+/// writes them, so after a crash every imaginary oid is what it was.
+#[test]
+fn chaos_failed_identity_log_is_healed_by_the_next_checkpoint() {
+    let _serial = chaos_lock();
+    let _guard = ChaosGuard;
+    let dir = crash_scratch(0x1d);
+    let (identity, tags) = {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        s.execute(
+            r#"
+            database Staff;
+            class Person type [Name: string, City: string];
+            object #0 in Person value [Name: "Ada", City: "London"];
+            object #1 in Person value [Name: "Bob", City: "Paris"];
+            object #2 in Person value [Name: "Cleo", City: "Roma"];
+            create view V;
+            import all classes from database Staff;
+            class CityTag includes imaginary (select [City: P.City] from P in Person);
+            "#,
+        )
+        .unwrap();
+        let failures = objects_and_views::oodb::registry().counter("identity.log_failures");
+        let before = failures.get();
+        faults::arm("wal.append", FaultSchedule::From(1), FaultAction::Error);
+        let tags = s.view(sym("V")).unwrap().extent_of(sym("CityTag"));
+        faults::clear();
+        let tags = tags.expect("identity logging degrades, the population stands");
+        assert_eq!(tags.len(), 3);
+        assert_eq!(
+            failures.get() - before,
+            3,
+            "one failed append per assignment"
+        );
+        s.checkpoint().unwrap();
+        (crash_identity(&s), tags)
+    };
+    let s = Session::open(&dir, Durability::Wal).unwrap();
+    assert_eq!(crash_identity(&s), identity);
+    let mut after = s.view(sym("V")).unwrap().extent_of(sym("CityTag")).unwrap();
+    let mut tags = tags;
+    tags.sort();
+    after.sort();
+    assert_eq!(after, tags, "imaginary oids moved across the crash");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use objects_and_views::oodb::{IdentityStore, Oid, OodbError};
+use objects_and_views::oodb::{Oid, OodbError};
 use objects_and_views::prelude::*;
 
 /// A fresh scratch directory under the system temp dir (no tempfile crate:
@@ -40,16 +40,13 @@ fn build_fixture(session: &mut Session) {
         .unwrap();
 }
 
-/// The identity table the durable core would recover for view `V`, as a
-/// comparable map. `(class name, core tuple) → oid` is exactly the mapping
-/// that must survive a restart.
+/// The system's identity table for view `V`, as a comparable map. `(class
+/// name, core tuple) → oid` is exactly the mapping that must survive a
+/// restart: taken before one and after the reopen, the two must be equal.
 fn identity_map(session: &Session) -> BTreeMap<(String, String), Oid> {
-    let db = session.system().database(sym("Staff")).unwrap();
-    let db = db.read();
-    let core = db.durable_core().expect("durable database");
-    let recovered = IdentityStore::default();
-    core.seed(&recovered);
-    recovered
+    session
+        .system()
+        .identity()
         .entries()
         .into_iter()
         .filter(|e| e.view == sym("V"))
@@ -340,7 +337,7 @@ fn snapshot_of_an_older_format_is_rejected_with_a_typed_error() {
             err,
             Some(ViewError::Oodb(OodbError::UnsupportedFormat {
                 found: 3,
-                supported: 4
+                supported: 5
             }))
         ),
         "old snapshot must fail typed, got {err:?}"
@@ -505,5 +502,84 @@ fn a_deleted_oid_stays_retired_across_a_checkpoint_and_a_reopen() {
     }
     let mut s = Session::open(&dir, Durability::Wal).unwrap();
     assert_eq!(insert(&mut s, 2), Value::Oid(Oid(2)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Identity in two durable databases of one root: `VA` reads `A`, `VB`
+/// reads `B`, and `VAB` reads both. A checkpoint writes into each
+/// database's snapshot exactly the entries of the views that read it, a
+/// reopen gives every imaginary oid back, and a new core tuple takes an
+/// oid past every recovered one.
+#[test]
+fn identity_in_two_durable_databases_is_checkpointed_by_the_views_that_read_each() {
+    use objects_and_views::oodb::{pager, IdentityEntry};
+    let dir = scratch("two-identities");
+    let extents = |s: &Session| -> Vec<Vec<Oid>> {
+        [("VA", "ATag"), ("VB", "BTag"), ("VAB", "Pair")]
+            .map(|(view, class)| {
+                let mut oids = s.view(sym(view)).unwrap().extent_of(sym(class)).unwrap();
+                oids.sort();
+                oids
+            })
+            .to_vec()
+    };
+    let (entries, before) = {
+        let mut s = Session::open(&dir, Durability::Wal).unwrap();
+        s.execute(
+            r#"
+            database A;
+            class P type [City: string];
+            insert P value [City: "Oslo"];
+            insert P value [City: "Rome"];
+            database B;
+            class Q type [Town: string];
+            insert Q value [Town: "Lima"];
+            insert Q value [Town: "Kyiv"];
+            insert Q value [Town: "Pune"];
+            create view VA;
+            import all classes from database A;
+            class ATag includes imaginary (select [City: X.City] from X in P);
+            create view VB;
+            import all classes from database B;
+            class BTag includes imaginary (select [Town: Y.Town] from Y in Q);
+            create view VAB;
+            import all classes from database A;
+            import all classes from database B;
+            class Pair includes imaginary (select [City: X.City, Town: Y.Town] from X in P, Y in Q);
+            "#,
+        )
+        .unwrap();
+        let before = extents(&s);
+        assert_eq!(before.iter().map(Vec::len).collect::<Vec<_>>(), [2, 3, 6]);
+        assert_eq!(s.checkpoint().unwrap(), 2);
+        (s.system().identity().entries(), before)
+    };
+    let of_views = |views: [&str; 2]| -> Vec<IdentityEntry> {
+        let views = views.map(sym);
+        entries
+            .iter()
+            .filter(|e| views.contains(&e.view))
+            .cloned()
+            .collect()
+    };
+    for (db, views) in [("A", ["VA", "VAB"]), ("B", ["VB", "VAB"])] {
+        let snapshot = pager::read_snapshot(&dir.join("databases").join(db))
+            .unwrap()
+            .unwrap();
+        assert_eq!(snapshot.identity, of_views(views), "database {db}");
+    }
+
+    let mut s = Session::open(&dir, Durability::Wal).unwrap();
+    assert_eq!(s.system().identity().entries(), entries);
+    assert_eq!(extents(&s), before);
+    s.execute(r#"database A; insert P value [City: "Nice"];"#)
+        .unwrap();
+    let tags = s.view(sym("VA")).unwrap().extent_of(sym("ATag")).unwrap();
+    let new: Vec<Oid> = tags
+        .into_iter()
+        .filter(|o| !before[0].contains(o))
+        .collect();
+    let top = entries.iter().map(|e| e.oid).max().unwrap();
+    assert!(new.len() == 1 && new[0] > top, "{new:?} after {top:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
