@@ -8,6 +8,8 @@
 //! the same entries, so a tuple has one oid through every view of a stack.
 //! A child of `view` so it can reach the view's private state.
 
+use ov_oodb::wal::WalRecord;
+
 use super::*;
 
 impl View {
@@ -18,8 +20,8 @@ impl View {
     /// class C is invoked. (Note that a tuple will generate a different oid
     /// when used in a different class.)" New tuples take oids in set order,
     /// under one lock for the whole population; only those assignments are
-    /// logged, after it is released. Anything but a tuple is
-    /// [`ViewError::NonTuplePopulation`].
+    /// logged, after it is released, as one batch per durable core.
+    /// Anything but a tuple is [`ViewError::NonTuplePopulation`].
     pub(super) fn adopt_tuples(
         &self,
         c: ClassId,
@@ -41,11 +43,15 @@ impl View {
         }
         let fresh = self.identity_mode == IdentityMode::Fresh;
         let (oids, new) = self.identity.assign(self.name, class, cores, fresh);
-        for (core, oid) in new {
-            for d in &self.durable {
-                d.log_identity_assign(self.name, class, core.clone(), oid);
-            }
-        }
+        self.log_identity(
+            new.into_iter()
+                .map(|(core, oid)| WalRecord::IdentityAssign {
+                    view: self.name,
+                    class,
+                    core,
+                    oid,
+                }),
+        );
         Ok(oids)
     }
 
@@ -88,8 +94,9 @@ impl View {
         let dead = self
             .identity
             .drop_where(self.name, |c, _, oid| c == class && !live.contains(&oid));
-        self.log_drops(&dead);
-        Ok(dead.len())
+        let n = dead.len();
+        self.log_drops(dead);
+        Ok(n)
     }
 
     /// Number of identity-table entries for a named imaginary class
@@ -124,15 +131,28 @@ impl View {
         if !purged.is_empty() {
             ov_oodb::metric_counter!("views.identity_purged").add(purged.len() as u64);
         }
-        self.log_drops(&purged);
+        self.log_drops(purged);
     }
 
     /// Logs dropped identity entries to the durable cores.
-    fn log_drops(&self, dropped: &[(Symbol, Tuple)]) {
-        for (class, core) in dropped {
-            for d in &self.durable {
-                d.log_identity_drop(self.name, *class, core);
-            }
+    fn log_drops(&self, dropped: Vec<(Symbol, Tuple)>) {
+        let view = self.name;
+        self.log_identity(
+            dropped
+                .into_iter()
+                .map(|(class, core)| WalRecord::IdentityDrop { view, class, core }),
+        );
+    }
+
+    /// Logs identity records to each durable core the view logs to, one
+    /// batch (one commit) per core.
+    fn log_identity(&self, records: impl Iterator<Item = WalRecord>) {
+        if self.durable.is_empty() {
+            return;
+        }
+        let records: Vec<WalRecord> = records.collect();
+        for d in &self.durable {
+            d.log_identity(self.name, &records);
         }
     }
 }

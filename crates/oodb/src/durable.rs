@@ -10,14 +10,15 @@
 //! It keeps no identity table of its own once its database joins a system.
 //! Open builds an [`IdentityStore`] from the snapshot and the log tail; the
 //! join ([`crate::System::add_database`]) seeds the system's store from it
-//! and hands the core the system's instead. A view logs each assignment
-//! and drop to the cores of the databases it reads, and each core notes
-//! the view's name; a checkpoint writes the store's current entries of the
-//! views it noted, and the store's floor. The name is noted, and the
-//! checkpoint reads the store, under the log's one lock, and no one holds
-//! the store's lock while waiting for the log's. An entry made while a
-//! checkpoint runs is in the snapshot or logged after it; replaying an
-//! identity record is idempotent.
+//! and hands the core the system's instead. A view logs its assignments
+//! and drops to the cores of the databases it reads, a population's as one
+//! batch with one commit, and each core notes the view's name; a
+//! checkpoint writes the store's current entries of the views it noted,
+//! and the store's floor. The name is noted, and the checkpoint reads the
+//! store, under the log's one lock, and no one holds the store's lock
+//! while waiting for the log's. An entry made while a checkpoint runs is
+//! in the snapshot or logged after it; replaying an identity record is
+//! idempotent.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -28,10 +29,8 @@ use parking_lot::Mutex;
 
 use crate::error::Result;
 use crate::identity::IdentityStore;
-use crate::ids::Oid;
 use crate::pager::{self, SnapshotImage};
 use crate::symbol::Symbol;
-use crate::value::Tuple;
 use crate::wal::{Durability, Wal, WalRecord};
 
 /// File name of the write-ahead log within a database directory.
@@ -143,31 +142,27 @@ impl DurableCore {
         Ok(lsn)
     }
 
-    /// Logs an imaginary identity assignment view `view` made. A failed
-    /// append degrades (counted, not raised): the assignment stands in the
-    /// store either way, and the view is noted before the append, so the
-    /// next checkpoint writes the entry.
-    pub fn log_identity_assign(&self, view: Symbol, class: Symbol, core: Tuple, oid: Oid) {
-        let rec = WalRecord::IdentityAssign {
-            view,
-            class,
-            core,
-            oid,
-        };
-        self.log_identity(view, &rec);
-    }
-
-    /// Logs an imaginary identity drop view `view` made (failures degrade
-    /// as in [`Self::log_identity_assign`]).
-    pub fn log_identity_drop(&self, view: Symbol, class: Symbol, core: &Tuple) {
-        let core = core.clone();
-        self.log_identity(view, &WalRecord::IdentityDrop { view, class, core });
-    }
-
-    fn log_identity(&self, view: Symbol, rec: &WalRecord) {
-        self.log.lock().views.insert(view);
-        if self.log(rec).is_err() {
-            crate::metric_counter!("identity.log_failures").inc();
+    /// Logs the identity assignments and drops view `view` made, as one
+    /// batch: under the log's lock the view is noted, then each record is
+    /// appended, then the batch commits once. A failure degrades (each
+    /// failed append or commit counted in `identity.log_failures`, not
+    /// raised): the entries stand in the store either way, and the view was
+    /// noted before the first append, so the next checkpoint writes them.
+    pub fn log_identity(&self, view: Symbol, records: &[WalRecord]) {
+        if records.is_empty() {
+            return;
+        }
+        let mut log = self.log.lock();
+        log.views.insert(view);
+        let mut failures = records
+            .iter()
+            .filter(|rec| log.wal.append(rec).is_err())
+            .count();
+        if log.wal.commit(self.durability).is_err() {
+            failures += 1;
+        }
+        if failures > 0 {
+            crate::metric_counter!("identity.log_failures").add(failures as u64);
         }
     }
 
@@ -236,8 +231,9 @@ mod tests {
 
     use super::*;
     use crate::identity::ImaginaryObject;
+    use crate::ids::Oid;
     use crate::symbol::sym;
-    use crate::value::Value;
+    use crate::value::{Tuple, Value};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -262,9 +258,16 @@ mod tests {
     /// as the declaring view does.
     fn assign(core: &DurableCore, system: &IdentityStore, city: &str) -> Oid {
         let (oids, new) = system.assign(sym("V"), sym("Addr"), vec![core_tuple(city)], false);
-        for (tuple, oid) in new {
-            core.log_identity_assign(sym("V"), sym("Addr"), tuple, oid);
-        }
+        let records: Vec<_> = new
+            .into_iter()
+            .map(|(core, oid)| WalRecord::IdentityAssign {
+                view: sym("V"),
+                class: sym("Addr"),
+                core,
+                oid,
+            })
+            .collect();
+        core.log_identity(sym("V"), &records);
         oids.into_iter().next().unwrap()
     }
 
@@ -332,9 +335,16 @@ mod tests {
             let (core, _, _) = DurableCore::open(&dir, Durability::Wal).unwrap();
             let system = joined(&core);
             let oid = assign(&core, &system, "Nice");
-            for (class, tuple) in system.drop_where(sym("V"), |_, _, _| true) {
-                core.log_identity_drop(sym("V"), class, &tuple);
-            }
+            let drops: Vec<_> = system
+                .drop_where(sym("V"), |_, _, _| true)
+                .into_iter()
+                .map(|(class, core)| WalRecord::IdentityDrop {
+                    view: sym("V"),
+                    class,
+                    core,
+                })
+                .collect();
+            core.log_identity(sym("V"), &drops);
             core.sync().unwrap();
             (oid, system.entries())
         };

@@ -790,6 +790,68 @@ fn chaos_failed_identity_log_is_healed_by_the_next_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A population's identity records reach each durable core as one batch:
+/// under `WalSync`, the first population of 50 new tuples, through a view
+/// that reads two durable databases, appends 50 records to each log and
+/// syncs each log once, not once per tuple. A reopen hands back every oid.
+/// (It sits here because the registry is process-wide and this binary's
+/// tests run one at a time.)
+#[test]
+fn a_population_logs_its_identity_in_one_commit_per_durable_core() {
+    let _serial = chaos_lock();
+    let _guard = ChaosGuard;
+    let dir = crash_scratch(0x50);
+    let mut script = String::from("database A; class P type [City: string];\n");
+    for i in 0..50 {
+        script.push_str(&format!("insert P value [City: \"c{i}\"];\n"));
+    }
+    script.push_str(
+        r#"database B; class Q type [Town: string]; insert Q value [Town: "Lima"];
+        create view V;
+        import all classes from database A;
+        import all classes from database B;
+        class Tag includes imaginary (select [City: X.City] from X in P);
+        "#,
+    );
+    let records = |s: &Session| -> BTreeMap<Symbol, u64> {
+        s.wal_status()
+            .into_iter()
+            .map(|(db, status)| (db, status.records_since_reset))
+            .collect()
+    };
+    let registry = objects_and_views::oodb::registry();
+    let (appends, fsyncs) = (
+        registry.counter("wal.appends"),
+        registry.counter("wal.fsyncs"),
+    );
+    let (identity, mut tags) = {
+        let mut s = Session::open(&dir, Durability::WalSync).unwrap();
+        s.execute(&script).unwrap();
+        let before = (appends.get(), fsyncs.get(), records(&s));
+        let tags = s.view(sym("V")).unwrap().extent_of(sym("Tag")).unwrap();
+        assert_eq!(tags.len(), 50);
+        assert_eq!(
+            appends.get() - before.0,
+            100,
+            "50 records to each of two logs"
+        );
+        assert_eq!(fsyncs.get() - before.1, 2, "one commit per durable core");
+        let logged: Vec<_> = records(&s)
+            .into_iter()
+            .map(|(db, n)| (db, n - before.2[&db]))
+            .collect();
+        assert_eq!(logged, [(sym("A"), 50), (sym("B"), 50)]);
+        (crash_identity(&s), tags)
+    };
+    let s = Session::open(&dir, Durability::WalSync).unwrap();
+    assert_eq!(crash_identity(&s), identity);
+    let mut after = s.view(sym("V")).unwrap().extent_of(sym("Tag")).unwrap();
+    tags.sort();
+    after.sort();
+    assert_eq!(after, tags, "imaginary oids moved across the reopen");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn crash_chaos_fixed_seed_a() {
     run_crash_chaos(0x0b1ec75);
