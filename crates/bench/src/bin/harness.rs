@@ -2229,6 +2229,13 @@ fn e21_cold_path() {
         assert_eq!(image.objects.len(), N);
         std::hint::black_box(image);
     });
+    // snapshot/decode: that read's body decode alone.
+    let body = image.encode();
+    let t_decode = time_ns(8, || {
+        let image = ov_oodb::pager::SnapshotImage::decode(&body).unwrap();
+        assert_eq!(image.objects.len(), N);
+        std::hint::black_box(image);
+    });
 
     // database/open: that snapshot and a tail of `TAIL` logged writes.
     // Opening a log with no torn tail writes nothing, so every open reads
@@ -2287,6 +2294,13 @@ fn e21_cold_path() {
         ],
     );
     row(
+        "snapshot/decode",
+        &[
+            tcell("snapshot", "decode", t_decode),
+            format!("({:.0} ns/object)", t_decode / N as f64),
+        ],
+    );
+    row(
         "database/open",
         &[
             tcell("database", "open", t_open),
@@ -2299,5 +2313,11 @@ fn e21_cold_path() {
             tcell("index", "first_probe", t_probe),
             format!("({N} keys over 3 classes)"),
         ],
+    );
+    // A byte count is not a timing cell: a line under the table, as E18's.
+    println!(
+        "E21/snapshot/bytes_per_object {:.1} B ({} B body, {N} objects)",
+        body.len() as f64 / N as f64,
+        body.len()
     );
 }

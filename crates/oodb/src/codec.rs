@@ -13,6 +13,13 @@
 //! ten bytes, or one that does not fit the integer it is read into, is
 //! corrupt, and so is a count no remaining buffer could hold.
 //!
+//! A value is a tag byte and its payload. A string is tag 4 and the string
+//! in place, except in a snapshot body, which numbers every string value it
+//! holds at least twice: tag 9 and the string at its first use, which
+//! defines the next number, then tag 10 and that number. The log and every
+//! value encoded on its own write strings in place and refuse tags 9 and
+//! 10 as corrupt.
+//!
 //! [`Symbol`]s serialize as their strings: symbol ids are process-local
 //! intern indices and mean nothing across restarts. [`ClassId`]s serialize
 //! as raw indices, which is sound because [`crate::Schema`] assigns
@@ -20,6 +27,7 @@
 //! replay walk classes in that same order.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use crate::error::{OodbError, Result};
@@ -331,8 +339,259 @@ impl<'a> Reader<'a> {
 // Values
 // ---------------------------------------------------------------------------
 
-/// Encodes a [`Value`] (one tag byte, then the payload).
+/// How a stream writes its string values. [`Inline`] writes each in place
+/// (tag 4), as the log and every value encoded on its own do; a snapshot
+/// body numbers the strings it holds more than once ([`StringIds`]).
+pub(crate) trait PutStrings {
+    /// Writes the string value `s`, tag byte included.
+    fn put_str(&mut self, w: &mut Writer, s: &Arc<str>);
+}
+
+/// How a stream reads the tabled string tags (9, 10) that [`PutStrings`]
+/// may write: [`Inline`] refuses them, [`StringList`] resolves them.
+pub(crate) trait TakeStrings {
+    /// Reads the payload of a value whose `tag` is 9 or 10.
+    fn take_tabled(&mut self, r: &mut Reader<'_>, tag: u8) -> Result<Value>;
+}
+
+/// Strings written in place: tag 4 and the string. A stream of this kind
+/// holds no tabled string, so tag 9 or 10 in it is corrupt.
+#[derive(Default, Debug, PartialEq)]
+pub(crate) struct Inline;
+
+impl PutStrings for Inline {
+    fn put_str(&mut self, w: &mut Writer, s: &Arc<str>) {
+        w.put_u8(4);
+        w.put_str(s);
+    }
+}
+
+impl TakeStrings for Inline {
+    fn take_tabled(&mut self, r: &mut Reader<'_>, tag: u8) -> Result<Value> {
+        Err(bad_tag(r, "value", tag))
+    }
+}
+
+/// The writer's side of a body's string table: every string value the body
+/// holds at least twice, counted by content before the body is written,
+/// then numbered in order of first use as it is written. A string held
+/// once stays inline (tag 4); one held more often is defined at its first
+/// use (tag 9 and the string) and referenced after that (tag 10 and its
+/// number), as names and shapes are.
+///
+/// Most distinct strings of a store are held once (a name, a key), so the
+/// count keeps no entry for those: a first pass marks the slot of each
+/// string's hash in a bit table as seen once or seen again, and only the
+/// strings whose slot was seen again are counted by content. A string held
+/// once that shares a slot with another is counted, and found held once.
+#[derive(Debug)]
+pub(crate) struct StringIds<'a> {
+    /// Per slot, two bits: seen once, seen again.
+    seen: Vec<u64>,
+    /// Slot count minus one (a power of two minus one).
+    mask: u64,
+    /// The strings of slots seen again: their count while counting, then
+    /// [`StringIds::ONCE`], [`StringIds::UNDEFINED`] or their number.
+    counted: HashMap<&'a Arc<str>, u32, Seeded>,
+    /// Strings defined so far.
+    defined: u32,
+}
+
+impl<'a> StringIds<'a> {
+    const ONCE: u32 = u32::MAX;
+    const UNDEFINED: u32 = u32::MAX - 1;
+
+    /// Counts the strings of `tuples`' values, nested ones included.
+    pub(crate) fn count<I>(tuples: I) -> StringIds<'a>
+    where
+        I: IntoIterator<Item = &'a Tuple>,
+        I::IntoIter: Clone,
+    {
+        let tuples = tuples.into_iter();
+        // Two bits a slot, about eight slots a tuple: a few string fields
+        // each leave most slots empty, so few strings held once share one.
+        let slots = (tuples.size_hint().0 * 8).next_power_of_two().max(32);
+        let mut ids = StringIds {
+            seen: vec![0; slots / 32],
+            mask: slots as u64 - 1,
+            counted: HashMap::with_hasher(Seeded::new()),
+            defined: 0,
+        };
+        for t in tuples.clone() {
+            each_str(t, &mut |s| {
+                let (word, bit) = ids.slot(s);
+                let again = (ids.seen[word] >> bit & 1) as u32;
+                ids.seen[word] |= 1 << (bit + again);
+            });
+        }
+        for t in tuples {
+            each_str(t, &mut |s| {
+                if ids.seen_again(s) {
+                    *ids.counted.entry(s).or_insert(0) += 1;
+                }
+            });
+        }
+        for state in ids.counted.values_mut() {
+            *state = if *state > 1 {
+                Self::UNDEFINED
+            } else {
+                Self::ONCE
+            };
+        }
+        ids
+    }
+
+    /// The word of `seen` that holds `s`'s slot, and the slot's first bit.
+    fn slot(&self, s: &str) -> (usize, u32) {
+        let slot = self.counted.hasher().hash_one(s) & self.mask;
+        ((slot / 32) as usize, (slot % 32) as u32 * 2)
+    }
+
+    fn seen_again(&self, s: &str) -> bool {
+        let (word, bit) = self.slot(s);
+        self.seen[word] >> (bit + 1) & 1 == 1
+    }
+}
+
+/// Calls `f` on each string of `t`'s values, nested ones included.
+fn each_str<'a>(t: &'a Tuple, f: &mut impl FnMut(&'a Arc<str>)) {
+    fn value<'a>(v: &'a Value, f: &mut impl FnMut(&'a Arc<str>)) {
+        match v {
+            Value::Str(s) => f(s),
+            Value::Tuple(t) => each_str(t, f),
+            Value::Set(s) => s.iter().for_each(|e| value(e, f)),
+            Value::List(l) => l.iter().for_each(|e| value(e, f)),
+            Value::Null | Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Oid(_) => {}
+        }
+    }
+    for (_, v) in t.iter() {
+        value(v, f);
+    }
+}
+
+impl PutStrings for StringIds<'_> {
+    fn put_str(&mut self, w: &mut Writer, s: &Arc<str>) {
+        let counted = if self.seen_again(s) {
+            self.counted.get_mut(s)
+        } else {
+            None
+        };
+        match counted {
+            Some(state) if *state == Self::UNDEFINED => {
+                *state = self.defined;
+                self.defined += 1;
+                w.put_u8(9);
+                w.put_str(s);
+            }
+            Some(&mut id) if id != Self::ONCE => {
+                w.put_u8(10);
+                w.put_varint(id as u64);
+            }
+            // Held once, or not counted.
+            _ => Inline.put_str(w, s),
+        }
+    }
+}
+
+/// The reader's side of a body's string table: the strings defined so far,
+/// by number. Every reference to one clones its `Arc`, so equal strings of
+/// a decoded body share one allocation.
+#[derive(Default, Debug, PartialEq)]
+pub(crate) struct StringList(Vec<Arc<str>>);
+
+impl TakeStrings for StringList {
+    fn take_tabled(&mut self, r: &mut Reader<'_>, tag: u8) -> Result<Value> {
+        if tag == 9 {
+            let s: Arc<str> = r.take_str()?.into();
+            self.0.push(s.clone());
+            return Ok(Value::Str(s));
+        }
+        let id = r.take_var_u32()? as usize;
+        match self.0.get(id) {
+            Some(s) => Ok(Value::Str(s.clone())),
+            None => Err(OodbError::corrupt(format!(
+                "{}: string {id} of {}",
+                r.context,
+                self.0.len()
+            ))),
+        }
+    }
+}
+
+/// The hasher of [`StringIds`]'s count: a multiply-fold over eight bytes
+/// at a time, keyed per count from [`RandomState`]. A body's strings are
+/// short and number tens of thousands, where SipHash's rounds cost more
+/// than the table saves; the key keeps a store's strings from being
+/// chosen to collide. Bytes do not depend on it: strings are numbered in
+/// order of first use.
+///
+/// [`RandomState`]: std::collections::hash_map::RandomState
+#[derive(Clone, Debug)]
+struct Seeded(u64);
+
+impl Seeded {
+    fn new() -> Seeded {
+        use std::hash::Hasher;
+        Seeded(
+            std::collections::hash_map::RandomState::new()
+                .build_hasher()
+                .finish(),
+        )
+    }
+}
+
+impl BuildHasher for Seeded {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher(self.0)
+    }
+}
+
+struct FoldHasher(u64);
+
+impl FoldHasher {
+    fn mix(&mut self, word: u64) {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let p = (self.0 ^ word) as u128 * K as u128;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+}
+
+impl std::hash::Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // The length sets apart strings that pad to the same last word.
+        self.0 ^= bytes.len() as u64;
+        let mut words = bytes.chunks_exact(8);
+        for c in &mut words {
+            self.mix(u64::from_le_bytes(c.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(last));
+        }
+    }
+
+    /// The terminator `str` hashes after its bytes: the length has set
+    /// strings apart already, so it costs no multiply.
+    fn write_u8(&mut self, b: u8) {
+        self.0 ^= b as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Encodes a [`Value`] (one tag byte, then the payload), every string in
+/// place.
 pub fn put_value(w: &mut Writer, v: &Value) {
+    put_value_in(w, v, &mut Inline)
+}
+
+fn put_value_in(w: &mut Writer, v: &Value, strings: &mut impl PutStrings) {
     match v {
         Value::Null => w.put_u8(0),
         Value::Bool(b) => {
@@ -347,37 +606,38 @@ pub fn put_value(w: &mut Writer, v: &Value) {
             w.put_u8(3);
             w.put_f64(*x);
         }
-        Value::Str(s) => {
-            w.put_u8(4);
-            w.put_str(s);
-        }
+        Value::Str(s) => strings.put_str(w, s),
         Value::Oid(o) => {
             w.put_u8(5);
             w.put_varint(o.0);
         }
         Value::Tuple(t) => {
             w.put_u8(6);
-            put_tuple(w, t);
+            put_tuple_in(w, t, strings);
         }
         Value::Set(s) => {
             w.put_u8(7);
             w.put_len(s.len());
             for e in s {
-                put_value(w, e);
+                put_value_in(w, e, strings);
             }
         }
         Value::List(l) => {
             w.put_u8(8);
             w.put_len(l.len());
             for e in l {
-                put_value(w, e);
+                put_value_in(w, e, strings);
             }
         }
     }
 }
 
-/// Decodes a [`Value`].
+/// Decodes a [`Value`] of a stream whose strings are in place.
 pub fn take_value(r: &mut Reader<'_>) -> Result<Value> {
+    take_value_in(r, &mut Inline)
+}
+
+fn take_value_in(r: &mut Reader<'_>, strings: &mut impl TakeStrings) -> Result<Value> {
     Ok(match r.take_u8()? {
         0 => Value::Null,
         1 => Value::Bool(r.take_u8()? != 0),
@@ -385,12 +645,12 @@ pub fn take_value(r: &mut Reader<'_>) -> Result<Value> {
         3 => Value::Float(r.take_f64()?),
         4 => Value::Str(r.take_str()?.into()),
         5 => Value::Oid(Oid(r.take_varint()?)),
-        6 => Value::Tuple(take_tuple(r)?),
+        6 => Value::Tuple(take_tuple_in(r, strings)?),
         7 => {
             let n = r.take_len(1)?;
             let mut s = BTreeSet::new();
             for _ in 0..n {
-                s.insert(take_value(r)?);
+                s.insert(take_value_in(r, strings)?);
             }
             Value::Set(s)
         }
@@ -398,10 +658,11 @@ pub fn take_value(r: &mut Reader<'_>) -> Result<Value> {
             let n = r.take_len(1)?;
             let mut l = Vec::with_capacity(n);
             for _ in 0..n {
-                l.push(take_value(r)?);
+                l.push(take_value_in(r, strings)?);
             }
             Value::List(l)
         }
+        tag @ (9 | 10) => strings.take_tabled(r, tag)?,
         tag => return Err(bad_tag(r, "value", tag)),
     })
 }
@@ -409,20 +670,28 @@ pub fn take_value(r: &mut Reader<'_>) -> Result<Value> {
 /// Encodes a [`Tuple`] (field count, then name-ordered `(symbol, value)`
 /// pairs — the tuple's iteration order, so encoding is deterministic).
 pub fn put_tuple(w: &mut Writer, t: &Tuple) {
+    put_tuple_in(w, t, &mut Inline)
+}
+
+fn put_tuple_in(w: &mut Writer, t: &Tuple, strings: &mut impl PutStrings) {
     w.put_len(t.len());
     for (name, v) in t.iter() {
         w.put_symbol(name);
-        put_value(w, v);
+        put_value_in(w, v, strings);
     }
 }
 
 /// Decodes a [`Tuple`].
 pub fn take_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
+    take_tuple_in(r, &mut Inline)
+}
+
+fn take_tuple_in(r: &mut Reader<'_>, strings: &mut impl TakeStrings) -> Result<Tuple> {
     let n = r.take_len(2)?;
     let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let name = r.take_symbol()?;
-        fields.push((name, take_value(r)?));
+        fields.push((name, take_value_in(r, strings)?));
     }
     Ok(Tuple::from_fields(fields))
 }
@@ -444,14 +713,19 @@ pub fn take_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
 ///                [· field count · count × name, when id is the table's length]
 ///                · one value per field of the shape
 /// ```
+///
+/// `S` is how the stream's values write their strings: in place (the log)
+/// or through a body's string table (the snapshot, [`StringIds`] and
+/// [`StringList`]).
 #[derive(Default, Debug, PartialEq)]
-pub(crate) struct Tables {
+pub(crate) struct Tables<S = Inline> {
     names: Numbered<Symbol>,
     /// Each shape's field names, in name order.
     shapes: Numbered<Box<[Symbol]>>,
     /// Per shape, whether its names are strictly ascending (as every shape
     /// this build writes is): its tuples then need no sort.
     sorted: Vec<bool>,
+    strings: S,
 }
 
 /// How long each table was: what [`Tables::rollback`] returns to.
@@ -516,6 +790,18 @@ impl Tables {
         self.shapes.truncate(shapes);
         self.sorted.truncate(shapes);
     }
+}
+
+impl<S> Tables<S> {
+    /// Empty tables whose values write or read their strings by `strings`.
+    pub(crate) fn with_strings(strings: S) -> Tables<S> {
+        Tables {
+            names: Numbered::default(),
+            shapes: Numbered::default(),
+            sorted: Vec::new(),
+            strings,
+        }
+    }
 
     fn define_shape(&mut self, shape: Box<[Symbol]>, sorted: bool) {
         self.sorted.push(sorted);
@@ -553,7 +839,10 @@ impl Tables {
     }
 
     /// Writes `t` as its shape's reference, then one value per field.
-    pub(crate) fn put_tuple(&mut self, w: &mut Writer, t: &Tuple) {
+    pub(crate) fn put_tuple(&mut self, w: &mut Writer, t: &Tuple)
+    where
+        S: PutStrings,
+    {
         let fields: Vec<Symbol> = t.iter().map(|(name, _)| name).collect();
         match self.shapes.find(fields.as_slice()) {
             Some(id) => w.put_varint(id as u64),
@@ -568,12 +857,15 @@ impl Tables {
             }
         }
         for (_, v) in t.iter() {
-            put_value(w, v);
+            put_value_in(w, v, &mut self.strings);
         }
     }
 
     /// Reads a shaped tuple, adding the definitions it carries.
-    pub(crate) fn take_tuple(&mut self, r: &mut Reader<'_>) -> Result<Tuple> {
+    pub(crate) fn take_tuple(&mut self, r: &mut Reader<'_>) -> Result<Tuple>
+    where
+        S: TakeStrings,
+    {
         let id = r.take_var_u32()? as usize;
         if id == self.shapes.list.len() {
             let n = r.take_len(1)?;
@@ -602,7 +894,7 @@ impl Tables {
         }
         let mut fields = Vec::with_capacity(shape.len());
         for &name in shape.iter() {
-            fields.push((name, take_value(r)?));
+            fields.push((name, take_value_in(r, &mut self.strings)?));
         }
         // `from_fields` orders and dedups, so even a hostile shape
         // (unsorted, repeated names) yields a well-formed tuple.
@@ -1342,6 +1634,43 @@ mod tests {
         assert_eq!(width(&|w| w.put_varint(u64::MAX)), 10);
         assert_eq!(width(&|w| w.put_zigzag(-64)), 1);
         assert_eq!(width(&|w| w.put_zigzag(i64::MIN)), 10);
+    }
+
+    /// A varint reads the same wherever it ends in the buffer: every width,
+    /// ending in each of the buffer's last nine bytes, so a decoder that
+    /// reads ahead (eight bytes at a load) must match the byte loop.
+    #[test]
+    fn a_varint_reads_the_same_at_every_distance_from_the_end() {
+        let mut values: Vec<u64> = (1..64).map(|k| (1u64 << k) - 1).collect();
+        values.extend([0, 0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA, u64::MAX]);
+        for v in values {
+            let mut w = Writer::new();
+            w.put_varint(v);
+            let varint = w.into_bytes();
+            for after in 0..9 {
+                let mut buf = vec![0x7F, 0x00];
+                buf.extend_from_slice(&varint);
+                buf.extend(std::iter::repeat_n(0x01, after));
+                let mut r = Reader::new(&buf, "varint test");
+                assert_eq!(r.take_varint().unwrap(), 0x7F);
+                assert_eq!(r.take_varint().unwrap(), 0);
+                assert_eq!(r.take_varint().unwrap(), v, "{v:#x}, {after} after");
+                assert_eq!(r.remaining(), after, "{v:#x}, {after} after");
+            }
+        }
+        // A varint too long or too wide fails alike, with bytes after it
+        // or without.
+        let mut wide = vec![0xFFu8; 9];
+        wide.push(0x02);
+        for bad in [vec![0x80u8; 11], wide] {
+            let alone = Reader::new(&bad, "varint test").take_varint().unwrap_err();
+            for after in [1, 8, 9] {
+                let mut buf = bad.clone();
+                buf.extend(std::iter::repeat_n(0x80, after));
+                let err = Reader::new(&buf, "varint test").take_varint().unwrap_err();
+                assert_eq!(err.to_string(), alone.to_string(), "{bad:?} + {after}");
+            }
+        }
     }
 
     /// A varint longer than ten bytes, one whose value does not fit the

@@ -25,7 +25,7 @@
 //! header names the checkpoint it follows ([`crate::wal`]), so recovery
 //! replays a log only after the snapshot it follows.
 //!
-//! ## Body (format 5)
+//! ## Body (format 6)
 //!
 //! ```text
 //! name · store_version · next_imaginary · next_oid
@@ -49,11 +49,18 @@
 //! an `add_attr` simply has another shape. Tuples nested inside values keep
 //! the codec's `(name, value)` encoding.
 //!
+//! A string value the body holds at least twice, in an object's fields or
+//! an identity core, nested or not, is numbered the same way: defined at
+//! its first use (value tag 9 and the string), referenced by number after
+//! (tag 10). A string held once stays in place (tag 4). The decoder keeps
+//! one `Arc` per defined string, so equal strings of the recovered store
+//! share one allocation. The log writes every string in place.
+//!
 //! Format 1 repeated every field name inside every object. Format 2 kept no
 //! `next_oid`, so an oid deleted above the largest live one before a
 //! checkpoint was handed out again after it. Format 3 wrote every scalar
 //! fixed-width and the shape table up front. Format 4 wrote an LSN that
-//! no one read in the body too.
+//! no one read in the body too. Format 5 wrote every string in place.
 //!
 //! ## Atomicity
 //!
@@ -67,7 +74,7 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use crate::codec::{self, crc32, Reader, Tables, Writer};
+use crate::codec::{self, crc32, Reader, StringIds, StringList, Tables, Writer};
 use crate::error::{OodbError, Result};
 use crate::ids::{ClassId, Oid};
 use crate::schema::{AttrDef, Schema};
@@ -79,7 +86,7 @@ use crate::value::Tuple;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OVSNAP01";
 
 /// The snapshot format version this build writes and reads.
-pub const SNAPSHOT_FORMAT: u32 = 5;
+pub const SNAPSHOT_FORMAT: u32 = 6;
 
 /// Payload bytes per data page.
 pub const PAGE_SIZE: usize = 8192;
@@ -190,9 +197,11 @@ impl SnapshotImage {
     /// Encodes the image body (the bytes that get paged and checksummed).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        // Numbered in order of first use, so equal images encode to equal
-        // bytes.
-        let mut t = Tables::default();
+        // Counted first, then numbered in order of first use, so equal
+        // images encode to equal bytes.
+        let objects = self.objects.iter().map(|obj| &obj.value);
+        let cores = self.identity.iter().map(|e| &e.core);
+        let mut t = Tables::with_strings(StringIds::count(objects.chain(cores)));
         w.put_symbol(self.name);
         w.put_varint(self.store_version);
         w.put_varint(self.next_imaginary);
@@ -239,7 +248,7 @@ impl SnapshotImage {
     /// it reads 0 here: [`read_snapshot`] sets it.
     pub fn decode(bytes: &[u8]) -> Result<SnapshotImage> {
         let mut r = Reader::new(bytes, "snapshot body");
-        let mut t = Tables::default();
+        let mut t = Tables::with_strings(StringList::default());
         let name = r.take_symbol()?;
         let store_version = r.take_varint()?;
         let next_imaginary = r.take_varint()?;
@@ -577,11 +586,12 @@ mod tests {
 
     /// A file an older build wrote must not reach this format's decoder.
     /// The header is hand-built: zero pages, format 1 (names in every
-    /// object), 3 (fixed-width scalars) or 4 (an LSN in the body).
+    /// object), 3 (fixed-width scalars), 4 (an LSN in the body) or 5 (every
+    /// string inline).
     #[test]
     fn older_format_version_rejected() {
         let dir = tmpdir("older");
-        for format in [1, 3, 4] {
+        for format in [1, 3, 4, 5] {
             let mut header = Writer::new();
             header.put_bytes(SNAPSHOT_MAGIC);
             header.put_u32(format);
@@ -795,6 +805,59 @@ mod tests {
             assert_eq!(hits, 1, "`{name}` occurs {hits} times in the body");
         }
         assert_eq!(SnapshotImage::decode(&body).unwrap().objects, img.objects);
+    }
+
+    /// A string held once is written in place; one held three times is
+    /// written once, then referenced by number; and the decoded values
+    /// share that one string.
+    #[test]
+    fn a_repeated_string_is_written_once() {
+        let mut img = SnapshotImage {
+            name: sym("Three"),
+            ..SnapshotImage::default()
+        };
+        for (i, name) in ["Ann", "Bob", "Cyd"].into_iter().enumerate() {
+            img.objects.push(StoredObject {
+                oid: Oid(i as u64),
+                class: ClassId(0),
+                value: Tuple::from_fields([
+                    ("Name", Value::str(name)),
+                    ("City", Value::str("Paris")),
+                ]),
+            });
+        }
+        let body = img.encode();
+        let at = |needle: &[u8]| {
+            let hits: Vec<usize> = (0..body.len())
+                .filter(|&i| body[i..].starts_with(needle))
+                .collect();
+            hits
+        };
+        // Each name in place: tag 4, its length, its bytes.
+        for name in ["Ann", "Bob", "Cyd"] {
+            assert_eq!(
+                at(&[&[4, 3][..], name.as_bytes()].concat()).len(),
+                1,
+                "{name}"
+            );
+        }
+        // `Paris` defined at its first use (tag 9), then string 0 (tag 10)
+        // twice: the rows are `City` before `Name`, so each reference is
+        // followed by the next row's name.
+        assert_eq!(at(b"Paris").len(), 1);
+        assert_eq!(at(b"\x09\x05Paris").len(), 1);
+        assert_eq!(at(b"\x0a\x00\x04\x03").len(), 2);
+        let back = SnapshotImage::decode(&body).unwrap();
+        assert_eq!(back.objects, img.objects);
+        let city = |o: &StoredObject| match o.value.get(sym("City")) {
+            Some(Value::Str(s)) => s.clone(),
+            other => panic!("City: {other:?}"),
+        };
+        let first = city(&back.objects[0]);
+        assert!(back
+            .objects
+            .iter()
+            .all(|o| std::sync::Arc::ptr_eq(&city(o), &first)));
     }
 
     /// A store of 1 000 rows of the benchmark's `Person` shape.

@@ -6,9 +6,14 @@
 //! allocation made while decoding exceeds a fixed multiple of the input's
 //! length — a corrupt count or length cannot drive an over-allocation.
 //!
+//! A snapshot body writes a string it holds more than once as a definition
+//! and then references to it; hand-built bodies check that a reference
+//! past the strings defined so far, a definition that is not UTF-8 and a
+//! count no buffer could hold are each corrupt, and that the log, whose
+//! strings are always in place, refuses both tags.
+//!
 //! The allocator of this test binary notes, per thread, the largest
-//! allocation asked for; the file holds one test, so nothing else runs on
-//! its thread.
+//! allocation asked for; each test runs on a thread of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -208,10 +213,15 @@ fn image() -> SnapshotImage {
     };
     img.capture_schema(&schema);
     for i in 0..24 {
+        // Strings the body tables: a nickname and a city held by many rows,
+        // one of them inside a set.
+        let mut value = person(i, (i % 3 == 0).then_some("n"));
+        let city = Value::str(["Paris", "Lyon", "Nice"][i as usize % 3]);
+        value.set(sym("City"), Value::set([city, Value::Int(i % 2)]));
         img.objects.push(StoredObject {
             oid: Oid(i as u64 * 13),
             class: ClassId(i as u32 % 2),
-            value: person(i, (i % 3 == 0).then_some("n")),
+            value,
         });
     }
     img.names = vec![(sym("maggy"), Oid(13))];
@@ -305,5 +315,124 @@ fn damaged_payloads_and_bodies_decode_typed_and_bounded() {
     let body = image().encode();
     for input in damaged(&body, &mut rng, 3000) {
         check("snapshot body", &input, SnapshotImage::decode);
+    }
+}
+
+/// A body of one object whose one field, `City`, holds the value `value`
+/// writes: the preamble and counts of [`SnapshotImage::encode`], by hand.
+fn one_field_body(value: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_symbol(sym("D"));
+    w.put_varint(0); // store version
+    w.put_varint(IMAGINARY_OID_BASE);
+    w.put_varint(1); // next oid
+    w.put_len(0); // classes
+    w.put_len(1); // objects
+    w.put_varint(0); // oid
+    w.put_varint(0); // class
+    w.put_varint(0); // defines shape 0:
+    w.put_len(1);
+    w.put_varint(0); // defines name 0
+    w.put_symbol(sym("City"));
+    value(&mut w);
+    for _ in 0..3 {
+        w.put_len(0); // names, index definitions, identity
+    }
+    w.into_bytes()
+}
+
+fn corrupt(what: &str, input: &[u8], want: &str) {
+    match SnapshotImage::decode(input) {
+        Err(OodbError::Corrupt { context }) => assert!(context.contains(want), "{what}: {context}"),
+        other => panic!("{what}: expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_tabled_strings_are_corrupt() {
+    // Well formed: a set that defines `Paris` and then refers to it.
+    let good = one_field_body(|w| {
+        w.put_u8(8); // a list, so both elements stay
+        w.put_len(2);
+        w.put_u8(9);
+        w.put_str("Paris");
+        w.put_u8(10);
+        w.put_varint(0);
+    });
+    let img = SnapshotImage::decode(&good).unwrap();
+    assert_eq!(
+        img.objects[0].value.get(sym("City")),
+        Some(&Value::list([Value::str("Paris"), Value::str("Paris")]))
+    );
+
+    // A reference with no string defined, and one past the last defined.
+    let none = one_field_body(|w| {
+        w.put_u8(10);
+        w.put_varint(0);
+    });
+    corrupt("reference before any definition", &none, "string 0 of 0");
+    let past = one_field_body(|w| {
+        w.put_u8(8);
+        w.put_len(2);
+        w.put_u8(9);
+        w.put_str("Paris");
+        w.put_u8(10);
+        w.put_varint(1);
+    });
+    corrupt("reference past the definitions", &past, "string 1 of 1");
+
+    // A definition that is not UTF-8.
+    let bad_utf8 = one_field_body(|w| {
+        w.put_u8(9);
+        w.put_len(2);
+        w.put_bytes(&[0xC3, 0x28]);
+    });
+    corrupt("definition not UTF-8", &bad_utf8, "not valid UTF-8");
+
+    // Counts no buffer could hold: a definition's length, and the element
+    // count of a set of references.
+    let long = one_field_body(|w| {
+        w.put_u8(9);
+        w.put_varint(u32::MAX as u64);
+        w.put_bytes(b"Paris");
+    });
+    corrupt(
+        "definition length",
+        &long,
+        "truncated while reading string body",
+    );
+    let many = one_field_body(|w| {
+        w.put_u8(7);
+        w.put_varint(u32::MAX as u64);
+        w.put_u8(9);
+        w.put_str("Paris");
+    });
+    corrupt("set count", &many, "implausible element count");
+
+    // The log writes every string in place: either tag in a frame's
+    // payload is corrupt.
+    let mut w = Writer::new();
+    WalRecord::SetField {
+        oid: Oid(1),
+        name: sym("City"),
+        value: Value::str("Paris"),
+    }
+    .encode(&mut w);
+    let payload = w.into_bytes();
+    let tag_at = payload.len() - "Paris".len() - 2;
+    assert_eq!(payload[tag_at], 4, "the value's tag");
+    for (tag, rest) in [(9u8, &payload[tag_at + 1..]), (10, &[0u8][..])] {
+        let mut bad = payload[..tag_at].to_vec();
+        bad.push(tag);
+        bad.extend_from_slice(rest);
+        match WalRecord::decode(&mut Reader::new(&bad, "wal record")) {
+            Err(OodbError::Corrupt { context }) => {
+                assert!(
+                    context.contains(&format!("unknown value tag {tag}")),
+                    "{context}"
+                )
+            }
+            other => panic!("tag {tag} in a log frame: expected Corrupt, got {other:?}"),
+        }
     }
 }

@@ -337,7 +337,7 @@ fn snapshot_of_an_older_format_is_rejected_with_a_typed_error() {
             err,
             Some(ViewError::Oodb(OodbError::UnsupportedFormat {
                 found: 3,
-                supported: 5
+                supported: 6
             }))
         ),
         "old snapshot must fail typed, got {err:?}"
