@@ -97,6 +97,7 @@ fn main() {
     e19_planner();
     e20_front_end();
     e21_cold_path();
+    e22_bind();
     write_metrics_and_trace(&args);
     if let Some(path) = &args.save_baseline {
         save_snapshot(path, &baseline::snapshot());
@@ -2320,4 +2321,44 @@ fn e21_cold_path() {
         body.len() as f64 / N as f64,
         body.len()
     );
+}
+
+/// View `V{i}` of a chain stack: it imports `V{i-1}` (the database, for
+/// `V1`) and declares `C{i}`, drawn from `C{i-1}` (`Person`, for `C1`).
+fn chain_view(i: usize) -> ViewDef {
+    let (from, class) = match i {
+        1 => ("database Staff".to_string(), "Person".to_string()),
+        _ => (format!("view V{}", i - 1), format!("C{}", i - 1)),
+    };
+    ViewDef::from_script(&format!(
+        "create view V{i}; import all classes from {from}; \
+         class C{i} includes (select X from X in {class} where X.Age > 0);"
+    ))
+    .unwrap()
+}
+
+fn e22_bind() {
+    header(
+        "E22",
+        "binding costs what a view declares: one bind of a chain stack's top view",
+    );
+    row("levels", &["stack".into(), "classes".into()]);
+    let sys = people(100);
+    for &k in &[20usize, 60] {
+        let mut below: Vec<std::sync::Arc<ov_views::View>> = Vec::new();
+        for i in 1..k {
+            let view = chain_view(i).binder(&sys).over_all(&below).bind().unwrap();
+            below = vec![std::sync::Arc::new(view)];
+        }
+        let top = chain_view(k);
+        let mut classes = 0;
+        let t = time_ns(8, || {
+            let view = top.binder(&sys).over_all(&below).bind().unwrap();
+            classes = view.class_names().len();
+        });
+        row(
+            &k.to_string(),
+            &[tcell(&k.to_string(), "stack", t), classes.to_string()],
+        );
+    }
 }

@@ -66,6 +66,78 @@ fn binder_stacks_views_programmatically() {
     assert!(upper.binder(&sys).bind().is_err());
 }
 
+/// A stacked view types each upstream class as the view that declares it
+/// bound it. On two three-level stacks — the benchmark's (`Adults` adds a
+/// computed `Address` to the imported `Person`, `Top` hides `Street`) and
+/// `prop_views`' (with an imaginary class and a class drawn from it) —
+/// every class a view below declares has, at every level, the parents, own
+/// attributes and types, kind and hidden flag it has in its declaring
+/// view, and that view's hides hold there too. An imported class has what
+/// it has in the level below, the attributes declared on it included.
+#[test]
+fn a_stacked_view_types_each_upstream_class_as_its_declaring_view() {
+    const BENCH: &str = r#"
+        database Staff;
+        class Person type [Id: integer, Name: string, Age: integer, City: string,
+                           Street: string, Income: integer];
+        class Employee inherits Person type [Salary: integer];
+        class Manager inherits Employee type [Budget: integer];
+        create view Adults;
+        import all classes from database Staff;
+        attribute Address in class Person has value [City: self.City, Street: self.Street];
+        class Adult includes (select P from P in Person where P.Age >= 21);
+        create view Earners;
+        import all classes from view Adults;
+        class Rich includes (select A from A in Adult where A.Income >= 100000);
+        create view Top;
+        import all classes from view Earners;
+        class Elite includes (select R from R in Rich where R.Age >= 60);
+        hide attribute Street in class Person;
+    "#;
+    const PROP: &str = r#"
+        database Staff;
+        class Person type [Age: integer, Income: integer];
+        class Boss type [Age: integer];
+        object #1 in Boss value [Age: 50];
+        name boss = #1;
+        create view Adults;
+        import all classes from database Staff;
+        class Adult includes (select P from Person where P.Age >= 21);
+        class Junior includes (select P from Person where P.Age < boss.Age);
+        class Band includes imaginary (select [Age: P.Age] from P in Person where P.Age >= 21);
+        class Seasoned includes (select B from B in Band where B.Age >= 60);
+        create view Earners;
+        import all classes from view Adults;
+        class Rich includes (select A from Adult where A.Income >= 100);
+        create view Top;
+        import all classes from view Earners;
+        class Elite includes (select R from Rich where R.Age >= 60);
+    "#;
+    const LEVELS: [&str; 3] = ["Adults", "Earners", "Top"];
+    for (script, copies) in [(BENCH, [0, 1, 2]), (PROP, [0, 4, 5])] {
+        let mut s = crate::Session::new();
+        s.execute(script).unwrap();
+        let typing = |view: &str| s.view(sym(view)).unwrap().typing();
+        for (level, view) in LEVELS.iter().enumerate() {
+            let (classes, hides) = typing(view);
+            let mut copied = 0;
+            for (class, (declarer, entry)) in &classes {
+                let owner = match declarer {
+                    Some(owner) if owner.as_str() == *view => continue,
+                    Some(owner) => owner.as_str(),
+                    None if level == 0 => continue,
+                    None => LEVELS[level - 1],
+                };
+                let (theirs, their_hides) = typing(owner);
+                assert_eq!(&theirs[class].1, entry, "{class} in {view}, as in {owner}");
+                assert!(their_hides.is_subset(&hides), "{view} keeps the hides of {owner}");
+                copied += usize::from(declarer.is_some());
+            }
+            assert_eq!(copied, copies[level], "upstream classes in {view}");
+        }
+    }
+}
+
 /// One owner per population: on a three-level stack read wholly through
 /// its top view, each view holds a cache entry or delta-decided flag only
 /// for the classes it declares — the top view reads the others from the

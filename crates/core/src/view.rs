@@ -27,21 +27,19 @@
 //! paper's §5.1 identity semantics ("we are guaranteed that the same tuple
 //! will be assigned the same oid each time the class C is invoked").
 //!
-//! ## Stacking: one owner per population
+//! ## Stacking: one owner per population and per derived schema
 //!
 //! A view bound over upstream views (`import all classes from view V`,
-//! [`Binder::over`]) splices their definitions into its own schema, so a
-//! class it imports from `V` has the same position, attributes and hides
-//! as the view's own classes and types the same way. That is all the
-//! splice is for. Each virtual or imaginary class is populated,
-//! delta-patched and — if imaginary — given oids by exactly one view: the
-//! view that declares it. A stacked view holds nothing for an upstream's
-//! class but its schema entry and the view to ask (`Populated::Upstream`):
-//! its population, its membership tests, its imaginary objects and its
-//! identity table are the declaring view's. W ∘ V reads V's output; it
-//! does not re-run V's body, so a class reads the same through every view
-//! of a stack — by the definitions of the view that declares it — and a
-//! k-level stack keeps k populations, not k(k+1)/2.
+//! [`Binder::over`]) copies each class an upstream declares as that view
+//! bound it: position, kind, own attributes, and the upstream's hides. It
+//! derives nothing of it again, so a class types the same through every
+//! view of a stack, by the schema its declaring view saw. Each virtual or
+//! imaginary class is populated, delta-patched and — if imaginary — given
+//! oids by exactly that view too: a stacked view holds nothing for an
+//! upstream's class but its schema entry and the view to ask
+//! (`Populated::Upstream`). W ∘ V reads V's output; it does not re-run V's
+//! body or re-derive V's hierarchy, so a k-level stack keeps k populations,
+//! not k(k+1)/2, and a bind derives only the view's own classes.
 //!
 //! ## One row loop
 //!
@@ -224,7 +222,9 @@ impl Kept for Value {
     }
 }
 
-/// A parameterized class template (`class Adult(A) includes …`).
+/// A parameterized class template (`class Adult(A) includes …`). The view
+/// that declares it substitutes its includes and defines each instance; a
+/// view stacked above has the instance made there and copies it.
 #[derive(Clone, Debug)]
 struct ParamTemplate {
     params: Vec<Symbol>,
@@ -240,7 +240,8 @@ enum Populated {
     /// The view itself, from these bound includes: it declares the class.
     Here(Arc<[Include]>),
     /// The upstream view that declares the class (an index into
-    /// [`View::upstreams`]), under the class's id there.
+    /// [`View::upstreams`]), under the class's id there; the class here
+    /// is a copy of that view's.
     Upstream(usize, ClassId),
 }
 
@@ -293,8 +294,8 @@ pub struct View {
     /// The definition the view was bound from.
     def: ViewDef,
     /// The views that declare the classes this view imports from views,
-    /// each once, upstream first: the bound views it was bound over and,
-    /// through them, theirs.
+    /// each once and each after the views it was bound over: the bound
+    /// views this one was bound over and, through them, theirs.
     upstreams: Vec<Arc<View>>,
     sources: Vec<DbHandle>,
     /// Durability cores of durable sources (deduplicated). Imaginary
@@ -1711,3 +1712,7 @@ impl DataSource for View {
         Ok(Type::set(Type::Any))
     }
 }
+
+#[cfg(test)]
+#[path = "tests/view_typing.rs"]
+mod typing;

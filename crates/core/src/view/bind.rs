@@ -1,12 +1,15 @@
 //! Binding: turning a [`ViewDef`] into a bound [`View`] — import expansion,
-//! hides, attribute and virtual-class definitions, and the instantiation of
-//! parameterized classes. A child of `view` so it can fill in the view's
-//! private fields; nothing here runs on the read path.
+//! copies of upstream classes, hides, attribute and virtual-class
+//! definitions, and the instantiation of parameterized classes. A child of
+//! `view` so it can fill in the view's private fields; nothing here runs on
+//! the read path.
 //!
-//! A view imported from a view is expanded for typing only: its classes,
-//! attributes and hides enter the bound view's schema, but a class keeps
-//! being populated by the view that declares it (see the `view` module
-//! docs), so no population query of an upstream class is compiled here.
+//! A view imported from a view is not bound again: each class an upstream
+//! declares is copied from that view's bound schema, as it bound it, and
+//! keeps being populated by it (see the `view` module docs). Only the
+//! view's own classes are derived from their includes here.
+
+use ov_oodb::event::Event;
 
 use super::*;
 
@@ -24,15 +27,12 @@ impl ViewDef {
     }
 }
 
-/// The definition of a view, flattened for typing: upstream view imports
-/// expanded into their own (base) imports and elements, each element tagged
-/// with the view that declares it.
+/// What a view's imports reach: upstream view imports expanded into their
+/// own (base) imports and the views that declare what they import.
 struct ExpandedDef {
     imports: Vec<Import>,
-    /// Each element with its declaring view: an index into `views`, or
-    /// `None` for the definition being bound.
-    elements: Vec<(ViewElement, Option<usize>)>,
-    /// The bound upstream views whose definitions were spliced, each once.
+    /// The bound upstream views reached, each once and each after the
+    /// views it was bound over.
     views: Vec<Arc<View>>,
     /// Direct dependency targets of the root definition, in import order.
     direct: Vec<crate::graph::DepTarget>,
@@ -52,15 +52,11 @@ struct ExpandedDef {
 ///
 /// `over` registers bound upstream views so the bound view may import
 /// *views*, not just databases. An import whose name matches a registered
-/// view is expanded in place for typing: the upstream's own imports and
-/// elements — and, through the views *it* was bound over, theirs — are
-/// spliced in (deduplicated, depth first) ahead of this definition's
-/// elements, so its classes are queryable and type as they do upstream.
-/// Each upstream class is read from the bound view that declares it — its
-/// population, delta maintenance and imaginary identity are that view's —
-/// so the stack shares one copy of each, and the next read through any
-/// level sees a change to the shared base. Cycles among definitions are
-/// rejected here, at bind time.
+/// view is expanded in place: its base imports, and those of the views it
+/// was bound over, are imported, and what each of those views declares is
+/// copied as that view bound it and read from there (see the module docs),
+/// so the stack shares one copy of each population. Cycles among
+/// definitions are rejected here, at bind time.
 pub struct Binder<'a> {
     def: &'a ViewDef,
     system: &'a System,
@@ -89,19 +85,18 @@ impl<'a> Binder<'a> {
         self
     }
 
-    /// Expands view imports recursively. `origin` is the declaring view of
-    /// `def`'s elements (`None`: the root), `upstream` resolves the views
-    /// `def` imports — the registered ones for the root, the views an
-    /// upstream was bound over for it — and `stack` is the chain of views
-    /// being expanded (cycle guard).
+    /// Expands view imports recursively. `root` says whether `def` is the
+    /// definition being bound, `upstream` resolves the views `def` imports
+    /// — the registered ones for the root, the views an upstream was bound
+    /// over for it — and `stack` is the chain of views being expanded
+    /// (cycle guard).
     fn expand_into(
         def: &ViewDef,
-        origin: Option<usize>,
+        root: bool,
         upstream: &dyn Fn(Symbol) -> Option<Arc<View>>,
         stack: &mut Vec<Symbol>,
         out: &mut ExpandedDef,
     ) -> Result<()> {
-        let root = origin.is_none();
         stack.push(def.name);
         for import in &def.imports {
             if stack.contains(&import.db) {
@@ -122,12 +117,11 @@ impl<'a> Binder<'a> {
                 if root {
                     out.direct.push(crate::graph::DepTarget::View(import.db));
                 }
-                // Diamond: a view reached twice is spliced once.
+                // Diamond: a view reached twice is expanded once.
                 if out.views.iter().all(|v| v.name != import.db) {
-                    out.views.push(up.clone());
-                    let idx = out.views.len() - 1;
                     let theirs = |name| up.upstreams.iter().find(|v| v.name == name).cloned();
-                    Self::expand_into(&up.def, Some(idx), &theirs, stack, out)?;
+                    Self::expand_into(&up.def, false, &theirs, stack, out)?;
+                    out.views.push(up.clone());
                 }
             } else {
                 if root {
@@ -139,9 +133,6 @@ impl<'a> Binder<'a> {
                 }
             }
         }
-        for element in &def.elements {
-            out.elements.push((element.clone(), origin));
-        }
         stack.pop();
         Ok(())
     }
@@ -152,14 +143,16 @@ impl<'a> Binder<'a> {
         let def = self.def;
         let _span = ov_oodb::span!("view.bind", view = def.name);
         ov_oodb::failpoint!("view.bind");
+        let mut expand = Event::BindExpand.open();
         let mut expanded = ExpandedDef {
             imports: Vec::new(),
-            elements: Vec::new(),
             views: Vec::new(),
             direct: Vec::new(),
         };
         let registered = |name| self.upstream.get(&name).cloned();
-        Self::expand_into(def, None, &registered, &mut Vec::new(), &mut expanded)?;
+        Self::expand_into(def, true, &registered, &mut Vec::new(), &mut expanded)?;
+        expand.field("upstreams", expanded.views.len());
+        expand.close(0);
         let options = self.options;
         let mut view = View {
             token: NEXT_VIEW_TOKEN.fetch_add(1, Ordering::Relaxed),
@@ -188,8 +181,8 @@ impl<'a> Binder<'a> {
             delta_decided: RwLock::default(),
         };
         // Which dependency target defined each class name the view can
-        // read: imported classes map to their database, spliced virtual
-        // classes to the upstream view that declared them. The view's own
+        // read: imported classes map to their database, copied classes and
+        // templates to the upstream view that declared them. The view's own
         // declarations are deliberately absent — reading your own class is
         // not a dependency.
         let mut provenance: HashMap<Symbol, DepTarget> = HashMap::new();
@@ -200,49 +193,56 @@ impl<'a> Binder<'a> {
             .iter()
             .map(|t| (*t, BTreeSet::new()))
             .collect();
+        let mut import = Event::BindImport.open();
         for import in &expanded.imports {
-            let visible = view.do_import(self.system, import)?;
-            for name in visible {
-                provenance.insert(name, DepTarget::Database(import.db));
-            }
+            let on = DepTarget::Database(import.db);
+            provenance.extend(
+                view.do_import(self.system, import)?
+                    .into_iter()
+                    .map(|n| (n, on)),
+            );
         }
-        for (element, origin) in &expanded.elements {
-            if origin.is_none() {
-                // Extract what this element reads *before* defining it, so
-                // self-references don't count and forward references fail
-                // in `define_*` exactly as they always did.
-                for name in element_reads(&view, element) {
-                    if let Some(&target) = provenance.get(&name) {
-                        dep_classes.entry(target).or_default().insert(name);
-                    }
+        let imported = view.schema.read().len();
+        import.field("classes", imported);
+        import.close(0);
+        let mut copy = Event::BindCopy.open();
+        for up in 0..view.upstreams.len() {
+            let on = DepTarget::View(view.upstreams[up].name);
+            provenance.extend(view.copy_upstream(up)?.into_iter().map(|n| (n, on)));
+        }
+        copy.field("classes", view.schema.read().len() - imported);
+        copy.close(0);
+        let mut define = Event::BindDefine.open();
+        let mut own = Vec::new();
+        for element in &def.elements {
+            // Extract what this element reads *before* defining it, so
+            // self-references don't count and forward references fail in
+            // `define_*` exactly as they always did.
+            for name in element_reads(&view, element) {
+                if let Some(&target) = provenance.get(&name) {
+                    dep_classes.entry(target).or_default().insert(name);
                 }
             }
             match element {
+                ViewElement::VirtualClass(vc) if vc.params.is_empty() => {
+                    own.push(view.define_virtual_class(vc.name, &vc.includes)?);
+                }
                 ViewElement::VirtualClass(vc) => {
-                    if vc.params.is_empty() {
-                        let upstream = match origin {
-                            Some(up) => Some((*up, view.upstream_class(*up, vc.name)?)),
-                            None => None,
-                        };
-                        view.define_virtual_class(vc.name, &vc.includes, upstream)?;
-                    } else {
-                        view.templates.insert(
-                            vc.name,
-                            ParamTemplate {
-                                params: vc.params.clone(),
-                                includes: vc.includes.clone(),
-                                upstream: *origin,
-                            },
-                        );
-                    }
-                    if let Some(up) = origin {
-                        provenance.insert(vc.name, DepTarget::View(view.upstreams[*up].name));
-                    }
+                    view.templates.insert(
+                        vc.name,
+                        ParamTemplate {
+                            params: vc.params.clone(),
+                            includes: vc.includes.clone(),
+                            upstream: None,
+                        },
+                    );
                 }
                 ViewElement::Attribute(decl) => view.define_attribute(decl)?,
                 ViewElement::Hide(h) => view.add_hide(h)?,
             }
         }
+        define.field("classes", own.len());
+        define.close(own.len() as u64);
         view.deps = dep_classes
             .into_iter()
             .map(|(on, classes)| DepEdge { on, classes })
@@ -250,17 +250,12 @@ impl<'a> Binder<'a> {
         // Every definition is in: decide which of its own classes a delta
         // decides, in definition order, so each class's includes are
         // decided first.
-        let mut own: Vec<ClassId> = view
-            .virt
-            .read()
-            .iter()
-            .filter(|(_, p)| matches!(p, Populated::Here(_)))
-            .map(|(c, _)| *c)
-            .collect();
-        own.sort_unstable();
+        let mut decide = Event::BindDecideDelta.open();
+        decide.field("classes", own.len());
         for c in own {
             view.decide_delta(c);
         }
+        decide.close(0);
         Ok(view)
     }
 }
@@ -312,15 +307,108 @@ impl View {
     // Binding internals
     // ------------------------------------------------------------------
 
-    /// The id of class `name` in upstream view `up`, which declares it.
-    fn upstream_class(&self, up: usize, name: Symbol) -> Result<ClassId> {
-        let upstream = &self.upstreams[up];
-        upstream.schema.read().class_by_name(name).ok_or_else(|| {
-            ViewError::Definition(format!(
-                "view `{}` does not define its class `{name}`",
-                upstream.name
-            ))
-        })
+    /// Copies what upstream view `up` declares, as it bound it: its classes
+    /// ([`Self::copy_classes`]) and templates, the definitions of the
+    /// attributes it declared — on an imported class or a class of a view
+    /// below it too — and its hides. A view is copied after the views it
+    /// was bound over, so every class a copy names is here. Returns the
+    /// names of the classes and templates copied.
+    fn copy_upstream(&mut self, up: usize) -> Result<Vec<Symbol>> {
+        let upstream = self.upstreams[up].clone();
+        let theirs = upstream.schema.read();
+        let (mut classes, mut copied) = (Vec::new(), Vec::new());
+        for element in &upstream.def.elements {
+            let ViewElement::VirtualClass(vc) = element else {
+                continue;
+            };
+            if vc.params.is_empty() {
+                classes.push(theirs.require_class(vc.name)?);
+            } else {
+                let template = ParamTemplate {
+                    params: vc.params.clone(),
+                    includes: vc.includes.clone(),
+                    upstream: Some(up),
+                };
+                self.templates.insert(vc.name, template);
+            }
+            copied.push(vc.name);
+        }
+        self.copy_classes(up, &theirs, &classes)?;
+        let mut schema = self.schema.write();
+        let ours = |schema: &Schema, c: ClassId| schema.require_class(theirs.class(c).name);
+        for element in &upstream.def.elements {
+            let ViewElement::Attribute(decl) = element else {
+                continue;
+            };
+            let class = theirs.require_class(decl.class)?;
+            if let Some(def) = theirs.class(class).own_attr(decl.name) {
+                let def = remap_attr(def.clone(), &|c| ours(&schema, c).ok());
+                let class = ours(&schema, class)?;
+                schema.add_attr(class, def)?;
+            }
+        }
+        for &(c, attr) in &upstream.hidden_attrs {
+            let hide = (ours(&schema, c)?, attr);
+            if !self.hidden_attrs.contains(&hide) {
+                self.hidden_attrs.push(hide);
+            }
+        }
+        for &c in &upstream.hidden_classes {
+            self.hidden_classes.insert(ours(&schema, c)?);
+        }
+        Ok(copied)
+    }
+
+    /// Copies `classes` of upstream view `up`, which declares them, from
+    /// its schema `theirs`, as it bound them: each with the parents it has
+    /// there, the edges R1 added there from classes that existed before it,
+    /// its own attributes (imaginary core, upward-inherited signatures,
+    /// computed attributes) and its kind. Each copy is read from `up`
+    /// (`Populated::Upstream`). Class ids map by name, which both schemas
+    /// keep unique; a type naming a class this view does not have reads
+    /// `any`, as an import's does. The caller holds the lock of `theirs`:
+    /// an upstream's schema is locked before this view's, never after.
+    fn copy_classes(
+        &self,
+        up: usize,
+        theirs: &Schema,
+        classes: &[ClassId],
+    ) -> Result<Vec<ClassId>> {
+        let mut schema = self.schema.write();
+        let ours = |schema: &Schema, c: ClassId| schema.class_by_name(theirs.class(c).name);
+        let mut ids = Vec::with_capacity(classes.len());
+        for &c in classes {
+            // A parent created after `c` is not here yet: R1 added its edge
+            // when it was created, and so does the loop below.
+            let class = theirs.class(c);
+            let parents: Vec<_> = class
+                .parents
+                .iter()
+                .flat_map(|&p| ours(&schema, p))
+                .collect();
+            ids.push(schema.add_class(class.name, &parents, Vec::new())?);
+        }
+        for (&c, &id) in classes.iter().zip(&ids) {
+            let subs: Vec<_> = theirs
+                .subclasses(c)
+                .iter()
+                .flat_map(|&s| ours(&schema, s))
+                .collect();
+            for sub in subs {
+                schema.add_superclass(sub, id)?;
+            }
+            for def in &theirs.class(c).attrs {
+                let def = remap_attr(def.clone(), &|d| ours(&schema, d));
+                schema.add_attr(id, def)?;
+            }
+        }
+        drop(schema);
+        let kinds = self.upstreams[up].kinds.read();
+        for (&c, &id) in classes.iter().zip(&ids) {
+            self.kinds.write().insert(id, kinds[&c].clone());
+            self.virt.write().insert(id, Populated::Upstream(up, c));
+        }
+        Ok(ids)
     }
 
     /// Imports one specification, returning the class names it made
@@ -395,7 +483,7 @@ impl View {
             let mut defs: Vec<AttrDef> = Vec::new();
             for (_, (def_in, def)) in visible {
                 if def_in == *src_class || !imported.contains(&def_in) {
-                    defs.push(self.remap_attr(def.clone(), &map));
+                    defs.push(remap_attr(def.clone(), &|c| map.get(&c).copied()));
                 }
             }
             let mut schema = self.schema.write();
@@ -411,18 +499,6 @@ impl View {
         }
         self.import_maps.push(presented);
         Ok(visible)
-    }
-
-    /// Rewrites source class ids inside an attribute signature to view
-    /// class ids. References to classes that were not imported degrade to
-    /// `any` (the objects stay reachable; their class is just not named in
-    /// this view).
-    fn remap_attr(&self, mut def: AttrDef, map: &HashMap<ClassId, ClassId>) -> AttrDef {
-        def.sig.ty = remap_type(&def.sig.ty, map);
-        for (_, t) in &mut def.sig.params {
-            *t = remap_type(t, map);
-        }
-        def
     }
 
     fn add_hide(&mut self, hide: &Hide) -> Result<()> {
@@ -516,16 +592,10 @@ impl View {
 
     /// Defines a virtual class from its include list: binds the includes,
     /// infers position (R1/R2), creates the class, adds upward-inherited
-    /// attributes. Shared by bind-time definitions and parameterized-class
-    /// instantiation. A class an upstream view declares (`upstream`: that
-    /// view and the class's id there) is typed the same way, but its
-    /// population queries are not bound: the upstream populates it.
-    fn define_virtual_class(
-        &self,
-        name: Symbol,
-        includes: &[IncludeSpec],
-        upstream: Option<(usize, ClassId)>,
-    ) -> Result<ClassId> {
+    /// attributes. Shared by the view's own definitions and the instances
+    /// of its own templates: a class an upstream declares is copied, not
+    /// defined again ([`Self::copy_classes`]).
+    fn define_virtual_class(&self, name: Symbol, includes: &[IncludeSpec]) -> Result<ClassId> {
         let n_imaginary = includes
             .iter()
             .filter(|i| matches!(i, IncludeSpec::Imaginary(_)))
@@ -588,9 +658,7 @@ impl View {
                     units.push(crate::infer::unit_of(&self.schema.read(), &constraints));
                     // Population queries run on every (re)computation:
                     // fold their constants once, at definition time.
-                    if upstream.is_none() {
-                        bound.push(self.bind_query(ov_query::optimize_select(q), false));
-                    }
+                    bound.push(self.bind_query(ov_query::optimize_select(q), false));
                 }
                 IncludeSpec::Imaginary(q) => {
                     let ty =
@@ -613,9 +681,7 @@ impl View {
                         }
                     };
                     imaginary_core = Some(core);
-                    if upstream.is_none() {
-                        bound.push(self.bind_query(ov_query::optimize_select(q), true));
-                    }
+                    bound.push(self.bind_query(ov_query::optimize_select(q), true));
                 }
             }
         }
@@ -690,11 +756,9 @@ impl View {
                 None => ClassKind::Virtual,
             },
         );
-        let populated = match upstream {
-            Some((up, theirs)) => Populated::Upstream(up, theirs),
-            None => Populated::Here(bound.into()),
-        };
-        self.virt.write().insert(class_id, populated);
+        self.virt
+            .write()
+            .insert(class_id, Populated::Here(bound.into()));
         Ok(class_id)
     }
 
@@ -781,7 +845,7 @@ impl View {
     /// and caching the instance class on first use (§4.1: "classes
     /// automatically disappear or are created"). The view that declares the
     /// template instantiates it and populates the instance; a view stacked
-    /// above types its own copy of the instance and reads it from there.
+    /// above has it instantiated there and copies the instance class.
     pub fn instantiate(&self, name: Symbol, args: &[Value]) -> Result<ClassId> {
         let template = self
             .templates
@@ -803,31 +867,37 @@ impl View {
         if let Some(&c) = instances.get(&key) {
             return Ok(c);
         }
-        // Substitute parameters by value and define as a regular virtual
-        // class under a synthesized name.
-        let params = template.params.clone();
-        let substituted: Vec<IncludeSpec> = template
-            .includes
-            .iter()
-            .map(|inc| substitute_include(inc, &params, args))
-            .collect();
-        let mut instance_name = format!("{name}(");
-        for (i, a) in args.iter().enumerate() {
-            if i > 0 {
-                instance_name.push_str(", ");
+        let class = match template.upstream {
+            Some(up) => {
+                let upstream = &self.upstreams[up];
+                let theirs = upstream.instantiate(name, args)?;
+                self.copy_classes(up, &upstream.schema.read(), &[theirs])?[0]
             }
-            instance_name.push_str(&a.to_string());
-        }
-        instance_name.push(')');
-        let upstream = match template.upstream {
-            Some(up) => Some((up, self.upstreams[up].instantiate(name, args)?)),
-            None => None,
+            None => {
+                // Substitute parameters by value and define as a regular
+                // virtual class under a synthesized name.
+                let substituted: Vec<IncludeSpec> = template
+                    .includes
+                    .iter()
+                    .map(|inc| substitute_include(inc, &template.params, args))
+                    .collect();
+                let mut instance_name = format!("{name}(");
+                for (i, a) in args.iter().enumerate() {
+                    if i > 0 {
+                        instance_name.push_str(", ");
+                    }
+                    instance_name.push_str(&a.to_string());
+                }
+                instance_name.push(')');
+                let instance = Symbol::new(&instance_name);
+                let mut define = Event::BindDefine.open();
+                define.field("class", instance);
+                let class = self.define_virtual_class(instance, &substituted)?;
+                define.close(1);
+                self.decide_delta(class);
+                class
+            }
         };
-        let class =
-            self.define_virtual_class(Symbol::new(&instance_name), &substituted, upstream)?;
-        if upstream.is_none() {
-            self.decide_delta(class);
-        }
         instances.insert(key, class);
         // The schema grew: `Param(x)` names now resolve where they didn't,
         // so any warm compiled-scan resolution caches must be refreshed.
@@ -855,14 +925,23 @@ fn substitute_include(inc: &IncludeSpec, params: &[Symbol], args: &[Value]) -> I
     }
 }
 
-/// Rewrites class references in a type through an import map; unimported
-/// classes degrade to `any`.
-fn remap_type(ty: &Type, map: &HashMap<ClassId, ClassId>) -> Type {
+/// Rewrites source class ids inside an attribute signature to view class
+/// ids through `map`. References to classes the view does not have degrade
+/// to `any` (the objects stay reachable; their class is just not named in
+/// this view).
+fn remap_attr(mut def: AttrDef, map: &dyn Fn(ClassId) -> Option<ClassId>) -> AttrDef {
+    def.sig.ty = remap_type(&def.sig.ty, map);
+    for (_, t) in &mut def.sig.params {
+        *t = remap_type(t, map);
+    }
+    def
+}
+
+/// Rewrites class references in a type through `map`; a class it does not
+/// map degrades to `any`.
+fn remap_type(ty: &Type, map: &dyn Fn(ClassId) -> Option<ClassId>) -> Type {
     match ty {
-        Type::Class(c) => match map.get(c) {
-            Some(v) => Type::Class(*v),
-            None => Type::Any,
-        },
+        Type::Class(c) => map(*c).map_or(Type::Any, Type::Class),
         Type::Tuple(fields) => Type::Tuple(
             fields
                 .iter()

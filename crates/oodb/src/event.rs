@@ -78,6 +78,18 @@ events! {
     PopulationRecompute = "view.population", histogram "views.population.recompute_ns";
     /// A stale population served after its recomputation failed.
     PopulationStaleServe = "view.population", histogram "views.population.stale_serve_ns";
+    /// A bind's walk over its view imports: the base imports and the
+    /// upstream views it reaches.
+    BindExpand = "view.bind.expand";
+    /// A bind's base imports.
+    BindImport = "view.bind.import";
+    /// A bind's copies of the classes its upstream views declare.
+    BindCopy = "view.bind.copy";
+    /// A view's own definitions, or one template instance; its close counts
+    /// the classes derived from their includes.
+    BindDefine = "view.bind.define", counter "views.classes_defined";
+    /// A bind's decisions of which of its own classes a delta decides.
+    BindDecideDelta = "view.bind.decide_delta";
 }
 
 impl Event {

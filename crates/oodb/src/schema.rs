@@ -328,6 +328,11 @@ impl Schema {
         out
     }
 
+    /// The direct subclasses of `c`, in the order their edges were added.
+    pub fn subclasses(&self, c: ClassId) -> &[ClassId] {
+        &self.children[c.0 as usize]
+    }
+
     /// All strict descendants of `c` (excluding `c`).
     pub fn strict_descendants(&self, c: ClassId) -> Vec<ClassId> {
         let mut seen = HashSet::new();

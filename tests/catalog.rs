@@ -980,3 +980,77 @@ fn a_dependent_reading_a_named_object_follows_an_unrelated_change() {
     );
     assert_eq!(s.query(sym("V"), "count(Older)").unwrap(), Value::Int(2));
 }
+
+/// A stacked view types an upstream class as the view that declares it
+/// bound it. `V` declares `C includes like P` over database `A`; `W`
+/// imports `V` and database `B`, whose `Q` conforms to `P`. `C`'s
+/// population is `V`'s, which holds no `Q` object, so in `W` a `Q` object
+/// is not `isa C` either, and `Q` is not placed below `C`.
+#[test]
+fn a_stacked_view_types_an_upstream_class_as_its_owner_does() {
+    let mut s = Session::new();
+    s.execute(
+        r#"
+        database A;
+        class P type [Name: string];
+        insert P value [Name: "p"];
+        database B;
+        class Q type [Name: string, Size: integer];
+        insert Q value [Name: "q", Size: 1];
+        create view V;
+        import all classes from database A;
+        class C includes like P;
+        create view W;
+        import all classes from view V;
+        import all classes from database B;
+        "#,
+    )
+    .unwrap();
+    let count = |q: &str| s.query(sym("W"), q).unwrap();
+    assert_eq!(
+        count("count(select X from X in C where X isa Q)"),
+        Value::Int(0)
+    );
+    assert_eq!(
+        count("count(select X from X in Q where X isa C)"),
+        Value::Int(0)
+    );
+    assert_eq!(count("count(C)"), Value::Int(1));
+    let w = s.view(sym("W")).unwrap();
+    assert!(!w.parents_of(sym("Q")).unwrap().contains(&sym("C")));
+    assert!(w.is_subclass_by_name(sym("P"), sym("C")).unwrap());
+}
+
+/// A template a view below declares is instantiated there and its instance
+/// copied: through `W`, `Grown(21)` has the members and parents it has in
+/// `V`, and another argument makes another instance.
+#[test]
+fn a_stacked_view_copies_an_upstream_template_instance() {
+    let mut s = staff_session();
+    s.execute(
+        r#"
+        create view V;
+        import all classes from database Staff;
+        class Grown(N) includes (select P from Person where P.Age >= N);
+        create view W;
+        import all classes from view V;
+        "#,
+    )
+    .unwrap();
+    let names = |view: &str| {
+        s.query(sym(view), r#"select G.Name from G in Grown(21)"#)
+            .unwrap()
+    };
+    assert_eq!(names("W"), names("V"));
+    assert_eq!(
+        names("W"),
+        Value::set([Value::str("Maggy"), Value::str("Tony")])
+    );
+    let (v, w) = (s.view(sym("V")).unwrap(), s.view(sym("W")).unwrap());
+    let class = sym("Grown(21)");
+    assert_eq!(w.parents_of(class).unwrap(), v.parents_of(class).unwrap());
+    assert_eq!(
+        s.query(sym("W"), "count(Grown(60))").unwrap(),
+        Value::Int(1)
+    );
+}

@@ -852,6 +852,49 @@ fn a_population_logs_its_identity_in_one_commit_per_durable_core() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Binding the top view of a chain stack derives its own class only: each
+/// class of a view below is copied from the view that declares it. `V_i`
+/// imports `V_{i-1}` and declares `C_i`, drawn from `C_{i-1}`; binding
+/// `V_k` over the bound `V_{k-1}` moves `views.classes_defined` by one,
+/// however deep the stack. (It sits here because the registry is
+/// process-wide and this binary's tests run one at a time.)
+#[test]
+fn binding_a_stacked_view_defines_only_its_own_classes() {
+    let _serial = chaos_lock();
+    let _guard = ChaosGuard;
+    let defined = objects_and_views::oodb::registry().counter("views.classes_defined");
+    for k in [3, 20] {
+        let mut sys = System::new();
+        execute_script(
+            &mut sys,
+            "database D; class C0 type [A: integer]; insert C0 value [A: 1];",
+        )
+        .unwrap();
+        let def = |i: usize| {
+            let from = match i {
+                1 => "database D".to_string(),
+                _ => format!("view V{}", i - 1),
+            };
+            let script = format!(
+                "create view V{i}; import all classes from {from}; \
+                 class C{i} includes (select X from X in C{} where X.A > 0);",
+                i - 1
+            );
+            ViewDef::from_script(&script).unwrap()
+        };
+        let mut below: Option<Arc<View>> = None;
+        for i in 1..k {
+            let view = def(i).binder(&sys).over_all(below.iter()).bind().unwrap();
+            below = Some(Arc::new(view));
+        }
+        let before = defined.get();
+        let top = def(k).binder(&sys).over_all(below.iter()).bind().unwrap();
+        assert_eq!(defined.get() - before, 1, "classes defined binding V{k}");
+        assert_eq!(top.class_names().len(), k + 1);
+        assert_eq!(top.query(&format!("count(C{k})")).unwrap(), Value::Int(1));
+    }
+}
+
 #[test]
 fn crash_chaos_fixed_seed_a() {
     run_crash_chaos(0x0b1ec75);

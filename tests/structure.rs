@@ -384,6 +384,16 @@ fn one_owner_per_population() {
     clean(guard::one_owner_per_population(tree()));
 }
 
+/// A stacked view copies each upstream class as the view that declares it
+/// bound it (DESIGN.md §10): only the view's own classes and its own
+/// template instances are derived from their includes. A
+/// `define_virtual_class` that takes the upstream a class comes from would
+/// derive it a second time, against a wider schema than its owner's.
+#[test]
+fn one_owner_per_derived_schema() {
+    clean(guard::one_owner_per_derived_schema(tree()));
+}
+
 /// A statement shape compiles once (DESIGN.md §14): the plan-cache entry of
 /// its fingerprint holds the compiled code beside the plan, and a statement
 /// of a cached shape binds its literals to that code. A compile on the
@@ -651,17 +661,44 @@ mod guard {
         let mut hits = grep(files, &["crates/core/src"], |l| {
             l.contains("next_imaginary: AtomicU64")
         });
+        hits.extend(views_at(files, takes_view_def));
+        hits
+    }
+
+    pub fn one_owner_per_derived_schema(files: &[Source]) -> Vec<String> {
+        views_at(files, |text| {
+            signature_names(text, "fn define_virtual_class", "upstream")
+        })
+    }
+
+    /// The lines of the files under `crates/core/src` that hold an offset
+    /// `find` returns for their text.
+    fn views_at(files: &[Source], find: impl Fn(&str) -> Vec<usize>) -> Vec<String> {
+        let mut hits = Vec::new();
         for f in files
             .iter()
             .filter(|f| under(&f.path, &["crates/core/src"]))
         {
-            for at in takes_view_def(&f.text) {
+            for at in find(&f.text) {
                 let n = f.text[..at].matches('\n').count() + 1;
                 let line = numbered(&f.text).nth(n - 1).map_or("", |(_, l)| l);
                 hits.push(hit(&f.path, n, line));
             }
         }
         hits
+    }
+
+    /// Where `head\b[^{]*word` matches `text` as one string: a fn `head`
+    /// whose signature, on any number of lines, names `word`.
+    fn signature_names(text: &str, head: &str, word: &str) -> Vec<usize> {
+        text.match_indices(head)
+            .map(|(i, _)| i)
+            .filter(|&i| {
+                let rest = &text[i + head.len()..];
+                !rest.starts_with(is_word)
+                    && rest.find(word).is_some_and(|w| !rest[..w].contains('{'))
+            })
+            .collect()
     }
 
     /// Where `fn over(_all)?\b[^{]*ViewDef` matches `text` as one string:
@@ -1129,6 +1166,42 @@ pub struct View {
     assert!(run(
         guard::one_owner_per_population,
         &[("crates/core/src/graph.rs", overlap)]
+    )
+    .is_empty());
+}
+
+#[test]
+fn one_owner_per_derived_schema_reports_its_mutation() {
+    let clean = "\
+impl View {
+    fn define_virtual_class(&self, name: Symbol, includes: &[IncludeSpec]) -> Result<ClassId> {
+        let upstream = self.upstreams.first();
+    }
+}
+";
+    let mutated = "\
+impl View {
+    fn define_virtual_class(
+        &self,
+        name: Symbol,
+        includes: &[IncludeSpec],
+        upstream: Option<(usize, ClassId)>,
+    ) -> Result<ClassId> {
+        let upstream = self.upstreams.first();
+    }
+}
+";
+    mutation(
+        guard::one_owner_per_derived_schema,
+        &[("crates/core/src/view/bind.rs", clean)],
+        &[("crates/core/src/view/bind.rs", mutated)],
+        &["crates/core/src/view/bind.rs:2: fn define_virtual_class("],
+    );
+    // Another fn's signature may name it.
+    let other = "fn define_virtual_classes(upstream: usize) {}\n";
+    assert!(run(
+        guard::one_owner_per_derived_schema,
+        &[("crates/core/src/view.rs", other)]
     )
     .is_empty());
 }
