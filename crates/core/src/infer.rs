@@ -54,7 +54,7 @@ pub fn infer_position(
     let parents = match units.split_first() {
         None => Vec::new(),
         Some((first, rest)) => {
-            let mut common: Vec<ClassId> = first
+            let common: Vec<ClassId> = first
                 .iter()
                 .copied()
                 .filter(|d| rest.iter().all(|unit| unit.contains(d)))
@@ -62,11 +62,10 @@ pub fn infer_position(
                 .collect();
             // Minimize: drop any class with a strictly smaller common
             // superclass.
-            let all = common.clone();
-            common.retain(|&d| !all.iter().any(|&e| e != d && schema.is_subclass(e, d)));
-            common.sort();
-            common.dedup();
-            common
+            let mut minimal = schema.minimal(&common);
+            minimal.sort();
+            minimal.dedup();
+            minimal
         }
     };
     let mut new_subclasses = wholly_included.to_vec();
@@ -76,18 +75,6 @@ pub fn infer_position(
         parents,
         new_subclasses,
     }
-}
-
-/// Convenience for building a unit from one or more constraint classes: the
-/// union of their ancestor sets.
-pub fn unit_of(schema: &Schema, constraints: &[ClassId]) -> Vec<ClassId> {
-    let mut out: Vec<ClassId> = constraints
-        .iter()
-        .flat_map(|&c| schema.ancestors(c))
-        .collect();
-    out.sort();
-    out.dedup();
-    out
 }
 
 /// Upward inheritance (§4.3): the attributes the virtual class acquires
@@ -218,7 +205,7 @@ mod tests {
     fn generalization_finds_common_superclass() {
         // "By rule (1), … Ship is a superclass of … Merchant_Vessel."
         let (s, ship, tanker, trawler, ..) = navy();
-        let units = vec![unit_of(&s, &[tanker]), unit_of(&s, &[trawler])];
+        let units = vec![s.ancestors_of(&[tanker]), s.ancestors_of(&[trawler])];
         let pos = infer_position(&s, &units, &[tanker, trawler]);
         assert_eq!(pos.parents, vec![ship]);
         assert_eq!(pos.new_subclasses, vec![tanker, trawler]);
@@ -229,7 +216,7 @@ mod tests {
         let mut s = Schema::new();
         let a = s.add_class(sym("A"), &[], vec![]).unwrap();
         let b = s.add_class(sym("B"), &[], vec![]).unwrap();
-        let units = vec![unit_of(&s, &[a]), unit_of(&s, &[b])];
+        let units = vec![s.ancestors_of(&[a]), s.ancestors_of(&[b])];
         let pos = infer_position(&s, &units, &[a, b]);
         assert!(pos.parents.is_empty());
     }
@@ -240,7 +227,7 @@ mod tests {
         // parent and there are no new subclasses.
         let mut s = Schema::new();
         let person = s.add_class(sym("Person"), &[], vec![]).unwrap();
-        let pos = infer_position(&s, &[unit_of(&s, &[person])], &[]);
+        let pos = infer_position(&s, &[s.ancestors_of(&[person])], &[]);
         assert_eq!(pos.parents, vec![person]);
         assert!(pos.new_subclasses.is_empty());
     }
@@ -252,7 +239,7 @@ mod tests {
         let mut s = Schema::new();
         let rich = s.add_class(sym("Rich"), &[], vec![]).unwrap();
         let beautiful = s.add_class(sym("Beautiful"), &[], vec![]).unwrap();
-        let pos = infer_position(&s, &[unit_of(&s, &[rich, beautiful])], &[]);
+        let pos = infer_position(&s, &[s.ancestors_of(&[rich, beautiful])], &[]);
         assert_eq!(pos.parents, vec![rich, beautiful]);
     }
 
@@ -266,9 +253,9 @@ mod tests {
         let senior = s.add_class(sym("Senior"), &[adult], vec![]).unwrap();
         let student = s.add_class(sym("Student"), &[person], vec![]).unwrap();
         let units = vec![
-            unit_of(&s, &[senior]),
-            unit_of(&s, &[student]),
-            unit_of(&s, &[adult]),
+            s.ancestors_of(&[senior]),
+            s.ancestors_of(&[student]),
+            s.ancestors_of(&[adult]),
         ];
         let pos = infer_position(&s, &units, &[senior, student]);
         assert_eq!(pos.parents, vec![person]);

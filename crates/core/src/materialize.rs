@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use ov_oodb::{AttrDef, ClassId, Database, Oid, Symbol, Type, Value};
+use ov_oodb::{AttrDef, ClassGraph, ClassId, Database, Oid, Symbol, Type, Value};
 use ov_query::DataSource;
 
 use crate::error::Result;
@@ -48,21 +48,14 @@ impl View {
             .collect();
         classes.sort();
         for (view_id, cname) in &classes {
-            let parents: Vec<ClassId> = DataSource::ancestors(self, *view_id)
+            let parents: Vec<ClassId> = self
+                .ancestors(*view_id)
                 .into_iter()
                 .filter(|&a| a != *view_id)
                 .filter_map(|a| class_map.get(&a).copied())
                 .collect();
             // Reduce to direct-most parents: keep minimal ones.
-            let direct: Vec<ClassId> = parents
-                .iter()
-                .copied()
-                .filter(|&p| {
-                    !parents
-                        .iter()
-                        .any(|&q| q != p && ov_oodb::ClassGraph::is_subclass(&db.schema, q, p))
-                })
-                .collect();
+            let direct = db.minimal(&parents);
             // Own attributes: fields of the class type not provided by any
             // materialized parent.
             let Type::Tuple(fields) = DataSource::class_type(self, *view_id) else {
@@ -100,16 +93,7 @@ impl View {
             let memberships = self
                 .membership_roots(oid, None)
                 .map_err(crate::ViewError::from)?;
-            let minimal: Vec<ClassId> = memberships
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    !memberships
-                        .iter()
-                        .any(|&d| d != c && DataSource::is_subclass(self, d, c))
-                })
-                .collect();
-            let root = match minimal.as_slice() {
+            let root = match self.minimal(&memberships).as_slice() {
                 [one] => *one,
                 _ => presented,
             };

@@ -172,7 +172,39 @@ fn hide_class_removes_name_but_objects_present_upward() {
         db.deep_extent(manager)[0]
     };
     let c = DataSource::class_of(&view, manager_oid).unwrap();
-    assert_eq!(DataSource::class_name(&view, c), sym("Employee"));
+    assert_eq!(ov_oodb::ClassGraph::class_name(&view, c), sym("Employee"));
+}
+
+#[test]
+fn a_hidden_class_presents_as_its_first_visible_parent() {
+    // `B` has the larger id, but it is `H`'s first parent: breadth-first
+    // by the parents' order, an `H` object presents as a `B`.
+    let mut sys = System::new();
+    execute_script(
+        &mut sys,
+        r#"
+        database D;
+        class A type [X: integer];
+        class B type [Y: integer];
+        class H inherits B, A type [Z: integer];
+        object #1 in H value [X: 1, Y: 2, Z: 3];
+        "#,
+    )
+    .unwrap();
+    let view = ViewDef::from_script(
+        "create view V; import all classes from database D; hide class H;",
+    )
+    .unwrap()
+    .binder(&sys)
+    .bind()
+    .unwrap();
+    let oid = {
+        let db = sys.database(sym("D")).unwrap();
+        let db = db.read();
+        db.deep_extent(db.schema.class_by_name(sym("H")).unwrap())[0]
+    };
+    let c = DataSource::class_of(&view, oid).unwrap();
+    assert_eq!(ov_oodb::ClassGraph::class_name(&view, c), sym("B"));
 }
 
 #[test]

@@ -1185,16 +1185,9 @@ impl View {
     /// The nearest visible ancestors of hidden class `class`: what its
     /// objects present as. Empty when every ancestor is hidden too.
     fn nearest_visible_ancestors(&self, schema: &Schema, class: ClassId) -> Vec<ClassId> {
-        let visible: Vec<ClassId> = schema
-            .ancestors(class)
-            .into_iter()
-            .filter(|&a| !self.is_hidden_class(a))
-            .collect();
-        visible
-            .iter()
-            .copied()
-            .filter(|&a| !visible.iter().any(|&b| b != a && schema.is_subclass(b, a)))
-            .collect()
+        let mut visible = schema.ancestors(class);
+        visible.retain(|&a| !self.is_hidden_class(a));
+        schema.minimal(&visible)
     }
 
     /// The classes resolution starts from for an object presenting as
@@ -1237,26 +1230,20 @@ impl View {
                 .map(|(&c, _)| c)
                 .collect()
         };
-        let base_defs: HashSet<ClassId> = match attr {
-            None => HashSet::new(),
-            Some(_) => {
-                let schema = self.schema.read();
-                roots
-                    .iter()
-                    .flat_map(|&r| ClassGraph::ancestors(&*schema, r))
-                    .collect()
-            }
+        let base_defs = match attr {
+            None => Vec::new(),
+            Some(_) => self.schema.read().ancestors_of(roots),
         };
         self.populatable_virtuals(|schema, v| {
             if roots.contains(&v) {
                 return false;
             }
-            let above = ClassGraph::ancestors(schema, v);
+            let above = schema.ancestors(v);
             !above.iter().any(|a| imaginary.contains(a))
                 && match attr {
                     None => true,
                     Some(attr) => above.iter().any(|&a| {
-                        !base_defs.contains(&a)
+                        base_defs.binary_search(&a).is_err()
                             && schema
                                 .class(a)
                                 .own_attr(attr)
@@ -1468,21 +1455,23 @@ impl View {
 // DataSource: the view *is* a database to the query layer.
 // ----------------------------------------------------------------------
 
-impl DataSource for View {
-    fn class_by_name(&self, name: Symbol) -> Option<ClassId> {
-        self.lookup_class(name)
-    }
-
-    fn class_name(&self, c: ClassId) -> Symbol {
-        self.schema.read().class(c).name
-    }
-
+impl ClassGraph for View {
     fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
         self.schema.read().is_subclass(sub, sup)
     }
 
     fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
-        ClassGraph::ancestors(&*self.schema.read(), c)
+        self.schema.read().ancestors(c)
+    }
+
+    fn class_name(&self, c: ClassId) -> Symbol {
+        self.schema.read().class(c).name
+    }
+}
+
+impl DataSource for View {
+    fn class_by_name(&self, name: Symbol) -> Option<ClassId> {
+        self.lookup_class(name)
     }
 
     fn class_of(&self, oid: Oid) -> ov_query::Result<ClassId> {

@@ -614,7 +614,7 @@ impl View {
                 IncludeSpec::Class(n) => {
                     let c = self.lookup_class(*n).ok_or(OodbError::UnknownClass(*n))?;
                     wholly.push(c);
-                    units.push(crate::infer::unit_of(&self.schema.read(), &[c]));
+                    units.push(self.schema.read().ancestors_of(&[c]));
                     bound.push(Include::Class(c));
                 }
                 IncludeSpec::Like(n) => {
@@ -623,7 +623,7 @@ impl View {
                     for class in schema.classes() {
                         if !self.is_hidden_class(class.id) && conforms_to(&schema, class.id, spec) {
                             wholly.push(class.id);
-                            units.push(crate::infer::unit_of(&schema, &[class.id]));
+                            units.push(schema.ancestors_of(&[class.id]));
                         }
                     }
                     bound.push(Include::Like { spec });
@@ -655,7 +655,7 @@ impl View {
                     // conjuncts `X in C` / `X isa C` on the projected
                     // variable are additional guaranteed superclasses.
                     constraints.extend(self.membership_conjunct_sources(q));
-                    units.push(crate::infer::unit_of(&self.schema.read(), &constraints));
+                    units.push(self.schema.read().ancestors_of(&constraints));
                     // Population queries run on every (re)computation:
                     // fold their constants once, at definition time.
                     bound.push(self.bind_query(ov_query::optimize_select(q), false));
@@ -690,20 +690,11 @@ impl View {
         // Contributors for upward inheritance: every class that directly
         // feeds the population (wholly-included classes plus the primary
         // constraint classes of queries).
+        // The minimal classes of each unit are the classes the contributor
+        // actually is (not their superclasses).
         let contributors: Vec<ClassId> = {
-            let mut v: Vec<ClassId> = units
-                .iter()
-                .flat_map(|u| {
-                    // The minimal classes of each unit are the classes the
-                    // contributor actually is (not their superclasses).
-                    let schema = self.schema.read();
-                    let u2 = u.clone();
-                    u.iter()
-                        .copied()
-                        .filter(|&c| !u2.iter().any(|&d| d != c && schema.is_subclass(d, c)))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
+            let schema = self.schema.read();
+            let mut v: Vec<ClassId> = units.iter().flat_map(|u| schema.minimal(u)).collect();
             v.sort();
             v.dedup();
             v

@@ -434,6 +434,21 @@ impl Database {
     }
 }
 
+/// A database's hierarchy is its schema's.
+impl ClassGraph for Database {
+    fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
+        self.schema.is_subclass(sub, sup)
+    }
+
+    fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
+        self.schema.ancestors(c)
+    }
+
+    fn class_name(&self, c: ClassId) -> Symbol {
+        self.schema.class(c).name
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

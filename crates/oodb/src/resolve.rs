@@ -131,7 +131,7 @@ pub fn visible_in<'a>(
         match cls.parents.as_slice() {
             [] => return out,
             [parent] => c = *parent,
-            _ => break ancestors_of(schema, &[c]),
+            _ => break schema.ancestors_of(&[c]),
         }
     };
     // Names defined below the first multiple-inheritance point are more
@@ -176,7 +176,7 @@ fn most_specific<'a, F: Fn(ClassId, &AttrDef) -> bool + ?Sized>(
     keep: &F,
 ) -> Resolution<'a> {
     let &[mut class] = roots else {
-        return among(schema, &ancestors_of(schema, roots), name, keep);
+        return among(schema, &schema.ancestors_of(roots), name, keep);
     };
     // Up a single-inheritance chain the nearest counted definition is the
     // only most specific one, and a class whose definition does not count
@@ -189,17 +189,9 @@ fn most_specific<'a, F: Fn(ClassId, &AttrDef) -> bool + ?Sized>(
         match c.parents.as_slice() {
             [] => return Resolution::NotFound,
             [parent] => class = *parent,
-            _ => return among(schema, &ancestors_of(schema, &[class]), name, keep),
+            _ => return among(schema, &schema.ancestors_of(&[class]), name, keep),
         }
     }
-}
-
-/// `roots` and all their ancestors, in ascending id order.
-fn ancestors_of(schema: &Schema, roots: &[ClassId]) -> Vec<ClassId> {
-    let mut out: Vec<ClassId> = roots.iter().flat_map(|&r| schema.ancestors(r)).collect();
-    out.sort();
-    out.dedup();
-    out
 }
 
 /// Steps 1 and 2 over `classes` (ascending id order, closed upward).
@@ -214,11 +206,7 @@ fn among<'a, F: Fn(ClassId, &AttrDef) -> bool + ?Sized>(
         .copied()
         .filter(|&c| schema.class(c).own_attr(name).is_some_and(|d| keep(c, d)))
         .collect();
-    let minimal: Vec<ClassId> = defining
-        .iter()
-        .copied()
-        .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))
-        .collect();
+    let minimal = schema.minimal(&defining);
     match minimal.as_slice() {
         [] => Resolution::NotFound,
         // Unreachable expect: `minimal` only holds classes defining `name`.

@@ -12,6 +12,13 @@
 //! computed, as in the paper's `Employee`/`Manager` `Address` example — as
 //! long as the redefined type is a subtype of every inherited type
 //! (covariant redefinition).
+//!
+//! The schema is the home of the hierarchy's one decision, which classes
+//! are above which: it keeps each class's ancestor list, the class itself
+//! and then its ancestors breadth-first by its parents' order, and
+//! maintains it as classes and edges are added. `is_subclass`, `ancestors`
+//! and `strict_ancestors` read the list, and [`ClassGraph::minimal`] and
+//! [`ClassGraph::ancestors_of`] are built on it.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -142,6 +149,9 @@ pub struct Schema {
     by_name: HashMap<Symbol, ClassId>,
     /// Direct subclasses, parallel to `classes`.
     children: Vec<Vec<ClassId>>,
+    /// Each class's ancestor list, parallel to `classes`: the class itself,
+    /// then its strict ancestors breadth-first by its parents' order.
+    ancestry: Vec<Vec<ClassId>>,
 }
 
 impl Schema {
@@ -216,6 +226,7 @@ impl Schema {
             attrs,
         });
         self.children.push(Vec::new());
+        self.ancestry.push(self.breadth_first(id));
         self.by_name.insert(name, id);
         for &p in parents {
             self.children[p.0 as usize].push(id);
@@ -224,6 +235,7 @@ impl Schema {
             // Roll back so a failed definition leaves the schema unchanged.
             let class = self.classes.pop().expect("just pushed");
             self.children.pop();
+            self.ancestry.pop();
             self.by_name.remove(&name);
             for &p in &class.parents {
                 self.children[p.0 as usize].retain(|&c| c != id);
@@ -281,7 +293,7 @@ impl Schema {
             Some(d) => d,
             None => return Ok(()),
         };
-        for anc in self.strict_ancestors(class) {
+        for &anc in self.strict_ancestors(class) {
             if let Some(inherited) = self.class(anc).own_attr(name) {
                 if !own.sig.ty.is_subtype(&inherited.sig.ty, self) {
                     return Err(OodbError::IncompatibleOverride {
@@ -310,15 +322,19 @@ impl Schema {
         }
         self.classes[class.0 as usize].parents.push(parent);
         self.children[parent.0 as usize].push(class);
+        // The new edge lengthens the lists of `class` and everything below.
+        for c in std::iter::once(class).chain(self.strict_descendants(class)) {
+            self.ancestry[c.0 as usize] = self.breadth_first(c);
+        }
         Ok(())
     }
 
-    /// All strict ancestors of `c` (excluding `c`), breadth-first from the
-    /// direct parents, deduplicated.
-    pub fn strict_ancestors(&self, c: ClassId) -> Vec<ClassId> {
-        let mut seen = HashSet::new();
+    /// `c`, then its strict ancestors breadth-first from the direct
+    /// parents, deduplicated: what its stored ancestor list holds.
+    fn breadth_first(&self, c: ClassId) -> Vec<ClassId> {
+        let mut seen = HashSet::from([c]);
+        let mut out = vec![c];
         let mut queue: VecDeque<ClassId> = self.class(c).parents.iter().copied().collect();
-        let mut out = Vec::new();
         while let Some(p) = queue.pop_front() {
             if seen.insert(p) {
                 out.push(p);
@@ -326,6 +342,12 @@ impl Schema {
             }
         }
         out
+    }
+
+    /// All strict ancestors of `c` (excluding `c`), breadth-first from the
+    /// direct parents, deduplicated.
+    pub fn strict_ancestors(&self, c: ClassId) -> &[ClassId] {
+        &self.ancestry[c.0 as usize][1..]
     }
 
     /// The direct subclasses of `c`, in the order their edges were added.
@@ -377,27 +399,11 @@ impl Schema {
 
 impl ClassGraph for Schema {
     fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
-        if sub == sup {
-            return true;
-        }
-        // BFS upward from `sub`.
-        let mut seen = HashSet::new();
-        let mut queue: VecDeque<ClassId> = self.class(sub).parents.iter().copied().collect();
-        while let Some(p) = queue.pop_front() {
-            if p == sup {
-                return true;
-            }
-            if seen.insert(p) {
-                queue.extend(self.class(p).parents.iter().copied());
-            }
-        }
-        false
+        self.ancestry[sub.0 as usize].contains(&sup)
     }
 
     fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
-        let mut out = vec![c];
-        out.extend(self.strict_ancestors(c));
-        out
+        self.ancestry[c.0 as usize].clone()
     }
 
     fn class_name(&self, c: ClassId) -> Symbol {
@@ -524,6 +530,34 @@ mod tests {
         // Employee still stores it.
         let employee = s.class_by_name(sym("Employee")).unwrap();
         assert!(s.visible_attrs(employee)[&sym("Address")].1.is_stored());
+    }
+
+    #[test]
+    fn an_override_is_checked_against_ancestors_breadth_first() {
+        // `B` has the larger id, but it is `H`'s first parent: the check
+        // meets `B` first and names it.
+        let mut s = Schema::new();
+        let a = s
+            .add_class(sym("A"), &[], vec![AttrDef::stored(sym("X"), Type::Int)])
+            .unwrap();
+        let b = s
+            .add_class(sym("B"), &[], vec![AttrDef::stored(sym("X"), Type::Int)])
+            .unwrap();
+        let err = s
+            .add_class(
+                sym("H"),
+                &[b, a],
+                vec![AttrDef::stored(sym("X"), Type::Str)],
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            OodbError::IncompatibleOverride {
+                class: sym("H"),
+                attr: sym("X"),
+                parent: sym("B"),
+            }
+        );
     }
 
     #[test]

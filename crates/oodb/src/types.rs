@@ -24,19 +24,47 @@ use std::fmt;
 use crate::ids::ClassId;
 use crate::symbol::Symbol;
 
-/// Access to a class hierarchy, as needed by type-level operations.
+/// Access to a class hierarchy: which classes are above which.
 ///
-/// Implemented by [`crate::Schema`] and by the view layer's overlay
-/// hierarchy.
+/// [`crate::Schema`] answers from the ancestor list it keeps per class;
+/// [`crate::Database`] and every query source (`ov_query::DataSource`
+/// extends this trait; a view answers from its own schema) forward to a
+/// schema. The two provided methods are the hierarchy's set operations,
+/// the one place the minimal classes of a set and the ancestors of several
+/// roots are computed.
 pub trait ClassGraph {
     /// Is `sub` equal to, or a (transitive) subclass of, `sup`?
     fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool;
 
-    /// All superclasses of `c`, including `c` itself.
+    /// `c`, then its strict ancestors breadth-first by its parents' order.
     fn ancestors(&self, c: ClassId) -> Vec<ClassId>;
 
     /// Resolves a class id to its name (for display).
     fn class_name(&self, c: ClassId) -> Symbol;
+
+    /// The members of `set` that are no strict ancestor of another member,
+    /// in `set`'s order: the most specific classes of the set. Linear in
+    /// the members' ancestor lists.
+    fn minimal(&self, set: &[ClassId]) -> Vec<ClassId> {
+        let mut above: Vec<ClassId> = set
+            .iter()
+            .flat_map(|&c| self.ancestors(c).into_iter().skip(1))
+            .collect();
+        above.sort_unstable();
+        above.dedup();
+        set.iter()
+            .copied()
+            .filter(|c| above.binary_search(c).is_err())
+            .collect()
+    }
+
+    /// `roots` and all their ancestors, in ascending id order.
+    fn ancestors_of(&self, roots: &[ClassId]) -> Vec<ClassId> {
+        let mut out: Vec<ClassId> = roots.iter().flat_map(|&r| self.ancestors(r)).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 }
 
 /// A database type.
@@ -206,21 +234,13 @@ impl Type {
 /// The set of minimal elements (w.r.t. the subclass order) among the common
 /// superclasses of `a` and `b`.
 fn minimal_common_superclasses(a: ClassId, b: ClassId, g: &dyn ClassGraph) -> Vec<ClassId> {
-    let ancestors_a = g.ancestors(a);
-    let common: Vec<ClassId> = ancestors_a
+    let common: Vec<ClassId> = g
+        .ancestors(a)
         .into_iter()
         .filter(|&s| g.is_subclass(b, s))
         .collect();
-    let mut minimal: Vec<ClassId> = Vec::new();
-    for &c in &common {
-        // c is minimal if no *strictly smaller* common superclass exists.
-        let strictly_below_exists = common.iter().any(|&d| d != c && g.is_subclass(d, c));
-        if !strictly_below_exists {
-            minimal.push(c);
-        }
-    }
-    minimal.sort();
-    minimal.dedup();
+    let mut minimal = g.minimal(&common);
+    minimal.sort_unstable();
     minimal
 }
 

@@ -3,7 +3,7 @@
 //! silently depends on both.
 
 use ov_oodb::types::NoClasses;
-use ov_oodb::{sym, ClassGraph, Schema, Type};
+use ov_oodb::{sym, ClassGraph, ClassId, Schema, Type};
 use proptest::prelude::*;
 
 fn arb_type() -> impl Strategy<Value = Type> {
@@ -127,4 +127,79 @@ proptest! {
             }
         }
     }
+
+    /// The ancestor lists a schema keeps follow its edges: random DAGs grow
+    /// by classes and by `add_superclass` edges, some of which close a
+    /// cycle and must be refused without a trace, and after every step the
+    /// lists, `minimal` and `ancestors_of` agree with references computed
+    /// here from `class(c).parents` alone.
+    #[test]
+    fn stored_ancestor_lists_follow_the_edges(
+        steps in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec(any::<prop::sample::Index>(), 0..3)),
+            1..16,
+        ),
+        subsets in prop::collection::vec(prop::collection::vec(any::<prop::sample::Index>(), 0..5), 4),
+    ) {
+        let mut schema = Schema::new();
+        let mut ids: Vec<ClassId> = Vec::new();
+        for (i, (edge, picks)) in steps.iter().enumerate() {
+            let picked: Vec<ClassId> = match ids.len() {
+                0 => Vec::new(),
+                n => picks.iter().map(|ix| ids[ix.index(n)]).collect(),
+            };
+            if *edge && picked.len() >= 2 {
+                let (class, parent) = (picked[0], picked[1]);
+                let before: Vec<_> = ids.iter().map(|&c| (schema.class(c).parents.clone(), schema.ancestors(c))).collect();
+                let cycle = class == parent || bfs(&schema, parent).contains(&class);
+                let added = schema.add_superclass(class, parent);
+                prop_assert_eq!(added.is_err(), cycle);
+                if cycle {
+                    let after: Vec<_> = ids.iter().map(|&c| (schema.class(c).parents.clone(), schema.ancestors(c))).collect();
+                    prop_assert_eq!(before, after);
+                }
+            } else {
+                // Unsorted, so the parents' order is exercised.
+                let mut parents = Vec::new();
+                for p in picked {
+                    if !parents.contains(&p) {
+                        parents.push(p);
+                    }
+                }
+                let id = schema.add_class(sym(&format!("D{i}_{}", steps.len())), &parents, vec![]).unwrap();
+                ids.push(id);
+            }
+            for &c in &ids {
+                prop_assert_eq!(schema.ancestors(c), bfs(&schema, c));
+            }
+            for subset in &subsets {
+                let set: Vec<ClassId> = subset.iter().map(|ix| ids[ix.index(ids.len())]).collect();
+                let all_pairs: Vec<ClassId> = set
+                    .iter()
+                    .copied()
+                    .filter(|&c| !set.iter().any(|&d| d != c && bfs(&schema, d).contains(&c)))
+                    .collect();
+                prop_assert_eq!(schema.minimal(&set), all_pairs);
+                let mut union: Vec<ClassId> = set.iter().flat_map(|&c| bfs(&schema, c)).collect();
+                union.sort();
+                union.dedup();
+                prop_assert_eq!(schema.ancestors_of(&set), union);
+            }
+        }
+    }
+}
+
+/// `c`, then its strict ancestors breadth-first by `class(c).parents`,
+/// each once: the reference for the schema's stored lists.
+fn bfs(schema: &Schema, c: ClassId) -> Vec<ClassId> {
+    let mut out = vec![c];
+    let mut queue: std::collections::VecDeque<ClassId> =
+        schema.class(c).parents.iter().copied().collect();
+    while let Some(p) = queue.pop_front() {
+        if !out.contains(&p) {
+            out.push(p);
+            queue.extend(schema.class(p).parents.iter().copied());
+        }
+    }
+    out
 }

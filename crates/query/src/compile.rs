@@ -2319,6 +2319,18 @@ mod tests {
         }
     }
 
+    impl ov_oodb::ClassGraph for GenSource {
+        fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
+            self.db.is_subclass(sub, sup)
+        }
+        fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
+            self.db.ancestors(c)
+        }
+        fn class_name(&self, c: ClassId) -> Symbol {
+            self.db.class_name(c)
+        }
+    }
+
     impl DataSource for GenSource {
         fn apply(&self, name: Symbol, args: &[Value]) -> Result<Value> {
             let (true, [Value::Int(n)]) = (name == sym("Older"), args) else {
@@ -2332,15 +2344,6 @@ mod tests {
         }
         fn class_by_name(&self, name: Symbol) -> Option<ClassId> {
             DataSource::class_by_name(&self.db, name)
-        }
-        fn class_name(&self, c: ClassId) -> Symbol {
-            DataSource::class_name(&self.db, c)
-        }
-        fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
-            DataSource::is_subclass(&self.db, sub, sup)
-        }
-        fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
-            DataSource::ancestors(&self.db, c)
         }
         fn class_of(&self, oid: Oid) -> Result<ClassId> {
             DataSource::class_of(&self.db, oid)

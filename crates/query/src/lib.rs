@@ -69,7 +69,7 @@ pub use planner::{
     Strategy as PlanStrategy,
 };
 pub use rowtest::{scan_rows, RowSpec, RowTest};
-pub use source::{require_class, DataSource, ResolvedAttr, SourceGraph};
+pub use source::{require_class, DataSource, ResolvedAttr};
 pub use typecheck::{
     infer, infer_expr, infer_select, infer_select_in, referenced_classes,
     referenced_classes_select, type_of_value, TypeEnv,

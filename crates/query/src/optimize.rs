@@ -27,29 +27,19 @@
 
 use std::borrow::Cow;
 
+use ov_oodb::types::NoClasses;
 use ov_oodb::{AttrSig, BinOp, ClassId, Expr, Oid, SelectExpr, Symbol, Type, Value};
 
 use crate::error::{QueryError, Result};
 use crate::eval::{truthy, Env, Evaluator};
 use crate::source::{DataSource, ResolvedAttr};
 
-/// A data source with nothing in it: every lookup fails. Evaluating an
-/// expression against it succeeds exactly when the expression is closed
-/// and pure — which is the test for foldability.
-struct EmptySource;
-
-impl DataSource for EmptySource {
+/// The empty class graph is the data source with nothing in it: every
+/// lookup fails. Evaluating an expression against it succeeds exactly when
+/// the expression is closed and pure — which is the test for foldability.
+impl DataSource for NoClasses {
     fn class_by_name(&self, _name: Symbol) -> Option<ClassId> {
         None
-    }
-    fn class_name(&self, _c: ClassId) -> Symbol {
-        Symbol::new("?")
-    }
-    fn is_subclass(&self, a: ClassId, b: ClassId) -> bool {
-        a == b
-    }
-    fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
-        vec![c]
     }
     fn class_of(&self, oid: Oid) -> Result<ClassId> {
         Err(QueryError::eval(format!("no object {oid}")))
@@ -237,7 +227,7 @@ fn fold_tree(e: &Expr) -> Cow<'_, Expr> {
     };
     // Fold the node if it is a pure operation on literals.
     if pure_head(&node) && all_literal_children(&node) {
-        if let Ok(v) = Evaluator::new(&EmptySource).eval(&node, &mut Env::new()) {
+        if let Ok(v) = Evaluator::new(&NoClasses).eval(&node, &mut Env::new()) {
             return Cow::Owned(Expr::Lit(v));
         }
     }

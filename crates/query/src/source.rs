@@ -6,14 +6,16 @@
 //! trait is the seam: it exposes exactly the primitives the language layer
 //! needs — class lookup, extents, membership, attribute resolution, stored
 //! field access — and both `ov_oodb::Database` and `ov_views::View`
-//! implement it.
+//! implement it. The hierarchy is not among them: it is the supertrait
+//! [`ClassGraph`], which a database's schema and a view's answer from the
+//! ancestor lists they keep.
 
 use std::sync::Arc;
 
 use ov_oodb::resolve::{concrete, resolve_in};
 use ov_oodb::{
-    AttrBody, AttrDef, AttrSig, ClassId, ConflictPolicy, Database, Expr, Oid, OodbError, Symbol,
-    Type, Value,
+    AttrBody, AttrDef, AttrSig, ClassGraph, ClassId, ConflictPolicy, Database, Expr, Oid,
+    OodbError, Symbol, Type, Value,
 };
 
 use crate::error::{QueryError, Result};
@@ -51,19 +53,13 @@ impl From<&AttrDef> for ResolvedAttr {
 /// A queryable source of objects: a database or a view.
 ///
 /// Extents are *deep* (a class denotes objects real in it or any subclass),
-/// matching the paper's query semantics.
-pub trait DataSource {
+/// matching the paper's query semantics. A source is a [`ClassGraph`]:
+/// its hierarchy (names, subclassing, ancestors) is the one the type
+/// lattice reads, so a `&dyn DataSource` is passed where a
+/// `&dyn ClassGraph` is asked for.
+pub trait DataSource: ClassGraph {
     /// Resolves a class name.
     fn class_by_name(&self, name: Symbol) -> Option<ClassId>;
-
-    /// The name of class `c`.
-    fn class_name(&self, c: ClassId) -> Symbol;
-
-    /// Is `sub` a subclass of (or equal to) `sup`?
-    fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool;
-
-    /// All superclasses of `c`, including `c` itself (used by type bounds).
-    fn ancestors(&self, c: ClassId) -> Vec<ClassId>;
 
     /// The class an object belongs to, for typing purposes: its real class
     /// in a database; in a view, the class the view presents it under.
@@ -200,18 +196,6 @@ impl DataSource for Database {
         self.schema.class_by_name(name)
     }
 
-    fn class_name(&self, c: ClassId) -> Symbol {
-        self.schema.class(c).name
-    }
-
-    fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
-        ov_oodb::ClassGraph::is_subclass(&self.schema, sub, sup)
-    }
-
-    fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
-        ov_oodb::ClassGraph::ancestors(&self.schema, c)
-    }
-
     fn class_of(&self, oid: Oid) -> Result<ClassId> {
         Ok(self.store.require(oid)?.class)
     }
@@ -280,24 +264,6 @@ fn resolve_by_class(db: &Database, class: ClassId, name: Symbol) -> ov_oodb::Res
     let creation_order = ConflictPolicy::CreationOrder;
     let (_, def) = resolve_in(&db.schema, &[class], name, &concrete, &creation_order)?;
     Ok(def.into())
-}
-
-/// Adapts a [`DataSource`] to the data-model's [`ov_oodb::ClassGraph`] so
-/// type-lattice operations (subtyping, lub) can run against it.
-pub struct SourceGraph<'a>(pub &'a dyn DataSource);
-
-impl ov_oodb::ClassGraph for SourceGraph<'_> {
-    fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
-        self.0.is_subclass(sub, sup)
-    }
-
-    fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
-        self.0.ancestors(c)
-    }
-
-    fn class_name(&self, c: ClassId) -> Symbol {
-        self.0.class_name(c)
-    }
 }
 
 /// Helper shared by trait impls: the extent of a class name, as a value.

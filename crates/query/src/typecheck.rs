@@ -13,7 +13,7 @@
 use ov_oodb::{AggFunc, BinOp, Expr, SelectExpr, Symbol, Type, UnOp, Value};
 
 use crate::error::{QueryError, Result};
-use crate::source::{DataSource, SourceGraph};
+use crate::source::DataSource;
 
 /// A typing environment: variable types plus the type of `self`.
 #[derive(Clone, Debug, Default)]
@@ -146,8 +146,7 @@ pub fn infer(src: &dyn DataSource, env: &mut TypeEnv, expr: &Expr) -> Result<Typ
             require_boolish(&ct, "`if` condition")?;
             let tt = infer(src, env, then)?;
             let et = infer(src, env, els)?;
-            let g = SourceGraph(src);
-            Ok(tt.lub(&et, &g).unwrap_or(Type::Any))
+            Ok(tt.lub(&et, src).unwrap_or(Type::Any))
         }
         Expr::Select(q) => infer_select_in(src, env, q),
         Expr::Exists(q) => {
@@ -380,9 +379,8 @@ fn attr_type(src: &dyn DataSource, recv: &Type, name: Symbol, args: &[Type]) -> 
                     args.len()
                 )));
             }
-            let g = SourceGraph(src);
             for ((pname, pty), aty) in sig.params.iter().zip(args) {
-                if !aty.is_subtype(pty, &g) {
+                if !aty.is_subtype(pty, src) {
                     return Err(QueryError::ty(format!(
                         "argument `{pname}` of `{name}`: expected {pty:?}, found {aty:?}"
                     )));
@@ -408,7 +406,6 @@ fn attr_type(src: &dyn DataSource, recv: &Type, name: Symbol, args: &[Type]) -> 
 }
 
 fn binary_type(src: &dyn DataSource, op: BinOp, lt: &Type, rt: &Type) -> Result<Type> {
-    let g = SourceGraph(src);
     match op {
         BinOp::And | BinOp::Or => {
             require_boolish(lt, "boolean operand")?;
@@ -428,7 +425,7 @@ fn binary_type(src: &dyn DataSource, op: BinOp, lt: &Type, rt: &Type) -> Result<
         }
         BinOp::Concat => match (lt, rt) {
             (Type::Str, Type::Str) => Ok(Type::Str),
-            (Type::List(_), Type::List(_)) => Ok(lt.lub(rt, &g).unwrap_or(Type::Any)),
+            (Type::List(_), Type::List(_)) => Ok(lt.lub(rt, src).unwrap_or(Type::Any)),
             (Type::Any, _) | (_, Type::Any) => Ok(Type::Any),
             _ => Err(QueryError::ty(format!(
                 "`++` concatenates strings or lists, found {lt:?} and {rt:?}"
@@ -453,7 +450,7 @@ fn binary_type(src: &dyn DataSource, op: BinOp, lt: &Type, rt: &Type) -> Result<
             ))),
         },
         BinOp::Union | BinOp::Intersect | BinOp::Except => match (lt, rt) {
-            (Type::Set(_), Type::Set(_)) => Ok(lt.lub(rt, &g).unwrap_or(Type::Any)),
+            (Type::Set(_), Type::Set(_)) => Ok(lt.lub(rt, src).unwrap_or(Type::Any)),
             (Type::Any, _) | (_, Type::Any) => Ok(Type::Any),
             _ => Err(QueryError::ty(format!(
                 "`{}` needs sets, found {lt:?} and {rt:?}",
@@ -488,9 +485,8 @@ fn require_boolish(t: &Type, what: &str) -> Result<()> {
 }
 
 fn lub_of_all(src: &dyn DataSource, tys: Vec<Type>) -> Type {
-    let g = SourceGraph(src);
     tys.into_iter()
-        .reduce(|a, b| a.lub(&b, &g).unwrap_or(Type::Any))
+        .reduce(|a, b| a.lub(&b, src).unwrap_or(Type::Any))
         .unwrap_or(Type::Nothing)
 }
 

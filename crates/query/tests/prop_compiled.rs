@@ -332,6 +332,18 @@ impl Ticking {
     }
 }
 
+impl ov_oodb::ClassGraph for Ticking {
+    fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
+        self.db.is_subclass(sub, sup)
+    }
+    fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
+        self.db.ancestors(c)
+    }
+    fn class_name(&self, c: ClassId) -> Symbol {
+        self.db.class_name(c)
+    }
+}
+
 impl DataSource for Ticking {
     fn apply(&self, name: Symbol, args: &[Value]) -> ov_query::Result<Value> {
         match (name == sym("Tick"), args) {
@@ -344,15 +356,6 @@ impl DataSource for Ticking {
     }
     fn class_by_name(&self, name: Symbol) -> Option<ClassId> {
         DataSource::class_by_name(&self.db, name)
-    }
-    fn class_name(&self, c: ClassId) -> Symbol {
-        DataSource::class_name(&self.db, c)
-    }
-    fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
-        DataSource::is_subclass(&self.db, sub, sup)
-    }
-    fn ancestors(&self, c: ClassId) -> Vec<ClassId> {
-        DataSource::ancestors(&self.db, c)
     }
     fn class_of(&self, oid: Oid) -> ov_query::Result<ClassId> {
         DataSource::class_of(&self.db, oid)

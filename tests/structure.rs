@@ -470,6 +470,18 @@ fn one_scan_access_path() {
     clean(guard::one_scan_access_path(tree()));
 }
 
+/// Which classes are above which is decided in one place (DESIGN.md §4,
+/// "One class graph"): the schema keeps each class's ancestor list, and
+/// `ClassGraph::minimal` and `ClassGraph::ancestors_of` are the set
+/// operations on it. An all-pairs filter over `is_subclass` would bring
+/// back a minimisation that is cubic in a hierarchy's depth; a forwarding
+/// adapter from a query source to the class graph, a second hierarchy
+/// answer beside the one every source already is.
+#[test]
+fn one_class_graph() {
+    clean(guard::one_class_graph(tree()));
+}
+
 /// The guards live here, where `cargo test` runs them: a workflow step
 /// that greps or awks the source would be a second copy of a guard, run
 /// only where CI runs.
@@ -821,6 +833,14 @@ mod guard {
                 hits.push(hit(SESSION, n, line));
             }
         }
+        hits
+    }
+
+    pub fn one_class_graph(files: &[Source]) -> Vec<String> {
+        let mut hits = grep_product(files, crate_rs, |l| {
+            l.contains("is_subclass(") && l.contains("!=") && l.contains("&&")
+        });
+        hits.extend(grep(files, &ROOTS, |l| l.contains("struct SourceGraph")));
         hits
     }
 
@@ -1420,6 +1440,43 @@ fn one_catalog_commit_reports_its_mutation() {
             &[("crates/core/src/session.rs", replay.as_str())]
         ),
         ["crates/core/src/session.rs:4: s.execute(&views_ovq)?;"]
+    );
+}
+
+#[test]
+fn one_class_graph_reports_its_mutation() {
+    let clean = "\
+fn among(schema: &Schema, defining: &[ClassId]) -> Vec<ClassId> {
+    schema.minimal(defining)
+}
+";
+    let mutated = "\
+fn among(schema: &Schema, defining: &[ClassId]) -> Vec<ClassId> {
+    defining
+        .iter()
+        .copied()
+        .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))
+        .collect()
+}
+";
+    mutation(
+        guard::one_class_graph,
+        &[("crates/oodb/src/resolve.rs", clean)],
+        &[("crates/oodb/src/resolve.rs", mutated)],
+        &["crates/oodb/src/resolve.rs:5: .filter(|&c| !defining.iter().any(|&d| d != c && schema.is_subclass(d, c)))"],
+    );
+    // A test module below the first `#[cfg(test)]` may keep the filter as
+    // a reference.
+    let reference = format!("{clean}#[cfg(test)]\n{mutated}");
+    assert!(run(
+        guard::one_class_graph,
+        &[("crates/oodb/src/resolve.rs", reference.as_str())]
+    )
+    .is_empty());
+    let adapter = "pub struct SourceGraph<'a>(pub &'a dyn DataSource);\n";
+    assert_eq!(
+        run(guard::one_class_graph, &[("tests/helpers.rs", adapter)]),
+        ["tests/helpers.rs:1: pub struct SourceGraph<'a>(pub &'a dyn DataSource);"]
     );
 }
 
