@@ -1429,8 +1429,8 @@ mod tests {
     /// Satellite regression (resolution-cache staleness): a compiled scan
     /// warmed before a mid-session `hide` must not serve the stale
     /// resolution afterwards. (The within-one-`View` half — warm slot
-    /// caches across population brackets — is covered by the resolution
-    /// generation counter; see `View::res_gen` and the
+    /// caches across a template instantiation — is covered by the
+    /// resolution generation counter; see `View::res_gen` and the
     /// `generation_bump_invalidates_warm_slot_caches` test in `ov-query`.)
     #[test]
     fn hide_then_rescan_does_not_serve_stale_resolution() {

@@ -447,10 +447,11 @@ fn redefining_in_an_overlap_class_resolves_conflict() {
 
 /// A view keeps one verdict per (class, attribute) on each side — read at
 /// body depth 0, or inside a computed body — for one resolution
-/// generation: a population bracket or a template instantiation drops both
-/// sides. A membership-dependent attribute and an error never become one,
-/// a verdict of one side never answers the other, and a read inside a
-/// population bracket neither reads nor fills either side.
+/// generation: a template instantiation drops both sides, and a population
+/// bracket drops neither. A membership-dependent attribute and an error
+/// never become one, a verdict of one side never answers the other, and a
+/// read inside a population bracket reads and fills the side of its depth,
+/// with the classes in flight filtered out of what it reads.
 #[test]
 fn a_resolution_generation_bump_drops_the_class_verdicts() {
     let sys = people_system();
@@ -474,18 +475,27 @@ fn a_resolution_generation_bump_drops_the_class_verdicts() {
         let body = DataSource::frame_key(view).unwrap();
         ov_query::in_view(body, None, || view.attr(oid, sym(attr)))
     };
+    // The bind decides whether a delta decides Rich: inside Rich's
+    // population bracket, at body depth 1, it reads Income for Person,
+    // Employee and Manager, and the bracket keeps those three verdicts.
+    const BOUND: usize = 3;
     // Employee's own Nick is hidden at depth 0, where Person's shows; a
     // body sees Employee's. A verdict left on one side never answers the
     // other, whichever side fills first.
     for body_first in [false, true] {
         let view = def.binder(&sys).bind().unwrap();
+        assert_eq!(view.served_verdicts(), (0, BOUND), "the bind's bracket leaves its verdicts");
         let tony = DataSource::named_object(&view, sym("tony")).unwrap();
         if body_first {
             assert_eq!(
                 in_body(&view, tony, "Nick").unwrap(),
                 Value::str("employee")
             );
-            assert_eq!(view.served_verdicts(), (0, 1), "an in-body read leaves its verdict");
+            assert_eq!(
+                view.served_verdicts(),
+                (0, BOUND + 1),
+                "an in-body read leaves its verdict"
+            );
         }
         assert_eq!(view.attr(tony, sym("Nick")).unwrap(), Value::str("person"));
         assert_eq!(
@@ -493,7 +503,7 @@ fn a_resolution_generation_bump_drops_the_class_verdicts() {
             Value::str("employee")
         );
         assert_eq!(view.attr(tony, sym("Nick")).unwrap(), Value::str("person"));
-        assert_eq!(view.served_verdicts(), (1, 1), "one verdict a side");
+        assert_eq!(view.served_verdicts(), (1, BOUND + 1), "one verdict a side");
     }
 
     let view = def.binder(&sys).bind().unwrap();
@@ -502,12 +512,12 @@ fn a_resolution_generation_bump_drops_the_class_verdicts() {
     let maggy = DataSource::named_object(&view, sym("maggy")).unwrap();
     let denis = DataSource::named_object(&view, sym("denis")).unwrap();
     let read = |attr: &str| view.attr(maggy, sym(attr));
-    // Populated before the verdicts are watched: a first population bumps
-    // the generation too.
+    // A first population reads Income in its bracket, where the bind
+    // left it, and moves nothing.
     assert_eq!(view.query("count(Rich)").unwrap(), Value::Int(2));
-    assert_eq!(view.served_verdicts(), (0, 0));
+    assert_eq!(view.served_verdicts(), (0, BOUND));
     assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
-    assert_eq!(view.served_verdicts(), (1, 0), "a depth-0 read leaves its verdict");
+    assert_eq!(view.served_verdicts(), (1, BOUND), "a depth-0 read leaves its verdict");
     assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
     assert!(matches!(
         view.class_verdict(person, sym("Name")),
@@ -525,50 +535,110 @@ fn a_resolution_generation_bump_drops_the_class_verdicts() {
     assert!(read("Ghost").is_err());
     assert!(in_body(&view, maggy, "Ghost").is_err());
     assert!(view.class_verdict(person, sym("Zip_Code")).is_none());
-    assert_eq!(view.served_verdicts(), (1, 0));
+    assert_eq!(view.served_verdicts(), (1, BOUND));
     // Zone's body reads the hidden Zip_Code through the hide: Zone leaves
     // a depth-0 verdict, Zip_Code an in-body one, and Zip_Code stays
     // hidden at depth 0.
     assert_eq!(read("Zone").unwrap(), Value::str("SW1"));
-    assert_eq!(view.served_verdicts(), (2, 1), "a body's read leaves an in-body verdict");
+    assert_eq!(
+        view.served_verdicts(),
+        (2, BOUND + 1),
+        "a body's read leaves an in-body verdict"
+    );
     assert!(read("Zip_Code").is_err());
     assert_eq!(
         in_body(&view, maggy, "Zip_Code").unwrap(),
         Value::str("SW1")
     );
-    assert_eq!(view.served_verdicts(), (2, 1));
+    assert_eq!(view.served_verdicts(), (2, BOUND + 1));
 
-    // Inside a population bracket of Rich (opened here without a bump),
-    // Rich's definitions do not count: Print is Person's for every person
-    // there, a class verdict no side may keep, and Name is read afresh.
+    // Inside a population bracket of Rich, Rich's definitions do not
+    // count: Print is Person's for every person there, a class verdict
+    // filtered out of the kept membership rule and not kept itself; Name
+    // is read at body depth 1, and kept on that side.
     let key = DataSource::frame_key(&view).unwrap();
     ov_query::in_view(key, Some(rich), || {
         assert_eq!(read("Print").unwrap(), Value::str("person"));
+        assert!(view.class_verdict(person, sym("Print")).is_some());
         assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
         assert_eq!(read("Zip_Code").unwrap(), Value::str("SW1"));
     });
-    assert_eq!(view.served_verdicts(), (2, 1), "a population bracket fills no side");
+    assert_eq!(
+        view.served_verdicts(),
+        (2, BOUND + 2),
+        "a population bracket reads and fills the side of its depth"
+    );
     assert_eq!(read("Print").unwrap(), Value::str("rich"));
     assert_eq!(in_body(&view, maggy, "Print").unwrap(), Value::str("rich"));
+    assert!(view.class_verdict(person, sym("Print")).is_none());
 
-    // A recompute opens a population bracket: every verdict goes.
+    // A recompute opens a population bracket: every verdict stays.
     view.update_attr(denis, sym("Income"), Value::Int(95000))
         .unwrap();
     assert_eq!(view.query("count(Rich)").unwrap(), Value::Int(3));
-    assert_eq!(view.served_verdicts(), (0, 0), "a population bracket");
+    assert_eq!(view.served_verdicts(), (2, BOUND + 2), "a population bracket");
     assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
-    assert_eq!(view.served_verdicts(), (1, 0), "the first fill empties both sides");
     assert_eq!(
         in_body(&view, maggy, "Zip_Code").unwrap(),
         Value::str("SW1")
     );
-    assert_eq!(view.served_verdicts(), (1, 1));
-    // So does a template instantiation.
+    assert_eq!(view.served_verdicts(), (2, BOUND + 2));
+    // A template instantiation drops both sides.
     view.instantiate(sym("Resident"), &[Value::str("Paris")])
         .unwrap();
     assert_eq!(view.served_verdicts(), (0, 0), "a template instantiation");
     assert_eq!(read("Name").unwrap(), Value::str("Maggy"));
+    assert_eq!(view.served_verdicts(), (1, 0), "the first fill empties both sides");
     assert!(read("Zip_Code").is_err());
+}
+
+/// The one case where the population in flight changes a rule: Rich
+/// defines the Tier its own population query reads. Inside Rich's bracket
+/// Rich is filtered out of the membership rule, so the query reads
+/// Person's "low" for every person, while Top's query, with Rich not in
+/// flight, reads Rich's "high" for Rich's members. Both engines answer
+/// alike, before and after a write that moves Denis into Rich, and Person
+/// keeps no class verdict for Tier.
+#[test]
+fn a_class_reading_its_own_attribute_in_its_population_sees_the_inherited_one() {
+    let def = ViewDef::from_script(
+        r#"
+        create view V;
+        import all classes from database Staff;
+        attribute Tier in class Person has value "low";
+        class Rich includes (select P from P in Person where P.Income >= 90000 and P.Tier = "low");
+        attribute Tier in class Rich has value "high";
+        class Top includes (select R from R in Rich where R.Tier = "high");
+        "#,
+    )
+    .unwrap();
+    let answers = |view: &crate::View| {
+        ["count(Rich)", "count(Top)", "maggy.Tier", "denis.Tier"].map(|q| view.query(q).unwrap())
+    };
+    use ov_query::EngineMode;
+    for mode in [EngineMode::Interp, EngineMode::Compiled] {
+        // Each engine writes to a system of its own.
+        let sys = people_system();
+        ov_query::with_engine_mode(mode, || {
+            let view = def.binder(&sys).bind().unwrap();
+            let person = DataSource::class_by_name(&view, sym("Person")).unwrap();
+            let denis = DataSource::named_object(&view, sym("denis")).unwrap();
+            assert_eq!(
+                answers(&view),
+                [Value::Int(2), Value::Int(2), Value::str("high"), Value::str("low")],
+                "{mode:?}"
+            );
+            assert!(view.class_verdict(person, sym("Tier")).is_none(), "{mode:?}");
+            view.update_attr(denis, sym("Income"), Value::Int(95000))
+                .unwrap();
+            assert_eq!(
+                answers(&view),
+                [Value::Int(3), Value::Int(3), Value::str("high"), Value::str("high")],
+                "{mode:?}"
+            );
+            assert!(view.class_verdict(person, sym("Tier")).is_none(), "{mode:?}");
+        });
+    }
 }
 
 #[test]

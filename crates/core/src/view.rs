@@ -245,20 +245,21 @@ enum Populated {
     Upstream(usize, ClassId),
 }
 
-/// The per-(class, attribute) verdicts [`View::class_rule`] computed with
-/// no population bracket of the view open, all under one resolution
-/// generation. A side per body depth that resolves alike: depth 0, and
-/// inside a computed body, where the hides are see-through.
+/// The per-(class, attribute) rules [`View::class_rule`] computed with no
+/// population in flight, all under one resolution generation. A side per
+/// body depth that resolves alike: depth 0, and inside a computed body,
+/// where the hides are see-through.
 #[derive(Debug, Default)]
 struct Verdicts {
     /// The generation every entry of both sides was computed under.
     gen: u64,
     /// `[depth 0, in a body]`.
-    sides: [HashMap<(ClassId, Symbol), ResolvedAttr>; 2],
+    sides: [HashMap<(ClassId, Symbol), Rule>; 2],
 }
 
 /// How objects presenting as one class resolve one attribute
 /// ([`View::class_rule`]).
+#[derive(Clone, Debug)]
 enum Rule {
     /// The class decides: every such object resolves this way.
     Class(ResolvedAttr),
@@ -317,14 +318,10 @@ pub struct View {
     materialization: Materialization,
     identity_mode: IdentityMode,
     stats: StatCells,
-    /// Attribute-resolution generation, surfaced to the compiled engine via
-    /// [`DataSource::resolution_generation`]. Bumped whenever something that
-    /// can change how a `(class, name)` resolves happens mid-session:
-    /// opening/closing a population bracket (populating-set membership
-    /// gates virtual-class resolution) and template instantiation (which
-    /// grows the schema). Warm per-slot resolution caches in
-    /// `ov_query::Scan` and the entries of [`View::verdicts`] are dropped
-    /// when this moves.
+    /// Attribute-resolution generation ([`DataSource::resolution_generation`]):
+    /// from the view's token shifted 32 bits up (no view or base shares it),
+    /// moved only by a template instantiation, which grows the schema and
+    /// drops the warm slot caches of `ov_query::Scan` and [`View::verdicts`].
     res_gen: AtomicU64,
     /// The class verdicts of depth 0 and of computed bodies, for one
     /// resolution generation (see [`View::class_rule`]).
@@ -521,11 +518,6 @@ impl View {
     // Evaluation frame (cycle guard + privileged depth)
     // ------------------------------------------------------------------
 
-    /// This thread's evaluation state for this view.
-    fn frame(&self) -> ov_query::ViewFrame {
-        ov_query::view_frame(self.token)
-    }
-
     /// This thread's body depth in this view: the frame's `body_depth`,
     /// read without building the frame. While positive, the view's own
     /// definitions see through its hides and hidden classes.
@@ -538,16 +530,10 @@ impl View {
     /// view-internal definitions, like attribute bodies (paper Example 5
     /// hides the very attributes its imaginary Address class selects). The
     /// bracket closes on unwind too, so a panicking recompute leaks no
-    /// privilege into later queries on this thread. Membership in the
-    /// populating set changes what `resolution_class_and_field` answers for
-    /// `c`, so both edges move the resolution generation and drop warm
-    /// compiled-scan caches (a scan that cached under a bracket that
-    /// unwinds is unwound with it).
+    /// privilege into later queries on this thread. It moves no generation:
+    /// `c` only filters the memoised rules ([`Self::class_rule`]).
     fn in_population<R>(&self, c: ClassId, f: impl FnOnce() -> R) -> R {
-        self.res_gen.fetch_add(1, Ordering::Release);
-        let r = ov_query::in_view(self.token, Some(c), f);
-        self.res_gen.fetch_add(1, Ordering::Release);
-        r
+        ov_query::in_view(self.token, Some(c), f)
     }
 
     /// The cached entry of class `name`: the source versions it is stamped
@@ -1015,7 +1001,7 @@ impl View {
                 Include::Like { spec } => {
                     // Re-scan: classes defined after this one are admitted
                     // automatically.
-                    let populating = self.frame().populating;
+                    let populating = ov_query::view_frame(self.token).populating;
                     let matches: Vec<ClassId> = {
                         let schema = self.schema.read();
                         schema
@@ -1056,9 +1042,9 @@ impl View {
         if DataSource::named_object(self, inc.coll).is_some() {
             return K::of_query(self, c, &inc.query);
         }
-        // The rule, not the plan cache: `in_population` moves the
-        // resolution generation on both edges of its bracket, so a plan
-        // cached under one population would never be served to the next.
+        // The rule, asked directly: a population is not a statement, so
+        // it keeps no plan (`choose_scan` is what a statement's plan
+        // caches).
         let decision =
             ov_query::planner_enabled().then(|| ov_query::planner::choose_scan(&inc.query));
         let mut span = ov_oodb::span!("view.scan");
@@ -1116,26 +1102,25 @@ impl View {
     // Object-level plumbing
     // ------------------------------------------------------------------
 
-    /// The virtual classes passing `keep` whose population may be requested
-    /// from this thread right now, in `ClassId` (definition) order so the
-    /// outcome never depends on hash-map order. A class being populated is
-    /// excluded (cycle guard), and so is every subclass of one: it draws
-    /// its members from the population in flight, so populating it now
-    /// would retest against the cycle guard's "not a member" and cache the
-    /// result. Nothing is lost by skipping it — an object it holds got
-    /// there through the classes its definition reads, which the caller
-    /// reaches without it.
-    fn populatable_virtuals(&self, keep: impl Fn(&Schema, ClassId) -> bool) -> Vec<ClassId> {
-        let populating = self.frame().populating;
+    /// The virtual classes passing `keep`, in `ClassId` (definition) order
+    /// so the outcome never depends on hash-map order.
+    fn virtuals_where(&self, keep: impl Fn(&Schema, ClassId) -> bool) -> Vec<ClassId> {
         let virt = self.virt.read();
         let schema = self.schema.read();
-        let mut out: Vec<ClassId> = virt
-            .keys()
-            .copied()
-            .filter(|&v| !populating.iter().any(|&p| schema.is_subclass(v, p)) && keep(&schema, v))
-            .collect();
+        let mut out: Vec<ClassId> = virt.keys().copied().filter(|&v| keep(&schema, v)).collect();
         out.sort_unstable();
         out
+    }
+
+    /// `virtuals` without the classes in flight on this thread (the cycle
+    /// guard) and their subclasses, whose populations would retest against
+    /// the guard's "not a member" and cache it. Nothing is lost: an object
+    /// one holds got there through the classes its definition reads.
+    fn drop_in_flight(&self, mut virtuals: Vec<ClassId>) -> Vec<ClassId> {
+        let populating = ov_query::view_frame(self.token).populating;
+        let schema = self.schema.read();
+        virtuals.retain(|&v| !populating.iter().any(|&p| schema.is_subclass(v, p)));
+        virtuals
     }
 
     /// Reads imaginary object `oid` — its class, as this view names it, and
@@ -1202,19 +1187,17 @@ impl View {
         }
     }
 
-    /// The virtual classes whose population decides how `attr` resolves for
-    /// an object with base roots `roots` (`None`: every attribute), in
-    /// definition order. Classes that cannot be populated right now are
-    /// out ([`Self::populatable_virtuals`]) — an attribute defined on a
-    /// class cannot be used inside that class's own population query. So
-    /// are classes that cannot contribute a definition of `attr` the base
-    /// chain does not already reach: membership only matters to resolution
-    /// when some ancestor actually provides one, and skipping the rest
-    /// avoids both wasted work and spurious population cycles. So, for
-    /// base roots, are the classes only imaginary objects can belong to —
-    /// an imaginary class and the classes positioned below one: a base
-    /// object is never a member of them. None for no roots: such an object
-    /// is not visible, whatever it is a member of.
+    /// The virtual classes whose population decides how `attr` resolves for an
+    /// object with base roots `roots` (`None`: every attribute), in definition
+    /// order, by the schema alone (the caller drops what is in flight). Classes
+    /// that cannot contribute a definition of `attr` the base chain does not
+    /// already reach are out: membership only matters to resolution when some
+    /// ancestor actually provides one, and skipping the rest avoids both wasted
+    /// work and spurious population cycles. So, for base roots, are the classes
+    /// only imaginary objects can belong to — an imaginary class and the
+    /// classes positioned below one: a base object is never a member of them.
+    /// None for no roots: such an object is not visible, whatever it is a
+    /// member of.
     fn relevant_virtuals(&self, roots: &[ClassId], attr: Option<Symbol>) -> Vec<ClassId> {
         if roots.is_empty() {
             return Vec::new();
@@ -1234,7 +1217,7 @@ impl View {
             None => Vec::new(),
             Some(_) => self.schema.read().ancestors_of(roots),
         };
-        self.populatable_virtuals(|schema, v| {
+        self.virtuals_where(|schema, v| {
             if roots.contains(&v) {
                 return false;
             }
@@ -1263,7 +1246,7 @@ impl View {
         relevant_to: Option<Symbol>,
     ) -> ov_query::Result<Vec<ClassId>> {
         let roots = self.base_roots(self.view_class_of(oid)?);
-        let virtuals = self.relevant_virtuals(&roots, relevant_to);
+        let virtuals = self.drop_in_flight(self.relevant_virtuals(&roots, relevant_to));
         self.joined(oid, roots, virtuals)
     }
 
@@ -1296,57 +1279,69 @@ impl View {
     /// engines ([`DataSource::resolve`] asks here first, a compiled scan
     /// through [`DataSource::class_verdict`]).
     ///
-    /// A class verdict is memoised in [`View::verdicts`] for the
-    /// resolution generation it was computed under, on the side of the
-    /// body depth it was computed at — depth 0, or inside a computed body
-    /// (hides see-through) — so a point read and a body's read each pay
-    /// one map probe. The one exception is a population bracket of this
-    /// view open on the reading thread: the populating set gates which
-    /// virtual classes count, so there the rule is computed afresh on
-    /// every call, and the memo is neither read nor filled. An error or a
-    /// membership rule is never stored.
+    /// The rule with no population in flight is memoised in
+    /// [`View::verdicts`] for its generation, on the side of its body depth
+    /// (0, or inside a body: hides see-through); errors are not. A bracket
+    /// open on this thread only filters a membership rule's virtual classes
+    /// ([`Self::drop_in_flight`]): with none left, the class decides.
     fn class_rule(&self, class: ClassId, name: Symbol) -> ov_query::Result<Rule> {
-        let side = (!ov_query::view_populating(self.token)).then(|| usize::from(self.depth() > 0));
-        // Read before the rule is computed: a verdict computed across a
-        // bump is stamped with the generation it may not match.
+        let side = usize::from(self.depth() > 0);
+        // Read before the rule is computed: a rule computed across a bump
+        // is stamped with the generation it may not match.
         let gen = self.res_gen.load(Ordering::Acquire);
-        if let Some(side) = side {
-            let memo = self.verdicts.read();
-            if memo.gen == gen {
-                if let Some(res) = memo.sides[side].get(&(class, name)) {
-                    return Ok(Rule::Class(res.clone()));
+        let key = (class, name);
+        let memo = self.verdicts.read();
+        let hit = memo.sides[side].get(&key).filter(|_| memo.gen == gen);
+        if let Some(Rule::Class(res)) = hit {
+            return Ok(Rule::Class(res.clone()));
+        }
+        let hit = hit.cloned();
+        drop(memo);
+        let rule = match hit {
+            Some(rule) => rule,
+            None => {
+                let roots = self.base_roots(class);
+                let virtuals = self.relevant_virtuals(&roots, Some(name));
+                let rule = self.settle(name, Rule::Membership { roots, virtuals })?;
+                let mut memo = self.verdicts.write();
+                if gen > memo.gen {
+                    memo.sides.iter_mut().for_each(HashMap::clear);
+                    memo.gen = gen;
                 }
+                if gen == memo.gen {
+                    memo.sides[side].insert(key, rule.clone());
+                }
+                rule
             }
-        }
-        let roots = self.base_roots(class);
-        let virtuals = self.relevant_virtuals(&roots, Some(name));
-        if roots.is_empty() || !virtuals.is_empty() {
-            return Ok(Rule::Membership { roots, virtuals });
-        }
-        let res = {
-            let schema = self.schema.read();
-            ResolvedAttr::from(self.definition(&schema, &roots, name, false)?.1)
         };
-        if let Some(side) = side {
-            let mut memo = self.verdicts.write();
-            if gen > memo.gen {
-                memo.sides.iter_mut().for_each(HashMap::clear);
-                memo.gen = gen;
-            }
-            if gen == memo.gen {
-                memo.sides[side].insert((class, name), res.clone());
-            }
-        }
-        Ok(Rule::Class(res))
+        let Rule::Membership { roots, virtuals } = rule else {
+            return Ok(rule);
+        };
+        let virtuals = self.drop_in_flight(virtuals);
+        self.settle(name, Rule::Membership { roots, virtuals })
     }
 
-    /// How many verdicts [`Self::class_rule`] would serve from its memo
-    /// right now, per side: (body depth 0, inside a computed body).
+    /// `rule`, or, for a membership rule with roots and no virtual class,
+    /// the class's verdict by [`Self::definition`].
+    fn settle(&self, name: Symbol, rule: Rule) -> ov_query::Result<Rule> {
+        match rule {
+            Rule::Membership { roots, virtuals } if !roots.is_empty() && virtuals.is_empty() => {
+                let schema = self.schema.read();
+                let def = self.definition(&schema, &roots, name, false)?.1;
+                Ok(Rule::Class(def.into()))
+            }
+            rule => Ok(rule),
+        }
+    }
+
+    /// How many class verdicts [`Self::class_rule`] would serve from its
+    /// memo right now, per side: (body depth 0, inside a computed body).
     #[cfg(test)]
     pub(crate) fn served_verdicts(&self) -> (usize, usize) {
         let memo = self.verdicts.read();
+        let count = |s: &HashMap<_, _>| s.values().filter(|r| matches!(r, Rule::Class(_))).count();
         if memo.gen == self.res_gen.load(Ordering::Acquire) {
-            (memo.sides[0].len(), memo.sides[1].len())
+            (count(&memo.sides[0]), count(&memo.sides[1]))
         } else {
             (0, 0)
         }
@@ -1532,7 +1527,8 @@ impl DataSource for View {
             return Ok(true);
         }
         // Membership through an overlapping virtual class below `class`.
-        for v in self.populatable_virtuals(|schema, v| schema.is_subclass(v, class)) {
+        let below = self.virtuals_where(|schema, v| schema.is_subclass(v, class));
+        for v in self.drop_in_flight(below) {
             if self.population(v)?.contains(&oid) {
                 return Ok(true);
             }

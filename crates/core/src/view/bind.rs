@@ -41,13 +41,23 @@ struct ExpandedDef {
 /// Builder-style binding of a [`ViewDef`] (the bind-side mirror of
 /// [`ViewOptions::builder`]):
 ///
-/// ```ignore
+/// ```
+/// # use {ov_views::{Materialization, ViewDef, ViewOptions}, std::sync::Arc};
+/// # let mut system = ov_oodb::System::new();
+/// # ov_query::execute_script(&mut system, "database People; class Person type [Age: integer];
+/// #     object #1 in Person value [Age: 65]; object #2 in Person value [Age: 30];")?;
+/// # let adults_def = ViewDef::from_script("create view Adults; import all classes from database
+/// #     People; class Adult includes (select P from Person where P.Age >= 21);")?;
+/// # let def = ViewDef::from_script("create view Seniors; import all classes from view Adults;
+/// #     class Senior includes (select A from A in Adult where A.Age >= 60);")?;
 /// let adults = Arc::new(adults_def.binder(&system).bind()?);
 /// let view = def
 ///     .binder(&system)
 ///     .options(ViewOptions::builder().materialization(Materialization::AlwaysRecompute).build())
 ///     .over(&adults) // resolve `import … from view Adults`
 ///     .bind()?;
+/// # assert_eq!(view.query("count(Senior)")?, ov_oodb::Value::Int(1));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
 /// `over` registers bound upstream views so the bound view may import
@@ -154,8 +164,9 @@ impl<'a> Binder<'a> {
         expand.field("upstreams", expanded.views.len());
         expand.close(0);
         let options = self.options;
+        let token = NEXT_VIEW_TOKEN.fetch_add(1, Ordering::Relaxed);
         let mut view = View {
-            token: NEXT_VIEW_TOKEN.fetch_add(1, Ordering::Relaxed),
+            token,
             name: def.name,
             schema: RwLock::new(Schema::new()),
             kinds: RwLock::new(HashMap::new()),
@@ -175,7 +186,7 @@ impl<'a> Binder<'a> {
             materialization: options.materialization,
             identity_mode: options.identity_mode,
             stats: StatCells::default(),
-            res_gen: AtomicU64::new(0),
+            res_gen: AtomicU64::new(token << 32),
             verdicts: RwLock::default(),
             deps: Vec::new(),
             delta_decided: RwLock::default(),

@@ -22,7 +22,7 @@ impl View {
         if let Some((up, theirs)) = self.upstream_of(c) {
             return up.population(theirs);
         }
-        if self.frame().populating.contains(&c) {
+        if ov_query::view_frame(self.token).populating.contains(&c) {
             let name = self.schema.read().class(c).name;
             return Err(ViewError::CyclicVirtualClass(name).into());
         }

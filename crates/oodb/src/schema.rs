@@ -330,8 +330,16 @@ impl Schema {
     }
 
     /// `c`, then its strict ancestors breadth-first from the direct
-    /// parents, deduplicated: what its stored ancestor list holds.
+    /// parents, deduplicated: what its stored ancestor list holds. With one
+    /// parent that is `c` before the parent's list, which every caller has
+    /// built first (a parent exists before its subclass, and a descendant
+    /// walk reaches a one-parent class through that parent).
     fn breadth_first(&self, c: ClassId) -> Vec<ClassId> {
+        if let [p] = self.class(c).parents[..] {
+            return std::iter::once(c)
+                .chain(self.ancestry[p.0 as usize].iter().copied())
+                .collect();
+        }
         let mut seen = HashSet::from([c]);
         let mut out = vec![c];
         let mut queue: VecDeque<ClassId> = self.class(c).parents.iter().copied().collect();

@@ -56,9 +56,9 @@
 //!
 //! **Consistency model.** Slot caches are guarded by
 //! [`DataSource::resolution_generation`]: a source that invalidates
-//! scan-visible resolution state (a view opening or closing a population
-//! bracket, template instantiation) bumps its generation and the scan
-//! drops its cached verdicts.
+//! scan-visible resolution state (a view's template instantiation) bumps
+//! its generation and the scan drops its cached verdicts (a population
+//! bracket moves nothing: a scan never outlives its bracket).
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -1070,8 +1070,8 @@ impl<'a> Scan<'a> {
     ) -> Result<(Verdict, Option<ResolvedAttr>)> {
         let gen_now = self.src.resolution_generation();
         if gen_now != self.gen {
-            // Scan-visible resolution state changed (population bracket,
-            // template instantiation): every cached verdict is suspect.
+            // Scan-visible resolution state changed (a template
+            // instantiated): every cached verdict is suspect.
             // Lists are cleared in place — body programs keep their slot
             // ranges so in-flight frames stay valid.
             for m in &mut self.caches {
@@ -2286,7 +2286,7 @@ mod tests {
     }
 
     /// A source whose resolution can change mid-scan, announced via the
-    /// generation counter — the shape of a view's population brackets. It
+    /// generation counter — the shape of a view's template instantiation. It
     /// also logs every fused object probe, by attribute name, and knows one
     /// parameterized class, `Older(n)`.
     struct GenSource {

@@ -180,13 +180,6 @@ pub fn view_depth(key: u64) -> u32 {
     with(|c| c.views.iter().filter(|(k, _)| *k == key).count() as u32)
 }
 
-/// Is a population bracket of the view keyed `key` open on this thread —
-/// is its [`view_frame`]'s `populating` non-empty? Read without building
-/// the frame.
-pub fn view_populating(key: u64) -> bool {
-    with(|c| c.views.iter().any(|&(k, p)| k == key && p.is_some()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,7 +50,7 @@ pub use compile::{
     compile_fallbacks, compile_predicate, compile_select_scan, engine_mode, run_scan, run_select,
     with_engine_mode, EngineMode, Program, Scan, SelectScan,
 };
-pub use ctx::{in_view, view_depth, view_frame, view_populating, ViewFrame};
+pub use ctx::{in_view, view_depth, view_frame, ViewFrame};
 pub use error::{Pos, QueryError, Result, SourceError};
 pub use eval::{eval_attr, eval_expr, eval_select, truthy, value_eq, Env, Evaluator};
 pub use exec::{

@@ -144,14 +144,14 @@ pub trait DataSource: ClassGraph {
     }
 
     /// A counter the source bumps whenever resolution state can change —
-    /// for a view: opening/closing a population bracket (the thread's
-    /// `populating` set feeds class verdicts) or instantiating a
-    /// parameterized-class template. Compiled scans capture the generation
-    /// when created and drop their per-(slot, class) caches when it moves,
-    /// and a view keeps its own verdicts for one generation, so a verdict
-    /// computed under one state is never served under another. Sources
-    /// whose resolution state cannot change under a shared reference (a
-    /// base `Database` behind `&self`) keep the default constant `0`.
+    /// for a view: instantiating a template, which grows its schema.
+    /// Compiled scans capture the generation when created and drop their
+    /// per-(slot, class) caches when it moves, and a view keeps its own
+    /// verdicts for one generation, so a verdict computed under one schema
+    /// is never served under another. Sources whose resolution state cannot
+    /// change under a shared reference (a base `Database` behind `&self`)
+    /// keep the default constant `0`; a view's starts at its token shifted
+    /// 32 bits up, so no two sources share one, nor the plans it stamps.
     fn resolution_generation(&self) -> u64 {
         0
     }

@@ -293,7 +293,7 @@ fn one_shape_on_a_database_and_a_view_reuses_its_code_but_plans_per_source() {
     .binder(&sys)
     .bind()
     .unwrap();
-    // A population moves the view's resolution generation off the base's.
+    // A view's resolution generation is never the base's, populated or not.
     assert_eq!(view.query("count(Young)").unwrap(), Value::Int(14));
     let db = sys.database(sym("ShareDb")).unwrap();
     let db = db.read();

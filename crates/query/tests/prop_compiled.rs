@@ -867,7 +867,8 @@ fn firm_view(sys: &ov_oodb::System, materialization: ov_views::Materialization) 
         "create view FirmView;
          import all classes from database Firm;
          attribute Twice in class Staffer has value self.Age * 2;
-         class Adult includes (select P from P in Staffer where P.Age >= 21);",
+         class Adult includes (select P from P in Staffer where P.Age >= 21);
+         class Older(N) includes (select P from P in Staffer where P.Age >= N);",
     )
     .unwrap()
     .binder(sys)
@@ -1081,7 +1082,7 @@ proptest! {
         cached_runs_as_fresh("a recomputing view", &recomputing, &e, &other)?;
         // A resolution-generation bump drops the plan, not the code.
         let gen = recomputing.resolution_generation();
-        recomputing.extent_of(sym("Adult")).unwrap();
+        recomputing.instantiate(sym("Older"), &[Value::Int(30)]).unwrap();
         prop_assert!(recomputing.resolution_generation() > gen);
         let got = charged(&recomputing, &other);
         prop_assert_eq!(&got, &fresh(&recomputing, &other), "{} after a bump", other);

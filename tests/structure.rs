@@ -482,6 +482,19 @@ fn one_class_graph() {
     clean(guard::one_class_graph(tree()));
 }
 
+/// The resolution generation moves for one reason (DESIGN.md §11,
+/// "Staleness"): a template instantiation grows the schema, and only
+/// `View::instantiate` bumps it. A class's rule is a function of the
+/// schema, which the population in flight only filters (DESIGN.md §9): a
+/// bracket that bumped the generation would empty every thread's verdict
+/// memo and compiled-scan slot caches on each recompute, and a reader of
+/// "is a population open here" would bring back a second path through
+/// `View::class_rule`.
+#[test]
+fn one_generation_event() {
+    clean(guard::one_generation_event(tree()));
+}
+
 /// The guards live here, where `cargo test` runs them: a workflow step
 /// that greps or awks the source would be a second copy of a guard, run
 /// only where CI runs.
@@ -841,6 +854,19 @@ mod guard {
             l.contains("is_subclass(") && l.contains("!=") && l.contains("&&")
         });
         hits.extend(grep(files, &ROOTS, |l| l.contains("struct SourceGraph")));
+        hits
+    }
+
+    pub fn one_generation_event(files: &[Source]) -> Vec<String> {
+        const ONE: &str = "crates/core/src/view/bind.rs: fn instantiate";
+        let mut hits = grep(files, &ROOTS, |l| l.contains("view_populating"));
+        let bumps = callers(files, "res_gen.fetch_add(");
+        if bumps.len() != 1 || !bumps.contains(ONE) {
+            hits.push(format!(
+                "crates/core/src moves the resolution generation in [{}], not in {ONE} alone",
+                bumps.into_iter().collect::<Vec<_>>().join(", ")
+            ));
+        }
         hits
     }
 
@@ -1477,6 +1503,57 @@ fn among(schema: &Schema, defining: &[ClassId]) -> Vec<ClassId> {
     assert_eq!(
         run(guard::one_class_graph, &[("tests/helpers.rs", adapter)]),
         ["tests/helpers.rs:1: pub struct SourceGraph<'a>(pub &'a dyn DataSource);"]
+    );
+}
+
+#[test]
+fn one_generation_event_reports_its_mutation() {
+    let view = "\
+impl View {
+    fn in_population<R>(&self, c: ClassId, f: impl FnOnce() -> R) -> R {
+        ov_query::in_view(self.token, Some(c), f)
+    }
+}
+";
+    let bind = "\
+impl View {
+    pub fn instantiate(&self, name: Symbol, args: &[Value]) -> Result<ClassId> {
+        self.res_gen.fetch_add(1, Ordering::Release);
+        Ok(class)
+    }
+}
+";
+    let bracket_bump = view.replace(
+        "        ov_query::in_view(self.token, Some(c), f)\n",
+        "        self.res_gen.fetch_add(1, Ordering::Release);\n        ov_query::in_view(self.token, Some(c), f)\n",
+    );
+    mutation(
+        guard::one_generation_event,
+        &[
+            ("crates/core/src/view.rs", view),
+            ("crates/core/src/view/bind.rs", bind),
+        ],
+        &[
+            ("crates/core/src/view.rs", &bracket_bump),
+            ("crates/core/src/view/bind.rs", bind),
+        ],
+        &["crates/core/src moves the resolution generation in [crates/core/src/view.rs: fn in_population, crates/core/src/view/bind.rs: fn instantiate], not in crates/core/src/view/bind.rs: fn instantiate alone"],
+    );
+    // The one bump is required, not only allowed.
+    assert_eq!(
+        run(guard::one_generation_event, &[("crates/core/src/view.rs", view)]),
+        ["crates/core/src moves the resolution generation in [], not in crates/core/src/view/bind.rs: fn instantiate alone"]
+    );
+    let reader = "if ov_query::view_populating(self.token) {\n";
+    assert_eq!(
+        run(
+            guard::one_generation_event,
+            &[
+                ("crates/core/src/view/bind.rs", bind),
+                ("crates/core/src/view.rs", reader)
+            ]
+        ),
+        ["crates/core/src/view.rs:1: if ov_query::view_populating(self.token) {"]
     );
 }
 
