@@ -2376,7 +2376,13 @@ fn e22_bind() {
             &[tcell(&k.to_string(), "stack", t), classes.to_string()],
         );
     }
-    for (k, shape) in [(25, "chain"), (100, "chain"), (50, "flat"), (200, "flat")] {
+    for (k, shape) in [
+        (25, "chain"),
+        (100, "chain"),
+        (50, "flat"),
+        (200, "flat"),
+        (400, "flat"),
+    ] {
         let def = one_view(k, shape == "chain");
         let mut classes = 0;
         let t = time_ns(4, || {

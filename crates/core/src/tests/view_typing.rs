@@ -1,6 +1,8 @@
 //! How a bound view types its classes, rendered by name for the stacking
-//! tests to compare across the views of a stack. A child of `view` (declared
-//! there, kept with the tests) so it can read the view's schema.
+//! tests to compare across the views of a stack, and the walk of its schema
+//! below an imported class that the import-subtree test takes as its
+//! oracle. A child of `view` (declared there, kept with the tests) so it
+//! can read the view's schema.
 
 use super::*;
 
@@ -58,5 +60,33 @@ impl View {
             .collect();
         hides.extend(self.hidden_classes.iter().map(|&c| name(c).to_string()));
         (classes, hides)
+    }
+
+    /// Each imported class, with the union of the source extents of the
+    /// imported classes at or below it in this view's schema, and the kinds
+    /// of the other classes there: the walk of the view's schema that
+    /// `DataSource::extent` made before it read an import's subtree.
+    pub(crate) fn walked_imports(&self) -> Vec<(ClassId, Vec<Oid>, Vec<String>)> {
+        let schema = self.schema.read();
+        let kinds = self.kinds.read();
+        let mut walked = Vec::new();
+        for class in schema.classes().map(|c| c.id) {
+            if !matches!(kinds[&class], ClassKind::Imported { .. }) {
+                continue;
+            }
+            let (mut oids, mut passed) = (Vec::new(), Vec::new());
+            for d in std::iter::once(class).chain(schema.strict_descendants(class)) {
+                match &kinds[&d] {
+                    ClassKind::Imported { source, orig } => {
+                        oids.extend(self.sources[*source].read().store.extent(*orig));
+                    }
+                    other => passed.push(format!("{other:?}")),
+                }
+            }
+            oids.sort();
+            oids.dedup();
+            walked.push((class, oids, passed));
+        }
+        walked
     }
 }

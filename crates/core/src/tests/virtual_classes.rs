@@ -641,6 +641,159 @@ fn a_class_reading_its_own_attribute_in_its_population_sees_the_inherited_one() 
     }
 }
 
+/// The objects of an imported class are its import's subtree (§3: "when
+/// classes are imported, they become visible together with their
+/// subclasses"). On the views of six shapes — the benchmark's stack and
+/// its imaginary view, a partial import, two imports of one database (one
+/// an aliased leaf), a `like` class across two databases beside an
+/// imaginary class whose core conforms to `Person`, a hidden class, and
+/// 200 flat specialisations — every imported class's extent is the union
+/// the walk of the view's schema below it reads, no imaginary class is
+/// below an imported one, and an index probe that answers answers that
+/// union filtered by the stored field.
+#[test]
+fn an_imported_class_reads_its_import_subtree() {
+    const BASES: &str = r#"
+        database Staff;
+        class Person type [Id: integer, Name: string, Age: integer, City: string,
+                           Street: string, Income: integer];
+        class Employee inherits Person type [Salary: integer];
+        class Manager inherits Employee type [Budget: integer];
+        object #1 in Person value [Id: 1, Name: "Maggy", Age: 66, City: "London",
+                                   Street: "Downing", Income: 120000];
+        object #2 in Person value [Id: 2, Name: "Mark", Age: 12, City: "Paris",
+                                   Street: "Rivoli", Income: 0];
+        object #3 in Employee value [Id: 3, Name: "Tony", Age: 30, City: "London",
+                                     Street: "Strand", Income: 50000, Salary: 50000];
+        object #4 in Manager value [Id: 4, Name: "Boss", Age: 61, City: "Paris",
+                                    Street: "Rivoli", Income: 150000, Salary: 150000,
+                                    Budget: 9];
+        database Firm;
+        class Worker type [Id: integer, Name: string, Age: integer, City: string,
+                           Street: string, Income: integer, Shift: integer];
+        class Temp inherits Worker type [Weeks: integer];
+        object #11 in Worker value [Id: 11, Name: "Ann", Age: 40, City: "London",
+                                    Street: "Mall", Income: 30000, Shift: 1];
+        object #12 in Temp value [Id: 12, Name: "Bob", Age: 22, City: "Paris",
+                                  Street: "Opera", Income: 9000, Shift: 2, Weeks: 3];
+    "#;
+    let mut flat = String::from("create view Flat; import all classes from database Staff;");
+    for i in 1..=200 {
+        flat += &format!(" class Q{i} includes (select X from X in Person where X.Age > {i});");
+    }
+    let views: [(&str, &str); 9] = [
+        ("Adults", "create view Adults; import all classes from database Staff;
+            attribute Address in class Person has value [City: self.City, Street: self.Street];
+            class Adult includes (select P from P in Person where P.Age >= 21);"),
+        ("Earners", "create view Earners; import all classes from view Adults;
+            class Rich includes (select A from A in Adult where A.Income >= 100000);"),
+        ("Top", "create view Top; import all classes from view Earners;
+            class Elite includes (select R from R in Rich where R.Age >= 60);
+            hide attribute Street in class Person;"),
+        ("Homes", "create view Homes; import all classes from database Staff;
+            class Household includes imaginary
+                (select [City: P.City, Street: P.Street] from P in Person where P.Age >= 21);"),
+        ("Partial", "create view Partial; import class Employee from database Staff;"),
+        ("Twice", "create view Twice; import all classes from database Staff;
+            import class Manager as Chief from database Staff;
+            class Senior includes (select C from C in Chief where C.Age >= 60);"),
+        ("Alike", "create view Alike; import all classes from database Staff;
+            import all classes from database Firm;
+            class Band includes imaginary (select [Id: P.Id, Name: P.Name, Age: P.Age,
+                City: P.City, Street: P.Street, Income: P.Income] from P in Person);
+            class G includes like Person;
+            class Young includes (select X from X in G where X.Age < 50);"),
+        ("Hidden", "create view Hidden; import all classes from database Staff;
+            class Adult includes (select P from P in Person where P.Age >= 21);
+            hide class Employee;"),
+        ("Flat", &flat),
+    ];
+    let mut s = crate::Session::new();
+    s.execute(BASES).unwrap();
+    for (_, script) in views {
+        s.execute(script).unwrap();
+    }
+    for (db, class) in [("Staff", "Person"), ("Firm", "Worker")] {
+        let db = s.system().database(sym(db)).unwrap();
+        let mut db = db.write();
+        let root = db.schema.class_by_name(sym(class)).unwrap();
+        db.create_index(root, sym("City")).unwrap();
+    }
+    // `G` draws from both databases and from the imaginary class.
+    let alike = s.view(sym("Alike")).unwrap();
+    for class in ["Worker", "Temp", "Band"] {
+        assert!(alike.is_subclass_by_name(sym(class), sym("G")).unwrap(), "{class}");
+    }
+    for (name, _) in views {
+        let view = s.view(sym(name)).unwrap();
+        let mut answered = 0;
+        for (class, walked, passed) in view.walked_imports() {
+            let class_name = ov_oodb::ClassGraph::class_name(view, class);
+            assert_eq!(DataSource::extent(view, class).unwrap(), walked, "{class_name} in {name}");
+            assert!(
+                passed.iter().all(|k| !k.starts_with("Imaginary")),
+                "an imaginary class below {class_name} in {name}: {passed:?}"
+            );
+            if name == "Flat" && class_name.as_str() == "Person" {
+                assert_eq!(passed.len(), 200, "the walk passes every specialisation");
+            }
+            for city in ["London", "Paris", "Roma"] {
+                let city = Value::str(city);
+                let probe = DataSource::indexed_lookup(view, class, sym("City"), &city);
+                let Some(found) = probe else { continue };
+                let filtered: Vec<_> = walked
+                    .iter()
+                    .copied()
+                    .filter(|&o| DataSource::stored_field(view, o, sym("City")).unwrap() == city)
+                    .collect();
+                assert_eq!(found, filtered, "{class_name}.City = {city} in {name}");
+                answered += 1;
+            }
+        }
+        if name == "Hidden" {
+            // A hidden part at body depth 0 answers no probe.
+            assert_eq!(answered, 0, "{name}");
+        } else {
+            assert!(answered > 0, "no index probe answered in {name}");
+        }
+    }
+}
+
+/// A view bound before a subclass is added on the base database's own
+/// handle has no mapping for it: through the view, the imported class
+/// reads what it read at the bind, with no error, and the new class's
+/// objects stay out (the view could not present them).
+#[test]
+fn a_subclass_added_under_a_bound_view_stays_out_of_its_import() {
+    let mut sys = people_system();
+    let view = ViewDef::from_script(
+        r#"
+        create view V;
+        import all classes from database Staff;
+        class Adult includes (select P from P in Person where P.Age >= 21);
+        "#,
+    )
+    .unwrap()
+    .binder(&sys)
+    .bind()
+    .unwrap();
+    let (count, scan) = ("count(Person)", "select P.Name from P in Person");
+    let before = (view.query(count).unwrap(), view.query(scan).unwrap());
+    assert_eq!(before.0, Value::Int(6));
+    execute_script(
+        &mut sys,
+        r#"
+        database Staff;
+        class Temp inherits Person type [Weeks: integer];
+        object #7 in Temp value [Name: "Tina", Age: 25, Weeks: 2];
+        "#,
+    )
+    .unwrap();
+    let base = sys.database(sym("Staff")).unwrap();
+    assert!(base.read().schema.class_by_name(sym("Temp")).is_some());
+    assert_eq!((view.query(count).unwrap(), view.query(scan).unwrap()), before);
+}
+
 #[test]
 fn no_direct_insertion_into_virtual_classes() {
     // §4.1: "it is not possible for a user to insert an object directly

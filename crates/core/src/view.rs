@@ -955,9 +955,9 @@ impl View {
     }
 
     /// The imported classes whose objects can be members of `class`: an
-    /// imported class and its imported subclasses, or what a delta-decided
-    /// class's includes draw from — as the declaring view decides it, for
-    /// a class of an upstream view. `None` for any other class.
+    /// imported class's import subtree ([`Self::imported_below`]), or what
+    /// a delta-decided class's includes draw from — as the declaring view
+    /// decides it, for a class of an upstream view. `None` for any other.
     fn member_classes(&self, class: ClassId) -> Option<Vec<ClassId>> {
         if let Some((up, theirs)) = self.upstream_of(class) {
             // The upstream imported the same classes under the same names.
@@ -969,20 +969,35 @@ impl View {
             let schema = self.schema.read();
             return names.iter().map(|&n| schema.class_by_name(n)).collect();
         }
-        let kinds = self.kinds.read();
-        match kinds.get(&class)? {
-            ClassKind::Imported { .. } => {
-                let schema = self.schema.read();
-                let below = std::iter::once(class).chain(schema.strict_descendants(class));
-                Some(
-                    below
-                        .filter(|d| matches!(kinds.get(d), Some(ClassKind::Imported { .. })))
-                        .collect(),
-                )
-            }
+        let kind = self.kinds.read().get(&class).cloned()?;
+        match kind {
+            ClassKind::Imported { .. } => Some(
+                self.imported_below(class)
+                    .into_iter()
+                    .map(|(d, ..)| d)
+                    .collect(),
+            ),
             ClassKind::Virtual => self.delta_decided.read().get(&class).cloned(),
             ClassKind::Imaginary { .. } => None,
         }
+    }
+
+    /// The imported classes at or below imported class `class`, each with
+    /// its source and source class: the source class's subtree, mapped
+    /// through the import, which brought it in whole (§3). A source class
+    /// the view has no mapping for (added to the base after the bind) is
+    /// left out, as the view cannot present its objects. Empty for a class
+    /// of any other kind.
+    fn imported_below(&self, class: ClassId) -> Vec<(ClassId, usize, ClassId)> {
+        let Some(ClassKind::Imported { source, orig }) = self.kinds.read().get(&class).cloned()
+        else {
+            return Vec::new();
+        };
+        let below = self.sources[source].read().schema.strict_descendants(orig);
+        std::iter::once(orig)
+            .chain(below)
+            .filter_map(|o| Some((self.imported_class(source, o)?, source, o)))
+            .collect()
     }
 
     fn compute_population(&self, c: ClassId) -> ov_query::Result<BTreeSet<Oid>> {
@@ -1489,27 +1504,15 @@ impl DataSource for View {
                 Ok(self.population(class)?.iter().copied().collect())
             }
             Some(ClassKind::Imported { .. }) | None => {
-                // Union of the source extents of all imported descendants.
-                // Virtual descendants are provably redundant here: their
-                // populations are drawn from classes already below `class`.
-                let descendants: Vec<ClassId> = {
-                    let schema = self.schema.read();
-                    let mut d = vec![class];
-                    d.extend(schema.strict_descendants(class));
-                    d
-                };
-                // Each per-class extent is sorted and an object has one
-                // real class: the concatenation is a few sorted runs, which
-                // the stable sort detects and merges in linear time (the
+                // Union of the source extents of the import's subtree. Each
+                // per-class extent is sorted and an object has one real
+                // class: the concatenation is a few sorted runs, which the
+                // stable sort detects and merges in linear time (the
                 // unstable one would quicksort them). `dedup` only matters
                 // when two sources reuse an oid.
                 let mut out = Vec::new();
-                let kinds = self.kinds.read();
-                for d in descendants {
-                    if let Some(ClassKind::Imported { source, orig }) = kinds.get(&d) {
-                        let db = self.sources[*source].read();
-                        out.extend(db.store.extent(*orig));
-                    }
+                for (_, source, orig) in self.imported_below(class) {
+                    out.extend(self.sources[source].read().store.extent(orig));
                 }
                 out.sort();
                 out.dedup();
@@ -1600,31 +1603,17 @@ impl DataSource for View {
     }
 
     fn indexed_lookup(&self, class: ClassId, attr: Symbol, value: &Value) -> Option<Vec<Oid>> {
-        // The deep extent of an imported class is the union of its imported
-        // descendants' source extents (see `extent`): probe exactly those
+        // The deep extent of an imported class is the union of its import
+        // subtree's source extents (see `extent`): probe exactly those
         // classes, each in its own source — the source's deep lookup would
-        // also return objects of subclasses this view did not import.
-        let mut parts: Vec<(ClassId, usize, ClassId)> = Vec::new();
+        // also return objects of subclasses the view cannot present.
+        let parts = self.imported_below(class);
+        // A hidden class resolves through its visible ancestors, not
+        // through itself.
+        if parts.is_empty()
+            || self.depth() == 0 && parts.iter().any(|&(d, ..)| self.is_hidden_class(d))
         {
-            let kinds = self.kinds.read();
-            let Some(ClassKind::Imported { .. }) = kinds.get(&class) else {
-                return None;
-            };
-            let schema = self.schema.read();
-            for d in std::iter::once(class).chain(schema.strict_descendants(class)) {
-                match kinds.get(&d)? {
-                    ClassKind::Virtual => {} // adds no objects
-                    ClassKind::Imaginary { .. } => return None,
-                    ClassKind::Imported { source, orig } => {
-                        // A hidden class resolves through its visible
-                        // ancestors, not through itself.
-                        if self.is_hidden_class(d) && self.depth() == 0 {
-                            return None;
-                        }
-                        parts.push((d, *source, *orig));
-                    }
-                }
-            }
+            return None;
         }
         // Every object of every part reads the stored field: the class
         // verdict, which no override and no virtual class's membership

@@ -495,6 +495,19 @@ fn one_generation_event() {
     clean(guard::one_generation_event(tree()));
 }
 
+/// An imported class's subtree is its import's (§3: imported classes
+/// "become visible together with their subclasses"; DESIGN.md §14): the
+/// imported classes below it are its source class's descendants mapped
+/// through the import, read in `View::imported_below` alone. A walk of the
+/// view's own schema below an imported class would pass every virtual
+/// subclass to keep the imported ones — what made a wide view's bind
+/// quadratic. Only the bind reads other subtrees: an import's, and a
+/// hidden class's, which holds virtual subclasses too.
+#[test]
+fn one_import_subtree() {
+    clean(guard::one_import_subtree(tree()));
+}
+
 /// The guards live here, where `cargo test` runs them: a workflow step
 /// that greps or awks the source would be a second copy of a guard, run
 /// only where CI runs.
@@ -868,6 +881,24 @@ mod guard {
             ));
         }
         hits
+    }
+
+    pub fn one_import_subtree(files: &[Source]) -> Vec<String> {
+        const ONLY: [&str; 3] = [
+            "crates/core/src/view.rs: fn imported_below",
+            "crates/core/src/view/bind.rs: fn add_hide",
+            "crates/core/src/view/bind.rs: fn do_import",
+        ];
+        let walks = callers(files, "strict_descendants(");
+        if walks.iter().ne(ONLY) {
+            let walks: Vec<_> = walks.into_iter().collect();
+            return vec![format!(
+                "crates/core/src walks a subtree in [{}], not in [{}]",
+                walks.join(", "),
+                ONLY.join(", ")
+            )];
+        }
+        Vec::new()
     }
 
     pub fn one_scan_access_path(files: &[Source]) -> Vec<String> {
@@ -1554,6 +1585,74 @@ impl View {
             ]
         ),
         ["crates/core/src/view.rs:1: if ov_query::view_populating(self.token) {"]
+    );
+}
+
+#[test]
+fn one_import_subtree_reports_its_mutation() {
+    let view = "\
+impl View {
+    fn imported_below(&self, class: ClassId) -> Vec<(ClassId, usize, ClassId)> {
+        let below = self.sources[source].read().schema.strict_descendants(orig);
+    }
+}
+impl DataSource for View {
+    fn extent(&self, class: ClassId) -> ov_query::Result<Vec<Oid>> {
+        for (_, source, orig) in self.imported_below(class) {
+            out.extend(self.sources[source].read().store.extent(orig));
+        }
+    }
+}
+";
+    let bind = "\
+impl View {
+    fn do_import(&mut self, system: &System, import: &Import) -> Result<Vec<Symbol>> {
+        ids.extend(db.schema.strict_descendants(root));
+    }
+    fn add_hide(&mut self, hide: &Hide) -> Result<()> {
+        for d in schema.strict_descendants(c) {
+    }
+}
+";
+    let walk = view.replace(
+        "        for (_, source, orig) in self.imported_below(class) {\n",
+        "        let schema = self.schema.read();\n        \
+         for d in std::iter::once(class).chain(schema.strict_descendants(class)) {\n",
+    );
+    mutation(
+        guard::one_import_subtree,
+        &[
+            ("crates/core/src/view.rs", view),
+            ("crates/core/src/view/bind.rs", bind),
+        ],
+        &[
+            ("crates/core/src/view.rs", &walk),
+            ("crates/core/src/view/bind.rs", bind),
+        ],
+        &[
+            "crates/core/src walks a subtree in [crates/core/src/view.rs: fn extent, \
+           crates/core/src/view.rs: fn imported_below, crates/core/src/view/bind.rs: fn add_hide, \
+           crates/core/src/view/bind.rs: fn do_import], not in [crates/core/src/view.rs: fn \
+           imported_below, crates/core/src/view/bind.rs: fn add_hide, \
+           crates/core/src/view/bind.rs: fn do_import]",
+        ],
+    );
+    // The helper is required, not only allowed.
+    let inline = view.replace("strict_descendants(orig)", "subtree(orig)");
+    assert_eq!(
+        run(
+            guard::one_import_subtree,
+            &[
+                ("crates/core/src/view.rs", &inline),
+                ("crates/core/src/view/bind.rs", bind)
+            ]
+        ),
+        [
+            "crates/core/src walks a subtree in [crates/core/src/view/bind.rs: fn add_hide, \
+          crates/core/src/view/bind.rs: fn do_import], not in [crates/core/src/view.rs: fn \
+          imported_below, crates/core/src/view/bind.rs: fn add_hide, \
+          crates/core/src/view/bind.rs: fn do_import]"
+        ]
     );
 }
 
